@@ -35,7 +35,7 @@ type proc struct {
 
 	mu    sync.Mutex
 	lines []string
-	eof   bool
+	eof   chan struct{} // closed once the stderr reader has read everything
 }
 
 // startProc launches the binary with the given arguments and waits until
@@ -62,17 +62,15 @@ func spawnProc(t *testing.T, bin string, args ...string) *proc {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &proc{t: t, cmd: cmd}
+	p := &proc{t: t, cmd: cmd, eof: make(chan struct{})}
 	go func() {
+		defer close(p.eof)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			p.mu.Lock()
 			p.lines = append(p.lines, sc.Text())
 			p.mu.Unlock()
 		}
-		p.mu.Lock()
-		p.eof = true
-		p.mu.Unlock()
 	}()
 	t.Cleanup(p.kill)
 	return p
@@ -84,6 +82,12 @@ func (p *proc) waitFor(re *regexp.Regexp, timeout time.Duration) []string {
 	deadline := time.Now().Add(timeout)
 	seen := 0
 	for {
+		eof := false
+		select {
+		case <-p.eof: // observed before the scan, so the scan sees every line
+			eof = true
+		default:
+		}
 		p.mu.Lock()
 		for ; seen < len(p.lines); seen++ {
 			if m := re.FindStringSubmatch(p.lines[seen]); m != nil {
@@ -91,7 +95,6 @@ func (p *proc) waitFor(re *regexp.Regexp, timeout time.Duration) []string {
 				return m
 			}
 		}
-		eof := p.eof
 		p.mu.Unlock()
 		if eof || time.Now().After(deadline) {
 			return nil
@@ -118,6 +121,14 @@ func (p *proc) sigterm() {
 	p.t.Helper()
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		p.t.Fatal(err)
+	}
+	// Wait closes the stderr pipe under the reader: let it reach the end
+	// first — the process closing its side — or the closing log lines the
+	// callers look for are lost.
+	select {
+	case <-p.eof:
+	case <-time.After(30 * time.Second):
+		p.t.Fatalf("no exit within 30s of SIGTERM:\n%s", p.output())
 	}
 	if err := p.cmd.Wait(); err != nil {
 		p.t.Fatalf("graceful shutdown exited dirty: %v\n%s", err, p.output())

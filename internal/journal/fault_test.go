@@ -10,6 +10,8 @@ package journal_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -25,7 +27,9 @@ import (
 // the first commit failure.  snap adds a mid-run Snapshot so the sweep
 // covers snapshot and compaction I/O sites; a failed snapshot is
 // tolerated — the log retains everything, so only the commit path decides
-// the run's fate.
+// the run's fate.  One property is longer than the snapshot encoder's
+// flush mark, so the streamed document reaches its file in more than one
+// write and the sweep fails each of them in turn.
 func faultWorkload(w *journal.Writer, db *meta.DB, snap bool) (acked int64, failed error) {
 	for i := 0; i < 8; i++ {
 		k, err := db.NewVersion(fmt.Sprintf("blk%d", i%3), "HDL_model")
@@ -34,6 +38,11 @@ func faultWorkload(w *journal.Writer, db *meta.DB, snap bool) (acked int64, fail
 		}
 		if err := db.SetProp(k, "round", fmt.Sprint(i)); err != nil {
 			return acked, err
+		}
+		if i == 4 {
+			if err := db.SetProp(k, "log", strings.Repeat("x", 48<<10)); err != nil {
+				return acked, err
+			}
 		}
 		if err := w.Commit(); err != nil {
 			return acked, err
@@ -168,6 +177,11 @@ func TestJournalFaultSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Abort()
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snapshot-*.json")); len(snaps) != 1 {
+		t.Fatalf("counting run left snapshots %v", snaps)
+	} else if fi, err := os.Stat(snaps[0]); err != nil || fi.Size() < 48<<10 {
+		t.Fatalf("snapshot too short to be streamed in several writes: %v %v", fi, err)
+	}
 	counts := counter.Counts()
 	for _, op := range []faultfs.Op{faultfs.OpOpen, faultfs.OpWrite, faultfs.OpSync, faultfs.OpRename, faultfs.OpRemove} {
 		if counts[op] == 0 {

@@ -36,12 +36,13 @@
 // or when it outgrows an internal bound.  Segments rotate at a size
 // threshold.
 //
-// Snapshots run concurrently with writers: meta.SnapshotTo collects the
-// document under read locks only (checkins on other shards proceed, and no
-// writer is ever blocked for the JSON encode or the file write), and the
-// capture hook pins the exact LSN the document reflects.  A snapshot is
-// written to a temporary file and renamed into place, so a crash never
-// leaves a half-written snapshot under a valid name.  After a successful
+// Snapshots run concurrently with writers: the document is collected from
+// a read view pinned at the journal's newest LSN, which takes no database
+// lock (no writer is ever blocked for the collection, the encode or the
+// file write) and names the exact LSN the document reflects, and it is
+// streamed to the file a buffer at a time.  A snapshot is written to a
+// temporary file and renamed into place, so a crash never leaves a
+// half-written snapshot under a valid name.  After a successful
 // snapshot, compaction deletes every segment whose records the snapshot
 // fully covers, and every older snapshot.
 //

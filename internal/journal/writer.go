@@ -139,6 +139,7 @@ type Writer struct {
 	applyMu sync.Mutex
 
 	snapMu  sync.Mutex // serializes Snapshot
+	pinHook func()     // tests only: runs between Snapshot's LSN read and its pin
 	snapCh  chan struct{}
 	spillCh chan struct{} // wakes the background loop to Commit an outgrown buffer
 	quit    chan struct{}
@@ -229,7 +230,7 @@ func (w *Writer) openTail() error {
 		}
 	}
 	if tail == "" {
-		return w.newSegmentLocked()
+		return w.newSegmentLocked(w.lastLSN.Load() + 1)
 	}
 	path := filepath.Join(w.dir, tail)
 	f, err := w.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
@@ -259,16 +260,20 @@ func (w *Writer) openTail() error {
 	return nil
 }
 
-// newSegmentLocked starts the next segment, named after the first LSN it
-// can contain.  Callers hold w.mu (or are single-threaded in Open).
-func (w *Writer) newSegmentLocked() error {
+// newSegmentLocked starts the next segment, named after first, the LSN of
+// the first record it will receive: one past the newest record written to
+// the segment it replaces, which is not lastLSN when records were buffered
+// since that write.  The tailer and recovery both find a record by the
+// segment names around it.  Callers hold w.mu (or are single-threaded in
+// Open).
+func (w *Writer) newSegmentLocked(first int64) error {
 	if w.seg != nil {
 		if err := w.seg.Close(); err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
 		w.seg = nil
 	}
-	path := filepath.Join(w.dir, segmentName(w.lastLSN.Load()+1))
+	path := filepath.Join(w.dir, segmentName(first))
 	f, err := w.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -278,7 +283,7 @@ func (w *Writer) newSegmentLocked() error {
 		f.Close()
 		return fmt.Errorf("journal: %w", err)
 	}
-	w.seg, w.segSize, w.segFirst = f, int64(len(hdr)), w.lastLSN.Load()+1
+	w.seg, w.segSize, w.segFirst = f, int64(len(hdr)), first
 	return nil
 }
 
@@ -542,8 +547,11 @@ func (w *Writer) Commit() error {
 	// segment whose header alone exceeds a tiny SegmentBytes would
 	// otherwise re-rotate on an empty commit into the same name (segments
 	// are named by first containable LSN) and trip the O_EXCL create.
-	if w.ioErr == nil && w.seg != nil && w.segSize >= w.opt.SegmentBytes && w.lastLSN.Load()+1 > w.segFirst {
-		if err := w.newSegmentLocked(); err != nil {
+	// The new segment starts after lsn, the position captured at write
+	// time: records buffered while w.mu was released for the fsync are not
+	// in the old segment and will be the new one's first.
+	if w.ioErr == nil && w.seg != nil && w.segSize >= w.opt.SegmentBytes && lsn+1 > w.segFirst {
+		if err := w.newSegmentLocked(lsn + 1); err != nil {
 			w.failLocked(err)
 		}
 	}
@@ -662,7 +670,7 @@ func (w *Writer) BootstrapSnapshot(lsn int64, doc []byte) error {
 	w.buf = w.buf[:0]
 	w.pending = 0
 	w.lastLSN.Store(lsn)
-	if err := w.newSegmentLocked(); err != nil {
+	if err := w.newSegmentLocked(lsn + 1); err != nil {
 		w.failLocked(err)
 		w.mu.Unlock()
 		return err
@@ -766,8 +774,9 @@ func (w *Writer) Abort() {
 // held for the collection, the encode or the file write, so checkins on
 // every shard proceed for the snapshot's whole duration — and that LSN
 // names the file, so recovery knows exactly which records the snapshot
-// covers.  The write goes to a temporary file that is fsynced and
-// renamed, making snapshot installation atomic under crashes.
+// covers.  The document is streamed to a temporary file a buffer at a
+// time, and the file is fsynced and renamed, making snapshot installation
+// atomic under crashes: a write that fails part-way leaves nothing behind.
 func (w *Writer) Snapshot() error {
 	w.snapMu.Lock()
 	defer w.snapMu.Unlock()
@@ -785,8 +794,7 @@ func (w *Writer) Snapshot() error {
 	// lock is uncontended and the pin waits only for mutations already
 	// past their journal append to finish installing.
 	w.applyMu.Lock()
-	lsn := w.lastLSN.Load()
-	v, err := w.db.ReadViewAt(lsn)
+	v, err := w.pinNewest()
 	w.applyMu.Unlock()
 	if err != nil {
 		f.Close()
@@ -794,6 +802,7 @@ func (w *Writer) Snapshot() error {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	defer v.Close()
+	lsn := v.LSN()
 	if lsn <= w.snapLSN.Load() {
 		// Nothing newer than the snapshot already on disk.
 		f.Close()
@@ -817,6 +826,26 @@ func (w *Writer) Snapshot() error {
 	w.sinceSnap.Store(0)
 	w.compact(lsn)
 	return nil
+}
+
+// pinNewest pins a read view at the journal's newest assigned LSN.  On a
+// primary, records keep arriving between reading that position and pinning
+// it, and a reclaim pass in that window may move the version horizon past
+// it; the view is then pinned at the newer position instead — a snapshot
+// has no use for the older one, and a healthy node must not degrade over
+// it.  The horizon never passes the newest record, so re-reading converges.
+func (w *Writer) pinNewest() (*meta.View, error) {
+	for {
+		lsn := w.lastLSN.Load()
+		if w.pinHook != nil {
+			w.pinHook()
+		}
+		v, err := w.db.ReadViewAt(lsn)
+		if errors.Is(err, meta.ErrViewReclaimed) && w.lastLSN.Load() > lsn {
+			continue
+		}
+		return v, err
+	}
 }
 
 // sealSnapshot finishes a snapshot temporary file: fsync, close, and

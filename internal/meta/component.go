@@ -104,6 +104,7 @@ func (db *DB) ComponentChurn() int64 { return db.compChurn.Load() }
 // reloaded.
 func (db *DB) RebuildComponents() {
 	db.lockAll()
+	defer db.unlockAll()
 	comp := make(map[string]string)
 	var find func(string) string
 	find = func(b string) string {
@@ -142,40 +143,42 @@ func (db *DB) RebuildComponents() {
 	// maps and re-publish any diverged posting — the same safety-net role
 	// the exact union-find pass above plays for the merge-only partition.
 	// Incremental maintenance keeps the index exact, so the scan normally
-	// publishes nothing.
-	tok := db.beginMut("", 0, nil)
-	if tok.on {
-		for _, sh := range db.shards {
-			h := sh.hist.Load()
-			for k, refs := range sh.outLinks {
-				if !adjCurrent(&h.out, k, refs) {
-					db.histAdjPush(sh, k, tok.s, true)
-				}
-			}
-			for k, refs := range sh.inLinks {
-				if !adjCurrent(&h.in, k, refs) {
-					db.histAdjPush(sh, k, tok.s, false)
-				}
-			}
-			// Postings whose key has no live refs anymore must read empty.
-			h.out.Range(func(ki, _ any) bool {
-				k := ki.(Key)
-				if len(sh.outLinks[k]) == 0 && !adjCurrent(&h.out, k, nil) {
-					db.histAdjPush(sh, k, tok.s, true)
-				}
-				return true
-			})
-			h.in.Range(func(ki, _ any) bool {
-				k := ki.(Key)
-				if len(sh.inLinks[k]) == 0 && !adjCurrent(&h.in, k, nil) {
-					db.histAdjPush(sh, k, tok.s, false)
-				}
-				return true
-			})
-		}
+	// publishes nothing.  A repair is stamped with the current epoch and
+	// goes through no commit point: the index is derived state, so there is
+	// nothing to journal and no stamp to spend, and under lockAll no link
+	// mutation is installing, so no posting carries a newer stamp.
+	if !db.mvcc.on.Load() {
+		return
 	}
-	db.endMut(tok)
-	db.unlockAll()
+	s := db.mvcc.epoch.Load()
+	for _, sh := range db.shards {
+		h := sh.hist.Load()
+		for k, refs := range sh.outLinks {
+			if !adjCurrent(&h.out, k, refs) {
+				db.histAdjPush(sh, k, s, true)
+			}
+		}
+		for k, refs := range sh.inLinks {
+			if !adjCurrent(&h.in, k, refs) {
+				db.histAdjPush(sh, k, s, false)
+			}
+		}
+		// Postings whose key has no live refs anymore must read empty.
+		h.out.Range(func(ki, _ any) bool {
+			k := ki.(Key)
+			if len(sh.outLinks[k]) == 0 && !adjCurrent(&h.out, k, nil) {
+				db.histAdjPush(sh, k, s, true)
+			}
+			return true
+		})
+		h.in.Range(func(ki, _ any) bool {
+			k := ki.(Key)
+			if len(sh.inLinks[k]) == 0 && !adjCurrent(&h.in, k, nil) {
+				db.histAdjPush(sh, k, s, false)
+			}
+			return true
+		})
+	}
 }
 
 // adjCurrent reports whether the head of an adjacency posting matches the

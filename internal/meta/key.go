@@ -14,6 +14,7 @@
 package meta
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -48,14 +49,17 @@ func (k Key) IsZero() bool { return k.Block == "" && k.View == "" && k.Version =
 
 // Less is the canonical key ordering used by every sorted listing: block,
 // then view, then version.
-func (k Key) Less(o Key) bool {
-	if k.Block != o.Block {
-		return k.Block < o.Block
+func (k Key) Less(o Key) bool { return k.compare(o) < 0 }
+
+// compare is that ordering as a three-way comparison.
+func (k Key) compare(o Key) int {
+	if c := strings.Compare(k.Block, o.Block); c != 0 {
+		return c
 	}
-	if k.View != o.View {
-		return k.View < o.View
+	if c := strings.Compare(k.View, o.View); c != 0 {
+		return c
 	}
-	return k.Version < o.Version
+	return cmp.Compare(k.Version, o.Version)
 }
 
 // Validate checks that the key names a plausible OID: non-empty block and

@@ -10,7 +10,8 @@ import (
 // JSON persistence of the meta-database.  The on-disk form is a plain,
 // human-inspectable document; load rebuilds all indexes.  Version chains
 // are reconstructed from the OID set in ascending order; gaps left by
-// PruneVersions are preserved.
+// PruneVersions are preserved.  The types below describe the document to
+// the decoder; it is written by the streaming encoder in snapenc.go.
 
 type dbJSON struct {
 	Seq        int64           `json:"seq"`
@@ -30,17 +31,6 @@ type dbJSON struct {
 type termJSON struct {
 	Term int64 `json:"term"`
 	LSN  int64 `json:"lsn"`
-}
-
-func termsToJSON(starts []TermStart) []termJSON {
-	if len(starts) == 0 {
-		return nil
-	}
-	out := make([]termJSON, len(starts))
-	for i, ts := range starts {
-		out[i] = termJSON{Term: ts.Term, LSN: ts.LSN}
-	}
-	return out
 }
 
 type oidJSON struct {
@@ -79,8 +69,8 @@ type workspaceJSON struct {
 // enabled the document is collected from a pinned read view — no lock of
 // any kind is held during collection or encoding, and writers proceed
 // throughout; otherwise collection happens under every read lock (control
-// plane, shards, stripes) while the JSON encoding — the expensive part —
-// runs after the locks are released.
+// plane, shards, stripes) while the encoding and the writes to w run after
+// the locks are released.
 func (db *DB) Save(w io.Writer) error {
 	if db.mvcc.on.Load() {
 		v := db.ReadView()
@@ -100,148 +90,56 @@ func (db *DB) Save(w io.Writer) error {
 func (db *DB) SnapshotTo(w io.Writer, capture func()) error {
 	db.ctl.RLock()
 	db.rlockAll()
-	doc := dbJSON{Seq: db.seq.Load(), NextLink: db.nextLink.Load()}
+	doc := snapDoc{seq: db.seq.Load(), nextLink: db.nextLink.Load(), terms: db.loadTerms()}
+	// Property maps and workspace bindings are mutated in place, so the
+	// document takes copies; links and configurations are replaced, never
+	// changed, once published.
 	for _, sh := range db.shards {
 		for _, o := range sh.oids {
-			oj := oidJSON{Block: o.Key.Block, View: o.Key.View, Version: o.Key.Version, Seq: o.Seq}
-			if len(o.Props) > 0 {
-				oj.Props = make(map[string]string, len(o.Props))
-				for k, v := range o.Props {
-					oj.Props[k] = v
-				}
-			}
-			doc.OIDs = append(doc.OIDs, oj)
+			doc.oids = append(doc.oids, oidRow{key: o.Key, seq: o.Seq, props: copyProps(o.Props)})
 		}
 	}
 	for _, st := range db.stripes {
 		for _, l := range st.links {
-			lj := linkJSON{
-				ID:       int64(l.ID),
-				Class:    l.Class.String(),
-				From:     l.From.String(),
-				To:       l.To.String(),
-				Template: l.Template,
-				Seq:      l.Seq,
-			}
-			lj.Propagates = l.PropagateList()
-			if len(l.Props) > 0 {
-				lj.Props = make(map[string]string, len(l.Props))
-				for k, v := range l.Props {
-					lj.Props[k] = v
-				}
-			}
-			doc.Links = append(doc.Links, lj)
+			doc.links = append(doc.links, l)
 		}
 	}
 	for _, c := range db.configs {
-		cj := configJSON{Name: c.Name, Seq: c.Seq}
-		for _, k := range c.OIDs {
-			cj.OIDs = append(cj.OIDs, k.String())
-		}
-		for _, id := range c.Links {
-			cj.Links = append(cj.Links, int64(id))
-		}
-		doc.Configs = append(doc.Configs, cj)
+		doc.configs = append(doc.configs, c)
 	}
 	for _, ws := range db.workspaces {
-		wj := workspaceJSON{Name: ws.Name, Root: ws.Root}
-		if len(ws.paths) > 0 {
-			wj.Paths = make(map[string]string, len(ws.paths))
-			for k, p := range ws.paths {
-				wj.Paths[k.String()] = p
-			}
-		}
-		doc.Workspaces = append(doc.Workspaces, wj)
+		doc.workspaces = append(doc.workspaces, ws.clone())
 	}
-	doc.Terms = termsToJSON(db.TermStarts())
 	if capture != nil {
 		capture()
 	}
 	db.runlockAll()
 	db.ctl.RUnlock()
 
-	return encodeDoc(w, &doc)
-}
-
-// encodeDoc sorts a collected document into the canonical order and
-// writes it as indented JSON — the shared tail of the locked and
-// view-based collection paths, so both produce byte-identical output for
-// identical state.
-func encodeDoc(w io.Writer, doc *dbJSON) error {
-	sort.Slice(doc.OIDs, func(i, j int) bool {
-		a, b := doc.OIDs[i], doc.OIDs[j]
-		if a.Block != b.Block {
-			return a.Block < b.Block
-		}
-		if a.View != b.View {
-			return a.View < b.View
-		}
-		return a.Version < b.Version
-	})
-	sort.Slice(doc.Links, func(i, j int) bool { return doc.Links[i].ID < doc.Links[j].ID })
-	sort.Slice(doc.Configs, func(i, j int) bool { return doc.Configs[i].Name < doc.Configs[j].Name })
-	sort.Slice(doc.Workspaces, func(i, j int) bool { return doc.Workspaces[i].Name < doc.Workspaces[j].Name })
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(*doc)
+	return doc.encode(w)
 }
 
 // SaveTo writes the database exactly as it stood at the view's LSN, in
 // the same canonical JSON form as Save — byte-identical to what replaying
 // the journal up to that LSN and saving would produce.  No locks are
-// taken; writers proceed throughout.
+// taken; writers proceed throughout.  The document is streamed: w receives
+// it a buffer of some 32 KiB at a time.
 func (v *View) SaveTo(w io.Writer) error {
-	doc := dbJSON{Seq: v.seq, NextLink: v.nextLink}
-	v.EachOID(func(o *OID) bool {
-		oj := oidJSON{Block: o.Key.Block, View: o.Key.View, Version: o.Key.Version, Seq: o.Seq}
-		if len(o.Props) > 0 {
-			oj.Props = o.Props // immutable version map; the encoder only reads
-		}
-		doc.OIDs = append(doc.OIDs, oj)
-		return true
-	})
-	v.EachLink(func(l *Link) bool {
-		lj := linkJSON{
-			ID:       int64(l.ID),
-			Class:    l.Class.String(),
-			From:     l.From.String(),
-			To:       l.To.String(),
-			Template: l.Template,
-			Seq:      l.Seq,
-		}
-		lj.Propagates = l.PropagateList()
-		if len(l.Props) > 0 {
-			lj.Props = l.Props // immutable once published
-		}
-		doc.Links = append(doc.Links, lj)
-		return true
-	})
-	v.eachConfiguration(func(c *Configuration) {
-		cj := configJSON{Name: c.Name, Seq: c.Seq}
-		for _, k := range c.OIDs {
-			cj.OIDs = append(cj.OIDs, k.String())
-		}
-		for _, id := range c.Links {
-			cj.Links = append(cj.Links, int64(id))
-		}
-		doc.Configs = append(doc.Configs, cj)
-	})
-	v.eachWorkspace(func(ws *Workspace) {
-		wj := workspaceJSON{Name: ws.Name, Root: ws.Root}
-		if len(ws.paths) > 0 {
-			wj.Paths = make(map[string]string, len(ws.paths))
-			for k, p := range ws.paths {
-				wj.Paths[k.String()] = p
-			}
-		}
-		doc.Workspaces = append(doc.Workspaces, wj)
-	})
 	// The term table is LSN-keyed rather than versioned: filtering it by
 	// the view's pin reproduces exactly what replaying up to that LSN
 	// would have accumulated.
-	doc.Terms = termsToJSON(v.db.termsUpTo(v.lsn))
-	return encodeDoc(w, &doc)
+	doc := snapDoc{seq: v.seq, nextLink: v.nextLink, terms: v.db.termsUpTo(v.lsn)}
+	v.EachOID(func(o *OID) bool {
+		doc.oids = append(doc.oids, oidRow{key: o.Key, seq: o.Seq, props: o.Props})
+		return true
+	})
+	v.EachLink(func(l *Link) bool {
+		doc.links = append(doc.links, l)
+		return true
+	})
+	v.eachConfiguration(func(c *Configuration) { doc.configs = append(doc.configs, c) })
+	v.eachWorkspace(func(ws *Workspace) { doc.workspaces = append(doc.workspaces, ws) })
+	return doc.encode(w)
 }
 
 // Load reads a database previously written by Save and returns a fresh DB

@@ -117,6 +117,18 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 	if got := rec.ops()[n:]; len(got) != 0 {
 		t.Errorf("reverted update emitted records: %v", got)
 	}
+
+	// The exact component rebuild audits derived state: with a recorder
+	// attached it used to call a nil argument builder under every lock.
+	db.RebuildComponents()
+	db.EnableMVCC()
+	db.RebuildComponents()
+	if got := rec.ops()[n:]; len(got) != 0 {
+		t.Errorf("component rebuild emitted records: %v", got)
+	}
+	if err := db.SetProp(k, "x", "3"); err != nil { // every lock is free again
+		t.Fatal(err)
+	}
 }
 
 // TestApplyRecordRejectsMalformed checks decoding failures and state

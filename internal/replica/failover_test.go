@@ -445,6 +445,10 @@ func TestFollowerBackoffAndStats(t *testing.T) {
 	if at, err := fol.WaitApplied(lsn, 20*time.Second); err != nil {
 		t.Fatalf("re-pointed follower stuck at %d: %v (terminal: %v)", at, err, fol.Err())
 	}
+	// The ack follows the apply it acknowledges: wait for it.
+	for deadline = time.Now().Add(10 * time.Second); fol.Stats().Acks == 0 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+	}
 	st := fol.Stats()
 	if st.Connects < 1 || st.Records != lsn || st.Bootstraps != 0 || st.Acks == 0 {
 		t.Fatalf("stats after recovery = %+v, want ≥1 connect, %d records, 0 bootstraps, ≥1 ack", st, lsn)

@@ -12,6 +12,7 @@ package repro
 // reader regardless of locking design.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -107,6 +108,71 @@ func BenchmarkSnapshotUnderLoad(b *testing.B) {
 					b.Fatal(err)
 				}
 				v.Close()
+			}
+		})
+	}
+}
+
+// benchTreeProject builds the design project of the benchmark in bench/
+// through the engine: per tree a depth-3, fanout-3 use-hierarchy of 13
+// schematic blocks, each with a derived netlist and layout — 39 OIDs and
+// 38 links, with the properties and link annotations the EDTC_example
+// blueprint gives them.
+func benchTreeProject(b *testing.B, trees int) *Project {
+	b.Helper()
+	proj := mustProject(b, EDTCExample)
+	for tr := 0; tr < trees; tr++ {
+		var sch [13]Key
+		for i := range sch {
+			block := fmt.Sprintf("t%db%d", tr, i)
+			for _, view := range []string{"schematic", "netlist", "layout"} {
+				k, err := proj.Engine.CreateOID(block, view, "bench")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if view == "schematic" {
+					sch[i] = k
+				} else if _, err := proj.Engine.CreateLink(DeriveLink, sch[i], k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if i > 0 {
+				if _, err := proj.Engine.CreateLink(UseLink, sch[(i-1)/3], sch[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := proj.Engine.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	return proj
+}
+
+// BenchmarkSnapshotEncode is the cost of one background checkpoint without
+// its file: the canonical Save document of a 16-tree project (what the
+// benchmark's checkin and durable workloads run on) and a 64-tree one
+// (report), collected from a pinned view and streamed to a writer that
+// discards it.  A journaled primary pays this every SnapshotEvery records,
+// behind the write path, so B/op and allocs/op are what it adds to the
+// primary's heap; docs/PERF.md has the numbers of the reflection encoder
+// it replaced.
+func BenchmarkSnapshotEncode(b *testing.B) {
+	for _, trees := range []int{16, 64} {
+		b.Run(fmt.Sprintf("trees=%d", trees), func(b *testing.B) {
+			v := benchTreeProject(b, trees).DB.ReadView()
+			defer v.Close()
+			var doc bytes.Buffer
+			if err := v.SaveTo(&doc); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(doc.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := v.SaveTo(io.Discard); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

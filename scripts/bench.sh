@@ -26,7 +26,7 @@ EXTRA="BenchmarkEventThroughputParallel\$|BenchmarkParallelDrain|BenchmarkBatchP
 # MVCC reader-latency family (PR 5, extended PR 9): report, snapshot and
 # graph-walk latency with paced concurrent writers vs. the idle baseline,
 # plus the versioned-adjacency point-lookup cost.
-MVCC="BenchmarkReportUnderWrites|BenchmarkSnapshotUnderLoad|BenchmarkReachableUnderWrites|BenchmarkQueryIndexLookup"
+MVCC="BenchmarkReportUnderWrites|BenchmarkSnapshotUnderLoad|BenchmarkSnapshotEncode|BenchmarkReachableUnderWrites|BenchmarkQueryIndexLookup"
 OUT="BENCH_${INDEX}.json"
 RAW="BENCH_${INDEX}.txt"
 
