@@ -1,7 +1,5 @@
 package bpl
 
-import "strings"
-
 // Compiled failure explanation.  ExplainFailure renders the static parts of
 // every leaf description — the leaf's canonical source and the referenced
 // operand — from scratch on each call, which makes it the dominant cost of
@@ -9,7 +7,7 @@ import "strings"
 // every OID of a view, only the current property value differs.  An
 // Explainer compiles an expression once into a leaf list with pre-rendered
 // static prefixes; explaining a failure then costs one small allocation per
-// failing leaf.
+// failing leaf, and none when appended to a caller's buffer (AppendFailures).
 
 // leafCheck is one boolean leaf (BoolExpr or CmpExpr) of a compiled
 // expression, with its negation context and pre-rendered description.
@@ -89,20 +87,50 @@ func (x *Explainer) Failures(lookup LookupFunc) []string {
 	var out []string
 	for i := range x.leaves {
 		lc := &x.leaves[i]
-		if lc.expr.Eval(lookup) != lc.neg {
+		if !lc.fails(lookup) {
 			continue
 		}
 		if !lc.hasOperand {
 			out = append(out, lc.prefix)
 			continue
 		}
-		var sb strings.Builder
-		val := quote(lc.operand.Value(lookup))
-		sb.Grow(len(lc.prefix) + len(val) + 1)
-		sb.WriteString(lc.prefix)
-		sb.WriteString(val)
-		sb.WriteByte(']')
-		out = append(out, sb.String())
+		var buf [128]byte
+		out = append(out, string(lc.appendTo(buf[:0], lookup)))
 	}
 	return out
+}
+
+// AppendFailures appends the failing leaves of Failures to dst, a list of
+// reasons joined by "; " that may already hold those of other expressions,
+// each leaf as "label: " and its description.  It allocates only to grow
+// dst.
+func (x *Explainer) AppendFailures(dst []byte, label string, lookup LookupFunc) []byte {
+	for i := range x.leaves {
+		lc := &x.leaves[i]
+		if !lc.fails(lookup) {
+			continue
+		}
+		if len(dst) > 0 {
+			dst = append(dst, "; "...)
+		}
+		dst = append(dst, label...)
+		dst = append(dst, ": "...)
+		dst = lc.appendTo(dst, lookup)
+	}
+	return dst
+}
+
+// fails reports whether the leaf contributes to a failure under lookup.
+func (lc *leafCheck) fails(lookup LookupFunc) bool {
+	return lc.expr.Eval(lookup) == lc.neg
+}
+
+// appendTo appends the leaf's description with the current operand value.
+func (lc *leafCheck) appendTo(dst []byte, lookup LookupFunc) []byte {
+	dst = append(dst, lc.prefix...)
+	if lc.hasOperand {
+		dst = appendQuote(dst, lc.operand.Value(lookup))
+		dst = append(dst, ']')
+	}
+	return dst
 }

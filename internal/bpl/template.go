@@ -171,24 +171,23 @@ func isBareIdent(s string) bool {
 }
 
 // quote renders s as a BluePrint string literal.
-func quote(s string) string {
-	var sb strings.Builder
-	sb.WriteByte('"')
+func quote(s string) string { return string(appendQuote(make([]byte, 0, len(s)+2), s)) }
+
+// appendQuote appends the BluePrint string literal of s to dst.
+func appendQuote(dst []byte, s string) []byte {
+	dst = append(dst, '"')
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
 		case '"':
-			sb.WriteString(`\"`)
-		case '\\':
-			// A backslash in the raw form is only produced by \$; keep it.
-			sb.WriteByte('\\')
+			dst = append(dst, '\\', '"')
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, '\\', 'n')
 		case '\t':
-			sb.WriteString(`\t`)
+			dst = append(dst, '\\', 't')
 		default:
-			sb.WriteByte(c)
+			// A backslash in the raw form is only produced by \$; keep it.
+			dst = append(dst, c)
 		}
 	}
-	sb.WriteByte('"')
-	return sb.String()
+	return append(dst, '"')
 }

@@ -380,16 +380,15 @@ type drainState struct {
 // are dispatched to a bounded worker pool and drain concurrently; waves
 // with overlapping footprints run one after another in enqueue order, so
 // the outcome is independent of the worker bound.  Rule-posted events start
-// new waves at the queue tail.  Only one Drain runs at a time; concurrent
-// calls return immediately so posters can call PostAndDrain freely.
+// new waves at the queue tail.  Only one Drain runs at a time.
 //
-// With a journal attached, Drain commits it after the queue settles — the
-// durability point for everything the drain changed.  A call that yields
-// to an already-running drain waits for that drain to retire and then
-// retries, so it returns only once a drain pass of its own has covered
-// the caller's events (closing the handoff window in which an event posted
-// just as a drain exits would otherwise be acknowledged unprocessed); the
-// commit then makes the effects durable before any "posted" response.
+// A call that yields to an already-running drain waits for that drain to
+// retire and then retries, so it returns only once a drain pass of its own
+// has covered the caller's events — with or without a journal: a caller
+// that returned at once would acknowledge an event another goroutine's
+// drain is still delivering, or one posted just as that drain exits.  With
+// a journal attached, Drain then commits it — the durability point for
+// everything the drain changed, before any "posted" response.
 // The wait is for one drain generation at a time, not global idleness, so
 // sustained traffic on other connections cannot starve the caller beyond
 // what running the drain itself would cost.  Exec handlers must not call
@@ -398,13 +397,11 @@ type drainState struct {
 func (e *Engine) Drain() error {
 	for {
 		ran, err := e.drainQueue()
-		j := e.journal.Load()
-		if j == nil {
-			return err
-		}
 		if ran || err != nil {
-			if jerr := j.Commit(); err == nil {
-				err = jerr
+			if j := e.journal.Load(); j != nil {
+				if jerr := j.Commit(); err == nil {
+					err = jerr
+				}
 			}
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bpl"
 	"repro/internal/meta"
@@ -361,6 +362,72 @@ endblueprint`, WithDrainWorkers(4))
 	e.active = 0
 	e.mu.Unlock()
 	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parkTracer blocks the goroutine that delivers to one OID until released.
+type parkTracer struct {
+	oid     string
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkTracer) Trace(e TraceEntry) {
+	if e.Kind == TraceDeliver && e.OID == p.oid {
+		close(p.parked)
+		<-p.release
+	}
+}
+
+// TestDrainWaitsForInFlightDrainUnjournaled: a Drain that finds another
+// goroutine's drain in flight must not return before its own event has been
+// delivered, journal or no journal — a server answers "posted" on that
+// return.  The first drain is parked in the middle of a wave; the second
+// goroutine posts to another block and drains.
+func TestDrainWaitsForInFlightDrainUnjournaled(t *testing.T) {
+	tr := &parkTracer{parked: make(chan struct{}), release: make(chan struct{})}
+	e := newTestEngine(t, `blueprint b
+view v
+    property r default none
+    when set do r = $arg done
+endview
+endblueprint`, WithTracer(tr))
+	a := mustCreate(t, e, "A", "v")
+	b := mustCreate(t, e, "B", "v")
+	tr.oid = a.String()
+
+	first := make(chan error, 1)
+	go func() {
+		first <- e.PostAndDrain(Event{Name: "set", Dir: bpl.DirDown, Target: a, Args: []string{"x"}})
+	}()
+	<-tr.parked
+
+	type outcome struct {
+		r   string
+		err error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		err := e.PostAndDrain(Event{Name: "set", Dir: bpl.DirDown, Target: b, Args: []string{"y"}})
+		r, _, _ := e.DB().GetProp(b, "r")
+		second <- outcome{r, err}
+	}()
+	// A correct Drain is now blocked and shows nothing; one that yields and
+	// returns shows up at once, with B's delivery still queued behind the
+	// parked drain.
+	var got outcome
+	select {
+	case got = <-second:
+		close(tr.release)
+	case <-time.After(100 * time.Millisecond):
+		close(tr.release)
+		got = <-second
+	}
+	if got.err != nil || got.r != "y" {
+		t.Errorf("second PostAndDrain returned with r = %q, err = %v: its event was not delivered yet", got.r, got.err)
+	}
+	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
 }

@@ -44,15 +44,24 @@ func (k Key) String() string {
 	return k.Block + "," + k.View + "," + strconv.Itoa(k.Version)
 }
 
+// AppendTo appends the String form of the key to dst.
+func (k Key) AppendTo(dst []byte) []byte {
+	dst = append(dst, k.Block...)
+	dst = append(dst, ',')
+	dst = append(dst, k.View...)
+	dst = append(dst, ',')
+	return strconv.AppendInt(dst, int64(k.Version), 10)
+}
+
 // IsZero reports whether the key is the zero value.
 func (k Key) IsZero() bool { return k.Block == "" && k.View == "" && k.Version == 0 }
 
 // Less is the canonical key ordering used by every sorted listing: block,
 // then view, then version.
-func (k Key) Less(o Key) bool { return k.compare(o) < 0 }
+func (k Key) Less(o Key) bool { return k.Compare(o) < 0 }
 
-// compare is that ordering as a three-way comparison.
-func (k Key) compare(o Key) int {
+// Compare is that ordering as a three-way comparison.
+func (k Key) Compare(o Key) int {
 	if c := strings.Compare(k.Block, o.Block); c != 0 {
 		return c
 	}

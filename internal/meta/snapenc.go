@@ -94,7 +94,7 @@ type boundPath struct{ key, path string }
 // encode sorts the document into the canonical order — OIDs by key, links
 // by ID, configurations and workspaces by name — and streams it to w.
 func (d *snapDoc) encode(w io.Writer) error {
-	slices.SortFunc(d.oids, func(a, b oidRow) int { return a.key.compare(b.key) })
+	slices.SortFunc(d.oids, func(a, b oidRow) int { return a.key.Compare(b.key) })
 	slices.SortFunc(d.links, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
 	slices.SortFunc(d.configs, func(a, b *Configuration) int { return strings.Compare(a.Name, b.Name) })
 	slices.SortFunc(d.workspaces, func(a, b *Workspace) int { return strings.Compare(a.Name, b.Name) })

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -26,8 +27,9 @@ type Client struct {
 
 	// Timeout bounds each request/response round-trip (and the FOLLOW
 	// handshake) when positive: a hung server surfaces as ErrTimeout
-	// instead of blocking the caller forever.  The deadline refreshes on
-	// every successfully-read body line, so it bounds peer silence, not
+	// instead of blocking the caller forever.  The deadline refreshes
+	// before every body read that waits on the peer, so it bounds peer
+	// silence, not
 	// total transfer time — a large streaming REPORT/GAP body over a
 	// slow-but-live link keeps resetting it and never trips it
 	// spuriously.  It deliberately does not bound the reads between
@@ -174,6 +176,13 @@ func (c *Client) readLine() (string, error) {
 	return line, err
 }
 
+// lineBuffered reports whether the next line is already in the read buffer
+// in full, so reading it cannot wait on the peer.
+func (c *Client) lineBuffered() bool {
+	buf, _ := c.r.Peek(c.r.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
 // roundTrip sends one request and reads the complete response.
 func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
 	if req.User == "" {
@@ -199,10 +208,16 @@ func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
 		return wire.Response{}, err
 	}
 	for multi {
-		// Refresh the deadline per successfully-read body line: the
-		// timeout bounds peer silence, and a huge REPORT/GAP body over a
-		// slow-but-live link is progress, not a hang.
-		c.arm()
+		// The timeout bounds peer silence, not transfer time: a huge
+		// REPORT/GAP body over a slow-but-live link is progress, not a
+		// hang.  So the deadline is refreshed before every read that can
+		// wait on the peer — whenever the buffer holds no complete line,
+		// which includes a line the last chunk cut in the middle — and not
+		// before lines already buffered whole, which would cost a timer
+		// reset per row.
+		if !c.lineBuffered() {
+			c.arm()
+		}
 		line, err := c.readLine()
 		if err != nil {
 			return wire.Response{}, fmt.Errorf("client: truncated response: %w", err)

@@ -525,6 +525,13 @@ func (c *timeoutConn) disableIdle() {
 	c.Conn.SetReadDeadline(time.Time{})
 }
 
+// connWriteBuffer is the size of a connection's write buffer.  Single-line
+// responses are flushed as they are written whatever its size; it is the
+// streamed REPORT/GAP that fills it, and the benchmark's report is 100 to
+// 260 KB: at bufio's default 4 KiB that is a write(2) and a deadline reset
+// every 40 to 90 rows, at 16 KiB a quarter of them.
+const connWriteBuffer = 16 << 10
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	// A panicking handler must cost exactly its own connection, never the
@@ -538,7 +545,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	tc := &timeoutConn{Conn: conn, idle: s.limits.IdleTimeout, write: s.limits.WriteTimeout}
 	r := bufio.NewReaderSize(tc, 64*1024)
-	w := bufio.NewWriter(tc)
+	w := bufio.NewWriterSize(tc, connWriteBuffer)
 	for {
 		line, err := readProtocolLine(r)
 		if err != nil {
@@ -569,8 +576,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.serveFollow(r, w, req)
 				return
 			case wire.VerbReport, wire.VerbGap:
-				// Streamed: rows are flushed to the socket as they are
-				// evaluated instead of buffering the whole body.
+				// Streamed: rows go to the socket a write buffer at a time
+				// instead of building the whole body first.
 				release, admitted := s.admit()
 				if !admitted {
 					s.counters.InflightShed.Add(1)
@@ -817,48 +824,85 @@ func parseFollowSpec(spec string) (meta.FollowFunc, error) {
 	return nil, fmt.Errorf("bad follow spec %q (want use, all or type:t1,t2,...)", spec)
 }
 
-// streamReport serves REPORT/GAP over a live connection, writing and
-// flushing each "|" body row as it is evaluated — a report over a large
-// database starts arriving immediately and never materializes as one
-// buffer.  Rows keep the stable key-sorted order of the buffered form.
-// false means the connection died mid-stream.
+// streamReport serves REPORT/GAP over a live connection.  Each "|" body
+// row is formatted in place in the connection's write buffer, which goes to
+// the socket whenever it is full and once after the "." terminator: a
+// report over a large database starts arriving after one buffer, never
+// materializes as a whole, and costs a write per buffer, not per row.  A
+// reader that stops reading blocks that write — its own connection only —
+// until WriteTimeout ends the scan.  Rows keep the stable key-sorted order
+// of the buffered form.  false means the connection died mid-stream.
 func (s *Server) streamReport(w *bufio.Writer, req wire.Request) bool {
 	v, resp := s.reportGate(req)
 	if resp != nil {
 		return writeFlush(w, resp.Encode()+"\n")
 	}
 	defer v.Close() // nil-safe
-	if !writeFlush(w, "OK+ streaming\n") {
+	if _, err := w.WriteString("OK+ streaming\n"); err != nil {
 		return false
 	}
-	alive := true
-	row := func(st *state.OIDState) bool {
-		if req.Verb == wire.VerbGap && st.Ready {
-			return true
+	s.scanReport(v, req.Verb == wire.VerbGap, func(key meta.Key, ready bool, reasons []byte) bool {
+		// The row is built in the free tail of the write buffer, so Write
+		// only advances past it; the buffer goes out first when the row may
+		// not fit.  (A row larger than the whole buffer grows out of it by
+		// append and is written through.)
+		if w.Available() < reportRowMax(key, reasons)+2 && w.Flush() != nil {
+			return false
 		}
-		alive = writeFlush(w, "|"+reportRow(st)+"\n")
-		return alive
-	}
-	if v != nil {
-		// Pause-free path: rows evaluate against the pinned view with no
-		// database locks; a slow reader stalls nobody.
-		state.StreamSortedView(v, s.eng.Blueprint(), row)
-	} else {
-		state.StreamSorted(s.eng.DB(), s.eng.Blueprint(), row)
-	}
-	if !alive {
-		return false
-	}
+		b := append(w.AvailableBuffer(), '|')
+		b = appendReportRow(b, key, ready, reasons)
+		b = append(b, '\n')
+		_, err := w.Write(b)
+		return err == nil
+	})
 	return writeFlush(w, ".\n")
 }
 
-// reportRow formats one REPORT/GAP body line.
-func reportRow(st *state.OIDState) string {
-	line := fmt.Sprintf("%s ready=%v", st.Key, st.Ready)
-	if len(st.Reasons) > 0 {
-		line += " " + wire.Quote(strings.Join(st.Reasons, "; "))
+// scanReport runs the REPORT (or, with gap set, GAP) pass in key order and
+// hands row each row to send: over the pinned view, or with a nil view —
+// a server without MVCC — over the live database, row by row.
+func (s *Server) scanReport(v *meta.View, gap bool, row func(key meta.Key, ready bool, reasons []byte) bool) {
+	if gap {
+		all := row
+		row = func(key meta.Key, ready bool, reasons []byte) bool {
+			return ready || all(key, ready, reasons)
+		}
 	}
-	return line
+	if v != nil {
+		state.ScanSortedView(v, s.eng.Blueprint(), row)
+		return
+	}
+	var joined []byte
+	state.StreamSorted(s.eng.DB(), s.eng.Blueprint(), func(st *state.OIDState) bool {
+		joined = joined[:0]
+		for i, r := range st.Reasons {
+			if i > 0 {
+				joined = append(joined, "; "...)
+			}
+			joined = append(joined, r...)
+		}
+		return row(st.Key, st.Ready, joined)
+	})
+}
+
+// appendReportRow appends one REPORT/GAP body row: the key, ready=<bool>
+// and, unless the row is ready, its reasons as one quoted field.
+func appendReportRow(dst []byte, key meta.Key, ready bool, reasons []byte) []byte {
+	dst = key.AppendTo(dst)
+	dst = append(dst, " ready="...)
+	dst = strconv.AppendBool(dst, ready)
+	if len(reasons) > 0 {
+		dst = append(dst, ' ')
+		dst = wire.AppendQuote(dst, reasons)
+	}
+	return dst
+}
+
+// reportRowMax bounds the bytes appendReportRow appends for a row: the two
+// commas and up to 20 characters of version, " ready=false", and a space and
+// two quotes around reasons whose every byte may be escaped.
+func reportRowMax(key meta.Key, reasons []byte) int {
+	return len(key.Block) + len(key.View) + 22 + len(" ready=false") + 3 + 2*len(reasons)
 }
 
 // serveFollow turns the connection into a replication stream: an OK+
@@ -1248,28 +1292,22 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 
 	case wire.VerbReport, wire.VerbGap:
 		// The buffered form, used by in-process callers (Handle); network
-		// connections take the per-row streaming path in serveConn.  Rows
-		// are evaluated through the same sorted stream so both forms emit
-		// identical bodies.
+		// connections take the streaming path in serveConn.  Both run the
+		// same scan and the same row formatter, so they emit identical
+		// bodies.
 		v, resp := s.reportGate(req)
 		if resp != nil {
 			return *resp, false
 		}
 		defer v.Close() // nil-safe
 		var body []string
-		row := func(st *state.OIDState) bool {
-			if req.Verb == wire.VerbGap && st.Ready {
-				return true
-			}
-			body = append(body, reportRow(st))
+		var buf []byte
+		s.scanReport(v, req.Verb == wire.VerbGap, func(key meta.Key, ready bool, reasons []byte) bool {
+			buf = appendReportRow(buf[:0], key, ready, reasons)
+			body = append(body, string(buf))
 			return true
-		}
-		if v != nil {
-			state.StreamSortedView(v, s.eng.Blueprint(), row)
-		} else {
-			state.StreamSorted(s.eng.DB(), s.eng.Blueprint(), row)
-		}
-		return wire.Response{OK: true, Detail: fmt.Sprintf("%d rows", len(body)), Body: body}, false
+		})
+		return wire.Response{OK: true, Detail: strconv.Itoa(len(body)) + " rows", Body: body}, false
 
 	case wire.VerbQuery:
 		return s.handleQuery(req), false

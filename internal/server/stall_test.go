@@ -22,6 +22,17 @@ import (
 // silence only a deadline can detect.
 func muteServer(t *testing.T, gap time.Duration, lines ...string) string {
 	t.Helper()
+	chunks := make([]string, len(lines))
+	for i, l := range lines {
+		chunks[i] = l + "\n"
+	}
+	return chunkServer(t, gap, chunks...)
+}
+
+// chunkServer is muteServer writing raw chunks, so a write can end in the
+// middle of a line the way a TCP segment or a full server buffer does.
+func chunkServer(t *testing.T, gap time.Duration, chunks ...string) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -40,11 +51,11 @@ func muteServer(t *testing.T, gap time.Duration, lines ...string) string {
 		if _, err := bufio.NewReader(c).ReadString('\n'); err != nil {
 			return
 		}
-		for _, l := range lines {
+		for _, l := range chunks {
 			if gap > 0 {
 				time.Sleep(gap)
 			}
-			if _, err := c.Write([]byte(l + "\n")); err != nil {
+			if _, err := c.Write([]byte(l)); err != nil {
 				return
 			}
 		}
@@ -77,6 +88,51 @@ func TestClientTimeoutBoundsSilenceNotTransfer(t *testing.T) {
 	}
 	if len(rows) != 8 {
 		t.Fatalf("got %d rows, want 8", len(rows))
+	}
+}
+
+// TestClientTimeoutBoundsSilenceMidLine: the same slow-but-live body, but
+// every chunk ends in the middle of a row, so the client's buffer is never
+// empty between reads.  The deadline must still refresh before each read
+// that waits on the peer.
+func TestClientTimeoutBoundsSilenceMidLine(t *testing.T) {
+	const op = 150 * time.Millisecond
+	chunks := []string{"OK+ rows\n|ro"}
+	for i := 0; i < 8; i++ {
+		chunks = append(chunks, fmt.Sprintf("w%d\n|ro", i))
+	}
+	chunks = append(chunks, "w8\n.\n")
+	addr := chunkServer(t, 60*time.Millisecond, chunks...)
+
+	c, err := DialTimeout(addr, time.Second, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Hangup()
+	rows, err := c.Report()
+	if err != nil {
+		t.Fatalf("slow-but-live response cut mid-line tripped the per-op timeout: %v", err)
+	}
+	if len(rows) != 9 {
+		t.Fatalf("got %d rows, want 9", len(rows))
+	}
+}
+
+// TestClientReadStallMidLine: the peer stops in the middle of a row.  The
+// half line in the buffer is not progress to wait on forever.
+func TestClientReadStallMidLine(t *testing.T) {
+	const op = 250 * time.Millisecond
+	addr := chunkServer(t, 0, "OK+ rows\n|row0\n|ro")
+
+	c, err := DialTimeout(addr, time.Second, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Hangup()
+	start := time.Now()
+	_, err = c.Report()
+	if elapsed := time.Since(start); !errors.Is(err, ErrTimeout) || elapsed > 2*op {
+		t.Fatalf("mute-mid-line server = %v after %v, want ErrTimeout within %v", err, elapsed, 2*op)
 	}
 }
 

@@ -2,41 +2,24 @@ package server
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/bpl"
-	"repro/internal/engine"
-	"repro/internal/meta"
 )
 
 // TestReportStreamsRowsBeforeTerminator: REPORT over a connection must
-// flush rows as they are produced, not buffer the whole body.  The server
-// side runs on a synchronous, unbuffered net.Pipe playing a slow reader:
-// each flush rendezvouses with exactly one Read, so if the server built
-// the entire response first, the very first Read would hand back the
-// terminator along with everything else.  Streaming instead delivers the
-// header and early rows while later rows have not been written — rows
-// arrive before the terminator.
+// send rows as its write buffer fills, not build the whole body first.  The
+// server side runs on a synchronous, unbuffered net.Pipe playing a slow
+// reader: each write rendezvouses with the Reads that take it, so if the
+// server built the entire response first, the terminator would be in the
+// pipe before the first row was read.  Streaming instead delivers the
+// header and the first buffer of rows while later rows have not been
+// evaluated — no chunk is larger than the write buffer, and rows arrive
+// before the terminator.
 func TestReportStreamsRowsBeforeTerminator(t *testing.T) {
-	bp, err := bpl.Parse(bpl.EDTCExample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := meta.NewDB()
-	const rows = 6
-	for _, block := range []string{"A", "B", "C", "D", "E", "F"} {
-		if _, err := db.NewVersion(block, "HDL_model"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng, err := engine.New(db, bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(eng)
-	defer s.Close()
+	const trees = 16
+	s := treeServer(t, trees)
 
 	cli, srv := net.Pipe()
 	defer cli.Close()
@@ -50,49 +33,49 @@ func TestReportStreamsRowsBeforeTerminator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain the response chunk by chunk.  The pipe is unbuffered, so each
-	// Read returns at most one flushed write.
+	// Drain the response chunk by chunk.  The pipe is unbuffered, so a
+	// Read never returns more than one write.
 	var chunks []string
 	var total strings.Builder
 	buf := make([]byte, 64*1024)
 	cli.SetReadDeadline(time.Now().Add(10 * time.Second))
-	for !strings.Contains(total.String(), "\n.\n") {
+	for !strings.HasSuffix(total.String(), "\n.\n") {
 		n, err := cli.Read(buf)
 		if err != nil {
 			t.Fatalf("read after %d chunks: %v\nso far:\n%s", len(chunks), err, total.String())
+		}
+		if n > connWriteBuffer {
+			t.Fatalf("a chunk of %d bytes: more than one write buffer (%d) was built before sending", n, connWriteBuffer)
 		}
 		chunks = append(chunks, string(buf[:n]))
 		total.WriteString(string(buf[:n]))
 	}
 
-	// The first chunk is the flushed header alone — no rows, certainly no
-	// terminator.  A buffered implementation would deliver everything in
-	// a single chunk.
-	if strings.Contains(chunks[0], ".") || strings.Contains(chunks[0], "ready=") {
-		t.Fatalf("first chunk carries more than the header — response was buffered, not streamed:\n%q", chunks[0])
+	// The first chunk is the header and the first rows — certainly not the
+	// terminator.  A buffered implementation would deliver everything at
+	// once.
+	if !strings.HasPrefix(chunks[0], "OK+ streaming\n|") || strings.Contains(chunks[0], "\n.\n") {
+		t.Fatalf("first chunk is not the header and some rows:\n%q", chunks[0])
 	}
-	if len(chunks) < rows {
-		t.Fatalf("whole response arrived in %d chunks; per-row flushing would take at least %d", len(chunks), rows)
+	if least := total.Len() / connWriteBuffer; len(chunks) < least || least < 2 {
+		t.Fatalf("%d bytes arrived in %d chunks; streaming a buffer at a time takes at least %d", total.Len(), len(chunks), least)
 	}
 
 	// And the reassembled response is a correct, sorted report.
 	lines := strings.Split(strings.TrimRight(total.String(), "\n"), "\n")
-	if !strings.HasPrefix(lines[0], "OK+") {
-		t.Fatalf("bad header %q", lines[0])
-	}
 	if lines[len(lines)-1] != "." {
 		t.Fatalf("bad terminator %q", lines[len(lines)-1])
 	}
 	body := lines[1 : len(lines)-1]
-	if len(body) != rows {
-		t.Fatalf("%d body rows, want %d:\n%s", len(body), rows, total.String())
+	if len(body) != trees*39 {
+		t.Fatalf("%d body rows, want %d:\n%s", len(body), trees*39, total.String())
 	}
 	for i, l := range body {
 		if !strings.HasPrefix(l, "|") {
 			t.Fatalf("row %d lacks the body prefix: %q", i, l)
 		}
 	}
-	if !strings.Contains(body[0], "A,HDL_model,1") || !strings.Contains(body[rows-1], "F,HDL_model,1") {
+	if !slices.IsSorted(body) || !strings.HasPrefix(body[0], "|t0b0,layout,1 ") {
 		t.Fatalf("rows not in sorted key order:\n%s", strings.Join(body, "\n"))
 	}
 

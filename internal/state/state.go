@@ -10,8 +10,11 @@ package state
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/bpl"
 	"repro/internal/meta"
@@ -37,23 +40,25 @@ type OIDState struct {
 	Props map[string]string
 }
 
-// lookupFor resolves $references against an OID snapshot; there is no
-// triggering event in query context, so only properties and the key
-// built-ins resolve.
-func lookupFor(o *meta.OID) bpl.LookupFunc {
-	return func(name string) string {
-		switch name {
-		case "oid", "OID":
-			return o.Key.String()
-		case "block":
-			return o.Key.Block
-		case "view":
-			return o.Key.View
-		case "version":
-			return fmt.Sprintf("%d", o.Key.Version)
-		}
-		return o.Props[name]
+// resolve answers a $reference against one OID; there is no triggering
+// event in query context, so only properties and the key built-ins resolve.
+func resolve(k meta.Key, props map[string]string, name string) string {
+	switch name {
+	case "oid", "OID":
+		return k.String()
+	case "block":
+		return k.Block
+	case "view":
+		return k.View
+	case "version":
+		return strconv.Itoa(k.Version)
 	}
+	return props[name]
+}
+
+// lookupFor binds resolve to an OID snapshot.
+func lookupFor(o *meta.OID) bpl.LookupFunc {
+	return func(name string) string { return resolve(o.Key, o.Props, name) }
 }
 
 // evaluateInto computes the state of one OID against a resolved let slice,
@@ -120,9 +125,10 @@ func EvaluateWith(ix *bpl.Index, o *meta.OID) OIDState {
 // past the call, and must not call DB methods — it runs under the
 // database's shard read locks.  Returning false stops the stream.
 //
-// This is the pull API behind the server's REPORT/GAP verbs: a report row
-// can be formatted and shipped per OID with zero per-row map copies,
-// where Report clones every property map up front.
+// This is the pull API for in-process callers: a report row can be
+// formatted per OID with zero per-row map copies, where Report clones every
+// property map up front.  (The server's REPORT/GAP need key order and no
+// garbage: they run ScanSortedView.)
 //
 // With MVCC enabled the rows are evaluated against a pinned read view —
 // no shard lock is taken, writers proceed throughout, and the pass is a
@@ -155,19 +161,104 @@ func StreamView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	})
 }
 
+// scanRow is one row of a sorted scan: the latest version of a chain and,
+// from a view, that version's immutable property map.
+type scanRow struct {
+	key   meta.Key
+	props map[string]string
+}
+
+// scanScratch is everything a sorted scan needs that the next scan can
+// reuse: the rows, the reasons of the row in hand, and the two callbacks
+// the scan passes down, bound once so that a scan creates no closure.
+type scanScratch struct {
+	rows    []scanRow
+	reasons []byte
+	cur     scanRow                // what lookup resolves against
+	lookup  bpl.LookupFunc         // sc.resolve
+	add     func(o *meta.OID) bool // sc.collect
+}
+
+var scanPool = sync.Pool{New: func() any {
+	sc := new(scanScratch)
+	sc.lookup, sc.add = sc.resolve, sc.collect
+	return sc
+}}
+
+func (sc *scanScratch) resolve(name string) string {
+	return resolve(sc.cur.key, sc.cur.props, name)
+}
+
+func (sc *scanScratch) collect(o *meta.OID) bool {
+	sc.rows = append(sc.rows, scanRow{key: o.Key, props: o.Props})
+	return true
+}
+
+// sortedScan takes a scratch from the pool and fills its rows, in key
+// order, with what each hands out: View.EachLatestOID or DB.EachLatestOID.
+// The caller releases it.
+func sortedScan(each func(func(*meta.OID) bool)) *scanScratch {
+	sc := scanPool.Get().(*scanScratch)
+	each(sc.add)
+	slices.SortFunc(sc.rows, func(a, b scanRow) int { return a.key.Compare(b.key) })
+	return sc
+}
+
+// release parks the scratch.  The rows are cleared first: a parked scratch
+// must not keep property maps of versions the database has reclaimed.
+func (sc *scanScratch) release() {
+	clear(sc.rows)
+	sc.rows = sc.rows[:0]
+	sc.cur = scanRow{}
+	scanPool.Put(sc)
+}
+
+// ScanSortedView evaluates the latest version of every version chain live
+// at v, in key order, and hands fn each row's key, whether it is ready and
+// the failing conditions — OIDState.Reasons joined by "; ", empty for a
+// ready row.  This is the pass behind the server's REPORT and GAP: it
+// holds no lock, fn may block on a slow network writer without stalling
+// anything, and a warm scan allocates nothing per row.  reasons is valid
+// only during the call.  Returning false stops the scan.
+func ScanSortedView(v *meta.View, bp *bpl.Blueprint, fn func(key meta.Key, ready bool, reasons []byte) bool) {
+	ix := bp.Index()
+	sc := sortedScan(v.EachLatestOID)
+	// A local, not the field: appending through the pointer would cost a
+	// write barrier per append.
+	reasons := sc.reasons
+	defer func() {
+		sc.reasons = reasons
+		sc.release()
+	}()
+	for i := range sc.rows {
+		sc.cur = sc.rows[i]
+		ready := true
+		reasons = reasons[:0]
+		for _, l := range ix.Lets(sc.cur.key.View) {
+			if !l.Expr.Eval(sc.lookup) {
+				ready = false
+				reasons = ix.Explainer(l).AppendFailures(reasons, l.Name, sc.lookup)
+			}
+		}
+		if !fn(sc.cur.key, ready, reasons) {
+			return
+		}
+	}
+}
+
 // StreamSorted evaluates the latest version of every version chain in key
-// order and hands each report to fn — the streaming form behind the
-// server's per-row flushed REPORT/GAP responses.  Unlike Stream, fn runs
-// outside the database locks (each OID is evaluated in its own WithOID
-// round-trip, so fn may block on a slow network writer without stalling
-// writers), and the row order is the stable sorted order the wire format
-// promises.  The cost of that shape: the pass is per-row consistent, not a
-// point-in-time snapshot, and a chain pruned mid-pass is skipped.  The
-// OIDState is reused between calls and its Props field is nil — property
-// maps are never copied or exposed.  Returning false stops the stream.
-// With MVCC enabled the pass pins a read view instead: rows are
-// evaluated lock-free at one LSN, the mid-pass-prune caveat disappears,
-// and a slow consumer never holds any database lock.
+// order and hands each report to fn — the server's REPORT/GAP on a database
+// without MVCC.  Unlike Stream, fn runs outside the database locks (each
+// OID is evaluated in its own WithOID round-trip, so fn may block on a
+// slow network writer without stalling writers), and the row order is the
+// stable sorted order the wire format promises.  The cost of that shape:
+// the pass is per-row consistent, not a point-in-time snapshot, and a
+// chain pruned mid-pass is skipped.  The OIDState is reused between calls
+// and its Props field is nil — property maps are never copied or exposed.
+// Returning false stops the stream.  With MVCC enabled the pass pins a
+// read view instead: rows are evaluated lock-free at one LSN, the
+// mid-pass-prune caveat disappears, and a slow consumer never holds any
+// database lock.
 func StreamSorted(db *meta.DB, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	if db.MVCCEnabled() {
 		v := db.ReadView()
@@ -176,15 +267,13 @@ func StreamSorted(db *meta.DB, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 		return
 	}
 	ix := bp.Index()
-	var keys []meta.Key
-	db.EachLatestOID(func(o *meta.OID) bool {
-		keys = append(keys, o.Key)
-		return true
-	})
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	sc := sortedScan(db.EachLatestOID)
+	defer sc.release()
 	var st OIDState
-	for _, k := range keys {
-		err := db.WithOID(k, func(o *meta.OID) {
+	for i := range sc.rows {
+		// Only the key is used: the collected map is the live one, which
+		// must not be read outside the lock.
+		err := db.WithOID(sc.rows[i].key, func(o *meta.OID) {
 			evaluateInto(&st, ix.Lets(o.Key.View), ix, o)
 		})
 		if err != nil {
@@ -199,26 +288,17 @@ func StreamSorted(db *meta.DB, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 
 // StreamSortedView is StreamSorted against an explicit pinned view: the
 // stable key-sorted row order of the wire format, every row consistent at
-// the view's LSN, zero locks held while fn runs (it may block on a slow
-// network writer without stalling anything).  Props aliases the view's
-// immutable version map and may be retained.
+// the view's LSN, zero locks held while fn runs.  Props aliases the view's
+// immutable version map and may be retained.  It is ScanSortedView's pass
+// with each row materialized as an OIDState.
 func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	ix := bp.Index()
-	type row struct {
-		key   meta.Key
-		seq   int64
-		props map[string]string
-	}
-	var rows []row
-	v.EachLatestOID(func(o *meta.OID) bool {
-		rows = append(rows, row{key: o.Key, seq: o.Seq, props: o.Props})
-		return true
-	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key.Less(rows[j].key) })
+	sc := sortedScan(v.EachLatestOID)
+	defer sc.release()
 	var st OIDState
 	var o meta.OID
-	for _, r := range rows {
-		o = meta.OID{Key: r.key, Seq: r.seq, Props: r.props}
+	for _, r := range sc.rows {
+		o = meta.OID{Key: r.key, Props: r.props}
 		evaluateInto(&st, ix.Lets(r.key.View), ix, &o)
 		if !fn(&st) {
 			return

@@ -203,7 +203,7 @@ func (r Request) Encode() string {
 		sb.WriteString(Quote("user=" + r.User))
 		sb.WriteByte(' ')
 	}
-	sb.WriteString(r.Verb)
+	sb.WriteString(Quote(r.Verb)) // a field like any other: a verb that was parsed may hold anything
 	for _, a := range r.Args {
 		sb.WriteByte(' ')
 		sb.WriteString(Quote(a))
@@ -305,36 +305,51 @@ func ParseBodyLine(line string) (content string, done bool, err error) {
 // The escaping rules live in AppendQuote; keeping one table means the
 // journal's payload encoder can never drift from the other producers.
 func Quote(s string) string {
-	if s != "" && !strings.ContainsAny(s, " \t\"\\\r\n") {
+	if !needsQuote(s) {
 		return s
 	}
 	return string(AppendQuote(nil, s))
 }
 
+// needsQuote reports whether s cannot travel bare.
+func needsQuote[S string | []byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ' ', '\t', '"', '\\', '\r', '\n':
+			return true
+		}
+	}
+	return len(s) == 0
+}
+
 // AppendQuote appends the Quote rendering of s to dst — the allocation-free
-// form the journal's hot append path uses to encode record payloads into a
-// reused buffer.
-func AppendQuote(dst []byte, s string) []byte {
-	if s != "" && !strings.ContainsAny(s, " \t\"\\\r\n") {
+// form the journal's hot append path and the server's REPORT rows use to
+// encode fields into a reused buffer; s may itself be such a buffer.
+func AppendQuote[S string | []byte](dst []byte, s S) []byte {
+	if !needsQuote(s) {
 		return append(dst, s...)
 	}
 	dst = append(dst, '"')
+	start := 0 // of the run of bytes that travel as they are
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '"':
-			dst = append(dst, '\\', '"')
-		case '\\':
-			dst = append(dst, '\\', '\\')
+		var esc byte
+		switch s[i] {
+		case '"', '\\':
+			esc = s[i]
 		case '\n':
-			dst = append(dst, '\\', 'n')
+			esc = 'n'
 		case '\t':
-			dst = append(dst, '\\', 't')
+			esc = 't'
 		case '\r':
-			dst = append(dst, '\\', 'r')
+			esc = 'r'
 		default:
-			dst = append(dst, c)
+			continue
 		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, '\\', esc)
+		start = i + 1
 	}
+	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }
 

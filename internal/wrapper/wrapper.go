@@ -127,14 +127,17 @@ func (s *Session) InstallLibrary(block string) (meta.Key, error) {
 	return k, nil
 }
 
-// checkin binds the data location and posts the ckin event.
+// checkin binds the data location, posts the ckin event and drains.
 func (s *Session) checkin(k meta.Key) error {
+	return s.checkinVia(k, s.Eng.PostAndDrain)
+}
+
+// checkinVia binds the data location and hands the ckin event to post.
+func (s *Session) checkinVia(k meta.Key, post func(engine.Event) error) error {
 	if err := s.bindPath(k); err != nil {
 		return err
 	}
-	return s.Eng.PostAndDrain(engine.Event{
-		Name: engine.EventCheckin, Dir: bpl.DirDown, Target: k, User: s.User,
-	})
+	return post(engine.Event{Name: engine.EventCheckin, Dir: bpl.DirDown, Target: k, User: s.User})
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +196,11 @@ func (s *Session) AddComponent(parent, child meta.Key) error {
 // RunNetlister derives a netlist from a schematic.  Permission: the
 // schematic must be up to date.
 func (s *Session) RunNetlister(sch meta.Key) (meta.Key, error) {
+	return s.runNetlister(sch, s.Eng.PostAndDrain)
+}
+
+// runNetlister is RunNetlister with the netlist's ckin handed to post.
+func (s *Session) runNetlister(sch meta.Key, post func(engine.Event) error) (meta.Key, error) {
 	if err := s.RequireUpToDate(sch); err != nil {
 		return meta.Key{}, err
 	}
@@ -206,7 +214,7 @@ func (s *Session) RunNetlister(sch meta.Key) (meta.Key, error) {
 	if _, err := s.Suite.Netlist(sch, nl); err != nil {
 		return meta.Key{}, err
 	}
-	if err := s.checkin(nl); err != nil {
+	if err := s.checkinVia(nl, post); err != nil {
 		return meta.Key{}, err
 	}
 	return nl, nil
@@ -307,7 +315,10 @@ func (s *Session) AutoExecutor() *exec.Registry {
 		if err != nil {
 			return err
 		}
-		_, err = s.RunNetlister(sch)
+		// The handler runs on the goroutine that is draining: that drain
+		// delivers the ckin once the handler returns, and a Drain from
+		// here would wait for itself.  So Post, not PostAndDrain.
+		_, err = s.runNetlister(sch, s.Eng.Post)
 		return err
 	})
 	return reg

@@ -25,8 +25,11 @@ LEGACY="BenchmarkEventThroughput\$|BenchmarkPropagationScaling|BenchmarkStateRep
 EXTRA="BenchmarkEventThroughputParallel\$|BenchmarkParallelDrain|BenchmarkBatchPost"
 # MVCC reader-latency family (PR 5, extended PR 9): report, snapshot and
 # graph-walk latency with paced concurrent writers vs. the idle baseline,
-# plus the versioned-adjacency point-lookup cost.
-MVCC="BenchmarkReportUnderWrites|BenchmarkSnapshotUnderLoad|BenchmarkSnapshotEncode|BenchmarkReachableUnderWrites|BenchmarkQueryIndexLookup"
+# plus the versioned-adjacency point-lookup cost.  ReportStream (PR 14, in
+# internal/server because it drives serveConn) is one REPORT as a
+# connection handler serves it, with its writes/op; ReportUnderWrites is
+# state.StreamSorted, the OIDState form.
+MVCC="BenchmarkReportUnderWrites|BenchmarkReportStream|BenchmarkSnapshotUnderLoad|BenchmarkSnapshotEncode|BenchmarkReachableUnderWrites|BenchmarkQueryIndexLookup"
 OUT="BENCH_${INDEX}.json"
 RAW="BENCH_${INDEX}.txt"
 
@@ -39,7 +42,7 @@ if [ -n "${BENCH_PATTERN:-}" ]; then
 else
   go test -run '^$' -bench "$LEGACY" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . | tee "$RAW"
   go test -run '^$' -bench "$EXTRA" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . | tee -a "$RAW"
-  go test -run '^$' -bench "$MVCC" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . | tee -a "$RAW"
+  go test -run '^$' -bench "$MVCC" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . ./internal/server | tee -a "$RAW"
 fi
 
 {
