@@ -117,7 +117,10 @@ func BenchmarkVizRenderers(b *testing.B) {
 	})
 	b.Run("state-dot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if out := viz.StateDOT(db, bp); len(out) == 0 {
+			v := db.ReadView()
+			out := viz.StateDOT(v, bp)
+			v.Close()
+			if len(out) == 0 {
 				b.Fatal("empty")
 			}
 		}

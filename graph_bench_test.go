@@ -40,7 +40,6 @@ func benchGraphDB(b *testing.B, n, chain, writers int) (*Project, meta.Key, func
 	if err := proj.Engine.Drain(); err != nil {
 		b.Fatal(err)
 	}
-	proj.DB.EnableMVCC()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -71,11 +70,9 @@ func benchGraphDB(b *testing.B, n, chain, writers int) (*Project, meta.Key, func
 }
 
 // BenchmarkReachableUnderWrites measures a full-closure Reachable walk
-// (every block, via the public DB method, which pins a read view when
-// MVCC is on) on an idle database and under four concurrent paced
-// writers.  The acceptance bar for the lock-free walks is the two
-// sub-benchmarks staying close; the old rlockAll path degraded with
-// writer activity.
+// (every block, via the public DB method, which pins a read view) on an
+// idle database and under four concurrent paced writers.  The acceptance
+// bar for the lock-free walks is the two sub-benchmarks staying close.
 func BenchmarkReachableUnderWrites(b *testing.B) {
 	const blocks = 500
 	for _, writers := range []int{0, 4} {

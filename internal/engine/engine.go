@@ -198,9 +198,9 @@ func New(db *meta.DB, bp *bpl.Blueprint, opts ...Option) (*Engine, error) {
 }
 
 // WaitIdle blocks until the engine has no queued deliveries, no deferred
-// exec invocations, and no Drain in progress.  Callers running the engine
-// asynchronously (a server with a background drainer) use it to observe
-// quiescence.
+// exec invocations, and no Drain in progress.  A caller that did not run
+// the drain itself (the server's SYNC, while other connections post) uses
+// it to observe quiescence.
 func (e *Engine) WaitIdle() {
 	e.mu.Lock()
 	for e.nwaves > 0 || e.active > 0 || len(e.pending) > 0 || e.draining {

@@ -246,7 +246,7 @@ endblueprint`)
 						return
 					}
 				case 3:
-					_ = e.DB().OIDsWithProp("uptodate", "false")
+					e.DB().EachOID(func(o *meta.OID) bool { return o.Props["uptodate"] != "false" })
 				}
 			}
 		}(p)

@@ -162,7 +162,14 @@ endblueprint`)
 		}
 		// Exactly one link instance exists, and it connects the two latest
 		// versions.
-		all := db.SelectLinks(func(*meta.Link) bool { return true })
+		var all []*meta.Link
+		for _, id := range db.LinkIDs() {
+			l, err := db.GetLink(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, l)
+		}
 		if len(all) != 1 {
 			t.Logf("seed %d: %d link instances", seed, len(all))
 			return false

@@ -163,8 +163,10 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 	}
 	// The snapshot may have advanced the state without individual record
 	// applies; keep the applied-LSN marker in step with what the database
-	// actually reflects.
+	// actually reflects, and make that position the version horizon: no
+	// view may pin below what was recovered.
 	st.db.FloorAppliedLSN(st.lastLSN)
+	st.db.SealVersions()
 	return st, nil
 }
 

@@ -149,9 +149,9 @@ type Writer struct {
 // Open recovers the database persisted in dir (creating the directory if
 // needed: an empty directory is an empty project) and returns a Writer
 // already attached to it as its mutation recorder.  A torn final record
-// left by a crash is truncated away before appending resumes.  MVCC is
-// enabled on the recovered database — a journaled database keys its read
-// views by the journal LSN, which is what makes snapshots, reports and
+// left by a crash is truncated away before appending resumes.  The
+// recovered database keys its read views by the journal LSN — the horizon
+// is the recovered position — which is what makes snapshots, reports and
 // read-your-LSN queries pause-free.
 func Open(dir string, opt Options) (*Writer, *meta.DB, error) {
 	w, db, err := open(dir, opt, false)
@@ -159,7 +159,6 @@ func Open(dir string, opt Options) (*Writer, *meta.DB, error) {
 		return nil, nil, err
 	}
 	db.SetRecorder(w)
-	db.EnableMVCC()
 	return w, db, nil
 }
 
@@ -169,16 +168,11 @@ func Open(dir string, opt Options) (*Writer, *meta.DB, error) {
 // which preserves the primary's numbering so the follower's log is
 // record-for-record identical to the primary's.  The recovered database's
 // LastLSN is the follower's persisted applied position — the resume point
-// a restarted follower hands the primary's FOLLOW verb.  MVCC is enabled
-// with versions keyed by the primary's LSNs, so a follower REPORT at a
-// given LSN reads exactly the state the primary had at that LSN.
+// a restarted follower hands the primary's FOLLOW verb.  Versions are
+// keyed by the primary's LSNs, so a follower REPORT at a given LSN reads
+// exactly the state the primary had at that LSN.
 func OpenFollower(dir string, opt Options) (*Writer, *meta.DB, error) {
-	w, db, err := open(dir, opt, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.EnableMVCC()
-	return w, db, nil
+	return open(dir, opt, true)
 }
 
 func open(dir string, opt Options, follower bool) (*Writer, *meta.DB, error) {

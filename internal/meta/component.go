@@ -139,17 +139,14 @@ func (db *DB) RebuildComponents() {
 	// generation revalidate against the rebuilt partition.
 	db.compGen.Add(1)
 	db.compChurn.Store(0)
-	// With MVCC on, audit the versioned adjacency index against the live
-	// maps and re-publish any diverged posting — the same safety-net role
+	// Audit the versioned adjacency index against the live maps and
+	// re-publish any diverged posting — the same safety-net role
 	// the exact union-find pass above plays for the merge-only partition.
 	// Incremental maintenance keeps the index exact, so the scan normally
 	// publishes nothing.  A repair is stamped with the current epoch and
 	// goes through no commit point: the index is derived state, so there is
 	// nothing to journal and no stamp to spend, and under lockAll no link
 	// mutation is installing, so no posting carries a newer stamp.
-	if !db.mvcc.on.Load() {
-		return
-	}
 	s := db.mvcc.epoch.Load()
 	for _, sh := range db.shards {
 		h := sh.hist.Load()

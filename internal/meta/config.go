@@ -70,10 +70,9 @@ func FollowType(types ...string) FollowFunc {
 // This is the paper's "built by traversing a hierarchy while following
 // certain rules".
 //
-// With MVCC enabled the traversal runs against a pinned read view —
-// no shard lock is taken for the collection phase, so snapshots proceed
-// while writers keep committing; the install itself is a short
-// control-plane critical section.
+// The traversal runs against a pinned read view — no shard lock is taken
+// for the collection phase, so snapshots proceed while writers keep
+// committing; the install itself is a short control-plane critical section.
 func (db *DB) SnapshotHierarchy(name string, root Key, follow FollowFunc) (*Configuration, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, fmt.Errorf("configuration: %w", err)
@@ -81,52 +80,12 @@ func (db *DB) SnapshotHierarchy(name string, root Key, follow FollowFunc) (*Conf
 	if follow == nil {
 		follow = FollowUseLinks
 	}
-	if db.mvcc.on.Load() {
-		v := db.ReadView()
-		defer v.Close()
-		if !v.HasOID(root) {
-			return nil, fmt.Errorf("root %v: %w", root, ErrNotFound)
-		}
-		c := &Configuration{Name: name, Seq: v.Seq()}
-		out := make(map[Key][]*Link)
-		v.EachLink(func(l *Link) bool {
-			if follow(l) {
-				out[l.From] = append(out[l.From], l)
-			}
-			return true
-		})
-		visited := map[Key]bool{root: true}
-		linkSeen := map[LinkID]bool{}
-		queue := []Key{root}
-		for len(queue) > 0 {
-			k := queue[0]
-			queue = queue[1:]
-			c.OIDs = append(c.OIDs, k)
-			for _, l := range out[k] {
-				if !linkSeen[l.ID] {
-					linkSeen[l.ID] = true
-					c.Links = append(c.Links, l.ID)
-				}
-				if !visited[l.To] {
-					visited[l.To] = true
-					queue = append(queue, l.To)
-				}
-			}
-		}
-		return db.installNewConfig(c)
-	}
-	db.ctl.Lock()
-	defer db.ctl.Unlock()
-	if _, ok := db.configs[name]; ok {
-		return nil, fmt.Errorf("configuration %q: %w", name, ErrExists)
-	}
-	db.rlockAll()
-	defer db.runlockAll()
-	if _, ok := db.shardOf(root).oids[root]; !ok {
+	v := db.ReadView()
+	defer v.Close()
+	if !v.HasOID(root) {
 		return nil, fmt.Errorf("root %v: %w", root, ErrNotFound)
 	}
-
-	c := &Configuration{Name: name, Seq: db.seq.Load()}
+	c := &Configuration{Name: name, Seq: v.Seq()}
 	visited := map[Key]bool{root: true}
 	linkSeen := map[LinkID]bool{}
 	queue := []Key{root}
@@ -134,48 +93,39 @@ func (db *DB) SnapshotHierarchy(name string, root Key, follow FollowFunc) (*Conf
 		k := queue[0]
 		queue = queue[1:]
 		c.OIDs = append(c.OIDs, k)
-		for _, r := range db.shardOf(k).outLinks[k] {
-			if !follow(r.l) {
+		for _, l := range v.outAt(k) {
+			if !follow(l) {
 				continue
 			}
-			if !linkSeen[r.id] {
-				linkSeen[r.id] = true
-				c.Links = append(c.Links, r.id)
+			if !linkSeen[l.ID] {
+				linkSeen[l.ID] = true
+				c.Links = append(c.Links, l.ID)
 			}
-			if !visited[r.l.To] {
-				visited[r.l.To] = true
-				queue = append(queue, r.l.To)
+			if !visited[l.To] {
+				visited[l.To] = true
+				queue = append(queue, l.To)
 			}
 		}
 	}
-	return db.installConfigLocked(c), nil
+	return db.installNewConfig(c)
 }
 
-// installNewConfig sorts and installs a freshly collected configuration
-// under the control-plane lock, journaling and versioning it.  It is the
-// install half of the view-based Snapshot* constructors.
+// installNewConfig finishes a freshly collected configuration — sort,
+// store, journal, version — under the control-plane lock.  It is the
+// install half of the Snapshot* constructors.
 func (db *DB) installNewConfig(c *Configuration) (*Configuration, error) {
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
 	if _, ok := db.configs[c.Name]; ok {
 		return nil, fmt.Errorf("configuration %q: %w", c.Name, ErrExists)
 	}
-	return db.installConfigLocked(c), nil
-}
-
-// installConfigLocked finishes a collected configuration: sort, store,
-// journal, version.  Callers hold the control-plane write lock and have
-// checked the name is free.
-func (db *DB) installConfigLocked(c *Configuration) *Configuration {
 	sort.Slice(c.OIDs, func(i, j int) bool { return keyLess(c.OIDs[i], c.OIDs[j]) })
 	sort.Slice(c.Links, func(i, j int) bool { return c.Links[i] < c.Links[j] })
 	db.configs[c.Name] = c
-	tok := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
-	if tok.on {
-		db.histConfigPushLocked(c.Name, tok.s, c)
-	}
-	db.endMut(tok)
-	return c.clone()
+	s := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
+	db.histConfigPushLocked(c.Name, s, c)
+	db.endMut(s)
+	return c.clone(), nil
 }
 
 // SnapshotQuery builds a Configuration from the OIDs accepted by pred — the
@@ -185,51 +135,24 @@ func (db *DB) SnapshotQuery(name string, pred func(*OID) bool) (*Configuration, 
 	if err := ValidateName(name); err != nil {
 		return nil, fmt.Errorf("configuration: %w", err)
 	}
-	if db.mvcc.on.Load() {
-		v := db.ReadView()
-		defer v.Close()
-		c := &Configuration{Name: name, Seq: v.Seq()}
-		selected := make(map[Key]bool)
-		v.EachOID(func(o *OID) bool {
-			if pred(o) {
-				selected[o.Key] = true
-				c.OIDs = append(c.OIDs, o.Key)
-			}
-			return true
-		})
-		v.EachLink(func(l *Link) bool {
-			if selected[l.From] && selected[l.To] {
-				c.Links = append(c.Links, l.ID)
-			}
-			return true
-		})
-		return db.installNewConfig(c)
-	}
-	db.ctl.Lock()
-	defer db.ctl.Unlock()
-	if _, ok := db.configs[name]; ok {
-		return nil, fmt.Errorf("configuration %q: %w", name, ErrExists)
-	}
-	db.rlockAll()
-	defer db.runlockAll()
-	c := &Configuration{Name: name, Seq: db.seq.Load()}
+	v := db.ReadView()
+	defer v.Close()
+	c := &Configuration{Name: name, Seq: v.Seq()}
 	selected := make(map[Key]bool)
-	for _, sh := range db.shards {
-		for k, o := range sh.oids {
-			if pred(o) {
-				selected[k] = true
-				c.OIDs = append(c.OIDs, k)
-			}
+	v.EachOID(func(o *OID) bool {
+		if pred(o) {
+			selected[o.Key] = true
+			c.OIDs = append(c.OIDs, o.Key)
 		}
-	}
-	for _, st := range db.stripes {
-		for id, l := range st.links {
-			if selected[l.From] && selected[l.To] {
-				c.Links = append(c.Links, id)
-			}
+		return true
+	})
+	v.EachLink(func(l *Link) bool {
+		if selected[l.From] && selected[l.To] {
+			c.Links = append(c.Links, l.ID)
 		}
-	}
-	return db.installConfigLocked(c), nil
+		return true
+	})
+	return db.installNewConfig(c)
 }
 
 // SnapshotAsOf builds a Configuration that reconstructs the design as it
@@ -243,73 +166,35 @@ func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, fmt.Errorf("configuration: %w", err)
 	}
-	if db.mvcc.on.Load() {
-		v := db.ReadView()
-		defer v.Close()
-		c := &Configuration{Name: name, Seq: seq}
-		selected := make(map[Key]bool)
-		v.eachChain(func(bv BlockView, chain []int) bool {
-			// Chains are ascending in version and creation order; pick the
-			// newest version created at or before seq.
-			var pick Key
-			for _, ver := range chain {
-				k := Key{Block: bv.Block, View: bv.View, Version: ver}
-				o := v.oidAt(k)
-				if o == nil || o.val.seq > seq {
-					continue
-				}
-				pick = k
-			}
-			if !pick.IsZero() {
-				selected[pick] = true
-				c.OIDs = append(c.OIDs, pick)
-			}
-			return true
-		})
-		v.EachLink(func(l *Link) bool {
-			if l.Seq <= seq && selected[l.From] && selected[l.To] {
-				c.Links = append(c.Links, l.ID)
-			}
-			return true
-		})
-		return db.installNewConfig(c)
-	}
-	db.ctl.Lock()
-	defer db.ctl.Unlock()
-	if _, ok := db.configs[name]; ok {
-		return nil, fmt.Errorf("configuration %q: %w", name, ErrExists)
-	}
-	db.rlockAll()
-	defer db.runlockAll()
+	v := db.ReadView()
+	defer v.Close()
 	c := &Configuration{Name: name, Seq: seq}
 	selected := make(map[Key]bool)
-	for _, sh := range db.shards {
-		for bv, chain := range sh.chains {
-			// Chains are ascending in version and creation order; pick the
-			// newest version created at or before seq.
-			var pick Key
-			for _, v := range chain {
-				k := Key{Block: bv.Block, View: bv.View, Version: v}
-				o, ok := sh.oids[k]
-				if !ok || o.Seq > seq {
-					continue
-				}
-				pick = k
+	v.eachChain(func(bv BlockView, chain []int) bool {
+		// Chains are ascending in version and creation order; pick the
+		// newest version created at or before seq.
+		var pick Key
+		for _, ver := range chain {
+			k := Key{Block: bv.Block, View: bv.View, Version: ver}
+			o := v.oidAt(k)
+			if o == nil || o.val.seq > seq {
+				continue
 			}
-			if !pick.IsZero() {
-				selected[pick] = true
-				c.OIDs = append(c.OIDs, pick)
-			}
+			pick = k
 		}
-	}
-	for _, st := range db.stripes {
-		for id, l := range st.links {
-			if l.Seq <= seq && selected[l.From] && selected[l.To] {
-				c.Links = append(c.Links, id)
-			}
+		if !pick.IsZero() {
+			selected[pick] = true
+			c.OIDs = append(c.OIDs, pick)
 		}
-	}
-	return db.installConfigLocked(c), nil
+		return true
+	})
+	v.EachLink(func(l *Link) bool {
+		if l.Seq <= seq && selected[l.From] && selected[l.To] {
+			c.Links = append(c.Links, l.ID)
+		}
+		return true
+	})
+	return db.installNewConfig(c)
 }
 
 // GetConfiguration returns a copy of a stored configuration.
@@ -331,11 +216,9 @@ func (db *DB) DeleteConfiguration(name string) error {
 		return fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
 	delete(db.configs, name)
-	tok := db.beginMut(OpDelConfig, 0, func() []string { return []string{name} })
-	if tok.on {
-		db.histConfigPushLocked(name, tok.s, nil)
-	}
-	db.endMut(tok)
+	s := db.beginMut(OpDelConfig, 0, func() []string { return []string{name} })
+	db.histConfigPushLocked(name, s, nil)
+	db.endMut(s)
 	return nil
 }
 
@@ -368,40 +251,10 @@ type ResolvedConfiguration struct {
 	MissingLinks []LinkID
 }
 
-// Resolve materializes a stored configuration.  With MVCC enabled the
-// clone-heavy materialization runs against a pinned view and holds no lock
-// at all; without it, a large resolve read-locks the control plane and
-// every shard and stripe for its duration.
+// Resolve materializes a stored configuration against the current state.
+// The clone-heavy materialization runs on a pinned view and holds no lock.
 func (db *DB) Resolve(name string) (*ResolvedConfiguration, error) {
-	if db.mvcc.on.Load() {
-		v := db.ReadView()
-		defer v.Close()
-		return v.Resolve(name)
-	}
-	db.ctl.RLock()
-	defer db.ctl.RUnlock()
-	c, ok := db.configs[name]
-	if !ok {
-		return nil, fmt.Errorf("configuration %q: %w", name, ErrNotFound)
-	}
-	db.rlockAll()
-	defer db.runlockAll()
-	r := &ResolvedConfiguration{Config: c.clone()}
-	r.OIDs = make([]*OID, 0, len(c.OIDs))
-	for _, k := range c.OIDs {
-		if o, ok := db.shardOf(k).oids[k]; ok {
-			r.OIDs = append(r.OIDs, o.clone())
-		} else {
-			r.MissingOIDs = append(r.MissingOIDs, k)
-		}
-	}
-	r.Links = make([]*Link, 0, len(c.Links))
-	for _, id := range c.Links {
-		if l := db.linkLocked(id); l != nil {
-			r.Links = append(r.Links, l.clone())
-		} else {
-			r.MissingLinks = append(r.MissingLinks, id)
-		}
-	}
-	return r, nil
+	v := db.ReadView()
+	defer v.Close()
+	return v.Resolve(name)
 }

@@ -36,23 +36,19 @@ import (
 // order, then re-validate object identity and retry if it was replaced
 // underneath them.
 //
-// All mutation goes through DB methods.  Read accessors either return deep
-// copies (safe to retain) or, for the Each* iterators, expose internal
-// objects under the owning locks: iterator callbacks must not retain or
-// mutate the objects they are handed and must not call DB methods (which
-// would deadlock).  EachOID, EachLatestOID and the Select*/Latest* queries
-// visit shards one at a time: each shard is internally consistent, but the
-// iteration is not a point-in-time snapshot of the whole database when
-// writers run concurrently.
+// All mutation goes through DB methods.  The single-object read accessors
+// are the write path reading its own writes: they return deep copies (safe
+// to retain) or, for WithOID and EachLinkOf, expose internal objects under
+// the owning shard lock — those callbacks must not retain or mutate what
+// they are handed and must not call DB methods (which would deadlock).
 //
-// Whole-database reads have two tiers.  With MVCC enabled (mvcc.go —
-// automatic on journaled and follower databases), Save, the Snapshot*
-// configuration builders, the state streams, and the graph walks
-// (Reachable, Dependents, Equivalents, Resolve — see graphview.go for the
-// versioned reachability index behind them) read from LSN-pinned
-// lock-free views and never pause writers.  Without it, they read-lock
-// every shard and stripe for their duration; PruneVersions write-locks
-// everything either way.
+// Whole-database reads — Save, the Snapshot* configuration builders, the
+// state scans, and the graph walks (Reachable, Dependents, Equivalents,
+// Resolve; see graphview.go for the versioned reachability index behind
+// them) — go through a View (mvcc.go): every database publishes
+// LSN-stamped versions from construction, and a view pinned at one stamp
+// reads them lock-free and never pauses writers.  PruneVersions
+// write-locks everything.
 type DB struct {
 	shards []*dbShard
 	mask   uint32
@@ -91,9 +87,9 @@ type DB struct {
 	// happens under the locks that serialize the mutation; see record.go.
 	rec Recorder
 
-	// MVCC state (mvcc.go): with version tracking enabled, every mutation
-	// publishes immutable LSN-stamped versions and readers pin lock-free
-	// point-in-time views.  ctlH holds the control plane's histories;
+	// MVCC state (mvcc.go): every mutation publishes immutable
+	// LSN-stamped versions and readers pin lock-free point-in-time
+	// views.  ctlH holds the control plane's histories;
 	// replayAt carries the record LSN being replayed so ApplyRecord's
 	// inner mutations stamp with the original numbering; compChurn counts
 	// propagating-link removals since the last component rebuild.
@@ -250,33 +246,6 @@ func (db *DB) unlockAll() {
 	}
 }
 
-// rlockAll / runlockAll are the shared-mode form of lockAll, used by
-// cross-shard graph walks and snapshots: concurrent readers still proceed,
-// writers wait.
-func (db *DB) rlockAll() {
-	for _, s := range db.shards {
-		s.mu.RLock()
-	}
-	for _, s := range db.stripes {
-		s.mu.RLock()
-	}
-}
-
-func (db *DB) runlockAll() {
-	for i := len(db.stripes) - 1; i >= 0; i-- {
-		db.stripes[i].mu.RUnlock()
-	}
-	for i := len(db.shards) - 1; i >= 0; i-- {
-		db.shards[i].mu.RUnlock()
-	}
-}
-
-// linkLocked resolves a link by ID.  Callers hold the relevant stripe lock
-// (or all stripes).
-func (db *DB) linkLocked(id LinkID) *Link {
-	return db.stripeOf(id).links[id]
-}
-
 // tick advances and returns the logical clock.
 func (db *DB) tick() int64 { return db.seq.Add(1) }
 
@@ -310,49 +279,13 @@ func (db *DB) NewVersion(block, view string) (Key, error) {
 	o := &OID{Key: k, Props: make(map[string]string), Seq: db.tick()}
 	sh.oids[k] = o
 	sh.chains[bv] = append(chain, next)
-	tok := db.beginMut(OpOID, 0, func() []string {
+	s := db.beginMut(OpOID, 0, func() []string {
 		return []string{k.String(), strconv.FormatInt(o.Seq, 10)}
 	})
-	if tok.on {
-		db.histOIDPush(sh, k, tok.s, o, false)
-		db.histChainPush(sh, bv, tok.s)
-	}
-	db.endMut(tok)
+	db.histOIDPush(sh, k, s, o, false)
+	db.histChainPush(sh, bv, s)
+	db.endMut(s)
 	return k, nil
-}
-
-// InsertOID inserts an OID with an explicit version number.  It is used by
-// persistence reload; NewVersion is the normal creation path.  The version
-// must be greater than the newest version in the chain — gaps are legal
-// because old versions may have been pruned (see PruneVersions).
-func (db *DB) InsertOID(k Key) error {
-	if err := k.Validate(); err != nil {
-		return err
-	}
-	sh := db.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.oids[k]; ok {
-		return fmt.Errorf("oid %v: %w", k, ErrExists)
-	}
-	bv := k.BV()
-	chain := sh.chains[bv]
-	if len(chain) > 0 && k.Version <= chain[len(chain)-1] {
-		return fmt.Errorf("oid %v: chain is already at version %d: %w",
-			k, chain[len(chain)-1], ErrBadVersion)
-	}
-	o := &OID{Key: k, Props: make(map[string]string), Seq: db.tick()}
-	sh.oids[k] = o
-	sh.chains[bv] = append(chain, k.Version)
-	tok := db.beginMut(OpOID, 0, func() []string {
-		return []string{k.String(), strconv.FormatInt(o.Seq, 10)}
-	})
-	if tok.on {
-		db.histOIDPush(sh, k, tok.s, o, false)
-		db.histChainPush(sh, bv, tok.s)
-	}
-	db.endMut(tok)
-	return nil
 }
 
 // PruneVersions removes all but the newest keep versions of (block, view)
@@ -410,25 +343,23 @@ func (db *DB) PruneVersions(block, view string, keep int) (int, error) {
 		inTouched[k] = true
 	}
 	sh.chains[bv] = append([]int(nil), chain[len(chain)-keep:]...)
-	tok := db.beginMut(OpPrune, 0, func() []string {
+	s := db.beginMut(OpPrune, 0, func() []string {
 		return []string{block, view, strconv.Itoa(keep)}
 	})
-	if tok.on {
-		for _, v := range drop {
-			db.histOIDPush(sh, Key{Block: block, View: view, Version: v}, tok.s, nil, true)
-		}
-		for _, id := range removedLinks {
-			db.histLinkPushLocked(id, tok.s, nil)
-		}
-		for k := range outTouched {
-			db.histAdjPush(db.shardOf(k), k, tok.s, true)
-		}
-		for k := range inTouched {
-			db.histAdjPush(db.shardOf(k), k, tok.s, false)
-		}
-		db.histChainPush(sh, bv, tok.s)
+	for _, v := range drop {
+		db.histOIDPush(sh, Key{Block: block, View: view, Version: v}, s, nil, true)
 	}
-	db.endMut(tok)
+	for _, id := range removedLinks {
+		db.histLinkPushLocked(id, s, nil)
+	}
+	for k := range outTouched {
+		db.histAdjPush(db.shardOf(k), k, s, true)
+	}
+	for k := range inTouched {
+		db.histAdjPush(db.shardOf(k), k, s, false)
+	}
+	db.histChainPush(sh, bv, s)
+	db.endMut(s)
 	return len(drop), nil
 }
 
@@ -503,14 +434,13 @@ func (db *DB) SetProp(k Key, name, value string) error {
 	if !ok {
 		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
+	o.own()
 	o.Props[name] = value
-	tok := db.beginMut(OpUpdate, 0, func() []string {
+	s := db.beginMut(OpUpdate, 0, func() []string {
 		return []string{k.String(), "1", name, value}
 	})
-	if tok.on {
-		db.histOIDPush(sh, k, tok.s, o, false)
-	}
-	db.endMut(tok)
+	db.histOIDPush(sh, k, s, o, false)
+	db.endMut(s)
 	return nil
 }
 
@@ -541,11 +471,10 @@ func (db *DB) WithOID(k Key, fn func(o *OID)) error {
 // deadlock).  Property names written by fn must satisfy ValidateName; the
 // caller validates because fn has no error channel.
 //
-// With a Recorder or MVCC attached, the property map is diffed around fn
-// and the net change journaled (and versioned) as one update; an fn that
-// changes nothing emits nothing.  With MVCC on, the diff runs against the
-// newest published version's map — which always mirrors the live map —
-// so no pre-copy is needed.
+// The property map is diffed around fn and the net change journaled and
+// versioned as one update; an fn that changes nothing emits nothing.  The
+// diff runs against the newest published version's map — which always
+// mirrors the live map — so no pre-copy is needed.
 func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 	sh := db.shardOf(k)
 	sh.mu.Lock()
@@ -554,20 +483,8 @@ func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 	if !ok {
 		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
-	on := db.mvcc.on.Load()
-	if db.rec == nil && !on {
-		fn(o)
-		return nil
-	}
-	var before map[string]string
-	if on {
-		before = db.histOIDPrev(sh, k)
-	} else {
-		before = make(map[string]string, len(o.Props))
-		for n, v := range o.Props {
-			before[n] = v
-		}
-	}
+	before := db.histOIDPrev(sh, k)
+	o.own()
 	fn(o)
 	var sets map[string]string
 	for n, v := range o.Props {
@@ -587,13 +504,11 @@ func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 	if len(sets) == 0 && len(dels) == 0 {
 		return nil
 	}
-	tok := db.beginMut(OpUpdate, 0, func() []string {
+	s := db.beginMut(OpUpdate, 0, func() []string {
 		return propArgs([]string{k.String()}, sets, dels)
 	})
-	if tok.on {
-		db.histOIDPush(sh, k, tok.s, o, false)
-	}
-	db.endMut(tok)
+	db.histOIDPush(sh, k, s, o, false)
+	db.endMut(s)
 	return nil
 }
 
@@ -622,14 +537,13 @@ func (db *DB) DelProp(k Key, name string) error {
 		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
 	if _, had := o.Props[name]; had {
+		o.own()
 		delete(o.Props, name)
-		tok := db.beginMut(OpUpdate, 0, func() []string {
+		s := db.beginMut(OpUpdate, 0, func() []string {
 			return []string{k.String(), "0", name}
 		})
-		if tok.on {
-			db.histOIDPush(sh, k, tok.s, o, false)
-		}
-		db.endMut(tok)
+		db.histOIDPush(sh, k, s, o, false)
+		db.endMut(s)
 	}
 	return nil
 }
@@ -683,15 +597,13 @@ func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates
 	stripe.mu.Unlock()
 	sf.outLinks[from] = append(sf.outLinks[from], linkRef{id: l.ID, l: l})
 	st.inLinks[to] = append(st.inLinks[to], linkRef{id: l.ID, l: l})
-	tok := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
-	if tok.on {
-		stripe.mu.Lock()
-		db.histLinkPushLocked(l.ID, tok.s, l)
-		stripe.mu.Unlock()
-		db.histAdjPush(sf, from, tok.s, true)
-		db.histAdjPush(st, to, tok.s, false)
-	}
-	db.endMut(tok)
+	s := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
+	stripe.mu.Lock()
+	db.histLinkPushLocked(l.ID, s, l)
+	stripe.mu.Unlock()
+	db.histAdjPush(sf, from, s, true)
+	db.histAdjPush(st, to, s, false)
+	db.endMut(s)
 	return l.ID, nil
 }
 
@@ -743,15 +655,13 @@ func (db *DB) DeleteLink(id LinkID) error {
 			// coarse; count it toward the periodic exact rebuild.
 			db.compChurn.Add(1)
 		}
-		tok := db.beginMut(OpDelLink, 0, func() []string {
+		s := db.beginMut(OpDelLink, 0, func() []string {
 			return []string{strconv.FormatInt(int64(id), 10)}
 		})
-		if tok.on {
-			db.histLinkPushLocked(id, tok.s, nil)
-			db.histAdjPush(sf, l.From, tok.s, true)
-			db.histAdjPush(st, l.To, tok.s, false)
-		}
-		db.endMut(tok)
+		db.histLinkPushLocked(id, s, nil)
+		db.histAdjPush(sf, l.From, s, true)
+		db.histAdjPush(st, l.To, s, false)
+		db.endMut(s)
 		stripe.mu.Unlock()
 		unlockPair(sf, st)
 		return nil
@@ -827,25 +737,23 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 		if len(l.Propagates) > 0 {
 			db.compChurn.Add(1)
 		}
-		tok := db.beginMut(OpRetarget, 0, func() []string {
+		s := db.beginMut(OpRetarget, 0, func() []string {
 			return []string{strconv.FormatInt(int64(id), 10), oldEnd.String(), newEnd.String()}
 		})
-		if tok.on {
-			db.histLinkPushLocked(id, tok.s, moved)
-			// Three postings change: the list the link left, the list it
-			// joined, and the unmoved end's list (its refs now carry the
-			// replacement object).
-			if oldEnd == from {
-				db.histAdjPush(os, oldEnd, tok.s, true)
-				db.histAdjPush(ns, newEnd, tok.s, true)
-				db.histAdjPush(db.shardOf(to), to, tok.s, false)
-			} else {
-				db.histAdjPush(os, oldEnd, tok.s, false)
-				db.histAdjPush(ns, newEnd, tok.s, false)
-				db.histAdjPush(db.shardOf(from), from, tok.s, true)
-			}
+		db.histLinkPushLocked(id, s, moved)
+		// Three postings change: the list the link left, the list it
+		// joined, and the unmoved end's list (its refs now carry the
+		// replacement object).
+		if oldEnd == from {
+			db.histAdjPush(os, oldEnd, s, true)
+			db.histAdjPush(ns, newEnd, s, true)
+			db.histAdjPush(db.shardOf(to), to, s, false)
+		} else {
+			db.histAdjPush(os, oldEnd, s, false)
+			db.histAdjPush(ns, newEnd, s, false)
+			db.histAdjPush(db.shardOf(from), from, s, true)
 		}
-		db.endMut(tok)
+		db.endMut(s)
 		stripe.mu.Unlock()
 		db.unlockShardSet(locked)
 		return nil
@@ -877,17 +785,17 @@ func (db *DB) unlockShardSet(idx []uint32) {
 
 // SetLinkProp sets an annotation property on a link.
 func (db *DB) SetLinkProp(id LinkID, name, value string) error {
-	return db.replaceLink(id, func(nl *Link) {
+	return db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
 		nl.Props[name] = value
-	}, func(*Link) (string, []string) {
-		return OpLinkUpdate, []string{strconv.FormatInt(int64(id), 10), "1", name, value}
+	}, func(*Link) []string {
+		return []string{strconv.FormatInt(int64(id), 10), "1", name, value}
 	})
 }
 
 // SetLinkPropagates replaces the PROPAGATE set of a link.
 func (db *DB) SetLinkPropagates(id LinkID, events []string) error {
 	wasPropagating := false
-	err := db.replaceLink(id, func(nl *Link) {
+	err := db.replaceLink(id, OpPropagates, func(nl *Link) {
 		wasPropagating = len(nl.Propagates) > 0
 		nl.Propagates = make(map[string]bool, len(events))
 		for _, e := range events {
@@ -896,8 +804,8 @@ func (db *DB) SetLinkPropagates(id LinkID, events []string) error {
 		if len(events) > 0 {
 			db.unionBlocks(nl.From.Block, nl.To.Block)
 		}
-	}, func(nl *Link) (string, []string) {
-		return OpPropagates, append([]string{strconv.FormatInt(int64(id), 10)}, nl.PropagateList()...)
+	}, func(nl *Link) []string {
+		return append([]string{strconv.FormatInt(int64(id), 10)}, nl.PropagateList()...)
 	})
 	if err == nil && wasPropagating && len(events) == 0 {
 		// Emptying the set never splits the merge-only component
@@ -913,10 +821,9 @@ func (db *DB) SetLinkPropagates(id LinkID, events []string) error {
 // published, so in-place annotation edits clone the object, apply mutate,
 // and swap the clone into the stripe map and both adjacency refs under the
 // endpoint shard locks.  Retries if the link is replaced concurrently.
-// record builds the journal record describing the installed object and
-// must be non-nil whenever a Recorder may be attached; it runs inside the
-// critical section.
-func (db *DB) replaceLink(id LinkID, mutate func(nl *Link), record func(nl *Link) (string, []string)) error {
+// args builds the arguments of the op record describing the installed
+// object; it runs inside the critical section.
+func (db *DB) replaceLink(id LinkID, op string, mutate func(nl *Link), args func(nl *Link) []string) error {
 	for {
 		l := db.snapshotLink(id)
 		if l == nil {
@@ -935,19 +842,11 @@ func (db *DB) replaceLink(id LinkID, mutate func(nl *Link), record func(nl *Link
 		stripe.links[id] = nl
 		replaceRef(sf.outLinks[l.From], id, nl)
 		replaceRef(st.inLinks[l.To], id, nl)
-		var tok mutTok
-		if db.rec != nil && record != nil {
-			op, args := record(nl)
-			tok = db.beginMut(op, 0, func() []string { return args })
-		} else {
-			tok = db.beginMut("", 0, nil)
-		}
-		if tok.on {
-			db.histLinkPushLocked(id, tok.s, nl)
-			db.histAdjPush(sf, l.From, tok.s, true)
-			db.histAdjPush(st, l.To, tok.s, false)
-		}
-		db.endMut(tok)
+		s := db.beginMut(op, 0, func() []string { return args(nl) })
+		db.histLinkPushLocked(id, s, nl)
+		db.histAdjPush(sf, l.From, s, true)
+		db.histAdjPush(st, l.To, s, false)
+		db.endMut(s)
 		stripe.mu.Unlock()
 		unlockPair(sf, st)
 		return nil
@@ -1016,46 +915,6 @@ func (db *DB) EachLinkOf(k Key, fn func(*Link) bool) {
 
 // ---------------------------------------------------------------------------
 // Enumeration and statistics
-
-// EachOID invokes fn for every OID, shard by shard under each shard's read
-// lock, in unspecified order.  fn must not retain or mutate the OID and
-// must not call other DB methods.  Returning false stops the iteration.
-// The pass is per-shard consistent, not a whole-database snapshot.
-func (db *DB) EachOID(fn func(*OID) bool) {
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		for _, o := range sh.oids {
-			if !fn(o) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// EachLatestOID invokes fn for the newest version of every version chain,
-// shard by shard under each shard's read lock, in unspecified order.  It is
-// the allocation-free form of LatestOIDs: fn must not retain or mutate the
-// OID and must not call other DB methods.  Returning false stops the
-// iteration.  The pass is per-shard consistent, not a whole-database
-// snapshot.
-func (db *DB) EachLatestOID(fn func(*OID) bool) {
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		for bv, chain := range sh.chains {
-			if len(chain) == 0 {
-				continue
-			}
-			k := Key{Block: bv.Block, View: bv.View, Version: chain[len(chain)-1]}
-			if o, ok := sh.oids[k]; ok && !fn(o) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
 
 // Keys returns every OID key, sorted by block, view, version.
 func (db *DB) Keys() []Key {

@@ -359,17 +359,17 @@ func TestStats(t *testing.T) {
 func TestInsertOIDChainOrdering(t *testing.T) {
 	db := NewDB()
 	// Gaps are legal (pruned-history reload)...
-	if err := db.InsertOID(Key{Block: "a", View: "v", Version: 2}); err != nil {
+	if err := db.insertOIDSeq(Key{Block: "a", View: "v", Version: 2}, 1); err != nil {
 		t.Errorf("gap insert: %v", err)
 	}
 	// ...but going backwards or duplicating is not.
-	if err := db.InsertOID(Key{Block: "a", View: "v", Version: 1}); !errors.Is(err, ErrBadVersion) {
+	if err := db.insertOIDSeq(Key{Block: "a", View: "v", Version: 1}, 2); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("backward insert: %v", err)
 	}
-	if err := db.InsertOID(Key{Block: "a", View: "v", Version: 2}); !errors.Is(err, ErrExists) {
+	if err := db.insertOIDSeq(Key{Block: "a", View: "v", Version: 2}, 2); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate insert: %v", err)
 	}
-	if err := db.InsertOID(Key{Block: "a", View: "v", Version: 5}); err != nil {
+	if err := db.insertOIDSeq(Key{Block: "a", View: "v", Version: 5}, 2); err != nil {
 		t.Errorf("forward insert: %v", err)
 	}
 	// NewVersion continues from the highest version.

@@ -6,9 +6,8 @@ import "fmt"
 // versioned reachability index (shardHist.out/in): one lock-free lookup
 // per visited key, so a closure query costs O(closure) index lookups —
 // never a whole-graph link scan, and never a shard or stripe lock.  The
-// results are byte-identical to the locked walks at the same state
-// (property-tested in graphview_test.go) and byte-stable: re-running a
-// walk on the same view always yields the same slice.
+// results are byte-stable: re-running a walk on the same view always
+// yields the same slice.
 
 // outAt returns the view's outgoing-adjacency posting of k (links with
 // From == k).  The slice and its links are immutable; callers must not

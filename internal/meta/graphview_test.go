@@ -8,62 +8,54 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 // Tests for the view-based graph walks and the versioned reachability
-// index behind them (graphview.go): semantics identical to the locked
-// walks, byte-stable under concurrent writers, repaired by
-// RebuildComponents.
+// index behind them (graphview.go): byte-stable under concurrent writers,
+// repaired by RebuildComponents.  (That a walk at a historical LSN equals
+// the walk on a replay of that prefix is TestQuickPlainViewEqualsReplay.)
 
 // TestWalksMissingRootNil pins the unified missing-root semantics: all
 // four walks treat a root that does not exist the same way — nil from
-// Reachable/Dependents/Equivalents, ErrNotFound from Resolve — on both
-// the locked and the MVCC path.
+// Reachable/Dependents/Equivalents, ErrNotFound from Resolve.
 func TestWalksMissingRootNil(t *testing.T) {
-	for _, mvcc := range []bool{false, true} {
-		db := NewDB()
-		k, err := db.NewVersion("cpu", "HDL_model")
-		if err != nil {
-			t.Fatal(err)
-		}
-		k2, err := db.NewVersion("alu", "HDL_model")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.AddLink(DeriveLink, k, k2, "t", nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if mvcc {
-			db.EnableMVCC()
-		}
-		ghost := Key{Block: "ghost", View: "HDL_model", Version: 1}
-		if got := db.Reachable(ghost, nil); got != nil {
-			t.Errorf("mvcc=%v: Reachable(missing) = %v, want nil", mvcc, got)
-		}
-		if got := db.Dependents(ghost, nil); got != nil {
-			t.Errorf("mvcc=%v: Dependents(missing) = %v, want nil", mvcc, got)
-		}
-		if got := db.Equivalents(ghost); got != nil {
-			t.Errorf("mvcc=%v: Equivalents(missing) = %v, want nil", mvcc, got)
-		}
-		if _, err := db.Resolve("ghost-config"); err == nil {
-			t.Errorf("mvcc=%v: Resolve(missing) = nil error, want ErrNotFound", mvcc)
-		}
-		// And an existing root still answers on both paths.
-		if got := db.Reachable(k, nil); len(got) != 1 || got[0] != k {
-			t.Errorf("mvcc=%v: Reachable(%v) = %v, want [%v] (use links only)", mvcc, k, got, k)
-		}
-		if got := db.Dependents(k, nil); len(got) != 1 || got[0] != k2 {
-			t.Errorf("mvcc=%v: Dependents(%v) = %v, want [%v]", mvcc, k, got, k2)
-		}
+	db := NewDB()
+	k, err := db.NewVersion("cpu", "HDL_model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := db.NewVersion("alu", "HDL_model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddLink(DeriveLink, k, k2, "t", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	ghost := Key{Block: "ghost", View: "HDL_model", Version: 1}
+	if got := db.Reachable(ghost, nil); got != nil {
+		t.Errorf("Reachable(missing) = %v, want nil", got)
+	}
+	if got := db.Dependents(ghost, nil); got != nil {
+		t.Errorf("Dependents(missing) = %v, want nil", got)
+	}
+	if got := db.Equivalents(ghost); got != nil {
+		t.Errorf("Equivalents(missing) = %v, want nil", got)
+	}
+	if _, err := db.Resolve("ghost-config"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Resolve(missing) = %v, want ErrNotFound", err)
+	}
+	// And an existing root still answers.
+	if got := db.Reachable(k, nil); len(got) != 1 || got[0] != k {
+		t.Errorf("Reachable(%v) = %v, want [%v] (use links only)", k, got, k)
+	}
+	if got := db.Dependents(k, nil); len(got) != 1 || got[0] != k2 {
+		t.Errorf("Dependents(%v) = %v, want [%v]", k, got, k2)
 	}
 }
 
 // graphProgram drives a randomized link program — creates, props, links
 // (a third of them equivalence-typed), retargets, deletions and prunes —
-// against a database.  Identical seeds produce identical programs, so
-// running it on a plain and an MVCC database yields the same state.
+// against a database.  Identical seeds produce identical programs.
 func graphProgram(db *DB, rng *rand.Rand) ([]Key, bool) {
 	blocks := []string{"cpu", "alu", "reg", "shifter", "dec", "mmu"}
 	views := []string{"HDL_model", "schematic", "netlist"}
@@ -127,143 +119,23 @@ func walkFingerprint(v *View, roots []Key) string {
 	return sb.String()
 }
 
-// lockedFingerprint is walkFingerprint through the locked walks of a
-// database without MVCC.
-func lockedFingerprint(db *DB, roots []Key) string {
-	var sb bytes.Buffer
-	for _, root := range roots {
-		if !db.HasOID(root) {
-			continue
-		}
-		fmt.Fprintf(&sb, "R%v=%v;", root, db.Reachable(root, FollowAllLinks))
-		fmt.Fprintf(&sb, "U%v=%v;", root, db.Reachable(root, FollowUseLinks))
-		fmt.Fprintf(&sb, "D%v=%v;", root, db.Dependents(root, FollowAllLinks))
-		fmt.Fprintf(&sb, "Q%v=%v;", root, db.Equivalents(root))
-	}
-	return sb.String()
-}
-
-// TestQuickViewWalkMatchesLocked runs the same randomized link program on
-// a plain database (locked walks) and an MVCC database (view walks over
-// the reachability index) at 1, 4 and 64 shards, and checks the walks
-// agree root by root.  It also records (lsn, fingerprint) pairs during
-// the MVCC program and re-pins each LSN at the end — time travel must
-// reproduce every intermediate graph byte for byte.
-func TestQuickViewWalkMatchesLocked(t *testing.T) {
-	for _, shards := range []int{1, 4, 64} {
-		shards := shards
-		f := func(seed int64) bool {
-			plain := NewDBWithShards(shards)
-			keys, ok := graphProgramPinned(plain, rand.New(rand.NewSource(seed)), nil)
-			if !ok {
-				return false
-			}
-
-			mdb := NewDBWithShards(shards)
-			mdb.EnableMVCC()
-			type pin struct {
-				lsn int64
-				fp  string
-			}
-			var pins []pin
-			mkeys, ok := graphProgramPinned(mdb, rand.New(rand.NewSource(seed)), func(sofar []Key) {
-				v := mdb.ReadView()
-				pins = append(pins, pin{v.LSN(), walkFingerprint(v, sofar)})
-				v.Close()
-			})
-			if !ok || len(mkeys) != len(keys) {
-				return false
-			}
-
-			// Final state: locked walks on the plain DB == view walks on
-			// the MVCC DB == the branched DB methods on the MVCC DB.
-			want := lockedFingerprint(plain, keys)
-			v := mdb.ReadView()
-			got := walkFingerprint(v, mkeys)
-			v.Close()
-			if got != want {
-				t.Logf("shards=%d seed=%d: view walk diverges from locked walk\nlocked: %s\nview:   %s", shards, seed, want, got)
-				return false
-			}
-			if got := lockedFingerprint(mdb, mkeys); got != want {
-				t.Logf("shards=%d seed=%d: branched DB methods diverge", shards, seed)
-				return false
-			}
-
-			// Time travel: every recorded LSN still reproduces its
-			// fingerprint (reclamation cannot strike: nothing trims
-			// without ReclaimVersions and these programs stay tiny).
-			for _, p := range pins {
-				pv, err := mdb.ReadViewAt(p.lsn)
-				if err != nil {
-					t.Logf("shards=%d seed=%d: ReadViewAt(%d): %v", shards, seed, p.lsn, err)
-					return false
-				}
-				re := walkFingerprint(pv, mkeys)
-				pv.Close()
-				if re != p.fp {
-					t.Logf("shards=%d seed=%d: time travel to %d diverges\nthen: %s\nnow:  %s", shards, seed, p.lsn, p.fp, re)
-					return false
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-			t.Errorf("shards=%d: %v", shards, err)
-		}
-	}
-}
-
-// graphProgramPinned is graphProgram plus a second mutation phase, with a
-// checkpoint hook (nil to skip) invoked between the phases and at the
-// end, handed the keys created so far — so pinned LSNs sit strictly
-// inside the version history, not only at its head.  The random stream
-// consumed is identical whether or not checkpoints are taken.
-func graphProgramPinned(db *DB, rng *rand.Rand, checkpoint func([]Key)) ([]Key, bool) {
-	keys, ok := graphProgram(db, rng)
-	if !ok {
-		return nil, false
-	}
-	if checkpoint != nil {
-		checkpoint(keys)
-	}
-	for i := 0; i < rng.Intn(8); i++ {
-		a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
-		if a == b {
-			continue
-		}
-		// A phase-1 prune may have removed either endpoint; that failure
-		// is part of the program (identical on every database).
-		if _, err := db.AddLink(DeriveLink, a, b, "t2", nil, nil); err != nil && !errors.Is(err, ErrNotFound) {
-			return nil, false
-		}
-	}
-	ids := db.LinkIDs()
-	for i := 0; i < rng.Intn(3) && len(ids) > 0; i++ {
-		_ = db.DeleteLink(ids[rng.Intn(len(ids))])
-	}
-	if checkpoint != nil {
-		checkpoint(keys)
-	}
-	return keys, true
-}
-
 // TestGraphIndexAfterRebuild corrupts an adjacency posting in place and
 // checks that RebuildComponents' audit pass repairs it: view walks match
-// the locked walks again afterwards.
+// those of an untouched twin database again afterwards.
 func TestGraphIndexAfterRebuild(t *testing.T) {
 	db := NewDBWithShards(4)
-	db.EnableMVCC()
 	rng := rand.New(rand.NewSource(7))
 	keys, ok := graphProgram(db, rng)
 	if !ok {
 		t.Fatal("program failed")
 	}
-	plain := NewDBWithShards(4)
-	if _, ok := graphProgram(plain, rand.New(rand.NewSource(7))); !ok {
+	twin := NewDBWithShards(4)
+	if _, ok := graphProgram(twin, rand.New(rand.NewSource(7))); !ok {
 		t.Fatal("program failed")
 	}
-	want := lockedFingerprint(plain, keys)
+	tv := twin.ReadView()
+	want := walkFingerprint(tv, keys)
+	tv.Close()
 
 	// Sanity: index agrees before the corruption.
 	v := db.ReadView()
@@ -321,7 +193,6 @@ func TestViewWalkRaceHammer(t *testing.T) {
 		}
 		pool = append(pool, k)
 	}
-	db.EnableMVCC()
 
 	var stop atomic.Bool
 	var writers, readers sync.WaitGroup

@@ -5,10 +5,10 @@ package meta
 // Every committed mutation of the meta-database carries a stamp: the
 // journal LSN of its record when a Recorder is attached, a database-local
 // epoch counter otherwise, and the original record's LSN during replay.
-// With MVCC enabled, each mutation additionally publishes an immutable
-// version of every object it changed — OID property maps, version chains,
-// link objects, configurations, workspaces — into lock-free version
-// histories, stamped with that LSN.
+// Each mutation publishes an immutable version of every object it changed
+// — OID property maps, version chains, link objects, configurations,
+// workspaces — into lock-free version histories, stamped with that LSN.
+// A database versions from construction: there is no unversioned mode.
 //
 // A View (ReadView / ReadViewAt) pins one stamp and resolves every read
 // against the versions at or below it.  Pinning takes one small mutex
@@ -52,7 +52,8 @@ import (
 )
 
 // ErrViewReclaimed reports a ReadViewAt position older than the retained
-// version horizon (reclaimed, or before MVCC was enabled).
+// version horizon (reclaimed, or below the position the database was
+// loaded, recovered or re-based at).
 var ErrViewReclaimed = errors.New("meta: view lsn below the retained version horizon")
 
 // reclaimEvery is the stamp interval between amortized reclaim passes.
@@ -158,11 +159,10 @@ type metaVer struct {
 	linkCum int64 // running max of linkMax up to and including this entry
 }
 
-// mvccState is the per-DB MVCC bookkeeping: the enable flag, the epoch
-// (highest mutation stamp), the horizon (lowest pinnable stamp), and the
-// gate tracking in-flight stamps, pinned views and the header history.
+// mvccState is the per-DB MVCC bookkeeping: the epoch (highest mutation
+// stamp), the horizon (lowest pinnable stamp), and the gate tracking
+// in-flight stamps, pinned views and the header history.
 type mvccState struct {
-	on      atomic.Bool
 	epoch   atomic.Int64
 	horizon atomic.Int64
 
@@ -241,13 +241,6 @@ func (m *mvccState) metaAtLocked(lsn int64) (seq, nextLink int64) {
 	return m.meta[i-1].seq, m.meta[i-1].linkCum
 }
 
-// mutTok is the per-mutation commit token handed out by beginMut: the
-// stamp to install versions under, and whether installation is wanted.
-type mutTok struct {
-	s  int64
-	on bool
-}
-
 // beginMut is the single commit point of every mutation: it emits the
 // journal record (when a Recorder is attached), assigns the mutation's
 // MVCC stamp, and registers the stamp as in flight.  It must be called
@@ -255,13 +248,9 @@ type mutTok struct {
 // reflect the change.  args builds the record argument list and is only
 // invoked when a Recorder is attached.  linkID names a link created by
 // this mutation (0 otherwise) so views can reconstruct the next_link
-// counter.  When the token's on flag is set the caller must install its
-// version-history entries stamped s and then call endMut.
-func (db *DB) beginMut(op string, linkID int64, args func() []string) mutTok {
-	on := db.mvcc.on.Load()
-	if db.rec == nil && !on {
-		return mutTok{}
-	}
+// counter.  The caller must install its version-history entries under the
+// returned stamp and then call endMut.
+func (db *DB) beginMut(op string, linkID int64, args func() []string) int64 {
 	// Build the record arguments before taking the gate mutex: the
 	// caller's object locks already make the snapshot consistent, and
 	// the sorting/formatting inside the arg builders must not serialize
@@ -292,28 +281,21 @@ func (db *DB) beginMut(op string, linkID int64, args func() []string) mutTok {
 	} else {
 		s = m.epoch.Load() + 1
 	}
-	if !on {
-		m.mu.Unlock()
-		return mutTok{}
-	}
 	if s > m.epoch.Load() {
 		m.epoch.Store(s)
 	}
 	m.metaPushLocked(metaVer{lsn: s, seq: seq, linkMax: linkID})
 	m.beginLocked(s)
 	m.mu.Unlock()
-	return mutTok{s: s, on: true}
+	return s
 }
 
 // endMut retires a mutation's stamp after its versions are installed and
 // occasionally kicks the amortized reclaim pass.
-func (db *DB) endMut(t mutTok) {
-	if !t.on {
-		return
-	}
+func (db *DB) endMut(s int64) {
 	m := &db.mvcc
 	m.mu.Lock()
-	m.doneLocked(t.s)
+	m.doneLocked(s)
 	if m.doneCh != nil {
 		close(m.doneCh)
 		m.doneCh = nil
@@ -330,31 +312,19 @@ func (db *DB) endMut(t mutTok) {
 	}
 }
 
-// MVCCEnabled reports whether version tracking is on.
-func (db *DB) MVCCEnabled() bool { return db.mvcc.on.Load() }
-
-// EnableMVCC turns on version tracking: a one-time genesis capture copies
-// the current state into version histories stamped at the current epoch
-// (the applied journal LSN on a recovered database), and every later
-// mutation appends LSN-stamped versions.  The journal enables it on Open
-// and OpenFollower; plain databases pay nothing until it is enabled.
-// Idempotent; safe to call concurrently with readers and writers.
-func (db *DB) EnableMVCC() {
-	if db.mvcc.on.Load() {
-		return
+// SealVersions makes the applied journal position the version horizon: the
+// epoch rises to it and every history is trimmed, in place, to its newest
+// version.  Journal recovery ends with it — the snapshot it started from
+// holds nothing older than itself, so no view may pin below what was
+// recovered.  The database must not be shared with writers yet.
+func (db *DB) SealVersions() {
+	m := &db.mvcc
+	m.mu.Lock()
+	if a := db.appliedLSN.Load(); a > m.epoch.Load() {
+		m.epoch.Store(a)
 	}
-	db.ctl.Lock()
-	db.lockAll()
-	if !db.mvcc.on.Load() {
-		s := db.mvcc.epoch.Load()
-		if a := db.appliedLSN.Load(); a > s {
-			s = a
-		}
-		db.genesisLocked(s)
-		db.mvcc.on.Store(true)
-	}
-	db.unlockAll()
-	db.ctl.Unlock()
+	m.mu.Unlock()
+	db.ReclaimVersions()
 }
 
 // genesisLocked rebuilds every version history from the live maps, as one
@@ -378,8 +348,11 @@ func (db *DB) genesisLocked(s int64) {
 	for _, sh := range db.shards {
 		h := &shardHist{}
 		for k, o := range sh.oids {
+			// No copy: the version shares the live map until the OID's
+			// next mutation takes its own (OID.own).
+			o.shared = true
 			oh := &hist[oidVal]{}
-			oh.push(s, oidVal{seq: o.Seq, props: copyProps(o.Props)}, false)
+			oh.push(s, oidVal{seq: o.Seq, props: o.Props}, false)
 			h.oids.Store(k, oh)
 		}
 		for bv, chain := range sh.chains {
@@ -441,7 +414,7 @@ func copyProps(props map[string]string) map[string]string {
 
 // ---------------------------------------------------------------------------
 // Version-install helpers.  All run while the lock owning the object is
-// held, with a token whose on flag is set.
+// held, between beginMut and endMut.
 
 // histOIDPush publishes an OID version (or, with del, a tombstone).
 func (db *DB) histOIDPush(sh *dbShard, k Key, s int64, o *OID, del bool) {
@@ -457,9 +430,9 @@ func (db *DB) histOIDPush(sh *dbShard, k Key, s int64, o *OID, del bool) {
 	hi.(*hist[oidVal]).push(s, oidVal{seq: o.Seq, props: copyProps(o.Props)}, false)
 }
 
-// histOIDPrev returns the newest published property map of an OID — with
-// MVCC on it always mirrors the live map, so UpdateOID can diff against
-// it without a pre-copy.
+// histOIDPrev returns the newest published property map of an OID — it
+// always mirrors the live map, so UpdateOID can diff against it without a
+// pre-copy.
 func (db *DB) histOIDPrev(sh *dbShard, k Key) map[string]string {
 	if hi, ok := sh.hist.Load().oids.Load(k); ok {
 		if x := hi.(*hist[oidVal]).head.Load(); x != nil && !x.del {
@@ -574,15 +547,10 @@ type View struct {
 // ReadView pins a view at the current epoch — the newest assigned
 // mutation stamp — waiting (briefly) for any older mutation still
 // installing its versions, so a write that committed before the call is
-// always visible: read-your-writes holds exactly as it did on the locked
-// paths.  The wait is only ever for mutations already past their journal
-// append (installs run in microseconds); it never blocks on writer lock
-// acquisition and never blocks writers.  On a database without MVCC
-// enabled it enables it first (one-time capture).
+// always visible (read-your-writes).  The wait is only ever for mutations
+// already past their journal append (installs run in microseconds); it
+// never blocks on writer lock acquisition and never blocks writers.
 func (db *DB) ReadView() *View {
-	if !db.mvcc.on.Load() {
-		db.EnableMVCC()
-	}
 	m := &db.mvcc
 	m.mu.Lock()
 	for {
@@ -615,9 +583,6 @@ func (db *DB) ReadView() *View {
 // the read-your-LSN paths check the journal (or the replica's applied
 // position) first, which also guarantees the wait terminates.
 func (db *DB) ReadViewAt(lsn int64) (*View, error) {
-	if !db.mvcc.on.Load() {
-		db.EnableMVCC()
-	}
 	m := &db.mvcc
 	m.mu.Lock()
 	for {
@@ -667,7 +632,7 @@ func (db *DB) pinLocked(l int64) *View {
 
 // Close releases the view's pin.  Idempotent.
 func (v *View) Close() {
-	if v == nil || v.closed.Swap(true) {
+	if v.closed.Swap(true) {
 		return
 	}
 	m := &v.db.mvcc
@@ -859,9 +824,6 @@ func (db *DB) reclaimPass() {
 // at most one shard's trim.
 func (db *DB) ReclaimVersions() {
 	m := &db.mvcc
-	if !m.on.Load() {
-		return
-	}
 	m.mu.Lock()
 	floor := m.stableLocked()
 	for l := range m.pins {

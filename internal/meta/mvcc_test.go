@@ -24,7 +24,6 @@ func viewSave(t *testing.T, v *View) []byte {
 func TestReadViewPointInTime(t *testing.T) {
 	db := NewDB()
 	a := mustNewVersion(t, db, "cpu", "HDL_model")
-	db.EnableMVCC()
 
 	if err := db.SetProp(a, "state", "old"); err != nil {
 		t.Fatal(err)
@@ -101,7 +100,6 @@ func saveDB(t *testing.T, db *DB) []byte {
 // after does not.
 func TestReadViewTombstones(t *testing.T) {
 	db := NewDB()
-	db.EnableMVCC()
 	a := mustNewVersion(t, db, "cpu", "HDL_model")
 	b := mustNewVersion(t, db, "alu", "HDL_model")
 	mustNewVersion(t, db, "cpu", "HDL_model") // version 2
@@ -149,7 +147,6 @@ func TestReadViewTombstones(t *testing.T) {
 // two Saves of one view, and a re-pin of the same LSN, all identical.
 func TestViewByteStableUnderWriters(t *testing.T) {
 	db := NewDBWithShards(4)
-	db.EnableMVCC()
 	var seed []Key
 	for i := 0; i < 8; i++ {
 		seed = append(seed, mustNewVersion(t, db, fmt.Sprintf("blk%d", i), "HDL_model"))
@@ -252,7 +249,6 @@ func TestViewByteStableUnderWriters(t *testing.T) {
 // with ErrViewReclaimed, and a pinned view holds the floor back.
 func TestReclaimVersions(t *testing.T) {
 	db := NewDB()
-	db.EnableMVCC()
 	k := mustNewVersion(t, db, "cpu", "HDL_model")
 	for i := 0; i < 10; i++ {
 		if err := db.SetProp(k, "state", fmt.Sprint(i)); err != nil {

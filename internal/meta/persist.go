@@ -65,58 +65,13 @@ type workspaceJSON struct {
 	Paths map[string]string `json:"paths,omitempty"`
 }
 
-// Save writes the whole meta-database as indented JSON.  With MVCC
-// enabled the document is collected from a pinned read view — no lock of
-// any kind is held during collection or encoding, and writers proceed
-// throughout; otherwise collection happens under every read lock (control
-// plane, shards, stripes) while the encoding and the writes to w run after
-// the locks are released.
+// Save writes the whole meta-database as indented JSON, collected from a
+// pinned read view: no lock of any kind is held during collection or
+// encoding, and writers proceed throughout.
 func (db *DB) Save(w io.Writer) error {
-	if db.mvcc.on.Load() {
-		v := db.ReadView()
-		defer v.Close()
-		return v.SaveTo(w)
-	}
-	return db.SnapshotTo(w, nil)
-}
-
-// SnapshotTo is the legacy locked collection path with a coordination
-// hook: capture, if non-nil, runs while every lock is still held, after
-// the document has been collected.  The append-only journal used it to
-// read its last assigned record number; journal snapshots now collect
-// from a pinned View (View.SaveTo), which carries its LSN explicitly, so
-// this path remains for databases without MVCC enabled.  capture must not
-// call back into the DB.
-func (db *DB) SnapshotTo(w io.Writer, capture func()) error {
-	db.ctl.RLock()
-	db.rlockAll()
-	doc := snapDoc{seq: db.seq.Load(), nextLink: db.nextLink.Load(), terms: db.loadTerms()}
-	// Property maps and workspace bindings are mutated in place, so the
-	// document takes copies; links and configurations are replaced, never
-	// changed, once published.
-	for _, sh := range db.shards {
-		for _, o := range sh.oids {
-			doc.oids = append(doc.oids, oidRow{key: o.Key, seq: o.Seq, props: copyProps(o.Props)})
-		}
-	}
-	for _, st := range db.stripes {
-		for _, l := range st.links {
-			doc.links = append(doc.links, l)
-		}
-	}
-	for _, c := range db.configs {
-		doc.configs = append(doc.configs, c)
-	}
-	for _, ws := range db.workspaces {
-		doc.workspaces = append(doc.workspaces, ws.clone())
-	}
-	if capture != nil {
-		capture()
-	}
-	db.runlockAll()
-	db.ctl.RUnlock()
-
-	return doc.encode(w)
+	v := db.ReadView()
+	defer v.Close()
+	return v.SaveTo(w)
 }
 
 // SaveTo writes the database exactly as it stood at the view's LSN, in
@@ -143,7 +98,7 @@ func (v *View) SaveTo(w io.Writer) error {
 }
 
 // Load reads a database previously written by Save and returns a fresh DB
-// with all indexes rebuilt.
+// with all indexes rebuilt and the loaded content as its version genesis.
 func Load(r io.Reader) (*DB, error) { return LoadShards(r, DefaultShards) }
 
 // LoadShards is Load with an explicit shard count for the rebuilt DB —
@@ -171,23 +126,28 @@ func LoadShards(r io.Reader, shards int) (*DB, error) {
 	for i, oj := range doc.OIDs {
 		k := Key{Block: oj.Block, View: oj.View, Version: oj.Version}
 		if i > 0 {
-			// The sort puts duplicates side by side.  Reject them here with
-			// a clear message: InsertOID would refuse too, but with a
-			// confusing chain-version error, and the duplicate's properties
-			// must never silently overwrite the first occurrence's.
+			// The sort puts duplicates side by side.  Reject them: the
+			// duplicate's properties must never silently overwrite the
+			// first occurrence's.
 			p := doc.OIDs[i-1]
 			if p.Block == oj.Block && p.View == oj.View && p.Version == oj.Version {
 				return nil, fmt.Errorf("meta: load: duplicate oid %v in document: %w", k, ErrExists)
 			}
 		}
-		if err := db.InsertOID(k); err != nil {
+		if err := k.Validate(); err != nil {
 			return nil, fmt.Errorf("meta: load oid: %w", err)
 		}
-		o := db.shardOf(k).oids[k]
-		o.Seq = oj.Seq
-		for name, v := range oj.Props {
-			o.Props[name] = v
+		// The maps are filled directly — the sort makes every chain
+		// ascending — and captured once below, not published per object.
+		// The decoder's property map is nobody else's: it becomes the
+		// live one.
+		o := &OID{Key: k, Seq: oj.Seq, Props: oj.Props}
+		if o.Props == nil {
+			o.Props = make(map[string]string)
 		}
+		sh, bv := db.shardOf(k), k.BV()
+		sh.oids[k] = o
+		sh.chains[bv] = append(sh.chains[bv], k.Version)
 	}
 
 	sort.Slice(doc.Links, func(i, j int) bool { return doc.Links[i].ID < doc.Links[j].ID })
@@ -287,6 +247,15 @@ func LoadShards(r io.Reader, shards int) (*DB, error) {
 
 	db.seq.Store(doc.Seq)
 	db.nextLink.Store(doc.NextLink)
+	// The loaded content is the genesis (nobody else sees db yet: no
+	// locks).  A document that lived through a promotion is stamped at its
+	// newest term start, so that the view pinned there carries the whole
+	// term table.
+	var stamp int64
+	if t := db.loadTerms(); len(t) > 0 {
+		stamp = t[len(t)-1].LSN
+	}
+	db.genesisLocked(stamp)
 	return db, nil
 }
 
@@ -294,10 +263,10 @@ func LoadShards(r io.Reader, shards int) (*DB, error) {
 // src's, in place — the follower-side snapshot re-bootstrap path: engines
 // and servers hold the *DB pointer, so re-basing on a primary snapshot
 // must swap the guts rather than the pointer.  lsn is the journal
-// position the restored document covers; with MVCC enabled the version
-// histories are rebuilt from the new content at that stamp (views pinned
-// before the re-base captured the old containers and stay consistent;
-// the horizon jumps to lsn).  src must have the same shard count (both
+// position the restored document covers: the version histories are
+// rebuilt from the new content at that stamp (views pinned before the
+// re-base captured the old containers and stay consistent; the horizon
+// jumps to lsn).  src must have the same shard count (both
 // sides of a bootstrap build it from the same Options) and must not be
 // used afterwards: db adopts its maps.
 func (db *DB) RestoreFrom(src *DB, lsn int64) error {
@@ -323,9 +292,7 @@ func (db *DB) RestoreFrom(src *DB, lsn int64) error {
 	// and forgetting them would leave this replica unable to fence the
 	// deposed primary's tail.
 	db.storeTerms(src.loadTerms())
-	if db.mvcc.on.Load() {
-		db.genesisLocked(lsn)
-	}
+	db.genesisLocked(lsn)
 	db.unlockAll()
 	db.ctl.Unlock()
 	db.compMu.Lock()

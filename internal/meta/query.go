@@ -1,115 +1,21 @@
 package meta
 
-import "sort"
-
 // Query helpers.  Designers "retrieve the state of the project by performing
 // queries" (section 1); these are the volume-query primitives the higher
-// level state package builds on.
-//
-// The Select*/Latest* scans visit shards one at a time (per-shard
-// consistent, not a whole-database snapshot).  The graph walks (Reachable,
-// Dependents, Equivalents) have two tiers: with MVCC enabled they pin a
-// lock-free ReadView and resolve adjacency through the versioned
-// reachability index (graphview.go) without touching a single shard or
-// stripe lock; without it they read-lock every shard and stripe in the
-// canonical ascending order so a cross-shard link walk sees one consistent
-// graph.  All four walks (including Resolve) return nil for a root that
-// does not exist.
+// level state package builds on.  Each pins a ReadView and runs the walk
+// there (graphview.go): adjacency resolves through the versioned
+// reachability index without touching a shard or stripe lock, and the
+// answer is one consistent graph.  Callers that ask several questions of
+// one instant pin the view themselves.  Every walk (including Resolve)
+// returns nil for a root that does not exist.
 
-// SelectOIDs returns deep copies of every OID accepted by pred, sorted by
-// key.
-func (db *DB) SelectOIDs(pred func(*OID) bool) []*OID {
-	var out []*OID
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		if out == nil && len(sh.oids) > 0 {
-			out = make([]*OID, 0, len(sh.oids))
-		}
-		for _, o := range sh.oids {
-			if pred(o) {
-				out = append(out, o.clone())
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sortOIDs(out)
-	return out
-}
-
-// OIDsByView returns every OID of the given view type, sorted by key.
-func (db *DB) OIDsByView(view string) []*OID {
-	return db.SelectOIDs(func(o *OID) bool { return o.Key.View == view })
-}
-
-// OIDsByBlock returns every OID of the given block, sorted by key.
-func (db *DB) OIDsByBlock(block string) []*OID {
-	return db.SelectOIDs(func(o *OID) bool { return o.Key.Block == block })
-}
-
-// OIDsWithProp returns every OID whose named property equals value.
-func (db *DB) OIDsWithProp(name, value string) []*OID {
-	return db.SelectOIDs(func(o *OID) bool { return o.Props[name] == value })
-}
-
-// LatestOIDs returns a deep copy of the newest version of every version
-// chain, sorted by key.  This is the usual working set for state queries:
-// designers care about the state of the latest data.  Chains are already
-// version-ordered, so each shard contributes its newest versions without
-// re-scanning; only the final cross-shard key sort remains.
-func (db *DB) LatestOIDs() []*OID {
-	out := make([]*OID, 0, db.countChains())
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		for bv, chain := range sh.chains {
-			if len(chain) == 0 {
-				continue
-			}
-			k := Key{Block: bv.Block, View: bv.View, Version: chain[len(chain)-1]}
-			if o, ok := sh.oids[k]; ok {
-				out = append(out, o.clone())
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sortOIDs(out)
-	return out
-}
-
-func (db *DB) countChains() int {
-	n := 0
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		n += len(sh.chains)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// SelectLinks returns deep copies of every link accepted by pred, in ID
-// order.
-func (db *DB) SelectLinks(pred func(*Link) bool) []*Link {
-	var out []*Link
-	for _, st := range db.stripes {
-		st.mu.RLock()
-		if out == nil && len(st.links) > 0 {
-			out = make([]*Link, 0, len(st.links))
-		}
-		for _, l := range st.links {
-			if pred(l) {
-				out = append(out, l.clone())
-			}
-		}
-		st.mu.RUnlock()
-	}
-	sortLinks(out)
-	return out
-}
-
-// LinksByType returns every derive link whose TYPE property matches.
-func (db *DB) LinksByType(linkType string) []*Link {
-	return db.SelectLinks(func(l *Link) bool {
-		return l.Class == DeriveLink && l.Type() == linkType
-	})
+// EachOID invokes fn for every OID of the current state, in unspecified
+// order, until fn returns false.  The *OID is reused across calls: fn must
+// not retain it, though it may retain Props (immutable).
+func (db *DB) EachOID(fn func(*OID) bool) {
+	v := db.ReadView()
+	defer v.Close()
+	v.EachOID(fn)
 }
 
 // Reachable returns the set of keys reachable from root by traversing links
@@ -117,36 +23,9 @@ func (db *DB) LinksByType(linkType string) []*Link {
 // itself.  It is the query primitive behind hierarchy snapshots and
 // transitive-dependency analyses.
 func (db *DB) Reachable(root Key, follow FollowFunc) []Key {
-	if follow == nil {
-		follow = FollowUseLinks
-	}
-	if db.mvcc.on.Load() {
-		v := db.ReadView()
-		defer v.Close()
-		return v.Reachable(root, follow)
-	}
-	db.rlockAll()
-	defer db.runlockAll()
-	if _, ok := db.shardOf(root).oids[root]; !ok {
-		return nil
-	}
-	visited := map[Key]bool{root: true}
-	queue := []Key{root}
-	var out []Key
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		out = append(out, k)
-		for _, r := range db.shardOf(k).outLinks[k] {
-			if !follow(r.l) || visited[r.l.To] {
-				continue
-			}
-			visited[r.l.To] = true
-			queue = append(queue, r.l.To)
-		}
-	}
-	sortKeys(out)
-	return out
+	v := db.ReadView()
+	defer v.Close()
+	return v.Reachable(root, follow)
 }
 
 // Dependents returns the downstream closure of root: every OID reachable by
@@ -154,36 +33,9 @@ func (db *DB) Reachable(root Key, follow FollowFunc) []Key {
 // invalidated when root changes.  root itself is excluded; a root that does
 // not exist returns nil, matching Reachable and Equivalents.
 func (db *DB) Dependents(root Key, follow FollowFunc) []Key {
-	if follow == nil {
-		follow = FollowAllLinks
-	}
-	if db.mvcc.on.Load() {
-		v := db.ReadView()
-		defer v.Close()
-		return v.Dependents(root, follow)
-	}
-	db.rlockAll()
-	defer db.runlockAll()
-	if _, ok := db.shardOf(root).oids[root]; !ok {
-		return nil
-	}
-	visited := map[Key]bool{root: true}
-	queue := []Key{root}
-	var out []Key
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		for _, r := range db.shardOf(k).outLinks[k] {
-			if !follow(r.l) || visited[r.l.To] {
-				continue
-			}
-			visited[r.l.To] = true
-			out = append(out, r.l.To)
-			queue = append(queue, r.l.To)
-		}
-	}
-	sortKeys(out)
-	return out
+	v := db.ReadView()
+	defer v.Close()
+	return v.Dependents(root, follow)
 }
 
 // Equivalents returns the transitive set of OIDs tied to k by derive links
@@ -191,52 +43,7 @@ func (db *DB) Dependents(root Key, follow FollowFunc) []Key {
 // version server, which the paper's link types reference.  Links are
 // followed in both directions; k itself is included.
 func (db *DB) Equivalents(k Key) []Key {
-	if db.mvcc.on.Load() {
-		v := db.ReadView()
-		defer v.Close()
-		return v.Equivalents(k)
-	}
-	db.rlockAll()
-	defer db.runlockAll()
-	if _, ok := db.shardOf(k).oids[k]; !ok {
-		return nil
-	}
-	visited := map[Key]bool{k: true}
-	queue := []Key{k}
-	out := []Key{k}
-	step := func(next Key) {
-		if !visited[next] {
-			visited[next] = true
-			out = append(out, next)
-			queue = append(queue, next)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		sh := db.shardOf(cur)
-		for _, r := range sh.outLinks[cur] {
-			if r.l.Class == DeriveLink && r.l.Type() == TypeEquivalence {
-				step(r.l.To)
-			}
-		}
-		for _, r := range sh.inLinks[cur] {
-			if r.l.Class == DeriveLink && r.l.Type() == TypeEquivalence {
-				step(r.l.From)
-			}
-		}
-	}
-	sortKeys(out)
-	return out
-}
-
-func sortOIDs(oids []*OID) {
-	// Map iteration hands us a random permutation, so an insertion sort
-	// here is quadratic on large databases (it dominated state reports at
-	// a thousand blocks); use the library sort.
-	sort.Slice(oids, func(i, j int) bool { return keyLess(oids[i].Key, oids[j].Key) })
-}
-
-func sortLinks(links []*Link) {
-	sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
+	v := db.ReadView()
+	defer v.Close()
+	return v.Equivalents(k)
 }

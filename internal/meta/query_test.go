@@ -2,39 +2,6 @@ package meta
 
 import "testing"
 
-func TestSelectAndByQueries(t *testing.T) {
-	db := NewDB()
-	buildHierarchy(t, db)
-	if got := db.OIDsByView("SCHEMA"); len(got) != 4 {
-		t.Errorf("OIDsByView(SCHEMA) = %d", len(got))
-	}
-	if got := db.OIDsByBlock("cpu"); len(got) != 2 {
-		t.Errorf("OIDsByBlock(cpu) = %d", len(got))
-	}
-	k, _ := db.Latest("cpu", "SCHEMA")
-	if err := db.SetProp(k, "uptodate", "false"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.OIDsWithProp("uptodate", "false"); len(got) != 1 || got[0].Key != k {
-		t.Errorf("OIDsWithProp = %v", got)
-	}
-}
-
-func TestLatestOIDs(t *testing.T) {
-	db := NewDB()
-	mustNewVersion(t, db, "cpu", "HDL_model")
-	mustNewVersion(t, db, "cpu", "HDL_model")
-	v3 := mustNewVersion(t, db, "cpu", "HDL_model")
-	mustNewVersion(t, db, "reg", "HDL_model")
-	latest := db.LatestOIDs()
-	if len(latest) != 2 {
-		t.Fatalf("LatestOIDs = %d entries", len(latest))
-	}
-	if latest[0].Key != v3 {
-		t.Errorf("latest cpu = %v, want %v", latest[0].Key, v3)
-	}
-}
-
 func TestReachableAndDependents(t *testing.T) {
 	db := NewDB()
 	root, nl := buildHierarchy(t, db)
@@ -58,27 +25,5 @@ func TestReachableAndDependents(t *testing.T) {
 	// Missing root.
 	if got := db.Reachable(Key{Block: "ghost", View: "v", Version: 1}, nil); got != nil {
 		t.Errorf("Reachable(ghost) = %v", got)
-	}
-}
-
-func TestLinksByType(t *testing.T) {
-	db := NewDB()
-	buildHierarchy(t, db)
-	if got := db.LinksByType(TypeDeriveFrom); len(got) != 1 {
-		t.Errorf("LinksByType(derived) = %d", len(got))
-	}
-	if got := db.LinksByType(TypeEquivalence); len(got) != 0 {
-		t.Errorf("LinksByType(equivalence) = %d", len(got))
-	}
-}
-
-func TestSelectLinksSorted(t *testing.T) {
-	db := NewDB()
-	buildHierarchy(t, db)
-	links := db.SelectLinks(func(*Link) bool { return true })
-	for i := 1; i < len(links); i++ {
-		if links[i].ID < links[i-1].ID {
-			t.Errorf("links out of ID order")
-		}
 	}
 }

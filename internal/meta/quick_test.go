@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -231,9 +232,15 @@ func TestQuickShardCountInvariant(t *testing.T) {
 			for _, k := range db.Keys() {
 				fmt.Fprintf(&sb, "K%v;", k)
 			}
-			for _, o := range db.LatestOIDs() {
-				fmt.Fprintf(&sb, "L%v=%v;", o.Key, o.Props)
-			}
+			var latest []string
+			v := db.ReadView()
+			v.EachLatestOID(func(o *OID) bool {
+				latest = append(latest, fmt.Sprintf("L%v=%v;", o.Key, o.Props))
+				return true
+			})
+			v.Close()
+			sort.Strings(latest)
+			fmt.Fprint(&sb, latest)
 			for _, id := range db.LinkIDs() {
 				l, err := db.GetLink(id)
 				if err != nil {

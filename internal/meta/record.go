@@ -227,11 +227,11 @@ func (db *DB) nextLinkFloor(s int64) {
 // for a follower mirroring a leader's stream.
 //
 // Calls must be serialized (recovery is single-threaded; a follower's
-// ApplyAppend holds its apply mutex): with MVCC enabled, the record's LSN
-// is carried to the inner mutation so its versions are stamped with the
-// original numbering, through a single replay slot.
+// ApplyAppend holds its apply mutex): the record's LSN is carried to the
+// inner mutation so its versions are stamped with the original numbering,
+// through a single replay slot.
 func (db *DB) ApplyRecord(r Record) error {
-	if r.LSN > 0 && db.mvcc.on.Load() {
+	if r.LSN > 0 {
 		db.replayAt.Store(r.LSN)
 		db.replaySeq.Store(r.Seq)
 		defer func() {
@@ -342,14 +342,14 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		err = db.replaceLink(id, func(nl *Link) {
+		err = db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
 			for _, s := range sets {
 				nl.Props[s[0]] = s[1]
 			}
 			for _, n := range dels {
 				delete(nl.Props, n)
 			}
-		}, func(*Link) (string, []string) { return OpLinkUpdate, r.Args })
+		}, func(*Link) []string { return r.Args })
 		if err != nil {
 			return fail(err)
 		}
@@ -526,8 +526,10 @@ func parseConfigArgs(args []string) (*Configuration, error) {
 	return c, nil
 }
 
-// insertOIDSeq inserts an OID with an explicit logical timestamp — the
-// replay form of InsertOID, which must not advance the clock.
+// insertOIDSeq inserts an OID with an explicit version number and logical
+// timestamp — the replay form of NewVersion, which must not advance the
+// clock.  The version must be greater than the newest in the chain; gaps
+// are legal because old versions may have been pruned (see PruneVersions).
 func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	if err := k.Validate(); err != nil {
 		return err
@@ -547,14 +549,12 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	o := &OID{Key: k, Props: make(map[string]string), Seq: seq}
 	sh.oids[k] = o
 	sh.chains[bv] = append(chain, k.Version)
-	tok := db.beginMut(OpOID, 0, func() []string {
+	s := db.beginMut(OpOID, 0, func() []string {
 		return []string{k.String(), strconv.FormatInt(seq, 10)}
 	})
-	if tok.on {
-		db.histOIDPush(sh, k, tok.s, o, false)
-		db.histChainPush(sh, bv, tok.s)
-	}
-	db.endMut(tok)
+	db.histOIDPush(sh, k, s, o, false)
+	db.histChainPush(sh, bv, s)
+	db.endMut(s)
 	return nil
 }
 
@@ -586,15 +586,13 @@ func (db *DB) insertLinkObject(l *Link) error {
 	sf.outLinks[l.From] = append(sf.outLinks[l.From], linkRef{id: l.ID, l: l})
 	st.inLinks[l.To] = append(st.inLinks[l.To], linkRef{id: l.ID, l: l})
 	db.nextLinkFloor(int64(l.ID))
-	tok := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
-	if tok.on {
-		stripe.mu.Lock()
-		db.histLinkPushLocked(l.ID, tok.s, l)
-		stripe.mu.Unlock()
-		db.histAdjPush(sf, l.From, tok.s, true)
-		db.histAdjPush(st, l.To, tok.s, false)
-	}
-	db.endMut(tok)
+	s := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
+	stripe.mu.Lock()
+	db.histLinkPushLocked(l.ID, s, l)
+	stripe.mu.Unlock()
+	db.histAdjPush(sf, l.From, s, true)
+	db.histAdjPush(st, l.To, s, false)
+	db.endMut(s)
 	return nil
 }
 
@@ -610,10 +608,8 @@ func (db *DB) installConfig(c *Configuration) error {
 		return fmt.Errorf("configuration %q: %w", c.Name, ErrExists)
 	}
 	db.configs[c.Name] = c
-	tok := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
-	if tok.on {
-		db.histConfigPushLocked(c.Name, tok.s, c)
-	}
-	db.endMut(tok)
+	s := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
+	db.histConfigPushLocked(c.Name, s, c)
+	db.endMut(s)
 	return nil
 }

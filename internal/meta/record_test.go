@@ -121,8 +121,6 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 	// The exact component rebuild audits derived state: with a recorder
 	// attached it used to call a nil argument builder under every lock.
 	db.RebuildComponents()
-	db.EnableMVCC()
-	db.RebuildComponents()
 	if got := rec.ops()[n:]; len(got) != 0 {
 		t.Errorf("component rebuild emitted records: %v", got)
 	}

@@ -67,8 +67,9 @@ func oracleWorkspace(ws *Workspace) workspaceJSON {
 	return wj
 }
 
-// oracleLocked is the old DB.SnapshotTo.  The database must be quiescent.
-func oracleLocked(t testing.TB, db *DB) []byte {
+// oracleLive is the document the live maps describe, read without the
+// version histories.  The database must be quiescent.
+func oracleLive(t testing.TB, db *DB) []byte {
 	doc := dbJSON{Seq: db.seq.Load(), NextLink: db.nextLink.Load()}
 	for _, sh := range db.shards {
 		for _, o := range sh.oids {
@@ -255,29 +256,16 @@ func buildHostile(t testing.TB, db *DB, seed int64) {
 }
 
 // TestQuickStreamingSnapshotEqualsOracle is the byte-identity property:
-// on random databases at 1, 4 and 64 shards both collectors — the locked
-// SnapshotTo and a pinned view's SaveTo — write exactly the bytes the
-// reflection encoder wrote.
+// on random databases at 1, 4 and 64 shards a pinned view's SaveTo writes
+// exactly the bytes the reflection encoder wrote.
 func TestQuickStreamingSnapshotEqualsOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		for _, shards := range []int{1, 4, 64} {
 			db := NewDBWithShards(shards)
-			if seed%2 == 0 {
-				db.EnableMVCC() // versions published as the database is built
-			}
 			buildHostile(t, db, seed)
 
 			var got bytes.Buffer
-			if err := db.SnapshotTo(&got, nil); err != nil {
-				t.Fatal(err)
-			}
-			if want := oracleLocked(t, db); !bytes.Equal(got.Bytes(), want) {
-				t.Logf("seed %d shards %d: locked collector diverges:\n%s", seed, shards, firstDiff(got.Bytes(), want))
-				return false
-			}
-
-			v := db.ReadView() // enables MVCC (genesis capture) if it was off
-			got.Reset()
+			v := db.ReadView()
 			err := v.SaveTo(&got)
 			want := oracleView(t, v)
 			v.Close()
@@ -302,15 +290,11 @@ func TestStreamingSnapshotEmptyDatabase(t *testing.T) {
 	const want = "{\n  \"seq\": 0,\n  \"next_link\": 0,\n  \"oids\": null,\n  \"links\": null\n}\n"
 	db := NewDB()
 	var buf bytes.Buffer
-	if err := db.SnapshotTo(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != want || string(oracleLocked(t, db)) != want {
-		t.Errorf("locked: %q", buf.String())
+	if got := string(oracleLive(t, db)); got != want {
+		t.Errorf("oracle: %q", got)
 	}
 	v := db.ReadView()
 	defer v.Close()
-	buf.Reset()
 	if err := v.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +321,10 @@ func TestStreamingSnapshotPathOrder(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := db.SnapshotTo(&buf, nil); err != nil {
+	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if want := oracleLocked(t, db); !bytes.Equal(buf.Bytes(), want) {
+	if want := oracleLive(t, db); !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("diverges from the oracle:\n%s", firstDiff(buf.Bytes(), want))
 	}
 	if i, j := strings.Index(buf.String(), `"cpu,schematic,10"`), strings.Index(buf.String(), `"cpu,schematic,2"`); i < 0 || j < i {
@@ -455,26 +439,22 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 // TestStreamingSnapshotWriteError fails the writer at the first write, in
-// the first buffer and a few buffers in: both collectors return its error
-// and do not write to it again.
+// the first buffer and a few buffers in: SaveTo returns its error and does
+// not write to it again.
 func TestStreamingSnapshotWriteError(t *testing.T) {
 	db := treeDB(t, 16)
 	var whole bytes.Buffer
-	if err := db.SnapshotTo(&whole, nil); err != nil {
+	if err := db.Save(&whole); err != nil {
 		t.Fatal(err)
 	}
 	if whole.Len() < 3*snapBufBytes {
 		t.Fatalf("document of %d bytes is not several buffers long", whole.Len())
 	}
 	for _, budget := range []int{0, 100, 2*snapBufBytes + 100} {
-		w := &failAfter{n: budget}
-		if err := db.SnapshotTo(w, nil); !errors.Is(err, errDiskGone) || w.failed != 1 {
-			t.Errorf("locked collector, %d bytes accepted: err = %v after %d failed writes", budget, err, w.failed)
-		}
 		v := db.ReadView()
-		w = &failAfter{n: budget}
+		w := &failAfter{n: budget}
 		if err := v.SaveTo(w); !errors.Is(err, errDiskGone) || w.failed != 1 {
-			t.Errorf("view collector, %d bytes accepted: err = %v after %d failed writes", budget, err, w.failed)
+			t.Errorf("%d bytes accepted: err = %v after %d failed writes", budget, err, w.failed)
 		}
 		v.Close()
 	}

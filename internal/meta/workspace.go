@@ -56,11 +56,9 @@ func (db *DB) AddWorkspace(name, root string) error {
 	}
 	w := &Workspace{Name: name, Root: root, paths: make(map[Key]string)}
 	db.workspaces[name] = w
-	tok := db.beginMut(OpWorkspace, 0, func() []string { return []string{name, root} })
-	if tok.on {
-		db.histWorkspacePushLocked(name, tok.s, w.clone())
-	}
-	db.endMut(tok)
+	s := db.beginMut(OpWorkspace, 0, func() []string { return []string{name, root} })
+	db.histWorkspacePushLocked(name, s, w.clone())
+	db.endMut(s)
 	return nil
 }
 
@@ -76,13 +74,11 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
 	w.paths[k] = path
-	tok := db.beginMut(OpBind, 0, func() []string {
+	s := db.beginMut(OpBind, 0, func() []string {
 		return []string{workspace, k.String(), path}
 	})
-	if tok.on {
-		db.histWorkspacePushLocked(workspace, tok.s, w.clone())
-	}
-	db.endMut(tok)
+	db.histWorkspacePushLocked(workspace, s, w.clone())
+	db.endMut(s)
 	return nil
 }
 

@@ -95,32 +95,6 @@ func TestBatchQuotingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchAsyncQueuesAndSyncs(t *testing.T) {
-	bpSrv, addr := startAsyncServer(t)
-	keys := batchServerKeys(t, bpSrv, "alu", "reg")
-	c := dial(t, addr)
-
-	items := make([]wire.BatchItem, len(keys))
-	for i, k := range keys {
-		items[i] = wire.BatchItem{Event: "hdl_sim", Dir: "down", OID: k.String(), Args: []string{"good"}}
-	}
-	posted, err := c.PostBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if posted != len(keys) {
-		t.Fatalf("posted %d, want %d", posted, len(keys))
-	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if v, _, _ := bpSrv.Engine().DB().GetProp(k, "sim_result"); v != "good" {
-			t.Errorf("%v sim_result = %q after sync", k, v)
-		}
-	}
-}
-
 func TestBatchHandleResponseShape(t *testing.T) {
 	s, _ := startServer(t)
 	keys := batchServerKeys(t, s, "alu")

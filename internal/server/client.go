@@ -252,9 +252,8 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Sync blocks until the server's event queue has settled (meaningful in
-// async-drain mode; an immediate no-op otherwise) and surfaces any drain
-// error encountered since the last Sync.
+// Sync blocks until the server's event queue has settled — every drain
+// finished, committed and, with a quorum configured, acknowledged.
 func (c *Client) Sync() error {
 	_, err := c.do(wire.VerbSync)
 	return err

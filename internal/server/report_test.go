@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"maps"
 	"math/rand"
 	"net"
 	"runtime"
@@ -43,17 +42,20 @@ func reportRow(st *state.OIDState) string {
 }
 
 // oracleRows is what REPORT (or GAP) must answer for db: the latest version
-// of every chain, in key order, each evaluated on its own through the
-// one-shot state.Evaluate and rendered by reportRow.
-func oracleRows(db *meta.DB, bp *bpl.Blueprint, gap bool) []string {
-	var oids []*meta.OID
-	db.EachLatestOID(func(o *meta.OID) bool {
-		oids = append(oids, &meta.OID{Key: o.Key, Props: maps.Clone(o.Props)})
-		return true
-	})
-	slices.SortFunc(oids, func(a, b *meta.OID) int { return a.Key.Compare(b.Key) })
+// of every chain, in key order, each read from the live maps (no view) and
+// evaluated on its own through the one-shot state.Evaluate and rendered by
+// reportRow.  The database must be quiescent.
+func oracleRows(t *testing.T, db *meta.DB, bp *bpl.Blueprint, gap bool) []string {
 	rows := []string{}
-	for _, o := range oids {
+	for _, bv := range db.BlockViews() { // sorted, and one chain's latest each: key order
+		k, err := db.Latest(bv.Block, bv.View)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := db.GetOID(k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		st := state.Evaluate(bp, o)
 		if gap && st.Ready {
 			continue
@@ -154,25 +156,21 @@ func populate(t *testing.T, db *meta.DB, rng *rand.Rand) {
 
 // TestQuickReportRowsEqualOracle: for random policies and databases, at 1,
 // 4 and 64 shards, REPORT and GAP answer exactly the oracle's rows — over
-// TCP and through Handle, from an unjournaled server (the locked tier), an
-// MVCC one (the view tier) and a journaled one, where the forms pinned at
-// an LSN answer the same.
+// TCP and through Handle, from an unjournaled server and a journaled one,
+// where the forms pinned at an LSN answer the same.
 func TestQuickReportRowsEqualOracle(t *testing.T) {
 	shardCounts := []int{1, 4, 64}
 	check := func(seed int64) bool {
 		shards := shardCounts[uint64(seed)%3]
 		bp := randomPolicy(rand.New(rand.NewSource(seed)))
-		for _, tier := range []string{"locked", "view", "journaled"} {
+		for _, tier := range []string{"plain", "journaled"} {
 			var db *meta.DB
 			var opts []Option
 			var engOpts []engine.Option
 			var jw *journal.Writer
 			switch tier {
-			case "locked":
+			case "plain":
 				db = meta.NewDBWithShards(shards)
-			case "view":
-				db = meta.NewDBWithShards(shards)
-				db.EnableMVCC()
 			case "journaled":
 				var err error
 				jw, db, err = journal.Open(t.TempDir(), journal.Options{Shards: shards, SnapshotEvery: -1})
@@ -222,7 +220,7 @@ func TestQuickReportRowsEqualOracle(t *testing.T) {
 				}
 				return resp.Body, nil
 			}
-			report, gap := oracleRows(db, bp, false), oracleRows(db, bp, true)
+			report, gap := oracleRows(t, db, bp, false), oracleRows(t, db, bp, true)
 			rows, err := c.Report()
 			same("REPORT over TCP", rows, err, report)
 			rows, err = c.Gap()
@@ -296,16 +294,14 @@ func FuzzReportRow(f *testing.F) {
 
 // treeServer serves the benchmark's project — per tree 13 blocks of a
 // schematic, a netlist and a layout under the EDTC blueprint, 39 rows of
-// which 26 are not ready — with MVCC on, as under a journal.
+// which 26 are not ready.
 func treeServer(t testing.TB, trees int, opts ...Option) *Server {
 	t.Helper()
 	bp, err := bpl.Parse(bpl.EDTCExample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := meta.NewDB()
-	db.EnableMVCC()
-	eng, err := engine.New(db, bp)
+	eng, err := engine.New(meta.NewDB(), bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +376,7 @@ func TestReportCostsOneWritePerBuffer(t *testing.T) {
 	close(conn.req)
 	<-served
 
-	rows := oracleRows(s.eng.DB(), s.eng.Blueprint(), false)
+	rows := oracleRows(t, s.eng.DB(), s.eng.Blueprint(), false)
 	if len(rows) != 2496 {
 		t.Fatalf("%d rows, want 2496", len(rows))
 	}

@@ -61,10 +61,7 @@ type Server struct {
 	// request inside its in-flight slot.
 	testHookHandle func(wire.Request)
 
-	async    bool
-	wake     chan struct{}
-	quit     chan struct{}
-	drainErr error
+	quit chan struct{}
 
 	counters Counters
 }
@@ -198,20 +195,12 @@ type Promotion struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithAsyncDrain decouples event intake from processing, matching Figure 1
-// literally: POST enqueues and returns immediately ("queued"), and a
-// dedicated drainer goroutine processes the queue.  Clients observe
-// quiescence with the SYNC verb.  Without this option every mutating
-// request drains synchronously before responding.
-func WithAsyncDrain() Option { return func(s *Server) { s.async = true } }
-
 // WithJournal tells the server which journal persists its database, so
-// mutations that do not ride a synchronous drain commit it before their
-// response is written — LINK, SNAPSHOT, CREATE (whose OID is created
-// outside the drain), and SYNC (the async mode's settlement point) — the
-// same on-disk-before-ack guarantee the engine provides for event
-// processing.  The engine should carry the same journal via
-// engine.WithJournal.
+// mutations that do not ride a drain commit it before their response is
+// written — LINK, SNAPSHOT, CREATE (whose OID is created outside the
+// drain), and SYNC — the same on-disk-before-ack guarantee the engine
+// provides for event processing.  The engine should carry the same journal
+// via engine.WithJournal.
 func WithJournal(j *journal.Writer) Option { return func(s *Server) { s.journal = j } }
 
 // WithFollowSource makes the server a replication primary: the FOLLOW
@@ -260,7 +249,6 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	s := &Server{
 		eng:   eng,
 		conns: make(map[net.Conn]bool),
-		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 		logf:  log.Printf,
 	}
@@ -269,10 +257,6 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	}
 	if s.limits.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, s.limits.MaxInflight)
-	}
-	if s.async {
-		s.wg.Add(1)
-		go s.drainLoop()
 	}
 	return s
 }
@@ -296,36 +280,6 @@ func (s *Server) admit() (release func(), ok bool) {
 // overloadedResp is the explicit shed response of the admission gates.
 func overloadedResp(what string) wire.Response {
 	return wire.Response{OK: false, Detail: "overloaded: " + what}
-}
-
-// drainLoop is the background event processor of async mode.
-func (s *Server) drainLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-s.wake:
-			if err := s.eng.Drain(); err != nil {
-				s.mu.Lock()
-				s.drainErr = err
-				s.mu.Unlock()
-			}
-		}
-	}
-}
-
-// kick requests a drain: synchronously in the default mode, via the
-// drainer goroutine in async mode.
-func (s *Server) kick() error {
-	if !s.async {
-		return s.eng.Drain()
-	}
-	select {
-	case s.wake <- struct{}{}:
-	default: // a wake-up is already pending
-	}
-	return nil
 }
 
 // Engine exposes the underlying engine, e.g. for in-process inspection in
@@ -628,19 +582,15 @@ func writeFlush(w *bufio.Writer, chunk string) bool {
 // the requested LSN when the version history still reaches back that far,
 // at the current stable epoch otherwise (still "at least" the requested
 // position, the read-your-writes contract) — or an error response to send
-// instead.  A nil view with a nil response means the database has no MVCC
-// (an unjournaled server): the caller streams from the live database.
-// The caller must Close a returned view once the rows are written.
+// instead.  The caller must Close a returned view once the rows are
+// written.
 func (s *Server) reportGate(req wire.Request) (*meta.View, *wire.Response) {
 	db := s.eng.DB()
 	errResp := func(format string, a ...any) *wire.Response {
 		return &wire.Response{OK: false, Detail: fmt.Sprintf(format, a...)}
 	}
 	if len(req.Args) == 0 {
-		if db.MVCCEnabled() {
-			return db.ReadView(), nil
-		}
-		return nil, nil
+		return db.ReadView(), nil
 	}
 	if len(req.Args) > 1 {
 		return nil, errResp("%s wants at most one <min-lsn> argument", req.Verb)
@@ -662,9 +612,6 @@ func (s *Server) reportGate(req wire.Request) (*meta.View, *wire.Response) {
 	default:
 		return nil, errResp("%s <min-lsn> needs a journal or replica", req.Verb)
 	}
-	if !db.MVCCEnabled() {
-		return nil, nil
-	}
 	// The journal (or replica) has reached lsn, so a view pinned exactly
 	// there answers "the state at my write", not "whatever is current once
 	// we caught up".  History reclaimed below the horizon falls back to
@@ -685,8 +632,8 @@ func (s *Server) reportGate(req wire.Request) (*meta.View, *wire.Response) {
 // it.  reach/deps take an optional follow spec: "use" (hierarchy links),
 // "all" (every link), or "type:t1,t2,..." (use links plus derive links of
 // the named types); reach defaults to use, deps to all, matching the DB
-// methods.  With MVCC on, the walk runs on the pinned view through the
-// versioned reachability index and takes zero shard locks.
+// methods.  The walk runs on the pinned view through the versioned
+// reachability index and takes zero shard locks.
 func (s *Server) handleQuery(req wire.Request) wire.Response {
 	fail := func(format string, a ...any) wire.Response {
 		return wire.Response{OK: false, Detail: fmt.Sprintf(format, a...)}
@@ -706,8 +653,7 @@ func (s *Server) handleQuery(req wire.Request) wire.Response {
 	if resp != nil {
 		return *resp
 	}
-	defer v.Close() // nil-safe
-	db := s.eng.DB()
+	defer v.Close()
 	kind, args := req.Args[1], req.Args[2:]
 	switch kind {
 	case "reach", "deps":
@@ -724,27 +670,13 @@ func (s *Server) handleQuery(req wire.Request) wire.Response {
 				return fail("%v", err)
 			}
 		}
-		var exists bool
-		var keys []meta.Key
-		if v != nil {
-			exists = v.HasOID(root)
-			if kind == "reach" {
-				keys = v.Reachable(root, follow)
-			} else {
-				keys = v.Dependents(root, follow)
-			}
-		} else {
-			exists = db.HasOID(root)
-			if kind == "reach" {
-				keys = db.Reachable(root, follow)
-			} else {
-				keys = db.Dependents(root, follow)
-			}
-		}
-		if !exists {
+		if !v.HasOID(root) {
 			return fail("oid %v: not found", root)
 		}
-		return keysResponse(keys)
+		if kind == "reach" {
+			return keysResponse(v.Reachable(root, follow))
+		}
+		return keysResponse(v.Dependents(root, follow))
 	case "equiv":
 		if len(args) != 1 {
 			return fail("QUERY equiv wants <oid>")
@@ -753,29 +685,15 @@ func (s *Server) handleQuery(req wire.Request) wire.Response {
 		if err != nil {
 			return fail("%v", err)
 		}
-		var exists bool
-		var keys []meta.Key
-		if v != nil {
-			exists = v.HasOID(k)
-			keys = v.Equivalents(k)
-		} else {
-			exists = db.HasOID(k)
-			keys = db.Equivalents(k)
-		}
-		if !exists {
+		if !v.HasOID(k) {
 			return fail("oid %v: not found", k)
 		}
-		return keysResponse(keys)
+		return keysResponse(v.Equivalents(k))
 	case "resolve":
 		if len(args) != 1 {
 			return fail("QUERY resolve wants <configuration>")
 		}
-		var r *meta.ResolvedConfiguration
-		if v != nil {
-			r, err = v.Resolve(args[0])
-		} else {
-			r, err = db.Resolve(args[0])
-		}
+		r, err := v.Resolve(args[0])
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -837,7 +755,7 @@ func (s *Server) streamReport(w *bufio.Writer, req wire.Request) bool {
 	if resp != nil {
 		return writeFlush(w, resp.Encode()+"\n")
 	}
-	defer v.Close() // nil-safe
+	defer v.Close()
 	if _, err := w.WriteString("OK+ streaming\n"); err != nil {
 		return false
 	}
@@ -858,9 +776,8 @@ func (s *Server) streamReport(w *bufio.Writer, req wire.Request) bool {
 	return writeFlush(w, ".\n")
 }
 
-// scanReport runs the REPORT (or, with gap set, GAP) pass in key order and
-// hands row each row to send: over the pinned view, or with a nil view —
-// a server without MVCC — over the live database, row by row.
+// scanReport runs the REPORT (or, with gap set, GAP) pass over the pinned
+// view in key order and hands row each row to send.
 func (s *Server) scanReport(v *meta.View, gap bool, row func(key meta.Key, ready bool, reasons []byte) bool) {
 	if gap {
 		all := row
@@ -868,21 +785,7 @@ func (s *Server) scanReport(v *meta.View, gap bool, row func(key meta.Key, ready
 			return ready || all(key, ready, reasons)
 		}
 	}
-	if v != nil {
-		state.ScanSortedView(v, s.eng.Blueprint(), row)
-		return
-	}
-	var joined []byte
-	state.StreamSorted(s.eng.DB(), s.eng.Blueprint(), func(st *state.OIDState) bool {
-		joined = joined[:0]
-		for i, r := range st.Reasons {
-			if i > 0 {
-				joined = append(joined, "; "...)
-			}
-			joined = append(joined, r...)
-		}
-		return row(st.Key, st.Ready, joined)
-	})
+	state.ScanSortedView(v, s.eng.Blueprint(), row)
 }
 
 // appendReportRow appends one REPORT/GAP body row: the key, ready=<bool>
@@ -1101,18 +1004,10 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		return fail("FOLLOW needs a network connection (it streams indefinitely)")
 
 	case wire.VerbSync:
+		// Quiescence may be observed a moment before another connection's
+		// drain commits, so commit here too — "idle" always means "settled
+		// and on disk".
 		s.eng.WaitIdle()
-		s.mu.Lock()
-		err := s.drainErr
-		s.drainErr = nil
-		s.mu.Unlock()
-		if err != nil {
-			return fail("%v", err)
-		}
-		// SYNC is the async mode's settlement point: quiescence may be
-		// observed a moment before the drainer's own commit runs, so
-		// commit here too — "idle" then always means "settled and on
-		// disk".
 		if err := s.commitJournal(); err != nil {
 			return fail("%v", err)
 		}
@@ -1140,18 +1035,12 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		if err := s.eng.Post(ev); err != nil {
 			return fail("%v", err)
 		}
-		if err := s.kick(); err != nil {
+		if err := s.eng.Drain(); err != nil {
 			return fail("%v", err)
 		}
-		if s.async {
-			// "queued" is an intake acknowledgement, not a durability (or
-			// replication) promise; the quorum gate applies at SYNC, the
-			// async mode's settlement point.
-			return ok("queued %s", ev.Name)
-		}
-		// The synchronous drain committed the journal; now the write must
-		// also reach the configured follower quorum before it is
-		// acknowledged as posted.
+		// The drain committed the journal; now the write must also reach
+		// the configured follower quorum before it is acknowledged as
+		// posted.
 		if err := s.ackGate(); err != nil {
 			return fail("%v", err)
 		}
@@ -1161,8 +1050,7 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		// Many events, one round-trip, one drain — the batched form of
 		// POST a hierarchy check-in uses.  Items are validated and posted
 		// in order; a bad item is reported in the body without blocking
-		// the rest.  The drain kicks once after every accepted item is
-		// queued.
+		// the rest.  One drain runs after every accepted item is queued.
 		if len(req.Args) == 0 {
 			return fail("BATCH wants at least one <event dir oid [args...]> item")
 		}
@@ -1203,20 +1091,17 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 			posted++
 		}
 		if posted > 0 {
-			if err := s.kick(); err != nil {
+			if err := s.eng.Drain(); err != nil {
 				return fail("%v", err)
 			}
 		}
-		verb := "posted"
-		if s.async {
-			verb = "queued"
-		} else if posted > 0 {
+		if posted > 0 {
 			if err := s.ackGate(); err != nil {
 				return fail("%v", err)
 			}
 		}
 		return wire.Response{OK: posted == len(req.Args),
-			Detail: fmt.Sprintf("%s %d/%d", verb, posted, len(req.Args)), Body: body}, false
+			Detail: fmt.Sprintf("posted %d/%d", posted, len(req.Args)), Body: body}, false
 
 	case wire.VerbCreate:
 		if len(req.Args) != 2 {
@@ -1226,12 +1111,12 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		if err != nil {
 			return fail("%v", err)
 		}
-		if err := s.kick(); err != nil {
+		if err := s.eng.Drain(); err != nil {
 			return fail("%v", err)
 		}
-		// The OID itself was created synchronously above; in async mode
-		// the kick has not committed anything yet, so make the creation
-		// durable before acknowledging it.
+		// The OID itself was created outside the drain, which commits only
+		// when it processed something; make the creation durable before
+		// acknowledging it.
 		if err := s.commitJournal(); err != nil {
 			return fail("%v", err)
 		}
@@ -1299,7 +1184,7 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		if resp != nil {
 			return *resp, false
 		}
-		defer v.Close() // nil-safe
+		defer v.Close()
 		var body []string
 		var buf []byte
 		s.scanReport(v, req.Verb == wire.VerbGap, func(key meta.Key, ready bool, reasons []byte) bool {
@@ -1409,7 +1294,9 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		case "flow":
 			doc = viz.FlowDOT(s.eng.Blueprint())
 		case "state":
-			doc = viz.StateDOT(s.eng.DB(), s.eng.Blueprint())
+			v := s.eng.DB().ReadView()
+			doc = viz.StateDOT(v, s.eng.Blueprint())
+			v.Close()
 		default:
 			return fail("DOT wants flow or state")
 		}

@@ -212,6 +212,46 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestSyncSettlesAndAnswersIdle: after a burst of posts, SYNC answers
+// "idle" with the propagation settled and the engine's queue empty.
+func TestSyncSettlesAndAnswersIdle(t *testing.T) {
+	s, addr := startServer(t)
+	c := dial(t, addr)
+	c.User = "x"
+	hdl, err := c.Create("CPU", "HDL_model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := c.Create("CPU", "schematic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Link("derive", hdl, sch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := c.PostEvent("ckin", "down", hdl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if resp := s.Handle(wire.Request{Verb: wire.VerbSync}); !resp.OK || resp.Detail != "idle" {
+		t.Errorf("SYNC = %+v, want OK idle", resp)
+	}
+	st, err := c.State(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Props["uptodate"] != "false" {
+		t.Errorf("after sync, schematic uptodate = %q", st.Props["uptodate"])
+	}
+	if n := s.Engine().QueueLen(); n != 0 {
+		t.Errorf("queue length after sync = %d", n)
+	}
+}
+
 func TestQuitClosesConnection(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(addr)

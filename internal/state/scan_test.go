@@ -48,7 +48,6 @@ func scanFixture(t *testing.T, blocks int) (*meta.DB, *bpl.Blueprint, []meta.Key
 		t.Fatal(err)
 	}
 	db := meta.NewDBWithShards(4)
-	db.EnableMVCC()
 	var keys []meta.Key
 	for b := 0; b < blocks; b++ {
 		for i, view := range []string{"schematic", "netlist", "layout"} {

@@ -117,41 +117,26 @@ func EvaluateWith(ix *bpl.Index, o *meta.OID) OIDState {
 	return evaluate(ix.Lets(o.Key.View), ix, o)
 }
 
-// Stream evaluates the latest version of every version chain and hands
-// each report to fn, in unspecified order, without materializing property
-// maps: the OIDState is reused between calls, its Props field aliases the
-// live database map, and its Reasons share one backing array.  fn must
-// treat the state as read-only, must not retain it (or Props/Reasons)
-// past the call, and must not call DB methods — it runs under the
-// database's shard read locks.  Returning false stops the stream.
+// Stream evaluates the latest version of every version chain of the
+// current state and hands each report to fn, in unspecified order: it pins
+// a read view and runs StreamView.  The OIDState is reused between calls
+// and its Reasons share one backing array: fn must treat the state as
+// read-only and must not retain it past the call.  Returning false stops
+// the stream.
 //
 // This is the pull API for in-process callers: a report row can be
-// formatted per OID with zero per-row map copies, where Report clones every
-// property map up front.  (The server's REPORT/GAP need key order and no
-// garbage: they run ScanSortedView.)
-//
-// With MVCC enabled the rows are evaluated against a pinned read view —
-// no shard lock is taken, writers proceed throughout, and the pass is a
-// true point-in-time snapshot instead of per-shard consistent.
+// formatted per OID with zero per-row map copies.  (The server's
+// REPORT/GAP need key order and no garbage: they run ScanSortedView.)
 func Stream(db *meta.DB, bp *bpl.Blueprint, fn func(*OIDState) bool) {
-	if db.MVCCEnabled() {
-		v := db.ReadView()
-		defer v.Close()
-		StreamView(v, bp, fn)
-		return
-	}
-	ix := bp.Index()
-	var st OIDState
-	db.EachLatestOID(func(o *meta.OID) bool {
-		evaluateInto(&st, ix.Lets(o.Key.View), ix, o)
-		return fn(&st)
-	})
+	v := db.ReadView()
+	defer v.Close()
+	StreamView(v, bp, fn)
 }
 
 // StreamView is Stream against an explicit pinned view: every row is
-// evaluated at exactly the view's LSN, lock-free.  Props aliases the
-// view's immutable version map and, unlike the live-database Stream, may
-// be retained by fn.
+// evaluated at exactly the view's LSN, lock-free, and writers proceed
+// throughout.  Props aliases the view's immutable version map and may be
+// retained by fn.
 func StreamView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	ix := bp.Index()
 	var st OIDState
@@ -195,11 +180,11 @@ func (sc *scanScratch) collect(o *meta.OID) bool {
 }
 
 // sortedScan takes a scratch from the pool and fills its rows, in key
-// order, with what each hands out: View.EachLatestOID or DB.EachLatestOID.
-// The caller releases it.
-func sortedScan(each func(func(*meta.OID) bool)) *scanScratch {
+// order, with the latest version of every chain live at v.  The caller
+// releases it.
+func sortedScan(v *meta.View) *scanScratch {
 	sc := scanPool.Get().(*scanScratch)
-	each(sc.add)
+	v.EachLatestOID(sc.add)
 	slices.SortFunc(sc.rows, func(a, b scanRow) int { return a.key.Compare(b.key) })
 	return sc
 }
@@ -222,7 +207,7 @@ func (sc *scanScratch) release() {
 // only during the call.  Returning false stops the scan.
 func ScanSortedView(v *meta.View, bp *bpl.Blueprint, fn func(key meta.Key, ready bool, reasons []byte) bool) {
 	ix := bp.Index()
-	sc := sortedScan(v.EachLatestOID)
+	sc := sortedScan(v)
 	// A local, not the field: appending through the pointer would cost a
 	// write barrier per append.
 	reasons := sc.reasons
@@ -246,44 +231,12 @@ func ScanSortedView(v *meta.View, bp *bpl.Blueprint, fn func(key meta.Key, ready
 	}
 }
 
-// StreamSorted evaluates the latest version of every version chain in key
-// order and hands each report to fn — the server's REPORT/GAP on a database
-// without MVCC.  Unlike Stream, fn runs outside the database locks (each
-// OID is evaluated in its own WithOID round-trip, so fn may block on a
-// slow network writer without stalling writers), and the row order is the
-// stable sorted order the wire format promises.  The cost of that shape:
-// the pass is per-row consistent, not a point-in-time snapshot, and a
-// chain pruned mid-pass is skipped.  The OIDState is reused between calls
-// and its Props field is nil — property maps are never copied or exposed.
-// Returning false stops the stream.  With MVCC enabled the pass pins a
-// read view instead: rows are evaluated lock-free at one LSN, the
-// mid-pass-prune caveat disappears, and a slow consumer never holds any
-// database lock.
+// StreamSorted is Stream in the stable key-sorted row order of the wire
+// format: it pins a read view and runs StreamSortedView.
 func StreamSorted(db *meta.DB, bp *bpl.Blueprint, fn func(*OIDState) bool) {
-	if db.MVCCEnabled() {
-		v := db.ReadView()
-		defer v.Close()
-		StreamSortedView(v, bp, fn)
-		return
-	}
-	ix := bp.Index()
-	sc := sortedScan(db.EachLatestOID)
-	defer sc.release()
-	var st OIDState
-	for i := range sc.rows {
-		// Only the key is used: the collected map is the live one, which
-		// must not be read outside the lock.
-		err := db.WithOID(sc.rows[i].key, func(o *meta.OID) {
-			evaluateInto(&st, ix.Lets(o.Key.View), ix, o)
-		})
-		if err != nil {
-			continue // pruned between the key pass and now
-		}
-		st.Props = nil // aliases the live map; not valid outside the lock
-		if !fn(&st) {
-			return
-		}
-	}
+	v := db.ReadView()
+	defer v.Close()
+	StreamSortedView(v, bp, fn)
 }
 
 // StreamSortedView is StreamSorted against an explicit pinned view: the
@@ -293,7 +246,7 @@ func StreamSorted(db *meta.DB, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 // with each row materialized as an OIDState.
 func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	ix := bp.Index()
-	sc := sortedScan(v.EachLatestOID)
+	sc := sortedScan(v)
 	defer sc.release()
 	var st OIDState
 	var o meta.OID
@@ -307,32 +260,17 @@ func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) 
 }
 
 // Report evaluates the latest version of every version chain and returns
-// the reports sorted by key.  The blueprint is compiled once (and cached on
-// it), and the database is read in a per-shard locked pass without
-// materializing intermediate OID clones.  Each returned state owns its
-// maps; for large databases the streaming form (Stream) avoids the copies.
+// the reports sorted by key: point-in-time rows from a pinned view.  The
+// blueprint is compiled once (and cached on it).  The version maps are
+// immutable, so the returned states share them; for large databases the
+// streaming form (Stream) avoids materializing the rows.
 func Report(db *meta.DB, bp *bpl.Blueprint) []OIDState {
 	ix := bp.Index()
 	var out []OIDState
-	if db.MVCCEnabled() {
-		// Point-in-time rows from a pinned view; the version maps are
-		// immutable, so the returned states may share them safely.
-		v := db.ReadView()
-		defer v.Close()
-		v.EachLatestOID(func(o *meta.OID) bool {
-			out = append(out, EvaluateWith(ix, o))
-			return true
-		})
-		return sortReport(out)
-	}
-	db.EachLatestOID(func(o *meta.OID) bool {
-		st := EvaluateWith(ix, o)
-		props := make(map[string]string, len(o.Props))
-		for k, v := range o.Props {
-			props[k] = v
-		}
-		st.Props = props
-		out = append(out, st)
+	v := db.ReadView()
+	defer v.Close()
+	v.EachLatestOID(func(o *meta.OID) bool {
+		out = append(out, EvaluateWith(ix, o))
 		return true
 	})
 	return sortReport(out)
@@ -458,10 +396,9 @@ func DiffConfigurations(db *meta.DB, oldName, newName string) (Diff, error) {
 // Blocked computes the transitive impact of an out-of-date OID: every
 // downstream OID whose chain of links admits the outofdate event.  This is
 // the query a project administrator runs before deciding whether to loosen
-// the BluePrint.  With MVCC enabled the walk runs on a pinned view (zero
-// shard locks — Dependents branches internally); BlockedView evaluates the
-// same query at an already-pinned view, keeping a report evaluation on one
-// consistent LSN end to end.
+// the BluePrint.  The walk runs on a view pinned for the call (zero shard
+// locks); BlockedView evaluates the same query at an already-pinned view,
+// keeping a report evaluation on one consistent LSN end to end.
 func Blocked(db *meta.DB, origin meta.Key, event string) []meta.Key {
 	return db.Dependents(origin, func(l *meta.Link) bool {
 		return l.CanPropagate(event)

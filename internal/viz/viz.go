@@ -6,8 +6,8 @@
 //   - FlowDOT draws the BluePrint itself: views as nodes, link templates as
 //     edges labelled with their TYPE and PROPAGATE sets.  Applied to the
 //     EDTC example it regenerates Figure 5 of the paper.
-//   - StateDOT draws the live meta-database: OIDs as nodes coloured by
-//     readiness, link instances as edges.
+//   - StateDOT draws the meta-database at a pinned view: OIDs as nodes
+//     coloured by readiness, link instances as edges.
 //
 // The output is Graphviz DOT, viewable with any dot(1) renderer; an ASCII
 // summary renderer is included for terminals.
@@ -67,17 +67,17 @@ func FlowDOT(bp *bpl.Blueprint) string {
 	return sb.String()
 }
 
-// StateDOT renders the current meta-database: the latest version of every
-// chain, coloured green (ready), red (blocked) or grey (no continuous
-// assignments), with link instances as edges.
-func StateDOT(db *meta.DB, bp *bpl.Blueprint) string {
+// StateDOT renders the meta-database as it stands at v: the latest version
+// of every chain, coloured green (ready), red (blocked) or grey (no
+// continuous assignments), with link instances as edges.  Nodes and edges
+// come from the one view, so the drawing is a state the project was in.
+func StateDOT(v *meta.View, bp *bpl.Blueprint) string {
 	var sb strings.Builder
 	sb.WriteString("digraph project_state {\n")
 	sb.WriteString("  rankdir=TB;\n  node [shape=box, style=filled, fontname=\"Helvetica\"];\n")
 
-	report := state.Report(db, bp)
 	inReport := map[meta.Key]bool{}
-	for _, st := range report {
+	state.StreamSortedView(v, bp, func(st *state.OIDState) bool {
 		inReport[st.Key] = true
 		color := "lightgrey"
 		if len(st.Lets) > 0 {
@@ -92,13 +92,18 @@ func StateDOT(db *meta.DB, bp *bpl.Blueprint) string {
 			label += "\\nuptodate=" + up
 		}
 		fmt.Fprintf(&sb, "  %q [label=%q, fillcolor=%q];\n", st.Key.String(), label, color)
-	}
+		return true
+	})
 
-	links := db.SelectLinks(func(*meta.Link) bool { return true })
-	for _, l := range links {
-		if !inReport[l.From] || !inReport[l.To] {
-			continue // only draw edges between latest versions
+	var links []*meta.Link
+	v.EachLink(func(l *meta.Link) bool {
+		if inReport[l.From] && inReport[l.To] { // only edges between latest versions
+			links = append(links, l)
 		}
+		return true
+	})
+	sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
+	for _, l := range links {
 		style := "solid"
 		label := l.Type()
 		if l.Class == meta.UseLink {

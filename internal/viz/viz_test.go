@@ -67,6 +67,13 @@ func TestFlowDOTDeterministic(t *testing.T) {
 	}
 }
 
+// stateDOTNow renders the current state.
+func stateDOTNow(db *meta.DB, bp *bpl.Blueprint) string {
+	v := db.ReadView()
+	defer v.Close()
+	return StateDOT(v, bp)
+}
+
 func TestStateDOTColors(t *testing.T) {
 	bp, eng := edtc(t)
 	sch, err := eng.CreateOID("CPU", "schematic", "v")
@@ -83,7 +90,7 @@ func TestStateDOTColors(t *testing.T) {
 	if err := eng.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	dot := StateDOT(eng.DB(), bp)
+	dot := stateDOTNow(eng.DB(), bp)
 	if !strings.Contains(dot, "lightcoral") {
 		t.Error("blocked schematic not coloured red")
 	}
@@ -99,7 +106,7 @@ func TestStateDOTColors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dot = StateDOT(eng.DB(), bp)
+	dot = stateDOTNow(eng.DB(), bp)
 	if !strings.Contains(dot, "palegreen") {
 		t.Error("ready schematic not green")
 	}
@@ -116,12 +123,62 @@ func TestStateDOTOnlyLatestVersions(t *testing.T) {
 	if err := eng.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	dot := StateDOT(eng.DB(), bp)
+	dot := stateDOTNow(eng.DB(), bp)
 	if strings.Contains(dot, "CPU,HDL_model,1") {
 		t.Error("old version drawn")
 	}
 	if !strings.Contains(dot, "CPU,HDL_model,2") {
 		t.Error("latest version missing")
+	}
+}
+
+// TestStateDOTFromOnePin renders a view pinned before a burst of new
+// versions and links: the drawing holds none of the burst, nodes or edges —
+// it is the state the project was in at the pin, not nodes of one instant
+// next to edges of another.
+func TestStateDOTFromOnePin(t *testing.T) {
+	bp, eng := edtc(t)
+	hdl, err := eng.CreateOID("CPU", "HDL_model", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := eng.CreateOID("CPU", "schematic", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.CreateLink(meta.DeriveLink, hdl, sch); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	db := eng.DB()
+	v := db.ReadView()
+	defer v.Close()
+	before := StateDOT(v, bp)
+
+	for i := 0; i < 8; i++ {
+		k, err := db.NewVersion("ALU", "HDL_model")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.AddLink(meta.DeriveLink, k, sch, "", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.NewVersion("CPU", "schematic"); err != nil { // sch is no longer latest
+		t.Fatal(err)
+	}
+
+	if after := StateDOT(v, bp); after != before {
+		t.Errorf("the pinned drawing changed under writers:\n%s\nvs\n%s", after, before)
+	}
+	if strings.Contains(before, "ALU") || !strings.Contains(before, `"CPU,HDL_model,1" -> "CPU,schematic,1"`) {
+		t.Errorf("pinned drawing:\n%s", before)
+	}
+	now := stateDOTNow(db, bp)
+	if !strings.Contains(now, "ALU,HDL_model,8") || strings.Contains(now, "CPU,schematic,1") {
+		t.Errorf("current drawing:\n%s", now)
 	}
 }
 

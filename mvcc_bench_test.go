@@ -36,7 +36,6 @@ func benchWriteDB(b *testing.B, n, writers int) (*Project, func()) {
 	if err := proj.Engine.Drain(); err != nil {
 		b.Fatal(err)
 	}
-	proj.DB.EnableMVCC()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
