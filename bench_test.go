@@ -6,8 +6,8 @@ package repro
 // diagrams — so each figure is reproduced as the *behaviour* it depicts,
 // and the qualitative claims (selective propagation, policy loosening,
 // non-obstructive observer vs activity-driven management, lightweight
-// configurations) are measured explicitly.  See EXPERIMENTS.md for the
-// mapping and recorded results.
+// configurations) are measured explicitly.  See docs/PACKAGES.md for the
+// mapping; cmd/experiments prints the same series as tables.
 
 import (
 	"fmt"

@@ -220,9 +220,11 @@ func runFollower(addr, bpFile, jdir, primary string, fsync bool, ack int, ackTim
 		fol.Close()
 		return err
 	}
+	// Before the line a supervisor waits for: a SIGTERM sent on seeing it
+	// must find the handler installed.
+	sig := watchSignals()
 	log.Printf("replica of %s serving on %s", primary, bound)
 
-	sig := watchSignals()
 	promoted := false
 	select {
 	case <-sig:
@@ -339,9 +341,10 @@ func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, pin
 	if err != nil {
 		return err
 	}
+	sig := watchSignals() // before the line a supervisor waits for
 	log.Printf("project %s serving on %s", bp.Name, bound)
 
-	<-watchSignals()
+	<-sig
 	log.Printf("shutting down")
 	if err := srv.Close(); err != nil {
 		return err

@@ -1,7 +1,8 @@
-// Command experiments regenerates every table in EXPERIMENTS.md: for each
-// figure of the paper and each quantitative claim, it runs the experiment
-// sweep and prints the measured series.  The same measurements exist as Go
-// benchmarks (bench_test.go); this binary packages them as readable tables.
+// Command experiments prints one table per figure of the paper and per
+// quantitative claim: it runs each experiment sweep and prints the measured
+// series.  The same measurements exist as Go benchmarks (bench_test.go);
+// this binary packages them as readable tables.  docs/PACKAGES.md maps each
+// experiment to the claim it reproduces and to the packages behind it.
 //
 // Usage:
 //

@@ -130,9 +130,13 @@ func WithUser(u string) EngineOption { return engine.WithUser(u) }
 func WithDrainWorkers(n int) EngineOption { return engine.WithDrainWorkers(n) }
 
 // StreamReport hands the state of the latest version of every design
-// object to fn without materializing property maps; see state.Stream for
-// the aliasing contract.
-func StreamReport(db *DB, bp *Blueprint, fn func(*OIDState) bool) { state.Stream(db, bp, fn) }
+// object to fn, in unspecified order, from a view pinned for the call; see
+// state.StreamView for the aliasing contract.
+func StreamReport(db *DB, bp *Blueprint, fn func(*OIDState) bool) {
+	v := db.ReadView()
+	defer v.Close()
+	state.StreamView(v, bp, fn)
+}
 
 // Report evaluates the state of the latest version of every design object.
 func Report(db *DB, bp *Blueprint) []OIDState { return state.Report(db, bp) }

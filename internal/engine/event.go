@@ -38,8 +38,10 @@
 // constructs no trace entries at all — no Key.String formatting, no detail
 // strings.
 //
-// Drain is exclusive as an entry point (concurrent calls return
-// immediately) but fans out internally: each posted event and its
+// Drain is exclusive as an entry point (a concurrent call waits for the
+// running drain to retire and then retries, so it returns only once a
+// drain of its own has covered the caller's events; see Drain) but fans
+// out internally: each posted event and its
 // propagation closure form a wave, and waves whose footprints are disjoint
 // — seed blocks in different connected components under propagating links
 // (meta.DB.Component, maintained from the PROPAGATE sets the compiled link

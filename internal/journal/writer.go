@@ -33,10 +33,6 @@ type Options struct {
 	// record-count trigger.
 	SnapshotEvery int64
 
-	// SnapshotInterval additionally snapshots on a timer when records have
-	// been committed since the last snapshot; 0 disables the timer.
-	SnapshotInterval time.Duration
-
 	// Fsync forces the segment file to stable storage on every Commit.
 	// Off by default: a process crash (the failure the journal defends
 	// against first) loses nothing without it, only an OS crash can, and
@@ -894,24 +890,14 @@ func (w *Writer) compact(lsn int64) {
 	}
 }
 
-// snapshotLoop services the record-count trigger and the optional timer.
+// snapshotLoop services the record-count trigger.
 func (w *Writer) snapshotLoop() {
 	defer w.wg.Done()
-	var tick <-chan time.Time
-	if w.opt.SnapshotInterval > 0 {
-		t := time.NewTicker(w.opt.SnapshotInterval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-w.quit:
 			return
 		case <-w.snapCh:
-		case <-tick:
-			if w.sinceSnap.Load() == 0 {
-				continue
-			}
 		}
 		if err := w.Snapshot(); err != nil {
 			// A full disk is not yet fatal: the append path frees space by

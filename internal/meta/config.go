@@ -74,9 +74,6 @@ func FollowType(types ...string) FollowFunc {
 // for the collection phase, so snapshots proceed while writers keep
 // committing; the install itself is a short control-plane critical section.
 func (db *DB) SnapshotHierarchy(name string, root Key, follow FollowFunc) (*Configuration, error) {
-	if err := ValidateName(name); err != nil {
-		return nil, fmt.Errorf("configuration: %w", err)
-	}
 	if follow == nil {
 		follow = FollowUseLinks
 	}
@@ -110,21 +107,15 @@ func (db *DB) SnapshotHierarchy(name string, root Key, follow FollowFunc) (*Conf
 	return db.installNewConfig(c)
 }
 
-// installNewConfig finishes a freshly collected configuration — sort,
-// store, journal, version — under the control-plane lock.  It is the
-// install half of the Snapshot* constructors.
+// installNewConfig finishes a freshly collected configuration: it sorts
+// the members into the canonical order and installs through installConfig
+// like a replayed record does.
 func (db *DB) installNewConfig(c *Configuration) (*Configuration, error) {
-	db.ctl.Lock()
-	defer db.ctl.Unlock()
-	if _, ok := db.configs[c.Name]; ok {
-		return nil, fmt.Errorf("configuration %q: %w", c.Name, ErrExists)
-	}
 	sort.Slice(c.OIDs, func(i, j int) bool { return keyLess(c.OIDs[i], c.OIDs[j]) })
 	sort.Slice(c.Links, func(i, j int) bool { return c.Links[i] < c.Links[j] })
-	db.configs[c.Name] = c
-	s := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
-	db.histConfigPushLocked(c.Name, s, c)
-	db.endMut(s)
+	if err := db.installConfig(c); err != nil {
+		return nil, err
+	}
 	return c.clone(), nil
 }
 
@@ -132,9 +123,6 @@ func (db *DB) installNewConfig(c *Configuration) (*Configuration, error) {
 // paper's "result of a query ... a non-hierarchical set of data".  Links
 // whose both endpoints are selected are included.
 func (db *DB) SnapshotQuery(name string, pred func(*OID) bool) (*Configuration, error) {
-	if err := ValidateName(name); err != nil {
-		return nil, fmt.Errorf("configuration: %w", err)
-	}
 	v := db.ReadView()
 	defer v.Close()
 	c := &Configuration{Name: name, Seq: v.Seq()}
@@ -163,9 +151,6 @@ func (db *DB) SnapshotQuery(name string, pred func(*OID) bool) (*Configuration, 
 // mechanism combining a version history of different blocks into one
 // instance.
 func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
-	if err := ValidateName(name); err != nil {
-		return nil, fmt.Errorf("configuration: %w", err)
-	}
 	v := db.ReadView()
 	defer v.Close()
 	c := &Configuration{Name: name, Seq: seq}

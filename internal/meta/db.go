@@ -258,7 +258,9 @@ func (db *DB) Seq() int64 { return db.seq.Load() }
 
 // NewVersion creates the next version of (block, view) and returns its key.
 // The first version of a chain is 1.  Properties start empty; the run-time
-// engine applies BluePrint template rules on top.
+// engine applies BluePrint template rules on top.  It only allocates the
+// version and the seq — a refused name allocates neither — and installs
+// through insertOIDLocked like a replayed record does.
 func (db *DB) NewVersion(block, view string) (Key, error) {
 	if err := ValidateName(block); err != nil {
 		return Key{}, fmt.Errorf("block: %w", err)
@@ -269,22 +271,13 @@ func (db *DB) NewVersion(block, view string) (Key, error) {
 	sh := db.shards[db.shardIndex(block)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	bv := BlockView{Block: block, View: view}
-	chain := sh.chains[bv]
-	next := 1
-	if len(chain) > 0 {
-		next = chain[len(chain)-1] + 1
+	k := Key{Block: block, View: view, Version: 1}
+	if chain := sh.chains[k.BV()]; len(chain) > 0 {
+		k.Version = chain[len(chain)-1] + 1
 	}
-	k := Key{Block: block, View: view, Version: next}
-	o := &OID{Key: k, Props: make(map[string]string), Seq: db.tick()}
-	sh.oids[k] = o
-	sh.chains[bv] = append(chain, next)
-	s := db.beginMut(OpOID, 0, func() []string {
-		return []string{k.String(), strconv.FormatInt(o.Seq, 10)}
-	})
-	db.histOIDPush(sh, k, s, o, false)
-	db.histChainPush(sh, bv, s)
-	db.endMut(s)
+	if err := db.insertOIDLocked(sh, k, db.tick()); err != nil {
+		return Key{}, err
+	}
 	return k, nil
 }
 
@@ -391,7 +384,7 @@ func (db *DB) Latest(block, view string) (Key, error) {
 	defer sh.mu.RUnlock()
 	chain := sh.chains[BlockView{Block: block, View: view}]
 	if len(chain) == 0 {
-		return Key{}, fmt.Errorf("no versions of %s.%s: %w", block, view, ErrNotFound)
+		return Key{}, fmt.Errorf("no versions of %q.%q: %w", block, view, ErrNotFound)
 	}
 	return Key{Block: block, View: view, Version: chain[len(chain)-1]}, nil
 }
@@ -553,7 +546,9 @@ func (db *DB) DelProp(k Key, name string) error {
 
 // AddLink inserts a link between two existing OIDs and returns its ID.
 // Class-specific invariants are checked (a use link must not cross view
-// types).  propagates may be nil; template and props may be empty.
+// types).  propagates may be nil; template and props may be empty.  It only
+// allocates the ID and the seq — after lockLinkEnds' checks, so a refused
+// link allocates neither — and installs like a replayed record does.
 func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates []string, props map[string]string) (LinkID, error) {
 	l := &Link{
 		Class:      class,
@@ -569,41 +564,16 @@ func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates
 	for _, e := range propagates {
 		l.Propagates[e] = true
 	}
-	if err := l.validate(); err != nil {
+	sf, st, err := db.lockLinkEnds(l)
+	if err != nil {
 		return 0, err
 	}
-	sf, st := db.lockPair(from, to)
 	defer unlockPair(sf, st)
-	if _, ok := sf.oids[from]; !ok {
-		return 0, fmt.Errorf("link from %v: %w", from, ErrNotFound)
-	}
-	if _, ok := st.oids[to]; !ok {
-		return 0, fmt.Errorf("link to %v: %w", to, ErrNotFound)
-	}
-	// Merge the block components before the link is visible (we hold both
-	// endpoint shard locks, so nothing can observe the link yet): the
-	// engine's wave-conflict analysis must never see a propagating link
-	// between blocks it believes disjoint.  Validation came first —
-	// components never split, so a failed AddLink must not coarsen the
-	// partition for the database's lifetime.
-	if len(l.Propagates) > 0 {
-		db.unionBlocks(from.Block, to.Block)
-	}
 	l.ID = LinkID(db.nextLink.Add(1))
 	l.Seq = db.tick()
-	stripe := db.stripeOf(l.ID)
-	stripe.mu.Lock()
-	stripe.links[l.ID] = l
-	stripe.mu.Unlock()
-	sf.outLinks[from] = append(sf.outLinks[from], linkRef{id: l.ID, l: l})
-	st.inLinks[to] = append(st.inLinks[to], linkRef{id: l.ID, l: l})
-	s := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
-	stripe.mu.Lock()
-	db.histLinkPushLocked(l.ID, s, l)
-	stripe.mu.Unlock()
-	db.histAdjPush(sf, from, s, true)
-	db.histAdjPush(st, to, s, false)
-	db.endMut(s)
+	if err := db.installLinkLocked(sf, st, l); err != nil {
+		return 0, err
+	}
 	return l.ID, nil
 }
 

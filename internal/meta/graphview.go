@@ -74,24 +74,7 @@ func (v *View) Reachable(root Key, follow FollowFunc) []Key {
 	if follow == nil {
 		follow = FollowUseLinks
 	}
-	if !v.HasOID(root) {
-		return nil
-	}
-	visited := map[Key]bool{root: true}
-	queue := []Key{root}
-	var out []Key
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		out = append(out, k)
-		for _, l := range v.outAt(k) {
-			if !follow(l) || visited[l.To] {
-				continue
-			}
-			visited[l.To] = true
-			queue = append(queue, l.To)
-		}
-	}
+	out := v.closure(root, follow)
 	sortKeys(out)
 	return out
 }
@@ -103,25 +86,32 @@ func (v *View) Dependents(root Key, follow FollowFunc) []Key {
 	if follow == nil {
 		follow = FollowAllLinks
 	}
+	out := v.closure(root, follow)
+	if len(out) < 2 {
+		return nil
+	}
+	out = out[1:]
+	sortKeys(out)
+	return out
+}
+
+// closure walks admitted links From→To breadth-first from root and returns
+// the keys in visiting order, root first; nil when root does not exist at
+// the view.
+func (v *View) closure(root Key, follow FollowFunc) []Key {
 	if !v.HasOID(root) {
 		return nil
 	}
 	visited := map[Key]bool{root: true}
-	queue := []Key{root}
-	var out []Key
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		for _, l := range v.outAt(k) {
-			if !follow(l) || visited[l.To] {
-				continue
+	out := []Key{root}
+	for i := 0; i < len(out); i++ {
+		for _, l := range v.outAt(out[i]) {
+			if follow(l) && !visited[l.To] {
+				visited[l.To] = true
+				out = append(out, l.To)
 			}
-			visited[l.To] = true
-			out = append(out, l.To)
-			queue = append(queue, l.To)
 		}
 	}
-	sortKeys(out)
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync/atomic"
 )
 
 // Change capture and replay.  Every committed mutation of the meta-database
@@ -115,6 +116,16 @@ func parsePropArgs(args []string) (sets [][2]string, dels []string, err error) {
 	return sets, args[2*n:], nil
 }
 
+// applyProps replays a decoded property diff onto a property map.
+func applyProps(props map[string]string, sets [][2]string, dels []string) {
+	for _, s := range sets {
+		props[s[0]] = s[1]
+	}
+	for _, n := range dels {
+		delete(props, n)
+	}
+}
+
 // linkArgs encodes a complete link object: id, class, endpoints, template,
 // seq, the PROPAGATE set (count-prefixed) and the annotation properties as
 // name/value pairs.
@@ -194,21 +205,12 @@ func parseLinkArgs(args []string) (*Link, error) {
 	return l, nil
 }
 
-// seqFloor raises the logical clock to at least s.
-func (db *DB) seqFloor(s int64) {
+// floor raises a counter — the logical clock, the link-ID allocator, the
+// applied-LSN marker — to at least v.
+func floor(a *atomic.Int64, v int64) {
 	for {
-		cur := db.seq.Load()
-		if s <= cur || db.seq.CompareAndSwap(cur, s) {
-			return
-		}
-	}
-}
-
-// nextLinkFloor raises the link-ID counter to at least s.
-func (db *DB) nextLinkFloor(s int64) {
-	for {
-		cur := db.nextLink.Load()
-		if s <= cur || db.nextLink.CompareAndSwap(cur, s) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -278,14 +280,7 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		err = db.UpdateOID(k, func(o *OID) {
-			for _, s := range sets {
-				o.Props[s[0]] = s[1]
-			}
-			for _, n := range dels {
-				delete(o.Props, n)
-			}
-		})
+		err = db.UpdateOID(k, func(o *OID) { applyProps(o.Props, sets, dels) })
 		if err != nil {
 			return fail(err)
 		}
@@ -342,14 +337,8 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		err = db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
-			for _, s := range sets {
-				nl.Props[s[0]] = s[1]
-			}
-			for _, n := range dels {
-				delete(nl.Props, n)
-			}
-		}, func(*Link) []string { return r.Args })
+		err = db.replaceLink(id, OpLinkUpdate, func(nl *Link) { applyProps(nl.Props, sets, dels) },
+			func(*Link) []string { return r.Args })
 		if err != nil {
 			return fail(err)
 		}
@@ -445,8 +434,8 @@ func (db *DB) applyRecord(r Record) error {
 	default:
 		return fail(fmt.Errorf("unknown op"))
 	}
-	db.seqFloor(r.Seq)
-	db.lsnFloor(r.LSN)
+	floor(&db.seq, r.Seq)
+	floor(&db.appliedLSN, r.LSN)
 	return nil
 }
 
@@ -459,17 +448,7 @@ func (db *DB) AppliedLSN() int64 { return db.appliedLSN.Load() }
 // and snapshot bootstrap use it when a whole document — rather than
 // individual records — advances the database to a journal position, so
 // AppliedLSN never under-reports the state it describes.
-func (db *DB) FloorAppliedLSN(l int64) { db.lsnFloor(l) }
-
-// lsnFloor raises the applied-LSN marker to at least l.
-func (db *DB) lsnFloor(l int64) {
-	for {
-		cur := db.appliedLSN.Load()
-		if l <= cur || db.appliedLSN.CompareAndSwap(cur, l) {
-			return
-		}
-	}
-}
+func (db *DB) FloorAppliedLSN(l int64) { floor(&db.appliedLSN, l) }
 
 func parseLinkID(args []string) (LinkID, error) {
 	if len(args) < 1 {
@@ -528,8 +507,7 @@ func parseConfigArgs(args []string) (*Configuration, error) {
 
 // insertOIDSeq inserts an OID with an explicit version number and logical
 // timestamp — the replay form of NewVersion, which must not advance the
-// clock.  The version must be greater than the newest in the chain; gaps
-// are legal because old versions may have been pruned (see PruneVersions).
+// clock.
 func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	if err := k.Validate(); err != nil {
 		return err
@@ -537,6 +515,14 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	sh := db.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return db.insertOIDLocked(sh, k, seq)
+}
+
+// insertOIDLocked is the one place a new OID enters the database: chain
+// maps, version history and the journal record, under sh's lock.  The
+// version must be greater than the newest in the chain; gaps are legal
+// because old versions may have been pruned (see PruneVersions).
+func (db *DB) insertOIDLocked(sh *dbShard, k Key, seq int64) error {
 	if _, ok := sh.oids[k]; ok {
 		return fmt.Errorf("oid %v: %w", k, ErrExists)
 	}
@@ -558,26 +544,52 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	return nil
 }
 
+// lockLinkEnds validates a link and locks its endpoints' shards, both of
+// which must hold their OID; on error nothing stays locked.
+func (db *DB) lockLinkEnds(l *Link) (sf, st *dbShard, err error) {
+	if err := l.validate(); err != nil {
+		return nil, nil, err
+	}
+	sf, st = db.lockPair(l.From, l.To)
+	if _, ok := sf.oids[l.From]; !ok {
+		err = fmt.Errorf("link from %v: %w", l.From, ErrNotFound)
+	} else if _, ok := st.oids[l.To]; !ok {
+		err = fmt.Errorf("link to %v: %w", l.To, ErrNotFound)
+	}
+	if err != nil {
+		unlockPair(sf, st)
+		return nil, nil, err
+	}
+	return sf, st, nil
+}
+
 // insertLinkObject installs a fully described link — the replay form of
 // AddLink, which must keep the recorded id and seq instead of allocating.
 func (db *DB) insertLinkObject(l *Link) error {
-	if err := l.validate(); err != nil {
+	sf, st, err := db.lockLinkEnds(l)
+	if err != nil {
 		return err
 	}
-	sf, st := db.lockPair(l.From, l.To)
 	defer unlockPair(sf, st)
-	if _, ok := sf.oids[l.From]; !ok {
-		return fmt.Errorf("link from %v: %w", l.From, ErrNotFound)
-	}
-	if _, ok := st.oids[l.To]; !ok {
-		return fmt.Errorf("link to %v: %w", l.To, ErrNotFound)
-	}
+	return db.installLinkLocked(sf, st, l)
+}
+
+// installLinkLocked is the one place a new link enters the database:
+// stripe map, both adjacency lists, version history and the journal
+// record, under the endpoint shard locks lockLinkEnds took.
+func (db *DB) installLinkLocked(sf, st *dbShard, l *Link) error {
 	stripe := db.stripeOf(l.ID)
 	stripe.mu.Lock()
 	if _, ok := stripe.links[l.ID]; ok {
 		stripe.mu.Unlock()
 		return fmt.Errorf("link %d: %w", l.ID, ErrExists)
 	}
+	// Merge the block components before the link is visible (we hold both
+	// endpoint shard locks, so nothing can observe the link yet): the
+	// engine's wave-conflict analysis must never see a propagating link
+	// between blocks it believes disjoint.  Every check came first —
+	// components never split, so a refused link must not coarsen the
+	// partition for the database's lifetime.
 	if len(l.Propagates) > 0 {
 		db.unionBlocks(l.From.Block, l.To.Block)
 	}
@@ -585,7 +597,7 @@ func (db *DB) insertLinkObject(l *Link) error {
 	stripe.mu.Unlock()
 	sf.outLinks[l.From] = append(sf.outLinks[l.From], linkRef{id: l.ID, l: l})
 	st.inLinks[l.To] = append(st.inLinks[l.To], linkRef{id: l.ID, l: l})
-	db.nextLinkFloor(int64(l.ID))
+	floor(&db.nextLink, int64(l.ID))
 	s := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
 	stripe.mu.Lock()
 	db.histLinkPushLocked(l.ID, s, l)
@@ -596,8 +608,9 @@ func (db *DB) insertLinkObject(l *Link) error {
 	return nil
 }
 
-// installConfig installs a configuration under its recorded name and seq —
-// the replay form of the Snapshot* constructors.
+// installConfig is the one place a configuration enters the database,
+// under its given name and seq: the whole of the replay form, and the
+// install half of the Snapshot* constructors (installNewConfig).
 func (db *DB) installConfig(c *Configuration) error {
 	if err := ValidateName(c.Name); err != nil {
 		return fmt.Errorf("configuration: %w", err)

@@ -3,6 +3,7 @@ package meta
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -176,5 +177,86 @@ func TestApplyRecordEventIsAuditOnly(t *testing.T) {
 	}
 	if db.Seq() != 9 {
 		t.Errorf("event record did not floor the clock: seq=%d", db.Seq())
+	}
+}
+
+// TestRefusedInsertAllocatesNothing: NewVersion, AddLink and the Snapshot*
+// constructors allocate — a version, a link ID, a seq — only once nothing
+// can refuse the insert.  A refused one leaves the Save document as it was,
+// emits no record, and the next successful insert gets the ID and seq it
+// would have got without the refusals in between.
+func TestRefusedInsertAllocatesNothing(t *testing.T) {
+	run := func(refusals bool) ([]byte, []Record) {
+		db := NewDB()
+		rec := &sliceRecorder{}
+		db.SetRecorder(rec)
+		refused := func(what string, insert func() error) {
+			if !refusals {
+				return
+			}
+			t.Helper()
+			var before, after bytes.Buffer
+			if err := db.Save(&before); err != nil {
+				t.Fatal(err)
+			}
+			n := len(rec.recs)
+			if err := insert(); err == nil {
+				t.Fatalf("%s was not refused", what)
+			}
+			if err := db.Save(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Errorf("refused %s changed the Save document:\n%s\n%s", what, before.Bytes(), after.Bytes())
+			}
+			if len(rec.recs) != n {
+				t.Errorf("refused %s emitted %v", what, rec.recs[n:])
+			}
+		}
+		ghost := Key{Block: "ghost", View: "SCHEMA", Version: 1}
+
+		refused("NewVersion with a bad block", func() error { _, err := db.NewVersion("bad name", "SCHEMA"); return err })
+		a := mustNewVersion(t, db, "a", "SCHEMA")
+		refused("NewVersion with an empty view", func() error { _, err := db.NewVersion("a", ""); return err })
+		b := mustNewVersion(t, db, "b", "SCHEMA")
+		n := mustNewVersion(t, db, "b", "NETLIST")
+
+		refused("AddLink to a missing OID", func() error { _, err := db.AddLink(UseLink, a, ghost, "", nil, nil); return err })
+		refused("AddLink from a missing OID", func() error { _, err := db.AddLink(DeriveLink, ghost, a, "", []string{"ckin"}, nil); return err })
+		refused("use link across views", func() error { _, err := db.AddLink(UseLink, a, n, "", nil, nil); return err })
+		if id, err := db.AddLink(UseLink, a, b, "", []string{"outofdate"}, nil); err != nil || id != 1 {
+			t.Fatalf("first link: id %d, %v", id, err)
+		}
+		refused("self link", func() error { _, err := db.AddLink(UseLink, a, a, "", nil, nil); return err })
+		if id, err := db.AddLink(DeriveLink, b, n, "", nil, map[string]string{PropType: "derived"}); err != nil || id != 2 {
+			t.Fatalf("second link: id %d, %v", id, err)
+		}
+
+		refused("snapshot under a bad name", func() error { _, err := db.SnapshotHierarchy("bad name", a, nil); return err })
+		refused("snapshot of a missing root", func() error { _, err := db.SnapshotHierarchy("s", ghost, nil); return err })
+		if _, err := db.SnapshotHierarchy("s", a, FollowAllLinks); err != nil {
+			t.Fatal(err)
+		}
+		refused("SnapshotHierarchy under a taken name", func() error { _, err := db.SnapshotHierarchy("s", a, nil); return err })
+		refused("SnapshotQuery under a taken name", func() error {
+			_, err := db.SnapshotQuery("s", func(*OID) bool { return true })
+			return err
+		})
+		refused("SnapshotAsOf under a taken name", func() error { _, err := db.SnapshotAsOf("s", db.Seq()); return err })
+		mustNewVersion(t, db, "a", "SCHEMA")
+
+		var doc bytes.Buffer
+		if err := db.Save(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Bytes(), rec.recs
+	}
+	wantDoc, wantRecs := run(false)
+	gotDoc, gotRecs := run(true)
+	if !bytes.Equal(gotDoc, wantDoc) {
+		t.Errorf("Save with refused inserts in between:\n%s\nwithout:\n%s", gotDoc, wantDoc)
+	}
+	if !reflect.DeepEqual(gotRecs, wantRecs) {
+		t.Errorf("records with refused inserts in between:\n%v\nwithout:\n%v", gotRecs, wantRecs)
 	}
 }

@@ -70,7 +70,7 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 	if !ok {
 		return fmt.Errorf("workspace %q: %w", workspace, ErrNotFound)
 	}
-	if !db.hasOIDShard(k) {
+	if !db.HasOID(k) { // ctl orders before the shard locks
 		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
 	w.paths[k] = path
@@ -80,16 +80,6 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 	db.histWorkspacePushLocked(workspace, s, w.clone())
 	db.endMut(s)
 	return nil
-}
-
-// hasOIDShard checks OID existence under the owning shard's read lock; the
-// caller may hold the control-plane lock (ctl orders before shards).
-func (db *DB) hasOIDShard(k Key) bool {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.oids[k]
-	return ok
 }
 
 // GetWorkspace returns a copy of the named workspace.

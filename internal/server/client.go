@@ -183,6 +183,18 @@ func (c *Client) lineBuffered() bool {
 	return bytes.IndexByte(buf, '\n') >= 0
 }
 
+// send writes one protocol line and pushes it to the socket.
+func (c *Client) send(line string) error {
+	_, err := c.w.WriteString(line + "\n")
+	if err == nil {
+		err = c.w.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("client: send: %w", wrapTimeout(err))
+	}
+	return nil
+}
+
 // roundTrip sends one request and reads the complete response.
 func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
 	if req.User == "" {
@@ -190,11 +202,8 @@ func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
 	}
 	c.arm()
 	defer c.disarm()
-	if _, err := c.w.WriteString(req.Encode() + "\n"); err != nil {
-		return wire.Response{}, fmt.Errorf("client: send: %w", wrapTimeout(err))
-	}
-	if err := c.w.Flush(); err != nil {
-		return wire.Response{}, fmt.Errorf("client: send: %w", wrapTimeout(err))
+	if err := c.send(req.Encode()); err != nil {
+		return wire.Response{}, err
 	}
 	line, err := c.readLine()
 	if err != nil {
@@ -232,6 +241,26 @@ func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
 		resp.Body = append(resp.Body, content)
 	}
 	return resp, nil
+}
+
+// body, detail and key perform a request whose answer is, respectively,
+// its body lines, its detail, and a key in its detail.
+func (c *Client) body(verb string, args ...string) ([]string, error) {
+	resp, err := c.do(verb, args...)
+	return resp.Body, err
+}
+
+func (c *Client) detail(verb string, args ...string) (string, error) {
+	resp, err := c.do(verb, args...)
+	return resp.Detail, err
+}
+
+func (c *Client) key(verb string, args ...string) (meta.Key, error) {
+	detail, err := c.detail(verb, args...)
+	if err != nil {
+		return meta.Key{}, err
+	}
+	return meta.ParseKey(detail)
 }
 
 // do performs a request and converts ERR responses into errors.
@@ -305,11 +334,7 @@ func (c *Client) PostBatch(items []wire.BatchItem) (int, error) {
 
 // Create makes a new version of (block, view) and returns its key.
 func (c *Client) Create(block, view string) (meta.Key, error) {
-	resp, err := c.do(wire.VerbCreate, block, view)
-	if err != nil {
-		return meta.Key{}, err
-	}
-	return meta.ParseKey(resp.Detail)
+	return c.key(wire.VerbCreate, block, view)
 }
 
 // Link relates two OIDs; class is "use" or "derive".
@@ -354,20 +379,12 @@ func (c *Client) State(k meta.Key) (OIDState, error) {
 
 // Report retrieves the full project state report lines.
 func (c *Client) Report() ([]string, error) {
-	resp, err := c.do(wire.VerbReport)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return c.body(wire.VerbReport)
 }
 
 // Gap retrieves the not-ready report lines.
 func (c *Client) Gap() ([]string, error) {
-	resp, err := c.do(wire.VerbGap)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return c.body(wire.VerbGap)
 }
 
 // ReportAt retrieves the project state report as of at least the given
@@ -375,20 +392,12 @@ func (c *Client) Gap() ([]string, error) {
 // applied that position, so a client that just wrote through the primary
 // (and learned its LSN) reads its own write from any replica.
 func (c *Client) ReportAt(lsn int64) ([]string, error) {
-	resp, err := c.do(wire.VerbReport, strconv.FormatInt(lsn, 10))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return c.body(wire.VerbReport, strconv.FormatInt(lsn, 10))
 }
 
 // GapAt is Gap with the same minimum-LSN horizon as ReportAt.
 func (c *Client) GapAt(lsn int64) ([]string, error) {
-	resp, err := c.do(wire.VerbGap, strconv.FormatInt(lsn, 10))
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return c.body(wire.VerbGap, strconv.FormatInt(lsn, 10))
 }
 
 // QueryAt runs a graph query pinned at the given journal LSN (0 = the
@@ -399,11 +408,7 @@ func (c *Client) GapAt(lsn int64) ([]string, error) {
 // has applied the position, so the body at a given LSN is byte-identical
 // on every node that has reached it.
 func (c *Client) QueryAt(lsn int64, kind string, args ...string) ([]string, error) {
-	resp, err := c.do(wire.VerbQuery, append([]string{strconv.FormatInt(lsn, 10), kind}, args...)...)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return c.body(wire.VerbQuery, append([]string{strconv.FormatInt(lsn, 10), kind}, args...)...)
 }
 
 // LSN reports the server's journal position: the last journaled LSN on a
@@ -486,18 +491,16 @@ func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error
 	// The handshake is a bounded round-trip and gets the deadline; the
 	// stream after it may legitimately sit idle forever and must not.
 	c.arm()
-	if _, err := c.w.WriteString(wire.Request{Verb: wire.VerbFollow, Args: args}.Encode() + "\n"); err != nil {
-		c.disarm()
-		return fmt.Errorf("client: send: %w", wrapTimeout(err))
+	err := c.send(wire.Request{Verb: wire.VerbFollow, Args: args}.Encode())
+	var line string
+	if err == nil {
+		if line, err = c.readLine(); err != nil {
+			err = fmt.Errorf("client: recv: %w", err)
+		}
 	}
-	if err := c.w.Flush(); err != nil {
-		c.disarm()
-		return fmt.Errorf("client: send: %w", wrapTimeout(err))
-	}
-	line, err := c.readLine()
 	c.disarm()
 	if err != nil {
-		return fmt.Errorf("client: recv: %w", err)
+		return err
 	}
 	resp, multi, err := wire.ParseResponseHeader(line)
 	if err != nil {
@@ -566,16 +569,19 @@ func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error
 			frame.SnapLSN = lsn
 			frame.Snapshot = []byte(doc.String())
 
-		case wire.FollowFrameWatermark:
+		case wire.FollowFrameWatermark, wire.FollowFramePing:
 			if len(fields) != 2 {
-				return fmt.Errorf("client: follow stream: bad watermark frame %q", content)
+				return fmt.Errorf("client: follow stream: bad %s frame %q", fields[0], content)
 			}
 			lsn, err := strconv.ParseInt(fields[1], 10, 64)
 			if err != nil {
-				return fmt.Errorf("client: follow stream: watermark lsn %q", fields[1])
+				return fmt.Errorf("client: follow stream: %s lsn %q", fields[0], fields[1])
 			}
-			frame.Mark = true
-			frame.Watermark = lsn
+			if fields[0] == wire.FollowFramePing {
+				frame.Ping, frame.PingLSN = true, lsn
+			} else {
+				frame.Mark, frame.Watermark = true, lsn
+			}
 
 		case wire.FollowFrameHealth:
 			if len(fields) < 2 {
@@ -583,17 +589,6 @@ func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error
 			}
 			frame.Health = true
 			frame.HealthReason = strings.Join(fields[2:], " ")
-
-		case wire.FollowFramePing:
-			if len(fields) != 2 {
-				return fmt.Errorf("client: follow stream: bad ping frame %q", content)
-			}
-			lsn, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("client: follow stream: ping lsn %q", fields[1])
-			}
-			frame.Ping = true
-			frame.PingLSN = lsn
 
 		case wire.FollowFrameError:
 			return fmt.Errorf("client: %s: %w", strings.Join(fields[1:], " "), ErrFollowStream)
@@ -613,13 +608,7 @@ func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error
 // be called from within the Follow frame callback (the same goroutine
 // owns both directions there).
 func (c *Client) SendAck(lsn int64) error {
-	if _, err := c.w.WriteString(wire.AckPrefix + " " + strconv.FormatInt(lsn, 10) + "\n"); err != nil {
-		return fmt.Errorf("client: ack: %w", err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return fmt.Errorf("client: ack: %w", err)
-	}
-	return nil
+	return c.send(wire.AckPrefix + " " + strconv.FormatInt(lsn, 10))
 }
 
 // RoleInfo is the decoded ROLE response: the server's replication role
@@ -712,20 +701,12 @@ func (c *Client) Promote() (term, lsn int64, err error) {
 // Snapshot stores a configuration server-side; root "*" captures the whole
 // database.
 func (c *Client) Snapshot(name, root string) (string, error) {
-	resp, err := c.do(wire.VerbSnapshot, name, root)
-	if err != nil {
-		return "", err
-	}
-	return resp.Detail, nil
+	return c.detail(wire.VerbSnapshot, name, root)
 }
 
 // Stats retrieves the server's one-line statistics summary.
 func (c *Client) Stats() (string, error) {
-	resp, err := c.do(wire.VerbStats)
-	if err != nil {
-		return "", err
-	}
-	return resp.Detail, nil
+	return c.detail(wire.VerbStats)
 }
 
 // StatsKV retrieves the server statistics parsed into a counter map —
@@ -763,11 +744,7 @@ func (c *Client) SwapBlueprint(source string) error {
 
 // Latest asks the server for the newest version of (block, view).
 func (c *Client) Latest(block, view string) (meta.Key, error) {
-	resp, err := c.do(wire.VerbLatest, block, view)
-	if err != nil {
-		return meta.Key{}, err
-	}
-	return meta.ParseKey(resp.Detail)
+	return c.key(wire.VerbLatest, block, view)
 }
 
 // Prop reads one property of an OID; ok reports whether it is set.
@@ -788,11 +765,7 @@ func (c *Client) Prop(k meta.Key, name string) (value string, ok bool, err error
 
 // Links lists the links incident to an OID, one formatted line per link.
 func (c *Client) Links(k meta.Key) ([]string, error) {
-	resp, err := c.do(wire.VerbLinks, k.String())
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return c.body(wire.VerbLinks, k.String())
 }
 
 // Dot retrieves a Graphviz rendering from the server: kind is "flow" (the

@@ -63,19 +63,6 @@ func (q *quorum) wakeLocked() {
 	q.advCh = make(chan struct{})
 }
 
-// covered reports how many registered followers have acked at least lsn.
-func (q *quorum) covered(lsn int64) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, m := range q.marks {
-		if m >= lsn {
-			n++
-		}
-	}
-	return n
-}
-
 // wait blocks until n follower marks cover lsn, the timeout expires, or
 // stop closes (server shutdown).  The returned error's message starts
 // with "quorum-timeout" — the wire-visible degradation marker clients

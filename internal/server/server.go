@@ -32,15 +32,13 @@ import (
 type Server struct {
 	eng *engine.Engine
 
-	// journal/follow/readOnly define the server's replication role.  They
-	// are mu-guarded (not construction-constant) because PROMOTE flips all
-	// three at once on a live server: a read-only follower becomes a
-	// journaled primary without restarting its listener.
+	// role is the replication role.  The options fill the first value in
+	// before New returns; after that a role is never written, only replaced
+	// whole — once, by PROMOTE — so a request that loads it once sees all
+	// of the follower or all of the primary.
+	role atomic.Pointer[role]
+
 	mu       sync.Mutex
-	journal  *journal.Writer
-	follow   FollowSource
-	readOnly ReadFollower
-	promote  func() (Promotion, error)
 	listener net.Listener
 	conns    map[net.Conn]bool
 	closed   bool
@@ -66,10 +64,19 @@ type Server struct {
 	counters Counters
 }
 
+// role is one replication role: a primary's journal and the source that
+// streams it onward, or a read-only follower's applier and the hook that
+// promotes it.
+type role struct {
+	journal  *journal.Writer
+	follow   FollowSource
+	readOnly ReadFollower
+	promote  func() (Promotion, error)
+}
+
 // Counters are the server's shed/refusal tallies, exported through
 // STATS so a load generator's client-side error accounting can be
-// reconciled exactly against what the server says it refused.  All
-// fields are atomics; read them via Stats' snapshot or CountersSnapshot.
+// reconciled exactly against what the server says it refused.
 type Counters struct {
 	// ConnsShed counts connections refused at accept time by the
 	// MaxConns gate.
@@ -92,18 +99,6 @@ type Counters struct {
 
 	// Panics counts connection handlers lost to a recovered panic.
 	Panics atomic.Int64
-}
-
-// CountersSnapshot reads the refusal counters as plain values.
-func (s *Server) CountersSnapshot() map[string]int64 {
-	return map[string]int64{
-		"conns_shed":       s.counters.ConnsShed.Load(),
-		"inflight_shed":    s.counters.InflightShed.Load(),
-		"readonly_refused": s.counters.ReadOnlyRefused.Load(),
-		"degraded_refused": s.counters.DegradedRefused.Load(),
-		"batch_oversize":   s.counters.BatchOversize.Load(),
-		"panics":           s.counters.Panics.Load(),
-	}
 }
 
 // Limits bounds the server's exposure to slow, stuck or excessive
@@ -169,13 +164,16 @@ type FollowSource interface {
 }
 
 // ReadFollower is the follower-side applier a read-only server consults
-// for its applied position, its replication standing (ROLE), and for
-// read-your-LSN queries (implemented by replica.Follower).
+// for its applied position, its replication standing and health (ROLE),
+// and for read-your-LSN queries (implemented by replica.Follower).
 type ReadFollower interface {
 	AppliedLSN() int64
 	Watermark() int64
 	Term() int64
 	WaitApplied(lsn int64, timeout time.Duration) (int64, error)
+	Err() error                               // the replication loop's terminal failure
+	UpstreamHealth() (ok bool, reason string) // the upstream's journal health, as last streamed
+	Staleness() (time.Duration, bool)         // age of the last word from upstream; false if none yet
 }
 
 // Promotion is what a promotion hook hands back to the server: the
@@ -201,13 +199,15 @@ type Option func(*Server)
 // drain), and SYNC — the same on-disk-before-ack guarantee the engine
 // provides for event processing.  The engine should carry the same journal
 // via engine.WithJournal.
-func WithJournal(j *journal.Writer) Option { return func(s *Server) { s.journal = j } }
+func WithJournal(j *journal.Writer) Option { return func(s *Server) { s.role.Load().journal = j } }
 
 // WithFollowSource makes the server a replication primary: the FOLLOW
 // verb is served from src, turning a connection into a live record stream
 // (snapshot bootstrap for cold followers, then committed records as they
 // land).
-func WithFollowSource(src FollowSource) Option { return func(s *Server) { s.follow = src } }
+func WithFollowSource(src FollowSource) Option {
+	return func(s *Server) { s.role.Load().follow = src }
+}
 
 // WithReadOnly puts the server in follower read mode: every mutating verb
 // (POST, BATCH, CREATE, LINK, SNAPSHOT) is refused — the database is
@@ -216,14 +216,14 @@ func WithFollowSource(src FollowSource) Option { return func(s *Server) { s.foll
 // replicated state.  REPORT/GAP accept an optional minimum LSN that waits
 // on f until the replica has applied at least that position, giving
 // clients read-your-writes across the primary/follower boundary.
-func WithReadOnly(f ReadFollower) Option { return func(s *Server) { s.readOnly = f } }
+func WithReadOnly(f ReadFollower) Option { return func(s *Server) { s.role.Load().readOnly = f } }
 
 // WithPromote arms the PROMOTE verb on a read-only follower server: the
 // hook performs the actual role flip (stop replicating, bump the term,
 // re-wire the engine) and the server then atomically swaps its own role
 // state to primary.  Without it PROMOTE is refused.
 func WithPromote(hook func() (Promotion, error)) Option {
-	return func(s *Server) { s.promote = hook }
+	return func(s *Server) { s.role.Load().promote = hook }
 }
 
 // WithQuorum holds each write's acknowledgement until n follower
@@ -252,6 +252,7 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 		quit:  make(chan struct{}),
 		logf:  log.Printf,
 	}
+	s.role.Store(new(role))
 	for _, o := range opts {
 		o(s)
 	}
@@ -277,66 +278,51 @@ func (s *Server) admit() (release func(), ok bool) {
 	}
 }
 
-// overloadedResp is the explicit shed response of the admission gates.
-func overloadedResp(what string) wire.Response {
-	return wire.Response{OK: false, Detail: "overloaded: " + what}
+// errf and okf build the single-line ERR and OK responses.
+func errf(format string, a ...any) wire.Response {
+	return wire.Response{OK: false, Detail: fmt.Sprintf(format, a...)}
 }
+
+func okf(format string, a ...any) wire.Response {
+	return wire.Response{OK: true, Detail: fmt.Sprintf(format, a...)}
+}
+
+// overloadedResp is the explicit shed response of the admission gates.
+func overloadedResp(what string) wire.Response { return errf("overloaded: %s", what) }
 
 // Engine exposes the underlying engine, e.g. for in-process inspection in
 // tests and tools.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
-// getJournal/getFollow/getReadOnly read the mu-guarded role state —
-// every post-construction reader must come through these, because
-// PROMOTE swaps all three on a live server.
-func (s *Server) getJournal() *journal.Writer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journal
-}
-
-func (s *Server) getFollow() FollowSource {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.follow
-}
-
-func (s *Server) getReadOnly() ReadFollower {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readOnly
-}
-
-// commitJournal flushes the journal, if one is attached — called by
-// mutating verbs whose changes do not pass through a drain.  A failure
-// here is the journal-io degraded contract speaking: the prefix tells the
-// client its write was refused by the disk, not the protocol.
-func (s *Server) commitJournal() error {
-	j := s.getJournal()
-	if j == nil {
+// commit flushes the journal, if one is attached.  A failure here is the
+// journal-io degraded contract speaking: the prefix tells the client its
+// write was refused by the disk, not the protocol.
+func (r *role) commit() error {
+	if r.journal == nil {
 		return nil
 	}
-	if err := j.Commit(); err != nil {
+	if err := r.journal.Commit(); err != nil {
 		return fmt.Errorf("journal-io: %v", err)
 	}
 	return nil
 }
 
-// ackGate blocks a just-committed write until the configured quorum of
-// follower watermarks covers it; a no-op without WithQuorum.  The commit
-// has already happened: a timeout here means under-replication, not loss,
-// and the error says so explicitly instead of stalling forever or lying
-// with an OK.
-func (s *Server) ackGate() error {
-	q := s.quorum
-	if q == nil {
+// settle holds a write's acknowledgement until the write is on disk and
+// the configured quorum of follower watermarks covers it.  commit is false
+// when the change rode a drain, which committed it already (a second
+// Commit would be a second fsync).  Once committed, a quorum timeout means
+// under-replication, not loss, and the error says so explicitly instead of
+// stalling forever or lying with an OK.
+func (s *Server) settle(r *role, commit bool) error {
+	if commit {
+		if err := r.commit(); err != nil {
+			return err
+		}
+	}
+	if s.quorum == nil || r.journal == nil {
 		return nil
 	}
-	j := s.getJournal()
-	if j == nil {
-		return nil
-	}
-	return q.wait(j.LastLSN(), s.quit)
+	return s.quorum.wait(r.journal.LastLSN(), s.quit)
 }
 
 // Listen starts accepting connections on addr ("host:port"; port 0 picks a
@@ -438,7 +424,7 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	// Handlers have retired; park any straggling records on disk.  The
 	// journal itself stays open — its owner (the daemon) closes it.
-	return s.commitJournal()
+	return s.role.Load().commit()
 }
 
 func (s *Server) dropConn(c net.Conn) {
@@ -514,46 +500,34 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		req, err := wire.ParseRequest(line)
+		if err == nil && req.Verb == wire.VerbFollow {
+			// FOLLOW dedicates the connection to the record stream; when
+			// it returns, the conversation is over either way.  The stream
+			// is a subscription, not a request: it takes no in-flight slot
+			// (MaxConns bounds it) and may sit idle between commits
+			// without tripping the idle deadline.
+			tc.disableIdle()
+			s.serveFollow(r, w, req)
+			return
+		}
 		var resp wire.Response
-		var quit bool
 		if err != nil {
-			resp = wire.Response{OK: false, Detail: err.Error()}
-		} else {
-			switch req.Verb {
-			case wire.VerbFollow:
-				// FOLLOW dedicates the connection to the record stream;
-				// when it returns, the conversation is over either way.
-				// The stream is a subscription, not a request: it takes no
-				// in-flight slot (MaxConns bounds it) and may sit idle
-				// between commits without tripping the idle deadline.
-				tc.disableIdle()
-				s.serveFollow(r, w, req)
+			resp = errf("%v", err)
+		} else if release, admitted := s.admit(); !admitted {
+			s.counters.InflightShed.Add(1)
+			resp = overloadedResp("too many in-flight requests")
+		} else if req.Verb == wire.VerbReport || req.Verb == wire.VerbGap {
+			// Streamed: rows go to the socket a write buffer at a time
+			// instead of building the whole body first.
+			alive := s.streamReport(w, req)
+			release()
+			if !alive {
 				return
-			case wire.VerbReport, wire.VerbGap:
-				// Streamed: rows go to the socket a write buffer at a time
-				// instead of building the whole body first.
-				release, admitted := s.admit()
-				if !admitted {
-					s.counters.InflightShed.Add(1)
-					resp = overloadedResp("too many in-flight requests")
-					break
-				}
-				alive := s.streamReport(w, req)
-				release()
-				if !alive {
-					return
-				}
-				continue
-			default:
-				release, admitted := s.admit()
-				if !admitted {
-					s.counters.InflightShed.Add(1)
-					resp = overloadedResp("too many in-flight requests")
-					break
-				}
-				resp, quit = s.handle(req)
-				release()
 			}
+			continue
+		} else {
+			resp = s.Handle(req)
+			release()
 		}
 		if _, err := w.WriteString(resp.Encode() + "\n"); err != nil {
 			return
@@ -561,7 +535,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := w.Flush(); err != nil {
 			return
 		}
-		if quit {
+		if err == nil && req.Verb == wire.VerbQuit {
 			return
 		}
 	}
@@ -581,36 +555,32 @@ func writeFlush(w *bufio.Writer, chunk string) bool {
 // It returns a pinned MVCC view to evaluate the rows against — at exactly
 // the requested LSN when the version history still reaches back that far,
 // at the current stable epoch otherwise (still "at least" the requested
-// position, the read-your-writes contract) — or an error response to send
-// instead.  The caller must Close a returned view once the rows are
-// written.
-func (s *Server) reportGate(req wire.Request) (*meta.View, *wire.Response) {
+// position, the read-your-writes contract) — or, with a nil view, the error
+// response to send instead.  The caller must Close a returned view once the
+// rows are written.
+func (s *Server) reportGate(req wire.Request) (*meta.View, wire.Response) {
 	db := s.eng.DB()
-	errResp := func(format string, a ...any) *wire.Response {
-		return &wire.Response{OK: false, Detail: fmt.Sprintf(format, a...)}
-	}
 	if len(req.Args) == 0 {
-		return db.ReadView(), nil
+		return db.ReadView(), wire.Response{}
 	}
 	if len(req.Args) > 1 {
-		return nil, errResp("%s wants at most one <min-lsn> argument", req.Verb)
+		return nil, errf("%s wants at most one <min-lsn> argument", req.Verb)
 	}
 	lsn, err := strconv.ParseInt(req.Args[0], 10, 64)
 	if err != nil || lsn < 0 {
-		return nil, errResp("%s: bad min-lsn %q", req.Verb, req.Args[0])
+		return nil, errf("%s: bad min-lsn %q", req.Verb, req.Args[0])
 	}
-	ro, j := s.getReadOnly(), s.getJournal()
-	switch {
-	case ro != nil:
-		if at, err := ro.WaitApplied(lsn, 10*time.Second); err != nil {
-			return nil, errResp("replica at lsn %d has not reached %d: %v", at, lsn, err)
+	switch r := s.role.Load(); {
+	case r.readOnly != nil:
+		if at, err := r.readOnly.WaitApplied(lsn, 10*time.Second); err != nil {
+			return nil, errf("replica at lsn %d has not reached %d: %v", at, lsn, err)
 		}
-	case j != nil:
-		if at := j.LastLSN(); at < lsn {
-			return nil, errResp("journal at lsn %d has not reached %d", at, lsn)
+	case r.journal != nil:
+		if at := r.journal.LastLSN(); at < lsn {
+			return nil, errf("journal at lsn %d has not reached %d", at, lsn)
 		}
 	default:
-		return nil, errResp("%s <min-lsn> needs a journal or replica", req.Verb)
+		return nil, errf("%s <min-lsn> needs a journal or replica", req.Verb)
 	}
 	// The journal (or replica) has reached lsn, so a view pinned exactly
 	// there answers "the state at my write", not "whatever is current once
@@ -619,9 +589,9 @@ func (s *Server) reportGate(req wire.Request) (*meta.View, *wire.Response) {
 	// satisfies the minimum.
 	v, err := db.ReadViewAt(lsn)
 	if err != nil {
-		return db.ReadView(), nil
+		v = db.ReadView()
 	}
-	return v, nil
+	return v, wire.Response{}
 }
 
 // handleQuery serves QUERY <lsn> <reach|deps|equiv|resolve> <args...>:
@@ -635,43 +605,40 @@ func (s *Server) reportGate(req wire.Request) (*meta.View, *wire.Response) {
 // methods.  The walk runs on the pinned view through the versioned
 // reachability index and takes zero shard locks.
 func (s *Server) handleQuery(req wire.Request) wire.Response {
-	fail := func(format string, a ...any) wire.Response {
-		return wire.Response{OK: false, Detail: fmt.Sprintf(format, a...)}
-	}
 	if len(req.Args) < 2 {
-		return fail("QUERY wants <lsn> <reach|deps|equiv|resolve> <args...>")
+		return errf("QUERY wants <lsn> <reach|deps|equiv|resolve> <args...>")
 	}
 	lsn, err := strconv.ParseInt(req.Args[0], 10, 64)
 	if err != nil || lsn < 0 {
-		return fail("QUERY: bad lsn %q", req.Args[0])
+		return errf("QUERY: bad lsn %q", req.Args[0])
 	}
 	gateReq := wire.Request{Verb: req.Verb}
 	if lsn > 0 {
 		gateReq.Args = []string{req.Args[0]}
 	}
 	v, resp := s.reportGate(gateReq)
-	if resp != nil {
-		return *resp
+	if v == nil {
+		return resp
 	}
 	defer v.Close()
 	kind, args := req.Args[1], req.Args[2:]
 	switch kind {
 	case "reach", "deps":
 		if len(args) < 1 || len(args) > 2 {
-			return fail("QUERY %s wants <oid> [use|all|type:t1,t2,...]", kind)
+			return errf("QUERY %s wants <oid> [use|all|type:t1,t2,...]", kind)
 		}
 		root, err := meta.ParseKey(args[0])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		var follow meta.FollowFunc
 		if len(args) == 2 {
 			if follow, err = parseFollowSpec(args[1]); err != nil {
-				return fail("%v", err)
+				return errf("%v", err)
 			}
 		}
 		if !v.HasOID(root) {
-			return fail("oid %v: not found", root)
+			return errf("oid %v: not found", root)
 		}
 		if kind == "reach" {
 			return keysResponse(v.Reachable(root, follow))
@@ -679,23 +646,23 @@ func (s *Server) handleQuery(req wire.Request) wire.Response {
 		return keysResponse(v.Dependents(root, follow))
 	case "equiv":
 		if len(args) != 1 {
-			return fail("QUERY equiv wants <oid>")
+			return errf("QUERY equiv wants <oid>")
 		}
 		k, err := meta.ParseKey(args[0])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		if !v.HasOID(k) {
-			return fail("oid %v: not found", k)
+			return errf("oid %v: not found", k)
 		}
 		return keysResponse(v.Equivalents(k))
 	case "resolve":
 		if len(args) != 1 {
-			return fail("QUERY resolve wants <configuration>")
+			return errf("QUERY resolve wants <configuration>")
 		}
 		r, err := v.Resolve(args[0])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		body := []string{fmt.Sprintf("config %s %d", wire.Quote(r.Config.Name), r.Config.Seq)}
 		for _, o := range r.OIDs {
@@ -715,7 +682,7 @@ func (s *Server) handleQuery(req wire.Request) wire.Response {
 				len(r.OIDs), len(r.Links), len(r.MissingOIDs)+len(r.MissingLinks)),
 			Body: body}
 	default:
-		return fail("QUERY: unknown kind %q (want reach, deps, equiv or resolve)", kind)
+		return errf("QUERY: unknown kind %q (want reach, deps, equiv or resolve)", kind)
 	}
 }
 
@@ -752,7 +719,7 @@ func parseFollowSpec(spec string) (meta.FollowFunc, error) {
 // of the buffered form.  false means the connection died mid-stream.
 func (s *Server) streamReport(w *bufio.Writer, req wire.Request) bool {
 	v, resp := s.reportGate(req)
-	if resp != nil {
+	if v == nil {
 		return writeFlush(w, resp.Encode()+"\n")
 	}
 	defer v.Close()
@@ -817,9 +784,9 @@ func reportRowMax(key meta.Key, reasons []byte) int {
 // wake it into a failing send.
 func (s *Server) serveFollow(r *bufio.Reader, w *bufio.Writer, req wire.Request) {
 	fail := func(format string, a ...any) {
-		writeFlush(w, wire.Response{OK: false, Detail: fmt.Sprintf(format, a...)}.Encode()+"\n")
+		writeFlush(w, errf(format, a...).Encode()+"\n")
 	}
-	follow := s.getFollow()
+	follow := s.role.Load().follow
 	if follow == nil {
 		fail("FOLLOW: this server is not a replication primary")
 		return
@@ -907,70 +874,74 @@ func (s *Server) serveFollow(r *bufio.Reader, w *bufio.Writer, req wire.Request)
 	}
 }
 
-// Handle processes one request against the engine and database.  It is
-// exported for in-process use (the flow simulator drives the same code path
-// without TCP).
-func (s *Server) Handle(req wire.Request) wire.Response {
-	resp, _ := s.handle(req)
-	return resp
+// post queues one event, given as its wire fields, on the engine: the
+// intake POST and every BATCH item share.
+func (s *Server) post(event, dir, oid string, args []string, user string) error {
+	d, err := bpl.ParseDirection(dir)
+	if err != nil {
+		return err
+	}
+	target, err := meta.ParseKey(oid)
+	if err != nil {
+		return err
+	}
+	return s.eng.Post(engine.Event{Name: event, Dir: d, Target: target, Args: args, User: user})
 }
 
-func (s *Server) handle(req wire.Request) (wire.Response, bool) {
+// Handle processes one request against the engine and database: what a
+// connection runs for every verb that does not stream, exported for
+// in-process use (the flow simulator drives the same code path without
+// TCP).  After QUIT's response the connection closes.
+func (s *Server) Handle(req wire.Request) wire.Response {
 	if s.testHookHandle != nil {
 		s.testHookHandle(req)
 	}
-	fail := func(format string, args ...any) (wire.Response, bool) {
-		return wire.Response{OK: false, Detail: fmt.Sprintf(format, args...)}, false
-	}
-	ok := func(format string, args ...any) (wire.Response, bool) {
-		return wire.Response{OK: true, Detail: fmt.Sprintf(format, args...)}, false
-	}
+	r := s.role.Load()
 	switch req.Verb {
 	case wire.VerbPost, wire.VerbBatch, wire.VerbCreate, wire.VerbLink, wire.VerbSnapshot, wire.VerbBPSwap:
-		if ro := s.getReadOnly(); ro != nil {
+		if r.readOnly != nil {
 			s.counters.ReadOnlyRefused.Add(1)
-			return fail("read-only follower: %s refused (write to the primary)", req.Verb)
+			return errf("read-only follower: %s refused (write to the primary)", req.Verb)
 		}
 		// The degraded-mode contract: once the journal has hit a sticky
 		// I/O failure, every write is refused up front with the reason —
 		// never accepted-then-lost, never silently un-acked — while reads
 		// keep serving below.
-		if j := s.getJournal(); j != nil {
-			if healthy, reason := j.Health(); !healthy {
+		if r.journal != nil {
+			if healthy, reason := r.journal.Health(); !healthy {
 				s.counters.DegradedRefused.Add(1)
-				return fail("journal-io: %s (node degraded: writes refused, reads still served)", reason)
+				return errf("journal-io: %s (node degraded: writes refused, reads still served)", reason)
 			}
 		}
 	}
 	switch req.Verb {
 	case wire.VerbPing:
-		return ok("pong")
+		return okf("pong")
 
 	case wire.VerbLSN:
-		switch ro, j := s.getReadOnly(), s.getJournal(); {
-		case ro != nil:
-			return ok("lsn %d", ro.AppliedLSN())
-		case j != nil:
-			return ok("lsn %d", j.LastLSN())
+		switch {
+		case r.readOnly != nil:
+			return okf("lsn %d", r.readOnly.AppliedLSN())
+		case r.journal != nil:
+			return okf("lsn %d", r.journal.LastLSN())
 		default:
-			return ok("lsn 0")
+			return okf("lsn 0")
 		}
 
 	case wire.VerbRole:
 		// One line a failover driver can act on: who am I, which election
 		// term, how far has my history reached, and is my disk (or my
 		// upstream's) still accepting writes.
-		switch ro, j := s.getReadOnly(), s.getJournal(); {
+		switch ro, j := r.readOnly, r.journal; {
 		case ro != nil:
-			return ok("role=follower term=%d applied=%d watermark=%d%s%s",
-				ro.Term(), ro.AppliedLSN(), ro.Watermark(), followerHealthFields(ro),
-				followerStalenessField(ro))
+			return okf("role=follower term=%d applied=%d watermark=%d%s",
+				ro.Term(), ro.AppliedLSN(), ro.Watermark(), followerFields(ro))
 		case j != nil:
 			health, reason := j.Health()
-			return ok("role=primary term=%d applied=%d watermark=%d%s",
+			return okf("role=primary term=%d applied=%d watermark=%d%s",
 				j.Term(), j.LastLSN(), j.CommittedLSN(), healthFields(health, reason))
 		default:
-			return ok("role=primary term=1 applied=0 watermark=0 health=ok")
+			return okf("role=primary term=1 applied=0 watermark=0 health=ok")
 		}
 
 	case wire.VerbPromote:
@@ -979,72 +950,53 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		// racing the hook into a double term bump.
 		s.promoteMu.Lock()
 		defer s.promoteMu.Unlock()
-		s.mu.Lock()
-		isFollower, hook := s.readOnly != nil, s.promote
-		s.mu.Unlock()
-		if !isFollower {
-			return fail("PROMOTE: already a primary")
+		r = s.role.Load() // the one a promotion we waited out left behind
+		if r.readOnly == nil {
+			return errf("PROMOTE: already a primary")
 		}
-		if hook == nil {
-			return fail("PROMOTE: this follower has no promotion hook")
+		if r.promote == nil {
+			return errf("PROMOTE: this follower has no promotion hook")
 		}
-		p, err := hook()
+		p, err := r.promote()
 		if err != nil {
-			return fail("PROMOTE: %v", err)
+			return errf("PROMOTE: %v", err)
 		}
-		s.mu.Lock()
-		s.journal = p.Journal
-		s.follow = p.Source
-		s.readOnly = nil
-		s.promote = nil
-		s.mu.Unlock()
-		return ok("promoted term %d lsn %d", p.Term, p.LSN)
+		s.role.Store(&role{journal: p.Journal, follow: p.Source})
+		return okf("promoted term %d lsn %d", p.Term, p.LSN)
 
 	case wire.VerbFollow:
-		return fail("FOLLOW needs a network connection (it streams indefinitely)")
+		return errf("FOLLOW needs a network connection (it streams indefinitely)")
 
 	case wire.VerbSync:
 		// Quiescence may be observed a moment before another connection's
 		// drain commits, so commit here too — "idle" always means "settled
 		// and on disk".
 		s.eng.WaitIdle()
-		if err := s.commitJournal(); err != nil {
-			return fail("%v", err)
+		if err := s.settle(r, true); err != nil {
+			return errf("%v", err)
 		}
-		if err := s.ackGate(); err != nil {
-			return fail("%v", err)
-		}
-		return ok("idle")
+		return okf("idle")
 
 	case wire.VerbQuit:
-		return wire.Response{OK: true, Detail: "bye"}, true
+		return okf("bye")
 
 	case wire.VerbPost:
 		if len(req.Args) < 3 {
-			return fail("POST wants <event> <up|down> <oid> [args...]")
+			return errf("POST wants <event> <up|down> <oid> [args...]")
 		}
-		dir, err := bpl.ParseDirection(req.Args[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		target, err := meta.ParseKey(req.Args[2])
-		if err != nil {
-			return fail("%v", err)
-		}
-		ev := engine.Event{Name: req.Args[0], Dir: dir, Target: target, Args: req.Args[3:], User: req.User}
-		if err := s.eng.Post(ev); err != nil {
-			return fail("%v", err)
+		if err := s.post(req.Args[0], req.Args[1], req.Args[2], req.Args[3:], req.User); err != nil {
+			return errf("%v", err)
 		}
 		if err := s.eng.Drain(); err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		// The drain committed the journal; now the write must also reach
 		// the configured follower quorum before it is acknowledged as
 		// posted.
-		if err := s.ackGate(); err != nil {
-			return fail("%v", err)
+		if err := s.settle(r, false); err != nil {
+			return errf("%v", err)
 		}
-		return ok("posted %s", ev.Name)
+		return okf("posted %s", req.Args[0])
 
 	case wire.VerbBatch:
 		// Many events, one round-trip, one drain — the batched form of
@@ -1052,7 +1004,7 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		// in order; a bad item is reported in the body without blocking
 		// the rest.  One drain runs after every accepted item is queued.
 		if len(req.Args) == 0 {
-			return fail("BATCH wants at least one <event dir oid [args...]> item")
+			return errf("BATCH wants at least one <event dir oid [args...]> item")
 		}
 		maxItems := s.limits.MaxBatchItems
 		if maxItems <= 0 {
@@ -1062,28 +1014,16 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 			// Bounded intake: one request must not expand into unbounded
 			// queued work.  Nothing was posted — the client can split.
 			s.counters.BatchOversize.Add(1)
-			return fail("BATCH: %d items exceeds the %d-item bound (split the batch)", len(req.Args), maxItems)
+			return errf("BATCH: %d items exceeds the %d-item bound (split the batch)", len(req.Args), maxItems)
 		}
 		body := make([]string, 0, len(req.Args))
 		posted := 0
 		for i, raw := range req.Args {
 			it, err := wire.ParseBatchItem(raw)
-			if err != nil {
-				body = append(body, fmt.Sprintf("%d err %s", i, err))
-				continue
+			if err == nil {
+				err = s.post(it.Event, it.Dir, it.OID, it.Args, req.User)
 			}
-			dir, err := bpl.ParseDirection(it.Dir)
 			if err != nil {
-				body = append(body, fmt.Sprintf("%d err %s", i, err))
-				continue
-			}
-			target, err := meta.ParseKey(it.OID)
-			if err != nil {
-				body = append(body, fmt.Sprintf("%d err %s", i, err))
-				continue
-			}
-			ev := engine.Event{Name: it.Event, Dir: dir, Target: target, Args: it.Args, User: req.User}
-			if err := s.eng.Post(ev); err != nil {
 				body = append(body, fmt.Sprintf("%d err %s", i, err))
 				continue
 			}
@@ -1092,78 +1032,70 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		}
 		if posted > 0 {
 			if err := s.eng.Drain(); err != nil {
-				return fail("%v", err)
+				return errf("%v", err)
 			}
-		}
-		if posted > 0 {
-			if err := s.ackGate(); err != nil {
-				return fail("%v", err)
+			if err := s.settle(r, false); err != nil {
+				return errf("%v", err)
 			}
 		}
 		return wire.Response{OK: posted == len(req.Args),
-			Detail: fmt.Sprintf("posted %d/%d", posted, len(req.Args)), Body: body}, false
+			Detail: fmt.Sprintf("posted %d/%d", posted, len(req.Args)), Body: body}
 
 	case wire.VerbCreate:
 		if len(req.Args) != 2 {
-			return fail("CREATE wants <block> <view>")
+			return errf("CREATE wants <block> <view>")
 		}
 		k, err := s.eng.CreateOID(req.Args[0], req.Args[1], req.User)
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		if err := s.eng.Drain(); err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		// The OID itself was created outside the drain, which commits only
 		// when it processed something; make the creation durable before
 		// acknowledging it.
-		if err := s.commitJournal(); err != nil {
-			return fail("%v", err)
+		if err := s.settle(r, true); err != nil {
+			return errf("%v", err)
 		}
-		if err := s.ackGate(); err != nil {
-			return fail("%v", err)
-		}
-		return ok("%s", k)
+		return okf("%s", k)
 
 	case wire.VerbLink:
 		if len(req.Args) != 3 {
-			return fail("LINK wants <use|derive> <from-oid> <to-oid>")
+			return errf("LINK wants <use|derive> <from-oid> <to-oid>")
 		}
 		class, err := meta.ParseLinkClass(req.Args[0])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		from, err := meta.ParseKey(req.Args[1])
 		if err != nil {
-			return fail("from: %v", err)
+			return errf("from: %v", err)
 		}
 		to, err := meta.ParseKey(req.Args[2])
 		if err != nil {
-			return fail("to: %v", err)
+			return errf("to: %v", err)
 		}
 		id, err := s.eng.CreateLink(class, from, to)
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
-		if err := s.commitJournal(); err != nil {
-			return fail("%v", err)
+		if err := s.settle(r, true); err != nil {
+			return errf("%v", err)
 		}
-		if err := s.ackGate(); err != nil {
-			return fail("%v", err)
-		}
-		return ok("%d", id)
+		return okf("%d", id)
 
 	case wire.VerbState:
 		if len(req.Args) != 1 {
-			return fail("STATE wants <oid>")
+			return errf("STATE wants <oid>")
 		}
 		k, err := meta.ParseKey(req.Args[0])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		o, err := s.eng.DB().GetOID(k)
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		st := state.Evaluate(s.eng.Blueprint(), o)
 		body := []string{fmt.Sprintf("ready %v", st.Ready)}
@@ -1173,7 +1105,7 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		for _, r := range st.Reasons {
 			body = append(body, "blocking "+r)
 		}
-		return wire.Response{OK: true, Detail: k.String(), Body: body}, false
+		return wire.Response{OK: true, Detail: k.String(), Body: body}
 
 	case wire.VerbReport, wire.VerbGap:
 		// The buffered form, used by in-process callers (Handle); network
@@ -1181,8 +1113,8 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		// same scan and the same row formatter, so they emit identical
 		// bodies.
 		v, resp := s.reportGate(req)
-		if resp != nil {
-			return *resp, false
+		if v == nil {
+			return resp
 		}
 		defer v.Close()
 		var body []string
@@ -1192,14 +1124,14 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 			body = append(body, string(buf))
 			return true
 		})
-		return wire.Response{OK: true, Detail: strconv.Itoa(len(body)) + " rows", Body: body}, false
+		return wire.Response{OK: true, Detail: strconv.Itoa(len(body)) + " rows", Body: body}
 
 	case wire.VerbQuery:
-		return s.handleQuery(req), false
+		return s.handleQuery(req)
 
 	case wire.VerbSnapshot:
 		if len(req.Args) != 2 {
-			return fail("SNAPSHOT wants <name> <root-oid|*>")
+			return errf("SNAPSHOT wants <name> <root-oid|*>")
 		}
 		name := req.Args[0]
 		var cfg *meta.Configuration
@@ -1214,21 +1146,18 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 			}
 		}
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
-		if err := s.commitJournal(); err != nil {
-			return fail("%v", err)
+		if err := s.settle(r, true); err != nil {
+			return errf("%v", err)
 		}
-		if err := s.ackGate(); err != nil {
-			return fail("%v", err)
-		}
-		return ok("%d oids %d links", len(cfg.OIDs), len(cfg.Links))
+		return okf("%d oids %d links", len(cfg.OIDs), len(cfg.Links))
 
 	case wire.VerbStats:
 		es := s.eng.Stats()
 		ds := s.eng.DB().Stats()
 		c := &s.counters
-		return ok("oids=%d links=%d posted=%d deliveries=%d propagations=%d rules=%d execs=%d"+
+		return okf("oids=%d links=%d posted=%d deliveries=%d propagations=%d rules=%d execs=%d"+
 			" conns_shed=%d inflight_shed=%d readonly_refused=%d degraded_refused=%d batch_oversize=%d panics=%d",
 			ds.OIDs, ds.Links, es.Posted, es.Deliveries, es.Propagations, es.RulesFired, es.Execs,
 			c.ConnsShed.Load(), c.InflightShed.Load(), c.ReadOnlyRefused.Load(),
@@ -1236,41 +1165,41 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 
 	case wire.VerbLatest:
 		if len(req.Args) != 2 {
-			return fail("LATEST wants <block> <view>")
+			return errf("LATEST wants <block> <view>")
 		}
 		k, err := s.eng.DB().Latest(req.Args[0], req.Args[1])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
-		return ok("%s", k)
+		return okf("%s", k)
 
 	case wire.VerbProp:
 		if len(req.Args) != 2 {
-			return fail("PROP wants <oid> <name>")
+			return errf("PROP wants <oid> <name>")
 		}
 		k, err := meta.ParseKey(req.Args[0])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		v, set, err := s.eng.DB().GetProp(k, req.Args[1])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		if !set {
-			return ok("unset")
+			return okf("unset")
 		}
-		return ok("set %s", wire.Quote(v))
+		return okf("set %s", wire.Quote(v))
 
 	case wire.VerbLinks:
 		if len(req.Args) != 1 {
-			return fail("LINKS wants <oid>")
+			return errf("LINKS wants <oid>")
 		}
 		k, err := meta.ParseKey(req.Args[0])
 		if err != nil {
-			return fail("%v", err)
+			return errf("%v", err)
 		}
 		if !s.eng.DB().HasOID(k) {
-			return fail("oid %v: not found", k)
+			return errf("oid %v: not found", k)
 		}
 		var body []string
 		for _, l := range s.eng.DB().LinksOf(k) {
@@ -1283,11 +1212,11 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 			}
 			body = append(body, line)
 		}
-		return wire.Response{OK: true, Detail: fmt.Sprintf("%d links", len(body)), Body: body}, false
+		return wire.Response{OK: true, Detail: fmt.Sprintf("%d links", len(body)), Body: body}
 
 	case wire.VerbDot:
 		if len(req.Args) != 1 {
-			return fail("DOT wants flow or state")
+			return errf("DOT wants flow or state")
 		}
 		var doc string
 		switch strings.ToLower(req.Args[0]) {
@@ -1298,15 +1227,15 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 			doc = viz.StateDOT(v, s.eng.Blueprint())
 			v.Close()
 		default:
-			return fail("DOT wants flow or state")
+			return errf("DOT wants flow or state")
 		}
 		body := strings.Split(strings.TrimRight(doc, "\n"), "\n")
-		return wire.Response{OK: true, Detail: req.Args[0], Body: body}, false
+		return wire.Response{OK: true, Detail: req.Args[0], Body: body}
 
 	case wire.VerbBlueprint:
 		src := bpl.Print(s.eng.Blueprint())
 		body := strings.Split(strings.TrimRight(src, "\n"), "\n")
-		return wire.Response{OK: true, Detail: s.eng.Blueprint().Name, Body: body}, false
+		return wire.Response{OK: true, Detail: s.eng.Blueprint().Name, Body: body}
 
 	case wire.VerbBPSwap:
 		// Swap the live blueprint: parse, analyze and atomically install
@@ -1314,19 +1243,19 @@ func (s *Server) handle(req wire.Request) (wire.Response, bool) {
 		// configuration, not project data — it is NOT journaled and does
 		// not replicate; each node carries its own policy (docs/LOAD.md).
 		if len(req.Args) != 1 {
-			return fail("BPSWAP wants exactly one <source> arg")
+			return errf("BPSWAP wants exactly one <source> arg")
 		}
 		bp, err := bpl.Parse(req.Args[0])
 		if err != nil {
-			return fail("BPSWAP: %v", err)
+			return errf("BPSWAP: %v", err)
 		}
 		if err := s.eng.SetBlueprint(bp); err != nil {
-			return fail("BPSWAP: %v", err)
+			return errf("BPSWAP: %v", err)
 		}
-		return ok("blueprint %s installed (%d views)", bp.Name, len(bp.Views))
+		return okf("blueprint %s installed (%d views)", bp.Name, len(bp.Views))
 
 	default:
-		return fail("unknown verb %q", req.Verb)
+		return errf("unknown verb %q", req.Verb)
 	}
 }
 
@@ -1339,37 +1268,22 @@ func healthFields(healthy bool, reason string) string {
 	return " health=degraded reason=" + healthToken(reason)
 }
 
-// followerHealthFields derives a follower's health suffix: its own
+// followerFields renders a follower's ROLE suffix.  Health first: its own
 // replication loop failing terminally, or its upstream reporting a
-// degraded journal, both surface here.  The checks are optional
-// interfaces so any ReadFollower keeps working.
-func followerHealthFields(ro ReadFollower) string {
-	if e, ok := ro.(interface{ Err() error }); ok {
-		if err := e.Err(); err != nil {
-			return " health=degraded reason=" + healthToken("replication: "+err.Error())
-		}
+// degraded journal.  Then staleness — the age, in whole milliseconds, of
+// its last upstream freshness evidence; a follower that has never heard
+// from its upstream reports nothing rather than a meaningless age.
+func followerFields(ro ReadFollower) string {
+	out := " health=ok"
+	if err := ro.Err(); err != nil {
+		out = " health=degraded reason=" + healthToken("replication: "+err.Error())
+	} else if upOK, reason := ro.UpstreamHealth(); !upOK {
+		out = " health=degraded reason=" + healthToken("upstream: "+reason)
 	}
-	if u, ok := ro.(interface{ UpstreamHealth() (bool, string) }); ok {
-		if upOK, reason := u.UpstreamHealth(); !upOK {
-			return " health=degraded reason=" + healthToken("upstream: "+reason)
-		}
+	if d, known := ro.Staleness(); known {
+		out += fmt.Sprintf(" staleness=%d", d.Milliseconds())
 	}
-	return " health=ok"
-}
-
-// followerStalenessField derives a follower's staleness suffix — the
-// wall-clock age, in whole milliseconds, of its last upstream freshness
-// evidence (an applied record, a caught-up watermark, or a liveness
-// ping).  The check is an optional interface so any ReadFollower keeps
-// working; a follower that has never heard from its upstream reports
-// nothing rather than a meaningless age.
-func followerStalenessField(ro ReadFollower) string {
-	if st, ok := ro.(interface{ Staleness() (time.Duration, bool) }); ok {
-		if d, known := st.Staleness(); known {
-			return fmt.Sprintf(" staleness=%d", d.Milliseconds())
-		}
-	}
-	return ""
+	return out
 }
 
 func healthToken(reason string) string {

@@ -10,6 +10,7 @@ package state
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -62,11 +63,10 @@ func lookupFor(o *meta.OID) bpl.LookupFunc {
 }
 
 // evaluateInto computes the state of one OID against a resolved let slice,
-// reusing st's Lets map and Reasons backing array across calls — the
-// allocation-shy core behind evaluate and Stream.  With a non-nil index,
-// failing lets are explained through the compiled explainers; otherwise
-// through one-shot ExplainFailure.  The filled state shares o.Props;
-// callers that retain it must replace Props (and Reasons) with copies.
+// reusing st's Lets map and Reasons backing array across calls.  With a
+// non-nil index, failing lets are explained through the compiled
+// explainers; otherwise through one-shot ExplainFailure.  The filled state
+// shares o.Props.
 func evaluateInto(st *OIDState, lets []*bpl.LetDecl, ix *bpl.Index, o *meta.OID) {
 	st.Key = o.Key
 	st.Ready = true
@@ -96,47 +96,22 @@ func evaluateInto(st *OIDState, lets []*bpl.LetDecl, ix *bpl.Index, o *meta.OID)
 	}
 }
 
-// evaluate computes the state of one OID against a resolved let slice.
-// The returned state shares o.Props; callers iterating live database
-// objects must replace it with a copy.
-func evaluate(lets []*bpl.LetDecl, ix *bpl.Index, o *meta.OID) OIDState {
+// Evaluate computes the state report of a single OID snapshot under bp,
+// without the compiled index: the one-shot path, and the oracle the scan's
+// rows are tested against.  The returned state shares o.Props.
+func Evaluate(bp *bpl.Blueprint, o *meta.OID) OIDState {
 	var st OIDState
-	evaluateInto(&st, lets, ix, o)
+	evaluateInto(&st, bp.EffectiveLets(o.Key.View), nil, o)
 	return st
 }
 
-// Evaluate computes the state report of a single OID snapshot under bp.
-func Evaluate(bp *bpl.Blueprint, o *meta.OID) OIDState {
-	return evaluate(bp.EffectiveLets(o.Key.View), nil, o)
-}
-
-// EvaluateWith is Evaluate against a compiled policy index; callers that
-// evaluate many OIDs (Report) resolve each view's continuous assignments
-// and failure explanations once instead of once per OID.
-func EvaluateWith(ix *bpl.Index, o *meta.OID) OIDState {
-	return evaluate(ix.Lets(o.Key.View), ix, o)
-}
-
-// Stream evaluates the latest version of every version chain of the
-// current state and hands each report to fn, in unspecified order: it pins
-// a read view and runs StreamView.  The OIDState is reused between calls
-// and its Reasons share one backing array: fn must treat the state as
-// read-only and must not retain it past the call.  Returning false stops
-// the stream.
-//
-// This is the pull API for in-process callers: a report row can be
-// formatted per OID with zero per-row map copies.  (The server's
-// REPORT/GAP need key order and no garbage: they run ScanSortedView.)
-func Stream(db *meta.DB, bp *bpl.Blueprint, fn func(*OIDState) bool) {
-	v := db.ReadView()
-	defer v.Close()
-	StreamView(v, bp, fn)
-}
-
-// StreamView is Stream against an explicit pinned view: every row is
-// evaluated at exactly the view's LSN, lock-free, and writers proceed
-// throughout.  Props aliases the view's immutable version map and may be
-// retained by fn.
+// StreamView evaluates the latest version of every version chain live at
+// the pinned view and hands each report to fn, in unspecified order: every
+// row is evaluated at exactly the view's LSN, lock-free, and writers
+// proceed throughout.  The OIDState is reused between calls and its Reasons
+// share one backing array: fn must treat the state as read-only and must
+// not retain it past the call; Props aliases the view's immutable version
+// map and may be retained.  Returning false stops the stream.
 func StreamView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	ix := bp.Index()
 	var st OIDState
@@ -146,8 +121,8 @@ func StreamView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	})
 }
 
-// scanRow is one row of a sorted scan: the latest version of a chain and,
-// from a view, that version's immutable property map.
+// scanRow is one row of a sorted scan: the latest version of a chain and
+// that version's immutable property map.
 type scanRow struct {
 	key   meta.Key
 	props map[string]string
@@ -179,9 +154,9 @@ func (sc *scanScratch) collect(o *meta.OID) bool {
 	return true
 }
 
-// sortedScan takes a scratch from the pool and fills its rows, in key
-// order, with the latest version of every chain live at v.  The caller
-// releases it.
+// sortedScan is the one sorted scan every key-ordered reader runs: it takes
+// a scratch from the pool and fills its rows, in key order, with the latest
+// version of every chain live at v.  The caller releases it.
 func sortedScan(v *meta.View) *scanScratch {
 	sc := scanPool.Get().(*scanScratch)
 	v.EachLatestOID(sc.add)
@@ -231,19 +206,11 @@ func ScanSortedView(v *meta.View, bp *bpl.Blueprint, fn func(key meta.Key, ready
 	}
 }
 
-// StreamSorted is Stream in the stable key-sorted row order of the wire
-// format: it pins a read view and runs StreamSortedView.
-func StreamSorted(db *meta.DB, bp *bpl.Blueprint, fn func(*OIDState) bool) {
-	v := db.ReadView()
-	defer v.Close()
-	StreamSortedView(v, bp, fn)
-}
-
-// StreamSortedView is StreamSorted against an explicit pinned view: the
-// stable key-sorted row order of the wire format, every row consistent at
-// the view's LSN, zero locks held while fn runs.  Props aliases the view's
-// immutable version map and may be retained.  It is ScanSortedView's pass
-// with each row materialized as an OIDState.
+// StreamSortedView is the sorted scan with each row materialized as an
+// OIDState: the stable key-sorted row order of the wire format, every row
+// consistent at the view's LSN, zero locks held while fn runs.  The state
+// is reused as in StreamView; Props aliases the view's immutable version
+// map and may be retained.
 func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	ix := bp.Index()
 	sc := sortedScan(v)
@@ -260,49 +227,33 @@ func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) 
 }
 
 // Report evaluates the latest version of every version chain and returns
-// the reports sorted by key: point-in-time rows from a pinned view.  The
-// blueprint is compiled once (and cached on it).  The version maps are
-// immutable, so the returned states share them; for large databases the
-// streaming form (Stream) avoids materializing the rows.
+// the reports sorted by key: StreamSortedView's rows at a view pinned for
+// the call, each copied out of the reused state.  The version maps are
+// immutable, so the returned states share them.
 func Report(db *meta.DB, bp *bpl.Blueprint) []OIDState {
-	ix := bp.Index()
-	var out []OIDState
-	v := db.ReadView()
-	defer v.Close()
-	v.EachLatestOID(func(o *meta.OID) bool {
-		out = append(out, EvaluateWith(ix, o))
-		return true
-	})
-	return sortReport(out)
-}
-
-// sortReport orders report rows by key through a permutation — OIDState
-// is large and swapping it through the generic sorter shows up in
-// profiles.
-func sortReport(out []OIDState) []OIDState {
-	perm := make([]int, len(out))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool {
-		return out[perm[i]].Key.Less(out[perm[j]].Key)
-	})
-	sorted := make([]OIDState, len(out))
-	for i, j := range perm {
-		sorted[i] = out[j]
-	}
-	return sorted
+	return report(db, bp, false)
 }
 
 // Gap returns only the reports of OIDs that are not ready — the "what
 // still needs to be modified" answer.
 func Gap(db *meta.DB, bp *bpl.Blueprint) []OIDState {
+	return report(db, bp, true)
+}
+
+func report(db *meta.DB, bp *bpl.Blueprint, gap bool) []OIDState {
+	v := db.ReadView()
+	defer v.Close()
 	var out []OIDState
-	for _, st := range Report(db, bp) {
-		if !st.Ready {
-			out = append(out, st)
+	StreamSortedView(v, bp, func(st *OIDState) bool {
+		if gap && st.Ready {
+			return true
 		}
-	}
+		row := *st
+		row.Lets = maps.Clone(st.Lets)
+		row.Reasons = append([]string(nil), st.Reasons...)
+		out = append(out, row)
+		return true
+	})
 	return out
 }
 
@@ -397,17 +348,9 @@ func DiffConfigurations(db *meta.DB, oldName, newName string) (Diff, error) {
 // downstream OID whose chain of links admits the outofdate event.  This is
 // the query a project administrator runs before deciding whether to loosen
 // the BluePrint.  The walk runs on a view pinned for the call (zero shard
-// locks); BlockedView evaluates the same query at an already-pinned view,
-// keeping a report evaluation on one consistent LSN end to end.
+// locks).
 func Blocked(db *meta.DB, origin meta.Key, event string) []meta.Key {
 	return db.Dependents(origin, func(l *meta.Link) bool {
-		return l.CanPropagate(event)
-	})
-}
-
-// BlockedView is Blocked evaluated at a pinned view.
-func BlockedView(v *meta.View, origin meta.Key, event string) []meta.Key {
-	return v.Dependents(origin, func(l *meta.Link) bool {
 		return l.CanPropagate(event)
 	})
 }

@@ -186,9 +186,11 @@ func TestStreamMatchesReport(t *testing.T) {
 		want[st.Key.String()] = strings.Join(st.Reasons, ";")
 	}
 
+	v := e.DB().ReadView()
+	defer v.Close()
 	seen := map[string]string{}
 	ready := 0
-	Stream(e.DB(), e.Blueprint(), func(st *OIDState) bool {
+	StreamView(v, e.Blueprint(), func(st *OIDState) bool {
 		seen[st.Key.String()] = strings.Join(st.Reasons, ";")
 		if st.Ready {
 			ready++
@@ -214,7 +216,7 @@ func TestStreamMatchesReport(t *testing.T) {
 
 	// Early stop is honored.
 	calls := 0
-	Stream(e.DB(), e.Blueprint(), func(*OIDState) bool {
+	StreamView(v, e.Blueprint(), func(*OIDState) bool {
 		calls++
 		return false
 	})

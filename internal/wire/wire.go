@@ -243,31 +243,45 @@ type Response struct {
 }
 
 // Encode renders the response as protocol lines (without trailing newline
-// on the last line).
+// on the last line).  A CR or LF inside Detail or a body line is written
+// as the two characters \r or \n: whatever text ends up in a response (an
+// error quoting a request's argument, say), the response is one line, or
+// len(Body)+2, and no part of it reads as the answer to the next request.
 func (r Response) Encode() string {
 	status := "ERR"
 	if r.OK {
 		status = "OK"
 	}
+	detail := oneLine(r.Detail)
 	if len(r.Body) == 0 {
-		if r.Detail == "" {
+		if detail == "" {
 			return status
 		}
-		return status + " " + r.Detail
+		return status + " " + detail
 	}
 	var sb strings.Builder
 	sb.WriteString(status)
 	sb.WriteString("+")
-	if r.Detail != "" {
+	if detail != "" {
 		sb.WriteByte(' ')
-		sb.WriteString(r.Detail)
+		sb.WriteString(detail)
 	}
 	for _, line := range r.Body {
 		sb.WriteString("\n|")
-		sb.WriteString(line)
+		sb.WriteString(oneLine(line))
 	}
 	sb.WriteString("\n.")
 	return sb.String()
+}
+
+var lineBreaks = strings.NewReplacer("\n", `\n`, "\r", `\r`)
+
+// oneLine returns s with its line breaks escaped.
+func oneLine(s string) string {
+	if strings.ContainsAny(s, "\r\n") {
+		return lineBreaks.Replace(s)
+	}
+	return s
 }
 
 // ParseResponseHeader parses the first line of a response and reports

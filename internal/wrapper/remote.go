@@ -2,8 +2,8 @@ package wrapper
 
 import (
 	"fmt"
-	"time"
 
+	"repro/internal/bpl"
 	"repro/internal/meta"
 	"repro/internal/server"
 	"repro/internal/tools"
@@ -16,76 +16,34 @@ import (
 // The tool suite (the design data itself) stays local to the wrapper; only
 // tracking information crosses the wire.
 type Remote struct {
+	ops
 	Client *server.Client
-	Suite  *tools.Suite
 }
 
-// NewRemote binds a connected client and a local tool suite.
+// NewRemote binds a connected client and a local tool suite.  A client
+// from server.DialTimeout makes every wrapper operation fail a hung server
+// fast (as server.ErrTimeout) instead of blocking a tool invocation.
 func NewRemote(c *server.Client, suite *tools.Suite) *Remote {
-	return &Remote{Client: c, Suite: suite}
+	return &Remote{ops: ops{t: clientTracker{c}, Suite: suite}, Client: c}
 }
 
-// DialRemote connects to a project server with dial and per-operation
-// timeouts, so a wrapper on a designer's machine fails a hung server fast
-// (as server.ErrTimeout) instead of blocking a tool invocation forever.
-// op 0 disables per-operation deadlines.
-func DialRemote(addr string, suite *tools.Suite, dial, op time.Duration) (*Remote, error) {
-	c, err := server.DialTimeout(addr, dial, op)
-	if err != nil {
-		return nil, fmt.Errorf("wrapper: %w", err)
-	}
-	return &Remote{Client: c, Suite: suite}, nil
+// clientTracker tracks through a project server: each call is one request.
+type clientTracker struct{ c *server.Client }
+
+func (t clientTracker) create(block, view string) (meta.Key, error) {
+	return t.c.Create(block, view)
 }
 
-// RequireUpToDate performs the permission query of section 3.3 remotely.
-func (r *Remote) RequireUpToDate(k meta.Key) error {
-	v, ok, err := r.Client.Prop(k, "uptodate")
-	if err != nil {
-		return err
-	}
-	if !ok || v != "true" {
-		return fmt.Errorf("%w: %v (uptodate=%q)", ErrStale, k, v)
-	}
-	return nil
+func (t clientTracker) link(class meta.LinkClass, from, to meta.Key) error {
+	return t.c.Link(class.String(), from, to)
 }
 
-// RequireProp checks a remote property value.
-func (r *Remote) RequireProp(k meta.Key, name, want string) error {
-	v, _, err := r.Client.Prop(k, name)
-	if err != nil {
-		return err
-	}
-	if v != want {
-		return fmt.Errorf("%w: %v (%s=%q, want %q)", ErrNotReady, k, name, v, want)
-	}
-	return nil
+func (t clientTracker) post(event string, dir bpl.Direction, target meta.Key, args ...string) error {
+	return t.c.PostEvent(event, dir.String(), target, args...)
 }
 
-// CheckinHDL creates a new HDL model version remotely, writes the local
-// design data, and posts the check-in event.
-func (r *Remote) CheckinHDL(block string, gates, defects int) (meta.Key, error) {
-	k, err := r.Client.Create(block, "HDL_model")
-	if err != nil {
-		return meta.Key{}, err
-	}
-	r.Suite.WriteHDL(k, gates, defects)
-	if err := r.Client.PostEvent("ckin", "down", k); err != nil {
-		return meta.Key{}, err
-	}
-	return k, nil
-}
-
-// InstallLibrary registers a library version remotely.
-func (r *Remote) InstallLibrary(block string) (meta.Key, error) {
-	k, err := r.Client.Create(block, "synth_lib")
-	if err != nil {
-		return meta.Key{}, err
-	}
-	r.Suite.InstallLibrary(k)
-	if err := r.Client.PostEvent("ckin", "down", k); err != nil {
-		return meta.Key{}, err
-	}
-	return k, nil
+func (t clientTracker) prop(k meta.Key, name string) (string, bool, error) {
+	return t.c.Prop(k, name)
 }
 
 // CheckinHierarchy posts the ckin events for a whole set of OIDs — a
@@ -109,80 +67,4 @@ func (r *Remote) CheckinHierarchy(keys []meta.Key) error {
 		return fmt.Errorf("wrapper: hierarchy check-in: %d/%d events accepted", posted, len(keys))
 	}
 	return nil
-}
-
-// RunHDLSim simulates locally and posts the interpreted result.
-func (r *Remote) RunHDLSim(k meta.Key) (string, error) {
-	res, err := r.Suite.SimulateHDL(k)
-	if err != nil {
-		return "", err
-	}
-	if err := r.Client.PostEvent("hdl_sim", "down", k, res); err != nil {
-		return "", err
-	}
-	return res, nil
-}
-
-// Synthesize runs the remote-permission + local-tool + remote-events cycle
-// for synthesis.
-func (r *Remote) Synthesize(hdl, lib meta.Key) (meta.Key, error) {
-	if err := r.RequireUpToDate(hdl); err != nil {
-		return meta.Key{}, err
-	}
-	if err := r.RequireProp(hdl, "sim_result", "good"); err != nil {
-		return meta.Key{}, err
-	}
-	sch, err := r.Client.Create(hdl.Block, "schematic")
-	if err != nil {
-		return meta.Key{}, err
-	}
-	if err := r.Client.Link("derive", hdl, sch); err != nil {
-		return meta.Key{}, err
-	}
-	if err := r.Client.Link("derive", lib, sch); err != nil {
-		return meta.Key{}, err
-	}
-	if _, err := r.Suite.Synthesize(hdl, lib, sch); err != nil {
-		return meta.Key{}, err
-	}
-	if err := r.Client.PostEvent("ckin", "down", sch); err != nil {
-		return meta.Key{}, err
-	}
-	return sch, nil
-}
-
-// RunNetlister derives a netlist, with the remote permission check.
-func (r *Remote) RunNetlister(sch meta.Key) (meta.Key, error) {
-	if err := r.RequireUpToDate(sch); err != nil {
-		return meta.Key{}, err
-	}
-	nl, err := r.Client.Create(sch.Block, "netlist")
-	if err != nil {
-		return meta.Key{}, err
-	}
-	if err := r.Client.Link("derive", sch, nl); err != nil {
-		return meta.Key{}, err
-	}
-	if _, err := r.Suite.Netlist(sch, nl); err != nil {
-		return meta.Key{}, err
-	}
-	if err := r.Client.PostEvent("ckin", "down", nl); err != nil {
-		return meta.Key{}, err
-	}
-	return nl, nil
-}
-
-// RunNetlistSim is the paper's permission example, remote edition.
-func (r *Remote) RunNetlistSim(nl meta.Key) (string, error) {
-	if err := r.RequireUpToDate(nl); err != nil {
-		return "", err
-	}
-	res, err := r.Suite.SimulateNetlist(nl)
-	if err != nil {
-		return "", err
-	}
-	if err := r.Client.PostEvent("nl_sim", "up", nl, res); err != nil {
-		return "", err
-	}
-	return res, nil
 }

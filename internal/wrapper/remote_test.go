@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/server"
 	"repro/internal/tools"
+	"repro/internal/wire"
 )
 
 func startRemote(t *testing.T) *Remote {
@@ -199,5 +201,98 @@ func TestRemoteCheckinHierarchy(t *testing.T) {
 	// Empty input is a no-op, not a protocol error.
 	if err := r.CheckinHierarchy(nil); err != nil {
 		t.Errorf("empty hierarchy: %v", err)
+	}
+}
+
+// frontEnd is the eight wrapper operations Session and Remote share.
+type frontEnd interface {
+	RequireUpToDate(k meta.Key) error
+	RequireProp(k meta.Key, name, want string) error
+	CheckinHDL(block string, gates, defects int) (meta.Key, error)
+	InstallLibrary(block string) (meta.Key, error)
+	RunHDLSim(k meta.Key) (string, error)
+	Synthesize(hdl, lib meta.Key) (meta.Key, error)
+	RunNetlister(sch meta.Key) (meta.Key, error)
+	RunNetlistSim(nl meta.Key) (string, error)
+}
+
+// edtcFrontEnd runs the front of the EDTC flow with its refusals: a
+// defective model that may not be synthesized, its fix carried down to a
+// simulated netlist, a second block, then a new model version that leaves
+// the first block's netlist stale.
+func edtcFrontEnd(t *testing.T, w frontEnd) {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib, err := w.InstallLibrary("stdlib")
+	must(err)
+	bad, err := w.CheckinHDL("CPU", 100, 3)
+	must(err)
+	if res, err := w.RunHDLSim(bad); err != nil || res != "3 errors" {
+		t.Fatalf("hdl_sim of the defective model = %q, %v", res, err)
+	}
+	if _, err := w.Synthesize(bad, lib); !errors.Is(err, ErrNotReady) {
+		t.Fatalf("synthesis of an unverified model: %v", err)
+	}
+	var nl meta.Key
+	for _, block := range []string{"CPU", "ALU"} {
+		hdl, err := w.CheckinHDL(block, 80, 0)
+		must(err)
+		_, err = w.RunHDLSim(hdl)
+		must(err)
+		must(w.RequireUpToDate(hdl))
+		must(w.RequireProp(hdl, "sim_result", "good"))
+		sch, err := w.Synthesize(hdl, lib)
+		must(err)
+		if block == "ALU" {
+			continue // synthesized, never netlisted
+		}
+		nl, err = w.RunNetlister(sch)
+		must(err)
+		if res, err := w.RunNetlistSim(nl); err != nil || res != "good" {
+			t.Fatalf("nl_sim = %q, %v", res, err)
+		}
+	}
+	_, err = w.CheckinHDL("CPU", 81, 0)
+	must(err)
+	if _, err := w.RunNetlistSim(nl); !errors.Is(err, ErrStale) {
+		t.Fatalf("simulation of a stale netlist: %v", err)
+	}
+}
+
+// TestRemoteAndSessionSameScenario: the shared operations have one body,
+// so the same scenario through an in-process Session and through a Remote
+// against a server leaves the same project state.
+func TestRemoteAndSessionSameScenario(t *testing.T) {
+	s := newSession(t)
+	edtcFrontEnd(t, s)
+	local := server.New(s.Eng).Handle(wire.Request{Verb: wire.VerbReport})
+	if !local.OK {
+		t.Fatal(local.Detail)
+	}
+
+	r := startRemote(t)
+	r.Client.User = s.User // the rules write the user into property values
+	edtcFrontEnd(t, r)
+	remote, err := r.Client.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(remote) == 0 || !slices.Equal(local.Body, remote) {
+		t.Errorf("REPORT after the scenario through Session:\n%s\nthrough Remote:\n%s",
+			strings.Join(local.Body, "\n"), strings.Join(remote, "\n"))
+	}
+	ready := 0
+	for _, row := range remote {
+		if strings.Contains(row, "ready=true") {
+			ready++
+		}
+	}
+	if ready == 0 || ready == len(remote) {
+		t.Errorf("the scenario should leave ready and blocked rows, got %d of %d ready", ready, len(remote))
 	}
 }

@@ -31,11 +31,33 @@ var ErrStale = errors.New("wrapper: input data is not up to date")
 // than freshness (e.g. synthesizing an unverified HDL model).
 var ErrNotReady = errors.New("wrapper: input data does not meet required state")
 
+// tracker is the meta-database side of a wrapper program: the four things
+// a wrapper asks of the project server.  Session tracks through an engine
+// in its own process; Remote through a client connection (Figure 1).
+type tracker interface {
+	create(block, view string) (meta.Key, error)
+	link(class meta.LinkClass, from, to meta.Key) error
+	post(event string, dir bpl.Direction, target meta.Key, args ...string) error
+	prop(k meta.Key, name string) (value string, ok bool, err error)
+}
+
+// ops is the wrapper programs both deployments share — the permission
+// queries and the tool wrappers up to netlist simulation — each written
+// once over a tracker and the local tool suite.  Session and Remote embed
+// it.
+type ops struct {
+	t tracker
+
+	// Suite is the simulated tool suite: the design data itself, which
+	// stays local to the wrapper.
+	Suite *tools.Suite
+}
+
 // Session is a designer's working context: engine, workspace, identity.
 type Session struct {
-	Eng   *engine.Engine
-	Suite *tools.Suite
-	User  string
+	ops
+	Eng  *engine.Engine
+	User string
 
 	// Workspace, when set, names a registered meta.Workspace; every OID
 	// the session checks in gets its design-data path bound there, tying
@@ -45,7 +67,41 @@ type Session struct {
 
 // NewSession creates a session.
 func NewSession(eng *engine.Engine, suite *tools.Suite, user string) *Session {
-	return &Session{Eng: eng, Suite: suite, User: user}
+	s := &Session{Eng: eng, User: user}
+	s.ops = ops{t: engineTracker{s, eng.PostAndDrain}, Suite: suite}
+	return s
+}
+
+// engineTracker tracks through the session's engine.  send is
+// Eng.PostAndDrain, or Eng.Post for a wrapper running inside a drain (see
+// AutoExecutor).
+type engineTracker struct {
+	s    *Session
+	send func(engine.Event) error
+}
+
+func (t engineTracker) create(block, view string) (meta.Key, error) {
+	return t.s.Eng.CreateOID(block, view, t.s.User)
+}
+
+func (t engineTracker) link(class meta.LinkClass, from, to meta.Key) error {
+	_, err := t.s.Eng.CreateLink(class, from, to)
+	return err
+}
+
+// post hands the event to the engine; a check-in first binds the data
+// location in the session workspace.
+func (t engineTracker) post(event string, dir bpl.Direction, target meta.Key, args ...string) error {
+	if event == engine.EventCheckin {
+		if err := t.s.bindPath(target); err != nil {
+			return err
+		}
+	}
+	return t.send(engine.Event{Name: event, Dir: dir, Target: target, Args: args, User: t.s.User})
+}
+
+func (t engineTracker) prop(k meta.Key, name string) (string, bool, error) {
+	return t.s.Eng.DB().GetProp(k, name)
 }
 
 // UseWorkspace registers (or reuses) a workspace in the meta-database and
@@ -73,8 +129,8 @@ func (s *Session) bindPath(k meta.Key) error {
 // Permission queries (section 3.3)
 
 // RequireUpToDate checks the uptodate property of an input OID.
-func (s *Session) RequireUpToDate(k meta.Key) error {
-	v, ok, err := s.Eng.DB().GetProp(k, "uptodate")
+func (o ops) RequireUpToDate(k meta.Key) error {
+	v, ok, err := o.t.prop(k, "uptodate")
 	if err != nil {
 		return err
 	}
@@ -85,8 +141,8 @@ func (s *Session) RequireUpToDate(k meta.Key) error {
 }
 
 // RequireProp checks that a property of an input OID has the wanted value.
-func (s *Session) RequireProp(k meta.Key, name, want string) error {
-	v, _, err := s.Eng.DB().GetProp(k, name)
+func (o ops) RequireProp(k meta.Key, name, want string) error {
+	v, _, err := o.t.prop(k, name)
 	if err != nil {
 		return err
 	}
@@ -101,13 +157,13 @@ func (s *Session) RequireProp(k meta.Key, name, want string) error {
 
 // CheckinHDL creates a new HDL model version with the given content and
 // checks it in.
-func (s *Session) CheckinHDL(block string, gates, defects int) (meta.Key, error) {
-	k, err := s.Eng.CreateOID(block, "HDL_model", s.User)
+func (o ops) CheckinHDL(block string, gates, defects int) (meta.Key, error) {
+	k, err := o.t.create(block, "HDL_model")
 	if err != nil {
 		return meta.Key{}, err
 	}
-	s.Suite.WriteHDL(k, gates, defects)
-	if err := s.checkin(k); err != nil {
+	o.Suite.WriteHDL(k, gates, defects)
+	if err := o.checkin(k); err != nil {
 		return meta.Key{}, err
 	}
 	return k, nil
@@ -115,29 +171,21 @@ func (s *Session) CheckinHDL(block string, gates, defects int) (meta.Key, error)
 
 // InstallLibrary registers a new synthesis library version and checks it
 // in, which invalidates dependents through the depend_on links.
-func (s *Session) InstallLibrary(block string) (meta.Key, error) {
-	k, err := s.Eng.CreateOID(block, "synth_lib", s.User)
+func (o ops) InstallLibrary(block string) (meta.Key, error) {
+	k, err := o.t.create(block, "synth_lib")
 	if err != nil {
 		return meta.Key{}, err
 	}
-	s.Suite.InstallLibrary(k)
-	if err := s.checkin(k); err != nil {
+	o.Suite.InstallLibrary(k)
+	if err := o.checkin(k); err != nil {
 		return meta.Key{}, err
 	}
 	return k, nil
 }
 
-// checkin binds the data location, posts the ckin event and drains.
-func (s *Session) checkin(k meta.Key) error {
-	return s.checkinVia(k, s.Eng.PostAndDrain)
-}
-
-// checkinVia binds the data location and hands the ckin event to post.
-func (s *Session) checkinVia(k meta.Key, post func(engine.Event) error) error {
-	if err := s.bindPath(k); err != nil {
-		return err
-	}
-	return post(engine.Event{Name: engine.EventCheckin, Dir: bpl.DirDown, Target: k, User: s.User})
+// checkin posts the ckin event at k.
+func (o ops) checkin(k meta.Key) error {
+	return o.t.post(engine.EventCheckin, bpl.DirDown, k)
 }
 
 // ---------------------------------------------------------------------------
@@ -145,76 +193,61 @@ func (s *Session) checkinVia(k meta.Key, post func(engine.Event) error) error {
 
 // RunHDLSim simulates an HDL model and posts the interpreted result as an
 // hdl_sim event.
-func (s *Session) RunHDLSim(k meta.Key) (string, error) {
-	res, err := s.Suite.SimulateHDL(k)
+func (o ops) RunHDLSim(k meta.Key) (string, error) {
+	res, err := o.Suite.SimulateHDL(k)
 	if err != nil {
 		return "", err
 	}
-	err = s.Eng.PostAndDrain(engine.Event{
-		Name: "hdl_sim", Dir: bpl.DirDown, Target: k, Args: []string{res}, User: s.User,
-	})
-	return res, err
+	return res, o.t.post("hdl_sim", bpl.DirDown, k, res)
 }
 
 // Synthesize derives a schematic for the model's block.  Permission: the
 // model must be up to date and have passed simulation.  The wrapper creates
 // the schematic OID, the derived link from the model, the depend_on link
 // from the library, produces the design data and checks the schematic in.
-func (s *Session) Synthesize(hdl, lib meta.Key) (meta.Key, error) {
-	if err := s.RequireUpToDate(hdl); err != nil {
+func (o ops) Synthesize(hdl, lib meta.Key) (meta.Key, error) {
+	if err := o.RequireUpToDate(hdl); err != nil {
 		return meta.Key{}, err
 	}
-	if err := s.RequireProp(hdl, "sim_result", "good"); err != nil {
+	if err := o.RequireProp(hdl, "sim_result", "good"); err != nil {
 		return meta.Key{}, err
 	}
-	sch, err := s.Eng.CreateOID(hdl.Block, "schematic", s.User)
+	sch, err := o.t.create(hdl.Block, "schematic")
 	if err != nil {
 		return meta.Key{}, err
 	}
-	if _, err := s.Eng.CreateLink(meta.DeriveLink, hdl, sch); err != nil {
+	if err := o.t.link(meta.DeriveLink, hdl, sch); err != nil {
 		return meta.Key{}, err
 	}
-	if _, err := s.Eng.CreateLink(meta.DeriveLink, lib, sch); err != nil {
+	if err := o.t.link(meta.DeriveLink, lib, sch); err != nil {
 		return meta.Key{}, err
 	}
-	if _, err := s.Suite.Synthesize(hdl, lib, sch); err != nil {
+	if _, err := o.Suite.Synthesize(hdl, lib, sch); err != nil {
 		return meta.Key{}, err
 	}
-	if err := s.checkin(sch); err != nil {
+	if err := o.checkin(sch); err != nil {
 		return meta.Key{}, err
 	}
 	return sch, nil
 }
 
-// AddComponent records that child is a hierarchical component of parent
-// (both schematics) with a use link.
-func (s *Session) AddComponent(parent, child meta.Key) error {
-	_, err := s.Eng.CreateLink(meta.UseLink, parent, child)
-	return err
-}
-
 // RunNetlister derives a netlist from a schematic.  Permission: the
 // schematic must be up to date.
-func (s *Session) RunNetlister(sch meta.Key) (meta.Key, error) {
-	return s.runNetlister(sch, s.Eng.PostAndDrain)
-}
-
-// runNetlister is RunNetlister with the netlist's ckin handed to post.
-func (s *Session) runNetlister(sch meta.Key, post func(engine.Event) error) (meta.Key, error) {
-	if err := s.RequireUpToDate(sch); err != nil {
+func (o ops) RunNetlister(sch meta.Key) (meta.Key, error) {
+	if err := o.RequireUpToDate(sch); err != nil {
 		return meta.Key{}, err
 	}
-	nl, err := s.Eng.CreateOID(sch.Block, "netlist", s.User)
+	nl, err := o.t.create(sch.Block, "netlist")
 	if err != nil {
 		return meta.Key{}, err
 	}
-	if _, err := s.Eng.CreateLink(meta.DeriveLink, sch, nl); err != nil {
+	if err := o.t.link(meta.DeriveLink, sch, nl); err != nil {
 		return meta.Key{}, err
 	}
-	if _, err := s.Suite.Netlist(sch, nl); err != nil {
+	if _, err := o.Suite.Netlist(sch, nl); err != nil {
 		return meta.Key{}, err
 	}
-	if err := s.checkinVia(nl, post); err != nil {
+	if err := o.checkin(nl); err != nil {
 		return meta.Key{}, err
 	}
 	return nl, nil
@@ -224,18 +257,24 @@ func (s *Session) runNetlister(sch meta.Key, post func(engine.Event) error) (met
 // wrapper makes sure the input netlist is up to date before running.  The
 // result travels up so the schematic's nl_sim_res is updated through the
 // derived link.
-func (s *Session) RunNetlistSim(nl meta.Key) (string, error) {
-	if err := s.RequireUpToDate(nl); err != nil {
+func (o ops) RunNetlistSim(nl meta.Key) (string, error) {
+	if err := o.RequireUpToDate(nl); err != nil {
 		return "", err
 	}
-	res, err := s.Suite.SimulateNetlist(nl)
+	res, err := o.Suite.SimulateNetlist(nl)
 	if err != nil {
 		return "", err
 	}
-	err = s.Eng.PostAndDrain(engine.Event{
-		Name: "nl_sim", Dir: bpl.DirUp, Target: nl, Args: []string{res}, User: s.User,
-	})
-	return res, err
+	return res, o.t.post("nl_sim", bpl.DirUp, nl, res)
+}
+
+// ---------------------------------------------------------------------------
+// Back-end wrappers (Session only)
+
+// AddComponent records that child is a hierarchical component of parent
+// (both schematics) with a use link.
+func (s *Session) AddComponent(parent, child meta.Key) error {
+	return s.t.link(meta.UseLink, parent, child)
 }
 
 // PlaceRoute derives a layout from a netlist and records the equivalence
@@ -248,12 +287,12 @@ func (s *Session) PlaceRoute(nl meta.Key) (meta.Key, error) {
 	if err := s.RequireProp(nl, "sim_result", "good"); err != nil {
 		return meta.Key{}, err
 	}
-	lay, err := s.Eng.CreateOID(nl.Block, "layout", s.User)
+	lay, err := s.t.create(nl.Block, "layout")
 	if err != nil {
 		return meta.Key{}, err
 	}
 	if sch, err := s.Eng.DB().Latest(nl.Block, "schematic"); err == nil {
-		if _, err := s.Eng.CreateLink(meta.DeriveLink, sch, lay); err != nil {
+		if err := s.t.link(meta.DeriveLink, sch, lay); err != nil {
 			return meta.Key{}, err
 		}
 	}
@@ -272,10 +311,7 @@ func (s *Session) RunDRC(lay meta.Key) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	err = s.Eng.PostAndDrain(engine.Event{
-		Name: "drc", Dir: bpl.DirDown, Target: lay, Args: []string{res}, User: s.User,
-	})
-	return res, err
+	return res, s.t.post("drc", bpl.DirDown, lay, res)
 }
 
 // RunLVS compares layout and netlist and posts the lvs event at the layout.
@@ -284,10 +320,7 @@ func (s *Session) RunLVS(lay, nl meta.Key) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	err = s.Eng.PostAndDrain(engine.Event{
-		Name: "lvs", Dir: bpl.DirDown, Target: lay, Args: []string{res}, User: s.User,
-	})
-	return res, err
+	return res, s.t.post("lvs", bpl.DirDown, lay, res)
 }
 
 // FixLayout edits the layout to clear DRC violations and checks it in.
@@ -318,7 +351,7 @@ func (s *Session) AutoExecutor() *exec.Registry {
 		// The handler runs on the goroutine that is draining: that drain
 		// delivers the ckin once the handler returns, and a Drain from
 		// here would wait for itself.  So Post, not PostAndDrain.
-		_, err = s.runNetlister(sch, s.Eng.Post)
+		_, err = ops{t: engineTracker{s, s.Eng.Post}, Suite: s.Suite}.RunNetlister(sch)
 		return err
 	})
 	return reg

@@ -78,10 +78,12 @@ func BenchmarkReportUnderWrites(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rows := 0
-				state.StreamSorted(proj.DB, proj.Blueprint, func(*state.OIDState) bool {
+				v := proj.DB.ReadView()
+				state.StreamSortedView(v, proj.Blueprint, func(*state.OIDState) bool {
 					rows++
 					return true
 				})
+				v.Close()
 				if rows != blocks {
 					b.Fatal(rows)
 				}
