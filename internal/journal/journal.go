@@ -58,12 +58,15 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"strconv"
 	"strings"
 
+	"repro/internal/faultfs"
 	"repro/internal/meta"
 	"repro/internal/wire"
 )
@@ -193,9 +196,133 @@ func validFrameAt(data []byte, off int) bool {
 	return err == nil
 }
 
-// decodePayload parses a record payload.
-func decodePayload(b []byte) (meta.Record, error) {
-	fields, err := wire.Tokenize(string(b))
+// windowBytes is the frame window's size: some 600 records of a loaded
+// project per read.
+const windowBytes = 64 << 10
+
+// frameWindow reads a segment file's frames through one reusable buffer, so
+// that neither recovery nor a tail ever holds a segment in memory whole.
+// The buffer grows only for a frame longer than it, which maxRecordLen
+// bounds.
+type frameWindow struct {
+	f    faultfs.File
+	buf  []byte
+	r, w int   // buf[r:w] is read and not yet consumed
+	off  int64 // where buf[r] is in the file
+}
+
+// reset points the window at f, whose read position is file offset off.
+func (fw *frameWindow) reset(f faultfs.File, off int64) {
+	fw.f, fw.r, fw.w, fw.off = f, 0, 0, off
+}
+
+// peek returns the next n unconsumed bytes, reading on until it has them;
+// fewer come back only when the file ends first.  They stay valid until the
+// next call of peek, frame or rest.
+func (fw *frameWindow) peek(n int) ([]byte, error) {
+	if fw.w-fw.r < n {
+		// What is unconsumed — a part of one frame — moves to the front of
+		// a buffer that holds n, and the file is read into all that is free
+		// behind it.
+		buf := fw.buf
+		if len(buf) < n {
+			buf = make([]byte, max(n, windowBytes))
+		}
+		fw.w = copy(buf, fw.buf[fw.r:fw.w])
+		fw.buf, fw.r = buf, 0
+		for empty := 0; fw.w < n; {
+			got, err := fw.f.Read(fw.buf[fw.w:])
+			fw.w += got
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			if got > 0 {
+				empty = 0
+			} else if empty++; empty == 100 {
+				return nil, io.ErrNoProgress
+			}
+		}
+	}
+	return fw.buf[fw.r:min(fw.w, fw.r+n)], nil
+}
+
+// consume moves the window's position past the next n bytes, which a peek
+// has returned.
+func (fw *frameWindow) consume(n int) {
+	fw.r += n
+	fw.off += int64(n)
+}
+
+// rest reads the file to its end and returns everything unconsumed.
+func (fw *frameWindow) rest() ([]byte, error) {
+	for n := windowBytes; ; n *= 2 {
+		b, err := fw.peek(n)
+		if err != nil || len(b) < n {
+			return b, err
+		}
+	}
+}
+
+// frame returns the payload of the frame at the window's position, without
+// consuming it, or io.EOF when the file ends cleanly there.  damage is
+// empty for a whole frame whose checksum matches and otherwise says what is
+// wrong with it; what a damaged frame means is the caller's to decide.
+func (fw *frameWindow) frame() (payload []byte, damage string, err error) {
+	hdr, err := fw.peek(frameHeader)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(hdr) == 0 {
+		return nil, "", io.EOF
+	}
+	if len(hdr) < frameHeader {
+		return nil, "short frame header", nil
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	if n > maxRecordLen {
+		return nil, "torn or oversized record", nil
+	}
+	fr, err := fw.peek(frameHeader + n)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(fr) < frameHeader+n {
+		return nil, "torn or oversized record", nil
+	}
+	payload = fr[frameHeader:]
+	if crc32.Checksum(payload, castagnoli) != sum {
+		return nil, "record checksum mismatch", nil
+	}
+	return payload, "", nil
+}
+
+// leadingLSN reads a record's LSN off the front of its payload, as the
+// writer spells it: decimal digits, then a space.  ok is false for anything
+// else, which is for decodePayload to judge.
+func leadingLSN(payload []byte) (lsn int64, ok bool) {
+	i := 0
+	for ; i < len(payload) && i < 18 && payload[i] >= '0' && payload[i] <= '9'; i++ {
+		lsn = lsn*10 + int64(payload[i]-'0')
+	}
+	return lsn, i > 0 && i < len(payload) && payload[i] == ' '
+}
+
+// payloadDecoder decodes record payloads for a reader that is done with one
+// record before it decodes the next: the fields go into one slice, reused
+// from record to record, so a decoded record costs one allocation — the
+// copy of the payload its fields are substrings of — plus one per field
+// that holds escapes.
+type payloadDecoder struct{ fields []string }
+
+// decode parses a record payload.  The record's Args are only good until
+// the next decode.
+func (d *payloadDecoder) decode(b []byte) (meta.Record, error) {
+	fields, err := wire.AppendFields(d.fields[:0], string(b))
+	d.fields = fields
 	if err != nil {
 		return meta.Record{}, fmt.Errorf("journal: record payload: %w", err)
 	}
@@ -215,6 +342,14 @@ func decodePayload(b []byte) (meta.Record, error) {
 		r.Args = fields[3:]
 	}
 	return r, nil
+}
+
+// decodePayload parses a record payload into a record that is the caller's
+// to keep.
+func decodePayload(b []byte) (meta.Record, error) {
+	// The writer puts one blank between two fields: the slice does not grow.
+	d := payloadDecoder{fields: make([]string, 0, bytes.Count(b, []byte{' '})+1)}
+	return d.decode(b)
 }
 
 // segmentName / snapshotName render the canonical file names.

@@ -1,10 +1,9 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"path/filepath"
@@ -20,6 +19,9 @@ type replayState struct {
 	lastLSN int64 // newest record applied or covered by the snapshot
 	snapLSN int64 // LSN the loaded snapshot covers (0 when none)
 	hdrTerm int64 // newest segment-header term seen; headers must never regress
+
+	win frameWindow    // the one read buffer every segment goes through
+	dec payloadDecoder // the field slice every applied record is decoded into
 }
 
 // Replay restores a database from a journal directory without modifying
@@ -174,44 +176,63 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 // snapshot and returns the LSN the stream continues at in the next
 // segment.  On the last segment a torn tail stops the replay (and, with
 // repair, is truncated off the file); anywhere else it is corruption.
+//
+// The segment is read through st.win, a window at a time.  Every frame has
+// its length, its CRC-32C and its LSN's place in the sequence checked; the
+// LSN is read off the payload's leading digits, and only a record that will
+// be applied (snapLSN < lsn ≤ upTo) is decoded in full — on a loaded
+// primary most of the segment lies under the snapshot.
 func replaySegment(vfs faultfs.FS, st *replayState, path string, start int64, last, repair bool, upTo int64) (int64, error) {
-	data, err := vfs.ReadFile(path)
+	f, err := vfs.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("journal: %w", err)
 	}
+	defer f.Close()
 	name := filepath.Base(path)
+	win := &st.win
+	win.reset(f, 0)
 
-	// torn classifies a damaged frame at offset off.  A genuine torn write
-	// can only be the suffix of the last segment — a single appender never
-	// writes anything after an unfinished record — so damage is tolerated
-	// (and with repair truncated away) only on the last segment AND only
-	// when no decodable frame exists beyond it; a valid frame after the
-	// damage proves mid-stream corruption of acknowledged history, which
-	// must fail loudly, never be silently cut off.
-	torn := func(off int, what string) (bool, error) {
+	// torn classifies a damaged frame at the window's position.  A genuine
+	// torn write can only be the suffix of the last segment — a single
+	// appender never writes anything after an unfinished record — so damage
+	// is tolerated (and with repair truncated away) only on the last segment
+	// AND only when no decodable frame exists beyond it; a valid frame after
+	// the damage proves mid-stream corruption of acknowledged history, which
+	// must fail loudly, never be silently cut off.  Only here is the rest of
+	// the file read in.
+	torn := func(damage string) error {
+		off := win.off
 		if !last {
-			return false, fmt.Errorf("journal: segment %s: %s at offset %d (not the journal tail)", name, what, off)
+			return fmt.Errorf("journal: segment %s: %s at offset %d (not the journal tail)", name, damage, off)
 		}
-		for cand := off + 1; cand+frameHeader <= len(data); cand++ {
-			if validFrameAt(data, cand) {
-				return false, fmt.Errorf("journal: segment %s: %s at offset %d (valid records follow — corruption, not a torn tail)", name, what, off)
+		rest, err := win.rest()
+		if err != nil {
+			return fmt.Errorf("journal: segment %s: %w", name, err)
+		}
+		for cand := 1; cand+frameHeader <= len(rest); cand++ {
+			if validFrameAt(rest, cand) {
+				return fmt.Errorf("journal: segment %s: %s at offset %d (valid records follow — corruption, not a torn tail)", name, damage, off)
 			}
 		}
 		if repair {
-			if err := vfs.Truncate(path, int64(off)); err != nil {
-				return false, fmt.Errorf("journal: truncate torn tail of %s: %w", name, err)
+			if err := vfs.Truncate(path, off); err != nil {
+				return fmt.Errorf("journal: truncate torn tail of %s: %w", name, err)
 			}
 		}
-		return true, nil
+		return nil
 	}
 
-	hdrTerm, hdrLen, herr := parseSegHeader(data)
+	hdr, err := win.peek(segHeaderLen)
+	if err != nil {
+		return 0, fmt.Errorf("journal: segment %s: %w", name, err)
+	}
+	hdrTerm, hdrLen, herr := parseSegHeader(hdr)
 	if herr != nil {
-		if tornSegHeaderPrefix(data) {
+		// A peek that came back short is the whole file.
+		if tornSegHeaderPrefix(hdr) {
 			// A strict prefix of a valid header: the segment was torn at
 			// creation, before any record could have been acknowledged.
-			_, err := torn(0, "torn segment header")
-			return start, err
+			return start, torn("torn segment header")
 		}
 		return 0, fmt.Errorf("journal: segment %s: %v", name, herr)
 	}
@@ -222,65 +243,48 @@ func replaySegment(vfs faultfs.FS, st *replayState, path string, start int64, la
 		return 0, fmt.Errorf("journal: segment %s: header term %d regresses below %d", name, hdrTerm, st.hdrTerm)
 	}
 	st.hdrTerm = hdrTerm
+	win.consume(hdrLen)
 
-	off := hdrLen
 	next := start
-	for off < len(data) {
-		rest := len(data) - off
-		if rest < frameHeader {
-			stop, err := torn(off, "short frame header")
-			if err != nil {
-				return 0, err
-			}
-			if stop {
-				return next, nil
-			}
+	for {
+		payload, damage, err := win.frame()
+		if err == io.EOF {
+			return next, nil
 		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n > maxRecordLen || rest-frameHeader < n {
-			stop, err := torn(off, "torn or oversized record")
-			if err != nil {
-				return 0, err
-			}
-			if stop {
-				return next, nil
-			}
-		}
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			stop, err := torn(off, "record checksum mismatch")
-			if err != nil {
-				return 0, err
-			}
-			if stop {
-				return next, nil
-			}
-		}
-		rec, err := decodePayload(payload)
 		if err != nil {
-			stop, terr := torn(off, fmt.Sprintf("undecodable record (%v)", err))
-			if terr != nil {
-				return 0, terr
+			return 0, fmt.Errorf("journal: segment %s: %w", name, err)
+		}
+		var rec meta.Record
+		var lsn int64
+		if damage == "" {
+			var plain bool
+			lsn, plain = leadingLSN(payload)
+			// Decoded in full to be applied — or to learn the LSN, when it
+			// is not in the writer's spelling.
+			if !plain || (lsn > st.snapLSN && lsn <= upTo) {
+				if rec, err = st.dec.decode(payload); err != nil {
+					damage = fmt.Sprintf("undecodable record (%v)", err)
+				} else {
+					lsn = rec.LSN
+				}
 			}
-			if stop {
-				return next, nil
-			}
+		}
+		if damage != "" {
+			return next, torn(damage)
 		}
 		// A record that passed its checksum must carry the expected LSN:
 		// a mismatch means shuffled or doctored files, which truncation
 		// must not paper over.
-		if rec.LSN != next {
-			return 0, fmt.Errorf("journal: segment %s: record lsn %d at offset %d, want %d", name, rec.LSN, off, next)
+		if lsn != next {
+			return 0, fmt.Errorf("journal: segment %s: record lsn %d at offset %d, want %d", name, lsn, win.off, next)
 		}
-		if rec.LSN > st.snapLSN && rec.LSN <= upTo {
+		if lsn > st.snapLSN && lsn <= upTo {
 			if err := st.db.ApplyRecord(rec); err != nil {
 				return 0, fmt.Errorf("journal: segment %s: %w", name, err)
 			}
-			st.lastLSN = rec.LSN
+			st.lastLSN = lsn
 		}
 		next++
-		off += frameHeader + n
+		win.consume(frameHeader + len(payload))
 	}
-	return next, nil
 }

@@ -1,10 +1,8 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"path/filepath"
@@ -82,8 +80,7 @@ type Tailer struct {
 	next       int64 // LSN of the next record to deliver
 	hdrTerm    int64 // newest segment-header term seen; headers must never regress
 	f          faultfs.File
-	buf        []byte
-	scratch    []byte
+	win        frameWindow
 	sentMark   bool
 	sentHealth bool          // the one FollowHealth event has been delivered
 	ping       time.Duration // idle-stream liveness tick cadence; 0 = silent idle
@@ -101,7 +98,7 @@ func (w *Writer) NewTailer(after int64) *Tailer {
 	if after < 0 {
 		after = 0
 	}
-	return &Tailer{w: w, next: after + 1, scratch: make([]byte, 64<<10)}
+	return &Tailer{w: w, next: after + 1}
 }
 
 // Close releases the tailer's segment handle.
@@ -228,7 +225,6 @@ func (t *Tailer) locate() (FollowEvent, bool, error) {
 			}
 			lsn := snaps[0]
 			t.next = lsn + 1
-			t.buf = t.buf[:0]
 			return FollowEvent{Kind: FollowSnapshot, SnapLSN: lsn, Snapshot: doc}, false, nil
 		}
 		f, err := t.w.fs.Open(filepath.Join(t.w.dir, segmentName(seg)))
@@ -265,7 +261,7 @@ func (t *Tailer) locate() (FollowEvent, bool, error) {
 			return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
 		}
 		t.f = f
-		t.buf = t.buf[:0]
+		t.win.reset(f, int64(hdrLen))
 		return FollowEvent{}, true, nil
 	}
 	return FollowEvent{}, false, fmt.Errorf("journal: tail: directory kept changing underneath the listing")
@@ -279,42 +275,8 @@ func (t *Tailer) locate() (FollowEvent, bool, error) {
 // is disk corruption, not a write in progress.
 func (t *Tailer) scanFrame() (FollowEvent, bool, error) {
 	for {
-		if len(t.buf) >= frameHeader {
-			n := int(binary.LittleEndian.Uint32(t.buf[0:4]))
-			if n > maxRecordLen {
-				return FollowEvent{}, false, fmt.Errorf("journal: tail: oversized frame (%d bytes)", n)
-			}
-			if len(t.buf) >= frameHeader+n {
-				payload := t.buf[frameHeader : frameHeader+n]
-				if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(t.buf[4:8]) {
-					return FollowEvent{}, false, fmt.Errorf("journal: tail: frame checksum mismatch at lsn %d", t.next)
-				}
-				rec, err := decodePayload(payload)
-				if err != nil {
-					return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
-				}
-				t.buf = t.buf[frameHeader+n:]
-				if rec.LSN < t.next {
-					continue // entered the segment mid-way; below our position
-				}
-				if rec.LSN != t.next {
-					return FollowEvent{}, false, fmt.Errorf(
-						"journal: tail: record lsn %d where %d was expected", rec.LSN, t.next)
-				}
-				t.next++
-				return FollowEvent{Kind: FollowRecord, Rec: rec}, true, nil
-			}
-		}
-		n, err := t.f.Read(t.scratch)
-		if n > 0 {
-			t.buf = append(t.buf, t.scratch[:n]...)
-			continue
-		}
+		payload, damage, err := t.win.frame()
 		if err == io.EOF {
-			if len(t.buf) > 0 {
-				return FollowEvent{}, false, fmt.Errorf(
-					"journal: tail: torn frame before committed lsn %d", t.next)
-			}
 			// Clean end of segment with a committed record still owed: it
 			// lives in a later segment.  Rotate via a fresh locate.
 			t.f.Close()
@@ -324,5 +286,23 @@ func (t *Tailer) scanFrame() (FollowEvent, bool, error) {
 		if err != nil {
 			return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
 		}
+		if damage != "" {
+			return FollowEvent{}, false, fmt.Errorf(
+				"journal: tail: %s at offset %d, before committed lsn %d", damage, t.win.off, t.next)
+		}
+		rec, err := decodePayload(payload)
+		if err != nil {
+			return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
+		}
+		t.win.consume(frameHeader + len(payload))
+		if rec.LSN < t.next {
+			continue // entered the segment mid-way; below our position
+		}
+		if rec.LSN != t.next {
+			return FollowEvent{}, false, fmt.Errorf(
+				"journal: tail: record lsn %d where %d was expected", rec.LSN, t.next)
+		}
+		t.next++
+		return FollowEvent{Kind: FollowRecord, Rec: rec}, true, nil
 	}
 }

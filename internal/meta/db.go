@@ -479,9 +479,15 @@ func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 	before := db.histOIDPrev(sh, k)
 	o.own()
 	fn(o)
+	// Only a recorder wants the diff spelled out; without one — a replay,
+	// an unjournaled database — it is enough to know there is one.
+	recording, changed := db.rec != nil, false
 	var sets map[string]string
 	for n, v := range o.Props {
 		if ov, had := before[n]; !had || ov != v {
+			if changed = true; !recording {
+				break
+			}
 			if sets == nil {
 				sets = make(map[string]string)
 			}
@@ -489,12 +495,17 @@ func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 		}
 	}
 	var dels []string
-	for n := range before {
-		if _, still := o.Props[n]; !still {
-			dels = append(dels, n)
+	if recording || !changed {
+		for n := range before {
+			if _, still := o.Props[n]; !still {
+				if changed = true; !recording {
+					break
+				}
+				dels = append(dels, n)
+			}
 		}
 	}
-	if len(sets) == 0 && len(dels) == 0 {
+	if !changed {
 		return nil
 	}
 	s := db.beginMut(OpUpdate, 0, func() []string {

@@ -88,17 +88,18 @@ func (k Key) Validate() error {
 
 // ParseKey parses the "block,view,version" wire syntax.
 func ParseKey(s string) (Key, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
+	block, rest, ok := strings.Cut(s, ",")
+	view, version, ok2 := strings.Cut(rest, ",")
+	if !ok || !ok2 || strings.Contains(version, ",") {
 		return Key{}, fmt.Errorf("key %q: want block,view,version: %w", s, ErrBadKey)
 	}
-	v, err := strconv.Atoi(strings.TrimSpace(parts[2]))
+	v, err := strconv.Atoi(strings.TrimSpace(version))
 	if err != nil {
 		return Key{}, fmt.Errorf("key %q: bad version: %w", s, ErrBadKey)
 	}
 	k := Key{
-		Block:   strings.TrimSpace(parts[0]),
-		View:    strings.TrimSpace(parts[1]),
+		Block:   strings.TrimSpace(block),
+		View:    strings.TrimSpace(view),
 		Version: v,
 	}
 	if err := k.Validate(); err != nil {

@@ -86,7 +86,7 @@ func TestReadViewPointInTime(t *testing.T) {
 	}
 }
 
-func saveDB(t *testing.T, db *DB) []byte {
+func saveDB(t testing.TB, db *DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {

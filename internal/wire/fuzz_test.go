@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzParseRequest: ParseRequest never panics on arbitrary bytes, and
-// whatever it accepts re-encodes to a line that parses to the same request
-// — the items nested in a BATCH, which are quoted once more, included.
+// FuzzParseRequest: ParseRequest never panics on arbitrary bytes, its
+// tokenizer agrees with the one it replaced (wire_test.go), and whatever it
+// accepts re-encodes to a line that parses to the same request — the items
+// nested in a BATCH, which are quoted once more, included.
 func FuzzParseRequest(f *testing.F) {
 	for _, line := range []string{
 		"PING",
@@ -33,6 +34,7 @@ func FuzzParseRequest(f *testing.F) {
 		f.Add(line)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
+		checkTokenizeAgainstOracle(t, line)
 		req, err := ParseRequest(line)
 		if err != nil {
 			return

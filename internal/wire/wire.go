@@ -368,66 +368,118 @@ func AppendQuote[S string | []byte](dst []byte, s S) []byte {
 }
 
 // Tokenize splits a protocol line into fields, honoring double quotes and
-// backslash escapes.
+// backslash escapes.  Every field is a string of its own — keeping one does
+// not keep the line — and the whole call allocates the slice plus one string
+// per non-empty field: the fields are counted (and the line validated) in a
+// first pass.
 func Tokenize(line string) ([]string, error) {
-	var fields []string
-	i := 0
-	n := len(line)
-	for {
-		for i < n && (line[i] == ' ' || line[i] == '\t') {
-			i++
+	n := 0
+	for i := skipBlanks(line, 0); i < len(line); {
+		_, _, next, err := scanField(line, i)
+		if err != nil {
+			return nil, err
 		}
-		if i >= n {
-			return fields, nil
-		}
-		var sb strings.Builder
-		if line[i] == '"' {
-			i++
-			closed := false
-			for i < n {
-				c := line[i]
-				if c == '"' {
-					i++
-					closed = true
-					break
-				}
-				if c == '\\' {
-					if i+1 >= n {
-						return nil, fmt.Errorf("%w: dangling escape", ErrSyntax)
-					}
-					i++
-					switch line[i] {
-					case '"':
-						sb.WriteByte('"')
-					case '\\':
-						sb.WriteByte('\\')
-					case 'n':
-						sb.WriteByte('\n')
-					case 't':
-						sb.WriteByte('\t')
-					case 'r':
-						sb.WriteByte('\r')
-					default:
-						return nil, fmt.Errorf("%w: unknown escape \\%c", ErrSyntax, line[i])
-					}
-					i++
-					continue
-				}
-				sb.WriteByte(c)
-				i++
-			}
-			if !closed {
-				return nil, fmt.Errorf("%w: unterminated quote", ErrSyntax)
-			}
-		} else {
-			for i < n && line[i] != ' ' && line[i] != '\t' {
-				if line[i] == '"' {
-					return nil, fmt.Errorf("%w: quote inside bare field", ErrSyntax)
-				}
-				sb.WriteByte(line[i])
-				i++
-			}
-		}
-		fields = append(fields, sb.String())
+		n++
+		i = skipBlanks(line, next)
 	}
+	if n == 0 {
+		return nil, nil
+	}
+	return appendFields(make([]string, 0, n), line, false)
+}
+
+// AppendFields is Tokenize for a caller that owns line and reuses dst: the
+// fields are appended to dst, and a field without escapes is a substring of
+// line, so the call allocates only for fields that hold escapes (and for
+// dst's growth).  On error dst's appended part is meaningless.
+func AppendFields(dst []string, line string) ([]string, error) {
+	return appendFields(dst, line, true)
+}
+
+func appendFields(dst []string, line string, alias bool) ([]string, error) {
+	for i := skipBlanks(line, 0); i < len(line); {
+		body, escaped, next, err := scanField(line, i)
+		if err != nil {
+			return dst, err
+		}
+		switch {
+		case escaped:
+			body = unescape(body)
+		case !alias:
+			body = strings.Clone(body)
+		}
+		dst = append(dst, body)
+		i = skipBlanks(line, next)
+	}
+	return dst, nil
+}
+
+func skipBlanks(line string, i int) int {
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+		i++
+	}
+	return i
+}
+
+// scanField scans the field that starts at line[i], which is not a blank:
+// body is the field as it stands in the line, without its quotes but with
+// its escapes (escaped reports whether it has any), and next the index just
+// past it.  A quoted field ends at its closing quote, wherever that is.
+func scanField(line string, i int) (body string, escaped bool, next int, err error) {
+	n := len(line)
+	if line[i] != '"' {
+		start := i
+		for i < n && line[i] != ' ' && line[i] != '\t' {
+			if line[i] == '"' {
+				return "", false, 0, fmt.Errorf("%w: quote inside bare field", ErrSyntax)
+			}
+			i++
+		}
+		return line[start:i], false, i, nil
+	}
+	i++
+	start := i
+	for i < n {
+		switch line[i] {
+		case '"':
+			return line[start:i], escaped, i + 1, nil
+		case '\\':
+			if i+1 >= n {
+				return "", false, 0, fmt.Errorf("%w: dangling escape", ErrSyntax)
+			}
+			switch line[i+1] {
+			case '"', '\\', 'n', 't', 'r':
+			default:
+				return "", false, 0, fmt.Errorf("%w: unknown escape \\%c", ErrSyntax, line[i+1])
+			}
+			escaped = true
+			i += 2
+		default:
+			i++
+		}
+	}
+	return "", false, 0, fmt.Errorf("%w: unterminated quote", ErrSyntax)
+}
+
+// unescape resolves the escapes of a quoted field's body, which scanField
+// has checked.
+func unescape(body string) string {
+	var sb strings.Builder
+	sb.Grow(len(body))
+	for i := 0; i < len(body); i++ {
+		c := body[i]
+		if c == '\\' {
+			i++
+			switch c = body[i]; c {
+			case 'n':
+				c = '\n'
+			case 't':
+				c = '\t'
+			case 'r':
+				c = '\r'
+			}
+		}
+		sb.WriteByte(c)
+	}
+	return sb.String()
 }

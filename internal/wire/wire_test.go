@@ -2,8 +2,13 @@ package wire
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestTokenize(t *testing.T) {
@@ -222,6 +227,131 @@ func TestParseBatchItemErrors(t *testing.T) {
 	for _, bad := range []string{"", "ckin", "ckin down", `ckin down "unterminated`} {
 		if _, err := ParseBatchItem(bad); err == nil {
 			t.Errorf("ParseBatchItem(%q) accepted", bad)
+		}
+	}
+}
+
+// tokenizeOracle is Tokenize as it was before it counted its fields first:
+// a strings.Builder grown a byte at a time per field, the slice by append.
+// The differential tests hold the new one to its fields and its errors.
+func tokenizeOracle(line string) ([]string, error) {
+	var fields []string
+	i := 0
+	n := len(line)
+	for {
+		for i < n && (line[i] == ' ' || line[i] == '\t') {
+			i++
+		}
+		if i >= n {
+			return fields, nil
+		}
+		var sb strings.Builder
+		if line[i] == '"' {
+			i++
+			closed := false
+			for i < n {
+				c := line[i]
+				if c == '"' {
+					i++
+					closed = true
+					break
+				}
+				if c == '\\' {
+					if i+1 >= n {
+						return nil, fmt.Errorf("%w: dangling escape", ErrSyntax)
+					}
+					i++
+					switch line[i] {
+					case '"':
+						sb.WriteByte('"')
+					case '\\':
+						sb.WriteByte('\\')
+					case 'n':
+						sb.WriteByte('\n')
+					case 't':
+						sb.WriteByte('\t')
+					case 'r':
+						sb.WriteByte('\r')
+					default:
+						return nil, fmt.Errorf("%w: unknown escape \\%c", ErrSyntax, line[i])
+					}
+					i++
+					continue
+				}
+				sb.WriteByte(c)
+				i++
+			}
+			if !closed {
+				return nil, fmt.Errorf("%w: unterminated quote", ErrSyntax)
+			}
+		} else {
+			for i < n && line[i] != ' ' && line[i] != '\t' {
+				if line[i] == '"' {
+					return nil, fmt.Errorf("%w: quote inside bare field", ErrSyntax)
+				}
+				sb.WriteByte(line[i])
+				i++
+			}
+		}
+		fields = append(fields, sb.String())
+	}
+}
+
+// checkTokenizeAgainstOracle holds Tokenize and AppendFields to the oracle
+// on one line: the same fields, or the same error text.
+func checkTokenizeAgainstOracle(t *testing.T, line string) {
+	t.Helper()
+	want, wantErr := tokenizeOracle(line)
+	got, gotErr := Tokenize(line)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Tokenize(%q) = %q, %v; the oracle says %q, %v", line, got, gotErr, want, wantErr)
+	}
+	scratch := []string{"kept"}
+	app, appErr := AppendFields(scratch, line)
+	if fmt.Sprint(appErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("AppendFields(%q): %v; the oracle says %v", line, appErr, wantErr)
+	}
+	if appErr == nil && (app[0] != "kept" || !slices.Equal(app[1:], want)) {
+		t.Fatalf("AppendFields(%q) = %q, want %q after the kept element", line, app, want)
+	}
+}
+
+// TestQuickTokenizeEqualsOracle draws lines from an alphabet that is mostly
+// quotes, backslashes, blanks and escape letters.
+func TestQuickTokenizeEqualsOracle(t *testing.T) {
+	const alphabet = "\"\"\\\\  \tntrqab,\n\xff"
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		line := make([]byte, rng.Intn(40))
+		for i := range line {
+			line[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		checkTokenizeAgainstOracle(t, string(line))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTokenizeAllocs pins what the rewrite is for: the slice and one string
+// per field from Tokenize, and from AppendFields into a reused slice only
+// the fields that hold escapes.
+func TestTokenizeAllocs(t *testing.T) {
+	const line = `18240 9120 update t12b7,netlist,1 2 state "(not ready)" uptodate false drc_result`
+	var scratch []string
+	for _, tc := range []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"Tokenize", 1 + 10, func() { _, _ = Tokenize(line) }},
+		{"AppendFields", 0, func() { scratch, _ = AppendFields(scratch[:0], line) }},
+		{"AppendFields with an escape", 1, func() { scratch, _ = AppendFields(scratch[:0], `1 2 update "a\tb"`) }},
+	} {
+		tc.run()
+		if got := testing.AllocsPerRun(100, tc.run); got != tc.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", tc.name, got, tc.want)
 		}
 	}
 }

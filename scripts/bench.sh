@@ -30,6 +30,10 @@ EXTRA="BenchmarkEventThroughputParallel\$|BenchmarkParallelDrain|BenchmarkBatchP
 # connection handler serves it, with its writes/op; ReportUnderWrites is
 # state.StreamSorted, the OIDState form.
 MVCC="BenchmarkReportUnderWrites|BenchmarkReportStream|BenchmarkSnapshotUnderLoad|BenchmarkSnapshotEncode|BenchmarkReachableUnderWrites|BenchmarkQueryIndexLookup"
+# Recovery (PR 18, in internal/journal): one journal.Replay of a loaded
+# primary's directory at 16 and 64 trees, with a short and a long tail
+# behind the newest snapshot; B/op and allocs/op are the point.
+RECOVERY="BenchmarkRecovery"
 OUT="BENCH_${INDEX}.json"
 RAW="BENCH_${INDEX}.txt"
 
@@ -43,6 +47,7 @@ else
   go test -run '^$' -bench "$LEGACY" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . | tee "$RAW"
   go test -run '^$' -bench "$EXTRA" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . | tee -a "$RAW"
   go test -run '^$' -bench "$MVCC" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . ./internal/server | tee -a "$RAW"
+  go test -run '^$' -bench "$RECOVERY" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" ./internal/journal | tee -a "$RAW"
 fi
 
 {
