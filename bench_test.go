@@ -687,8 +687,8 @@ func BenchmarkBlueprintParse(b *testing.B) {
 // EXP-PAR — parallel wave drains and batched posts (PR 2)
 
 // buildBenchForest creates trees disjoint use-link trees (depth levels,
-// fanout children) with per-tree block prefixes — disjoint components, so
-// their waves may drain concurrently — and returns the roots.
+// fanout children) with per-tree block prefixes, so no two waves touch a
+// common OID, and returns the roots.
 func buildBenchForest(b *testing.B, eng *Engine, trees, depth, fanout int) []Key {
 	b.Helper()
 	roots := make([]Key, 0, trees)
@@ -724,46 +724,47 @@ func buildBenchForest(b *testing.B, eng *Engine, trees, depth, fanout int) []Key
 	return roots
 }
 
-func parallelDrainEngine(b *testing.B, trees int, opts ...EngineOption) (*Engine, []Key) {
+func parallelDrainEngine(b *testing.B, trees int) (*Engine, []Key) {
 	b.Helper()
 	bp, err := flow.PropagationBlueprint("par", "node", []string{"outofdate"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := NewEngine(NewDB(), bp, opts...)
+	eng, err := NewEngine(NewDB(), bp)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return eng, buildBenchForest(b, eng, trees, 4, 2)
 }
 
-// BenchmarkParallelDrain posts one check-in at the root of each of 8
-// disjoint 15-node trees and drains the batch: under workers=1 the waves
-// run back to back, under the default pool they drain concurrently.  The
-// parallel sub-benchmark drives the same engine from b.RunParallel
-// posters.  Run with -cpu=1,4 to see the scaling.
-func BenchmarkParallelDrain(b *testing.B) {
+// BenchmarkBatchDrain posts one check-in at the root of each of 8 disjoint
+// 15-node trees and drains the batch: one caller, eight posted waves and
+// the invalidation wave each of them posts.
+func BenchmarkBatchDrain(b *testing.B) {
 	const trees = 8
-	run := func(b *testing.B, opts ...EngineOption) {
-		eng, roots := parallelDrainEngine(b, trees, opts...)
-		ev := Event{Name: EventCheckin, Dir: DirDown}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, r := range roots {
-				ev.Target = r
-				if err := eng.Post(ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := eng.Drain(); err != nil {
+	eng, roots := parallelDrainEngine(b, trees)
+	ev := Event{Name: EventCheckin, Dir: DirDown}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range roots {
+			ev.Target = r
+			if err := eng.Post(ev); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(trees), "waves/op")
+		if err := eng.Drain(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("workers=1", func(b *testing.B) { run(b, WithDrainWorkers(1)) })
-	b.Run("pool", func(b *testing.B) { run(b) })
+	b.StopTimer()
+	b.ReportMetric(float64(trees), "waves/op")
+}
+
+// BenchmarkParallelDrain drives check-ins on the same 8 trees from
+// b.RunParallel posters, each draining its own: what concurrent callers
+// pay for taking turns at the one drain.  Run with -cpu=1,4.
+func BenchmarkParallelDrain(b *testing.B) {
+	const trees = 8
 	b.Run("parallel", func(b *testing.B) {
 		eng, roots := parallelDrainEngine(b, trees)
 		var next atomic.Int64
@@ -785,9 +786,9 @@ func BenchmarkParallelDrain(b *testing.B) {
 
 // BenchmarkEventThroughputParallel is the multi-core companion of
 // BenchmarkEventThroughput: concurrent posters drive check-ins into 16
-// disjoint components while the drain pool processes the waves.  Compare
-// ops/sec at -cpu=1 and -cpu=4 for the scaling headroom the sharded
-// database and parallel drains buy.
+// disjoint trees, each draining its own.  Compare ops/sec at -cpu=1 and
+// -cpu=4: posting, validation and the wait for a turn overlap, the
+// deliveries do not.
 func BenchmarkEventThroughputParallel(b *testing.B) {
 	eng, roots := parallelDrainEngine(b, 16)
 	var next atomic.Int64

@@ -125,10 +125,6 @@ func WithExecutor(x Executor) EngineOption { return engine.WithExecutor(x) }
 // WithUser configures the engine's default user.
 func WithUser(u string) EngineOption { return engine.WithUser(u) }
 
-// WithDrainWorkers bounds the engine's drain worker pool; 1 forces
-// strictly sequential wave processing.
-func WithDrainWorkers(n int) EngineOption { return engine.WithDrainWorkers(n) }
-
 // StreamReport hands the state of the latest version of every design
 // object to fn, in unspecified order, from a view pinned for the call; see
 // state.StreamView for the aliasing contract.

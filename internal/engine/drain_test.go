@@ -2,7 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,11 +12,10 @@ import (
 	"repro/internal/meta"
 )
 
-// Parallel wave drains: waves with disjoint footprints run concurrently on
-// the worker pool; overlapping waves serialize in enqueue order.  These
-// tests pin the contract that the outcome is independent of the worker
-// bound and that SetBlueprint-mid-drain semantics survive parallelism.
-// Run with -race.
+// The drain under concurrent posters: waves run one at a time, in enqueue
+// order, on whichever caller owns the drain; a caller that finds a drain in
+// flight waits for a pass of its own; SetBlueprint mid-drain governs what is
+// dequeued after it.  Run with -race.
 
 const invalidateSrc = `blueprint par
 view default
@@ -67,63 +67,10 @@ func buildForest(t *testing.T, e *Engine, trees, depth, fanout int) []meta.Key {
 	return roots
 }
 
-// snapshotProps flattens every OID's property map for comparison.
-func snapshotProps(e *Engine) map[string]string {
-	state := map[string]string{}
-	e.DB().EachOID(func(o *meta.OID) bool {
-		for p, v := range o.Props {
-			state[o.Key.String()+"/"+p] = v
-		}
-		return true
-	})
-	return state
-}
-
-// TestParallelDrainMatchesSequential runs the same multi-wave batch under
-// worker bounds 1, 2 and 8 and demands identical final state: overlapping
-// waves are ordered by enqueue sequence, disjoint waves commute.
-func TestParallelDrainMatchesSequential(t *testing.T) {
-	run := func(workers int) map[string]string {
-		bp, err := bpl.Parse(invalidateSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := New(meta.NewDB(), bp, WithDrainWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots := buildForest(t, e, 6, 3, 2)
-		// Three rounds over every root: repeated waves in the same
-		// component must serialize, waves on different trees may not.
-		for round := 0; round < 3; round++ {
-			for _, r := range roots {
-				if err := e.Post(Event{Name: EventCheckin, Dir: bpl.DirDown, Target: r}); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.Post(Event{Name: EventOutOfDate, Dir: bpl.DirDown, Target: r}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := e.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		return snapshotProps(e)
-	}
-	seq := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, seq) {
-			t.Errorf("workers=%d: final state differs from sequential", workers)
-		}
-	}
-}
-
 // TestParallelSetBlueprintMidDrain extends the mid-drain loosening contract
 // to a multi-wave queue: waves dequeued after the swap (including the rest
 // of the wave that triggered it) run under the loosened policy, while
-// everything dequeued before keeps the strict one.  The waves share one
-// component, so their order — and therefore the assertion — is exact even
-// with a full worker pool.
+// everything dequeued before keeps the strict one.
 func TestParallelSetBlueprintMidDrain(t *testing.T) {
 	strictCount, err := bpl.Parse(`blueprint strict
 view node
@@ -140,7 +87,7 @@ endblueprint`)
 	}
 
 	tr := &swapTracer{}
-	e, err := New(meta.NewDB(), strictCount, WithTracer(tr), WithDrainWorkers(8))
+	e, err := New(meta.NewDB(), strictCount, WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +135,9 @@ endblueprint`)
 	}
 }
 
-// TestParallelDrainHammer floods an engine whose waves split across many
-// disjoint components from concurrent posters, with policy swaps and
-// queries in flight.  Run with -race; asserts settlement and conservation
-// of deliveries.
+// TestParallelDrainHammer floods an engine with waves on eight disjoint
+// trees from concurrent posters, with policy swaps and queries in flight.
+// Run with -race; asserts settlement and conservation of deliveries.
 func TestParallelDrainHammer(t *testing.T) {
 	bp, err := bpl.Parse(invalidateSrc)
 	if err != nil {
@@ -269,103 +215,6 @@ endblueprint`)
 	}
 }
 
-// TestDrainWorkersOptionIndependence pins that footprint conflicts are
-// honored: two waves in the same component never interleave even at high
-// worker counts.  The rule appends a marker per delivery; with wave
-// serialization each of the three waves contributes exactly one marker to
-// every node in order.
-func TestDrainWorkersOptionIndependence(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		e := newTestEngine(t, `blueprint b
-view default
-    property seen default ""
-    when mark do seen = "$seen$arg1" done
-endview
-view node
-    use_link move propagates mark
-endview
-endblueprint`, WithDrainWorkers(workers))
-		a := mustCreate(t, e, "a", "node")
-		b := mustCreate(t, e, "b", "node")
-		if _, err := e.CreateLink(meta.UseLink, a, b); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range []string{"1", "2", "3"} {
-			if err := e.Post(Event{Name: "mark", Dir: bpl.DirDown, Target: a, Args: []string{m}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []meta.Key{a, b} {
-			if got := prop(t, e, k, "seen"); got != "123" {
-				t.Errorf("workers=%d %v seen=%q, want ordered 123", workers, k, got)
-			}
-		}
-	}
-}
-
-// TestScheduleRefreshesRunningWaveRoots pins the regression where a
-// running wave's cached footprint root survived a mid-drain component
-// merge: a link created while wave 1 runs merges its component with
-// another block's, and a later wave seeded there must conflict — not run
-// concurrently.  White-box: the scheduler state is staged by hand under
-// the engine mutex, exactly as a worker owning wave 1 would leave it.
-func TestScheduleRefreshesRunningWaveRoots(t *testing.T) {
-	e := newTestEngine(t, `blueprint b
-view v
-endview
-endblueprint`, WithDrainWorkers(4))
-	a := mustCreate(t, e, "blk-a", "v")
-	b := mustCreate(t, e, "blk-b", "v")
-
-	if err := e.Post(Event{Name: "ping", Dir: bpl.DirDown, Target: a}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Post(Event{Name: "ping", Dir: bpl.DirDown, Target: b}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stage: wave 1 (seed blk-a) is claimed by a worker, its root cached
-	// under the current generation.
-	e.mu.Lock()
-	w1 := e.waves[e.whead]
-	w1.root = e.db.Component("blk-a")
-	w1.rootSet = true
-	w1.running = true
-	e.active = 1
-	e.compGen = e.db.ComponentGen()
-	e.mu.Unlock()
-
-	// Mid-drain, a propagating link merges blk-a and blk-b.
-	if _, err := e.DB().AddLink(meta.DeriveLink, a, b, "", []string{"ping"}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// The scheduler must now see both waves in one component and refuse
-	// to run wave 2 while wave 1 is in flight.
-	e.mu.Lock()
-	got := e.scheduleLocked(4, &e.drain)
-	w2 := e.waves[e.whead+1]
-	if got != nil {
-		t.Errorf("scheduled wave seeded on %q concurrently with running wave on %q after merge", got.seed, w1.seed)
-	}
-	if w2.running {
-		t.Error("wave 2 marked running despite merged component")
-	}
-	if w1.root != w2.root {
-		t.Errorf("roots not refreshed after merge: running=%q pending=%q", w1.root, w2.root)
-	}
-	// Unstage so the engine can settle normally.
-	w1.running = false
-	e.active = 0
-	e.mu.Unlock()
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // parkTracer blocks the goroutine that delivers to one OID until released.
 type parkTracer struct {
 	oid     string
@@ -429,5 +278,71 @@ endblueprint`, WithTracer(tr))
 	}
 	if err := <-first; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWavesRunContiguousInEnqueueOrder is the serial contract: whatever
+// goroutines post and drain, the engine delivers one wave at a time, oldest
+// first.  Eight posters check in the roots of eight disjoint 15-node trees;
+// each check-in is a one-delivery wave that posts a 15-delivery outofdate
+// wave.  In the trace, the deliveries of one wave must form one unbroken
+// run, and the runs must come in the order the waves were enqueued.
+func TestWavesRunContiguousInEnqueueOrder(t *testing.T) {
+	bp, err := bpl.Parse(invalidateSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &BufferTracer{}
+	e, err := New(meta.NewDB(), bp, WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := buildForest(t, e, 8, 4, 2)
+	tr.Reset()
+
+	const rounds = 10
+	var wg sync.WaitGroup
+	for _, r := range roots {
+		wg.Add(1)
+		go func(r meta.Key) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := e.PostAndDrain(Event{Name: EventCheckin, Dir: bpl.DirDown, Target: r}); err != nil {
+					t.Errorf("post: %v", err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	// A wave is named by its tree and event: a tree's poster waits for its
+	// check-in to drain before the next, so one tree never has two waves of
+	// one name queued, nor two of one name in a row.
+	name := func(en TraceEntry) string {
+		tree, _, _ := strings.Cut(en.OID, "-")
+		return tree + " " + en.Event
+	}
+	var enqueued, ran []string
+	for _, en := range tr.Entries() {
+		switch en.Kind {
+		case TraceEnqueue:
+			enqueued = append(enqueued, name(en))
+		case TraceDeliver:
+			if n := name(en); len(ran) == 0 || ran[len(ran)-1] != n {
+				ran = append(ran, n)
+			}
+		}
+	}
+	if want := 2 * rounds * len(roots); len(enqueued) != want {
+		t.Fatalf("%d waves enqueued, want %d", len(enqueued), want)
+	}
+	if !slices.Equal(ran, enqueued) {
+		i := 0
+		for i < len(ran) && i < len(enqueued) && ran[i] == enqueued[i] {
+			i++
+		}
+		t.Fatalf("%d delivery runs for %d waves; from wave %d on: enqueued %q, delivered %q",
+			len(ran), len(enqueued), i, enqueued[i:min(i+3, len(enqueued))], ran[i:min(i+3, len(ran))])
 	}
 }

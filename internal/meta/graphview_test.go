@@ -12,7 +12,7 @@ import (
 
 // Tests for the view-based graph walks and the versioned reachability
 // index behind them (graphview.go): byte-stable under concurrent writers,
-// repaired by RebuildComponents.  (That a walk at a historical LSN equals
+// repaired by AuditGraphIndex.  (That a walk at a historical LSN equals
 // the walk on a replay of that prefix is TestQuickPlainViewEqualsReplay.)
 
 // TestWalksMissingRootNil pins the unified missing-root semantics: all
@@ -120,7 +120,7 @@ func walkFingerprint(v *View, roots []Key) string {
 }
 
 // TestGraphIndexAfterRebuild corrupts an adjacency posting in place and
-// checks that RebuildComponents' audit pass repairs it: view walks match
+// checks that AuditGraphIndex repairs it: view walks match
 // those of an untouched twin database again afterwards.
 func TestGraphIndexAfterRebuild(t *testing.T) {
 	db := NewDBWithShards(4)
@@ -168,13 +168,13 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 		t.Fatalf("corruption was not observable; test is vacuous")
 	}
 
-	db.RebuildComponents()
+	db.AuditGraphIndex()
 
 	v = db.ReadView()
 	repaired := walkFingerprint(v, keys)
 	v.Close()
 	if repaired != want {
-		t.Fatalf("RebuildComponents did not repair the index:\nwant %s\ngot  %s", want, repaired)
+		t.Fatalf("AuditGraphIndex did not repair the index:\nwant %s\ngot  %s", want, repaired)
 	}
 }
 

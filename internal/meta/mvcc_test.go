@@ -297,49 +297,3 @@ func viewState(t *testing.T, v *View, k Key) string {
 	}
 	return o.Props["state"]
 }
-
-// TestRebuildComponentsSplits checks the satellite: deleting the only
-// propagating link between two blocks leaves the merge-only partition
-// coarse, and RebuildComponents splits it again.
-func TestRebuildComponentsSplits(t *testing.T) {
-	db := NewDB()
-	a := mustNewVersion(t, db, "cpu", "HDL_model")
-	b := mustNewVersion(t, db, "alu", "HDL_model")
-	id, err := db.AddLink(DeriveLink, a, b, "", []string{"ckin"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.SameComponent("cpu", "alu") {
-		t.Fatal("propagating link did not merge components")
-	}
-	if err := db.DeleteLink(id); err != nil {
-		t.Fatal(err)
-	}
-	if !db.SameComponent("cpu", "alu") {
-		t.Fatal("merge-only partition split without a rebuild (unexpected)")
-	}
-	if db.ComponentChurn() == 0 {
-		t.Error("deleting a propagating link did not count as churn")
-	}
-	gen := db.ComponentGen()
-	db.RebuildComponents()
-	if db.SameComponent("cpu", "alu") {
-		t.Error("RebuildComponents did not split the stale component")
-	}
-	if db.ComponentGen() == gen {
-		t.Error("RebuildComponents did not bump the generation")
-	}
-	if db.ComponentChurn() != 0 {
-		t.Error("RebuildComponents did not reset churn")
-	}
-
-	// A still-linked pair stays merged across a rebuild.
-	c := mustNewVersion(t, db, "reg", "HDL_model")
-	if _, err := db.AddLink(DeriveLink, b, c, "", []string{"ckin"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	db.RebuildComponents()
-	if !db.SameComponent("alu", "reg") {
-		t.Error("rebuild lost a live propagating link's merge")
-	}
-}

@@ -159,9 +159,6 @@ func oracleLoad(r io.Reader, shards int) (*DB, error) {
 		stripe.links[l.ID] = l
 		fs.outLinks[from] = append(fs.outLinks[from], linkRef{id: l.ID, l: l})
 		ts.inLinks[to] = append(ts.inLinks[to], linkRef{id: l.ID, l: l})
-		if len(l.Propagates) > 0 {
-			db.unionBlocks(from.Block, to.Block)
-		}
 	}
 
 	for _, cj := range doc.Configs {

@@ -98,12 +98,5 @@ func (db *DB) RestoreFrom(src *DB, lsn int64) error {
 	db.genesisLocked(lsn)
 	db.unlockAll()
 	db.ctl.Unlock()
-	db.compMu.Lock()
-	db.comp = src.comp
-	db.compMu.Unlock()
-	// Cached component roots are stale regardless of content overlap; the
-	// bump is ordered after the swap so a racing reader that cached a new
-	// root under the old generation revalidates on its next check.
-	db.compGen.Add(1)
 	return nil
 }

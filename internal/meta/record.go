@@ -584,15 +584,6 @@ func (db *DB) installLinkLocked(sf, st *dbShard, l *Link) error {
 		stripe.mu.Unlock()
 		return fmt.Errorf("link %d: %w", l.ID, ErrExists)
 	}
-	// Merge the block components before the link is visible (we hold both
-	// endpoint shard locks, so nothing can observe the link yet): the
-	// engine's wave-conflict analysis must never see a propagating link
-	// between blocks it believes disjoint.  Every check came first —
-	// components never split, so a refused link must not coarsen the
-	// partition for the database's lifetime.
-	if len(l.Propagates) > 0 {
-		db.unionBlocks(l.From.Block, l.To.Block)
-	}
 	stripe.links[l.ID] = l
 	stripe.mu.Unlock()
 	sf.outLinks[l.From] = append(sf.outLinks[l.From], linkRef{id: l.ID, l: l})

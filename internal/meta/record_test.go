@@ -119,11 +119,11 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 		t.Errorf("reverted update emitted records: %v", got)
 	}
 
-	// The exact component rebuild audits derived state: with a recorder
-	// attached it used to call a nil argument builder under every lock.
-	db.RebuildComponents()
+	// The graph-index audit repairs derived state: it records nothing and
+	// releases every lock, recorder or not.
+	db.AuditGraphIndex()
 	if got := rec.ops()[n:]; len(got) != 0 {
-		t.Errorf("component rebuild emitted records: %v", got)
+		t.Errorf("graph-index audit emitted records: %v", got)
 	}
 	if err := db.SetProp(k, "x", "3"); err != nil { // every lock is free again
 		t.Fatal(err)

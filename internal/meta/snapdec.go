@@ -1030,9 +1030,6 @@ func (d *snapDec) install(db *DB) error {
 		db.stripeOf(l.ID).links[l.ID] = l
 		fs.outLinks[l.From] = append(fs.outLinks[l.From], linkRef{id: l.ID, l: l})
 		ts.inLinks[l.To] = append(ts.inLinks[l.To], linkRef{id: l.ID, l: l})
-		if len(l.Propagates) > 0 {
-			db.unionBlocks(l.From.Block, l.To.Block)
-		}
 	}
 
 	for _, c := range d.configs {

@@ -402,7 +402,10 @@ func TestStreamingLoadSpellings(t *testing.T) {
 		`{"oids":[` + oid(`"\ud83d\ude00"`) + `,` + oid(`"\ud83dx"`) + `,` + oid(`"\ude00\ud83d"`) + `,` + oid(`"\ud83d\ud83d\ude00"`) + `,` + oid(`"\uD83D\u0041"`) + `]}`,
 		`{"oids":[` + oid("\"a\xffb\xe2\x82\"") + `,` + oid("\"\xe2\x82\\u00ac\"") + `]}`,
 		`{"oids":[` + oid(`"bad \q escape"`) + `]}`, `{"oids":[` + oid(`"bad \u12g4"`) + `]}`, `{"oids":[` + oid("\"tab\there\"") + `]}`,
-		`{"oids":[` + oid(`"a"`) + `],"workspaces":[{"name":"w","root":null,"paths":{" a , v , 1 ":"p","a,v,+1":"q"}}]}`,
+		// One spelling of a key per paths object: two that parse to the same
+		// key are last-wins here and map-order in the oracle.
+		`{"oids":[` + oid(`"a"`) + `],"workspaces":[{"name":"w","root":null,"paths":{" a , v , 1 ":"p"}}]}`,
+		`{"oids":[` + oid(`"a"`) + `],"workspaces":[{"name":"w","root":null,"paths":{"a,v,+1":"q"}}]}`,
 		`{"oids":[` + oid(`"a"`) + `,` + oid(`"b"`) + `],"links":[{"id":1,"class":"DERIVE","from":"a,v,1","to":" b,v, 1","propagates":["e",null,"e"],"props":{"k":null},"template":null}]}`,
 		`{"oids":[` + oid(`"a"`) + `,` + oid(`"b"`) + `],"links":[{"id":1,"class":"use","to":"b,v,1"}]}`,
 		`{"oids":[` + oid(`"a"`) + `,` + oid(`"b"`) + `],"links":[null]}`,

@@ -5,6 +5,7 @@ package server
 // be reconciled exactly against the server's own refusal tallies.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,5 +102,25 @@ func TestBPSwapRejectsGarbage(t *testing.T) {
 	}
 	if after != before {
 		t.Error("failed swap changed the installed blueprint")
+	}
+}
+
+// TestBPSwapRefusalNamesTheDiagnostic: a blueprint that parses but fails
+// analysis is refused with the analyzer's first error, not a bare "has
+// errors", and the old policy stays installed.
+func TestBPSwapRefusalNamesTheDiagnostic(t *testing.T) {
+	s := newTestServer(t)
+	before := s.Handle(wire.Request{Verb: wire.VerbBlueprint})
+	src := "blueprint dup\nview v\n    property p default a\n    property p default b\nendview\nendblueprint\n"
+	resp := s.Handle(wire.Request{Verb: wire.VerbBPSwap, Args: []string{src}})
+	if resp.OK {
+		t.Fatal("blueprint with a duplicate property installed")
+	}
+	if want := `duplicate property "p"`; !strings.Contains(resp.Detail, want) {
+		t.Errorf("refusal %q does not carry the diagnostic %q", resp.Detail, want)
+	}
+	after := s.Handle(wire.Request{Verb: wire.VerbBlueprint})
+	if after.Detail != before.Detail || !slices.Equal(after.Body, before.Body) {
+		t.Errorf("refused swap changed the installed blueprint: %q -> %q", before.Detail, after.Detail)
 	}
 }

@@ -10,7 +10,10 @@
 # "@cN" (without it, names stay bare for continuity with BENCH_1).  With
 # -count > 1 the JSON records, per benchmark, the run with the lowest
 # ns/op — the least-noise estimate on a shared/virtualized host; every raw
-# run is kept next to the JSON as BENCH_<n>.txt.
+# run is kept next to the JSON as BENCH_<n>.txt.  A family listed below that
+# produced no result (renamed, deleted, skipped) fails the script once the
+# JSON is written: a trajectory file that silently lacks a family reads as
+# "unchanged".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +25,7 @@ CPU="${BENCH_CPU:-}"
 # accumulates heap/GC state that skews whatever runs last).  Families
 # added later run in a second process.
 LEGACY="BenchmarkEventThroughput\$|BenchmarkPropagationScaling|BenchmarkStateReport"
-EXTRA="BenchmarkEventThroughputParallel\$|BenchmarkParallelDrain|BenchmarkBatchPost"
+EXTRA="BenchmarkEventThroughputParallel\$|BenchmarkBatchDrain|BenchmarkParallelDrain|BenchmarkBatchPost"
 # MVCC reader-latency family (PR 5, extended PR 9): report, snapshot and
 # graph-walk latency with paced concurrent writers vs. the idle baseline,
 # plus the versioned-adjacency point-lookup cost.  ReportStream (PR 14, in
@@ -95,3 +98,15 @@ fi
 } > "$OUT"
 
 echo "wrote $OUT"
+
+if [ -z "${BENCH_PATTERN:-}" ]; then
+  missing=0
+  IFS='|' read -ra families <<<"$LEGACY|$EXTRA|$MVCC|$RECOVERY"
+  for fam in "${families[@]}"; do
+    if ! grep -qE "^${fam%\$}(/|-[0-9]+[[:space:]]|[[:space:]])" "$RAW"; then
+      echo "bench.sh: family ${fam%\$} produced no result" >&2
+      missing=1
+    fi
+  done
+  exit $missing
+fi
