@@ -261,3 +261,80 @@ func TestFollowerLogResumeAndDuplicates(t *testing.T) {
 		t.Fatalf("resume: lsn %d oids %d, want 4 and 4", w2.LastLSN(), db2.Stats().OIDs)
 	}
 }
+
+// TestBootstrapSnapshotKeepsPinnedViews: a re-bootstrap swaps the follower
+// database's content under the *DB everyone holds.  A view pinned before it
+// goes on reading the old content, byte for byte; the database reads as the
+// shipped document, live and through a new view; the horizon is the
+// snapshot's LSN; and the stream resumes on top of it.
+func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
+	w, db, err := journal.OpenFollower(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	oid := func(lsn int64, block string) meta.Record {
+		return meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
+			Args: []string{block + ",HDL_model,1", fmt.Sprint(lsn)}}
+	}
+	for i := int64(1); i <= 3; i++ {
+		if err := w.ApplyAppend(oid(i, fmt.Sprintf("old%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save := func(v *meta.View) []byte {
+		var buf bytes.Buffer
+		if err := v.SaveTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	pinned := db.ReadView()
+	defer pinned.Close()
+	before := save(pinned)
+
+	// The primary's document: other objects, a link, a promotion on the way.
+	primary := meta.NewDB()
+	a, _ := primary.NewVersion("cpu", "HDL_model")
+	b, _ := primary.NewVersion("cpu", "schematic")
+	if err := primary.SetProp(a, "sim_result", "good"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primary.AddLink(meta.DeriveLink, a, b, "", []string{"outofdate"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// (An unjournaled database stamps 1, 2, …: its fourth mutation was the link.)
+	if err := primary.ApplyRecord(meta.Record{LSN: 4, Seq: primary.Seq(), Op: meta.OpTerm, Args: []string{"2"}}); err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := primary.Save(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.BootstrapSnapshot(50, doc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	old := meta.Key{Block: "old1", View: "HDL_model", Version: 1}
+	if !pinned.HasOID(old) || pinned.HasOID(a) || !bytes.Equal(save(pinned), before) {
+		t.Errorf("the view pinned before the re-bootstrap reads differently after it:\n%s", save(pinned))
+	}
+	if db.HasOID(old) || !db.HasOID(a) || len(db.LinksFrom(a)) != 1 || db.CurrentTerm() != 2 {
+		t.Errorf("live reads after the re-bootstrap: old %v, new %v, links %d, term %d",
+			db.HasOID(old), db.HasOID(a), len(db.LinksFrom(a)), db.CurrentTerm())
+	}
+	now := db.ReadView()
+	if got := save(now); !bytes.Equal(got, doc.Bytes()) || now.LSN() != 50 {
+		t.Errorf("a view pinned after the re-bootstrap, at lsn %d, saves\n%s\nwant the shipped document\n%s", now.LSN(), got, doc.Bytes())
+	}
+	now.Close()
+	if _, err := db.ReadViewAt(3); err == nil || db.VersionHorizon() != 50 {
+		t.Errorf("ReadViewAt(3) below the re-base: %v, horizon %d", err, db.VersionHorizon())
+	}
+	if err := w.ApplyAppend(oid(51, "next")); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().OIDs; got != 3 || !bytes.Equal(save(pinned), before) {
+		t.Errorf("after the stream resumed: %d OIDs, want 3; pinned view unchanged: %v", got, bytes.Equal(save(pinned), before))
+	}
+}

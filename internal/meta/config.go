@@ -161,11 +161,9 @@ func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
 		var pick Key
 		for _, ver := range chain {
 			k := Key{Block: bv.Block, View: bv.View, Version: ver}
-			o := v.oidAt(k)
-			if o == nil || o.val.seq > seq {
-				continue
+			if x, ok := v.oidAt(k); ok && x.seq <= seq {
+				pick = k
 			}
-			pick = k
 		}
 		if !pick.IsZero() {
 			selected[pick] = true
@@ -186,7 +184,7 @@ func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
 func (db *DB) GetConfiguration(name string) (*Configuration, error) {
 	db.ctl.RLock()
 	defer db.ctl.RUnlock()
-	c, ok := db.configs[name]
+	c, ok := db.ctlH.Load().configs.at(name, newest)
 	if !ok {
 		return nil, fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
@@ -197,24 +195,22 @@ func (db *DB) GetConfiguration(name string) (*Configuration, error) {
 func (db *DB) DeleteConfiguration(name string) error {
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
-	if _, ok := db.configs[name]; !ok {
+	h := db.ctlH.Load()
+	if _, ok := h.configs.at(name, newest); !ok {
 		return fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
-	delete(db.configs, name)
 	s := db.beginMut(OpDelConfig, 0, func() []string { return []string{name} })
-	db.histConfigPushLocked(name, s, nil)
+	h.configs.push(name, s, nil, true)
 	db.endMut(s)
 	return nil
 }
 
 // ConfigurationNames lists stored configurations in sorted order.
 func (db *DB) ConfigurationNames() []string {
-	db.ctl.RLock()
-	defer db.ctl.RUnlock()
-	names := make([]string, 0, len(db.configs))
-	for n := range db.configs {
-		names = append(names, n)
-	}
+	v := db.ReadView()
+	defer v.Close()
+	names := []string{}
+	v.eachConfiguration(func(c *Configuration) { names = append(names, c.Name) })
 	sort.Strings(names)
 	return names
 }

@@ -2,6 +2,8 @@ package meta
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -12,42 +14,50 @@ import (
 // OIDs, Links, Configurations and workspace bindings.  A DB models one
 // project; the paper's project server owns exactly one.
 //
+// # One store
+//
+// The database is its version histories (mvcc.go): every object is a
+// lock-free history of immutable, LSN-stamped versions, and what it is now
+// is its history's head.  A mutation reads the heads of what it changes
+// under the locks below, builds the next immutable values, and pushes them
+// under its stamp; nothing is ever changed in place.
+//
 // # Sharding and locking
 //
-// The hot maps are lock-striped so concurrent drains, queries and state
+// The histories are lock-striped so concurrent drains, queries and state
 // reports stop serializing on one mutex.  OIDs, version chains and the
-// adjacency indexes are partitioned into shards keyed by the hash of the
-// block name — every view, version and adjacency list of a block lives on
-// one shard, so the single-OID hot paths (HasOID, GetProp, UpdateOID,
-// WithOID, Latest, Predecessor, EachLinkOf) take exactly one shard lock.
-// Link objects live in separate stripes keyed by LinkID and are immutable
-// once published (mutators install a replacement object), which is what
-// lets link walks read them under the shard lock alone.  Configurations
-// and workspaces sit on a small control-plane lock; the logical clock and
-// link-ID counter are atomics.  NewDBWithShards picks the stripe count —
-// a pure performance knob that never changes results.
+// adjacency postings are partitioned into shards keyed by the hash of the
+// block name — every view, version and posting of a block lives on one
+// shard, so the single-OID hot paths (HasOID, GetProp, UpdateOID, WithOID,
+// Latest, Predecessor, EachLinkOf) take exactly one shard lock.  Link
+// objects live in separate stripes keyed by LinkID and are immutable
+// (mutators publish a replacement object, to the link table and to both
+// ends' postings), which is what lets link walks read them under the shard
+// lock alone.  Configurations and workspaces sit on a small control-plane
+// lock; the logical clock and link-ID counter are atomics.
+// NewDBWithShards picks the stripe count — a pure performance knob that
+// never changes results.
 //
 // Multi-shard operations follow one deterministic lock order — control
 // plane, then key shards in ascending index, then link stripes in
-// ascending index — so cross-shard link walks (graph traversals,
-// snapshots, pruning) cannot deadlock.  Operations that discover their
-// shard set from a link's endpoints (DeleteLink, RetargetLink, the
-// annotation setters) snapshot the link optimistically, lock in canonical
-// order, then re-validate object identity and retry if it was replaced
-// underneath them.
+// ascending index — so cross-shard link mutations cannot deadlock.
+// Operations that discover their shard set from a link's endpoints
+// (DeleteLink, RetargetLink, the annotation setters) read the link
+// optimistically, lock in canonical order, then re-validate object
+// identity and retry if it was replaced underneath them.
 //
 // All mutation goes through DB methods.  The single-object read accessors
-// are the write path reading its own writes: they return deep copies (safe
-// to retain) or, for WithOID and EachLinkOf, expose internal objects under
-// the owning shard lock — those callbacks must not retain or mutate what
-// they are handed and must not call DB methods (which would deadlock).
+// are the write path reading its own writes: under the owning lock they
+// ask the resolver views use for the newest version, and return deep
+// copies (safe to retain) or, for WithOID and EachLinkOf, hand the
+// immutable stored objects to a callback — which must not retain or mutate
+// them and must not call DB methods (which would deadlock).
 //
 // Whole-database reads — Save, the Snapshot* configuration builders, the
-// state scans, and the graph walks (Reachable, Dependents, Equivalents,
-// Resolve; see graphview.go for the versioned reachability index behind
-// them) — go through a View (mvcc.go): every database publishes
-// LSN-stamped versions from construction, and a view pinned at one stamp
-// reads them lock-free and never pauses writers.  PruneVersions
+// state scans, the enumerations (Keys, Stats, ...) and the graph walks
+// (Reachable, Dependents, Equivalents, Resolve; see graphview.go) — go
+// through a View (mvcc.go): a view pinned at one stamp reads lock-free, is
+// one point-in-time cut, and never pauses writers.  PruneVersions
 // write-locks everything.
 type DB struct {
 	shards []*dbShard
@@ -71,60 +81,43 @@ type DB struct {
 	// locks.  nil means the genesis term 1.
 	terms atomic.Pointer[termTable]
 
-	// ctl guards the control plane: configurations and workspaces.
-	ctl        sync.RWMutex
-	configs    map[string]*Configuration
-	workspaces map[string]*Workspace
+	// ctl guards the control plane: configurations and workspaces (ctlH).
+	ctl sync.RWMutex
 
 	// rec, when non-nil, receives one Record per committed mutation — the
 	// change-capture stream behind the append-only journal.  Emission
 	// happens under the locks that serialize the mutation; see record.go.
 	rec Recorder
 
-	// MVCC state (mvcc.go): every mutation publishes immutable
-	// LSN-stamped versions and readers pin lock-free point-in-time
-	// views.  ctlH holds the control plane's histories;
-	// replayAt carries the record LSN being replayed so ApplyRecord's
-	// inner mutations stamp with the original numbering.
+	// MVCC state (mvcc.go): the epoch gate that stamps mutations and pins
+	// views.  ctlH holds the control plane's histories; replayAt carries
+	// the record LSN being replayed so ApplyRecord's inner mutations stamp
+	// with the original numbering.
 	mvcc      mvccState
 	ctlH      atomic.Pointer[ctlHist]
 	replayAt  atomic.Int64
 	replaySeq atomic.Int64
 }
 
-// dbShard holds one stripe of the OID/chain/adjacency maps.  Every key in
-// all four maps hashes to this shard.
+// dbShard is one stripe of the OIDs, chains and adjacency postings: every
+// key in hist's four tables hashes to this shard, and mu serializes their
+// writers.
 type dbShard struct {
-	mu       sync.RWMutex
-	oids     map[Key]*OID
-	chains   map[BlockView][]int
-	outLinks map[Key][]linkRef
-	inLinks  map[Key][]linkRef
+	mu sync.RWMutex
 
-	// hist is the shard's MVCC version store; the container is replaced
-	// wholesale on RestoreFrom so pinned views survive a re-base.
+	// hist is replaced wholesale on RestoreFrom so pinned views survive a
+	// re-base.
 	hist atomic.Pointer[shardHist]
+
+	// upd is the OID UpdateOID hands its callback, reused under mu: an
+	// argument to an unknown function would otherwise be one heap object
+	// per delivery.
+	upd OID
 }
 
-// linkRef pairs a link ID with its current object in the adjacency lists,
-// so link walks resolve links under the shard lock alone — no stripe
-// round-trip per link on the propagation hot path.
-//
-// Link objects are immutable once published: every mutation (SetLinkProp,
-// SetLinkPropagates, RetargetLink) installs a replacement object in the
-// stripe map and in both endpoints' adjacency refs while holding the
-// endpoint shard locks and the stripe lock.  Readers therefore never see a
-// link change underneath them, only an older or newer complete object.
-type linkRef struct {
-	id LinkID
-	l  *Link
-}
-
-// linkStripe holds one stripe of the link table, keyed by LinkID.
+// linkStripe is one stripe of the link table, keyed by LinkID.
 type linkStripe struct {
-	mu    sync.RWMutex
-	links map[LinkID]*Link
-
+	mu   sync.RWMutex
 	hist atomic.Pointer[stripeHist]
 }
 
@@ -148,45 +141,38 @@ func NewDBWithShards(n int) *DB {
 		pow <<= 1
 	}
 	db := &DB{
-		shards:     make([]*dbShard, pow),
-		mask:       uint32(pow - 1),
-		stripes:    make([]*linkStripe, pow),
-		lmask:      uint32(pow - 1),
-		configs:    make(map[string]*Configuration),
-		workspaces: make(map[string]*Workspace),
+		shards:  make([]*dbShard, pow),
+		mask:    uint32(pow - 1),
+		stripes: make([]*linkStripe, pow),
+		lmask:   uint32(pow - 1),
 	}
 	for i := range db.shards {
-		db.shards[i] = &dbShard{
-			oids:     make(map[Key]*OID),
-			chains:   make(map[BlockView][]int),
-			outLinks: make(map[Key][]linkRef),
-			inLinks:  make(map[Key][]linkRef),
-		}
+		db.shards[i] = &dbShard{}
 		db.shards[i].hist.Store(&shardHist{})
 	}
 	for i := range db.stripes {
-		db.stripes[i] = &linkStripe{links: make(map[LinkID]*Link)}
+		db.stripes[i] = &linkStripe{}
 		db.stripes[i].hist.Store(&stripeHist{})
 	}
 	db.ctlH.Store(&ctlHist{})
 	return db
 }
 
-// blockHash is FNV-1a over the block name.  Sharding is by block alone:
-// every view and version of a block — and therefore every version chain of
-// it, and every rule-posted event between its views — lands on one shard.
-// That keeps the hash off the hot path short and makes a wave's intra-block
-// work single-shard.
-func blockHash(block string) uint32 {
+// fnv1a is the FNV-1a hash.  Sharding is by the hash of the block name
+// alone: every view and version of a block — and therefore every version
+// chain of it, and every rule-posted event between its views — lands on one
+// shard.  That keeps the hash off the hot path short and makes a wave's
+// intra-block work single-shard.
+func fnv1a[S string | []byte](s S) uint32 {
 	const prime32 = 16777619
 	h := uint32(2166136261)
-	for i := 0; i < len(block); i++ {
-		h = (h ^ uint32(block[i])) * prime32
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * prime32
 	}
 	return h
 }
 
-func (db *DB) shardIndex(block string) uint32 { return blockHash(block) & db.mask }
+func (db *DB) shardIndex(block string) uint32 { return fnv1a(block) & db.mask }
 func (db *DB) shardOf(k Key) *dbShard         { return db.shards[db.shardIndex(k.Block)] }
 func (db *DB) stripeOf(id LinkID) *linkStripe { return db.stripes[uint32(id)&db.lmask] }
 
@@ -263,7 +249,7 @@ func (db *DB) NewVersion(block, view string) (Key, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	k := Key{Block: block, View: view, Version: 1}
-	if chain := sh.chains[k.BV()]; len(chain) > 0 {
+	if chain, ok := sh.hist.Load().chains.at(k.BV(), newest); ok {
 		k.Version = chain[len(chain)-1] + 1
 	}
 	if err := db.insertOIDLocked(sh, k, db.tick()); err != nil {
@@ -287,61 +273,63 @@ func (db *DB) PruneVersions(block, view string, keep int) (int, error) {
 	}
 	db.lockAll()
 	defer db.unlockAll()
-	sh := db.shards[db.shardIndex(block)]
+	h := db.shards[db.shardIndex(block)].hist.Load()
 	bv := BlockView{Block: block, View: view}
-	chain := sh.chains[bv]
-	if len(chain) == 0 {
+	chain, ok := h.chains.at(bv, newest)
+	if !ok {
 		return 0, fmt.Errorf("prune %s.%s: %w", block, view, ErrNotFound)
 	}
 	if len(chain) <= keep {
 		return 0, nil
 	}
 	drop := chain[:len(chain)-keep]
-	var removedLinks []LinkID
-	outTouched := make(map[Key]bool)
-	inTouched := make(map[Key]bool)
-	for _, v := range drop {
-		k := Key{Block: block, View: view, Version: v}
-		// Remove incident links first.
-		for _, r := range append(append([]linkRef(nil), sh.outLinks[k]...), sh.inLinks[k]...) {
-			st := db.stripeOf(r.id)
-			l, ok := st.links[r.id]
-			if !ok {
-				continue
-			}
-			delete(st.links, r.id)
-			fs, ts := db.shardOf(l.From), db.shardOf(l.To)
-			fs.outLinks[l.From] = removeRef(fs.outLinks[l.From], r.id)
-			ts.inLinks[l.To] = removeRef(ts.inLinks[l.To], r.id)
-			outTouched[l.From] = true
-			inTouched[l.To] = true
-			removedLinks = append(removedLinks, r.id)
+	// The links incident to a dropped OID go with it, out of the link table
+	// and out of both ends' postings — a dropped OID's own postings hold
+	// nothing else, so they empty themselves.
+	gone := make(map[LinkID]bool)
+	next := make(map[Key]posting) // the postings that change
+	strike := func(out bool, end Key, id LinkID) {
+		p, seen := next[end]
+		if !seen {
+			p = db.shardOf(end).hist.Load().links(end, newest)
 		}
-		delete(sh.outLinks, k)
-		delete(sh.inLinks, k)
-		delete(sh.oids, k)
-		outTouched[k] = true
-		inTouched[k] = true
+		*p.side(out) = without(*p.side(out), id)
+		next[end] = p
 	}
-	sh.chains[bv] = append([]int(nil), chain[len(chain)-keep:]...)
+	for _, v := range drop {
+		p := h.links(Key{Block: block, View: view, Version: v}, newest)
+		for _, l := range slices.Concat(p.out, p.in) {
+			if !gone[l.ID] {
+				gone[l.ID] = true
+				strike(true, l.From, l.ID)
+				strike(false, l.To, l.ID)
+			}
+		}
+	}
 	s := db.beginMut(OpPrune, 0, func() []string {
 		return []string{block, view, strconv.Itoa(keep)}
 	})
 	for _, v := range drop {
-		db.histOIDPush(sh, Key{Block: block, View: view, Version: v}, s, nil, true)
+		h.oids.push(Key{Block: block, View: view, Version: v}, s, oidVal{}, true)
 	}
-	for _, id := range removedLinks {
-		db.histLinkPushLocked(id, s, nil)
+	for id := range gone {
+		db.stripeOf(id).hist.Load().links.push(id, s, nil, true)
 	}
-	for k := range outTouched {
-		db.histAdjPush(db.shardOf(k), k, s, true)
+	for k, p := range next {
+		db.shardOf(k).hist.Load().put(k, s, p)
 	}
-	for k := range inTouched {
-		db.histAdjPush(db.shardOf(k), k, s, false)
-	}
-	db.histChainPush(sh, bv, s)
+	h.chains.push(bv, s, slices.Clone(chain[len(chain)-keep:]), false)
 	db.endMut(s)
 	return len(drop), nil
+}
+
+// oidNow resolves the OID as it is now; callers hold its shard's lock.
+func (h *shardHist) oidNow(k Key) (oidVal, error) {
+	x, ok := h.oids.at(k, newest)
+	if !ok {
+		return x, fmt.Errorf("oid %v: %w", k, ErrNotFound)
+	}
+	return x, nil
 }
 
 // HasOID reports whether the OID exists.
@@ -349,7 +337,7 @@ func (db *DB) HasOID(k Key) bool {
 	sh := db.shardOf(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := sh.oids[k]
+	_, ok := sh.hist.Load().oids.at(k, newest)
 	return ok
 }
 
@@ -358,19 +346,26 @@ func (db *DB) GetOID(k Key) (*OID, error) {
 	sh := db.shardOf(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	o, ok := sh.oids[k]
-	if !ok {
-		return nil, fmt.Errorf("oid %v: %w", k, ErrNotFound)
+	x, err := sh.hist.Load().oidNow(k)
+	if err != nil {
+		return nil, err
 	}
-	return o.clone(), nil
+	return (&OID{Key: k, Seq: x.seq, Props: x.props}).clone(), nil
+}
+
+// chainNow resolves the version chain of (block, view) as it is now under
+// its shard's read lock: ascending and immutable, nil when there is none.
+func (db *DB) chainNow(block, view string) []int {
+	sh := db.shards[db.shardIndex(block)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	chain, _ := sh.hist.Load().chains.at(BlockView{Block: block, View: view}, newest)
+	return chain
 }
 
 // Latest returns the key of the newest version of (block, view).
 func (db *DB) Latest(block, view string) (Key, error) {
-	sh := db.shards[db.shardIndex(block)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	chain := sh.chains[BlockView{Block: block, View: view}]
+	chain := db.chainNow(block, view)
 	if len(chain) == 0 {
 		return Key{}, fmt.Errorf("no versions of %q.%q: %w", block, view, ErrNotFound)
 	}
@@ -379,10 +374,7 @@ func (db *DB) Latest(block, view string) (Key, error) {
 
 // Versions returns the version numbers of (block, view) in ascending order.
 func (db *DB) Versions(block, view string) []int {
-	sh := db.shards[db.shardIndex(block)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	chain := sh.chains[BlockView{Block: block, View: view}]
+	chain := db.chainNow(block, view)
 	out := make([]int, len(chain))
 	copy(out, chain)
 	return out
@@ -392,10 +384,7 @@ func (db *DB) Versions(block, view string) []int {
 // chain, or ok=false if k is the first version.  Chains are ascending, so
 // the position is found by binary search.
 func (db *DB) Predecessor(k Key) (Key, bool) {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	chain := sh.chains[k.BV()]
+	chain := db.chainNow(k.Block, k.View)
 	i := sort.SearchInts(chain, k.Version)
 	if i >= len(chain) || chain[i] != k.Version || i == 0 {
 		return Key{}, false
@@ -403,7 +392,8 @@ func (db *DB) Predecessor(k Key) (Key, bool) {
 	return Key{Block: k.Block, View: k.View, Version: chain[i-1]}, true
 }
 
-// SetProp sets a property on an OID.
+// SetProp sets a property on an OID.  Setting the value it already has
+// changes nothing and emits nothing.
 func (db *DB) SetProp(k Key, name, value string) error {
 	if err := ValidateName(name); err != nil {
 		return fmt.Errorf("property: %w", err)
@@ -411,39 +401,53 @@ func (db *DB) SetProp(k Key, name, value string) error {
 	sh := db.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	o, ok := sh.oids[k]
-	if !ok {
-		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
+	h := sh.hist.Load()
+	x, err := h.oidNow(k)
+	if err != nil {
+		return err
 	}
-	o.own()
-	o.Props[name] = value
+	if old, had := x.props[name]; had && old == value {
+		return nil
+	}
+	props := make(map[string]string, len(x.props)+1)
+	maps.Copy(props, x.props)
+	props[name] = value
 	s := db.beginMut(OpUpdate, 0, func() []string {
 		return []string{k.String(), "1", name, value}
 	})
-	db.histOIDPush(sh, k, s, o, false)
+	h.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
 	db.endMut(s)
 	return nil
 }
 
-// WithOID runs fn on the live OID under the owning shard's read lock — a
-// batched read path for callers that need several properties at once
-// without paying for a deep copy (GetOID) or one lock round-trip per
+// WithOID runs fn on the OID as it is now under the owning shard's read
+// lock — a batched read path for callers that need several properties at
+// once without paying for a deep copy (GetOID) or one lock round-trip per
 // GetProp.  fn must not retain or mutate the OID and must not call other DB
 // methods.
 func (db *DB) WithOID(k Key, fn func(o *OID)) error {
 	sh := db.shardOf(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	o, ok := sh.oids[k]
-	if !ok {
-		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
+	x, err := sh.hist.Load().oidNow(k)
+	if err != nil {
+		return err
 	}
+	o := oidScratch.Get().(*OID)
+	*o = OID{Key: k, Seq: x.seq, Props: x.props}
 	fn(o)
+	*o = OID{}
+	oidScratch.Put(o)
 	return nil
 }
 
-// UpdateOID runs fn on the live OID under the owning shard's write lock.
-// It is the batched read-modify-write path of the run-time engine: one
+// oidScratch recycles the OID WithOID hands its callback: the argument of a
+// function the compiler cannot see is a heap object, and a shard that is
+// only read-locked has no scratch of its own to lend (UpdateOID's is upd).
+var oidScratch = sync.Pool{New: func() any { return new(OID) }}
+
+// UpdateOID runs fn on the OID under the owning shard's write lock.  It is
+// the batched read-modify-write path of the run-time engine: one
 // delivery's property assignments and continuous re-evaluations read and
 // write Props in a single lock round-trip instead of one GetProp/SetProp
 // pair each — and, under sharding, deliveries to OIDs on different shards
@@ -452,54 +456,67 @@ func (db *DB) WithOID(k Key, fn func(o *OID)) error {
 // deadlock).  Property names written by fn must satisfy ValidateName; the
 // caller validates because fn has no error channel.
 //
-// The property map is diffed around fn and the net change journaled and
-// versioned as one update; an fn that changes nothing emits nothing.  The
-// diff runs against the newest published version's map — which always
-// mirrors the live map — so no pre-copy is needed.
+// fn works on the shard's scratch OID, filled from the newest version's
+// property map; the map is diffed against that version after fn, and the
+// net change journaled and published — one copy of the scratch map — as one
+// update.  An fn that changes nothing emits nothing and allocates nothing.
 func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 	sh := db.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	o, ok := sh.oids[k]
-	if !ok {
-		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
+	h := sh.hist.Load()
+	x, err := h.oidNow(k)
+	if err != nil {
+		return err
 	}
-	before := db.histOIDPrev(sh, k)
-	o.own()
+	o, before := &sh.upd, x.props
+	if o.Props == nil {
+		o.Props = make(map[string]string)
+	}
+	clear(o.Props)
+	maps.Copy(o.Props, before)
+	o.Key, o.Seq = k, x.seq
 	fn(o)
-	// Only a recorder wants the diff spelled out; without one — a replay,
-	// an unjournaled database — it is enough to know there is one.
-	recording, changed := db.rec != nil, false
+	// As many entries as before, each as before, is the same map.  Only a
+	// recorder wants the diff spelled out; without one — a replay, an
+	// unjournaled database — it is enough to know there is one.
+	recording, changed := db.rec != nil, len(o.Props) != len(before)
 	var sets map[string]string
-	for n, v := range o.Props {
-		if ov, had := before[n]; !had || ov != v {
-			if changed = true; !recording {
-				break
-			}
-			if sets == nil {
-				sets = make(map[string]string)
-			}
-			sets[n] = v
-		}
-	}
-	var dels []string
 	if recording || !changed {
-		for n := range before {
-			if _, still := o.Props[n]; !still {
+		for n, v := range o.Props {
+			if ov, had := before[n]; !had || ov != v {
 				if changed = true; !recording {
 					break
 				}
-				dels = append(dels, n)
+				if sets == nil {
+					sets = make(map[string]string)
+				}
+				sets[n] = v
 			}
 		}
 	}
 	if !changed {
 		return nil
 	}
+	var dels []string
+	if recording {
+		for n := range before {
+			if _, still := o.Props[n]; !still {
+				dels = append(dels, n)
+			}
+		}
+	}
+	// The version's map is made at its own size, not cloned at the size
+	// the scratch map has grown to; nil when empty (nil map reads are free).
+	var props map[string]string
+	if len(o.Props) > 0 {
+		props = make(map[string]string, len(o.Props))
+		maps.Copy(props, o.Props)
+	}
 	s := db.beginMut(OpUpdate, 0, func() []string {
 		return propArgs([]string{k.String()}, sets, dels)
 	})
-	db.histOIDPush(sh, k, s, o, false)
+	h.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
 	db.endMut(s)
 	return nil
 }
@@ -510,11 +527,11 @@ func (db *DB) GetProp(k Key, name string) (string, bool, error) {
 	sh := db.shardOf(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	o, ok := sh.oids[k]
-	if !ok {
-		return "", false, fmt.Errorf("oid %v: %w", k, ErrNotFound)
+	x, err := sh.hist.Load().oidNow(k)
+	if err != nil {
+		return "", false, err
 	}
-	v, ok := o.Props[name]
+	v, ok := x.props[name]
 	return v, ok, nil
 }
 
@@ -524,19 +541,24 @@ func (db *DB) DelProp(k Key, name string) error {
 	sh := db.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	o, ok := sh.oids[k]
-	if !ok {
-		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
+	h := sh.hist.Load()
+	x, err := h.oidNow(k)
+	if err != nil {
+		return err
 	}
-	if _, had := o.Props[name]; had {
-		o.own()
-		delete(o.Props, name)
-		s := db.beginMut(OpUpdate, 0, func() []string {
-			return []string{k.String(), "0", name}
-		})
-		db.histOIDPush(sh, k, s, o, false)
-		db.endMut(s)
+	if _, had := x.props[name]; !had {
+		return nil
 	}
+	var props map[string]string
+	if len(x.props) > 1 {
+		props = maps.Clone(x.props)
+		delete(props, name)
+	}
+	s := db.beginMut(OpUpdate, 0, func() []string {
+		return []string{k.String(), "0", name}
+	})
+	h.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
+	db.endMut(s)
 	return nil
 }
 
@@ -578,25 +600,30 @@ func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates
 
 // GetLink returns a deep copy of the link.
 func (db *DB) GetLink(id LinkID) (*Link, error) {
-	st := db.stripeOf(id)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	l, ok := st.links[id]
-	if !ok {
+	l := db.snapshotLink(id)
+	if l == nil {
 		return nil, fmt.Errorf("link %d: %w", id, ErrNotFound)
 	}
 	return l.clone(), nil
 }
 
 // snapshotLink reads the current (immutable) link object optimistically,
-// under the stripe read lock only.  DeleteLink and the mutators use it to
-// discover which shards to lock, then verify the object is still current
-// (pointer identity) once the locks are held.
+// under the stripe read lock only, nil when there is none.  DeleteLink and
+// the mutators use it to discover which shards to lock, then verify the
+// object is still current (linkIs) once the locks are held.
 func (db *DB) snapshotLink(id LinkID) *Link {
 	st := db.stripeOf(id)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.links[id]
+	l, _ := st.hist.Load().links.at(id, newest)
+	return l
+}
+
+// linkIs reports whether l is still link id's current object.  Callers
+// hold the stripe's lock.
+func (st *linkStripe) linkIs(id LinkID, l *Link) bool {
+	cur, _ := st.hist.Load().links.at(id, newest)
+	return cur == l
 }
 
 // DeleteLink removes a link.
@@ -609,22 +636,20 @@ func (db *DB) DeleteLink(id LinkID) error {
 		sf, st := db.lockPair(l.From, l.To)
 		stripe := db.stripeOf(id)
 		stripe.mu.Lock()
-		if stripe.links[id] != l {
+		if !stripe.linkIs(id, l) {
 			// The link vanished or was replaced between the optimistic read
 			// and the locks; retry against the new object.
 			stripe.mu.Unlock()
 			unlockPair(sf, st)
 			continue
 		}
-		delete(stripe.links, id)
-		sf.outLinks[l.From] = removeRef(sf.outLinks[l.From], id)
-		st.inLinks[l.To] = removeRef(st.inLinks[l.To], id)
+		fh, th := sf.hist.Load(), st.hist.Load()
 		s := db.beginMut(OpDelLink, 0, func() []string {
 			return []string{strconv.FormatInt(int64(id), 10)}
 		})
-		db.histLinkPushLocked(id, s, nil)
-		db.histAdjPush(sf, l.From, s, true)
-		db.histAdjPush(st, l.To, s, false)
+		stripe.hist.Load().links.push(id, s, nil, true)
+		fh.post(true, l.From, s, without(fh.links(l.From, newest).out, id))
+		th.post(false, l.To, s, without(th.links(l.To, newest).in, id))
 		db.endMut(s)
 		stripe.mu.Unlock()
 		unlockPair(sf, st)
@@ -649,10 +674,11 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 		// Build and validate the replacement object before taking locks;
 		// links are immutable once published, so shifting installs a copy.
 		moved := l.clone()
-		if oldEnd == from {
+		kept, out := to, oldEnd == from // the end that stays, and which end moves
+		if out {
 			moved.From = newEnd
 		} else {
-			moved.To = newEnd
+			moved.To, kept = newEnd, from
 		}
 		if err := moved.validate(); err != nil {
 			return err
@@ -665,44 +691,26 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 		})
 		stripe := db.stripeOf(id)
 		stripe.mu.Lock()
-		if stripe.links[id] != l {
+		if !stripe.linkIs(id, l) {
 			stripe.mu.Unlock()
 			db.unlockShardSet(locked)
 			continue // replaced underneath us; retry
 		}
-		ns := db.shardOf(newEnd)
-		if _, ok := ns.oids[newEnd]; !ok {
+		oh, nh, kh := db.shardOf(oldEnd).hist.Load(), db.shardOf(newEnd).hist.Load(), db.shardOf(kept).hist.Load()
+		if _, ok := nh.oids.at(newEnd, newest); !ok {
 			stripe.mu.Unlock()
 			db.unlockShardSet(locked)
 			return fmt.Errorf("retarget to %v: %w", newEnd, ErrNotFound)
 		}
-		stripe.links[id] = moved
-		os := db.shardOf(oldEnd)
-		if oldEnd == from {
-			os.outLinks[oldEnd] = removeRef(os.outLinks[oldEnd], id)
-			ns.outLinks[newEnd] = append(ns.outLinks[newEnd], linkRef{id: id, l: moved})
-			replaceRef(db.shardOf(to).inLinks[to], id, moved)
-		} else {
-			os.inLinks[oldEnd] = removeRef(os.inLinks[oldEnd], id)
-			ns.inLinks[newEnd] = append(ns.inLinks[newEnd], linkRef{id: id, l: moved})
-			replaceRef(db.shardOf(from).outLinks[from], id, moved)
-		}
 		s := db.beginMut(OpRetarget, 0, func() []string {
 			return []string{strconv.FormatInt(int64(id), 10), oldEnd.String(), newEnd.String()}
 		})
-		db.histLinkPushLocked(id, s, moved)
-		// Three postings change: the list the link left, the list it
-		// joined, and the unmoved end's list (its refs now carry the
-		// replacement object).
-		if oldEnd == from {
-			db.histAdjPush(os, oldEnd, s, true)
-			db.histAdjPush(ns, newEnd, s, true)
-			db.histAdjPush(db.shardOf(to), to, s, false)
-		} else {
-			db.histAdjPush(os, oldEnd, s, false)
-			db.histAdjPush(ns, newEnd, s, false)
-			db.histAdjPush(db.shardOf(from), from, s, true)
-		}
+		stripe.hist.Load().links.push(id, s, moved, false)
+		// Three postings change: the one the link left, the one it joined,
+		// and the unmoved end's (its member is the replacement object now).
+		oh.post(out, oldEnd, s, without(oh.links(oldEnd, newest).of(out), id))
+		nh.post(out, newEnd, s, with(nh.links(newEnd, newest).of(out), moved))
+		kh.post(!out, kept, s, replaced(kh.links(kept, newest).of(!out), moved))
 		db.endMut(s)
 		stripe.mu.Unlock()
 		db.unlockShardSet(locked)
@@ -754,12 +762,12 @@ func (db *DB) SetLinkPropagates(id LinkID, events []string) error {
 	})
 }
 
-// replaceLink installs a mutated copy of a link: links are immutable once
-// published, so in-place annotation edits clone the object, apply mutate,
-// and swap the clone into the stripe map and both adjacency refs under the
-// endpoint shard locks.  Retries if the link is replaced concurrently.
-// args builds the arguments of the op record describing the installed
-// object; it runs inside the critical section.
+// replaceLink publishes a mutated copy of a link: links are immutable once
+// published, so annotation edits clone the object, apply mutate, and push
+// the clone to the link table and to both ends' postings under the endpoint
+// shard locks.  Retries if the link is replaced concurrently.  args builds
+// the arguments of the op record describing the installed object; it runs
+// inside the critical section.
 func (db *DB) replaceLink(id LinkID, op string, mutate func(nl *Link), args func(nl *Link) []string) error {
 	for {
 		l := db.snapshotLink(id)
@@ -771,18 +779,16 @@ func (db *DB) replaceLink(id LinkID, op string, mutate func(nl *Link), args func
 		sf, st := db.lockPair(l.From, l.To)
 		stripe := db.stripeOf(id)
 		stripe.mu.Lock()
-		if stripe.links[id] != l {
+		if !stripe.linkIs(id, l) {
 			stripe.mu.Unlock()
 			unlockPair(sf, st)
 			continue
 		}
-		stripe.links[id] = nl
-		replaceRef(sf.outLinks[l.From], id, nl)
-		replaceRef(st.inLinks[l.To], id, nl)
+		fh, th := sf.hist.Load(), st.hist.Load()
 		s := db.beginMut(op, 0, func() []string { return args(nl) })
-		db.histLinkPushLocked(id, s, nl)
-		db.histAdjPush(sf, l.From, s, true)
-		db.histAdjPush(st, l.To, s, false)
+		stripe.hist.Load().links.push(id, s, nl, false)
+		fh.post(true, l.From, s, replaced(fh.links(l.From, newest).out, nl))
+		th.post(false, l.To, s, replaced(th.links(l.To, newest).in, nl))
 		db.endMut(s)
 		stripe.mu.Unlock()
 		unlockPair(sf, st)
@@ -795,7 +801,7 @@ func (db *DB) LinksFrom(k Key) []*Link {
 	sh := db.shardOf(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return cloneLinks(nil, sh.outLinks[k])
+	return cloneLinks(nil, sh.hist.Load().links(k, newest).out)
 }
 
 // LinksTo returns copies of all links whose To endpoint is k.
@@ -803,7 +809,7 @@ func (db *DB) LinksTo(k Key) []*Link {
 	sh := db.shardOf(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return cloneLinks(nil, sh.inLinks[k])
+	return cloneLinks(nil, sh.hist.Load().links(k, newest).in)
 }
 
 // LinksOf returns copies of all links incident to k, in either direction.
@@ -811,22 +817,20 @@ func (db *DB) LinksOf(k Key) []*Link {
 	sh := db.shardOf(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := cloneLinks(nil, sh.outLinks[k])
-	return cloneLinks(out, sh.inLinks[k])
+	p := sh.hist.Load().links(k, newest)
+	return cloneLinks(cloneLinks(nil, p.out), p.in)
 }
 
-// cloneLinks appends deep copies of the referenced links to dst.  Callers
-// hold the adjacency owner's shard lock; the refs carry the immutable link
-// objects, so no stripe locks are needed.
-func cloneLinks(dst []*Link, refs []linkRef) []*Link {
-	if len(refs) == 0 {
+// cloneLinks appends deep copies of a posting's links to dst.
+func cloneLinks(dst []*Link, links []*Link) []*Link {
+	if len(links) == 0 {
 		return dst
 	}
 	if dst == nil {
-		dst = make([]*Link, 0, len(refs))
+		dst = make([]*Link, 0, len(links))
 	}
-	for _, r := range refs {
-		dst = append(dst, r.l.clone())
+	for _, l := range links {
+		dst = append(dst, l.clone())
 	}
 	return dst
 }
@@ -838,55 +842,46 @@ func (db *DB) EachLinkOf(k Key, fn func(*Link) bool) {
 	sh := db.shardOf(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for _, r := range sh.outLinks[k] {
-		if !fn(r.l) {
-			return
-		}
-	}
-	for _, r := range sh.inLinks[k] {
-		if !fn(r.l) {
-			return
+	p := sh.hist.Load().links(k, newest)
+	for _, links := range [2][]*Link{p.out, p.in} {
+		for _, l := range links {
+			if !fn(l) {
+				return
+			}
 		}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Enumeration and statistics
+// Enumeration and statistics.  Each is a walk of a view pinned for the
+// call, so its answer is one point-in-time cut of the database.
 
 // Keys returns every OID key, sorted by block, view, version.
 func (db *DB) Keys() []Key {
-	keys := make([]Key, 0, db.countOIDs())
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		for k := range sh.oids {
-			keys = append(keys, k)
-		}
-		sh.mu.RUnlock()
-	}
+	v := db.ReadView()
+	defer v.Close()
+	return v.keys()
+}
+
+func (v *View) keys() []Key {
+	keys := []Key{}
+	v.EachOID(func(o *OID) bool {
+		keys = append(keys, o.Key)
+		return true
+	})
 	sortKeys(keys)
 	return keys
 }
 
-func (db *DB) countOIDs() int {
-	n := 0
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		n += len(sh.oids)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // BlockViews returns every version chain identity, sorted.
 func (db *DB) BlockViews() []BlockView {
+	v := db.ReadView()
+	defer v.Close()
 	var bvs []BlockView
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		for bv := range sh.chains {
-			bvs = append(bvs, bv)
-		}
-		sh.mu.RUnlock()
-	}
+	v.eachChain(func(bv BlockView, _ []int) bool {
+		bvs = append(bvs, bv)
+		return true
+	})
 	sort.Slice(bvs, func(i, j int) bool {
 		if bvs[i].Block != bvs[j].Block {
 			return bvs[i].Block < bvs[j].Block
@@ -898,15 +893,14 @@ func (db *DB) BlockViews() []BlockView {
 
 // LinkIDs returns every link ID in ascending order.
 func (db *DB) LinkIDs() []LinkID {
+	v := db.ReadView()
+	defer v.Close()
 	var ids []LinkID
-	for _, st := range db.stripes {
-		st.mu.RLock()
-		for id := range st.links {
-			ids = append(ids, id)
-		}
-		st.mu.RUnlock()
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	v.EachLink(func(l *Link) bool {
+		ids = append(ids, l.ID)
+		return true
+	})
+	slices.Sort(ids)
 	return ids
 }
 
@@ -921,43 +915,19 @@ type Stats struct {
 
 // Stats returns current object counts.
 func (db *DB) Stats() Stats {
+	v := db.ReadView()
+	defer v.Close()
+	return v.stats()
+}
+
+func (v *View) stats() Stats {
 	var s Stats
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		s.OIDs += len(sh.oids)
-		s.Chains += len(sh.chains)
-		sh.mu.RUnlock()
-	}
-	for _, st := range db.stripes {
-		st.mu.RLock()
-		s.Links += len(st.links)
-		st.mu.RUnlock()
-	}
-	db.ctl.RLock()
-	s.Configurations = len(db.configs)
-	s.Workspaces = len(db.workspaces)
-	db.ctl.RUnlock()
+	v.EachOID(func(*OID) bool { s.OIDs++; return true })
+	v.EachLink(func(*Link) bool { s.Links++; return true })
+	v.eachChain(func(BlockView, []int) bool { s.Chains++; return true })
+	v.eachConfiguration(func(*Configuration) { s.Configurations++ })
+	v.eachWorkspace(func(*Workspace) { s.Workspaces++ })
 	return s
-}
-
-func removeRef(refs []linkRef, id LinkID) []linkRef {
-	for i, r := range refs {
-		if r.id == id {
-			return append(refs[:i], refs[i+1:]...)
-		}
-	}
-	return refs
-}
-
-// replaceRef points the ref for id at the replacement link object.  Callers
-// hold the owning shard's write lock.
-func replaceRef(refs []linkRef, id LinkID, nl *Link) {
-	for i, r := range refs {
-		if r.id == id {
-			refs[i].l = nl
-			return
-		}
-	}
 }
 
 func sortKeys(keys []Key) {

@@ -3,6 +3,7 @@ package meta
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -536,5 +537,52 @@ func TestKeysSorted(t *testing.T) {
 	bvs := db.BlockViews()
 	if len(bvs) != 2 || bvs[0].Block != "a" || bvs[1].Block != "b" {
 		t.Errorf("BlockViews = %v", bvs)
+	}
+}
+
+// TestStatsIsOneCut: the enumerations are walks of one pinned view, so what
+// they count is a database that existed.  The writer only ever adds two
+// OIDs and then a link between them: at every instant 2*Links ≤ OIDs, and a
+// count taken shard after shard, stripes last, does not see it that way.
+func TestStatsIsOneCut(t *testing.T) {
+	db := NewDBWithShards(4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 4000; i++ {
+			a, err := db.NewVersion(fmt.Sprintf("a%d", i%61), "HDL_model")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b, err := db.NewVersion(fmt.Sprintf("b%d", i%59), "HDL_model")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := db.AddLink(DeriveLink, a, b, "", nil, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for reads := 0; ; reads++ {
+		if st := db.Stats(); 2*st.Links > st.OIDs {
+			t.Fatalf("Stats counted %d links between %d OIDs", st.Links, st.OIDs)
+		}
+		v := db.ReadView()
+		keys, st := v.keys(), v.stats()
+		v.Close()
+		if len(keys) != st.OIDs {
+			t.Fatalf("one view: %d keys, %d OIDs counted", len(keys), st.OIDs)
+		}
+		select {
+		case <-done:
+			if st := db.Stats(); reads == 0 || st.OIDs != 8000 || st.Links != 4000 {
+				t.Fatalf("%d reads; at the end %+v", reads, st)
+			}
+			return
+		default:
+		}
 	}
 }

@@ -3,7 +3,9 @@ package meta
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -106,11 +108,82 @@ func mutationProgram(seed int64) []func(*DB) {
 	return steps
 }
 
+// liveReadsEqualView is what used to be an invariant between two copies of
+// the data, as a property of the public API: every live read of a quiescent
+// database answers what the same read answers on a view pinned right after
+// it — object for object, and the postings member for member, in order.
+func liveReadsEqualView(db *DB) error {
+	v := db.ReadView()
+	defer v.Close()
+	keys := db.Keys()
+	if !slices.Equal(keys, v.keys()) {
+		return fmt.Errorf("Keys %v, the view's %v", keys, v.keys())
+	}
+	if live, at := db.Stats(), v.stats(); live != at {
+		return fmt.Errorf("Stats %+v, the view's %+v", live, at)
+	}
+	sameLinks := func(what string, k Key, live, at []*Link) error {
+		if len(live) != len(at) {
+			return fmt.Errorf("%s(%v): %d links, the view's posting %d", what, k, len(live), len(at))
+		}
+		for i := range live {
+			if a, b := linkArgs(live[i]), linkArgs(at[i]); !slices.Equal(a, b) {
+				return fmt.Errorf("%s(%v)[%d]: %v, the view's %v", what, k, i, a, b)
+			}
+		}
+		return nil
+	}
+	for _, k := range keys {
+		live, err := db.GetOID(k)
+		at, verr := v.GetOID(k)
+		if err != nil || verr != nil || live.Seq != at.Seq || !maps.Equal(live.Props, at.Props) {
+			return fmt.Errorf("GetOID(%v): %+v %v, the view's %+v %v", k, live, err, at, verr)
+		}
+		latest, err := db.Latest(k.Block, k.View)
+		if vl, ok := v.Latest(k.Block, k.View); err != nil || !ok || latest != vl {
+			return fmt.Errorf("Latest(%v): %v %v, the view's %v %v", k.BV(), latest, err, vl, ok)
+		}
+		chain, _ := v.shards[db.shardIndex(k.Block)].chains.at(k.BV(), v.lsn)
+		if versions := db.Versions(k.Block, k.View); !slices.Equal(versions, chain) {
+			return fmt.Errorf("Versions(%v): %v, the view's chain %v", k.BV(), versions, chain)
+		}
+		if err := sameLinks("LinksFrom", k, db.LinksFrom(k), v.outAt(k)); err != nil {
+			return err
+		}
+		if err := sameLinks("LinksTo", k, db.LinksTo(k), v.inAt(k)); err != nil {
+			return err
+		}
+	}
+	for _, id := range db.LinkIDs() {
+		live, err := db.GetLink(id)
+		at, ok := v.stripes[uint32(id)&db.lmask].links.at(id, v.lsn)
+		if err != nil || !ok || !slices.Equal(linkArgs(live), linkArgs(at)) {
+			return fmt.Errorf("GetLink(%d): %+v %v, the view's %+v %v", id, live, err, at, ok)
+		}
+	}
+	for _, name := range db.ConfigurationNames() {
+		live, err := db.GetConfiguration(name)
+		at, ok := v.ctl.configs.at(name, v.lsn)
+		if err != nil || !ok || !slices.Equal(configArgs(live), configArgs(at)) {
+			return fmt.Errorf("GetConfiguration(%q): %+v %v, the view's %+v %v", name, live, err, at, ok)
+		}
+	}
+	for _, name := range db.WorkspaceNames() {
+		live, err := db.GetWorkspace(name)
+		at, ok := v.ctl.workspaces.at(name, v.lsn)
+		if err != nil || !ok || live.Root != at.Root || !maps.Equal(live.paths, at.paths) {
+			return fmt.Errorf("GetWorkspace(%q): %+v %v, the view's %+v %v", name, live, err, at, ok)
+		}
+	}
+	return nil
+}
+
 // TestQuickPlainViewEqualsReplay is view == replay-up-to-LSN on a database
 // that never saw a journal: after a random program on NewDBWithShards(n),
 // the view pinned at the stamp each step left behind saves to the bytes —
 // and walks to the fingerprint — of a fresh database that ran only the
-// steps up to there.
+// steps up to there; and after every step the live reads are the reads of
+// a view pinned then (liveReadsEqualView).
 func TestQuickPlainViewEqualsReplay(t *testing.T) {
 	for _, shards := range []int{1, 4, 64} {
 		f := func(seed int64) bool {
@@ -120,6 +193,10 @@ func TestQuickPlainViewEqualsReplay(t *testing.T) {
 			for i, step := range steps {
 				step(db)
 				stamps[i] = db.mvcc.epoch.Load()
+				if err := liveReadsEqualView(db); err != nil {
+					t.Logf("shards=%d seed=%d: after step %d: %v", shards, seed, i, err)
+					return false
+				}
 			}
 			for i := range steps {
 				if i+1 < len(steps) && stamps[i+1] == stamps[i] {
@@ -162,7 +239,7 @@ func TestQuickPlainViewEqualsReplay(t *testing.T) {
 // TestQuickLoadSeals: Save(Load(doc)) == doc, a view pinned on the loaded
 // database sees the loaded content (and keeps seeing it under later
 // writes), and the first update of a loaded OID diffs against the loaded
-// properties — the version histories mirror the live maps from the start.
+// properties — the loaded versions are the database from the start.
 func TestQuickLoadSeals(t *testing.T) {
 	f := func(seed int64) bool {
 		src := NewDBWithShards(4)
@@ -187,7 +264,7 @@ func TestQuickLoadSeals(t *testing.T) {
 				return false
 			}
 			if live := oracleLive(t, db); !bytes.Equal(live, doc) {
-				t.Logf("seed %d shards %d: live maps != doc:\n%s", seed, shards, firstDiff(live, doc))
+				t.Logf("seed %d shards %d: live reads != doc:\n%s", seed, shards, firstDiff(live, doc))
 				return false
 			}
 			pinned := db.ReadView()
@@ -240,9 +317,9 @@ func TestQuickLoadSeals(t *testing.T) {
 }
 
 // FuzzLoad: a hostile snapshot document either fails to load or yields a
-// database whose pinned view agrees with its live maps and whose Save
+// database whose pinned view agrees with its live reads and whose Save
 // re-loads to the same bytes — never a panic, never a database that reads
-// differently through a view than through the maps Load filled.  (The first
+// differently through a view than through the live API.  (The first
 // Save may differ from the input: the decoder is lenient about spelling.)
 // And the streaming decoder stays inside the reflection decoder it replaced
 // (checkLoadAgainstOracle): what it loads the oracle loads, to the same

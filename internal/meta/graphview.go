@@ -1,12 +1,13 @@
 package meta
 
 import (
+	"cmp"
 	"fmt"
-	"sync"
+	"slices"
 )
 
 // View-based graph walks.  Each walk resolves adjacency through the
-// versioned reachability index (shardHist.out/in): one lock-free lookup
+// versioned reachability index (shardHist.adj): one lock-free lookup
 // per visited key, so a closure query costs O(closure) index lookups —
 // never a whole-graph link scan, and never a shard or stripe lock.  The
 // results are byte-stable: re-running a walk on the same view always
@@ -16,58 +17,13 @@ import (
 // From == k).  The slice and its links are immutable; callers must not
 // mutate them.
 func (v *View) outAt(k Key) []*Link {
-	return v.adjAt(k, true)
+	return v.shards[v.db.shardIndex(k.Block)].links(k, v.lsn).out
 }
 
 // inAt returns the view's incoming-adjacency posting of k (links with
 // To == k).
 func (v *View) inAt(k Key) []*Link {
-	return v.adjAt(k, false)
-}
-
-func (v *View) adjAt(k Key, out bool) []*Link {
-	h := v.shards[v.db.shardIndex(k.Block)]
-	m := &h.in
-	if out {
-		m = &h.out
-	}
-	hi, ok := m.Load(k)
-	if !ok {
-		return nil
-	}
-	x := hi.(*hist[[]*Link]).at(v.lsn)
-	if x == nil || x.del {
-		return nil
-	}
-	return x.val
-}
-
-// linkAt resolves a link by ID at the view, nil when absent/deleted.
-// The returned object is immutable and may be retained.
-func (v *View) linkAt(id LinkID) *Link {
-	hi, ok := v.stripes[uint32(id)&v.db.lmask].links.Load(id)
-	if !ok {
-		return nil
-	}
-	x := hi.(*hist[*Link]).at(v.lsn)
-	if x == nil || x.del {
-		return nil
-	}
-	return x.val
-}
-
-// configAt resolves a stored configuration at the view, nil when
-// absent/deleted.  The returned object is the immutable stored version.
-func (v *View) configAt(name string) *Configuration {
-	hi, ok := v.ctl.configs.Load(name)
-	if !ok {
-		return nil
-	}
-	x := hi.(*hist[*Configuration]).at(v.lsn)
-	if x == nil || x.del {
-		return nil
-	}
-	return x.val
+	return v.shards[v.db.shardIndex(k.Block)].links(k, v.lsn).in
 }
 
 // Reachable is DB.Reachable evaluated at the view: the set of keys
@@ -157,26 +113,22 @@ func (v *View) Equivalents(k Key) []Key {
 // configuration and every referenced object resolve at the same LSN, and
 // the clone-heavy materialization runs without any database lock.
 func (v *View) Resolve(name string) (*ResolvedConfiguration, error) {
-	c := v.configAt(name)
-	if c == nil {
+	c, ok := v.ctl.configs.at(name, v.lsn)
+	if !ok {
 		return nil, fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
 	r := &ResolvedConfiguration{Config: c.clone()}
 	r.OIDs = make([]*OID, 0, len(c.OIDs))
 	for _, k := range c.OIDs {
-		if x := v.oidAt(k); x != nil {
-			o := &OID{Key: k, Seq: x.val.seq, Props: make(map[string]string, len(x.val.props))}
-			for pk, pv := range x.val.props {
-				o.Props[pk] = pv
-			}
-			r.OIDs = append(r.OIDs, o)
+		if o, err := v.GetOID(k); err == nil {
+			r.OIDs = append(r.OIDs, o.clone())
 		} else {
 			r.MissingOIDs = append(r.MissingOIDs, k)
 		}
 	}
 	r.Links = make([]*Link, 0, len(c.Links))
 	for _, id := range c.Links {
-		if l := v.linkAt(id); l != nil {
+		if l, ok := v.stripes[uint32(id)&v.db.lmask].links.at(id, v.lsn); ok {
 			r.Links = append(r.Links, l.clone())
 		} else {
 			r.MissingLinks = append(r.MissingLinks, id)
@@ -185,67 +137,58 @@ func (v *View) Resolve(name string) (*ResolvedConfiguration, error) {
 	return r, nil
 }
 
-// AuditGraphIndex checks the versioned adjacency index against the live
-// adjacency maps and re-publishes any posting that diverged.  Incremental
-// maintenance keeps the index exact, so the scan normally publishes
-// nothing: it is the safety net under every view walk.  It locks the whole
+// AuditGraphIndex checks the adjacency postings against the link table —
+// every live link is, as that very object, in its From's out-posting and
+// its To's in-posting, and every posting member is a live link — and
+// re-publishes any posting that diverged, in link-ID order.  Incremental
+// maintenance keeps the postings exact, so the scan normally publishes
+// nothing: it is the safety net under every walk.  It locks the whole
 // database for the scan (O(links)); the engine runs it at a policy reload.
 // A repair is stamped with the current epoch and goes through no commit
-// point: the index is derived state, so there is nothing to journal and no
-// stamp to spend, and under lockAll no link mutation is installing, so no
-// posting carries a newer stamp.
+// point: the postings are derived from the link table, so there is nothing
+// to journal and no stamp to spend, and under lockAll no link mutation is
+// installing, so no posting carries a newer stamp.
 func (db *DB) AuditGraphIndex() {
 	db.lockAll()
 	defer db.unlockAll()
 	s := db.mvcc.epoch.Load()
+	want := make(map[Key]posting)
+	for _, st := range db.stripes {
+		st.hist.Load().links.each(newest, func(_ LinkID, l *Link) bool {
+			p := want[l.From]
+			p.out = append(p.out, l)
+			want[l.From] = p
+			p = want[l.To]
+			p.in = append(p.in, l)
+			want[l.To] = p
+			return true
+		})
+	}
+	byID := func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) }
+	same := func(have, want []*Link) bool {
+		have = slices.Clone(have)
+		slices.SortFunc(have, byID)
+		slices.SortFunc(want, byID)
+		return slices.Equal(have, want)
+	}
+	for k, p := range want {
+		h := db.shardOf(k).hist.Load()
+		have := h.links(k, newest)
+		if !same(have.out, p.out) {
+			h.post(true, k, s, p.out)
+		}
+		if !same(have.in, p.in) {
+			h.post(false, k, s, p.in)
+		}
+	}
+	// A posting whose key no live link names must read empty.
 	for _, sh := range db.shards {
 		h := sh.hist.Load()
-		for k, refs := range sh.outLinks {
-			if !adjCurrent(&h.out, k, refs) {
-				db.histAdjPush(sh, k, s, true)
-			}
-		}
-		for k, refs := range sh.inLinks {
-			if !adjCurrent(&h.in, k, refs) {
-				db.histAdjPush(sh, k, s, false)
-			}
-		}
-		// Postings whose key has no live refs anymore must read empty.
-		h.out.Range(func(ki, _ any) bool {
-			k := ki.(Key)
-			if len(sh.outLinks[k]) == 0 && !adjCurrent(&h.out, k, nil) {
-				db.histAdjPush(sh, k, s, true)
-			}
-			return true
-		})
-		h.in.Range(func(ki, _ any) bool {
-			k := ki.(Key)
-			if len(sh.inLinks[k]) == 0 && !adjCurrent(&h.in, k, nil) {
-				db.histAdjPush(sh, k, s, false)
+		h.adj.each(newest, func(k Key, _ posting) bool {
+			if _, named := want[k]; !named {
+				h.adj.push(k, s, posting{}, true)
 			}
 			return true
 		})
 	}
-}
-
-// adjCurrent reports whether the head of an adjacency posting matches the
-// live ref list exactly (same link objects, same order).
-func adjCurrent(m *sync.Map, k Key, refs []linkRef) bool {
-	hi, ok := m.Load(k)
-	if !ok {
-		return len(refs) == 0
-	}
-	x := hi.(*hist[[]*Link]).at(1 << 62)
-	if x == nil || x.del {
-		return len(refs) == 0
-	}
-	if len(x.val) != len(refs) {
-		return false
-	}
-	for i, r := range refs {
-		if x.val[i] != r.l {
-			return false
-		}
-	}
-	return true
 }

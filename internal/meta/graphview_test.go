@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,8 +121,9 @@ func walkFingerprint(v *View, roots []Key) string {
 }
 
 // TestGraphIndexAfterRebuild corrupts an adjacency posting in place and
-// checks that AuditGraphIndex repairs it: view walks match
-// those of an untouched twin database again afterwards.
+// checks that AuditGraphIndex repairs it from the link table: view walks
+// and the live LinksFrom match those of an untouched twin database again
+// afterwards.
 func TestGraphIndexAfterRebuild(t *testing.T) {
 	db := NewDBWithShards(4)
 	rng := rand.New(rand.NewSource(7))
@@ -144,8 +146,8 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 	}
 	v.Close()
 
-	// Corrupt: overwrite one linked key's out-posting with a tombstone, as
-	// if an incremental update had been lost.
+	// Corrupt: overwrite one linked key's posting with one whose out side
+	// is empty, as if an incremental update had been lost.
 	var victim Key
 	for _, k := range keys {
 		if len(db.LinksFrom(k)) > 0 {
@@ -157,9 +159,14 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 		t.Skip("program produced no linked key")
 	}
 	sh := db.shards[db.shardIndex(victim.Block)]
-	bogus := &hist[[]*Link]{}
-	bogus.push(db.mvcc.epoch.Load(), nil, true)
-	sh.hist.Load().out.Store(victim, bogus)
+	lost := sh.hist.Load().links(victim, newest)
+	lost.out = nil
+	bogus := &hist[posting]{}
+	bogus.push(db.mvcc.epoch.Load(), lost, lost.in == nil)
+	sh.hist.Load().adj.m.Store(victim, bogus)
+	if n := len(db.LinksFrom(victim)); n != 0 {
+		t.Fatalf("live read sees %d links through the corrupted posting", n)
+	}
 
 	v = db.ReadView()
 	broken := walkFingerprint(v, keys)
@@ -175,6 +182,17 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 	v.Close()
 	if repaired != want {
 		t.Fatalf("AuditGraphIndex did not repair the index:\nwant %s\ngot  %s", want, repaired)
+	}
+	ids := func(links []*Link) []LinkID {
+		out := make([]LinkID, len(links))
+		for i, l := range links {
+			out[i] = l.ID
+		}
+		slices.Sort(out)
+		return out
+	}
+	if got, want := ids(db.LinksFrom(victim)), ids(twin.LinksFrom(victim)); !slices.Equal(got, want) {
+		t.Fatalf("LinksFrom(%v) after the audit: links %v, want %v", victim, got, want)
 	}
 }
 

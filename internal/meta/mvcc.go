@@ -2,21 +2,26 @@ package meta
 
 // LSN-keyed MVCC read epochs.
 //
-// Every committed mutation of the meta-database carries a stamp: the
-// journal LSN of its record when a Recorder is attached, a database-local
-// epoch counter otherwise, and the original record's LSN during replay.
-// Each mutation publishes an immutable version of every object it changed
-// — OID property maps, version chains, link objects, configurations,
-// workspaces — into lock-free version histories, stamped with that LSN.
-// A database versions from construction: there is no unversioned mode.
+// The version histories are the database: every object — an OID's
+// property map, a version chain, an adjacency posting, a link, a
+// configuration, a workspace — is one lock-free history of immutable
+// versions, newest first, and what the object is now is its history's
+// head.  There is no other container.
+//
+// Every committed mutation carries a stamp: the journal LSN of its record
+// when a Recorder is attached, a database-local epoch counter otherwise,
+// and the original record's LSN during replay.  A mutation reads the heads
+// of what it changes under the locks that serialize it, builds the next
+// immutable values, and pushes them under its stamp.
 //
 // A View (ReadView / ReadViewAt) pins one stamp and resolves every read
-// against the versions at or below it.  Pinning takes one small mutex
-// (the epoch gate, never a shard lock) and reading takes no locks at all:
-// version nodes are immutable once published and reached through atomic
-// pointers, so snapshots, state reports and follower read-your-LSN queries
-// proceed while writers keep committing — the paper's single-writer pause
-// points become wait-free reads.
+// against the versions at or below it; the DB's own point reads ask the
+// same resolver for the newest version instead.  Pinning takes one small
+// mutex (the epoch gate, never a shard lock) and reading takes no locks at
+// all: version nodes are immutable once published and reached through
+// atomic pointers, so snapshots, state reports and follower read-your-LSN
+// queries proceed while writers keep committing — the paper's
+// single-writer pause points become wait-free reads.
 //
 // # The epoch gate
 //
@@ -46,6 +51,8 @@ package meta
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,6 +114,63 @@ func (h *hist[T]) trim(floor int64) bool {
 	return head != nil && head == base && head.del
 }
 
+// newest, as the position of a read, resolves to the head of every history:
+// the database as it is now.
+const newest = math.MaxInt64
+
+// table is the histories of one kind of object, by key — the only
+// container the database has.  Readers take no lock; push and trim are
+// serialized by the lock owning the table (shard, stripe or control plane).
+type table[K comparable, T any] struct {
+	m sync.Map // K -> *hist[T]
+}
+
+// at is the one resolver: the value of key's newest version at or below
+// lsn, ok=false when there is none or it is a tombstone.  Values are
+// immutable; callers must not mutate what they are handed.
+func (t *table[K, T]) at(key K, lsn int64) (val T, ok bool) {
+	if hi, found := t.m.Load(key); found {
+		if x := hi.(*hist[T]).at(lsn); x != nil && !x.del {
+			return x.val, true
+		}
+	}
+	return val, false
+}
+
+// push publishes key's next version under stamp s (a tombstone with del),
+// between the mutation's beginMut and endMut.
+func (t *table[K, T]) push(key K, s int64, val T, del bool) {
+	hi, ok := t.m.Load(key)
+	if !ok {
+		hi = &hist[T]{}
+		t.m.Store(key, hi)
+	}
+	hi.(*hist[T]).push(s, val, del)
+}
+
+// each invokes fn for every key live at lsn, in unspecified order, until
+// fn returns false, and reports whether it ran to the end.
+func (t *table[K, T]) each(lsn int64, fn func(K, T) bool) bool {
+	cont := true
+	t.m.Range(func(key, hi any) bool {
+		if x := hi.(*hist[T]).at(lsn); x != nil && !x.del {
+			cont = fn(key.(K), x.val)
+		}
+		return cont
+	})
+	return cont
+}
+
+// trim cuts every history at floor and drops the dead ones.
+func (t *table[K, T]) trim(floor int64) {
+	t.m.Range(func(key, hi any) bool {
+		if hi.(*hist[T]).trim(floor) {
+			t.m.Delete(key)
+		}
+		return true
+	})
+}
+
 // oidVal is the versioned payload of an OID: its creation stamp and an
 // immutable property map (nil when empty).
 type oidVal struct {
@@ -114,32 +178,69 @@ type oidVal struct {
 	props map[string]string
 }
 
-// shardHist holds one shard's version histories.  The containers are
-// replaced wholesale on RestoreFrom (snapshot re-bootstrap), so views
-// capture the pointers at pin time and stay consistent across a re-base.
+// shardHist is one shard of the database.  The containers are replaced
+// wholesale on RestoreFrom (snapshot re-bootstrap), so views capture the
+// pointers at pin time and stay consistent across a re-base.
 //
-// out and in are the versioned reachability index: per-key adjacency
-// postings, one immutable []*Link per stamp at which the key's incident
-// link set changed.  Graph walks at a view resolve each visited key with
-// one index lookup instead of scanning every link stripe, so a closure
-// query costs O(closure), not O(graph).  Link objects are immutable, so
-// the postings share them with the stripe histories.
+// adj is the reachability index: per key, the links that leave it and the
+// links that arrive, one immutable posting per stamp at which the key's
+// incident link set (or a member object) changed, so a walk resolves each
+// visited key with one lookup and a closure query costs O(closure), not
+// O(graph).  Link objects are immutable, so the postings share them with
+// the link table; a posting empty on both sides is a tombstone — "no links"
+// and "never had links" read alike, and reclamation drops it.
 type shardHist struct {
-	oids   sync.Map // Key -> *hist[oidVal]
-	chains sync.Map // BlockView -> *hist[[]int]
-	out    sync.Map // Key -> *hist[[]*Link] (links with From == key)
-	in     sync.Map // Key -> *hist[[]*Link] (links with To == key)
+	oids   table[Key, oidVal]
+	chains table[BlockView, []int] // ascending, never empty
+	adj    table[Key, posting]
 }
 
-// stripeHist holds one link stripe's version histories.
+// posting is a key's adjacency: the links with From == key and the links
+// with To == key, in the order they were added; nil when there are none.
+type posting struct {
+	out, in []*Link
+}
+
+// side is the out or the in half, to replace; of is the same half, to read.
+func (p *posting) side(out bool) *[]*Link {
+	if out {
+		return &p.out
+	}
+	return &p.in
+}
+
+func (p posting) of(out bool) []*Link { return *p.side(out) }
+
+// links resolves k's posting at lsn, zero when it has no links.
+func (h *shardHist) links(k Key, lsn int64) posting {
+	p, _ := h.adj.at(k, lsn)
+	return p
+}
+
+// put publishes k's next posting.
+func (h *shardHist) put(k Key, s int64, p posting) {
+	h.adj.push(k, s, p, p.out == nil && p.in == nil)
+}
+
+// post publishes k's next posting: the newest, with one side replaced.
+func (h *shardHist) post(out bool, k Key, s int64, links []*Link) {
+	p := h.links(k, newest)
+	if len(links) == 0 {
+		links = nil
+	}
+	*p.side(out) = links
+	h.put(k, s, p)
+}
+
+// stripeHist is one stripe of the link table.
 type stripeHist struct {
-	links sync.Map // LinkID -> *hist[*Link]
+	links table[LinkID, *Link]
 }
 
-// ctlHist holds the control plane's version histories.
+// ctlHist is the control plane: configurations and workspaces.
 type ctlHist struct {
-	configs    sync.Map // string -> *hist[*Configuration]
-	workspaces sync.Map // string -> *hist[*Workspace]
+	configs    table[string, *Configuration]
+	workspaces table[string, *Workspace]
 }
 
 // gateSlot is one in-flight stamp.
@@ -244,12 +345,13 @@ func (m *mvccState) metaAtLocked(lsn int64) (seq, nextLink int64) {
 // beginMut is the single commit point of every mutation: it emits the
 // journal record (when a Recorder is attached), assigns the mutation's
 // MVCC stamp, and registers the stamp as in flight.  It must be called
-// while the locks serializing the mutation are held, after the live maps
-// reflect the change.  args builds the record argument list and is only
-// invoked when a Recorder is attached.  linkID names a link created by
-// this mutation (0 otherwise) so views can reconstruct the next_link
-// counter.  The caller must install its version-history entries under the
-// returned stamp and then call endMut.
+// while the locks serializing the mutation are held, after every check
+// that can refuse it and every read of the heads it builds on: nothing has
+// changed yet, and from here the mutation cannot fail.  args builds the
+// record argument list and is only invoked when a Recorder is attached.
+// linkID names a link created by this mutation (0 otherwise) so views can
+// reconstruct the next_link counter.  The caller must push the versions
+// that are the mutation under the returned stamp and then call endMut.
 func (db *DB) beginMut(op string, linkID int64, args func() []string) int64 {
 	// Build the record arguments before taking the gate mutex: the
 	// caller's object locks already make the snapshot consistent, and
@@ -327,17 +429,12 @@ func (db *DB) SealVersions() {
 	db.ReclaimVersions()
 }
 
-// genesisLocked rebuilds every version history from the live maps, as one
-// version per object stamped s, and resets the gate to that horizon.
-// Callers hold the control-plane lock and every shard and stripe lock, so
-// no mutation is in flight.  The gate mutex is additionally held across
-// the container swap: view pinning goes through it, so a reader racing a
-// follower re-bootstrap can never capture a torn mix of old and new
-// per-shard containers under the new epoch.
-func (db *DB) genesisLocked(s int64) {
+// rebaseLocked makes s the epoch and the horizon, under the header the
+// database carries now: what Load and RestoreFrom end with, once the
+// content stamped at or below s is in place.  Callers hold the gate mutex
+// and no mutation is in flight.
+func (db *DB) rebaseLocked(s int64) {
 	m := &db.mvcc
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.epoch.Store(s)
 	m.horizon.Store(s)
 	m.inflight = m.inflight[:0]
@@ -345,182 +442,39 @@ func (db *DB) genesisLocked(s int64) {
 		lsn: s, seq: db.seq.Load(),
 		linkMax: db.nextLink.Load(), linkCum: db.nextLink.Load(),
 	})
-	for _, sh := range db.shards {
-		h := &shardHist{}
-		for k, o := range sh.oids {
-			// No copy: the version shares the live map until the OID's
-			// next mutation takes its own (OID.own).
-			o.shared = true
-			oh := &hist[oidVal]{}
-			oh.push(s, oidVal{seq: o.Seq, props: o.Props}, false)
-			h.oids.Store(k, oh)
-		}
-		for bv, chain := range sh.chains {
-			chh := &hist[[]int]{}
-			chh.push(s, append([]int(nil), chain...), false)
-			h.chains.Store(bv, chh)
-		}
-		for k, refs := range sh.outLinks {
-			if len(refs) > 0 {
-				ah := &hist[[]*Link]{}
-				ah.push(s, refLinks(refs), false)
-				h.out.Store(k, ah)
-			}
-		}
-		for k, refs := range sh.inLinks {
-			if len(refs) > 0 {
-				ah := &hist[[]*Link]{}
-				ah.push(s, refLinks(refs), false)
-				h.in.Store(k, ah)
-			}
-		}
-		sh.hist.Store(h)
-	}
-	for _, st := range db.stripes {
-		h := &stripeHist{}
-		for id, l := range st.links {
-			lh := &hist[*Link]{}
-			lh.push(s, l, false)
-			h.links.Store(id, lh)
-		}
-		st.hist.Store(h)
-	}
-	ch := &ctlHist{}
-	for name, c := range db.configs {
-		x := &hist[*Configuration]{}
-		x.push(s, c, false)
-		ch.configs.Store(name, x)
-	}
-	for name, w := range db.workspaces {
-		x := &hist[*Workspace]{}
-		x.push(s, w.clone(), false)
-		ch.workspaces.Store(name, x)
-	}
-	db.ctlH.Store(ch)
 }
 
-// copyProps returns an immutable snapshot of a property map, nil when
-// empty (nil map reads are free and well-defined).
-func copyProps(props map[string]string) map[string]string {
-	if len(props) == 0 {
+// Chains and postings are immutable once pushed: a mutation builds the
+// next one from the head.
+
+// with returns s followed by v in a slice of its own, exactly that long.
+func with[T any](s []T, v T) []T {
+	next := make([]T, len(s)+1)
+	next[copy(next, s)] = v
+	return next
+}
+
+// without returns the posting less link id, nil when that empties it.
+func without(p []*Link, id LinkID) []*Link {
+	i := slices.IndexFunc(p, func(l *Link) bool { return l.ID == id })
+	switch {
+	case i < 0:
+		return p
+	case len(p) == 1:
 		return nil
 	}
-	c := make(map[string]string, len(props))
-	for k, v := range props {
-		c[k] = v
-	}
-	return c
+	return append(append(make([]*Link, 0, len(p)-1), p[:i]...), p[i+1:]...)
 }
 
-// ---------------------------------------------------------------------------
-// Version-install helpers.  All run while the lock owning the object is
-// held, between beginMut and endMut.
-
-// histOIDPush publishes an OID version (or, with del, a tombstone).
-func (db *DB) histOIDPush(sh *dbShard, k Key, s int64, o *OID, del bool) {
-	h := sh.hist.Load()
-	hi, ok := h.oids.Load(k)
-	if !ok {
-		hi, _ = h.oids.LoadOrStore(k, &hist[oidVal]{})
-	}
-	if del {
-		hi.(*hist[oidVal]).push(s, oidVal{}, true)
-		return
-	}
-	hi.(*hist[oidVal]).push(s, oidVal{seq: o.Seq, props: copyProps(o.Props)}, false)
-}
-
-// histOIDPrev returns the newest published property map of an OID — it
-// always mirrors the live map, so UpdateOID can diff against it without a
-// pre-copy.
-func (db *DB) histOIDPrev(sh *dbShard, k Key) map[string]string {
-	if hi, ok := sh.hist.Load().oids.Load(k); ok {
-		if x := hi.(*hist[oidVal]).head.Load(); x != nil && !x.del {
-			return x.val.props
+// replaced returns the posting with nl where the link it replaces was.
+func replaced(p []*Link, nl *Link) []*Link {
+	next := slices.Clone(p)
+	for i, l := range next {
+		if l.ID == nl.ID {
+			next[i] = nl
 		}
 	}
-	return nil
-}
-
-// histChainPush publishes the current version list of a chain.
-func (db *DB) histChainPush(sh *dbShard, bv BlockView, s int64) {
-	h := sh.hist.Load()
-	hi, ok := h.chains.Load(bv)
-	if !ok {
-		hi, _ = h.chains.LoadOrStore(bv, &hist[[]int]{})
-	}
-	hi.(*hist[[]int]).push(s, append([]int(nil), sh.chains[bv]...), false)
-}
-
-// refLinks snapshots an adjacency ref list as an immutable link slice
-// (nil when empty, so an empty posting reads like an absent one).
-func refLinks(refs []linkRef) []*Link {
-	if len(refs) == 0 {
-		return nil
-	}
-	out := make([]*Link, len(refs))
-	for i, r := range refs {
-		out[i] = r.l
-	}
-	return out
-}
-
-// histAdjPush publishes the current adjacency posting of k — the
-// reachability index's incremental update.  Every link mutation calls it
-// for each endpoint whose incident set (or a member object) changed,
-// while holding that endpoint's shard lock, so a view walk resolves
-// adjacency with one lookup instead of a whole-graph link scan.  An empty
-// posting is pushed as a tombstone: "no links" and "never had links" read
-// identically, and reclamation can drop dead postings.
-func (db *DB) histAdjPush(sh *dbShard, k Key, s int64, out bool) {
-	h := sh.hist.Load()
-	m, refs := &h.in, sh.inLinks[k]
-	if out {
-		m, refs = &h.out, sh.outLinks[k]
-	}
-	hi, ok := m.Load(k)
-	if !ok {
-		if len(refs) == 0 {
-			return // nothing indexed and nothing to index
-		}
-		hi, _ = m.LoadOrStore(k, &hist[[]*Link]{})
-	}
-	links := refLinks(refs)
-	hi.(*hist[[]*Link]).push(s, links, links == nil)
-}
-
-// histLinkPushLocked publishes a link version (nil = deleted).  Callers
-// hold the owning stripe's lock.
-func (db *DB) histLinkPushLocked(id LinkID, s int64, l *Link) {
-	h := db.stripeOf(id).hist.Load()
-	hi, ok := h.links.Load(id)
-	if !ok {
-		hi, _ = h.links.LoadOrStore(id, &hist[*Link]{})
-	}
-	hi.(*hist[*Link]).push(s, l, l == nil)
-}
-
-// histConfigPushLocked publishes a configuration version (nil = deleted).
-// Callers hold the control-plane lock.
-func (db *DB) histConfigPushLocked(name string, s int64, c *Configuration) {
-	h := db.ctlH.Load()
-	hi, ok := h.configs.Load(name)
-	if !ok {
-		hi, _ = h.configs.LoadOrStore(name, &hist[*Configuration]{})
-	}
-	hi.(*hist[*Configuration]).push(s, c, c == nil)
-}
-
-// histWorkspacePushLocked publishes a workspace version.  w must be a
-// private snapshot (clone) the live side will never mutate.  Callers hold
-// the control-plane lock.
-func (db *DB) histWorkspacePushLocked(name string, s int64, w *Workspace) {
-	h := db.ctlH.Load()
-	hi, ok := h.workspaces.Load(name)
-	if !ok {
-		hi, _ = h.workspaces.LoadOrStore(name, &hist[*Workspace]{})
-	}
-	hi.(*hist[*Workspace]).push(s, w, false)
+	return next
 }
 
 // ---------------------------------------------------------------------------
@@ -651,44 +605,34 @@ func (v *View) LSN() int64 { return v.lsn }
 // Seq returns the database logical clock as of the view.
 func (v *View) Seq() int64 { return v.seq }
 
-// oidAt resolves an OID's version at the view, nil when absent/deleted.
-func (v *View) oidAt(k Key) *ver[oidVal] {
-	hi, ok := v.shards[v.db.shardIndex(k.Block)].oids.Load(k)
-	if !ok {
-		return nil
-	}
-	x := hi.(*hist[oidVal]).at(v.lsn)
-	if x == nil || x.del {
-		return nil
-	}
-	return x
+// oidAt resolves an OID's version at the view.
+func (v *View) oidAt(k Key) (oidVal, bool) {
+	return v.shards[v.db.shardIndex(k.Block)].oids.at(k, v.lsn)
 }
 
 // HasOID reports whether the OID exists at the view.
-func (v *View) HasOID(k Key) bool { return v.oidAt(k) != nil }
+func (v *View) HasOID(k Key) bool {
+	_, ok := v.oidAt(k)
+	return ok
+}
 
 // GetOID returns the OID as of the view.  Props is the view's immutable
 // version map (possibly nil): callers may retain it but must not mutate.
 func (v *View) GetOID(k Key) (*OID, error) {
-	x := v.oidAt(k)
-	if x == nil {
+	x, ok := v.oidAt(k)
+	if !ok {
 		return nil, fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
-	return &OID{Key: k, Seq: x.val.seq, Props: x.val.props}, nil
+	return &OID{Key: k, Seq: x.seq, Props: x.props}, nil
 }
 
 // Latest returns the newest version of (block, view) at the view.
 func (v *View) Latest(block, view string) (Key, bool) {
-	bv := BlockView{Block: block, View: view}
-	hi, ok := v.shards[v.db.shardIndex(block)].chains.Load(bv)
+	chain, ok := v.shards[v.db.shardIndex(block)].chains.at(BlockView{Block: block, View: view}, v.lsn)
 	if !ok {
 		return Key{}, false
 	}
-	x := hi.(*hist[[]int]).at(v.lsn)
-	if x == nil || x.del || len(x.val) == 0 {
-		return Key{}, false
-	}
-	return Key{Block: block, View: view, Version: x.val[len(x.val)-1]}, true
+	return Key{Block: block, View: view, Version: chain[len(chain)-1]}, true
 }
 
 // EachOID invokes fn for every OID live at the view, in unspecified
@@ -697,17 +641,10 @@ func (v *View) Latest(block, view string) (Key, bool) {
 func (v *View) EachOID(fn func(*OID) bool) {
 	var o OID
 	for _, h := range v.shards {
-		cont := true
-		h.oids.Range(func(key, hv any) bool {
-			x := hv.(*hist[oidVal]).at(v.lsn)
-			if x == nil || x.del {
-				return true
-			}
-			o = OID{Key: key.(Key), Seq: x.val.seq, Props: x.val.props}
-			cont = fn(&o)
-			return cont
-		})
-		if !cont {
+		if !h.oids.each(v.lsn, func(k Key, x oidVal) bool {
+			o = OID{Key: k, Seq: x.seq, Props: x.props}
+			return fn(&o)
+		}) {
 			return
 		}
 	}
@@ -718,29 +655,16 @@ func (v *View) EachOID(fn func(*OID) bool) {
 // reused across calls; Props may be retained (immutable).
 func (v *View) EachLatestOID(fn func(*OID) bool) {
 	var o OID
-	for i, h := range v.shards {
-		oids := &v.shards[i].oids
-		cont := true
-		h.chains.Range(func(key, hv any) bool {
-			x := hv.(*hist[[]int]).at(v.lsn)
-			if x == nil || x.del || len(x.val) == 0 {
-				return true
-			}
-			bv := key.(BlockView)
-			k := Key{Block: bv.Block, View: bv.View, Version: x.val[len(x.val)-1]}
-			hi, ok := oids.Load(k)
+	for _, h := range v.shards {
+		if !h.chains.each(v.lsn, func(bv BlockView, chain []int) bool {
+			k := Key{Block: bv.Block, View: bv.View, Version: chain[len(chain)-1]}
+			x, ok := h.oids.at(k, v.lsn)
 			if !ok {
 				return true
 			}
-			ox := hi.(*hist[oidVal]).at(v.lsn)
-			if ox == nil || ox.del {
-				return true
-			}
-			o = OID{Key: k, Seq: ox.val.seq, Props: ox.val.props}
-			cont = fn(&o)
-			return cont
-		})
-		if !cont {
+			o = OID{Key: k, Seq: x.seq, Props: x.props}
+			return fn(&o)
+		}) {
 			return
 		}
 	}
@@ -751,16 +675,7 @@ func (v *View) EachLatestOID(fn func(*OID) bool) {
 // retained.
 func (v *View) EachLink(fn func(*Link) bool) {
 	for _, h := range v.stripes {
-		cont := true
-		h.links.Range(func(_, hv any) bool {
-			x := hv.(*hist[*Link]).at(v.lsn)
-			if x == nil || x.del {
-				return true
-			}
-			cont = fn(x.val)
-			return cont
-		})
-		if !cont {
+		if !h.links.each(v.lsn, func(_ LinkID, l *Link) bool { return fn(l) }) {
 			return
 		}
 	}
@@ -770,16 +685,7 @@ func (v *View) EachLink(fn func(*Link) bool) {
 // ascending version list (immutable; must not be mutated).
 func (v *View) eachChain(fn func(bv BlockView, chain []int) bool) {
 	for _, h := range v.shards {
-		cont := true
-		h.chains.Range(func(key, hv any) bool {
-			x := hv.(*hist[[]int]).at(v.lsn)
-			if x == nil || x.del || len(x.val) == 0 {
-				return true
-			}
-			cont = fn(key.(BlockView), x.val)
-			return cont
-		})
-		if !cont {
+		if !h.chains.each(v.lsn, fn) {
 			return
 		}
 	}
@@ -788,21 +694,11 @@ func (v *View) eachChain(fn func(bv BlockView, chain []int) bool) {
 // eachConfiguration / eachWorkspace feed the view Save path; the objects
 // handed out are the immutable stored versions.
 func (v *View) eachConfiguration(fn func(*Configuration)) {
-	v.ctl.configs.Range(func(_, hv any) bool {
-		if x := hv.(*hist[*Configuration]).at(v.lsn); x != nil && !x.del {
-			fn(x.val)
-		}
-		return true
-	})
+	v.ctl.configs.each(v.lsn, func(_ string, c *Configuration) bool { fn(c); return true })
 }
 
 func (v *View) eachWorkspace(fn func(*Workspace)) {
-	v.ctl.workspaces.Range(func(_, hv any) bool {
-		if x := hv.(*hist[*Workspace]).at(v.lsn); x != nil && !x.del {
-			fn(x.val)
-		}
-		return true
-	})
+	v.ctl.workspaces.each(v.lsn, func(_ string, w *Workspace) bool { fn(w); return true })
 }
 
 // ---------------------------------------------------------------------------
@@ -844,57 +740,20 @@ func (db *DB) ReclaimVersions() {
 	for _, sh := range db.shards {
 		sh.mu.Lock()
 		h := sh.hist.Load()
-		h.oids.Range(func(key, hv any) bool {
-			if hv.(*hist[oidVal]).trim(floor) {
-				h.oids.Delete(key)
-			}
-			return true
-		})
-		h.chains.Range(func(key, hv any) bool {
-			if hv.(*hist[[]int]).trim(floor) {
-				h.chains.Delete(key)
-			}
-			return true
-		})
-		h.out.Range(func(key, hv any) bool {
-			if hv.(*hist[[]*Link]).trim(floor) {
-				h.out.Delete(key)
-			}
-			return true
-		})
-		h.in.Range(func(key, hv any) bool {
-			if hv.(*hist[[]*Link]).trim(floor) {
-				h.in.Delete(key)
-			}
-			return true
-		})
+		h.oids.trim(floor)
+		h.chains.trim(floor)
+		h.adj.trim(floor)
 		sh.mu.Unlock()
 	}
 	for _, st := range db.stripes {
 		st.mu.Lock()
-		h := st.hist.Load()
-		h.links.Range(func(key, hv any) bool {
-			if hv.(*hist[*Link]).trim(floor) {
-				h.links.Delete(key)
-			}
-			return true
-		})
+		st.hist.Load().links.trim(floor)
 		st.mu.Unlock()
 	}
 	db.ctl.Lock()
 	h := db.ctlH.Load()
-	h.configs.Range(func(key, hv any) bool {
-		if hv.(*hist[*Configuration]).trim(floor) {
-			h.configs.Delete(key)
-		}
-		return true
-	})
-	h.workspaces.Range(func(key, hv any) bool {
-		if hv.(*hist[*Workspace]).trim(floor) {
-			h.workspaces.Delete(key)
-		}
-		return true
-	})
+	h.configs.trim(floor)
+	h.workspaces.trim(floor)
 	db.ctl.Unlock()
 }
 

@@ -1,9 +1,6 @@
 package meta
 
-import (
-	"maps"
-	"sort"
-)
+import "sort"
 
 // Well-known property names.  The paper notes that "certain generic property
 // names are strongly recommended" even though most names are chosen by the
@@ -33,19 +30,6 @@ type OID struct {
 	// totally orders object creation.  Configurations use it to interpret
 	// "state of the design at snapshot time".
 	Seq int64
-
-	// shared marks Props as also being the immutable map of the OID's
-	// genesis version (genesisLocked captures without copying): the first
-	// mutation after it takes a private copy first (own).
-	shared bool
-}
-
-// own makes Props safe to mutate.  Callers hold the owning shard's write
-// lock.
-func (o *OID) own() {
-	if o.shared {
-		o.Props, o.shared = maps.Clone(o.Props), false
-	}
 }
 
 // clone returns a deep copy, used by snapshot resolution so callers can not

@@ -6,9 +6,9 @@ import (
 )
 
 // JSON persistence of the meta-database.  The on-disk form is a plain,
-// human-inspectable document; load rebuilds all indexes.  Version chains
-// are reconstructed from the OID set in ascending order; gaps left by
-// PruneVersions are preserved.  The document is written by the streaming
+// human-inspectable document; load rebuilds the chains and postings it
+// does not record.  Version chains are reconstructed from the OID set in
+// ascending order; gaps left by PruneVersions are preserved.  The document is written by the streaming
 // encoder in snapenc.go and read by the streaming decoder in snapdec.go.
 
 // Save writes the whole meta-database as indented JSON, collected from a
@@ -44,14 +44,14 @@ func (v *View) SaveTo(w io.Writer) error {
 }
 
 // Load reads a database previously written by Save and returns a fresh DB
-// with all indexes rebuilt and the loaded content as its version genesis.
+// whose every object's first version is the loaded one.
 func Load(r io.Reader) (*DB, error) { return LoadShards(r, DefaultShards) }
 
 // LoadShards is Load with an explicit shard count for the rebuilt DB —
 // shard count is a performance knob the document deliberately does not
 // record, so recovery paths that tune it pick it here.
 func LoadShards(r io.Reader, shards int) (*DB, error) {
-	d := &snapDec{r: r, buf: make([]byte, snapWindowBytes), strs: make(map[string]string)}
+	d := &snapDec{r: r, buf: make([]byte, snapWindowBytes)}
 	if err := d.document(); err != nil {
 		return nil, err
 	}
@@ -66,28 +66,22 @@ func LoadShards(r io.Reader, shards int) (*DB, error) {
 // src's, in place — the follower-side snapshot re-bootstrap path: engines
 // and servers hold the *DB pointer, so re-basing on a primary snapshot
 // must swap the guts rather than the pointer.  lsn is the journal
-// position the restored document covers: the version histories are
-// rebuilt from the new content at that stamp (views pinned before the
-// re-base captured the old containers and stay consistent; the horizon
-// jumps to lsn).  src must have the same shard count (both
-// sides of a bootstrap build it from the same Options) and must not be
-// used afterwards: db adopts its maps.
+// position the restored document covers, and becomes the horizon; views
+// pinned before the re-base captured the old containers and keep reading
+// the old content.  src must have the same shard count (both sides of a
+// bootstrap build it from the same Options), hold nothing stamped beyond
+// lsn (a loaded document is stamped at its newest term start at most), and
+// must not be used afterwards: db adopts its containers.
 func (db *DB) RestoreFrom(src *DB, lsn int64) error {
 	if len(db.shards) != len(src.shards) || len(db.stripes) != len(src.stripes) {
 		return fmt.Errorf("meta: restore: shard count mismatch (%d vs %d)",
 			len(db.shards), len(src.shards))
 	}
+	if e := src.mvcc.epoch.Load(); e > lsn {
+		return fmt.Errorf("meta: restore: source is at stamp %d, beyond lsn %d", e, lsn)
+	}
 	db.ctl.Lock()
 	db.lockAll()
-	for i, sh := range db.shards {
-		s := src.shards[i]
-		sh.oids, sh.chains, sh.outLinks, sh.inLinks = s.oids, s.chains, s.outLinks, s.inLinks
-	}
-	for i, st := range db.stripes {
-		st.links = src.stripes[i].links
-	}
-	db.configs = src.configs
-	db.workspaces = src.workspaces
 	db.seq.Store(src.seq.Load())
 	db.nextLink.Store(src.nextLink.Load())
 	// Adopt the source's term history wholesale: a bootstrap document from
@@ -95,7 +89,19 @@ func (db *DB) RestoreFrom(src *DB, lsn int64) error {
 	// and forgetting them would leave this replica unable to fence the
 	// deposed primary's tail.
 	db.storeTerms(src.loadTerms())
-	db.genesisLocked(lsn)
+	// The gate mutex is held across the swap: view pinning goes through it,
+	// so a reader racing the re-bootstrap can never capture a torn mix of
+	// old and new containers under the new epoch.
+	db.mvcc.mu.Lock()
+	for i, sh := range db.shards {
+		sh.hist.Store(src.shards[i].hist.Load())
+	}
+	for i, st := range db.stripes {
+		st.hist.Store(src.stripes[i].hist.Load())
+	}
+	db.ctlH.Store(src.ctlH.Load())
+	db.rebaseLocked(lsn)
+	db.mvcc.mu.Unlock()
 	db.unlockAll()
 	db.ctl.Unlock()
 	return nil

@@ -100,8 +100,9 @@ func propArgs(prefix []string, sets map[string]string, dels []string) []string {
 	return append(args, dels...)
 }
 
-// parsePropArgs decodes the tail produced by propArgs.
-func parsePropArgs(args []string) (sets [][2]string, dels []string, err error) {
+// parsePropArgs decodes the tail produced by propArgs into slices of it:
+// the set names and values, in pairs, and the deleted names.
+func parsePropArgs(args []string) (sets, dels []string, err error) {
 	if len(args) == 0 {
 		return nil, nil, fmt.Errorf("missing set count")
 	}
@@ -109,17 +110,13 @@ func parsePropArgs(args []string) (sets [][2]string, dels []string, err error) {
 	if err != nil || n < 0 || len(args) < 1+2*n {
 		return nil, nil, fmt.Errorf("bad set count %q", args[0])
 	}
-	args = args[1:]
-	for i := 0; i < n; i++ {
-		sets = append(sets, [2]string{args[2*i], args[2*i+1]})
-	}
-	return sets, args[2*n:], nil
+	return args[1 : 1+2*n], args[1+2*n:], nil
 }
 
 // applyProps replays a decoded property diff onto a property map.
-func applyProps(props map[string]string, sets [][2]string, dels []string) {
-	for _, s := range sets {
-		props[s[0]] = s[1]
+func applyProps(props map[string]string, sets, dels []string) {
+	for i := 0; i < len(sets); i += 2 {
+		props[sets[i]] = sets[i+1]
 	}
 	for _, n := range dels {
 		delete(props, n)
@@ -518,28 +515,26 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	return db.insertOIDLocked(sh, k, seq)
 }
 
-// insertOIDLocked is the one place a new OID enters the database: chain
-// maps, version history and the journal record, under sh's lock.  The
-// version must be greater than the newest in the chain; gaps are legal
+// insertOIDLocked is the one place a new OID enters the database: its
+// first version, the chain's next and the journal record, under sh's lock.
+// The version must be greater than the newest in the chain; gaps are legal
 // because old versions may have been pruned (see PruneVersions).
 func (db *DB) insertOIDLocked(sh *dbShard, k Key, seq int64) error {
-	if _, ok := sh.oids[k]; ok {
+	h := sh.hist.Load()
+	if _, ok := h.oids.at(k, newest); ok {
 		return fmt.Errorf("oid %v: %w", k, ErrExists)
 	}
 	bv := k.BV()
-	chain := sh.chains[bv]
+	chain, _ := h.chains.at(bv, newest)
 	if len(chain) > 0 && k.Version <= chain[len(chain)-1] {
 		return fmt.Errorf("oid %v: chain is already at version %d: %w",
 			k, chain[len(chain)-1], ErrBadVersion)
 	}
-	o := &OID{Key: k, Props: make(map[string]string), Seq: seq}
-	sh.oids[k] = o
-	sh.chains[bv] = append(chain, k.Version)
 	s := db.beginMut(OpOID, 0, func() []string {
 		return []string{k.String(), strconv.FormatInt(seq, 10)}
 	})
-	db.histOIDPush(sh, k, s, o, false)
-	db.histChainPush(sh, bv, s)
+	h.oids.push(k, s, oidVal{seq: seq}, false)
+	h.chains.push(bv, s, with(chain, k.Version), false)
 	db.endMut(s)
 	return nil
 }
@@ -551,9 +546,9 @@ func (db *DB) lockLinkEnds(l *Link) (sf, st *dbShard, err error) {
 		return nil, nil, err
 	}
 	sf, st = db.lockPair(l.From, l.To)
-	if _, ok := sf.oids[l.From]; !ok {
+	if _, ok := sf.hist.Load().oids.at(l.From, newest); !ok {
 		err = fmt.Errorf("link from %v: %w", l.From, ErrNotFound)
-	} else if _, ok := st.oids[l.To]; !ok {
+	} else if _, ok := st.hist.Load().oids.at(l.To, newest); !ok {
 		err = fmt.Errorf("link to %v: %w", l.To, ErrNotFound)
 	}
 	if err != nil {
@@ -574,27 +569,23 @@ func (db *DB) insertLinkObject(l *Link) error {
 	return db.installLinkLocked(sf, st, l)
 }
 
-// installLinkLocked is the one place a new link enters the database:
-// stripe map, both adjacency lists, version history and the journal
-// record, under the endpoint shard locks lockLinkEnds took.
+// installLinkLocked is the one place a new link enters the database: the
+// link table, both ends' postings and the journal record, under the
+// endpoint shard locks lockLinkEnds took.
 func (db *DB) installLinkLocked(sf, st *dbShard, l *Link) error {
 	stripe := db.stripeOf(l.ID)
 	stripe.mu.Lock()
-	if _, ok := stripe.links[l.ID]; ok {
-		stripe.mu.Unlock()
+	defer stripe.mu.Unlock()
+	links := &stripe.hist.Load().links
+	if _, ok := links.at(l.ID, newest); ok {
 		return fmt.Errorf("link %d: %w", l.ID, ErrExists)
 	}
-	stripe.links[l.ID] = l
-	stripe.mu.Unlock()
-	sf.outLinks[l.From] = append(sf.outLinks[l.From], linkRef{id: l.ID, l: l})
-	st.inLinks[l.To] = append(st.inLinks[l.To], linkRef{id: l.ID, l: l})
 	floor(&db.nextLink, int64(l.ID))
+	fh, th := sf.hist.Load(), st.hist.Load()
 	s := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
-	stripe.mu.Lock()
-	db.histLinkPushLocked(l.ID, s, l)
-	stripe.mu.Unlock()
-	db.histAdjPush(sf, l.From, s, true)
-	db.histAdjPush(st, l.To, s, false)
+	links.push(l.ID, s, l, false)
+	fh.post(true, l.From, s, with(fh.links(l.From, newest).out, l))
+	th.post(false, l.To, s, with(th.links(l.To, newest).in, l))
 	db.endMut(s)
 	return nil
 }
@@ -608,12 +599,12 @@ func (db *DB) installConfig(c *Configuration) error {
 	}
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
-	if _, ok := db.configs[c.Name]; ok {
+	h := db.ctlH.Load()
+	if _, ok := h.configs.at(c.Name, newest); ok {
 		return fmt.Errorf("configuration %q: %w", c.Name, ErrExists)
 	}
-	db.configs[c.Name] = c
 	s := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
-	db.histConfigPushLocked(c.Name, s, c)
+	h.configs.push(c.Name, s, c, false)
 	db.endMut(s)
 	return nil
 }

@@ -119,6 +119,16 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 		t.Errorf("reverted update emitted records: %v", got)
 	}
 
+	// Nor does setting a property to the value it has: no record, no stamp,
+	// no version.
+	epoch := db.mvcc.epoch.Load()
+	if err := db.SetProp(k, "x", "1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.ops()[n:]; len(got) != 0 || db.mvcc.epoch.Load() != epoch {
+		t.Errorf("SetProp of the value already there emitted %v, epoch %d -> %d", got, epoch, db.mvcc.epoch.Load())
+	}
+
 	// The graph-index audit repairs derived state: it records nothing and
 	// releases every lock, recorder or not.
 	db.AuditGraphIndex()

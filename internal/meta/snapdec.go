@@ -27,7 +27,7 @@ import (
 // document's syntax; what the objects must satisfy (no duplicates, valid
 // names, link ends that exist) is checked when they are installed, in the
 // order Load always checked it — OIDs by key, links by ID, configurations,
-// workspaces, terms — into maps made at their final size.
+// workspaces, terms — each as the first version of its history.
 //
 // What it accepts is what Save writes, spelled freely: any member order, any
 // JSON whitespace, every JSON string escape, null for any value, members it
@@ -39,16 +39,19 @@ import (
 // win silently, so a damaged document used to load as a different database.
 
 const (
-	// snapWindowBytes is the decoder's read buffer.
-	snapWindowBytes = 64 << 10
+	// snapWindowBytes is the decoder's read buffer: garbage once the
+	// document is read, so no larger than keeps the reads few.
+	snapWindowBytes = 8 << 10
 
 	// snapMaxDepth is how deep arrays and objects may nest (in members the
 	// format does not know: what it knows is four deep), as in encoding/json.
 	snapMaxDepth = 10000
 
 	// snapInternBytes is the longest string the decoder looks up in its
-	// table of strings already seen instead of allocating it.
+	// table of strings already seen instead of allocating it, and
+	// snapInternSlots the size of that table.
 	snapInternBytes = 32
+	snapInternSlots = 512
 )
 
 // The members of the document's objects.  A decoder method switches on a
@@ -74,9 +77,12 @@ type snapDec struct {
 	stack []byte // and their opening brackets, in a member being skipped
 	str   []byte // a string that needed decoding, or straddled the window
 
-	strs map[string]string // every short string seen, once
-	keys []Key             // a configuration's keys, before they are counted
-	ids  []LinkID          // and its link IDs
+	// strs holds the short strings seen lately, each where its hash puts
+	// it: a document repeats a few dozen names thousands of times, and a
+	// table that neither grows nor is searched catches them.
+	strs [snapInternSlots]string
+	keys []Key    // a configuration's keys, before they are counted
+	ids  []LinkID // and its link IDs
 
 	// The document's content, in document order.
 	seq, nextLink int64
@@ -577,17 +583,17 @@ func (d *snapDec) stringBody() ([]byte, error) {
 }
 
 // intern returns b as a string, the same string for the same bytes when
-// they are few: a document names a view or a property thousands of times.
+// they are few and were seen not long ago: a document names a view or a
+// property thousands of times.
 func (d *snapDec) intern(b []byte) string {
 	if len(b) > snapInternBytes {
 		return string(b)
 	}
-	if s, ok := d.strs[string(b)]; ok {
-		return s
+	slot := &d.strs[fnv1a(b)%snapInternSlots]
+	if *slot != string(b) {
+		*slot = string(b)
 	}
-	s := string(b)
-	d.strs[s] = s
-	return s
+	return *slot
 }
 
 // word reads a string member as an interned string.
@@ -785,9 +791,6 @@ func (d *snapDec) oid() error {
 		}
 		return err
 	})
-	if o.Props == nil {
-		o.Props = make(map[string]string)
-	}
 	d.oids = append(d.oids, o)
 	return err
 }
@@ -957,32 +960,28 @@ func (d *snapDec) term() error {
 // Installing what was read.
 
 // install enters the document's objects in db, which is empty and nobody
-// else's yet (no locks), and captures the whole as the version genesis.
-// The order of the checks is the order Load has always made them in, so a
+// else's yet (no locks), each as the first version of its history.  The
+// order of the checks is the order Load has always made them in, so a
 // document with several defects is refused for the same one as ever.
 func (d *snapDec) install(db *DB) error {
-	// OIDs, in key order: duplicates come side by side, every chain comes
-	// in one ascending run, and each shard's maps are made at their size.
+	// A document that lived through a promotion is stamped at its newest
+	// term start, so that the view pinned there carries the whole term
+	// table.
+	var stamp int64
+	if n := len(d.terms); n > 0 {
+		stamp = d.terms[n-1].LSN
+	}
+
+	// OIDs, in key order: duplicates come side by side and every chain
+	// comes in one ascending run.
 	slices.SortFunc(d.oids, func(a, b *OID) int { return a.Key.Compare(b.Key) })
-	perShard := make([]struct{ oids, chains int }, len(db.shards))
-	for i, o := range d.oids {
-		n := &perShard[db.shardIndex(o.Key.Block)]
-		n.oids++
-		if i == 0 || d.oids[i-1].Key.BV() != o.Key.BV() {
-			n.chains++
-		}
-	}
-	for i, sh := range db.shards {
-		sh.oids = make(map[Key]*OID, perShard[i].oids)
-		sh.chains = make(map[BlockView][]int, perShard[i].chains)
-	}
 	for i := 0; i < len(d.oids); {
 		bv := d.oids[i].Key.BV()
 		run := i + 1
 		for run < len(d.oids) && d.oids[run].Key.BV() == bv {
 			run++
 		}
-		sh := db.shards[db.shardIndex(bv.Block)]
+		h := db.shards[db.shardIndex(bv.Block)].hist.Load()
 		chain := make([]int, 0, run-i)
 		for ; i < run; i++ {
 			o := d.oids[i]
@@ -994,21 +993,14 @@ func (d *snapDec) install(db *DB) error {
 			if err := o.Key.Validate(); err != nil {
 				return fmt.Errorf("meta: load oid: %w", err)
 			}
-			sh.oids[o.Key] = o
+			h.oids.push(o.Key, stamp, oidVal{seq: o.Seq, props: o.Props}, false)
 			chain = append(chain, o.Key.Version)
 		}
-		sh.chains[bv] = chain
+		h.chains.push(bv, stamp, chain, false)
 	}
 
-	// Links, in ID order, which is the order of the adjacency lists.
+	// Links, in ID order.
 	slices.SortFunc(d.links, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
-	perStripe := make([]int, len(db.stripes))
-	for _, l := range d.links {
-		perStripe[uint32(l.ID)&db.lmask]++
-	}
-	for i, st := range db.stripes {
-		st.links = make(map[LinkID]*Link, perStripe[i])
-	}
 	for i, l := range d.links {
 		fail := func(err error) error { return fmt.Errorf("meta: load link %d: %w", l.ID, err) }
 		if err := d.defects[l]; err != nil {
@@ -1020,35 +1012,64 @@ func (d *snapDec) install(db *DB) error {
 		if i > 0 && d.links[i-1].ID == l.ID {
 			return fail(ErrExists)
 		}
-		fs, ts := db.shardOf(l.From), db.shardOf(l.To)
-		if _, ok := fs.oids[l.From]; !ok {
+		if _, ok := db.shardOf(l.From).hist.Load().oids.at(l.From, stamp); !ok {
 			return fail(fmt.Errorf("from %v: %w", l.From, ErrNotFound))
 		}
-		if _, ok := ts.oids[l.To]; !ok {
+		if _, ok := db.shardOf(l.To).hist.Load().oids.at(l.To, stamp); !ok {
 			return fail(fmt.Errorf("to %v: %w", l.To, ErrNotFound))
 		}
-		db.stripeOf(l.ID).links[l.ID] = l
-		fs.outLinks[l.From] = append(fs.outLinks[l.From], linkRef{id: l.ID, l: l})
-		ts.inLinks[l.To] = append(ts.inLinks[l.To], linkRef{id: l.ID, l: l})
+		db.stripeOf(l.ID).hist.Load().links.push(l.ID, stamp, l, false)
+	}
+	// The postings, one push each: a key's links are one run of the links
+	// sorted by From and one of the links sorted by To, and the stable sorts
+	// keep each run in ID order.
+	byTo := slices.Clone(d.links)
+	fromOf, toOf := func(l *Link) Key { return l.From }, func(l *Link) Key { return l.To }
+	slices.SortStableFunc(d.links, func(a, b *Link) int { return a.From.Compare(b.From) })
+	slices.SortStableFunc(byTo, func(a, b *Link) int { return a.To.Compare(b.To) })
+	// cut takes the leading links whose end is k off the list, as a slice of
+	// their own: nil when there are none.
+	cut := func(links []*Link, end func(*Link) Key, k Key) (run, rest []*Link) {
+		n := 0
+		for n < len(links) && end(links[n]) == k {
+			n++
+		}
+		if n == 0 {
+			return nil, links
+		}
+		return slices.Clone(links[:n]), links[n:]
+	}
+	for from, to := d.links, byTo; len(from)+len(to) > 0; {
+		var k Key
+		if len(to) == 0 || len(from) > 0 && from[0].From.Compare(to[0].To) <= 0 {
+			k = from[0].From
+		} else {
+			k = to[0].To
+		}
+		var p posting
+		p.out, from = cut(from, fromOf, k)
+		p.in, to = cut(to, toOf, k)
+		db.shardOf(k).hist.Load().put(k, stamp, p)
 	}
 
+	ctl := db.ctlH.Load()
 	for _, c := range d.configs {
-		if _, ok := db.configs[c.Name]; ok {
+		if _, ok := ctl.configs.at(c.Name, stamp); ok {
 			return fmt.Errorf("meta: load: duplicate configuration %q in document: %w", c.Name, ErrExists)
 		}
 		if err := d.defects[c]; err != nil {
 			return fmt.Errorf("meta: load configuration %q: %w", c.Name, err)
 		}
-		db.configs[c.Name] = c
+		ctl.configs.push(c.Name, stamp, c, false)
 	}
 	for _, ws := range d.workspaces {
-		if _, ok := db.workspaces[ws.Name]; ok {
+		if _, ok := ctl.workspaces.at(ws.Name, stamp); ok {
 			return fmt.Errorf("meta: load: duplicate workspace %q in document: %w", ws.Name, ErrExists)
 		}
 		if err := d.defects[ws]; err != nil {
 			return fmt.Errorf("meta: load workspace %q: %w", ws.Name, err)
 		}
-		db.workspaces[ws.Name] = ws
+		ctl.workspaces.push(ws.Name, stamp, ws, false)
 	}
 	if len(d.terms) > 0 {
 		if err := db.setTermStarts(d.terms); err != nil {
@@ -1057,13 +1078,8 @@ func (d *snapDec) install(db *DB) error {
 	}
 	db.seq.Store(d.seq)
 	db.nextLink.Store(d.nextLink)
-	// A document that lived through a promotion is stamped at its newest
-	// term start, so that the view pinned there carries the whole term
-	// table.
-	var stamp int64
-	if t := db.loadTerms(); len(t) > 0 {
-		stamp = t[len(t)-1].LSN
-	}
-	db.genesisLocked(stamp)
+	db.mvcc.mu.Lock()
+	db.rebaseLocked(stamp)
+	db.mvcc.mu.Unlock()
 	return nil
 }

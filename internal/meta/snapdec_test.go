@@ -78,7 +78,7 @@ func checkLoadAgainstOracle(t testing.TB, doc []byte, shards int) (loaded bool) 
 				t.Fatalf("%s: Save after the streaming Load differs from Save after the oracle's:\n%s", how, firstDiff(a, b))
 			}
 			if live := oracleLive(t, got); !bytes.Equal(live, a) {
-				t.Fatalf("%s: the live maps of the loaded database differ from its view:\n%s", how, firstDiff(live, a))
+				t.Fatalf("%s: the live reads of the loaded database differ from its view:\n%s", how, firstDiff(live, a))
 			}
 			if ga, wa := adjacency(got), adjacency(want); ga != wa {
 				t.Fatalf("%s: adjacency lists differ from the oracle's:\n got %s\nwant %s", how, ga, wa)
@@ -112,16 +112,15 @@ func (r *pieceReader) Read(p []byte) (int, error) {
 func adjacency(db *DB) string {
 	var sb strings.Builder
 	for _, k := range db.Keys() {
-		sh := db.shardOf(k)
 		fmt.Fprintf(&sb, "%v out", k)
-		for _, ref := range sh.outLinks[k] {
-			fmt.Fprintf(&sb, " %d", ref.id)
+		for _, l := range db.LinksFrom(k) {
+			fmt.Fprintf(&sb, " %d", l.ID)
 		}
 		sb.WriteString(" in")
-		for _, ref := range sh.inLinks[k] {
-			fmt.Fprintf(&sb, " %d", ref.id)
+		for _, l := range db.LinksTo(k) {
+			fmt.Fprintf(&sb, " %d", l.ID)
 		}
-		fmt.Fprintf(&sb, " chain %v\n", sh.chains[k.BV()])
+		fmt.Fprintf(&sb, " chain %v\n", db.Versions(k.Block, k.View))
 	}
 	return sb.String()
 }

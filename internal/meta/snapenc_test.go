@@ -67,28 +67,40 @@ func oracleWorkspace(ws *Workspace) workspaceJSON {
 	return wj
 }
 
-// oracleLive is the document the live maps describe, read without the
-// version histories.  The database must be quiescent.
+// oracleLive is the document the public live reads describe, object by
+// object, without pinning a view.  The database must be quiescent.
 func oracleLive(t testing.TB, db *DB) []byte {
-	doc := dbJSON{Seq: db.seq.Load(), NextLink: db.nextLink.Load()}
-	for _, sh := range db.shards {
-		for _, o := range sh.oids {
-			oj := oidJSON{Block: o.Key.Block, View: o.Key.View, Version: o.Key.Version, Seq: o.Seq}
-			if len(o.Props) > 0 {
-				oj.Props = o.Props
-			}
-			doc.OIDs = append(doc.OIDs, oj)
+	doc := dbJSON{Seq: db.Seq(), NextLink: db.nextLink.Load()}
+	for _, k := range db.Keys() {
+		o, err := db.GetOID(k)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, st := range db.stripes {
-		for _, l := range st.links {
-			doc.Links = append(doc.Links, oracleLink(l))
+		oj := oidJSON{Block: k.Block, View: k.View, Version: k.Version, Seq: o.Seq}
+		if len(o.Props) > 0 {
+			oj.Props = o.Props
 		}
+		doc.OIDs = append(doc.OIDs, oj)
 	}
-	for _, c := range db.configs {
+	for _, id := range db.LinkIDs() {
+		l, err := db.GetLink(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Links = append(doc.Links, oracleLink(l))
+	}
+	for _, name := range db.ConfigurationNames() {
+		c, err := db.GetConfiguration(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		doc.Configs = append(doc.Configs, oracleConfig(c))
 	}
-	for _, ws := range db.workspaces {
+	for _, name := range db.WorkspaceNames() {
+		ws, err := db.GetWorkspace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		doc.Workspaces = append(doc.Workspaces, oracleWorkspace(ws))
 	}
 	doc.Terms = oracleTerms(db.TermStarts())

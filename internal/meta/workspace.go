@@ -51,13 +51,13 @@ func (db *DB) AddWorkspace(name, root string) error {
 	}
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
-	if _, ok := db.workspaces[name]; ok {
+	h := db.ctlH.Load()
+	if _, ok := h.workspaces.at(name, newest); ok {
 		return fmt.Errorf("workspace %q: %w", name, ErrExists)
 	}
 	w := &Workspace{Name: name, Root: root, paths: make(map[Key]string)}
-	db.workspaces[name] = w
 	s := db.beginMut(OpWorkspace, 0, func() []string { return []string{name, root} })
-	db.histWorkspacePushLocked(name, s, w.clone())
+	h.workspaces.push(name, s, w, false)
 	db.endMut(s)
 	return nil
 }
@@ -66,18 +66,20 @@ func (db *DB) AddWorkspace(name, root string) error {
 func (db *DB) BindPath(workspace string, k Key, path string) error {
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
-	w, ok := db.workspaces[workspace]
+	h := db.ctlH.Load()
+	w, ok := h.workspaces.at(workspace, newest)
 	if !ok {
 		return fmt.Errorf("workspace %q: %w", workspace, ErrNotFound)
 	}
 	if !db.HasOID(k) { // ctl orders before the shard locks
 		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
+	w = w.clone() // a stored workspace is immutable
 	w.paths[k] = path
 	s := db.beginMut(OpBind, 0, func() []string {
 		return []string{workspace, k.String(), path}
 	})
-	db.histWorkspacePushLocked(workspace, s, w.clone())
+	h.workspaces.push(workspace, s, w, false)
 	db.endMut(s)
 	return nil
 }
@@ -86,7 +88,7 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 func (db *DB) GetWorkspace(name string) (*Workspace, error) {
 	db.ctl.RLock()
 	defer db.ctl.RUnlock()
-	w, ok := db.workspaces[name]
+	w, ok := db.ctlH.Load().workspaces.at(name, newest)
 	if !ok {
 		return nil, fmt.Errorf("workspace %q: %w", name, ErrNotFound)
 	}
@@ -95,12 +97,10 @@ func (db *DB) GetWorkspace(name string) (*Workspace, error) {
 
 // WorkspaceNames lists registered workspaces in sorted order.
 func (db *DB) WorkspaceNames() []string {
-	db.ctl.RLock()
-	defer db.ctl.RUnlock()
-	names := make([]string, 0, len(db.workspaces))
-	for n := range db.workspaces {
-		names = append(names, n)
-	}
+	v := db.ReadView()
+	defer v.Close()
+	names := []string{}
+	v.eachWorkspace(func(w *Workspace) { names = append(names, w.Name) })
 	sort.Strings(names)
 	return names
 }

@@ -529,27 +529,12 @@ func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error
 		if err != nil || len(fields) == 0 {
 			return fmt.Errorf("client: follow stream: bad frame %q", content)
 		}
-		var frame FollowFrame
-		switch fields[0] {
-		case wire.FollowFrameRecord:
-			lsn, seq, op, args, err := wire.ParseFollowRecord(fields)
-			if err != nil {
-				return err
-			}
-			frame.Rec = &meta.Record{LSN: lsn, Seq: seq, Op: op, Args: args}
-
-		case wire.FollowFrameSnapshot:
-			if len(fields) != 3 {
-				return fmt.Errorf("client: follow stream: bad snapshot frame %q", content)
-			}
-			lsn, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("client: follow stream: snapshot lsn %q", fields[1])
-			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
-				return fmt.Errorf("client: follow stream: snapshot line count %q", fields[2])
-			}
+		frame, err := parseFollowFrame(fields)
+		if err != nil {
+			return err
+		}
+		if fields[0] == wire.FollowFrameSnapshot {
+			n, _ := strconv.Atoi(fields[2]) // parseFollowFrame vouches for it
 			var doc strings.Builder
 			for i := 0; i < n; i++ {
 				// Per-line refresh: a large bootstrap document arriving
@@ -566,40 +551,73 @@ func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error
 				doc.WriteString(raw)
 				doc.WriteByte('\n')
 			}
-			frame.SnapLSN = lsn
 			frame.Snapshot = []byte(doc.String())
-
-		case wire.FollowFrameWatermark, wire.FollowFramePing:
-			if len(fields) != 2 {
-				return fmt.Errorf("client: follow stream: bad %s frame %q", fields[0], content)
-			}
-			lsn, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("client: follow stream: %s lsn %q", fields[0], fields[1])
-			}
-			if fields[0] == wire.FollowFramePing {
-				frame.Ping, frame.PingLSN = true, lsn
-			} else {
-				frame.Mark, frame.Watermark = true, lsn
-			}
-
-		case wire.FollowFrameHealth:
-			if len(fields) < 2 {
-				return fmt.Errorf("client: follow stream: bad health frame %q", content)
-			}
-			frame.Health = true
-			frame.HealthReason = strings.Join(fields[2:], " ")
-
-		case wire.FollowFrameError:
-			return fmt.Errorf("client: %s: %w", strings.Join(fields[1:], " "), ErrFollowStream)
-
-		default:
-			return fmt.Errorf("client: follow stream: unknown frame kind %q", fields[0])
 		}
 		if err := fn(frame); err != nil {
 			return err
 		}
 	}
+}
+
+// parseFollowFrame decodes the tokenized fields (at least one) of one
+// stream line into its frame.  A snapshot frame comes back with its LSN and
+// without its document: fields[2], checked here, says how many body lines
+// the caller has to read for it.  An error frame is the stream's terminal
+// failure and comes back as the error, wrapping ErrFollowStream.
+func parseFollowFrame(fields []string) (FollowFrame, error) {
+	var frame FollowFrame
+	bad := func(what string) (FollowFrame, error) {
+		return FollowFrame{}, fmt.Errorf("client: follow stream: bad %s %q", what, fields)
+	}
+	switch fields[0] {
+	case wire.FollowFrameRecord:
+		lsn, seq, op, args, err := wire.ParseFollowRecord(fields)
+		if err != nil {
+			return FollowFrame{}, err
+		}
+		frame.Rec = &meta.Record{LSN: lsn, Seq: seq, Op: op, Args: args}
+
+	case wire.FollowFrameSnapshot:
+		if len(fields) != 3 {
+			return bad("snapshot frame")
+		}
+		lsn, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			return bad("snapshot lsn")
+		}
+		if n, err := strconv.Atoi(fields[2]); err != nil || n < 0 {
+			return bad("snapshot line count")
+		}
+		frame.SnapLSN = lsn
+
+	case wire.FollowFrameWatermark, wire.FollowFramePing:
+		if len(fields) != 2 {
+			return bad(fields[0] + " frame")
+		}
+		lsn, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			return bad(fields[0] + " lsn")
+		}
+		if fields[0] == wire.FollowFramePing {
+			frame.Ping, frame.PingLSN = true, lsn
+		} else {
+			frame.Mark, frame.Watermark = true, lsn
+		}
+
+	case wire.FollowFrameHealth:
+		if len(fields) < 2 {
+			return bad("health frame")
+		}
+		frame.Health = true
+		frame.HealthReason = strings.Join(fields[2:], " ")
+
+	case wire.FollowFrameError:
+		return FollowFrame{}, fmt.Errorf("client: %s: %w", strings.Join(fields[1:], " "), ErrFollowStream)
+
+	default:
+		return bad("frame kind")
+	}
+	return frame, nil
 }
 
 // SendAck reports an applied-and-committed position upstream on a

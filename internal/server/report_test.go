@@ -42,7 +42,7 @@ func reportRow(st *state.OIDState) string {
 }
 
 // oracleRows is what REPORT (or GAP) must answer for db: the latest version
-// of every chain, in key order, each read from the live maps (no view) and
+// of every chain, in key order, each read through the live point reads (not a scan) and
 // evaluated on its own through the one-shot state.Evaluate and rendered by
 // reportRow.  The database must be quiescent.
 func oracleRows(t *testing.T, db *meta.DB, bp *bpl.Blueprint, gap bool) []string {
