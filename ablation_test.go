@@ -116,7 +116,7 @@ func BenchmarkAblationLinkIteration(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				count := 0
-				db.EachLinkOf(hub, func(l *meta.Link) bool {
+				db.Head().EachLinkOf(hub, func(l *meta.Link) bool {
 					if l.CanPropagate("outofdate") {
 						count++
 					}
@@ -131,7 +131,7 @@ func BenchmarkAblationLinkIteration(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				count := 0
-				for _, l := range db.LinksOf(hub) {
+				for _, l := range db.Head().LinksOf(hub) {
 					if l.CanPropagate("outofdate") {
 						count++
 					}
@@ -226,7 +226,7 @@ endblueprint`
 			t.Fatal(err)
 		}
 		state := map[string]string{}
-		eng.DB().EachOID(func(o *OID) bool {
+		eng.DB().Head().EachOID(func(o *OID) bool {
 			state[o.Key.String()] = o.Props["uptodate"]
 			return true
 		})

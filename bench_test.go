@@ -362,7 +362,7 @@ func BenchmarkObserverVsActivityDriven(b *testing.B) {
 				if err := proj.Engine.Post(ev); err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := proj.DB.GetProp(tail, "uptodate"); err != nil {
+				if _, _, err := proj.DB.Head().GetProp(tail, "uptodate"); err != nil {
 					b.Fatal(err)
 				}
 				// The observer's background processing happens outside
@@ -454,7 +454,7 @@ func BenchmarkEventVsPollingDetection(b *testing.B) {
 			}
 			// The stale set is already materialized in properties.
 			stale := 0
-			eng.DB().EachOID(func(o *meta.OID) bool {
+			eng.DB().Head().EachOID(func(o *meta.OID) bool {
 				if o.Props["uptodate"] == "false" {
 					stale++
 				}
@@ -532,7 +532,7 @@ func BenchmarkConfigurationSnapshot(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := db.Resolve("mat")
+				r, err := db.Head().Resolve("mat")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -617,7 +617,7 @@ func BenchmarkToolScheduling(b *testing.B) {
 			if _, err := sess.Synthesize(hdl, lib); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sess.Eng.DB().Latest("CPU", "netlist"); err != nil {
+			if _, err := sess.Eng.DB().Head().Latest("CPU", "netlist"); err != nil {
 				b.Fatal("auto netlister did not run")
 			}
 		}

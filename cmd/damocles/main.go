@@ -180,7 +180,7 @@ func runFollower(addr, bpFile, jdir, primary string, fsync bool, ack int, ackTim
 		s.SetPing(ping)
 		return s
 	}
-	log.Printf("following %s from applied lsn %d: %+v", primary, fol.AppliedLSN(), fol.DB().Stats())
+	log.Printf("following %s from applied lsn %d: %+v", primary, fol.AppliedLSN(), stats(fol.DB()))
 	var engOpts []engine.Option
 	if trace {
 		engOpts = append(engOpts, engine.WithTracer(logTracer{}))
@@ -263,7 +263,7 @@ func runFollower(addr, bpFile, jdir, primary string, fsync bool, ack int, ackTim
 		if err := jw.Close(); err != nil {
 			return err
 		}
-		log.Printf("journal closed at lsn %d (term %d): %+v", jw.LastLSN(), jw.Term(), fol.DB().Stats())
+		log.Printf("journal closed at lsn %d (term %d): %+v", jw.LastLSN(), jw.Term(), stats(fol.DB()))
 		return nil
 	}
 	if err := fol.Close(); err != nil {
@@ -271,7 +271,7 @@ func runFollower(addr, bpFile, jdir, primary string, fsync bool, ack int, ackTim
 	}
 	st := fol.Stats()
 	log.Printf("follower closed at applied lsn %d (connects=%d bootstraps=%d records=%d acks=%d stalls=%d): %+v",
-		fol.AppliedLSN(), st.Connects, st.Bootstraps, st.Records, st.Acks, st.Stalls, fol.DB().Stats())
+		fol.AppliedLSN(), st.Connects, st.Bootstraps, st.Records, st.Acks, st.Stalls, stats(fol.DB()))
 	return nil
 }
 
@@ -298,7 +298,7 @@ func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, pin
 		if err != nil {
 			return err
 		}
-		log.Printf("recovered journal %s at lsn %d (term %d): %+v", jdir, jw.LastLSN(), jw.Term(), db.Stats())
+		log.Printf("recovered journal %s at lsn %d (term %d): %+v", jdir, jw.LastLSN(), jw.Term(), stats(db))
 	} else if dbFile != "" {
 		f, err := os.Open(dbFile)
 		switch {
@@ -308,7 +308,7 @@ func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, pin
 			if err != nil {
 				return fmt.Errorf("load %s: %w", dbFile, err)
 			}
-			log.Printf("loaded %s: %+v", dbFile, db.Stats())
+			log.Printf("loaded %s: %+v", dbFile, stats(db))
 		case errors.Is(err, fs.ErrNotExist):
 			log.Printf("%s not found, starting empty", dbFile)
 		default:
@@ -353,7 +353,7 @@ func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, pin
 		if err := jw.Close(); err != nil {
 			return err
 		}
-		log.Printf("journal closed at lsn %d: %+v", jw.LastLSN(), db.Stats())
+		log.Printf("journal closed at lsn %d: %+v", jw.LastLSN(), stats(db))
 	}
 	if dbFile != "" {
 		f, err := os.Create(dbFile)
@@ -364,7 +364,7 @@ func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, pin
 		if err := db.Save(f); err != nil {
 			return err
 		}
-		log.Printf("saved %s: %+v", dbFile, db.Stats())
+		log.Printf("saved %s: %+v", dbFile, stats(db))
 	}
 	return nil
 }
@@ -373,3 +373,10 @@ func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, pin
 type logTracer struct{}
 
 func (logTracer) Trace(e engine.TraceEntry) { log.Print(e.String()) }
+
+// stats counts db's objects at a view pinned for the call.
+func stats(db *meta.DB) meta.Stats {
+	v := db.ReadView()
+	defer v.Close()
+	return v.Stats()
+}

@@ -135,7 +135,9 @@ func connect(addr, jdir, bpFile string) (*server.Client, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	log.Printf("replayed %s to lsn %d: %+v", jdir, lsn, db.Stats())
+	v := db.ReadView()
+	log.Printf("replayed %s to lsn %d: %+v", jdir, lsn, v.Stats())
+	v.Close()
 	eng, err := engine.New(db, bp)
 	if err != nil {
 		return nil, nil, err

@@ -289,7 +289,9 @@ func expConfigurations() {
 		}
 		var resolved int
 		mat := timeIt(iters, func() {
-			r, err := db.Resolve("mat")
+			v := db.ReadView()
+			r, err := v.Resolve("mat")
+			v.Close()
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -329,7 +331,7 @@ func expScheduling() {
 		if _, err := sess.Synthesize(hdl, lib); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := sess.Eng.DB().Latest("CPU", "netlist"); err != nil {
+		if _, err := sess.Eng.DB().Head().Latest("CPU", "netlist"); err != nil {
 			log.Fatal("auto netlister did not run")
 		}
 	})

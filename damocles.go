@@ -134,12 +134,21 @@ func StreamReport(db *DB, bp *Blueprint, fn func(*OIDState) bool) {
 	state.StreamView(v, bp, fn)
 }
 
-// Report evaluates the state of the latest version of every design object.
-func Report(db *DB, bp *Blueprint) []OIDState { return state.Report(db, bp) }
+// Report evaluates the state of the latest version of every design object,
+// at a view pinned for the call.
+func Report(db *DB, bp *Blueprint) []OIDState {
+	v := db.ReadView()
+	defer v.Close()
+	return state.Report(v, bp)
+}
 
 // Gap returns only the objects that have not reached their planned state,
 // with the blocking conditions.
-func Gap(db *DB, bp *Blueprint) []OIDState { return state.Gap(db, bp) }
+func Gap(db *DB, bp *Blueprint) []OIDState {
+	v := db.ReadView()
+	defer v.Close()
+	return state.Gap(v, bp)
+}
 
 // FormatReport renders a state report as a table.
 func FormatReport(report []OIDState) string { return state.Format(report) }

@@ -20,7 +20,7 @@ func TestNewProjectQuickstart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := proj.DB.GetProp(k, "sim_result")
+	v, _, err := proj.DB.Head().GetProp(k, "sim_result")
 	if err != nil || v != "good" {
 		t.Fatalf("sim_result = %q, %v", v, err)
 	}
@@ -72,7 +72,7 @@ func TestFacadeRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Stats().OIDs != 1 {
+	if db2.Head().Stats().OIDs != 1 {
 		t.Error("load lost data")
 	}
 }

@@ -25,7 +25,7 @@ func ExampleNewProject() {
 	if err != nil {
 		panic(err)
 	}
-	v, _, _ := proj.DB.GetProp(hdl, "sim_result")
+	v, _, _ := proj.DB.Head().GetProp(hdl, "sim_result")
 	fmt.Println(hdl, "sim_result:", v)
 	// Output: CPU,HDL_model,1 sim_result: good
 }

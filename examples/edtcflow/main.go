@@ -42,5 +42,7 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("Project state after the change (the designers' query):")
-	fmt.Print(state.Format(state.Gap(sess.Eng.DB(), sess.Eng.Blueprint())))
+	v := sess.Eng.DB().ReadView()
+	defer v.Close()
+	fmt.Print(state.Format(state.Gap(v, sess.Eng.Blueprint())))
 }

@@ -48,7 +48,7 @@ func main() {
 	countStale := func() int {
 		n := 0
 		for _, k := range all {
-			if v, _, _ := eng.DB().GetProp(k, "uptodate"); v == "false" {
+			if v, _, _ := eng.DB().Head().GetProp(k, "uptodate"); v == "false" {
 				n++
 			}
 		}

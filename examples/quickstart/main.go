@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	v, _, _ := proj.DB.GetProp(hdl, "sim_result")
+	v, _, _ := proj.DB.Head().GetProp(hdl, "sim_result")
 	fmt.Println("sim_result:", v)
 
 	// Fix the model: a new version.  Properties with default inheritance

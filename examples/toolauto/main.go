@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nl, err := sess.Eng.DB().Latest("CPU", "netlist")
+	nl, err := sess.Eng.DB().Head().Latest("CPU", "netlist")
 	if err != nil {
 		log.Fatal("expected the exec rule to have netlisted automatically")
 	}
@@ -70,14 +70,14 @@ func main() {
 
 	// The repair is the flow itself: re-simulate the model, re-synthesize
 	// (auto-netlisting again), and the permission returns.
-	hdl2, _ := sess.Eng.DB().Latest("CPU", "HDL_model")
+	hdl2, _ := sess.Eng.DB().Head().Latest("CPU", "HDL_model")
 	if _, err := sess.RunHDLSim(hdl2); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := sess.Synthesize(hdl2, lib); err != nil {
 		log.Fatal(err)
 	}
-	nl2, err := sess.Eng.DB().Latest("CPU", "netlist")
+	nl2, err := sess.Eng.DB().Head().Latest("CPU", "netlist")
 	if err != nil {
 		log.Fatal(err)
 	}

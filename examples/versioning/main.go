@@ -64,25 +64,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	l, _ := db.GetLink(linkID)
+	head := db.Head()
+	l, _ := head.GetLink(linkID)
 	fmt.Printf("before: link %d  %v -> %v  (TYPE=%s PROPAGATE=%v)\n",
 		l.ID, l.From, l.To, l.Type(), l.PropagateList())
-	drc, _, _ := db.GetProp(g5, "DRC")
+	drc, _, _ := head.GetProp(g5, "DRC")
 	fmt.Printf("before: %v DRC=%q\n\n", g5, drc)
 
 	// "create new OID" — exactly the transition both figures draw.
 	g6 := create("alu", "GDSII")
 
-	l, _ = db.GetLink(linkID)
+	l, _ = head.GetLink(linkID)
 	fmt.Printf("after:  link %d  %v -> %v   (moved, as in Figure 3)\n", l.ID, l.From, l.To)
-	drc6, _, _ := db.GetProp(g6, "DRC")
+	drc6, _, _ := head.GetProp(g6, "DRC")
 	fmt.Printf("after:  %v DRC=%q          (copied, as in Figure 2)\n", g6, drc6)
-	audit6, _, _ := db.GetProp(g6, "audit")
-	_, auditOld, _ := db.GetProp(g5, "audit")
+	audit6, _, _ := head.GetProp(g6, "audit")
+	_, auditOld, _ := head.GetProp(g5, "audit")
 	fmt.Printf("after:  %v audit=%q; still on v5: %v (moved)\n", g6, audit6, auditOld)
 
 	fmt.Println("\nversion chains:")
-	for _, bv := range db.BlockViews() {
-		fmt.Printf("  %s.%s: versions %v\n", bv.Block, bv.View, db.Versions(bv.Block, bv.View))
+	v := db.ReadView()
+	defer v.Close()
+	for _, bv := range v.BlockViews() {
+		fmt.Printf("  %s.%s: versions %v\n", bv.Block, bv.View, v.Versions(bv.Block, bv.View))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/flow"
-	"repro/internal/state"
 	"repro/internal/task"
 	"repro/internal/viz"
 	"repro/internal/wrapper"
@@ -31,7 +30,7 @@ func BenchmarkStateReport(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep := state.Report(proj.DB, proj.Blueprint)
+				rep := Report(proj.DB, proj.Blueprint)
 				if len(rep) != n {
 					b.Fatal(len(rep))
 				}
@@ -127,7 +126,10 @@ func BenchmarkVizRenderers(b *testing.B) {
 	})
 	b.Run("state-text", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if out := viz.StateText(db, bp); len(out) == 0 {
+			v := db.ReadView()
+			out := viz.StateText(v, bp)
+			v.Close()
+			if len(out) == 0 {
 				b.Fatal("empty")
 			}
 		}

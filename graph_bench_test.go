@@ -54,7 +54,7 @@ func benchGraphDB(b *testing.B, n, chain, writers int) (*Project, meta.Key, func
 					return
 				default:
 				}
-				k, err := proj.DB.Latest(fmt.Sprintf("blk%04d", (w*31+i)%n), "schematic")
+				k, err := proj.DB.Head().Latest(fmt.Sprintf("blk%04d", (w*31+i)%n), "schematic")
 				if err == nil {
 					_ = proj.DB.SetProp(k, "sim_result", fmt.Sprint(i))
 				}
@@ -81,7 +81,7 @@ func BenchmarkReachableUnderWrites(b *testing.B) {
 			defer stop()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				keys := proj.DB.Reachable(root, meta.FollowAllLinks)
+				keys := proj.DB.Head().Reachable(root, meta.FollowAllLinks)
 				if len(keys) != blocks {
 					b.Fatal(len(keys))
 				}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/server"
-	"repro/internal/state"
 	"repro/internal/task"
 	"repro/internal/tools"
 	"repro/internal/wrapper"
@@ -119,10 +118,10 @@ func TestIntegrationRemoteTeamFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Stats() != proj.DB.Stats() {
-		t.Errorf("stats differ after reload: %+v vs %+v", db2.Stats(), proj.DB.Stats())
+	if db2.Head().Stats() != proj.DB.Head().Stats() {
+		t.Errorf("stats differ after reload: %+v vs %+v", db2.Head().Stats(), proj.DB.Head().Stats())
 	}
-	rep := state.Report(db2, proj.Blueprint)
+	rep := Report(db2, proj.Blueprint)
 	var found bool
 	for _, st := range rep {
 		if st.Key == sch && !st.Ready {
@@ -200,7 +199,7 @@ func TestIntegrationEngineSurvivesExecutorFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// State was still maintained.
-	v, _, err := proj.DB.GetProp(sch, "uptodate")
+	v, _, err := proj.DB.Head().GetProp(sch, "uptodate")
 	if err != nil || v != "true" {
 		t.Errorf("uptodate = %q %v", v, err)
 	}

@@ -63,11 +63,13 @@ func FlowSim(out io.Writer, cfg FlowSimConfig) error {
 		return fmt.Errorf("unknown mode %q", cfg.Mode)
 	}
 
+	v := sess.Eng.DB().ReadView()
+	defer v.Close()
 	fmt.Fprintln(out, "\n=== project state (latest versions) ===")
-	fmt.Fprint(out, state.Format(state.Report(sess.Eng.DB(), sess.Eng.Blueprint())))
+	fmt.Fprint(out, state.Format(state.Report(v, sess.Eng.Blueprint())))
 
 	es := sess.Eng.Stats()
-	ds := sess.Eng.DB().Stats()
+	ds := v.Stats()
 	fmt.Fprintln(out, "\n=== statistics ===")
 	fmt.Fprintf(out, "meta-database: %d OIDs, %d links, %d chains\n", ds.OIDs, ds.Links, ds.Chains)
 	fmt.Fprintf(out, "engine: %d events posted, %d deliveries, %d propagations, %d rules fired\n",

@@ -192,7 +192,7 @@ endblueprint`)
 						return
 					}
 				case 3:
-					e.DB().EachOID(func(o *meta.OID) bool { return o.Props["uptodate"] != "false" })
+					e.DB().Head().EachOID(func(o *meta.OID) bool { return o.Props["uptodate"] != "false" })
 				}
 			}
 		}(p)
@@ -259,7 +259,7 @@ endblueprint`, WithTracer(tr))
 	second := make(chan outcome, 1)
 	go func() {
 		err := e.PostAndDrain(Event{Name: "set", Dir: bpl.DirDown, Target: b, Args: []string{"y"}})
-		r, _, _ := e.DB().GetProp(b, "r")
+		r, _, _ := e.DB().Head().GetProp(b, "r")
 		second <- outcome{r, err}
 	}()
 	// A correct Drain is now blocked and shows nothing; one that yields and

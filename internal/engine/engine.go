@@ -32,7 +32,8 @@ type policy struct {
 // deliveries within a wave are FIFO, and waves run one after another in
 // enqueue order on the goroutine that owns the drain, as in the paper.
 type Engine struct {
-	db *meta.DB
+	db   *meta.DB
+	head *meta.View // db.Head(): the drain's reads see its own writes
 
 	// pol is the current policy.  Drain captures it once per delivery at
 	// dequeue time: an event processed after SetBlueprint runs under the
@@ -129,6 +130,7 @@ func New(db *meta.DB, bp *bpl.Blueprint, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{
 		db:       db,
+		head:     db.Head(),
 		executor: exec.Nop{},
 		tracer:   NopTracer{},
 		clock:    time.Now,
@@ -190,7 +192,7 @@ func (e *Engine) SetBlueprint(bp *bpl.Blueprint) error {
 	}
 	e.pol.Store(&policy{bp: bp, idx: bp.Index()})
 	// A policy reload is rare and already a project-wide event: the point
-	// at which the graph index is audited against the live link maps.
+	// at which the graph index is audited against the link table.
 	e.db.AuditGraphIndex()
 	return nil
 }
@@ -213,7 +215,7 @@ func (e *Engine) Post(ev Event) error {
 	if err := ev.Validate(); err != nil {
 		return err
 	}
-	if !e.db.HasOID(ev.Target) {
+	if !e.head.HasOID(ev.Target) {
 		return fmt.Errorf("engine: event %s: target %v: %w", ev.Name, ev.Target, meta.ErrNotFound)
 	}
 	if ev.User == "" {
@@ -434,7 +436,7 @@ func (e *Engine) retireWave(w *wave) {
 func (e *Engine) deliver(pol *policy, item queueItem, w *wave) {
 	ev := item.ev
 	e.stats.deliveries.Add(1)
-	if !e.db.HasOID(ev.Target) {
+	if !e.head.HasOID(ev.Target) {
 		e.stats.drops.Add(1)
 		if e.tracing {
 			e.tracer.Trace(TraceEntry{Kind: TraceDrop, OID: ev.Target.String(), Event: ev.Name, Detail: "target missing"})
@@ -612,7 +614,7 @@ func (e *Engine) execPost(ev Event, pa *bpl.PostAction, lookup bpl.LookupFunc) {
 	if pa.ToView != "" {
 		// Targeted post: address the latest version of the named view of
 		// the same block; rules run there.
-		target, err := e.db.Latest(ev.Target.Block, pa.ToView)
+		target, err := e.head.Latest(ev.Target.Block, pa.ToView)
 		if err != nil {
 			if e.tracing {
 				e.traceError(ev, fmt.Sprintf("post %s to %s: no such OID", pa.Event, pa.ToView))
@@ -654,7 +656,7 @@ func (e *Engine) propagate(item queueItem, w *wave) {
 	ev := item.ev
 	hops := w.hops[:0]
 	var blocked int64
-	e.db.EachLinkOf(ev.Target, func(l *meta.Link) bool {
+	e.head.EachLinkOf(ev.Target, func(l *meta.Link) bool {
 		if !l.CanPropagate(ev.Name) {
 			blocked++
 			return true

@@ -42,9 +42,20 @@ func mustCreate(t *testing.T, e *Engine, block, view string) meta.Key {
 	return k
 }
 
+// linksAt returns k's links with k as their From end (from) or To end.
+func linksAt(db *meta.DB, k meta.Key, from bool) []*meta.Link {
+	var out []*meta.Link
+	for _, l := range db.Head().LinksOf(k) {
+		if (l.From == k) == from {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 func prop(t *testing.T, e *Engine, k meta.Key, name string) string {
 	t.Helper()
-	v, _, err := e.DB().GetProp(k, name)
+	v, _, err := e.DB().Head().GetProp(k, name)
 	if err != nil {
 		t.Fatalf("GetProp(%v,%s): %v", k, name, err)
 	}

@@ -40,7 +40,7 @@ func (e *Engine) lookupFor(ev Event) bpl.LookupFunc {
 		case "user":
 			return ev.User
 		case "owner":
-			if v, ok, _ := e.db.GetProp(ev.Target, meta.PropOwner); ok && v != "" {
+			if v, ok, _ := e.head.GetProp(ev.Target, meta.PropOwner); ok && v != "" {
 				return v
 			}
 			return ev.User
@@ -57,7 +57,7 @@ func (e *Engine) lookupFor(ev Event) bpl.LookupFunc {
 			}
 			return ""
 		}
-		v, _, _ := e.db.GetProp(ev.Target, name)
+		v, _, _ := e.head.GetProp(ev.Target, name)
 		return v
 	}
 }
@@ -134,7 +134,7 @@ func (e *Engine) envSnapshot(ev Event) map[string]string {
 	for i, a := range ev.Args {
 		env["arg"+strconv.Itoa(i+1)] = a
 	}
-	_ = e.db.WithOID(ev.Target, func(o *meta.OID) {
+	_ = e.head.WithOID(ev.Target, func(o *meta.OID) {
 		for name, v := range o.Props {
 			if _, exists := env[name]; !exists {
 				env[name] = v

@@ -105,7 +105,7 @@ endblueprint`, WithExecutor(reg))
 		t.Fatal(err)
 	}
 	reg.Register("probe", func(exec.Invocation) error {
-		duringExec, _, _ = e2.DB().GetProp(dst2, "uptodate")
+		duringExec, _, _ = e2.DB().Head().GetProp(dst2, "uptodate")
 		return nil
 	})
 	if err := e2.PostAndDrain(Event{Name: EventCheckin, Dir: bpl.DirDown, Target: src2}); err != nil {

@@ -97,7 +97,7 @@ func TestSetBlueprintMidDrain(t *testing.T) {
 
 	want := map[string]bool{"a": true, "b": true, "c": false}
 	for i, name := range []string{"a", "b", "c"} {
-		_, hit, err := e.DB().GetProp(keys[i], "hit")
+		_, hit, err := e.DB().Head().GetProp(keys[i], "hit")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,11 +55,11 @@ func TestQuickPropagationTerminatesAndMatchesReachability(t *testing.T) {
 			return false
 		}
 		expect := map[meta.Key]bool{origin: true}
-		for _, k := range e.DB().Dependents(origin, meta.FollowAllLinks) {
+		for _, k := range e.DB().Head().Dependents(origin, meta.FollowAllLinks) {
 			expect[k] = true
 		}
 		for _, k := range keys {
-			got, _, _ := e.DB().GetProp(k, "uptodate")
+			got, _, _ := e.DB().Head().GetProp(k, "uptodate")
 			want := "true"
 			if expect[k] {
 				want = "false"
@@ -102,7 +102,7 @@ func TestQuickFIFODeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			state := map[string]string{}
-			e.DB().EachOID(func(o *meta.OID) bool {
+			e.DB().Head().EachOID(func(o *meta.OID) bool {
 				for p, v := range o.Props {
 					state[o.Key.String()+"/"+p] = v
 				}
@@ -163,8 +163,8 @@ endblueprint`)
 		// Exactly one link instance exists, and it connects the two latest
 		// versions.
 		var all []*meta.Link
-		for _, id := range db.LinkIDs() {
-			l, err := db.GetLink(id)
+		for _, id := range db.Head().LinkIDs() {
+			l, err := db.Head().GetLink(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,8 +174,8 @@ endblueprint`)
 			t.Logf("seed %d: %d link instances", seed, len(all))
 			return false
 		}
-		ls, _ := db.Latest("s", "src")
-		ld, _ := db.Latest("d", "dst")
+		ls, _ := db.Head().Latest("s", "src")
+		ld, _ := db.Head().Latest("d", "dst")
 		if all[0].From != ls || all[0].To != ld {
 			t.Logf("seed %d: link %v->%v, latest %v %v", seed, all[0].From, all[0].To, ls, ld)
 			return false

@@ -101,7 +101,7 @@ func TestEDTCScenario(t *testing.T) {
 
 	// "The BluePrint in this example has been set up to automatically
 	// create a new netlist each time a new schematic is checked in."
-	nl, err := db.Latest("CPU", "netlist")
+	nl, err := db.Head().Latest("CPU", "netlist")
 	if err != nil {
 		t.Fatalf("netlister did not run: %v", err)
 	}
@@ -124,10 +124,10 @@ func TestEDTCScenario(t *testing.T) {
 	if hdl3.Version != 3 {
 		t.Fatalf("hdl3 = %v", hdl3)
 	}
-	if got := db.LinksFrom(hdl3); len(got) != 1 || got[0].To != cpuSch {
+	if got := linksAt(db, hdl3, true); len(got) != 1 || got[0].To != cpuSch {
 		t.Fatalf("derived link did not shift to hdl3: %v", got)
 	}
-	if got := db.LinksFrom(hdl2); len(got) != 0 {
+	if got := linksAt(db, hdl2, true); len(got) != 0 {
 		t.Errorf("hdl2 still has outgoing links: %v", got)
 	}
 

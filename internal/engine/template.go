@@ -30,7 +30,7 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 	e.stats.oidsCreated.Add(1)
 
 	pol := e.pol.Load()
-	prev, hasPrev := e.db.Predecessor(k)
+	prev, hasPrev := e.head.Predecessor(k)
 
 	// Owner is a generic property the engine always records.
 	if err := e.db.SetProp(k, meta.PropOwner, user); err != nil {
@@ -41,7 +41,7 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 	for _, p := range pol.idx.Properties(view) {
 		val := p.Default
 		if hasPrev && p.Inherit != bpl.InheritNone {
-			if pv, ok, _ := e.db.GetProp(prev, p.Name); ok {
+			if pv, ok, _ := e.head.GetProp(prev, p.Name); ok {
 				val = pv
 			}
 			if p.Inherit == bpl.InheritMove {
@@ -81,15 +81,15 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 // (identified by the stamp it received at creation) decides whether it
 // shifts, copies, or stays, regardless of which view declared the template.
 func (e *Engine) inheritLinks(bp *bpl.Blueprint, prev, newK meta.Key) error {
-	// Collect matching instances first; mutating while iterating the
-	// adjacency index under the read lock is not allowed.
+	// Collect matching instances first, from one read of prev's links; the
+	// mutations below republish the links they move.
 	type move struct {
 		id   meta.LinkID
 		decl *bpl.LinkDecl
 		link meta.Link
 	}
 	var moves []move
-	for _, l := range e.db.LinksOf(prev) {
+	for _, l := range e.head.LinksOf(prev) {
 		if l.Template == "" {
 			continue
 		}

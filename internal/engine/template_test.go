@@ -55,7 +55,7 @@ endblueprint`)
 	if got := prop(t, e, v2, "hist"); got != "rev-a" {
 		t.Errorf("moved hist = %q", got)
 	}
-	if _, ok, _ := e.DB().GetProp(v1, "hist"); ok {
+	if _, ok, _ := e.DB().Head().GetProp(v1, "hist"); ok {
 		t.Error("move left the property on the old version")
 	}
 }
@@ -103,13 +103,13 @@ endblueprint`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := db.GetLink(id)
+	l, _ := db.Head().GetLink(id)
 	if l.Type() != "derive_from" || !l.CanPropagate("OutOfDate") {
 		t.Fatalf("template not applied: %+v", l)
 	}
 
 	g6 := mustCreate(t, e, "alu", "GDSII")
-	l, err = db.GetLink(id)
+	l, err = db.Head().GetLink(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ endblueprint`)
 	if l.From != nl8 {
 		t.Errorf("link From = %v, want unchanged %v", l.From, nl8)
 	}
-	if got := db.LinksTo(g5); len(got) != 0 {
+	if got := linksAt(db, g5, false); len(got) != 0 {
 		t.Errorf("old version keeps %d links after move", len(got))
 	}
 	if s := e.Stats(); s.LinksShifted != 1 {
@@ -150,7 +150,7 @@ endblueprint`)
 	}
 	// Install a new library version: the depend_on link must shift to it.
 	lib2 := mustCreate(t, e, "stdcells", "synth_lib")
-	if got := e.DB().LinksFrom(lib2); len(got) != 1 {
+	if got := linksAt(e.DB(), lib2, true); len(got) != 1 {
 		t.Fatalf("link not shifted to new library: %v", got)
 	}
 	// Checking in the new library invalidates the schematic.
@@ -177,10 +177,10 @@ endblueprint`)
 		t.Fatal(err)
 	}
 	dst2 := mustCreate(t, e, "blk", "dst")
-	if got := db.LinksTo(dst1); len(got) != 1 {
+	if got := linksAt(db, dst1, false); len(got) != 1 {
 		t.Errorf("copy removed the old link: %v", got)
 	}
-	links2 := db.LinksTo(dst2)
+	links2 := linksAt(db, dst2, false)
 	if len(links2) != 1 {
 		t.Fatalf("no copied link on new version: %v", links2)
 	}
@@ -206,7 +206,7 @@ endblueprint`)
 		t.Fatal(err)
 	}
 	reg2 := mustCreate(t, e, "REG", "schematic")
-	l, _ := db.GetLink(id)
+	l, _ := db.Head().GetLink(id)
 	if l.From != cpu1 || l.To != reg2 {
 		t.Errorf("use link = %v -> %v, want %v -> %v", l.From, l.To, cpu1, reg2)
 	}
@@ -226,7 +226,7 @@ endblueprint`)
 		t.Fatal(err)
 	}
 	mustCreate(t, e, "b", "v")
-	l, _ := db.GetLink(id)
+	l, _ := db.Head().GetLink(id)
 	if l.To != b1 {
 		t.Errorf("raw link shifted: %v", l.To)
 	}
@@ -258,7 +258,7 @@ endblueprint`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := e.DB().GetLink(id)
+	l, _ := e.DB().Head().GetLink(id)
 	if l.Template != "" || len(l.PropagateList()) != 0 {
 		t.Errorf("bare link decorated: %+v", l)
 	}

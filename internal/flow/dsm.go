@@ -98,7 +98,7 @@ func RunDSMScenario() (*DSMResult, error) {
 	if err := post("sta", res.Gates, "violated -0.42ns"); err != nil {
 		return nil, err
 	}
-	res.SlackBefore, _, _ = eng.DB().GetProp(res.Gates, "sta_slack")
+	res.SlackBefore, _, _ = eng.DB().Head().GetProp(res.Gates, "sta_slack")
 
 	// Timing fix: a new gates version (the derived link shifts), then STA
 	// passes.
@@ -116,7 +116,7 @@ func RunDSMScenario() (*DSMResult, error) {
 	if err := post("sta", gates2, "met"); err != nil {
 		return nil, err
 	}
-	res.SlackAfter, _, _ = eng.DB().GetProp(gates2, "sta_slack")
+	res.SlackAfter, _, _ = eng.DB().Head().GetProp(gates2, "sta_slack")
 
 	// Floorplan and extraction.  Checking in the SDF posts run_sta back
 	// to the gate netlist, so STA re-runs automatically on annotated
@@ -146,8 +146,8 @@ func RunDSMScenario() (*DSMResult, error) {
 	res.Notifications = rec.Notifications()
 
 	// Sanity: the scenario must leave the gates signed off.
-	if v, _, _ := eng.DB().GetProp(gates2, "state"); v != "true" {
-		o, _ := eng.DB().GetOID(gates2)
+	if v, _, _ := eng.DB().Head().GetProp(gates2, "state"); v != "true" {
+		o, _ := eng.DB().Head().GetOID(gates2)
 		return nil, fmt.Errorf("flow: gates not signed off: %v", o.Props)
 	}
 	return res, nil

@@ -46,11 +46,11 @@ func TestBuildTreeShape(t *testing.T) {
 		t.Errorf("nodes = %d, want %d", len(all), spec.Size())
 	}
 	// Root has Fanout children.
-	if got := e.DB().LinksFrom(root); len(got) != 2 {
+	if got := e.DB().Head().LinksOf(root); len(got) != 2 {
 		t.Errorf("root links = %d", len(got))
 	}
 	// All nodes reachable from root.
-	reach := e.DB().Reachable(root, meta.FollowUseLinks)
+	reach := e.DB().Head().Reachable(root, meta.FollowUseLinks)
 	if len(reach) != spec.Size() {
 		t.Errorf("reachable = %d", len(reach))
 	}
@@ -67,7 +67,7 @@ func TestBuildTreePropagation(t *testing.T) {
 	}
 	stale := 0
 	for _, k := range all {
-		if v, _, _ := e.DB().GetProp(k, "uptodate"); v == "false" {
+		if v, _, _ := e.DB().Head().GetProp(k, "uptodate"); v == "false" {
 			stale++
 		}
 	}
@@ -89,7 +89,7 @@ func TestBuildTreeFilteredPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range all {
-		if v, _, _ := e.DB().GetProp(k, "uptodate"); v == "false" {
+		if v, _, _ := e.DB().Head().GetProp(k, "uptodate"); v == "false" {
 			t.Errorf("%v invalidated through a filtering link", k)
 		}
 	}
@@ -122,7 +122,7 @@ func TestBuildChain(t *testing.T) {
 		t.Fatalf("keys = %v", keys)
 	}
 	// The HDL_model -> schematic link got the derived template.
-	links := e.DB().LinksTo(keys[1])
+	links := e.DB().Head().LinksOf(keys[0])
 	if len(links) != 1 || links[0].Type() != "derived" {
 		t.Errorf("chain link = %+v", links)
 	}

@@ -37,7 +37,6 @@ type ScenarioResult struct {
 // explicitly.
 func RunEDTCScenario(sess *wrapper.Session) (*ScenarioResult, error) {
 	eng := sess.Eng
-	db := eng.DB()
 	res := &ScenarioResult{}
 
 	// <CPU.HDL_model.1>: defective, simulates badly.
@@ -83,7 +82,7 @@ func RunEDTCScenario(sess *wrapper.Session) (*ScenarioResult, error) {
 
 	// The netlister ran automatically on the schematic check-in if the
 	// engine's executor routes it; otherwise run it explicitly.
-	nl, err := db.Latest("CPU", "netlist")
+	nl, err := eng.DB().Head().Latest("CPU", "netlist")
 	if err != nil {
 		if nl, err = sess.RunNetlister(res.CPUSchematic); err != nil {
 			return nil, err
@@ -98,7 +97,9 @@ func RunEDTCScenario(sess *wrapper.Session) (*ScenarioResult, error) {
 	}
 	res.HDL3 = hdl3
 
-	db.EachOID(func(o *meta.OID) bool {
+	v := eng.DB().ReadView()
+	defer v.Close()
+	v.EachOID(func(o *meta.OID) bool {
 		if o.Props["uptodate"] == "false" {
 			res.StaleAfterChange = append(res.StaleAfterChange, o.Key)
 		}

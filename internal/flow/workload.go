@@ -65,9 +65,9 @@ func (w Workload) Run(sess *wrapper.Session) (WorkloadStats, error) {
 
 	// ensureGoodModel gets a block to the simulated-good state.
 	ensureGoodModel := func(block string) (meta.Key, error) {
-		db := sess.Eng.DB()
-		if k, err := db.Latest(block, "HDL_model"); err == nil {
-			if v, _, _ := db.GetProp(k, "sim_result"); v == "good" {
+		head := sess.Eng.DB().Head()
+		if k, err := head.Latest(block, "HDL_model"); err == nil {
+			if v, _, _ := head.GetProp(k, "sim_result"); v == "good" {
 				return k, nil
 			}
 			// Re-simulate; if the data is defective, fix it first.
@@ -91,7 +91,7 @@ func (w Workload) Run(sess *wrapper.Session) (WorkloadStats, error) {
 
 	for step := 0; step < w.Steps; step++ {
 		block := blocks[rng.Intn(len(blocks))]
-		db := sess.Eng.DB()
+		head := sess.Eng.DB().Head()
 		switch rng.Intn(8) {
 		case 0, 1: // edit the model
 			defects := 0
@@ -103,7 +103,7 @@ func (w Workload) Run(sess *wrapper.Session) (WorkloadStats, error) {
 			}
 			stats.Edits++
 		case 2: // simulate the model
-			k, err := db.Latest(block, "HDL_model")
+			k, err := head.Latest(block, "HDL_model")
 			if err != nil {
 				continue
 			}
@@ -125,7 +125,7 @@ func (w Workload) Run(sess *wrapper.Session) (WorkloadStats, error) {
 			}
 			stats.Syntheses++
 		case 4: // netlist
-			sch, err := db.Latest(block, "schematic")
+			sch, err := head.Latest(block, "schematic")
 			if err != nil {
 				continue
 			}
@@ -138,7 +138,7 @@ func (w Workload) Run(sess *wrapper.Session) (WorkloadStats, error) {
 			}
 			stats.Netlists++
 		case 5: // simulate the netlist
-			nl, err := db.Latest(block, "netlist")
+			nl, err := head.Latest(block, "netlist")
 			if err != nil {
 				continue
 			}
@@ -151,7 +151,7 @@ func (w Workload) Run(sess *wrapper.Session) (WorkloadStats, error) {
 			}
 			stats.NetlistSims++
 		case 6: // place & route
-			nl, err := db.Latest(block, "netlist")
+			nl, err := head.Latest(block, "netlist")
 			if err != nil {
 				continue
 			}
@@ -164,7 +164,7 @@ func (w Workload) Run(sess *wrapper.Session) (WorkloadStats, error) {
 			}
 			stats.Placements++
 		case 7: // verification on the latest layout
-			lay, err := db.Latest(block, "layout")
+			lay, err := head.Latest(block, "layout")
 			if err != nil {
 				continue
 			}
@@ -172,7 +172,7 @@ func (w Workload) Run(sess *wrapper.Session) (WorkloadStats, error) {
 				return stats, err
 			}
 			stats.DRCRuns++
-			if nl, err := db.Latest(block, "netlist"); err == nil {
+			if nl, err := head.Latest(block, "netlist"); err == nil {
 				if _, err := sess.RunLVS(lay, nl); err != nil {
 					return stats, err
 				}

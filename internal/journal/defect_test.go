@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,5 +281,66 @@ func TestSnapshotWriteFailsMidStream(t *testing.T) {
 		if !bytes.Equal(saveBytes(t, got), want) {
 			t.Error("state recovered from the streamed snapshot differs")
 		}
+	}
+}
+
+// TestSnapshotOncePerInterval: every commit made while a snapshot runs
+// re-armed the snapshot trigger, and the snapshot zeroed its record count
+// only at its end, so the queued signal wrote a second full document right
+// after the first.  One snapshot per SnapshotEvery records is the contract.
+func TestSnapshotOncePerInterval(t *testing.T) {
+	const every = 64
+	inj := faultfs.New(nil, faultfs.Plan{})
+	w, db, err := journal.Open(t.TempDir(), journal.Options{SnapshotEvery: every, FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// Each snapshot's pin notes how many records had been written; the
+	// first one holds until released.
+	var written atomic.Int64
+	var mu sync.Mutex
+	var pinnedAt []int64
+	held, release := make(chan struct{}), make(chan struct{})
+	w.SetPinHook(func() {
+		mu.Lock()
+		pinnedAt = append(pinnedAt, written.Load())
+		first := len(pinnedAt) == 1
+		mu.Unlock()
+		if first {
+			close(held)
+			<-release
+		}
+	})
+	write := func(records int) {
+		for range records {
+			if _, err := db.NewVersion(fmt.Sprintf("b%d", written.Add(1)), "v"); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Snapshots are the only renames the journal makes.
+	snapshots := func(want int64) {
+		t.Helper()
+		for start := time.Now(); inj.Count(faultfs.OpRename) < want; time.Sleep(time.Millisecond) {
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("snapshot %d never came", want)
+			}
+		}
+	}
+	write(every) // arms the trigger: the snapshot holds at its pin
+	<-held
+	write(every / 4) // commits while it runs
+	close(release)
+	snapshots(1)
+	write(every)
+	snapshots(2)
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int64{every, 2*every + every/4}; !slices.Equal(pinnedAt[:2], want) {
+		t.Errorf("snapshots pinned after %v records; want %v, one per %d", pinnedAt, want, every)
 	}
 }

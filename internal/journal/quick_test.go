@@ -114,7 +114,7 @@ func checkJournalProperty(t *testing.T, shards int, ops []byte) bool {
 				// Retargeting a random link to a random key usually fails
 				// validation; success and failure must both round-trip.
 				id := links[pick(a, len(links))]
-				if l, err := db.GetLink(id); err == nil {
+				if l, err := db.Head().GetLink(id); err == nil {
 					_ = db.RetargetLink(id, l.From, keys[pick(b, len(keys))])
 				}
 			}
@@ -190,7 +190,7 @@ func checkJournalProperty(t *testing.T, shards int, ops []byte) bool {
 func liveKeys(db *meta.DB, keys []meta.Key) []meta.Key {
 	out := keys[:0]
 	for _, k := range keys {
-		if db.HasOID(k) {
+		if db.Head().HasOID(k) {
 			out = append(out, k)
 		}
 	}
@@ -200,7 +200,7 @@ func liveKeys(db *meta.DB, keys []meta.Key) []meta.Key {
 func liveLinks(db *meta.DB, links []meta.LinkID) []meta.LinkID {
 	out := links[:0]
 	for _, id := range links {
-		if _, err := db.GetLink(id); err == nil {
+		if _, err := db.Head().GetLink(id); err == nil {
 			out = append(out, id)
 		}
 	}

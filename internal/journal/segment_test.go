@@ -328,7 +328,7 @@ func TestSegmentFrameLongerThanWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _ := db.GetProp(long, "log"); len(v) != 3*windowBytes/10*10 {
+	if v, _, _ := db.Head().GetProp(long, "log"); len(v) != 3*windowBytes/10*10 {
 		t.Errorf("the long property came back %d bytes long", len(v))
 	}
 	offs := frameOffsets(t, intact.segment)

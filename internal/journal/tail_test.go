@@ -190,7 +190,7 @@ func TestTailerStaleLSNBootstrapsFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bootstrap document does not load: %v", err)
 	}
-	if got := restored.Stats().OIDs; got != 30 {
+	if got := restored.Head().Stats().OIDs; got != 30 {
 		t.Fatalf("bootstrap document has %d oids, want 30", got)
 	}
 	recs, wm := collectTail(t, tl)
@@ -250,15 +250,15 @@ func TestFollowerLogResumeAndDuplicates(t *testing.T) {
 	if w2.LastLSN() != 3 {
 		t.Fatalf("reopened follower at lsn %d, want 3 (uncommitted tail lost)", w2.LastLSN())
 	}
-	if got := db2.Stats().OIDs; got != 3 {
+	if got := db2.Head().Stats().OIDs; got != 3 {
 		t.Fatalf("reopened follower has %d oids, want 3", got)
 	}
 	// Re-fetching the lost record resumes without duplicate application.
 	if err := w2.ApplyAppend(rec(4, "a4")); err != nil {
 		t.Fatal(err)
 	}
-	if w2.LastLSN() != 4 || db2.Stats().OIDs != 4 {
-		t.Fatalf("resume: lsn %d oids %d, want 4 and 4", w2.LastLSN(), db2.Stats().OIDs)
+	if w2.LastLSN() != 4 || db2.Head().Stats().OIDs != 4 {
+		t.Fatalf("resume: lsn %d oids %d, want 4 and 4", w2.LastLSN(), db2.Head().Stats().OIDs)
 	}
 }
 
@@ -319,9 +319,9 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 	if !pinned.HasOID(old) || pinned.HasOID(a) || !bytes.Equal(save(pinned), before) {
 		t.Errorf("the view pinned before the re-bootstrap reads differently after it:\n%s", save(pinned))
 	}
-	if db.HasOID(old) || !db.HasOID(a) || len(db.LinksFrom(a)) != 1 || db.CurrentTerm() != 2 {
+	if db.Head().HasOID(old) || !db.Head().HasOID(a) || len(db.Head().LinksOf(a)) != 1 || db.CurrentTerm() != 2 {
 		t.Errorf("live reads after the re-bootstrap: old %v, new %v, links %d, term %d",
-			db.HasOID(old), db.HasOID(a), len(db.LinksFrom(a)), db.CurrentTerm())
+			db.Head().HasOID(old), db.Head().HasOID(a), len(db.Head().LinksOf(a)), db.CurrentTerm())
 	}
 	now := db.ReadView()
 	if got := save(now); !bytes.Equal(got, doc.Bytes()) || now.LSN() != 50 {
@@ -334,7 +334,7 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 	if err := w.ApplyAppend(oid(51, "next")); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Stats().OIDs; got != 3 || !bytes.Equal(save(pinned), before) {
+	if got := db.Head().Stats().OIDs; got != 3 || !bytes.Equal(save(pinned), before) {
 		t.Errorf("after the stream resumed: %d OIDs, want 3; pinned view unchanged: %v", got, bytes.Equal(save(pinned), before))
 	}
 }

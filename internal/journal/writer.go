@@ -112,7 +112,7 @@ type Writer struct {
 
 	lastLSN   atomic.Int64 // newest assigned record number
 	snapLSN   atomic.Int64 // LSN covered by the newest snapshot
-	sinceSnap atomic.Int64 // records flushed since the newest snapshot
+	sinceSnap atomic.Int64 // records flushed and not yet covered by a snapshot
 
 	// term is the writer's election term (≥ 1), mirrored from the
 	// database's term table: recovery seeds it, an applied term-bump
@@ -785,6 +785,10 @@ func (w *Writer) Snapshot() error {
 	// past their journal append to finish installing.
 	w.applyMu.Lock()
 	v, err := w.pinNewest()
+	// The records counted so far are, give or take the few still buffered,
+	// what the pinned view holds: the count the snapshot retires at its end.
+	// Records committed while it runs stay counted toward the next one.
+	covered := w.sinceSnap.Load()
 	w.applyMu.Unlock()
 	if err != nil {
 		f.Close()
@@ -813,7 +817,7 @@ func (w *Writer) Snapshot() error {
 		return err
 	}
 	w.snapLSN.Store(lsn)
-	w.sinceSnap.Store(0)
+	w.sinceSnap.Add(-covered)
 	w.compact(lsn)
 	return nil
 }
@@ -898,6 +902,11 @@ func (w *Writer) snapshotLoop() {
 		case <-w.quit:
 			return
 		case <-w.snapCh:
+		}
+		// Commits made while the last snapshot ran queued a signal its
+		// records may already be covered by.
+		if w.sinceSnap.Load() < w.opt.SnapshotEvery {
+			continue
 		}
 		if err := w.Snapshot(); err != nil {
 			// A full disk is not yet fatal: the append path frees space by

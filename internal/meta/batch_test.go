@@ -18,7 +18,7 @@ func TestWithOIDAndUpdateOID(t *testing.T) {
 
 	// WithOID exposes the live properties under the read lock.
 	var seen map[string]string
-	if err := db.WithOID(k, func(o *OID) {
+	if err := db.Head().WithOID(k, func(o *OID) {
 		seen = map[string]string{}
 		for n, v := range o.Props {
 			seen[n] = v
@@ -40,15 +40,15 @@ func TestWithOIDAndUpdateOID(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _ := db.GetProp(k, "a"); v != "2" {
+	if v, _, _ := db.Head().GetProp(k, "a"); v != "2" {
 		t.Errorf("a = %q after UpdateOID", v)
 	}
-	if v, _, _ := db.GetProp(k, "b"); v != "3" {
+	if v, _, _ := db.Head().GetProp(k, "b"); v != "3" {
 		t.Errorf("b = %q after UpdateOID", v)
 	}
 
 	missing := Key{Block: "nope", View: "v", Version: 1}
-	if err := db.WithOID(missing, func(*OID) {}); !errors.Is(err, ErrNotFound) {
+	if err := db.Head().WithOID(missing, func(*OID) {}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("WithOID missing: %v", err)
 	}
 	if err := db.UpdateOID(missing, func(*OID) {}); !errors.Is(err, ErrNotFound) {

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -30,11 +31,9 @@ type Configuration struct {
 
 // Contains reports whether the configuration references the OID.
 func (c *Configuration) Contains(k Key) bool {
-	i := sort.Search(len(c.OIDs), func(i int) bool { return !keyLess(c.OIDs[i], k) })
+	i := sort.Search(len(c.OIDs), func(i int) bool { return !c.OIDs[i].Less(k) })
 	return i < len(c.OIDs) && c.OIDs[i] == k
 }
-
-func keyLess(a, b Key) bool { return a.Less(b) }
 
 func (c *Configuration) clone() *Configuration {
 	cc := &Configuration{Name: c.Name, Seq: c.Seq}
@@ -90,7 +89,7 @@ func (db *DB) SnapshotHierarchy(name string, root Key, follow FollowFunc) (*Conf
 		k := queue[0]
 		queue = queue[1:]
 		c.OIDs = append(c.OIDs, k)
-		for _, l := range v.outAt(k) {
+		for _, l := range v.posting(k).out {
 			if !follow(l) {
 				continue
 			}
@@ -111,8 +110,8 @@ func (db *DB) SnapshotHierarchy(name string, root Key, follow FollowFunc) (*Conf
 // the members into the canonical order and installs through installConfig
 // like a replayed record does.
 func (db *DB) installNewConfig(c *Configuration) (*Configuration, error) {
-	sort.Slice(c.OIDs, func(i, j int) bool { return keyLess(c.OIDs[i], c.OIDs[j]) })
-	sort.Slice(c.Links, func(i, j int) bool { return c.Links[i] < c.Links[j] })
+	sortKeys(c.OIDs)
+	slices.Sort(c.Links)
 	if err := db.installConfig(c); err != nil {
 		return nil, err
 	}
@@ -161,7 +160,7 @@ func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
 		var pick Key
 		for _, ver := range chain {
 			k := Key{Block: bv.Block, View: bv.View, Version: ver}
-			if x, ok := v.oidAt(k); ok && x.seq <= seq {
+			if x, ok := v.shard(k.Block).oids.at(k, v.lsn); ok && x.seq <= seq {
 				pick = k
 			}
 		}
@@ -180,22 +179,11 @@ func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
 	return db.installNewConfig(c)
 }
 
-// GetConfiguration returns a copy of a stored configuration.
-func (db *DB) GetConfiguration(name string) (*Configuration, error) {
-	db.ctl.RLock()
-	defer db.ctl.RUnlock()
-	c, ok := db.ctlH.Load().configs.at(name, newest)
-	if !ok {
-		return nil, fmt.Errorf("configuration %q: %w", name, ErrNotFound)
-	}
-	return c.clone(), nil
-}
-
 // DeleteConfiguration removes a stored configuration.
 func (db *DB) DeleteConfiguration(name string) error {
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
-	h := db.ctlH.Load()
+	h := db.store.Load().ctl
 	if _, ok := h.configs.at(name, newest); !ok {
 		return fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
@@ -203,16 +191,6 @@ func (db *DB) DeleteConfiguration(name string) error {
 	h.configs.push(name, s, nil, true)
 	db.endMut(s)
 	return nil
-}
-
-// ConfigurationNames lists stored configurations in sorted order.
-func (db *DB) ConfigurationNames() []string {
-	v := db.ReadView()
-	defer v.Close()
-	names := []string{}
-	v.eachConfiguration(func(c *Configuration) { names = append(names, c.Name) })
-	sort.Strings(names)
-	return names
 }
 
 // ResolvedConfiguration is the materialization of a Configuration against
@@ -230,12 +208,4 @@ type ResolvedConfiguration struct {
 	// (deleted since the snapshot).
 	MissingOIDs  []Key
 	MissingLinks []LinkID
-}
-
-// Resolve materializes a stored configuration against the current state.
-// The clone-heavy materialization runs on a pinned view and holds no lock.
-func (db *DB) Resolve(name string) (*ResolvedConfiguration, error) {
-	v := db.ReadView()
-	defer v.Close()
-	return v.Resolve(name)
 }

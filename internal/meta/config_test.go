@@ -111,7 +111,7 @@ func TestSnapshotImmutableUnderMutation(t *testing.T) {
 	if _, err := db.AddLink(UseLink, root, extra, "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := db.GetConfiguration("snap")
+	c2, err := db.Head().GetConfiguration("snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestSnapshotImmutableUnderMutation(t *testing.T) {
 func TestSnapshotQuery(t *testing.T) {
 	db := NewDB()
 	buildHierarchy(t, db)
-	for _, bv := range db.BlockViews() {
-		k, _ := db.Latest(bv.Block, bv.View)
+	for _, bv := range db.Head().BlockViews() {
+		k, _ := db.Head().Latest(bv.Block, bv.View)
 		if bv.View == "SCHEMA" {
 			if err := db.SetProp(k, "uptodate", "false"); err != nil {
 				t.Fatal(err)
@@ -161,7 +161,7 @@ func TestResolveWithMissing(t *testing.T) {
 	if err := db.DeleteLink(c.Links[0]); err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.Resolve("snap")
+	r, err := db.Head().Resolve("snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestConfigurationNamesAndDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names := db.ConfigurationNames()
+	names := db.Head().ConfigurationNames()
 	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
 		t.Errorf("ConfigurationNames = %v", names)
 	}
@@ -192,7 +192,7 @@ func TestConfigurationNamesAndDelete(t *testing.T) {
 	if err := db.DeleteConfiguration("b"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete: %v", err)
 	}
-	if _, err := db.GetConfiguration("b"); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Head().GetConfiguration("b"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("get after delete: %v", err)
 	}
 }

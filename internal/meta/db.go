@@ -24,19 +24,17 @@ import (
 //
 // # Sharding and locking
 //
-// The histories are lock-striped so concurrent drains, queries and state
-// reports stop serializing on one mutex.  OIDs, version chains and the
-// adjacency postings are partitioned into shards keyed by the hash of the
-// block name — every view, version and posting of a block lives on one
-// shard, so the single-OID hot paths (HasOID, GetProp, UpdateOID, WithOID,
-// Latest, Predecessor, EachLinkOf) take exactly one shard lock.  Link
-// objects live in separate stripes keyed by LinkID and are immutable
-// (mutators publish a replacement object, to the link table and to both
-// ends' postings), which is what lets link walks read them under the shard
-// lock alone.  Configurations and workspaces sit on a small control-plane
-// lock; the logical clock and link-ID counter are atomics.
-// NewDBWithShards picks the stripe count — a pure performance knob that
-// never changes results.
+// The writers are lock-striped so concurrent drains stop serializing on
+// one mutex.  OIDs, version chains and the adjacency postings are
+// partitioned into shards keyed by the hash of the block name — every
+// view, version and posting of a block lives on one shard, so the
+// single-OID mutators (SetProp, UpdateOID, DelProp, NewVersion) take
+// exactly one shard lock.  Link objects live in separate stripes keyed by
+// LinkID and are immutable (mutators publish a replacement object, to the
+// link table and to both ends' postings).  Configurations and workspaces
+// sit on a small control-plane lock; the logical clock and link-ID counter
+// are atomics.  NewDBWithShards picks the stripe count — a pure
+// performance knob that never changes results.
 //
 // Multi-shard operations follow one deterministic lock order — control
 // plane, then key shards in ascending index, then link stripes in
@@ -46,24 +44,16 @@ import (
 // optimistically, lock in canonical order, then re-validate object
 // identity and retry if it was replaced underneath them.
 //
-// All mutation goes through DB methods.  The single-object read accessors
-// are the write path reading its own writes: under the owning lock they
-// ask the resolver views use for the newest version, and return deep
-// copies (safe to retain) or, for WithOID and EachLinkOf, hand the
-// immutable stored objects to a callback — which must not retain or mutate
-// them and must not call DB methods (which would deadlock).
-//
-// Whole-database reads — Save, the Snapshot* configuration builders, the
-// state scans, the enumerations (Keys, Stats, ...) and the graph walks
-// (Reachable, Dependents, Equivalents, Resolve; see graphview.go) — go
-// through a View (mvcc.go): a view pinned at one stamp reads lock-free, is
-// one point-in-time cut, and never pauses writers.  PruneVersions
-// write-locks everything.
+// All mutation goes through DB methods and every read through a View
+// (view.go), which takes no lock: Head for point reads, a pinned view
+// (ReadView, ReadViewAt) for what reads more than one object — Save, the
+// Snapshot* configuration builders, the state scans, the enumerations and
+// the graph walks (graphview.go).
 type DB struct {
 	shards []*dbShard
 	mask   uint32
 
-	stripes []*linkStripe
+	stripes []sync.Mutex // the link table's writers, by LinkID
 	lmask   uint32
 
 	seq      atomic.Int64
@@ -81,8 +71,9 @@ type DB struct {
 	// locks.  nil means the genesis term 1.
 	terms atomic.Pointer[termTable]
 
-	// ctl guards the control plane: configurations and workspaces (ctlH).
-	ctl sync.RWMutex
+	// ctl serializes the control plane's writers: configurations and
+	// workspaces.
+	ctl sync.Mutex
 
 	// rec, when non-nil, receives one Record per committed mutation — the
 	// change-capture stream behind the append-only journal.  Emission
@@ -90,35 +81,26 @@ type DB struct {
 	rec Recorder
 
 	// MVCC state (mvcc.go): the epoch gate that stamps mutations and pins
-	// views.  ctlH holds the control plane's histories; replayAt carries
-	// the record LSN being replayed so ApplyRecord's inner mutations stamp
-	// with the original numbering.
+	// views.  store is every container; head is the view Head returns;
+	// replayAt carries the record LSN being replayed so ApplyRecord's
+	// inner mutations stamp with the original numbering.
 	mvcc      mvccState
-	ctlH      atomic.Pointer[ctlHist]
+	store     atomic.Pointer[store]
+	head      View
 	replayAt  atomic.Int64
 	replaySeq atomic.Int64
 }
 
 // dbShard is one stripe of the OIDs, chains and adjacency postings: every
-// key in hist's four tables hashes to this shard, and mu serializes their
+// key of the same-index shardHist hashes to it, and mu serializes their
 // writers.
 type dbShard struct {
-	mu sync.RWMutex
-
-	// hist is replaced wholesale on RestoreFrom so pinned views survive a
-	// re-base.
-	hist atomic.Pointer[shardHist]
+	mu sync.Mutex
 
 	// upd is the OID UpdateOID hands its callback, reused under mu: an
 	// argument to an unknown function would otherwise be one heap object
 	// per delivery.
 	upd OID
-}
-
-// linkStripe is one stripe of the link table, keyed by LinkID.
-type linkStripe struct {
-	mu   sync.RWMutex
-	hist atomic.Pointer[stripeHist]
 }
 
 // DefaultShards is the shard count of NewDB: enough stripes to spread
@@ -143,18 +125,15 @@ func NewDBWithShards(n int) *DB {
 	db := &DB{
 		shards:  make([]*dbShard, pow),
 		mask:    uint32(pow - 1),
-		stripes: make([]*linkStripe, pow),
+		stripes: make([]sync.Mutex, pow),
 		lmask:   uint32(pow - 1),
 	}
 	for i := range db.shards {
 		db.shards[i] = &dbShard{}
-		db.shards[i].hist.Store(&shardHist{})
 	}
-	for i := range db.stripes {
-		db.stripes[i] = &linkStripe{}
-		db.stripes[i].hist.Store(&stripeHist{})
-	}
-	db.ctlH.Store(&ctlHist{})
+	db.store.Store(newStore(pow, pow))
+	db.head.db, db.head.lsn = db, newest
+	db.head.closed.Store(true)
 	return db
 }
 
@@ -174,7 +153,15 @@ func fnv1a[S string | []byte](s S) uint32 {
 
 func (db *DB) shardIndex(block string) uint32 { return fnv1a(block) & db.mask }
 func (db *DB) shardOf(k Key) *dbShard         { return db.shards[db.shardIndex(k.Block)] }
-func (db *DB) stripeOf(id LinkID) *linkStripe { return db.stripes[uint32(id)&db.lmask] }
+func (db *DB) stripeOf(id LinkID) *sync.Mutex { return &db.stripes[uint32(id)&db.lmask] }
+
+// lockShard write-locks block's shard and returns it with its histories.
+func (db *DB) lockShard(block string) (*dbShard, *shardHist) {
+	i := db.shardIndex(block)
+	sh := db.shards[i]
+	sh.mu.Lock()
+	return sh, db.store.Load().shards[i]
+}
 
 // lockPair write-locks the shards of two keys in ascending index order
 // (once when they coincide) and returns them.  unlockPair releases in
@@ -209,14 +196,14 @@ func (db *DB) lockAll() {
 	for _, s := range db.shards {
 		s.mu.Lock()
 	}
-	for _, s := range db.stripes {
-		s.mu.Lock()
+	for i := range db.stripes {
+		db.stripes[i].Lock()
 	}
 }
 
 func (db *DB) unlockAll() {
 	for i := len(db.stripes) - 1; i >= 0; i-- {
-		db.stripes[i].mu.Unlock()
+		db.stripes[i].Unlock()
 	}
 	for i := len(db.shards) - 1; i >= 0; i-- {
 		db.shards[i].mu.Unlock()
@@ -245,14 +232,13 @@ func (db *DB) NewVersion(block, view string) (Key, error) {
 	if err := ValidateName(view); err != nil {
 		return Key{}, fmt.Errorf("view: %w", err)
 	}
-	sh := db.shards[db.shardIndex(block)]
-	sh.mu.Lock()
+	sh, h := db.lockShard(block)
 	defer sh.mu.Unlock()
 	k := Key{Block: block, View: view, Version: 1}
-	if chain, ok := sh.hist.Load().chains.at(k.BV(), newest); ok {
+	if chain, ok := h.chains.at(k.BV(), newest); ok {
 		k.Version = chain[len(chain)-1] + 1
 	}
-	if err := db.insertOIDLocked(sh, k, db.tick()); err != nil {
+	if err := db.insertOIDLocked(h, k, db.tick()); err != nil {
 		return Key{}, err
 	}
 	return k, nil
@@ -273,7 +259,7 @@ func (db *DB) PruneVersions(block, view string, keep int) (int, error) {
 	}
 	db.lockAll()
 	defer db.unlockAll()
-	h := db.shards[db.shardIndex(block)].hist.Load()
+	h := db.head.shard(block)
 	bv := BlockView{Block: block, View: view}
 	chain, ok := h.chains.at(bv, newest)
 	if !ok {
@@ -291,7 +277,7 @@ func (db *DB) PruneVersions(block, view string, keep int) (int, error) {
 	strike := func(out bool, end Key, id LinkID) {
 		p, seen := next[end]
 		if !seen {
-			p = db.shardOf(end).hist.Load().links(end, newest)
+			p = db.head.shard(end.Block).links(end, newest)
 		}
 		*p.side(out) = without(*p.side(out), id)
 		next[end] = p
@@ -313,83 +299,14 @@ func (db *DB) PruneVersions(block, view string, keep int) (int, error) {
 		h.oids.push(Key{Block: block, View: view, Version: v}, s, oidVal{}, true)
 	}
 	for id := range gone {
-		db.stripeOf(id).hist.Load().links.push(id, s, nil, true)
+		db.head.stripe(id).links.push(id, s, nil, true)
 	}
 	for k, p := range next {
-		db.shardOf(k).hist.Load().put(k, s, p)
+		db.head.shard(k.Block).put(k, s, p)
 	}
 	h.chains.push(bv, s, slices.Clone(chain[len(chain)-keep:]), false)
 	db.endMut(s)
 	return len(drop), nil
-}
-
-// oidNow resolves the OID as it is now; callers hold its shard's lock.
-func (h *shardHist) oidNow(k Key) (oidVal, error) {
-	x, ok := h.oids.at(k, newest)
-	if !ok {
-		return x, fmt.Errorf("oid %v: %w", k, ErrNotFound)
-	}
-	return x, nil
-}
-
-// HasOID reports whether the OID exists.
-func (db *DB) HasOID(k Key) bool {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.hist.Load().oids.at(k, newest)
-	return ok
-}
-
-// GetOID returns a deep copy of the OID.
-func (db *DB) GetOID(k Key) (*OID, error) {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	x, err := sh.hist.Load().oidNow(k)
-	if err != nil {
-		return nil, err
-	}
-	return (&OID{Key: k, Seq: x.seq, Props: x.props}).clone(), nil
-}
-
-// chainNow resolves the version chain of (block, view) as it is now under
-// its shard's read lock: ascending and immutable, nil when there is none.
-func (db *DB) chainNow(block, view string) []int {
-	sh := db.shards[db.shardIndex(block)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	chain, _ := sh.hist.Load().chains.at(BlockView{Block: block, View: view}, newest)
-	return chain
-}
-
-// Latest returns the key of the newest version of (block, view).
-func (db *DB) Latest(block, view string) (Key, error) {
-	chain := db.chainNow(block, view)
-	if len(chain) == 0 {
-		return Key{}, fmt.Errorf("no versions of %q.%q: %w", block, view, ErrNotFound)
-	}
-	return Key{Block: block, View: view, Version: chain[len(chain)-1]}, nil
-}
-
-// Versions returns the version numbers of (block, view) in ascending order.
-func (db *DB) Versions(block, view string) []int {
-	chain := db.chainNow(block, view)
-	out := make([]int, len(chain))
-	copy(out, chain)
-	return out
-}
-
-// Predecessor returns the key of the version immediately preceding k in its
-// chain, or ok=false if k is the first version.  Chains are ascending, so
-// the position is found by binary search.
-func (db *DB) Predecessor(k Key) (Key, bool) {
-	chain := db.chainNow(k.Block, k.View)
-	i := sort.SearchInts(chain, k.Version)
-	if i >= len(chain) || chain[i] != k.Version || i == 0 {
-		return Key{}, false
-	}
-	return Key{Block: k.Block, View: k.View, Version: chain[i-1]}, true
 }
 
 // SetProp sets a property on an OID.  Setting the value it already has
@@ -398,11 +315,9 @@ func (db *DB) SetProp(k Key, name, value string) error {
 	if err := ValidateName(name); err != nil {
 		return fmt.Errorf("property: %w", err)
 	}
-	sh := db.shardOf(k)
-	sh.mu.Lock()
+	sh, h := db.lockShard(k.Block)
 	defer sh.mu.Unlock()
-	h := sh.hist.Load()
-	x, err := h.oidNow(k)
+	x, err := h.oid(k, newest)
 	if err != nil {
 		return err
 	}
@@ -420,39 +335,13 @@ func (db *DB) SetProp(k Key, name, value string) error {
 	return nil
 }
 
-// WithOID runs fn on the OID as it is now under the owning shard's read
-// lock — a batched read path for callers that need several properties at
-// once without paying for a deep copy (GetOID) or one lock round-trip per
-// GetProp.  fn must not retain or mutate the OID and must not call other DB
-// methods.
-func (db *DB) WithOID(k Key, fn func(o *OID)) error {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	x, err := sh.hist.Load().oidNow(k)
-	if err != nil {
-		return err
-	}
-	o := oidScratch.Get().(*OID)
-	*o = OID{Key: k, Seq: x.seq, Props: x.props}
-	fn(o)
-	*o = OID{}
-	oidScratch.Put(o)
-	return nil
-}
-
-// oidScratch recycles the OID WithOID hands its callback: the argument of a
-// function the compiler cannot see is a heap object, and a shard that is
-// only read-locked has no scratch of its own to lend (UpdateOID's is upd).
-var oidScratch = sync.Pool{New: func() any { return new(OID) }}
-
 // UpdateOID runs fn on the OID under the owning shard's write lock.  It is
 // the batched read-modify-write path of the run-time engine: one
 // delivery's property assignments and continuous re-evaluations read and
 // write Props in a single lock round-trip instead of one GetProp/SetProp
 // pair each — and, under sharding, deliveries to OIDs on different shards
 // update concurrently.  fn may read and mutate o.Props directly but must
-// not retain o or the map and must not call other DB methods (which would
+// not retain o or the map and must not call DB mutators (which would
 // deadlock).  Property names written by fn must satisfy ValidateName; the
 // caller validates because fn has no error channel.
 //
@@ -461,11 +350,9 @@ var oidScratch = sync.Pool{New: func() any { return new(OID) }}
 // net change journaled and published — one copy of the scratch map — as one
 // update.  An fn that changes nothing emits nothing and allocates nothing.
 func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
-	sh := db.shardOf(k)
-	sh.mu.Lock()
+	sh, h := db.lockShard(k.Block)
 	defer sh.mu.Unlock()
-	h := sh.hist.Load()
-	x, err := h.oidNow(k)
+	x, err := h.oid(k, newest)
 	if err != nil {
 		return err
 	}
@@ -521,28 +408,12 @@ func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 	return nil
 }
 
-// GetProp returns a property value of an OID.  Missing properties return
-// ("", false, nil); a missing OID is an error.
-func (db *DB) GetProp(k Key, name string) (string, bool, error) {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	x, err := sh.hist.Load().oidNow(k)
-	if err != nil {
-		return "", false, err
-	}
-	v, ok := x.props[name]
-	return v, ok, nil
-}
-
 // DelProp removes a property from an OID.  Removing an absent property is a
 // no-op.
 func (db *DB) DelProp(k Key, name string) error {
-	sh := db.shardOf(k)
-	sh.mu.Lock()
+	sh, h := db.lockShard(k.Block)
 	defer sh.mu.Unlock()
-	h := sh.hist.Load()
-	x, err := h.oidNow(k)
+	x, err := h.oid(k, newest)
 	if err != nil {
 		return err
 	}
@@ -592,38 +463,19 @@ func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates
 	defer unlockPair(sf, st)
 	l.ID = LinkID(db.nextLink.Add(1))
 	l.Seq = db.tick()
-	if err := db.installLinkLocked(sf, st, l); err != nil {
+	if err := db.installLinkLocked(l); err != nil {
 		return 0, err
 	}
 	return l.ID, nil
 }
 
-// GetLink returns a deep copy of the link.
-func (db *DB) GetLink(id LinkID) (*Link, error) {
-	l := db.snapshotLink(id)
-	if l == nil {
-		return nil, fmt.Errorf("link %d: %w", id, ErrNotFound)
-	}
-	return l.clone(), nil
-}
-
-// snapshotLink reads the current (immutable) link object optimistically,
-// under the stripe read lock only, nil when there is none.  DeleteLink and
-// the mutators use it to discover which shards to lock, then verify the
-// object is still current (linkIs) once the locks are held.
+// snapshotLink reads the current (immutable) link object, nil when there
+// is none.  DeleteLink and the link mutators read it optimistically to
+// discover which shards to lock, then re-read it under the stripe lock to
+// verify the object is still current.
 func (db *DB) snapshotLink(id LinkID) *Link {
-	st := db.stripeOf(id)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	l, _ := st.hist.Load().links.at(id, newest)
+	l, _ := db.head.stripe(id).links.at(id, newest)
 	return l
-}
-
-// linkIs reports whether l is still link id's current object.  Callers
-// hold the stripe's lock.
-func (st *linkStripe) linkIs(id LinkID, l *Link) bool {
-	cur, _ := st.hist.Load().links.at(id, newest)
-	return cur == l
 }
 
 // DeleteLink removes a link.
@@ -635,23 +487,23 @@ func (db *DB) DeleteLink(id LinkID) error {
 		}
 		sf, st := db.lockPair(l.From, l.To)
 		stripe := db.stripeOf(id)
-		stripe.mu.Lock()
-		if !stripe.linkIs(id, l) {
+		stripe.Lock()
+		if db.snapshotLink(id) != l {
 			// The link vanished or was replaced between the optimistic read
 			// and the locks; retry against the new object.
-			stripe.mu.Unlock()
+			stripe.Unlock()
 			unlockPair(sf, st)
 			continue
 		}
-		fh, th := sf.hist.Load(), st.hist.Load()
+		fh, th := db.head.shard(l.From.Block), db.head.shard(l.To.Block)
 		s := db.beginMut(OpDelLink, 0, func() []string {
 			return []string{strconv.FormatInt(int64(id), 10)}
 		})
-		stripe.hist.Load().links.push(id, s, nil, true)
+		db.head.stripe(id).links.push(id, s, nil, true)
 		fh.post(true, l.From, s, without(fh.links(l.From, newest).out, id))
 		th.post(false, l.To, s, without(th.links(l.To, newest).in, id))
 		db.endMut(s)
-		stripe.mu.Unlock()
+		stripe.Unlock()
 		unlockPair(sf, st)
 		return nil
 	}
@@ -690,29 +542,29 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 			db.shardIndex(newEnd.Block),
 		})
 		stripe := db.stripeOf(id)
-		stripe.mu.Lock()
-		if !stripe.linkIs(id, l) {
-			stripe.mu.Unlock()
+		stripe.Lock()
+		if db.snapshotLink(id) != l {
+			stripe.Unlock()
 			db.unlockShardSet(locked)
 			continue // replaced underneath us; retry
 		}
-		oh, nh, kh := db.shardOf(oldEnd).hist.Load(), db.shardOf(newEnd).hist.Load(), db.shardOf(kept).hist.Load()
+		oh, nh, kh := db.head.shard(oldEnd.Block), db.head.shard(newEnd.Block), db.head.shard(kept.Block)
 		if _, ok := nh.oids.at(newEnd, newest); !ok {
-			stripe.mu.Unlock()
+			stripe.Unlock()
 			db.unlockShardSet(locked)
 			return fmt.Errorf("retarget to %v: %w", newEnd, ErrNotFound)
 		}
 		s := db.beginMut(OpRetarget, 0, func() []string {
 			return []string{strconv.FormatInt(int64(id), 10), oldEnd.String(), newEnd.String()}
 		})
-		stripe.hist.Load().links.push(id, s, moved, false)
+		db.head.stripe(id).links.push(id, s, moved, false)
 		// Three postings change: the one the link left, the one it joined,
 		// and the unmoved end's (its member is the replacement object now).
 		oh.post(out, oldEnd, s, without(oh.links(oldEnd, newest).of(out), id))
 		nh.post(out, newEnd, s, with(nh.links(newEnd, newest).of(out), moved))
 		kh.post(!out, kept, s, replaced(kh.links(kept, newest).of(!out), moved))
 		db.endMut(s)
-		stripe.mu.Unlock()
+		stripe.Unlock()
 		db.unlockShardSet(locked)
 		return nil
 	}
@@ -778,158 +630,20 @@ func (db *DB) replaceLink(id LinkID, op string, mutate func(nl *Link), args func
 		mutate(nl)
 		sf, st := db.lockPair(l.From, l.To)
 		stripe := db.stripeOf(id)
-		stripe.mu.Lock()
-		if !stripe.linkIs(id, l) {
-			stripe.mu.Unlock()
+		stripe.Lock()
+		if db.snapshotLink(id) != l {
+			stripe.Unlock()
 			unlockPair(sf, st)
 			continue
 		}
-		fh, th := sf.hist.Load(), st.hist.Load()
+		fh, th := db.head.shard(l.From.Block), db.head.shard(l.To.Block)
 		s := db.beginMut(op, 0, func() []string { return args(nl) })
-		stripe.hist.Load().links.push(id, s, nl, false)
+		db.head.stripe(id).links.push(id, s, nl, false)
 		fh.post(true, l.From, s, replaced(fh.links(l.From, newest).out, nl))
 		th.post(false, l.To, s, replaced(th.links(l.To, newest).in, nl))
 		db.endMut(s)
-		stripe.mu.Unlock()
+		stripe.Unlock()
 		unlockPair(sf, st)
 		return nil
 	}
-}
-
-// LinksFrom returns copies of all links whose From endpoint is k.
-func (db *DB) LinksFrom(k Key) []*Link {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return cloneLinks(nil, sh.hist.Load().links(k, newest).out)
-}
-
-// LinksTo returns copies of all links whose To endpoint is k.
-func (db *DB) LinksTo(k Key) []*Link {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return cloneLinks(nil, sh.hist.Load().links(k, newest).in)
-}
-
-// LinksOf returns copies of all links incident to k, in either direction.
-func (db *DB) LinksOf(k Key) []*Link {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	p := sh.hist.Load().links(k, newest)
-	return cloneLinks(cloneLinks(nil, p.out), p.in)
-}
-
-// cloneLinks appends deep copies of a posting's links to dst.
-func cloneLinks(dst []*Link, links []*Link) []*Link {
-	if len(links) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make([]*Link, 0, len(links))
-	}
-	for _, l := range links {
-		dst = append(dst, l.clone())
-	}
-	return dst
-}
-
-// EachLinkOf invokes fn for every link incident to k, outgoing first, under
-// the owning shard's read lock.  fn must not retain or mutate the link and
-// must not call other DB methods.  Returning false stops the iteration.
-func (db *DB) EachLinkOf(k Key, fn func(*Link) bool) {
-	sh := db.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	p := sh.hist.Load().links(k, newest)
-	for _, links := range [2][]*Link{p.out, p.in} {
-		for _, l := range links {
-			if !fn(l) {
-				return
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Enumeration and statistics.  Each is a walk of a view pinned for the
-// call, so its answer is one point-in-time cut of the database.
-
-// Keys returns every OID key, sorted by block, view, version.
-func (db *DB) Keys() []Key {
-	v := db.ReadView()
-	defer v.Close()
-	return v.keys()
-}
-
-func (v *View) keys() []Key {
-	keys := []Key{}
-	v.EachOID(func(o *OID) bool {
-		keys = append(keys, o.Key)
-		return true
-	})
-	sortKeys(keys)
-	return keys
-}
-
-// BlockViews returns every version chain identity, sorted.
-func (db *DB) BlockViews() []BlockView {
-	v := db.ReadView()
-	defer v.Close()
-	var bvs []BlockView
-	v.eachChain(func(bv BlockView, _ []int) bool {
-		bvs = append(bvs, bv)
-		return true
-	})
-	sort.Slice(bvs, func(i, j int) bool {
-		if bvs[i].Block != bvs[j].Block {
-			return bvs[i].Block < bvs[j].Block
-		}
-		return bvs[i].View < bvs[j].View
-	})
-	return bvs
-}
-
-// LinkIDs returns every link ID in ascending order.
-func (db *DB) LinkIDs() []LinkID {
-	v := db.ReadView()
-	defer v.Close()
-	var ids []LinkID
-	v.EachLink(func(l *Link) bool {
-		ids = append(ids, l.ID)
-		return true
-	})
-	slices.Sort(ids)
-	return ids
-}
-
-// Stats summarizes database size.
-type Stats struct {
-	OIDs           int
-	Links          int
-	Chains         int
-	Configurations int
-	Workspaces     int
-}
-
-// Stats returns current object counts.
-func (db *DB) Stats() Stats {
-	v := db.ReadView()
-	defer v.Close()
-	return v.stats()
-}
-
-func (v *View) stats() Stats {
-	var s Stats
-	v.EachOID(func(*OID) bool { s.OIDs++; return true })
-	v.EachLink(func(*Link) bool { s.Links++; return true })
-	v.eachChain(func(BlockView, []int) bool { s.Chains++; return true })
-	v.eachConfiguration(func(*Configuration) { s.Configurations++ })
-	v.eachWorkspace(func(*Workspace) { s.Workspaces++ })
-	return s
-}
-
-func sortKeys(keys []Key) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 }

@@ -24,10 +24,10 @@ func TestNewVersionSequence(t *testing.T) {
 			t.Fatalf("version %d on creation %d", k.Version, i)
 		}
 	}
-	if got := db.Versions("cpu", "HDL_model"); len(got) != 5 {
+	if got := db.Head().Versions("cpu", "HDL_model"); len(got) != 5 {
 		t.Fatalf("Versions = %v, want 5 entries", got)
 	}
-	latest, err := db.Latest("cpu", "HDL_model")
+	latest, err := db.Head().Latest("cpu", "HDL_model")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestNewVersionValidation(t *testing.T) {
 
 func TestLatestMissing(t *testing.T) {
 	db := NewDB()
-	if _, err := db.Latest("nope", "nv"); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Head().Latest("nope", "nv"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Latest on missing chain = %v, want ErrNotFound", err)
 	}
 }
@@ -69,14 +69,14 @@ func TestPredecessor(t *testing.T) {
 	db := NewDB()
 	v1 := mustNewVersion(t, db, "alu", "GDSII")
 	v2 := mustNewVersion(t, db, "alu", "GDSII")
-	if _, ok := db.Predecessor(v1); ok {
+	if _, ok := db.Head().Predecessor(v1); ok {
 		t.Error("v1 has a predecessor")
 	}
-	p, ok := db.Predecessor(v2)
+	p, ok := db.Head().Predecessor(v2)
 	if !ok || p != v1 {
 		t.Errorf("Predecessor(v2) = %v,%v, want %v,true", p, ok, v1)
 	}
-	if _, ok := db.Predecessor(Key{Block: "alu", View: "GDSII", Version: 99}); ok {
+	if _, ok := db.Head().Predecessor(Key{Block: "alu", View: "GDSII", Version: 99}); ok {
 		t.Error("phantom version has a predecessor")
 	}
 }
@@ -87,17 +87,17 @@ func TestProps(t *testing.T) {
 	if err := db.SetProp(k, "DRC", "ok"); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := db.GetProp(k, "DRC")
+	v, ok, err := db.Head().GetProp(k, "DRC")
 	if err != nil || !ok || v != "ok" {
 		t.Fatalf("GetProp = %q,%v,%v", v, ok, err)
 	}
-	if _, ok, _ := db.GetProp(k, "missing"); ok {
+	if _, ok, _ := db.Head().GetProp(k, "missing"); ok {
 		t.Error("missing property reported present")
 	}
 	if err := db.DelProp(k, "DRC"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := db.GetProp(k, "DRC"); ok {
+	if _, ok, _ := db.Head().GetProp(k, "DRC"); ok {
 		t.Error("deleted property still present")
 	}
 	// Errors on missing OID.
@@ -105,7 +105,7 @@ func TestProps(t *testing.T) {
 	if err := db.SetProp(bad, "p", "v"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("SetProp on missing OID: %v", err)
 	}
-	if _, _, err := db.GetProp(bad, "p"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := db.Head().GetProp(bad, "p"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetProp on missing OID: %v", err)
 	}
 	if err := db.DelProp(bad, "p"); !errors.Is(err, ErrNotFound) {
@@ -122,14 +122,17 @@ func TestGetOIDReturnsCopy(t *testing.T) {
 	if err := db.SetProp(k, "DRC", "ok"); err != nil {
 		t.Fatal(err)
 	}
-	o, err := db.GetOID(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Props["DRC"] = "tampered"
-	v, _, _ := db.GetProp(k, "DRC")
-	if v != "ok" {
-		t.Error("mutating GetOID result changed database state")
+	pinned := db.ReadView()
+	defer pinned.Close()
+	for _, v := range []*View{db.Head(), pinned} {
+		o, err := v.GetOID(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Props["DRC"] = "tampered"
+		if got, _, _ := v.GetProp(k, "DRC"); got != "ok" {
+			t.Error("mutating GetOID result changed database state")
+		}
 	}
 }
 
@@ -141,7 +144,7 @@ func TestAddLinkAndIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := db.GetLink(id)
+	l, err := db.Head().GetLink(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +154,13 @@ func TestAddLinkAndIndexes(t *testing.T) {
 	if !l.CanPropagate("outofdate") || l.CanPropagate("ckin") {
 		t.Error("PROPAGATE set wrong")
 	}
-	if got := db.LinksFrom(cpu); len(got) != 1 || got[0].ID != id {
-		t.Errorf("LinksFrom(cpu) = %v", got)
+	if got := db.Head().posting(cpu).out; len(got) != 1 || got[0].ID != id {
+		t.Errorf("out-posting(cpu) = %v", got)
 	}
-	if got := db.LinksTo(reg); len(got) != 1 || got[0].ID != id {
-		t.Errorf("LinksTo(reg) = %v", got)
+	if got := db.Head().posting(reg).in; len(got) != 1 || got[0].ID != id {
+		t.Errorf("in-posting(reg) = %v", got)
 	}
-	if got := db.LinksOf(cpu); len(got) != 1 {
+	if got := db.Head().LinksOf(cpu); len(got) != 1 {
 		t.Errorf("LinksOf(cpu) = %v", got)
 	}
 }
@@ -196,14 +199,14 @@ func TestDeleteLink(t *testing.T) {
 	if err := db.DeleteLink(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.GetLink(id); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Head().GetLink(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetLink after delete: %v", err)
 	}
-	if got := db.LinksFrom(a); len(got) != 0 {
-		t.Errorf("LinksFrom after delete = %v", got)
+	if got := db.Head().posting(a).out; len(got) != 0 {
+		t.Errorf("out-posting after delete = %v", got)
 	}
-	if got := db.LinksTo(b); len(got) != 0 {
-		t.Errorf("LinksTo after delete = %v", got)
+	if got := db.Head().posting(b).in; len(got) != 0 {
+		t.Errorf("in-posting after delete = %v", got)
 	}
 	if err := db.DeleteLink(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete: %v", err)
@@ -217,7 +220,7 @@ func TestRetargetLink(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		mustNewVersion(t, db, "alu", "NetList")
 	}
-	nl8, _ := db.Latest("alu", "NetList")
+	nl8, _ := db.Head().Latest("alu", "NetList")
 	if nl8.Version != 8 {
 		t.Fatalf("setup: %v", nl8)
 	}
@@ -234,14 +237,14 @@ func TestRetargetLink(t *testing.T) {
 	if err := db.RetargetLink(id, g5, g6); err != nil {
 		t.Fatal(err)
 	}
-	l, _ := db.GetLink(id)
+	l, _ := db.Head().GetLink(id)
 	if l.To != g6 || l.From != nl8 {
 		t.Errorf("after retarget: %v -> %v", l.From, l.To)
 	}
-	if got := db.LinksTo(g5); len(got) != 0 {
+	if got := db.Head().posting(g5).in; len(got) != 0 {
 		t.Errorf("old version still indexed: %v", got)
 	}
-	if got := db.LinksTo(g6); len(got) != 1 {
+	if got := db.Head().posting(g6).in; len(got) != 1 {
 		t.Errorf("new version not indexed: %v", got)
 	}
 	// Retarget with a non-endpoint.
@@ -253,7 +256,7 @@ func TestRetargetLink(t *testing.T) {
 	if err := db.RetargetLink(id, g6, ghost); !errors.Is(err, ErrNotFound) {
 		t.Errorf("retarget to missing OID: %v, want ErrNotFound", err)
 	}
-	if l, _ := db.GetLink(id); l.To != g6 {
+	if l, _ := db.Head().GetLink(id); l.To != g6 {
 		t.Errorf("refused retarget moved the link: %v", l.To)
 	}
 	// Retarget the From side.
@@ -261,11 +264,11 @@ func TestRetargetLink(t *testing.T) {
 	if err := db.RetargetLink(id, nl8, nl9); err != nil {
 		t.Fatal(err)
 	}
-	l, _ = db.GetLink(id)
+	l, _ = db.Head().GetLink(id)
 	if l.From != nl9 {
 		t.Errorf("from not retargeted: %v", l.From)
 	}
-	if got := db.LinksFrom(nl9); len(got) != 1 {
+	if got := db.Head().posting(nl9).out; len(got) != 1 {
 		t.Errorf("from index: %v", got)
 	}
 }
@@ -284,11 +287,11 @@ func TestRetargetLinkInvariantViolation(t *testing.T) {
 	if err := db.RetargetLink(id, b, c); !errors.Is(err, ErrBadLink) {
 		t.Fatalf("cross-view retarget: %v", err)
 	}
-	l, _ := db.GetLink(id)
+	l, _ := db.Head().GetLink(id)
 	if l.To != b {
 		t.Errorf("failed retarget mutated link: %v", l.To)
 	}
-	if got := db.LinksTo(b); len(got) != 1 {
+	if got := db.Head().posting(b).in; len(got) != 1 {
 		t.Errorf("index damaged: %v", got)
 	}
 }
@@ -307,7 +310,7 @@ func TestLinkProps(t *testing.T) {
 	if err := db.SetLinkPropagates(id, []string{"lvs", "outofdate"}); err != nil {
 		t.Fatal(err)
 	}
-	l, _ := db.GetLink(id)
+	l, _ := db.Head().GetLink(id)
 	if l.Type() != TypeEquivalence {
 		t.Errorf("Type = %q", l.Type())
 	}
@@ -339,7 +342,7 @@ func TestEachLinkOfStops(t *testing.T) {
 		}
 	}
 	n := 0
-	db.EachLinkOf(a, func(*Link) bool { n++; return n < 2 })
+	db.Head().EachLinkOf(a, func(*Link) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Errorf("iteration did not stop: n=%d", n)
 	}
@@ -358,7 +361,7 @@ func TestStats(t *testing.T) {
 	if _, err := db.SnapshotHierarchy("snap", a, nil); err != nil {
 		t.Fatal(err)
 	}
-	s := db.Stats()
+	s := db.Head().Stats()
 	want := Stats{OIDs: 2, Links: 1, Chains: 2, Configurations: 1, Workspaces: 1}
 	if s != want {
 		t.Errorf("Stats = %+v, want %+v", s, want)
@@ -415,21 +418,21 @@ func TestPruneVersions(t *testing.T) {
 	if removed != 4 {
 		t.Errorf("removed = %d", removed)
 	}
-	if got := db.Versions("cpu", "netlist"); len(got) != 2 || got[0] != 5 || got[1] != 6 {
+	if got := db.Head().Versions("cpu", "netlist"); len(got) != 2 || got[0] != 5 || got[1] != 6 {
 		t.Errorf("Versions = %v", got)
 	}
 	for _, k := range keys[:4] {
-		if db.HasOID(k) {
+		if db.Head().HasOID(k) {
 			t.Errorf("%v survived prune", k)
 		}
 	}
-	if _, err := db.GetLink(oldLink); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Head().GetLink(oldLink); !errors.Is(err, ErrNotFound) {
 		t.Errorf("link to pruned OID survived: %v", err)
 	}
-	if _, err := db.GetLink(newLink); err != nil {
+	if _, err := db.Head().GetLink(newLink); err != nil {
 		t.Errorf("link to kept OID removed: %v", err)
 	}
-	if got := db.LinksFrom(other); len(got) != 1 {
+	if got := db.Head().posting(other).out; len(got) != 1 {
 		t.Errorf("adjacency index stale: %v", got)
 	}
 	// Numbering continues after pruning.
@@ -468,7 +471,7 @@ func TestPrunedDatabaseSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pruned database does not reload: %v", err)
 	}
-	if got := db2.Versions("cpu", "netlist"); len(got) != 2 || got[0] != 4 {
+	if got := db2.Head().Versions("cpu", "netlist"); len(got) != 2 || got[0] != 4 {
 		t.Errorf("reloaded versions = %v", got)
 	}
 	k, err := db2.NewVersion("cpu", "netlist")
@@ -501,7 +504,7 @@ func TestEquivalents(t *testing.T) {
 	if _, err := db.AddLink(DeriveLink, hdl, sch, "", nil, map[string]string{PropType: TypeDeriveFrom}); err != nil {
 		t.Fatal(err)
 	}
-	got := db.Equivalents(sch)
+	got := db.Head().Equivalents(sch)
 	if len(got) != 4 {
 		t.Fatalf("Equivalents = %v", got)
 	}
@@ -511,11 +514,11 @@ func TestEquivalents(t *testing.T) {
 		}
 	}
 	// Symmetric: starting anywhere in the plane gives the same set.
-	got2 := db.Equivalents(vnl)
+	got2 := db.Head().Equivalents(vnl)
 	if len(got2) != len(got) {
 		t.Errorf("asymmetric equivalence plane: %v vs %v", got, got2)
 	}
-	if got := db.Equivalents(Key{Block: "ghost", View: "v", Version: 1}); got != nil {
+	if got := db.Head().Equivalents(Key{Block: "ghost", View: "v", Version: 1}); got != nil {
 		t.Errorf("Equivalents(ghost) = %v", got)
 	}
 }
@@ -525,25 +528,26 @@ func TestKeysSorted(t *testing.T) {
 	mustNewVersion(t, db, "b", "v2")
 	mustNewVersion(t, db, "a", "v1")
 	mustNewVersion(t, db, "a", "v1")
-	keys := db.Keys()
+	keys := db.Head().Keys()
 	if len(keys) != 3 {
 		t.Fatalf("Keys = %v", keys)
 	}
 	for i := 1; i < len(keys); i++ {
-		if keyLess(keys[i], keys[i-1]) {
+		if keys[i].Less(keys[i-1]) {
 			t.Errorf("keys out of order: %v", keys)
 		}
 	}
-	bvs := db.BlockViews()
+	bvs := db.Head().BlockViews()
 	if len(bvs) != 2 || bvs[0].Block != "a" || bvs[1].Block != "b" {
 		t.Errorf("BlockViews = %v", bvs)
 	}
 }
 
-// TestStatsIsOneCut: the enumerations are walks of one pinned view, so what
-// they count is a database that existed.  The writer only ever adds two
-// OIDs and then a link between them: at every instant 2*Links ≤ OIDs, and a
-// count taken shard after shard, stripes last, does not see it that way.
+// TestStatsIsOneCut: an enumeration of a pinned view counts a database that
+// existed.  The writer only ever adds two OIDs and then a link between
+// them: at every instant 2*Links ≤ OIDs, and a count taken shard after
+// shard, stripes last — what Stats of the head is — does not see it that
+// way.
 func TestStatsIsOneCut(t *testing.T) {
 	db := NewDBWithShards(4)
 	done := make(chan struct{})
@@ -567,18 +571,18 @@ func TestStatsIsOneCut(t *testing.T) {
 		}
 	}()
 	for reads := 0; ; reads++ {
-		if st := db.Stats(); 2*st.Links > st.OIDs {
+		v := db.ReadView()
+		keys, st := v.Keys(), v.Stats()
+		v.Close()
+		if 2*st.Links > st.OIDs {
 			t.Fatalf("Stats counted %d links between %d OIDs", st.Links, st.OIDs)
 		}
-		v := db.ReadView()
-		keys, st := v.keys(), v.stats()
-		v.Close()
 		if len(keys) != st.OIDs {
 			t.Fatalf("one view: %d keys, %d OIDs counted", len(keys), st.OIDs)
 		}
 		select {
 		case <-done:
-			if st := db.Stats(); reads == 0 || st.OIDs != 8000 || st.Links != 4000 {
+			if st := db.Head().Stats(); reads == 0 || st.OIDs != 8000 || st.Links != 4000 {
 				t.Fatalf("%d reads; at the end %+v", reads, st)
 			}
 			return

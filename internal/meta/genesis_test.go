@@ -24,13 +24,13 @@ func mutationProgram(seed int64) []func(*DB) {
 	blocks := []string{"cpu", "alu", "reg", "mmu"}
 	views := []string{"HDL_model", "schematic"}
 	key := func(db *DB, r int) Key {
-		if keys := db.Keys(); len(keys) > 0 {
+		if keys := db.Head().Keys(); len(keys) > 0 {
 			return keys[r%len(keys)]
 		}
 		return Key{Block: "none", View: "none", Version: 1}
 	}
 	link := func(db *DB, r int) LinkID {
-		if ids := db.LinkIDs(); len(ids) > 0 {
+		if ids := db.Head().LinkIDs(); len(ids) > 0 {
 			return ids[r%len(ids)]
 		}
 		return 0
@@ -67,7 +67,7 @@ func mutationProgram(seed int64) []func(*DB) {
 				case 0:
 					_ = db.DeleteLink(id)
 				case 1:
-					if l, err := db.GetLink(id); err == nil {
+					if l, err := db.Head().GetLink(id); err == nil {
 						_ = db.RetargetLink(id, l.To, key(db, c))
 					}
 				case 2:
@@ -91,13 +91,13 @@ func mutationProgram(seed int64) []func(*DB) {
 			})
 		case op == 14:
 			steps = append(steps, func(db *DB) {
-				if names := db.ConfigurationNames(); len(names) > 0 {
+				if names := db.Head().ConfigurationNames(); len(names) > 0 {
 					_ = db.DeleteConfiguration(names[a%len(names)])
 				}
 			})
 		default:
 			steps = append(steps, func(db *DB) {
-				if names := db.WorkspaceNames(); len(names) > 0 && b%3 > 0 {
+				if names := db.Head().WorkspaceNames(); len(names) > 0 && b%3 > 0 {
 					_ = db.BindPath(names[a%len(names)], key(db, c), name)
 				} else {
 					_ = db.AddWorkspace(name, "/proj/"+name)
@@ -108,23 +108,22 @@ func mutationProgram(seed int64) []func(*DB) {
 	return steps
 }
 
-// liveReadsEqualView is what used to be an invariant between two copies of
-// the data, as a property of the public API: every live read of a quiescent
-// database answers what the same read answers on a view pinned right after
-// it — object for object, and the postings member for member, in order.
+// liveReadsEqualView: every read of the head of a quiescent database
+// answers what the same read answers on a view pinned right after it —
+// object for object, and the postings member for member, in order.
 func liveReadsEqualView(db *DB) error {
-	v := db.ReadView()
+	h, v := db.Head(), db.ReadView()
 	defer v.Close()
-	keys := db.Keys()
-	if !slices.Equal(keys, v.keys()) {
-		return fmt.Errorf("Keys %v, the view's %v", keys, v.keys())
+	keys := h.Keys()
+	if !slices.Equal(keys, v.Keys()) {
+		return fmt.Errorf("Keys %v, the view's %v", keys, v.Keys())
 	}
-	if live, at := db.Stats(), v.stats(); live != at {
+	if live, at := h.Stats(), v.Stats(); live != at {
 		return fmt.Errorf("Stats %+v, the view's %+v", live, at)
 	}
 	sameLinks := func(what string, k Key, live, at []*Link) error {
 		if len(live) != len(at) {
-			return fmt.Errorf("%s(%v): %d links, the view's posting %d", what, k, len(live), len(at))
+			return fmt.Errorf("%s(%v): %d links, the view's %d", what, k, len(live), len(at))
 		}
 		for i := range live {
 			if a, b := linkArgs(live[i]), linkArgs(at[i]); !slices.Equal(a, b) {
@@ -134,45 +133,59 @@ func liveReadsEqualView(db *DB) error {
 		return nil
 	}
 	for _, k := range keys {
-		live, err := db.GetOID(k)
+		live, err := h.GetOID(k)
 		at, verr := v.GetOID(k)
 		if err != nil || verr != nil || live.Seq != at.Seq || !maps.Equal(live.Props, at.Props) {
 			return fmt.Errorf("GetOID(%v): %+v %v, the view's %+v %v", k, live, err, at, verr)
 		}
-		latest, err := db.Latest(k.Block, k.View)
-		if vl, ok := v.Latest(k.Block, k.View); err != nil || !ok || latest != vl {
-			return fmt.Errorf("Latest(%v): %v %v, the view's %v %v", k.BV(), latest, err, vl, ok)
+		latest, err := h.Latest(k.Block, k.View)
+		if vl, verr := v.Latest(k.Block, k.View); err != nil || verr != nil || latest != vl {
+			return fmt.Errorf("Latest(%v): %v %v, the view's %v %v", k.BV(), latest, err, vl, verr)
 		}
-		chain, _ := v.shards[db.shardIndex(k.Block)].chains.at(k.BV(), v.lsn)
-		if versions := db.Versions(k.Block, k.View); !slices.Equal(versions, chain) {
-			return fmt.Errorf("Versions(%v): %v, the view's chain %v", k.BV(), versions, chain)
+		if versions, at := h.Versions(k.Block, k.View), v.Versions(k.Block, k.View); !slices.Equal(versions, at) {
+			return fmt.Errorf("Versions(%v): %v, the view's %v", k.BV(), versions, at)
 		}
-		if err := sameLinks("LinksFrom", k, db.LinksFrom(k), v.outAt(k)); err != nil {
+		if err := sameLinks("out", k, h.posting(k).out, v.posting(k).out); err != nil {
 			return err
 		}
-		if err := sameLinks("LinksTo", k, db.LinksTo(k), v.inAt(k)); err != nil {
+		if err := sameLinks("in", k, h.posting(k).in, v.posting(k).in); err != nil {
+			return err
+		}
+		if err := sameLinks("LinksOf", k, h.LinksOf(k), v.LinksOf(k)); err != nil {
 			return err
 		}
 	}
-	for _, id := range db.LinkIDs() {
-		live, err := db.GetLink(id)
-		at, ok := v.stripes[uint32(id)&db.lmask].links.at(id, v.lsn)
-		if err != nil || !ok || !slices.Equal(linkArgs(live), linkArgs(at)) {
-			return fmt.Errorf("GetLink(%d): %+v %v, the view's %+v %v", id, live, err, at, ok)
+	ids := h.LinkIDs()
+	if !slices.Equal(ids, v.LinkIDs()) {
+		return fmt.Errorf("LinkIDs %v, the view's %v", ids, v.LinkIDs())
+	}
+	for _, id := range ids {
+		live, err := h.GetLink(id)
+		at, verr := v.GetLink(id)
+		if err != nil || verr != nil || !slices.Equal(linkArgs(live), linkArgs(at)) {
+			return fmt.Errorf("GetLink(%d): %+v %v, the view's %+v %v", id, live, err, at, verr)
 		}
 	}
-	for _, name := range db.ConfigurationNames() {
-		live, err := db.GetConfiguration(name)
-		at, ok := v.ctl.configs.at(name, v.lsn)
-		if err != nil || !ok || !slices.Equal(configArgs(live), configArgs(at)) {
-			return fmt.Errorf("GetConfiguration(%q): %+v %v, the view's %+v %v", name, live, err, at, ok)
+	names := h.ConfigurationNames()
+	if !slices.Equal(names, v.ConfigurationNames()) {
+		return fmt.Errorf("ConfigurationNames %v, the view's %v", names, v.ConfigurationNames())
+	}
+	for _, name := range names {
+		live, err := h.GetConfiguration(name)
+		at, verr := v.GetConfiguration(name)
+		if err != nil || verr != nil || !slices.Equal(configArgs(live), configArgs(at)) {
+			return fmt.Errorf("GetConfiguration(%q): %+v %v, the view's %+v %v", name, live, err, at, verr)
 		}
 	}
-	for _, name := range db.WorkspaceNames() {
-		live, err := db.GetWorkspace(name)
-		at, ok := v.ctl.workspaces.at(name, v.lsn)
-		if err != nil || !ok || live.Root != at.Root || !maps.Equal(live.paths, at.paths) {
-			return fmt.Errorf("GetWorkspace(%q): %+v %v, the view's %+v %v", name, live, err, at, ok)
+	names = h.WorkspaceNames()
+	if !slices.Equal(names, v.WorkspaceNames()) {
+		return fmt.Errorf("WorkspaceNames %v, the view's %v", names, v.WorkspaceNames())
+	}
+	for _, name := range names {
+		live, err := h.GetWorkspace(name)
+		at, verr := v.GetWorkspace(name)
+		if err != nil || verr != nil || live.Root != at.Root || !maps.Equal(live.paths, at.paths) {
+			return fmt.Errorf("GetWorkspace(%q): %+v %v, the view's %+v %v", name, live, err, at, verr)
 		}
 	}
 	return nil
@@ -213,7 +226,7 @@ func TestQuickPlainViewEqualsReplay(t *testing.T) {
 				}
 				got, want := viewSave(t, v), saveDB(t, replay)
 				rv := replay.ReadView()
-				roots := replay.Keys()
+				roots := replay.Head().Keys()
 				gotWalk, wantWalk := walkFingerprint(v, roots), walkFingerprint(rv, roots)
 				rv.Close()
 				v.Close()
@@ -269,14 +282,14 @@ func TestQuickLoadSeals(t *testing.T) {
 			}
 			pinned := db.ReadView()
 			sv := src.ReadView()
-			same := walkFingerprint(pinned, src.Keys()) == walkFingerprint(sv, src.Keys())
+			same := walkFingerprint(pinned, src.Head().Keys()) == walkFingerprint(sv, src.Head().Keys())
 			sv.Close()
 			if !same {
 				t.Logf("seed %d shards %d: walks on the loaded database differ from the source's", seed, shards)
 				return false
 			}
-			for i, k := range db.Keys() {
-				o, _ := db.GetOID(k)
+			for i, k := range db.Head().Keys() {
+				o, _ := db.Head().GetOID(k)
 				switch i % 3 {
 				case 0:
 					// Rewriting what is already there is no change.

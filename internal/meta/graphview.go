@@ -2,7 +2,6 @@ package meta
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 )
 
@@ -13,22 +12,10 @@ import (
 // results are byte-stable: re-running a walk on the same view always
 // yields the same slice.
 
-// outAt returns the view's outgoing-adjacency posting of k (links with
-// From == k).  The slice and its links are immutable; callers must not
-// mutate them.
-func (v *View) outAt(k Key) []*Link {
-	return v.shards[v.db.shardIndex(k.Block)].links(k, v.lsn).out
-}
-
-// inAt returns the view's incoming-adjacency posting of k (links with
-// To == k).
-func (v *View) inAt(k Key) []*Link {
-	return v.shards[v.db.shardIndex(k.Block)].links(k, v.lsn).in
-}
-
-// Reachable is DB.Reachable evaluated at the view: the set of keys
-// reachable from root by traversing admitted links From→To, including
-// root itself; nil when root does not exist at the view.
+// Reachable returns the set of keys reachable from root by traversing
+// links downward (From→To) through links admitted by follow, including root
+// itself; nil when root does not exist at the view.  It is the query
+// primitive behind hierarchy snapshots and transitive-dependency analyses.
 func (v *View) Reachable(root Key, follow FollowFunc) []Key {
 	if follow == nil {
 		follow = FollowUseLinks
@@ -38,9 +25,10 @@ func (v *View) Reachable(root Key, follow FollowFunc) []Key {
 	return out
 }
 
-// Dependents is DB.Dependents evaluated at the view: the downstream
-// closure of root, root itself excluded; nil when root does not exist at
-// the view.
+// Dependents returns the downstream closure of root: every OID reachable by
+// repeatedly following admitted links From→To — the set of data
+// invalidated when root changes.  root itself is excluded; nil when root
+// does not exist at the view.
 func (v *View) Dependents(root Key, follow FollowFunc) []Key {
 	if follow == nil {
 		follow = FollowAllLinks
@@ -64,7 +52,7 @@ func (v *View) closure(root Key, follow FollowFunc) []Key {
 	visited := map[Key]bool{root: true}
 	out := []Key{root}
 	for i := 0; i < len(out); i++ {
-		for _, l := range v.outAt(out[i]) {
+		for _, l := range v.posting(out[i]).out {
 			if follow(l) && !visited[l.To] {
 				visited[l.To] = true
 				out = append(out, l.To)
@@ -74,9 +62,11 @@ func (v *View) closure(root Key, follow FollowFunc) []Key {
 	return out
 }
 
-// Equivalents is DB.Equivalents evaluated at the view: the transitive
-// equivalence plane of k over derive links typed "equivalence", followed
-// in both directions, k included; nil when k does not exist at the view.
+// Equivalents returns the transitive set of OIDs tied to k by derive links
+// whose TYPE property is "equivalence" — the equivalence plane of Katz's
+// version server, which the paper's link types reference.  Links are
+// followed in both directions; k itself is included; nil when k does not
+// exist at the view.
 func (v *View) Equivalents(k Key) []Key {
 	if !v.HasOID(k) {
 		return nil
@@ -94,12 +84,12 @@ func (v *View) Equivalents(k Key) []Key {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, l := range v.outAt(cur) {
+		for _, l := range v.posting(cur).out {
 			if l.Class == DeriveLink && l.Type() == TypeEquivalence {
 				step(l.To)
 			}
 		}
-		for _, l := range v.inAt(cur) {
+		for _, l := range v.posting(cur).in {
 			if l.Class == DeriveLink && l.Type() == TypeEquivalence {
 				step(l.From)
 			}
@@ -110,26 +100,23 @@ func (v *View) Equivalents(k Key) []Key {
 }
 
 // Resolve materializes a stored configuration at the view — both the
-// configuration and every referenced object resolve at the same LSN, and
-// the clone-heavy materialization runs without any database lock.
+// configuration and every referenced object resolve at the same LSN.
 func (v *View) Resolve(name string) (*ResolvedConfiguration, error) {
-	c, ok := v.ctl.configs.at(name, v.lsn)
-	if !ok {
-		return nil, fmt.Errorf("configuration %q: %w", name, ErrNotFound)
+	c, err := v.GetConfiguration(name)
+	if err != nil {
+		return nil, err
 	}
-	r := &ResolvedConfiguration{Config: c.clone()}
-	r.OIDs = make([]*OID, 0, len(c.OIDs))
+	r := &ResolvedConfiguration{Config: c, OIDs: make([]*OID, 0, len(c.OIDs)), Links: make([]*Link, 0, len(c.Links))}
 	for _, k := range c.OIDs {
 		if o, err := v.GetOID(k); err == nil {
-			r.OIDs = append(r.OIDs, o.clone())
+			r.OIDs = append(r.OIDs, o)
 		} else {
 			r.MissingOIDs = append(r.MissingOIDs, k)
 		}
 	}
-	r.Links = make([]*Link, 0, len(c.Links))
 	for _, id := range c.Links {
-		if l, ok := v.stripes[uint32(id)&v.db.lmask].links.at(id, v.lsn); ok {
-			r.Links = append(r.Links, l.clone())
+		if l, err := v.GetLink(id); err == nil {
+			r.Links = append(r.Links, l)
 		} else {
 			r.MissingLinks = append(r.MissingLinks, id)
 		}
@@ -153,8 +140,8 @@ func (db *DB) AuditGraphIndex() {
 	defer db.unlockAll()
 	s := db.mvcc.epoch.Load()
 	want := make(map[Key]posting)
-	for _, st := range db.stripes {
-		st.hist.Load().links.each(newest, func(_ LinkID, l *Link) bool {
+	for _, st := range db.store.Load().stripes {
+		st.links.each(newest, func(_ LinkID, l *Link) bool {
 			p := want[l.From]
 			p.out = append(p.out, l)
 			want[l.From] = p
@@ -172,7 +159,7 @@ func (db *DB) AuditGraphIndex() {
 		return slices.Equal(have, want)
 	}
 	for k, p := range want {
-		h := db.shardOf(k).hist.Load()
+		h := db.head.shard(k.Block)
 		have := h.links(k, newest)
 		if !same(have.out, p.out) {
 			h.post(true, k, s, p.out)
@@ -182,8 +169,7 @@ func (db *DB) AuditGraphIndex() {
 		}
 	}
 	// A posting whose key no live link names must read empty.
-	for _, sh := range db.shards {
-		h := sh.hist.Load()
+	for _, h := range db.store.Load().shards {
 		h.adj.each(newest, func(k Key, _ posting) bool {
 			if _, named := want[k]; !named {
 				h.adj.push(k, s, posting{}, true)

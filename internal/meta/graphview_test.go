@@ -33,23 +33,23 @@ func TestWalksMissingRootNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	ghost := Key{Block: "ghost", View: "HDL_model", Version: 1}
-	if got := db.Reachable(ghost, nil); got != nil {
+	if got := db.Head().Reachable(ghost, nil); got != nil {
 		t.Errorf("Reachable(missing) = %v, want nil", got)
 	}
-	if got := db.Dependents(ghost, nil); got != nil {
+	if got := db.Head().Dependents(ghost, nil); got != nil {
 		t.Errorf("Dependents(missing) = %v, want nil", got)
 	}
-	if got := db.Equivalents(ghost); got != nil {
+	if got := db.Head().Equivalents(ghost); got != nil {
 		t.Errorf("Equivalents(missing) = %v, want nil", got)
 	}
-	if _, err := db.Resolve("ghost-config"); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Head().Resolve("ghost-config"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Resolve(missing) = %v, want ErrNotFound", err)
 	}
 	// And an existing root still answers.
-	if got := db.Reachable(k, nil); len(got) != 1 || got[0] != k {
+	if got := db.Head().Reachable(k, nil); len(got) != 1 || got[0] != k {
 		t.Errorf("Reachable(%v) = %v, want [%v] (use links only)", k, got, k)
 	}
-	if got := db.Dependents(k, nil); len(got) != 1 || got[0] != k2 {
+	if got := db.Head().Dependents(k, nil); len(got) != 1 || got[0] != k2 {
 		t.Errorf("Dependents(%v) = %v, want [%v]", k, got, k2)
 	}
 }
@@ -86,14 +86,14 @@ func graphProgram(db *DB, rng *rand.Rand) ([]Key, bool) {
 			return nil, false
 		}
 	}
-	ids := db.LinkIDs()
+	ids := db.Head().LinkIDs()
 	for i := 0; i < rng.Intn(5) && len(ids) > 0; i++ {
 		id := ids[rng.Intn(len(ids))]
 		switch rng.Intn(3) {
 		case 0:
 			_ = db.DeleteLink(id)
 		case 1:
-			if l, err := db.GetLink(id); err == nil {
+			if l, err := db.Head().GetLink(id); err == nil {
 				_ = db.RetargetLink(id, l.To, keys[rng.Intn(len(keys))])
 			}
 		case 2:
@@ -122,8 +122,8 @@ func walkFingerprint(v *View, roots []Key) string {
 
 // TestGraphIndexAfterRebuild corrupts an adjacency posting in place and
 // checks that AuditGraphIndex repairs it from the link table: view walks
-// and the live LinksFrom match those of an untouched twin database again
-// afterwards.
+// and the head's out-postings match those of an untouched twin database
+// again afterwards.
 func TestGraphIndexAfterRebuild(t *testing.T) {
 	db := NewDBWithShards(4)
 	rng := rand.New(rand.NewSource(7))
@@ -150,7 +150,7 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 	// is empty, as if an incremental update had been lost.
 	var victim Key
 	for _, k := range keys {
-		if len(db.LinksFrom(k)) > 0 {
+		if len(db.Head().posting(k).out) > 0 {
 			victim = k
 			break
 		}
@@ -158,13 +158,13 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 	if victim == (Key{}) {
 		t.Skip("program produced no linked key")
 	}
-	sh := db.shards[db.shardIndex(victim.Block)]
-	lost := sh.hist.Load().links(victim, newest)
+	h := db.Head().shard(victim.Block)
+	lost := h.links(victim, newest)
 	lost.out = nil
 	bogus := &hist[posting]{}
 	bogus.push(db.mvcc.epoch.Load(), lost, lost.in == nil)
-	sh.hist.Load().adj.m.Store(victim, bogus)
-	if n := len(db.LinksFrom(victim)); n != 0 {
+	h.adj.m.Store(victim, bogus)
+	if n := len(db.Head().posting(victim).out); n != 0 {
 		t.Fatalf("live read sees %d links through the corrupted posting", n)
 	}
 
@@ -191,8 +191,8 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 		slices.Sort(out)
 		return out
 	}
-	if got, want := ids(db.LinksFrom(victim)), ids(twin.LinksFrom(victim)); !slices.Equal(got, want) {
-		t.Fatalf("LinksFrom(%v) after the audit: links %v, want %v", victim, got, want)
+	if got, want := ids(db.Head().posting(victim).out), ids(twin.Head().posting(victim).out); !slices.Equal(got, want) {
+		t.Fatalf("out-posting(%v) after the audit: links %v, want %v", victim, got, want)
 	}
 }
 
@@ -246,7 +246,7 @@ func TestViewWalkRaceHammer(t *testing.T) {
 				case 3:
 					if len(mine) > 0 {
 						id := mine[rng.Intn(len(mine))]
-						if l, err := db.GetLink(id); err == nil {
+						if l, err := db.Head().GetLink(id); err == nil {
 							_ = db.RetargetLink(id, l.To, pool[rng.Intn(len(pool))])
 						}
 					}

@@ -14,14 +14,14 @@ package meta
 // of what it changes under the locks that serialize it, builds the next
 // immutable values, and pushes them under its stamp.
 //
-// A View (ReadView / ReadViewAt) pins one stamp and resolves every read
-// against the versions at or below it; the DB's own point reads ask the
-// same resolver for the newest version instead.  Pinning takes one small
-// mutex (the epoch gate, never a shard lock) and reading takes no locks at
-// all: version nodes are immutable once published and reached through
-// atomic pointers, so snapshots, state reports and follower read-your-LSN
-// queries proceed while writers keep committing — the paper's
-// single-writer pause points become wait-free reads.
+// A View (view.go) pinned at one stamp resolves every read against the
+// versions at or below it; the head asks the same resolver for the newest.
+// Pinning takes one small mutex (the epoch gate, never a shard lock) and
+// reading takes no locks at all: version nodes are immutable once
+// published and reached through atomic pointers, so point reads, snapshots,
+// state reports and follower read-your-LSN queries proceed while writers
+// keep committing — the paper's single-writer pause points become
+// wait-free reads.
 //
 // # The epoch gate
 //
@@ -178,9 +178,28 @@ type oidVal struct {
 	props map[string]string
 }
 
-// shardHist is one shard of the database.  The containers are replaced
-// wholesale on RestoreFrom (snapshot re-bootstrap), so views capture the
-// pointers at pin time and stay consistent across a re-base.
+// store is every container of the database, behind DB.store.  RestoreFrom
+// (snapshot re-bootstrap) replaces it wholesale, so a pinned view captures
+// the pointer at pin time and stays consistent across a re-base; writers
+// load it under the lock that owns what they change.
+type store struct {
+	shards  []*shardHist
+	stripes []*stripeHist
+	ctl     *ctlHist
+}
+
+func newStore(shards, stripes int) *store {
+	s := &store{shards: make([]*shardHist, shards), stripes: make([]*stripeHist, stripes), ctl: &ctlHist{}}
+	for i := range s.shards {
+		s.shards[i] = &shardHist{}
+	}
+	for i := range s.stripes {
+		s.stripes[i] = &stripeHist{}
+	}
+	return s
+}
+
+// shardHist is one shard of the database.
 //
 // adj is the reachability index: per key, the links that leave it and the
 // links that arrive, one immutable posting per stamp at which the key's
@@ -210,6 +229,15 @@ func (p *posting) side(out bool) *[]*Link {
 }
 
 func (p posting) of(out bool) []*Link { return *p.side(out) }
+
+// oid resolves the OID k at lsn.
+func (h *shardHist) oid(k Key, lsn int64) (oidVal, error) {
+	x, ok := h.oids.at(k, lsn)
+	if !ok {
+		return x, fmt.Errorf("oid %v: %w", k, ErrNotFound)
+	}
+	return x, nil
+}
 
 // links resolves k's posting at lsn, zero when it has no links.
 func (h *shardHist) links(k Key, lsn int64) posting {
@@ -478,230 +506,6 @@ func replaced(p []*Link, nl *Link) []*Link {
 }
 
 // ---------------------------------------------------------------------------
-// Views
-
-// View is a consistent point-in-time read of the whole database, pinned
-// at one stamp (journal LSN on a journaled database).  Reads take no
-// locks: they resolve immutable versions through atomic pointers, so a
-// view is byte-stable — re-reading it always yields identical results —
-// while writers keep committing.  Close releases the pin so reclamation
-// can trim behind it; a view left open only delays reclamation, never
-// correctness.
-type View struct {
-	db       *DB
-	lsn      int64
-	seq      int64
-	nextLink int64
-	shards   []*shardHist
-	stripes  []*stripeHist
-	ctl      *ctlHist
-	closed   atomic.Bool
-}
-
-// ReadView pins a view at the current epoch — the newest assigned
-// mutation stamp — waiting (briefly) for any older mutation still
-// installing its versions, so a write that committed before the call is
-// always visible (read-your-writes).  The wait is only ever for mutations
-// already past their journal append (installs run in microseconds); it
-// never blocks on writer lock acquisition and never blocks writers.
-func (db *DB) ReadView() *View {
-	m := &db.mvcc
-	m.mu.Lock()
-	for {
-		e := m.epoch.Load()
-		for len(m.inflight) > 0 && m.inflight[0].s <= e {
-			if m.doneCh == nil {
-				m.doneCh = make(chan struct{})
-			}
-			ch := m.doneCh
-			m.mu.Unlock()
-			<-ch
-			m.mu.Lock()
-		}
-		if m.horizon.Load() <= e {
-			v := db.pinLocked(e)
-			m.mu.Unlock()
-			return v
-		}
-		// A reclaim pass advanced the horizon past the captured epoch
-		// while we waited; retry at the newer epoch (horizon never
-		// exceeds the current epoch, so this converges).
-	}
-}
-
-// ReadViewAt pins a view at exactly lsn: it contains the effect of every
-// mutation stamped at or below lsn and nothing newer.  It waits (briefly)
-// for in-flight mutations at or below lsn to finish installing, and
-// returns ErrViewReclaimed when lsn predates the retained horizon.  The
-// caller must not pass an lsn beyond the journal's assigned positions —
-// the read-your-LSN paths check the journal (or the replica's applied
-// position) first, which also guarantees the wait terminates.
-func (db *DB) ReadViewAt(lsn int64) (*View, error) {
-	m := &db.mvcc
-	m.mu.Lock()
-	for {
-		if lsn < m.horizon.Load() {
-			h := m.horizon.Load()
-			m.mu.Unlock()
-			return nil, fmt.Errorf("%w: lsn %d < horizon %d", ErrViewReclaimed, lsn, h)
-		}
-		if len(m.inflight) == 0 || m.inflight[0].s > lsn {
-			v := db.pinLocked(lsn)
-			m.mu.Unlock()
-			return v, nil
-		}
-		if m.doneCh == nil {
-			m.doneCh = make(chan struct{})
-		}
-		ch := m.doneCh
-		m.mu.Unlock()
-		<-ch
-		m.mu.Lock()
-	}
-}
-
-// pinLocked registers a pin and captures the history containers.  Callers
-// hold the gate mutex.
-func (db *DB) pinLocked(l int64) *View {
-	m := &db.mvcc
-	if m.pins == nil {
-		m.pins = make(map[int64]int)
-	}
-	m.pins[l]++
-	seq, nl := m.metaAtLocked(l)
-	v := &View{
-		db: db, lsn: l, seq: seq, nextLink: nl,
-		shards:  make([]*shardHist, len(db.shards)),
-		stripes: make([]*stripeHist, len(db.stripes)),
-		ctl:     db.ctlH.Load(),
-	}
-	for i, sh := range db.shards {
-		v.shards[i] = sh.hist.Load()
-	}
-	for i, st := range db.stripes {
-		v.stripes[i] = st.hist.Load()
-	}
-	return v
-}
-
-// Close releases the view's pin.  Idempotent.
-func (v *View) Close() {
-	if v.closed.Swap(true) {
-		return
-	}
-	m := &v.db.mvcc
-	m.mu.Lock()
-	if n := m.pins[v.lsn]; n > 1 {
-		m.pins[v.lsn] = n - 1
-	} else {
-		delete(m.pins, v.lsn)
-	}
-	m.mu.Unlock()
-}
-
-// LSN returns the stamp the view is pinned at.
-func (v *View) LSN() int64 { return v.lsn }
-
-// Seq returns the database logical clock as of the view.
-func (v *View) Seq() int64 { return v.seq }
-
-// oidAt resolves an OID's version at the view.
-func (v *View) oidAt(k Key) (oidVal, bool) {
-	return v.shards[v.db.shardIndex(k.Block)].oids.at(k, v.lsn)
-}
-
-// HasOID reports whether the OID exists at the view.
-func (v *View) HasOID(k Key) bool {
-	_, ok := v.oidAt(k)
-	return ok
-}
-
-// GetOID returns the OID as of the view.  Props is the view's immutable
-// version map (possibly nil): callers may retain it but must not mutate.
-func (v *View) GetOID(k Key) (*OID, error) {
-	x, ok := v.oidAt(k)
-	if !ok {
-		return nil, fmt.Errorf("oid %v: %w", k, ErrNotFound)
-	}
-	return &OID{Key: k, Seq: x.seq, Props: x.props}, nil
-}
-
-// Latest returns the newest version of (block, view) at the view.
-func (v *View) Latest(block, view string) (Key, bool) {
-	chain, ok := v.shards[v.db.shardIndex(block)].chains.at(BlockView{Block: block, View: view}, v.lsn)
-	if !ok {
-		return Key{}, false
-	}
-	return Key{Block: block, View: view, Version: chain[len(chain)-1]}, true
-}
-
-// EachOID invokes fn for every OID live at the view, in unspecified
-// order, until fn returns false.  The *OID is reused across calls: fn
-// must not retain it, though it may retain Props (immutable).
-func (v *View) EachOID(fn func(*OID) bool) {
-	var o OID
-	for _, h := range v.shards {
-		if !h.oids.each(v.lsn, func(k Key, x oidVal) bool {
-			o = OID{Key: k, Seq: x.seq, Props: x.props}
-			return fn(&o)
-		}) {
-			return
-		}
-	}
-}
-
-// EachLatestOID invokes fn for the newest version of every chain live at
-// the view, in unspecified order, until fn returns false.  The *OID is
-// reused across calls; Props may be retained (immutable).
-func (v *View) EachLatestOID(fn func(*OID) bool) {
-	var o OID
-	for _, h := range v.shards {
-		if !h.chains.each(v.lsn, func(bv BlockView, chain []int) bool {
-			k := Key{Block: bv.Block, View: bv.View, Version: chain[len(chain)-1]}
-			x, ok := h.oids.at(k, v.lsn)
-			if !ok {
-				return true
-			}
-			o = OID{Key: k, Seq: x.seq, Props: x.props}
-			return fn(&o)
-		}) {
-			return
-		}
-	}
-}
-
-// EachLink invokes fn for every link live at the view, in unspecified
-// order, until fn returns false.  Link objects are immutable and may be
-// retained.
-func (v *View) EachLink(fn func(*Link) bool) {
-	for _, h := range v.stripes {
-		if !h.links.each(v.lsn, func(_ LinkID, l *Link) bool { return fn(l) }) {
-			return
-		}
-	}
-}
-
-// eachChain invokes fn for every version chain live at the view with its
-// ascending version list (immutable; must not be mutated).
-func (v *View) eachChain(fn func(bv BlockView, chain []int) bool) {
-	for _, h := range v.shards {
-		if !h.chains.each(v.lsn, fn) {
-			return
-		}
-	}
-}
-
-// eachConfiguration / eachWorkspace feed the view Save path; the objects
-// handed out are the immutable stored versions.
-func (v *View) eachConfiguration(fn func(*Configuration)) {
-	v.ctl.configs.each(v.lsn, func(_ string, c *Configuration) bool { fn(c); return true })
-}
-
-func (v *View) eachWorkspace(fn func(*Workspace)) {
-	v.ctl.workspaces.each(v.lsn, func(_ string, w *Workspace) bool { fn(w); return true })
-}
-
-// ---------------------------------------------------------------------------
 // Reclamation
 
 // reclaimPass runs one amortized reclaim and clears the in-progress flag.
@@ -737,21 +541,21 @@ func (db *DB) ReclaimVersions() {
 	}
 	m.mu.Unlock()
 
-	for _, sh := range db.shards {
+	for i, sh := range db.shards {
 		sh.mu.Lock()
-		h := sh.hist.Load()
+		h := db.store.Load().shards[i]
 		h.oids.trim(floor)
 		h.chains.trim(floor)
 		h.adj.trim(floor)
 		sh.mu.Unlock()
 	}
-	for _, st := range db.stripes {
-		st.mu.Lock()
-		st.hist.Load().links.trim(floor)
-		st.mu.Unlock()
+	for i := range db.stripes {
+		db.stripes[i].Lock()
+		db.store.Load().stripes[i].links.trim(floor)
+		db.stripes[i].Unlock()
 	}
 	db.ctl.Lock()
-	h := db.ctlH.Load()
+	h := db.store.Load().ctl
 	h.configs.trim(floor)
 	h.workspaces.trim(floor)
 	db.ctl.Unlock()

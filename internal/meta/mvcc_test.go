@@ -137,8 +137,8 @@ func TestReadViewTombstones(t *testing.T) {
 		}
 		return true
 	})
-	if k, ok := after.Latest("cpu", "HDL_model"); !ok || k.Version != 2 {
-		t.Errorf("after.Latest = %v, %v; want cpu v2", k, ok)
+	if k, err := after.Latest("cpu", "HDL_model"); err != nil || k.Version != 2 {
+		t.Errorf("after.Latest = %v, %v; want cpu v2", k, err)
 	}
 }
 

@@ -24,7 +24,8 @@ func (db *DB) Save(w io.Writer) error {
 // the same canonical JSON form as Save — byte-identical to what replaying
 // the journal up to that LSN and saving would produce.  No locks are
 // taken; writers proceed throughout.  The document is streamed: w receives
-// it a buffer of some 32 KiB at a time.
+// it a buffer of some 32 KiB at a time.  v must be a pinned view: the head
+// is neither one cut nor has a header.
 func (v *View) SaveTo(w io.Writer) error {
 	// The term table is LSN-keyed rather than versioned: filtering it by
 	// the view's pin reproduces exactly what replaying up to that LSN
@@ -68,10 +69,11 @@ func LoadShards(r io.Reader, shards int) (*DB, error) {
 // must swap the guts rather than the pointer.  lsn is the journal
 // position the restored document covers, and becomes the horizon; views
 // pinned before the re-base captured the old containers and keep reading
-// the old content.  src must have the same shard count (both sides of a
-// bootstrap build it from the same Options), hold nothing stamped beyond
-// lsn (a loaded document is stamped at its newest term start at most), and
-// must not be used afterwards: db adopts its containers.
+// the old content; the head reads the new ones from its next read on.  src
+// must have the same shard count (both sides of a bootstrap build it from
+// the same Options), hold nothing stamped beyond lsn (a loaded document is
+// stamped at its newest term start at most), and must not be used
+// afterwards: db adopts its containers.
 func (db *DB) RestoreFrom(src *DB, lsn int64) error {
 	if len(db.shards) != len(src.shards) || len(db.stripes) != len(src.stripes) {
 		return fmt.Errorf("meta: restore: shard count mismatch (%d vs %d)",
@@ -93,13 +95,7 @@ func (db *DB) RestoreFrom(src *DB, lsn int64) error {
 	// so a reader racing the re-bootstrap can never capture a torn mix of
 	// old and new containers under the new epoch.
 	db.mvcc.mu.Lock()
-	for i, sh := range db.shards {
-		sh.hist.Store(src.shards[i].hist.Load())
-	}
-	for i, st := range db.stripes {
-		st.hist.Store(src.stripes[i].hist.Load())
-	}
-	db.ctlH.Store(src.ctlH.Load())
+	db.store.Store(src.store.Load())
 	db.rebaseLocked(lsn)
 	db.mvcc.mu.Unlock()
 	db.unlockAll()

@@ -36,20 +36,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(db.Stats(), db2.Stats()) {
-		t.Errorf("stats differ: %+v vs %+v", db.Stats(), db2.Stats())
+	if !reflect.DeepEqual(db.Head().Stats(), db2.Head().Stats()) {
+		t.Errorf("stats differ: %+v vs %+v", db.Head().Stats(), db2.Head().Stats())
 	}
-	if !reflect.DeepEqual(db.Keys(), db2.Keys()) {
+	if !reflect.DeepEqual(db.Head().Keys(), db2.Head().Keys()) {
 		t.Errorf("keys differ")
 	}
-	v, ok, err := db2.GetProp(nl, "sim_result")
+	v, ok, err := db2.Head().GetProp(nl, "sim_result")
 	if err != nil || !ok || v != "4 errors" {
 		t.Errorf("prop lost: %q %v %v", v, ok, err)
 	}
 	// Links with identical IDs and contents.
-	for _, id := range db.LinkIDs() {
-		l1, _ := db.GetLink(id)
-		l2, err := db2.GetLink(id)
+	for _, id := range db.Head().LinkIDs() {
+		l1, _ := db.Head().GetLink(id)
+		l2, err := db2.Head().GetLink(id)
 		if err != nil {
 			t.Fatalf("link %d lost: %v", id, err)
 		}
@@ -58,8 +58,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Configuration survives.
-	c1, _ := db.GetConfiguration("snap")
-	c2, err := db2.GetConfiguration("snap")
+	c1, _ := db.Head().GetConfiguration("snap")
+	c2, err := db2.Head().GetConfiguration("snap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("configuration differs")
 	}
 	// Workspace binding survives.
-	w, err := db2.GetWorkspace("ws")
+	w, err := db2.Head().GetWorkspace("ws")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSaveLoadEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := db.Stats(); s.OIDs != 0 || s.Links != 0 {
+	if s := db.Head().Stats(); s.OIDs != 0 || s.Links != 0 {
 		t.Errorf("empty load stats = %+v", s)
 	}
 }
@@ -162,7 +162,7 @@ func TestLoadVersionChainOutOfOrderInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Versions("a", "v"); len(got) != 3 {
+	if got := db.Head().Versions("a", "v"); len(got) != 3 {
 		t.Errorf("Versions = %v", got)
 	}
 }

@@ -34,7 +34,7 @@ func TestQuickVersionChainsContiguous(t *testing.T) {
 			}
 		}
 		for bv, n := range counts {
-			vs := db.Versions(bv.Block, bv.View)
+			vs := db.Head().Versions(bv.Block, bv.View)
 			if len(vs) != n {
 				return false
 			}
@@ -43,7 +43,7 @@ func TestQuickVersionChainsContiguous(t *testing.T) {
 					return false
 				}
 			}
-			latest, err := db.Latest(bv.Block, bv.View)
+			latest, err := db.Head().Latest(bv.Block, bv.View)
 			if err != nil || latest.Version != n {
 				return false
 			}
@@ -84,7 +84,7 @@ func TestQuickReachableTerminatesAndIsClosed(t *testing.T) {
 			}
 		}
 		root := keys[rng.Intn(n)]
-		reach := db.Reachable(root, FollowAllLinks)
+		reach := db.Head().Reachable(root, FollowAllLinks)
 		inReach := map[Key]bool{}
 		for _, k := range reach {
 			inReach[k] = true
@@ -95,7 +95,7 @@ func TestQuickReachableTerminatesAndIsClosed(t *testing.T) {
 		// Closure: every link leaving a reachable OID lands in the set.
 		closed := true
 		for _, k := range reach {
-			for _, l := range db.LinksFrom(k) {
+			for _, l := range db.Head().posting(k).out {
 				if !inReach[l.To] {
 					closed = false
 				}
@@ -148,10 +148,10 @@ func TestQuickSaveLoadIdempotent(t *testing.T) {
 			return d2
 		}
 		db2 := roundTripped(db)
-		if db.Stats() != db2.Stats() {
+		if db.Head().Stats() != db2.Head().Stats() {
 			return false
 		}
-		k1, k2 := db.Keys(), db2.Keys()
+		k1, k2 := db.Head().Keys(), db2.Head().Keys()
 		if len(k1) != len(k2) {
 			return false
 		}
@@ -203,12 +203,12 @@ func TestQuickShardCountInvariant(t *testing.T) {
 		}
 		// A couple of retargets and deletions exercise the cross-shard
 		// mutation protocol too.
-		ids := db.LinkIDs()
+		ids := db.Head().LinkIDs()
 		for i := 0; i < rng.Intn(4) && len(ids) > 0; i++ {
 			id := ids[rng.Intn(len(ids))]
 			if rng.Intn(2) == 0 {
 				_ = db.DeleteLink(id)
-			} else if l, err := db.GetLink(id); err == nil {
+			} else if l, err := db.Head().GetLink(id); err == nil {
 				_ = db.RetargetLink(id, l.To, keys[rng.Intn(len(keys))])
 			}
 		}
@@ -229,7 +229,7 @@ func TestQuickShardCountInvariant(t *testing.T) {
 		}
 		fingerprint := func(db *DB) string {
 			var sb bytes.Buffer
-			for _, k := range db.Keys() {
+			for _, k := range db.Head().Keys() {
 				fmt.Fprintf(&sb, "K%v;", k)
 			}
 			var latest []string
@@ -241,25 +241,25 @@ func TestQuickShardCountInvariant(t *testing.T) {
 			v.Close()
 			sort.Strings(latest)
 			fmt.Fprint(&sb, latest)
-			for _, id := range db.LinkIDs() {
-				l, err := db.GetLink(id)
+			for _, id := range db.Head().LinkIDs() {
+				l, err := db.Head().GetLink(id)
 				if err != nil {
 					return "err"
 				}
 				fmt.Fprintf(&sb, "E%d:%v->%v;", id, l.From, l.To)
 			}
 			for _, root := range ref {
-				if !db.HasOID(root) {
+				if !db.Head().HasOID(root) {
 					continue
 				}
-				fmt.Fprintf(&sb, "R%v=%v;", root, db.Reachable(root, FollowAllLinks))
-				fmt.Fprintf(&sb, "D%v=%v;", root, db.Dependents(root, FollowAllLinks))
-				fmt.Fprintf(&sb, "Q%v=%v;", root, db.Equivalents(root))
-				for _, l := range db.LinksOf(root) {
+				fmt.Fprintf(&sb, "R%v=%v;", root, db.Head().Reachable(root, FollowAllLinks))
+				fmt.Fprintf(&sb, "D%v=%v;", root, db.Head().Dependents(root, FollowAllLinks))
+				fmt.Fprintf(&sb, "Q%v=%v;", root, db.Head().Equivalents(root))
+				for _, l := range db.Head().LinksOf(root) {
 					fmt.Fprintf(&sb, "O%d;", l.ID)
 				}
 			}
-			fmt.Fprintf(&sb, "S%+v", db.Stats())
+			fmt.Fprintf(&sb, "S%+v", db.Head().Stats())
 			return sb.String()
 		}
 		want := fingerprint(dbs[0])

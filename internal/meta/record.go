@@ -509,18 +509,17 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	sh := db.shardOf(k)
-	sh.mu.Lock()
+	sh, h := db.lockShard(k.Block)
 	defer sh.mu.Unlock()
-	return db.insertOIDLocked(sh, k, seq)
+	return db.insertOIDLocked(h, k, seq)
 }
 
 // insertOIDLocked is the one place a new OID enters the database: its
-// first version, the chain's next and the journal record, under sh's lock.
-// The version must be greater than the newest in the chain; gaps are legal
-// because old versions may have been pruned (see PruneVersions).
-func (db *DB) insertOIDLocked(sh *dbShard, k Key, seq int64) error {
-	h := sh.hist.Load()
+// first version, the chain's next and the journal record, under the lock of
+// h's shard.  The version must be greater than the newest in the chain;
+// gaps are legal because old versions may have been pruned (see
+// PruneVersions).
+func (db *DB) insertOIDLocked(h *shardHist, k Key, seq int64) error {
 	if _, ok := h.oids.at(k, newest); ok {
 		return fmt.Errorf("oid %v: %w", k, ErrExists)
 	}
@@ -546,9 +545,9 @@ func (db *DB) lockLinkEnds(l *Link) (sf, st *dbShard, err error) {
 		return nil, nil, err
 	}
 	sf, st = db.lockPair(l.From, l.To)
-	if _, ok := sf.hist.Load().oids.at(l.From, newest); !ok {
+	if !db.head.HasOID(l.From) {
 		err = fmt.Errorf("link from %v: %w", l.From, ErrNotFound)
-	} else if _, ok := st.hist.Load().oids.at(l.To, newest); !ok {
+	} else if !db.head.HasOID(l.To) {
 		err = fmt.Errorf("link to %v: %w", l.To, ErrNotFound)
 	}
 	if err != nil {
@@ -566,22 +565,22 @@ func (db *DB) insertLinkObject(l *Link) error {
 		return err
 	}
 	defer unlockPair(sf, st)
-	return db.installLinkLocked(sf, st, l)
+	return db.installLinkLocked(l)
 }
 
 // installLinkLocked is the one place a new link enters the database: the
 // link table, both ends' postings and the journal record, under the
 // endpoint shard locks lockLinkEnds took.
-func (db *DB) installLinkLocked(sf, st *dbShard, l *Link) error {
+func (db *DB) installLinkLocked(l *Link) error {
 	stripe := db.stripeOf(l.ID)
-	stripe.mu.Lock()
-	defer stripe.mu.Unlock()
-	links := &stripe.hist.Load().links
+	stripe.Lock()
+	defer stripe.Unlock()
+	links := &db.head.stripe(l.ID).links
 	if _, ok := links.at(l.ID, newest); ok {
 		return fmt.Errorf("link %d: %w", l.ID, ErrExists)
 	}
 	floor(&db.nextLink, int64(l.ID))
-	fh, th := sf.hist.Load(), st.hist.Load()
+	fh, th := db.head.shard(l.From.Block), db.head.shard(l.To.Block)
 	s := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
 	links.push(l.ID, s, l, false)
 	fh.post(true, l.From, s, with(fh.links(l.From, newest).out, l))
@@ -599,7 +598,7 @@ func (db *DB) installConfig(c *Configuration) error {
 	}
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
-	h := db.ctlH.Load()
+	h := db.store.Load().ctl
 	if _, ok := h.configs.at(c.Name, newest); ok {
 		return fmt.Errorf("configuration %q: %w", c.Name, ErrExists)
 	}

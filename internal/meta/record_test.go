@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
+	"time"
 )
 
 // sliceRecorder accumulates emitted records for inspection, assigning
@@ -182,7 +185,7 @@ func TestApplyRecordEventIsAuditOnly(t *testing.T) {
 		Args: []string{"ckin", "up", "a,v,1", "yves", "note"}}); err != nil {
 		t.Fatal(err)
 	}
-	if s := db.Stats(); s.OIDs != 0 || s.Links != 0 {
+	if s := db.Head().Stats(); s.OIDs != 0 || s.Links != 0 {
 		t.Errorf("event record mutated the database: %+v", s)
 	}
 	if db.Seq() != 9 {
@@ -268,5 +271,50 @@ func TestRefusedInsertAllocatesNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotRecs, wantRecs) {
 		t.Errorf("records with refused inserts in between:\n%v\nwithout:\n%v", gotRecs, wantRecs)
+	}
+}
+
+// TestBindRacingPruneReplays hammers BindPath against a PruneVersions that
+// removes the very OID being bound, and replays each round's records into a
+// fresh database.  BindPath used to check the OID and release its shard
+// before it pushed: a prune in between was journaled first, and the replay
+// of the bind that followed it — recovery, every follower — failed with
+// "apply bind record: oid b,v,1: not found".
+func TestBindRacingPruneReplays(t *testing.T) {
+	k := Key{Block: "b", View: "v", Version: 1}
+	deadline := time.Now().Add(time.Second)
+	for round := 0; round < 30000 && time.Now().Before(deadline); round++ {
+		rec := &sliceRecorder{}
+		db := NewDBWithShards(4)
+		db.SetRecorder(rec)
+		for range 2 {
+			if _, err := db.NewVersion(k.Block, k.View); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.AddWorkspace("w", "/w"); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := range 7 {
+				_ = db.BindPath("w", k, strconv.Itoa(i)) // not found once pruned
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := db.PruneVersions(k.Block, k.View, 1); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		replay := NewDBWithShards(4)
+		for _, r := range rec.recs {
+			if err := replay.ApplyRecord(r); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
 	}
 }

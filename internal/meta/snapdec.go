@@ -981,7 +981,7 @@ func (d *snapDec) install(db *DB) error {
 		for run < len(d.oids) && d.oids[run].Key.BV() == bv {
 			run++
 		}
-		h := db.shards[db.shardIndex(bv.Block)].hist.Load()
+		h := db.head.shard(bv.Block)
 		chain := make([]int, 0, run-i)
 		for ; i < run; i++ {
 			o := d.oids[i]
@@ -1012,13 +1012,13 @@ func (d *snapDec) install(db *DB) error {
 		if i > 0 && d.links[i-1].ID == l.ID {
 			return fail(ErrExists)
 		}
-		if _, ok := db.shardOf(l.From).hist.Load().oids.at(l.From, stamp); !ok {
+		if !db.head.HasOID(l.From) {
 			return fail(fmt.Errorf("from %v: %w", l.From, ErrNotFound))
 		}
-		if _, ok := db.shardOf(l.To).hist.Load().oids.at(l.To, stamp); !ok {
+		if !db.head.HasOID(l.To) {
 			return fail(fmt.Errorf("to %v: %w", l.To, ErrNotFound))
 		}
-		db.stripeOf(l.ID).hist.Load().links.push(l.ID, stamp, l, false)
+		db.head.stripe(l.ID).links.push(l.ID, stamp, l, false)
 	}
 	// The postings, one push each: a key's links are one run of the links
 	// sorted by From and one of the links sorted by To, and the stable sorts
@@ -1049,10 +1049,10 @@ func (d *snapDec) install(db *DB) error {
 		var p posting
 		p.out, from = cut(from, fromOf, k)
 		p.in, to = cut(to, toOf, k)
-		db.shardOf(k).hist.Load().put(k, stamp, p)
+		db.head.shard(k.Block).put(k, stamp, p)
 	}
 
-	ctl := db.ctlH.Load()
+	ctl := db.store.Load().ctl
 	for _, c := range d.configs {
 		if _, ok := ctl.configs.at(c.Name, stamp); ok {
 			return fmt.Errorf("meta: load: duplicate configuration %q in document: %w", c.Name, ErrExists)

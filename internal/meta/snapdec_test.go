@@ -111,16 +111,16 @@ func (r *pieceReader) Read(p []byte) (int, error) {
 // lists, which propagation follows, and the chains.
 func adjacency(db *DB) string {
 	var sb strings.Builder
-	for _, k := range db.Keys() {
+	for _, k := range db.Head().Keys() {
 		fmt.Fprintf(&sb, "%v out", k)
-		for _, l := range db.LinksFrom(k) {
+		for _, l := range db.Head().posting(k).out {
 			fmt.Fprintf(&sb, " %d", l.ID)
 		}
 		sb.WriteString(" in")
-		for _, l := range db.LinksTo(k) {
+		for _, l := range db.Head().posting(k).in {
 			fmt.Fprintf(&sb, " %d", l.ID)
 		}
-		fmt.Fprintf(&sb, " chain %v\n", db.Versions(k.Block, k.View))
+		fmt.Fprintf(&sb, " chain %v\n", db.Head().Versions(k.Block, k.View))
 	}
 	return sb.String()
 }

@@ -71,8 +71,8 @@ func oracleWorkspace(ws *Workspace) workspaceJSON {
 // object, without pinning a view.  The database must be quiescent.
 func oracleLive(t testing.TB, db *DB) []byte {
 	doc := dbJSON{Seq: db.Seq(), NextLink: db.nextLink.Load()}
-	for _, k := range db.Keys() {
-		o, err := db.GetOID(k)
+	for _, k := range db.Head().Keys() {
+		o, err := db.Head().GetOID(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,22 +82,22 @@ func oracleLive(t testing.TB, db *DB) []byte {
 		}
 		doc.OIDs = append(doc.OIDs, oj)
 	}
-	for _, id := range db.LinkIDs() {
-		l, err := db.GetLink(id)
+	for _, id := range db.Head().LinkIDs() {
+		l, err := db.Head().GetLink(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		doc.Links = append(doc.Links, oracleLink(l))
 	}
-	for _, name := range db.ConfigurationNames() {
-		c, err := db.GetConfiguration(name)
+	for _, name := range db.Head().ConfigurationNames() {
+		c, err := db.Head().GetConfiguration(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		doc.Configs = append(doc.Configs, oracleConfig(c))
 	}
-	for _, name := range db.WorkspaceNames() {
-		ws, err := db.GetWorkspace(name)
+	for _, name := range db.Head().WorkspaceNames() {
+		ws, err := db.Head().GetWorkspace(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func buildHostile(t testing.TB, db *DB, seed int64) {
 		if err := db.SetLinkPropagates(id, nil); err != nil {
 			t.Fatal(err)
 		}
-		if l, err := db.GetLink(id); err == nil {
+		if l, err := db.Head().GetLink(id); err == nil {
 			_ = db.RetargetLink(id, l.To, keys[rng.Intn(len(keys))])
 		}
 	}

@@ -1,9 +1,6 @@
 package meta
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Workspace models a data repository associated with the meta-database.
 // DAMOCLES "manages data repositories, called workspaces, by associating
@@ -51,7 +48,7 @@ func (db *DB) AddWorkspace(name, root string) error {
 	}
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
-	h := db.ctlH.Load()
+	h := db.store.Load().ctl
 	if _, ok := h.workspaces.at(name, newest); ok {
 		return fmt.Errorf("workspace %q: %w", name, ErrExists)
 	}
@@ -66,12 +63,17 @@ func (db *DB) AddWorkspace(name, root string) error {
 func (db *DB) BindPath(workspace string, k Key, path string) error {
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
-	h := db.ctlH.Load()
+	// k's shard lock is held from the check through the push (ctl orders
+	// before the shard locks): a PruneVersions between the two would
+	// journal its prune before this bind, a record replay then refuses.
+	sh, kh := db.lockShard(k.Block)
+	defer sh.mu.Unlock()
+	h := db.store.Load().ctl
 	w, ok := h.workspaces.at(workspace, newest)
 	if !ok {
 		return fmt.Errorf("workspace %q: %w", workspace, ErrNotFound)
 	}
-	if !db.HasOID(k) { // ctl orders before the shard locks
+	if _, ok := kh.oids.at(k, newest); !ok {
 		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
 	w = w.clone() // a stored workspace is immutable
@@ -82,25 +84,4 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 	h.workspaces.push(workspace, s, w, false)
 	db.endMut(s)
 	return nil
-}
-
-// GetWorkspace returns a copy of the named workspace.
-func (db *DB) GetWorkspace(name string) (*Workspace, error) {
-	db.ctl.RLock()
-	defer db.ctl.RUnlock()
-	w, ok := db.ctlH.Load().workspaces.at(name, newest)
-	if !ok {
-		return nil, fmt.Errorf("workspace %q: %w", name, ErrNotFound)
-	}
-	return w.clone(), nil
-}
-
-// WorkspaceNames lists registered workspaces in sorted order.
-func (db *DB) WorkspaceNames() []string {
-	v := db.ReadView()
-	defer v.Close()
-	names := []string{}
-	v.eachWorkspace(func(w *Workspace) { names = append(names, w.Name) })
-	sort.Strings(names)
-	return names
 }

@@ -143,7 +143,7 @@ func TestFollowerIgnoresTornRecordAtStreamBoundary(t *testing.T) {
 	if _, err := fol.WaitApplied(4, 10*time.Second); err != nil {
 		t.Fatalf("follower never caught up: %v (terminal: %v)", err, fol.Err())
 	}
-	ws, err := fol.DB().GetWorkspace("w33")
+	ws, err := fol.DB().Head().GetWorkspace("w33")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestFollowerColdBootstrapOverWire(t *testing.T) {
 	// oldest retained segment, so the stream must open with a snapshot.
 	c.startFollower()
 	c.assertConverged()
-	if got := c.fol.DB().Stats().OIDs; got != 12 {
+	if got := c.fol.DB().Head().Stats().OIDs; got != 12 {
 		t.Fatalf("cold-bootstrapped follower has %d oids, want 12", got)
 	}
 }

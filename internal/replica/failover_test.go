@@ -337,7 +337,7 @@ func TestQuorumAckDegradation(t *testing.T) {
 		t.Fatalf("unreplicated write = %v, want a quorum-timeout degradation", err)
 	}
 	// ...but the write is committed locally all the same.
-	if !p.db.HasOID(meta.Key{Block: "LONE", View: "HDL_model", Version: 1}) {
+	if !p.db.Head().HasOID(meta.Key{Block: "LONE", View: "HDL_model", Version: 1}) {
 		t.Fatal("quorum-timeout lost the locally committed write")
 	}
 	if p.w.CommittedLSN() < p.w.LastLSN() {
@@ -362,7 +362,7 @@ func TestQuorumAckDegradation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "quorum-timeout") {
 		t.Fatalf("write after follower death = %v, want a quorum-timeout degradation", err)
 	}
-	if !p.db.HasOID(meta.Key{Block: "DEGRADED", View: "HDL_model", Version: 1}) {
+	if !p.db.Head().HasOID(meta.Key{Block: "DEGRADED", View: "HDL_model", Version: 1}) {
 		t.Fatal("post-degradation write lost")
 	}
 }

@@ -313,7 +313,7 @@ func TestFollowerStaleRebootstrap(t *testing.T) {
 
 	c.startFollower()
 	c.assertConverged()
-	if got := c.fol.DB().Stats().OIDs; got != 24 {
+	if got := c.fol.DB().Head().Stats().OIDs; got != 24 {
 		t.Fatalf("re-bootstrapped follower has %d oids, want 24", got)
 	}
 }
@@ -417,7 +417,7 @@ func runFollowerProgram(t *testing.T, shards int, ops []byte) {
 		case 7:
 			if len(links) > 0 && len(keys) > 0 {
 				id := links[pick(a, len(links))]
-				if l, err := db.GetLink(id); err == nil {
+				if l, err := db.Head().GetLink(id); err == nil {
 					_ = db.RetargetLink(id, l.From, keys[pick(b, len(keys))])
 				}
 			}
@@ -476,7 +476,7 @@ func runFollowerProgram(t *testing.T, shards int, ops []byte) {
 func liveKeys(db *meta.DB, keys []meta.Key) []meta.Key {
 	out := keys[:0]
 	for _, k := range keys {
-		if db.HasOID(k) {
+		if db.Head().HasOID(k) {
 			out = append(out, k)
 		}
 	}
@@ -486,7 +486,7 @@ func liveKeys(db *meta.DB, keys []meta.Key) []meta.Key {
 func liveLinks(db *meta.DB, links []meta.LinkID) []meta.LinkID {
 	out := links[:0]
 	for _, id := range links {
-		if _, err := db.GetLink(id); err == nil {
+		if _, err := db.Head().GetLink(id); err == nil {
 			out = append(out, id)
 		}
 	}

@@ -296,7 +296,7 @@ func TestPartitionPrimaryIsolatedFromBothFollowers(t *testing.T) {
 
 	// Zero acked-write loss, and byte-identical survivors.
 	for _, k := range acked {
-		if !a.fol.DB().HasOID(k) || !b.fol.DB().HasOID(k) {
+		if !a.fol.DB().Head().HasOID(k) || !b.fol.DB().Head().HasOID(k) {
 			t.Fatalf("acked write %v lost across the failover", k)
 		}
 	}

@@ -44,7 +44,7 @@ func TestBatchPostsAllAndDrainsOnce(t *testing.T) {
 		t.Fatalf("posted %d, want %d", posted, len(keys))
 	}
 	for _, k := range keys {
-		v, ok, err := s.Engine().DB().GetProp(k, "sim_result")
+		v, ok, err := s.Engine().DB().Head().GetProp(k, "sim_result")
 		if err != nil || !ok {
 			t.Fatalf("%v sim_result missing (%v)", k, err)
 		}
@@ -73,7 +73,7 @@ func TestBatchReportsBadItemsAndPostsTheRest(t *testing.T) {
 		t.Fatalf("posted %d, want 1", posted)
 	}
 	// The good item still went through.
-	if v, _, _ := s.Engine().DB().GetProp(keys[0], "sim_result"); v != "good" {
+	if v, _, _ := s.Engine().DB().Head().GetProp(keys[0], "sim_result"); v != "good" {
 		t.Errorf("good item not applied: sim_result=%q", v)
 	}
 }
@@ -90,7 +90,7 @@ func TestBatchQuotingRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _ := s.Engine().DB().GetProp(keys[0], "sim_result"); v != nasty {
+	if v, _, _ := s.Engine().DB().Head().GetProp(keys[0], "sim_result"); v != nasty {
 		t.Errorf("sim_result = %q, want %q", v, nasty)
 	}
 }

@@ -47,12 +47,12 @@ func reportRow(st *state.OIDState) string {
 // reportRow.  The database must be quiescent.
 func oracleRows(t *testing.T, db *meta.DB, bp *bpl.Blueprint, gap bool) []string {
 	rows := []string{}
-	for _, bv := range db.BlockViews() { // sorted, and one chain's latest each: key order
-		k, err := db.Latest(bv.Block, bv.View)
+	for _, bv := range db.Head().BlockViews() { // sorted, and one chain's latest each: key order
+		k, err := db.Head().Latest(bv.Block, bv.View)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := db.GetOID(k)
+		o, err := db.Head().GetOID(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,7 +497,7 @@ func TestStalledReaderEndsOnlyItsScan(t *testing.T) {
 		t.Fatal("handler still parked on a reader that stopped reading")
 	}
 
-	k, err := db.Latest("t0b0", "schematic")
+	k, err := db.Head().Latest("t0b0", "schematic")
 	if err != nil {
 		t.Fatal(err)
 	}

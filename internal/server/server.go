@@ -1093,7 +1093,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err != nil {
 			return errf("%v", err)
 		}
-		o, err := s.eng.DB().GetOID(k)
+		o, err := s.eng.DB().Head().GetOID(k)
 		if err != nil {
 			return errf("%v", err)
 		}
@@ -1155,7 +1155,9 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 
 	case wire.VerbStats:
 		es := s.eng.Stats()
-		ds := s.eng.DB().Stats()
+		v := s.eng.DB().ReadView()
+		ds := v.Stats()
+		v.Close()
 		c := &s.counters
 		return okf("oids=%d links=%d posted=%d deliveries=%d propagations=%d rules=%d execs=%d"+
 			" conns_shed=%d inflight_shed=%d readonly_refused=%d degraded_refused=%d batch_oversize=%d panics=%d",
@@ -1167,7 +1169,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if len(req.Args) != 2 {
 			return errf("LATEST wants <block> <view>")
 		}
-		k, err := s.eng.DB().Latest(req.Args[0], req.Args[1])
+		k, err := s.eng.DB().Head().Latest(req.Args[0], req.Args[1])
 		if err != nil {
 			return errf("%v", err)
 		}
@@ -1181,7 +1183,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err != nil {
 			return errf("%v", err)
 		}
-		v, set, err := s.eng.DB().GetProp(k, req.Args[1])
+		v, set, err := s.eng.DB().Head().GetProp(k, req.Args[1])
 		if err != nil {
 			return errf("%v", err)
 		}
@@ -1198,11 +1200,12 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err != nil {
 			return errf("%v", err)
 		}
-		if !s.eng.DB().HasOID(k) {
+		head := s.eng.DB().Head()
+		if !head.HasOID(k) {
 			return errf("oid %v: not found", k)
 		}
 		var body []string
-		for _, l := range s.eng.DB().LinksOf(k) {
+		for _, l := range head.LinksOf(k) {
 			line := fmt.Sprintf("%d %s %s %s", l.ID, l.Class, l.From, l.To)
 			if t := l.Type(); t != "" {
 				line += " type=" + wire.Quote(t)

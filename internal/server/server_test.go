@@ -207,7 +207,7 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := s.Engine().DB().Stats().OIDs; got != n {
+	if got := s.Engine().DB().Head().Stats().OIDs; got != n {
 		t.Errorf("OIDs = %d, want %d", got, n)
 	}
 }

@@ -106,7 +106,7 @@ func TestServerIgnoresTornRequestLine(t *testing.T) {
 	// A full round-trip on a fresh connection orders us after the torn
 	// one was (not) processed only heuristically; give the server a beat.
 	time.Sleep(100 * time.Millisecond)
-	if _, err := s.eng.DB().Latest("TORN", "HDL_model"); err == nil {
+	if _, err := s.eng.DB().Head().Latest("TORN", "HDL_model"); err == nil {
 		t.Fatal("server executed a torn request fragment")
 	}
 

@@ -3,9 +3,9 @@
 // Therefore, designers know exactly what data still needs to be modified
 // before reaching a planned state in the project."
 //
-// The package evaluates the blueprint's continuous assignments against the
-// live meta-database and explains, per OID, which leaf conditions hold the
-// design back.
+// The package evaluates the blueprint's continuous assignments against a
+// view of the meta-database and explains, per OID, which leaf conditions
+// hold the design back.
 package state
 
 import (
@@ -226,23 +226,21 @@ func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) 
 	}
 }
 
-// Report evaluates the latest version of every version chain and returns
-// the reports sorted by key: StreamSortedView's rows at a view pinned for
-// the call, each copied out of the reused state.  The version maps are
-// immutable, so the returned states share them.
-func Report(db *meta.DB, bp *bpl.Blueprint) []OIDState {
-	return report(db, bp, false)
+// Report evaluates the latest version of every version chain live at v
+// and returns the reports sorted by key: StreamSortedView's rows, each
+// copied out of the reused state.  The version maps are immutable, so the
+// returned states share them.
+func Report(v *meta.View, bp *bpl.Blueprint) []OIDState {
+	return report(v, bp, false)
 }
 
 // Gap returns only the reports of OIDs that are not ready — the "what
 // still needs to be modified" answer.
-func Gap(db *meta.DB, bp *bpl.Blueprint) []OIDState {
-	return report(db, bp, true)
+func Gap(v *meta.View, bp *bpl.Blueprint) []OIDState {
+	return report(v, bp, true)
 }
 
-func report(db *meta.DB, bp *bpl.Blueprint, gap bool) []OIDState {
-	v := db.ReadView()
-	defer v.Close()
+func report(v *meta.View, bp *bpl.Blueprint, gap bool) []OIDState {
 	var out []OIDState
 	StreamSortedView(v, bp, func(st *OIDState) bool {
 		if gap && st.Ready {
@@ -310,13 +308,14 @@ type Diff struct {
 	Common  int
 }
 
-// DiffConfigurations computes the address-level difference from old to new.
-func DiffConfigurations(db *meta.DB, oldName, newName string) (Diff, error) {
-	oldC, err := db.GetConfiguration(oldName)
+// DiffConfigurations computes the address-level difference from old to new,
+// both as stored at v.
+func DiffConfigurations(v *meta.View, oldName, newName string) (Diff, error) {
+	oldC, err := v.GetConfiguration(oldName)
 	if err != nil {
 		return Diff{}, err
 	}
-	newC, err := db.GetConfiguration(newName)
+	newC, err := v.GetConfiguration(newName)
 	if err != nil {
 		return Diff{}, err
 	}
@@ -347,10 +346,9 @@ func DiffConfigurations(db *meta.DB, oldName, newName string) (Diff, error) {
 // Blocked computes the transitive impact of an out-of-date OID: every
 // downstream OID whose chain of links admits the outofdate event.  This is
 // the query a project administrator runs before deciding whether to loosen
-// the BluePrint.  The walk runs on a view pinned for the call (zero shard
-// locks).
-func Blocked(db *meta.DB, origin meta.Key, event string) []meta.Key {
-	return db.Dependents(origin, func(l *meta.Link) bool {
+// the BluePrint.
+func Blocked(v *meta.View, origin meta.Key, event string) []meta.Key {
+	return v.Dependents(origin, func(l *meta.Link) bool {
 		return l.CanPropagate(event)
 	})
 }

@@ -37,7 +37,7 @@ func create(t *testing.T, e *engine.Engine, block, view string) meta.Key {
 func TestEvaluateReasons(t *testing.T) {
 	e := edtcEngine(t)
 	sch := create(t, e, "CPU", "schematic")
-	o, err := e.DB().GetOID(sch)
+	o, err := e.DB().Head().GetOID(sch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestReportLatestOnly(t *testing.T) {
 	e := edtcEngine(t)
 	create(t, e, "CPU", "schematic")
 	v2 := create(t, e, "CPU", "schematic")
-	rep := Report(e.DB(), e.Blueprint())
+	rep := Report(e.DB().Head(), e.Blueprint())
 	if len(rep) != 1 {
 		t.Fatalf("report entries = %d", len(rep))
 	}
@@ -80,7 +80,7 @@ func TestGapAndSummarize(t *testing.T) {
 	create(t, e, "CPU", "HDL_model") // no lets: vacuously ready
 	lay := create(t, e, "CPU", "layout")
 
-	gap := Gap(db, e.Blueprint())
+	gap := Gap(db.Head(), e.Blueprint())
 	if len(gap) != 2 {
 		t.Fatalf("gap = %d entries, want schematic+layout", len(gap))
 	}
@@ -91,12 +91,12 @@ func TestGapAndSummarize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gap = Gap(db, e.Blueprint())
+	gap = Gap(db.Head(), e.Blueprint())
 	if len(gap) != 1 || gap[0].Key != lay {
 		t.Errorf("gap after fixing schematic = %+v", gap)
 	}
 
-	sums := Summarize(Report(db, e.Blueprint()))
+	sums := Summarize(Report(db.Head(), e.Blueprint()))
 	byView := map[string]ViewSummary{}
 	for _, s := range sums {
 		byView[s.View] = s
@@ -112,7 +112,7 @@ func TestGapAndSummarize(t *testing.T) {
 func TestFormat(t *testing.T) {
 	e := edtcEngine(t)
 	create(t, e, "CPU", "schematic")
-	out := Format(Report(e.DB(), e.Blueprint()))
+	out := Format(Report(e.DB().Head(), e.Blueprint()))
 	if !strings.Contains(out, "CPU,schematic,1") || !strings.Contains(out, "no") {
 		t.Errorf("Format output:\n%s", out)
 	}
@@ -129,7 +129,7 @@ func TestDiffConfigurations(t *testing.T) {
 	if _, err := db.SnapshotQuery("after", func(*meta.OID) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	d, err := DiffConfigurations(db, "before", "after")
+	d, err := DiffConfigurations(db.Head(), "before", "after")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDiffConfigurations(t *testing.T) {
 		t.Errorf("diff = %+v", d)
 	}
 	_ = a
-	if _, err := DiffConfigurations(db, "before", "ghost"); err == nil {
+	if _, err := DiffConfigurations(db.Head(), "before", "ghost"); err == nil {
 		t.Error("missing configuration accepted")
 	}
 }
@@ -161,12 +161,12 @@ func TestBlocked(t *testing.T) {
 	mustLink(hdl, sch)
 	mustLink(sch, nl)
 	mustLink(sch, lay)
-	blocked := Blocked(db, hdl, "outofdate")
+	blocked := Blocked(db.Head(), hdl, "outofdate")
 	if len(blocked) != 3 {
 		t.Errorf("Blocked = %v, want schematic, netlist, layout", blocked)
 	}
 	// lvs only crosses the schematic->layout equivalence link.
-	lvsBlocked := Blocked(db, sch, "lvs")
+	lvsBlocked := Blocked(db.Head(), sch, "lvs")
 	if len(lvsBlocked) != 1 || lvsBlocked[0] != lay {
 		t.Errorf("Blocked(lvs) = %v", lvsBlocked)
 	}
@@ -180,7 +180,7 @@ func TestStreamMatchesReport(t *testing.T) {
 		create(t, e, blk, "schematic")
 		create(t, e, blk, "HDL_model")
 	}
-	rep := Report(e.DB(), e.Blueprint())
+	rep := Report(e.DB().Head(), e.Blueprint())
 	want := map[string]string{}
 	for _, st := range rep {
 		want[st.Key.String()] = strings.Join(st.Reasons, ";")

@@ -17,7 +17,7 @@ func VerifyModel(block string) Task {
 			{
 				Name: "simulate",
 				Run: func(s *wrapper.Session) error {
-					k, err := s.Eng.DB().Latest(block, "HDL_model")
+					k, err := s.Eng.DB().Head().Latest(block, "HDL_model")
 					if err != nil {
 						return err
 					}
@@ -49,11 +49,11 @@ func ImplementBlock(block, library string) Task {
 					{Block: block, View: "HDL_model", Prop: "uptodate", Want: "true"},
 				},
 				Run: func(s *wrapper.Session) error {
-					hdl, err := s.Eng.DB().Latest(block, "HDL_model")
+					hdl, err := s.Eng.DB().Head().Latest(block, "HDL_model")
 					if err != nil {
 						return err
 					}
-					lib, err := s.Eng.DB().Latest(library, "synth_lib")
+					lib, err := s.Eng.DB().Head().Latest(library, "synth_lib")
 					if err != nil {
 						return err
 					}
@@ -67,7 +67,7 @@ func ImplementBlock(block, library string) Task {
 					{Block: block, View: "schematic", Prop: "uptodate", Want: "true"},
 				},
 				Run: func(s *wrapper.Session) error {
-					sch, err := s.Eng.DB().Latest(block, "schematic")
+					sch, err := s.Eng.DB().Head().Latest(block, "schematic")
 					if err != nil {
 						return err
 					}
@@ -81,7 +81,7 @@ func ImplementBlock(block, library string) Task {
 					{Block: block, View: "netlist", Prop: "uptodate", Want: "true"},
 				},
 				Run: func(s *wrapper.Session) error {
-					nl, err := s.Eng.DB().Latest(block, "netlist")
+					nl, err := s.Eng.DB().Head().Latest(block, "netlist")
 					if err != nil {
 						return err
 					}
@@ -112,7 +112,7 @@ func PhysicalSignoff(block string) Task {
 					{Block: block, View: "netlist", Prop: "uptodate", Want: "true"},
 				},
 				Run: func(s *wrapper.Session) error {
-					nl, err := s.Eng.DB().Latest(block, "netlist")
+					nl, err := s.Eng.DB().Head().Latest(block, "netlist")
 					if err != nil {
 						return err
 					}
@@ -123,7 +123,7 @@ func PhysicalSignoff(block string) Task {
 			{
 				Name: "drc",
 				Run: func(s *wrapper.Session) error {
-					lay, err := s.Eng.DB().Latest(block, "layout")
+					lay, err := s.Eng.DB().Head().Latest(block, "layout")
 					if err != nil {
 						return err
 					}
@@ -149,11 +149,11 @@ func PhysicalSignoff(block string) Task {
 			{
 				Name: "lvs",
 				Run: func(s *wrapper.Session) error {
-					lay, err := s.Eng.DB().Latest(block, "layout")
+					lay, err := s.Eng.DB().Head().Latest(block, "layout")
 					if err != nil {
 						return err
 					}
-					nl, err := s.Eng.DB().Latest(block, "netlist")
+					nl, err := s.Eng.DB().Head().Latest(block, "netlist")
 					if err != nil {
 						return err
 					}

@@ -50,11 +50,11 @@ type Requirement struct {
 
 // Check evaluates the requirement against the database.
 func (r Requirement) Check(db *meta.DB) error {
-	k, err := db.Latest(r.Block, r.View)
+	k, err := db.Head().Latest(r.Block, r.View)
 	if err != nil {
 		return fmt.Errorf("%w: no %s.%s exists", ErrRequirement, r.Block, r.View)
 	}
-	v, _, err := db.GetProp(k, r.Prop)
+	v, _, err := db.Head().GetProp(k, r.Prop)
 	if err != nil {
 		return err
 	}
@@ -197,7 +197,7 @@ func (r *Runner) post(event string, key meta.Key, arg string) error {
 
 // Status reads the tracked status of a task run.
 func Status(db *meta.DB, key meta.Key) (status, step, failure string, err error) {
-	o, err := db.GetOID(key)
+	o, err := db.Head().GetOID(key)
 	if err != nil {
 		return "", "", "", err
 	}
@@ -207,7 +207,7 @@ func Status(db *meta.DB, key meta.Key) (status, step, failure string, err error)
 // History lists all runs of a named task, oldest first.
 func History(db *meta.DB, name string) []meta.Key {
 	var out []meta.Key
-	for _, v := range db.Versions(name, View) {
+	for _, v := range db.Head().Versions(name, View) {
 		out = append(out, meta.Key{Block: name, View: View, Version: v})
 	}
 	return out

@@ -120,7 +120,7 @@ func TestTaskEventsVisibleToBlueprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The default view attached uptodate to the task OID.
-	v, ok, err := sess.Eng.DB().GetProp(rec.Key, "uptodate")
+	v, ok, err := sess.Eng.DB().Head().GetProp(rec.Key, "uptodate")
 	if err != nil || !ok || v != "true" {
 		t.Errorf("task OID uptodate = %q %v %v", v, ok, err)
 	}
@@ -161,14 +161,14 @@ func TestLibraryFullPipeline(t *testing.T) {
 	// The flow produced the full view chain.
 	db := sess.Eng.DB()
 	for _, view := range []string{"schematic", "netlist", "layout"} {
-		if _, err := db.Latest("CPU", view); err != nil {
+		if _, err := db.Head().Latest("CPU", view); err != nil {
 			t.Errorf("missing %s: %v", view, err)
 		}
 	}
 	// And the layout reached its planned state.
-	lay, _ := db.Latest("CPU", "layout")
-	if v, _, _ := db.GetProp(lay, "state"); v != "true" {
-		o, _ := db.GetOID(lay)
+	lay, _ := db.Head().Latest("CPU", "layout")
+	if v, _, _ := db.Head().GetProp(lay, "state"); v != "true" {
+		o, _ := db.Head().GetOID(lay)
 		t.Errorf("layout state = %q, props = %v", v, o.Props)
 	}
 }

@@ -153,10 +153,10 @@ func FlowText(bp *bpl.Blueprint) string {
 	return sb.String()
 }
 
-// StateText renders a terminal summary of the project state grouped by
-// view, with readiness counts — the designer's at-a-glance dashboard.
-func StateText(db *meta.DB, bp *bpl.Blueprint) string {
-	report := state.Report(db, bp)
+// StateText renders a terminal summary of the project state at v grouped
+// by view, with readiness counts — the designer's at-a-glance dashboard.
+func StateText(v *meta.View, bp *bpl.Blueprint) string {
+	report := state.Report(v, bp)
 	byView := map[string][]state.OIDState{}
 	for _, st := range report {
 		byView[st.Key.View] = append(byView[st.Key.View], st)

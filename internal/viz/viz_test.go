@@ -210,7 +210,7 @@ func TestStateText(t *testing.T) {
 	if err := eng.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	text := StateText(eng.DB(), bp)
+	text := StateText(eng.DB().Head(), bp)
 	if !strings.Contains(text, "schematic (0/1 ready)") {
 		t.Errorf("summary wrong:\n%s", text)
 	}

@@ -101,7 +101,7 @@ func (t engineTracker) post(event string, dir bpl.Direction, target meta.Key, ar
 }
 
 func (t engineTracker) prop(k meta.Key, name string) (string, bool, error) {
-	return t.s.Eng.DB().GetProp(k, name)
+	return t.s.Eng.DB().Head().GetProp(k, name)
 }
 
 // UseWorkspace registers (or reuses) a workspace in the meta-database and
@@ -291,7 +291,7 @@ func (s *Session) PlaceRoute(nl meta.Key) (meta.Key, error) {
 	if err != nil {
 		return meta.Key{}, err
 	}
-	if sch, err := s.Eng.DB().Latest(nl.Block, "schematic"); err == nil {
+	if sch, err := s.Eng.DB().Head().Latest(nl.Block, "schematic"); err == nil {
 		if err := s.t.link(meta.DeriveLink, sch, lay); err != nil {
 			return meta.Key{}, err
 		}

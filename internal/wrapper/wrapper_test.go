@@ -26,7 +26,7 @@ func newSession(t *testing.T, opts ...engine.Option) *Session {
 
 func prop(t *testing.T, s *Session, k meta.Key, name string) string {
 	t.Helper()
-	v, _, err := s.Eng.DB().GetProp(k, name)
+	v, _, err := s.Eng.DB().Head().GetProp(k, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestAutoNetlister(t *testing.T) {
 	if _, err := s.Synthesize(hdl, lib); err != nil {
 		t.Fatal(err)
 	}
-	nl, err := eng.DB().Latest("CPU", "netlist")
+	nl, err := eng.DB().Head().Latest("CPU", "netlist")
 	if err != nil {
 		t.Fatalf("auto netlister did not run: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestWorkspaceBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := s.Eng.DB().GetWorkspace("proj")
+	ws, err := s.Eng.DB().Head().GetWorkspace("proj")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestWorkspaceBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, _ = s.Eng.DB().GetWorkspace("proj")
+	ws, _ = s.Eng.DB().Head().GetWorkspace("proj")
 	if _, ok := ws.Path(sch); !ok {
 		t.Error("schematic not bound to workspace")
 	}

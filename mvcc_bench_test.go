@@ -50,7 +50,7 @@ func benchWriteDB(b *testing.B, n, writers int) (*Project, func()) {
 					return
 				default:
 				}
-				k, err := proj.DB.Latest(fmt.Sprintf("blk%04d", (w*31+i)%n), "schematic")
+				k, err := proj.DB.Head().Latest(fmt.Sprintf("blk%04d", (w*31+i)%n), "schematic")
 				if err == nil {
 					_ = proj.DB.SetProp(k, "sim_result", fmt.Sprint(i))
 				}

@@ -58,7 +58,7 @@ fi
   printf '  "index": %s,\n' "$INDEX"
   printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
   printf '  "go": "%s",\n' "$(go version | sed 's/"/\\"/g')"
-  printf '  "commit": "%s",\n' "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+  printf '  "commit": "%s",\n' "$(git describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)"
   # Runner facts (GOMAXPROCS, visible CPUs, affinity-mask size) so a
   # reader comparing BENCH files across machines sees the quota truth.
   printf '  "runner": %s,\n' "$(go run ./cmd/loadgen -facts)"

@@ -18,7 +18,6 @@ import (
 	"repro/internal/load"
 	"repro/internal/meta"
 	"repro/internal/server"
-	"repro/internal/state"
 )
 
 func TestSoakWorkloadWithServer(t *testing.T) {
@@ -96,10 +95,10 @@ func TestSoakWorkloadWithServer(t *testing.T) {
 	}
 
 	db := eng.DB()
-	stats := db.Stats()
+	stats := db.Head().Stats()
 	// No chain ever skips or repeats versions (pruning never ran here).
-	for _, bv := range db.BlockViews() {
-		vs := db.Versions(bv.Block, bv.View)
+	for _, bv := range db.Head().BlockViews() {
+		vs := db.Head().Versions(bv.Block, bv.View)
 		for i, v := range vs {
 			if v != i+1 {
 				t.Fatalf("chain %v broken: %v", bv, vs)
@@ -124,11 +123,11 @@ func TestSoakWorkloadWithServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Stats() != stats {
-		t.Errorf("reload stats differ: %+v vs %+v", db2.Stats(), stats)
+	if db2.Head().Stats() != stats {
+		t.Errorf("reload stats differ: %+v vs %+v", db2.Head().Stats(), stats)
 	}
-	rep1 := state.Report(db, eng.Blueprint())
-	rep2 := state.Report(db2, eng.Blueprint())
+	rep1 := Report(db, eng.Blueprint())
+	rep2 := Report(db2, eng.Blueprint())
 	if len(rep1) != len(rep2) {
 		t.Fatalf("report sizes differ: %d vs %d", len(rep1), len(rep2))
 	}
