@@ -95,7 +95,7 @@ func main() {
 	ack := flag.Int("ack", 0, "hold each write until this many follower watermarks cover it (0: no quorum gate)")
 	ackTimeout := flag.Duration("ack-timeout", 5*time.Second, "with -ack, degrade to an explicit quorum-timeout error after this long")
 	stallTimeout := flag.Duration("stall-timeout", replica.DefaultStallTimeout, "with -follow, declare a silent replication stream dead after this long, count a stall, and reconnect (0: never — the legacy unbounded read)")
-	followPing := flag.Duration("follow-ping", replica.DefaultPingInterval, "liveness ping cadence on idle FOLLOW streams this node serves (0: silent idle)")
+	followPing := flag.Duration("follow-ping", server.DefaultPingInterval, "liveness ping cadence on idle FOLLOW streams this node serves (0: silent idle)")
 	maxConns := flag.Int("max-conns", 0, "shed connections past this count with an explicit overloaded error (0: unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close a connection whose next request does not arrive in time (0: never)")
 	writeTimeout := flag.Duration("write-timeout", 0, "close a connection that stalls a response write this long (0: never)")
@@ -173,13 +173,6 @@ func runFollower(addr, bpFile, jdir, primary string, fsync bool, ack int, ackTim
 	if err != nil {
 		return err
 	}
-	// Streams this node serves onward (chaining now, primary duty after a
-	// promotion) carry the same liveness cadence it expects upstream.
-	newSource := func(w *journal.Writer) *replica.Source {
-		s := replica.NewSource(w)
-		s.SetPing(ping)
-		return s
-	}
 	log.Printf("following %s from applied lsn %d: %+v", primary, fol.AppliedLSN(), stats(fol.DB()))
 	var engOpts []engine.Option
 	if trace {
@@ -203,14 +196,15 @@ func runFollower(addr, bpFile, jdir, primary string, fsync bool, ack int, ackTim
 		w := fol.Writer()
 		eng.AttachJournal(w)
 		log.Printf("promoted: term %d, bump record at lsn %d", term, lsn)
-		return server.Promotion{Journal: w, Source: newSource(w), Term: term, LSN: lsn}, nil
+		return server.Promotion{Journal: w, Term: term, LSN: lsn}, nil
 	}
 	srv := server.New(eng,
+		// Read-only, and chaining: FOLLOW streams the follower's own
+		// journal, whose tail never passes the local commit watermark, so a
+		// downstream replica can never get ahead of this node's applied
+		// position.  Its idle streams carry the cadence it expects upstream.
 		server.WithReadOnly(fol),
-		// Chaining: serve FOLLOW from the follower's own journal.  The
-		// tailer never passes the local commit watermark, so a downstream
-		// replica can never get ahead of this node's applied position.
-		server.WithFollowSource(newSource(fol.Writer())),
+		server.WithFollowPing(ping),
 		server.WithPromote(hook),
 		// Dormant while read-only; gates writes after a promotion.
 		server.WithQuorum(ack, ackTimeout),
@@ -320,16 +314,13 @@ func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, pin
 	if trace {
 		opts = append(opts, engine.WithTracer(logTracer{}))
 	}
-	srvOpts := []server.Option{server.WithLimits(limits)}
+	srvOpts := []server.Option{server.WithLimits(limits), server.WithFollowPing(ping)}
 	if jw != nil {
 		opts = append(opts, engine.WithJournal(jw))
-		src := replica.NewSource(jw)
-		src.SetPing(ping)
 		srvOpts = append(srvOpts,
-			server.WithJournal(jw),
 			// A journaled server is a replication primary for free: the
 			// FOLLOW verb tails the same log that makes it durable.
-			server.WithFollowSource(src),
+			server.WithJournal(jw),
 			server.WithQuorum(ack, ackTimeout))
 	}
 	eng, err := engine.New(db, bp, opts...)

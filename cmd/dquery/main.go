@@ -105,8 +105,8 @@ func followStream(addr string, args []string) error {
 	defer c.Hangup()
 	return c.Follow(after, func(fr server.FollowFrame) error {
 		switch {
-		case fr.Rec != nil:
-			fmt.Println(wire.EncodeFollowRecord(fr.Rec.LSN, fr.Rec.Seq, fr.Rec.Op, fr.Rec.Args))
+		case fr.Record != "":
+			fmt.Println(wire.FollowFrameRecord, fr.Record)
 		case fr.Snapshot != nil:
 			fmt.Printf("snapshot lsn=%d (%d bytes)\n", fr.SnapLSN, len(fr.Snapshot))
 		case fr.Mark:

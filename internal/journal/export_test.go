@@ -1,6 +1,14 @@
 package journal
 
+import "repro/internal/meta"
+
 // SetPinHook installs f to run inside Snapshot between the read of the
 // newest LSN and the pin of the view at it — the window a reclaim pass can
 // fall into.
 func (w *Writer) SetPinHook(f func()) { w.pinHook = f }
+
+// Payload renders r as the writer spells a record's payload.
+func Payload(r meta.Record) string { return string(appendPayload(nil, r)) }
+
+// DecodePayload parses a record payload as recovery does.
+func DecodePayload(payload []byte) (meta.Record, error) { return decodePayload(payload) }

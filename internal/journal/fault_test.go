@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -350,7 +351,11 @@ func TestJournalFsyncGate(t *testing.T) {
 			break
 		}
 		if ev.Kind == journal.FollowRecord {
-			delivered = append(delivered, ev.Rec.LSN)
+			rec, err := journal.DecodePayload(ev.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered = append(delivered, rec.LSN)
 		}
 	}
 
@@ -419,4 +424,106 @@ func TestJournalFsyncGate(t *testing.T) {
 	if lsn < wm {
 		t.Fatalf("recovery lost acknowledged records: lsn %d < watermark %d", lsn, wm)
 	}
+}
+
+// followerAt3 opens a follower's journal in dir through vfs and applies and
+// commits three records.
+func followerAt3(t *testing.T, dir string, vfs faultfs.FS) *journal.Writer {
+	t.Helper()
+	w, _, err := journal.OpenFollower(dir, journal.Options{Shards: 4, SnapshotEvery: -1, FS: vfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		if _, err := w.ApplyAppend(oidPayload(i, fmt.Sprintf("old%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func oidPayload(lsn int64, block string) string {
+	return journal.Payload(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID, Args: []string{block + ",HDL_model,1", fmt.Sprint(lsn)}})
+}
+
+// TestBootstrapSnapshotFaultSweep fails every I/O site of BootstrapSnapshot
+// once each, one run per site, and then lives on as a follower does: restart
+// (re-basing again if the first re-base did not take), apply and commit the
+// records after the snapshot, restart.  Every run must recover, both times,
+// to the shipped document plus those records.  A crash between installing
+// the snapshot and creating the segment after it used to recover once and
+// then never again: the records after the snapshot went into the old tail
+// segment, behind records from before it.
+func TestBootstrapSnapshotFaultSweep(t *testing.T) {
+	primary := meta.NewDB()
+	var want []meta.Key
+	for i := 0; i < 4; i++ {
+		k, err := primary.NewVersion(fmt.Sprintf("doc%d", i), "HDL_model")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, k)
+	}
+	doc := saveBytes(t, primary)
+	for i := int64(51); i <= 53; i++ {
+		want = append(want, meta.Key{Block: fmt.Sprintf("new%d", i), View: "HDL_model", Version: 1})
+	}
+
+	counter := faultfs.New(faultfs.OS, faultfs.Plan{})
+	w := followerAt3(t, t.TempDir(), counter)
+	before := counter.Counts()
+	if err := w.BootstrapSnapshot(50, doc); err != nil {
+		t.Fatal(err)
+	}
+	after := counter.Counts()
+	w.Abort()
+	for _, op := range []faultfs.Op{faultfs.OpOpen, faultfs.OpWrite, faultfs.OpSync, faultfs.OpRename, faultfs.OpRemove} {
+		if after[op] == before[op] {
+			t.Fatalf("BootstrapSnapshot exercises no %v site — the sweep would be vacuous (before %v, after %v)", op, before, after)
+		}
+	}
+
+	runs := 0
+	for _, op := range faultfs.Ops {
+		for n := before[op] + 1; n <= after[op]; n++ {
+			plan := faultfs.SingleFault(op, n, nil)
+			dir := t.TempDir()
+			w := followerAt3(t, dir, faultfs.New(faultfs.OS, plan))
+			desc := fmt.Sprintf("%s (bootstrap: %v)", plan.Faults[0], w.BootstrapSnapshot(50, doc))
+			w.Abort()
+			w, db, err := journal.OpenFollower(dir, journal.Options{Shards: 4, SnapshotEvery: -1})
+			if err != nil {
+				t.Errorf("%s: first restart: %v", desc, err)
+				continue
+			}
+			if w.LastLSN() < 50 {
+				if err := w.BootstrapSnapshot(50, doc); err != nil {
+					t.Errorf("%s: re-bootstrap at lsn %d: %v", desc, w.LastLSN(), err)
+				}
+			}
+			for i := int64(51); i <= 53; i++ {
+				if _, err := w.ApplyAppend(oidPayload(i, fmt.Sprintf("new%d", i))); err != nil {
+					t.Errorf("%s: apply %d: %v", desc, i, err)
+				}
+			}
+			if err := w.Commit(); err != nil {
+				t.Errorf("%s: commit: %v", desc, err)
+			}
+			w.Abort()
+			w, db, err = journal.OpenFollower(dir, journal.Options{Shards: 4, SnapshotEvery: -1})
+			if err != nil {
+				t.Errorf("%s: second restart: %v", desc, err)
+				continue
+			}
+			if got := db.Head().Keys(); w.LastLSN() != 53 || !slices.Equal(got, want) {
+				t.Errorf("%s: recovered to lsn %d with %v, want 53 with %v", desc, w.LastLSN(), got, want)
+			}
+			w.Abort()
+			runs++
+		}
+	}
+	t.Logf("swept %d single-fault runs over BootstrapSnapshot's sites: counts %v before it, %v after", runs, before, after)
 }

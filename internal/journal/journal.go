@@ -58,11 +58,11 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -169,12 +169,6 @@ func appendPayload(dst []byte, r meta.Record) []byte {
 	return dst
 }
 
-// encodePayload renders a record as a fresh payload slice (tests and
-// one-shot paths); the writer's hot path uses appendPayload.
-func encodePayload(r meta.Record) []byte {
-	return appendPayload(nil, r)
-}
-
 // validFrameAt reports whether a complete, checksummed, decodable record
 // frame starts at offset off in data.  CRC-32C makes a false positive on
 // corrupt bytes astronomically unlikely, so recovery uses it to tell a
@@ -209,6 +203,43 @@ type frameWindow struct {
 	buf  []byte
 	r, w int   // buf[r:w] is read and not yet consumed
 	off  int64 // where buf[r] is in the file
+
+	dec payloadDecoder // the field slice every record read here is decoded into
+}
+
+// openSegment opens the segment file at path and positions win after its
+// header: the one segment open of recovery and the tail.  Terms only move
+// forward, so a header term below *term, the newest seen, means shuffled or
+// doctored files; otherwise it becomes *term.  damage is non-empty, and the
+// file stays open, when the file is a strict prefix of a header — torn at
+// creation, before any record could have been acknowledged.
+func openSegment(vfs faultfs.FS, path string, win *frameWindow, term *int64) (f faultfs.File, damage string, err error) {
+	if f, err = vfs.Open(path); err != nil {
+		return nil, "", err
+	}
+	name := filepath.Base(path)
+	win.reset(f, 0)
+	hdr, err := win.peek(segHeaderLen)
+	if err != nil {
+		f.Close()
+		return nil, "", fmt.Errorf("segment %s: %w", name, err)
+	}
+	hdrTerm, hdrLen, herr := parseSegHeader(hdr)
+	if herr != nil {
+		// A peek that came back short is the whole file.
+		if tornSegHeaderPrefix(hdr) {
+			return f, "torn segment header", nil
+		}
+		f.Close()
+		return nil, "", fmt.Errorf("segment %s: %v", name, herr)
+	}
+	if hdrTerm < *term {
+		f.Close()
+		return nil, "", fmt.Errorf("segment %s: header term %d regresses below %d", name, hdrTerm, *term)
+	}
+	*term = hdrTerm
+	win.consume(hdrLen)
+	return f, "", nil
 }
 
 // reset points the window at f, whose read position is file offset off.
@@ -300,6 +331,26 @@ func (fw *frameWindow) frame() (payload []byte, damage string, err error) {
 	return payload, "", nil
 }
 
+// record is the frame step of recovery and the tail: the payload of the
+// frame at the window's position, not consumed, and its LSN, read off the
+// leading digits — only a payload not in the writer's spelling is decoded to
+// learn it, and damage then also covers one that does not decode.
+func (fw *frameWindow) record() (payload []byte, lsn int64, damage string, err error) {
+	payload, damage, err = fw.frame()
+	if err != nil || damage != "" {
+		return nil, 0, damage, err
+	}
+	lsn, plain := leadingLSN(payload)
+	if !plain {
+		rec, err := fw.dec.decode(string(payload))
+		if err != nil {
+			return nil, 0, fmt.Sprintf("undecodable record (%v)", err), nil
+		}
+		lsn = rec.LSN
+	}
+	return payload, lsn, "", nil
+}
+
 // leadingLSN reads a record's LSN off the front of its payload, as the
 // writer spells it: decimal digits, then a space.  ok is false for anything
 // else, which is for decodePayload to judge.
@@ -313,15 +364,14 @@ func leadingLSN(payload []byte) (lsn int64, ok bool) {
 
 // payloadDecoder decodes record payloads for a reader that is done with one
 // record before it decodes the next: the fields go into one slice, reused
-// from record to record, so a decoded record costs one allocation — the
-// copy of the payload its fields are substrings of — plus one per field
-// that holds escapes.
+// from record to record, so a decoded record costs no allocation beyond one
+// per field that holds escapes — its fields are substrings of the payload.
 type payloadDecoder struct{ fields []string }
 
 // decode parses a record payload.  The record's Args are only good until
 // the next decode.
-func (d *payloadDecoder) decode(b []byte) (meta.Record, error) {
-	fields, err := wire.AppendFields(d.fields[:0], string(b))
+func (d *payloadDecoder) decode(payload string) (meta.Record, error) {
+	fields, err := wire.AppendFields(d.fields[:0], payload)
 	d.fields = fields
 	if err != nil {
 		return meta.Record{}, fmt.Errorf("journal: record payload: %w", err)
@@ -347,22 +397,47 @@ func (d *payloadDecoder) decode(b []byte) (meta.Record, error) {
 // decodePayload parses a record payload into a record that is the caller's
 // to keep.
 func decodePayload(b []byte) (meta.Record, error) {
-	// The writer puts one blank between two fields: the slice does not grow.
-	d := payloadDecoder{fields: make([]string, 0, bytes.Count(b, []byte{' '})+1)}
-	return d.decode(b)
+	var d payloadDecoder
+	return d.decode(string(b))
 }
 
 // segmentName / snapshotName render the canonical file names.
 func segmentName(firstLSN int64) string { return fmt.Sprintf("journal-%016x.log", firstLSN) }
 func snapshotName(lsn int64) string     { return fmt.Sprintf("snapshot-%016x.json", lsn) }
 
-// parseSeqName extracts the LSN from a "<prefix><lsn16><suffix>" file name.
+// list reads dir, the one directory listing of recovery, the tail and
+// compaction: the first LSN of every segment and the LSN of every snapshot,
+// ascending — ReadDir lists by name, and canonical names sort as their LSNs
+// — and the temporary snapshot files a crash left behind.
+func list(vfs faultfs.FS, dir string) (segs, snaps []int64, temps []string, err error) {
+	entries, err := vfs.ReadDir(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() {
+			continue
+		}
+		if lsn, ok := parseSeqName(name, "journal-", ".log"); ok {
+			segs = append(segs, lsn)
+		} else if lsn, ok := parseSeqName(name, "snapshot-", ".json"); ok {
+			snaps = append(snaps, lsn)
+		} else if filepath.Ext(name) == ".tmp" {
+			temps = append(temps, name)
+		}
+	}
+	return segs, snaps, temps, nil
+}
+
+// parseSeqName extracts the LSN from a "<prefix><lsn16><suffix>" file name,
+// as segmentName and snapshotName spell it.
 func parseSeqName(name, prefix, suffix string) (int64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
 	}
 	hex := name[len(prefix) : len(name)-len(suffix)]
-	if len(hex) != 16 {
+	if len(hex) != 16 || strings.ToLower(hex) != hex {
 		return 0, false
 	}
 	n, err := strconv.ParseInt(hex, 16, 64)

@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"math"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/faultfs"
 	"repro/internal/meta"
@@ -20,8 +19,12 @@ type replayState struct {
 	snapLSN int64 // LSN the loaded snapshot covers (0 when none)
 	hdrTerm int64 // newest segment-header term seen; headers must never regress
 
-	win frameWindow    // the one read buffer every segment goes through
-	dec payloadDecoder // the field slice every applied record is decoded into
+	// tail is the first LSN of the newest segment (0 when there is none) and
+	// tailNext the LSN its records continue at — not lastLSN+1 when a
+	// snapshot installed by BootstrapSnapshot is ahead of it.
+	tail, tailNext int64
+
+	win frameWindow // the one read buffer every segment goes through
 }
 
 // Replay restores a database from a journal directory without modifying
@@ -66,59 +69,35 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 	if shards <= 0 {
 		shards = meta.DefaultShards
 	}
-	entries, err := vfs.ReadDir(dir)
+	segs, snaps, temps, err := list(vfs, dir)
 	if err != nil {
 		return replayState{}, fmt.Errorf("journal: %w", err)
 	}
-
-	var snapLSNs []int64
-	type segment struct {
-		start int64
-		path  string
-	}
-	var segs []segment
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
+	if repair {
+		// A crash mid-snapshot leaves its temporary file behind; it was
+		// never renamed into place, so it holds nothing recovery wants.
+		for _, name := range temps {
+			vfs.Remove(filepath.Join(dir, name))
 		}
-		if lsn, ok := parseSeqName(e.Name(), "snapshot-", ".json"); ok {
-			snapLSNs = append(snapLSNs, lsn)
-			continue
-		}
-		if lsn, ok := parseSeqName(e.Name(), "journal-", ".log"); ok {
-			segs = append(segs, segment{start: lsn, path: filepath.Join(dir, e.Name())})
-			continue
-		}
-		if repair && filepath.Ext(e.Name()) == ".tmp" {
-			// A crash mid-snapshot leaves its temporary file behind; it was
-			// never renamed into place, so it holds nothing recovery wants.
-			vfs.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Slice(snapLSNs, func(i, j int) bool { return snapLSNs[i] > snapLSNs[j] })
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-	if upTo < math.MaxInt64 {
-		// Bounded replay: only a snapshot at or below the bound may seed
-		// it.  When none qualifies the replay starts from empty, and the
-		// segment continuity check below fails loudly if the history below
-		// the bound has already been compacted away.
-		trimmed := snapLSNs[:0]
-		for _, lsn := range snapLSNs {
-			if lsn <= upTo {
-				trimmed = append(trimmed, lsn)
-			}
-		}
-		snapLSNs = trimmed
 	}
 
-	// Load the newest snapshot.  Snapshots are written to a temporary file
-	// and renamed, so a crash cannot leave a torn one under a valid name;
-	// if the newest still fails to load, that is disk corruption — fail
-	// loudly rather than silently fall back to an older snapshot whose
+	// Load the newest snapshot — for a bounded replay, the newest at or
+	// below the bound; when none qualifies the replay starts from empty, and
+	// the segment continuity check below fails loudly if the history below
+	// the bound has already been compacted away.  Snapshots are written to a
+	// temporary file and renamed, so a crash cannot leave a torn one under a
+	// valid name; if the newest still fails to load, that is disk corruption
+	// — fail loudly rather than silently fall back to an older snapshot whose
 	// covering segments compaction may already have deleted.
 	st := replayState{db: meta.NewDBWithShards(shards)}
-	if len(snapLSNs) > 0 {
-		st.snapLSN = snapLSNs[0]
+	snap := -1
+	for i, lsn := range snaps {
+		if lsn <= upTo {
+			snap = i
+		}
+	}
+	if snap >= 0 {
+		st.snapLSN = snaps[snap]
 		path := filepath.Join(dir, snapshotName(st.snapLSN))
 		f, err := vfs.Open(path)
 		if err != nil {
@@ -138,30 +117,31 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 	// surviving records must not be replayed onto a state that is missing
 	// the middle of its history.
 	next := int64(-1)
-	for i, sg := range segs {
+	for i, start := range segs {
 		last := i == len(segs)-1
-		if !last && segs[i+1].start <= st.snapLSN+1 {
+		if !last && segs[i+1] <= st.snapLSN+1 {
 			// Every record this segment can hold is older than the next
 			// segment's first, hence covered by the snapshot.
 			continue
 		}
 		switch {
 		case next == -1:
-			if sg.start > st.snapLSN+1 {
+			if start > st.snapLSN+1 {
 				return replayState{}, fmt.Errorf(
 					"journal: gap between snapshot lsn %d and first segment %s",
-					st.snapLSN, filepath.Base(sg.path))
+					st.snapLSN, segmentName(start))
 			}
-		case sg.start != next:
+		case start != next:
 			return replayState{}, fmt.Errorf(
 				"journal: gap in record stream: segment %s starts at lsn %d, want %d",
-				filepath.Base(sg.path), sg.start, next)
+				segmentName(start), start, next)
 		}
-		n, err := replaySegment(vfs, &st, sg.path, sg.start, last, repair, upTo)
+		n, err := replaySegment(vfs, &st, filepath.Join(dir, segmentName(start)), start, last, repair, upTo)
 		if err != nil {
 			return replayState{}, err
 		}
 		next = n
+		st.tail, st.tailNext = start, n
 	}
 	// The snapshot may have advanced the state without individual record
 	// applies; keep the applied-LSN marker in step with what the database
@@ -183,14 +163,13 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 // be applied (snapLSN < lsn ≤ upTo) is decoded in full — on a loaded
 // primary most of the segment lies under the snapshot.
 func replaySegment(vfs faultfs.FS, st *replayState, path string, start int64, last, repair bool, upTo int64) (int64, error) {
-	f, err := vfs.Open(path)
+	win := &st.win
+	f, hdrDamage, err := openSegment(vfs, path, win, &st.hdrTerm)
 	if err != nil {
 		return 0, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
 	name := filepath.Base(path)
-	win := &st.win
-	win.reset(f, 0)
 
 	// torn classifies a damaged frame at the window's position.  A genuine
 	// torn write can only be the suffix of the last segment — a single
@@ -222,32 +201,13 @@ func replaySegment(vfs faultfs.FS, st *replayState, path string, start int64, la
 		return nil
 	}
 
-	hdr, err := win.peek(segHeaderLen)
-	if err != nil {
-		return 0, fmt.Errorf("journal: segment %s: %w", name, err)
+	if hdrDamage != "" {
+		return start, torn(hdrDamage)
 	}
-	hdrTerm, hdrLen, herr := parseSegHeader(hdr)
-	if herr != nil {
-		// A peek that came back short is the whole file.
-		if tornSegHeaderPrefix(hdr) {
-			// A strict prefix of a valid header: the segment was torn at
-			// creation, before any record could have been acknowledged.
-			return start, torn("torn segment header")
-		}
-		return 0, fmt.Errorf("journal: segment %s: %v", name, herr)
-	}
-	// Election terms only ever move forward, so segment headers are
-	// non-decreasing along the journal; a regression means shuffled or
-	// doctored files (truncation must not paper over it).
-	if hdrTerm < st.hdrTerm {
-		return 0, fmt.Errorf("journal: segment %s: header term %d regresses below %d", name, hdrTerm, st.hdrTerm)
-	}
-	st.hdrTerm = hdrTerm
-	win.consume(hdrLen)
 
 	next := start
 	for {
-		payload, damage, err := win.frame()
+		payload, lsn, damage, err := win.record()
 		if err == io.EOF {
 			return next, nil
 		}
@@ -255,18 +215,9 @@ func replaySegment(vfs faultfs.FS, st *replayState, path string, start int64, la
 			return 0, fmt.Errorf("journal: segment %s: %w", name, err)
 		}
 		var rec meta.Record
-		var lsn int64
-		if damage == "" {
-			var plain bool
-			lsn, plain = leadingLSN(payload)
-			// Decoded in full to be applied — or to learn the LSN, when it
-			// is not in the writer's spelling.
-			if !plain || (lsn > st.snapLSN && lsn <= upTo) {
-				if rec, err = st.dec.decode(payload); err != nil {
-					damage = fmt.Sprintf("undecodable record (%v)", err)
-				} else {
-					lsn = rec.LSN
-				}
+		if damage == "" && lsn > st.snapLSN && lsn <= upTo {
+			if rec, err = win.dec.decode(string(payload)); err != nil {
+				damage = fmt.Sprintf("undecodable record (%v)", err)
 			}
 		}
 		if damage != "" {

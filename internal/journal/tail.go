@@ -1,16 +1,15 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/faultfs"
-	"repro/internal/meta"
 )
 
 // ErrTailStopped reports that a Tailer's stop channel (or its Writer)
@@ -49,8 +48,10 @@ const (
 type FollowEvent struct {
 	Kind FollowEventKind
 
-	// Rec is set for FollowRecord.
-	Rec meta.Record
+	// Payload is set for FollowRecord: the record's payload exactly as the
+	// segment file holds it.  It aliases the tail's read buffer and is valid
+	// until the next Next.
+	Payload []byte
 
 	// SnapLSN/Snapshot are set for FollowSnapshot: the document reflects
 	// every record with LSN ≤ SnapLSN, and records resume at SnapLSN+1.
@@ -66,11 +67,11 @@ type FollowEvent struct {
 
 // Tailer reads a live journal from a given position: retained history from
 // the segment files, then new records as the Writer commits them.  It is
-// the primary-side half of replication — one Tailer per follower, each at
-// its own position, none blocking the Writer.  A Tailer never delivers a
-// record above the commit watermark: what it ships is exactly what a
-// primary crash would preserve, so a follower can never run ahead of its
-// primary's recovery.
+// the serving half of replication — the server opens one per FOLLOW
+// connection, each at its own position, none blocking the Writer.  A Tailer
+// never delivers a record above the commit watermark: what it ships is
+// exactly what a primary crash would preserve, so a follower can never run
+// ahead of its primary's recovery.
 //
 // A Tailer is not safe for concurrent use.  Close releases the open
 // segment handle; it does not unblock a concurrent Next (close the stop
@@ -186,25 +187,12 @@ func (t *Tailer) Next(stop <-chan struct{}) (FollowEvent, error) {
 // retried until it is consistent.
 func (t *Tailer) locate() (FollowEvent, bool, error) {
 	for attempt := 0; attempt < 20; attempt++ {
-		entries, err := t.w.fs.ReadDir(t.w.dir)
+		segs, snaps, _, err := list(t.w.fs, t.w.dir)
 		if err != nil {
 			return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
 		}
-		var starts []int64
-		var snaps []int64
-		for _, e := range entries {
-			if s, ok := parseSeqName(e.Name(), "journal-", ".log"); ok {
-				starts = append(starts, s)
-			}
-			if s, ok := parseSeqName(e.Name(), "snapshot-", ".json"); ok {
-				snaps = append(snaps, s)
-			}
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
-
 		var seg int64 = -1
-		for _, s := range starts {
+		for _, s := range segs {
 			if s <= t.next {
 				seg = s
 			}
@@ -212,56 +200,33 @@ func (t *Tailer) locate() (FollowEvent, bool, error) {
 		if seg < 0 {
 			// The requested position predates every retained segment: the
 			// follower is stale (or cold) and must re-base on a snapshot.
-			if len(snaps) == 0 || snaps[0] < t.next {
+			if len(snaps) == 0 || snaps[len(snaps)-1] < t.next {
 				return FollowEvent{}, false, fmt.Errorf(
 					"journal: tail: no segment or snapshot covers lsn %d", t.next)
 			}
-			doc, err := t.w.fs.ReadFile(filepath.Join(t.w.dir, snapshotName(snaps[0])))
+			lsn := snaps[len(snaps)-1]
+			doc, err := t.w.fs.ReadFile(filepath.Join(t.w.dir, snapshotName(lsn)))
 			if err != nil {
 				if errors.Is(err, fs.ErrNotExist) {
 					continue // compaction replaced it; re-list
 				}
 				return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
 			}
-			lsn := snaps[0]
 			t.next = lsn + 1
 			return FollowEvent{Kind: FollowSnapshot, SnapLSN: lsn, Snapshot: doc}, false, nil
 		}
-		f, err := t.w.fs.Open(filepath.Join(t.w.dir, segmentName(seg)))
+		f, damage, err := openSegment(t.w.fs, filepath.Join(t.w.dir, segmentName(seg)), &t.win, &t.hdrTerm)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // compacted away underneath us; re-list
+		}
 		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue // compacted away underneath us; re-list
-			}
 			return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
 		}
-		// Read up to a full header; a tiny legacy segment can be shorter
-		// than the v2 header, so a short read is parsed, not refused.
-		var hdr [segHeaderLen]byte
-		n, err := io.ReadFull(f, hdr[:])
-		if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && err != io.EOF {
+		if damage != "" {
 			f.Close()
-			return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
-		}
-		hdrTerm, hdrLen, herr := parseSegHeader(hdr[:n])
-		if herr != nil {
-			f.Close()
-			return FollowEvent{}, false, fmt.Errorf("journal: tail: segment %s: %v", segmentName(seg), herr)
-		}
-		// Terms only move forward along the journal; a header below one
-		// already seen means the directory was shuffled or doctored.
-		if hdrTerm < t.hdrTerm {
-			f.Close()
-			return FollowEvent{}, false, fmt.Errorf(
-				"journal: tail: segment %s: header term %d regresses below %d",
-				segmentName(seg), hdrTerm, t.hdrTerm)
-		}
-		t.hdrTerm = hdrTerm
-		if _, err := f.Seek(int64(hdrLen), io.SeekStart); err != nil {
-			f.Close()
-			return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
+			return FollowEvent{}, false, fmt.Errorf("journal: tail: segment %s: %s, before committed lsn %d", segmentName(seg), damage, t.next)
 		}
 		t.f = f
-		t.win.reset(f, int64(hdrLen))
 		return FollowEvent{}, true, nil
 	}
 	return FollowEvent{}, false, fmt.Errorf("journal: tail: directory kept changing underneath the listing")
@@ -272,10 +237,13 @@ func (t *Tailer) locate() (FollowEvent, bool, error) {
 // end-of-file, and reports corruption otherwise.  The caller has already
 // established that record t.next is committed (watermark ≥ t.next), so the
 // frame bytes are fully visible wherever they live — a partial frame here
-// is disk corruption, not a write in progress.
+// is disk corruption, not a write in progress.  A record travels as its
+// payload, one line of the FOLLOW stream: the writer escapes CR and LF, so a
+// payload holding either raw comes from a doctored log and is corruption too
+// — shipped, it would split the line.
 func (t *Tailer) scanFrame() (FollowEvent, bool, error) {
 	for {
-		payload, damage, err := t.win.frame()
+		payload, lsn, damage, err := t.win.record()
 		if err == io.EOF {
 			// Clean end of segment with a committed record still owed: it
 			// lives in a later segment.  Rotate via a fresh locate.
@@ -290,19 +258,19 @@ func (t *Tailer) scanFrame() (FollowEvent, bool, error) {
 			return FollowEvent{}, false, fmt.Errorf(
 				"journal: tail: %s at offset %d, before committed lsn %d", damage, t.win.off, t.next)
 		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
-		}
 		t.win.consume(frameHeader + len(payload))
-		if rec.LSN < t.next {
+		if lsn < t.next {
 			continue // entered the segment mid-way; below our position
 		}
-		if rec.LSN != t.next {
+		if lsn != t.next {
 			return FollowEvent{}, false, fmt.Errorf(
-				"journal: tail: record lsn %d where %d was expected", rec.LSN, t.next)
+				"journal: tail: record lsn %d where %d was expected", lsn, t.next)
+		}
+		if bytes.ContainsAny(payload, "\r\n") {
+			return FollowEvent{}, false, fmt.Errorf(
+				"journal: tail: record lsn %d holds a raw line break, which the writer escapes — a doctored log", lsn)
 		}
 		t.next++
-		return FollowEvent{Kind: FollowRecord, Rec: rec}, true, nil
+		return FollowEvent{Kind: FollowRecord, Payload: payload}, true, nil
 	}
 }

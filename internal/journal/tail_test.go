@@ -25,7 +25,11 @@ func collectTail(t *testing.T, tl *journal.Tailer) ([]meta.Record, int64) {
 		}
 		switch ev.Kind {
 		case journal.FollowRecord:
-			recs = append(recs, ev.Rec)
+			rec, err := journal.DecodePayload(ev.Payload)
+			if err != nil {
+				t.Fatalf("tail: record %d: %v", len(recs)+1, err)
+			}
+			recs = append(recs, rec)
 		case journal.FollowSnapshot:
 			t.Fatalf("unexpected snapshot bootstrap at lsn %d", ev.SnapLSN)
 		case journal.FollowMark:
@@ -92,7 +96,7 @@ func TestTailerStreamsCommittedRecords(t *testing.T) {
 	}
 	select {
 	case ev := <-got:
-		if ev.Kind != journal.FollowRecord || ev.Rec.LSN != 6 || ev.Rec.Op != meta.OpUpdate {
+		if rec, err := journal.DecodePayload(ev.Payload); ev.Kind != journal.FollowRecord || err != nil || rec.LSN != 6 || rec.Op != meta.OpUpdate {
 			t.Fatalf("after commit, got %+v, want the lsn-6 update record", ev)
 		}
 	case <-time.After(5 * time.Second):
@@ -211,33 +215,34 @@ func TestFollowerLogResumeAndDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := func(lsn int64, block string) meta.Record {
-		return meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
-			Args: []string{block + ",HDL_model,1", fmt.Sprint(lsn)}}
+	rec := func(lsn int64, block string) string {
+		return journal.Payload(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
+			Args: []string{block + ",HDL_model,1", fmt.Sprint(lsn)}})
 	}
 	for i := 1; i <= 3; i++ {
-		if err := w.ApplyAppend(rec(int64(i), fmt.Sprintf("a%d", i))); err != nil {
+		if _, err := w.ApplyAppend(rec(int64(i), fmt.Sprintf("a%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// A duplicate is skipped silently (reconnect overlap)...
-	if err := w.ApplyAppend(rec(2, "a2")); err != nil {
-		t.Fatalf("duplicate record should be skipped, got %v", err)
+	// A duplicate is skipped silently (reconnect overlap), at the position
+	// it does not move...
+	if lsn, err := w.ApplyAppend(rec(2, "a2")); err != nil || lsn != 3 {
+		t.Fatalf("duplicate record should be skipped at lsn 3, got lsn %d, %v", lsn, err)
 	}
 	if w.LastLSN() != 3 {
 		t.Fatalf("lastLSN %d after duplicate, want 3", w.LastLSN())
 	}
 	// ...a gap is terminal.
-	if err := w.ApplyAppend(rec(5, "a5")); err == nil {
+	if _, err := w.ApplyAppend(rec(5, "a5")); err == nil {
 		t.Fatal("gap record (lsn 5 after 3) must be refused")
 	}
 
 	// Crash: the buffer beyond the last commit is lost, the persisted
 	// position survives, and a reopened follower resumes exactly there.
-	if err := w.ApplyAppend(rec(4, "a4")); err != nil {
+	if _, err := w.ApplyAppend(rec(4, "a4")); err != nil {
 		t.Fatal(err)
 	}
 	w.Abort() // record 4 was never committed
@@ -254,7 +259,7 @@ func TestFollowerLogResumeAndDuplicates(t *testing.T) {
 		t.Fatalf("reopened follower has %d oids, want 3", got)
 	}
 	// Re-fetching the lost record resumes without duplicate application.
-	if err := w2.ApplyAppend(rec(4, "a4")); err != nil {
+	if _, err := w2.ApplyAppend(rec(4, "a4")); err != nil {
 		t.Fatal(err)
 	}
 	if w2.LastLSN() != 4 || db2.Head().Stats().OIDs != 4 {
@@ -273,12 +278,12 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	oid := func(lsn int64, block string) meta.Record {
-		return meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
-			Args: []string{block + ",HDL_model,1", fmt.Sprint(lsn)}}
+	oid := func(lsn int64, block string) string {
+		return journal.Payload(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
+			Args: []string{block + ",HDL_model,1", fmt.Sprint(lsn)}})
 	}
 	for i := int64(1); i <= 3; i++ {
-		if err := w.ApplyAppend(oid(i, fmt.Sprintf("old%d", i))); err != nil {
+		if _, err := w.ApplyAppend(oid(i, fmt.Sprintf("old%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,7 +336,7 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 	if _, err := db.ReadViewAt(3); err == nil || db.VersionHorizon() != 50 {
 		t.Errorf("ReadViewAt(3) below the re-base: %v, horizon %d", err, db.VersionHorizon())
 	}
-	if err := w.ApplyAppend(oid(51, "next")); err != nil {
+	if _, err := w.ApplyAppend(oid(51, "next")); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.Head().Stats().OIDs; got != 3 || !bytes.Equal(save(pinned), before) {

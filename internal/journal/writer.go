@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -98,7 +97,7 @@ type Writer struct {
 	segSize  int64
 	segFirst int64 // first LSN the open segment can contain (its name)
 	buf      []byte
-	scratch  []byte // reused payload-encode buffer; guarded by mu
+	scratch  []byte // the payload being appended; guarded by mu
 	pending  int64  // records buffered since the last flush
 	ioErr    error  // first sticky I/O failure — the degraded state's reason
 	closed   bool
@@ -133,6 +132,7 @@ type Writer struct {
 	// collection, standing in for the emission-under-database-locks
 	// atomicity the primary gets for free (see ApplyAppend).
 	applyMu sync.Mutex
+	dec     payloadDecoder // ApplyAppend's; guarded by applyMu
 
 	snapMu  sync.Mutex // serializes Snapshot
 	pinHook func()     // tests only: runs between Snapshot's LSN read and its pin
@@ -196,7 +196,7 @@ func open(dir string, opt Options, follower bool) (*Writer, *meta.DB, error) {
 	w.watermark.Store(st.lastLSN)
 	w.term.Store(st.db.CurrentTerm())
 	w.spillCh = make(chan struct{}, 1)
-	if err := w.openTail(); err != nil {
+	if err := w.openTail(st.tail, st.tailNext); err != nil {
 		return nil, nil, err
 	}
 	w.wg.Add(2)
@@ -205,25 +205,16 @@ func open(dir string, opt Options, follower bool) (*Writer, *meta.DB, error) {
 	return w, st.db, nil
 }
 
-// openTail opens the newest segment for appending, creating the first one
-// in an empty journal.  A tail torn down to less than the magic is reset.
-func (w *Writer) openTail() error {
-	entries, err := w.fs.ReadDir(w.dir)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+// openTail opens the newest segment, starting at LSN tail, for appending —
+// or starts a fresh one at the next LSN when there is none or tailNext, where
+// the newest continues, is not the next: a follower that died between
+// BootstrapSnapshot's rename and its segment create recovers at the snapshot,
+// far past the old tail.  A tail torn down to less than the magic is reset.
+func (w *Writer) openTail(tail, tailNext int64) error {
+	if next := w.lastLSN.Load() + 1; tail == 0 || tailNext != next {
+		return w.newSegmentLocked(next)
 	}
-	var tail string
-	var best int64 = -1
-	for _, e := range entries {
-		if lsn, ok := parseSeqName(e.Name(), "journal-", ".log"); ok && lsn > best {
-			best, tail = lsn, e.Name()
-		}
-	}
-	if tail == "" {
-		return w.newSegmentLocked(w.lastLSN.Load() + 1)
-	}
-	path := filepath.Join(w.dir, tail)
-	f, err := w.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
+	f, err := w.fs.OpenFile(filepath.Join(w.dir, segmentName(tail)), os.O_WRONLY|os.O_APPEND, 0o666)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -232,7 +223,7 @@ func (w *Writer) openTail() error {
 		f.Close()
 		return fmt.Errorf("journal: %w", err)
 	}
-	w.seg, w.segSize, w.segFirst = f, fi.Size(), best
+	w.seg, w.segSize, w.segFirst = f, fi.Size(), tail
 	if w.segSize < int64(len(segMagic)) {
 		// Torn at creation (replay truncated it to zero): restart the
 		// segment header before any record lands in it.
@@ -396,19 +387,27 @@ func (w *Writer) waitCommitted(after int64, stop, health <-chan struct{}, wake <
 // errors are sticky and surface at the next Commit.
 func (w *Writer) Record(r meta.Record) int64 {
 	w.mu.Lock()
-	r.LSN = w.lastLSN.Add(1)
+	r.LSN = w.lastLSN.Load() + 1
 	w.scratch = appendPayload(w.scratch[:0], r)
-	w.buf = appendFrame(w.buf, w.scratch)
-	w.pending++
-	spill := len(w.buf) >= bufFlushBytes
+	w.appendLocked(r.LSN, w.scratch)
 	w.mu.Unlock()
-	if spill {
+	return r.LSN
+}
+
+// appendLocked buffers payload's frame as record lsn, the newest — the one
+// append body of Record, ApplyAppend and Promote — and wakes the spill
+// goroutine when the buffer outgrows its bound: rotation and fsync belong to
+// the flushMu-serialized Commit path, never under w.mu.  Callers hold w.mu.
+func (w *Writer) appendLocked(lsn int64, payload []byte) {
+	w.lastLSN.Store(lsn)
+	w.buf = appendFrame(w.buf, payload)
+	w.pending++
+	if len(w.buf) >= bufFlushBytes {
 		select {
 		case w.spillCh <- struct{}{}:
 		default: // a spill wake-up is already pending
 		}
 	}
-	return r.LSN
 }
 
 // writeBufLocked writes the buffered records through to the segment file
@@ -561,34 +560,39 @@ func (w *Writer) Commit() error {
 }
 
 // ApplyAppend is the follower-side ingestion point: it applies one
-// primary-shipped record to the database and appends it to the local log
-// with the primary's LSN preserved, so the follower's journal is
-// record-for-record identical to the primary's and a restart resumes from
-// exactly the persisted position.  A record at or below the current
-// position is a duplicate from a reconnect overlap and is skipped; a
-// record that skips ahead is a gap and fails loudly — silently applying
-// it would hide lost history.
+// primary-shipped record, given as its journal payload, to the database and
+// appends the same payload to the local log — the primary's bytes, never
+// re-encoded — so the follower's journal is frame-for-frame identical to the
+// primary's and a restart resumes from exactly the persisted position.  A
+// record at or below the current position is a duplicate from a reconnect
+// overlap and is skipped; a record that skips ahead is a gap and fails
+// loudly — silently applying it would hide lost history.  lsn is the
+// position after the call, whatever it did.
 //
 // The apply+append pair runs under applyMu, which Snapshot also holds
 // across its collection: on the primary, record emission happens under
 // the database locks the snapshot collector takes, which is what makes
 // the pinned LSN match the collected state; applyMu restores that
 // atomicity here, where records are applied from outside the database.
-func (w *Writer) ApplyAppend(r meta.Record) error {
+func (w *Writer) ApplyAppend(payload string) (lsn int64, err error) {
 	if !w.follower {
-		return fmt.Errorf("journal: ApplyAppend on a primary-mode writer")
+		return w.lastLSN.Load(), fmt.Errorf("journal: ApplyAppend on a primary-mode writer")
 	}
 	w.applyMu.Lock()
 	defer w.applyMu.Unlock()
 	last := w.lastLSN.Load()
+	r, err := w.dec.decode(payload)
+	if err != nil {
+		return last, err
+	}
 	if r.LSN <= last {
-		return nil // duplicate: already applied and persisted
+		return last, nil // duplicate: already applied and persisted
 	}
 	if r.LSN != last+1 {
-		return fmt.Errorf("journal: follower gap: record lsn %d arrived at applied lsn %d", r.LSN, last)
+		return last, fmt.Errorf("journal: follower gap: record lsn %d arrived at applied lsn %d", r.LSN, last)
 	}
 	if err := w.db.ApplyRecord(r); err != nil {
-		return err
+		return last, err
 	}
 	if r.Op == meta.OpTerm {
 		// The primary promoted somewhere upstream of us: adopt its term so
@@ -597,22 +601,10 @@ func (w *Writer) ApplyAppend(r meta.Record) error {
 		w.term.Store(w.db.CurrentTerm())
 	}
 	w.mu.Lock()
-	w.lastLSN.Store(r.LSN)
-	w.scratch = appendPayload(w.scratch[:0], r)
-	w.buf = appendFrame(w.buf, w.scratch)
-	w.pending++
-	spill := len(w.buf) >= bufFlushBytes
-	err := w.ioErr
-	w.mu.Unlock()
-	if spill {
-		// Deferred like Record's spill: rotation and fsync belong to the
-		// flushMu-serialized Commit path, never under w.mu.
-		select {
-		case w.spillCh <- struct{}{}:
-		default:
-		}
-	}
-	return err
+	defer w.mu.Unlock()
+	w.scratch = append(w.scratch[:0], payload...)
+	w.appendLocked(r.LSN, w.scratch)
+	return r.LSN, w.ioErr
 }
 
 // BootstrapSnapshot installs a primary-shipped snapshot as the follower's
@@ -670,18 +662,9 @@ func (w *Writer) BootstrapSnapshot(lsn int64, doc []byte) error {
 	w.snapLSN.Store(lsn)
 	w.sinceSnap.Store(0)
 
-	// Old segments hold LSNs below the new base and would read as a gap;
-	// they are dead history now that the snapshot is in place.
-	if entries, err := w.fs.ReadDir(w.dir); err == nil {
-		for _, e := range entries {
-			if s, ok := parseSeqName(e.Name(), "journal-", ".log"); ok && s != lsn+1 {
-				w.fs.Remove(filepath.Join(w.dir, e.Name()))
-			}
-			if s, ok := parseSeqName(e.Name(), "snapshot-", ".json"); ok && s != lsn {
-				w.fs.Remove(filepath.Join(w.dir, e.Name()))
-			}
-		}
-	}
+	// Old segments hold LSNs below the new base; with the segment after the
+	// snapshot in place, they and the older snapshots are dead history.
+	w.compact(lsn)
 	if err := w.db.RestoreFrom(restored, lsn); err != nil {
 		return err
 	}
@@ -720,10 +703,8 @@ func (w *Writer) Promote() (term, lsn int64, err error) {
 		return 0, 0, fmt.Errorf("journal: promote: %w", err)
 	}
 	w.mu.Lock()
-	w.lastLSN.Store(rec.LSN)
 	w.scratch = appendPayload(w.scratch[:0], rec)
-	w.buf = appendFrame(w.buf, w.scratch)
-	w.pending++
+	w.appendLocked(rec.LSN, w.scratch)
 	w.mu.Unlock()
 	w.term.Store(newTerm)
 	if err := w.Commit(); err != nil {
@@ -873,23 +854,18 @@ func (w *Writer) sealSnapshot(f faultfs.File, werr error, lsn int64) error {
 // races harmlessly with rotation: a segment created concurrently starts
 // past lsn and is never considered.
 func (w *Writer) compact(lsn int64) {
-	entries, err := w.fs.ReadDir(w.dir)
+	segs, snaps, _, err := list(w.fs, w.dir)
 	if err != nil {
 		return // compaction is best-effort; recovery tolerates extra files
 	}
-	var starts []int64
-	for _, e := range entries {
-		if s, ok := parseSeqName(e.Name(), "journal-", ".log"); ok {
-			starts = append(starts, s)
-		}
-		if s, ok := parseSeqName(e.Name(), "snapshot-", ".json"); ok && s < lsn {
-			w.fs.Remove(filepath.Join(w.dir, e.Name()))
+	for _, s := range snaps {
+		if s < lsn {
+			w.fs.Remove(filepath.Join(w.dir, snapshotName(s)))
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for i := 0; i+1 < len(starts); i++ {
-		if starts[i+1] <= lsn+1 {
-			w.fs.Remove(filepath.Join(w.dir, segmentName(starts[i])))
+	for i := 0; i+1 < len(segs); i++ {
+		if segs[i+1] <= lsn+1 {
+			w.fs.Remove(filepath.Join(w.dir, segmentName(segs[i])))
 		}
 	}
 }

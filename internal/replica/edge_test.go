@@ -80,12 +80,18 @@ func (fp *fakePrimary) serve(conn net.Conn, n int) {
 	}
 }
 
-func record(lsn int64, op string, args ...string) meta.Record {
-	return meta.Record{LSN: lsn, Seq: lsn, Op: op, Args: args}
+// record renders a record's journal payload as the writer spells it, with
+// its sequence number equal to its LSN.
+func record(lsn int64, op string, args ...string) string {
+	fields := []string{fmt.Sprint(lsn), fmt.Sprint(lsn), wire.Quote(op)}
+	for _, a := range args {
+		fields = append(fields, wire.Quote(a))
+	}
+	return strings.Join(fields, " ")
 }
 
-func frameLine(r meta.Record) string {
-	return "|" + wire.EncodeFollowRecord(r.LSN, r.Seq, r.Op, r.Args) + "\n"
+func frameLine(payload string) string {
+	return "|" + wire.FollowFrameRecord + " " + payload + "\n"
 }
 
 // TestFollowerIgnoresTornRecordAtStreamBoundary: the third record's line
@@ -208,7 +214,7 @@ func TestFollowerAheadOfPrimaryIsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 40; i++ {
-		if err := fw.ApplyAppend(record(int64(i), meta.OpOID, fmt.Sprintf("old%d,HDL_model,1", i), fmt.Sprint(i))); err != nil {
+		if _, err := fw.ApplyAppend(record(int64(i), meta.OpOID, fmt.Sprintf("old%d,HDL_model,1", i), fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +250,7 @@ func TestFollowerRefusedByNonPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(eng) // no WithFollowSource
+	srv := server.New(eng) // no journal
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@ package replica_test
 
 // Failover: the three-node promote/fence/quorum tests.  A promotable
 // node here carries the full daemon wiring of `damocles -follow` — the
-// replication loop, a read-only server with a chained FOLLOW source, and
-// the PROMOTE hook that flips the process into a primary — so every test
+// replication loop, a read-only server that chains FOLLOW from the node's
+// own journal, and the PROMOTE hook that flips the process into a primary — so every test
 // exercises the real wire path, including the PROMOTE verb itself.
 
 import (
@@ -30,7 +30,6 @@ type pnode struct {
 	db      *meta.DB
 	eng     *engine.Engine
 	srv     *server.Server
-	src     *replica.Source
 	addr    string
 	stopped bool
 }
@@ -46,16 +45,12 @@ func startPrimary(t *testing.T, dir string, opt journal.Options, srvOpts ...serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := replica.NewSource(w)
-	srv := server.New(eng, append([]server.Option{
-		server.WithJournal(w),
-		server.WithFollowSource(src),
-	}, srvOpts...)...)
+	srv := server.New(eng, append([]server.Option{server.WithJournal(w)}, srvOpts...)...)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &pnode{t: t, dir: dir, w: w, db: db, eng: eng, srv: srv, src: src, addr: addr}
+	p := &pnode{t: t, dir: dir, w: w, db: db, eng: eng, srv: srv, addr: addr}
 	t.Cleanup(p.crash)
 	return p
 }
@@ -84,7 +79,7 @@ func (p *pnode) quiesce() int64 {
 }
 
 // fnode is a promotable follower node: replica loop + read-only server
-// with chained FOLLOW source and the promotion hook, as the daemon wires
+// chaining FOLLOW and the promotion hook, as the daemon wires
 // them.
 type fnode struct {
 	t       *testing.T
@@ -118,12 +113,9 @@ func startNode(t *testing.T, dir, upstream string, jopt journal.Options, opts ..
 		}
 		w := fol.Writer()
 		eng.AttachJournal(w)
-		return server.Promotion{Journal: w, Source: replica.NewSource(w), Term: term, LSN: lsn}, nil
+		return server.Promotion{Journal: w, Term: term, LSN: lsn}, nil
 	}
-	srv := server.New(eng,
-		server.WithReadOnly(fol),
-		server.WithFollowSource(replica.NewSource(fol.Writer())),
-		server.WithPromote(hook))
+	srv := server.New(eng, server.WithReadOnly(fol), server.WithPromote(hook))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		fol.Abort()

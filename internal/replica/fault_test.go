@@ -49,7 +49,6 @@ func TestQuorumFsyncGate(t *testing.T) {
 	}
 	psrv := server.New(eng,
 		server.WithJournal(pw),
-		server.WithFollowSource(replica.NewSource(pw)),
 		server.WithQuorum(1, 5*time.Second))
 	paddr, err := psrv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -68,9 +68,7 @@ func newCluster(t *testing.T, shards int, opt journal.Options) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.psrv = server.New(c.eng,
-		server.WithJournal(c.pw),
-		server.WithFollowSource(replica.NewSource(c.pw)))
+	c.psrv = server.New(c.eng, server.WithJournal(c.pw))
 	c.paddr, err = c.psrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

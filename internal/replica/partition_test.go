@@ -24,9 +24,12 @@ import (
 	"repro/internal/server"
 )
 
+// fastPing is the primaries' idle-stream ping cadence in these tests.
+var fastPing = server.WithFollowPing(50 * time.Millisecond)
+
 // fastLink scales the follower's dead-link detector and reconnect
 // ladder to test time; upstream pings must tick several times per stall
-// window (the tests pair it with a 50ms ping cadence).
+// window (the tests pair it with fastPing).
 func fastLink(stall time.Duration) []replica.Option {
 	return []replica.Option{
 		replica.WithStallTimeout(stall),
@@ -56,8 +59,7 @@ func waitStalls(t *testing.T, f *replica.Follower, want int64, within time.Durat
 // with no bootstrap and no record applied twice.
 func TestStallDetectorHalfOpenLink(t *testing.T) {
 	const stall = 600 * time.Millisecond
-	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1})
-	p.src.SetPing(50 * time.Millisecond)
+	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1}, fastPing)
 	pc := dialT(t, p.addr)
 
 	proxy, err := netfault.NewProxy(p.addr)
@@ -128,8 +130,7 @@ func TestStallDetectorHalfOpenLink(t *testing.T) {
 // staleness that keeps snapping back under the ping cadence.
 func TestIdleStreamPingsKeepFollowerFresh(t *testing.T) {
 	const stall = 400 * time.Millisecond
-	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1})
-	p.src.SetPing(50 * time.Millisecond)
+	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1}, fastPing)
 	pc := dialT(t, p.addr)
 	a := startNode(t, t.TempDir(), p.addr, journal.Options{}, fastLink(stall)...)
 
@@ -179,8 +180,7 @@ func TestPartitionPrimaryIsolatedFromBothFollowers(t *testing.T) {
 	defer nn.Close()
 
 	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1},
-		server.WithQuorum(1, 400*time.Millisecond))
-	p.src.SetPing(50 * time.Millisecond)
+		server.WithQuorum(1, 400*time.Millisecond), fastPing)
 	pc := dialT(t, p.addr)
 
 	addrA, err := nn.Connect("a", "p", p.addr)
@@ -314,8 +314,7 @@ func TestPartitionPrimaryIsolatedFromBothFollowers(t *testing.T) {
 func TestAsymmetricPartitionAckLoss(t *testing.T) {
 	const stall = 500 * time.Millisecond
 	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1},
-		server.WithQuorum(1, 300*time.Millisecond))
-	p.src.SetPing(50 * time.Millisecond)
+		server.WithQuorum(1, 300*time.Millisecond), fastPing)
 	pc := dialT(t, p.addr)
 
 	proxy, err := netfault.NewProxy(p.addr)
@@ -363,8 +362,7 @@ func TestAsymmetricPartitionAckLoss(t *testing.T) {
 // (each handshake dies on the same silence), then converge on heal.
 func TestAsymmetricPartitionDownlinkStalls(t *testing.T) {
 	const stall = 400 * time.Millisecond
-	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1})
-	p.src.SetPing(50 * time.Millisecond)
+	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1}, fastPing)
 	pc := dialT(t, p.addr)
 
 	proxy, err := netfault.NewProxy(p.addr)
@@ -411,8 +409,7 @@ func TestAsymmetricPartitionDownlinkStalls(t *testing.T) {
 // partition-era tail must be fenced after heal.
 func TestPromoteDuringPartition(t *testing.T) {
 	const stall = 400 * time.Millisecond
-	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1})
-	p.src.SetPing(50 * time.Millisecond)
+	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1}, fastPing)
 	pc := dialT(t, p.addr)
 
 	proxy, err := netfault.NewProxy(p.addr)

@@ -1,22 +1,20 @@
-// Package replica ships the append-only journal's record stream from a
-// primary DAMOCLES server to live followers — warm standbys that serve
-// REPORT/GAP/STATE queries from a mirrored meta-database while refusing
-// writes, the read scale-out half of the paper's single project server
-// grown to production shape.
+// Package replica is the follower side of the append-only journal's
+// replication: live followers — warm standbys that serve REPORT/GAP/STATE
+// queries from a mirrored meta-database while refusing writes, the read
+// scale-out half of the paper's single project server grown to production
+// shape.  The stream itself is served by the project server (package
+// server) from the node's own journal: a follower connects with FOLLOW
+// <last-applied-lsn>, gets a snapshot bootstrap if its position predates the
+// oldest retained segment, then committed records in strict LSN order —
+// never a record above the commit watermark, so a follower can never hold
+// state a primary crash would lose.
 //
-// The primary side (Source) tails the journal: a follower connects with
-// FOLLOW <last-applied-lsn>, gets a snapshot bootstrap if its position
-// predates the oldest retained segment, then committed records in strict
-// LSN order as the primary flushes them — never a record above the commit
-// watermark, so a follower can never hold state a primary crash would
-// lose.
-//
-// The follower side (Follower) applies each record to its own database
-// and appends it, with the primary's LSN preserved, to its own local
-// journal: the follower's log is record-for-record identical to the
-// primary's, a restart resumes from exactly the persisted applied
-// position, and the caught-up follower's canonical Save output is
-// byte-identical to the primary's.
+// A Follower appends each record's payload, exactly as the primary's
+// segment holds it, to its own local journal and applies it to its own
+// database: the follower's log is frame-for-frame identical to the
+// primary's, a restart resumes from exactly the persisted applied position,
+// and the caught-up follower's canonical Save output is byte-identical to
+// the primary's.
 package replica
 
 import (
@@ -24,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,99 +30,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/netfault"
 	"repro/internal/server"
-	"repro/internal/wire"
 )
-
-// DefaultPingInterval is the idle-stream liveness cadence a Source
-// ships with: several ticks fit inside the follower's default stall
-// timeout, so one lost or late ping never looks like a dead link.
-const DefaultPingInterval = 2 * time.Second
-
-// Source serves the primary-side replication stream.  It implements
-// server.FollowSource; attach it with server.WithFollowSource.  Each
-// follower connection gets its own journal tail at its own position;
-// none of them ever blocks the journal writer.
-type Source struct {
-	w    *journal.Writer
-	ping atomic.Int64 // idle ping cadence in nanoseconds; 0 = disabled
-}
-
-// NewSource wraps the primary's journal writer.  Streams it serves
-// emit liveness pings every DefaultPingInterval while idle; SetPing
-// adjusts or disables that.
-func NewSource(w *journal.Writer) *Source {
-	s := &Source{w: w}
-	s.ping.Store(int64(DefaultPingInterval))
-	return s
-}
-
-// SetPing sets the idle-stream ping cadence for streams served after
-// the call; every ≤ 0 disables pings (the pre-liveness silent idle).
-func (s *Source) SetPing(every time.Duration) {
-	if every < 0 {
-		every = 0
-	}
-	s.ping.Store(int64(every))
-}
-
-// ServeFollow streams frames for one follower: an optional snapshot
-// bootstrap, then records and caught-up watermarks, encoded as wire
-// follow-frame lines, until stop closes (clean shutdown, nil return) or
-// send fails (the follower hung up; its error is returned).
-func (s *Source) ServeFollow(from, fromTerm int64, stop <-chan struct{}, send func(line string) error) error {
-	// A follower whose position or term does not lie on this journal's
-	// lineage must be refused loudly: streaming to it would eventually
-	// ship records from the NEW history under LSNs the follower already
-	// holds from the OLD one, which its duplicate-skip would paper over
-	// into silent divergence.  Two cases: a position beyond everything
-	// committed here (journal reset or wrong primary), and — with terms —
-	// a deposed primary's tail reaching past this lineage's promotion
-	// point.  The watermark and the term table only ever grow, so a race
-	// with concurrent commits can only make a legitimate position look
-	// more legitimate, never a divergent one look acceptable.
-	if err := s.w.ValidateFollowPosition(from, fromTerm); err != nil {
-		return fmt.Errorf("replica: %w", err)
-	}
-	t := s.w.NewTailer(from)
-	t.SetPing(time.Duration(s.ping.Load()))
-	defer t.Close()
-	for {
-		ev, err := t.Next(stop)
-		if err != nil {
-			if errors.Is(err, journal.ErrTailStopped) {
-				return nil
-			}
-			return err
-		}
-		switch ev.Kind {
-		case journal.FollowRecord:
-			err = send(wire.EncodeFollowRecord(ev.Rec.LSN, ev.Rec.Seq, ev.Rec.Op, ev.Rec.Args))
-		case journal.FollowSnapshot:
-			lines := strings.Split(strings.TrimRight(string(ev.Snapshot), "\n"), "\n")
-			err = send(fmt.Sprintf("%s %d %d", wire.FollowFrameSnapshot, ev.SnapLSN, len(lines)))
-			for _, l := range lines {
-				if err != nil {
-					break
-				}
-				err = send(l)
-			}
-		case journal.FollowMark:
-			err = send(fmt.Sprintf("%s %d", wire.FollowFrameWatermark, ev.Watermark))
-		case journal.FollowHealth:
-			// The primary's journal degraded: tell the caught-up follower
-			// its parked watermark is final until the disk fault clears.
-			// Reasons travel as one space-folded token so the line stays
-			// trivially tokenizable.
-			err = send(fmt.Sprintf("%s degraded %s", wire.FollowFrameHealth,
-				wire.Quote(strings.ReplaceAll(ev.Reason, " ", "_"))))
-		case journal.FollowPing:
-			err = send(fmt.Sprintf("%s %d", wire.FollowFramePing, ev.Watermark))
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
 
 // commitEvery bounds how many applied records may sit in the follower
 // journal's in-memory buffer before a commit pushes them to the operating
@@ -209,7 +114,7 @@ func WithBackoff(min, max time.Duration) Option {
 }
 
 // DefaultStallTimeout is the follower's dead-link detector default:
-// five DefaultPingInterval ticks must go missing in a row before a
+// five server.DefaultPingInterval ticks must go missing in a row before a
 // stream is declared dead, so scheduler hiccups never look like
 // partitions, while a genuinely half-open link is torn down in seconds
 // rather than held forever by TCP's multi-minute patience.
@@ -218,7 +123,7 @@ const DefaultStallTimeout = 10 * time.Second
 // WithStallTimeout sets how long the follower lets the stream stay
 // silent before declaring the link dead — tearing it down, counting a
 // stall in Stats, and reconnecting through the normal backoff.  The
-// primary pings idle streams (see DefaultPingInterval), so silence past
+// primary pings idle streams (see server.DefaultPingInterval), so silence past
 // a few intervals can only be a dead or half-open connection.  d ≤ 0
 // disables the detector (the legacy unbounded read).  The timeout also
 // bounds the dial-side FOLLOW handshake: a blackholed primary that
@@ -337,9 +242,9 @@ func (f *Follower) UpstreamHealth() (ok bool, reason string) {
 }
 
 // Writer exposes the follower's own journal writer — the chaining handle:
-// a Source over it lets this follower serve FOLLOW to downstream
-// followers, relaying the watermark only up to its own committed
-// position, and after Promote it is the new primary's journal.
+// a read-only server over this follower serves FOLLOW from it to downstream
+// followers, relaying the watermark only up to its own committed position,
+// and after Promote it is the new primary's journal.
 func (f *Follower) Writer() *journal.Writer { return f.w }
 
 // Term returns the election term of the follower's replicated history.
@@ -373,7 +278,7 @@ func (f *Follower) Repoint(addr string) {
 // Promote flips the follower into a primary: the replication loop is
 // stopped and drained (its tail committed), the term is bumped with a
 // journal record, and the journal writer switches to primary mode —
-// ready for an engine (AttachJournal) and a Source over Writer().  After
+// ready for an engine (AttachJournal) and a server (WithJournal).  After
 // a successful Promote the replication loop is done (Done() is closed
 // with Promoted() true, Err() nil) and Close/Abort must not be called:
 // the journal now belongs to the primary plane.
@@ -658,14 +563,15 @@ func (f *Follower) sendAck(lsn int64) {
 // to a reconnect.
 func (f *Follower) apply(fr server.FollowFrame) error {
 	switch {
-	case fr.Rec != nil:
-		if err := f.w.ApplyAppend(*fr.Rec); err != nil {
+	case fr.Record != "":
+		lsn, err := f.w.ApplyAppend(fr.Record)
+		if err != nil {
 			return terminalError{err}
 		}
 		f.upHealth.Store("") // records flowing again: upstream recovered
 		f.stats.records.Add(1)
 		f.mu.Lock()
-		f.applied = fr.Rec.LSN
+		f.applied = lsn
 		f.freshAt = time.Now()
 		f.progress = true
 		f.sinceCommit++
@@ -679,7 +585,7 @@ func (f *Follower) apply(fr server.FollowFrame) error {
 			if err := f.w.Commit(); err != nil {
 				return terminalError{err}
 			}
-			f.sendAck(fr.Rec.LSN)
+			f.sendAck(lsn)
 		}
 
 	case fr.Snapshot != nil:

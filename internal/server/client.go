@@ -427,8 +427,9 @@ func (c *Client) LSN() (int64, error) {
 
 // FollowFrame is one decoded frame of a replication stream.
 type FollowFrame struct {
-	// Rec is set on a record frame.
-	Rec *meta.Record
+	// Record is set on a record frame: the record's journal payload, exactly
+	// as the primary's segment file holds it.
+	Record string
 
 	// Snapshot/SnapLSN are set on a snapshot-bootstrap frame: the follower
 	// must re-base on the document; records resume at SnapLSN+1.
@@ -525,18 +526,13 @@ func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error
 		if done {
 			return nil
 		}
-		fields, err := wire.Tokenize(content)
-		if err != nil || len(fields) == 0 {
-			return fmt.Errorf("client: follow stream: bad frame %q", content)
-		}
-		frame, err := parseFollowFrame(fields)
+		frame, docLines, err := parseFollowFrame(content)
 		if err != nil {
 			return err
 		}
-		if fields[0] == wire.FollowFrameSnapshot {
-			n, _ := strconv.Atoi(fields[2]) // parseFollowFrame vouches for it
+		if docLines >= 0 {
 			var doc strings.Builder
-			for i := 0; i < n; i++ {
+			for i := 0; i < docLines; i++ {
 				// Per-line refresh: a large bootstrap document arriving
 				// slowly is progress, not a stall.
 				c.armStream()
@@ -559,24 +555,26 @@ func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error
 	}
 }
 
-// parseFollowFrame decodes the tokenized fields (at least one) of one
-// stream line into its frame.  A snapshot frame comes back with its LSN and
-// without its document: fields[2], checked here, says how many body lines
-// the caller has to read for it.  An error frame is the stream's terminal
-// failure and comes back as the error, wrapping ErrFollowStream.
-func parseFollowFrame(fields []string) (FollowFrame, error) {
-	var frame FollowFrame
-	bad := func(what string) (FollowFrame, error) {
-		return FollowFrame{}, fmt.Errorf("client: follow stream: bad %s %q", what, fields)
+// parseFollowFrame decodes one stream line into its frame: a record's
+// payload untouched, every other frame tokenized.  A snapshot frame comes
+// back without its document; docLines, -1 for other frames, says how many
+// body lines the caller has to read for it.  An error frame is the stream's
+// terminal failure and comes back as the error, wrapping ErrFollowStream.
+func parseFollowFrame(line string) (frame FollowFrame, docLines int, err error) {
+	bad := func(what string) (FollowFrame, int, error) {
+		return FollowFrame{}, -1, fmt.Errorf("client: follow stream: bad %s %q", what, line)
+	}
+	if payload, ok := strings.CutPrefix(line, wire.FollowFrameRecord+" "); ok {
+		if payload == "" {
+			return bad("record frame")
+		}
+		return FollowFrame{Record: payload}, -1, nil
+	}
+	fields, err := wire.Tokenize(line)
+	if err != nil || len(fields) == 0 {
+		return bad("frame")
 	}
 	switch fields[0] {
-	case wire.FollowFrameRecord:
-		lsn, seq, op, args, err := wire.ParseFollowRecord(fields)
-		if err != nil {
-			return FollowFrame{}, err
-		}
-		frame.Rec = &meta.Record{LSN: lsn, Seq: seq, Op: op, Args: args}
-
 	case wire.FollowFrameSnapshot:
 		if len(fields) != 3 {
 			return bad("snapshot frame")
@@ -585,10 +583,11 @@ func parseFollowFrame(fields []string) (FollowFrame, error) {
 		if err != nil {
 			return bad("snapshot lsn")
 		}
-		if n, err := strconv.Atoi(fields[2]); err != nil || n < 0 {
+		n, err := strconv.Atoi(fields[2])
+		if err != nil || n < 0 {
 			return bad("snapshot line count")
 		}
-		frame.SnapLSN = lsn
+		return FollowFrame{SnapLSN: lsn}, n, nil
 
 	case wire.FollowFrameWatermark, wire.FollowFramePing:
 		if len(fields) != 2 {
@@ -612,12 +611,12 @@ func parseFollowFrame(fields []string) (FollowFrame, error) {
 		frame.HealthReason = strings.Join(fields[2:], " ")
 
 	case wire.FollowFrameError:
-		return FollowFrame{}, fmt.Errorf("client: %s: %w", strings.Join(fields[1:], " "), ErrFollowStream)
+		return FollowFrame{}, -1, fmt.Errorf("client: %s: %w", strings.Join(fields[1:], " "), ErrFollowStream)
 
 	default:
 		return bad("frame kind")
 	}
-	return frame, nil
+	return frame, -1, nil
 }
 
 // SendAck reports an applied-and-committed position upstream on a

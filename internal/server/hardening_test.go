@@ -219,9 +219,17 @@ func TestIdleTimeoutClosesSilentConnection(t *testing.T) {
 
 func TestFollowExemptFromIdleTimeout(t *testing.T) {
 	idle := 100 * time.Millisecond
+	// A write-idle primary that does not ping: its stream, once caught up,
+	// sends nothing at all.
+	w, _, err := journal.Open(t.TempDir(), journal.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Abort)
 	_, addr := startServerWith(t,
 		WithLimits(Limits{IdleTimeout: idle}),
-		WithFollowSource(parkedSource{}))
+		WithJournal(w),
+		WithFollowPing(0))
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +241,9 @@ func TestFollowExemptFromIdleTimeout(t *testing.T) {
 	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "OK+") {
 		t.Fatalf("FOLLOW header = %q, %v", line, err)
 	}
+	if line, err := br.ReadString('\n'); err != nil || line != "|watermark 0\n" {
+		t.Fatalf("caught-up frame = %q, %v", line, err)
+	}
 	// A write-idle primary is healthy silence: the stream must outlive
 	// many idle windows instead of being reaped by the idle deadline.
 	conn.SetReadDeadline(time.Now().Add(6 * idle))
@@ -241,15 +252,6 @@ func TestFollowExemptFromIdleTimeout(t *testing.T) {
 	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 		t.Fatalf("follow stream closed during healthy silence: %v", err)
 	}
-}
-
-// parkedSource is a FollowSource that sends nothing until the stream is
-// stopped — a write-idle primary.
-type parkedSource struct{}
-
-func (parkedSource) ServeFollow(from, fromTerm int64, stop <-chan struct{}, send func(string) error) error {
-	<-stop
-	return nil
 }
 
 func TestWriteTimeoutUnblocksStalledClient(t *testing.T) {

@@ -111,6 +111,7 @@ func (f steadyFollower) Err() error        { return nil }
 func (f steadyFollower) WaitApplied(int64, time.Duration) (int64, error) { return f.lsn, nil }
 func (f steadyFollower) UpstreamHealth() (bool, string)                  { return true, "" }
 func (f steadyFollower) Staleness() (time.Duration, bool)                { return 0, false }
+func (f steadyFollower) Writer() *journal.Writer                         { return nil }
 
 // TestPromoteRoleIsOneValue hammers ROLE, LSN and REPORT <lsn> while
 // PROMOTE swaps the role.  Every answer must describe one role in full —
@@ -127,8 +128,7 @@ func TestPromoteRoleIsOneValue(t *testing.T) {
 	const blocks = 12
 	for i := int64(1); i <= blocks; i++ {
 		key := meta.Key{Block: fmt.Sprintf("B%d", i), View: "HDL_model", Version: 1}
-		rec := meta.Record{LSN: i, Seq: i, Op: meta.OpOID, Args: []string{key.String(), fmt.Sprint(i)}}
-		if err := w.ApplyAppend(rec); err != nil {
+		if _, err := w.ApplyAppend(fmt.Sprintf("%d %d %s %s %d", i, i, meta.OpOID, key, i)); err != nil {
 			t.Fatal(err)
 		}
 	}

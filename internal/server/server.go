@@ -7,6 +7,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -50,9 +51,10 @@ type Server struct {
 
 	quorum *quorum
 
-	limits   Limits
-	inflight chan struct{} // admission semaphore; nil = unlimited
-	logf     func(format string, args ...any)
+	limits     Limits
+	inflight   chan struct{} // admission semaphore; nil = unlimited
+	logf       func(format string, args ...any)
+	followPing time.Duration // idle FOLLOW streams' liveness cadence; 0 = silent idle
 
 	// testHookHandle, when set by an in-package test, runs at the top of
 	// every handled request — the seam overload tests use to park a
@@ -64,12 +66,10 @@ type Server struct {
 	counters Counters
 }
 
-// role is one replication role: a primary's journal and the source that
-// streams it onward, or a read-only follower's applier and the hook that
-// promotes it.
+// role is one replication role: a primary's journal, or a read-only
+// follower's applier and the hook that promotes it.
 type role struct {
 	journal  *journal.Writer
-	follow   FollowSource
 	readOnly ReadFollower
 	promote  func() (Promotion, error)
 }
@@ -152,20 +152,21 @@ func WithLogger(logf func(format string, args ...any)) Option {
 	}
 }
 
-// FollowSource produces the primary-side replication stream for one
-// follower: ServeFollow emits follow-stream body lines (the wire package's
-// snapshot/record/watermark framing, without the "|" prefix) through send,
-// in order, until stop closes or send fails.  fromTerm is the election
-// term of the follower's history at its resume position (0 when the
-// follower predates terms); the source refuses positions from a divergent
-// lineage.  Implemented by replica.Source over a journal tail.
-type FollowSource interface {
-	ServeFollow(from, fromTerm int64, stop <-chan struct{}, send func(line string) error) error
+// DefaultPingInterval is the liveness cadence of idle FOLLOW streams:
+// several ticks fit inside a follower's default stall timeout, so one lost or
+// late ping never looks like a dead link.
+const DefaultPingInterval = 2 * time.Second
+
+// WithFollowPing sets how often an idle FOLLOW stream carries a liveness
+// ping (DefaultPingInterval when unset); d ≤ 0 leaves idle streams silent.
+func WithFollowPing(d time.Duration) Option {
+	return func(s *Server) { s.followPing = max(d, 0) }
 }
 
 // ReadFollower is the follower-side applier a read-only server consults
 // for its applied position, its replication standing and health (ROLE),
-// and for read-your-LSN queries (implemented by replica.Follower).
+// for read-your-LSN queries, and for the journal it serves FOLLOW from
+// (implemented by replica.Follower).
 type ReadFollower interface {
 	AppliedLSN() int64
 	Watermark() int64
@@ -174,18 +175,18 @@ type ReadFollower interface {
 	Err() error                               // the replication loop's terminal failure
 	UpstreamHealth() (ok bool, reason string) // the upstream's journal health, as last streamed
 	Staleness() (time.Duration, bool)         // age of the last word from upstream; false if none yet
+	Writer() *journal.Writer                  // the follower's own journal; FOLLOW chains from it
 }
 
 // Promotion is what a promotion hook hands back to the server: the
 // journal that now accepts local writes (the follower's own, flipped to
-// primary mode), the follow source that serves it onward, and the new
-// term.  The hook — built by the daemon, which owns the replication
-// plumbing the server cannot import — must have already stopped the
-// apply loop, written the term-bump record, and attached the journal to
-// the engine before returning.
+// primary mode, which FOLLOW goes on serving) and the new term.  The hook
+// — built by the daemon, which owns the replication plumbing the server
+// cannot import — must have already stopped the apply loop, written the
+// term-bump record, and attached the journal to the engine before
+// returning.
 type Promotion struct {
 	Journal *journal.Writer
-	Source  FollowSource
 	Term    int64
 	LSN     int64
 }
@@ -198,16 +199,9 @@ type Option func(*Server)
 // written — LINK, SNAPSHOT, CREATE (whose OID is created outside the
 // drain), and SYNC — the same on-disk-before-ack guarantee the engine
 // provides for event processing.  The engine should carry the same journal
-// via engine.WithJournal.
+// via engine.WithJournal.  The journal also makes the server a replication
+// primary: the FOLLOW verb streams it.
 func WithJournal(j *journal.Writer) Option { return func(s *Server) { s.role.Load().journal = j } }
-
-// WithFollowSource makes the server a replication primary: the FOLLOW
-// verb is served from src, turning a connection into a live record stream
-// (snapshot bootstrap for cold followers, then committed records as they
-// land).
-func WithFollowSource(src FollowSource) Option {
-	return func(s *Server) { s.role.Load().follow = src }
-}
 
 // WithReadOnly puts the server in follower read mode: every mutating verb
 // (POST, BATCH, CREATE, LINK, SNAPSHOT) is refused — the database is
@@ -247,10 +241,11 @@ func WithQuorum(n int, timeout time.Duration) Option {
 // New creates a server around an engine.
 func New(eng *engine.Engine, opts ...Option) *Server {
 	s := &Server{
-		eng:   eng,
-		conns: make(map[net.Conn]bool),
-		quit:  make(chan struct{}),
-		logf:  log.Printf,
+		eng:        eng,
+		conns:      make(map[net.Conn]bool),
+		quit:       make(chan struct{}),
+		logf:       log.Printf,
+		followPing: DefaultPingInterval,
 	}
 	s.role.Store(new(role))
 	for _, o := range opts {
@@ -775,19 +770,24 @@ func reportRowMax(key meta.Key, reasons []byte) int {
 	return len(key.Block) + len(key.View) + 22 + len(" ready=false") + 3 + 2*len(reasons)
 }
 
-// serveFollow turns the connection into a replication stream: an OK+
-// header, then one flushed body line per snapshot/record/watermark frame
-// until the follower hangs up or the server shuts down.  The request
-// reader keeps draining in the background purely as a hangup detector —
-// a parked stream on a write-idle primary would otherwise hold its
-// goroutine, connection and tail open until the next commit happened to
-// wake it into a failing send.
+// serveFollow turns the connection into a replication stream of this
+// node's own journal — a primary's, or a read-only follower's, which chains
+// — from a tail of it: an OK+ header, then frames, each flushed as it is
+// written, until the follower hangs up or the server shuts down.  The
+// request reader keeps draining in the background purely as a hangup
+// detector — a parked stream on a write-idle primary would otherwise hold
+// its goroutine, connection and tail open until the next commit happened to
+// wake it into a failing write.
 func (s *Server) serveFollow(r *bufio.Reader, w *bufio.Writer, req wire.Request) {
 	fail := func(format string, a ...any) {
 		writeFlush(w, errf(format, a...).Encode()+"\n")
 	}
-	follow := s.role.Load().follow
-	if follow == nil {
+	ro := s.role.Load()
+	j := ro.journal
+	if ro.readOnly != nil {
+		j = ro.readOnly.Writer()
+	}
+	if j == nil {
 		fail("FOLLOW: this server is not a replication primary")
 		return
 	}
@@ -853,24 +853,71 @@ func (s *Server) serveFollow(r *bufio.Reader, w *bufio.Writer, req wire.Request)
 		case <-stop:
 		}
 	}()
-	connGone := errors.New("follower connection gone")
-	err = follow.ServeFollow(from, fromTerm, stop, func(line string) error {
-		if !writeFlush(w, "|"+line+"\n") {
-			return connGone
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, connGone) {
-		// A terminal source failure (tail corruption, a follower position
-		// ahead of this primary's history) must reach the follower as an
-		// error, not masquerade as a clean shutdown it would silently
-		// retry forever.
-		writeFlush(w, "|"+wire.FollowFrameError+" "+wire.Quote(err.Error())+"\n")
+	// A position or term off this journal's lineage is refused loudly: the
+	// stream would ship new history under LSNs the follower holds from the
+	// old one, and its duplicate-skip would hide the divergence.
+	err = j.ValidateFollowPosition(from, fromTerm)
+	if err == nil {
+		err = s.streamTail(w, j, from, stop)
 	}
-	if err == nil || !errors.Is(err, connGone) {
+	switch {
+	case errors.Is(err, errConnGone):
+	case errors.Is(err, journal.ErrTailStopped):
 		// Deliberate end: close the body politely so the follower sees
 		// end-of-stream rather than a torn line.
 		writeFlush(w, ".\n")
+	default:
+		// A terminal failure (tail corruption, a follower position off this
+		// journal's lineage) must reach the follower as an error, not
+		// masquerade as a clean shutdown it would silently retry forever.
+		writeFlush(w, "|"+wire.FollowFrameError+" "+wire.Quote(err.Error())+"\n.\n")
+	}
+}
+
+// errConnGone reports a FOLLOW stream whose connection failed a write.
+var errConnGone = errors.New("follower connection gone")
+
+// streamTail writes the events of a tail of j after position from to w as
+// follow-stream frames, each flushed whole, until the tail fails or stops.
+// A record frame is the record's payload as the segment file holds it, never
+// decoded here; a snapshot frame is its header line and the document's
+// lines.  The writes go unchecked: w keeps its first error for Flush.
+func (s *Server) streamTail(w *bufio.Writer, j *journal.Writer, from int64, stop <-chan struct{}) error {
+	t := j.NewTailer(from)
+	defer t.Close()
+	t.SetPing(s.followPing)
+	for {
+		ev, err := t.Next(stop)
+		if err != nil {
+			return err
+		}
+		switch ev.Kind {
+		case journal.FollowRecord:
+			w.WriteString("|" + wire.FollowFrameRecord + " ")
+			w.Write(ev.Payload)
+			w.WriteByte('\n')
+		case journal.FollowSnapshot:
+			doc := bytes.TrimRight(ev.Snapshot, "\n")
+			fmt.Fprintf(w, "|%s %d %d\n", wire.FollowFrameSnapshot, ev.SnapLSN, bytes.Count(doc, []byte{'\n'})+1)
+			for more := true; more; {
+				var line []byte
+				line, doc, more = bytes.Cut(doc, []byte{'\n'})
+				w.WriteByte('|')
+				w.Write(line)
+				w.WriteByte('\n')
+			}
+		case journal.FollowMark:
+			fmt.Fprintf(w, "|%s %d\n", wire.FollowFrameWatermark, ev.Watermark)
+		case journal.FollowHealth:
+			// The parked watermark is final until the disk fault clears; the
+			// reason travels as one space-folded token.
+			fmt.Fprintf(w, "|%s degraded %s\n", wire.FollowFrameHealth, wire.Quote(strings.ReplaceAll(ev.Reason, " ", "_")))
+		case journal.FollowPing:
+			fmt.Fprintf(w, "|%s %d\n", wire.FollowFramePing, ev.Watermark)
+		}
+		if w.Flush() != nil {
+			return errConnGone
+		}
 	}
 }
 
@@ -961,7 +1008,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err != nil {
 			return errf("PROMOTE: %v", err)
 		}
-		s.role.Store(&role{journal: p.Journal, follow: p.Source})
+		s.role.Store(&role{journal: p.Journal})
 		return okf("promoted term %d lsn %d", p.Term, p.LSN)
 
 	case wire.VerbFollow:

@@ -17,7 +17,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -64,8 +63,9 @@ const AckPrefix = "ACK"
 //	                               n body lines, verbatim JSON; the
 //	                               follower re-bases on it and records
 //	                               resume at lsn+1
-//	record <lsn> <seq> <op> ...  — one journal record, fields quoted with
-//	                               the protocol's own rules
+//	record <payload>             — one journal record: its payload,
+//	                               "<lsn> <seq> <op> <args...>", exactly
+//	                               as the primary's segment file holds it
 //	watermark <lsn>              — the follower has seen every record the
 //	                               primary has committed up to lsn
 //	error <message>              — the stream failed terminally on the
@@ -97,45 +97,6 @@ const (
 	// partition — silence a plain TCP peer would never report.
 	FollowFramePing = "ping"
 )
-
-// EncodeFollowRecord renders one journal record as a follow-stream body
-// line (without the "|" prefix).
-func EncodeFollowRecord(lsn, seq int64, op string, args []string) string {
-	var sb strings.Builder
-	sb.WriteString(FollowFrameRecord)
-	sb.WriteByte(' ')
-	sb.WriteString(strconv.FormatInt(lsn, 10))
-	sb.WriteByte(' ')
-	sb.WriteString(strconv.FormatInt(seq, 10))
-	sb.WriteByte(' ')
-	sb.WriteString(Quote(op))
-	for _, a := range args {
-		sb.WriteByte(' ')
-		sb.WriteString(Quote(a))
-	}
-	return sb.String()
-}
-
-// ParseFollowRecord decodes the tokenized fields of a "record" frame
-// (fields[0] must already be FollowFrameRecord).
-func ParseFollowRecord(fields []string) (lsn, seq int64, op string, args []string, err error) {
-	if len(fields) < 4 || fields[0] != FollowFrameRecord {
-		return 0, 0, "", nil, fmt.Errorf("%w: record frame wants record <lsn> <seq> <op> [args...]", ErrSyntax)
-	}
-	lsn, err = strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return 0, 0, "", nil, fmt.Errorf("%w: record lsn %q", ErrSyntax, fields[1])
-	}
-	seq, err = strconv.ParseInt(fields[2], 10, 64)
-	if err != nil {
-		return 0, 0, "", nil, fmt.Errorf("%w: record seq %q", ErrSyntax, fields[2])
-	}
-	op = fields[3]
-	if len(fields) > 4 {
-		args = fields[4:]
-	}
-	return lsn, seq, op, args, nil
-}
 
 // ErrSyntax reports a malformed protocol line.
 var ErrSyntax = errors.New("wire: syntax error")
