@@ -12,9 +12,12 @@
 //     framed records.  The 16-hex-digit name is the LSN of the first
 //     record the segment may contain; segments are strictly ordered and
 //     records within and across segments carry consecutive LSNs.
-//   - snapshot-<lsn16>.json — a whole-database document in the exact
-//     meta.Save JSON format, consistent as of LSN <lsn16>: it contains the
-//     effect of every record with LSN ≤ <lsn16> and nothing newer.
+//   - snapshot-<lsn16>.json — a checkpoint, consistent as of LSN <lsn16>:
+//     it contains the effect of every record with LSN ≤ <lsn16> and
+//     nothing newer.  A header "DJS<version> <lsn16> <term16>\n", then a
+//     frame per record of meta.View.Checkpoint.  Earlier builds wrote the
+//     JSON document of meta.Save here, version 1 of the format, which this
+//     one still reads: the name is the same for both.
 //
 // Each record is framed as
 //
@@ -36,10 +39,10 @@
 // or when it outgrows an internal bound.  Segments rotate at a size
 // threshold.
 //
-// Snapshots run concurrently with writers: the document is collected from
+// Snapshots run concurrently with writers: the checkpoint is collected from
 // a read view pinned at the journal's newest LSN, which takes no database
 // lock (no writer is ever blocked for the collection, the encode or the
-// file write) and names the exact LSN the document reflects, and it is
+// file write) and names the exact LSN the checkpoint reflects, and it is
 // streamed to the file a buffer at a time.  A snapshot is written to a
 // temporary file and renamed into place, so a crash never leaves a
 // half-written snapshot under a valid name.  After a successful
@@ -49,7 +52,8 @@
 // # Recovery
 //
 // Open (or the read-only Replay) restores the database by loading the
-// newest snapshot and replaying every record with a larger LSN from the
+// newest snapshot — any damage to which is refused: it is renamed into place
+// whole — and replaying every record with a larger LSN from the
 // remaining segments, in LSN order, via meta.ApplyRecord.  A torn final
 // record — short frame, impossible length, CRC mismatch, or an
 // unparseable payload at the tail of the last segment — is truncated away
@@ -58,13 +62,16 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/faultfs"
 	"repro/internal/meta"
@@ -153,6 +160,46 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// The checkpoint header: "DJS" and the format version, then the LSN and the
+// election term at it in 16 lower-case hex digits each.
+const (
+	ckptMagic     = "DJS"
+	ckptVersion   = 2
+	ckptHeaderLen = len(ckptMagic) + 1 + 1 + 16 + 1 + 16 + 1
+)
+
+// A snapshot of an older format version is read by the cold path (version
+// 1, without a header, is the JSON document); a newer one is refused.
+var (
+	errOldVersion = errors.New("journal: snapshot of an older format version")
+	errNewVersion = errors.New("journal: snapshot of a newer format version")
+)
+
+type ckptHeader struct{ lsn, term int64 }
+
+func (h ckptHeader) Bytes() []byte {
+	return fmt.Appendf(nil, "%s%d %016x %016x\n", ckptMagic, ckptVersion, h.lsn, h.term)
+}
+
+// parseCkptHeader decodes the header at the front of data — its version
+// first: a newer format may lay the rest out anew.
+func parseCkptHeader(data []byte) (h ckptHeader, err error) {
+	if !bytes.HasPrefix(data, []byte(ckptMagic)) {
+		return h, errOldVersion
+	}
+	var v int
+	n, _ := fmt.Sscanf(string(data[:min(len(data), ckptHeaderLen)]), ckptMagic+"%d %x %x", &v, &h.lsn, &h.term)
+	switch {
+	case n > 0 && v > ckptVersion:
+		return h, fmt.Errorf("%w: version %d, this build reads up to version %d", errNewVersion, v, ckptVersion)
+	case n > 0 && v < ckptVersion:
+		return h, fmt.Errorf("%w: version %d, this build writes version %d", errOldVersion, v, ckptVersion)
+	case n < 3 || h.term < 1 || !bytes.HasPrefix(data, h.Bytes()):
+		return h, fmt.Errorf("bad checkpoint header %q", data[:min(len(data), ckptHeaderLen)])
+	}
+	return h, nil
+}
+
 // appendPayload renders a record as its wire-line payload into dst — the
 // writer reuses one scratch buffer across records, so the hot append path
 // allocates nothing per record beyond buffer growth.
@@ -167,6 +214,32 @@ func appendPayload(dst []byte, r meta.Record) []byte {
 		dst = wire.AppendQuote(dst, a)
 	}
 	return dst
+}
+
+// ckptBufBytes is the checkpoint writer's buffer, written out whenever it is
+// half full.
+const ckptBufBytes = 64 << 10
+
+// writeCheckpoint writes v, at the election term, to w as a checkpoint.
+func writeCheckpoint(w io.Writer, v *meta.View, term int64) error {
+	buf := append(make([]byte, 0, ckptBufBytes), ckptHeader{lsn: v.LSN(), term: term}.Bytes()...)
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	payload := make([]byte, 0, 512)
+	err := v.Checkpoint(func(head meta.Record, args []byte) error {
+		payload = append(appendPayload(payload[:0], head), args...)
+		if buf = appendFrame(buf, payload); len(buf) < ckptBufBytes/2 {
+			return nil
+		}
+		return flush()
+	})
+	if err != nil {
+		return err
+	}
+	return flush()
 }
 
 // validFrameAt reports whether a complete, checksummed, decodable record
@@ -199,7 +272,7 @@ const windowBytes = 64 << 10
 // The buffer grows only for a frame longer than it, which maxRecordLen
 // bounds.
 type frameWindow struct {
-	f    faultfs.File
+	f    io.Reader
 	buf  []byte
 	r, w int   // buf[r:w] is read and not yet consumed
 	off  int64 // where buf[r] is in the file
@@ -243,7 +316,7 @@ func openSegment(vfs faultfs.FS, path string, win *frameWindow, term *int64) (f 
 }
 
 // reset points the window at f, whose read position is file offset off.
-func (fw *frameWindow) reset(f faultfs.File, off int64) {
+func (fw *frameWindow) reset(f io.Reader, off int64) {
 	fw.f, fw.r, fw.w, fw.off = f, 0, 0, off
 }
 
@@ -329,6 +402,85 @@ func (fw *frameWindow) frame() (payload []byte, damage string, err error) {
 		return nil, "record checksum mismatch", nil
 	}
 	return payload, "", nil
+}
+
+// snapshotHeader reads the header of the snapshot of lsn the window is at.
+// errOldVersion means a JSON document, of which nothing is consumed.
+func (fw *frameWindow) snapshotHeader(lsn int64) (ckptHeader, error) {
+	b, err := fw.peek(ckptHeaderLen)
+	if err != nil {
+		return ckptHeader{}, err
+	}
+	h, err := parseCkptHeader(b)
+	if err != nil {
+		return h, err
+	}
+	if h.lsn != lsn {
+		return h, fmt.Errorf("checkpoint header names lsn %d", h.lsn)
+	}
+	fw.consume(ckptHeaderLen)
+	return h, nil
+}
+
+// frames hands fn the payload of each frame to the end of the file, good
+// until fn returns: a checkpoint's records.  Any damage fails the read, as
+// does fn's first error.
+func (fw *frameWindow) frames(fn func(payload []byte) error) error {
+	for {
+		payload, damage, err := fw.frame()
+		switch {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		case damage != "":
+			return fmt.Errorf("%s at offset %d", damage, fw.off)
+		}
+		if err := fn(payload); err != nil {
+			return fmt.Errorf("record at offset %d: %w", fw.off, err)
+		}
+		fw.consume(frameHeader + len(payload))
+	}
+}
+
+// readSnapshot loads the snapshot of lsn from f — a snapshot file, or the
+// one a primary shipped — through fw: a checkpoint by meta.LoadCheckpoint,
+// a JSON document by meta.LoadShards.
+func (fw *frameWindow) readSnapshot(f io.Reader, lsn int64, shards int) (*meta.DB, error) {
+	fw.reset(f, 0)
+	h, err := fw.snapshotHeader(lsn)
+	if errors.Is(err, errOldVersion) {
+		doc, err := fw.rest()
+		if err != nil {
+			return nil, err
+		}
+		return meta.LoadShards(bytes.NewReader(doc), shards)
+	}
+	if err != nil {
+		return nil, err
+	}
+	db, err := meta.LoadCheckpoint(shards, func(add func(meta.Record) error) error {
+		return fw.frames(func(payload []byte) error {
+			// The record's strings are the window's bytes, where the next
+			// frame is read: LoadCheckpoint keeps none of them — it copies
+			// out each string an object keeps — so a checkpoint is read
+			// without a copy of its payloads.
+			r, err := fw.dec.decode(unsafe.String(unsafe.SliceData(payload), len(payload)))
+			if err != nil {
+				return err
+			}
+			return add(r)
+		})
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case db.AppliedLSN() != lsn:
+		return nil, fmt.Errorf("the records of a checkpoint at lsn %d", db.AppliedLSN())
+	case db.CurrentTerm() != h.term:
+		return nil, fmt.Errorf("checkpoint header names term %d, its records term %d", h.term, db.CurrentTerm())
+	}
+	return db, nil
 }
 
 // record is the frame step of recovery and the tail: the payload of the

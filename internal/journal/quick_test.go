@@ -51,7 +51,7 @@ func checkJournalProperty(t *testing.T, shards int, ops []byte) bool {
 	}
 	defer w.Close()
 
-	blocks := []string{"cpu", "alu", "reg", "io"}
+	blocks := []string{"cpu", "alu", "reg", "\u2028io"} // a name ParseKey must not trim
 	views := []string{"HDL_model", "SCHEMA", "netlist"}
 	events := [][]string{nil, {"ckin"}, {"ckin", "outofdate"}}
 	var keys []meta.Key

@@ -98,15 +98,15 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 	}
 	if snap >= 0 {
 		st.snapLSN = snaps[snap]
-		path := filepath.Join(dir, snapshotName(st.snapLSN))
-		f, err := vfs.Open(path)
+		name := snapshotName(st.snapLSN)
+		f, err := vfs.Open(filepath.Join(dir, name))
 		if err != nil {
 			return replayState{}, fmt.Errorf("journal: %w", err)
 		}
-		db, err := meta.LoadShards(f, shards)
+		db, err := st.win.readSnapshot(f, st.snapLSN, shards)
 		f.Close()
 		if err != nil {
-			return replayState{}, fmt.Errorf("journal: snapshot %s: %w", filepath.Base(path), err)
+			return replayState{}, fmt.Errorf("journal: snapshot %s: %w", name, err)
 		}
 		st.db = db
 		st.lastLSN = st.snapLSN
@@ -147,8 +147,7 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 	// applies; keep the applied-LSN marker in step with what the database
 	// actually reflects, and make that position the version horizon: no
 	// view may pin below what was recovered.
-	st.db.FloorAppliedLSN(st.lastLSN)
-	st.db.SealVersions()
+	st.db.SealVersions(st.lastLSN)
 	return st, nil
 }
 

@@ -141,7 +141,16 @@ func (c oneSegment) recoverWith(t testing.TB, replay segmentReplayer) recovery {
 	}
 	st := replayState{db: meta.NewDB()}
 	if c.snapLSN > 0 {
-		db, err := meta.Load(bytes.NewReader(c.snapshot))
+		snap := filepath.Join(dir, snapshotName(c.snapLSN))
+		if err := os.WriteFile(snap, c.snapshot, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		f, err := faultfs.OS.Open(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := st.win.readSnapshot(f, c.snapLSN, meta.DefaultShards)
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,8 +159,7 @@ func (c oneSegment) recoverWith(t testing.TB, replay segmentReplayer) recovery {
 	_, err := replay(faultfs.OS, &st, path, 1, true, true, math.MaxInt64)
 	r := recovery{err: err, lastLSN: st.lastLSN}
 	if err == nil {
-		st.db.FloorAppliedLSN(st.lastLSN)
-		st.db.SealVersions()
+		st.db.SealVersions(st.lastLSN)
 		var buf bytes.Buffer
 		if err := st.db.Save(&buf); err != nil {
 			t.Fatal(err)

@@ -22,9 +22,9 @@ type FollowEventKind int
 const (
 	// FollowRecord delivers one committed record, in strict LSN order.
 	FollowRecord FollowEventKind = iota
-	// FollowSnapshot delivers a whole-database bootstrap document: the
-	// requested position is older than the oldest retained segment, so the
-	// follower must re-base on the snapshot before records resume.
+	// FollowSnapshot delivers a whole-database bootstrap: the requested
+	// position is older than the oldest retained segment, so the follower
+	// must re-base on the snapshot before records resume.
 	FollowSnapshot
 	// FollowMark reports the commit watermark when the tail catches up —
 	// the follower's "you have seen everything committed so far" signal.
@@ -53,8 +53,10 @@ type FollowEvent struct {
 	// until the next Next.
 	Payload []byte
 
-	// SnapLSN/Snapshot are set for FollowSnapshot: the document reflects
+	// SnapLSN/Snapshot are set for FollowSnapshot: the snapshot reflects
 	// every record with LSN ≤ SnapLSN, and records resume at SnapLSN+1.
+	// Snapshot is what BootstrapSnapshot installs: a checkpoint's header and
+	// payloads a line each, or a JSON document.
 	SnapLSN  int64
 	Snapshot []byte
 
@@ -205,15 +207,15 @@ func (t *Tailer) locate() (FollowEvent, bool, error) {
 					"journal: tail: no segment or snapshot covers lsn %d", t.next)
 			}
 			lsn := snaps[len(snaps)-1]
-			doc, err := t.w.fs.ReadFile(filepath.Join(t.w.dir, snapshotName(lsn)))
+			body, err := t.snapshotBody(lsn)
 			if err != nil {
 				if errors.Is(err, fs.ErrNotExist) {
 					continue // compaction replaced it; re-list
 				}
-				return FollowEvent{}, false, fmt.Errorf("journal: tail: %w", err)
+				return FollowEvent{}, false, fmt.Errorf("journal: tail: snapshot %s: %w", snapshotName(lsn), err)
 			}
 			t.next = lsn + 1
-			return FollowEvent{Kind: FollowSnapshot, SnapLSN: lsn, Snapshot: doc}, false, nil
+			return FollowEvent{Kind: FollowSnapshot, SnapLSN: lsn, Snapshot: body}, false, nil
 		}
 		f, damage, err := openSegment(t.w.fs, filepath.Join(t.w.dir, segmentName(seg)), &t.win, &t.hdrTerm)
 		if errors.Is(err, fs.ErrNotExist) {
@@ -230,6 +232,34 @@ func (t *Tailer) locate() (FollowEvent, bool, error) {
 		return FollowEvent{}, true, nil
 	}
 	return FollowEvent{}, false, fmt.Errorf("journal: tail: directory kept changing underneath the listing")
+}
+
+// snapshotBody reads the snapshot of lsn as FollowSnapshot carries it: a
+// checkpoint's header and payloads a line each, its frames checked and a raw
+// line break refused as scanFrame refuses one — or a JSON document.
+func (t *Tailer) snapshotBody(lsn int64) ([]byte, error) {
+	f, err := t.w.fs.Open(filepath.Join(t.w.dir, snapshotName(lsn)))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	t.win.reset(f, 0)
+	h, err := t.win.snapshotHeader(lsn)
+	if errors.Is(err, errOldVersion) {
+		doc, err := t.win.rest()
+		return bytes.Clone(doc), err
+	} else if err != nil {
+		return nil, err
+	}
+	body := h.Bytes()
+	err = t.win.frames(func(payload []byte) error {
+		if bytes.ContainsAny(payload, "\r\n") {
+			return errors.New("a raw line break, which the writer escapes — a doctored snapshot")
+		}
+		body = append(append(body, payload...), '\n')
+		return nil
+	})
+	return body, err
 }
 
 // scanFrame reads the current segment forward: it returns the next record

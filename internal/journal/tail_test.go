@@ -3,6 +3,8 @@ package journal_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -145,8 +147,9 @@ func TestTailerCrossesSegmentRotation(t *testing.T) {
 
 // TestTailerStaleLSNBootstrapsFromSnapshot: when compaction has deleted
 // the segments behind a tail position, the tail must hand over the newest
-// snapshot (which loads cleanly and reflects exactly its LSN) and resume
-// records immediately after it — the stale-follower re-bootstrap path.
+// snapshot (which a follower installs cleanly, as the very file the primary
+// holds, reflecting exactly its LSN) and resume records immediately after
+// it — the stale-follower re-bootstrap path.
 func TestTailerStaleLSNBootstrapsFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	w, db, err := journal.Open(dir, journal.Options{SegmentBytes: 256, SnapshotEvery: -1})
@@ -190,12 +193,23 @@ func TestTailerStaleLSNBootstrapsFromSnapshot(t *testing.T) {
 	if ev.Kind != journal.FollowSnapshot || ev.SnapLSN != snapLSN {
 		t.Fatalf("first event %+v, want a snapshot bootstrap at lsn %d", ev, snapLSN)
 	}
-	restored, err := meta.Load(bytes.NewReader(ev.Snapshot))
+	fdir := t.TempDir()
+	f, restored, err := journal.OpenFollower(fdir, journal.Options{})
 	if err != nil {
-		t.Fatalf("bootstrap document does not load: %v", err)
+		t.Fatal(err)
+	}
+	defer f.Abort()
+	if err := f.BootstrapSnapshot(ev.SnapLSN, ev.Snapshot); err != nil {
+		t.Fatalf("bootstrap snapshot does not install: %v", err)
 	}
 	if got := restored.Head().Stats().OIDs; got != 30 {
-		t.Fatalf("bootstrap document has %d oids, want 30", got)
+		t.Fatalf("bootstrap snapshot has %d oids, want 30", got)
+	}
+	name := fmt.Sprintf("snapshot-%016x.json", snapLSN)
+	primary, perr := os.ReadFile(filepath.Join(dir, name))
+	follower, ferr := os.ReadFile(filepath.Join(fdir, name))
+	if perr != nil || ferr != nil || !bytes.Equal(primary, follower) {
+		t.Fatalf("the follower's %s is not the primary's (%v, %v):\n%q\n%q", name, perr, ferr, primary, follower)
 	}
 	recs, wm := collectTail(t, tl)
 	if len(recs) != 5 || wm != 35 {

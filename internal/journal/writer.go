@@ -608,15 +608,17 @@ func (w *Writer) ApplyAppend(payload string) (lsn int64, err error) {
 }
 
 // BootstrapSnapshot installs a primary-shipped snapshot as the follower's
-// new base state: the document becomes snapshot-<lsn>.json, a fresh
-// segment starting at lsn+1 replaces the tail, every older segment and
-// snapshot is deleted, and the in-memory database is reset to the
-// document.  This is the cold or stale-follower path — the primary has
-// compacted away the records between the follower's applied position and
-// its retained history, so tailing cannot continue and the follower must
-// re-base.  The file order (snapshot renamed into place, new segment
-// created, then old files deleted) keeps every crash window recoverable.
-func (w *Writer) BootstrapSnapshot(lsn int64, doc []byte) error {
+// new base state: the body of a FOLLOW snapshot frame, framed again, becomes
+// snapshot-<lsn>.json — the primary's file, or the JSON document a primary
+// of an older build ships — a fresh segment starting at lsn+1 replaces the
+// tail, every older segment and snapshot is deleted, and the in-memory
+// database is reset to the snapshot.  This is the cold or stale-follower
+// path — the primary has compacted away the records between the follower's
+// applied position and its retained history, so tailing cannot continue and
+// the follower must re-base.  The file order (snapshot renamed into place,
+// new segment created, then old files deleted) keeps every crash window
+// recoverable.
+func (w *Writer) BootstrapSnapshot(lsn int64, body []byte) error {
 	if !w.follower {
 		return fmt.Errorf("journal: BootstrapSnapshot on a primary-mode writer")
 	}
@@ -628,9 +630,19 @@ func (w *Writer) BootstrapSnapshot(lsn int64, doc []byte) error {
 		return fmt.Errorf("journal: bootstrap snapshot lsn %d is not ahead of applied lsn %d", lsn, w.lastLSN.Load())
 	}
 
-	// Validate the document before touching any file: a torn or corrupt
-	// snapshot must leave the follower's current state untouched.
-	restored, err := meta.LoadShards(bytes.NewReader(doc), w.opt.Shards)
+	// Read the snapshot as recovery does before touching any file: a torn or
+	// corrupt one must leave the follower's current state untouched.
+	file := body
+	if hdr, lines, ok := bytes.Cut(body, []byte{'\n'}); ok && bytes.HasPrefix(hdr, []byte(ckptMagic)) {
+		file = append(bytes.Clone(hdr), '\n')
+		for len(lines) > 0 {
+			var line []byte
+			line, lines, _ = bytes.Cut(lines, []byte{'\n'})
+			file = appendFrame(file, line)
+		}
+	}
+	var win frameWindow
+	restored, err := win.readSnapshot(bytes.NewReader(file), lsn, w.opt.Shards)
 	if err != nil {
 		return fmt.Errorf("journal: bootstrap snapshot: %w", err)
 	}
@@ -639,12 +651,12 @@ func (w *Writer) BootstrapSnapshot(lsn int64, doc []byte) error {
 	if err != nil {
 		return fmt.Errorf("journal: bootstrap snapshot: %w", err)
 	}
-	_, werr := f.Write(doc)
+	_, werr := f.Write(file)
 	if err := w.sealSnapshot(f, werr, lsn); err != nil {
 		return err
 	}
 
-	// The document may carry term bumps this stale follower never saw as
+	// The snapshot may carry term bumps this stale follower never saw as
 	// records; adopt them before the fresh segment below stamps its header.
 	w.term.Store(restored.CurrentTerm())
 
@@ -665,11 +677,7 @@ func (w *Writer) BootstrapSnapshot(lsn int64, doc []byte) error {
 	// Old segments hold LSNs below the new base; with the segment after the
 	// snapshot in place, they and the older snapshots are dead history.
 	w.compact(lsn)
-	if err := w.db.RestoreFrom(restored, lsn); err != nil {
-		return err
-	}
-	w.db.FloorAppliedLSN(lsn)
-	return nil
+	return w.db.RestoreFrom(restored, lsn)
 }
 
 // Promote atomically flips a follower-mode writer into a primary: it
@@ -740,14 +748,14 @@ func (w *Writer) Abort() {
 }
 
 // Snapshot writes a consistent whole-database snapshot and compacts the
-// log behind it.  The document is collected from a pinned MVCC read view
+// log behind it.  The checkpoint is collected from a pinned MVCC read view
 // at the journal's newest assigned LSN — no database lock of any kind is
 // held for the collection, the encode or the file write, so checkins on
 // every shard proceed for the snapshot's whole duration — and that LSN
 // names the file, so recovery knows exactly which records the snapshot
-// covers.  The document is streamed to a temporary file a buffer at a
-// time, and the file is fsynced and renamed, making snapshot installation
-// atomic under crashes: a write that fails part-way leaves nothing behind.
+// covers.  It is streamed to a temporary file a buffer at a time, and the
+// file is fsynced and renamed, making snapshot installation atomic under
+// crashes: a write that fails part-way leaves nothing behind.
 func (w *Writer) Snapshot() error {
 	w.snapMu.Lock()
 	defer w.snapMu.Unlock()
@@ -770,6 +778,7 @@ func (w *Writer) Snapshot() error {
 	// what the pinned view holds: the count the snapshot retires at its end.
 	// Records committed while it runs stay counted toward the next one.
 	covered := w.sinceSnap.Load()
+	term := w.db.CurrentTerm() // at the pinned LSN: a term moves only under applyMu
 	w.applyMu.Unlock()
 	if err != nil {
 		f.Close()
@@ -784,7 +793,7 @@ func (w *Writer) Snapshot() error {
 		w.fs.Remove(tmp)
 		return nil
 	}
-	err = v.SaveTo(f)
+	err = writeCheckpoint(f, v, term)
 	if err == nil {
 		// Flush the log through the pinned LSN before the snapshot becomes
 		// visible.  The pinned records may still sit in the in-memory

@@ -334,10 +334,6 @@ func TestQuickLoadSeals(t *testing.T) {
 // re-loads to the same bytes — never a panic, never a database that reads
 // differently through a view than through the live API.  (The first
 // Save may differ from the input: the decoder is lenient about spelling.)
-// And the streaming decoder stays inside the reflection decoder it replaced
-// (checkLoadAgainstOracle): what it loads the oracle loads, to the same
-// Save; what both refuse they refuse for the same class of reason; wherever
-// the reads of the document happen to end.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"seq":3,"next_link":1,"oids":[{"block":"a","view":"v","version":2,"seq":1,"props":{"p":"x"}},{"block":"b","view":"v","version":1,"seq":2}],` +
@@ -347,23 +343,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{"seq":1} garbage`))
 	f.Add([]byte(`{"seq":1,"SEQ":7,"seq":5,"future":[{"a":[1.5e3,null,true]},"\ud83d\ude00\u00e9"]}`))
 	f.Add([]byte("{\"oids\":[{\"block\":\"\\ud83dx\xff\",\"view\":\"v\",\"version\":1,\"props\":{\"p\":null}}],\"links\":null}"))
-	f.Fuzz(func(t *testing.T, doc []byte) {
-		if !checkLoadAgainstOracle(t, doc, DefaultShards) {
-			return
-		}
-		db, err := Load(bytes.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := saveDB(t, db)
-		again, err := Load(bytes.NewReader(first))
-		if err != nil {
-			t.Fatalf("Save of a loaded database does not load: %v\n%s", err, first)
-		}
-		if second := saveDB(t, again); !bytes.Equal(second, first) {
-			t.Fatalf("Save(Load(Save(Load(doc)))) differs:\n%s", firstDiff(second, first))
-		}
-	})
+	f.Fuzz(func(t *testing.T, doc []byte) { loadFixedPoint(t, doc, DefaultShards) })
 }
 
 // BenchmarkNewDB is the price of construction: an empty database is its own

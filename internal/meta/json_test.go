@@ -9,13 +9,55 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
 )
+
+// The JSON document's cold path: Load is encoding/json and the loader, plus
+// the four refusals of strict.
+
+// oracleLive is the document the public live reads describe, object by
+// object, without pinning a view.  The database must be quiescent.
+func oracleLive(t testing.TB, db *DB) []byte {
+	h := db.Head()
+	s := &snapshot{seq: db.Seq(), nextLink: db.nextLink.Load(), terms: db.loadTerms()}
+	for _, k := range h.Keys() {
+		o, err := h.GetOID(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.oids = append(s.oids, *o)
+	}
+	for _, id := range h.LinkIDs() {
+		l, err := h.GetLink(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.links = append(s.links, l)
+	}
+	for _, name := range h.ConfigurationNames() {
+		c, err := h.GetConfiguration(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.configs = append(s.configs, c)
+	}
+	for _, name := range h.WorkspaceNames() {
+		ws, err := h.GetWorkspace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.workspaces = append(s.workspaces, ws)
+	}
+	var buf bytes.Buffer
+	if err := s.save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // errClass is what a refused document was refused for: one of the package's
 // sentinels, the document's syntax, or something else Load checks.
@@ -31,8 +73,8 @@ func errClass(err error) string {
 	return "load"
 }
 
-// stricter reports whether err is one of the refusals the streaming decoder
-// adds to the oracle's: data after the document, a known member twice, a
+// stricter reports whether err is one of the refusals strict adds to what
+// encoding/json refuses: data after the document, a known member twice, a
 // known member in another case, a document that is not an object.
 func stricter(err error) bool {
 	for _, s := range []string{"data after the document", "given twice", "the format spells it", "where the document's '{' should be"} {
@@ -43,68 +85,30 @@ func stricter(err error) bool {
 	return false
 }
 
-// checkLoadAgainstOracle holds the streaming decoder to the oracle on one
-// document: both load it to databases that Save to the same bytes, or both
-// refuse it for the same class of reason — or the streaming one refuses it
-// for one of its documented reasons.  The document is read whole, a byte at
-// a time and in odd pieces: the result may not depend on where the window
-// falls.
-func checkLoadAgainstOracle(t testing.TB, doc []byte, shards int) (loaded bool) {
+// loadFixedPoint loads doc and returns the database, nil when it is
+// refused; a database it loads to must save to a document that loads back
+// to the same bytes, with live reads that agree with its view.
+func loadFixedPoint(t testing.TB, doc []byte, shards int) *DB {
 	t.Helper()
-	want, wantErr := oracleLoad(bytes.NewReader(doc), shards)
-	readers := map[string]io.Reader{
-		"whole":      bytes.NewReader(doc),
-		"byte-wise":  iotest.OneByteReader(bytes.NewReader(doc)),
-		"piece-wise": &pieceReader{doc: doc, piece: 7},
-	}
-	for how, r := range readers {
-		got, err := LoadShards(r, shards)
-		switch {
-		case err == nil && wantErr != nil:
-			t.Fatalf("%s: the streaming decoder loads what the oracle refuses (%v):\n%s", how, wantErr, clipDoc(doc))
-		case err != nil && stricter(err):
-			// Refused for what the oracle never looked at, whatever the
-			// oracle made of the rest.
-		case err != nil && wantErr == nil:
-			t.Fatalf("%s: the streaming decoder refuses (%v) what the oracle loads:\n%s", how, err, clipDoc(doc))
-		case err != nil:
-			if errClass(err) != errClass(wantErr) {
-				t.Fatalf("%s: refused for %q (%v), the oracle for %q (%v):\n%s",
-					how, errClass(err), err, errClass(wantErr), wantErr, clipDoc(doc))
-			}
-		default:
-			a, b := saveDB(t, got), saveDB(t, want)
-			if !bytes.Equal(a, b) {
-				t.Fatalf("%s: Save after the streaming Load differs from Save after the oracle's:\n%s", how, firstDiff(a, b))
-			}
-			if live := oracleLive(t, got); !bytes.Equal(live, a) {
-				t.Fatalf("%s: the live reads of the loaded database differ from its view:\n%s", how, firstDiff(live, a))
-			}
-			if ga, wa := adjacency(got), adjacency(want); ga != wa {
-				t.Fatalf("%s: adjacency lists differ from the oracle's:\n got %s\nwant %s", how, ga, wa)
-			}
-			loaded = true
+	db, err := LoadShards(bytes.NewReader(doc), shards)
+	if err != nil {
+		if !stricter(err) && errClass(err) == "load" && !strings.HasPrefix(err.Error(), "meta: load:") {
+			t.Fatalf("refused for no reason Load gives: %v", err)
 		}
+		return nil
 	}
-	return loaded
-}
-
-// pieceReader hands the document out in pieces of 1 to piece bytes.
-type pieceReader struct {
-	doc   []byte
-	piece int
-	n     int
-}
-
-func (r *pieceReader) Read(p []byte) (int, error) {
-	if len(r.doc) == 0 {
-		return 0, io.EOF
+	first := saveDB(t, db)
+	if live := oracleLive(t, db); !bytes.Equal(live, first) {
+		t.Fatalf("the live reads of the loaded database differ from its view:\n%s", firstDiff(live, first))
 	}
-	r.n++
-	n := min(1+r.n%r.piece, len(r.doc), len(p))
-	copy(p, r.doc[:n])
-	r.doc = r.doc[n:]
-	return n, nil
+	again, err := LoadShards(bytes.NewReader(first), shards)
+	if err != nil {
+		t.Fatalf("the Save of a loaded database does not load: %v\n%s", err, clipDoc(first))
+	}
+	if second := saveDB(t, again); !bytes.Equal(second, first) {
+		t.Fatalf("Save(Load(Save(Load(doc)))) differs:\n%s", firstDiff(second, first))
+	}
+	return db
 }
 
 // adjacency renders what Save does not show: the order of every OID's link
@@ -243,15 +247,15 @@ func damage(t testing.TB, doc []byte, rng *rand.Rand) ([]byte, string) {
 	return out, "one byte overwritten"
 }
 
-// TestQuickStreamingLoadEqualsOracle is the decoder's property: on the
-// hostile databases of the encoder's test — at 1, 4 and 64 shards — the
-// Save document, the same document respelled, and either with one defect
-// load through the streaming decoder exactly as through the reflection
-// decoder it replaced.
+// TestQuickStreamingLoadEqualsOracle is Load's property: on the hostile
+// databases of the checkpoint's test — at 1, 4 and 64 shards — the Save
+// document loads to a fixed point of Load, whose checkpoint loads to the
+// same database, and the same document respelled loads to the same
+// database too: the same document, the same adjacency; and the document
+// with one defect is refused, or loads to a fixed point of Load.
 func TestQuickStreamingLoadEqualsOracle(t *testing.T) {
 	// The hostile names do not all survive a Save: invalid UTF-8 is written
-	// as U+FFFD, and two names may become one — such a document is refused,
-	// by both decoders.
+	// as U+FFFD, and two names may become one — such a document is refused.
 	intact, loaded, refused := 0, 0, map[string]int{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -260,14 +264,38 @@ func TestQuickStreamingLoadEqualsOracle(t *testing.T) {
 			buildHostile(t, db, seed)
 			doc := saveDB(t, db)
 			respelled := respell(t, doc, rng)
-			if ok := checkLoadAgainstOracle(t, doc, shards); ok != checkLoadAgainstOracle(t, respelled, shards) {
-				t.Fatalf("seed %d: the document loads (%v) and the same document respelled does not, or the reverse:\n%s", seed, ok, clipDoc(respelled))
-			} else if ok {
-				intact++
+			want := loadFixedPoint(t, doc, shards)
+			if want == nil {
+				if _, err := LoadShards(bytes.NewReader(respelled), shards); err == nil {
+					t.Fatalf("seed %d: the document respelled loads and the document does not:\n%s", seed, clipDoc(respelled))
+				}
+				continue
 			}
+			v := want.ReadView()
+			payloads := checkpointOf(t, v)
+			v.Close()
+			for how, d := range map[string]func() (*DB, error){
+				"respelled":  func() (*DB, error) { return LoadShards(bytes.NewReader(respelled), shards) },
+				"checkpoint": func() (*DB, error) { return loadPayloads(payloads, shards) },
+			} {
+				got, err := d()
+				if err != nil {
+					t.Logf("seed %d shards %d: the document loads and %s does not: %v", seed, shards, how, err)
+					return false
+				}
+				if s, w := saveDB(t, got), saveDB(t, want); !bytes.Equal(s, w) {
+					t.Logf("seed %d shards %d: %s loads to another database:\n%s", seed, shards, how, firstDiff(s, w))
+					return false
+				}
+				if ga, wa := adjacency(got), adjacency(want); ga != wa {
+					t.Logf("seed %d shards %d: %s: adjacency lists differ:\n got %s\nwant %s", seed, shards, how, ga, wa)
+					return false
+				}
+			}
+			intact++
 			for _, base := range [][]byte{doc, respelled} {
 				damaged, what := damage(t, base, rng)
-				if checkLoadAgainstOracle(t, damaged, shards) {
+				if loadFixedPoint(t, damaged, shards) != nil {
 					loaded++
 				} else {
 					refused[what]++
@@ -279,7 +307,7 @@ func TestQuickStreamingLoadEqualsOracle(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-	t.Logf("%d documents loaded as saved and respelled; damaged: %d loaded all the same, refused %v", intact, loaded, refused)
+	t.Logf("%d documents loaded, respelled and checkpointed; damaged: %d loaded all the same, refused %v", intact, loaded, refused)
 	if intact < 60 || len(refused) < 8 {
 		t.Errorf("%d intact documents loaded and %d kinds of damage were refused: the property is not exercised", intact, len(refused))
 	}
@@ -316,10 +344,10 @@ func TestStreamingLoadLegacyDocuments(t *testing.T) {
 	loaded := 0
 	for name, doc := range legacyDocuments(t) {
 		for _, shards := range []int{1, 16} {
-			if checkLoadAgainstOracle(t, doc, shards) {
+			if loadFixedPoint(t, doc, shards) != nil {
 				loaded++
 			} else {
-				t.Logf("%s: refused by both", name)
+				t.Logf("%s: refused", name)
 			}
 		}
 	}
@@ -329,10 +357,10 @@ func TestStreamingLoadLegacyDocuments(t *testing.T) {
 }
 
 // TestLoadRefusesWhatEncodingJSONLetThrough is the regression test of the
-// defect the streaming decoder closes: json.Decoder.Decode stops at the
-// document's closing brace, folds case and lets a repeated member win, so a
-// damaged document loaded — as another database — and BootstrapSnapshot's
-// "validate the document before touching any file" passed it.
+// defect strict closes: json.Decoder.Decode stops at the document's closing
+// brace, folds case and lets a repeated member win, so a damaged document
+// loaded — as another database — and BootstrapSnapshot's "validate the
+// document before touching any file" passed it.
 func TestLoadRefusesWhatEncodingJSONLetThrough(t *testing.T) {
 	for doc, was := range map[string]int64{
 		`{"seq":1} garbage`:      1,
@@ -341,9 +369,9 @@ func TestLoadRefusesWhatEncodingJSONLetThrough(t *testing.T) {
 		`{"seq":1,"seq":5}`:      5,
 		`{"seq":1,"\u017feq":3}`: 3, // U+017F, the long s, folds to s
 	} {
-		old, err := oracleLoad(strings.NewReader(doc), 1)
-		if err != nil || old.Seq() != was {
-			t.Errorf("%s: the reflection decoder is no longer the oracle of this defect: seq %v, %v", doc, old, err)
+		var alone dbJSON
+		if err := json.NewDecoder(strings.NewReader(doc)).Decode(&alone); err != nil || alone.Seq != was {
+			t.Errorf("%s: encoding/json alone no longer lets this through: seq %d, %v", doc, alone.Seq, err)
 		}
 		if db, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: loaded, with seq %d", doc, db.Seq())
@@ -371,26 +399,27 @@ func TestLoadRefusesWhatEncodingJSONLetThrough(t *testing.T) {
 // TestStreamingLoadNesting: members the format does not know may nest as
 // deep as encoding/json lets them, and no deeper.
 func TestStreamingLoadNesting(t *testing.T) {
+	const maxDepth = 10000 // encoding/json's
 	for _, tc := range []struct {
 		arrays int
 		ok     bool
-	}{{snapMaxDepth - 1, true}, {snapMaxDepth, false}} {
+	}{{maxDepth - 1, true}, {maxDepth, false}} {
 		doc := []byte(`{"future":` + strings.Repeat("[", tc.arrays) + strings.Repeat("]", tc.arrays) + `}`)
-		if loaded := checkLoadAgainstOracle(t, doc, 1); loaded != tc.ok {
+		if loaded := loadFixedPoint(t, doc, 1) != nil; loaded != tc.ok {
 			t.Errorf("%d arrays deep: loaded = %v, want %v", tc.arrays, loaded, tc.ok)
 		}
 	}
 	mixed := []byte(`{"oids":[{"block":"a","view":"v","version":1,"x":` +
 		strings.Repeat(`{"k":[`, 2000) + `1.5e-3` + strings.Repeat(`]}`, 2000) + `}]}`)
-	if !checkLoadAgainstOracle(t, mixed, 1) {
+	if loadFixedPoint(t, mixed, 1) == nil {
 		t.Error("objects and arrays nested 4,000 deep in an unknown member do not load")
 	}
 }
 
 // TestStreamingLoadSpellings are documents no Save wrote: escapes of every
 // kind, surrogates paired and lone, null in every position, numbers at the
-// ends of their range and beyond, keys ParseKey trims — each judged as the
-// oracle judges it.
+// ends of their range and beyond, keys ParseKey trims — each loaded to a
+// fixed point of Load or refused.
 func TestStreamingLoadSpellings(t *testing.T) {
 	oid := func(block string) string { return `{"block":` + block + `,"view":"v","version":1}` }
 	docs := []string{
@@ -419,7 +448,7 @@ func TestStreamingLoadSpellings(t *testing.T) {
 	}
 	loaded := 0
 	for _, doc := range docs {
-		if checkLoadAgainstOracle(t, []byte(doc), 4) {
+		if loadFixedPoint(t, []byte(doc), 4) != nil {
 			loaded++
 		}
 	}
@@ -440,62 +469,5 @@ func TestStreamingLoadReadError(t *testing.T) {
 	}
 	if _, err := Load(io.MultiReader(bytes.NewReader(doc), iotest.ErrReader(errDiskGone))); !errors.Is(err, errDiskGone) {
 		t.Errorf("reader failing after the document: err = %v", err)
-	}
-}
-
-// retainedBytes is the live heap one result of keep() holds on to — the
-// growth of HeapAlloc from one result held to two, garbage collected on both
-// sides — and what making the second one allocated.
-func retainedBytes(keep func() any) (retained, allocated, objects uint64) {
-	var one, two runtime.MemStats
-	first := keep()
-	runtime.GC()
-	runtime.ReadMemStats(&one)
-	second := keep()
-	runtime.GC()
-	runtime.ReadMemStats(&two)
-	runtime.KeepAlive(first)
-	runtime.KeepAlive(second)
-	return two.HeapAlloc - one.HeapAlloc, two.TotalAlloc - one.TotalAlloc, two.Mallocs - one.Mallocs
-}
-
-// TestStreamingLoadAllocatesWhatItKeeps: loading the 64-tree project
-// allocates little more than the database it returns.  (Through
-// encoding/json it was 13.6 MB in 146,000 objects to keep 6.0 MB.)
-func TestStreamingLoadAllocatesWhatItKeeps(t *testing.T) {
-	doc := saveDB(t, treeDB(t, 64))
-	load := func() any {
-		db, err := Load(bytes.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	retained, allocated, objects := retainedBytes(load)
-	runtime.KeepAlive(doc) // or the second load's end frees it, and counts against what is retained
-	t.Logf("document %d B: retained %d B, allocated %d B in %d objects (%.2f× retained)",
-		len(doc), retained, allocated, objects, float64(allocated)/float64(retained))
-	if float64(allocated) > 1.25*float64(retained) {
-		t.Errorf("Load allocated %d B to keep %d B", allocated, retained)
-	}
-}
-
-// BenchmarkLoad is one Load of the 64-tree project's document, against the
-// reflection decoder it replaced.
-func BenchmarkLoad(b *testing.B) {
-	doc := saveDB(b, treeDB(b, 64))
-	for _, dec := range []struct {
-		name string
-		load func(io.Reader, int) (*DB, error)
-	}{{"streaming", LoadShards}, {"oracle", oracleLoad}} {
-		b.Run(dec.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				if _, err := dec.load(bytes.NewReader(doc), DefaultShards); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

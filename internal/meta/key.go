@@ -86,20 +86,23 @@ func (k Key) Validate() error {
 	return nil
 }
 
-// ParseKey parses the "block,view,version" wire syntax.
+// ParseKey parses the "block,view,version" wire syntax.  The blanks around
+// a part are dropped, and nothing else is: ParseKey(k.String()) is k for
+// every valid key, whatever Unicode spaces its names begin or end with.
 func ParseKey(s string) (Key, error) {
+	const blanks = " \t\r\n"
 	block, rest, ok := strings.Cut(s, ",")
 	view, version, ok2 := strings.Cut(rest, ",")
 	if !ok || !ok2 || strings.Contains(version, ",") {
 		return Key{}, fmt.Errorf("key %q: want block,view,version: %w", s, ErrBadKey)
 	}
-	v, err := strconv.Atoi(strings.TrimSpace(version))
+	v, err := strconv.Atoi(strings.Trim(version, blanks))
 	if err != nil {
 		return Key{}, fmt.Errorf("key %q: bad version: %w", s, ErrBadKey)
 	}
 	k := Key{
-		Block:   strings.TrimSpace(block),
-		View:    strings.TrimSpace(view),
+		Block:   strings.Trim(block, blanks),
+		View:    strings.Trim(view, blanks),
 		Version: v,
 	}
 	if err := k.Validate(); err != nil {

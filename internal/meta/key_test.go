@@ -47,6 +47,7 @@ func TestParseKeyRoundTrip(t *testing.T) {
 		{"cpu", "HDL_model", 1},
 		{"REG", "schematic", 2},
 		{"alu", "GDSII", 6},
+		{"\u2028cpu\u00a0", "\vview\u2029", 7}, // what ValidateName lets through
 	}
 	for _, k := range keys {
 		got, err := ParseKey(k.String())

@@ -442,12 +442,15 @@ func (db *DB) endMut(s int64) {
 	}
 }
 
-// SealVersions makes the applied journal position the version horizon: the
-// epoch rises to it and every history is trimmed, in place, to its newest
-// version.  Journal recovery ends with it — the snapshot it started from
-// holds nothing older than itself, so no view may pin below what was
-// recovered.  The database must not be shared with writers yet.
-func (db *DB) SealVersions() {
+// SealVersions makes lsn, the journal position a recovery reached, the
+// applied position and the version horizon: the epoch rises to it and every
+// history is trimmed, in place, to its newest version.  Journal recovery
+// ends with it — the snapshot it started from holds nothing older than
+// itself, so no view may pin below what was recovered, and a snapshot with
+// no record after it advanced the database without an ApplyRecord.  The
+// database must not be shared with writers yet.
+func (db *DB) SealVersions(lsn int64) {
+	floor(&db.appliedLSN, lsn)
 	m := &db.mvcc
 	m.mu.Lock()
 	if a := db.appliedLSN.Load(); a > m.epoch.Load() {

@@ -2,9 +2,12 @@ package meta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // Change capture and replay.  Every committed mutation of the meta-database
@@ -46,6 +49,9 @@ const (
 	OpBind       = "bind"       // bind an OID path inside a workspace
 	OpEvent      = "event"      // audit: a design event entered the engine
 	OpTerm       = "term"       // election-term bump: a follower was promoted to primary
+
+	// opClock closes a checkpoint (checkpoint.go) and is found nowhere else.
+	opClock = "clock"
 )
 
 // Record is one replayable mutation (or, for OpEvent, one audit entry).
@@ -79,25 +85,75 @@ type Recorder interface {
 // typically right after NewDB or after recovery replay, before serving.
 func (db *DB) SetRecorder(r Recorder) { db.rec = r }
 
+// argWriter is where an op's encoder writes a record's arguments: as the
+// strings of Record.Args, or — with spell set — onto text, each after a
+// space and quoted as the journal quotes a payload's fields, which is how a
+// checkpoint is written without a string per argument.  One encoder per op
+// serves both.
+type argWriter struct {
+	list  []string
+	text  []byte
+	spell bool
+	key   []byte   // a Key's text, being quoted
+	names []string // sorting space
+}
+
+func (a *argWriter) str(s string) {
+	if a.spell {
+		a.text = wire.AppendQuote(append(a.text, ' '), s)
+	} else {
+		a.list = append(a.list, s)
+	}
+}
+
+func (a *argWriter) num(n int64) {
+	if a.spell {
+		a.text = strconv.AppendInt(append(a.text, ' '), n, 10)
+	} else {
+		a.list = append(a.list, strconv.FormatInt(n, 10))
+	}
+}
+
+func (a *argWriter) keyArg(k Key) {
+	if a.spell {
+		a.key = k.AppendTo(a.key[:0])
+		a.text = wire.AppendQuote(append(a.text, ' '), a.key)
+	} else {
+		a.list = append(a.list, k.String())
+	}
+}
+
+// props writes a property map as the set part of propArgs: the count, then
+// the pairs.
+func (a *argWriter) props(m map[string]string) {
+	a.num(int64(len(m)))
+	a.pairs(m)
+}
+
+// pairs writes a property map's name/value pairs, sorted by name.
+func (a *argWriter) pairs(m map[string]string) {
+	a.names = a.names[:0]
+	for n := range m {
+		a.names = append(a.names, n)
+	}
+	slices.Sort(a.names)
+	for _, n := range a.names {
+		a.str(n)
+		a.str(m[n])
+	}
+}
+
 // propArgs encodes a property diff as the argument tail shared by OpUpdate
 // and OpLinkUpdate: the set count, then name/value pairs, then deleted
 // names.  Pairs and deletions are sorted by name so identical diffs encode
 // identically regardless of map iteration order.  The result is allocated
 // at exact capacity — this sits on the journaled delivery hot path.
 func propArgs(prefix []string, sets map[string]string, dels []string) []string {
-	names := make([]string, 0, len(sets))
-	for n := range sets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	a := argWriter{list: make([]string, 0, len(prefix)+1+2*len(sets)+len(dels))}
+	a.list = append(a.list, prefix...)
+	a.props(sets)
 	sort.Strings(dels)
-	args := make([]string, 0, len(prefix)+1+2*len(names)+len(dels))
-	args = append(args, prefix...)
-	args = append(args, strconv.Itoa(len(names)))
-	for _, n := range names {
-		args = append(args, n, sets[n])
-	}
-	return append(args, dels...)
+	return append(a.list, dels...)
 }
 
 // parsePropArgs decodes the tail produced by propArgs into slices of it:
@@ -127,30 +183,35 @@ func applyProps(props map[string]string, sets, dels []string) {
 // seq, the PROPAGATE set (count-prefixed) and the annotation properties as
 // name/value pairs.
 func linkArgs(l *Link) []string {
-	evs := l.PropagateList()
-	args := make([]string, 0, 7+len(evs)+2*len(l.Props))
-	args = append(args,
-		strconv.FormatInt(int64(l.ID), 10),
-		l.Class.String(),
-		l.From.String(),
-		l.To.String(),
-		l.Template,
-		strconv.FormatInt(l.Seq, 10),
-		strconv.Itoa(len(evs)))
-	args = append(args, evs...)
-	names := make([]string, 0, len(l.Props))
-	for n := range l.Props {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		args = append(args, n, l.Props[n])
-	}
-	return args
+	a := argWriter{list: make([]string, 0, 7+len(l.Propagates)+2*len(l.Props))}
+	a.link(l)
+	return a.list
 }
 
-// parseLinkArgs decodes the layout produced by linkArgs.
-func parseLinkArgs(args []string) (*Link, error) {
+func (a *argWriter) link(l *Link) {
+	a.num(int64(l.ID))
+	a.str(l.Class.String())
+	a.keyArg(l.From)
+	a.keyArg(l.To)
+	a.str(l.Template)
+	a.num(l.Seq)
+	a.names = a.names[:0]
+	for e, ok := range l.Propagates {
+		if ok {
+			a.names = append(a.names, e)
+		}
+	}
+	slices.Sort(a.names)
+	a.num(int64(len(a.names)))
+	for _, e := range a.names {
+		a.str(e)
+	}
+	a.pairs(l.Props)
+}
+
+// parseLinkArgs decodes the layout produced by linkArgs, the strings it
+// keeps passed through in.
+func parseLinkArgs(args []string, in *interner) (*Link, error) {
 	if len(args) < 7 {
 		return nil, fmt.Errorf("link record wants at least 7 args, got %d", len(args))
 	}
@@ -179,26 +240,23 @@ func parseLinkArgs(args []string) (*Link, error) {
 		return nil, fmt.Errorf("bad propagate count %q", args[6])
 	}
 	rest := args[7:]
+	if (len(rest)-np)%2 != 0 {
+		return nil, fmt.Errorf("odd property tail on link %d", id)
+	}
 	l := &Link{
 		ID:         LinkID(id),
 		Class:      class,
-		From:       from,
-		To:         to,
-		Template:   args[4],
+		From:       in.key(from),
+		To:         in.key(to),
+		Template:   in.str(args[4]),
 		Seq:        seq,
-		Props:      make(map[string]string),
+		Props:      make(map[string]string, (len(rest)-np)/2),
 		Propagates: make(map[string]bool, np),
 	}
 	for _, e := range rest[:np] {
-		l.Propagates[e] = true
+		l.Propagates[in.str(e)] = true
 	}
-	rest = rest[np:]
-	if len(rest)%2 != 0 {
-		return nil, fmt.Errorf("odd property tail on link %d", id)
-	}
-	for i := 0; i < len(rest); i += 2 {
-		l.Props[rest[i]] = rest[i+1]
-	}
+	in.fill(l.Props, rest[np:])
 	return l, nil
 }
 
@@ -283,7 +341,7 @@ func (db *DB) applyRecord(r Record) error {
 		}
 
 	case OpLink:
-		l, err := parseLinkArgs(r.Args)
+		l, err := parseLinkArgs(r.Args, nil)
 		if err != nil {
 			return fail(err)
 		}
@@ -368,7 +426,7 @@ func (db *DB) applyRecord(r Record) error {
 
 	case OpConfig:
 		// Args: name, seq, oid count, keys, link ids.
-		c, err := parseConfigArgs(r.Args)
+		c, err := parseConfigArgs(r.Args, nil)
 		if err != nil {
 			return fail(err)
 		}
@@ -441,12 +499,6 @@ func (db *DB) applyRecord(r Record) error {
 // replayed a record report 0.
 func (db *DB) AppliedLSN() int64 { return db.appliedLSN.Load() }
 
-// FloorAppliedLSN raises the applied-LSN marker to at least l.  Recovery
-// and snapshot bootstrap use it when a whole document — rather than
-// individual records — advances the database to a journal position, so
-// AppliedLSN never under-reports the state it describes.
-func (db *DB) FloorAppliedLSN(l int64) { floor(&db.appliedLSN, l) }
-
 func parseLinkID(args []string) (LinkID, error) {
 	if len(args) < 1 {
 		return 0, fmt.Errorf("missing link id")
@@ -460,18 +512,26 @@ func parseLinkID(args []string) (LinkID, error) {
 
 // configArgs encodes a configuration: name, seq, OID count, keys, link ids.
 func configArgs(c *Configuration) []string {
-	args := make([]string, 0, 3+len(c.OIDs)+len(c.Links))
-	args = append(args, c.Name, strconv.FormatInt(c.Seq, 10), strconv.Itoa(len(c.OIDs)))
-	for _, k := range c.OIDs {
-		args = append(args, k.String())
-	}
-	for _, id := range c.Links {
-		args = append(args, strconv.FormatInt(int64(id), 10))
-	}
-	return args
+	a := argWriter{list: make([]string, 0, 3+len(c.OIDs)+len(c.Links))}
+	a.config(c)
+	return a.list
 }
 
-func parseConfigArgs(args []string) (*Configuration, error) {
+func (a *argWriter) config(c *Configuration) {
+	a.str(c.Name)
+	a.num(c.Seq)
+	a.num(int64(len(c.OIDs)))
+	for _, k := range c.OIDs {
+		a.keyArg(k)
+	}
+	for _, id := range c.Links {
+		a.num(int64(id))
+	}
+}
+
+// parseConfigArgs decodes the layout produced by configArgs, the strings it
+// keeps passed through in.
+func parseConfigArgs(args []string, in *interner) (*Configuration, error) {
 	if len(args) < 3 {
 		return nil, fmt.Errorf("config record wants at least 3 args, got %d", len(args))
 	}
@@ -483,19 +543,25 @@ func parseConfigArgs(args []string) (*Configuration, error) {
 	if err != nil || n < 0 || len(args) < 3+n {
 		return nil, fmt.Errorf("bad oid count %q", args[2])
 	}
-	c := &Configuration{Name: args[0], Seq: seq}
-	rest := args[3:]
-	for _, ks := range rest[:n] {
+	c := &Configuration{Name: in.str(args[0]), Seq: seq}
+	keys, ids := args[3:3+n], args[3+n:]
+	if len(keys) > 0 {
+		c.OIDs = make([]Key, 0, len(keys))
+	}
+	for _, ks := range keys {
 		k, err := ParseKey(ks)
 		if err != nil {
 			return nil, err
 		}
-		c.OIDs = append(c.OIDs, k)
+		c.OIDs = append(c.OIDs, in.key(k))
 	}
-	for _, ids := range rest[n:] {
-		id, err := strconv.ParseInt(ids, 10, 64)
+	if len(ids) > 0 {
+		c.Links = make([]LinkID, 0, len(ids))
+	}
+	for _, s := range ids {
+		id, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("config link id %q: %v", ids, err)
+			return nil, fmt.Errorf("config link id %q: %v", s, err)
 		}
 		c.Links = append(c.Links, LinkID(id))
 	}

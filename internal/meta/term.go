@@ -7,10 +7,10 @@ import "fmt"
 // replication plane.  History starts at term 1 (the genesis term, which
 // has no table entry); every promotion appends one TermStart recording
 // the term it began and the LSN of its term-bump record.  The table is
-// part of the database state proper: it rides the canonical Save document
-// (so snapshots carry the full term history to bootstrapped followers)
-// and is keyed by LSN, so a point-in-time view filters it exactly like
-// every other versioned fact.
+// part of the database state proper: it rides checkpoints and the Save
+// document alike (so snapshots carry the full term history to bootstrapped
+// followers) and is keyed by LSN, so a point-in-time view filters it
+// exactly like every other versioned fact.
 //
 // The table is stored copy-on-write behind an atomic pointer: appends are
 // already serialized by the apply paths (recovery replay, a follower's
@@ -22,8 +22,8 @@ import "fmt"
 // LSN of the term-bump record that opened it.  Records with LSN ≥ LSN
 // and below the next entry's LSN belong to Term.
 type TermStart struct {
-	Term int64
-	LSN  int64
+	Term int64 `json:"term"`
+	LSN  int64 `json:"lsn"`
 }
 
 // termTable is the immutable slice behind DB.terms; entries are strictly
@@ -37,18 +37,6 @@ func (db *DB) CurrentTerm() int64 {
 		return t[len(t)-1].Term
 	}
 	return 1
-}
-
-// TermStarts returns a copy of the term table in ascending order.  The
-// genesis term 1 has no entry.
-func (db *DB) TermStarts() []TermStart {
-	t := db.loadTerms()
-	if len(t) == 0 {
-		return nil
-	}
-	out := make([]TermStart, len(t))
-	copy(out, t)
-	return out
 }
 
 // FirstTermStartAfter returns the LSN of the oldest term-bump record that
@@ -85,8 +73,9 @@ func (db *DB) applyTermBump(term, lsn int64) error {
 }
 
 // termsUpTo returns the table entries with start LSN ≤ lsn — the term
-// history as it stood at that journal position, feeding View.SaveTo so a
-// point-in-time document equals what replay-up-to would produce.
+// history as it stood at that journal position, feeding View.SaveTo and
+// View.Checkpoint so a point-in-time snapshot equals what replay-up-to would
+// produce.
 func (db *DB) termsUpTo(lsn int64) termTable {
 	t := db.loadTerms()
 	n := len(t)

@@ -432,7 +432,8 @@ type FollowFrame struct {
 	Record string
 
 	// Snapshot/SnapLSN are set on a snapshot-bootstrap frame: the follower
-	// must re-base on the document; records resume at SnapLSN+1.
+	// must re-base on the snapshot, whose lines Snapshot holds, each ended
+	// by a line break; records resume at SnapLSN+1.
 	Snapshot []byte
 	SnapLSN  int64
 

@@ -880,7 +880,7 @@ var errConnGone = errors.New("follower connection gone")
 // streamTail writes the events of a tail of j after position from to w as
 // follow-stream frames, each flushed whole, until the tail fails or stops.
 // A record frame is the record's payload as the segment file holds it, never
-// decoded here; a snapshot frame is its header line and the document's
+// decoded here; a snapshot frame is its header line and the snapshot's
 // lines.  The writes go unchecked: w keeps its first error for Flush.
 func (s *Server) streamTail(w *bufio.Writer, j *journal.Writer, from int64, stop <-chan struct{}) error {
 	t := j.NewTailer(from)

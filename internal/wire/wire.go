@@ -59,10 +59,12 @@ const AckPrefix = "ACK"
 // lines are emitted one at a time (flushed per frame, never terminated
 // while the stream lives) and whose first token discriminates the frame:
 //
-//	snapshot <lsn> <n>           — a bootstrap document follows as the next
-//	                               n body lines, verbatim JSON; the
-//	                               follower re-bases on it and records
-//	                               resume at lsn+1
+//	snapshot <lsn> <n>           — a bootstrap snapshot follows as the next
+//	                               n body lines: a checkpoint's record
+//	                               payloads, one a line (or, from an older
+//	                               primary, a JSON document); the follower
+//	                               re-bases on it and records resume at
+//	                               lsn+1
 //	record <payload>             — one journal record: its payload,
 //	                               "<lsn> <seq> <op> <args...>", exactly
 //	                               as the primary's segment file holds it

@@ -12,13 +12,15 @@ package repro
 // reader regardless of locking design.
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/crc32"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/meta"
 	"repro/internal/state"
 )
 
@@ -93,9 +95,9 @@ func BenchmarkReportUnderWrites(b *testing.B) {
 }
 
 // BenchmarkSnapshotUnderLoad measures whole-database snapshot collection
-// (the journal's Save document) on an idle database and under four
-// concurrent paced writers.  The pre-MVCC path held every shard read
-// lock for the collection phase; the view path holds none.
+// (the journal's checkpoint) on an idle database and under four concurrent
+// paced writers.  The pre-MVCC path held every shard read lock for the
+// collection phase; the view path holds none.
 func BenchmarkSnapshotUnderLoad(b *testing.B) {
 	const blocks = 500
 	for _, writers := range []int{0, 4} {
@@ -105,7 +107,7 @@ func BenchmarkSnapshotUnderLoad(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v := proj.DB.ReadView()
-				if err := v.SaveTo(io.Discard); err != nil {
+				if _, err := checkpointBytes(v); err != nil {
 					b.Fatal(err)
 				}
 				v.Close()
@@ -113,6 +115,30 @@ func BenchmarkSnapshotUnderLoad(b *testing.B) {
 		})
 	}
 }
+
+// checkpointBytes writes v's checkpoint the way the journal's snapshot
+// loop does, into nothing: each record spelled, checksummed and framed into
+// one 64 KiB buffer, emptied whenever it is half full.  It returns the
+// checkpoint's size.
+func checkpointBytes(v *meta.View) (int, error) {
+	n := 0
+	buf := make([]byte, 0, 64<<10)
+	payload := make([]byte, 0, 512)
+	err := v.Checkpoint(func(head meta.Record, args []byte) error {
+		payload = strconv.AppendInt(payload[:0], head.LSN, 10)
+		payload = strconv.AppendInt(append(payload, ' '), head.Seq, 10)
+		payload = append(append(append(payload, ' '), head.Op...), args...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+		if buf = append(buf, payload...); len(buf) >= 32<<10 {
+			n, buf = n+len(buf), buf[:0]
+		}
+		return nil
+	})
+	return n + len(buf), err
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // benchTreeProject builds the design project of the benchmark in bench/
 // through the engine: per tree a depth-3, fanout-3 use-hierarchy of 13
@@ -151,27 +177,27 @@ func benchTreeProject(b *testing.B, trees int) *Project {
 }
 
 // BenchmarkSnapshotEncode is the cost of one background checkpoint without
-// its file: the canonical Save document of a 16-tree project (what the
-// benchmark's checkin and durable workloads run on) and a 64-tree one
-// (report), collected from a pinned view and streamed to a writer that
-// discards it.  A journaled primary pays this every SnapshotEvery records,
+// its file: the checkpoint of a 16-tree project (what the benchmark's
+// checkin and durable workloads run on) and a 64-tree one (report),
+// collected from a pinned view and spelled record by record into one
+// buffer.  A journaled primary pays this every SnapshotEvery records,
 // behind the write path, so B/op and allocs/op are what it adds to the
-// primary's heap; docs/PERF.md has the numbers of the reflection encoder
-// it replaced.
+// primary's heap; docs/PERF.md has the numbers of the JSON encoders before
+// it.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	for _, trees := range []int{16, 64} {
 		b.Run(fmt.Sprintf("trees=%d", trees), func(b *testing.B) {
 			v := benchTreeProject(b, trees).DB.ReadView()
 			defer v.Close()
-			var doc bytes.Buffer
-			if err := v.SaveTo(&doc); err != nil {
+			n, err := checkpointBytes(v)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(doc.Len()))
+			b.SetBytes(int64(n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := v.SaveTo(io.Discard); err != nil {
+				if _, err := checkpointBytes(v); err != nil {
 					b.Fatal(err)
 				}
 			}
