@@ -117,11 +117,7 @@ func (e *Engine) inheritLinks(bp *bpl.Blueprint, prev, newK meta.Key) error {
 			} else {
 				to = newK
 			}
-			props := make(map[string]string, len(m.link.Props))
-			for pk, pv := range m.link.Props {
-				props[pk] = pv
-			}
-			id, err := e.db.AddLink(m.link.Class, from, to, m.link.Template, m.link.PropagateList(), props)
+			id, err := e.db.AddLink(m.link.Class, from, to, m.link.Template, m.link.Propagates, m.link.Props)
 			if err != nil {
 				return fmt.Errorf("engine: copy link %d: %w", m.id, err)
 			}

@@ -323,7 +323,8 @@ func TestNewestSnapshotAcrossFormats(t *testing.T) {
 
 // TestFollowerCheckpointIsPrimarys: a primary, a follower that applied its
 // records, and a follower that bootstrapped from its checkpoint write, at
-// one LSN, the same checkpoint file — across a promotion.
+// one LSN, the same checkpoint file — across a promotion, and with links
+// that share their template's attributes beside links that changed theirs.
 func TestFollowerCheckpointIsPrimarys(t *testing.T) {
 	pdir := t.TempDir()
 	p, pdb, err := OpenFollower(pdir, Options{SnapshotEvery: -1, SegmentBytes: 256})
@@ -341,6 +342,18 @@ func TestFollowerCheckpointIsPrimarys(t *testing.T) {
 		if err := pdb.SetProp(k, "round", fmt.Sprint(i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for v := 1; v <= 3; v++ {
+		from, to := meta.Key{Block: "b1", View: "schematic", Version: v}, meta.Key{Block: "b2", View: "schematic", Version: v}
+		if _, err := pdb.AddLink(meta.DeriveLink, from, to, "derive", []string{"outofdate", "ckin"}, map[string]string{meta.PropType: meta.TypeDeriveFrom}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pdb.SetLinkProp(2, "note", "one-off"); err != nil {
+		t.Fatal(err)
+	}
+	if err := pdb.SetLinkPropagates(3, []string{"lvs"}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := pdb.PruneVersions("b0", "schematic", 2); err != nil {
 		t.Fatal(err)

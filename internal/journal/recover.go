@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"math"
 	"path/filepath"
+	"unsafe"
 
 	"repro/internal/faultfs"
 	"repro/internal/meta"
@@ -89,14 +90,16 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 	// valid name; if the newest still fails to load, that is disk corruption
 	// — fail loudly rather than silently fall back to an older snapshot whose
 	// covering segments compaction may already have deleted.
-	st := replayState{db: meta.NewDBWithShards(shards)}
+	var st replayState
 	snap := -1
 	for i, lsn := range snaps {
 		if lsn <= upTo {
 			snap = i
 		}
 	}
-	if snap >= 0 {
+	if snap < 0 {
+		st.db = meta.NewDBWithShards(shards)
+	} else {
 		st.snapLSN = snaps[snap]
 		name := snapshotName(st.snapLSN)
 		f, err := vfs.Open(filepath.Join(dir, name))
@@ -215,7 +218,9 @@ func replaySegment(vfs faultfs.FS, st *replayState, path string, start int64, la
 		}
 		var rec meta.Record
 		if damage == "" && lsn > st.snapLSN && lsn <= upTo {
-			if rec, err = win.dec.decode(string(payload)); err != nil {
+			// The record's strings are the window's bytes: ApplyRecord keeps
+			// none of them, so a record costs no copy of its payload.
+			if rec, err = win.dec.decode(unsafe.String(unsafe.SliceData(payload), len(payload))); err != nil {
 				damage = fmt.Sprintf("undecodable record (%v)", err)
 			}
 		}

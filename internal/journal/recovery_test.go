@@ -149,9 +149,14 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// replayCost is what one journal.Replay of dir allocates, and what the
-// database it returns keeps (the heap's growth from one result held to two).
-func replayCost(t *testing.T, dir string) (retained, allocated, objects uint64) {
+// cost is what one journal.Replay allocates, and what the database it
+// returns keeps (the heap's growth from one result held to two).
+type cost struct {
+	retained, retainedObjects uint64
+	allocated, objects        uint64
+}
+
+func replayCost(t *testing.T, dir string) cost {
 	t.Helper()
 	replay := func() *meta.DB {
 		db, _, err := journal.Replay(dir, 0)
@@ -169,7 +174,10 @@ func replayCost(t *testing.T, dir string) (retained, allocated, objects uint64) 
 	runtime.ReadMemStats(&two)
 	runtime.KeepAlive(first)
 	runtime.KeepAlive(second)
-	return two.HeapAlloc - one.HeapAlloc, two.TotalAlloc - one.TotalAlloc, two.Mallocs - one.Mallocs
+	return cost{
+		retained: two.HeapAlloc - one.HeapAlloc, retainedObjects: two.HeapObjects - one.HeapObjects,
+		allocated: two.TotalAlloc - one.TotalAlloc, objects: two.Mallocs - one.Mallocs,
+	}
 }
 
 // copyWithoutLeadingFrames copies a journal directory of one snapshot and
@@ -218,8 +226,7 @@ func TestRecoveryAllocatesWhatItKeeps(t *testing.T) {
 	}
 	trimmed := t.TempDir()
 	copyWithoutLeadingFrames(t, whole, trimmed, int(last)-2000)
-	_, _, few := replayCost(t, trimmed)
-	_, _, many := replayCost(t, whole)
+	few, many := replayCost(t, trimmed).objects, replayCost(t, whole).objects
 	t.Logf("allocations per recovery: %d with 2,000 covered records in the segment, %d with %d", few, many, last)
 	// (A few dozen either way are the runtime's own: map seeds, a background
 	// sweep, the race detector.  One allocation for every tenth covered
@@ -231,12 +238,26 @@ func TestRecoveryAllocatesWhatItKeeps(t *testing.T) {
 	for _, tail := range []int{200, 4000} {
 		dir := t.TempDir()
 		last, snap = buildRecoveryDir(t, dir, trees, trees*285, tail)
-		retained, allocated, objects := replayCost(t, dir)
+		c := replayCost(t, dir)
 		t.Logf("tail of %d records: retained %d B, allocated %d B in %d objects (%.2f× retained)",
-			last-snap, retained, allocated, objects, float64(allocated)/float64(retained))
-		if float64(allocated) > 1.6*float64(retained) {
-			t.Errorf("tail of %d records: recovery allocated %d B to keep %d B", last-snap, allocated, retained)
+			last-snap, c.retained, c.allocated, c.objects, float64(c.allocated)/float64(c.retained))
+		if float64(c.allocated) > 1.6*float64(c.retained) {
+			t.Errorf("tail of %d records: recovery allocated %d B to keep %d B", last-snap, c.allocated, c.retained)
 		}
+	}
+}
+
+// TestRecoveredProjectResidentBytes bounds what a recovered 64-tree project
+// keeps: 4.44 MB in 63,500 objects while the tables were sync.Maps — an
+// entry, a boxed key and a history box per object — and every link had maps
+// of its own; 2.43 MB in 32,800 since.  Either coming back fails it.
+func TestRecoveredProjectResidentBytes(t *testing.T) {
+	dir := t.TempDir()
+	last, snap := buildRecoveryDir(t, dir, 64, 64*285, 200)
+	c := replayCost(t, dir)
+	t.Logf("64 trees, tail of %d records: retained %d B in %d objects", last-snap, c.retained, c.retainedObjects)
+	if c.retained > 2_800_000 || c.retainedObjects > 40_000 {
+		t.Errorf("the recovered project keeps %d B in %d objects, want ≤ 2,800,000 B in ≤ 40,000", c.retained, c.retainedObjects)
 	}
 }
 

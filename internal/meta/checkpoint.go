@@ -123,7 +123,6 @@ func (v *View) Checkpoint(emit func(head Record, args []byte) error) error {
 // buffer the next one is read into.
 func LoadCheckpoint(shards int, records func(add func(Record) error) error) (*DB, error) {
 	var s snapshot
-	var in interner
 	var ins *installer // made at the first record that is not a term's
 	lsn := int64(-1)   // the clock's, once it is read
 	err := records(func(r Record) error {
@@ -137,7 +136,7 @@ func LoadCheckpoint(shards int, records func(add func(Record) error) error) (*DB
 			ins, err = newInstaller(shards, s.terms)
 		}
 		if err == nil {
-			err = s.record(r, &in, ins)
+			err = s.record(r, ins)
 		}
 		if err != nil {
 			return fmt.Errorf("meta: checkpoint: %s record at lsn %d: %w", r.Op, r.LSN, err)
@@ -167,8 +166,13 @@ func LoadCheckpoint(shards int, records func(add func(Record) error) error) (*DB
 	return db, nil
 }
 
-// record adds one checkpoint record to the snapshot, its OIDs to ins.
-func (s *snapshot) record(r Record, in *interner, ins *installer) error {
+// record adds one checkpoint record to the snapshot, its OIDs to ins, the
+// strings it keeps copied out through the database's interner.
+func (s *snapshot) record(r Record, ins *installer) error {
+	var in *interner
+	if ins != nil {
+		in = &ins.db.in
+	}
 	switch r.Op {
 	case OpTerm:
 		term, err := oneInt(r.Args)
@@ -198,7 +202,7 @@ func (s *snapshot) record(r Record, in *interner, ins *installer) error {
 		return ins.oid(&o)
 
 	case OpLink:
-		l, err := parseLinkArgs(r.Args, in)
+		l, err := parseLinkArgs(r.Args, in, &ins.db.attrs)
 		if err != nil {
 			return err
 		}
@@ -252,19 +256,16 @@ const (
 	internSlots = 512
 )
 
-// interner copies out the strings a checkpoint's objects keep, and keeps
-// one copy of each short one — the names a checkpoint repeats thousands of
-// times — in a table that neither grows nor is searched: a string lives in
-// the slot its hash picks.  A nil interner keeps strings as they are.
+// interner copies out the strings a checkpoint's objects and a replayed
+// record's keep, and keeps one copy of each short one — the names a
+// checkpoint repeats thousands of times — in a table that neither grows nor
+// is searched: a string lives in the slot its hash picks.
 type interner struct {
 	slots [internSlots]string
 }
 
 func (in *interner) str(s string) string {
-	switch {
-	case in == nil:
-		return s
-	case len(s) > internBytes:
+	if len(s) > internBytes {
 		return strings.Clone(s)
 	}
 	slot := &in.slots[fnv1a(s)%internSlots]
@@ -337,10 +338,14 @@ func (ins *installer) endChain() {
 	}
 }
 
-// install enters the whole snapshot.
+// install enters the whole snapshot: a JSON document's, whose links'
+// attributes it interns.
 func (s *snapshot) install(shards int) (*DB, error) {
 	ins, err := newInstaller(shards, s.terms)
 	slices.SortFunc(s.oids, func(a, b OID) int { return a.Key.Compare(b.Key) })
+	for _, l := range s.links {
+		l.Propagates, l.Props = ins.db.attrs.intern(l.Propagates, nil, l.Props)
+	}
 	for i := 0; err == nil && i < len(s.oids); i++ {
 		err = ins.oid(&s.oids[i])
 	}

@@ -89,6 +89,13 @@ type DB struct {
 	head      View
 	replayAt  atomic.Int64
 	replaySeq atomic.Int64
+
+	// attrs keeps one copy of each link attribute set (link.go).
+	attrs attrTable
+
+	// in copies out the strings ApplyRecord keeps, and LoadCheckpoint's;
+	// both are serialized, and only they use it.
+	in interner
 }
 
 // dbShard is one stripe of the OIDs, chains and adjacency postings: every
@@ -131,6 +138,9 @@ func NewDBWithShards(n int) *DB {
 	for i := range db.shards {
 		db.shards[i] = &dbShard{}
 	}
+	// The header history fills some reclaimEvery entries between two reclaim
+	// passes; reserving them once spares the doublings that would get there.
+	db.mvcc.meta = make([]metaVer, 0, reclaimEvery)
 	db.store.Store(newStore(pow, pow))
 	db.head.db, db.head.lsn = db, newest
 	db.head.closed.Store(true)
@@ -364,6 +374,7 @@ func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 	maps.Copy(o.Props, before)
 	o.Key, o.Seq = k, x.seq
 	fn(o)
+	o.Key = Key{} // k may be a replayed record's bytes, which are not ours to keep
 	// As many entries as before, each as before, is the same map.  Only a
 	// recorder wants the diff spelled out; without one — a replay, an
 	// unjournaled database — it is enough to know there is one.
@@ -438,24 +449,14 @@ func (db *DB) DelProp(k Key, name string) error {
 
 // AddLink inserts a link between two existing OIDs and returns its ID.
 // Class-specific invariants are checked (a use link must not cross view
-// types).  propagates may be nil; template and props may be empty.  It only
-// allocates the ID and the seq — after lockLinkEnds' checks, so a refused
-// link allocates neither — and installs like a replayed record does.
+// types).  propagates may be nil, in any order and repeated; template and
+// props may be empty.  Neither list nor map is kept: the link shares the one
+// copy of its attributes the database holds (attrTable).  It only allocates
+// the ID and the seq — after lockLinkEnds' checks, so a refused link
+// allocates neither — and installs like a replayed record does.
 func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates []string, props map[string]string) (LinkID, error) {
-	l := &Link{
-		Class:      class,
-		From:       from,
-		To:         to,
-		Template:   template,
-		Props:      make(map[string]string, len(props)),
-		Propagates: make(map[string]bool, len(propagates)),
-	}
-	for k, v := range props {
-		l.Props[k] = v
-	}
-	for _, e := range propagates {
-		l.Propagates[e] = true
-	}
+	l := &Link{Class: class, From: from, To: to, Template: template}
+	l.Propagates, l.Props = db.attrs.intern(propagates, nil, props)
 	sf, st, err := db.lockLinkEnds(l)
 	if err != nil {
 		return 0, err
@@ -524,8 +525,9 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 			return fmt.Errorf("link %d: %v is not an endpoint: %w", id, oldEnd, ErrBadLink)
 		}
 		// Build and validate the replacement object before taking locks;
-		// links are immutable once published, so shifting installs a copy.
-		moved := l.clone()
+		// links are immutable once published, so shifting installs a copy
+		// (which keeps sharing the attributes: they do not change).
+		moved := l.copy()
 		kept, out := to, oldEnd == from // the end that stays, and which end moves
 		if out {
 			moved.From = newEnd
@@ -596,6 +598,7 @@ func (db *DB) unlockShardSet(idx []uint32) {
 // SetLinkProp sets an annotation property on a link.
 func (db *DB) SetLinkProp(id LinkID, name, value string) error {
 	return db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
+		nl.Props = cloneProps(nl.Props)
 		nl.Props[name] = value
 	}, func(*Link) []string {
 		return []string{strconv.FormatInt(int64(id), 10), "1", name, value}
@@ -605,20 +608,20 @@ func (db *DB) SetLinkProp(id LinkID, name, value string) error {
 // SetLinkPropagates replaces the PROPAGATE set of a link.
 func (db *DB) SetLinkPropagates(id LinkID, events []string) error {
 	return db.replaceLink(id, OpPropagates, func(nl *Link) {
-		nl.Propagates = make(map[string]bool, len(events))
-		for _, e := range events {
-			nl.Propagates[e] = true
-		}
+		nl.Propagates = slices.Clone(events)
+		slices.Sort(nl.Propagates)
+		nl.Propagates = slices.Compact(nl.Propagates)
 	}, func(nl *Link) []string {
-		return append([]string{strconv.FormatInt(int64(id), 10)}, nl.PropagateList()...)
+		return append([]string{strconv.FormatInt(int64(id), 10)}, nl.Propagates...)
 	})
 }
 
 // replaceLink publishes a mutated copy of a link: links are immutable once
-// published, so annotation edits clone the object, apply mutate, and push
-// the clone to the link table and to both ends' postings under the endpoint
-// shard locks.  Retries if the link is replaced concurrently.  args builds
-// the arguments of the op record describing the installed object; it runs
+// published, so annotation edits copy the object, apply mutate — which
+// replaces what it changes, the attributes being shared — and push the copy
+// to the link table and to both ends' postings under the endpoint shard
+// locks.  Retries if the link is replaced concurrently.  args builds the
+// arguments of the op record describing the installed object; it runs
 // inside the critical section.
 func (db *DB) replaceLink(id LinkID, op string, mutate func(nl *Link), args func(nl *Link) []string) error {
 	for {
@@ -626,7 +629,7 @@ func (db *DB) replaceLink(id LinkID, op string, mutate func(nl *Link), args func
 		if l == nil {
 			return fmt.Errorf("link %d: %w", id, ErrNotFound)
 		}
-		nl := l.clone()
+		nl := l.copy()
 		mutate(nl)
 		sf, st := db.lockPair(l.From, l.To)
 		stripe := db.stripeOf(id)

@@ -146,8 +146,9 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 	}
 	v.Close()
 
-	// Corrupt: overwrite one linked key's posting with one whose out side
-	// is empty, as if an incremental update had been lost.
+	// Corrupt: publish, at the current epoch and through no mutation, a
+	// posting of one linked key whose out side is empty, as if an
+	// incremental update had been lost.
 	var victim Key
 	for _, k := range keys {
 		if len(db.Head().posting(k).out) > 0 {
@@ -161,9 +162,7 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 	h := db.Head().shard(victim.Block)
 	lost := h.links(victim, newest)
 	lost.out = nil
-	bogus := &hist[posting]{}
-	bogus.push(db.mvcc.epoch.Load(), lost, lost.in == nil)
-	h.adj.m.Store(victim, bogus)
+	h.put(victim, db.mvcc.epoch.Load(), lost)
 	if n := len(db.Head().posting(victim).out); n != 0 {
 		t.Fatalf("live read sees %d links through the corrupted posting", n)
 	}

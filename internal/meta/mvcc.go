@@ -52,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -77,9 +78,9 @@ type ver[T any] struct {
 	next atomic.Pointer[ver[T]]
 }
 
-// hist is a lock-free-readable version list, newest first.  Writers are
-// serialized by the lock owning the object (shard, stripe or control
-// plane); readers only load atomic pointers.
+// hist is a lock-free-readable version list, newest first: the history half
+// of a table entry.  Writers are serialized by the lock owning the object
+// (shard, stripe or control plane); readers only load atomic pointers.
 type hist[T any] struct {
 	head atomic.Pointer[ver[T]]
 }
@@ -119,18 +120,97 @@ func (h *hist[T]) trim(floor int64) bool {
 const newest = math.MaxInt64
 
 // table is the histories of one kind of object, by key — the only
-// container the database has.  Readers take no lock; push and trim are
-// serialized by the lock owning the table (shard, stripe or control plane).
-type table[K comparable, T any] struct {
-	m sync.Map // K -> *hist[T]
+// container the database has: open addressing, linear probing, over an
+// array of pointers to entries that is published whole.  An entry is its
+// key and its history; it never moves out of a published array except when
+// trim publishes one without it, so a probe that meets an empty slot has
+// seen every entry of its key.  Readers load the array and probe, with no
+// lock; push and trim are serialized by the lock owning the table (shard,
+// stripe or control plane), and only they write.
+type table[K tableKey, T any] struct {
+	slots atomic.Pointer[slots[K, T]]
+	n     int // entries in the published array
+}
+
+// entry is one object: its key and its history.
+type entry[K tableKey, T any] struct {
+	key K
+	hist[T]
+}
+
+// slots is one published array: a power of two at most ¾ full, probed from
+// the slot the top bits of a key's hash name.
+type slots[K tableKey, T any] struct {
+	shift uint // 64 − log2(len(e))
+	e     []atomic.Pointer[entry[K, T]]
+}
+
+// tableKey is the kinds of key the database's tables have.
+type tableKey interface {
+	Key | BlockView | LinkID | string
+}
+
+// hashKey is a key's hash, compiled per kind: FNV-1a of its strings, its
+// numbers as they are, finished so that every bit reaches the top bits a
+// slot is picked by (a shard's keys share the low bits of their block's).
+func hashKey[K tableKey](key K) uint64 {
+	var h uint64
+	switch k := any(key).(type) {
+	case Key:
+		h = uint64(fnv1a(k.Block))<<32 | uint64(fnv1a(k.View)^uint32(k.Version))
+	case BlockView:
+		h = uint64(fnv1a(k.Block))<<32 | uint64(fnv1a(k.View))
+	case LinkID:
+		h = uint64(k)
+	case string:
+		h = uint64(fnv1a(k))
+	}
+	// The finalizer of MurmurHash3's 64-bit variant.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+func newSlots[K tableKey, T any](size int) *slots[K, T] {
+	return &slots[K, T]{shift: uint(64 - bits.TrailingZeros(uint(size))), e: make([]atomic.Pointer[entry[K, T]], size)}
+}
+
+// find probes for key's slot: the one holding its entry, or the empty one
+// where its entry would go.
+func (s *slots[K, T]) find(key K) *atomic.Pointer[entry[K, T]] {
+	mask := uint64(len(s.e) - 1)
+	for i := hashKey(key) >> s.shift; ; i = (i + 1) & mask {
+		if e := s.e[i].Load(); e == nil || e.key == key {
+			return &s.e[i]
+		}
+	}
+}
+
+// array is the published array's slots, none before the first push.
+func (t *table[K, T]) array() []atomic.Pointer[entry[K, T]] {
+	if s := t.slots.Load(); s != nil {
+		return s.e
+	}
+	return nil
+}
+
+// entry returns key's entry, nil when there is none.
+func (t *table[K, T]) entry(key K) *entry[K, T] {
+	if s := t.slots.Load(); s != nil {
+		return s.find(key).Load()
+	}
+	return nil
 }
 
 // at is the one resolver: the value of key's newest version at or below
 // lsn, ok=false when there is none or it is a tombstone.  Values are
 // immutable; callers must not mutate what they are handed.
 func (t *table[K, T]) at(key K, lsn int64) (val T, ok bool) {
-	if hi, found := t.m.Load(key); found {
-		if x := hi.(*hist[T]).at(lsn); x != nil && !x.del {
+	if e := t.entry(key); e != nil {
+		if x := e.at(lsn); x != nil && !x.del {
 			return x.val, true
 		}
 	}
@@ -138,37 +218,68 @@ func (t *table[K, T]) at(key K, lsn int64) (val T, ok bool) {
 }
 
 // push publishes key's next version under stamp s (a tombstone with del),
-// between the mutation's beginMut and endMut.
+// between the mutation's beginMut and endMut.  A key without an entry gets
+// one, in an array grown first when the entry would fill it past ¾.
 func (t *table[K, T]) push(key K, s int64, val T, del bool) {
-	hi, ok := t.m.Load(key)
-	if !ok {
-		hi = &hist[T]{}
-		t.m.Store(key, hi)
+	e := t.entry(key)
+	if e == nil {
+		e = &entry[K, T]{key: key}
+		if 4*(t.n+1) > 3*len(t.array()) {
+			t.publish(max(8, 2*len(t.array())), nil)
+		}
+		t.slots.Load().find(key).Store(e)
+		t.n++
 	}
-	hi.(*hist[T]).push(s, val, del)
+	e.push(s, val, del)
+}
+
+// publish replaces the array with one of size slots holding the entries keep
+// admits (all of them when keep is nil).
+func (t *table[K, T]) publish(size int, keep func(*entry[K, T]) bool) {
+	next, n := newSlots[K, T](size), 0
+	sl := t.array()
+	for i := range sl {
+		if e := sl[i].Load(); e != nil && (keep == nil || keep(e)) {
+			next.find(e.key).Store(e)
+			n++
+		}
+	}
+	t.slots.Store(next)
+	t.n = n
 }
 
 // each invokes fn for every key live at lsn, in unspecified order, until
 // fn returns false, and reports whether it ran to the end.
 func (t *table[K, T]) each(lsn int64, fn func(K, T) bool) bool {
-	cont := true
-	t.m.Range(func(key, hi any) bool {
-		if x := hi.(*hist[T]).at(lsn); x != nil && !x.del {
-			cont = fn(key.(K), x.val)
+	sl := t.array()
+	for i := range sl {
+		if e := sl[i].Load(); e != nil {
+			if x := e.at(lsn); x != nil && !x.del && !fn(e.key, x.val) {
+				return false
+			}
 		}
-		return cont
-	})
-	return cont
+	}
+	return true
 }
 
-// trim cuts every history at floor and drops the dead ones.
+// trim cuts every history at floor and, when some are dead — deleted at
+// every retained stamp — publishes an array without them, at most half full.
+// (A history's trim is idempotent: asking again is how publish tells.)
 func (t *table[K, T]) trim(floor int64) {
-	t.m.Range(func(key, hi any) bool {
-		if hi.(*hist[T]).trim(floor) {
-			t.m.Delete(key)
+	dead := 0
+	sl := t.array()
+	for i := range sl {
+		if e := sl[i].Load(); e != nil && e.trim(floor) {
+			dead++
 		}
-		return true
-	})
+	}
+	if dead > 0 {
+		size := 8
+		for size < 2*(t.n-dead) {
+			size *= 2
+		}
+		t.publish(size, func(e *entry[K, T]) bool { return !e.trim(floor) })
+	}
 }
 
 // oidVal is the versioned payload of an OID: its creation stamp and an

@@ -93,7 +93,7 @@ func (s *snapshot) save(w io.Writer) error {
 	}
 	for _, l := range s.links {
 		lj := linkJSON{ID: int64(l.ID), Class: l.Class.String(), From: l.From.String(), To: l.To.String(),
-			Template: l.Template, Propagates: l.PropagateList(), Seq: l.Seq}
+			Template: l.Template, Propagates: l.Propagates, Seq: l.Seq}
 		if len(l.Props) > 0 {
 			lj.Props = l.Props
 		}
@@ -253,15 +253,8 @@ func (doc *dbJSON) snapshot() (*snapshot, error) {
 		if err := cmp.Or(classErr, fromErr, toErr); err != nil {
 			return nil, fmt.Errorf("link %d: %w", lj.ID, err)
 		}
-		l := &Link{ID: LinkID(lj.ID), Class: class, From: from, To: to, Template: lj.Template, Seq: lj.Seq,
-			Props: lj.Props, Propagates: make(map[string]bool, len(lj.Propagates))}
-		if l.Props == nil {
-			l.Props = make(map[string]string)
-		}
-		for _, e := range lj.Propagates {
-			l.Propagates[e] = true
-		}
-		s.links = append(s.links, l)
+		s.links = append(s.links, &Link{ID: LinkID(lj.ID), Class: class, From: from, To: to, Template: lj.Template, Seq: lj.Seq,
+			Props: lj.Props, Propagates: lj.Propagates})
 	}
 	for _, cj := range doc.Configs {
 		c := &Configuration{Name: cj.Name, Seq: cj.Seq}

@@ -169,11 +169,10 @@ func parsePropArgs(args []string) (sets, dels []string, err error) {
 	return args[1 : 1+2*n], args[1+2*n:], nil
 }
 
-// applyProps replays a decoded property diff onto a property map.
-func applyProps(props map[string]string, sets, dels []string) {
-	for i := 0; i < len(sets); i += 2 {
-		props[sets[i]] = sets[i+1]
-	}
+// applyProps replays a decoded property diff onto a property map, the
+// strings it keeps copied out through in.
+func applyProps(props map[string]string, sets, dels []string, in *interner) {
+	in.fill(props, sets)
 	for _, n := range dels {
 		delete(props, n)
 	}
@@ -195,23 +194,16 @@ func (a *argWriter) link(l *Link) {
 	a.keyArg(l.To)
 	a.str(l.Template)
 	a.num(l.Seq)
-	a.names = a.names[:0]
-	for e, ok := range l.Propagates {
-		if ok {
-			a.names = append(a.names, e)
-		}
-	}
-	slices.Sort(a.names)
-	a.num(int64(len(a.names)))
-	for _, e := range a.names {
+	a.num(int64(len(l.Propagates)))
+	for _, e := range l.Propagates {
 		a.str(e)
 	}
 	a.pairs(l.Props)
 }
 
 // parseLinkArgs decodes the layout produced by linkArgs, the strings it
-// keeps passed through in.
-func parseLinkArgs(args []string, in *interner) (*Link, error) {
+// keeps passed through in and the attributes through attrs.
+func parseLinkArgs(args []string, in *interner, attrs *attrTable) (*Link, error) {
 	if len(args) < 7 {
 		return nil, fmt.Errorf("link record wants at least 7 args, got %d", len(args))
 	}
@@ -243,20 +235,8 @@ func parseLinkArgs(args []string, in *interner) (*Link, error) {
 	if (len(rest)-np)%2 != 0 {
 		return nil, fmt.Errorf("odd property tail on link %d", id)
 	}
-	l := &Link{
-		ID:         LinkID(id),
-		Class:      class,
-		From:       in.key(from),
-		To:         in.key(to),
-		Template:   in.str(args[4]),
-		Seq:        seq,
-		Props:      make(map[string]string, (len(rest)-np)/2),
-		Propagates: make(map[string]bool, np),
-	}
-	for _, e := range rest[:np] {
-		l.Propagates[in.str(e)] = true
-	}
-	in.fill(l.Props, rest[np:])
+	l := &Link{ID: LinkID(id), Class: class, From: in.key(from), To: in.key(to), Template: in.str(args[4]), Seq: seq}
+	l.Propagates, l.Props = attrs.intern(rest[:np], rest[np:], nil)
 	return l, nil
 }
 
@@ -287,6 +267,12 @@ func floor(a *atomic.Int64, v int64) {
 // ApplyAppend holds its apply mutex): the record's LSN is carried to the
 // inner mutation so its versions are stamped with the original numbering,
 // through a single replay slot.
+//
+// ApplyRecord keeps no string of r — what the database keeps of it is
+// copied out — so r's strings may be the bytes of a buffer the next record
+// is read into, and a record of an op that keeps nothing (an event's)
+// costs no allocation.  A Recorder, if attached, is handed r.Args as they
+// are for the re-emission of a link update.
 func (db *DB) ApplyRecord(r Record) error {
 	if r.LSN > 0 {
 		db.replayAt.Store(r.LSN)
@@ -317,7 +303,7 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := db.insertOIDSeq(k, seq); err != nil {
+		if err := db.insertOIDSeq(db.in.key(k), seq); err != nil {
 			return fail(err)
 		}
 
@@ -335,13 +321,13 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		err = db.UpdateOID(k, func(o *OID) { applyProps(o.Props, sets, dels) })
+		err = db.UpdateOID(k, func(o *OID) { applyProps(o.Props, sets, dels, &db.in) })
 		if err != nil {
 			return fail(err)
 		}
 
 	case OpLink:
-		l, err := parseLinkArgs(r.Args, nil)
+		l, err := parseLinkArgs(r.Args, &db.in, &db.attrs)
 		if err != nil {
 			return fail(err)
 		}
@@ -375,7 +361,7 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := db.RetargetLink(id, oldEnd, newEnd); err != nil {
+		if err := db.RetargetLink(id, oldEnd, db.in.key(newEnd)); err != nil {
 			return fail(err)
 		}
 
@@ -392,8 +378,10 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		err = db.replaceLink(id, OpLinkUpdate, func(nl *Link) { applyProps(nl.Props, sets, dels) },
-			func(*Link) []string { return r.Args })
+		err = db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
+			nl.Props = cloneProps(nl.Props)
+			applyProps(nl.Props, sets, dels, &db.in)
+		}, func(*Link) []string { return r.Args })
 		if err != nil {
 			return fail(err)
 		}
@@ -407,7 +395,11 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := db.SetLinkPropagates(id, r.Args[1:]); err != nil {
+		events := make([]string, len(r.Args)-1)
+		for i, e := range r.Args[1:] {
+			events[i] = db.in.str(e)
+		}
+		if err := db.SetLinkPropagates(id, events); err != nil {
 			return fail(err)
 		}
 
@@ -426,7 +418,7 @@ func (db *DB) applyRecord(r Record) error {
 
 	case OpConfig:
 		// Args: name, seq, oid count, keys, link ids.
-		c, err := parseConfigArgs(r.Args, nil)
+		c, err := parseConfigArgs(r.Args, &db.in)
 		if err != nil {
 			return fail(err)
 		}
@@ -447,7 +439,7 @@ func (db *DB) applyRecord(r Record) error {
 		if len(r.Args) != 2 {
 			return fail(fmt.Errorf("want 2 args, got %d", len(r.Args)))
 		}
-		if err := db.AddWorkspace(r.Args[0], r.Args[1]); err != nil {
+		if err := db.AddWorkspace(db.in.str(r.Args[0]), db.in.str(r.Args[1])); err != nil {
 			return fail(err)
 		}
 
@@ -460,7 +452,7 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := db.BindPath(r.Args[0], k, r.Args[2]); err != nil {
+		if err := db.BindPath(r.Args[0], db.in.key(k), db.in.str(r.Args[2])); err != nil {
 			return fail(err)
 		}
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // sliceRecorder accumulates emitted records for inspection, assigning
@@ -75,6 +76,84 @@ func TestRecorderCapturesEveryMutationClass(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Errorf("replayed database differs:\n--- original\n%s\n--- replayed\n%s", a.String(), b.String())
+	}
+}
+
+// TestApplyRecordKeepsNoString replays a record of every op with its
+// strings over one buffer, overwritten after each apply, as recovery's
+// frame window is: the replayed database must still Save like the original
+// — nothing it keeps may be the buffer's bytes — and an event record must
+// cost no allocation.
+func TestApplyRecordKeepsNoString(t *testing.T) {
+	rec := &sliceRecorder{}
+	db := NewDB()
+	db.SetRecorder(rec)
+	root, nl := buildHierarchy(t, db)
+	mustDo := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustDo(db.SetProp(root, "uptodate", "true"))
+	mustDo(db.SetProp(nl, "sim_result", "a value longer than the interner keeps one copy of"))
+	var ids []LinkID
+	db.Head().EachLink(func(l *Link) bool { ids = append(ids, l.ID); return true })
+	mustDo(db.SetLinkProp(ids[0], "note", "one-off"))
+	mustDo(db.SetLinkPropagates(ids[1], []string{"lvs", "ckin"}))
+	next := mustNewVersion(t, db, root.Block, root.View)
+	mustDo(db.RetargetLink(ids[0], root, next))
+	mustDo(db.DeleteLink(ids[1]))
+	if _, err := db.PruneVersions(root.Block, root.View, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"snap", "gone"} {
+		if _, err := db.SnapshotHierarchy(name, next, FollowAllLinks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustDo(db.DeleteConfiguration("gone"))
+	mustDo(db.AddWorkspace("ws", "/proj"))
+	mustDo(db.BindPath("ws", next, "p/1"))
+	rec.recs = append(rec.recs, Record{Op: OpEvent, Args: []string{"ckin", "down", next.String(), "yves"}})
+
+	replayed := NewDBWithShards(4)
+	buf := make([]byte, 0, 1<<12)
+	at := func(s string) string {
+		off := len(buf)
+		buf = append(buf, s...)
+		return unsafe.String(unsafe.SliceData(buf[off:]), len(s))
+	}
+	ops := map[string]bool{}
+	for i, r := range rec.recs {
+		buf = buf[:0]
+		r.LSN, r.Op = int64(i+1), at(r.Op)
+		args := make([]string, len(r.Args))
+		for j, a := range r.Args {
+			args[j] = at(a)
+		}
+		r.Args = args
+		if err := replayed.ApplyRecord(r); err != nil {
+			t.Fatalf("apply record %d (%s): %v", i, r.Op, err)
+		}
+		ops[rec.recs[i].Op] = true
+		for j := range buf {
+			buf[j] = '#'
+		}
+	}
+	for _, op := range []string{OpOID, OpUpdate, OpLink, OpDelLink, OpRetarget, OpLinkUpdate, OpPropagates, OpPrune, OpConfig, OpDelConfig, OpWorkspace, OpBind, OpEvent} {
+		if !ops[op] {
+			t.Errorf("no %s record replayed", op)
+		}
+	}
+	if got, want := saveDB(t, replayed), saveDB(t, db); !bytes.Equal(got, want) {
+		t.Errorf("the database replayed from a scribbled buffer differs: %s", firstDiff(got, want))
+	}
+
+	event := rec.recs[len(rec.recs)-1]
+	event.LSN = int64(len(rec.recs))
+	if n := testing.AllocsPerRun(100, func() { _ = replayed.ApplyRecord(event) }); n != 0 {
+		t.Errorf("an event record costs %.0f allocations", n)
 	}
 }
 
