@@ -45,7 +45,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/journal"
 	"repro/internal/server"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -103,14 +102,14 @@ func followStream(addr string, args []string) error {
 		return err
 	}
 	defer c.Hangup()
-	return c.Follow(after, func(fr server.FollowFrame) error {
-		switch {
-		case fr.Record != "":
-			fmt.Println(wire.FollowFrameRecord, fr.Record)
-		case fr.Snapshot != nil:
-			fmt.Printf("snapshot lsn=%d (%d bytes)\n", fr.SnapLSN, len(fr.Snapshot))
-		case fr.Mark:
-			fmt.Printf("watermark %d\n", fr.Watermark)
+	return c.FollowFrom(after, 0, func(ev journal.FollowEvent) error {
+		switch ev.Kind {
+		case journal.FollowRecord:
+			fmt.Printf("record %s\n", ev.Payload())
+		case journal.FollowSnapshot:
+			fmt.Printf("snapshot lsn=%d (%d bytes)\n", ev.SnapLSN, len(ev.Snapshot))
+		case journal.FollowMark:
+			fmt.Printf("watermark %d\n", ev.Watermark)
 		}
 		return nil
 	})

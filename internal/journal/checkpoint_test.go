@@ -372,7 +372,7 @@ func TestFollowerCheckpointIsPrimarys(t *testing.T) {
 		if err != nil || ev.Kind != FollowRecord {
 			t.Fatalf("tail: %+v, %v", ev, err)
 		}
-		if _, err := f.ApplyAppend(string(ev.Payload)); err != nil {
+		if _, err := f.ApplyAppend(ev.Frame); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,8 +7,8 @@ import "repro/internal/meta"
 // fall into.
 func (w *Writer) SetPinHook(f func()) { w.pinHook = f }
 
-// Payload renders r as the writer spells a record's payload.
-func Payload(r meta.Record) string { return string(appendPayload(nil, r)) }
+// Frame renders r as the writer frames a record.
+func Frame(r meta.Record) []byte { return AppendFrame(nil, appendPayload(nil, r)) }
 
 // DecodePayload parses a record payload as recovery does.
 func DecodePayload(payload []byte) (meta.Record, error) { return decodePayload(payload) }

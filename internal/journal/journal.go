@@ -26,7 +26,19 @@
 // and the payload is a wire-protocol text line (the same quoting the
 // DAMOCLES servers speak): "<lsn> <seq> <op> <args...>", decodable with
 // wire.Tokenize.  The log is therefore greppable with standard tools, and
-// a record stream can be shipped over the wire protocol unmodified.
+// a record stream is shipped over the wire unmodified: see below.
+//
+// # The FOLLOW stream
+//
+// A replication stream is a run of the same frames, version FollowVersion
+// of the stream: AppendFollowEvent encodes one event, ReadFollow decodes
+// them.  A record travels as its segment frame, byte for byte, so the
+// follower checks the primary's checksum and appends the very bytes the
+// primary wrote.  Every other event is a frame whose payload's first field
+// names its kind — "watermark <lsn>", "ping <lsn>", "health <reason>",
+// "error <reason>", "end" — or "snapshot <lsn> <n>", after which the n
+// bytes of the snapshot file follow as they are.  A payload whose first
+// field is a number is a record's.
 //
 // # Writing
 //
@@ -69,6 +81,7 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -151,13 +164,223 @@ const maxRecordLen = 16 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one framed payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// AppendFrame appends payload to dst as one frame: the journal's one
+// framing, of every record on disk and every event of a FOLLOW stream.
+func AppendFrame(dst, payload []byte) []byte {
+	return sealFrame(append(append(dst, make([]byte, frameHeader)...), payload...), len(dst))
+}
+
+// sealFrame fills in the header of the frame at dst[start:], whose payload
+// is everything after the frameHeader bytes reserved at start, and returns
+// dst: a payload appended in place is framed without a copy.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// FollowVersion is the version of the FOLLOW stream this build speaks: 2,
+// frames.  Version 1, lines of text, was spoken by builds whose FOLLOW
+// handshake carried no version; the two do not mix, so a node refuses a
+// peer of the other version at the handshake.
+const FollowVersion = 2
+
+// FollowEventKind discriminates the events of a tail and of a FOLLOW stream.
+type FollowEventKind int
+
+const (
+	// FollowRecord delivers one committed record, in strict LSN order.
+	FollowRecord FollowEventKind = iota
+	// FollowSnapshot delivers a whole-database bootstrap: the requested
+	// position is older than the oldest retained segment, so the follower
+	// must re-base on the snapshot before records resume.
+	FollowSnapshot
+	// FollowMark reports the commit watermark when the tail catches up —
+	// the follower's "you have seen everything committed so far" signal.
+	FollowMark
+	// FollowHealth reports that the journal behind this tail degraded: the
+	// watermark the stream last reported is final — the primary refuses
+	// writes until the disk fault is resolved — and Reason says why.  It is
+	// delivered at most once per tail, only when caught up, so a follower
+	// never mistakes a wedged primary for a merely idle one.
+	FollowHealth
+	// FollowPing is the idle-stream liveness tick: the tail is caught up
+	// and nothing has committed for one ping interval, so the stream
+	// proves it is alive rather than staying silent.  Watermark carries
+	// the current commit position; a follower at that position treats the
+	// ping as freshness evidence, and its absence — past the stall
+	// timeout — as a dead link.  Only emitted when SetPing armed it.
+	FollowPing
+	// FollowError ends a stream that failed for good on the serving side —
+	// a Tailer's error, the stream's event — and Reason says why.
+	FollowError
+	// FollowEnd ends a stream the serving side closed on purpose.
+	FollowEnd
+)
+
+// followWords spells the kind of every event but a record as the first
+// field of its frame.
+var followWords = [...]string{
+	FollowSnapshot: "snapshot",
+	FollowMark:     "watermark",
+	FollowHealth:   "health",
+	FollowPing:     "ping",
+	FollowError:    "error",
+	FollowEnd:      "end",
+}
+
+// FollowEvent is one step of a journal tail, and one event of a FOLLOW
+// stream.
+type FollowEvent struct {
+	Kind FollowEventKind
+
+	// Frame is set for FollowRecord: the record's frame — the length and the
+	// CRC-32C of its payload, then the payload — exactly as the segment file
+	// holds it.  It aliases a read buffer and is valid until the next event
+	// is read.
+	Frame []byte
+
+	// SnapLSN/Snapshot are set for FollowSnapshot: the snapshot reflects
+	// every record with LSN ≤ SnapLSN, and records resume at SnapLSN+1.
+	// Snapshot is the snapshot file, byte for byte — a checkpoint, or the
+	// JSON document of an older build — which BootstrapSnapshot installs.
+	SnapLSN  int64
+	Snapshot []byte
+
+	// Watermark is set for FollowMark and FollowPing.
+	Watermark int64
+
+	// Reason is set for FollowHealth — the degraded journal's sticky error —
+	// and for FollowError.
+	Reason string
+}
+
+// Payload returns a record's payload: its Frame without the header.
+func (ev FollowEvent) Payload() []byte { return ev.Frame[frameHeader:] }
+
+// AppendFollowEvent appends ev to dst as a FOLLOW stream carries it: a
+// record's Frame as it is — its checksum was computed once, by the writer —
+// and any other event as a frame of its own, a snapshot's file after it.
+func AppendFollowEvent(dst []byte, ev FollowEvent) []byte {
+	if ev.Kind == FollowRecord {
+		return append(dst, ev.Frame...)
+	}
+	start := len(dst)
+	dst = appendEventPayload(append(dst, make([]byte, frameHeader)...), ev, len(ev.Snapshot))
+	return append(sealFrame(dst, start), ev.Snapshot...)
+}
+
+// appendEventPayload appends the payload of ev's frame, ev being of any kind
+// but a record; size is the byte count of a snapshot's file.
+func appendEventPayload(dst []byte, ev FollowEvent, size int) []byte {
+	dst = append(dst, followWords[ev.Kind]...)
+	switch ev.Kind {
+	case FollowSnapshot:
+		dst = fmt.Appendf(dst, " %d %d", ev.SnapLSN, size)
+	case FollowMark, FollowPing:
+		dst = strconv.AppendInt(append(dst, ' '), ev.Watermark, 10)
+	case FollowHealth, FollowError:
+		dst = wire.AppendQuote(append(dst, ' '), ev.Reason)
+	}
+	return dst
+}
+
+// ReadFollow decodes the FOLLOW stream r carries and hands fn its events in
+// order, until fn fails — its error is returned as it is — the stream does,
+// or an error or end event, which fn gets too, closes it.  Every frame has
+// its length bounded by maxRecordLen and its checksum checked before
+// anything of it reaches fn, and a buffer grows no faster than bytes arrive:
+// neither a frame's length nor a snapshot's size is an allocation request.
+// A stream cut short, even at a frame boundary, is an error.
+func ReadFollow(r io.Reader, fn func(FollowEvent) error) error {
+	var win frameWindow
+	win.reset(r, 0)
+	for {
+		ev, err := win.followEvent()
+		if err != nil {
+			return fmt.Errorf("journal: follow stream: %w", err)
+		}
+		if err := fn(ev); err != nil {
+			return err
+		}
+		if ev.Kind == FollowError || ev.Kind == FollowEnd {
+			return nil
+		}
+	}
+}
+
+// followEvent reads the stream event at the window's position.
+func (fw *frameWindow) followEvent() (FollowEvent, error) {
+	payload, damage, err := fw.frame()
+	switch {
+	case err == io.EOF:
+		return FollowEvent{}, fmt.Errorf("%w before its end frame", io.ErrUnexpectedEOF)
+	case err != nil:
+		return FollowEvent{}, err
+	case damage != "":
+		return FollowEvent{}, errors.New(damage)
+	}
+	ev, size, err := parseEventPayload(payload)
+	frame := fw.take(payload)
+	switch {
+	case err != nil:
+		return FollowEvent{}, err
+	case ev.Kind == FollowRecord:
+		ev.Frame = frame
+	case ev.Kind == FollowSnapshot:
+		for len(ev.Snapshot) < size {
+			b, err := fw.peek(min(size-len(ev.Snapshot), windowBytes))
+			if err != nil {
+				return FollowEvent{}, err
+			}
+			if len(b) == 0 {
+				return FollowEvent{}, fmt.Errorf("%w in the body of snapshot %d", io.ErrUnexpectedEOF, ev.SnapLSN)
+			}
+			ev.Snapshot = append(ev.Snapshot, b...)
+			fw.consume(len(b))
+		}
+	}
+	return ev, nil
+}
+
+// parseEventPayload decodes the payload of a stream frame.  One whose first
+// field is a number is a record's, the rule frameWindow.record reads LSNs
+// by; any other must name an event's kind and be spelled as
+// appendEventPayload spells it.  size is a snapshot's byte count.
+func parseEventPayload(payload []byte) (ev FollowEvent, size int, err error) {
+	if _, ok := leadingLSN(payload); ok {
+		return FollowEvent{Kind: FollowRecord}, 0, nil
+	}
+	// A field missing, or a line that does not tokenize, reads as empty
+	// fields: the spelling check below refuses it.
+	fields, _ := wire.Tokenize(string(payload))
+	fields = append(fields, "", "", "")
+	if _, err := strconv.ParseInt(fields[0], 10, 64); err == nil {
+		return FollowEvent{Kind: FollowRecord}, 0, nil
+	}
+	kind := slices.Index(followWords[:], fields[0])
+	if kind <= int(FollowRecord) {
+		return ev, 0, fmt.Errorf("frame of no event kind: %q", payload)
+	}
+	ev.Kind = FollowEventKind(kind)
+	lsn, _ := strconv.ParseInt(fields[1], 10, 64)
+	switch ev.Kind {
+	case FollowSnapshot:
+		ev.SnapLSN = lsn
+		size, _ = strconv.Atoi(fields[2])
+	case FollowMark, FollowPing:
+		ev.Watermark = lsn
+	case FollowHealth, FollowError:
+		ev.Reason = fields[1]
+	}
+	// One spelling: a number that does not parse, or parses from another
+	// spelling of it, and a field too many or too few come back spelled
+	// differently.
+	if ev.SnapLSN < 0 || size < 0 || ev.Watermark < 0 || !bytes.Equal(appendEventPayload(nil, ev, size), payload) {
+		return FollowEvent{}, 0, fmt.Errorf("bad %s frame %q", fields[0], payload)
+	}
+	return ev, size, nil
 }
 
 // The checkpoint header: "DJS" and the format version, then the LSN and the
@@ -231,7 +454,7 @@ func writeCheckpoint(w io.Writer, v *meta.View, term int64) error {
 	payload := make([]byte, 0, 512)
 	err := v.Checkpoint(func(head meta.Record, args []byte) error {
 		payload = append(appendPayload(payload[:0], head), args...)
-		if buf = appendFrame(buf, payload); len(buf) < ckptBufBytes/2 {
+		if buf = AppendFrame(buf, payload); len(buf) < ckptBufBytes/2 {
 			return nil
 		}
 		return flush()
@@ -324,30 +547,31 @@ func (fw *frameWindow) reset(f io.Reader, off int64) {
 // fewer come back only when the file ends first.  They stay valid until the
 // next call of peek, frame or rest.
 func (fw *frameWindow) peek(n int) ([]byte, error) {
-	if fw.w-fw.r < n {
-		// What is unconsumed — a part of one frame — moves to the front of
-		// a buffer that holds n, and the file is read into all that is free
-		// behind it.
-		buf := fw.buf
-		if len(buf) < n {
-			buf = make([]byte, max(n, windowBytes))
+	for empty := 0; fw.w-fw.r < n; {
+		if fw.w == len(fw.buf) {
+			// No room behind what is unconsumed — a part of one frame: it
+			// moves to the front of the buffer, or of one twice the size
+			// when it fills this one, so the buffer grows with the bytes
+			// that arrive and never ahead of them.
+			buf := fw.buf
+			if fw.r == 0 {
+				buf = make([]byte, max(windowBytes, min(n, 2*len(buf))))
+			}
+			fw.w = copy(buf, fw.buf[fw.r:fw.w])
+			fw.buf, fw.r = buf, 0
 		}
-		fw.w = copy(buf, fw.buf[fw.r:fw.w])
-		fw.buf, fw.r = buf, 0
-		for empty := 0; fw.w < n; {
-			got, err := fw.f.Read(fw.buf[fw.w:])
-			fw.w += got
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			if got > 0 {
-				empty = 0
-			} else if empty++; empty == 100 {
-				return nil, io.ErrNoProgress
-			}
+		got, err := fw.f.Read(fw.buf[fw.w:])
+		fw.w += got
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if got > 0 {
+			empty = 0
+		} else if empty++; empty == 100 {
+			return nil, io.ErrNoProgress
 		}
 	}
 	return fw.buf[fw.r:min(fw.w, fw.r+n)], nil
@@ -358,6 +582,14 @@ func (fw *frameWindow) peek(n int) ([]byte, error) {
 func (fw *frameWindow) consume(n int) {
 	fw.r += n
 	fw.off += int64(n)
+}
+
+// take consumes the frame whose payload frame or record has just returned
+// and returns the whole frame, valid as long as the payload was.
+func (fw *frameWindow) take(payload []byte) []byte {
+	frame := fw.buf[fw.r : fw.r+frameHeader+len(payload)]
+	fw.consume(len(frame))
+	return frame
 }
 
 // rest reads the file to its end and returns everything unconsumed.

@@ -377,7 +377,7 @@ func TestCoveredFrameChecks(t *testing.T) {
 	reframe := func(i int, payload string) oneSegment {
 		c := intact
 		c.segment = append([]byte(nil), intact.segment[:offs[i]]...)
-		c.segment = appendFrame(c.segment, []byte(payload))
+		c.segment = AppendFrame(c.segment, []byte(payload))
 		c.segment = append(c.segment, intact.segment[offs[i+1]:]...)
 		return c
 	}
@@ -440,9 +440,9 @@ func FuzzSegmentRecovery(f *testing.F) {
 	whole := uint32(len(prefix.segment))
 	f.Add(whole, true, []byte{})
 	f.Add(whole, false, []byte("torn"))
-	f.Add(whole, true, appendFrame(nil, []byte(fmt.Sprintf("%d 1 event ckin", len(offs)))))
-	f.Add(whole, true, appendFrame(nil, []byte(fmt.Sprintf("%d 1 nosuchop", len(offs)))))
-	f.Add(whole, false, appendFrame([]byte("torn"), []byte(fmt.Sprintf("%d 1 event ckin", len(offs)))))
+	f.Add(whole, true, AppendFrame(nil, []byte(fmt.Sprintf("%d 1 event ckin", len(offs)))))
+	f.Add(whole, true, AppendFrame(nil, []byte(fmt.Sprintf("%d 1 nosuchop", len(offs)))))
+	f.Add(whole, false, AppendFrame([]byte("torn"), []byte(fmt.Sprintf("%d 1 event ckin", len(offs)))))
 	f.Add(whole, true, frame(3))
 	f.Add(uint32(offs[len(offs)-2]), true, frame(len(offs)-3))
 	f.Add(uint32(windowBytes), true, []byte{})

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -15,57 +14,6 @@ import (
 // ErrTailStopped reports that a Tailer's stop channel (or its Writer)
 // closed while waiting for the next committed record.
 var ErrTailStopped = errors.New("journal: tail stopped")
-
-// FollowEventKind discriminates the three things a tail can produce.
-type FollowEventKind int
-
-const (
-	// FollowRecord delivers one committed record, in strict LSN order.
-	FollowRecord FollowEventKind = iota
-	// FollowSnapshot delivers a whole-database bootstrap: the requested
-	// position is older than the oldest retained segment, so the follower
-	// must re-base on the snapshot before records resume.
-	FollowSnapshot
-	// FollowMark reports the commit watermark when the tail catches up —
-	// the follower's "you have seen everything committed so far" signal.
-	FollowMark
-	// FollowHealth reports that the journal behind this tail degraded: the
-	// watermark this stream is parked at is final — the primary refuses
-	// writes until the disk fault is resolved — and Reason says why.  It is
-	// delivered at most once per tail, only when caught up, so a follower
-	// never mistakes a wedged primary for a merely idle one.
-	FollowHealth
-	// FollowPing is the idle-stream liveness tick: the tail is caught up
-	// and nothing has committed for one ping interval, so the stream
-	// proves it is alive rather than staying silent.  Watermark carries
-	// the current commit position; a follower at that position treats the
-	// ping as freshness evidence, and its absence — past the stall
-	// timeout — as a dead link.  Only emitted when SetPing armed it.
-	FollowPing
-)
-
-// FollowEvent is one step of a journal tail.
-type FollowEvent struct {
-	Kind FollowEventKind
-
-	// Payload is set for FollowRecord: the record's payload exactly as the
-	// segment file holds it.  It aliases the tail's read buffer and is valid
-	// until the next Next.
-	Payload []byte
-
-	// SnapLSN/Snapshot are set for FollowSnapshot: the snapshot reflects
-	// every record with LSN ≤ SnapLSN, and records resume at SnapLSN+1.
-	// Snapshot is what BootstrapSnapshot installs: a checkpoint's header and
-	// payloads a line each, or a JSON document.
-	SnapLSN  int64
-	Snapshot []byte
-
-	// Watermark is set for FollowMark and FollowHealth.
-	Watermark int64
-
-	// Reason is set for FollowHealth: the degraded journal's sticky error.
-	Reason string
-}
 
 // Tailer reads a live journal from a given position: retained history from
 // the segment files, then new records as the Writer commits them.  It is
@@ -135,7 +83,7 @@ func (t *Tailer) Next(stop <-chan struct{}) (FollowEvent, error) {
 				case <-t.w.healthChan():
 					t.sentHealth = true
 					_, reason := t.w.Health()
-					return FollowEvent{Kind: FollowHealth, Watermark: wm, Reason: reason}, nil
+					return FollowEvent{Kind: FollowHealth, Reason: reason}, nil
 				default:
 				}
 			}
@@ -234,43 +182,24 @@ func (t *Tailer) locate() (FollowEvent, bool, error) {
 	return FollowEvent{}, false, fmt.Errorf("journal: tail: directory kept changing underneath the listing")
 }
 
-// snapshotBody reads the snapshot of lsn as FollowSnapshot carries it: a
-// checkpoint's header and payloads a line each, its frames checked and a raw
-// line break refused as scanFrame refuses one — or a JSON document.
+// snapshotBody reads the snapshot of lsn as FollowSnapshot carries it: the
+// file, byte for byte.  The follower reads it as recovery does before it
+// installs it.
 func (t *Tailer) snapshotBody(lsn int64) ([]byte, error) {
 	f, err := t.w.fs.Open(filepath.Join(t.w.dir, snapshotName(lsn)))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	t.win.reset(f, 0)
-	h, err := t.win.snapshotHeader(lsn)
-	if errors.Is(err, errOldVersion) {
-		doc, err := t.win.rest()
-		return bytes.Clone(doc), err
-	} else if err != nil {
-		return nil, err
-	}
-	body := h.Bytes()
-	err = t.win.frames(func(payload []byte) error {
-		if bytes.ContainsAny(payload, "\r\n") {
-			return errors.New("a raw line break, which the writer escapes — a doctored snapshot")
-		}
-		body = append(append(body, payload...), '\n')
-		return nil
-	})
-	return body, err
+	return io.ReadAll(f)
 }
 
 // scanFrame reads the current segment forward: it returns the next record
-// at or beyond the tail position, rotates to the next segment at a clean
-// end-of-file, and reports corruption otherwise.  The caller has already
-// established that record t.next is committed (watermark ≥ t.next), so the
-// frame bytes are fully visible wherever they live — a partial frame here
-// is disk corruption, not a write in progress.  A record travels as its
-// payload, one line of the FOLLOW stream: the writer escapes CR and LF, so a
-// payload holding either raw comes from a doctored log and is corruption too
-// — shipped, it would split the line.
+// at or beyond the tail position, as its frame, rotates to the next segment
+// at a clean end-of-file, and reports corruption otherwise.  The caller has
+// already established that record t.next is committed (watermark ≥ t.next),
+// so the frame bytes are fully visible wherever they live — a partial frame
+// here is disk corruption, not a write in progress.
 func (t *Tailer) scanFrame() (FollowEvent, bool, error) {
 	for {
 		payload, lsn, damage, err := t.win.record()
@@ -288,7 +217,7 @@ func (t *Tailer) scanFrame() (FollowEvent, bool, error) {
 			return FollowEvent{}, false, fmt.Errorf(
 				"journal: tail: %s at offset %d, before committed lsn %d", damage, t.win.off, t.next)
 		}
-		t.win.consume(frameHeader + len(payload))
+		frame := t.win.take(payload)
 		if lsn < t.next {
 			continue // entered the segment mid-way; below our position
 		}
@@ -296,11 +225,7 @@ func (t *Tailer) scanFrame() (FollowEvent, bool, error) {
 			return FollowEvent{}, false, fmt.Errorf(
 				"journal: tail: record lsn %d where %d was expected", lsn, t.next)
 		}
-		if bytes.ContainsAny(payload, "\r\n") {
-			return FollowEvent{}, false, fmt.Errorf(
-				"journal: tail: record lsn %d holds a raw line break, which the writer escapes — a doctored log", lsn)
-		}
 		t.next++
-		return FollowEvent{Kind: FollowRecord, Payload: payload}, true, nil
+		return FollowEvent{Kind: FollowRecord, Frame: frame}, true, nil
 	}
 }

@@ -2,9 +2,13 @@ package journal_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,7 +31,7 @@ func collectTail(t *testing.T, tl *journal.Tailer) ([]meta.Record, int64) {
 		}
 		switch ev.Kind {
 		case journal.FollowRecord:
-			rec, err := journal.DecodePayload(ev.Payload)
+			rec, err := journal.DecodePayload(ev.Payload())
 			if err != nil {
 				t.Fatalf("tail: record %d: %v", len(recs)+1, err)
 			}
@@ -98,7 +102,7 @@ func TestTailerStreamsCommittedRecords(t *testing.T) {
 	}
 	select {
 	case ev := <-got:
-		if rec, err := journal.DecodePayload(ev.Payload); ev.Kind != journal.FollowRecord || err != nil || rec.LSN != 6 || rec.Op != meta.OpUpdate {
+		if rec, err := journal.DecodePayload(ev.Payload()); ev.Kind != journal.FollowRecord || err != nil || rec.LSN != 6 || rec.Op != meta.OpUpdate {
 			t.Fatalf("after commit, got %+v, want the lsn-6 update record", ev)
 		}
 	case <-time.After(5 * time.Second):
@@ -229,8 +233,8 @@ func TestFollowerLogResumeAndDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := func(lsn int64, block string) string {
-		return journal.Payload(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
+	rec := func(lsn int64, block string) []byte {
+		return journal.Frame(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
 			Args: []string{block + ",HDL_model,1", fmt.Sprint(lsn)}})
 	}
 	for i := 1; i <= 3; i++ {
@@ -292,8 +296,8 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	oid := func(lsn int64, block string) string {
-		return journal.Payload(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
+	oid := func(lsn int64, block string) []byte {
+		return journal.Frame(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
 			Args: []string{block + ",HDL_model,1", fmt.Sprint(lsn)}})
 	}
 	for i := int64(1); i <= 3; i++ {
@@ -355,5 +359,92 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 	}
 	if got := db.Head().Stats().OIDs; got != 3 || !bytes.Equal(save(pinned), before) {
 		t.Errorf("after the stream resumed: %d OIDs, want 3; pinned view unchanged: %v", got, bytes.Equal(save(pinned), before))
+	}
+}
+
+// followStream encodes events as a FOLLOW stream carries them.
+func followStream(evs ...journal.FollowEvent) []byte {
+	var b []byte
+	for _, ev := range evs {
+		b = journal.AppendFollowEvent(b, ev)
+	}
+	return b
+}
+
+// readFollow decodes a whole stream, keeping a copy of every event.
+func readFollow(stream []byte) ([]journal.FollowEvent, error) {
+	var got []journal.FollowEvent
+	err := journal.ReadFollow(bytes.NewReader(stream), func(ev journal.FollowEvent) error {
+		ev.Frame = bytes.Clone(ev.Frame)
+		got = append(got, ev)
+		return nil
+	})
+	return got, err
+}
+
+// TestFollowEventRoundTrip: every kind of event goes out through
+// AppendFollowEvent and comes back from ReadFollow as the same event, and
+// encodes again to the same bytes — a record as the frame it was, even in a
+// spelling the writer never produces.
+func TestFollowEventRoundTrip(t *testing.T) {
+	record := func(payload string) journal.FollowEvent {
+		return journal.FollowEvent{Kind: journal.FollowRecord, Frame: journal.AppendFrame(nil, []byte(payload))}
+	}
+	want := []journal.FollowEvent{
+		record(`7 5 update cpu,HDL_model,1 1 note "a b \"q\" \\"`),
+		record("8\t6 \"oid\" odd,HDL_model,1 6"),
+		record("9 7 event ckin\nraw"),
+		{Kind: journal.FollowSnapshot, SnapLSN: 42, Snapshot: []byte("DJS2 0000000000000042 0000000000000001\n\x00\xff")},
+		{Kind: journal.FollowMark, Watermark: 17},
+		{Kind: journal.FollowPing, Watermark: 9223372036854775807},
+		{Kind: journal.FollowHealth, Reason: "journal: fsync: no space left on device"},
+		{Kind: journal.FollowHealth, Reason: ""},
+	}
+	// An end or an error event ends the stream: what follows is not read.
+	for _, last := range []journal.FollowEvent{
+		{Kind: journal.FollowEnd},
+		{Kind: journal.FollowError, Reason: "tail: position 9 is \"ahead\"\nof the journal"},
+	} {
+		want := append(slices.Clone(want), last)
+		stream := followStream(want...)
+		got, err := readFollow(append(slices.Clone(stream), stream...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded\n%+v\nwant\n%+v", got, want)
+		}
+		if again := followStream(got...); !bytes.Equal(again, stream) {
+			t.Fatalf("re-encoded %q, want %q", again, stream)
+		}
+	}
+}
+
+// TestReadFollowRefusesDamage: a stream cut short — mid-frame or between
+// frames — a frame whose checksum fails, one whose length is past the
+// journal's bound, an event of no kind and one spelled another way are
+// errors, and nothing of the damaged frame reaches the caller.
+func TestReadFollowRefusesDamage(t *testing.T) {
+	good := followStream(journal.FollowEvent{Kind: journal.FollowMark, Watermark: 3})
+	frame := func(payload string) []byte { return journal.AppendFrame(nil, []byte(payload)) }
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
+	for what, stream := range map[string][]byte{
+		"cut mid-frame":         good[:len(good)-1],
+		"checksum":              flipped,
+		"oversized":             {0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0},
+		"unknown kind":          frame("gossip 1"),
+		"another spelling":      frame("watermark +3"),
+		"negative lsn":          frame("watermark -3"),
+		"snapshot cut short":    append(frame("snapshot 4 10"), "short"...),
+		"snapshot of no length": frame("snapshot 4"),
+	} {
+		got, err := readFollow(stream)
+		if err == nil || len(got) != 0 {
+			t.Errorf("%s: %d events, %v; want an error and none", what, len(got), err)
+		}
+	}
+	if got, err := readFollow(good); !errors.Is(err, io.ErrUnexpectedEOF) || len(got) != 1 {
+		t.Errorf("cut at a frame: %d events, %v; want the one before the cut and an error", len(got), err)
 	}
 }

@@ -72,7 +72,7 @@ func TestPromoteBumpsAndRecovers(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r := meta.Record{LSN: int64(i), Seq: int64(i), Op: meta.OpOID,
 			Args: []string{fmt.Sprintf("b%d,HDL_model,1", i), fmt.Sprint(i)}}
-		if _, err := w.ApplyAppend(string(appendPayload(nil, r))); err != nil {
+		if _, err := w.ApplyAppend(AppendFrame(nil, appendPayload(nil, r))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestValidateFollowPosition(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r := meta.Record{LSN: int64(i), Seq: int64(i), Op: meta.OpOID,
 			Args: []string{fmt.Sprintf("v%d,HDL_model,1", i), fmt.Sprint(i)}}
-		if _, err := w.ApplyAppend(string(appendPayload(nil, r))); err != nil {
+		if _, err := w.ApplyAppend(AppendFrame(nil, appendPayload(nil, r))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestHeaderTermRegressionRefused(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		r := meta.Record{LSN: int64(i), Seq: int64(i), Op: meta.OpOID,
 			Args: []string{fmt.Sprintf("r%d,HDL_model,1", i), fmt.Sprint(i)}}
-		if _, err := w.ApplyAppend(string(appendPayload(nil, r))); err != nil {
+		if _, err := w.ApplyAppend(AppendFrame(nil, appendPayload(nil, r))); err != nil {
 			t.Fatal(err)
 		}
 	}

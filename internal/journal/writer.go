@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"repro/internal/faultfs"
 	"repro/internal/meta"
@@ -289,8 +291,8 @@ func (w *Writer) Term() int64 { return w.term.Load() }
 
 // ValidateFollowPosition decides whether a follower resuming at position
 // from with history ending in term fromTerm may be served from this
-// journal — the fencing half of the FOLLOW handshake.  fromTerm 0 marks a
-// legacy handshake that carries no term and skips the term checks.
+// journal — the fencing half of the FOLLOW handshake.  fromTerm 0 marks an
+// observer, which holds no history, and skips the term checks.
 //
 // The rules, term checks first because they carry the sharper diagnosis:
 // a follower term NEWER than ours means this node is the deposed one —
@@ -301,7 +303,7 @@ func (w *Writer) Term() int64 { return w.term.Load() }
 // a divergent tail written by a deposed primary (a revived old primary is
 // the canonical case — its raw position may even exceed our watermark) —
 // refused loudly, never resumed over.  Finally, a position ahead of the
-// commit watermark within the same (or a legacy, term-less) lineage means
+// commit watermark within the same lineage (or an observer's) means
 // divergent histories outright: journal reset or wrong primary.
 func (w *Writer) ValidateFollowPosition(from, fromTerm int64) error {
 	if fromTerm > 0 {
@@ -389,18 +391,19 @@ func (w *Writer) Record(r meta.Record) int64 {
 	w.mu.Lock()
 	r.LSN = w.lastLSN.Load() + 1
 	w.scratch = appendPayload(w.scratch[:0], r)
-	w.appendLocked(r.LSN, w.scratch)
+	w.appendLocked(r.LSN, AppendFrame(w.buf, w.scratch))
 	w.mu.Unlock()
 	return r.LSN
 }
 
-// appendLocked buffers payload's frame as record lsn, the newest — the one
-// append body of Record, ApplyAppend and Promote — and wakes the spill
-// goroutine when the buffer outgrows its bound: rotation and fsync belong to
-// the flushMu-serialized Commit path, never under w.mu.  Callers hold w.mu.
-func (w *Writer) appendLocked(lsn int64, payload []byte) {
+// appendLocked takes buf, the buffer with record lsn's frame appended, as
+// the buffer, lsn as the newest record — the one append body of Record,
+// ApplyAppend and Promote — and wakes the spill goroutine when the buffer
+// outgrows its bound: rotation and fsync belong to the flushMu-serialized
+// Commit path, never under w.mu.  Callers hold w.mu.
+func (w *Writer) appendLocked(lsn int64, buf []byte) {
 	w.lastLSN.Store(lsn)
-	w.buf = appendFrame(w.buf, payload)
+	w.buf = buf
 	w.pending++
 	if len(w.buf) >= bufFlushBytes {
 		select {
@@ -560,28 +563,36 @@ func (w *Writer) Commit() error {
 }
 
 // ApplyAppend is the follower-side ingestion point: it applies one
-// primary-shipped record, given as its journal payload, to the database and
-// appends the same payload to the local log — the primary's bytes, never
-// re-encoded — so the follower's journal is frame-for-frame identical to the
-// primary's and a restart resumes from exactly the persisted position.  A
-// record at or below the current position is a duplicate from a reconnect
-// overlap and is skipped; a record that skips ahead is a gap and fails
-// loudly — silently applying it would hide lost history.  lsn is the
-// position after the call, whatever it did.
+// primary-shipped record, given as its journal frame, to the database and
+// appends the same frame to the local log — the primary's bytes, its
+// checksum included, never re-encoded — so the follower's journal is
+// frame-for-frame identical to the primary's and a restart resumes from
+// exactly the persisted position.  The frame's checksum is the caller's to
+// have checked (ReadFollow checks every frame it delivers).  A record at or
+// below the current position is a duplicate from a reconnect overlap and
+// is skipped; a record that skips ahead is a gap and fails loudly —
+// silently applying it would hide lost history.  lsn is the position after
+// the call, whatever it did.
 //
 // The apply+append pair runs under applyMu, which Snapshot also holds
 // across its collection: on the primary, record emission happens under
 // the database locks the snapshot collector takes, which is what makes
 // the pinned LSN match the collected state; applyMu restores that
 // atomicity here, where records are applied from outside the database.
-func (w *Writer) ApplyAppend(payload string) (lsn int64, err error) {
+func (w *Writer) ApplyAppend(frame []byte) (lsn int64, err error) {
 	if !w.follower {
 		return w.lastLSN.Load(), fmt.Errorf("journal: ApplyAppend on a primary-mode writer")
 	}
 	w.applyMu.Lock()
 	defer w.applyMu.Unlock()
 	last := w.lastLSN.Load()
-	r, err := w.dec.decode(payload)
+	if len(frame) < frameHeader || int(binary.LittleEndian.Uint32(frame)) != len(frame)-frameHeader {
+		return last, fmt.Errorf("journal: ApplyAppend of a malformed frame")
+	}
+	// The record's strings are the frame's bytes: ApplyRecord keeps none of
+	// them, so, as in recovery, a record costs no copy of its payload.
+	payload := frame[frameHeader:]
+	r, err := w.dec.decode(unsafe.String(unsafe.SliceData(payload), len(payload)))
 	if err != nil {
 		return last, err
 	}
@@ -602,15 +613,14 @@ func (w *Writer) ApplyAppend(payload string) (lsn int64, err error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.scratch = append(w.scratch[:0], payload...)
-	w.appendLocked(r.LSN, w.scratch)
+	w.appendLocked(r.LSN, append(w.buf, frame...))
 	return r.LSN, w.ioErr
 }
 
 // BootstrapSnapshot installs a primary-shipped snapshot as the follower's
-// new base state: the body of a FOLLOW snapshot frame, framed again, becomes
-// snapshot-<lsn>.json — the primary's file, or the JSON document a primary
-// of an older build ships — a fresh segment starting at lsn+1 replaces the
+// new base state: body, the primary's snapshot file byte for byte — a
+// checkpoint, or the JSON document of an older build — becomes
+// snapshot-<lsn>.json, a fresh segment starting at lsn+1 replaces the
 // tail, every older segment and snapshot is deleted, and the in-memory
 // database is reset to the snapshot.  This is the cold or stale-follower
 // path — the primary has compacted away the records between the follower's
@@ -632,17 +642,8 @@ func (w *Writer) BootstrapSnapshot(lsn int64, body []byte) error {
 
 	// Read the snapshot as recovery does before touching any file: a torn or
 	// corrupt one must leave the follower's current state untouched.
-	file := body
-	if hdr, lines, ok := bytes.Cut(body, []byte{'\n'}); ok && bytes.HasPrefix(hdr, []byte(ckptMagic)) {
-		file = append(bytes.Clone(hdr), '\n')
-		for len(lines) > 0 {
-			var line []byte
-			line, lines, _ = bytes.Cut(lines, []byte{'\n'})
-			file = appendFrame(file, line)
-		}
-	}
 	var win frameWindow
-	restored, err := win.readSnapshot(bytes.NewReader(file), lsn, w.opt.Shards)
+	restored, err := win.readSnapshot(bytes.NewReader(body), lsn, w.opt.Shards)
 	if err != nil {
 		return fmt.Errorf("journal: bootstrap snapshot: %w", err)
 	}
@@ -651,7 +652,7 @@ func (w *Writer) BootstrapSnapshot(lsn int64, body []byte) error {
 	if err != nil {
 		return fmt.Errorf("journal: bootstrap snapshot: %w", err)
 	}
-	_, werr := f.Write(file)
+	_, werr := f.Write(body)
 	if err := w.sealSnapshot(f, werr, lsn); err != nil {
 		return err
 	}
@@ -712,7 +713,7 @@ func (w *Writer) Promote() (term, lsn int64, err error) {
 	}
 	w.mu.Lock()
 	w.scratch = appendPayload(w.scratch[:0], rec)
-	w.appendLocked(rec.LSN, w.scratch)
+	w.appendLocked(rec.LSN, AppendFrame(w.buf, w.scratch))
 	w.mu.Unlock()
 	w.term.Store(newTerm)
 	if err := w.Commit(); err != nil {

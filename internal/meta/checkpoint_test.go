@@ -323,8 +323,8 @@ func firstDiff(got, want []byte) string {
 }
 
 // FuzzSnapshotString: a property value of any bytes survives a checkpoint
-// byte for byte, on records that hold no raw line break — each travels as
-// one line of a FOLLOW bootstrap — and survives the JSON document as
+// byte for byte, on records that hold no raw line break — the writer
+// escapes them, a record a line of text — and survives the JSON document as
 // encoding/json has it, invalid UTF-8 become U+FFFD.
 func FuzzSnapshotString(f *testing.F) {
 	for _, s := range hostile {

@@ -266,6 +266,30 @@ func TestProxyDropAfter(t *testing.T) {
 	}
 }
 
+// TestProxyCorruptAfter: the armed byte — the fifth downstream, the "y" of
+// the second echo — arrives with one bit flipped, every other byte as it
+// was sent, and the trigger fires once.
+func TestProxyCorruptAfter(t *testing.T) {
+	addr, stop := echoServer(t)
+	defer stop()
+	p, err := NewProxy(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.CorruptAfter(Down, 5)
+	c, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, echo := range [][2]string{{"abc", "abc"}, {"xyz", "xxz"}, {"xyz", "xyz"}} {
+		if got := roundTripT(t, c, echo[0]); got != echo[1] {
+			t.Fatalf("echo of %q = %q, want %q", echo[0], got, echo[1])
+		}
+	}
+}
+
 func TestProxyBlackholedDialUnserviced(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()

@@ -40,6 +40,9 @@ func (d Direction) String() string {
 //   - DropAfter closes the connection abruptly at the Nth forwarded
 //     chunk in that direction — the RST model, distinct from the
 //     blackhole's silence.
+//   - CorruptAfter flips one bit of the Nth forwarded byte in that
+//     direction — damage in flight that only the receiver's own checksum
+//     can catch.
 //
 // New connections arriving while Up is blackholed are accepted (the
 // listener is local; SYN/ACK always works) but never serviced — the
@@ -67,6 +70,8 @@ type dirState struct {
 	bandwidth int64 // bytes/sec; 0 = unshaped
 	dropAt    int64 // close the link at this 1-based forwarded chunk; 0 = never
 	forwarded int64 // chunks forwarded in this direction, across all links
+	corruptAt int64 // flip a bit of this 1-based forwarded byte; 0 = never
+	bytes     int64 // bytes forwarded in this direction, across all links
 }
 
 // NewProxy starts a relay toward target on an ephemeral loopback port.
@@ -123,6 +128,15 @@ func (p *Proxy) DropAfter(d Direction, nth int64) {
 	st := p.dir(d)
 	st.mu.Lock()
 	st.dropAt = nth
+	st.mu.Unlock()
+}
+
+// CorruptAfter arms a one-bit flip of the nth byte forwarded in d
+// (1-based, counted across all connections; 0 disarms).
+func (p *Proxy) CorruptAfter(d Direction, nth int64) {
+	st := p.dir(d)
+	st.mu.Lock()
+	st.corruptAt = nth
 	st.mu.Unlock()
 }
 
@@ -260,7 +274,10 @@ func (p *Proxy) pump(l *link, src, dst net.Conn, st *dirState) {
 		}
 		n, err := src.Read(buf)
 		if n > 0 {
-			delay, bw, drop := st.admit()
+			delay, bw, drop, flip := st.admit(n)
+			if flip >= 0 {
+				buf[flip] ^= 1
+			}
 			if delay > 0 {
 				time.Sleep(delay)
 			}
@@ -302,17 +319,24 @@ func (st *dirState) waitClear(done <-chan struct{}) bool {
 	}
 }
 
-// admit counts one forwarded chunk and returns the shaping to apply
-// plus whether the drop trigger fired on this chunk.
-func (st *dirState) admit() (delay time.Duration, bandwidth int64, drop bool) {
+// admit counts one forwarded chunk of n bytes and returns the shaping to
+// apply, whether the drop trigger fired on this chunk, and the index in it
+// of the byte whose bit the corrupt trigger flips, or -1.
+func (st *dirState) admit(n int) (delay time.Duration, bandwidth int64, drop bool, flip int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.forwarded++
+	flip = -1
+	if st.corruptAt > 0 && st.corruptAt <= st.bytes+int64(n) {
+		flip = int(max(st.corruptAt-st.bytes-1, 0))
+		st.corruptAt = 0
+	}
+	st.bytes += int64(n)
 	if st.dropAt > 0 && st.forwarded >= st.dropAt {
 		st.dropAt = 0
-		return st.latency, st.bandwidth, true
+		drop = true
 	}
-	return st.latency, st.bandwidth, false
+	return st.latency, st.bandwidth, drop, flip
 }
 
 // link is one proxied connection pair.

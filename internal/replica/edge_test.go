@@ -2,8 +2,8 @@ package replica_test
 
 // Wire-level edge cases of the FOLLOW stream, driven by a fake primary
 // that speaks raw bytes: a record torn at the stream boundary (the
-// connection dies mid-line) must never be applied — even when the
-// truncated prefix parses as a different, VALID record — and the follower
+// connection dies mid-frame) must never be applied — even when the
+// truncated prefix is a different, VALID record payload — and the follower
 // must reconnect and resume from its persisted position.
 
 import (
@@ -90,12 +90,18 @@ func record(lsn int64, op string, args ...string) string {
 	return strings.Join(fields, " ")
 }
 
+// frameLine renders a record as the stream carries it: its journal frame.
 func frameLine(payload string) string {
-	return "|" + wire.FollowFrameRecord + " " + payload + "\n"
+	return string(journal.AppendFrame(nil, []byte(payload)))
 }
 
-// TestFollowerIgnoresTornRecordAtStreamBoundary: the third record's line
-// is cut off exactly where the truncated prefix still parses as a valid —
+// markLine renders a caught-up watermark as the stream carries it.
+func markLine(lsn int64) string {
+	return string(journal.AppendFollowEvent(nil, journal.FollowEvent{Kind: journal.FollowMark, Watermark: lsn}))
+}
+
+// TestFollowerIgnoresTornRecordAtStreamBoundary: the third record's frame
+// is cut off exactly where the truncated payload still parses as a valid —
 // but wrong — record (workspace root "/d" instead of "/data").  The
 // follower must discard the fragment, reconnect with FOLLOW 2, and apply
 // only the authoritative replay.
@@ -106,7 +112,7 @@ func TestFollowerIgnoresTornRecordAtStreamBoundary(t *testing.T) {
 	r4 := record(4, meta.OpBind, "w33", "cpu,HDL_model,1", "some/path")
 
 	full3 := frameLine(r3)
-	torn3 := strings.TrimSuffix(full3, "ata\n") // "|record 3 3 workspace w33 /d" — no newline
+	torn3 := strings.TrimSuffix(full3, "ata") // the frame of "3 3 workspace w33 /data", cut after "/d"
 	if !strings.HasSuffix(torn3, "/d") {
 		t.Fatalf("tear landed wrong: %q", torn3)
 	}
@@ -118,7 +124,7 @@ func TestFollowerIgnoresTornRecordAtStreamBoundary(t *testing.T) {
 		// Connection 2: the resume — must be asked from lsn 2 — replays
 		// the real record 3 and continues.  Ends with a watermark and
 		// stays open.
-		frameLine(r3) + frameLine(r4) + "|watermark 4\n",
+		frameLine(r3) + frameLine(r4) + markLine(4),
 	}
 	fp := startFakePrimary(t, scripts)
 
@@ -140,11 +146,12 @@ func TestFollowerIgnoresTornRecordAtStreamBoundary(t *testing.T) {
 		}
 	}
 	// The follower announces its history's term (genesis 1) with every
-	// FOLLOW so the primary can fence divergent tails.
-	want("FOLLOW 0 1")
+	// FOLLOW so the primary can fence divergent tails, and the version of
+	// the stream it reads.
+	want("FOLLOW 0 1 2")
 	// The reconnect must resume from the persisted position — record 3
 	// (torn) not applied, records 1-2 kept.
-	want("FOLLOW 2 1")
+	want("FOLLOW 2 1 2")
 
 	if _, err := fol.WaitApplied(4, 10*time.Second); err != nil {
 		t.Fatalf("follower never caught up: %v (terminal: %v)", err, fol.Err())
@@ -170,7 +177,7 @@ func TestFollowerIgnoresTornRecordAtStreamBoundary(t *testing.T) {
 func TestFollowerRejectsGapInStream(t *testing.T) {
 	r1 := record(1, meta.OpOID, "cpu,HDL_model,1", "1")
 	r3 := record(3, meta.OpOID, "reg,HDL_model,1", "3") // 2 never sent
-	fp := startFakePrimary(t, []string{frameLine(r1) + frameLine(r3) + "|watermark 3\n"})
+	fp := startFakePrimary(t, []string{frameLine(r1) + frameLine(r3) + markLine(3)})
 
 	fol, err := replica.Start(t.TempDir(), fp.ln.Addr().String(), journal.Options{Shards: 4})
 	if err != nil {
@@ -214,7 +221,7 @@ func TestFollowerAheadOfPrimaryIsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 40; i++ {
-		if _, err := fw.ApplyAppend(record(int64(i), meta.OpOID, fmt.Sprintf("old%d,HDL_model,1", i), fmt.Sprint(i))); err != nil {
+		if _, err := fw.ApplyAppend([]byte(frameLine(record(int64(i), meta.OpOID, fmt.Sprintf("old%d,HDL_model,1", i), fmt.Sprint(i))))); err != nil {
 			t.Fatal(err)
 		}
 	}

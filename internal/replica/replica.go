@@ -9,12 +9,12 @@
 // never a record above the commit watermark, so a follower can never hold
 // state a primary crash would lose.
 //
-// A Follower appends each record's payload, exactly as the primary's
-// segment holds it, to its own local journal and applies it to its own
-// database: the follower's log is frame-for-frame identical to the
-// primary's, a restart resumes from exactly the persisted applied position,
-// and the caught-up follower's canonical Save output is byte-identical to
-// the primary's.
+// A Follower appends each record's frame, exactly as the primary's segment
+// holds it and checked against the primary's checksum, to its own local
+// journal and applies it to its own database: the follower's log is
+// frame-for-frame identical to the primary's, a restart resumes from
+// exactly the persisted applied position, and the caught-up follower's
+// canonical Save output is byte-identical to the primary's.
 package replica
 
 import (
@@ -394,9 +394,9 @@ func (t terminalError) Error() string { return t.err.Error() }
 // The attempt is bounded by dialMax and cancelable by Repoint and halt
 // — a dial parked on a blackholed address must not pin the loop to a
 // primary the caller already knows is gone.  The resulting client gets
-// the stall timeout both as its handshake bound (a half-open accept
-// that never answers FOLLOW dies here) and as its per-frame stream
-// deadline.
+// the stall timeout as the bound on its peer's silence: a half-open accept
+// that never answers FOLLOW dies on it, and so does a stream that stops
+// delivering frames.
 func (f *Follower) dial() (*server.Client, error) {
 	f.mu.Lock()
 	addr := f.addr
@@ -411,9 +411,7 @@ func (f *Follower) dial() (*server.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := server.NewClient(conn, f.stall)
-	c.StreamTimeout = f.stall
-	return c, nil
+	return server.NewClient(conn, f.stall), nil
 }
 
 func (f *Follower) run() {
@@ -558,13 +556,13 @@ func (f *Follower) sendAck(lsn int64) {
 	}
 }
 
-// apply consumes one stream frame.  Errors it returns deliberately are
-// terminal; transport-level failures surface from Follow itself and lead
-// to a reconnect.
-func (f *Follower) apply(fr server.FollowFrame) error {
-	switch {
-	case fr.Record != "":
-		lsn, err := f.w.ApplyAppend(fr.Record)
+// apply consumes one stream event.  Errors it returns deliberately are
+// terminal; transport-level failures surface from FollowFrom itself and
+// lead to a reconnect.
+func (f *Follower) apply(ev journal.FollowEvent) error {
+	switch ev.Kind {
+	case journal.FollowRecord:
+		lsn, err := f.w.ApplyAppend(ev.Frame)
 		if err != nil {
 			return terminalError{err}
 		}
@@ -588,28 +586,28 @@ func (f *Follower) apply(fr server.FollowFrame) error {
 			f.sendAck(lsn)
 		}
 
-	case fr.Snapshot != nil:
-		if err := f.w.BootstrapSnapshot(fr.SnapLSN, fr.Snapshot); err != nil {
+	case journal.FollowSnapshot:
+		if err := f.w.BootstrapSnapshot(ev.SnapLSN, ev.Snapshot); err != nil {
 			return terminalError{err}
 		}
 		f.stats.bootstraps.Add(1)
 		f.mu.Lock()
-		f.applied = fr.SnapLSN
+		f.applied = ev.SnapLSN
 		f.freshAt = time.Now()
 		f.progress = true
 		f.sinceCommit = 0
 		f.wakeLocked()
 		f.mu.Unlock()
-		f.sendAck(fr.SnapLSN)
+		f.sendAck(ev.SnapLSN)
 
-	case fr.Mark:
+	case journal.FollowMark:
 		// Idle point: the primary has nothing more committed.  Make the
 		// applied tail durable so a crash resumes from here.
 		if err := f.w.Commit(); err != nil {
 			return terminalError{err}
 		}
 		f.mu.Lock()
-		f.watermark = fr.Watermark
+		f.watermark = ev.Watermark
 		f.freshAt = time.Now()
 		applied := f.applied
 		f.sinceCommit = 0
@@ -617,24 +615,24 @@ func (f *Follower) apply(fr server.FollowFrame) error {
 		f.mu.Unlock()
 		f.sendAck(applied)
 
-	case fr.Ping:
+	case journal.FollowPing:
 		// Idle-stream liveness tick: the primary is alive and still caught
-		// up at PingLSN, it just has nothing to ship — freshness evidence
-		// without data.  The tailer only pings from its caught-up state,
-		// so PingLSN is a watermark this stream has fully delivered.
+		// up at its Watermark, it just has nothing to ship — freshness
+		// evidence without data.  The tailer only pings from its caught-up
+		// state, so that is a watermark this stream has fully delivered.
 		f.mu.Lock()
-		if fr.PingLSN > f.watermark {
-			f.watermark = fr.PingLSN
+		if ev.Watermark > f.watermark {
+			f.watermark = ev.Watermark
 		}
 		f.freshAt = time.Now()
 		f.wakeLocked()
 		f.mu.Unlock()
 
-	case fr.Health:
+	case journal.FollowHealth:
 		// Upstream degraded: the parked watermark is final until its disk
 		// fault clears.  Remember why, for this node's own ROLE health and
 		// operators asking the replica what happened to its primary.
-		reason := fr.HealthReason
+		reason := ev.Reason
 		if reason == "" {
 			reason = "upstream degraded"
 		}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/meta"
 	"repro/internal/wire"
 )
@@ -24,26 +24,6 @@ type Client struct {
 
 	// User attributes subsequent requests to a designer.
 	User string
-
-	// Timeout bounds each request/response round-trip (and the FOLLOW
-	// handshake) when positive: a hung server surfaces as ErrTimeout
-	// instead of blocking the caller forever.  The deadline refreshes
-	// before every body read that waits on the peer, so it bounds peer
-	// silence, not
-	// total transfer time — a large streaming REPORT/GAP body over a
-	// slow-but-live link keeps resetting it and never trips it
-	// spuriously.  It deliberately does not bound the reads between
-	// follow-stream frames; see StreamTimeout for that.
-	Timeout time.Duration
-
-	// StreamTimeout, when positive, bounds the silence between two
-	// follow-stream frames: each frame read arms a fresh read deadline.
-	// With a primary that pings idle streams (FollowFramePing), any
-	// healthy link delivers a frame well inside the window, so an expiry
-	// is a dead link — the half-open connection after a partition — and
-	// surfaces as ErrTimeout from Follow.  Zero keeps the legacy
-	// unbounded stream reads.
-	StreamTimeout time.Duration
 }
 
 // ErrTimeout marks an I/O deadline expiry on a client operation — the
@@ -75,33 +55,19 @@ func DialTimeout(addr string, dial, op time.Duration) (*Client, error) {
 // NewClient wraps an already-established connection — the injectable
 // transport seam: a netfault dialer (or test harness) owns the dial and
 // hands the conn over, and everything above the transport behaves
-// exactly as after DialTimeout.  op is the per-operation I/O timeout
-// (0 disables it).
+// exactly as after DialTimeout.
+//
+// op, when positive, bounds how long the peer may stay silent: every read
+// from the connection and every write to it gets a deadline op ahead, so a
+// hung server surfaces as ErrTimeout instead of blocking the caller
+// forever, while a large REPORT body or a FOLLOW stream over a
+// slow-but-live link — bytes arriving — never trips it.  A stream from a
+// primary that pings idle streams delivers a frame well inside any op
+// longer than its ping interval, so there an expiry is a dead link: the
+// half-open connection after a partition.  0 disables it.
 func NewClient(conn net.Conn, op time.Duration) *Client {
-	return &Client{conn: conn, r: bufio.NewReaderSize(conn, 64*1024), w: bufio.NewWriter(conn), Timeout: op}
-}
-
-// arm sets the connection deadline one operation ahead; disarm clears it
-// so a deliberately long-lived wait (the follow stream) is not cut short.
-func (c *Client) arm() {
-	if c.Timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.Timeout))
-	}
-}
-
-func (c *Client) disarm() {
-	if c.Timeout > 0 {
-		c.conn.SetDeadline(time.Time{})
-	}
-}
-
-// armStream sets the read deadline one follow-stream frame ahead — the
-// stall detector: a healthy pinged stream always delivers a frame
-// inside the window, so an expiry means the link is dead.
-func (c *Client) armStream() {
-	if c.StreamTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.StreamTimeout))
-	}
+	conn = &timeoutConn{Conn: conn, idle: op, write: op}
+	return &Client{conn: conn, r: bufio.NewReaderSize(conn, 64*1024), w: bufio.NewWriter(conn)}
 }
 
 // wrapTimeout converts a deadline expiry into the typed ErrTimeout while
@@ -121,7 +87,7 @@ func (c *Client) Close() error {
 }
 
 // Hangup closes the transport without the QUIT exchange — the only way to
-// leave a Follow stream, whose connection no longer answers requests.
+// leave a FOLLOW stream, whose connection no longer answers requests.
 func (c *Client) Hangup() error { return c.conn.Close() }
 
 // errTornLine reports a line the transport cut off before its newline —
@@ -134,14 +100,15 @@ var errLineTooLong = fmt.Errorf("protocol line exceeds %d bytes", maxLineBytes)
 
 // maxLineBytes bounds one protocol line on both sides of the connection:
 // a peer streaming bytes without a newline must fail fast, not accumulate
-// without bound in a long-lived server or follower.
+// without bound in a long-lived server.  (A FOLLOW stream is not lines: its
+// frames have the journal's bound.)
 const maxLineBytes = 1 << 20
 
 // readProtocolLine reads one newline-terminated protocol line from r.  A
 // final fragment without its newline is reported as errTornLine, never
 // returned as data — both the server's request loop and the client's
-// response/stream readers refuse to act on fragments, because a torn
-// prefix of a longer line can itself be a valid, different line.
+// response reader refuse to act on fragments, because a torn prefix of a
+// longer line can itself be a valid, different line.
 func readProtocolLine(r *bufio.Reader) (string, error) {
 	var line []byte
 	for {
@@ -176,13 +143,6 @@ func (c *Client) readLine() (string, error) {
 	return line, err
 }
 
-// lineBuffered reports whether the next line is already in the read buffer
-// in full, so reading it cannot wait on the peer.
-func (c *Client) lineBuffered() bool {
-	buf, _ := c.r.Peek(c.r.Buffered())
-	return bytes.IndexByte(buf, '\n') >= 0
-}
-
 // send writes one protocol line and pushes it to the socket.
 func (c *Client) send(line string) error {
 	_, err := c.w.WriteString(line + "\n")
@@ -200,8 +160,6 @@ func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
 	if req.User == "" {
 		req.User = c.User
 	}
-	c.arm()
-	defer c.disarm()
 	if err := c.send(req.Encode()); err != nil {
 		return wire.Response{}, err
 	}
@@ -217,16 +175,6 @@ func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
 		return wire.Response{}, err
 	}
 	for multi {
-		// The timeout bounds peer silence, not transfer time: a huge
-		// REPORT/GAP body over a slow-but-live link is progress, not a
-		// hang.  So the deadline is refreshed before every read that can
-		// wait on the peer — whenever the buffer holds no complete line,
-		// which includes a line the last chunk cut in the middle — and not
-		// before lines already buffered whole, which would cost a timer
-		// reset per row.
-		if !c.lineBuffered() {
-			c.arm()
-		}
 		line, err := c.readLine()
 		if err != nil {
 			return wire.Response{}, fmt.Errorf("client: truncated response: %w", err)
@@ -425,40 +373,9 @@ func (c *Client) LSN() (int64, error) {
 	return strconv.ParseInt(fields[1], 10, 64)
 }
 
-// FollowFrame is one decoded frame of a replication stream.
-type FollowFrame struct {
-	// Record is set on a record frame: the record's journal payload, exactly
-	// as the primary's segment file holds it.
-	Record string
-
-	// Snapshot/SnapLSN are set on a snapshot-bootstrap frame: the follower
-	// must re-base on the snapshot, whose lines Snapshot holds, each ended
-	// by a line break; records resume at SnapLSN+1.
-	Snapshot []byte
-	SnapLSN  int64
-
-	// Mark is true on a watermark frame: the stream has delivered every
-	// record the primary has committed up to Watermark.
-	Mark      bool
-	Watermark int64
-
-	// Health is true on a health frame: the upstream journal degraded and
-	// refuses writes, so the last watermark is final until its disk fault
-	// is resolved.  HealthReason carries the upstream's sticky error.
-	Health       bool
-	HealthReason string
-
-	// Ping is true on an idle-stream liveness tick: the primary is alive
-	// and caught up at commit position PingLSN, with nothing new to ship.
-	// Its arrival is freshness evidence; its absence past the stall
-	// timeout is a dead link.
-	Ping    bool
-	PingLSN int64
-}
-
 // ErrFollowRefused marks a FOLLOW the server rejected outright (not a
-// replication primary, malformed position): retrying the same request
-// cannot succeed.
+// replication primary, malformed position, a build of another stream
+// version): retrying the same request cannot succeed.
 var ErrFollowRefused = errors.New("follow refused")
 
 // ErrFollowStream marks a terminal primary-side stream failure reported
@@ -466,165 +383,49 @@ var ErrFollowRefused = errors.New("follow refused")
 // reconnecting with the same position cannot succeed.
 var ErrFollowStream = errors.New("follow stream failed")
 
-// Follow switches the connection into replication-stream mode: it sends
-// FOLLOW <after> and invokes fn for every frame until the stream ends (nil
+// FollowFrom switches the connection into replication-stream mode: it sends
+// the FOLLOW handshake — after, the follower's applied position, and term,
+// its history's election term there, which lets the primary fence a
+// divergent tail (term 0: an observer, unfenced) — and hands fn every event
+// of the stream, decoded by journal.ReadFollow, until the stream ends (nil
 // return: the server shut down politely), the transport fails, or fn
 // returns an error (returned verbatim).  A rejection wraps
 // ErrFollowRefused; a primary-reported terminal failure wraps
 // ErrFollowStream — both are pointless to retry, unlike transport errors.
-// A line cut off mid-write at the stream boundary is reported as an
-// error, never delivered as data — a truncated record could otherwise
-// parse as a different, valid record.  The connection cannot be reused
-// for request/response traffic afterwards.
-func (c *Client) Follow(after int64, fn func(FollowFrame) error) error {
-	return c.FollowFrom(after, 0, fn)
-}
-
-// FollowFrom is Follow carrying the follower's election term at its
-// resume position, letting the primary fence a divergent tail: a
-// follower whose history extends past the primary lineage's promotion
-// point is refused (ErrFollowStream) instead of silently diverging.
-// term 0 omits the argument — the legacy, unfenced form.
-func (c *Client) FollowFrom(after, term int64, fn func(FollowFrame) error) error {
-	args := []string{strconv.FormatInt(after, 10)}
-	if term > 0 {
-		args = append(args, strconv.FormatInt(term, 10))
-	}
-	// The handshake is a bounded round-trip and gets the deadline; the
-	// stream after it may legitimately sit idle forever and must not.
-	c.arm()
-	err := c.send(wire.Request{Verb: wire.VerbFollow, Args: args}.Encode())
-	var line string
-	if err == nil {
-		if line, err = c.readLine(); err != nil {
-			err = fmt.Errorf("client: recv: %w", err)
-		}
-	}
-	c.disarm()
-	if err != nil {
+// A frame cut off at the stream boundary, or whose checksum fails, is an
+// error and never reaches fn.  The connection cannot be reused for
+// request/response traffic afterwards.
+func (c *Client) FollowFrom(after, term int64, fn func(journal.FollowEvent) error) error {
+	if err := c.send(string(followRequest{after, term, journal.FollowVersion}.Bytes())); err != nil {
 		return err
+	}
+	line, err := c.readLine()
+	if err != nil {
+		return fmt.Errorf("client: recv: %w", err)
 	}
 	resp, multi, err := wire.ParseResponseHeader(line)
 	if err != nil {
 		return err
 	}
 	if !resp.OK {
-		return fmt.Errorf("client: FOLLOW: %s: %w", resp.Detail, ErrFollowRefused)
+		return fmt.Errorf("client: FOLLOW, stream version %d: %s: %w", journal.FollowVersion, resp.Detail, ErrFollowRefused)
 	}
 	if !multi {
 		return fmt.Errorf("client: FOLLOW: expected a streaming response, got %q", line)
 	}
-	for {
-		c.armStream()
-		line, err := c.readLine()
-		if err != nil {
-			return fmt.Errorf("client: follow stream: %w", err)
+	return wrapTimeout(journal.ReadFollow(c.r, func(ev journal.FollowEvent) error {
+		if ev.Kind == journal.FollowError {
+			return fmt.Errorf("client: %s: %w", ev.Reason, ErrFollowStream)
 		}
-		content, done, err := wire.ParseBodyLine(line)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		frame, docLines, err := parseFollowFrame(content)
-		if err != nil {
-			return err
-		}
-		if docLines >= 0 {
-			var doc strings.Builder
-			for i := 0; i < docLines; i++ {
-				// Per-line refresh: a large bootstrap document arriving
-				// slowly is progress, not a stall.
-				c.armStream()
-				line, err := c.readLine()
-				if err != nil {
-					return fmt.Errorf("client: follow stream: snapshot body: %w", err)
-				}
-				raw, done, err := wire.ParseBodyLine(line)
-				if err != nil || done {
-					return fmt.Errorf("client: follow stream: snapshot body cut short at line %d", i)
-				}
-				doc.WriteString(raw)
-				doc.WriteByte('\n')
-			}
-			frame.Snapshot = []byte(doc.String())
-		}
-		if err := fn(frame); err != nil {
-			return err
-		}
-	}
-}
-
-// parseFollowFrame decodes one stream line into its frame: a record's
-// payload untouched, every other frame tokenized.  A snapshot frame comes
-// back without its document; docLines, -1 for other frames, says how many
-// body lines the caller has to read for it.  An error frame is the stream's
-// terminal failure and comes back as the error, wrapping ErrFollowStream.
-func parseFollowFrame(line string) (frame FollowFrame, docLines int, err error) {
-	bad := func(what string) (FollowFrame, int, error) {
-		return FollowFrame{}, -1, fmt.Errorf("client: follow stream: bad %s %q", what, line)
-	}
-	if payload, ok := strings.CutPrefix(line, wire.FollowFrameRecord+" "); ok {
-		if payload == "" {
-			return bad("record frame")
-		}
-		return FollowFrame{Record: payload}, -1, nil
-	}
-	fields, err := wire.Tokenize(line)
-	if err != nil || len(fields) == 0 {
-		return bad("frame")
-	}
-	switch fields[0] {
-	case wire.FollowFrameSnapshot:
-		if len(fields) != 3 {
-			return bad("snapshot frame")
-		}
-		lsn, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return bad("snapshot lsn")
-		}
-		n, err := strconv.Atoi(fields[2])
-		if err != nil || n < 0 {
-			return bad("snapshot line count")
-		}
-		return FollowFrame{SnapLSN: lsn}, n, nil
-
-	case wire.FollowFrameWatermark, wire.FollowFramePing:
-		if len(fields) != 2 {
-			return bad(fields[0] + " frame")
-		}
-		lsn, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return bad(fields[0] + " lsn")
-		}
-		if fields[0] == wire.FollowFramePing {
-			frame.Ping, frame.PingLSN = true, lsn
-		} else {
-			frame.Mark, frame.Watermark = true, lsn
-		}
-
-	case wire.FollowFrameHealth:
-		if len(fields) < 2 {
-			return bad("health frame")
-		}
-		frame.Health = true
-		frame.HealthReason = strings.Join(fields[2:], " ")
-
-	case wire.FollowFrameError:
-		return FollowFrame{}, -1, fmt.Errorf("client: %s: %w", strings.Join(fields[1:], " "), ErrFollowStream)
-
-	default:
-		return bad("frame kind")
-	}
-	return frame, -1, nil
+		return fn(ev)
+	}))
 }
 
 // SendAck reports an applied-and-committed position upstream on a
-// connection that is inside Follow: the one line a follower may write on
-// the stream, feeding the primary's quorum-ack accounting.  It must only
-// be called from within the Follow frame callback (the same goroutine
-// owns both directions there).
+// connection that is inside FollowFrom: the one line a follower may write
+// on the stream, feeding the primary's quorum-ack accounting.  It must only
+// be called from within the FollowFrom callback (the same goroutine owns
+// both directions there).
 func (c *Client) SendAck(lsn int64) error {
 	return c.send(wire.AckPrefix + " " + strconv.FormatInt(lsn, 10))
 }

@@ -235,19 +235,21 @@ func TestFollowExemptFromIdleTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "FOLLOW 0\n")
+	fmt.Fprintf(conn, "%s\n", followRequest{version: journal.FollowVersion}.Bytes())
 	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	if line, err := br.ReadString('\n'); err != nil || !strings.HasPrefix(line, "OK+") {
 		t.Fatalf("FOLLOW header = %q, %v", line, err)
 	}
-	if line, err := br.ReadString('\n'); err != nil || line != "|watermark 0\n" {
-		t.Fatalf("caught-up frame = %q, %v", line, err)
+	mark := streamOf(journal.FollowEvent{Kind: journal.FollowMark, Watermark: 0})
+	frame := make([]byte, len(mark))
+	if _, err := io.ReadFull(br, frame); err != nil || string(frame) != mark {
+		t.Fatalf("caught-up frame = %q, %v; want %q", frame, err, mark)
 	}
 	// A write-idle primary is healthy silence: the stream must outlive
 	// many idle windows instead of being reaped by the idle deadline.
 	conn.SetReadDeadline(time.Now().Add(6 * idle))
-	if _, err := br.ReadString('\n'); err == nil {
+	if _, err := br.ReadByte(); err == nil {
 		t.Fatal("unexpected data on a parked follow stream")
 	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 		t.Fatalf("follow stream closed during healthy silence: %v", err)

@@ -128,7 +128,7 @@ func TestPromoteRoleIsOneValue(t *testing.T) {
 	const blocks = 12
 	for i := int64(1); i <= blocks; i++ {
 		key := meta.Key{Block: fmt.Sprintf("B%d", i), View: "HDL_model", Version: 1}
-		if _, err := w.ApplyAppend(fmt.Sprintf("%d %d %s %s %d", i, i, meta.OpOID, key, i)); err != nil {
+		if _, err := w.ApplyAppend(journal.AppendFrame(nil, fmt.Appendf(nil, "%d %d %s %s %d", i, i, meta.OpOID, key, i))); err != nil {
 			t.Fatal(err)
 		}
 	}

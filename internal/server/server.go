@@ -7,7 +7,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -431,7 +430,9 @@ func (s *Server) dropConn(c net.Conn) {
 
 // timeoutConn applies the configured idle/write deadlines around every
 // Read and Write, so one stalled peer kills its own connection instead of
-// parking a handler goroutine (and its buffers) forever.
+// parking a handler goroutine (and its buffers) forever.  The server wraps
+// each connection in one with its Limits, a Client its own with its op
+// timeout.
 type timeoutConn struct {
 	net.Conn
 	idle, write time.Duration
@@ -770,45 +771,76 @@ func reportRowMax(key meta.Key, reasons []byte) int {
 	return len(key.Block) + len(key.View) + 22 + len(" ready=false") + 3 + 2*len(reasons)
 }
 
+// followRequest is the FOLLOW handshake, "FOLLOW <after> <term> <version>":
+// the follower's applied position, the election term of its history there —
+// 0 for an observer (dquery -follow), which holds no history and is not
+// fenced — and the version of the stream it reads.
+type followRequest struct {
+	after, term int64
+	version     int
+}
+
+// A FOLLOW of another stream version is refused at the handshake: the two
+// versions do not mix, and the nodes of a cluster upgrade together.
+var (
+	errFollowOld = errors.New("FOLLOW of an older stream version")
+	errFollowNew = errors.New("FOLLOW of a newer stream version")
+)
+
+func (h followRequest) Bytes() []byte {
+	return fmt.Appendf(nil, "%s %d %d %d", wire.VerbFollow, h.after, h.term, h.version)
+}
+
+// parseFollowRequest decodes the handshake's arguments, its version first: a
+// newer version may lay the rest out anew, and a FOLLOW without one comes
+// from a build of version 1.
+func parseFollowRequest(args []string) (h followRequest, err error) {
+	h.version = 1
+	if len(args) >= 3 {
+		if h.version, err = strconv.Atoi(args[2]); err != nil {
+			return h, fmt.Errorf("FOLLOW: bad stream version %q", args[2])
+		}
+	}
+	switch {
+	case h.version < journal.FollowVersion:
+		return h, fmt.Errorf("%w: version %d, this server speaks version %d", errFollowOld, h.version, journal.FollowVersion)
+	case h.version > journal.FollowVersion:
+		return h, fmt.Errorf("%w: version %d, this server speaks version %d", errFollowNew, h.version, journal.FollowVersion)
+	case len(args) != 3:
+		return h, errors.New("FOLLOW wants <last-applied-lsn> <term|0> <version>")
+	}
+	if h.after, err = strconv.ParseInt(args[0], 10, 64); err != nil || h.after < 0 {
+		return h, fmt.Errorf("FOLLOW: bad lsn %q", args[0])
+	}
+	if h.term, err = strconv.ParseInt(args[1], 10, 64); err != nil || h.term < 0 {
+		return h, fmt.Errorf("FOLLOW: bad term %q", args[1])
+	}
+	return h, nil
+}
+
 // serveFollow turns the connection into a replication stream of this
 // node's own journal — a primary's, or a read-only follower's, which chains
-// — from a tail of it: an OK+ header, then frames, each flushed as it is
-// written, until the follower hangs up or the server shuts down.  The
-// request reader keeps draining in the background purely as a hangup
-// detector — a parked stream on a write-idle primary would otherwise hold
-// its goroutine, connection and tail open until the next commit happened to
-// wake it into a failing write.
+// — from a tail of it: an OK+ header, then the stream's frames, each
+// flushed as it is written, until the follower hangs up or the server shuts
+// down.  The request reader keeps draining in the background purely as a
+// hangup detector — a parked stream on a write-idle primary would otherwise
+// hold its goroutine, connection and tail open until the next commit
+// happened to wake it into a failing write.
 func (s *Server) serveFollow(r *bufio.Reader, w *bufio.Writer, req wire.Request) {
-	fail := func(format string, a ...any) {
-		writeFlush(w, errf(format, a...).Encode()+"\n")
-	}
 	ro := s.role.Load()
 	j := ro.journal
 	if ro.readOnly != nil {
 		j = ro.readOnly.Writer()
 	}
+	h, err := parseFollowRequest(req.Args)
 	if j == nil {
-		fail("FOLLOW: this server is not a replication primary")
+		err = errors.New("FOLLOW: this server is not a replication primary")
+	}
+	if err != nil {
+		writeFlush(w, errf("%v", err).Encode()+"\n")
 		return
 	}
-	if len(req.Args) < 1 || len(req.Args) > 2 {
-		fail("FOLLOW wants <last-applied-lsn> [<term>]")
-		return
-	}
-	from, err := strconv.ParseInt(req.Args[0], 10, 64)
-	if err != nil || from < 0 {
-		fail("FOLLOW: bad lsn %q", req.Args[0])
-		return
-	}
-	var fromTerm int64
-	if len(req.Args) == 2 {
-		fromTerm, err = strconv.ParseInt(req.Args[1], 10, 64)
-		if err != nil || fromTerm < 1 {
-			fail("FOLLOW: bad term %q", req.Args[1])
-			return
-		}
-	}
-	if !writeFlush(w, fmt.Sprintf("OK+ following after lsn %d\n", from)) {
+	if !writeFlush(w, fmt.Sprintf("OK+ following after lsn %d\n", h.after)) {
 		return
 	}
 	// stop closes when the server shuts down OR the follower hangs up.
@@ -856,32 +888,29 @@ func (s *Server) serveFollow(r *bufio.Reader, w *bufio.Writer, req wire.Request)
 	// A position or term off this journal's lineage is refused loudly: the
 	// stream would ship new history under LSNs the follower holds from the
 	// old one, and its duplicate-skip would hide the divergence.
-	err = j.ValidateFollowPosition(from, fromTerm)
+	err = j.ValidateFollowPosition(h.after, h.term)
 	if err == nil {
-		err = s.streamTail(w, j, from, stop)
+		err = s.streamTail(w, j, h.after, stop)
 	}
 	switch {
 	case errors.Is(err, errConnGone):
 	case errors.Is(err, journal.ErrTailStopped):
-		// Deliberate end: close the body politely so the follower sees
-		// end-of-stream rather than a torn line.
-		writeFlush(w, ".\n")
+		// Deliberate end: the follower sees end-of-stream, not a torn frame.
+		writeEvent(w, journal.FollowEvent{Kind: journal.FollowEnd})
 	default:
 		// A terminal failure (tail corruption, a follower position off this
 		// journal's lineage) must reach the follower as an error, not
 		// masquerade as a clean shutdown it would silently retry forever.
-		writeFlush(w, "|"+wire.FollowFrameError+" "+wire.Quote(err.Error())+"\n.\n")
+		writeEvent(w, journal.FollowEvent{Kind: journal.FollowError, Reason: err.Error()})
 	}
 }
 
 // errConnGone reports a FOLLOW stream whose connection failed a write.
 var errConnGone = errors.New("follower connection gone")
 
-// streamTail writes the events of a tail of j after position from to w as
-// follow-stream frames, each flushed whole, until the tail fails or stops.
-// A record frame is the record's payload as the segment file holds it, never
-// decoded here; a snapshot frame is its header line and the snapshot's
-// lines.  The writes go unchecked: w keeps its first error for Flush.
+// streamTail writes the events of a tail of j after position from to w,
+// each flushed whole, until the tail fails or stops.  A record goes out as
+// the frame the segment file holds, never decoded here.
 func (s *Server) streamTail(w *bufio.Writer, j *journal.Writer, from int64, stop <-chan struct{}) error {
 	t := j.NewTailer(from)
 	defer t.Close()
@@ -891,34 +920,20 @@ func (s *Server) streamTail(w *bufio.Writer, j *journal.Writer, from int64, stop
 		if err != nil {
 			return err
 		}
-		switch ev.Kind {
-		case journal.FollowRecord:
-			w.WriteString("|" + wire.FollowFrameRecord + " ")
-			w.Write(ev.Payload)
-			w.WriteByte('\n')
-		case journal.FollowSnapshot:
-			doc := bytes.TrimRight(ev.Snapshot, "\n")
-			fmt.Fprintf(w, "|%s %d %d\n", wire.FollowFrameSnapshot, ev.SnapLSN, bytes.Count(doc, []byte{'\n'})+1)
-			for more := true; more; {
-				var line []byte
-				line, doc, more = bytes.Cut(doc, []byte{'\n'})
-				w.WriteByte('|')
-				w.Write(line)
-				w.WriteByte('\n')
-			}
-		case journal.FollowMark:
-			fmt.Fprintf(w, "|%s %d\n", wire.FollowFrameWatermark, ev.Watermark)
-		case journal.FollowHealth:
-			// The parked watermark is final until the disk fault clears; the
-			// reason travels as one space-folded token.
-			fmt.Fprintf(w, "|%s degraded %s\n", wire.FollowFrameHealth, wire.Quote(strings.ReplaceAll(ev.Reason, " ", "_")))
-		case journal.FollowPing:
-			fmt.Fprintf(w, "|%s %d\n", wire.FollowFramePing, ev.Watermark)
-		}
-		if w.Flush() != nil {
+		if !writeEvent(w, ev) {
 			return errConnGone
 		}
 	}
+}
+
+// writeEvent writes one stream event, encoded in the free tail of the write
+// buffer when it fits there, and flushes it; false means the connection is
+// gone.
+func writeEvent(w *bufio.Writer, ev journal.FollowEvent) bool {
+	if _, err := w.Write(journal.AppendFollowEvent(w.AvailableBuffer(), ev)); err != nil {
+		return false
+	}
+	return w.Flush() == nil
 }
 
 // post queues one event, given as its wire fields, on the engine: the

@@ -5,7 +5,7 @@ package server
 // whole-op deadline bug made big slow bodies indistinguishable from
 // hangs), a server that goes mute mid-body must surface ErrTimeout
 // within two timeout windows, and a follow stream that falls silent
-// must trip StreamTimeout the same way.
+// must trip the same timeout the same way.
 
 import (
 	"bufio"
@@ -14,6 +14,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // muteServer accepts one connection, reads one request line, writes the
@@ -160,27 +162,26 @@ func TestClientReadStallMidBody(t *testing.T) {
 }
 
 // TestClientFollowStreamStall: a follow stream delivers its handshake
-// and one frame, then falls silent.  StreamTimeout must turn that
+// and one frame, then falls silent.  The client's timeout must turn that
 // silence into ErrTimeout within two windows — after delivering the
 // frame that did arrive.
 func TestClientFollowStreamStall(t *testing.T) {
 	const stall = 250 * time.Millisecond
-	addr := muteServer(t, 0, "OK+ streaming", "|watermark 7")
+	addr := chunkServer(t, 0, "OK+ streaming\n", streamOf(journal.FollowEvent{Kind: journal.FollowMark, Watermark: 7}))
 
-	c, err := DialTimeout(addr, time.Second, time.Second)
+	c, err := DialTimeout(addr, time.Second, stall)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Hangup()
-	c.StreamTimeout = stall
 
 	var marks int
 	start := time.Now()
-	err = c.Follow(0, func(fr FollowFrame) error {
-		if fr.Mark {
+	err = c.FollowFrom(0, 0, func(ev journal.FollowEvent) error {
+		if ev.Kind == journal.FollowMark {
 			marks++
-			if fr.Watermark != 7 {
-				t.Errorf("watermark %d, want 7", fr.Watermark)
+			if ev.Watermark != 7 {
+				t.Errorf("watermark %d, want 7", ev.Watermark)
 			}
 		}
 		return nil

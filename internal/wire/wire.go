@@ -39,7 +39,7 @@ const (
 	VerbLinks     = "LINKS"     // LINKS <oid>
 	VerbSync      = "SYNC"      // SYNC — wait until the event queue settles
 	VerbBatch     = "BATCH"     // BATCH <item> [<item>...]; see BatchItem
-	VerbFollow    = "FOLLOW"    // FOLLOW <last-applied-lsn> [<term>]; see the Follow frame helpers
+	VerbFollow    = "FOLLOW"    // FOLLOW <last-applied-lsn> <term|0> <version> — after the OK+ line, the connection carries journal frames (package journal)
 	VerbLSN       = "LSN"       // LSN — report the journal/applied log position
 	VerbRole      = "ROLE"      // ROLE — role, term, applied LSN and commit watermark in one line
 	VerbPromote   = "PROMOTE"   // PROMOTE — flip a read-only follower into a primary (term bump)
@@ -53,52 +53,6 @@ const (
 // counts these per-follower positions; a follower that never sends them
 // (an older build) simply never contributes to a quorum.
 const AckPrefix = "ACK"
-
-// Follow-stream framing.  FOLLOW turns the connection into a one-way
-// record stream: the server answers with a multi-line response whose body
-// lines are emitted one at a time (flushed per frame, never terminated
-// while the stream lives) and whose first token discriminates the frame:
-//
-//	snapshot <lsn> <n>           — a bootstrap snapshot follows as the next
-//	                               n body lines: a checkpoint's record
-//	                               payloads, one a line (or, from an older
-//	                               primary, a JSON document); the follower
-//	                               re-bases on it and records resume at
-//	                               lsn+1
-//	record <payload>             — one journal record: its payload,
-//	                               "<lsn> <seq> <op> <args...>", exactly
-//	                               as the primary's segment file holds it
-//	watermark <lsn>              — the follower has seen every record the
-//	                               primary has committed up to lsn
-//	error <message>              — the stream failed terminally on the
-//	                               primary side (tail corruption, position
-//	                               ahead of the primary's history);
-//	                               reconnecting will not help
-//
-// The terminating "." line is written when the server ends the stream
-// deliberately — shutdown, or right after an error frame; a vanished
-// connection is the usual end.
-const (
-	FollowFrameSnapshot  = "snapshot"
-	FollowFrameRecord    = "record"
-	FollowFrameWatermark = "watermark"
-	FollowFrameError     = "error"
-
-	// FollowFrameHealth — "health degraded <reason>" — tells a caught-up
-	// follower its upstream flipped to the degraded state: the preceding
-	// watermark is final until the primary's disk fault is resolved.  The
-	// stream stays open; the frame is informational, not terminal.
-	FollowFrameHealth = "health"
-
-	// FollowFramePing — "ping <lsn>" — is the idle-stream liveness tick:
-	// the primary is alive and caught up at commit position lsn, it just
-	// has nothing new to ship.  A follower arms a read deadline across
-	// stream frames (the stall timeout) and relies on these ticks to keep
-	// a healthy idle link from tripping it; their absence past the
-	// timeout is the signature of a half-open connection after a
-	// partition — silence a plain TCP peer would never report.
-	FollowFramePing = "ping"
-)
 
 // ErrSyntax reports a malformed protocol line.
 var ErrSyntax = errors.New("wire: syntax error")

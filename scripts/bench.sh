@@ -37,6 +37,9 @@ MVCC="BenchmarkReportUnderWrites|BenchmarkReportStream|BenchmarkSnapshotUnderLoa
 # primary's directory at 16 and 64 trees, with a short and a long tail
 # behind the newest snapshot; B/op and allocs/op are the point.
 RECOVERY="BenchmarkRecovery"
+# Replication: a cold follower catching up on 10,000 check-in records over
+# loopback FOLLOW; B/record and allocs/record are the point.
+FOLLOW="BenchmarkFollowerCatchUp"
 OUT="BENCH_${INDEX}.json"
 RAW="BENCH_${INDEX}.txt"
 
@@ -51,6 +54,7 @@ else
   go test -run '^$' -bench "$EXTRA" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . | tee -a "$RAW"
   go test -run '^$' -bench "$MVCC" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . ./internal/server | tee -a "$RAW"
   go test -run '^$' -bench "$RECOVERY" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" ./internal/journal | tee -a "$RAW"
+  go test -run '^$' -bench "$FOLLOW" -benchmem -count "$COUNT" "${CPUFLAGS[@]}" . | tee -a "$RAW"
 fi
 
 {
@@ -101,7 +105,7 @@ echo "wrote $OUT"
 
 if [ -z "${BENCH_PATTERN:-}" ]; then
   missing=0
-  IFS='|' read -ra families <<<"$LEGACY|$EXTRA|$MVCC|$RECOVERY"
+  IFS='|' read -ra families <<<"$LEGACY|$EXTRA|$MVCC|$RECOVERY|$FOLLOW"
   for fam in "${families[@]}"; do
     if ! grep -qE "^${fam%\$}(/|-[0-9]+[[:space:]]|[[:space:]])" "$RAW"; then
       echo "bench.sh: family ${fam%\$} produced no result" >&2
