@@ -1,25 +1,24 @@
 // Command damocles runs the DAMOCLES project server: it loads a BluePrint
-// policy file and an optional saved meta-database, listens for wrapper
+// policy file and the project's meta-database, listens for wrapper
 // connections, and processes design events (Figure 1 of the paper).
 //
 // Usage:
 //
-//	damocles [-addr host:port] [-blueprint file] [-db file | -journal dir [-fsync]] [-ack n [-ack-timeout d]] [-follow-ping d] [-max-conns n] [-idle-timeout d] [-write-timeout d] [-trace]
+//	damocles -journal dir [-addr host:port] [-blueprint file] [-fsync] [-ack n [-ack-timeout d]] [-follow-ping d] [-max-conns n] [-idle-timeout d] [-write-timeout d] [-trace]
 //	damocles -follow primary:port -journal dir [-addr host:port] [-blueprint file] [-stall-timeout d] [-follow-ping d]
 //	damocles -promote follower:port
 //
 // With no -blueprint, the EDTC_example policy from section 3.4 of the
-// paper is loaded.  With -db, the meta-database is loaded at startup (if
-// the file exists) and saved back on SIGINT/SIGTERM shutdown — the
-// original stop-the-world persistence.  With -journal, the database lives
-// in an append-only record log with periodic snapshots under the given
-// directory: every acknowledged mutation is handed to the operating
-// system before its response, so a crashed process (even SIGKILL)
-// restarts into the exact acknowledged state by loading the newest
-// snapshot and replaying the record tail.  Surviving an OS crash or
-// power loss additionally needs -fsync, which forces every commit to
-// stable storage at a per-request latency cost.  A journaled server is
-// also a replication primary: followers attach with the FOLLOW verb.
+// paper is loaded.  The database lives in the -journal directory, an
+// append-only record log with periodic checkpoints: every acknowledged
+// mutation is handed to the operating system before its response, so a
+// crashed process (even SIGKILL) restarts into the exact acknowledged state
+// by loading the newest checkpoint and replaying the record tail.
+// Surviving an OS crash or power loss additionally needs -fsync, which
+// forces every commit to stable storage at a per-request latency cost.  The
+// server is also a replication primary: followers attach with the FOLLOW
+// verb.  A directory an older build wrote is refused until `dquery upgrade`
+// converts it.
 //
 // With -ack n, a primary additionally holds each write's acknowledgement
 // until n follower watermarks cover its LSN; a write that cannot gather
@@ -63,10 +62,8 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"os"
 	"os/signal"
@@ -74,7 +71,6 @@ import (
 	"time"
 
 	"repro/internal/bpl"
-	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/journal"
 	"repro/internal/meta"
@@ -87,10 +83,9 @@ func main() {
 	log.SetPrefix("damocles: ")
 	addr := flag.String("addr", "127.0.0.1:7495", "listen address")
 	bpFile := flag.String("blueprint", "", "BluePrint policy file (default: built-in EDTC example)")
-	dbFile := flag.String("db", "", "meta-database file to load/save")
-	jdir := flag.String("journal", "", "journal directory (append-only log + snapshots; excludes -db)")
-	fsync := flag.Bool("fsync", false, "with -journal, fsync every commit (survive OS crashes, not just process crashes)")
-	follow := flag.String("follow", "", "run as a read-only replication follower of this primary address (requires -journal)")
+	jdir := flag.String("journal", "", "journal directory: the project's append-only log and checkpoints (required)")
+	fsync := flag.Bool("fsync", false, "fsync every commit (survive OS crashes, not just process crashes)")
+	follow := flag.String("follow", "", "run as a read-only replication follower of this primary address")
 	promote := flag.String("promote", "", "promote the read-only follower at this address to primary, then exit")
 	ack := flag.Int("ack", 0, "hold each write until this many follower watermarks cover it (0: no quorum gate)")
 	ackTimeout := flag.Duration("ack-timeout", 5*time.Second, "with -ack, degrade to an explicit quorum-timeout error after this long")
@@ -109,16 +104,23 @@ func main() {
 		}
 		return
 	}
-	if *follow != "" {
-		if *dbFile != "" {
-			log.Fatal("-follow replicates into -journal; -db does not apply")
-		}
-		if err := runFollower(*addr, *bpFile, *jdir, *follow, *fsync, *ack, *ackTimeout, *stallTimeout, *followPing, limits, *trace); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if *jdir == "" {
+		log.Fatal("-journal DIR is required: the project lives in its journal directory")
 	}
-	if err := run(*addr, *bpFile, *dbFile, *jdir, *fsync, *ack, *ackTimeout, *followPing, limits, *trace); err != nil {
+	bp, err := bpl.LoadBlueprint(*bpFile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var engOpts []engine.Option
+	if *trace {
+		engOpts = append(engOpts, engine.WithTracer(logTracer{}))
+	}
+	if *follow != "" {
+		err = runFollower(*addr, *jdir, *follow, bp, engOpts, *fsync, *ack, *ackTimeout, *stallTimeout, *followPing, limits)
+	} else {
+		err = run(*addr, *jdir, bp, engOpts, *fsync, *ack, *ackTimeout, *followPing, limits)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 }
@@ -160,24 +162,13 @@ func watchSignals() <-chan struct{} {
 // runFollower mirrors a primary's journal stream into jdir and serves the
 // read verbs from the replicated database.  The follower also serves
 // FOLLOW from its own journal (follower chaining) and accepts PROMOTE.
-func runFollower(addr, bpFile, jdir, primary string, fsync bool, ack int, ackTimeout, stall, ping time.Duration, limits server.Limits, trace bool) error {
-	if jdir == "" {
-		return fmt.Errorf("-follow requires -journal DIR for the replica's local log")
-	}
-	bp, err := cli.LoadBlueprint(bpFile)
-	if err != nil {
-		return err
-	}
+func runFollower(addr, jdir, primary string, bp *bpl.Blueprint, engOpts []engine.Option, fsync bool, ack int, ackTimeout, stall, ping time.Duration, limits server.Limits) error {
 	fol, err := replica.Start(jdir, primary, journal.Options{Fsync: fsync},
 		replica.WithStallTimeout(stall))
 	if err != nil {
 		return err
 	}
 	log.Printf("following %s from applied lsn %d: %+v", primary, fol.AppliedLSN(), stats(fol.DB()))
-	var engOpts []engine.Option
-	if trace {
-		engOpts = append(engOpts, engine.WithTracer(logTracer{}))
-	}
 	eng, err := engine.New(fol.DB(), bp, engOpts...)
 	if err != nil {
 		fol.Close()
@@ -269,65 +260,28 @@ func runFollower(addr, bpFile, jdir, primary string, fsync bool, ack int, ackTim
 	return nil
 }
 
-func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, ping time.Duration, limits server.Limits, trace bool) error {
-	if dbFile != "" && jdir != "" {
-		return fmt.Errorf("-db and -journal are mutually exclusive persistence modes")
-	}
-	if ack > 0 && jdir == "" {
-		return fmt.Errorf("-ack needs -journal (quorum acks gate journaled writes)")
-	}
-	bp, err := cli.LoadBlueprint(bpFile)
-	if err != nil {
-		return err
-	}
+func run(addr, jdir string, bp *bpl.Blueprint, engOpts []engine.Option, fsync bool, ack int, ackTimeout, ping time.Duration, limits server.Limits) error {
 	for _, d := range bpl.Analyze(bp) {
 		log.Printf("blueprint %s: %s", bp.Name, d)
 	}
 
-	db := meta.NewDB()
-	var jw *journal.Writer
-	if jdir != "" {
-		var err error
-		jw, db, err = journal.Open(jdir, journal.Options{Fsync: fsync})
-		if err != nil {
-			return err
-		}
-		log.Printf("recovered journal %s at lsn %d (term %d): %+v", jdir, jw.LastLSN(), jw.Term(), stats(db))
-	} else if dbFile != "" {
-		f, err := os.Open(dbFile)
-		switch {
-		case err == nil:
-			db, err = meta.Load(f)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("load %s: %w", dbFile, err)
-			}
-			log.Printf("loaded %s: %+v", dbFile, stats(db))
-		case errors.Is(err, fs.ErrNotExist):
-			log.Printf("%s not found, starting empty", dbFile)
-		default:
-			return err
-		}
-	}
-
-	var opts []engine.Option
-	if trace {
-		opts = append(opts, engine.WithTracer(logTracer{}))
-	}
-	srvOpts := []server.Option{server.WithLimits(limits), server.WithFollowPing(ping)}
-	if jw != nil {
-		opts = append(opts, engine.WithJournal(jw))
-		srvOpts = append(srvOpts,
-			// A journaled server is a replication primary for free: the
-			// FOLLOW verb tails the same log that makes it durable.
-			server.WithJournal(jw),
-			server.WithQuorum(ack, ackTimeout))
-	}
-	eng, err := engine.New(db, bp, opts...)
+	jw, db, err := journal.Open(jdir, journal.Options{Fsync: fsync})
 	if err != nil {
 		return err
 	}
-	srv := server.New(eng, srvOpts...)
+	log.Printf("recovered journal %s at lsn %d (term %d): %+v", jdir, jw.LastLSN(), jw.Term(), stats(db))
+
+	eng, err := engine.New(db, bp, append(engOpts, engine.WithJournal(jw))...)
+	if err != nil {
+		return err
+	}
+	srv := server.New(eng,
+		server.WithLimits(limits),
+		server.WithFollowPing(ping),
+		// The server is a replication primary for free: the FOLLOW verb
+		// tails the same log that makes it durable.
+		server.WithJournal(jw),
+		server.WithQuorum(ack, ackTimeout))
 	bound, err := srv.Listen(addr)
 	if err != nil {
 		return err
@@ -340,23 +294,10 @@ func run(addr, bpFile, dbFile, jdir string, fsync bool, ack int, ackTimeout, pin
 	if err := srv.Close(); err != nil {
 		return err
 	}
-	if jw != nil {
-		if err := jw.Close(); err != nil {
-			return err
-		}
-		log.Printf("journal closed at lsn %d: %+v", jw.LastLSN(), stats(db))
+	if err := jw.Close(); err != nil {
+		return err
 	}
-	if dbFile != "" {
-		f, err := os.Create(dbFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := db.Save(f); err != nil {
-			return err
-		}
-		log.Printf("saved %s: %+v", dbFile, stats(db))
-	}
+	log.Printf("journal closed at lsn %d: %+v", jw.LastLSN(), stats(db))
 	return nil
 }
 

@@ -14,6 +14,7 @@
 //	dquery [-addr host:port] links <block,view,version>
 //	dquery [-addr host:port] query [<lsn>] <reach|deps|equiv> <oid> [use|all|type:t1,t2,...]
 //	dquery [-addr host:port] query [<lsn>] resolve <configuration>
+//	dquery upgrade <dir>
 //
 // query runs a graph query pinned at a journal LSN (omitted or 0 = the
 // server's current state).  A read-only follower serves it too, first
@@ -32,6 +33,9 @@
 // project's mutation history:
 //
 //	dquery -addr host:port -follow [from-lsn]
+//
+// upgrade converts, once and offline, a journal directory an older build
+// wrote, which damocles and -journal refuse (journal.Upgrade).
 package main
 
 import (
@@ -41,6 +45,7 @@ import (
 	"os"
 	"strconv"
 
+	"repro/internal/bpl"
 	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/journal"
@@ -57,9 +62,21 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dquery [-addr host:port | -journal dir] <state|report|gap|stats|blueprint|snapshot|dot|links|query> [args]\n")
 		fmt.Fprintf(os.Stderr, "       dquery [-addr host:port] -follow [from-lsn]\n")
+		fmt.Fprintf(os.Stderr, "       dquery upgrade <dir>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if flag.Arg(0) == "upgrade" {
+		if flag.NArg() != 2 {
+			log.Fatal("upgrade wants one journal directory")
+		}
+		converted, err := journal.Upgrade(flag.Arg(1), journal.Options{})
+		fmt.Printf("%s: converted %q\n", flag.Arg(1), converted)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	if *follow {
 		if *jdir != "" {
 			log.Fatal("-follow streams from a server (-addr); it cannot tail an offline -journal directory")
@@ -126,7 +143,7 @@ func connect(addr, jdir, bpFile string) (*server.Client, func(), error) {
 		}
 		return c, func() { c.Close() }, nil
 	}
-	bp, err := cli.LoadBlueprint(bpFile)
+	bp, err := bpl.LoadBlueprint(bpFile)
 	if err != nil {
 		return nil, nil, err
 	}

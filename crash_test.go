@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -181,4 +182,78 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		}
 	}
 	t.Logf("recovered %d settled rows, %d mid-crash scratch rows", len(afterSettled), scratch)
+}
+
+// TestDamoclesRefusesOlderDirectory: damocles refuses to start without
+// -journal, and on a directory an older build wrote (the JSON-snapshot
+// fixture of internal/journal) it exits naming `dquery upgrade`, leaving the
+// directory as it was; `dquery upgrade` converts it to one that recovers to
+// what the older build recovered it to, and a second run changes nothing.
+func TestDamoclesRefusesOlderDirectory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs child processes")
+	}
+	bin, err := buildDamocles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dquery := filepath.Join(t.TempDir(), "dquery")
+	if out, err := exec.Command("go", "build", "-o", dquery, "./cmd/dquery").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	const fixture = "internal/journal/testdata/v1journal"
+	dir := t.TempDir()
+	entries, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o666)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func() string {
+		var all []string
+		now, _ := os.ReadDir(dir)
+		for _, e := range now {
+			data, _ := os.ReadFile(filepath.Join(dir, e.Name()))
+			all = append(all, e.Name(), string(data))
+		}
+		return strings.Join(all, "\x00")
+	}
+	before := files()
+
+	for want, args := range map[string][]string{
+		"`dquery upgrade <dir>`":   {"-addr", "127.0.0.1:0", "-journal", dir},
+		"-journal DIR is required": {"-addr", "127.0.0.1:0"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		cancel()
+		if err == nil || !strings.Contains(string(out), want) {
+			t.Errorf("damocles %s: %v, want a non-zero exit naming %s:\n%s", strings.Join(args, " "), err, want, out)
+		}
+	}
+	if files() != before {
+		t.Fatal("the refused directory was changed")
+	}
+
+	out, err := exec.Command(dquery, "upgrade", dir).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), `converted ["snapshot-`) {
+		t.Fatalf("dquery upgrade: %v\n%s", err, out)
+	}
+	golden, err := os.ReadFile(fixture + ".save")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := replaySave(t, dir); string(got) != string(golden) {
+		t.Errorf("upgraded, the directory recovers to\n%s\nwant\n%s", got, golden)
+	}
+	if out, err := exec.Command(dquery, "upgrade", dir).CombinedOutput(); err != nil || !strings.Contains(string(out), "converted []") {
+		t.Errorf("a second dquery upgrade: %v\n%s", err, out)
+	}
 }

@@ -1,5 +1,27 @@
 package bpl
 
+import (
+	"fmt"
+	"os"
+)
+
+// LoadBlueprint parses the BluePrint policy in path, or EDTCExample when
+// path is empty — the policy resolution every DAMOCLES command shares.
+func LoadBlueprint(path string) (*Blueprint, error) {
+	src := []byte(EDTCExample)
+	var err error
+	if path != "" {
+		if src, err = os.ReadFile(path); err != nil {
+			return nil, err
+		}
+	}
+	bp, err := Parse(string(src))
+	if err != nil {
+		return nil, fmt.Errorf("blueprint: %w", err)
+	}
+	return bp, nil
+}
+
 // EDTCExample is the complete BluePrint from section 3.4 of the paper,
 // transcribed from the printed listing (with the endview the printed paper
 // omits after the schematic view restored).  It drives the paper's example

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -28,7 +29,7 @@ func TestCkptHeaderBytes(t *testing.T) {
 }
 
 // TestCkptHeaderVersions: a JSON document and a header of an older format
-// are the old version, which the cold path reads; a newer one is refused
+// are the old version, which only Upgrade reads; a newer one is refused
 // naming both versions; a header is written one way only, and names the
 // LSN of its file.
 func TestCkptHeaderVersions(t *testing.T) {
@@ -53,6 +54,7 @@ func TestCkptHeaderVersions(t *testing.T) {
 		string(good[:ckptHeaderLen-1]),
 		strings.Replace(string(good), "02\n", "00\n", 1), // no term 0
 		"DJS02" + string(good[4:]),
+		"EJS2" + string(good[4:]), // damage, not a document
 	} {
 		if h, err := parseCkptHeader([]byte(bad)); err == nil || errors.Is(err, errOldVersion) || errors.Is(err, errNewVersion) {
 			t.Errorf("%q: parsed as %+v, %v", bad, h, err)
@@ -213,16 +215,27 @@ func saveOf(t *testing.T, db *meta.DB) []byte {
 // a build whose snapshots were JSON documents — version 1 of the format — with
 // a promotion, a pruned chain, a binding to a pruned OID, configurations and
 // links with several PROPAGATE events, and records behind its snapshot;
-// testdata/v1journal.save is what that build recovered it to.  Open
-// recovers it to the same bytes; the first checkpoint compacts the JSON
-// snapshot away, and the directory recovers to them still.  A JSON document
-// shipped by a primary of that build bootstraps a follower to the same.
+// testdata/v1journal.save is what that build recovered it to.  Open refuses
+// it; Upgrade converts it to what Open recovers to the same bytes, and a
+// second Upgrade changes nothing.  The first checkpoint compacts the
+// converted snapshot away, and the directory recovers to them still.
 func TestRecoverV1Journal(t *testing.T) {
 	golden, err := os.ReadFile("testdata/v1journal.save")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := copyDir(t, "testdata/v1journal")
+	if _, _, err := Open(dir, Options{SnapshotEvery: -1}); err == nil || !strings.Contains(err.Error(), "`dquery upgrade <dir>`") {
+		t.Fatalf("Open of a directory with a JSON snapshot: %v", err)
+	}
+	converted, err := Upgrade(dir, Options{})
+	if err != nil || len(converted) != 1 || !strings.HasPrefix(converted[0], "snapshot-") {
+		t.Fatalf("Upgrade converted %v, %v; want the snapshot", converted, err)
+	}
+	upgraded := dirFiles(t, dir)
+	if again, err := Upgrade(dir, Options{}); err != nil || len(again) != 0 || !maps.EqualFunc(dirFiles(t, dir), upgraded, bytes.Equal) {
+		t.Fatalf("a second Upgrade converted %v, %v", again, err)
+	}
 	w, db, err := Open(dir, Options{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -246,78 +259,33 @@ func TestRecoverV1Journal(t *testing.T) {
 	if err != nil || lsn != last || !bytes.Equal(saveOf(t, rdb), golden) {
 		t.Fatalf("after the checkpoint: lsn %d of %d, %v, same state: %v", lsn, last, err, err == nil && bytes.Equal(saveOf(t, rdb), golden))
 	}
-
-	// A primary of that build ships its JSON snapshot, or the document of
-	// its newest state, to a follower of this one.
-	_, v1snaps, _, err := list(faultfs.OS, "testdata/v1journal")
-	if err != nil || len(v1snaps) != 1 {
-		t.Fatalf("testdata/v1journal: snapshots %v, %v", v1snaps, err)
-	}
-	doc, err := os.ReadFile(filepath.Join("testdata/v1journal", snapshotName(v1snaps[0])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lsn, body := range map[int64][]byte{v1snaps[0]: doc, last: golden} {
-		fdir := t.TempDir()
-		f, fdb, err := OpenFollower(fdir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.BootstrapSnapshot(lsn, body); err != nil {
-			t.Fatalf("bootstrap at %d from a JSON document: %v", lsn, err)
-		}
-		if got := saveOf(t, fdb); !bytes.Equal(got, body) {
-			t.Errorf("bootstrap at %d: the follower saves\n%s\nwant\n%s", lsn, got, body)
-		}
-		f.Abort()
-		kept, err := os.ReadFile(filepath.Join(fdir, snapshotName(lsn)))
-		if err != nil || !bytes.Equal(kept, body) {
-			t.Errorf("bootstrap at %d: the snapshot kept is not the document shipped: %v", lsn, err)
-		}
-		if rdb, rlsn, err := Replay(fdir, 0); err != nil || rlsn != lsn || !bytes.Equal(saveOf(t, rdb), body) {
-			t.Errorf("bootstrap at %d: the follower recovers to lsn %d, %v", lsn, rlsn, err)
-		}
-	}
 }
 
 // TestNewestSnapshotAcrossFormats: recovery and the tail take the newest
-// snapshot, whatever its format: a JSON document newer than a checkpoint,
-// or a checkpoint newer than a JSON document.  The older one of each pair
-// is made unreadable, so reading it would fail.
+// snapshot, and read no other: a JSON document older than a checkpoint is
+// made unreadable, and neither refuses the directory.
 func TestNewestSnapshotAcrossFormats(t *testing.T) {
 	master, name, save := checkpointDir(t)
 	ckptLSN := parseName(t, name)
-	rdb, last, err := Replay(master, 0)
+	dir := copyDir(t, master)
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(ckptLSN-1)), []byte("{damaged"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	_, last, err := Replay(master, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for what, files := range map[string]map[int64][]byte{
-		// The newest state as a JSON document, beside the checkpoint.
-		"a document newer than a checkpoint": {last: saveOf(t, rdb), ckptLSN: []byte("DJS2 damaged")},
-		// The checkpoint, beside a document older than it.
-		"a checkpoint newer than a document": {ckptLSN - 1: []byte("{damaged")},
-	} {
-		dir := copyDir(t, master)
-		for lsn, data := range files {
-			if err := os.WriteFile(filepath.Join(dir, snapshotName(lsn)), data, 0o666); err != nil {
-				t.Fatal(err)
-			}
-		}
-		db, lsn, err := Replay(dir, 0)
-		if err != nil || lsn != last || !bytes.Equal(saveOf(t, db), save) {
-			t.Errorf("%s: recovered to lsn %d of %d: %v", what, lsn, last, err)
-			continue
-		}
-		w, _, err := Open(dir, Options{SnapshotEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := w.NewTailer(0).Next(nil)
-		_, snaps, _, _ := list(faultfs.OS, dir)
-		if err != nil || ev.Kind != FollowSnapshot || ev.SnapLSN != snaps[len(snaps)-1] {
-			t.Errorf("%s: the tail from 0 begins with %+v, %v; want the snapshot at %d", what, ev, err, snaps[len(snaps)-1])
-		}
-		w.Abort()
+	db, lsn, err := Replay(dir, 0)
+	if err != nil || lsn != last || !bytes.Equal(saveOf(t, db), save) {
+		t.Fatalf("recovered to lsn %d of %d: %v", lsn, last, err)
+	}
+	w, _, err := Open(dir, Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	if ev, err := w.NewTailer(0).Next(nil); err != nil || ev.Kind != FollowSnapshot || ev.SnapLSN != ckptLSN {
+		t.Errorf("the tail from 0 begins with %+v, %v; want the snapshot at %d", ev, err, ckptLSN)
 	}
 }
 

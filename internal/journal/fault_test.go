@@ -453,7 +453,7 @@ func oidFrame(lsn int64, block string) []byte {
 // once each, one run per site, and then lives on as a follower does: restart
 // (re-basing again if the first re-base did not take), apply and commit the
 // records after the snapshot, restart.  Every run must recover, both times,
-// to the shipped document plus those records.  A crash between installing
+// to the shipped checkpoint plus those records.  A crash between installing
 // the snapshot and creating the segment after it used to recover once and
 // then never again: the records after the snapshot went into the old tail
 // segment, behind records from before it.
@@ -467,7 +467,10 @@ func TestBootstrapSnapshotFaultSweep(t *testing.T) {
 		}
 		want = append(want, k)
 	}
-	doc := saveBytes(t, primary)
+	doc, err := journal.CheckpointOf(saveBytes(t, primary), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := int64(51); i <= 53; i++ {
 		want = append(want, meta.Key{Block: fmt.Sprintf("new%d", i), View: "HDL_model", Version: 1})
 	}

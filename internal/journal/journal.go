@@ -6,18 +6,18 @@
 //
 // A journal directory holds two kinds of files:
 //
-//   - journal-<lsn16>.log — log segments.  Each starts with a header —
-//     "DJL2 <term16>\n" stamping the election term the segment opened in,
-//     or the legacy 5-byte "DJL1\n" magic implying term 1 — followed by
-//     framed records.  The 16-hex-digit name is the LSN of the first
-//     record the segment may contain; segments are strictly ordered and
-//     records within and across segments carry consecutive LSNs.
+//   - journal-<lsn16>.log — log segments.  Each starts with the header
+//     "DJL2 <term16>\n", stamping the election term the segment opened in,
+//     followed by framed records.  The 16-hex-digit name is the LSN of the
+//     first record the segment may contain; segments are strictly ordered
+//     and records within and across segments carry consecutive LSNs.
 //   - snapshot-<lsn16>.json — a checkpoint, consistent as of LSN <lsn16>:
 //     it contains the effect of every record with LSN ≤ <lsn16> and
 //     nothing newer.  A header "DJS<version> <lsn16> <term16>\n", then a
-//     frame per record of meta.View.Checkpoint.  Earlier builds wrote the
-//     JSON document of meta.Save here, version 1 of the format, which this
-//     one still reads: the name is the same for both.
+//     frame per record of meta.View.Checkpoint.
+//
+// Version 1 of both — a header without a term, the JSON document of
+// meta.Save — only Upgrade reads; recovery refuses it.
 //
 // Each record is framed as
 //
@@ -91,63 +91,52 @@ import (
 	"repro/internal/wire"
 )
 
-// segMagic opens every v1 segment file; the digit is the format version.
-// v1 segments predate election terms and imply the genesis term 1.
-const segMagic = "DJL1\n"
-
-// Segment header v2: "DJL2 " followed by the segment's opening election
-// term as 16 lower-case hex digits and a newline — fixed width so the
-// header parses (and its torn prefixes classify) without scanning.  The
-// term stamped is the writer's term when the segment was created; a
-// term-bump record may raise it mid-segment, so across a journal the
-// headers are non-decreasing, never decreasing — a regression means
-// doctored or shuffled files and is refused.
+// The segment header: "DJL", the format version and a space, then the
+// segment's opening election term as 16 lower-case hex digits and a
+// newline — fixed width so the header parses (and its torn prefixes
+// classify) without scanning.  The term stamped is the writer's term when
+// the segment was created; a term-bump record may raise it mid-segment, so
+// across a journal the headers are non-decreasing, never decreasing — a
+// regression means doctored or shuffled files and is refused.
 const (
-	segMagicV2   = "DJL2 "
-	segHeaderLen = len(segMagicV2) + 16 + 1
+	segHeaderMagic = "DJL2 "
+	segHeaderLen   = len(segHeaderMagic) + 16 + 1
 )
 
-// encodeSegHeader renders the v2 header for a segment opening at term.
+// encodeSegHeader renders the header for a segment opening at term.
 func encodeSegHeader(term int64) []byte {
-	return []byte(fmt.Sprintf("%s%016x\n", segMagicV2, term))
+	return fmt.Appendf(nil, "%s%016x\n", segHeaderMagic, term)
 }
 
-// parseSegHeader decodes the header at the front of a segment, accepting
-// both formats: v2 returns its stamped term, v1 the genesis term 1.  n is
-// the header length consumed.
+// parseSegHeader decodes the header at the front of a segment and returns
+// its stamped term; n is the header length consumed.  A header of an older
+// format version is errOldVersion.
 func parseSegHeader(data []byte) (term int64, n int, err error) {
-	if len(data) >= segHeaderLen && string(data[:len(segMagicV2)]) == segMagicV2 {
-		if data[segHeaderLen-1] != '\n' {
-			return 0, 0, fmt.Errorf("bad v2 header terminator")
-		}
-		t, perr := strconv.ParseInt(string(data[len(segMagicV2):segHeaderLen-1]), 16, 64)
-		if perr != nil || t < 1 {
-			return 0, 0, fmt.Errorf("bad v2 header term %q", data[len(segMagicV2):segHeaderLen-1])
-		}
-		return t, segHeaderLen, nil
+	if v := len("DJL"); len(data) > v && string(data[:v]) == segHeaderMagic[:v] && data[v] >= '1' && data[v] < segHeaderMagic[v] {
+		return 0, 0, fmt.Errorf("%w: segment header version %c, this build reads version %c", errOldVersion, data[v], segHeaderMagic[v])
 	}
-	if len(data) >= len(segMagic) && string(data[:len(segMagic)]) == segMagic {
-		return 1, len(segMagic), nil
+	if len(data) < segHeaderLen || string(data[:len(segHeaderMagic)]) != segHeaderMagic {
+		return 0, 0, fmt.Errorf("bad magic")
 	}
-	return 0, 0, fmt.Errorf("bad magic")
+	if data[segHeaderLen-1] != '\n' {
+		return 0, 0, fmt.Errorf("bad header terminator")
+	}
+	t, perr := strconv.ParseInt(string(data[len(segHeaderMagic):segHeaderLen-1]), 16, 64)
+	if perr != nil || t < 1 {
+		return 0, 0, fmt.Errorf("bad header term %q", data[len(segHeaderMagic):segHeaderLen-1])
+	}
+	return t, segHeaderLen, nil
 }
 
 // tornSegHeaderPrefix reports whether data — an entire segment shorter
-// than a full header — is a strict prefix of a valid header of either
-// format: the crash hit during segment creation, before any record could
-// have been acknowledged.
+// than a full header — is a strict prefix of a valid header: the crash hit
+// during segment creation, before any record could have been acknowledged.
 func tornSegHeaderPrefix(data []byte) bool {
-	if len(data) < len(segMagic) {
-		// Shorter than both magics: a prefix of either string qualifies.
-		if string(data) == segMagic[:len(data)] || string(data) == segMagicV2[:len(data)] {
-			return true
-		}
+	n := min(len(data), len(segHeaderMagic))
+	if len(data) >= segHeaderLen || string(data[:n]) != segHeaderMagic[:n] {
 		return false
 	}
-	if len(data) >= segHeaderLen || string(data[:len(segMagicV2)]) != segMagicV2 {
-		return false
-	}
-	for _, c := range data[len(segMagicV2):] {
+	for _, c := range data[n:] {
 		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
 			return false
 		}
@@ -243,8 +232,8 @@ type FollowEvent struct {
 
 	// SnapLSN/Snapshot are set for FollowSnapshot: the snapshot reflects
 	// every record with LSN ≤ SnapLSN, and records resume at SnapLSN+1.
-	// Snapshot is the snapshot file, byte for byte — a checkpoint, or the
-	// JSON document of an older build — which BootstrapSnapshot installs.
+	// Snapshot is the snapshot file, byte for byte — a checkpoint — which
+	// BootstrapSnapshot installs.
 	SnapLSN  int64
 	Snapshot []byte
 
@@ -391,10 +380,10 @@ const (
 	ckptHeaderLen = len(ckptMagic) + 1 + 1 + 16 + 1 + 16 + 1
 )
 
-// A snapshot of an older format version is read by the cold path (version
-// 1, without a header, is the JSON document); a newer one is refused.
+// A segment or snapshot of an older format version is for Upgrade to read
+// (version 1 of the snapshot is the JSON document); a newer one is refused.
 var (
-	errOldVersion = errors.New("journal: snapshot of an older format version")
+	errOldVersion = errors.New("journal: a file of an older format version, which `dquery upgrade <dir>` converts")
 	errNewVersion = errors.New("journal: snapshot of a newer format version")
 )
 
@@ -407,8 +396,8 @@ func (h ckptHeader) Bytes() []byte {
 // parseCkptHeader decodes the header at the front of data — its version
 // first: a newer format may lay the rest out anew.
 func parseCkptHeader(data []byte) (h ckptHeader, err error) {
-	if !bytes.HasPrefix(data, []byte(ckptMagic)) {
-		return h, errOldVersion
+	if bytes.HasPrefix(data, []byte("{")) {
+		return h, fmt.Errorf("%w: a JSON document, version 1 of the snapshot", errOldVersion)
 	}
 	var v int
 	n, _ := fmt.Sscanf(string(data[:min(len(data), ckptHeaderLen)]), ckptMagic+"%d %x %x", &v, &h.lsn, &h.term)
@@ -527,7 +516,7 @@ func openSegment(vfs faultfs.FS, path string, win *frameWindow, term *int64) (f 
 			return f, "torn segment header", nil
 		}
 		f.Close()
-		return nil, "", fmt.Errorf("segment %s: %v", name, herr)
+		return nil, "", fmt.Errorf("segment %s: %w", name, herr)
 	}
 	if hdrTerm < *term {
 		f.Close()
@@ -636,24 +625,6 @@ func (fw *frameWindow) frame() (payload []byte, damage string, err error) {
 	return payload, "", nil
 }
 
-// snapshotHeader reads the header of the snapshot of lsn the window is at.
-// errOldVersion means a JSON document, of which nothing is consumed.
-func (fw *frameWindow) snapshotHeader(lsn int64) (ckptHeader, error) {
-	b, err := fw.peek(ckptHeaderLen)
-	if err != nil {
-		return ckptHeader{}, err
-	}
-	h, err := parseCkptHeader(b)
-	if err != nil {
-		return h, err
-	}
-	if h.lsn != lsn {
-		return h, fmt.Errorf("checkpoint header names lsn %d", h.lsn)
-	}
-	fw.consume(ckptHeaderLen)
-	return h, nil
-}
-
 // frames hands fn the payload of each frame to the end of the file, good
 // until fn returns: a checkpoint's records.  Any damage fails the read, as
 // does fn's first error.
@@ -675,22 +646,22 @@ func (fw *frameWindow) frames(fn func(payload []byte) error) error {
 	}
 }
 
-// readSnapshot loads the snapshot of lsn from f — a snapshot file, or the
-// one a primary shipped — through fw: a checkpoint by meta.LoadCheckpoint,
-// a JSON document by meta.LoadShards.
+// readSnapshot loads the checkpoint of lsn from f — a snapshot file, or the
+// one a primary shipped — through fw and meta.LoadCheckpoint.
 func (fw *frameWindow) readSnapshot(f io.Reader, lsn int64, shards int) (*meta.DB, error) {
 	fw.reset(f, 0)
-	h, err := fw.snapshotHeader(lsn)
-	if errors.Is(err, errOldVersion) {
-		doc, err := fw.rest()
-		if err != nil {
-			return nil, err
-		}
-		return meta.LoadShards(bytes.NewReader(doc), shards)
-	}
+	b, err := fw.peek(ckptHeaderLen)
 	if err != nil {
 		return nil, err
 	}
+	h, err := parseCkptHeader(b)
+	switch {
+	case err != nil:
+		return nil, err
+	case h.lsn != lsn:
+		return nil, fmt.Errorf("checkpoint header names lsn %d", h.lsn)
+	}
+	fw.consume(ckptHeaderLen)
 	db, err := meta.LoadCheckpoint(shards, func(add func(meta.Record) error) error {
 		return fw.frames(func(payload []byte) error {
 			// The record's strings are the window's bytes, where the next

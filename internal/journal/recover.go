@@ -65,7 +65,8 @@ func ReplayUpTo(dir string, shards int, upTo int64) (*meta.DB, int64, error) {
 // truncated off the last segment and leftover temporary snapshot files are
 // removed, so a Writer can resume appending at a clean tail.  Records
 // beyond upTo are scanned (the continuity checks still run) but not
-// applied.
+// applied.  A file of an older format version fails it before any snapshot
+// or segment is changed: each is read before anything after it is.
 func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (replayState, error) {
 	if shards <= 0 {
 		shards = meta.DefaultShards

@@ -451,7 +451,7 @@ func FuzzSegmentRecovery(f *testing.F) {
 	f.Add(uint32(offs[300]), true, []byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint32(offs[100]+5), true, []byte{})
 	f.Add(uint32(3), false, []byte("L2 "))
-	f.Add(uint32(0), false, []byte(segMagic))
+	f.Add(uint32(0), false, []byte(v1SegMagic))
 	f.Fuzz(func(t *testing.T, keep uint32, snapshot bool, tail []byte) {
 		c := prefix
 		if !snapshot {

@@ -334,7 +334,11 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 	if err := primary.Save(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.BootstrapSnapshot(50, doc.Bytes()); err != nil {
+	ckpt, err := journal.CheckpointOf(doc.Bytes(), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.BootstrapSnapshot(50, ckpt); err != nil {
 		t.Fatal(err)
 	}
 

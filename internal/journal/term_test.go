@@ -5,6 +5,7 @@ package journal
 // that keeps a deposed primary's divergent tail out of a new lineage.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,14 +26,16 @@ func TestSegHeaderRoundTrip(t *testing.T) {
 			t.Fatalf("parse(encode(%d)) = %d, %d, %v", term, got, n, err)
 		}
 	}
-	// Legacy v1 magic implies the genesis term.
-	got, n, err := parseSegHeader([]byte(segMagic + "payload"))
-	if err != nil || got != 1 || n != len(segMagic) {
-		t.Fatalf("v1 parse = %d, %d, %v, want 1, %d, nil", got, n, err, len(segMagic))
+	// A version 1 header, and one torn inside it, are of an older format:
+	// refused, as something `dquery upgrade` converts.
+	for _, old := range []string{v1SegMagic + "payload", v1SegMagic, v1SegMagic[:4]} {
+		if got, n, err := parseSegHeader([]byte(old)); !errors.Is(err, errOldVersion) || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("v1 parse of %q = %d, %d, %v, want errOldVersion", old, got, n, err)
+		}
 	}
-	for _, bad := range []string{"", "DJL", "DJL3 0000000000000001\n", "DJL2 00000000000000zz\n", "DJL2 0000000000000000\n"} {
-		if _, _, err := parseSegHeader([]byte(bad)); err == nil {
-			t.Fatalf("parseSegHeader(%q) accepted", bad)
+	for _, bad := range []string{"", "DJL", "DJL3 0000000000000001\n", "DJL2 00000000000000zz\n", "DJL2 0000000000000000\n", "DJL0\n"} {
+		if _, _, err := parseSegHeader([]byte(bad)); err == nil || errors.Is(err, errOldVersion) {
+			t.Fatalf("parseSegHeader(%q): %v", bad, err)
 		}
 	}
 }
@@ -46,13 +49,14 @@ func TestTornSegHeaderPrefix(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < len(segMagic); i++ {
-		if !tornSegHeaderPrefix([]byte(segMagic[:i])) {
-			t.Fatalf("prefix %q of the v1 magic not classified torn", segMagic[:i])
+	// A prefix of a version 1 header is torn only as far as it is one of a
+	// current header too: past "DJL" it is an older format's, refused.
+	for i := 0; i <= len(v1SegMagic); i++ {
+		if got, want := tornSegHeaderPrefix([]byte(v1SegMagic[:i])), i < 4; got != want {
+			t.Fatalf("prefix %q of the v1 magic classified torn: %v, want %v", v1SegMagic[:i], got, want)
 		}
 	}
-	for _, bad := range []string{"X", "DJX", "DJL2 xyz", segMagic} {
-		// segMagic itself is a COMPLETE v1 header, not a torn prefix.
+	for _, bad := range []string{"X", "DJX", "DJL2 xyz", "DJL2 0000000000000001\n"} {
 		if tornSegHeaderPrefix([]byte(bad)) {
 			t.Fatalf("%q wrongly classified as a torn header prefix", bad)
 		}

@@ -211,7 +211,7 @@ func open(dir string, opt Options, follower bool) (*Writer, *meta.DB, error) {
 // or starts a fresh one at the next LSN when there is none or tailNext, where
 // the newest continues, is not the next: a follower that died between
 // BootstrapSnapshot's rename and its segment create recovers at the snapshot,
-// far past the old tail.  A tail torn down to less than the magic is reset.
+// far past the old tail.  A tail torn down to less than a header is reset.
 func (w *Writer) openTail(tail, tailNext int64) error {
 	if next := w.lastLSN.Load() + 1; tail == 0 || tailNext != next {
 		return w.newSegmentLocked(next)
@@ -226,7 +226,7 @@ func (w *Writer) openTail(tail, tailNext int64) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	w.seg, w.segSize, w.segFirst = f, fi.Size(), tail
-	if w.segSize < int64(len(segMagic)) {
+	if w.segSize < int64(segHeaderLen) {
 		// Torn at creation (replay truncated it to zero): restart the
 		// segment header before any record lands in it.
 		if err := f.Truncate(0); err != nil {
@@ -618,8 +618,7 @@ func (w *Writer) ApplyAppend(frame []byte) (lsn int64, err error) {
 }
 
 // BootstrapSnapshot installs a primary-shipped snapshot as the follower's
-// new base state: body, the primary's snapshot file byte for byte — a
-// checkpoint, or the JSON document of an older build — becomes
+// new base state: body, the primary's checkpoint file byte for byte, becomes
 // snapshot-<lsn>.json, a fresh segment starting at lsn+1 replaces the
 // tail, every older segment and snapshot is deleted, and the in-memory
 // database is reset to the snapshot.  This is the cold or stale-follower
@@ -640,8 +639,8 @@ func (w *Writer) BootstrapSnapshot(lsn int64, body []byte) error {
 		return fmt.Errorf("journal: bootstrap snapshot lsn %d is not ahead of applied lsn %d", lsn, w.lastLSN.Load())
 	}
 
-	// Read the snapshot as recovery does before touching any file: a torn or
-	// corrupt one must leave the follower's current state untouched.
+	// Read the snapshot as recovery does before touching any file: a torn,
+	// corrupt or older-format one must leave the follower's state untouched.
 	var win frameWindow
 	restored, err := win.readSnapshot(bytes.NewReader(body), lsn, w.opt.Shards)
 	if err != nil {
@@ -653,8 +652,8 @@ func (w *Writer) BootstrapSnapshot(lsn int64, body []byte) error {
 		return fmt.Errorf("journal: bootstrap snapshot: %w", err)
 	}
 	_, werr := f.Write(body)
-	if err := w.sealSnapshot(f, werr, lsn); err != nil {
-		return err
+	if err := seal(w.fs, f, werr, filepath.Join(w.dir, snapshotName(lsn))); err != nil {
+		return fmt.Errorf("journal: bootstrap snapshot: %w", err)
 	}
 
 	// The snapshot may carry term bumps this stale follower never saw as
@@ -804,8 +803,8 @@ func (w *Writer) Snapshot() error {
 		// later recovery must (and does) refuse.
 		err = w.Commit()
 	}
-	if err := w.sealSnapshot(f, err, lsn); err != nil {
-		return err
+	if err := seal(w.fs, f, err, filepath.Join(w.dir, snapshotName(lsn))); err != nil {
+		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	w.snapLSN.Store(lsn)
 	w.sinceSnap.Add(-covered)
@@ -833,13 +832,13 @@ func (w *Writer) pinNewest() (*meta.View, error) {
 	}
 }
 
-// sealSnapshot finishes a snapshot temporary file: fsync, close, and
-// atomic rename into place under the canonical name for lsn.  werr is the
-// error state of the writes so far; on any failure the temporary file is
-// removed and nothing is installed.  Both snapshot producers (Snapshot
-// and BootstrapSnapshot) install through here, so crash-safety fixes to
-// the sequence apply to both.
-func (w *Writer) sealSnapshot(f faultfs.File, werr error, lsn int64) error {
+// seal finishes f, the temporary file of a file that is to be path: fsync,
+// close, and atomic rename into place.  werr is the error state of the
+// writes so far; on any failure the temporary file is removed and nothing
+// is installed.  Every file written whole — a snapshot of either producer
+// (Snapshot and BootstrapSnapshot), a file Upgrade converts — installs
+// through here, so crash-safety fixes to the sequence apply to all.
+func seal(vfs faultfs.FS, f faultfs.File, werr error, path string) error {
 	tmp := f.Name()
 	err := werr
 	if err == nil {
@@ -849,13 +848,12 @@ func (w *Writer) sealSnapshot(f faultfs.File, werr error, lsn int64) error {
 		err = cerr
 	}
 	if err == nil {
-		err = w.fs.Rename(tmp, filepath.Join(w.dir, snapshotName(lsn)))
+		err = vfs.Rename(tmp, path)
 	}
 	if err != nil {
-		w.fs.Remove(tmp)
-		return fmt.Errorf("journal: snapshot: %w", err)
+		vfs.Remove(tmp)
 	}
-	return nil
+	return err
 }
 
 // compact deletes log segments fully covered by the snapshot at lsn — a
@@ -945,7 +943,7 @@ func (w *Writer) Close() error {
 	if err == nil && w.lastLSN.Load() > w.snapLSN.Load() {
 		// Anything beyond the newest snapshot — fresh records or a tail
 		// this process merely replayed at Open — gets folded in, so the
-		// next Open loads one document and replays nothing.
+		// next Open loads one checkpoint and replays nothing.
 		err = w.Snapshot()
 	}
 	w.db.SetRecorder(nil)

@@ -12,12 +12,12 @@ import (
 )
 
 // The JSON document of the meta-database, written and read by
-// encoding/json: the export and audit format (damocles -db, dquery
-// -journal, the byte-identity contracts of the tests) and the snapshot
-// format before checkpoints (checkpoint.go), which recovery and a follower's
-// bootstrap still read.  Chains, postings and the clocks' history are not
-// in it: Load rebuilds them, each object the first version of its history;
-// gaps PruneVersions left in a chain are kept.
+// encoding/json: the export and audit format (LoadDB, the byte-identity
+// contracts of the tests) and the snapshot format before checkpoints
+// (checkpoint.go), which only the journal's offline upgrade still reads —
+// no node links either end of it.  Chains, postings and the clocks' history
+// are not in it: Load rebuilds them, each object the first version of its
+// history; gaps PruneVersions left in a chain are kept.
 
 type dbJSON struct {
 	Seq        int64           `json:"seq"`

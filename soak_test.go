@@ -13,7 +13,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/cli"
+	"repro/internal/bpl"
 	"repro/internal/engine"
 	"repro/internal/load"
 	"repro/internal/meta"
@@ -24,7 +24,7 @@ func TestSoakWorkloadWithServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	bp, err := cli.LoadBlueprint("")
+	bp, err := bpl.LoadBlueprint("")
 	if err != nil {
 		t.Fatal(err)
 	}
