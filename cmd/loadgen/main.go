@@ -1,39 +1,31 @@
-// Command loadgen is the open-loop load harness for damocles: it drives
-// a declarative mixed-op scenario (hierarchy check-ins, report/gap
-// storms against pinned LSNs, workspace churn, mid-traffic blueprint
-// swaps) against a real server — spawned here or already running — at a
-// fixed or ramping arrival rate, measures per-op-class latency from the
-// intended arrival times (coordinated omission is measured, not hidden),
-// samples replication lag, and emits LOAD_<n>.json next to the BENCH
-// files.  With -chaos it SIGKILLs the primary mid-run, promotes a
-// follower through the real CLI, re-points the survivors, and audits
-// zero acked-write loss plus the SLO recovery time.  With -partition it
-// blackholes a follower's replication link mid-run (through a netfault
-// proxy — both directions silent, nothing closed), audits that the dark
-// follower keeps admitting its staleness, and after the heal measures
-// the catch-up, the write-SLO recovery, and convergence.  See
+// Command loadgen is the open-loop load harness for damocles: it spawns a
+// real cluster — a journaled primary and followers — drives a preset
+// mixed-op scenario against it at a fixed arrival rate, measures
+// per-op-class latency from the intended arrival times (coordinated
+// omission is measured, not hidden), samples replication lag, and writes
+// the result as a LOAD json.  With -partition it blackholes a follower's
+// replication link mid-run (through a netfault proxy — both directions
+// silent, nothing closed), audits that the dark follower keeps admitting
+// its staleness, and after the heal measures the catch-up, the write-SLO
+// recovery, and convergence; a failed audit exits non-zero.  -gate compares
+// two LOAD json documents, and -facts prints the runner facts.  See
 // docs/LOAD.md.
 //
 // Usage:
 //
-//	loadgen -spawn -followers 2 -ack 1 -preset mixed -chaos -out LOAD_1.json
-//	loadgen -spawn -followers 1 -ack 1 -preset smoke -partition -out LOAD_2.json
-//	loadgen -addr 127.0.0.1:7077 -preset smoke
-//	loadgen -scenario my.json -spawn
+//	loadgen -spawn -followers 1 -ack 1 -preset smoke -out LOAD_pr.json
+//	loadgen -spawn -followers 1 -ack 1 -preset smoke -partition -out LOAD_partition.json
 //	loadgen -gate -base LOAD_base.json -pr LOAD_pr.json -limit 40
 //	loadgen -facts
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-	"regexp"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/load"
@@ -41,24 +33,12 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "", "drive an already-running primary at this address")
-		followers = flag.String("followers", "", "comma-separated follower addresses (with -addr), or a count (with -spawn)")
 		spawn     = flag.Bool("spawn", false, "spawn a fresh cluster (primary + followers) for the run")
-		bin       = flag.String("bin", "", "damocles binary for -spawn (default: go build ./cmd/damocles)")
+		followers = flag.Int("followers", 0, "follower count of the spawned cluster")
 		ack       = flag.Int("ack", 0, "quorum acks for the spawned primary (damocles -ack)")
-		fsync     = flag.Bool("fsync", false, "fsync per commit on spawned nodes")
-		preset    = flag.String("preset", "", "built-in scenario: smoke, mixed, soak")
-		scenario  = flag.String("scenario", "", "JSON scenario spec file (overrides -preset)")
-		rate      = flag.Float64("rate", 0, "override the scenario arrival rate (ops/sec)")
-		duration  = flag.Duration("duration", 0, "override the scenario duration")
-		workers   = flag.Int("workers", 0, "override the scenario virtual-user count")
-		out       = flag.String("out", "", "output path (default: next free LOAD_<n>.json in the working dir)")
-		chaos     = flag.Bool("chaos", false, "kill the primary mid-run and audit the failover (needs -spawn and followers)")
-		killAfter = flag.Duration("kill-after", 0, "offset of the chaos kill (default: half the scenario duration)")
-		partition = flag.Bool("partition", false, "blackhole a follower's replication link mid-run and audit liveness (needs -spawn and followers)")
-		dark      = flag.Duration("dark", 0, "partition span (default: a quarter of the scenario duration)")
-		sloHard   = flag.Bool("slo-enforce", false, "exit non-zero on SLO ceiling violations")
-		quiet     = flag.Bool("q", false, "suppress progress logging")
+		preset    = flag.String("preset", "smoke", "built-in scenario: smoke, soak")
+		out       = flag.String("out", "", "output path of the LOAD json")
+		partition = flag.Bool("partition", false, "blackhole a follower's replication link mid-run and audit liveness (needs followers)")
 
 		gate  = flag.Bool("gate", false, "gate mode: compare -pr against -base instead of running load")
 		base  = flag.String("base", "", "gate mode: baseline LOAD json")
@@ -69,10 +49,6 @@ func main() {
 	)
 	flag.Parse()
 	log.SetFlags(0)
-	logf := log.Printf
-	if *quiet {
-		logf = func(string, ...any) {}
-	}
 
 	if *facts {
 		data, _ := json.Marshal(load.RunnerFacts())
@@ -82,175 +58,80 @@ func main() {
 	if *gate {
 		os.Exit(runGate(*base, *pr, *limit))
 	}
+	if !*spawn || *out == "" {
+		log.Fatal("loadgen: need -spawn and -out (try -spawn -preset smoke -out LOAD.json)")
+	}
+	if *partition && *followers == 0 {
+		log.Fatal("loadgen: -partition needs at least one follower")
+	}
 
-	spec, err := resolveScenario(*preset, *scenario)
+	if err := run(*preset, *followers, *ack, *partition, *out); err != nil {
+		log.Fatal("loadgen: ", err)
+	}
+}
+
+// run spawns the cluster, drives the preset against it, writes the LOAD
+// json to out and returns the partition audit's failure, if any — after
+// the cluster is torn down, so a failed audit leaves no process behind.
+func run(preset string, followers, ack int, partition bool, out string) error {
+	spec, err := load.Preset(preset)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if *rate > 0 {
-		spec.Rate = *rate
+	log.Printf("building damocles...")
+	bin, err := load.BuildDamocles("")
+	if err != nil {
+		return err
 	}
-	if *duration > 0 {
-		spec.Duration = load.Dur{D: *duration}
+	defer os.Remove(bin)
+	opts := load.ClusterOpts{Followers: followers, Ack: ack, Logf: log.Printf}
+	if partition {
+		// Short stall timeout and fast pings so the liveness machinery
+		// exercises visibly inside a short run: the dark follower must
+		// notice the silence, admit staleness, and reconnect fast once
+		// the link heals.
+		opts.ProxyFollowers = true
+		opts.StallTimeout = 1500 * time.Millisecond
+		opts.PingInterval = 250 * time.Millisecond
 	}
-	if *workers > 0 {
-		spec.Workers = *workers
+	cluster, err := load.StartCluster(bin, opts)
+	if err != nil {
+		return err
 	}
+	defer cluster.Close()
 
-	var (
-		cluster  *load.Cluster
-		primary  string
-		folAddrs []string
-	)
-	switch {
-	case *spawn:
-		b := *bin
-		if b == "" {
-			logf("building damocles...")
-			b, err = load.BuildDamocles("")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.Remove(b)
-		}
-		n := 0
-		if *followers != "" {
-			n, err = strconv.Atoi(*followers)
-			if err != nil {
-				log.Fatalf("loadgen: -spawn wants a follower count, got %q", *followers)
-			}
-		}
-		opts := load.ClusterOpts{Followers: n, Ack: *ack, Fsync: *fsync, Logf: logf}
-		if *partition {
-			// Short stall timeout and fast pings so the liveness machinery
-			// exercises visibly inside a short run: the dark follower must
-			// notice the silence, admit staleness, and reconnect fast once
-			// the link heals.
-			opts.ProxyFollowers = true
-			opts.StallTimeout = 1500 * time.Millisecond
-			opts.PingInterval = 250 * time.Millisecond
-		}
-		cluster, err = load.StartCluster(b, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cluster.Close()
-		primary = cluster.Primary.Addr
-		folAddrs = cluster.FollowerAddrs()
-	case *addr != "":
-		primary = *addr
-		if *followers != "" {
-			folAddrs = strings.Split(*followers, ",")
-		}
-	default:
-		log.Fatal("loadgen: need -addr or -spawn (try -spawn -preset smoke)")
-	}
-
-	r := &load.Runner{Spec: spec, Primary: primary, Followers: folAddrs, Logf: logf}
-	if *chaos {
-		if cluster == nil || len(folAddrs) == 0 {
-			log.Fatal("loadgen: -chaos needs -spawn and at least one follower")
-		}
-		ka := *killAfter
-		if ka <= 0 {
-			ka = spec.Duration.D / 2
-		}
-		r.Chaos = &load.ChaosPlan{Cluster: cluster, KillAfter: ka}
-		logf("chaos armed: primary dies at +%v", ka)
-	}
-	if *partition {
-		if cluster == nil || len(folAddrs) == 0 {
-			log.Fatal("loadgen: -partition needs -spawn and at least one follower")
-		}
-		if *chaos {
-			log.Fatal("loadgen: -chaos and -partition do not combine (one fault per run)")
-		}
-		d := *dark
-		if d <= 0 {
-			d = spec.Duration.D / 4
-		}
+	r := &load.Runner{Spec: spec, Primary: cluster.Primary.Addr, Followers: cluster.FollowerAddrs(), Logf: log.Printf}
+	if partition {
 		r.Partition = &load.PartitionPlan{
 			Cluster:    cluster,
 			Follower:   0,
 			StartAfter: spec.Duration.D / 4,
-			Dark:       d,
+			Dark:       spec.Duration.D / 4,
 		}
-		logf("partition armed: follower 0 goes dark at +%v for %v", spec.Duration.D/4, d)
+		log.Printf("partition armed: follower 0 goes dark at +%v for %v", spec.Duration.D/4, spec.Duration.D/4)
 	}
 
 	res, err := r.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	res.Stamp()
+	if err := res.WriteJSON(out); err != nil {
+		return err
+	}
+	printSummary(res, out)
 
-	path, index := outPath(*out)
-	res.Index = index
-	resStamp(res, index)
-	if err := res.WriteJSON(path); err != nil {
-		log.Fatal(err)
-	}
-	printSummary(res, path)
-
-	if res.Chaos != nil && res.Chaos.Enabled {
-		if res.Chaos.NewPrimary == "" {
-			log.Fatal("loadgen: chaos failover did not complete")
-		}
-		if res.Chaos.AckedLost > 0 {
-			log.Fatalf("loadgen: %d ACKED WRITES LOST in failover", res.Chaos.AckedLost)
-		}
-	}
 	if pt := res.Partition; pt != nil && pt.Enabled {
 		switch {
 		case !pt.StalenessSeen:
-			log.Fatal("loadgen: dark follower served reads without admitting staleness")
+			return errors.New("dark follower served reads without admitting staleness")
 		case !pt.Recovered:
-			log.Fatal("loadgen: follower never caught the primary after the heal")
+			return errors.New("follower never caught the primary after the heal")
 		case !pt.Converged:
-			log.Fatal("loadgen: fleet did not converge after the heal")
+			return errors.New("fleet did not converge after the heal")
 		}
 	}
-	if *sloHard && len(res.SLOViolations) > 0 {
-		log.Fatalf("loadgen: SLO violations: %s", strings.Join(res.SLOViolations, "; "))
-	}
-}
-
-func resolveScenario(preset, file string) (load.Scenario, error) {
-	if file != "" {
-		return load.LoadScenario(file)
-	}
-	if preset == "" {
-		preset = "smoke"
-	}
-	return load.Preset(preset)
-}
-
-// resStamp is split out so the stamp happens after Run (git state is
-// read here, not inside the measurement window).
-func resStamp(res *load.Result, index int) { res.Stamp(index) }
-
-var loadFileRE = regexp.MustCompile(`^LOAD_(\d+)\.json$`)
-
-// outPath resolves the output file: an explicit -out (index parsed from
-// its name when it matches LOAD_<n>.json), or the next free index in
-// the working directory.
-func outPath(out string) (string, int) {
-	if out != "" {
-		if m := loadFileRE.FindStringSubmatch(filepath.Base(out)); m != nil {
-			n, _ := strconv.Atoi(m[1])
-			return out, n
-		}
-		return out, 0
-	}
-	max := 0
-	entries, _ := os.ReadDir(".")
-	for _, e := range entries {
-		if m := loadFileRE.FindStringSubmatch(e.Name()); m != nil {
-			if n, _ := strconv.Atoi(m[1]); n > max {
-				max = n
-			}
-		}
-	}
-	return fmt.Sprintf("LOAD_%d.json", max+1), max + 1
+	return nil
 }
 
 func printSummary(res *load.Result, path string) {
@@ -264,10 +145,6 @@ func printSummary(res *load.Result, path string) {
 	if rep := res.Replication; rep != nil && rep.Samples > 0 {
 		fmt.Printf("  replication: follower lag p50=%d p99=%d max=%d LSNs, journal lag p99=%d (n=%d)\n",
 			rep.FollowerLagP50, rep.FollowerLagP99, rep.FollowerLagMax, rep.JournalLagP99, rep.Samples)
-	}
-	if ch := res.Chaos; ch != nil && ch.Enabled {
-		fmt.Printf("  chaos: kill@%.0fms failover=%.0fms outage=%.0fms acked=%d lost=%d slo-recovery=%.0fms recovered=%v converged=%v\n",
-			ch.KillAtMs, ch.FailoverMs, ch.OutageMs, ch.AckedWrites, ch.AckedLost, ch.SLORecoveryMs, ch.Recovered, ch.Converged)
 	}
 	if pt := res.Partition; pt != nil && pt.Enabled {
 		fmt.Printf("  partition: dark@%.0fms for %.0fms staleness(max)=%.0fms catchup=%.0fms slo-recovery=%.0fms recovered=%v converged=%v\n",

@@ -282,11 +282,22 @@ func appendEventPayload(dst []byte, ev FollowEvent, size int) []byte {
 // anything of it reaches fn, and a buffer grows no faster than bytes arrive:
 // neither a frame's length nor a snapshot's size is an allocation request.
 // A stream cut short, even at a frame boundary, is an error.
-func ReadFollow(r io.Reader, fn func(FollowEvent) error) error {
+//
+// arm, when not nil, is called with false before each frame is read and with
+// true as a snapshot's body begins: a reader that bounds its wait on the peer
+// arms one deadline for a whole frame — a frame's length is outside its
+// checksum, so bytes arriving are no sign that a damaged length will ever be
+// met — and lets the body's progress re-arm it, the body's size being in a
+// frame whose checksum held.
+func ReadFollow(r io.Reader, arm func(body bool), fn func(FollowEvent) error) error {
+	if arm == nil {
+		arm = func(bool) {}
+	}
 	var win frameWindow
 	win.reset(r, 0)
 	for {
-		ev, err := win.followEvent()
+		arm(false)
+		ev, err := win.followEvent(arm)
 		if err != nil {
 			return fmt.Errorf("journal: follow stream: %w", err)
 		}
@@ -299,8 +310,9 @@ func ReadFollow(r io.Reader, fn func(FollowEvent) error) error {
 	}
 }
 
-// followEvent reads the stream event at the window's position.
-func (fw *frameWindow) followEvent() (FollowEvent, error) {
+// followEvent reads the stream event at the window's position, calling arm
+// as ReadFollow says.
+func (fw *frameWindow) followEvent(arm func(body bool)) (FollowEvent, error) {
 	payload, damage, err := fw.frame()
 	switch {
 	case err == io.EOF:
@@ -318,6 +330,7 @@ func (fw *frameWindow) followEvent() (FollowEvent, error) {
 	case ev.Kind == FollowRecord:
 		ev.Frame = frame
 	case ev.Kind == FollowSnapshot:
+		arm(true)
 		for len(ev.Snapshot) < size {
 			b, err := fw.peek(min(size-len(ev.Snapshot), windowBytes))
 			if err != nil {

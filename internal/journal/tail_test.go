@@ -378,7 +378,7 @@ func followStream(evs ...journal.FollowEvent) []byte {
 // readFollow decodes a whole stream, keeping a copy of every event.
 func readFollow(stream []byte) ([]journal.FollowEvent, error) {
 	var got []journal.FollowEvent
-	err := journal.ReadFollow(bytes.NewReader(stream), func(ev journal.FollowEvent) error {
+	err := journal.ReadFollow(bytes.NewReader(stream), nil, func(ev journal.FollowEvent) error {
 		ev.Frame = bytes.Clone(ev.Frame)
 		got = append(got, ev)
 		return nil

@@ -9,7 +9,6 @@ import (
 	"regexp"
 	"strconv"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/netfault"
@@ -17,13 +16,10 @@ import (
 )
 
 // Proc is one spawned damocles process with its scanned stderr, so the
-// harness can wait for log lines (the bound address, applied positions)
-// and drive real-process chaos: SIGKILL, SIGSTOP partitions, restarts.
+// harness can wait for the line that names its bound address.
 type Proc struct {
 	Cmd  *exec.Cmd
 	Addr string
-	Dir  string // journal directory
-	Args []string
 
 	mu    sync.Mutex
 	lines []string
@@ -42,7 +38,7 @@ func spawnProc(bin string, args []string) (*Proc, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("load: start %s: %w", bin, err)
 	}
-	p := &Proc{Cmd: cmd, Args: args}
+	p := &Proc{Cmd: cmd}
 	go func() {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
@@ -98,25 +94,6 @@ func (p *Proc) Kill() {
 	}
 }
 
-// Terminate SIGTERMs the process (graceful shutdown) and reaps it.
-func (p *Proc) Terminate() error {
-	if p.Cmd.Process == nil || p.Cmd.ProcessState != nil {
-		return nil
-	}
-	if err := p.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	return p.Cmd.Wait()
-}
-
-// Pause SIGSTOPs the process — the harness's network-partition stand-in:
-// a paused follower stops draining its stream and falls behind without
-// its connection dying.
-func (p *Proc) Pause() error { return p.Cmd.Process.Signal(syscall.SIGSTOP) }
-
-// Resume SIGCONTs a paused process.
-func (p *Proc) Resume() error { return p.Cmd.Process.Signal(syscall.SIGCONT) }
-
 // ClusterOpts configures StartCluster.
 type ClusterOpts struct {
 	// Followers is the read-replica count (0: primary only).
@@ -126,20 +103,9 @@ type ClusterOpts struct {
 	// (damocles -ack); 0 disables the quorum gate.
 	Ack int
 
-	// Fsync forces per-commit fsync on every node.
-	Fsync bool
-
-	// BaseDir holds the per-node journal directories (a temp dir when
-	// empty; Close removes it only when the harness created it).
-	BaseDir string
-
-	// Blueprint is an optional -blueprint file path shared by all nodes.
-	Blueprint string
-
 	// ProxyFollowers routes every follower's upstream connection through
 	// an in-process netfault proxy, so the harness can blackhole a
-	// replication link (PartitionFollower) without touching the process —
-	// the network partition, as distinct from the SIGSTOP freeze.
+	// replication link (PartitionFollower) without touching the process.
 	ProxyFollowers bool
 
 	// StallTimeout, when positive, is passed to followers as
@@ -158,19 +124,18 @@ type ClusterOpts struct {
 
 // Cluster is a real damocles fleet under harness control: one primary,
 // N followers, all spawned from the same binary with their own journal
-// directories — the substrate the chaos mode drives.
+// directories under one temporary directory.
 type Cluster struct {
 	Bin       string
 	Primary   *Proc
 	Followers []*Proc
-	Opts      ClusterOpts
 
 	// Proxies[i] fronts Followers[i]'s upstream link when the cluster
 	// was started with ProxyFollowers; nil entries otherwise.
 	Proxies []*netfault.Proxy
 
-	ownsDir bool
-	logf    func(format string, args ...any)
+	dir  string
+	logf func(format string, args ...any)
 }
 
 // StartCluster spawns a journaled primary plus opts.Followers followers
@@ -180,26 +145,15 @@ func StartCluster(bin string, opts ClusterOpts) (*Cluster, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	c := &Cluster{Bin: bin, Opts: opts, logf: logf}
-	if opts.BaseDir == "" {
-		dir, err := os.MkdirTemp("", "loadgen-cluster-")
-		if err != nil {
-			return nil, err
-		}
-		opts.BaseDir = dir
-		c.Opts.BaseDir = dir
-		c.ownsDir = true
+	dir, err := os.MkdirTemp("", "loadgen-cluster-")
+	if err != nil {
+		return nil, err
 	}
-	pdir := filepath.Join(opts.BaseDir, "primary")
+	c := &Cluster{Bin: bin, dir: dir, logf: logf}
+	pdir := filepath.Join(dir, "primary")
 	args := []string{"-addr", "127.0.0.1:0", "-journal", pdir}
 	if opts.Ack > 0 {
 		args = append(args, "-ack", strconv.Itoa(opts.Ack))
-	}
-	if opts.Fsync {
-		args = append(args, "-fsync")
-	}
-	if opts.Blueprint != "" {
-		args = append(args, "-blueprint", opts.Blueprint)
 	}
 	if opts.PingInterval > 0 {
 		args = append(args, "-follow-ping", opts.PingInterval.String())
@@ -209,11 +163,10 @@ func StartCluster(bin string, opts ClusterOpts) (*Cluster, error) {
 		c.Close()
 		return nil, fmt.Errorf("load: primary: %w", err)
 	}
-	prim.Dir = pdir
 	c.Primary = prim
 	logf("primary serving on %s (journal %s)", prim.Addr, pdir)
 	for i := 0; i < opts.Followers; i++ {
-		fdir := filepath.Join(opts.BaseDir, fmt.Sprintf("follower%d", i))
+		fdir := filepath.Join(dir, fmt.Sprintf("follower%d", i))
 		upstream := prim.Addr
 		var px *netfault.Proxy
 		if opts.ProxyFollowers {
@@ -225,12 +178,6 @@ func StartCluster(bin string, opts ClusterOpts) (*Cluster, error) {
 			upstream = px.Addr()
 		}
 		fargs := []string{"-addr", "127.0.0.1:0", "-journal", fdir, "-follow", upstream}
-		if opts.Fsync {
-			fargs = append(fargs, "-fsync")
-		}
-		if opts.Blueprint != "" {
-			fargs = append(fargs, "-blueprint", opts.Blueprint)
-		}
 		if opts.StallTimeout > 0 {
 			fargs = append(fargs, "-stall-timeout", opts.StallTimeout.String())
 		}
@@ -245,7 +192,6 @@ func StartCluster(bin string, opts ClusterOpts) (*Cluster, error) {
 			c.Close()
 			return nil, fmt.Errorf("load: follower %d: %w", i, err)
 		}
-		fol.Dir = fdir
 		c.Followers = append(c.Followers, fol)
 		c.Proxies = append(c.Proxies, px)
 		if px != nil {
@@ -304,7 +250,7 @@ func (c *Cluster) FollowerAddrs() []string {
 }
 
 // Close kills every node, tears down the proxies, and removes the
-// harness-owned base directory.
+// journal directories.
 func (c *Cluster) Close() {
 	if c.Primary != nil {
 		c.Primary.Kill()
@@ -317,15 +263,7 @@ func (c *Cluster) Close() {
 			px.Close()
 		}
 	}
-	if c.ownsDir {
-		os.RemoveAll(c.Opts.BaseDir)
-	}
-}
-
-// KillPrimary SIGKILLs the primary mid-traffic — the chaos opening move.
-func (c *Cluster) KillPrimary() {
-	c.logf("chaos: SIGKILL primary %s", c.Primary.Addr)
-	c.Primary.Kill()
+	os.RemoveAll(c.dir)
 }
 
 // appliedOf asks a node's ROLE for its applied LSN (-1 when unreachable).
@@ -342,86 +280,9 @@ func appliedOf(addr string) int64 {
 	return ri.Applied
 }
 
-// Failover promotes the most-advanced follower through the real CLI
-// (damocles -promote) and re-points every surviving follower at it by
-// restarting their processes with -follow — the operator's documented
-// drill, driven programmatically.  It returns the new primary's address.
-func (c *Cluster) Failover() (string, error) {
-	if len(c.Followers) == 0 {
-		return "", fmt.Errorf("load: failover needs at least one follower")
-	}
-	// Let the follower applied positions settle: the streams may still be
-	// draining frames received before the kill.
-	var last []int64
-	for settle := 0; settle < 3; {
-		cur := make([]int64, len(c.Followers))
-		for i, f := range c.Followers {
-			cur[i] = appliedOf(f.Addr)
-		}
-		if last != nil && equalLSNs(cur, last) {
-			settle++
-		} else {
-			settle = 0
-		}
-		last = cur
-		time.Sleep(50 * time.Millisecond)
-	}
-	winner := 0
-	for i, lsn := range last {
-		if lsn > last[winner] {
-			winner = i
-		}
-	}
-	w := c.Followers[winner]
-	c.logf("chaos: promoting follower %d (%s, applied %d) via CLI", winner, w.Addr, last[winner])
-	out, err := exec.Command(c.Bin, "-promote", w.Addr).CombinedOutput()
-	if err != nil {
-		return "", fmt.Errorf("load: damocles -promote %s: %v\n%s", w.Addr, err, out)
-	}
-	// The promoted node is the new primary; re-point the survivors by
-	// restarting them against it (graceful stop → -follow new primary,
-	// resuming from their persisted applied positions).
-	newPrimary := w
-	survivors := make([]*Proc, 0, len(c.Followers)-1)
-	for i, f := range c.Followers {
-		if i == winner {
-			continue
-		}
-		c.logf("chaos: re-pointing follower %s at %s", f.Addr, newPrimary.Addr)
-		if err := f.Terminate(); err != nil {
-			f.Kill()
-		}
-		fargs := []string{"-addr", "127.0.0.1:0", "-journal", f.Dir, "-follow", newPrimary.Addr}
-		if c.Opts.Fsync {
-			fargs = append(fargs, "-fsync")
-		}
-		if c.Opts.Blueprint != "" {
-			fargs = append(fargs, "-blueprint", c.Opts.Blueprint)
-		}
-		nf, err := c.startServing(fargs)
-		if err != nil {
-			return "", fmt.Errorf("load: re-point %s: %w", f.Dir, err)
-		}
-		nf.Dir = f.Dir
-		survivors = append(survivors, nf)
-	}
-	c.Primary = newPrimary
-	c.Followers = survivors
-	return newPrimary.Addr, nil
-}
-
-func equalLSNs(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // BuildDamocles compiles the daemon into dir (or a temp dir when empty)
-// and returns the binary path — the harness's self-provisioning path for
-// `loadgen -spawn` without a prebuilt -bin.
+// and returns the binary path — how `loadgen -spawn` and the spawned-cluster
+// test get the binary they run.
 func BuildDamocles(dir string) (string, error) {
 	if dir == "" {
 		dir = os.TempDir()

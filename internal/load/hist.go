@@ -1,10 +1,12 @@
 // Package load is the open-loop load-generation harness behind
-// cmd/loadgen: arrival-rate schedules that never stall the clock (so
-// coordinated omission is measured, not hidden), declarative mixed-op
-// scenarios against a real damocles cluster, HDR-style latency
-// histograms, replication-lag sampling, and a chaos driver that kills
-// primaries mid-traffic and measures the recovery.  Results are emitted
-// as LOAD_<n>.json next to the BENCH files — see docs/LOAD.md.
+// cmd/loadgen and the soak test: a fixed arrival rate that never stalls
+// the clock (so coordinated omission is measured, not hidden), mixed-op
+// scenario presets against a real damocles cluster, HDR-style latency
+// histograms, replication-lag sampling, and the partition drill, which
+// blackholes a follower's replication link mid-traffic through a netfault
+// proxy and audits staleness, catch-up and convergence.  A run's result is
+// a LOAD json document — see docs/LOAD.md.  It is a test instrument: no
+// node links it.
 package load
 
 import (

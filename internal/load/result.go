@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Facts are the runner-machine facts stamped into every LOAD_<n>.json
+// Facts are the runner-machine facts stamped into every LOAD json
 // (and, via scripts/bench.sh, every BENCH_<n>.json): the
 // "single-core container" caveat as machine-readable data instead of
 // tribal knowledge.  A reader comparing numbers across files checks
@@ -98,32 +98,6 @@ type ReplicationStats struct {
 	JournalLagMax  int64 `json:"journal_lag_lsn_max"`
 }
 
-// ChaosResult is the failover audit of a chaos run.
-type ChaosResult struct {
-	Enabled    bool    `json:"enabled"`
-	KillAtMs   float64 `json:"kill_at_ms"`
-	FailoverMs float64 `json:"failover_ms"` // kill → promote+re-point complete
-	OutageMs   float64 `json:"outage_ms"`   // kill → first write acked by the new primary
-
-	// AckedWrites counts churn creations the cluster acknowledged;
-	// AckedLost counts those missing from the final REPORT — the
-	// zero-acked-write-loss contract holds iff it is 0.
-	AckedWrites int64 `json:"acked_writes"`
-	AckedLost   int64 `json:"acked_lost"`
-
-	// SLORecoveryMs is the span from the kill until the completion of
-	// the last write op violating its SLO ceiling (later-arriving writes
-	// all meet it again); Recovered is false when violations ran into
-	// the end of the measurement window.
-	SLORecoveryMs float64 `json:"slo_recovery_ms"`
-	Recovered     bool    `json:"recovered"`
-
-	// Converged reports that a surviving follower's REPORT at the final
-	// LSN is byte-identical to the new primary's.
-	Converged  bool   `json:"converged"`
-	NewPrimary string `json:"new_primary"`
-}
-
 // PartitionResult is the audit of a -partition run: a follower's
 // replication link blackholed mid-traffic (both directions silent, no
 // connection closed), then healed.  The contract it checks: the dark
@@ -163,11 +137,9 @@ type PartitionResult struct {
 	Converged bool `json:"converged"`
 }
 
-// Result is the full outcome of one load run — the LOAD_<n>.json
-// document.
+// Result is the full outcome of one load run — the LOAD json document.
 type Result struct {
 	Name   string   `json:"name"`
-	Index  int      `json:"index"`
 	Date   string   `json:"date"`
 	Go     string   `json:"go"`
 	Commit string   `json:"commit"`
@@ -190,18 +162,16 @@ type Result struct {
 	Server map[string]int64 `json:"server,omitempty"`
 
 	Replication *ReplicationStats `json:"replication,omitempty"`
-	Chaos       *ChaosResult      `json:"chaos,omitempty"`
 	Partition   *PartitionResult  `json:"partition,omitempty"`
 
 	// SLOViolations lists op classes whose measured p99 exceeded the
-	// scenario's declared ceiling, plus a chaos recovery overrun.
+	// scenario's declared ceiling, plus each failed partition audit.
 	SLOViolations []string `json:"slo_violations,omitempty"`
 }
 
 // Stamp fills the provenance fields — called after the measurement
 // window closes so reading git state cannot perturb it.
-func (r *Result) Stamp(index int) {
-	r.Index = index
+func (r *Result) Stamp() {
 	r.Date = time.Now().UTC().Format(time.RFC3339)
 	r.Go = runtime.Version()
 	r.Runner = RunnerFacts()
@@ -221,7 +191,8 @@ func (r *Result) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadResult loads a LOAD_<n>.json document.
+// ReadResult loads a LOAD json document — one this build wrote, or an
+// earlier build's, whose fields this build no longer has are skipped.
 func ReadResult(path string) (*Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -3,7 +3,6 @@ package load
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 )
@@ -27,8 +26,7 @@ const (
 
 	// OpChurn is workspace churn: CREATE a fresh version of a random
 	// pool block and LINK it to an existing OID — the version-chain and
-	// adjacency write path.  Churn creations are the chaos mode's
-	// acked-write ledger: every acknowledged name must survive failover.
+	// adjacency write path.
 	OpChurn = "churn"
 
 	// OpSwap swaps the blueprint mid-traffic (BPSWAP with the server's
@@ -45,14 +43,13 @@ const (
 	OpQuery = "query"
 )
 
-// writeClasses are the op classes whose acknowledgements the chaos mode
-// audits and whose latency defines SLO recovery.
+// isWriteClass reports the op classes whose latency defines SLO recovery.
 func isWriteClass(class string) bool {
 	return class == OpCheckin || class == OpChurn
 }
 
 // Dur is a time.Duration that marshals as a Go duration string ("15s"),
-// keeping scenario specs human-writable.
+// the scenario's duration as every LOAD json records it.
 type Dur struct{ D time.Duration }
 
 // MarshalJSON implements json.Marshaler.
@@ -78,22 +75,16 @@ func (d *Dur) UnmarshalJSON(b []byte) error {
 }
 
 // SLO declares the latency contract a run is held to: per-op-class p99
-// ceilings, and (in chaos mode) how quickly writes must be back under
-// their ceiling after a failover.
+// ceilings.
 type SLO struct {
 	// P99Ms maps op class → p99 ceiling in milliseconds.  Classes not
 	// listed are unconstrained.
 	P99Ms map[string]float64 `json:"p99_ms,omitempty"`
-
-	// RecoveryMs bounds the chaos SLO-recovery time: the span from the
-	// primary SIGKILL until every later-arriving write completes within
-	// its p99 ceiling again.  0 means report, don't enforce.
-	RecoveryMs float64 `json:"recovery_ms,omitempty"`
 }
 
-// Scenario is the declarative spec of one load run — the single source
-// of truth the CLI, the CI smoke lane and the soak test all express
-// their workloads in, so they cannot drift apart.
+// Scenario is the spec of one load run — the single source of truth the
+// CLI, the CI smoke lane and the soak test all express their workloads in,
+// so they cannot drift apart.
 type Scenario struct {
 	Name string `json:"name"`
 
@@ -101,21 +92,14 @@ type Scenario struct {
 	// reproducible given the same cluster.
 	Seed int64 `json:"seed"`
 
-	// Rate is the open-loop arrival rate in ops/sec; RampTo, when set,
-	// ramps linearly from Rate to RampTo over Duration.
+	// Rate is the open-loop arrival rate in ops/sec, held for Duration.
 	Rate     float64 `json:"rate"`
-	RampTo   float64 `json:"ramp_to,omitempty"`
 	Duration Dur     `json:"duration"`
 
 	// Workers is the virtual-user pool size: concurrent connections
 	// executing ops.  Arrivals keep their intended times even when every
 	// worker is busy — the pool never stalls the clock.
 	Workers int `json:"workers"`
-
-	// Backlog bounds the dispatched-but-not-started queue; past it,
-	// arrivals are counted as dropped (default 4× expected arrivals per
-	// second, min 1024).
-	Backlog int `json:"backlog,omitempty"`
 
 	// Mix weights the op classes (see Op* constants); a class absent or
 	// ≤ 0 never fires.
@@ -147,17 +131,13 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Batch <= 0 {
 		s.Batch = 8
 	}
-	if s.Backlog <= 0 {
-		perSec := s.Rate
-		if s.RampTo > perSec {
-			perSec = s.RampTo
-		}
-		s.Backlog = int(4 * perSec)
-		if s.Backlog < 1024 {
-			s.Backlog = 1024
-		}
-	}
 	return s
+}
+
+// backlog bounds the dispatched-but-not-started queue; past it, arrivals
+// are counted as dropped: four seconds of arrivals, at least 1024.
+func (s Scenario) backlog() int {
+	return max(int(4*s.Rate), 1024)
 }
 
 // validate rejects specs the runner cannot execute.
@@ -213,33 +193,10 @@ func (t mixTable) pick(r int) string {
 	return t.classes[i]
 }
 
-// ParseScenario decodes a JSON scenario spec.
-func ParseScenario(data []byte) (Scenario, error) {
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Scenario{}, fmt.Errorf("load: scenario spec: %w", err)
-	}
-	if err := s.validate(); err != nil {
-		return Scenario{}, err
-	}
-	return s, nil
-}
-
-// LoadScenario reads a JSON scenario spec from a file.
-func LoadScenario(path string) (Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Scenario{}, err
-	}
-	return ParseScenario(data)
-}
-
 // Preset returns a built-in scenario by name:
 //
 //   - "smoke": the CI load lane — low-rate, short, single-core-honest
 //     mixed traffic with follower storm reads.
-//   - "mixed": the LOAD_<n> acceptance scenario — sustained mixed load
-//     with every op class, sized for a small container.
 //   - "soak": the soak-test workload — longer, write-heavy, with
 //     periodic swaps, expressed here so the soak and the harness share
 //     one spec.
@@ -261,25 +218,6 @@ func Preset(name string) (Scenario, error) {
 			FollowerReads: true,
 			SLO:           &SLO{P99Ms: map[string]float64{OpState: 250, OpStorm: 400}},
 		}, nil
-	case "mixed":
-		return Scenario{
-			Name:     "mixed",
-			Seed:     2,
-			Rate:     200,
-			Duration: Dur{20 * time.Second},
-			Workers:  10,
-			Blocks:   32,
-			Batch:    8,
-			Mix: map[string]int{
-				OpCheckin: 28, OpReport: 7, OpStorm: 15,
-				OpChurn: 25, OpSwap: 2, OpState: 18, OpQuery: 5,
-			},
-			FollowerReads: true,
-			SLO: &SLO{
-				P99Ms:      map[string]float64{OpCheckin: 400, OpChurn: 400, OpState: 250},
-				RecoveryMs: 10000,
-			},
-		}, nil
 	case "soak":
 		return Scenario{
 			Name:     "soak",
@@ -295,5 +233,5 @@ func Preset(name string) (Scenario, error) {
 			},
 		}, nil
 	}
-	return Scenario{}, fmt.Errorf("load: unknown preset %q (smoke, mixed, soak)", name)
+	return Scenario{}, fmt.Errorf("load: unknown preset %q (smoke, soak)", name)
 }

@@ -1,67 +1,10 @@
 package load
 
 import (
-	"encoding/json"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 )
-
-func TestParseScenario(t *testing.T) {
-	spec := `{
-	  "name": "ci-mix",
-	  "seed": 42,
-	  "rate": 120,
-	  "ramp_to": 240,
-	  "duration": "15s",
-	  "workers": 6,
-	  "mix": {"checkin": 30, "storm": 20, "state": 50},
-	  "slo": {"p99_ms": {"state": 250}, "recovery_ms": 8000}
-	}`
-	s, err := ParseScenario([]byte(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Duration.D != 15*time.Second {
-		t.Errorf("duration %v", s.Duration.D)
-	}
-	if s.RampTo != 240 || s.Workers != 6 || s.Seed != 42 {
-		t.Errorf("fields: %+v", s)
-	}
-	if s.SLO == nil || s.SLO.P99Ms["state"] != 250 || s.SLO.RecoveryMs != 8000 {
-		t.Errorf("slo: %+v", s.SLO)
-	}
-	// Round trip through JSON keeps the human-readable duration form.
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"duration":"15s"`) {
-		t.Errorf("duration not marshalled as a string: %s", data)
-	}
-	back, err := ParseScenario(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Duration.D != s.Duration.D || back.Rate != s.Rate {
-		t.Errorf("round trip drifted: %+v", back)
-	}
-}
-
-func TestParseScenarioRejects(t *testing.T) {
-	cases := map[string]string{
-		"unknown class": `{"name":"x","rate":10,"duration":"1s","mix":{"frobnicate":1}}`,
-		"no weights":    `{"name":"x","rate":10,"duration":"1s","mix":{"state":0}}`,
-		"zero rate":     `{"name":"x","rate":0,"duration":"1s","mix":{"state":1}}`,
-		"bad duration":  `{"name":"x","rate":10,"duration":"soon","mix":{"state":1}}`,
-	}
-	for label, spec := range cases {
-		if _, err := ParseScenario([]byte(spec)); err == nil {
-			t.Errorf("%s: accepted", label)
-		}
-	}
-}
 
 func TestScenarioDefaults(t *testing.T) {
 	s := Scenario{Name: "d", Rate: 500, Duration: Dur{time.Second}, Mix: map[string]int{OpState: 1}}
@@ -69,12 +12,12 @@ func TestScenarioDefaults(t *testing.T) {
 	if d.Workers != 8 || d.Blocks != 24 || d.Batch != 8 {
 		t.Errorf("defaults: %+v", d)
 	}
-	if d.Backlog != 2000 { // 4 × peak rate
-		t.Errorf("backlog %d", d.Backlog)
+	if b := d.backlog(); b != 2000 { // 4 × peak rate
+		t.Errorf("backlog %d", b)
 	}
-	low := Scenario{Name: "l", Rate: 10, Duration: Dur{time.Second}, Mix: map[string]int{OpState: 1}}.withDefaults()
-	if low.Backlog != 1024 { // floor
-		t.Errorf("backlog floor %d", low.Backlog)
+	low := Scenario{Name: "l", Rate: 10, Duration: Dur{time.Second}, Mix: map[string]int{OpState: 1}}
+	if b := low.backlog(); b != 1024 { // floor
+		t.Errorf("backlog floor %d", b)
 	}
 }
 
@@ -112,7 +55,7 @@ func TestMixTableDeterminism(t *testing.T) {
 }
 
 func TestPresets(t *testing.T) {
-	for _, name := range []string{"smoke", "mixed", "soak"} {
+	for _, name := range []string{"smoke", "soak"} {
 		s, err := Preset(name)
 		if err != nil {
 			t.Fatal(err)

@@ -1,37 +1,20 @@
 package load
 
-import (
-	"fmt"
-	"math"
-	"time"
-)
+import "time"
 
-// Schedule is an open-loop arrival plan: every operation has an intended
+// FixedRate is the open-loop arrival plan: every operation has an intended
 // start offset fixed before the run begins, independent of how fast the
-// system under test answers.  Latency is measured from the intended
-// offset, so time an operation spends queued behind a stalled handler is
-// charged to that operation — coordinated omission is measured, never
-// hidden by a generator that only sends as fast as responses return.
-type Schedule interface {
-	// Arrivals is the total number of intended operations.
-	Arrivals() int
-
-	// At returns the intended start offset of arrival i, non-decreasing
-	// in i, for 0 ≤ i < Arrivals().
-	At(i int) time.Duration
-
-	// Span is the nominal length of the plan (the offset ceiling).
-	Span() time.Duration
-}
-
-// FixedRate arrives at a constant rate for a fixed span: arrival i is
-// intended at i/Rate.
+// system under test answers — arrival i at i/Rate, for a span of D.
+// Latency is measured from the intended offset, so time an operation spends
+// queued behind a stalled handler is charged to that operation —
+// coordinated omission is measured, never hidden by a generator that only
+// sends as fast as responses return.
 type FixedRate struct {
 	Rate float64 // arrivals per second, > 0
 	D    time.Duration
 }
 
-// Arrivals implements Schedule.
+// Arrivals is the total number of intended operations.
 func (f FixedRate) Arrivals() int {
 	if f.Rate <= 0 || f.D <= 0 {
 		return 0
@@ -39,67 +22,13 @@ func (f FixedRate) Arrivals() int {
 	return int(f.Rate * f.D.Seconds())
 }
 
-// At implements Schedule.
+// At returns the intended start offset of arrival i.
 func (f FixedRate) At(i int) time.Duration {
 	return time.Duration(float64(i) / f.Rate * float64(time.Second))
 }
 
-// Span implements Schedule.
+// Span is the nominal length of the plan (the offset ceiling).
 func (f FixedRate) Span() time.Duration { return f.D }
-
-// Ramp arrives at a linearly changing rate, From → To over D — the
-// find-the-knee schedule.  The cumulative arrival count is
-// N(t) = From·t + (To−From)·t²/(2D); arrival i is intended at the t
-// solving N(t) = i.
-type Ramp struct {
-	From, To float64 // arrivals per second at t=0 and t=D
-	D        time.Duration
-}
-
-// Arrivals implements Schedule.
-func (r Ramp) Arrivals() int {
-	if r.D <= 0 || r.From < 0 || r.To < 0 || r.From+r.To == 0 {
-		return 0
-	}
-	return int((r.From + r.To) / 2 * r.D.Seconds())
-}
-
-// At implements Schedule.
-func (r Ramp) At(i int) time.Duration {
-	d := r.D.Seconds()
-	a := (r.To - r.From) / (2 * d) // t² coefficient
-	b := r.From
-	n := float64(i)
-	var t float64
-	if math.Abs(a) < 1e-12 {
-		t = n / b
-	} else {
-		// a·t² + b·t − n = 0, positive root.
-		t = (-b + math.Sqrt(b*b+4*a*n)) / (2 * a)
-	}
-	if t < 0 {
-		t = 0
-	}
-	return time.Duration(t * float64(time.Second))
-}
-
-// Span implements Schedule.
-func (r Ramp) Span() time.Duration { return r.D }
-
-// scheduleFor builds the arrival plan a scenario declares: a ramp when
-// RampTo is set, a fixed rate otherwise.
-func scheduleFor(s Scenario) (Schedule, error) {
-	if s.Rate <= 0 {
-		return nil, fmt.Errorf("load: scenario %q: rate must be positive", s.Name)
-	}
-	if s.Duration.D <= 0 {
-		return nil, fmt.Errorf("load: scenario %q: duration must be positive", s.Name)
-	}
-	if s.RampTo > 0 {
-		return Ramp{From: s.Rate, To: s.RampTo, D: s.Duration.D}, nil
-	}
-	return FixedRate{Rate: s.Rate, D: s.Duration.D}, nil
-}
 
 // openLoopStats is what the dispatcher hands back: how many arrivals it
 // fired and how many it had to drop because the backlog bound was hit
@@ -123,7 +52,7 @@ type opTicket struct {
 // virtual user is wedged and the backlog is full, the arrival is counted
 // as dropped and the clock keeps its pace.  Returns once every arrival
 // has been dispatched or dropped; the caller closes the queue after.
-func openLoop(epoch time.Time, sched Schedule, pick func(i int) string, queue chan<- opTicket, stop <-chan struct{}) openLoopStats {
+func openLoop(epoch time.Time, sched FixedRate, pick func(i int) string, queue chan<- opTicket, stop <-chan struct{}) openLoopStats {
 	var st openLoopStats
 	n := sched.Arrivals()
 	for i := 0; i < n; i++ {

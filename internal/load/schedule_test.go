@@ -1,7 +1,6 @@
 package load
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,37 +25,6 @@ func TestFixedRateSchedule(t *testing.T) {
 			t.Fatalf("At(%d)=%v past span %v", i, at, s.Span())
 		}
 		prev = at
-	}
-}
-
-func TestRampSchedule(t *testing.T) {
-	r := Ramp{From: 50, To: 150, D: 4 * time.Second}
-	if got := r.Arrivals(); got != 400 { // (50+150)/2 * 4
-		t.Fatalf("arrivals %d", got)
-	}
-	d := r.D.Seconds()
-	prev := time.Duration(-1)
-	for i := 0; i < r.Arrivals(); i++ {
-		at := r.At(i)
-		if at <= prev {
-			t.Fatalf("At not increasing at %d: %v <= %v", i, at, prev)
-		}
-		prev = at
-		// Round trip: the cumulative arrival count at the intended time
-		// recovers the index.
-		ts := at.Seconds()
-		n := r.From*ts + (r.To-r.From)*ts*ts/(2*d)
-		if math.Abs(n-float64(i)) > 1e-6 {
-			t.Fatalf("N(At(%d)) = %v", i, n)
-		}
-	}
-	if last := r.At(r.Arrivals() - 1); last >= r.D {
-		t.Errorf("last arrival %v past span %v", last, r.D)
-	}
-	// A flat ramp degrades to the fixed-rate solution.
-	flat := Ramp{From: 100, To: 100, D: time.Second}
-	if at := flat.At(50); math.Abs(at.Seconds()-0.5) > 1e-9 {
-		t.Errorf("flat ramp At(50)=%v", at)
 	}
 }
 
@@ -121,25 +89,5 @@ func TestOpenLoopNoCoordinatedOmission(t *testing.T) {
 	// coordinated-omission-blind generator would report ~stall here.
 	if p50 := hist.Quantile(0.50); p50 < 2*stall {
 		t.Errorf("p50 %v does not surface queueing (service time %v)", p50, stall)
-	}
-}
-
-func TestScheduleForScenario(t *testing.T) {
-	fixed, err := scheduleFor(Scenario{Name: "f", Rate: 10, Duration: Dur{time.Second}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fixed.(FixedRate); !ok {
-		t.Fatalf("want FixedRate, got %T", fixed)
-	}
-	ramp, err := scheduleFor(Scenario{Name: "r", Rate: 10, RampTo: 100, Duration: Dur{time.Second}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ramp.(Ramp); !ok {
-		t.Fatalf("want Ramp, got %T", ramp)
-	}
-	if _, err := scheduleFor(Scenario{Name: "bad", Rate: 0, Duration: Dur{time.Second}}); err == nil {
-		t.Error("zero rate accepted")
 	}
 }

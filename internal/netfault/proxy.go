@@ -1,3 +1,12 @@
+// Package netfault is the network half of the test suites' fault
+// injection, the sibling of faultfs: where faultfs models a disk that lies,
+// netfault models a network that lies — the silent half-open link after a
+// partition, where packets vanish and neither end is told, and a bit flipped
+// in flight.  Its one instrument is the Proxy, an in-process TCP relay
+// between two real endpoints with independently faultable directions, and
+// Net scripts partitions between named nodes over a set of them.  The
+// processes under test stay unmodified: they dial the proxy's address
+// instead of the target's.  Nothing a node is built from imports it.
 package netfault
 
 import (
@@ -5,7 +14,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Direction names one side of a proxied connection.
@@ -36,10 +44,6 @@ func (d Direction) String() string {
 //     forwarded when the blackhole lands is held and delivered intact
 //     on Heal, so a healed stream is contiguous, exactly like a routed
 //     network coming back.
-//   - SetLatency/SetBandwidth shape each forwarded chunk.
-//   - DropAfter closes the connection abruptly at the Nth forwarded
-//     chunk in that direction — the RST model, distinct from the
-//     blackhole's silence.
 //   - CorruptAfter flips one bit of the Nth forwarded byte in that
 //     direction — damage in flight that only the receiver's own checksum
 //     can catch.
@@ -66,12 +70,8 @@ type dirState struct {
 	mu        sync.Mutex
 	blackhole bool
 	healed    chan struct{} // replaced on blackhole, closed on heal
-	latency   time.Duration
-	bandwidth int64 // bytes/sec; 0 = unshaped
-	dropAt    int64 // close the link at this 1-based forwarded chunk; 0 = never
-	forwarded int64 // chunks forwarded in this direction, across all links
-	corruptAt int64 // flip a bit of this 1-based forwarded byte; 0 = never
-	bytes     int64 // bytes forwarded in this direction, across all links
+	corruptAt int64         // flip a bit of this 1-based forwarded byte; 0 = never
+	bytes     int64         // bytes forwarded in this direction, across all links
 }
 
 // NewProxy starts a relay toward target on an ephemeral loopback port.
@@ -96,39 +96,11 @@ func NewProxy(target string) (*Proxy, error) {
 // Addr is the address to dial instead of the target.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target is the address traffic is relayed to.
-func (p *Proxy) Target() string { return p.target }
-
 func (p *Proxy) dir(d Direction) *dirState {
 	if d == Up {
 		return p.up
 	}
 	return p.down
-}
-
-// SetLatency adds a fixed delay to every chunk forwarded in d.
-func (p *Proxy) SetLatency(d Direction, delay time.Duration) {
-	st := p.dir(d)
-	st.mu.Lock()
-	st.latency = delay
-	st.mu.Unlock()
-}
-
-// SetBandwidth caps d to bytesPerSec (0 removes the cap).
-func (p *Proxy) SetBandwidth(d Direction, bytesPerSec int64) {
-	st := p.dir(d)
-	st.mu.Lock()
-	st.bandwidth = bytesPerSec
-	st.mu.Unlock()
-}
-
-// DropAfter arms an abrupt close at the nth forwarded chunk in d
-// (1-based, counted across all connections; 0 disarms).
-func (p *Proxy) DropAfter(d Direction, nth int64) {
-	st := p.dir(d)
-	st.mu.Lock()
-	st.dropAt = nth
-	st.mu.Unlock()
 }
 
 // CorruptAfter arms a one-bit flip of the nth byte forwarded in d
@@ -171,17 +143,8 @@ func (p *Proxy) Heal() {
 	}
 }
 
-// Blackholed reports whether d is currently silenced.
-func (p *Proxy) Blackholed(d Direction) bool {
-	st := p.dir(d)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.blackhole
-}
-
-// DropConns abruptly closes every live proxied connection — the RST
-// storm, as distinct from the blackhole's silence.
-func (p *Proxy) DropConns() {
+// dropConns abruptly closes every live proxied connection.
+func (p *Proxy) dropConns() {
 	p.mu.Lock()
 	ls := make([]*link, 0, len(p.links))
 	for l := range p.links {
@@ -191,13 +154,6 @@ func (p *Proxy) DropConns() {
 	for _, l := range ls {
 		l.close()
 	}
-}
-
-// Conns reports the number of live proxied connections.
-func (p *Proxy) Conns() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.links)
 }
 
 // Close stops the listener and severs every link.
@@ -211,7 +167,7 @@ func (p *Proxy) Close() error {
 	p.mu.Unlock()
 	close(p.done)
 	err := p.ln.Close()
-	p.DropConns()
+	p.dropConns()
 	p.wg.Wait()
 	return err
 }
@@ -274,21 +230,13 @@ func (p *Proxy) pump(l *link, src, dst net.Conn, st *dirState) {
 		}
 		n, err := src.Read(buf)
 		if n > 0 {
-			delay, bw, drop, flip := st.admit(n)
-			if flip >= 0 {
+			if flip := st.admit(n); flip >= 0 {
 				buf[flip] ^= 1
 			}
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			pace(n, bw)
 			// A blackhole that landed during the read parks us here with
 			// the chunk in hand; it goes out on heal, preserving stream
 			// contiguity.
 			if !st.waitClear(l.done) {
-				return
-			}
-			if drop {
 				return
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
@@ -319,24 +267,18 @@ func (st *dirState) waitClear(done <-chan struct{}) bool {
 	}
 }
 
-// admit counts one forwarded chunk of n bytes and returns the shaping to
-// apply, whether the drop trigger fired on this chunk, and the index in it
+// admit counts one forwarded chunk of n bytes and returns the index in it
 // of the byte whose bit the corrupt trigger flips, or -1.
-func (st *dirState) admit(n int) (delay time.Duration, bandwidth int64, drop bool, flip int) {
+func (st *dirState) admit(n int) (flip int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.forwarded++
 	flip = -1
 	if st.corruptAt > 0 && st.corruptAt <= st.bytes+int64(n) {
 		flip = int(max(st.corruptAt-st.bytes-1, 0))
 		st.corruptAt = 0
 	}
 	st.bytes += int64(n)
-	if st.dropAt > 0 && st.forwarded >= st.dropAt {
-		st.dropAt = 0
-		drop = true
-	}
-	return st.latency, st.bandwidth, drop, flip
+	return flip
 }
 
 // link is one proxied connection pair.
@@ -357,7 +299,7 @@ func (l *link) close() {
 // Net scripts partitions between named nodes: each ordered pair
 // (from, to) that should be faultable gets a Proxy in front of to's
 // real address, and from is configured to dial the proxy instead.
-// Partition/Heal then operate on names, not ports.
+// Partition and HealAll then operate on names, not ports.
 type Net struct {
 	mu      sync.Mutex
 	proxies map[[2]string]*Proxy
@@ -385,14 +327,6 @@ func (n *Net) Connect(from, to, target string) (string, error) {
 	return p.Addr(), nil
 }
 
-// Proxy returns the relay for the ordered pair, or nil when the pair
-// was never connected.
-func (n *Net) Proxy(from, to string) *Proxy {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.proxies[[2]string{from, to}]
-}
-
 // Partition blackholes every byte between a and b, both orders, both
 // directions — the full split.  Pairs never connected are skipped:
 // traffic that does not flow through a proxy cannot be partitioned,
@@ -401,30 +335,6 @@ func (n *Net) Proxy(from, to string) *Proxy {
 func (n *Net) Partition(a, b string) {
 	for _, p := range n.pairProxies(a, b) {
 		p.Blackhole()
-	}
-}
-
-// PartitionDir makes packets from→to vanish while the reverse path
-// still flows — the asymmetric partition.  On the from→to relay that
-// is the uplink; on the to→from relay (to's own connections toward
-// from) it is the downlink, from's replies.
-func (n *Net) PartitionDir(from, to string) {
-	n.mu.Lock()
-	fwd := n.proxies[[2]string{from, to}]
-	rev := n.proxies[[2]string{to, from}]
-	n.mu.Unlock()
-	if fwd != nil {
-		fwd.BlackholeDir(Up)
-	}
-	if rev != nil {
-		rev.BlackholeDir(Down)
-	}
-}
-
-// Heal lifts every blackhole between a and b, both orders.
-func (n *Net) Heal(a, b string) {
-	for _, p := range n.pairProxies(a, b) {
-		p.Heal()
 	}
 }
 

@@ -22,13 +22,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/journal"
 	"repro/internal/meta"
-	"repro/internal/netfault"
 	"repro/internal/server"
 )
 
@@ -49,9 +49,8 @@ type Follower struct {
 	db         *meta.DB
 	backoffMin time.Duration
 	backoffMax time.Duration
-	stall      time.Duration   // dead-link detector; 0 = legacy unbounded stream reads
-	dialMax    time.Duration   // bound on one dial attempt
-	dialer     netfault.Dialer // the injectable transport seam
+	stall      time.Duration // dead-link detector; 0 = legacy unbounded stream reads
+	dialMax    time.Duration // bound on one dial attempt
 
 	mu          sync.Mutex
 	addr        string // current primary; Repoint swaps it on a live loop
@@ -137,18 +136,6 @@ func WithStallTimeout(d time.Duration) Option {
 	}
 }
 
-// WithDialer routes the follower's upstream connections through d — the
-// netfault seam: tests and chaos harnesses inject partitions, latency
-// and dead links without touching the replication logic.  The default
-// is the real network (netfault.System).
-func WithDialer(d netfault.Dialer) Option {
-	return func(f *Follower) {
-		if d != nil {
-			f.dialer = d
-		}
-	}
-}
-
 // Start opens (or resumes) the follower's local journal in dir and begins
 // replicating from the primary at addr.  The returned follower's database
 // is live immediately — recovered to the persisted applied position, then
@@ -168,7 +155,6 @@ func Start(dir, addr string, opt journal.Options, opts ...Option) (*Follower, er
 		backoffMax: time.Second,
 		stall:      DefaultStallTimeout,
 		dialMax:    5 * time.Second,
-		dialer:     netfault.System,
 		applied:    w.LastLSN(),
 		advCh:      make(chan struct{}),
 		repointCh:  make(chan struct{}),
@@ -390,20 +376,19 @@ type terminalError struct{ err error }
 
 func (t terminalError) Error() string { return t.err.Error() }
 
-// dial opens one upstream connection through the injectable dialer.
-// The attempt is bounded by dialMax and cancelable by Repoint and halt
-// — a dial parked on a blackholed address must not pin the loop to a
-// primary the caller already knows is gone.  The resulting client gets
-// the stall timeout as the bound on its peer's silence: a half-open accept
-// that never answers FOLLOW dies on it, and so does a stream that stops
-// delivering frames.
+// dial opens one upstream connection.  The attempt is bounded by dialMax
+// and cancelable by Repoint and halt — a dial parked on a blackholed
+// address must not pin the loop to a primary the caller already knows is
+// gone.  The resulting client gets the stall timeout as the bound on its
+// peer's silence: a half-open accept that never answers FOLLOW dies on it,
+// and so does a stream that stops delivering whole frames.
 func (f *Follower) dial() (*server.Client, error) {
 	f.mu.Lock()
 	addr := f.addr
 	ctx, cancel := context.WithTimeout(context.Background(), f.dialMax)
 	f.dialCancel = cancel
 	f.mu.Unlock()
-	conn, err := f.dialer.DialContext(ctx, "tcp", addr)
+	conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
 	f.mu.Lock()
 	f.dialCancel = nil
 	f.mu.Unlock()

@@ -1,15 +1,18 @@
 package replica_test
 
 // The FOLLOW stream is the journal's own frames: a record longer than any
-// protocol line replicates, streamed and inside a bootstrap checkpoint, and
-// a bit flipped in flight fails the frame's checksum — nothing of it is
-// applied, and the follower resumes at exactly the record it refused.
+// protocol line replicates, streamed and inside a bootstrap checkpoint, a
+// bit flipped in flight fails the frame's checksum — nothing of it is
+// applied, and the follower resumes at exactly the record it refused — and
+// a bit flipped in a frame's length, outside the checksum, stalls the
+// stream within the stall timeout however many bytes keep arriving.
 
 import (
+	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -20,7 +23,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/netfault"
-	"repro/internal/replica"
 )
 
 // caughtUp waits for node n to apply lsn, reporting — not failing on — a
@@ -80,19 +82,72 @@ func TestFollowerReplicatesLongRecord(t *testing.T) {
 	}
 }
 
-// followLog is a dialer that keeps every FOLLOW handshake a follower
-// writes.
+// followLog is a relay in front of target that keeps every FOLLOW
+// handshake a follower sends through it; the follower dials addr.
 type followLog struct {
+	addr  string
 	mu    sync.Mutex
 	lines []string
 }
 
-func (l *followLog) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
-	c, err := netfault.System.DialContext(ctx, network, addr)
+func logFollows(t *testing.T, target string) *followLog {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return &loggedConn{Conn: c, log: l}, nil
+	l := &followLog{addr: ln.Addr().String()}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				l.relay(c, target)
+			}()
+		}
+	}()
+	return l
+}
+
+// relay copies c's lines up to target, noting each FOLLOW line, and
+// target's bytes back down, until either side closes.
+func (l *followLog) relay(c net.Conn, target string) {
+	defer c.Close()
+	up, err := net.Dial("tcp", target)
+	if err != nil {
+		return
+	}
+	down := make(chan struct{})
+	go func() {
+		defer close(down)
+		io.Copy(c, up)
+		c.Close()
+	}()
+	r := bufio.NewReader(c)
+	for {
+		line, err := r.ReadString('\n')
+		if rest, ok := strings.CutPrefix(line, "FOLLOW "); ok {
+			l.mu.Lock()
+			l.lines = append(l.lines, strings.TrimSpace(rest))
+			l.mu.Unlock()
+		}
+		if _, werr := io.WriteString(up, line); err != nil || werr != nil {
+			break
+		}
+	}
+	up.Close()
+	<-down
 }
 
 func (l *followLog) handshakes() []string {
@@ -101,18 +156,22 @@ func (l *followLog) handshakes() []string {
 	return append([]string(nil), l.lines...)
 }
 
-type loggedConn struct {
-	net.Conn
-	log *followLog
-}
-
-func (c *loggedConn) Write(b []byte) (int, error) {
-	if line, ok := bytes.CutPrefix(b, []byte("FOLLOW ")); ok {
-		c.log.mu.Lock()
-		c.log.lines = append(c.log.lines, strings.TrimSpace(string(line)))
-		c.log.mu.Unlock()
+// frameAt returns the offset in the primary's first segment of record
+// lsn's frame, and that of the first frame: the stream carries the frames
+// from there on right after the FOLLOW answer.
+func frameAt(t *testing.T, p *pnode, lsn int) (seg []byte, at, first int) {
+	t.Helper()
+	seg, err := os.ReadFile(filepath.Join(p.dir, "journal-0000000000000001.log"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return c.Conn.Write(b)
+	_, frames, _ := bytes.Cut(seg, []byte{'\n'})
+	first = len(seg) - len(frames)
+	at = first
+	for l := 1; l < lsn; l++ {
+		at += 8 + int(binary.LittleEndian.Uint32(seg[at:]))
+	}
+	return seg, at, first
 }
 
 // TestFollowerRefusesCorruptFrame: one bit of a record's payload flips on
@@ -134,15 +193,7 @@ func TestFollowerRefusesCorruptFrame(t *testing.T) {
 	// bad, an OID another record creates when the digit loses its low bit.
 	// Downstream, the segment's frames follow the handshake's answer.
 	const bad = 6
-	seg, err := os.ReadFile(filepath.Join(p.dir, "journal-0000000000000001.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, frames, _ := bytes.Cut(seg, []byte{'\n'})
-	at := len(seg) - len(frames)
-	for lsn := 1; lsn < bad; lsn++ {
-		at += 8 + int(binary.LittleEndian.Uint32(seg[at:]))
-	}
+	seg, at, first := frameAt(t, p, bad)
 	payload := seg[at+8 : at+8+int(binary.LittleEndian.Uint32(seg[at:]))]
 	digit := bytes.Index(payload, []byte("blk")) + 3
 	if digit < 3 {
@@ -150,7 +201,7 @@ func TestFollowerRefusesCorruptFrame(t *testing.T) {
 	}
 	t.Logf("flipping the low bit of %q in record %q", payload[digit], payload)
 	answer := "OK+ following after lsn 0\n"
-	nth := int64(len(answer) + at - (len(seg) - len(frames)) + 8 + digit + 1)
+	nth := int64(len(answer) + at - first + 8 + digit + 1)
 
 	proxy, err := netfault.NewProxy(p.addr)
 	if err != nil {
@@ -158,8 +209,8 @@ func TestFollowerRefusesCorruptFrame(t *testing.T) {
 	}
 	defer proxy.Close()
 	proxy.CorruptAfter(netfault.Down, nth)
-	var log followLog
-	a := startNode(t, t.TempDir(), proxy.Addr(), journal.Options{}, append(fastLink(time.Second), replica.WithDialer(&log))...)
+	log := logFollows(t, proxy.Addr())
+	a := startNode(t, t.TempDir(), log.addr, journal.Options{}, fastLink(time.Second)...)
 	if !caughtUp(t, a, last) {
 		return
 	}
@@ -180,5 +231,52 @@ func TestFollowerRefusesCorruptFrame(t *testing.T) {
 		if !bytes.Equal(prim[lsn], foll[lsn]) {
 			t.Errorf("lsn %d: primary frame %q, follower frame %q", lsn, prim[lsn], foll[lsn])
 		}
+	}
+}
+
+// TestFollowerStallsOnPhantomFrameLength: one bit of a record's length field
+// — outside the frame's checksum — flips on its way to the follower, so the
+// frame announces 64 KiB more than the record has.  The primary's pings keep
+// bytes coming, and they feed the phantom frame, but the follower must still
+// count a stall within its timeout: the bound is on a whole frame, not on a
+// byte.  It then reconnects asking for exactly the record it never got,
+// without a bootstrap, and ends with the primary's Save.
+func TestFollowerStallsOnPhantomFrameLength(t *testing.T) {
+	const stall = 500 * time.Millisecond
+	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1}, fastPing)
+	pc := dialT(t, p.addr)
+	for i := 0; i < 50; i++ {
+		if _, err := pc.Create(fmt.Sprintf("blk%d", i), "HDL_model"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := p.quiesce()
+
+	// Bit 0 of the length's third byte adds 1<<16 to record bad's length.
+	const bad = 6
+	_, at, first := frameAt(t, p, bad)
+	answer := "OK+ following after lsn 0\n"
+	nth := int64(len(answer) + at - first + 2 + 1)
+
+	proxy, err := netfault.NewProxy(p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	proxy.CorruptAfter(netfault.Down, nth)
+	log := logFollows(t, proxy.Addr())
+	a := startNode(t, t.TempDir(), log.addr, journal.Options{}, fastLink(stall)...)
+	waitStalls(t, a.fol, 1, 3*stall)
+	if !caughtUp(t, a, last) {
+		return
+	}
+	if got := a.fol.Stats(); got.Bootstraps != 0 || a.fol.Err() != nil {
+		t.Errorf("stats %+v, terminal %v; want no bootstrap", got, a.fol.Err())
+	}
+	if got, want := log.handshakes(), []string{"0 1 2", fmt.Sprintf("%d 1 2", bad-1)}; strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("FOLLOW handshakes %q, want %q", got, want)
+	}
+	if !bytes.Equal(saveBytes(t, a.fol.DB()), saveBytes(t, p.db)) {
+		t.Errorf("the follower's Save differs from the primary's")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // Client is a wrapper-program connection to the project server — the
 // library behind the postEvent command of section 3.1.
 type Client struct {
-	conn net.Conn
+	conn *timeoutConn
 	r    *bufio.Reader
 	w    *bufio.Writer
 
@@ -52,22 +52,22 @@ func DialTimeout(addr string, dial, op time.Duration) (*Client, error) {
 	return NewClient(conn, op), nil
 }
 
-// NewClient wraps an already-established connection — the injectable
-// transport seam: a netfault dialer (or test harness) owns the dial and
-// hands the conn over, and everything above the transport behaves
+// NewClient wraps a connection its caller dialed — a follower dials its
+// own, bounded and cancelable — and everything above the transport behaves
 // exactly as after DialTimeout.
 //
 // op, when positive, bounds how long the peer may stay silent: every read
 // from the connection and every write to it gets a deadline op ahead, so a
 // hung server surfaces as ErrTimeout instead of blocking the caller
-// forever, while a large REPORT body or a FOLLOW stream over a
-// slow-but-live link — bytes arriving — never trips it.  A stream from a
-// primary that pings idle streams delivers a frame well inside any op
-// longer than its ping interval, so there an expiry is a dead link: the
-// half-open connection after a partition.  0 disables it.
+// forever, while a large REPORT body over a slow-but-live link — bytes
+// arriving — never trips it.  On a FOLLOW stream op bounds the wait for each
+// whole frame instead (see FollowFrom).  A primary that pings idle streams
+// delivers a frame well inside any op longer than its ping interval, so
+// there an expiry is a dead link: the half-open connection after a
+// partition.  0 disables it.
 func NewClient(conn net.Conn, op time.Duration) *Client {
-	conn = &timeoutConn{Conn: conn, idle: op, write: op}
-	return &Client{conn: conn, r: bufio.NewReaderSize(conn, 64*1024), w: bufio.NewWriter(conn)}
+	tc := &timeoutConn{Conn: conn, idle: op, write: op}
+	return &Client{conn: tc, r: bufio.NewReaderSize(tc, 64*1024), w: bufio.NewWriter(tc)}
 }
 
 // wrapTimeout converts a deadline expiry into the typed ErrTimeout while
@@ -393,8 +393,11 @@ var ErrFollowStream = errors.New("follow stream failed")
 // ErrFollowRefused; a primary-reported terminal failure wraps
 // ErrFollowStream — both are pointless to retry, unlike transport errors.
 // A frame cut off at the stream boundary, or whose checksum fails, is an
-// error and never reaches fn.  The connection cannot be reused for
-// request/response traffic afterwards.
+// error and never reaches fn.  The client's op timeout bounds the wait for
+// each whole frame, not for each byte — a flipped length bit announces bytes
+// that never come, while pings keep bytes coming — except inside a
+// snapshot's body, where progress re-arms it.  The connection cannot be
+// reused for request/response traffic afterwards.
 func (c *Client) FollowFrom(after, term int64, fn func(journal.FollowEvent) error) error {
 	if err := c.send(string(followRequest{after, term, journal.FollowVersion}.Bytes())); err != nil {
 		return err
@@ -413,7 +416,7 @@ func (c *Client) FollowFrom(after, term int64, fn func(journal.FollowEvent) erro
 	if !multi {
 		return fmt.Errorf("client: FOLLOW: expected a streaming response, got %q", line)
 	}
-	return wrapTimeout(journal.ReadFollow(c.r, func(ev journal.FollowEvent) error {
+	return wrapTimeout(journal.ReadFollow(c.r, c.conn.armFrame, func(ev journal.FollowEvent) error {
 		if ev.Kind == journal.FollowError {
 			return fmt.Errorf("client: %s: %w", ev.Reason, ErrFollowStream)
 		}

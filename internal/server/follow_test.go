@@ -58,7 +58,7 @@ func FuzzFollowFrame(f *testing.F) {
 		out := make([]byte, 0, len(data))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		journal.ReadFollow(strings.NewReader(data), func(ev journal.FollowEvent) error {
+		journal.ReadFollow(strings.NewReader(data), nil, func(ev journal.FollowEvent) error {
 			out = journal.AppendFollowEvent(out, ev)
 			return nil
 		})

@@ -437,11 +437,15 @@ type timeoutConn struct {
 	net.Conn
 	idle, write time.Duration
 	noIdle      atomic.Bool
+	perFrame    bool // set by armFrame, on the reading goroutine
 }
 
 func (c *timeoutConn) Read(p []byte) (int, error) {
 	if c.idle > 0 && !c.noIdle.Load() {
 		c.Conn.SetReadDeadline(time.Now().Add(c.idle))
+		if c.perFrame {
+			c.noIdle.Store(true) // one deadline for the rest of the frame
+		}
 	}
 	return c.Conn.Read(p)
 }
@@ -459,6 +463,15 @@ func (c *timeoutConn) Write(p []byte) (int, error) {
 func (c *timeoutConn) disableIdle() {
 	c.noIdle.Store(true)
 	c.Conn.SetReadDeadline(time.Time{})
+}
+
+// armFrame is journal.ReadFollow's arm on a client's FOLLOW stream: for a
+// frame, the first read that waits on the peer sets one deadline idle ahead
+// and later reads leave it, so a frame must arrive whole within idle; for a
+// snapshot's body every read re-arms it, as on any other connection.
+func (c *timeoutConn) armFrame(body bool) {
+	c.perFrame = !body
+	c.noIdle.Store(false)
 }
 
 // connWriteBuffer is the size of a connection's write buffer.  Single-line

@@ -5,13 +5,15 @@ package server
 // whole-op deadline bug made big slow bodies indistinguishable from
 // hangs), a server that goes mute mid-body must surface ErrTimeout
 // within two timeout windows, and a follow stream that falls silent
-// must trip the same timeout the same way.
+// must trip the same timeout the same way — while a snapshot's body that
+// keeps arriving does not.
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -195,5 +197,40 @@ func TestClientFollowStreamStall(t *testing.T) {
 	}
 	if elapsed > 2*stall {
 		t.Fatalf("stream stall surfaced after %v, want within %v", elapsed, 2*stall)
+	}
+}
+
+// TestClientFollowSnapshotBodyProgress: a snapshot's body, whose size came
+// in a checked frame, trickles in over four times the client's timeout, each
+// gap well inside it.  A follow stream times each frame whole, but progress
+// inside a body re-arms the bound, so the bootstrap arrives whole.
+func TestClientFollowSnapshotBodyProgress(t *testing.T) {
+	const op = 150 * time.Millisecond
+	body := strings.Repeat("0123456789", 80)
+	snap := streamOf(journal.FollowEvent{Kind: journal.FollowSnapshot, SnapLSN: 3, Snapshot: []byte(body)})
+	chunks := []string{"OK+ streaming\n" + snap[:len(snap)-len(body)]}
+	for part := range 8 {
+		chunks = append(chunks, body[part*100:(part+1)*100])
+	}
+	chunks = append(chunks, streamOf(journal.FollowEvent{Kind: journal.FollowEnd}))
+	addr := chunkServer(t, 60*time.Millisecond, chunks...)
+
+	c, err := DialTimeout(addr, time.Second, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Hangup()
+	var got string
+	err = c.FollowFrom(0, 0, func(ev journal.FollowEvent) error {
+		if ev.Kind == journal.FollowSnapshot {
+			got = string(ev.Snapshot)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("slow-but-live snapshot body tripped the stall bound: %v", err)
+	}
+	if got != body {
+		t.Fatalf("snapshot body %d bytes, want %d", len(got), len(body))
 	}
 }

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # depcheck.sh — the serving path must not import the paper-reproduction
-# packages or another binary, and the node must not link the JSON codec.
+# packages, a test instrument or another binary, and the node must not link
+# the JSON codec.
 #
 # Usage: depcheck.sh
 #
 # Lists every dependency of the packages a running node is made of, the
 # damocles binary included, and fails when one of them is a reproduction
-# package (baseline, flow, task, tools, wrapper, cli) or lives under cmd/.
+# package (baseline, flow, task, tools, wrapper, cli), a test instrument
+# (netfault, the network-fault proxy; load, the load harness) or lives under
+# cmd/.
 # Then builds damocles and fails when `go tool nm` finds in it the JSON
 # document's reader or writer (meta.LoadShards, meta.(*DB).Save) or the
 # encoding/json decoder or encoder state: the node reads and writes only
@@ -18,7 +21,7 @@ cd "$(dirname "$0")/.."
 serving="./internal/meta ./internal/state ./internal/engine ./internal/journal ./internal/replica ./internal/server ./cmd/damocles"
 # shellcheck disable=SC2086
 bad=$(go list -deps $serving | grep -vxF "$(go list $serving)" |
-    grep -E '^repro/(internal/(baseline|flow|task|tools|wrapper|cli)|cmd)(/|$)' || true)
+    grep -E '^repro/(internal/(baseline|flow|task|tools|wrapper|cli|netfault|load)|cmd)(/|$)' || true)
 if [ -n "$bad" ]; then
     echo "depcheck: the serving path ($serving) imports:" >&2
     printf '  %s\n' $bad >&2
