@@ -6,8 +6,10 @@ package repro
 // diagrams — so each figure is reproduced as the *behaviour* it depicts,
 // and the qualitative claims (selective propagation, policy loosening,
 // non-obstructive observer vs activity-driven management, lightweight
-// configurations) are measured explicitly.  See docs/PACKAGES.md for the
-// mapping; cmd/experiments prints the same series as tables.
+// configurations) are measured explicitly.  These benchmarks are the one
+// implementation of each experiment; docs/PACKAGES.md maps every experiment
+// to its benchmark and metric, and `flowsim -mode scenario` prints the §3.4
+// checkpoints beside the paper's claims.
 
 import (
 	"fmt"
@@ -19,7 +21,9 @@ import (
 	"repro/internal/flow"
 	"repro/internal/meta"
 	"repro/internal/server"
+	"repro/internal/tools"
 	"repro/internal/wire"
+	"repro/internal/wrapper"
 )
 
 func mustProject(b *testing.B, src string, opts ...EngineOption) *Project {
@@ -396,6 +400,7 @@ func BenchmarkObserverVsActivityDriven(b *testing.B) {
 			}
 			tail := baseline.NodeID(views[n-1])
 			head := baseline.NodeID(views[0])
+			rebuilds := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := m.Touch(head); err != nil {
@@ -403,10 +408,14 @@ func BenchmarkObserverVsActivityDriven(b *testing.B) {
 				}
 				// The activity request triggers the synchronous transitive
 				// freshen the designer waits for.
-				if _, err := m.Demand(tail); err != nil {
+				st, err := m.Demand(tail)
+				if err != nil {
 					b.Fatal(err)
 				}
+				rebuilds += st.Rebuilt
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(rebuilds)/float64(b.N), "rebuilds/op")
 		})
 	}
 }
@@ -516,15 +525,19 @@ func BenchmarkConfigurationSnapshot(b *testing.B) {
 		}
 		db := eng.DB()
 		b.Run(fmt.Sprintf("snapshot/n=%d", n), func(b *testing.B) {
+			var addresses int // what a configuration retains: OID and link addresses
 			for i := 0; i < b.N; i++ {
 				name := fmt.Sprintf("s%d-%d", n, i)
-				if _, err := db.SnapshotHierarchy(name, root, meta.FollowUseLinks); err != nil {
+				cfg, err := db.SnapshotHierarchy(name, root, meta.FollowUseLinks)
+				if err != nil {
 					b.Fatal(err)
 				}
+				addresses = len(cfg.OIDs) + len(cfg.Links)
 				if err := db.DeleteConfiguration(name); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(addresses), "addresses")
 		})
 		b.Run(fmt.Sprintf("materialize/n=%d", n), func(b *testing.B) {
 			if _, err := db.SnapshotHierarchy("mat", root, meta.FollowUseLinks); err != nil {
@@ -541,6 +554,7 @@ func BenchmarkConfigurationSnapshot(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(n), "objects") // each a full OID copy
 			if err := db.DeleteConfiguration("mat"); err != nil {
 				b.Fatal(err)
 			}
@@ -592,65 +606,59 @@ func BenchmarkEventThroughput(b *testing.B) {
 
 // BenchmarkToolScheduling measures the automated design flow of section
 // 3.3: a model check-in that triggers synthesis-side invalidation plus the
-// automatic netlister through the exec rule, versus the same flow driven
-// manually by the designer.
+// automatic netlister through the exec rule, versus the same flow on an
+// engine with no executor, where the designer runs the netlister.  Both
+// arms build the same blocks and must end with exactly one netlist.
 func BenchmarkToolScheduling(b *testing.B) {
+	// synthesize runs the flow up to the schematic check-in that fires the
+	// exec rule.
+	synthesize := func(b *testing.B, sess *wrapper.Session) Key {
+		hdl, err := sess.CheckinHDL("CPU", 50, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.RunHDLSim(hdl); err != nil {
+			b.Fatal(err)
+		}
+		lib, err := sess.InstallLibrary("stdlib")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sch, err := sess.Synthesize(hdl, lib)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sch
+	}
+	oneNetlist := func(b *testing.B, sess *wrapper.Session) {
+		if vs := sess.Eng.DB().Head().Versions("CPU", "netlist"); len(vs) != 1 {
+			b.Fatalf("netlist versions %v, want exactly one", vs)
+		}
+	}
 	b.Run("automatic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sess, _, err := flow.NewEDTCSession(uint64(i + 1))
+			sess, rec, err := flow.NewEDTCSession(uint64(i + 1))
 			if err != nil {
 				b.Fatal(err)
 			}
-			hdl, err := sess.CheckinHDL("CPU", 50, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.RunHDLSim(hdl); err != nil {
-				b.Fatal(err)
-			}
-			lib, err := sess.InstallLibrary("stdlib")
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Check-in fires the exec rule; the netlist appears without
+			// The check-in fires the exec rule; the netlist appears without
 			// further designer action.
-			if _, err := sess.Synthesize(hdl, lib); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.Eng.DB().Head().Latest("CPU", "netlist"); err != nil {
-				b.Fatal("auto netlister did not run")
+			synthesize(b, sess)
+			oneNetlist(b, sess)
+			if scripts := rec.Scripts(); len(scripts) != 1 || scripts[0] != "netlister" {
+				b.Fatalf("exec invocations %v, want one netlister", scripts)
 			}
 		}
 	})
 	b.Run("manual", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			// Same flow without the exec rule wiring: the designer runs
-			// the netlister explicitly.
-			sess, _, err := flow.NewEDTCSession(uint64(i + 1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Disable automation by re-registering a no-op.
-			eng := sess.Eng
-			_ = eng
-			hdl, err := sess.CheckinHDL("CPU2", 50, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.RunHDLSim(hdl); err != nil {
-				b.Fatal(err)
-			}
-			lib, err := sess.InstallLibrary("stdlib2")
-			if err != nil {
-				b.Fatal(err)
-			}
-			sch, err := sess.Synthesize(hdl, lib)
-			if err != nil {
-				b.Fatal(err)
-			}
+			proj := mustProject(b, EDTCExample)
+			sess := wrapper.NewSession(proj.Engine, tools.NewSuite(uint64(i+1)), "designer")
+			sch := synthesize(b, sess)
 			if _, err := sess.RunNetlister(sch); err != nil {
 				b.Fatal(err)
 			}
+			oneNetlist(b, sess)
 		}
 	})
 }

@@ -96,7 +96,7 @@ func BenchmarkTaskRun(b *testing.B) {
 	}
 }
 
-// BenchmarkVizRenderers measures the DOT/text renderers on the scenario
+// BenchmarkVizRenderers measures the DOT renderers on the scenario
 // database.
 func BenchmarkVizRenderers(b *testing.B) {
 	sess, _, err := flow.NewEDTCSession(3)
@@ -118,16 +118,6 @@ func BenchmarkVizRenderers(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			v := db.ReadView()
 			out := viz.StateDOT(v, bp)
-			v.Close()
-			if len(out) == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
-	b.Run("state-text", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v := db.ReadView()
-			out := viz.StateText(v, bp)
 			v.Close()
 			if len(out) == 0 {
 				b.Fatal("empty")

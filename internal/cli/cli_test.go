@@ -206,6 +206,10 @@ func TestFlowSimScenarioOutput(t *testing.T) {
 		"CPU,HDL_model,3",
 		"project state",
 		"statistics",
+		"4 errors  (paper: negative)",
+		"4 OIDs [",
+		"(paper: the derived set)",
+		"exec netlister CPU,schematic,1 (event ckin at CPU,schematic,1)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("scenario output missing %q:\n%s", want, got)

@@ -25,7 +25,10 @@ func FlowSim(out io.Writer, cfg FlowSimConfig) error {
 			return err
 		}
 		fmt.Fprintln(out, "=== DSM signoff scenario ===")
+		fmt.Fprintf(out, "RTL: %v\n", res.RTL)
 		fmt.Fprintf(out, "gates: %v (slack %q -> %q)\n", res.Gates, res.SlackBefore, res.SlackAfter)
+		fmt.Fprintf(out, "floorplan: %v\n", res.Floorplan)
+		fmt.Fprintf(out, "SDF: %v\n", res.SDF)
 		fmt.Fprintf(out, "SDF check-in re-ran STA automatically: %d run\n", res.AutoSTARuns)
 		for _, n := range res.Notifications {
 			fmt.Fprintln(out, "  notify:", n)
@@ -43,13 +46,23 @@ func FlowSim(out io.Writer, cfg FlowSimConfig) error {
 		if err != nil {
 			return err
 		}
+		// Each checkpoint the paper narrates: what this run measured, then
+		// what the paper says happens.
 		fmt.Fprintln(out, "=== section 3.4 scenario ===")
-		fmt.Fprintf(out, "HDL model versions:  %v, %v, %v\n", res.HDL1, res.HDL2, res.HDL3)
-		fmt.Fprintf(out, "first simulation:    %s\n", res.FirstSim)
-		fmt.Fprintf(out, "second simulation:   %s\n", res.SecondSim)
-		fmt.Fprintf(out, "schematics:          %v (top), %v (component)\n", res.CPUSchematic, res.REGSchematic)
-		fmt.Fprintf(out, "auto-netlisted:      %v\n", res.Netlist)
-		fmt.Fprintf(out, "stale after change:  %v\n", res.StaleAfterChange)
+		for _, row := range [][3]string{
+			{"HDL model versions:", fmt.Sprintf("%v, %v, %v", res.HDL1, res.HDL2, res.HDL3), "the change is version 3"},
+			{"first simulation:", res.FirstSim, "negative"},
+			{"second simulation:", res.SecondSim, "good"},
+			{"schematics:", fmt.Sprintf("%v (top), %v (component)", res.CPUSchematic, res.REGSchematic), "synthesis creates both"},
+			{"auto-netlisted:", res.Netlist.String(), "yes, by the exec rule"},
+			{"stale after change:", fmt.Sprintf("%d OIDs %v", len(res.StaleAfterChange), res.StaleAfterChange), "the derived set"},
+		} {
+			fmt.Fprintf(out, "%-21s%s  (paper: %s)\n", row[0], row[1], row[2])
+		}
+		fmt.Fprintln(out, "\n=== automatic tool invocations ===")
+		for _, inv := range rec.Invocations() {
+			fmt.Fprintf(out, "exec %s (event %s at %s)\n", inv, inv.Env["event"], inv.Env["oid"])
+		}
 	case "workload":
 		st, err := flow.Workload{
 			Seed: cfg.Seed, Blocks: cfg.Blocks, Steps: cfg.Steps, EditDefectRate: cfg.DefectRate,

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -252,35 +251,6 @@ func report(v *meta.View, bp *bpl.Blueprint, gap bool) []OIDState {
 		out = append(out, row)
 		return true
 	})
-	return out
-}
-
-// ViewSummary aggregates readiness per view type.
-type ViewSummary struct {
-	View  string
-	Total int
-	Ready int
-}
-
-// Summarize groups a report by view.
-func Summarize(report []OIDState) []ViewSummary {
-	byView := map[string]*ViewSummary{}
-	for _, st := range report {
-		s := byView[st.Key.View]
-		if s == nil {
-			s = &ViewSummary{View: st.Key.View}
-			byView[st.Key.View] = s
-		}
-		s.Total++
-		if st.Ready {
-			s.Ready++
-		}
-	}
-	out := make([]ViewSummary, 0, len(byView))
-	for _, s := range byView {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].View < out[j].View })
 	return out
 }
 

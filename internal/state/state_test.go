@@ -73,7 +73,7 @@ func TestReportLatestOnly(t *testing.T) {
 	}
 }
 
-func TestGapAndSummarize(t *testing.T) {
+func TestGap(t *testing.T) {
 	e := edtcEngine(t)
 	db := e.DB()
 	sch := create(t, e, "CPU", "schematic")
@@ -94,18 +94,6 @@ func TestGapAndSummarize(t *testing.T) {
 	gap = Gap(db.Head(), e.Blueprint())
 	if len(gap) != 1 || gap[0].Key != lay {
 		t.Errorf("gap after fixing schematic = %+v", gap)
-	}
-
-	sums := Summarize(Report(db.Head(), e.Blueprint()))
-	byView := map[string]ViewSummary{}
-	for _, s := range sums {
-		byView[s.View] = s
-	}
-	if s := byView["schematic"]; s.Total != 1 || s.Ready != 1 {
-		t.Errorf("schematic summary = %+v", s)
-	}
-	if s := byView["layout"]; s.Total != 1 || s.Ready != 0 {
-		t.Errorf("layout summary = %+v", s)
 	}
 }
 

@@ -9,8 +9,7 @@
 //   - StateDOT draws the meta-database at a pinned view: OIDs as nodes
 //     coloured by readiness, link instances as edges.
 //
-// The output is Graphviz DOT, viewable with any dot(1) renderer; an ASCII
-// summary renderer is included for terminals.
+// The output is Graphviz DOT, viewable with any dot(1) renderer.
 package viz
 
 import (
@@ -114,79 +113,5 @@ func StateDOT(v *meta.View, bp *bpl.Blueprint) string {
 			l.From.String(), l.To.String(), label, style)
 	}
 	sb.WriteString("}\n")
-	return sb.String()
-}
-
-// FlowText renders a terminal summary of the blueprint: per view, its
-// properties, continuous assignments, incoming link templates and rules.
-func FlowText(bp *bpl.Blueprint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "blueprint %s\n", bp.Name)
-	for _, v := range bp.Views {
-		fmt.Fprintf(&sb, "  view %s\n", v.Name)
-		for _, p := range v.Properties {
-			mode := ""
-			if p.Inherit != bpl.InheritNone {
-				mode = " [" + p.Inherit.String() + "]"
-			}
-			fmt.Fprintf(&sb, "    property %-16s default %q%s\n", p.Name, p.Default, mode)
-		}
-		for _, l := range v.Lets {
-			fmt.Fprintf(&sb, "    let %s = %s\n", l.Name, l.Expr.String())
-		}
-		for _, l := range v.Links {
-			if l.Use {
-				fmt.Fprintf(&sb, "    hierarchy link propagates %s\n", strings.Join(l.Propagates, ","))
-			} else {
-				fmt.Fprintf(&sb, "    from %-16s %-12s propagates %s\n",
-					l.FromView, l.Type, strings.Join(l.Propagates, ","))
-			}
-		}
-		for _, r := range v.Rules {
-			acts := make([]string, len(r.Actions))
-			for i, a := range r.Actions {
-				acts[i] = a.String()
-			}
-			fmt.Fprintf(&sb, "    when %-12s -> %s\n", r.Event, strings.Join(acts, "; "))
-		}
-	}
-	return sb.String()
-}
-
-// StateText renders a terminal summary of the project state at v grouped
-// by view, with readiness counts — the designer's at-a-glance dashboard.
-func StateText(v *meta.View, bp *bpl.Blueprint) string {
-	report := state.Report(v, bp)
-	byView := map[string][]state.OIDState{}
-	for _, st := range report {
-		byView[st.Key.View] = append(byView[st.Key.View], st)
-	}
-	views := make([]string, 0, len(byView))
-	for v := range byView {
-		views = append(views, v)
-	}
-	sort.Strings(views)
-
-	var sb strings.Builder
-	for _, v := range views {
-		sts := byView[v]
-		ready := 0
-		for _, st := range sts {
-			if st.Ready {
-				ready++
-			}
-		}
-		fmt.Fprintf(&sb, "%s (%d/%d ready)\n", v, ready, len(sts))
-		for _, st := range sts {
-			mark := "✓"
-			if !st.Ready {
-				mark = "✗"
-			}
-			fmt.Fprintf(&sb, "  %s %s\n", mark, st.Key)
-			for _, r := range st.Reasons {
-				fmt.Fprintf(&sb, "      %s\n", r)
-			}
-		}
-	}
 	return sb.String()
 }

@@ -181,43 +181,3 @@ func TestStateDOTFromOnePin(t *testing.T) {
 		t.Errorf("current drawing:\n%s", now)
 	}
 }
-
-func TestFlowText(t *testing.T) {
-	bp, _ := edtc(t)
-	text := FlowText(bp)
-	for _, want := range []string{
-		"blueprint EDTC_example",
-		"view schematic",
-		"let state =",
-		"when ckin",
-		"from HDL_model",
-		"hierarchy link propagates outofdate",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("FlowText missing %q:\n%s", want, text)
-		}
-	}
-}
-
-func TestStateText(t *testing.T) {
-	bp, eng := edtc(t)
-	if _, err := eng.CreateOID("CPU", "schematic", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.CreateOID("CPU", "HDL_model", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	text := StateText(eng.DB().Head(), bp)
-	if !strings.Contains(text, "schematic (0/1 ready)") {
-		t.Errorf("summary wrong:\n%s", text)
-	}
-	if !strings.Contains(text, "✗ CPU,schematic,1") {
-		t.Errorf("blocked marker missing:\n%s", text)
-	}
-	if !strings.Contains(text, "HDL_model (1/1 ready)") {
-		t.Errorf("ready view wrong:\n%s", text)
-	}
-}

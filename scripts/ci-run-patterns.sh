@@ -4,11 +4,14 @@
 # Usage: ci-run-patterns.sh [WORKFLOW.yml]
 #
 # `go test -run PATTERN` passes with "no tests to run" when PATTERN matches
-# nothing, so a lane pointed at a renamed or deleted test goes green
-# forever.  For each `go test` line of the workflow that carries a -run or
-# -fuzz pattern (other than the '^$' that selects nothing on purpose), each
-# |-alternative of the pattern must match a name `go test -list` prints for
-# the packages on that line; a -fuzz pattern must match a Fuzz target.
+# nothing, and an unmatched -bench pattern runs nothing and passes too, so a
+# lane pointed at a renamed or deleted test goes green forever.  For each
+# `go test` line of the workflow that carries a literal -run, -fuzz or -bench
+# pattern (other than the '^$' that selects nothing on purpose; a "$var"
+# pattern is skipped), each |-alternative of the pattern must match a name
+# `go test -list` prints for the packages on that line; a -fuzz pattern must
+# match a Fuzz target, and a -bench alternative, up to its first '/', a
+# Benchmark.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 wf=${1:-.github/workflows/ci.yml}
@@ -26,7 +29,7 @@ while IFS= read -r line; do
             pkgs+=("$tok")
         fi
     done
-    for flag in run fuzz; do
+    for flag in run fuzz bench; do
         if [[ $cmd =~ -$flag[[:space:]]+\'([^\']*)\' ]] || [[ $cmd =~ -$flag[[:space:]]+([^[:space:]\'\"]+) ]]; then
             pat=${BASH_REMATCH[1]}
         else
@@ -41,11 +44,15 @@ while IFS= read -r line; do
             continue
         fi
         kind='^(Test|Fuzz|Example)' # what -run selects
-        if [ "$flag" = fuzz ]; then
-            kind='^Fuzz'
-        fi
+        case $flag in
+        fuzz) kind='^Fuzz' ;;
+        bench) kind='^Benchmark' ;;
+        esac
         IFS='|' read -ra alts <<<"$pat"
         for alt in "${alts[@]}"; do
+            if [ "$flag" = bench ]; then
+                alt=${alt%%/*} # sub-benchmark names are not listed
+            fi
             checked=$((checked + 1))
             hit=0
             for pkg in "${pkgs[@]}"; do
@@ -63,7 +70,7 @@ while IFS= read -r line; do
             fi
         done
     done
-done < <(grep -nE 'go test .*-(run|fuzz)[[:space:]]' "$wf")
+done < <(grep -nE 'go test .*-(run|fuzz|bench)[[:space:]]' "$wf")
 
 if [ $fail -ne 0 ]; then
     exit 1
