@@ -426,6 +426,44 @@ func TestJournalFsyncGate(t *testing.T) {
 	}
 }
 
+// TestCommitCoveredIssuesNoSync: Commit covers its caller — one with
+// nothing assigned since the last successful commit neither writes nor
+// syncs, and the next record is synced again.
+func TestCommitCoveredIssuesNoSync(t *testing.T) {
+	inj := faultfs.New(faultfs.OS, faultfs.Plan{})
+	w, db, err := journal.Open(t.TempDir(), journal.Options{Fsync: true, SnapshotEvery: -1, FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	commit := func(wantWrites, wantSyncs int64) {
+		t.Helper()
+		writes, syncs := inj.Count(faultfs.OpWrite), inj.Count(faultfs.OpSync)
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := inj.Count(faultfs.OpWrite) - writes; got != wantWrites {
+			t.Errorf("commit wrote %d times, want %d", got, wantWrites)
+		}
+		if got := inj.Count(faultfs.OpSync) - syncs; got != wantSyncs {
+			t.Errorf("commit synced %d times, want %d", got, wantSyncs)
+		}
+	}
+	commit(0, 0) // a fresh journal: nothing assigned yet
+	if _, err := db.NewVersion("cpu", "HDL_model"); err != nil {
+		t.Fatal(err)
+	}
+	commit(1, 1)
+	commit(0, 0)
+	if w.CommittedLSN() != w.LastLSN() {
+		t.Fatalf("watermark %d short of lsn %d", w.CommittedLSN(), w.LastLSN())
+	}
+	if _, err := db.NewVersion("alu", "HDL_model"); err != nil {
+		t.Fatal(err)
+	}
+	commit(1, 1)
+}
+
 // followerAt3 opens a follower's journal in dir through vfs and applies and
 // commits three records.
 func followerAt3(t *testing.T, dir string, vfs faultfs.FS) *journal.Writer {

@@ -480,11 +480,14 @@ func (w *Writer) emergencyFree() {
 	w.compact(w.snapLSN.Load())
 }
 
-// Commit writes every buffered record through to the operating system.
-// It is the durability point: the engine commits after each drain and the
-// server after each non-drain mutation, so a state change is on disk
-// before the request that caused it is acknowledged.  Commit also arms
-// the snapshot trigger when enough records have accumulated.
+// Commit makes every record assigned before the call durable: written
+// through to the operating system, and synced in fsync mode.  It covers
+// its caller: once it holds flushMu, a healthy journal whose watermark
+// already reaches the LSN read on entry returns at once, without a write
+// or a sync, so a caller queued behind another's fsync is served by it
+// (group commit).  A degraded journal refuses every caller: the watermark
+// advances only after a successful sync.  Commit also arms the snapshot
+// trigger when enough records have accumulated.
 //
 // In fsync mode the Sync runs while w.mu is released (flushMu alone
 // serializes flushers): Record is called under the MVCC epoch gate, so
@@ -496,8 +499,14 @@ func (w *Writer) emergencyFree() {
 // permanent silent divergence, because the reconnect protocol skips
 // LSNs the follower already applied.
 func (w *Writer) Commit() error {
+	target := w.lastLSN.Load()
 	w.flushMu.Lock()
 	w.mu.Lock()
+	if w.ioErr == nil && w.watermark.Load() >= target {
+		w.mu.Unlock()
+		w.flushMu.Unlock()
+		return nil
+	}
 	werr := w.writeBufLocked()
 	if werr != nil && errors.Is(werr, syscall.ENOSPC) && w.ioErr == nil {
 		// Full disk: before degrading, compact away everything the newest

@@ -13,13 +13,13 @@ import (
 )
 
 func TestStatsExportsCounters(t *testing.T) {
-	_, addr := startServerWith(t, WithLimits(Limits{MaxBatchItems: 2}))
+	_, addr := startServerWith(t)
 	c := dial(t, addr)
 	kv, err := c.StatsKV()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"oids", "posted", "conns_shed", "inflight_shed",
+	for _, key := range []string{"oids", "posted", "conns_shed",
 		"readonly_refused", "degraded_refused", "batch_oversize", "panics"} {
 		if _, ok := kv[key]; !ok {
 			t.Errorf("STATS missing %q (have %v)", key, kv)
@@ -33,7 +33,7 @@ func TestStatsExportsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := make([]wire.BatchItem, 3)
+	items := make([]wire.BatchItem, MaxBatchItems+1)
 	for i := range items {
 		items[i] = wire.BatchItem{Event: "ckin", Dir: "down", OID: k.String()}
 	}

@@ -1,10 +1,10 @@
 package server
 
-// Overload, timeout and fault hardening: connection and in-flight
-// admission gates shed with an explicit "overloaded" error, a panicking
-// handler costs exactly its own connection, stalled and silent peers are
-// disconnected by deadline, the accept loop rides out temporary errors,
-// and a degraded journal refuses writes loudly while reads keep serving.
+// Overload, timeout and fault hardening: the connection gate sheds with
+// an explicit "overloaded" error, a panicking handler costs exactly its
+// own connection, stalled and silent peers are disconnected by deadline,
+// the accept loop rides out temporary errors, and a degraded journal
+// refuses writes loudly while reads keep serving.
 
 import (
 	"bufio"
@@ -96,53 +96,6 @@ func TestMaxConnsShedsExplicitly(t *testing.T) {
 			t.Fatal("connection slot was not released after a client hung up")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestInflightGateSheds(t *testing.T) {
-	s, addr := startServerWith(t, WithLimits(Limits{MaxInflight: 1}))
-	block := make(chan struct{})
-	entered := make(chan struct{}, 8)
-	s.testHookHandle = func(req wire.Request) {
-		if req.Verb == wire.VerbPing {
-			entered <- struct{}{}
-			<-block
-		}
-	}
-
-	c1 := dial(t, addr)
-	pingDone := make(chan error, 1)
-	go func() { pingDone <- c1.Ping() }()
-	select {
-	case <-entered:
-	case <-time.After(3 * time.Second):
-		t.Fatal("first request never reached the handler")
-	}
-
-	// The slot is held; the next request is refused immediately, not queued.
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "STATS\n")
-	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatalf("no shed response: %v", sc.Err())
-	}
-	if line := sc.Text(); !strings.Contains(line, "overloaded") {
-		t.Fatalf("saturated server answered %q, want an explicit overload", line)
-	}
-
-	// Releasing the slot lets both the parked and new requests through.
-	close(block)
-	if err := <-pingDone; err != nil {
-		t.Fatalf("parked request failed after the gate reopened: %v", err)
-	}
-	fmt.Fprintf(conn, "STATS\n")
-	if !sc.Scan() || !strings.HasPrefix(sc.Text(), "OK") {
-		t.Fatalf("request after release = %q, want OK", sc.Text())
 	}
 }
 
@@ -278,27 +231,20 @@ func TestWriteTimeoutUnblocksStalledClient(t *testing.T) {
 }
 
 func TestBatchItemBound(t *testing.T) {
-	s, _ := startServerWith(t, WithLimits(Limits{MaxBatchItems: 3}))
-	items := []string{"a b c", "d e f", "g h i", "j k l"}
+	// The bound always applies — one request must never expand into
+	// unbounded queued work.
+	s := newTestServer(t)
+	items := make([]string, MaxBatchItems+1)
+	for i := range items {
+		items[i] = "a b c"
+	}
 	resp := s.Handle(wire.Request{Verb: wire.VerbBatch, Args: items})
 	if resp.OK || !strings.Contains(resp.Detail, "exceeds") {
 		t.Fatalf("over-bound BATCH = %+v, want a refusal naming the bound", resp)
 	}
-	resp = s.Handle(wire.Request{Verb: wire.VerbBatch, Args: items[:3]})
+	resp = s.Handle(wire.Request{Verb: wire.VerbBatch, Args: items[:MaxBatchItems]})
 	if strings.Contains(resp.Detail, "exceeds") {
 		t.Fatalf("in-bound BATCH refused: %+v", resp)
-	}
-
-	// The default bound always applies — one request must never expand
-	// into unbounded queued work.
-	s2, _ := startServerWith(t)
-	big := make([]string, DefaultMaxBatchItems+1)
-	for i := range big {
-		big[i] = "a b c"
-	}
-	resp = s2.Handle(wire.Request{Verb: wire.VerbBatch, Args: big})
-	if resp.OK || !strings.Contains(resp.Detail, "exceeds") {
-		t.Fatalf("BATCH above the default bound = %+v, want a refusal", resp)
 	}
 }
 
@@ -380,63 +326,73 @@ func TestAcceptBackoffRecoversFromTemporaryErrors(t *testing.T) {
 	}
 }
 
-// TestJournalDegradedServerContract drives the wedged-disk contract over
-// the wire: the commit that hits the fault fails its own request loudly,
-// every later write is refused up front with the sticky reason, reads
-// keep serving, and ROLE reports health=degraded for failover drivers.
+// TestJournalDegradedServerContract drives the wedged-disk contract for
+// every verb that commits: the commit that hits the fault fails its own
+// request with the journal-io prefix, whichever verb it rode, every later
+// write is refused up front with the sticky reason, reads keep serving,
+// and ROLE reports health=degraded for failover drivers.
 func TestJournalDegradedServerContract(t *testing.T) {
-	dir := t.TempDir()
-	// Write 1 is the segment header at Open; write 2 — the first commit —
-	// wedges the disk for good.
-	inj := faultfs.New(faultfs.OS, faultfs.StickyFault(faultfs.OpWrite, 2, nil))
-	w, db, err := journal.Open(dir, journal.Options{SnapshotEvery: -1, FS: inj})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		verb string
+		args []string
+	}{
+		{wire.VerbPost, []string{"hdl_sim", "down", "a,HDL_model,1", "good"}},
+		{wire.VerbBatch, []string{wire.BatchItem{Event: "hdl_sim", Dir: "down", OID: "a,HDL_model,1", Args: []string{"good"}}.Encode()}},
+		{wire.VerbCreate, []string{"c", "HDL_model"}},
+		{wire.VerbLink, []string{"derive", "a,HDL_model,1", "b,schematic,1"}},
+		{wire.VerbSnapshot, []string{"cfg", "*"}},
+		{wire.VerbSync, nil},
 	}
-	t.Cleanup(w.Abort)
-	bp, err := bpl.Parse(bpl.EDTCExample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(db, bp, engine.WithJournal(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(eng, WithJournal(w))
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	c := dial(t, addr)
+	for _, tc := range cases {
+		t.Run(tc.verb, func(t *testing.T) {
+			// Write 1 is the segment header at Open; write 2 — the first
+			// commit, which carries the setup's records and the verb's —
+			// wedges the disk for good.
+			inj := faultfs.New(faultfs.OS, faultfs.StickyFault(faultfs.OpWrite, 2, nil))
+			s, _ := journaledServer(t, journal.Options{FS: inj})
+			for _, bv := range [][2]string{{"a", "HDL_model"}, {"b", "schematic"}} {
+				if _, err := s.Engine().DB().NewVersion(bv[0], bv[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			c := dial(t, addr)
 
-	// The write that hits the fault: an explicit journal error, never an OK.
-	if _, err := c.Create("CPU", "HDL_model"); err == nil {
-		t.Fatal("CREATE acknowledged over a failed journal append")
-	} else if !strings.Contains(err.Error(), "journal") {
-		t.Fatalf("commit failure does not name the journal: %v", err)
-	}
+			// The write that hits the fault: the contract's prefix, never
+			// an OK.
+			if resp := s.Handle(wire.Request{Verb: tc.verb, Args: tc.args}); resp.OK {
+				t.Fatalf("%s acknowledged over a failed journal append: %+v", tc.verb, resp)
+			} else if !strings.HasPrefix(resp.Detail, "journal-io: ") {
+				t.Fatalf("%s commit failure = %q, want the journal-io: prefix", tc.verb, resp.Detail)
+			}
 
-	// Degraded now: writes are refused up front with the contract line.
-	if _, err := c.Create("ALU", "HDL_model"); err == nil {
-		t.Fatal("degraded server accepted CREATE")
-	} else if !strings.Contains(err.Error(), "degraded") || !strings.Contains(err.Error(), "journal-io") {
-		t.Fatalf("refusal does not state the degraded contract: %v", err)
-	}
+			// Degraded now: writes are refused up front with the contract
+			// line.
+			if _, err := c.Create("ALU", "HDL_model"); err == nil {
+				t.Fatal("degraded server accepted CREATE")
+			} else if !strings.Contains(err.Error(), "degraded") || !strings.Contains(err.Error(), "journal-io") {
+				t.Fatalf("refusal does not state the degraded contract: %v", err)
+			}
 
-	// Reads keep serving.
-	if _, err := c.Report(); err != nil {
-		t.Fatalf("degraded server stopped serving reads: %v", err)
-	}
+			// Reads keep serving.
+			if _, err := c.Report(); err != nil {
+				t.Fatalf("degraded server stopped serving reads: %v", err)
+			}
 
-	// ROLE carries the health for failover drivers — and the client
-	// parses it.
-	ri, err := c.Role()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri.Role != "primary" || ri.Health != "degraded" || ri.Reason == "" {
-		t.Fatalf("ROLE = %+v, want primary/degraded with a reason", ri)
+			// ROLE carries the health for failover drivers — and the
+			// client parses it.
+			ri, err := c.Role()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ri.Role != "primary" || ri.Health != "degraded" || ri.Reason == "" {
+				t.Fatalf("ROLE = %+v, want primary/degraded with a reason", ri)
+			}
+		})
 	}
 }
 

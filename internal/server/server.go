@@ -51,13 +51,11 @@ type Server struct {
 	quorum *quorum
 
 	limits     Limits
-	inflight   chan struct{} // admission semaphore; nil = unlimited
 	logf       func(format string, args ...any)
 	followPing time.Duration // idle FOLLOW streams' liveness cadence; 0 = silent idle
 
 	// testHookHandle, when set by an in-package test, runs at the top of
-	// every handled request — the seam overload tests use to park a
-	// request inside its in-flight slot.
+	// every handled request — the seam the panic-isolation test uses.
 	testHookHandle func(wire.Request)
 
 	quit chan struct{}
@@ -81,9 +79,6 @@ type Counters struct {
 	// MaxConns gate.
 	ConnsShed atomic.Int64
 
-	// InflightShed counts requests refused by the MaxInflight gate.
-	InflightShed atomic.Int64
-
 	// ReadOnlyRefused counts mutating verbs refused because this node is
 	// a read-only follower.
 	ReadOnlyRefused atomic.Int64
@@ -101,26 +96,12 @@ type Counters struct {
 }
 
 // Limits bounds the server's exposure to slow, stuck or excessive
-// clients.  The zero value means unlimited connections and in-flight
-// requests, no deadlines, and the default BATCH bound — the historical
-// behaviour, minus unbounded BATCH.
+// clients.  The zero value means unlimited connections and no deadlines.
 type Limits struct {
 	// MaxConns caps concurrent connections; past it, new connections are
 	// shed with an explicit "overloaded" error line, never silently
 	// dropped.  0 means unlimited.
 	MaxConns int
-
-	// MaxInflight caps concurrently-executing requests across all
-	// connections (FOLLOW streams are exempt — they are subscriptions,
-	// bounded by MaxConns).  Excess requests are refused with
-	// "overloaded", not queued: the client knows immediately and can back
-	// off.  0 means unlimited.
-	MaxInflight int
-
-	// MaxBatchItems caps items in one BATCH request; 0 means
-	// DefaultMaxBatchItems.  A bound always applies: one request must not
-	// expand into unbounded queued work.
-	MaxBatchItems int
 
 	// IdleTimeout closes a connection whose next request does not arrive
 	// in time.  It does not apply to FOLLOW connections, which are
@@ -134,10 +115,11 @@ type Limits struct {
 	WriteTimeout time.Duration
 }
 
-// DefaultMaxBatchItems bounds BATCH when Limits leaves it unset.
-const DefaultMaxBatchItems = 4096
+// MaxBatchItems caps the items of one BATCH request: one request must not
+// expand into unbounded queued work.
+const MaxBatchItems = 4096
 
-// WithLimits applies connection, admission and deadline bounds.
+// WithLimits applies connection and deadline bounds.
 func WithLimits(l Limits) Option { return func(s *Server) { s.limits = l } }
 
 // WithLogger routes the server's diagnostics (handler panics, accept
@@ -194,11 +176,9 @@ type Promotion struct {
 type Option func(*Server)
 
 // WithJournal tells the server which journal persists its database, so
-// mutations that do not ride a drain commit it before their response is
-// written — LINK, SNAPSHOT, CREATE (whose OID is created outside the
-// drain), and SYNC — the same on-disk-before-ack guarantee the engine
-// provides for event processing.  The engine should carry the same journal
-// via engine.WithJournal.  The journal also makes the server a replication
+// every mutating verb, and SYNC, is on disk before its response is
+// written.  The engine should carry the same journal via
+// engine.WithJournal.  The journal also makes the server a replication
 // primary: the FOLLOW verb streams it.
 func WithJournal(j *journal.Writer) Option { return func(s *Server) { s.role.Load().journal = j } }
 
@@ -250,26 +230,7 @@ func New(eng *engine.Engine, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.limits.MaxInflight > 0 {
-		s.inflight = make(chan struct{}, s.limits.MaxInflight)
-	}
 	return s
-}
-
-// admit reserves an in-flight execution slot, returning its release and
-// whether the request may run.  Saturation sheds immediately rather than
-// queueing: an explicit "overloaded" travels back to the client while the
-// server's actual work stays bounded.
-func (s *Server) admit() (release func(), ok bool) {
-	if s.inflight == nil {
-		return func() {}, true
-	}
-	select {
-	case s.inflight <- struct{}{}:
-		return func() { <-s.inflight }, true
-	default:
-		return nil, false
-	}
 }
 
 // errf and okf build the single-line ERR and OK responses.
@@ -281,42 +242,56 @@ func okf(format string, a ...any) wire.Response {
 	return wire.Response{OK: true, Detail: fmt.Sprintf(format, a...)}
 }
 
-// overloadedResp is the explicit shed response of the admission gates.
-func overloadedResp(what string) wire.Response { return errf("overloaded: %s", what) }
-
 // Engine exposes the underlying engine, e.g. for in-process inspection in
 // tests and tools.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
-// commit flushes the journal, if one is attached.  A failure here is the
-// journal-io degraded contract speaking: the prefix tells the client its
-// write was refused by the disk, not the protocol.
-func (r *role) commit() error {
+// settle holds a write's acknowledgement until the write is on disk and
+// the configured quorum of follower watermarks covers it.  The LSN bound
+// is read before the commit, so it covers the caller's records and nothing
+// a later writer adds; Commit returns at once when a flush already carried
+// them.  A commit failure is the journal-io degraded contract speaking:
+// the prefix tells the client its write was refused by the disk, not the
+// protocol.  Once committed, a quorum timeout means under-replication, not
+// loss, and the error says so explicitly instead of stalling forever or
+// lying with an OK.
+func (s *Server) settle(r *role) error {
 	if r.journal == nil {
 		return nil
 	}
+	lsn := r.journal.LastLSN()
 	if err := r.journal.Commit(); err != nil {
 		return fmt.Errorf("journal-io: %v", err)
 	}
-	return nil
+	return s.replicated(lsn)
 }
 
-// settle holds a write's acknowledgement until the write is on disk and
-// the configured quorum of follower watermarks covers it.  commit is false
-// when the change rode a drain, which committed it already (a second
-// Commit would be a second fsync).  Once committed, a quorum timeout means
-// under-replication, not loss, and the error says so explicitly instead of
-// stalling forever or lying with an OK.
-func (s *Server) settle(r *role, commit bool) error {
-	if commit {
-		if err := r.commit(); err != nil {
-			return err
+// drainSettle runs the engine's drain for the events the caller posted.
+// Drain commits after its pass, so a drain that returns nil has the
+// caller's records on disk, below the watermark, and only the quorum is
+// left.  A drain that failed on the journal left it degraded, and settle
+// answers it with the journal-io contract; one that failed in the engine
+// answers with its own error once what it did change is settled.
+func (s *Server) drainSettle(r *role) error {
+	if err := s.eng.Drain(); err != nil {
+		if serr := s.settle(r); serr != nil {
+			return serr
 		}
+		return err
 	}
-	if s.quorum == nil || r.journal == nil {
+	if r.journal == nil {
 		return nil
 	}
-	return s.quorum.wait(r.journal.LastLSN(), s.quit)
+	return s.replicated(r.journal.CommittedLSN())
+}
+
+// replicated waits until the configured quorum of follower watermarks
+// reaches lsn.
+func (s *Server) replicated(lsn int64) error {
+	if s.quorum == nil {
+		return nil
+	}
+	return s.quorum.wait(lsn, s.quit)
 }
 
 // Listen starts accepting connections on addr ("host:port"; port 0 picks a
@@ -382,7 +357,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			go func() {
 				defer s.wg.Done()
 				conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-				fmt.Fprintf(conn, "%s\n", overloadedResp(fmt.Sprintf("connection limit %d reached", s.limits.MaxConns)).Encode())
+				fmt.Fprintf(conn, "%s\n", errf("overloaded: connection limit %d reached", s.limits.MaxConns).Encode())
 				conn.Close()
 			}()
 			continue
@@ -418,7 +393,10 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	// Handlers have retired; park any straggling records on disk.  The
 	// journal itself stays open — its owner (the daemon) closes it.
-	return s.role.Load().commit()
+	if j := s.role.Load().journal; j != nil {
+		return j.Commit()
+	}
+	return nil
 }
 
 func (s *Server) dropConn(c net.Conn) {
@@ -512,9 +490,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err == nil && req.Verb == wire.VerbFollow {
 			// FOLLOW dedicates the connection to the record stream; when
 			// it returns, the conversation is over either way.  The stream
-			// is a subscription, not a request: it takes no in-flight slot
-			// (MaxConns bounds it) and may sit idle between commits
-			// without tripping the idle deadline.
+			// is a subscription, not a request: it may sit idle between
+			// commits without tripping the idle deadline.
 			tc.disableIdle()
 			s.serveFollow(r, w, req)
 			return
@@ -522,21 +499,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		var resp wire.Response
 		if err != nil {
 			resp = errf("%v", err)
-		} else if release, admitted := s.admit(); !admitted {
-			s.counters.InflightShed.Add(1)
-			resp = overloadedResp("too many in-flight requests")
 		} else if req.Verb == wire.VerbReport || req.Verb == wire.VerbGap {
 			// Streamed: rows go to the socket a write buffer at a time
 			// instead of building the whole body first.
-			alive := s.streamReport(w, req)
-			release()
-			if !alive {
+			if !s.streamReport(w, req) {
 				return
 			}
 			continue
 		} else {
 			resp = s.Handle(req)
-			release()
 		}
 		if _, err := w.WriteString(resp.Encode() + "\n"); err != nil {
 			return
@@ -1044,10 +1015,10 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 
 	case wire.VerbSync:
 		// Quiescence may be observed a moment before another connection's
-		// drain commits, so commit here too — "idle" always means "settled
+		// drain commits, so settle here too — "idle" always means "settled
 		// and on disk".
 		s.eng.WaitIdle()
-		if err := s.settle(r, true); err != nil {
+		if err := s.settle(r); err != nil {
 			return errf("%v", err)
 		}
 		return okf("idle")
@@ -1062,13 +1033,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err := s.post(req.Args[0], req.Args[1], req.Args[2], req.Args[3:], req.User); err != nil {
 			return errf("%v", err)
 		}
-		if err := s.eng.Drain(); err != nil {
-			return errf("%v", err)
-		}
-		// The drain committed the journal; now the write must also reach
-		// the configured follower quorum before it is acknowledged as
-		// posted.
-		if err := s.settle(r, false); err != nil {
+		if err := s.drainSettle(r); err != nil {
 			return errf("%v", err)
 		}
 		return okf("posted %s", req.Args[0])
@@ -1081,15 +1046,11 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if len(req.Args) == 0 {
 			return errf("BATCH wants at least one <event dir oid [args...]> item")
 		}
-		maxItems := s.limits.MaxBatchItems
-		if maxItems <= 0 {
-			maxItems = DefaultMaxBatchItems
-		}
-		if len(req.Args) > maxItems {
+		if len(req.Args) > MaxBatchItems {
 			// Bounded intake: one request must not expand into unbounded
 			// queued work.  Nothing was posted — the client can split.
 			s.counters.BatchOversize.Add(1)
-			return errf("BATCH: %d items exceeds the %d-item bound (split the batch)", len(req.Args), maxItems)
+			return errf("BATCH: %d items exceeds the %d-item bound (split the batch)", len(req.Args), MaxBatchItems)
 		}
 		body := make([]string, 0, len(req.Args))
 		posted := 0
@@ -1106,10 +1067,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 			posted++
 		}
 		if posted > 0 {
-			if err := s.eng.Drain(); err != nil {
-				return errf("%v", err)
-			}
-			if err := s.settle(r, false); err != nil {
+			if err := s.drainSettle(r); err != nil {
 				return errf("%v", err)
 			}
 		}
@@ -1124,13 +1082,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err != nil {
 			return errf("%v", err)
 		}
-		if err := s.eng.Drain(); err != nil {
-			return errf("%v", err)
-		}
-		// The OID itself was created outside the drain, which commits only
-		// when it processed something; make the creation durable before
-		// acknowledging it.
-		if err := s.settle(r, true); err != nil {
+		if err := s.drainSettle(r); err != nil {
 			return errf("%v", err)
 		}
 		return okf("%s", k)
@@ -1155,7 +1107,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err != nil {
 			return errf("%v", err)
 		}
-		if err := s.settle(r, true); err != nil {
+		if err := s.settle(r); err != nil {
 			return errf("%v", err)
 		}
 		return okf("%d", id)
@@ -1223,7 +1175,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err != nil {
 			return errf("%v", err)
 		}
-		if err := s.settle(r, true); err != nil {
+		if err := s.settle(r); err != nil {
 			return errf("%v", err)
 		}
 		return okf("%d oids %d links", len(cfg.OIDs), len(cfg.Links))
@@ -1235,9 +1187,9 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		v.Close()
 		c := &s.counters
 		return okf("oids=%d links=%d posted=%d deliveries=%d propagations=%d rules=%d execs=%d"+
-			" conns_shed=%d inflight_shed=%d readonly_refused=%d degraded_refused=%d batch_oversize=%d panics=%d",
+			" conns_shed=%d readonly_refused=%d degraded_refused=%d batch_oversize=%d panics=%d",
 			ds.OIDs, ds.Links, es.Posted, es.Deliveries, es.Propagations, es.RulesFired, es.Execs,
-			c.ConnsShed.Load(), c.InflightShed.Load(), c.ReadOnlyRefused.Load(),
+			c.ConnsShed.Load(), c.ReadOnlyRefused.Load(),
 			c.DegradedRefused.Load(), c.BatchOversize.Load(), c.Panics.Load())
 
 	case wire.VerbLatest:

@@ -173,7 +173,7 @@ func TestSoakWorkloadWithServer(t *testing.T) {
 	if kv["links"] != churn {
 		t.Errorf("server links=%d, churn created %d", kv["links"], churn)
 	}
-	for _, counter := range []string{"conns_shed", "inflight_shed", "readonly_refused", "degraded_refused", "batch_oversize", "panics"} {
+	for _, counter := range []string{"conns_shed", "readonly_refused", "degraded_refused", "batch_oversize", "panics"} {
 		if v, ok := kv[counter]; !ok {
 			t.Errorf("STATS missing counter %q", counter)
 		} else if v != 0 {
