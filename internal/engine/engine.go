@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -468,7 +469,8 @@ func (e *Engine) runRules(pol *policy, ev Event) {
 	// continuous assignments — batched into one locked database
 	// round-trip (UpdateOID) instead of a GetProp/SetProp pair per value.
 	if (prog != nil && len(prog.Assigns) > 0) || len(lets) > 0 {
-		e.applyAssignsAndLets(ev, prog, lets)
+		// Its one error, a target pruned since the delivery check, drops the phases.
+		_ = e.applyAssignsAndLets(ev, nil, prog, lets)
 	}
 	if prog == nil {
 		return
@@ -538,13 +540,15 @@ func (e *Engine) runRules(pol *policy, ev Event) {
 // and write the live property map.  Trace entries are recorded inside the
 // critical section (only when tracing) and emitted after it, in execution
 // order, so a slow tracer never extends the database lock hold time.
-func (e *Engine) applyAssignsAndLets(ev Event, prog *bpl.Program, lets []*bpl.LetDecl) {
+// seed, CreateOID's template values, is written into the map first.
+func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl.Program, lets []*bpl.LetDecl) error {
 	type rec struct {
 		kind   TraceKind
 		detail string
 	}
 	var recs []rec
 	err := e.db.UpdateOID(ev.Target, func(o *meta.OID) {
+		maps.Copy(o.Props, seed)
 		lookup := e.lookupOver(ev, o.Props)
 		if prog != nil {
 			for _, aa := range prog.Assigns {
@@ -582,10 +586,7 @@ func (e *Engine) applyAssignsAndLets(ev Event, prog *bpl.Program, lets []*bpl.Le
 		}
 	})
 	if err != nil {
-		// The target vanished between the delivery check and the update
-		// (concurrent prune); drop the phases silently like the unbatched
-		// path did.
-		return
+		return err
 	}
 	if e.tracing {
 		oid := ev.Target.String()
@@ -598,6 +599,7 @@ func (e *Engine) applyAssignsAndLets(ev Event, prog *bpl.Program, lets []*bpl.Le
 			}
 		}
 	}
+	return nil
 }
 
 // execPost runs one post action in the context of event ev.
@@ -636,17 +638,6 @@ func (e *Engine) execPost(ev Event, pa *bpl.PostAction, lookup bpl.LookupFunc) {
 		e.tracer.Trace(TraceEntry{Kind: TracePost, OID: nev.Target.String(), Event: pa.Event,
 			Detail: "dir " + pa.Dir.String()})
 	}
-}
-
-// reevalLets re-evaluates every continuous assignment of the OID's view and
-// stores the boolean results as properties.  ev supplies the variable
-// context; CreateOID passes a synthetic create event.
-func (e *Engine) reevalLets(idx *bpl.Index, ev Event) {
-	lets := idx.Lets(ev.Target.View)
-	if len(lets) == 0 {
-		return
-	}
-	e.applyAssignsAndLets(ev, nil, lets)
 }
 
 // propagate crosses the target's links with the delivered event, enqueuing

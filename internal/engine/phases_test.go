@@ -26,6 +26,23 @@ view v
 endview
 endblueprint`, WithTracer(tr), WithExecutor(rec))
 	k := mustCreate(t, e, "blk", "v")
+	// The CREATE traces the let's first value, then the creation; the let
+	// is evaluated twice — at creation, and on the create event's delivery,
+	// which changes and traces nothing.
+	var created []string
+	for _, en := range tr.Entries() {
+		switch en.Kind {
+		case TraceLet, TraceCreateOID:
+			created = append(created, en.Kind.String()+" "+en.OID+" "+en.Detail)
+		}
+	}
+	want := []string{TraceLet.String() + " blk,v,1 ready = false", TraceCreateOID.String() + " blk,v,1 owner yves"}
+	if strings.Join(created, "; ") != strings.Join(want, "; ") {
+		t.Errorf("CREATE traced %q, want %q", created, want)
+	}
+	if n := e.Stats().LetEvals; n != 2 {
+		t.Errorf("%d let evaluations after CREATE, want 2", n)
+	}
 	if err := e.PostAndDrain(Event{Name: "go", Dir: bpl.DirDown, Target: k}); err != nil {
 		t.Fatal(err)
 	}

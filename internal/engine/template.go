@@ -19,6 +19,11 @@ import (
 // blueprint's template rules, and posts the built-in "create" event at the
 // new OID.  It returns the new key.  The queue is not drained; callers
 // typically post a ckin event next and then Drain.
+//
+// Each OID the template touches changes in one update: the properties
+// move templates take leave the previous version together, and the new
+// version gets its whole map at once — owner, template values, and each
+// continuous assignment's first value.
 func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 	if user == "" {
 		user = e.user
@@ -32,27 +37,33 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 	pol := e.pol.Load()
 	prev, hasPrev := e.head.Predecessor(k)
 
-	// Owner is a generic property the engine always records.
-	if err := e.db.SetProp(k, meta.PropOwner, user); err != nil {
-		return meta.Key{}, err
+	// Owner is a generic property the engine always records.  Template
+	// property names are blueprint identifiers, which are valid names.
+	props := pol.idx.Properties(view)
+	seed := make(map[string]string, len(props)+1)
+	seed[meta.PropOwner] = user
+	for _, p := range props {
+		seed[p.Name] = p.Default
 	}
-
-	// Property templates.
-	for _, p := range pol.idx.Properties(view) {
-		val := p.Default
-		if hasPrev && p.Inherit != bpl.InheritNone {
-			if pv, ok, _ := e.head.GetProp(prev, p.Name); ok {
-				val = pv
-			}
-			if p.Inherit == bpl.InheritMove {
-				if err := e.db.DelProp(prev, p.Name); err != nil {
-					return meta.Key{}, err
+	if hasPrev {
+		err := e.db.UpdateOID(prev, func(o *meta.OID) {
+			for _, p := range props {
+				if v, ok := o.Props[p.Name]; ok && p.Inherit != bpl.InheritNone {
+					seed[p.Name] = v
+				}
+				if p.Inherit == bpl.InheritMove {
+					delete(o.Props, p.Name)
 				}
 			}
-		}
-		if err := e.db.SetProp(k, p.Name, val); err != nil {
+		})
+		if err != nil {
 			return meta.Key{}, err
 		}
+	}
+	// Continuous assignments get an initial evaluation.
+	ev := Event{Name: EventCreate, Target: k, User: user}
+	if err := e.applyAssignsAndLets(ev, seed, nil, pol.idx.Lets(view)); err != nil {
+		return meta.Key{}, err
 	}
 
 	// Link templates: shift or copy instances from the previous version.
@@ -61,9 +72,6 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 			return meta.Key{}, err
 		}
 	}
-
-	// Continuous assignments get an initial evaluation.
-	e.reevalLets(pol.idx, Event{Name: EventCreate, Target: k, User: user})
 
 	if e.tracing {
 		e.tracer.Trace(TraceEntry{Kind: TraceCreateOID, OID: k.String(), Detail: "owner " + user})

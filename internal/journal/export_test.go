@@ -18,3 +18,6 @@ func CheckpointOf(doc []byte, lsn int64) ([]byte, error) {
 
 // DecodePayload parses a record payload as recovery does.
 func DecodePayload(payload []byte) (meta.Record, error) { return decodePayload(payload) }
+
+// FollowWriteBytes is the buffer a follower writes through unsynced.
+const FollowWriteBytes = followWriteBytes

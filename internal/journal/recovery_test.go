@@ -22,8 +22,9 @@ import (
 // The recovery fixtures are the benchmark's design project (bench/project.go:
 // per tree 13 blocks in three views, 12 use links, 26 derive links) built
 // through Server.Handle on a journaled stack under the EDTC blueprint, so
-// the records are the ones a loaded primary has on disk — some 285 per
-// tree, most of them engine-posted events and property updates.  One
+// the records are the ones a loaded primary has on disk: 155 per tree, an
+// oid, an update and an event for each CREATE and a link for each LINK
+// (TestProjectLoadRecords), then check-ins up to 285 records a tree.  One
 // snapshot is taken `tail` records before the end and the writer abandoned:
 // a recovery loads that snapshot, walks the whole segment, and applies the
 // tail.
@@ -88,6 +89,19 @@ func (s *projectStack) handle(tb testing.TB, req wire.Request) {
 func (s *projectStack) checkin(tb testing.TB, tree, i int) {
 	leaf := meta.Key{Block: fmt.Sprintf("t%db%d", tree, 4+i%9), View: "schematic", Version: 1}
 	s.handle(tb, wire.Request{Verb: wire.VerbPost, Args: []string{"ckin", "down", leaf.String()}})
+}
+
+// TestProjectLoadRecords: a 16-tree project load ends at LSN 2,480 — each
+// CREATE journals an oid, one update and its create event, each LINK a link.
+func TestProjectLoadRecords(t *testing.T) {
+	s := openProjectStack(t, t.TempDir())
+	defer s.w.Abort()
+	for _, req := range projectRequests(16) {
+		s.handle(t, req)
+	}
+	if got := s.w.LastLSN(); got != 16*155 {
+		t.Fatalf("a 16-tree load ends at LSN %d, want %d", got, 16*155)
+	}
 }
 
 // buildRecoveryDir writes a journal directory holding the trees-tree

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/journal"
 	"repro/internal/meta"
 )
@@ -282,6 +283,103 @@ func TestFollowerLogResumeAndDuplicates(t *testing.T) {
 	}
 	if w2.LastLSN() != 4 || db2.Head().Stats().OIDs != 4 {
 		t.Fatalf("resume: lsn %d oids %d, want 4 and 4", w2.LastLSN(), db2.Head().Stats().OIDs)
+	}
+}
+
+// TestFollowerWritesThroughUnsynced: between its commits a follower writes
+// what it applies through to its segment a FollowWriteBytes buffer at a
+// time, without a sync and without moving its watermark; a Commit then costs
+// one sync, and a crash loses less than one such buffer.
+func TestFollowerWritesThroughUnsynced(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.New(faultfs.OS, faultfs.Plan{})
+	opt := journal.Options{Fsync: true, FS: inj, SnapshotEvery: -1}
+	w, _, err := journal.OpenFollower(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int // of each record's frame, record i at i-1
+	apply := func(n int) {
+		t.Helper()
+		for total := 0; total < n; {
+			lsn := int64(len(sizes) + 1)
+			f := journal.Frame(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
+				Args: []string{fmt.Sprintf("b%d,HDL_model,1", lsn), fmt.Sprint(lsn)}})
+			if _, err := w.ApplyAppend(f); err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, len(f))
+			total += len(f)
+		}
+	}
+	writes, syncs := inj.Count(faultfs.OpWrite), inj.Count(faultfs.OpSync)
+	apply(4 * journal.FollowWriteBytes)
+	if n := inj.Count(faultfs.OpWrite) - writes; n < 3 {
+		t.Errorf("%d records written through in %d writes, want 3 or more", len(sizes), n)
+	}
+	if n := inj.Count(faultfs.OpSync) - syncs; n != 0 || w.CommittedLSN() != 0 {
+		t.Errorf("%d syncs and the watermark at %d before any Commit, want none and 0", n, w.CommittedLSN())
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := inj.Count(faultfs.OpSync) - syncs; n != 1 || w.CommittedLSN() != int64(len(sizes)) {
+		t.Errorf("Commit: %d syncs, watermark %d, want 1 and %d", n, w.CommittedLSN(), len(sizes))
+	}
+
+	apply(2 * journal.FollowWriteBytes)
+	w.Abort()
+	w2, _, err := journal.OpenFollower(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	kept := int(w2.LastLSN())
+	lost := 0
+	for _, n := range sizes[min(kept, len(sizes)):] {
+		lost += n
+	}
+	if kept > len(sizes) || lost >= journal.FollowWriteBytes {
+		t.Errorf("a crash kept %d of %d records, losing %d B: want all but less than %d B", kept, len(sizes), lost, journal.FollowWriteBytes)
+	}
+}
+
+// TestFollowerRotatesWhileCatchingUp: a follower that writes through past
+// its segment's size has the segment synced and rotated by the spill before
+// any Commit of its own, so a long catch-up leaves bounded segments, each
+// durable before the next begins.
+func TestFollowerRotatesWhileCatchingUp(t *testing.T) {
+	dir := t.TempDir()
+	inj := faultfs.New(faultfs.OS, faultfs.Plan{})
+	w, _, err := journal.OpenFollower(dir, journal.Options{Fsync: true, FS: inj, SnapshotEvery: -1, SegmentBytes: journal.FollowWriteBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	syncs := inj.Count(faultfs.OpSync)
+	var lsn int64
+	for total := 0; total < 4*journal.FollowWriteBytes; {
+		lsn++
+		f := journal.Frame(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
+			Args: []string{fmt.Sprintf("b%d,HDL_model,1", lsn), fmt.Sprint(lsn)}})
+		if _, err := w.ApplyAppend(f); err != nil {
+			t.Fatal(err)
+		}
+		total += len(f)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.log"))
+		if len(segs) >= 3 && w.CommittedLSN() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d segments, watermark %d after %d records written through", len(segs), w.CommittedLSN(), lsn)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := inj.Count(faultfs.OpSync) - syncs; n < 2 {
+		t.Errorf("%d syncs for the segments filled, want one per rotation", n)
 	}
 }
 

@@ -74,6 +74,10 @@ func (o Options) withDefaults() Options {
 // pinning for the syscall's duration.
 const bufFlushBytes = 1 << 20
 
+// followWriteBytes is how much a follower buffers before ApplyAppend writes
+// it through to the segment, unsynced (writeThrough).
+const followWriteBytes = 64 << 10
+
 // Writer is an open journal: the meta.Recorder end that appends records,
 // and the snapshot/compaction machinery behind it.  One Writer owns its
 // directory; running two against the same directory corrupts the log.
@@ -406,10 +410,15 @@ func (w *Writer) appendLocked(lsn int64, buf []byte) {
 	w.buf = buf
 	w.pending++
 	if len(w.buf) >= bufFlushBytes {
-		select {
-		case w.spillCh <- struct{}{}:
-		default: // a spill wake-up is already pending
-		}
+		w.wakeSpill()
+	}
+}
+
+// wakeSpill wakes the spill goroutine to Commit.
+func (w *Writer) wakeSpill() {
+	select {
+	case w.spillCh <- struct{}{}:
+	default: // a spill wake-up is already pending
 	}
 }
 
@@ -588,6 +597,8 @@ func (w *Writer) Commit() error {
 // the database locks the snapshot collector takes, which is what makes
 // the pinned LSN match the collected state; applyMu restores that
 // atomicity here, where records are applied from outside the database.
+// Past followWriteBytes the buffer is written through, unsynced: only a
+// Commit makes the records durable and moves the watermark.
 func (w *Writer) ApplyAppend(frame []byte) (lsn int64, err error) {
 	if !w.follower {
 		return w.lastLSN.Load(), fmt.Errorf("journal: ApplyAppend on a primary-mode writer")
@@ -621,9 +632,31 @@ func (w *Writer) ApplyAppend(frame []byte) (lsn int64, err error) {
 		w.term.Store(w.db.CurrentTerm())
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.appendLocked(r.LSN, append(w.buf, frame...))
-	return r.LSN, w.ioErr
+	through := len(w.buf) >= followWriteBytes
+	err = w.ioErr
+	w.mu.Unlock()
+	if through && err == nil {
+		w.writeThrough()
+	}
+	return r.LSN, err
+}
+
+// writeThrough writes a follower's buffer to its segment without a sync, so
+// that between its commits — it commits when its stream is caught up — a
+// follower holds, and a process crash loses, less than followWriteBytes.
+// It holds flushMu, as Commit does: no record is written behind a Commit's
+// sync into the segment that Commit then retires.  A failed write, or a
+// segment it fills, wakes the spill, whose Commit retries the write or
+// degrades, or syncs the segment and rotates.
+func (w *Writer) writeThrough() {
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.writeBufLocked() != nil || w.segSize >= w.opt.SegmentBytes {
+		w.wakeSpill()
+	}
 }
 
 // BootstrapSnapshot installs a primary-shipped snapshot as the follower's

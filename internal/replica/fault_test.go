@@ -6,9 +6,14 @@ package replica_test
 // learn (and report over the wire) that its upstream is degraded.
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"net"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +22,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/replica"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // journalSyncFault wedges the nth fsync of a journal segment for good.
@@ -196,5 +202,95 @@ func TestUpstreamHealthPropagation(t *testing.T) {
 	}
 	if _, err := fc.Report(); err != nil {
 		t.Fatalf("follower of a degraded primary stopped serving reads: %v", err)
+	}
+}
+
+// TestFollowerCatchUpFsyncs: a -fsync follower catching up on a backlog
+// commits when it is caught up — at the primary's watermark frame — not
+// every few hundred records, so 4,000 records cost it one or two segment
+// syncs.  A relay between the two nodes reads every ACK the follower sends
+// and finds it at or below the follower's committed position: an ACK
+// still follows its commit.
+func TestFollowerCatchUpFsyncs(t *testing.T) {
+	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1})
+	for i := 0; p.w.LastLSN() < 4000; i++ {
+		if _, err := p.db.NewVersion(fmt.Sprintf("b%d", i), "HDL_model"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := p.quiesce()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var (
+		fw   atomic.Pointer[journal.Writer]
+		acks atomic.Int64
+		bad  atomic.Value // string: the first ACK above the committed position
+	)
+	ready := make(chan struct{})
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", p.addr)
+			if err != nil {
+				down.Close()
+				return
+			}
+			go func() { io.Copy(down, up); down.Close() }()
+			go func() {
+				defer up.Close()
+				r := bufio.NewReader(down)
+				for {
+					line, err := r.ReadString('\n')
+					if err != nil {
+						return
+					}
+					if f := strings.Fields(line); len(f) == 2 && f[0] == wire.AckPrefix {
+						<-ready
+						lsn, _ := strconv.ParseInt(f[1], 10, 64)
+						acks.Add(1)
+						if c := fw.Load().CommittedLSN(); lsn > c {
+							bad.CompareAndSwap(nil, fmt.Sprintf("ACK %d with the follower committed through %d", lsn, c))
+						}
+					}
+					if _, err := up.Write([]byte(line)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	inj := faultfs.New(faultfs.OS, faultfs.Plan{})
+	fol, err := replica.Start(t.TempDir(), ln.Addr().String(), journal.Options{Shards: 4, SnapshotEvery: -1, Fsync: true, FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fol.Abort)
+	fw.Store(fol.Writer())
+	close(ready)
+	if at, err := fol.WaitApplied(last, 20*time.Second); err != nil {
+		t.Fatalf("follower stuck at lsn %d of %d: %v (terminal: %v)", at, last, err, fol.Err())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for fol.Writer().CommittedLSN() < last || acks.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower committed through %d of %d, %d ACKs", fol.Writer().CommittedLSN(), last, acks.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	syncs := inj.Count(faultfs.OpSync)
+	t.Logf("%d records caught up with %d syncs, %d ACKs", last, syncs, acks.Load())
+	if syncs > 2 {
+		t.Errorf("%d syncs to catch up %d records, want at most 2", syncs, last)
+	}
+	if b := bad.Load(); b != nil {
+		t.Error(b)
 	}
 }

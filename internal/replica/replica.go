@@ -32,12 +32,6 @@ import (
 	"repro/internal/server"
 )
 
-// commitEvery bounds how many applied records may sit in the follower
-// journal's in-memory buffer before a commit pushes them to the operating
-// system.  A crash loses at most this much re-fetchable progress; the
-// stream's caught-up watermark additionally commits on every idle point.
-const commitEvery = 256
-
 // Follower is a live replication follower: a local journal directory, the
 // mirrored database recovered from it, and a background loop that keeps
 // both in step with the primary, reconnecting (and re-bootstrapping when
@@ -52,18 +46,17 @@ type Follower struct {
 	stall      time.Duration // dead-link detector; 0 = legacy unbounded stream reads
 	dialMax    time.Duration // bound on one dial attempt
 
-	mu          sync.Mutex
-	addr        string // current primary; Repoint swaps it on a live loop
-	applied     int64
-	watermark   int64 // newest caught-up watermark seen from the primary
-	progress    bool  // frames applied since the last reconnect
-	sinceCommit int64
-	conn        *server.Client
-	err         error // terminal replication error; nil while healthy
-	advCh       chan struct{}
-	repointCh   chan struct{}      // closed and replaced by Repoint: wakes a backoff pause
-	dialCancel  context.CancelFunc // cancels the in-flight dial; nil outside one
-	freshAt     time.Time          // last upstream freshness evidence; zero = none yet
+	mu         sync.Mutex
+	addr       string // current primary; Repoint swaps it on a live loop
+	applied    int64
+	watermark  int64 // newest caught-up watermark seen from the primary
+	progress   bool  // frames applied since the last reconnect
+	conn       *server.Client
+	err        error // terminal replication error; nil while healthy
+	advCh      chan struct{}
+	repointCh  chan struct{}      // closed and replaced by Repoint: wakes a backoff pause
+	dialCancel context.CancelFunc // cancels the in-flight dial; nil outside one
+	freshAt    time.Time          // last upstream freshness evidence; zero = none yet
 
 	upHealth atomic.Value // string: "" unknown/ok, else the upstream's degraded reason
 
@@ -343,12 +336,13 @@ func (f *Follower) Close() error {
 }
 
 // Abort stops replicating and drops the journal without flushing its
-// buffer — the crash-simulation exit.  At most commitEvery records of
-// re-fetchable progress are lost; the on-disk log stays valid and a
-// restarted follower resumes from its persisted position, re-fetching
-// (and duplicate-skipping across) the lost tail.  The aborting flag
-// suppresses the loop's park-commit: without it, every Abort would flush
-// the buffer on the way out and the "crash" would never lose anything.
+// buffer — the crash-simulation exit.  The records not yet written through
+// are lost: less than the journal's 64 KiB follower buffer of re-fetchable
+// progress, none of it acknowledged.  The on-disk log stays valid and a
+// restarted follower resumes from its persisted position, re-fetching (and
+// duplicate-skipping across) the lost tail.  The aborting flag suppresses the loop's
+// park-commit: without it, every Abort would flush the buffer on the way
+// out and the "crash" would never lose anything.
 func (f *Follower) Abort() {
 	f.aborting.Store(true)
 	f.halt()
@@ -526,9 +520,10 @@ func (f *Follower) pause(delay *time.Duration) bool {
 }
 
 // sendAck reports the follower's applied-and-committed position upstream
-// on the live stream.  Called at every commit point; a send failure is
-// ignored here — the broken transport surfaces on the stream's read side
-// and triggers the normal reconnect.
+// on the live stream.  Called after every commit the stream drives (a
+// watermark, a bootstrap); a send failure is ignored here — the broken
+// transport surfaces on the stream's read side and triggers the normal
+// reconnect.
 func (f *Follower) sendAck(lsn int64) {
 	f.mu.Lock()
 	c := f.conn
@@ -557,19 +552,8 @@ func (f *Follower) apply(ev journal.FollowEvent) error {
 		f.applied = lsn
 		f.freshAt = time.Now()
 		f.progress = true
-		f.sinceCommit++
-		flush := f.sinceCommit >= commitEvery
-		if flush {
-			f.sinceCommit = 0
-		}
 		f.wakeLocked()
 		f.mu.Unlock()
-		if flush {
-			if err := f.w.Commit(); err != nil {
-				return terminalError{err}
-			}
-			f.sendAck(lsn)
-		}
 
 	case journal.FollowSnapshot:
 		if err := f.w.BootstrapSnapshot(ev.SnapLSN, ev.Snapshot); err != nil {
@@ -580,14 +564,15 @@ func (f *Follower) apply(ev journal.FollowEvent) error {
 		f.applied = ev.SnapLSN
 		f.freshAt = time.Now()
 		f.progress = true
-		f.sinceCommit = 0
 		f.wakeLocked()
 		f.mu.Unlock()
 		f.sendAck(ev.SnapLSN)
 
 	case journal.FollowMark:
-		// Idle point: the primary has nothing more committed.  Make the
-		// applied tail durable so a crash resumes from here.
+		// Caught up: the primary has nothing more committed.  This is the
+		// follower's commit point — the records applied since the last one
+		// are made durable with one fsync, and only then acknowledged.
+		// Between marks the journal writes them through unsynced.
 		if err := f.w.Commit(); err != nil {
 			return terminalError{err}
 		}
@@ -595,7 +580,6 @@ func (f *Follower) apply(ev journal.FollowEvent) error {
 		f.watermark = ev.Watermark
 		f.freshAt = time.Now()
 		applied := f.applied
-		f.sinceCommit = 0
 		f.wakeLocked()
 		f.mu.Unlock()
 		f.sendAck(applied)

@@ -23,6 +23,11 @@ import (
 // temporary directory with opt (no snapshot loop, so the journal's I/O is
 // only what the requests cause).
 func journaledServer(t *testing.T, opt journal.Options) (*Server, *journal.Writer) {
+	return blueprintServer(t, bpl.EDTCExample, opt)
+}
+
+// blueprintServer is journaledServer under the blueprint src.
+func blueprintServer(t *testing.T, src string, opt journal.Options) (*Server, *journal.Writer) {
 	t.Helper()
 	opt.SnapshotEvery = -1
 	w, db, err := journal.Open(t.TempDir(), opt)
@@ -30,7 +35,7 @@ func journaledServer(t *testing.T, opt journal.Options) (*Server, *journal.Write
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Abort)
-	bp, err := bpl.Parse(bpl.EDTCExample)
+	bp, err := bpl.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
