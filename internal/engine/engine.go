@@ -63,8 +63,8 @@ type Engine struct {
 
 	executor exec.Executor
 	// journal is an atomic pointer because a follower promotion attaches
-	// it to an already-serving engine: Drain and enqueueLocked read it
-	// without coordination with AttachJournal.
+	// it to an already-serving engine: enqueueLocked reads it without
+	// coordination with AttachJournal.
 	journal  atomic.Pointer[journal.Writer]
 	tracer   Tracer
 	tracing  bool // false iff tracer is a NopTracer; gates all entry construction
@@ -89,10 +89,10 @@ func WithTracer(t Tracer) Option { return func(e *Engine) { e.tracer = t } }
 // recorder captures the mutations themselves (the engine's deliveries
 // reach it through the meta.DB methods they call); the engine adds the
 // posted-event audit stream — every event entering the queue, the same
-// stream a Tracer sees as TraceEnqueue — and, crucially, the durability
-// point: Drain commits the journal after the queue settles, so every
-// mutation a drain performed is on disk before PostAndDrain returns.
-// The journal must be the one whose Open recovered e's database.
+// stream a Tracer sees as TraceEnqueue.  The engine records and never
+// commits: the journal's owner decides when a write is durable (the
+// server, before it acknowledges).  The journal must be the one whose
+// Open recovered e's database.
 func WithJournal(j *journal.Writer) Option { return func(e *Engine) { e.journal.Store(j) } }
 
 // AttachJournal attaches a journal to a live engine — the promotion path,
@@ -304,25 +304,19 @@ func recycleWave(w *wave) {
 //
 // A call that yields to an already-running drain waits for that drain to
 // retire and then retries, so it returns only once a drain pass of its own
-// has covered the caller's events — with or without a journal: a caller
-// that returned at once would acknowledge an event another goroutine's
-// drain is still delivering, or one posted just as that drain exits.  With
-// a journal attached, Drain then commits it — the durability point for
-// everything the drain changed, before any "posted" response.
-// The wait is for one drain generation at a time, not global idleness, so
-// sustained traffic on other connections cannot starve the caller beyond
-// what running the drain itself would cost.  Exec handlers must not call
-// Drain from inside a delivery — post follow-up events instead, as the
-// deferred-invocation design intends.
+// has covered the caller's events: a caller that returned at once would
+// acknowledge an event another goroutine's drain is still delivering, or
+// one posted just as that drain exits.  What the drain changed is
+// recorded in the journal, if one is attached, and left for the caller to
+// commit.  The wait is for one drain generation at a time, not global
+// idleness, so sustained traffic on other connections cannot starve the
+// caller beyond what running the drain itself would cost.  Exec handlers
+// must not call Drain from inside a delivery — post follow-up events
+// instead, as the deferred-invocation design intends.
 func (e *Engine) Drain() error {
 	for {
 		ran, err := e.drainQueue()
 		if ran || err != nil {
-			if j := e.journal.Load(); j != nil {
-				if jerr := j.Commit(); err == nil {
-					err = jerr
-				}
-			}
 			return err
 		}
 		// Yielded to an in-flight drain: wait for that drain to retire,

@@ -1,9 +1,10 @@
 package server
 
-// The acknowledgement path: every mutating verb settles through one
-// journal Commit, which covers its caller — a write already carried by an
-// earlier flush costs no second fsync, writers queued behind one fsync
-// share it, and a failed fsync acknowledges none of the writes it carried.
+// The acknowledgement path: the engine records and the server commits.
+// Every write settles through one journal Commit, which covers its
+// caller — a write already carried by an earlier flush costs no second
+// fsync, writers queued behind one fsync share it, and a failed fsync
+// acknowledges none of the writes it carried.
 
 import (
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultfs"
 	"repro/internal/journal"
+	"repro/internal/meta"
 	"repro/internal/wire"
 )
 
@@ -26,8 +28,9 @@ func journaledServer(t *testing.T, opt journal.Options) (*Server, *journal.Write
 	return blueprintServer(t, bpl.EDTCExample, opt)
 }
 
-// blueprintServer is journaledServer under the blueprint src.
-func blueprintServer(t *testing.T, src string, opt journal.Options) (*Server, *journal.Writer) {
+// blueprintServer is journaledServer under the blueprint src, its engine
+// built with opts.
+func blueprintServer(t *testing.T, src string, opt journal.Options, opts ...engine.Option) (*Server, *journal.Writer) {
 	t.Helper()
 	opt.SnapshotEvery = -1
 	w, db, err := journal.Open(t.TempDir(), opt)
@@ -39,7 +42,7 @@ func blueprintServer(t *testing.T, src string, opt journal.Options) (*Server, *j
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(db, bp, engine.WithJournal(w))
+	eng, err := engine.New(db, bp, append(opts, engine.WithJournal(w))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +112,8 @@ func fsyncsPerAck(t *testing.T, writers, posts int, plan faultfs.Plan) float64 {
 }
 
 // TestFsyncPerAckOneWriter: a lone writer pays one fsync per
-// acknowledgement, no more — the POST's drain commits it and the settle
-// after it finds the write covered.
+// acknowledgement, no more — the POST's drain records and the settle after
+// it commits.
 func TestFsyncPerAckOneWriter(t *testing.T) {
 	if got := fsyncsPerAck(t, 1, 25, faultfs.Plan{}); got != 1 {
 		t.Fatalf("%.2f fsyncs per ack, want 1.00", got)
@@ -208,5 +211,77 @@ func TestFsyncGateQueuedWaiters(t *testing.T) {
 	}
 	if got := inj.Count(faultfs.OpSync); got != n+1 {
 		t.Errorf("%d syncs, want %d: a sync ran after the failure", got, n+1)
+	}
+}
+
+// TestDrainLeavesTheCommitToSettle: the engine records and never commits.
+// A drain run past the server leaves its records above the watermark, at
+// no fsync, and the next SYNC's settle is the one that puts them on disk.
+func TestDrainLeavesTheCommitToSettle(t *testing.T) {
+	inj := faultfs.New(faultfs.OS, faultfs.Plan{})
+	s, w := journaledServer(t, journal.Options{Fsync: true, FS: inj})
+	k, err := meta.ParseKey(handleOK(t, s, wire.VerbCreate, "CPU", "HDL_model").Detail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := inj.Count(faultfs.OpSync)
+	if err := s.Engine().PostAndDrain(engine.Event{Name: "hdl_sim", Dir: bpl.DirDown, Target: k, Args: []string{"good"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.Count(faultfs.OpSync) - before; got != 0 {
+		t.Errorf("PostAndDrain: %d fsyncs, want 0", got)
+	}
+	if wm, last := w.CommittedLSN(), w.LastLSN(); wm >= last {
+		t.Errorf("after PostAndDrain: watermark %d, last lsn %d; want the drain's records uncommitted", wm, last)
+	}
+	before = inj.Count(faultfs.OpSync)
+	handleOK(t, s, wire.VerbSync)
+	if got := inj.Count(faultfs.OpSync) - before; got != 1 {
+		t.Errorf("SYNC: %d fsyncs, want 1", got)
+	}
+	if wm, last := w.CommittedLSN(), w.LastLSN(); wm != last {
+		t.Errorf("after SYNC: watermark %d, want the last lsn %d", wm, last)
+	}
+}
+
+// TestDrainErrorSettles: a POST whose drain fails in the engine — a
+// feedback loop past the step limit — answers the engine's error once what
+// the drain recorded is committed, and the journal-io contract when that
+// commit fails.
+func TestDrainErrorSettles(t *testing.T) {
+	const feedback = `blueprint b
+view a
+    when ping do post ping down to b done
+endview
+view b
+    when ping do post ping down to a done
+endview
+endblueprint`
+	ping := wire.Request{Verb: wire.VerbPost, Args: []string{"ping", "down", "blk,a,1"}}
+	setup := func(fs faultfs.FS) (*Server, *journal.Writer) {
+		s, w := blueprintServer(t, feedback, journal.Options{FS: fs}, engine.WithMaxSteps(100))
+		handleOK(t, s, wire.VerbCreate, "blk", "a")
+		handleOK(t, s, wire.VerbCreate, "blk", "b")
+		return s, w
+	}
+
+	counter := faultfs.New(faultfs.OS, faultfs.Plan{})
+	s, w := setup(counter)
+	n := counter.Count(faultfs.OpWrite) + 1 // the POST's commit
+	before := w.LastLSN()
+	if resp := s.Handle(ping); resp.OK || !strings.Contains(resp.Detail, engine.ErrStepLimit.Error()) {
+		t.Errorf("POST into a feedback loop answered %+v, want the step limit", resp)
+	}
+	if wm, last := w.CommittedLSN(), w.LastLSN(); last == before || wm != last {
+		t.Errorf("after the step limit: watermark %d, last lsn %d (%d before); want the drain's records committed", wm, last, before)
+	}
+	if got := counter.Count(faultfs.OpWrite); got != n {
+		t.Fatalf("the POST made %d writes, want 1", got-n+1)
+	}
+
+	inj := faultfs.New(faultfs.OS, faultfs.SingleFault(faultfs.OpWrite, n, nil))
+	s, _ = setup(inj)
+	if resp := s.Handle(ping); resp.OK || !strings.HasPrefix(resp.Detail, "journal-io: ") {
+		t.Errorf("POST into a feedback loop over a failed commit answered %+v, want the journal-io: prefix", resp)
 	}
 }

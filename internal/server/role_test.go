@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bpl"
 	"repro/internal/engine"
+	"repro/internal/faultfs"
 	"repro/internal/journal"
 	"repro/internal/meta"
 	"repro/internal/wire"
@@ -236,5 +237,72 @@ func TestPromoteRoleIsOneValue(t *testing.T) {
 	wg.Wait()
 	if _, err := c.Create("after", "HDL_model"); err != nil {
 		t.Errorf("write after PROMOTE: %v", err)
+	}
+}
+
+// TestWriteVerbsRefusedUpFront: a read-only follower and a degraded
+// primary refuse each of the six write verbs before looking at its
+// arguments, counting every refusal once, and refuse no read verb.
+func TestWriteVerbsRefusedUpFront(t *testing.T) {
+	writes := []string{wire.VerbPost, wire.VerbBatch, wire.VerbCreate, wire.VerbLink, wire.VerbSnapshot, wire.VerbBPSwap}
+	reads := []string{wire.VerbPing, wire.VerbLSN, wire.VerbRole, wire.VerbState, wire.VerbReport, wire.VerbGap,
+		wire.VerbQuery, wire.VerbStats, wire.VerbLatest, wire.VerbProp, wire.VerbLinks, wire.VerbBlueprint, wire.VerbDot}
+
+	bp, err := bpl.Parse(bpl.EDTCExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(meta.NewDB(), bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := New(eng, WithReadOnly(steadyFollower{}))
+
+	// Write 1 is the segment header at Open; write 2, SYNC's commit of the
+	// setup's record, wedges the disk for good.
+	primary, w := journaledServer(t, journal.Options{FS: faultfs.New(faultfs.OS, faultfs.StickyFault(faultfs.OpWrite, 2, nil))})
+	if _, err := primary.Engine().DB().NewVersion("a", "HDL_model"); err != nil {
+		t.Fatal(err)
+	}
+	if resp := primary.Handle(wire.Request{Verb: wire.VerbSync}); resp.OK {
+		t.Fatal("SYNC acknowledged over a failed journal append")
+	}
+	_, reason := w.Health()
+
+	for _, tc := range []struct {
+		name    string
+		s       *Server
+		refusal func(verb string) string
+		count   *atomic.Int64
+	}{
+		{"follower", follower, func(verb string) string {
+			return "read-only follower: " + verb + " refused (write to the primary)"
+		}, &follower.counters.ReadOnlyRefused},
+		{"degraded", primary, func(string) string {
+			return "journal-io: " + reason + " (node degraded: writes refused, reads still served)"
+		}, &primary.counters.DegradedRefused},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, verb := range writes {
+				before := tc.count.Load()
+				resp := tc.s.Handle(wire.Request{Verb: verb})
+				if want := tc.refusal(verb); resp.OK || resp.Detail != want {
+					t.Errorf("%s answered %+v, want %q", verb, resp, want)
+				}
+				if got := tc.count.Load() - before; got != 1 {
+					t.Errorf("%s counted %d refusals, want 1", verb, got)
+				}
+			}
+			for _, verb := range reads {
+				before := tc.count.Load()
+				resp := tc.s.Handle(wire.Request{Verb: verb})
+				if strings.HasPrefix(resp.Detail, "read-only follower:") || strings.Contains(resp.Detail, "node degraded") {
+					t.Errorf("read verb %s refused: %q", verb, resp.Detail)
+				}
+				if got := tc.count.Load() - before; got != 0 {
+					t.Errorf("read verb %s counted %d refusals", verb, got)
+				}
+			}
+		})
 	}
 }

@@ -175,18 +175,15 @@ type Promotion struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithJournal tells the server which journal persists its database, so
-// every mutating verb, and SYNC, is on disk before its response is
-// written.  The engine should carry the same journal via
-// engine.WithJournal.  The journal also makes the server a replication
-// primary: the FOLLOW verb streams it.
+// WithJournal tells the server which journal persists its database.  The
+// engine records to it (engine.WithJournal, the same journal) and the
+// server commits it before it answers a write or SYNC.  The journal also
+// makes the server a replication primary: the FOLLOW verb streams it.
 func WithJournal(j *journal.Writer) Option { return func(s *Server) { s.role.Load().journal = j } }
 
-// WithReadOnly puts the server in follower read mode: every mutating verb
-// (POST, BATCH, CREATE, LINK, SNAPSHOT) is refused — the database is
-// mirrored from a primary and local writes would fork it — while the read
-// verbs (REPORT, GAP, STATE, QUERY-style lookups) serve from the
-// replicated state.  REPORT/GAP accept an optional minimum LSN that waits
+// WithReadOnly puts the server in follower read mode: every write verb
+// is refused — the database is mirrored from a primary and local writes
+// would fork it — while the read verbs serve from the replicated state.  REPORT/GAP accept an optional minimum LSN that waits
 // on f until the replica has applied at least that position, giving
 // clients read-your-writes across the primary/follower boundary.
 func WithReadOnly(f ReadFollower) Option { return func(s *Server) { s.role.Load().readOnly = f } }
@@ -247,14 +244,15 @@ func okf(format string, a ...any) wire.Response {
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // settle holds a write's acknowledgement until the write is on disk and
-// the configured quorum of follower watermarks covers it.  The LSN bound
-// is read before the commit, so it covers the caller's records and nothing
-// a later writer adds; Commit returns at once when a flush already carried
-// them.  A commit failure is the journal-io degraded contract speaking:
-// the prefix tells the client its write was refused by the disk, not the
-// protocol.  Once committed, a quorum timeout means under-replication, not
-// loss, and the error says so explicitly instead of stalling forever or
-// lying with an OK.
+// the configured quorum of follower watermarks covers it: the one
+// durability point of every write and of SYNC.  The LSN bound is read
+// after the caller's work and before the commit, so it covers the caller's
+// records and nothing a later writer adds; Commit returns at once when a
+// flush already carried them.  A commit failure is the journal-io degraded
+// contract speaking: the prefix tells the client its write was refused by
+// the disk, not the protocol.  Once committed, a quorum timeout means
+// under-replication, not loss, and the error says so explicitly instead of
+// stalling forever or lying with an OK.
 func (s *Server) settle(r *role) error {
 	if r.journal == nil {
 		return nil
@@ -263,31 +261,6 @@ func (s *Server) settle(r *role) error {
 	if err := r.journal.Commit(); err != nil {
 		return fmt.Errorf("journal-io: %v", err)
 	}
-	return s.replicated(lsn)
-}
-
-// drainSettle runs the engine's drain for the events the caller posted.
-// Drain commits after its pass, so a drain that returns nil has the
-// caller's records on disk, below the watermark, and only the quorum is
-// left.  A drain that failed on the journal left it degraded, and settle
-// answers it with the journal-io contract; one that failed in the engine
-// answers with its own error once what it did change is settled.
-func (s *Server) drainSettle(r *role) error {
-	if err := s.eng.Drain(); err != nil {
-		if serr := s.settle(r); serr != nil {
-			return serr
-		}
-		return err
-	}
-	if r.journal == nil {
-		return nil
-	}
-	return s.replicated(r.journal.CommittedLSN())
-}
-
-// replicated waits until the configured quorum of follower watermarks
-// reaches lsn.
-func (s *Server) replicated(lsn int64) error {
 	if s.quorum == nil {
 		return nil
 	}
@@ -934,6 +907,27 @@ func (s *Server) post(event, dir, oid string, args []string, user string) error 
 	return s.eng.Post(engine.Event{Name: event, Dir: d, Target: target, Args: args, User: user})
 }
 
+// effect is what a write verb's body leaves for Handle to finish.
+type effect uint8
+
+const (
+	unchanged effect = iota // a refusal or a no-op: nothing to settle
+	recorded                // journal records: settle them
+	posted                  // queued events: drain them, then settle
+)
+
+// writeVerbs are the mutating verbs and their bodies, which validate and
+// then mutate or post.  A follower or a degraded primary refuses each one
+// up front; Handle drains and settles after the body.
+var writeVerbs = map[string]func(*Server, wire.Request) (wire.Response, effect){
+	wire.VerbPost:     (*Server).writePost,
+	wire.VerbBatch:    (*Server).writeBatch,
+	wire.VerbCreate:   (*Server).writeCreate,
+	wire.VerbLink:     (*Server).writeLink,
+	wire.VerbSnapshot: (*Server).writeSnapshot,
+	wire.VerbBPSwap:   (*Server).writeBPSwap,
+}
+
 // Handle processes one request against the engine and database: what a
 // connection runs for every verb that does not stream, exported for
 // in-process use (the flow simulator drives the same code path without
@@ -943,8 +937,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		s.testHookHandle(req)
 	}
 	r := s.role.Load()
-	switch req.Verb {
-	case wire.VerbPost, wire.VerbBatch, wire.VerbCreate, wire.VerbLink, wire.VerbSnapshot, wire.VerbBPSwap:
+	if write, ok := writeVerbs[req.Verb]; ok {
 		if r.readOnly != nil {
 			s.counters.ReadOnlyRefused.Add(1)
 			return errf("read-only follower: %s refused (write to the primary)", req.Verb)
@@ -959,6 +952,21 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 				return errf("journal-io: %s (node degraded: writes refused, reads still served)", reason)
 			}
 		}
+		resp, eff := write(s, req)
+		var err error
+		if eff == posted {
+			err = s.eng.Drain()
+		}
+		// A drain's error is answered after the settle; a settle error wins.
+		if eff != unchanged {
+			if serr := s.settle(r); serr != nil {
+				err = serr
+			}
+		}
+		if err != nil {
+			return errf("%v", err)
+		}
+		return resp
 	}
 	switch req.Verb {
 	case wire.VerbPing:
@@ -1014,9 +1022,8 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		return errf("FOLLOW needs a network connection (it streams indefinitely)")
 
 	case wire.VerbSync:
-		// Quiescence may be observed a moment before another connection's
-		// drain commits, so settle here too — "idle" always means "settled
-		// and on disk".
+		// Once no drain runs or waits, settle puts what they recorded on
+		// disk: "idle" always means "settled and on disk".
 		s.eng.WaitIdle()
 		if err := s.settle(r); err != nil {
 			return errf("%v", err)
@@ -1025,92 +1032,6 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 
 	case wire.VerbQuit:
 		return okf("bye")
-
-	case wire.VerbPost:
-		if len(req.Args) < 3 {
-			return errf("POST wants <event> <up|down> <oid> [args...]")
-		}
-		if err := s.post(req.Args[0], req.Args[1], req.Args[2], req.Args[3:], req.User); err != nil {
-			return errf("%v", err)
-		}
-		if err := s.drainSettle(r); err != nil {
-			return errf("%v", err)
-		}
-		return okf("posted %s", req.Args[0])
-
-	case wire.VerbBatch:
-		// Many events, one round-trip, one drain — the batched form of
-		// POST a hierarchy check-in uses.  Items are validated and posted
-		// in order; a bad item is reported in the body without blocking
-		// the rest.  One drain runs after every accepted item is queued.
-		if len(req.Args) == 0 {
-			return errf("BATCH wants at least one <event dir oid [args...]> item")
-		}
-		if len(req.Args) > MaxBatchItems {
-			// Bounded intake: one request must not expand into unbounded
-			// queued work.  Nothing was posted — the client can split.
-			s.counters.BatchOversize.Add(1)
-			return errf("BATCH: %d items exceeds the %d-item bound (split the batch)", len(req.Args), MaxBatchItems)
-		}
-		body := make([]string, 0, len(req.Args))
-		posted := 0
-		for i, raw := range req.Args {
-			it, err := wire.ParseBatchItem(raw)
-			if err == nil {
-				err = s.post(it.Event, it.Dir, it.OID, it.Args, req.User)
-			}
-			if err != nil {
-				body = append(body, fmt.Sprintf("%d err %s", i, err))
-				continue
-			}
-			body = append(body, fmt.Sprintf("%d ok %s", i, it.Event))
-			posted++
-		}
-		if posted > 0 {
-			if err := s.drainSettle(r); err != nil {
-				return errf("%v", err)
-			}
-		}
-		return wire.Response{OK: posted == len(req.Args),
-			Detail: fmt.Sprintf("posted %d/%d", posted, len(req.Args)), Body: body}
-
-	case wire.VerbCreate:
-		if len(req.Args) != 2 {
-			return errf("CREATE wants <block> <view>")
-		}
-		k, err := s.eng.CreateOID(req.Args[0], req.Args[1], req.User)
-		if err != nil {
-			return errf("%v", err)
-		}
-		if err := s.drainSettle(r); err != nil {
-			return errf("%v", err)
-		}
-		return okf("%s", k)
-
-	case wire.VerbLink:
-		if len(req.Args) != 3 {
-			return errf("LINK wants <use|derive> <from-oid> <to-oid>")
-		}
-		class, err := meta.ParseLinkClass(req.Args[0])
-		if err != nil {
-			return errf("%v", err)
-		}
-		from, err := meta.ParseKey(req.Args[1])
-		if err != nil {
-			return errf("from: %v", err)
-		}
-		to, err := meta.ParseKey(req.Args[2])
-		if err != nil {
-			return errf("to: %v", err)
-		}
-		id, err := s.eng.CreateLink(class, from, to)
-		if err != nil {
-			return errf("%v", err)
-		}
-		if err := s.settle(r); err != nil {
-			return errf("%v", err)
-		}
-		return okf("%d", id)
 
 	case wire.VerbState:
 		if len(req.Args) != 1 {
@@ -1155,30 +1076,6 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 
 	case wire.VerbQuery:
 		return s.handleQuery(req)
-
-	case wire.VerbSnapshot:
-		if len(req.Args) != 2 {
-			return errf("SNAPSHOT wants <name> <root-oid|*>")
-		}
-		name := req.Args[0]
-		var cfg *meta.Configuration
-		var err error
-		if req.Args[1] == "*" {
-			cfg, err = s.eng.DB().SnapshotQuery(name, func(*meta.OID) bool { return true })
-		} else {
-			var root meta.Key
-			root, err = meta.ParseKey(req.Args[1])
-			if err == nil {
-				cfg, err = s.eng.DB().SnapshotHierarchy(name, root, meta.FollowAllLinks)
-			}
-		}
-		if err != nil {
-			return errf("%v", err)
-		}
-		if err := s.settle(r); err != nil {
-			return errf("%v", err)
-		}
-		return okf("%d oids %d links", len(cfg.OIDs), len(cfg.Links))
 
 	case wire.VerbStats:
 		es := s.eng.Stats()
@@ -1267,26 +1164,128 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		body := strings.Split(strings.TrimRight(src, "\n"), "\n")
 		return wire.Response{OK: true, Detail: s.eng.Blueprint().Name, Body: body}
 
-	case wire.VerbBPSwap:
-		// Swap the live blueprint: parse, analyze and atomically install
-		// the new policy while events keep flowing.  The swap is node
-		// configuration, not project data — it is NOT journaled and does
-		// not replicate; each node carries its own policy (docs/LOAD.md).
-		if len(req.Args) != 1 {
-			return errf("BPSWAP wants exactly one <source> arg")
-		}
-		bp, err := bpl.Parse(req.Args[0])
-		if err != nil {
-			return errf("BPSWAP: %v", err)
-		}
-		if err := s.eng.SetBlueprint(bp); err != nil {
-			return errf("BPSWAP: %v", err)
-		}
-		return okf("blueprint %s installed (%d views)", bp.Name, len(bp.Views))
-
 	default:
 		return errf("unknown verb %q", req.Verb)
 	}
+}
+
+func (s *Server) writePost(req wire.Request) (wire.Response, effect) {
+	if len(req.Args) < 3 {
+		return errf("POST wants <event> <up|down> <oid> [args...]"), unchanged
+	}
+	if err := s.post(req.Args[0], req.Args[1], req.Args[2], req.Args[3:], req.User); err != nil {
+		return errf("%v", err), unchanged
+	}
+	return okf("posted %s", req.Args[0]), posted
+}
+
+// writeBatch posts many events in one round-trip, for one drain — the
+// batched POST of a hierarchy check-in.  A bad item is reported in the
+// body without blocking the rest.
+func (s *Server) writeBatch(req wire.Request) (wire.Response, effect) {
+	if len(req.Args) == 0 {
+		return errf("BATCH wants at least one <event dir oid [args...]> item"), unchanged
+	}
+	if len(req.Args) > MaxBatchItems {
+		// Bounded intake: one request must not expand into unbounded
+		// queued work.  Nothing was posted — the client can split.
+		s.counters.BatchOversize.Add(1)
+		return errf("BATCH: %d items exceeds the %d-item bound (split the batch)", len(req.Args), MaxBatchItems), unchanged
+	}
+	body := make([]string, 0, len(req.Args))
+	n := 0
+	for i, raw := range req.Args {
+		it, err := wire.ParseBatchItem(raw)
+		if err == nil {
+			err = s.post(it.Event, it.Dir, it.OID, it.Args, req.User)
+		}
+		if err != nil {
+			body = append(body, fmt.Sprintf("%d err %s", i, err))
+			continue
+		}
+		body = append(body, fmt.Sprintf("%d ok %s", i, it.Event))
+		n++
+	}
+	resp := wire.Response{OK: n == len(req.Args),
+		Detail: fmt.Sprintf("posted %d/%d", n, len(req.Args)), Body: body}
+	if n == 0 {
+		return resp, unchanged
+	}
+	return resp, posted
+}
+
+func (s *Server) writeCreate(req wire.Request) (wire.Response, effect) {
+	if len(req.Args) != 2 {
+		return errf("CREATE wants <block> <view>"), unchanged
+	}
+	k, err := s.eng.CreateOID(req.Args[0], req.Args[1], req.User)
+	if err != nil {
+		return errf("%v", err), unchanged
+	}
+	return okf("%s", k), posted
+}
+
+func (s *Server) writeLink(req wire.Request) (wire.Response, effect) {
+	if len(req.Args) != 3 {
+		return errf("LINK wants <use|derive> <from-oid> <to-oid>"), unchanged
+	}
+	class, err := meta.ParseLinkClass(req.Args[0])
+	if err != nil {
+		return errf("%v", err), unchanged
+	}
+	from, err := meta.ParseKey(req.Args[1])
+	if err != nil {
+		return errf("from: %v", err), unchanged
+	}
+	to, err := meta.ParseKey(req.Args[2])
+	if err != nil {
+		return errf("to: %v", err), unchanged
+	}
+	id, err := s.eng.CreateLink(class, from, to)
+	if err != nil {
+		return errf("%v", err), unchanged
+	}
+	return okf("%d", id), recorded
+}
+
+func (s *Server) writeSnapshot(req wire.Request) (wire.Response, effect) {
+	if len(req.Args) != 2 {
+		return errf("SNAPSHOT wants <name> <root-oid|*>"), unchanged
+	}
+	name := req.Args[0]
+	var cfg *meta.Configuration
+	var err error
+	if req.Args[1] == "*" {
+		cfg, err = s.eng.DB().SnapshotQuery(name, func(*meta.OID) bool { return true })
+	} else {
+		var root meta.Key
+		root, err = meta.ParseKey(req.Args[1])
+		if err == nil {
+			cfg, err = s.eng.DB().SnapshotHierarchy(name, root, meta.FollowAllLinks)
+		}
+	}
+	if err != nil {
+		return errf("%v", err), unchanged
+	}
+	return okf("%d oids %d links", len(cfg.OIDs), len(cfg.Links)), recorded
+}
+
+// writeBPSwap swaps the live blueprint: parse, analyze and atomically
+// install the new policy while events keep flowing.  The swap is node
+// configuration, not project data — it is NOT journaled and does not
+// replicate; each node carries its own policy (docs/LOAD.md).
+func (s *Server) writeBPSwap(req wire.Request) (wire.Response, effect) {
+	if len(req.Args) != 1 {
+		return errf("BPSWAP wants exactly one <source> arg"), unchanged
+	}
+	bp, err := bpl.Parse(req.Args[0])
+	if err != nil {
+		return errf("BPSWAP: %v", err), unchanged
+	}
+	if err := s.eng.SetBlueprint(bp); err != nil {
+		return errf("BPSWAP: %v", err), unchanged
+	}
+	return okf("blueprint %s installed (%d views)", bp.Name, len(bp.Views)), unchanged
 }
 
 // healthFields renders the ROLE health suffix.  The reason is folded to
