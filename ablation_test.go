@@ -18,7 +18,7 @@ import (
 //
 // There are 2^k distinct paths from a0 to ak, so propagation without wave
 // dedup re-delivers exponentially while dedup visits each OID once.
-func buildDiamondLattice(b *testing.B, eng *Engine, k int) Key {
+func buildDiamondLattice(b *testing.B, eng *engine.Engine, k int) Key {
 	b.Helper()
 	mk := func(name string) Key {
 		key, err := eng.CreateOID(name, "node", "bench")
@@ -71,13 +71,13 @@ endblueprint`
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng, err := NewEngine(NewDB(), bp,
+				eng, err := engine.New(meta.NewDB(), bp,
 					engine.WithWaveDedup(dedup), engine.WithMaxSteps(1<<40))
 				if err != nil {
 					b.Fatal(err)
 				}
 				root := buildDiamondLattice(b, eng, k)
-				ev := Event{Name: EventOutOfDate, Dir: DirDown, Target: root}
+				ev := Event{Name: engine.EventOutOfDate, Dir: DirDown, Target: root}
 				before := eng.Stats()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -98,7 +98,7 @@ endblueprint`
 // several link counts per OID.
 func BenchmarkAblationLinkIteration(b *testing.B) {
 	for _, n := range []int{4, 32, 256} {
-		db := NewDB()
+		db := meta.NewDB()
 		hub, err := db.NewVersion("hub", "v")
 		if err != nil {
 			b.Fatal(err)
@@ -169,7 +169,7 @@ endblueprint`
 		b.Run(name, func(b *testing.B) {
 			proj := mustProject(b, src)
 			k := mustKey(b, proj.Engine, "blk", "node")
-			ev := Event{Name: EventCheckin, Dir: DirDown, Target: k}
+			ev := Event{Name: engine.EventCheckin, Dir: DirDown, Target: k}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := proj.Engine.PostAndDrain(ev); err != nil {
@@ -196,7 +196,7 @@ endblueprint`
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(NewDB(), bp, engine.WithWaveDedup(dedup))
+		eng, err := engine.New(meta.NewDB(), bp, engine.WithWaveDedup(dedup))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,11 +222,11 @@ endblueprint`
 		if err := eng.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.PostAndDrain(Event{Name: EventOutOfDate, Dir: DirDown, Target: a}); err != nil {
+		if err := eng.PostAndDrain(Event{Name: engine.EventOutOfDate, Dir: DirDown, Target: a}); err != nil {
 			t.Fatal(err)
 		}
 		state := map[string]string{}
-		eng.DB().Head().EachOID(func(o *OID) bool {
+		eng.DB().Head().EachOID(func(o *meta.OID) bool {
 			state[o.Key.String()] = o.Props["uptodate"]
 			return true
 		})

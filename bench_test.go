@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bpl"
+	"repro/internal/engine"
 	"repro/internal/flow"
 	"repro/internal/meta"
 	"repro/internal/server"
@@ -26,16 +27,16 @@ import (
 	"repro/internal/wrapper"
 )
 
-func mustProject(b *testing.B, src string, opts ...EngineOption) *Project {
+func mustProject(b *testing.B, src string) *Project {
 	b.Helper()
-	proj, err := NewProject(src, opts...)
+	proj, err := NewProject(src)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return proj
 }
 
-func mustKey(b *testing.B, eng *Engine, block, view string) Key {
+func mustKey(b *testing.B, eng *engine.Engine, block, view string) Key {
 	b.Helper()
 	k, err := eng.CreateOID(block, view, "bench")
 	if err != nil {
@@ -101,7 +102,7 @@ func BenchmarkFig1HierarchyCheckinTCP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := NewEngine(NewDB(), bp)
+	eng, err := engine.New(meta.NewDB(), bp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func BenchmarkFig1HierarchyCheckinTCP(b *testing.B) {
 	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.PostEvent(EventCheckin, "down", root); err != nil {
+		if err := c.PostEvent(engine.EventCheckin, "down", root); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,7 +239,7 @@ func BenchmarkPropagationScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng, err := NewEngine(NewDB(), bp)
+			eng, err := engine.New(meta.NewDB(), bp)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -246,7 +247,7 @@ func BenchmarkPropagationScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ev := Event{Name: EventCheckin, Dir: DirDown, Target: root}
+			ev := Event{Name: engine.EventCheckin, Dir: DirDown, Target: root}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := eng.PostAndDrain(ev); err != nil {
@@ -264,10 +265,15 @@ func BenchmarkPropagationScaling(b *testing.B) {
 // ---------------------------------------------------------------------------
 // EXP-LOOSE — policy loosening limits change propagation
 
-// BenchmarkPolicyLoosening compares the same check-in under the strict
-// policy (ckin posts outofdate, links propagate it) and a loosened one
-// (early design phase: no invalidation), reproducing "the BluePrint can be
-// loosened thereby limiting change propagation".
+// BenchmarkPolicyLoosening posts the same check-in on the same tree under
+// the strict policy (ckin posts outofdate, links propagate it) and under a
+// loosened one for an early design phase, swapped in at run time as the
+// administrator re-initializes the BluePrint: "the BluePrint can be
+// loosened thereby limiting change propagation".  Each arm fails unless
+// the story holds: under the strict policy a check-in is delivered to
+// every block and the root's ckin (122 deliveries) and leaves every block
+// below the root out of date (120), under the loosened one it is its own
+// single delivery and invalidates nothing.
 func BenchmarkPolicyLoosening(b *testing.B) {
 	const looseSrc = `blueprint loose
 view default
@@ -278,30 +284,31 @@ view node
     use_link move propagates outofdate
 endview
 endblueprint`
-	build := func(b *testing.B, src string) (*Engine, Key) {
-		var bp *Blueprint
-		var err error
-		if src == "" {
-			bp, err = flow.PropagationBlueprint("strict", "node", []string{"outofdate"})
-		} else {
-			bp, err = ParseBlueprint(src)
-		}
+	run := func(b *testing.B, loosen bool) {
+		strict, err := flow.PropagationBlueprint("strict", "node", []string{"outofdate"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := NewEngine(NewDB(), bp)
+		eng, err := engine.New(meta.NewDB(), strict)
 		if err != nil {
 			b.Fatal(err)
 		}
-		root, _, err := flow.BuildTree(eng, flow.TreeSpec{View: "node", Depth: 5, Fanout: 3})
+		root, all, err := flow.BuildTree(eng, flow.TreeSpec{View: "node", Depth: 5, Fanout: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return eng, root
-	}
-	run := func(b *testing.B, src string) {
-		eng, root := build(b, src)
-		ev := Event{Name: EventCheckin, Dir: DirDown, Target: root}
+		wantDeliveries, wantStale := len(all)+1, len(all)-1
+		if loosen {
+			loose, err := bpl.Parse(looseSrc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.SetBlueprint(loose); err != nil {
+				b.Fatal(err)
+			}
+			wantDeliveries, wantStale = 1, 0
+		}
+		ev := Event{Name: engine.EventCheckin, Dir: DirDown, Target: root}
 		before := eng.Stats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -310,11 +317,22 @@ endblueprint`
 			}
 		}
 		b.StopTimer()
-		after := eng.Stats()
-		b.ReportMetric(float64(after.Deliveries-before.Deliveries)/float64(b.N), "deliveries/op")
+		deliveries := float64(eng.Stats().Deliveries-before.Deliveries) / float64(b.N)
+		stale := 0
+		head := eng.DB().Head()
+		for _, k := range all {
+			if v, _, _ := head.GetProp(k, "uptodate"); v == "false" {
+				stale++
+			}
+		}
+		if deliveries != float64(wantDeliveries) || stale != wantStale {
+			b.Fatalf("%d blocks: %g deliveries per check-in and %d out of date, want %d and %d",
+				len(all), deliveries, stale, wantDeliveries, wantStale)
+		}
+		b.ReportMetric(deliveries, "deliveries/op")
 	}
-	b.Run("strict", func(b *testing.B) { run(b, "") })
-	b.Run("loosened", func(b *testing.B) { run(b, looseSrc) })
+	b.Run("strict", func(b *testing.B) { run(b, false) })
+	b.Run("loosened", func(b *testing.B) { run(b, true) })
 }
 
 // ---------------------------------------------------------------------------
@@ -358,7 +376,7 @@ func BenchmarkObserverVsActivityDriven(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("observer-designer/chain=%d", n), func(b *testing.B) {
 			proj, head, tail := buildObserver(b)
-			ev := Event{Name: EventCheckin, Dir: DirDown, Target: head}
+			ev := Event{Name: engine.EventCheckin, Dir: DirDown, Target: head}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// The designer blocks only for the event post (enqueue)
@@ -380,7 +398,7 @@ func BenchmarkObserverVsActivityDriven(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("observer-total/chain=%d", n), func(b *testing.B) {
 			proj, head, _ := buildObserver(b)
-			ev := Event{Name: EventCheckin, Dir: DirDown, Target: head}
+			ev := Event{Name: engine.EventCheckin, Dir: DirDown, Target: head}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := proj.Engine.PostAndDrain(ev); err != nil {
@@ -431,7 +449,7 @@ func BenchmarkEventVsPollingDetection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := NewEngine(NewDB(), bp)
+		eng, err := engine.New(meta.NewDB(), bp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -446,7 +464,7 @@ func BenchmarkEventVsPollingDetection(b *testing.B) {
 				if i == 0 {
 					heads = append(heads, k)
 				} else {
-					if _, err := eng.CreateLink(UseLink, prev, k); err != nil {
+					if _, err := eng.CreateLink(meta.UseLink, prev, k); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -458,7 +476,7 @@ func BenchmarkEventVsPollingDetection(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := eng.PostAndDrain(Event{Name: EventCheckin, Dir: DirDown, Target: heads[i%chains]}); err != nil {
+			if err := eng.PostAndDrain(Event{Name: engine.EventCheckin, Dir: DirDown, Target: heads[i%chains]}); err != nil {
 				b.Fatal(err)
 			}
 			// The stale set is already materialized in properties.
@@ -514,7 +532,7 @@ func BenchmarkConfigurationSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng, err := NewEngine(NewDB(), bp)
+		eng, err := engine.New(meta.NewDB(), bp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -581,9 +599,9 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 	events := []Event{
 		{Name: "hdl_sim", Dir: DirDown, Target: hdl, Args: []string{"good"}},
-		{Name: EventCheckin, Dir: DirDown, Target: hdl},
-		{Name: "nl_sim", Dir: DirUp, Target: nl, Args: []string{"good"}},
-		{Name: EventCheckin, Dir: DirDown, Target: sch},
+		{Name: engine.EventCheckin, Dir: DirDown, Target: hdl},
+		{Name: "nl_sim", Dir: bpl.DirUp, Target: nl, Args: []string{"good"}},
+		{Name: engine.EventCheckin, Dir: DirDown, Target: sch},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -697,7 +715,7 @@ func BenchmarkBlueprintParse(b *testing.B) {
 // buildBenchForest creates trees disjoint use-link trees (depth levels,
 // fanout children) with per-tree block prefixes, so no two waves touch a
 // common OID, and returns the roots.
-func buildBenchForest(b *testing.B, eng *Engine, trees, depth, fanout int) []Key {
+func buildBenchForest(b *testing.B, eng *engine.Engine, trees, depth, fanout int) []Key {
 	b.Helper()
 	roots := make([]Key, 0, trees)
 	for tr := 0; tr < trees; tr++ {
@@ -717,7 +735,7 @@ func buildBenchForest(b *testing.B, eng *Engine, trees, depth, fanout int) []Key
 						b.Fatal(err)
 					}
 					id++
-					if _, err := eng.CreateLink(UseLink, parent, k); err != nil {
+					if _, err := eng.CreateLink(meta.UseLink, parent, k); err != nil {
 						b.Fatal(err)
 					}
 					next = append(next, k)
@@ -732,13 +750,13 @@ func buildBenchForest(b *testing.B, eng *Engine, trees, depth, fanout int) []Key
 	return roots
 }
 
-func parallelDrainEngine(b *testing.B, trees int) (*Engine, []Key) {
+func parallelDrainEngine(b *testing.B, trees int) (*engine.Engine, []Key) {
 	b.Helper()
 	bp, err := flow.PropagationBlueprint("par", "node", []string{"outofdate"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := NewEngine(NewDB(), bp)
+	eng, err := engine.New(meta.NewDB(), bp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -751,7 +769,7 @@ func parallelDrainEngine(b *testing.B, trees int) (*Engine, []Key) {
 func BenchmarkBatchDrain(b *testing.B) {
 	const trees = 8
 	eng, roots := parallelDrainEngine(b, trees)
-	ev := Event{Name: EventCheckin, Dir: DirDown}
+	ev := Event{Name: engine.EventCheckin, Dir: DirDown}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range roots {
@@ -780,7 +798,7 @@ func BenchmarkParallelDrain(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				r := roots[int(next.Add(1))%len(roots)]
-				if err := eng.PostAndDrain(Event{Name: EventCheckin, Dir: DirDown, Target: r}); err != nil {
+				if err := eng.PostAndDrain(Event{Name: engine.EventCheckin, Dir: DirDown, Target: r}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -804,7 +822,7 @@ func BenchmarkEventThroughputParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			r := roots[int(next.Add(1))%len(roots)]
-			if err := eng.PostAndDrain(Event{Name: EventCheckin, Dir: DirDown, Target: r}); err != nil {
+			if err := eng.PostAndDrain(Event{Name: engine.EventCheckin, Dir: DirDown, Target: r}); err != nil {
 				b.Fatal(err)
 			}
 		}

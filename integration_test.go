@@ -9,8 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bpl"
 	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/flow"
+	"repro/internal/meta"
 	"repro/internal/server"
 	"repro/internal/task"
 	"repro/internal/tools"
@@ -114,7 +117,7 @@ func TestIntegrationRemoteTeamFlow(t *testing.T) {
 	if err := proj.DB.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := LoadDB(&buf)
+	db2, err := meta.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,25 +188,28 @@ func TestIntegrationTasksOverScenario(t *testing.T) {
 // completes, state is updated, failures are counted and traced.
 func TestIntegrationEngineSurvivesExecutorFailures(t *testing.T) {
 	tr := &engine.BufferTracer{}
-	proj, err := NewProject(EDTCExample,
-		WithExecutor(failingExecutor{}), engine.WithTracer(tr))
+	bp, err := bpl.Parse(EDTCExample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := proj.Engine.CreateOID("CPU", "schematic", "x")
+	eng, err := engine.New(meta.NewDB(), bp, engine.WithExecutor(failingExecutor{}), engine.WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := eng.CreateOID("CPU", "schematic", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ckin fires the netlister exec rule, which fails.
-	if err := proj.Engine.PostAndDrain(Event{Name: EventCheckin, Dir: DirDown, Target: sch}); err != nil {
+	if err := eng.PostAndDrain(Event{Name: engine.EventCheckin, Dir: DirDown, Target: sch}); err != nil {
 		t.Fatal(err)
 	}
 	// State was still maintained.
-	v, _, err := proj.DB.Head().GetProp(sch, "uptodate")
+	v, _, err := eng.DB().Head().GetProp(sch, "uptodate")
 	if err != nil || v != "true" {
 		t.Errorf("uptodate = %q %v", v, err)
 	}
-	s := proj.Engine.Stats()
+	s := eng.Stats()
 	if s.ExecErrors == 0 {
 		t.Error("executor failure not counted")
 	}
@@ -220,8 +226,8 @@ func TestIntegrationEngineSurvivesExecutorFailures(t *testing.T) {
 
 type failingExecutor struct{}
 
-func (failingExecutor) Exec(Invocation) error { return errBoom }
-func (failingExecutor) Notify(string) error   { return errBoom }
+func (failingExecutor) Exec(exec.Invocation) error { return errBoom }
+func (failingExecutor) Notify(string) error        { return errBoom }
 
 var errBoom = &toolBoom{}
 

@@ -5,8 +5,10 @@ import "testing"
 // FuzzParse: BPSWAP hands network input to Parse.  Parse never panics, and
 // whatever it accepts prints to a source that parses back to the same
 // blueprint, compared by printed text.  The seeds are the two package
-// examples; the blueprints of examples/ and of the engine's feedback-loop
-// and duplicate-property tests are the corpus under testdata/fuzz.
+// examples; the blueprints of the root Examples and benchmarks (their file
+// names still say examples_, after the programs that first held them) and
+// of the engine's feedback-loop and duplicate-property tests are the corpus
+// under testdata/fuzz.
 func FuzzParse(f *testing.F) {
 	f.Add(EDTCExample)
 	f.Add(DSMExample)

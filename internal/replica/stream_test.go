@@ -23,6 +23,8 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/netfault"
+	"repro/internal/replica"
+	"repro/internal/server"
 )
 
 // caughtUp waits for node n to apply lsn, reporting — not failing on — a
@@ -278,5 +280,40 @@ func TestFollowerStallsOnPhantomFrameLength(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, a.fol.DB()), saveBytes(t, p.db)) {
 		t.Errorf("the follower's Save differs from the primary's")
+	}
+}
+
+// TestFollowerAppliesRunWithoutPing: the primary sends a run's records with
+// the watermark that ends the run, so a follower of a primary that never
+// pings, and goes quiet after one commit, applies the whole run and learns
+// its watermark at once, not at a ping or a later commit that never come.
+// Its stall detector is off, so a record left in the primary's write
+// buffer could not come back through a reconnect either.
+func TestFollowerAppliesRunWithoutPing(t *testing.T) {
+	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1}, server.WithFollowPing(0))
+	run := func(prefix string) int64 {
+		for i := 0; i < 50; i++ {
+			if _, err := p.db.NewVersion(fmt.Sprintf("%s%d", prefix, i), "HDL_model"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p.quiesce() // one commit: the run
+	}
+	applied := func(n *fnode, lsn int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); n.fol.AppliedLSN() < lsn || n.fol.Watermark() < lsn; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower at lsn %d, watermark %d; want both at %d (terminal: %v)",
+					n.fol.AppliedLSN(), n.fol.Watermark(), lsn, n.fol.Err())
+			}
+		}
+	}
+
+	caughtUp := run("old") // streamed as the follower's catch-up
+	f := startNode(t, t.TempDir(), p.addr, journal.Options{}, replica.WithStallTimeout(0))
+	applied(f, caughtUp)
+	applied(f, run("new")) // streamed to a parked follower
+	if st := f.fol.Stats(); st.Connects != 1 || st.Stalls != 0 {
+		t.Fatalf("stats %+v, want one connection and no stall", st)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
@@ -139,5 +140,65 @@ func TestFollowVersionRefused(t *testing.T) {
 	err = c.FollowFrom(0, 1, func(journal.FollowEvent) error { return nil })
 	if !errors.Is(err, ErrFollowRefused) || !strings.Contains(err.Error(), "stream version 2") {
 		t.Fatalf("a primary of stream version 1: %v, want ErrFollowRefused naming version 2", err)
+	}
+}
+
+// TestFollowCostsOneWritePerRun: a FOLLOW that catches up on a run of
+// committed records reaches the connection in as many writes as the run
+// fills write buffers, plus the header's and the end's, not one write per
+// record, and carries exactly the events a tail of the journal hands out.
+func TestFollowCostsOneWritePerRun(t *testing.T) {
+	s, w := journaledServer(t, journal.Options{})
+	for i := 0; i < 100; i++ {
+		handleOK(t, s, wire.VerbCreate, fmt.Sprintf("b%d", i), "HDL_model")
+	}
+	// The oracle: the header, then what a tail of the journal hands out up
+	// to and including its watermark, then the end of the stream.
+	want := []byte("OK+ following after lsn 0\n")
+	header := len(want)
+	tail := w.NewTailer(0)
+	defer tail.Close()
+	records := 0
+	for {
+		ev, err := tail.Next(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = journal.AppendFollowEvent(want, ev)
+		if ev.Kind == journal.FollowMark {
+			break
+		}
+		records++
+	}
+	caughtUp := len(want)
+	want = journal.AppendFollowEvent(want, journal.FollowEvent{Kind: journal.FollowEnd})
+
+	conn := newCountingConn()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.serveConn(conn)
+	}()
+	conn.req <- fmt.Sprintf("%s\n", followRequest{version: journal.FollowVersion}.Bytes())
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		conn.mu.Lock()
+		sent := conn.out.Len()
+		conn.mu.Unlock()
+		if sent >= caughtUp {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the %d bytes up to the watermark sent", sent, caughtUp)
+		}
+	}
+	close(conn.req) // the follower hangs up: the stream ends
+	<-served
+
+	if got := conn.out.String(); got != string(want) {
+		t.Fatalf("stream differs from the tail's events (%d bytes, want %d)", len(got), len(want))
+	}
+	stream := caughtUp - header
+	if limit := (stream+connWriteBuffer-1)/connWriteBuffer + 2; records < 100 || conn.writes > limit {
+		t.Fatalf("%d writes for %d records in %d bytes, want at most %d", conn.writes, records, stream, limit)
 	}
 }

@@ -359,6 +359,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 
 func (c *countingConn) Close() error { return nil }
 
+// SetReadDeadline is reached when a FOLLOW lifts the idle deadline.
+func (c *countingConn) SetReadDeadline(time.Time) error { return nil }
+
 // TestReportCostsOneWritePerBuffer: a 2,496-row REPORT reaches the
 // connection in as many writes as it fills write buffers (plus the header's
 // and the terminator's share), not one per row, and is on the wire exactly

@@ -427,9 +427,10 @@ func (c *timeoutConn) armFrame(body bool) {
 
 // connWriteBuffer is the size of a connection's write buffer.  Single-line
 // responses are flushed as they are written whatever its size; it is the
-// streamed REPORT/GAP that fills it, and the benchmark's report is 100 to
-// 260 KB: at bufio's default 4 KiB that is a write(2) and a deadline reset
-// every 40 to 90 rows, at 16 KiB a quarter of them.
+// streamed REPORT/GAP and a FOLLOW's run of records that fill it.  The
+// benchmark's report is 100 to 260 KB: at bufio's default 4 KiB that is a
+// write(2) and a deadline reset every 40 to 90 rows, at 16 KiB a quarter of
+// them.
 const connWriteBuffer = 16 << 10
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -777,9 +778,8 @@ func parseFollowRequest(args []string) (h followRequest, err error) {
 
 // serveFollow turns the connection into a replication stream of this
 // node's own journal — a primary's, or a read-only follower's, which chains
-// — from a tail of it: an OK+ header, then the stream's frames, each
-// flushed as it is written, until the follower hangs up or the server shuts
-// down.  The request reader keeps draining in the background purely as a
+// — from a tail of it: an OK+ header, then the stream's frames, until the
+// follower hangs up or the server shuts down.  The request reader keeps draining in the background purely as a
 // hangup detector — a parked stream on a write-idle primary would otherwise
 // hold its goroutine, connection and tail open until the next commit
 // happened to wake it into a failing write.
@@ -865,9 +865,9 @@ func (s *Server) serveFollow(r *bufio.Reader, w *bufio.Writer, req wire.Request)
 // errConnGone reports a FOLLOW stream whose connection failed a write.
 var errConnGone = errors.New("follower connection gone")
 
-// streamTail writes the events of a tail of j after position from to w,
-// each flushed whole, until the tail fails or stops.  A record goes out as
-// the frame the segment file holds, never decoded here.
+// streamTail writes the events of a tail of j after position from to w
+// until the tail fails or stops.  A record goes out as the frame the segment
+// file holds, never decoded here.
 func (s *Server) streamTail(w *bufio.Writer, j *journal.Writer, from int64, stop <-chan struct{}) error {
 	t := j.NewTailer(from)
 	defer t.Close()
@@ -884,13 +884,16 @@ func (s *Server) streamTail(w *bufio.Writer, j *journal.Writer, from int64, stop
 }
 
 // writeEvent writes one stream event, encoded in the free tail of the write
-// buffer when it fits there, and flushes it; false means the connection is
-// gone.
+// buffer when it fits there; false means the connection is gone.  A record
+// stays in the buffer, which goes out when it fills or with the next event
+// of any other kind: the tail always returns the watermark before it blocks
+// after records, so a caught-up run costs one write, not one per record,
+// and no record waits on an idle stream.
 func writeEvent(w *bufio.Writer, ev journal.FollowEvent) bool {
 	if _, err := w.Write(journal.AppendFollowEvent(w.AvailableBuffer(), ev)); err != nil {
 		return false
 	}
-	return w.Flush() == nil
+	return ev.Kind == journal.FollowRecord || w.Flush() == nil
 }
 
 // post queues one event, given as its wire fields, on the engine: the

@@ -1,30 +1,27 @@
-// designtasks demonstrates the design-task extension (the paper's section
-// 5 future work): higher-level descriptions of design activities, executed
-// with task-level state requirements and tracked in the meta-database like
-// any other design object.
-package main
+package task_test
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/flow"
 	"repro/internal/task"
 )
 
-func main() {
-	log.SetFlags(0)
+// ExampleRunner runs the design tasks of the paper's section 5 (its
+// announced extension): higher-level descriptions of design activities,
+// executed with task-level state requirements and tracked in the
+// meta-database like any other design object.
+func ExampleRunner() {
 	sess, _, err := flow.NewEDTCSession(7)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
-
-	// Primary data: a verified-able model and a library.
+	// Primary data: a model that can be verified, and a library.
 	if _, err := sess.CheckinHDL("CPU", 60, 0); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if _, err := sess.InstallLibrary("stdlib"); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	runner := task.NewRunner(sess)
@@ -35,7 +32,7 @@ func main() {
 	} {
 		rec, err := runner.Run(t)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		fmt.Printf("task %-18s -> %-6s (%d steps", t.Name, rec.Status, rec.StepsRun)
 		if rec.Failure != "" {
@@ -50,20 +47,36 @@ func main() {
 		for _, k := range task.History(sess.Eng.DB(), name) {
 			status, step, failure, err := task.Status(sess.Eng.DB(), k)
 			if err != nil {
-				log.Fatal(err)
+				panic(err)
 			}
-			fmt.Printf("  %-24s status=%-7s last_step=%-18s %s\n", k, status, step, failure)
+			fmt.Printf("  %-24s status=%-7s last_step=%s", k, status, step)
+			if failure != "" {
+				fmt.Printf(" %s", failure)
+			}
+			fmt.Println()
 		}
 	}
 
-	// A stale input makes the next signoff run fail at its requirement —
+	// A stale input makes the next signoff run fail at its requirement:
 	// the task level inherits the wrappers' permission discipline.
 	if _, err := sess.CheckinHDL("CPU", 61, 0); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	rec, err := runner.Run(task.PhysicalSignoff("CPU"))
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("\nafter a new model check-in, signoff_CPU -> %s\n  (%s)\n", rec.Status, rec.Failure)
+	// Output:
+	// task verify_CPU         -> done   (1 steps)
+	// task implement_CPU      -> done   (3 steps)
+	// task signoff_CPU        -> done   (3 steps)
+	//
+	// task history in the meta-database:
+	//   verify_CPU,task,1        status=done    last_step=simulate
+	//   implement_CPU,task,1     status=done    last_step=simulate_netlist
+	//   signoff_CPU,task,1       status=done    last_step=lvs
+	//
+	// after a new model check-in, signoff_CPU -> failed
+	//   (task: requirement not met: CPU,netlist,2 uptodate="false", want "true")
 }

@@ -164,7 +164,7 @@ func benchTreeProject(b *testing.B, trees int) *Project {
 				}
 			}
 			if i > 0 {
-				if _, err := proj.Engine.CreateLink(UseLink, sch[(i-1)/3], sch[i]); err != nil {
+				if _, err := proj.Engine.CreateLink(meta.UseLink, sch[(i-1)/3], sch[i]); err != nil {
 					b.Fatal(err)
 				}
 			}

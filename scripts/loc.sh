@@ -7,7 +7,8 @@
 # bench/ is a module of its own and listed like any other directory), the
 # total, and — with BASE-REF, or HEAD~1 when there is one — the non-test
 # `git diff --numstat` against it, per directory and in total, working tree
-# included.  It reports; it gates nothing.
+# included.  Renames are not paired, so a file moved into a test file counts
+# as deleted where it was.  It reports; it gates nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +29,7 @@ if [ -z "$base" ]; then
 fi
 echo
 echo "non-test git diff --numstat against $base:"
-git diff --numstat "$base" -- | awk '
+git diff --no-renames --numstat "$base" -- | awk '
     $3 !~ /\.go$/ || $3 ~ /_test\.go$/ {next}
     {d = $3; sub(/\/[^\/]*$/, "", d); if (d == $3) d = "."
      a[d] += $1; r[d] += $2; ta += $1; tr += $2}

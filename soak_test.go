@@ -210,7 +210,7 @@ func TestSoakWorkloadWithServer(t *testing.T) {
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := LoadDB(&buf)
+	db2, err := meta.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
