@@ -196,8 +196,7 @@ func (s *snapshot) record(r Record, ins *installer) error {
 			if err != nil || len(dels) > 0 {
 				return fmt.Errorf("oid %v: bad property tail", k)
 			}
-			o.Props = make(map[string]string, len(sets)/2)
-			in.fill(o.Props, sets)
+			_, o.Props = ins.db.attrs.intern(nil, sets, nil)
 		}
 		return ins.oid(&o)
 
@@ -339,7 +338,7 @@ func (ins *installer) endChain() {
 }
 
 // install enters the whole snapshot: a JSON document's, whose links'
-// attributes it interns.
+// attributes and OIDs' properties it interns.
 func (s *snapshot) install(shards int) (*DB, error) {
 	ins, err := newInstaller(shards, s.terms)
 	slices.SortFunc(s.oids, func(a, b OID) int { return a.Key.Compare(b.Key) })
@@ -347,7 +346,9 @@ func (s *snapshot) install(shards int) (*DB, error) {
 		l.Propagates, l.Props = ins.db.attrs.intern(l.Propagates, nil, l.Props)
 	}
 	for i := 0; err == nil && i < len(s.oids); i++ {
-		err = ins.oid(&s.oids[i])
+		o := &s.oids[i]
+		_, o.Props = ins.db.attrs.intern(nil, nil, o.Props)
+		err = ins.oid(o)
 	}
 	if err != nil {
 		return nil, err

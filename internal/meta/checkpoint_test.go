@@ -381,6 +381,12 @@ func FuzzSnapshotString(f *testing.F) {
 // OID with the property a check-in leaves behind.
 func treeDB(t testing.TB, trees int) *DB {
 	db := NewDB()
+	addTrees(t, db, trees)
+	return db
+}
+
+// addTrees builds treeDB's project in db.
+func addTrees(t testing.TB, db *DB, trees int) {
 	for tr := 0; tr < trees; tr++ {
 		var sch [13]Key
 		for b := range sch {
@@ -405,7 +411,6 @@ func treeDB(t testing.TB, trees int) *DB {
 			}
 		}
 	}
-	return db
 }
 
 // TestStreamingSnapshotAllocs is the guard on what keeps checkpoints

@@ -90,7 +90,8 @@ type DB struct {
 	replayAt  atomic.Int64
 	replaySeq atomic.Int64
 
-	// attrs keeps one copy of each link attribute set (link.go).
+	// attrs keeps one copy of each link attribute set and OID property set
+	// (link.go).
 	attrs attrTable
 
 	// in copies out the strings ApplyRecord keeps, and LoadCheckpoint's;
@@ -106,8 +107,21 @@ type dbShard struct {
 
 	// upd is the OID UpdateOID hands its callback, reused under mu: an
 	// argument to an unknown function would otherwise be one heap object
-	// per delivery.
+	// per delivery.  Its Props is the scratch map the property mutators
+	// edit before they intern it (scratch).
 	upd OID
+}
+
+// scratch returns the shard's scratch property map, holding a copy of
+// props.  The caller holds mu and keeps nothing of the map: the version it
+// publishes is the database's shared copy (attrTable.intern).
+func (sh *dbShard) scratch(props map[string]string) map[string]string {
+	if sh.upd.Props == nil {
+		sh.upd.Props = make(map[string]string)
+	}
+	clear(sh.upd.Props)
+	maps.Copy(sh.upd.Props, props)
+	return sh.upd.Props
 }
 
 // DefaultShards is the shard count of NewDB: enough stripes to spread
@@ -334,9 +348,9 @@ func (db *DB) SetProp(k Key, name, value string) error {
 	if old, had := x.props[name]; had && old == value {
 		return nil
 	}
-	props := make(map[string]string, len(x.props)+1)
-	maps.Copy(props, x.props)
+	props := sh.scratch(x.props)
 	props[name] = value
+	_, props = db.attrs.intern(nil, nil, props)
 	s := db.beginMut(OpUpdate, 0, func() []string {
 		return []string{k.String(), "1", name, value}
 	})
@@ -357,8 +371,9 @@ func (db *DB) SetProp(k Key, name, value string) error {
 //
 // fn works on the shard's scratch OID, filled from the newest version's
 // property map; the map is diffed against that version after fn, and the
-// net change journaled and published — one copy of the scratch map — as one
-// update.  An fn that changes nothing emits nothing and allocates nothing.
+// net change journaled and published — the database's shared copy of the
+// scratch map (attrTable) — as one update.  An fn that changes nothing emits
+// nothing and allocates nothing.
 func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 	sh, h := db.lockShard(k.Block)
 	defer sh.mu.Unlock()
@@ -367,12 +382,7 @@ func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 		return err
 	}
 	o, before := &sh.upd, x.props
-	if o.Props == nil {
-		o.Props = make(map[string]string)
-	}
-	clear(o.Props)
-	maps.Copy(o.Props, before)
-	o.Key, o.Seq = k, x.seq
+	o.Key, o.Seq, o.Props = k, x.seq, sh.scratch(before)
 	fn(o)
 	o.Key = Key{} // k may be a replayed record's bytes, which are not ours to keep
 	// As many entries as before, each as before, is the same map.  Only a
@@ -404,13 +414,7 @@ func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
 			}
 		}
 	}
-	// The version's map is made at its own size, not cloned at the size
-	// the scratch map has grown to; nil when empty (nil map reads are free).
-	var props map[string]string
-	if len(o.Props) > 0 {
-		props = make(map[string]string, len(o.Props))
-		maps.Copy(props, o.Props)
-	}
+	_, props := db.attrs.intern(nil, nil, o.Props)
 	s := db.beginMut(OpUpdate, 0, func() []string {
 		return propArgs([]string{k.String()}, sets, dels)
 	})
@@ -431,11 +435,9 @@ func (db *DB) DelProp(k Key, name string) error {
 	if _, had := x.props[name]; !had {
 		return nil
 	}
-	var props map[string]string
-	if len(x.props) > 1 {
-		props = maps.Clone(x.props)
-		delete(props, name)
-	}
+	props := sh.scratch(x.props)
+	delete(props, name)
+	_, props = db.attrs.intern(nil, nil, props)
 	s := db.beginMut(OpUpdate, 0, func() []string {
 		return []string{k.String(), "0", name}
 	})

@@ -146,24 +146,26 @@ func (l *Link) Other(k Key) (Key, bool) {
 // itself, which the caller must not change.
 func (l *Link) PropagateList() []string { return l.Propagates }
 
-// attrSlots is the size of a database's table of link attribute sets.
+// attrSlots is the size of a database's one table of attribute sets: link
+// attribute sets and OID property sets alike.
 const attrSlots = 64
 
-// attrSet is one link attribute set as links share it: its canonical bytes
-// (appendAttrs), and the PROPAGATE list and property map they spell, whose
-// strings are substrings of them.  Immutable once made.
+// attrSet is one attribute set as links and OID versions share it: its
+// canonical bytes (appendAttrs), and the PROPAGATE list and property map
+// they spell, whose strings are substrings of them.  Immutable once made.
 type attrSet struct {
 	key        string
 	propagates []string
 	props      map[string]string
 }
 
-// attrTable keeps one copy of each link attribute set — the PROPAGATE list
-// and TYPE every link of one template carries — in a table that, like the
-// checkpoint interner, neither grows nor is searched: a set lives in the
-// slot its bytes' hash picks, a hit allocates nothing, and a set that finds
-// another in its slot gets a copy of its own, which takes the slot.  Writers
-// race on a slot only to replace one immutable set with another.
+// attrTable keeps one copy of each attribute set — the PROPAGATE list and
+// TYPE every link of one template carries, and the properties the OIDs of
+// one view carry (paper §3.2) — in a table that, like the checkpoint
+// interner, neither grows nor is searched: a set lives in the slot its
+// bytes' hash picks, a hit allocates nothing, and a set that finds another
+// in its slot gets a copy of its own, which takes the slot.  Writers race on
+// a slot only to replace one immutable set with another.
 type attrTable struct {
 	slots [attrSlots]atomic.Pointer[attrSet]
 }
@@ -172,9 +174,10 @@ type attrTable struct {
 type attrPair struct{ name, value string }
 
 // intern returns the shared form of an attribute set, for a link's
-// Propagates and Props: events, in any order and repeated at will, and the
-// properties, as name/value pairs or as a map (one of them nil), the last of
-// a repeated name winning.  Nothing of the arguments is kept.
+// Propagates and Props or, with no events, an OID version's properties:
+// events, in any order and repeated at will, and the properties, as
+// name/value pairs or as a map (one of them nil), the last of a repeated
+// name winning.  Nothing of the arguments is kept.
 func (t *attrTable) intern(events, pairs []string, props map[string]string) ([]string, map[string]string) {
 	var evBuf [8]string
 	evs := append(evBuf[:0], events...)

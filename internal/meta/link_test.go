@@ -2,6 +2,8 @@ package meta
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -149,4 +151,129 @@ func TestAttrInternAllocatesNothingOnAHit(t *testing.T) {
 	if !reflect.DeepEqual(got, map[string]string{"a": "3", "b": "2"}) {
 		t.Errorf("repeated names intern as %v", got)
 	}
+}
+
+// TestOIDPropertySetsShared: OID versions of equal properties hold one copy
+// of them — written by the mutators, recovered from a checkpoint, loaded
+// from a document and replayed from a journal alike — and no write to one
+// OID shows in another that shares its copy, or in a view pinned before it.
+func TestOIDPropertySetsShared(t *testing.T) {
+	rec := &sliceRecorder{}
+	db := NewDB()
+	db.SetRecorder(rec)
+	addTrees(t, db, 64)
+	// A few OIDs with sets of their own, some of them equal.
+	for i, k := range []Key{{"t0b0", "netlist", 1}, {"t1b0", "netlist", 1}, {"t2b5", "layout", 1}} {
+		if err := db.UpdateOID(k, func(o *OID) {
+			o.Props["owner"] = "cad"
+			if i == 2 {
+				o.Props["sim_result"] = "good"
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.NewVersion("t3b1", "schematic"); err != nil { // no properties at all
+		t.Fatal(err)
+	}
+
+	// shared fails the test unless a database's OIDs hold one property map
+	// per distinct property set.
+	shared := func(name string, db *DB) {
+		t.Helper()
+		oids, ptrs, sets := 0, map[unsafe.Pointer]bool{}, map[string]bool{}
+		db.Head().EachOID(func(o *OID) bool {
+			oids++
+			ptrs[reflect.ValueOf(o.Props).UnsafePointer()] = true
+			sets[fmt.Sprint(o.Props)] = true // fmt prints a map sorted by key
+			return true
+		})
+		if len(ptrs) != len(sets) {
+			t.Errorf("%s: %d OIDs hold %d property maps for %d distinct sets", name, oids, len(ptrs), len(sets))
+		}
+	}
+	shared("mutators", db)
+
+	a, b := Key{"t0b0", "netlist", 1}, Key{"t1b0", "netlist", 1}
+	propsOf := func(v *View, k Key) map[string]string {
+		t.Helper()
+		o, err := v.GetOID(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o.Props
+	}
+	sibling := propsOf(db.Head(), b)
+	// Each write starts with a holding b's copy, and ends by setting a back
+	// to b's properties, which must share that copy again.
+	for _, write := range []struct {
+		name string
+		do   func() error
+		want map[string]string
+	}{
+		{"UpdateOID", func() error { return db.UpdateOID(a, func(o *OID) { o.Props["sim_result"] = "bad" }) },
+			map[string]string{"uptodate": "true", "owner": "cad", "sim_result": "bad"}},
+		{"SetProp", func() error { return db.SetProp(a, "owner", "layout") },
+			map[string]string{"uptodate": "true", "owner": "layout"}},
+		{"DelProp", func() error { return db.DelProp(a, "uptodate") },
+			map[string]string{"owner": "cad"}},
+	} {
+		if !sameProps(db, a, b) {
+			t.Fatalf("before %s: %v and %v hold a property map each", write.name, a, b)
+		}
+		pinned := db.ReadView()
+		if err := write.do(); err != nil {
+			t.Fatal(err)
+		}
+		if got := propsOf(db.Head(), a); !reflect.DeepEqual(got, write.want) {
+			t.Errorf("after %s: %v holds %v, want %v", write.name, a, got, write.want)
+		}
+		if got := propsOf(db.Head(), b); !reflect.DeepEqual(got, sibling) {
+			t.Errorf("after %s on %v: %v holds %v, want %v", write.name, a, b, got, sibling)
+		}
+		if got := propsOf(pinned, a); !reflect.DeepEqual(got, sibling) {
+			t.Errorf("after %s: the pinned view reads %v as %v, want %v", write.name, a, got, sibling)
+		}
+		pinned.Close()
+		if err := db.UpdateOID(a, func(o *OID) { clear(o.Props); maps.Copy(o.Props, sibling) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameProps(db, a, b) {
+		t.Errorf("%v, back to %v's properties, holds a map of its own", a, b)
+	}
+	shared("mutators, after the writes", db)
+
+	want := saveDB(t, db)
+	v := db.ReadView()
+	recovered, err := loadPayloads(checkpointOf(t, v), DefaultShards)
+	v.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := NewDB()
+	for _, r := range rec.recs {
+		if err := replayed.ApplyRecord(r); err != nil {
+			t.Fatalf("apply %s record %d: %v", r.Op, r.LSN, err)
+		}
+	}
+	for name, got := range map[string]*DB{"checkpoint": recovered, "document": loaded, "journal": replayed} {
+		if b := saveDB(t, got); !bytes.Equal(b, want) {
+			t.Errorf("%s: %s", name, firstDiff(b, want))
+		}
+		shared(name, got)
+	}
+}
+
+// sameProps reports whether two OIDs' newest versions hold one property map.
+func sameProps(db *DB, a, b Key) bool {
+	var p [2]unsafe.Pointer
+	for i, k := range []Key{a, b} {
+		db.Head().WithOID(k, func(o *OID) { p[i] = reflect.ValueOf(o.Props).UnsafePointer() })
+	}
+	return p[0] != nil && p[0] == p[1]
 }

@@ -283,7 +283,8 @@ func (t *table[K, T]) trim(floor int64) {
 }
 
 // oidVal is the versioned payload of an OID: its creation stamp and an
-// immutable property map (nil when empty).
+// immutable property map (nil when empty), the one copy every version of
+// equal properties shares (attrTable).
 type oidVal struct {
 	seq   int64
 	props map[string]string

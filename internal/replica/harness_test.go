@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -532,4 +533,74 @@ func TestFollowerReadYourLSN(t *testing.T) {
 	if _, err := c.fol.WaitApplied(lsn+1000, 50*time.Millisecond); err == nil {
 		t.Fatal("WaitApplied at an unreachable lsn should fail")
 	}
+}
+
+// TestWaitAppliedWakesEveryWaiter: the follower makes its wake channel only
+// when a WaitApplied finds none, and an apply closes it and leaves none.  A
+// waiter that arrives at the follower's watermark, before a burst of
+// applies, between two bursts or during one must still be woken by the
+// apply that reaches its LSN, not by its timeout.
+func TestWaitAppliedWakesEveryWaiter(t *testing.T) {
+	c := newCluster(t, 4, journal.Options{SnapshotEvery: -1})
+	c.startFollower()
+	pc := c.dial(c.paddr)
+	defer pc.Close()
+	k, err := pc.Create("WAKE", "HDL_model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const posts = 100 // a post is at least its event's record
+	burst := func() {
+		for i := 0; i < posts; i++ {
+			if err := pc.PostEvent("ckin", "up", k, fmt.Sprint(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	// A lost waiter sleeps until the next wake, and the primary's idle ping
+	// is one every 2 s: a waiter gives up before that.
+	var waiters sync.WaitGroup
+	wait := func(when string, lsn int64) {
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			if at, err := c.fol.WaitApplied(lsn, 1500*time.Millisecond); err != nil || at < lsn {
+				t.Errorf("%s: WaitApplied(%d) = %d, %v", when, lsn, at, err)
+			}
+		}()
+	}
+
+	at := c.catchUp()
+	wait("at the watermark", at)
+	wait("at the watermark, for the next record", at+1)
+	for i := int64(2); i <= posts; i++ {
+		wait("before a burst", at+i)
+	}
+	burst()
+	between := c.pw.LastLSN()
+	wait("between bursts", between)
+	wait("between bursts, for the next record", between+1)
+	// The second burst ends at or past last: a waiter during it waits for
+	// the record after the primary's newest, or for last.
+	last := between + posts
+	bursting := make(chan struct{})
+	go func() {
+		defer close(bursting)
+		burst()
+	}()
+	during := 0
+	for running := true; running; {
+		select {
+		case <-bursting:
+			running = false
+		default:
+			during++
+			wait("during a burst", min(c.pw.LastLSN()+1, last))
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	wait("after the bursts", c.pw.LastLSN())
+	waiters.Wait()
+	t.Logf("%d waiters during a burst of %d posts", during, posts)
 }

@@ -52,8 +52,8 @@ type Follower struct {
 	watermark  int64 // newest caught-up watermark seen from the primary
 	progress   bool  // frames applied since the last reconnect
 	conn       *server.Client
-	err        error // terminal replication error; nil while healthy
-	advCh      chan struct{}
+	err        error              // terminal replication error; nil while healthy
+	advCh      chan struct{}      // WaitApplied's wake channel; nil until one waits
 	repointCh  chan struct{}      // closed and replaced by Repoint: wakes a backoff pause
 	dialCancel context.CancelFunc // cancels the in-flight dial; nil outside one
 	freshAt    time.Time          // last upstream freshness evidence; zero = none yet
@@ -149,7 +149,6 @@ func Start(dir, addr string, opt journal.Options, opts ...Option) (*Follower, er
 		stall:      DefaultStallTimeout,
 		dialMax:    5 * time.Second,
 		applied:    w.LastLSN(),
-		advCh:      make(chan struct{}),
 		repointCh:  make(chan struct{}),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -310,7 +309,11 @@ func (f *Follower) WaitApplied(lsn int64, timeout time.Duration) (int64, error) 
 	defer timer.Stop()
 	for {
 		f.mu.Lock()
-		applied, err, ch := f.applied, f.err, f.advCh
+		applied, err := f.applied, f.err
+		if f.advCh == nil {
+			f.advCh = make(chan struct{})
+		}
+		ch := f.advCh
 		f.mu.Unlock()
 		if applied >= lsn {
 			return applied, nil
@@ -479,12 +482,15 @@ func (f *Follower) run() {
 }
 
 // wakeLocked broadcasts a state change to every WaitApplied waiter by
-// closing and replacing the watch channel.  Callers hold f.mu; every
-// path that changes applied/err must come through here or a waiter on
-// the skipped path sleeps until its timeout.
+// closing the watch channel, if a waiter made one; the next waiter makes
+// the next.  Callers hold f.mu; every path that changes applied/err must
+// come through here or a waiter on the skipped path sleeps until its
+// timeout.
 func (f *Follower) wakeLocked() {
-	close(f.advCh)
-	f.advCh = make(chan struct{})
+	if f.advCh != nil {
+		close(f.advCh)
+		f.advCh = nil
+	}
 }
 
 // pause sleeps the current backoff — jittered ±25% so orphaned followers
