@@ -75,7 +75,7 @@ func CompileExplainer(e Expr) *Explainer {
 // values, in the same order and format as ExplainFailure.  A passing
 // expression returns nil.
 func (x *Explainer) Explain(lookup LookupFunc) []string {
-	if x.root.Eval(lookup) {
+	if Eval(x.root, lookup) {
 		return nil
 	}
 	return x.Failures(lookup)
@@ -122,7 +122,7 @@ func (x *Explainer) AppendFailures(dst []byte, label string, lookup LookupFunc) 
 
 // fails reports whether the leaf contributes to a failure under lookup.
 func (lc *leafCheck) fails(lookup LookupFunc) bool {
-	return lc.expr.Eval(lookup) == lc.neg
+	return Eval(lc.expr, lookup) == lc.neg
 }
 
 // appendTo appends the leaf's description with the current operand value.

@@ -13,8 +13,6 @@ import "strings"
 // Expr is a boolean expression node.
 type Expr interface {
 	exprNode()
-	// Eval evaluates the expression; lookup resolves $references.
-	Eval(lookup LookupFunc) bool
 	// String renders canonical source whose reparse yields an equal tree.
 	String() string
 }
@@ -82,26 +80,24 @@ func (*NotExpr) exprNode()  {}
 func (*AndExpr) exprNode()  {}
 func (*OrExpr) exprNode()   {}
 
-// Eval implements Expr.
-func (e *BoolExpr) Eval(lookup LookupFunc) bool { return e.X.Value(lookup) == "true" }
-
-// Eval implements Expr.
-func (e *CmpExpr) Eval(lookup LookupFunc) bool {
-	eq := e.L.Value(lookup) == e.R.Value(lookup)
-	if e.Neq {
-		return !eq
+// Eval evaluates the expression; lookup resolves $references.  It is a
+// function, not an Expr method, so that a lookup passed to it does not
+// escape to the heap.
+func Eval(e Expr, lookup LookupFunc) bool {
+	switch n := e.(type) {
+	case *BoolExpr:
+		return n.X.Value(lookup) == "true"
+	case *CmpExpr:
+		return (n.L.Value(lookup) == n.R.Value(lookup)) != n.Neq
+	case *NotExpr:
+		return !Eval(n.X, lookup)
+	case *AndExpr:
+		return Eval(n.L, lookup) && Eval(n.R, lookup)
+	case *OrExpr:
+		return Eval(n.L, lookup) || Eval(n.R, lookup)
 	}
-	return eq
+	return false
 }
-
-// Eval implements Expr.
-func (e *NotExpr) Eval(lookup LookupFunc) bool { return !e.X.Eval(lookup) }
-
-// Eval implements Expr.
-func (e *AndExpr) Eval(lookup LookupFunc) bool { return e.L.Eval(lookup) && e.R.Eval(lookup) }
-
-// Eval implements Expr.
-func (e *OrExpr) Eval(lookup LookupFunc) bool { return e.L.Eval(lookup) || e.R.Eval(lookup) }
 
 // precedence levels for printing: or < and < unary.
 func exprPrec(e Expr) int {
@@ -193,7 +189,7 @@ func ExprVars(e Expr) []string {
 // be modified" answer for state queries.  For a passing expression it
 // returns nil.  Disjunctions report all failing alternatives.
 func ExplainFailure(e Expr, lookup LookupFunc) []string {
-	if e.Eval(lookup) {
+	if Eval(e, lookup) {
 		return nil
 	}
 	var out []string
@@ -210,7 +206,7 @@ func ExplainFailure(e Expr, lookup LookupFunc) []string {
 			walk(n.L, neg)
 			walk(n.R, neg)
 		default:
-			val := e.Eval(lookup)
+			val := Eval(e, lookup)
 			if val == neg { // leaf contributes to the failure
 				desc := e.String()
 				if neg {

@@ -153,13 +153,13 @@ endblueprint`)
 	lookup := func(vals map[string]string) LookupFunc {
 		return func(n string) string { return vals[n] }
 	}
-	if !e.Eval(lookup(map[string]string{"a": "good", "b": "bad", "c": "false"})) {
+	if !Eval(e, lookup(map[string]string{"a": "good", "b": "bad", "c": "false"})) {
 		t.Error("expected true (left branch)")
 	}
-	if !e.Eval(lookup(map[string]string{"a": "bad", "b": "bad", "c": "true"})) {
+	if !Eval(e, lookup(map[string]string{"a": "bad", "b": "bad", "c": "true"})) {
 		t.Error("expected true (right branch)")
 	}
-	if e.Eval(lookup(map[string]string{"a": "bad", "b": "x", "c": "no"})) {
+	if Eval(e, lookup(map[string]string{"a": "bad", "b": "x", "c": "no"})) {
 		t.Error("expected false")
 	}
 }

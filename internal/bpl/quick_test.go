@@ -162,10 +162,10 @@ func TestQuickExprEvalTotal(t *testing.T) {
 		}
 		for _, v := range bp.Views {
 			for _, l := range v.Lets {
-				_ = l.Expr.Eval(lookup)
+				_ = Eval(l.Expr, lookup)
 				// Not(e) must negate a deterministic lookup.
 				det := func(string) string { return "true" }
-				if (&NotExpr{X: l.Expr}).Eval(det) == l.Expr.Eval(det) {
+				if Eval(&NotExpr{X: l.Expr}, det) == Eval(l.Expr, det) {
 					return false
 				}
 			}

@@ -61,7 +61,7 @@ func FlowSim(out io.Writer, cfg FlowSimConfig) error {
 		}
 		fmt.Fprintln(out, "\n=== automatic tool invocations ===")
 		for _, inv := range rec.Invocations() {
-			fmt.Fprintf(out, "exec %s (event %s at %s)\n", inv, inv.Env["event"], inv.Env["oid"])
+			fmt.Fprintf(out, "exec %s (event %s at %s)\n", inv, inv.Env("event"), inv.Env("oid"))
 		}
 	case "workload":
 		st, err := flow.Workload{

@@ -80,6 +80,50 @@ func TestAllocsNonPropagatingEvent(t *testing.T) {
 	}
 }
 
+// TestAllocsPerCheckin guards a leaf check-in under the paper's EDTC
+// blueprint with the default executor: the schematic's assignments, its
+// continuous assignment, the exec netlister firing and the posts that
+// invalidate the derived netlist and layout.  An exec environment that
+// copies the target's properties, or a lookup that escapes to the heap,
+// breaks the budget.
+func TestAllocsPerCheckin(t *testing.T) {
+	bp, err := bpl.Parse(bpl.EDTCExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(meta.NewDB(), bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := e.CreateOID("alu", "schematic", "tess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range []string{"netlist", "layout"} {
+		k, err := e.CreateOID("alu", view, "tess")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CreateLink(meta.DeriveLink, sch, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	ev := Event{Name: EventCheckin, Dir: bpl.DirDown, Target: sch, User: "tess"}
+
+	const budget = 20
+	got := testing.AllocsPerRun(200, func() {
+		if err := e.PostAndDrain(ev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("leaf check-in: %.1f allocs, budget %d", got, budget)
+	}
+}
+
 func TestAllocsStatsSnapshot(t *testing.T) {
 	e, _ := allocEngine(t)
 	if got := testing.AllocsPerRun(100, func() { _ = e.Stats() }); got > 1 {

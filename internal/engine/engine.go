@@ -470,23 +470,24 @@ func (e *Engine) runRules(pol *policy, ev Event) {
 		return
 	}
 
-	var lookup bpl.LookupFunc
-	if len(prog.Execs) > 0 || len(prog.Posts) > 0 {
-		lookup = e.lookupFor(ev)
-	}
+	live := vars{ev: ev, head: e.head, now: e.clock}
+	lookup := live.get
 
 	// Phase 3: exec and notify actions.  Exec invocations are launched
 	// like the paper's wrapper shell scripts: the environment is captured
 	// now, but the external tool effectively runs after the current event
 	// wave has settled (the engine defers the call until the queue is
 	// empty), so a tool triggered by a check-in is not caught by that
-	// check-in's own invalidation wave.
+	// check-in's own invalidation wave.  The environment keeps the
+	// target's published property map, which no later write changes.
 	for _, a := range prog.Execs {
 		switch act := a.(type) {
 		case *bpl.ExecAction:
+			fired := &vars{ev: ev, at: e.clock()}
+			_ = e.head.WithOID(ev.Target, func(o *meta.OID) { fired.props = o.Props })
 			inv := exec.Invocation{
 				Script: act.Argv[0].Expand(lookup),
-				Env:    e.envSnapshot(ev),
+				Env:    fired.get,
 			}
 			for _, t := range act.Argv[1:] {
 				inv.Args = append(inv.Args, t.Expand(lookup))
@@ -543,7 +544,8 @@ func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl
 	var recs []rec
 	err := e.db.UpdateOID(ev.Target, func(o *meta.OID) {
 		maps.Copy(o.Props, seed)
-		lookup := e.lookupOver(ev, o.Props)
+		inFlight := vars{ev: ev, props: o.Props, now: e.clock}
+		lookup := inFlight.get
 		if prog != nil {
 			for _, aa := range prog.Assigns {
 				val := aa.Value.Expand(lookup)
@@ -563,7 +565,7 @@ func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl
 		}
 		for _, l := range lets {
 			val := "false"
-			if l.Expr.Eval(lookup) {
+			if bpl.Eval(l.Expr, lookup) {
 				val = "true"
 			}
 			e.stats.letEvals.Add(1)

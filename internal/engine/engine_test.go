@@ -292,8 +292,8 @@ endblueprint`, WithExecutor(rec))
 	if len(inv.Args) != 1 || inv.Args[0] != "cpu,schematic,1" {
 		t.Errorf("args = %v", inv.Args)
 	}
-	if inv.Env["user"] != "marc" || inv.Env["event"] != "ckin" || inv.Env["view"] != "schematic" {
-		t.Errorf("env = %v", inv.Env)
+	if inv.Env("user") != "marc" || inv.Env("event") != "ckin" || inv.Env("view") != "schematic" {
+		t.Errorf("env user=%q event=%q view=%q", inv.Env("user"), inv.Env("event"), inv.Env("view"))
 	}
 }
 

@@ -5,103 +5,85 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bpl"
 	"repro/internal/meta"
 )
 
-// Variable resolution for rules, templates and continuous assignments.
-// Built-ins take precedence; any other name reads a property of the target
-// OID, live, so phase-1 assignments are visible to phase-2 continuous
-// assignments and later phases.
+// vars resolves the $variables of rules, templates, continuous assignments
+// and exec environments for one delivery.  Built-ins take precedence over a
+// property of the same name, and an absent name reads "".  Any other name
+// reads a property of the target OID from one of three sources: phases 1–2
+// pass the in-flight map they write, so an assignment is visible to the
+// continuous assignments after it; phases 3–4 read the target live from
+// the head view; an exec keeps the immutable map its target had when the
+// rule fired.
 //
 // Built-in variables:
 //
 //	$oid, $OID      target OID as "block,view,version"
 //	$block, $view, $version
 //	$arg            all event arguments joined with spaces
-//	$arg1..$argN    individual event arguments
+//	$arg1..$argN    individual event arguments ("" past the last)
 //	$user           posting designer
 //	$owner          target's owner property, falling back to $user
-//	$date           current date/time (engine clock), RFC 3339
+//	$date           engine clock, RFC 3339; an exec's firing time
 //	$event, $dir    event name and direction
-func (e *Engine) lookupFor(ev Event) bpl.LookupFunc {
-	return func(name string) string {
-		switch name {
-		case "oid", "OID":
-			return ev.Target.String()
-		case "block":
-			return ev.Target.Block
-		case "view":
-			return ev.Target.View
-		case "version":
-			return strconv.Itoa(ev.Target.Version)
-		case "arg":
-			return strings.Join(ev.Args, " ")
-		case "user":
-			return ev.User
-		case "owner":
-			if v, ok, _ := e.head.GetProp(ev.Target, meta.PropOwner); ok && v != "" {
-				return v
-			}
-			return ev.User
-		case "date":
-			return e.clock().Format(time.RFC3339)
-		case "event":
-			return ev.Name
-		case "dir":
-			return ev.Dir.String()
-		}
-		if n, ok := argIndex(name); ok {
-			if n >= 1 && n <= len(ev.Args) {
-				return ev.Args[n-1]
-			}
-			return ""
-		}
-		v, _, _ := e.head.GetProp(ev.Target, name)
-		return v
-	}
+//
+// The event is held by value: a pointer would move the delivery's event to
+// the heap, because a pending exec captures it.
+type vars struct {
+	ev    Event
+	props map[string]string // the properties when head is nil
+	head  *meta.View        // non-nil: the target's properties, read live
+	now   func() time.Time  // $date's clock; nil: at
+	at    time.Time         // an exec's firing time
 }
 
-// lookupOver resolves the same variables as lookupFor but reads properties
-// straight from a live property map instead of through the database.  It is
-// used inside the batched phase-1/phase-2 round-trip (meta.DB UpdateOID),
-// where the database lock is already held: earlier assignments in the batch
-// are visible to later expansions because both touch props directly.
-func (e *Engine) lookupOver(ev Event, props map[string]string) bpl.LookupFunc {
-	return func(name string) string {
-		switch name {
-		case "oid", "OID":
-			return ev.Target.String()
-		case "block":
-			return ev.Target.Block
-		case "view":
-			return ev.Target.View
-		case "version":
-			return strconv.Itoa(ev.Target.Version)
-		case "arg":
-			return strings.Join(ev.Args, " ")
-		case "user":
-			return ev.User
-		case "owner":
-			if v := props[meta.PropOwner]; v != "" {
-				return v
-			}
-			return ev.User
-		case "date":
-			return e.clock().Format(time.RFC3339)
-		case "event":
-			return ev.Name
-		case "dir":
-			return ev.Dir.String()
+// get resolves one variable name.
+func (r *vars) get(name string) string {
+	switch name {
+	case "oid", "OID":
+		return r.ev.Target.String()
+	case "block":
+		return r.ev.Target.Block
+	case "view":
+		return r.ev.Target.View
+	case "version":
+		return strconv.Itoa(r.ev.Target.Version)
+	case "arg":
+		return strings.Join(r.ev.Args, " ")
+	case "user":
+		return r.ev.User
+	case "owner":
+		if v := r.prop(meta.PropOwner); v != "" {
+			return v
 		}
-		if n, ok := argIndex(name); ok {
-			if n >= 1 && n <= len(ev.Args) {
-				return ev.Args[n-1]
-			}
-			return ""
+		return r.ev.User
+	case "date":
+		if r.now != nil {
+			return r.now().Format(time.RFC3339)
 		}
-		return props[name]
+		return r.at.Format(time.RFC3339)
+	case "event":
+		return r.ev.Name
+	case "dir":
+		return r.ev.Dir.String()
 	}
+	if n, ok := argIndex(name); ok {
+		if n >= 1 && n <= len(r.ev.Args) {
+			return r.ev.Args[n-1]
+		}
+		return ""
+	}
+	return r.prop(name)
+}
+
+// prop reads a property of the target from r's source.
+func (r *vars) prop(name string) string {
+	if r.head != nil {
+		v, _, _ := r.head.GetProp(r.ev.Target, name)
+		return v
+	}
+	return r.props[name]
 }
 
 // argIndex parses "argN" names.
@@ -114,37 +96,4 @@ func argIndex(name string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// envSnapshot materializes the environment for an exec invocation: the
-// built-ins plus every property of the target OID.
-func (e *Engine) envSnapshot(ev Event) map[string]string {
-	env := map[string]string{
-		"oid":     ev.Target.String(),
-		"OID":     ev.Target.String(),
-		"block":   ev.Target.Block,
-		"view":    ev.Target.View,
-		"version": strconv.Itoa(ev.Target.Version),
-		"arg":     strings.Join(ev.Args, " "),
-		"user":    ev.User,
-		"event":   ev.Name,
-		"dir":     ev.Dir.String(),
-		"date":    e.clock().Format(time.RFC3339),
-	}
-	for i, a := range ev.Args {
-		env["arg"+strconv.Itoa(i+1)] = a
-	}
-	_ = e.head.WithOID(ev.Target, func(o *meta.OID) {
-		for name, v := range o.Props {
-			if _, exists := env[name]; !exists {
-				env[name] = v
-			}
-		}
-		if owner, ok := o.Props[meta.PropOwner]; ok && owner != "" {
-			env["owner"] = owner
-		} else {
-			env["owner"] = ev.User
-		}
-	})
-	return env
 }

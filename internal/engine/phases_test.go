@@ -3,6 +3,7 @@ package engine
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bpl"
 	"repro/internal/exec"
@@ -91,8 +92,94 @@ endblueprint`, WithExecutor(rec))
 	if len(invs) != 1 || invs[0].Args[0] != "new" {
 		t.Errorf("exec saw %v, want the phase-1 value", invs)
 	}
-	if invs[0].Env["result"] != "new" {
-		t.Errorf("env = %v", invs[0].Env)
+	if got := invs[0].Env("result"); got != "new" {
+		t.Errorf("env result = %q", got)
+	}
+}
+
+// TestExecEnvIsFiringTime: an exec's environment reads what its target
+// held when the rule fired, whatever later deliveries write, and resolves
+// names as the rule's own templates do.
+func TestExecEnvIsFiringTime(t *testing.T) {
+	rec := &exec.Recorder{}
+	now := time.Date(1995, time.March, 6, 9, 0, 0, 0, time.UTC)
+	e := newTestEngine(t, bpl.EDTCExample, WithExecutor(rec),
+		WithClock(func() time.Time { return now }))
+	sch, err := e.CreateOID("CPU", "schematic", "marc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A property named like a built-in, and one named like an argument
+	// past the event's last.
+	for name, v := range map[string]string{"user": "shadow", "arg2": "shadow"} {
+		if err := e.DB().SetProp(sch, name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckin := func(user string, args ...string) {
+		t.Helper()
+		if err := e.PostAndDrain(Event{Name: EventCheckin, Dir: bpl.DirDown, Target: sch, User: user, Args: args}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckin("marc", "rev1")
+	first := now
+	now = now.Add(time.Hour)
+	if err := e.DB().SetProp(sch, meta.PropOwner, "salma"); err != nil {
+		t.Fatal(err)
+	}
+	ckin("salma")
+
+	invs := rec.Invocations()
+	if len(invs) != 2 || invs[0].Script != "netlister" {
+		t.Fatalf("invocations = %+v", invs)
+	}
+	env := invs[0].Env
+	for name, want := range map[string]string{
+		"lvs_res": "CPU,schematic,1 changed by marc",
+		"user":    "marc", // the built-in, not the property
+		"owner":   "marc",
+		"date":    first.Format(time.RFC3339),
+		"oid":     "CPU,schematic,1",
+		"arg1":    "rev1",
+		"arg2":    "", // past the last argument: not the property
+		"nl_sim":  "",
+	} {
+		if got := env(name); got != want {
+			t.Errorf("first Env(%q) = %q, want %q", name, got, want)
+		}
+	}
+	if got := prop(t, e, sch, "lvs_res"); got != "CPU,schematic,1 changed by salma" {
+		t.Errorf("lvs_res after the second ckin = %q", got)
+	}
+	if got, want := invs[1].Env("date"), now.Format(time.RFC3339); got != want {
+		t.Errorf("second Env(date) = %q, want %q", got, want)
+	}
+	if got := invs[1].Env("owner"); got != "salma" {
+		t.Errorf("second Env(owner) = %q, want salma", got)
+	}
+
+	// The argv of an exec resolves $argN as its Env does.
+	rec.Reset()
+	e = newTestEngine(t, `blueprint b
+view v
+    property arg2 default shadow
+    when go do exec tool "$arg1" "$arg2" done
+endview
+endblueprint`, WithExecutor(rec))
+	k := mustCreate(t, e, "blk", "v")
+	if err := e.PostAndDrain(Event{Name: "go", Dir: bpl.DirDown, Target: k, Args: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	invs = rec.Invocations()
+	if len(invs) != 1 {
+		t.Fatalf("invocations = %+v", invs)
+	}
+	if got := invs[0].Args; len(got) != 2 || got[0] != "x" || got[1] != "" {
+		t.Errorf("argv = %q, want [x \"\"]", got)
+	}
+	if got := invs[0].Env("arg2"); got != invs[0].Args[1] {
+		t.Errorf("Env(arg2) = %q, argv has %q", got, invs[0].Args[1])
 	}
 }
 

@@ -25,7 +25,7 @@ func TestEDTCScenario(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		nl, err := e.CreateOID(schKey.Block, "netlist", inv.Env["user"])
+		nl, err := e.CreateOID(schKey.Block, "netlist", inv.Env("user"))
 		if err != nil {
 			return err
 		}

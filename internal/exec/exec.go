@@ -20,9 +20,12 @@ type Invocation struct {
 	Script string
 	// Args are the remaining expanded arguments.
 	Args []string
-	// Env carries the engine environment at firing time: $oid, $event,
-	// $user and the target OID's properties.
-	Env map[string]string
+	// Env resolves a variable of the engine environment as it stood when
+	// the rule fired: the built-ins ($oid, $event, $user, $date, ...) and,
+	// under any other name, the target OID's property, "" when absent.
+	// Later writes do not change what it reads, so an executor may call it
+	// at any time, from any goroutine.
+	Env func(name string) string
 }
 
 // String renders the invocation as a command line.
@@ -64,14 +67,7 @@ type Recorder struct {
 func (r *Recorder) Exec(inv Invocation) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Deep-copy env so later engine mutations don't alias.
-	cp := inv
-	cp.Args = append([]string(nil), inv.Args...)
-	cp.Env = make(map[string]string, len(inv.Env))
-	for k, v := range inv.Env {
-		cp.Env[k] = v
-	}
-	r.invocations = append(r.invocations, cp)
+	r.invocations = append(r.invocations, inv)
 	return nil
 }
 

@@ -21,3 +21,10 @@ func DecodePayload(payload []byte) (meta.Record, error) { return decodePayload(p
 
 // FollowWriteBytes is the buffer a follower writes through unsynced.
 const FollowWriteBytes = followWriteBytes
+
+// WaitCommitted blocks as a tailer does until the commit watermark exceeds
+// after or stop closes; ok is false on stop.
+func (w *Writer) WaitCommitted(after int64, stop <-chan struct{}) (lsn int64, ok bool) {
+	lsn, ok, _ = w.waitCommitted(after, stop, nil, nil)
+	return lsn, ok
+}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,6 +44,90 @@ func collectTail(t *testing.T, tl *journal.Tailer) ([]meta.Record, int64) {
 			return recs, ev.Watermark
 		}
 	}
+}
+
+// TestWaitCommittedWakesEveryWaiter: the writer makes its watermark's wake
+// channel only when a tailer waits and finds none, and an advance closes it
+// and leaves none.  A tailer that waits at the watermark, before a burst of
+// commits, between two bursts or during one must still be woken by the
+// commit that reaches its LSN, not by its timeout.
+func TestWaitCommittedWakesEveryWaiter(t *testing.T) {
+	w, db, err := journal.Open(t.TempDir(), journal.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	k, err := db.NewVersion("WAKE", "HDL_model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	const commits = 100 // one record each
+	burst := func() {
+		for i := 0; i < commits; i++ {
+			if err := db.SetProp(k, "n", fmt.Sprint(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := w.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	// Nothing but a commit wakes a waiter here: a lost one sleeps until
+	// its timeout.
+	var waiters sync.WaitGroup
+	wait := func(when string, lsn int64) {
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			stop := make(chan struct{})
+			timer := time.AfterFunc(1500*time.Millisecond, func() { close(stop) })
+			defer timer.Stop()
+			if at, ok := w.WaitCommitted(lsn-1, stop); !ok || at < lsn {
+				t.Errorf("%s: waiting for lsn %d: woken at %d, ok=%v", when, lsn, at, ok)
+			}
+		}()
+	}
+
+	at := w.CommittedLSN()
+	wait("at the watermark", at)
+	wait("at the watermark, for the next record", at+1)
+	for i := int64(2); i <= commits; i++ {
+		wait("before a burst", at+i)
+	}
+	burst()
+	between := w.CommittedLSN()
+	wait("between bursts", between)
+	wait("between bursts, for the next record", between+1)
+	// A waiter during the second burst waits for the record after the
+	// newest, or for the burst's last.
+	last := between + commits
+	bursting := make(chan struct{})
+	go func() {
+		defer close(bursting)
+		burst()
+	}()
+	during := 0
+	for running := true; running; {
+		select {
+		case <-bursting:
+			running = false
+		default:
+			during++
+			wait("during a burst", min(w.LastLSN()+1, last))
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	wait("after the bursts", w.CommittedLSN())
+	waiters.Wait()
+	if got := w.CommittedLSN(); got != last {
+		t.Errorf("watermark %d after the bursts, want %d", got, last)
+	}
+	t.Logf("%d waiters during a burst of %d commits", during, commits)
 }
 
 // TestTailerStreamsCommittedRecords: a tail from zero delivers exactly

@@ -128,8 +128,10 @@ type Writer struct {
 	// watermark is the commit watermark: the newest LSN whose frame has
 	// been written through to the operating system.  Everything at or below
 	// it is exactly as durable as a committed record and safe to ship to a
-	// follower; wmCh is closed and replaced each time it advances, so
-	// tailers can block on the next advance without polling.
+	// follower.  wmCh is the wake channel of the tailers blocked on its
+	// next advance: waitCommitted makes it when there is none, and an
+	// advance closes it and leaves none, so a commit nobody waits for
+	// makes no channel.
 	watermark atomic.Int64
 	wmMu      sync.Mutex
 	wmCh      chan struct{}
@@ -192,7 +194,6 @@ func open(dir string, opt Options, follower bool) (*Writer, *meta.DB, error) {
 		fs:       opt.FS,
 		db:       st.db,
 		follower: follower,
-		wmCh:     make(chan struct{}),
 		hlCh:     make(chan struct{}),
 		snapCh:   make(chan struct{}, 1),
 		quit:     make(chan struct{}),
@@ -347,8 +348,10 @@ func (w *Writer) advanceWatermark(lsn int64) {
 	}
 	w.watermark.Store(lsn)
 	w.wmMu.Lock()
-	close(w.wmCh)
-	w.wmCh = make(chan struct{})
+	if w.wmCh != nil {
+		close(w.wmCh)
+		w.wmCh = nil
+	}
 	w.wmMu.Unlock()
 }
 
@@ -364,8 +367,13 @@ func (w *Writer) advanceWatermark(lsn int64) {
 func (w *Writer) waitCommitted(after int64, stop, health <-chan struct{}, wake <-chan time.Time) (lsn int64, ok, woke bool) {
 	for {
 		w.wmMu.Lock()
+		if w.wmCh == nil {
+			w.wmCh = make(chan struct{})
+		}
 		ch := w.wmCh
 		w.wmMu.Unlock()
+		// The watermark is read after the channel is taken: an advance
+		// past this read closes ch.
 		if wm := w.watermark.Load(); wm > after {
 			return wm, true, false
 		}

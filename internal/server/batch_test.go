@@ -1,8 +1,13 @@
 package server
 
 import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/meta"
 	"repro/internal/wire"
@@ -112,5 +117,56 @@ func TestBatchHandleResponseShape(t *testing.T) {
 	}
 	if resp := s.Handle(wire.Request{Verb: wire.VerbBatch}); resp.OK {
 		t.Error("empty BATCH accepted")
+	}
+}
+
+// TestLongLinesOverSocket: a request line many times the connection's read
+// buffer is served whole, and one past maxLineBytes closes the connection
+// without being executed.
+func TestLongLinesOverSocket(t *testing.T) {
+	s, addr := startServer(t)
+	k := batchServerKeys(t, s, "alu")[0]
+	c := dial(t, addr)
+
+	items := make([]wire.BatchItem, MaxBatchItems)
+	line := len("BATCH")
+	for i := range items {
+		items[i] = wire.BatchItem{Event: "hdl_sim", Dir: "down", OID: k.String(),
+			Args: []string{fmt.Sprintf("good-%d", i)}}
+		line += 1 + len(wire.Quote(items[i].Encode()))
+	}
+	if line <= 100<<10 {
+		t.Fatalf("BATCH line of %d bytes, want more than 100 KB", line)
+	}
+	posted, err := c.PostBatch(items)
+	if err != nil || posted != MaxBatchItems {
+		t.Fatalf("BATCH of %d bytes posted %d, %v", line, posted, err)
+	}
+	last := fmt.Sprintf("good-%d", MaxBatchItems-1)
+	if v, _, _ := s.Engine().DB().Head().GetProp(k, "sim_result"); v != last {
+		t.Fatalf("sim_result = %q, want %q", v, last)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The server may close before the whole line is written: the write's
+	// error is expected.
+	go fmt.Fprintf(conn, "POST hdl_sim down %s %s\n", k, strings.Repeat("x", maxLineBytes))
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := io.ReadAll(conn)
+	if len(resp) != 0 {
+		t.Errorf("oversized line answered %.80q", resp)
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection still open after an oversized line")
+	}
+	if v, _, _ := s.Engine().DB().Head().GetProp(k, "sim_result"); v != last {
+		t.Errorf("oversized POST executed: sim_result = %q", v)
 	}
 }

@@ -183,7 +183,7 @@ func refCreate(t *testing.T, eng *engine.Engine, block, view, user string) meta.
 	}
 	for _, l := range ix.Lets(view) {
 		val := "false"
-		if l.Expr.Eval(lookup) {
+		if bpl.Eval(l.Expr, lookup) {
 			val = "true"
 		}
 		must(db.SetProp(k, l.Name, val))

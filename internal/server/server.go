@@ -445,7 +445,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 	tc := &timeoutConn{Conn: conn, idle: s.limits.IdleTimeout, write: s.limits.WriteTimeout}
-	r := bufio.NewReaderSize(tc, 64*1024)
+	// Requests are some 20 bytes: readProtocolLine joins a longer line
+	// across fills of the default buffer, up to maxLineBytes.
+	r := bufio.NewReader(tc)
 	w := bufio.NewWriterSize(tc, connWriteBuffer)
 	for {
 		line, err := readProtocolLine(r)

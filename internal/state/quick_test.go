@@ -52,7 +52,7 @@ func TestQuickExplainFailureConsistency(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e, o := genExprAndOID(rng)
 		lookup := func(n string) string { return o.Props[n] }
-		pass := e.Eval(lookup)
+		pass := bpl.Eval(e, lookup)
 		reasons := bpl.ExplainFailure(e, lookup)
 		if pass && reasons != nil {
 			t.Logf("seed %d: passing expr %s explained: %v", seed, e.String(), reasons)
@@ -90,7 +90,7 @@ func TestQuickEvaluateMatchesLets(t *testing.T) {
 		}}}
 		lookup := func(n string) string { return o.Props[n] }
 		st := Evaluate(bp, o)
-		want := e1.Eval(lookup) && e2.Eval(lookup)
+		want := bpl.Eval(e1, lookup) && bpl.Eval(e2, lookup)
 		return st.Ready == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -78,7 +78,7 @@ func evaluateInto(st *OIDState, lets []*bpl.LetDecl, ix *bpl.Index, o *meta.OID)
 	st.Props = o.Props
 	lookup := lookupFor(o)
 	for _, l := range lets {
-		ok := l.Expr.Eval(lookup)
+		ok := bpl.Eval(l.Expr, lookup)
 		st.Lets[l.Name] = ok
 		if !ok {
 			st.Ready = false
@@ -194,7 +194,7 @@ func ScanSortedView(v *meta.View, bp *bpl.Blueprint, fn func(key meta.Key, ready
 		ready := true
 		reasons = reasons[:0]
 		for _, l := range ix.Lets(sc.cur.key.View) {
-			if !l.Expr.Eval(sc.lookup) {
+			if !bpl.Eval(l.Expr, sc.lookup) {
 				ready = false
 				reasons = ix.Explainer(l).AppendFailures(reasons, l.Name, sc.lookup)
 			}
