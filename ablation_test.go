@@ -227,7 +227,7 @@ endblueprint`
 		}
 		state := map[string]string{}
 		eng.DB().Head().EachOID(func(o *meta.OID) bool {
-			state[o.Key.String()] = o.Props["uptodate"]
+			state[o.Key.String()], _ = o.Props.Get("uptodate")
 			return true
 		})
 		return state

@@ -482,7 +482,7 @@ func BenchmarkEventVsPollingDetection(b *testing.B) {
 			// The stale set is already materialized in properties.
 			stale := 0
 			eng.DB().Head().EachOID(func(o *meta.OID) bool {
-				if o.Props["uptodate"] == "false" {
+				if v, _ := o.Props.Get("uptodate"); v == "false" {
 					stale++
 				}
 				return true

@@ -192,7 +192,7 @@ endblueprint`)
 						return
 					}
 				case 3:
-					e.DB().Head().EachOID(func(o *meta.OID) bool { return o.Props["uptodate"] != "false" })
+					e.DB().Head().EachOID(func(o *meta.OID) bool { v, _ := o.Props.Get("uptodate"); return v != "false" })
 				}
 			}
 		}(p)

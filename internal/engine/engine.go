@@ -479,12 +479,12 @@ func (e *Engine) runRules(pol *policy, ev Event) {
 	// wave has settled (the engine defers the call until the queue is
 	// empty), so a tool triggered by a check-in is not caught by that
 	// check-in's own invalidation wave.  The environment keeps the
-	// target's published property map, which no later write changes.
+	// target's published property set, which no later write changes.
 	for _, a := range prog.Execs {
 		switch act := a.(type) {
 		case *bpl.ExecAction:
 			fired := &vars{ev: ev, at: e.clock()}
-			_ = e.head.WithOID(ev.Target, func(o *meta.OID) { fired.props = o.Props })
+			_ = e.head.WithOID(ev.Target, func(o *meta.OID) { fired.fired = o.Props })
 			inv := exec.Invocation{
 				Script: act.Argv[0].Expand(lookup),
 				Env:    fired.get,
@@ -542,9 +542,9 @@ func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl
 		detail string
 	}
 	var recs []rec
-	err := e.db.UpdateOID(ev.Target, func(o *meta.OID) {
-		maps.Copy(o.Props, seed)
-		inFlight := vars{ev: ev, props: o.Props, now: e.clock}
+	err := e.db.UpdateOID(ev.Target, func(props map[string]string) {
+		maps.Copy(props, seed)
+		inFlight := vars{ev: ev, props: props, now: e.clock}
 		lookup := inFlight.get
 		if prog != nil {
 			for _, aa := range prog.Assigns {
@@ -556,7 +556,7 @@ func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl
 					}
 					continue
 				}
-				o.Props[aa.Prop] = val
+				props[aa.Prop] = val
 				e.stats.assigns.Add(1)
 				if e.tracing {
 					recs = append(recs, rec{TraceAssign, aa.Prop + " = " + val})
@@ -569,13 +569,13 @@ func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl
 				val = "true"
 			}
 			e.stats.letEvals.Add(1)
-			if old, had := o.Props[l.Name]; had && old == val {
+			if old, had := props[l.Name]; had && old == val {
 				continue
 			}
 			if meta.ValidateName(l.Name) != nil {
 				continue
 			}
-			o.Props[l.Name] = val
+			props[l.Name] = val
 			if e.tracing {
 				recs = append(recs, rec{TraceLet, l.Name + " = " + val})
 			}

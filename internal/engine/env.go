@@ -14,8 +14,8 @@ import (
 // reads a property of the target OID from one of three sources: phases 1–2
 // pass the in-flight map they write, so an assignment is visible to the
 // continuous assignments after it; phases 3–4 read the target live from
-// the head view; an exec keeps the immutable map its target had when the
-// rule fired.
+// the head view; an exec keeps the immutable property set its target had
+// when the rule fired.
 //
 // Built-in variables:
 //
@@ -32,8 +32,9 @@ import (
 // the heap, because a pending exec captures it.
 type vars struct {
 	ev    Event
-	props map[string]string // the properties when head is nil
+	props map[string]string // non-nil: the in-flight properties
 	head  *meta.View        // non-nil: the target's properties, read live
+	fired meta.Props        // otherwise: the properties an exec captured
 	now   func() time.Time  // $date's clock; nil: at
 	at    time.Time         // an exec's firing time
 }
@@ -83,7 +84,11 @@ func (r *vars) prop(name string) string {
 		v, _, _ := r.head.GetProp(r.ev.Target, name)
 		return v
 	}
-	return r.props[name]
+	if r.props != nil {
+		return r.props[name]
+	}
+	v, _ := r.fired.Get(name)
+	return v
 }
 
 // argIndex parses "argN" names.

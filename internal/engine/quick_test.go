@@ -103,9 +103,10 @@ func TestQuickFIFODeterminism(t *testing.T) {
 			}
 			state := map[string]string{}
 			e.DB().Head().EachOID(func(o *meta.OID) bool {
-				for p, v := range o.Props {
+				o.Props.Each(func(p, v string) bool {
 					state[o.Key.String()+"/"+p] = v
-				}
+					return true
+				})
 				return true
 			})
 			return state

@@ -46,13 +46,13 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 		seed[p.Name] = p.Default
 	}
 	if hasPrev {
-		err := e.db.UpdateOID(prev, func(o *meta.OID) {
+		err := e.db.UpdateOID(prev, func(cur map[string]string) {
 			for _, p := range props {
-				if v, ok := o.Props[p.Name]; ok && p.Inherit != bpl.InheritNone {
+				if v, ok := cur[p.Name]; ok && p.Inherit != bpl.InheritNone {
 					seed[p.Name] = v
 				}
 				if p.Inherit == bpl.InheritMove {
-					delete(o.Props, p.Name)
+					delete(cur, p.Name)
 				}
 			}
 		})
@@ -125,7 +125,7 @@ func (e *Engine) inheritLinks(bp *bpl.Blueprint, prev, newK meta.Key) error {
 			} else {
 				to = newK
 			}
-			id, err := e.db.AddLink(m.link.Class, from, to, m.link.Template, m.link.Propagates, m.link.Props)
+			id, err := e.db.AddLink(m.link.Class, from, to, m.link.Template, m.link.Propagates, m.link.Props.Map())
 			if err != nil {
 				return fmt.Errorf("engine: copy link %d: %w", m.id, err)
 			}

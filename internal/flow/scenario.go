@@ -100,7 +100,7 @@ func RunEDTCScenario(sess *wrapper.Session) (*ScenarioResult, error) {
 	v := eng.DB().ReadView()
 	defer v.Close()
 	v.EachOID(func(o *meta.OID) bool {
-		if o.Props["uptodate"] == "false" {
+		if v, _ := o.Props.Get("uptodate"); v == "false" {
 			res.StaleAfterChange = append(res.StaleAfterChange, o.Key)
 		}
 		return true

@@ -48,10 +48,10 @@ func mutate(t *testing.T, db *meta.DB) {
 		}
 	}
 	must(db.SetProp(keys[0], "sim_result", "4 errors"))
-	must(db.UpdateOID(keys[1], func(o *meta.OID) {
-		o.Props["uptodate"] = "true"
-		o.Props["drc"] = "ok"
-		delete(o.Props, "owner")
+	must(db.UpdateOID(keys[1], func(props map[string]string) {
+		props["uptodate"] = "true"
+		props["drc"] = "ok"
+		delete(props, "owner")
 	}))
 	must(db.DelProp(keys[0], "sim_result"))
 

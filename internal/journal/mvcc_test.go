@@ -75,9 +75,9 @@ func checkViewReplayProperty(t *testing.T, shards int, ops []byte) bool {
 			}
 		case 3:
 			if len(keys) > 0 {
-				err := db.UpdateOID(keys[pick(a, len(keys))], func(o *meta.OID) {
-					o.Props["batch"] = fmt.Sprint(a)
-					delete(o.Props, "p"+fmt.Sprint(b%3))
+				err := db.UpdateOID(keys[pick(a, len(keys))], func(props map[string]string) {
+					props["batch"] = fmt.Sprint(a)
+					delete(props, "p"+fmt.Sprint(b%3))
 				})
 				if err != nil {
 					t.Fatal(err)

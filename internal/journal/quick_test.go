@@ -78,9 +78,9 @@ func checkJournalProperty(t *testing.T, shards int, ops []byte) bool {
 		case 3:
 			if len(keys) > 0 {
 				k := keys[pick(a, len(keys))]
-				err := db.UpdateOID(k, func(o *meta.OID) {
-					o.Props["batch"] = fmt.Sprint(a)
-					delete(o.Props, "p"+fmt.Sprint(b%4))
+				err := db.UpdateOID(k, func(props map[string]string) {
+					props["batch"] = fmt.Sprint(a)
+					delete(props, "p"+fmt.Sprint(b%4))
 				})
 				if err != nil {
 					t.Fatal(err)

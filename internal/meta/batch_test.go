@@ -20,9 +20,10 @@ func TestWithOIDAndUpdateOID(t *testing.T) {
 	var seen map[string]string
 	if err := db.Head().WithOID(k, func(o *OID) {
 		seen = map[string]string{}
-		for n, v := range o.Props {
+		o.Props.Each(func(n, v string) bool {
 			seen[n] = v
-		}
+			return true
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +32,12 @@ func TestWithOIDAndUpdateOID(t *testing.T) {
 	}
 
 	// UpdateOID batches a read-modify-write; later reads observe it.
-	if err := db.UpdateOID(k, func(o *OID) {
-		if o.Props["a"] != "1" {
-			t.Errorf("UpdateOID read a=%q", o.Props["a"])
+	if err := db.UpdateOID(k, func(props map[string]string) {
+		if props["a"] != "1" {
+			t.Errorf("UpdateOID read a=%q", props["a"])
 		}
-		o.Props["a"] = "2"
-		o.Props["b"] = "3"
+		props["a"] = "2"
+		props["b"] = "3"
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestWithOIDAndUpdateOID(t *testing.T) {
 	if err := db.Head().WithOID(missing, func(*OID) {}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("WithOID missing: %v", err)
 	}
-	if err := db.UpdateOID(missing, func(*OID) {}); !errors.Is(err, ErrNotFound) {
+	if err := db.UpdateOID(missing, func(map[string]string) {}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("UpdateOID missing: %v", err)
 	}
 }

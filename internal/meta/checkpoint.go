@@ -65,7 +65,7 @@ func (v *View) snapshot() *snapshot {
 // be a pinned view.
 func (v *View) Checkpoint(emit func(head Record, args []byte) error) error {
 	s := v.snapshot()
-	a := argWriter{spell: true, text: make([]byte, 0, 512), key: make([]byte, 0, 64), names: make([]string, 0, 16)}
+	a := argWriter{spell: true, text: make([]byte, 0, 512), key: make([]byte, 0, 64)}
 	var err error
 	put := func(lsn int64, op string, args func()) {
 		if err == nil {
@@ -82,7 +82,7 @@ func (v *View) Checkpoint(emit func(head Record, args []byte) error) error {
 		put(v.lsn, OpOID, func() {
 			a.keyArg(o.Key)
 			a.num(o.Seq)
-			if len(o.Props) > 0 {
+			if o.Props.s != "" {
 				a.props(o.Props)
 			}
 		})
@@ -196,7 +196,7 @@ func (s *snapshot) record(r Record, ins *installer) error {
 			if err != nil || len(dels) > 0 {
 				return fmt.Errorf("oid %v: bad property tail", k)
 			}
-			_, o.Props = ins.db.attrs.intern(nil, sets, nil)
+			_, o.Props = ins.db.attrs.edit(nil, Props{}, sets, nil)
 		}
 		return ins.oid(&o)
 
@@ -278,13 +278,6 @@ func (in *interner) key(k Key) Key {
 	return Key{Block: in.str(k.Block), View: in.str(k.View), Version: k.Version}
 }
 
-// fill enters name/value pairs into m.
-func (in *interner) fill(m map[string]string, pairs []string) {
-	for i := 0; i+1 < len(pairs); i += 2 {
-		m[in.str(pairs[i])] = in.str(pairs[i+1])
-	}
-}
-
 // installer enters a snapshot in a new database nobody else holds yet, so
 // without locks: the one bulk install of both formats.  Each object is the
 // first version of its history, stamped at the newest term start so that a
@@ -337,21 +330,14 @@ func (ins *installer) endChain() {
 	}
 }
 
-// install enters the whole snapshot: a JSON document's, whose links'
-// attributes and OIDs' properties it interns.
-func (s *snapshot) install(shards int) (*DB, error) {
-	ins, err := newInstaller(shards, s.terms)
+// install enters the whole snapshot: a JSON document's, read into ins's
+// database.
+func (s *snapshot) install(ins *installer) (*DB, error) {
 	slices.SortFunc(s.oids, func(a, b OID) int { return a.Key.Compare(b.Key) })
-	for _, l := range s.links {
-		l.Propagates, l.Props = ins.db.attrs.intern(l.Propagates, nil, l.Props)
-	}
-	for i := 0; err == nil && i < len(s.oids); i++ {
-		o := &s.oids[i]
-		_, o.Props = ins.db.attrs.intern(nil, nil, o.Props)
-		err = ins.oid(o)
-	}
-	if err != nil {
-		return nil, err
+	for i := range s.oids {
+		if err := ins.oid(&s.oids[i]); err != nil {
+			return nil, err
+		}
 	}
 	return ins.finish(s)
 }

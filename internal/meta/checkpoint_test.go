@@ -359,7 +359,7 @@ func FuzzSnapshotString(f *testing.F) {
 			t.Fatal(err)
 		}
 		l, _ := got.Head().GetLink(1)
-		if val, _, _ := got.Head().GetProp(k, "p"); val != s || l.Template != s || !l.CanPropagate(s) || l.Props["n"] != s {
+		if val, _, _ := got.Head().GetProp(k, "p"); val != s || l.Template != s || !l.CanPropagate(s) || prop(l.Props, "n") != s {
 			t.Fatalf("%q came back from a checkpoint as %q, template %q, link %+v", s, val, l.Template, l)
 		}
 		var want string

@@ -198,10 +198,10 @@ func (db *DB) DeleteConfiguration(name string) error {
 type ResolvedConfiguration struct {
 	Config *Configuration
 
-	// OIDs holds deep copies of the referenced OIDs that still exist.
+	// OIDs holds copies of the referenced OIDs that still exist.
 	OIDs []*OID
 
-	// Links holds deep copies of the referenced links that still exist.
+	// Links holds copies of the referenced links that still exist.
 	Links []*Link
 
 	// MissingOIDs and MissingLinks are addresses that no longer resolve

@@ -136,7 +136,7 @@ func TestSnapshotQuery(t *testing.T) {
 		}
 	}
 	c, err := db.SnapshotQuery("stale", func(o *OID) bool {
-		return o.Props["uptodate"] == "false"
+		return prop(o.Props, "uptodate") == "false"
 	})
 	if err != nil {
 		t.Fatal(err)

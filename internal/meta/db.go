@@ -2,7 +2,6 @@ package meta
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -105,23 +104,24 @@ type DB struct {
 type dbShard struct {
 	mu sync.Mutex
 
-	// upd is the OID UpdateOID hands its callback, reused under mu: an
-	// argument to an unknown function would otherwise be one heap object
-	// per delivery.  Its Props is the scratch map the property mutators
-	// edit before they intern it (scratch).
-	upd OID
+	// upd is the property map UpdateOID hands its callback, reused under
+	// mu (scratch).
+	upd map[string]string
 }
 
-// scratch returns the shard's scratch property map, holding a copy of
-// props.  The caller holds mu and keeps nothing of the map: the version it
-// publishes is the database's shared copy (attrTable.intern).
-func (sh *dbShard) scratch(props map[string]string) map[string]string {
-	if sh.upd.Props == nil {
-		sh.upd.Props = make(map[string]string)
+// scratch returns the shard's scratch property map, holding props.  The
+// caller holds mu and keeps nothing of the map: the version it publishes is
+// the database's shared copy of the set (attrTable).
+func (sh *dbShard) scratch(props Props) map[string]string {
+	if sh.upd == nil {
+		sh.upd = make(map[string]string)
 	}
-	clear(sh.upd.Props)
-	maps.Copy(sh.upd.Props, props)
-	return sh.upd.Props
+	clear(sh.upd)
+	props.Each(func(n, v string) bool {
+		sh.upd[n] = v
+		return true
+	})
+	return sh.upd
 }
 
 // DefaultShards is the shard count of NewDB: enough stripes to spread
@@ -339,111 +339,77 @@ func (db *DB) SetProp(k Key, name, value string) error {
 	if err := ValidateName(name); err != nil {
 		return fmt.Errorf("property: %w", err)
 	}
-	sh, h := db.lockShard(k.Block)
-	defer sh.mu.Unlock()
-	x, err := h.oid(k, newest)
-	if err != nil {
-		return err
-	}
-	if old, had := x.props[name]; had && old == value {
-		return nil
-	}
-	props := sh.scratch(x.props)
-	props[name] = value
-	_, props = db.attrs.intern(nil, nil, props)
-	s := db.beginMut(OpUpdate, 0, func() []string {
-		return []string{k.String(), "1", name, value}
-	})
-	h.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
-	db.endMut(s)
-	return nil
+	return db.editProps(k, []string{name, value}, nil)
 }
 
-// UpdateOID runs fn on the OID under the owning shard's write lock.  It is
-// the batched read-modify-write path of the run-time engine: one
-// delivery's property assignments and continuous re-evaluations read and
-// write Props in a single lock round-trip instead of one GetProp/SetProp
-// pair each — and, under sharding, deliveries to OIDs on different shards
-// update concurrently.  fn may read and mutate o.Props directly but must
-// not retain o or the map and must not call DB mutators (which would
+// UpdateOID runs fn on the OID's properties under the owning shard's write
+// lock.  It is the batched read-modify-write path of the run-time engine:
+// one delivery's property assignments and continuous re-evaluations read
+// and write the properties in a single lock round-trip instead of one
+// GetProp/SetProp pair each — and, under sharding, deliveries to OIDs on
+// different shards update concurrently.  fn may read and mutate the map
+// but must not retain it and must not call DB mutators (which would
 // deadlock).  Property names written by fn must satisfy ValidateName; the
 // caller validates because fn has no error channel.
 //
-// fn works on the shard's scratch OID, filled from the newest version's
-// property map; the map is diffed against that version after fn, and the
-// net change journaled and published — the database's shared copy of the
-// scratch map (attrTable) — as one update.  An fn that changes nothing emits
+// The map is the shard's scratch, filled from the newest version's
+// properties; after fn it is compared with that version, and a changed set
+// is published — the database's shared copy of it (attrTable) — and its
+// difference journaled as one update.  An fn that changes nothing emits
 // nothing and allocates nothing.
-func (db *DB) UpdateOID(k Key, fn func(o *OID)) error {
+func (db *DB) UpdateOID(k Key, fn func(props map[string]string)) error {
 	sh, h := db.lockShard(k.Block)
 	defer sh.mu.Unlock()
 	x, err := h.oid(k, newest)
 	if err != nil {
 		return err
 	}
-	o, before := &sh.upd, x.props
-	o.Key, o.Seq, o.Props = k, x.seq, sh.scratch(before)
-	fn(o)
-	o.Key = Key{} // k may be a replayed record's bytes, which are not ours to keep
-	// As many entries as before, each as before, is the same map.  Only a
-	// recorder wants the diff spelled out; without one — a replay, an
-	// unjournaled database — it is enough to know there is one.
-	recording, changed := db.rec != nil, len(o.Props) != len(before)
-	var sets map[string]string
-	if recording || !changed {
-		for n, v := range o.Props {
-			if ov, had := before[n]; !had || ov != v {
-				if changed = true; !recording {
-					break
-				}
-				if sets == nil {
-					sets = make(map[string]string)
-				}
-				sets[n] = v
-			}
-		}
-	}
-	if !changed {
-		return nil
-	}
-	var dels []string
-	if recording {
-		for n := range before {
-			if _, still := o.Props[n]; !still {
-				dels = append(dels, n)
-			}
-		}
-	}
-	_, props := db.attrs.intern(nil, nil, o.Props)
-	s := db.beginMut(OpUpdate, 0, func() []string {
-		return propArgs([]string{k.String()}, sets, dels)
+	m := sh.scratch(x.props)
+	fn(m)
+	same, n := true, 0
+	x.props.Each(func(name, v string) bool {
+		mv, ok := m[name]
+		same, n = ok && mv == v, n+1
+		return same
 	})
-	h.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
-	db.endMut(s)
+	if !same || n != len(m) {
+		_, props := db.attrs.editMap(nil, m)
+		db.putProps(h, k, x, props)
+	}
 	return nil
 }
 
 // DelProp removes a property from an OID.  Removing an absent property is a
 // no-op.
 func (db *DB) DelProp(k Key, name string) error {
+	return db.editProps(k, nil, []string{name})
+}
+
+// editProps publishes the OID's newest properties with the name/value pairs
+// set and the names of dels deleted (attrTable.edit), unless that changes
+// nothing.
+func (db *DB) editProps(k Key, pairs, dels []string) error {
 	sh, h := db.lockShard(k.Block)
 	defer sh.mu.Unlock()
 	x, err := h.oid(k, newest)
 	if err != nil {
 		return err
 	}
-	if _, had := x.props[name]; !had {
+	_, props := db.attrs.edit(nil, x.props, pairs, dels)
+	if props == x.props {
 		return nil
 	}
-	props := sh.scratch(x.props)
-	delete(props, name)
-	_, props = db.attrs.intern(nil, nil, props)
-	s := db.beginMut(OpUpdate, 0, func() []string {
-		return []string{k.String(), "0", name}
-	})
+	db.putProps(h, k, x, props)
+	return nil
+}
+
+// putProps publishes props as the next version of the OID k, whose newest
+// is x, journaled as the difference from x's properties (propArgs).  The
+// caller holds k's shard lock.
+func (db *DB) putProps(h *shardHist, k Key, x oidVal, props Props) {
+	s := db.beginMut(OpUpdate, 0, func() []string { return propArgs(k.String(), x.props, props) })
 	h.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
 	db.endMut(s)
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +424,7 @@ func (db *DB) DelProp(k Key, name string) error {
 // allocates neither — and installs like a replayed record does.
 func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates []string, props map[string]string) (LinkID, error) {
 	l := &Link{Class: class, From: from, To: to, Template: template}
-	l.Propagates, l.Props = db.attrs.intern(propagates, nil, props)
+	l.Propagates, l.Props = db.attrs.editMap(propagates, props)
 	sf, st, err := db.lockLinkEnds(l)
 	if err != nil {
 		return 0, err
@@ -600,8 +566,7 @@ func (db *DB) unlockShardSet(idx []uint32) {
 // SetLinkProp sets an annotation property on a link.
 func (db *DB) SetLinkProp(id LinkID, name, value string) error {
 	return db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
-		nl.Props = cloneProps(nl.Props)
-		nl.Props[name] = value
+		nl.Propagates, nl.Props = db.attrs.edit(nl.Propagates, nl.Props, []string{name, value}, nil)
 	}, func(*Link) []string {
 		return []string{strconv.FormatInt(int64(id), 10), "1", name, value}
 	})
@@ -610,9 +575,7 @@ func (db *DB) SetLinkProp(id LinkID, name, value string) error {
 // SetLinkPropagates replaces the PROPAGATE set of a link.
 func (db *DB) SetLinkPropagates(id LinkID, events []string) error {
 	return db.replaceLink(id, OpPropagates, func(nl *Link) {
-		nl.Propagates = slices.Clone(events)
-		slices.Sort(nl.Propagates)
-		nl.Propagates = slices.Compact(nl.Propagates)
+		nl.Propagates, nl.Props = db.attrs.edit(events, nl.Props, nil, nil)
 	}, func(nl *Link) []string {
 		return append([]string{strconv.FormatInt(int64(id), 10)}, nl.Propagates...)
 	})

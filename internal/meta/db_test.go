@@ -129,9 +129,10 @@ func TestGetOIDReturnsCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Props["DRC"] = "tampered"
-		if got, _, _ := v.GetProp(k, "DRC"); got != "ok" {
-			t.Error("mutating GetOID result changed database state")
+		want := *o
+		o.Seq, o.Props = -1, Props{}
+		if again, err := v.GetOID(k); err != nil || again.Seq != want.Seq || again.Props != want.Props {
+			t.Errorf("mutating GetOID result changed database state: %+v, want %+v", again, want)
 		}
 	}
 }

@@ -48,9 +48,9 @@ func mutationProgram(seed int64) []func(*DB) {
 			steps = append(steps, func(db *DB) { _ = db.DelProp(key(db, a), fmt.Sprintf("p%d", b%3)) })
 		case op == 7:
 			steps = append(steps, func(db *DB) {
-				_ = db.UpdateOID(key(db, a), func(o *OID) {
-					o.Props["p0"] = fmt.Sprint(b % 4)
-					delete(o.Props, "p1")
+				_ = db.UpdateOID(key(db, a), func(props map[string]string) {
+					props["p0"] = fmt.Sprint(b % 4)
+					delete(props, "p1")
 				})
 			})
 		case op < 11:
@@ -135,7 +135,7 @@ func liveReadsEqualView(db *DB) error {
 	for _, k := range keys {
 		live, err := h.GetOID(k)
 		at, verr := v.GetOID(k)
-		if err != nil || verr != nil || live.Seq != at.Seq || !maps.Equal(live.Props, at.Props) {
+		if err != nil || verr != nil || live.Seq != at.Seq || live.Props != at.Props {
 			return fmt.Errorf("GetOID(%v): %+v %v, the view's %+v %v", k, live, err, at, verr)
 		}
 		latest, err := h.Latest(k.Block, k.View)
@@ -294,26 +294,28 @@ func TestQuickLoadSeals(t *testing.T) {
 				case 0:
 					// Rewriting what is already there is no change.
 					before := db.mvcc.epoch.Load()
-					_ = db.UpdateOID(k, func(live *OID) {
-						for n, v := range o.Props {
-							live.Props[n] = v
-						}
+					_ = db.UpdateOID(k, func(props map[string]string) {
+						o.Props.Each(func(n, v string) bool {
+							props[n] = v
+							return true
+						})
 					})
 					if e := db.mvcc.epoch.Load(); e != before {
 						t.Logf("seed %d shards %d: a no-op update of loaded %v published a version", seed, shards, k)
 						return false
 					}
-					_ = db.UpdateOID(k, func(live *OID) { live.Props["fresh"] = "1" })
+					_ = db.UpdateOID(k, func(props map[string]string) { props["fresh"] = "1" })
 				case 1:
 					if err := db.SetProp(k, "fresh", "1"); err != nil {
 						t.Fatal(err)
 					}
 				case 2:
-					for _, n := range o.PropNames() {
+					o.Props.Each(func(n, _ string) bool {
 						if err := db.DelProp(k, n); err != nil {
 							t.Fatal(err)
 						}
-					}
+						return true
+					})
 				}
 			}
 			if got := viewSave(t, pinned); !bytes.Equal(got, doc) {

@@ -2,7 +2,6 @@ package meta
 
 import (
 	"bytes"
-	"fmt"
 	"maps"
 	"reflect"
 	"slices"
@@ -12,7 +11,7 @@ import (
 
 // sameAttrs reports whether two links hold one copy of their attributes.
 func sameAttrs(a, b *Link) bool {
-	return reflect.ValueOf(a.Props).UnsafePointer() == reflect.ValueOf(b.Props).UnsafePointer() &&
+	return unsafe.StringData(a.Props.s) == unsafe.StringData(b.Props.s) &&
 		unsafe.SliceData(a.Propagates) == unsafe.SliceData(b.Propagates)
 }
 
@@ -69,25 +68,24 @@ func TestLinkAttributesShared(t *testing.T) {
 	}
 	// The engine copies an inherited link from a copy of it (inheritLinks).
 	inherited := db.Head().LinksOf(sch[3])[0]
-	copyID, err := db.AddLink(inherited.Class, mustNewVersion(t, db, "mmu", "schematic"), inherited.To, inherited.Template, inherited.PropagateList(), inherited.Props)
+	copyID, err := db.AddLink(inherited.Class, mustNewVersion(t, db, "mmu", "schematic"), inherited.To, inherited.Template, inherited.PropagateList(), inherited.Props.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
-	inherited.Props["mutated"] = "by a caller"
 	inherited.Propagates[0] = "mutated"
 
 	for id, want := range map[LinkID]struct {
-		props      map[string]string
+		props      Props
 		propagates []string
 	}{
-		ids[0]: {map[string]string{PropType: TypeDeriveFrom, "note": "one-off"}, sibling.Propagates},
+		ids[0]: {mkProps(PropType, TypeDeriveFrom, "note", "one-off"), sibling.Propagates},
 		ids[1]: {sibling.Props, []string{"lvs"}},
 		ids[2]: {sibling.Props, sibling.Propagates},
 		ids[3]: {sibling.Props, sibling.Propagates},
 		copyID: {sibling.Props, sibling.Propagates},
 	} {
 		l := storedLink(t, db, id)
-		if !reflect.DeepEqual(l.Props, want.props) || !slices.Equal(l.Propagates, want.propagates) {
+		if l.Props != want.props || !slices.Equal(l.Propagates, want.propagates) {
 			t.Errorf("link %d: props %v propagates %q, want %v %q", id, l.Props, l.Propagates, want.props, want.propagates)
 		}
 	}
@@ -101,7 +99,7 @@ func TestLinkAttributesShared(t *testing.T) {
 		t.Errorf("the view pinned before the mutations changed:\n%s", firstDiff(got, before))
 	}
 	pinned.EachLink(func(l *Link) bool {
-		if !reflect.DeepEqual(l.Props, sibling.Props) || !slices.Equal(l.Propagates, sibling.Propagates) {
+		if l.Props != sibling.Props || !slices.Equal(l.Propagates, sibling.Propagates) {
 			t.Errorf("the pinned view's link %d: props %v propagates %q", l.ID, l.Props, l.Propagates)
 		}
 		return true
@@ -127,7 +125,7 @@ func TestLinkAttributesShared(t *testing.T) {
 		if !sameAttrs(storedLink(t, got, ids[2]), storedLink(t, got, copyID)) {
 			t.Errorf("%s: links of equal attributes hold a copy each", name)
 		}
-		if l := storedLink(t, got, ids[0]); l.Props["note"] != "one-off" || sameAttrs(l, storedLink(t, got, ids[3])) {
+		if l := storedLink(t, got, ids[0]); prop(l.Props, "note") != "one-off" || sameAttrs(l, storedLink(t, got, ids[3])) {
 			t.Errorf("%s: the one-off link came back as %+v", name, l)
 		}
 	}
@@ -138,17 +136,17 @@ func TestLinkAttributesShared(t *testing.T) {
 func TestAttrInternAllocatesNothingOnAHit(t *testing.T) {
 	var at attrTable
 	props := map[string]string{PropType: TypeDeriveFrom, "owner": "cad"}
-	at.intern([]string{"outofdate", "ckin"}, nil, props)
+	at.editMap([]string{"outofdate", "ckin"}, props)
 	pairs := []string{"owner", "cad", PropType, TypeDeriveFrom}
 	if n := testing.AllocsPerRun(100, func() {
-		at.intern([]string{"ckin", "outofdate", "ckin"}, pairs, nil)
-		at.intern([]string{"outofdate", "ckin"}, nil, props)
+		at.edit([]string{"ckin", "outofdate", "ckin"}, Props{}, pairs, nil)
+		at.editMap([]string{"outofdate", "ckin"}, props)
 	}); n != 0 {
 		t.Errorf("an interned attribute set costs %.0f allocations", n)
 	}
 	// A repeated name: the last one wins, as a property map filled in order.
-	_, got := at.intern(nil, []string{"a", "1", "b", "2", "a", "3"}, nil)
-	if !reflect.DeepEqual(got, map[string]string{"a": "3", "b": "2"}) {
+	_, got := at.edit(nil, Props{}, []string{"a", "1", "b", "2", "a", "3"}, nil)
+	if !reflect.DeepEqual(got.Map(), map[string]string{"a": "3", "b": "2"}) {
 		t.Errorf("repeated names intern as %v", got)
 	}
 }
@@ -164,10 +162,10 @@ func TestOIDPropertySetsShared(t *testing.T) {
 	addTrees(t, db, 64)
 	// A few OIDs with sets of their own, some of them equal.
 	for i, k := range []Key{{"t0b0", "netlist", 1}, {"t1b0", "netlist", 1}, {"t2b5", "layout", 1}} {
-		if err := db.UpdateOID(k, func(o *OID) {
-			o.Props["owner"] = "cad"
+		if err := db.UpdateOID(k, func(props map[string]string) {
+			props["owner"] = "cad"
 			if i == 2 {
-				o.Props["sim_result"] = "good"
+				props["sim_result"] = "good"
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -177,25 +175,25 @@ func TestOIDPropertySetsShared(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// shared fails the test unless a database's OIDs hold one property map
-	// per distinct property set.
+	// shared fails the test unless a database's OIDs hold one backing
+	// string per distinct property set.
 	shared := func(name string, db *DB) {
 		t.Helper()
-		oids, ptrs, sets := 0, map[unsafe.Pointer]bool{}, map[string]bool{}
+		oids, ptrs, sets := 0, map[*byte]bool{}, map[string]bool{}
 		db.Head().EachOID(func(o *OID) bool {
 			oids++
-			ptrs[reflect.ValueOf(o.Props).UnsafePointer()] = true
-			sets[fmt.Sprint(o.Props)] = true // fmt prints a map sorted by key
+			ptrs[unsafe.StringData(o.Props.s)] = true
+			sets[o.Props.s] = true
 			return true
 		})
 		if len(ptrs) != len(sets) {
-			t.Errorf("%s: %d OIDs hold %d property maps for %d distinct sets", name, oids, len(ptrs), len(sets))
+			t.Errorf("%s: %d OIDs hold %d property strings for %d distinct sets", name, oids, len(ptrs), len(sets))
 		}
 	}
 	shared("mutators", db)
 
 	a, b := Key{"t0b0", "netlist", 1}, Key{"t1b0", "netlist", 1}
-	propsOf := func(v *View, k Key) map[string]string {
+	propsOf := func(v *View, k Key) Props {
 		t.Helper()
 		o, err := v.GetOID(k)
 		if err != nil {
@@ -209,38 +207,38 @@ func TestOIDPropertySetsShared(t *testing.T) {
 	for _, write := range []struct {
 		name string
 		do   func() error
-		want map[string]string
+		want Props
 	}{
-		{"UpdateOID", func() error { return db.UpdateOID(a, func(o *OID) { o.Props["sim_result"] = "bad" }) },
-			map[string]string{"uptodate": "true", "owner": "cad", "sim_result": "bad"}},
+		{"UpdateOID", func() error { return db.UpdateOID(a, func(props map[string]string) { props["sim_result"] = "bad" }) },
+			mkProps("uptodate", "true", "owner", "cad", "sim_result", "bad")},
 		{"SetProp", func() error { return db.SetProp(a, "owner", "layout") },
-			map[string]string{"uptodate": "true", "owner": "layout"}},
+			mkProps("uptodate", "true", "owner", "layout")},
 		{"DelProp", func() error { return db.DelProp(a, "uptodate") },
-			map[string]string{"owner": "cad"}},
+			mkProps("owner", "cad")},
 	} {
 		if !sameProps(db, a, b) {
-			t.Fatalf("before %s: %v and %v hold a property map each", write.name, a, b)
+			t.Fatalf("before %s: %v and %v hold a property string each", write.name, a, b)
 		}
 		pinned := db.ReadView()
 		if err := write.do(); err != nil {
 			t.Fatal(err)
 		}
-		if got := propsOf(db.Head(), a); !reflect.DeepEqual(got, write.want) {
+		if got := propsOf(db.Head(), a); got != write.want {
 			t.Errorf("after %s: %v holds %v, want %v", write.name, a, got, write.want)
 		}
-		if got := propsOf(db.Head(), b); !reflect.DeepEqual(got, sibling) {
+		if got := propsOf(db.Head(), b); got != sibling {
 			t.Errorf("after %s on %v: %v holds %v, want %v", write.name, a, b, got, sibling)
 		}
-		if got := propsOf(pinned, a); !reflect.DeepEqual(got, sibling) {
+		if got := propsOf(pinned, a); got != sibling {
 			t.Errorf("after %s: the pinned view reads %v as %v, want %v", write.name, a, got, sibling)
 		}
 		pinned.Close()
-		if err := db.UpdateOID(a, func(o *OID) { clear(o.Props); maps.Copy(o.Props, sibling) }); err != nil {
+		if err := db.UpdateOID(a, func(props map[string]string) { clear(props); maps.Copy(props, sibling.Map()) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !sameProps(db, a, b) {
-		t.Errorf("%v, back to %v's properties, holds a map of its own", a, b)
+		t.Errorf("%v, back to %v's properties, holds a string of its own", a, b)
 	}
 	shared("mutators, after the writes", db)
 
@@ -269,11 +267,12 @@ func TestOIDPropertySetsShared(t *testing.T) {
 	}
 }
 
-// sameProps reports whether two OIDs' newest versions hold one property map.
+// sameProps reports whether two OIDs' newest versions hold one property
+// string.
 func sameProps(db *DB, a, b Key) bool {
-	var p [2]unsafe.Pointer
+	var p [2]*byte
 	for i, k := range []Key{a, b} {
-		db.Head().WithOID(k, func(o *OID) { p[i] = reflect.ValueOf(o.Props).UnsafePointer() })
+		db.Head().WithOID(k, func(o *OID) { p[i] = unsafe.StringData(o.Props.s) })
 	}
 	return p[0] != nil && p[0] == p[1]
 }

@@ -3,7 +3,7 @@ package meta
 // LSN-keyed MVCC read epochs.
 //
 // The version histories are the database: every object — an OID's
-// property map, a version chain, an adjacency posting, a link, a
+// property set, a version chain, an adjacency posting, a link, a
 // configuration, a workspace — is one lock-free history of immutable
 // versions, newest first, and what the object is now is its history's
 // head.  There is no other container.
@@ -282,12 +282,12 @@ func (t *table[K, T]) trim(floor int64) {
 	}
 }
 
-// oidVal is the versioned payload of an OID: its creation stamp and an
-// immutable property map (nil when empty), the one copy every version of
-// equal properties shares (attrTable).
+// oidVal is the versioned payload of an OID: its creation stamp and its
+// property set, the one copy every version of equal properties shares
+// (attrTable).
 type oidVal struct {
 	seq   int64
-	props map[string]string
+	props Props
 }
 
 // store is every container of the database, behind DB.store.  RestoreFrom

@@ -47,7 +47,7 @@ func TestReadViewPointInTime(t *testing.T) {
 		t.Error("v1 sees an OID created after it was pinned")
 	}
 	o, err := v1.GetOID(a)
-	if err != nil || o.Props["state"] != "old" {
+	if err != nil || prop(o.Props, "state") != "old" {
 		t.Errorf("v1 GetOID(a) = %v, %v; want state=old", o, err)
 	}
 	if got := viewSave(t, v1); !bytes.Equal(got, liveAtV1) {
@@ -60,7 +60,7 @@ func TestReadViewPointInTime(t *testing.T) {
 
 	// v2: current state, equal to a live Save now.
 	o2, err := v2.GetOID(a)
-	if err != nil || o2.Props["state"] != "new" {
+	if err != nil || prop(o2.Props, "state") != "new" {
 		t.Errorf("v2 GetOID(a) = %v, %v; want state=new", o2, err)
 	}
 	if !v2.HasOID(b) {
@@ -174,9 +174,9 @@ func TestViewByteStableUnderWriters(t *testing.T) {
 						return
 					}
 				case 2:
-					err := db.UpdateOID(k, func(o *OID) {
-						o.Props["count"] = fmt.Sprint(i)
-						delete(o.Props, "tmp")
+					err := db.UpdateOID(k, func(props map[string]string) {
+						props["count"] = fmt.Sprint(i)
+						delete(props, "tmp")
 					})
 					if err != nil {
 						t.Error(err)
@@ -295,5 +295,5 @@ func viewState(t *testing.T, v *View, k Key) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o.Props["state"]
+	return prop(o.Props, "state")
 }

@@ -86,17 +86,13 @@ func (s *snapshot) save(w io.Writer) error {
 	doc := dbJSON{Seq: s.seq, NextLink: s.nextLink, Terms: s.terms}
 	for _, o := range s.oids {
 		oj := oidJSON{Block: o.Key.Block, View: o.Key.View, Version: o.Key.Version, Seq: o.Seq}
-		if len(o.Props) > 0 {
-			oj.Props = o.Props
-		}
+		oj.Props = o.Props.Map()
 		doc.OIDs = append(doc.OIDs, oj)
 	}
 	for _, l := range s.links {
 		lj := linkJSON{ID: int64(l.ID), Class: l.Class.String(), From: l.From.String(), To: l.To.String(),
 			Template: l.Template, Propagates: l.Propagates, Seq: l.Seq}
-		if len(l.Props) > 0 {
-			lj.Props = l.Props
-		}
+		lj.Props = l.Props.Map()
 		doc.Links = append(doc.Links, lj)
 	}
 	for _, c := range s.configs {
@@ -152,10 +148,14 @@ func LoadShards(r io.Reader, shards int) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("meta: decode: %w", err)
 	}
-	s, err := doc.snapshot()
+	ins, err := newInstaller(shards, doc.Terms)
+	var s *snapshot
+	if err == nil {
+		s, err = doc.snapshot(&ins.db.attrs)
+	}
 	var db *DB
 	if err == nil {
-		db, err = s.install(shards)
+		db, err = s.install(ins)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("meta: load: %w", err)
@@ -240,11 +240,13 @@ func member(t reflect.Type, name string, seen *[]string) (reflect.Type, error) {
 	return nil, nil
 }
 
-// snapshot is the document's content, its keys parsed.
-func (doc *dbJSON) snapshot() (*snapshot, error) {
+// snapshot is the document's content, its keys parsed and its attribute
+// sets interned in attrs.
+func (doc *dbJSON) snapshot(attrs *attrTable) (*snapshot, error) {
 	s := &snapshot{seq: doc.Seq, nextLink: doc.NextLink, terms: doc.Terms}
 	for _, o := range doc.OIDs {
-		s.oids = append(s.oids, OID{Key: Key{Block: o.Block, View: o.View, Version: o.Version}, Seq: o.Seq, Props: o.Props})
+		_, props := attrs.editMap(nil, o.Props)
+		s.oids = append(s.oids, OID{Key: Key{Block: o.Block, View: o.View, Version: o.Version}, Seq: o.Seq, Props: props})
 	}
 	for _, lj := range doc.Links {
 		class, classErr := ParseLinkClass(lj.Class)
@@ -253,8 +255,9 @@ func (doc *dbJSON) snapshot() (*snapshot, error) {
 		if err := cmp.Or(classErr, fromErr, toErr); err != nil {
 			return nil, fmt.Errorf("link %d: %w", lj.ID, err)
 		}
-		s.links = append(s.links, &Link{ID: LinkID(lj.ID), Class: class, From: from, To: to, Template: lj.Template, Seq: lj.Seq,
-			Props: lj.Props, Propagates: lj.Propagates})
+		l := &Link{ID: LinkID(lj.ID), Class: class, From: from, To: to, Template: lj.Template, Seq: lj.Seq}
+		l.Propagates, l.Props = attrs.editMap(lj.Propagates, lj.Props)
+		s.links = append(s.links, l)
 	}
 	for _, cj := range doc.Configs {
 		c := &Configuration{Name: cj.Name, Seq: cj.Seq}

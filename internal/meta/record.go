@@ -2,8 +2,6 @@ package meta
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strconv"
 	"sync/atomic"
 
@@ -94,8 +92,7 @@ type argWriter struct {
 	list  []string
 	text  []byte
 	spell bool
-	key   []byte   // a Key's text, being quoted
-	names []string // sorting space
+	key   []byte // a Key's text, being quoted
 }
 
 func (a *argWriter) str(s string) {
@@ -123,37 +120,62 @@ func (a *argWriter) keyArg(k Key) {
 	}
 }
 
-// props writes a property map as the set part of propArgs: the count, then
+// props writes a property set as the set part of propArgs: the count, then
 // the pairs.
-func (a *argWriter) props(m map[string]string) {
-	a.num(int64(len(m)))
-	a.pairs(m)
+func (a *argWriter) props(p Props) {
+	a.num(int64(p.Len()))
+	a.pairs(p)
 }
 
-// pairs writes a property map's name/value pairs, sorted by name.
-func (a *argWriter) pairs(m map[string]string) {
-	a.names = a.names[:0]
-	for n := range m {
-		a.names = append(a.names, n)
-	}
-	slices.Sort(a.names)
-	for _, n := range a.names {
+// pairs writes a property set's name/value pairs, in name order.
+func (a *argWriter) pairs(p Props) {
+	p.Each(func(n, v string) bool {
 		a.str(n)
-		a.str(m[n])
-	}
+		a.str(v)
+		return true
+	})
 }
 
-// propArgs encodes a property diff as the argument tail shared by OpUpdate
-// and OpLinkUpdate: the set count, then name/value pairs, then deleted
-// names.  Pairs and deletions are sorted by name so identical diffs encode
-// identically regardless of map iteration order.  The result is allocated
-// at exact capacity — this sits on the journaled delivery hot path.
-func propArgs(prefix []string, sets map[string]string, dels []string) []string {
-	a := argWriter{list: make([]string, 0, len(prefix)+1+2*len(sets)+len(dels))}
-	a.list = append(a.list, prefix...)
-	a.props(sets)
-	sort.Strings(dels)
-	return append(a.list, dels...)
+// propArgs encodes the difference between two property sets as the
+// argument tail shared by OpUpdate and OpLinkUpdate, after head: the count
+// of names after sets anew or to another value, then those name/value
+// pairs, then the names before has and after has not — one merge of the
+// two sorted sets, so that one difference always encodes alike.  The
+// result is allocated at exact capacity: this sits on the journaled
+// delivery hot path.
+func propArgs(head string, before, after Props) []string {
+	var setBuf [32]string
+	var delBuf [8]string
+	sets, dels := setBuf[:0], delBuf[:0]
+	for a, b := after.s, before.s; len(a) > 0 || len(b) > 0; {
+		var an, av, ar, bn, bv, br string
+		if len(a) > 0 {
+			an, ar = nextSized(a)
+			av, ar = nextSized(ar)
+			if n := len(a) - len(ar); n <= len(b) && a[:n] == b[:n] {
+				a, b = ar, b[n:] // the same pair, spelled alike
+				continue
+			}
+		}
+		if len(b) > 0 {
+			bn, br = nextSized(b)
+			bv, br = nextSized(br)
+		}
+		switch {
+		case len(b) == 0 || len(a) > 0 && an < bn:
+			sets, a = append(sets, an, av), ar
+		case len(a) == 0 || bn < an:
+			dels, b = append(dels, bn), br
+		default:
+			if av != bv {
+				sets = append(sets, an, av)
+			}
+			a, b = ar, br
+		}
+	}
+	args := make([]string, 0, 2+len(sets)+len(dels))
+	args = append(args, head, strconv.Itoa(len(sets)/2))
+	return append(append(args, sets...), dels...)
 }
 
 // parsePropArgs decodes the tail produced by propArgs into slices of it:
@@ -169,20 +191,11 @@ func parsePropArgs(args []string) (sets, dels []string, err error) {
 	return args[1 : 1+2*n], args[1+2*n:], nil
 }
 
-// applyProps replays a decoded property diff onto a property map, the
-// strings it keeps copied out through in.
-func applyProps(props map[string]string, sets, dels []string, in *interner) {
-	in.fill(props, sets)
-	for _, n := range dels {
-		delete(props, n)
-	}
-}
-
 // linkArgs encodes a complete link object: id, class, endpoints, template,
 // seq, the PROPAGATE set (count-prefixed) and the annotation properties as
 // name/value pairs.
 func linkArgs(l *Link) []string {
-	a := argWriter{list: make([]string, 0, 7+len(l.Propagates)+2*len(l.Props))}
+	a := argWriter{list: make([]string, 0, 7+len(l.Propagates)+2*l.Props.Len())}
 	a.link(l)
 	return a.list
 }
@@ -236,7 +249,7 @@ func parseLinkArgs(args []string, in *interner, attrs *attrTable) (*Link, error)
 		return nil, fmt.Errorf("odd property tail on link %d", id)
 	}
 	l := &Link{ID: LinkID(id), Class: class, From: in.key(from), To: in.key(to), Template: in.str(args[4]), Seq: seq}
-	l.Propagates, l.Props = attrs.intern(rest[:np], rest[np:], nil)
+	l.Propagates, l.Props = attrs.edit(rest[:np], Props{}, rest[np:], nil)
 	return l, nil
 }
 
@@ -321,8 +334,7 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		err = db.UpdateOID(k, func(o *OID) { applyProps(o.Props, sets, dels, &db.in) })
-		if err != nil {
+		if err := db.editProps(k, sets, dels); err != nil {
 			return fail(err)
 		}
 
@@ -379,8 +391,7 @@ func (db *DB) applyRecord(r Record) error {
 			return fail(err)
 		}
 		err = db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
-			nl.Props = cloneProps(nl.Props)
-			applyProps(nl.Props, sets, dels, &db.in)
+			nl.Propagates, nl.Props = db.attrs.edit(nl.Propagates, nl.Props, sets, dels)
 		}, func(*Link) []string { return r.Args })
 		if err != nil {
 			return fail(err)

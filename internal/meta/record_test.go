@@ -41,9 +41,9 @@ func TestRecorderCapturesEveryMutationClass(t *testing.T) {
 	if err := db.SetProp(root, "uptodate", "true"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.UpdateOID(nl, func(o *OID) {
-		o.Props["sim_result"] = "good"
-		o.Props["tmp"] = "x"
+	if err := db.UpdateOID(nl, func(props map[string]string) {
+		props["sim_result"] = "good"
+		props["tmp"] = "x"
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 	}
 	n := len(rec.recs)
 
-	if err := db.UpdateOID(k, func(o *OID) { _ = o.Props["absent"] }); err != nil {
+	if err := db.UpdateOID(k, func(props map[string]string) { _ = props["absent"] }); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DelProp(k, "absent"); err != nil {
@@ -191,9 +191,9 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	n = len(rec.recs)
-	if err := db.UpdateOID(k, func(o *OID) {
-		o.Props["x"] = "2"
-		o.Props["x"] = "1"
+	if err := db.UpdateOID(k, func(props map[string]string) {
+		props["x"] = "2"
+		props["x"] = "1"
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,9 @@ import (
 // linearizable: it answers as of one instant between its call and its
 // return.  Walks and enumerations resolve many histories one after another;
 // on the head they are not one cut, so ask them of a pinned view.  Getters
-// of one object return deep copies; the iterators (Each*, WithOID) hand the
-// stored immutable objects to a callback, which must not mutate them.
+// of one object return copies, which share the immutable property sets;
+// the iterators (Each*, WithOID) hand the stored immutable objects to a
+// callback, which must not mutate them.
 type View struct {
 	db       *DB
 	lsn      int64
@@ -155,13 +156,13 @@ func (v *View) HasOID(k Key) bool {
 	return ok
 }
 
-// GetOID returns a deep copy of the OID.
+// GetOID returns a copy of the OID, which shares the immutable Props.
 func (v *View) GetOID(k Key) (*OID, error) {
 	x, err := v.shard(k.Block).oid(k, v.lsn)
 	if err != nil {
 		return nil, err
 	}
-	return (&OID{Key: k, Seq: x.seq, Props: x.props}).clone(), nil
+	return &OID{Key: k, Seq: x.seq, Props: x.props}, nil
 }
 
 // GetProp returns a property value of an OID.  Missing properties return
@@ -171,13 +172,13 @@ func (v *View) GetProp(k Key, name string) (string, bool, error) {
 	if err != nil {
 		return "", false, err
 	}
-	val, ok := x.props[name]
+	val, ok := x.props.Get(name)
 	return val, ok, nil
 }
 
-// WithOID runs fn on the OID — the batched read for callers that need
-// several properties at once without paying for a deep copy (GetOID).  fn
-// must not retain or mutate the OID; it may retain Props (immutable).
+// WithOID runs fn on the OID — the read for callers that need several
+// properties at once without allocating the copy GetOID returns.  fn must
+// not retain or mutate the OID; it may retain Props (immutable).
 func (v *View) WithOID(k Key, fn func(o *OID)) error {
 	x, err := v.shard(k.Block).oid(k, v.lsn)
 	if err != nil {
@@ -231,7 +232,7 @@ func (v *View) Predecessor(k Key) (Key, bool) {
 // ---------------------------------------------------------------------------
 // Links
 
-// GetLink returns a deep copy of the link.
+// GetLink returns a copy of the link, the caller's to change.
 func (v *View) GetLink(id LinkID) (*Link, error) {
 	l, ok := v.stripe(id).links.at(id, v.lsn)
 	if !ok {

@@ -172,7 +172,7 @@ func refCreate(t *testing.T, eng *engine.Engine, block, view, user string) meta.
 				} else {
 					to = k
 				}
-				_, err := db.AddLink(l.Class, from, to, l.Template, l.Propagates, l.Props)
+				_, err := db.AddLink(l.Class, from, to, l.Template, l.Propagates, l.Props.Map())
 				must(err)
 			}
 		}

@@ -1052,9 +1052,10 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		}
 		st := state.Evaluate(s.eng.Blueprint(), o)
 		body := []string{fmt.Sprintf("ready %v", st.Ready)}
-		for _, name := range o.PropNames() {
-			body = append(body, fmt.Sprintf("prop %s %s", name, wire.Quote(o.Props[name])))
-		}
+		o.Props.Each(func(name, value string) bool {
+			body = append(body, fmt.Sprintf("prop %s %s", name, wire.Quote(value)))
+			return true
+		})
 		for _, r := range st.Reasons {
 			body = append(body, "blocking "+r)
 		}

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,9 +38,16 @@ func genExprAndOID(rng *rand.Rand) (bpl.Expr, *meta.OID) {
 			return &bpl.NotExpr{X: gen(depth - 1)}
 		}
 	}
-	o := &meta.OID{Key: meta.Key{Block: "b", View: "v", Version: 1}, Props: map[string]string{}}
+	db := meta.NewDB()
+	k, err := db.NewVersion("b", "v")
 	for _, p := range props {
-		o.Props[p] = vals[rng.Intn(len(vals))]
+		if err == nil {
+			err = db.SetProp(k, p, vals[rng.Intn(len(vals))])
+		}
+	}
+	o, err2 := db.Head().GetOID(k)
+	if err != nil || err2 != nil {
+		panic(fmt.Sprint(err, err2))
 	}
 	return gen(3), o
 }
@@ -51,7 +59,7 @@ func TestQuickExplainFailureConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, o := genExprAndOID(rng)
-		lookup := func(n string) string { return o.Props[n] }
+		lookup := func(n string) string { v, _ := o.Props.Get(n); return v }
 		pass := bpl.Eval(e, lookup)
 		reasons := bpl.ExplainFailure(e, lookup)
 		if pass && reasons != nil {
@@ -88,7 +96,7 @@ func TestQuickEvaluateMatchesLets(t *testing.T) {
 				{Name: "s2", Expr: e2},
 			},
 		}}}
-		lookup := func(n string) string { return o.Props[n] }
+		lookup := func(n string) string { v, _ := o.Props.Get(n); return v }
 		st := Evaluate(bp, o)
 		want := bpl.Eval(e1, lookup) && bpl.Eval(e2, lookup)
 		return st.Ready == want

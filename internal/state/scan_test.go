@@ -150,7 +150,7 @@ func TestScanSortedViewMatchesStreamViewUnderWriters(t *testing.T) {
 
 // TestScanScratchPinsNothing: the scratch a scan parks in the pool — after
 // a full pass or after a sink that stopped it — holds no key and no
-// property map, so it cannot keep reclaimed MVCC versions alive.
+// property set, so it cannot keep reclaimed MVCC versions alive.
 func TestScanScratchPinsNothing(t *testing.T) {
 	db, bp, _ := scanFixture(t, 8)
 	for _, stopAfter := range []int{-1, 5} {
@@ -171,11 +171,11 @@ func TestScanScratchPinsNothing(t *testing.T) {
 		if cap(sc.rows) == 0 {
 			t.Skip("the pool never returned a used scratch")
 		}
-		if len(sc.rows) != 0 || sc.cur.props != nil {
+		if len(sc.rows) != 0 || sc.cur.props != (meta.Props{}) {
 			t.Fatalf("stop after %d: parked scratch has %d rows and current row %+v", stopAfter, len(sc.rows), sc.cur)
 		}
 		for i, r := range sc.rows[:cap(sc.rows)] {
-			if r.props != nil || r.key != (meta.Key{}) {
+			if r.props != (meta.Props{}) || r.key != (meta.Key{}) {
 				t.Fatalf("stop after %d: parked scratch still holds row %d: %v", stopAfter, i, r.key)
 			}
 		}

@@ -36,13 +36,13 @@ type OIDState struct {
 	// `($drc_result == good) [$drc_result = "bad"]`.
 	Reasons []string
 
-	// Props is a copy of the OID's properties.
-	Props map[string]string
+	// Props is the OID's properties.
+	Props meta.Props
 }
 
 // resolve answers a $reference against one OID; there is no triggering
 // event in query context, so only properties and the key built-ins resolve.
-func resolve(k meta.Key, props map[string]string, name string) string {
+func resolve(k meta.Key, props meta.Props, name string) string {
 	switch name {
 	case "oid", "OID":
 		return k.String()
@@ -53,7 +53,8 @@ func resolve(k meta.Key, props map[string]string, name string) string {
 	case "version":
 		return strconv.Itoa(k.Version)
 	}
-	return props[name]
+	v, _ := props.Get(name)
+	return v
 }
 
 // lookupFor binds resolve to an OID snapshot.
@@ -109,8 +110,8 @@ func Evaluate(bp *bpl.Blueprint, o *meta.OID) OIDState {
 // row is evaluated at exactly the view's LSN, lock-free, and writers
 // proceed throughout.  The OIDState is reused between calls and its Reasons
 // share one backing array: fn must treat the state as read-only and must
-// not retain it past the call; Props aliases the view's immutable version
-// map and may be retained.  Returning false stops the stream.
+// not retain it past the call; Props is the version's immutable property
+// set and may be retained.  Returning false stops the stream.
 func StreamView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	ix := bp.Index()
 	var st OIDState
@@ -121,10 +122,10 @@ func StreamView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 }
 
 // scanRow is one row of a sorted scan: the latest version of a chain and
-// that version's immutable property map.
+// that version's immutable property set.
 type scanRow struct {
 	key   meta.Key
-	props map[string]string
+	props meta.Props
 }
 
 // scanScratch is everything a sorted scan needs that the next scan can
@@ -164,7 +165,7 @@ func sortedScan(v *meta.View) *scanScratch {
 }
 
 // release parks the scratch.  The rows are cleared first: a parked scratch
-// must not keep property maps of versions the database has reclaimed.
+// must not keep property sets of versions the database has reclaimed.
 func (sc *scanScratch) release() {
 	clear(sc.rows)
 	sc.rows = sc.rows[:0]
@@ -208,8 +209,7 @@ func ScanSortedView(v *meta.View, bp *bpl.Blueprint, fn func(key meta.Key, ready
 // StreamSortedView is the sorted scan with each row materialized as an
 // OIDState: the stable key-sorted row order of the wire format, every row
 // consistent at the view's LSN, zero locks held while fn runs.  The state
-// is reused as in StreamView; Props aliases the view's immutable version
-// map and may be retained.
+// is reused as in StreamView; Props is immutable and may be retained.
 func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	ix := bp.Index()
 	sc := sortedScan(v)
@@ -227,7 +227,7 @@ func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) 
 
 // Report evaluates the latest version of every version chain live at v
 // and returns the reports sorted by key: StreamSortedView's rows, each
-// copied out of the reused state.  The version maps are immutable, so the
+// copied out of the reused state.  Property sets are immutable, so the
 // returned states share them.
 func Report(v *meta.View, bp *bpl.Blueprint) []OIDState {
 	return report(v, bp, false)

@@ -201,7 +201,10 @@ func Status(db *meta.DB, key meta.Key) (status, step, failure string, err error)
 	if err != nil {
 		return "", "", "", err
 	}
-	return o.Props["status"], o.Props["step"], o.Props["failure"], nil
+	status, _ = o.Props.Get("status")
+	step, _ = o.Props.Get("step")
+	failure, _ = o.Props.Get("failure")
+	return status, step, failure, nil
 }
 
 // History lists all runs of a named task, oldest first.

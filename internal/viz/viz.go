@@ -87,7 +87,7 @@ func StateDOT(v *meta.View, bp *bpl.Blueprint) string {
 			}
 		}
 		label := st.Key.String()
-		if up, ok := st.Props["uptodate"]; ok {
+		if up, ok := st.Props.Get("uptodate"); ok {
 			label += "\\nuptodate=" + up
 		}
 		fmt.Fprintf(&sb, "  %q [label=%q, fillcolor=%q];\n", st.Key.String(), label, color)
