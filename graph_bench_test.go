@@ -5,23 +5,20 @@ package repro
 // traversal; the view walks read the versioned adjacency index and hold
 // none, so latency under write load should sit near the idle baseline.
 //
-// Writers are paced exactly like benchWriteDB's (see mvcc_bench_test.go)
-// so the benchmark measures lock contention, not CPU starvation.
+// The writers are benchWriteDB's (startWriters, mvcc_bench_test.go): a
+// fixed number of writes per iteration, so B/op reads the walk.
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/meta"
 )
 
 // benchGraphDB builds a project with n blocks, chains the first `chain`
-// of them with derive links (blk i → blk i+1, no propagation events) and,
-// for writers > 0, starts that many paced property writers mutating until
-// the returned stop function is called.  It returns the chain root.
-func benchGraphDB(b *testing.B, n, chain, writers int) (*Project, meta.Key, func()) {
+// of them with derive links (blk i → blk i+1, no propagation events) and
+// starts that many writers over them.  It returns the chain root.
+func benchGraphDB(b *testing.B, n, chain, writers int) (*Project, meta.Key, *writerSet) {
 	b.Helper()
 	proj := mustProject(b, EDTCExample)
 	keys := make([]meta.Key, n)
@@ -41,50 +38,27 @@ func benchGraphDB(b *testing.B, n, chain, writers int) (*Project, meta.Key, func
 		b.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k, err := proj.DB.Head().Latest(fmt.Sprintf("blk%04d", (w*31+i)%n), "schematic")
-				if err == nil {
-					_ = proj.DB.SetProp(k, "sim_result", fmt.Sprint(i))
-				}
-				i++
-				time.Sleep(100 * time.Microsecond)
-			}
-		}(w)
-	}
-	return proj, keys[0], func() {
-		close(stop)
-		wg.Wait()
-	}
+	return proj, keys[0], startWriters(proj, n, writers)
 }
 
 // BenchmarkReachableUnderWrites measures a full-closure Reachable walk
 // (every block, via the public DB method, which pins a read view) on an
-// idle database and under four concurrent paced writers.  The acceptance
+// idle database and under four concurrent writers.  The acceptance
 // bar for the lock-free walks is the two sub-benchmarks staying close.
 func BenchmarkReachableUnderWrites(b *testing.B) {
 	const blocks = 500
 	for _, writers := range []int{0, 4} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			proj, root, stop := benchGraphDB(b, blocks, blocks, writers)
-			defer stop()
+			proj, root, ws := benchGraphDB(b, blocks, blocks, writers)
+			defer ws.stop()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				keys := proj.DB.Head().Reachable(root, meta.FollowAllLinks)
-				if len(keys) != blocks {
-					b.Fatal(len(keys))
-				}
+				ws.run(func() {
+					keys := proj.DB.Head().Reachable(root, meta.FollowAllLinks)
+					if len(keys) != blocks {
+						b.Fatal(len(keys))
+					}
+				})
 			}
 		})
 	}
@@ -96,8 +70,8 @@ func BenchmarkReachableUnderWrites(b *testing.B) {
 // amortised away.
 func BenchmarkQueryIndexLookup(b *testing.B) {
 	const blocks, chain = 2000, 8
-	proj, root, stop := benchGraphDB(b, blocks, chain, 0)
-	defer stop()
+	proj, root, ws := benchGraphDB(b, blocks, chain, 0)
+	defer ws.stop()
 	v := proj.DB.ReadView()
 	defer v.Close()
 	b.ResetTimer()

@@ -3,6 +3,7 @@ package meta
 import (
 	"cmp"
 	"slices"
+	"sync"
 )
 
 // View-based graph walks.  Each walk resolves adjacency through the
@@ -49,7 +50,9 @@ func (v *View) closure(root Key, follow FollowFunc) []Key {
 	if !v.HasOID(root) {
 		return nil
 	}
-	visited := map[Key]bool{root: true}
+	visited := visitedSet()
+	defer releaseVisited(visited)
+	visited[root] = true
 	out := []Key{root}
 	for i := 0; i < len(out); i++ {
 		for _, l := range v.posting(out[i]).out {
@@ -71,25 +74,26 @@ func (v *View) Equivalents(k Key) []Key {
 	if !v.HasOID(k) {
 		return nil
 	}
-	visited := map[Key]bool{k: true}
-	queue := []Key{k}
+	visited := visitedSet()
+	defer releaseVisited(visited)
+	visited[k] = true
 	out := []Key{k}
 	step := func(next Key) {
 		if !visited[next] {
 			visited[next] = true
 			out = append(out, next)
-			queue = append(queue, next)
 		}
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range v.posting(cur).out {
+	// out is the breadth-first queue too: a key is visited once, in the
+	// order it was reached.
+	for i := 0; i < len(out); i++ {
+		p := v.posting(out[i])
+		for _, l := range p.out {
 			if l.Class == DeriveLink && l.Type() == TypeEquivalence {
 				step(l.To)
 			}
 		}
-		for _, l := range v.posting(cur).in {
+		for _, l := range p.in {
 			if l.Class == DeriveLink && l.Type() == TypeEquivalence {
 				step(l.From)
 			}
@@ -97,6 +101,17 @@ func (v *View) Equivalents(k Key) []Key {
 	}
 	sortKeys(out)
 	return out
+}
+
+// visitedPool recycles the graph walks' visited sets: a walk makes no set
+// of its own, and a parked set is empty, so it keeps no key alive.
+var visitedPool = sync.Pool{New: func() any { return make(map[Key]bool) }}
+
+func visitedSet() map[Key]bool { return visitedPool.Get().(map[Key]bool) }
+
+func releaseVisited(visited map[Key]bool) {
+	clear(visited)
+	visitedPool.Put(visited)
 }
 
 // Resolve materializes a stored configuration at the view — both the

@@ -49,12 +49,14 @@ package meta
 // cost); readers are never blocked.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -130,6 +132,10 @@ const newest = math.MaxInt64
 type table[K tableKey, T any] struct {
 	slots atomic.Pointer[slots[K, T]]
 	n     int // entries in the published array
+	// gen counts the changes to the set of entries: one per entry added or
+	// array published without some.  It moves after the array it counts is
+	// published, so a reader that sees a count sees that array or a newer one.
+	gen atomic.Uint64
 }
 
 // entry is one object: its key and its history.
@@ -229,6 +235,7 @@ func (t *table[K, T]) push(key K, s int64, val T, del bool) {
 		}
 		t.slots.Load().find(key).Store(e)
 		t.n++
+		t.gen.Add(1)
 	}
 	e.push(s, val, del)
 }
@@ -245,6 +252,9 @@ func (t *table[K, T]) publish(size int, keep func(*entry[K, T]) bool) {
 		}
 	}
 	t.slots.Store(next)
+	if n < t.n {
+		t.gen.Add(1)
+	}
 	t.n = n
 }
 
@@ -298,6 +308,52 @@ type store struct {
 	shards  []*shardHist
 	stripes []*stripeHist
 	ctl     *ctlHist
+	order   atomic.Pointer[chainOrder]
+}
+
+// chainOrder is every version chain of a store in key order, shared by
+// every view of the store: the one sorted scan sorts nothing.  gen is the
+// chain tables' summed generation read before the entries were collected,
+// so a chain added or dropped since makes it stale.
+type chainOrder struct {
+	gen    uint64
+	chains []orderedChain
+}
+
+// orderedChain is one chain's entry and the shard holding its OIDs.
+type orderedChain struct {
+	e *entry[BlockView, []int]
+	h *shardHist
+}
+
+// inOrder returns the store's chains in key order, rebuilding the order
+// first when a chain table has added or dropped an entry since it was
+// built.  A view can walk it whatever writers do meanwhile: every chain
+// live at a pinned stamp was installed before the pin, and an entry leaves
+// a table only when trim finds it dead below the horizon, so the order
+// holds every chain the view can see; one it cannot see resolves to nil.
+func (s *store) inOrder() []orderedChain {
+	var gen uint64
+	for _, h := range s.shards {
+		gen += h.chains.gen.Load()
+	}
+	if o := s.order.Load(); o != nil && o.gen == gen {
+		return o.chains
+	}
+	var chains []orderedChain
+	for _, h := range s.shards {
+		sl := h.chains.array()
+		for i := range sl {
+			if e := sl[i].Load(); e != nil {
+				chains = append(chains, orderedChain{e: e, h: h})
+			}
+		}
+	}
+	slices.SortFunc(chains, func(a, b orderedChain) int {
+		return cmp.Or(strings.Compare(a.e.key.Block, b.e.key.Block), strings.Compare(a.e.key.View, b.e.key.View))
+	})
+	s.order.Store(&chainOrder{gen: gen, chains: chains})
+	return chains
 }
 
 func newStore(shards, stripes int) *store {

@@ -1,11 +1,9 @@
 package meta
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -313,17 +311,31 @@ func (v *View) EachLatestOID(fn func(*OID) bool) {
 	var o OID
 	for _, h := range v.store().shards {
 		if !h.chains.each(v.lsn, func(bv BlockView, chain []int) bool {
-			k := Key{Block: bv.Block, View: bv.View, Version: chain[len(chain)-1]}
-			x, ok := h.oids.at(k, v.lsn)
-			if !ok {
-				return true
-			}
-			o = OID{Key: k, Seq: x.seq, Props: x.props}
-			return fn(&o)
+			return !v.latest(h, bv, chain, &o) || fn(&o)
 		}) {
 			return
 		}
 	}
+}
+
+// EachLatestOIDSorted is EachLatestOID in key order: it walks the order
+// the store keeps of its chains, so it collects and sorts nothing.
+func (v *View) EachLatestOIDSorted(fn func(*OID) bool) {
+	var o OID
+	for _, c := range v.store().inOrder() {
+		if x := c.e.at(v.lsn); x != nil && !x.del && v.latest(c.h, c.e.key, x.val, &o) && !fn(&o) {
+			return
+		}
+	}
+}
+
+// latest fills o with the newest version of chain bv, held by h, and
+// reports whether that version exists at the view.
+func (v *View) latest(h *shardHist, bv BlockView, chain []int, o *OID) bool {
+	k := Key{Block: bv.Block, View: bv.View, Version: chain[len(chain)-1]}
+	x, ok := h.oids.at(k, v.lsn)
+	*o = OID{Key: k, Seq: x.seq, Props: x.props}
+	return ok
 }
 
 // EachLink invokes fn for every link, in unspecified order, until fn
@@ -369,13 +381,11 @@ func (v *View) Keys() []Key {
 // BlockViews returns every version chain identity, sorted.
 func (v *View) BlockViews() []BlockView {
 	var bvs []BlockView
-	v.eachChain(func(bv BlockView, _ []int) bool {
-		bvs = append(bvs, bv)
-		return true
-	})
-	slices.SortFunc(bvs, func(a, b BlockView) int {
-		return cmp.Or(strings.Compare(a.Block, b.Block), strings.Compare(a.View, b.View))
-	})
+	for _, c := range v.store().inOrder() {
+		if x := c.e.at(v.lsn); x != nil && !x.del {
+			bvs = append(bvs, c.e.key)
+		}
+	}
 	return bvs
 }
 

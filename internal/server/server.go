@@ -647,7 +647,7 @@ func keysResponse(keys []meta.Key) wire.Response {
 	for i, k := range keys {
 		body[i] = k.String()
 	}
-	return wire.Response{OK: true, Detail: fmt.Sprintf("%d keys", len(keys)), Body: body}
+	return wire.Response{OK: true, Detail: strconv.Itoa(len(keys)) + " keys", Body: body}
 }
 
 // parseFollowSpec maps the wire follow spec of QUERY reach/deps onto a
@@ -1103,7 +1103,7 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 		if err != nil {
 			return errf("%v", err)
 		}
-		return okf("%s", k)
+		return wire.Response{OK: true, Detail: k.String()}
 
 	case wire.VerbProp:
 		if len(req.Args) != 2 {
@@ -1228,7 +1228,7 @@ func (s *Server) writeCreate(req wire.Request) (wire.Response, effect) {
 	if err != nil {
 		return errf("%v", err), unchanged
 	}
-	return okf("%s", k), posted
+	return wire.Response{OK: true, Detail: k.String()}, posted
 }
 
 func (s *Server) writeLink(req wire.Request) (wire.Response, effect) {
@@ -1251,7 +1251,7 @@ func (s *Server) writeLink(req wire.Request) (wire.Response, effect) {
 	if err != nil {
 		return errf("%v", err), unchanged
 	}
-	return okf("%d", id), recorded
+	return wire.Response{OK: true, Detail: strconv.FormatInt(int64(id), 10)}, recorded
 }
 
 func (s *Server) writeSnapshot(req wire.Request) (wire.Response, effect) {

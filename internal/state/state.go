@@ -11,7 +11,6 @@ package state
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -113,64 +112,43 @@ func Evaluate(bp *bpl.Blueprint, o *meta.OID) OIDState {
 // not retain it past the call; Props is the version's immutable property
 // set and may be retained.  Returning false stops the stream.
 func StreamView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
+	stream(v.EachLatestOID, bp, fn)
+}
+
+// StreamSortedView is StreamView in key order: the stable key-sorted row
+// order of the wire format, every row consistent at the view's LSN, zero
+// locks held while fn runs.
+func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
+	stream(v.EachLatestOIDSorted, bp, fn)
+}
+
+func stream(each func(func(*meta.OID) bool), bp *bpl.Blueprint, fn func(*OIDState) bool) {
 	ix := bp.Index()
 	var st OIDState
-	v.EachLatestOID(func(o *meta.OID) bool {
+	each(func(o *meta.OID) bool {
 		evaluateInto(&st, ix.Lets(o.Key.View), ix, o)
 		return fn(&st)
 	})
 }
 
-// scanRow is one row of a sorted scan: the latest version of a chain and
-// that version's immutable property set.
-type scanRow struct {
-	key   meta.Key
-	props meta.Props
-}
-
-// scanScratch is everything a sorted scan needs that the next scan can
-// reuse: the rows, the reasons of the row in hand, and the two callbacks
-// the scan passes down, bound once so that a scan creates no closure.
+// scanScratch is what a sorted scan needs that the next scan can reuse: the
+// reasons of the row in hand, and the lookup the scan passes down, bound
+// once so that a scan creates no closure for it.  Between scans it holds
+// only the reasons' bytes: a parked scratch keeps no property set alive.
 type scanScratch struct {
-	rows    []scanRow
 	reasons []byte
-	cur     scanRow                // what lookup resolves against
-	lookup  bpl.LookupFunc         // sc.resolve
-	add     func(o *meta.OID) bool // sc.collect
+	cur     *meta.OID      // what lookup resolves against
+	lookup  bpl.LookupFunc // sc.resolve
 }
 
 var scanPool = sync.Pool{New: func() any {
 	sc := new(scanScratch)
-	sc.lookup, sc.add = sc.resolve, sc.collect
+	sc.lookup = sc.resolve
 	return sc
 }}
 
 func (sc *scanScratch) resolve(name string) string {
-	return resolve(sc.cur.key, sc.cur.props, name)
-}
-
-func (sc *scanScratch) collect(o *meta.OID) bool {
-	sc.rows = append(sc.rows, scanRow{key: o.Key, props: o.Props})
-	return true
-}
-
-// sortedScan is the one sorted scan every key-ordered reader runs: it takes
-// a scratch from the pool and fills its rows, in key order, with the latest
-// version of every chain live at v.  The caller releases it.
-func sortedScan(v *meta.View) *scanScratch {
-	sc := scanPool.Get().(*scanScratch)
-	v.EachLatestOID(sc.add)
-	slices.SortFunc(sc.rows, func(a, b scanRow) int { return a.key.Compare(b.key) })
-	return sc
-}
-
-// release parks the scratch.  The rows are cleared first: a parked scratch
-// must not keep property sets of versions the database has reclaimed.
-func (sc *scanScratch) release() {
-	clear(sc.rows)
-	sc.rows = sc.rows[:0]
-	sc.cur = scanRow{}
-	scanPool.Put(sc)
+	return resolve(sc.cur.Key, sc.cur.Props, name)
 }
 
 // ScanSortedView evaluates the latest version of every version chain live
@@ -178,51 +156,31 @@ func (sc *scanScratch) release() {
 // the failing conditions — OIDState.Reasons joined by "; ", empty for a
 // ready row.  This is the pass behind the server's REPORT and GAP: it
 // holds no lock, fn may block on a slow network writer without stalling
-// anything, and a warm scan allocates nothing per row.  reasons is valid
-// only during the call.  Returning false stops the scan.
+// anything, and it walks the key order the view's store keeps, so a scan
+// collects, sorts and allocates nothing per row.  reasons is valid only
+// during the call.  Returning false stops the scan.
 func ScanSortedView(v *meta.View, bp *bpl.Blueprint, fn func(key meta.Key, ready bool, reasons []byte) bool) {
 	ix := bp.Index()
-	sc := sortedScan(v)
-	// A local, not the field: appending through the pointer would cost a
-	// write barrier per append.
-	reasons := sc.reasons
+	sc := scanPool.Get().(*scanScratch)
 	defer func() {
-		sc.reasons = reasons
-		sc.release()
+		sc.cur = nil
+		scanPool.Put(sc)
 	}()
-	for i := range sc.rows {
-		sc.cur = sc.rows[i]
+	v.EachLatestOIDSorted(func(o *meta.OID) bool {
+		sc.cur = o
 		ready := true
-		reasons = reasons[:0]
-		for _, l := range ix.Lets(sc.cur.key.View) {
+		// A local, not the field: appending through the pointer would cost
+		// a write barrier per append.
+		reasons := sc.reasons[:0]
+		for _, l := range ix.Lets(o.Key.View) {
 			if !bpl.Eval(l.Expr, sc.lookup) {
 				ready = false
 				reasons = ix.Explainer(l).AppendFailures(reasons, l.Name, sc.lookup)
 			}
 		}
-		if !fn(sc.cur.key, ready, reasons) {
-			return
-		}
-	}
-}
-
-// StreamSortedView is the sorted scan with each row materialized as an
-// OIDState: the stable key-sorted row order of the wire format, every row
-// consistent at the view's LSN, zero locks held while fn runs.  The state
-// is reused as in StreamView; Props is immutable and may be retained.
-func StreamSortedView(v *meta.View, bp *bpl.Blueprint, fn func(*OIDState) bool) {
-	ix := bp.Index()
-	sc := sortedScan(v)
-	defer sc.release()
-	var st OIDState
-	var o meta.OID
-	for _, r := range sc.rows {
-		o = meta.OID{Key: r.key, Props: r.props}
-		evaluateInto(&st, ix.Lets(r.key.View), ix, &o)
-		if !fn(&st) {
-			return
-		}
-	}
+		sc.reasons = reasons
+		return fn(o.Key, ready, reasons)
+	})
 }
 
 // Report evaluates the latest version of every version chain live at v

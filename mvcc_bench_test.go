@@ -6,28 +6,32 @@ package repro
 // views both are lock-free, so reader latency under write load should sit
 // near the idle-database baseline instead of scaling with writer activity.
 //
-// Writers are paced (a short sleep between checkins) so the benchmark
-// measures lock contention rather than raw CPU starvation — on the
-// single-core CI runner, four busy-spinning writers would starve any
-// reader regardless of locking design.
+// Each iteration's writes are counted, not timed: every writer makes
+// writesPerOp checkins while the measured op runs, yielding between them,
+// and the iteration ends when the op and all the writes have.  So B/op is
+// the op's bytes plus a fixed number of writes', whatever the speed of
+// either, and on the single-core CI runner the writers interleave with the
+// reader instead of starving it.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/meta"
 	"repro/internal/state"
 )
 
-// benchWriteDB builds a project with n blocks and, for writers > 0,
-// starts that many paced writer goroutines mutating properties until the
-// returned stop function is called.
-func benchWriteDB(b *testing.B, n, writers int) (*Project, func()) {
+// writesPerOp is each writer's share of one iteration.
+const writesPerOp = 4
+
+// benchWriteDB builds a project with n blocks and starts that many
+// writers over them.
+func benchWriteDB(b *testing.B, n, writers int) (*Project, *writerSet) {
 	b.Helper()
 	proj := mustProject(b, EDTCExample)
 	for i := 0; i < n; i++ {
@@ -38,57 +42,85 @@ func benchWriteDB(b *testing.B, n, writers int) (*Project, func()) {
 	if err := proj.Engine.Drain(); err != nil {
 		b.Fatal(err)
 	}
+	return proj, startWriters(proj, n, writers)
+}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
+// writerSet is writer goroutines over the schematics of a project's blocks
+// blk0000 … blk<n-1>.
+type writerSet struct {
+	start        []chan struct{}
+	done, exited sync.WaitGroup
+}
+
+// startWriters starts that many writers, each idle until run hands it its
+// share of an iteration.
+func startWriters(proj *Project, n, writers int) *writerSet {
+	ws := &writerSet{start: make([]chan struct{}, writers)}
+	for w := range ws.start {
+		ws.start[w] = make(chan struct{})
+		ws.exited.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer ws.exited.Done()
 			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			for range ws.start[w] {
+				for range writesPerOp {
+					k, err := proj.DB.Head().Latest(fmt.Sprintf("blk%04d", (w*31+i)%n), "schematic")
+					if err == nil {
+						_ = proj.DB.SetProp(k, "sim_result", strconv.Itoa(i))
+					}
+					i++
+					runtime.Gosched()
 				}
-				k, err := proj.DB.Head().Latest(fmt.Sprintf("blk%04d", (w*31+i)%n), "schematic")
-				if err == nil {
-					_ = proj.DB.SetProp(k, "sim_result", fmt.Sprint(i))
-				}
-				i++
-				time.Sleep(100 * time.Microsecond)
+				ws.done.Done()
 			}
 		}(w)
 	}
-	return proj, func() {
-		close(stop)
-		wg.Wait()
+	return ws
+}
+
+// run runs op while each writer makes writesPerOp property writes, and
+// returns when all of them are done.
+func (ws *writerSet) run(op func()) {
+	ws.done.Add(len(ws.start))
+	for _, c := range ws.start {
+		c <- struct{}{}
 	}
+	op()
+	ws.done.Wait()
+}
+
+// stop ends the writers and waits for them to exit.
+func (ws *writerSet) stop() {
+	for _, c := range ws.start {
+		close(c)
+	}
+	ws.exited.Wait()
 }
 
 // BenchmarkReportUnderWrites measures full-REPORT latency (the streaming
 // sorted form the wire verbs use) on an idle database and under four
-// concurrent paced writers.  With MVCC views the two should be close;
-// the old per-row shard-locked path degraded with writer activity.
+// concurrent writers.  With MVCC views the two should be close; the old
+// per-row shard-locked path degraded with writer activity.
 func BenchmarkReportUnderWrites(b *testing.B) {
 	const blocks = 500
 	for _, writers := range []int{0, 4} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			proj, stop := benchWriteDB(b, blocks, writers)
-			defer stop()
+			proj, ws := benchWriteDB(b, blocks, writers)
+			defer ws.stop()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows := 0
-				v := proj.DB.ReadView()
-				state.StreamSortedView(v, proj.Blueprint, func(*state.OIDState) bool {
-					rows++
-					return true
+				ws.run(func() {
+					rows := 0
+					v := proj.DB.ReadView()
+					state.StreamSortedView(v, proj.Blueprint, func(*state.OIDState) bool {
+						rows++
+						return true
+					})
+					v.Close()
+					if rows != blocks {
+						b.Fatal(rows)
+					}
 				})
-				v.Close()
-				if rows != blocks {
-					b.Fatal(rows)
-				}
 			}
 		})
 	}
@@ -96,21 +128,23 @@ func BenchmarkReportUnderWrites(b *testing.B) {
 
 // BenchmarkSnapshotUnderLoad measures whole-database snapshot collection
 // (the journal's checkpoint) on an idle database and under four concurrent
-// paced writers.  The pre-MVCC path held every shard read lock for the
+// writers.  The pre-MVCC path held every shard read lock for the
 // collection phase; the view path holds none.
 func BenchmarkSnapshotUnderLoad(b *testing.B) {
 	const blocks = 500
 	for _, writers := range []int{0, 4} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			proj, stop := benchWriteDB(b, blocks, writers)
-			defer stop()
+			proj, ws := benchWriteDB(b, blocks, writers)
+			defer ws.stop()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v := proj.DB.ReadView()
-				if _, err := checkpointBytes(v); err != nil {
-					b.Fatal(err)
-				}
-				v.Close()
+				ws.run(func() {
+					v := proj.DB.ReadView()
+					if _, err := checkpointBytes(v); err != nil {
+						b.Fatal(err)
+					}
+					v.Close()
+				})
 			}
 		})
 	}
