@@ -108,7 +108,7 @@ endblueprint`)
 	head := db.Head()
 	l, _ := head.GetLink(linkID)
 	fmt.Printf("before: link %d  %v -> %v  (TYPE=%s PROPAGATE=%v)\n",
-		l.ID, l.From, l.To, l.Type(), l.PropagateList())
+		l.ID, l.From, l.To, l.Type(), l.Propagates)
 	drc, _, _ := head.GetProp(g5, "DRC")
 	fmt.Printf("before: %v DRC=%q\n\n", g5, drc)
 

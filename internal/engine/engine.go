@@ -463,7 +463,7 @@ func (e *Engine) runRules(pol *policy, ev Event) {
 	// continuous assignments — batched into one locked database
 	// round-trip (UpdateOID) instead of a GetProp/SetProp pair per value.
 	if (prog != nil && len(prog.Assigns) > 0) || len(lets) > 0 {
-		// Its one error, a target pruned since the delivery check, drops the phases.
+		// Its one error, a missing target, the delivery check has ruled out.
 		_ = e.applyAssignsAndLets(ev, nil, prog, lets)
 	}
 	if prog == nil {

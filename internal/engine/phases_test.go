@@ -286,7 +286,7 @@ endblueprint`)
 	if got := prop(t, e, k, "who"); got != "yves" {
 		t.Errorf("who = %q, want the owner property", got)
 	}
-	if err := e.DB().DelProp(k, meta.PropOwner); err != nil {
+	if err := e.DB().UpdateOID(k, func(p map[string]string) { delete(p, meta.PropOwner) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.PostAndDrain(Event{Name: "go", Dir: bpl.DirDown, Target: k, User: "poster"}); err != nil {

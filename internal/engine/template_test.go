@@ -259,7 +259,7 @@ endblueprint`)
 		t.Fatal(err)
 	}
 	l, _ := e.DB().Head().GetLink(id)
-	if l.Template != "" || len(l.PropagateList()) != 0 {
+	if l.Template != "" || len(l.Propagates) != 0 {
 		t.Errorf("bare link decorated: %+v", l)
 	}
 }

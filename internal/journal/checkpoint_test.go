@@ -292,7 +292,8 @@ func TestNewestSnapshotAcrossFormats(t *testing.T) {
 // TestFollowerCheckpointIsPrimarys: a primary, a follower that applied its
 // records, and a follower that bootstrapped from its checkpoint write, at
 // one LSN, the same checkpoint file — across a promotion, and with links
-// that share their template's attributes beside links that changed theirs.
+// that share their template's attributes beside links of attributes of
+// their own and a link moved by a retarget.
 func TestFollowerCheckpointIsPrimarys(t *testing.T) {
 	pdir := t.TempDir()
 	p, pdb, err := OpenFollower(pdir, Options{SnapshotEvery: -1, SegmentBytes: 256})
@@ -313,17 +314,19 @@ func TestFollowerCheckpointIsPrimarys(t *testing.T) {
 	}
 	for v := 1; v <= 3; v++ {
 		from, to := meta.Key{Block: "b1", View: "schematic", Version: v}, meta.Key{Block: "b2", View: "schematic", Version: v}
-		if _, err := pdb.AddLink(meta.DeriveLink, from, to, "derive", []string{"outofdate", "ckin"}, map[string]string{meta.PropType: meta.TypeDeriveFrom}); err != nil {
+		events, props := []string{"outofdate", "ckin"}, map[string]string{meta.PropType: meta.TypeDeriveFrom}
+		switch v {
+		case 2:
+			props["note"] = "one-off"
+		case 3:
+			events = []string{"lvs"}
+		}
+		if _, err := pdb.AddLink(meta.DeriveLink, from, to, "derive", events, props); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pdb.SetLinkProp(2, "note", "one-off"); err != nil {
-		t.Fatal(err)
-	}
-	if err := pdb.SetLinkPropagates(3, []string{"lvs"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pdb.PruneVersions("b0", "schematic", 2); err != nil {
+	b1 := meta.Key{Block: "b1", View: "schematic", Version: 1}
+	if err := pdb.RetargetLink(1, b1, meta.Key{Block: "b0", View: "schematic", Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Commit(); err != nil {

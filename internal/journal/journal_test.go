@@ -53,17 +53,14 @@ func mutate(t *testing.T, db *meta.DB) {
 		props["drc"] = "ok"
 		delete(props, "owner")
 	}))
-	must(db.DelProp(keys[0], "sim_result"))
+	must(db.UpdateOID(keys[0], func(props map[string]string) { delete(props, "sim_result") }))
 
 	l1, err := db.AddLink(meta.UseLink, keys[0], keys[2], "tpl_a", []string{"ckin"}, map[string]string{"TYPE": "composition"})
 	must(err)
-	l2, err := db.AddLink(meta.DeriveLink, keys[1], keys[2], "", nil, nil)
+	_, err = db.AddLink(meta.DeriveLink, keys[1], keys[2], "", []string{"outofdate", "ckin"}, map[string]string{"TYPE": "equivalence"})
 	must(err)
-	l3, err := db.AddLink(meta.DeriveLink, keys[3], keys[4], "", []string{"outofdate"}, nil)
+	_, err = db.AddLink(meta.DeriveLink, keys[3], keys[4], "", []string{"outofdate"}, nil)
 	must(err)
-	must(db.SetLinkProp(l2, "TYPE", "equivalence"))
-	must(db.SetLinkPropagates(l2, []string{"ckin", "outofdate"}))
-	must(db.DeleteLink(l3))
 
 	k2, err := db.NewVersion(keys[0].Block, keys[0].View)
 	must(err)
@@ -84,9 +81,6 @@ func mutate(t *testing.T, db *meta.DB) {
 		if _, err := db.NewVersion("reg", "HDL_model"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := db.PruneVersions("reg", "HDL_model", 2); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -23,9 +23,10 @@ import (
 // Every record but a term's carries the view's LSN, and every one its
 // clock as Seq: two nodes at one LSN write the same bytes.  The forms that
 // extend a record of the log — an OID's properties, a workspace's bindings,
-// the clock — are read here only, never replayed (a binding may name a
-// pruned OID, which a bind replay refuses).  The clock comes last, so that
-// a checkpoint cut short at a record boundary is not a smaller database.
+// the clock — are read here only, never replayed (a checkpoint of an older
+// build may bind an OID that build pruned, which a bind replay refuses).
+// The clock comes last, so that a checkpoint cut short at a record boundary
+// is not a smaller database.
 
 // snapshot is what a checkpoint and the JSON document (persist.go) hold:
 // the clocks, the term table and the objects.

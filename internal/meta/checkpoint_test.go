@@ -147,17 +147,8 @@ func buildHostile(t testing.TB, db *DB, seed int64) {
 	}
 	if len(ids) > 0 && rng.Intn(2) == 0 {
 		id := ids[rng.Intn(len(ids))]
-		if err := db.SetLinkPropagates(id, nil); err != nil {
-			t.Fatal(err)
-		}
 		if l, err := db.Head().GetLink(id); err == nil {
 			_ = db.RetargetLink(id, l.To, keys[rng.Intn(len(keys))])
-		}
-		if rng.Intn(2) == 0 {
-			// The newest link gone: next_link is above every link left.
-			if err := db.DeleteLink(ids[len(ids)-1]); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	for i, n := 0, rng.Intn(3); i < n; i++ {
@@ -180,13 +171,6 @@ func buildHostile(t testing.TB, db *DB, seed int64) {
 			if err := db.BindPath(name, keys[rng.Intn(len(keys))], pick()); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if rng.Intn(3) == 0 {
-		// A binding to a pruned OID, which a checkpoint keeps.
-		k := keys[rng.Intn(len(keys))]
-		if _, err := db.PruneVersions(k.Block, k.View, 1); err != nil {
-			t.Fatal(err)
 		}
 	}
 	if rng.Intn(2) == 0 {

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -152,26 +153,30 @@ func TestSnapshotQuery(t *testing.T) {
 
 func TestResolveWithMissing(t *testing.T) {
 	db := NewDB()
-	root, nl := buildHierarchy(t, db)
+	root, _ := buildHierarchy(t, db)
 	c, err := db.SnapshotHierarchy("snap", root, FollowAllLinks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Delete one captured link.
-	if err := db.DeleteLink(c.Links[0]); err != nil {
+	// A configuration from outside — a replayed record, a document or an
+	// older build's checkpoint — may name objects the database lacks.
+	ghost := Key{Block: "ghost", View: "v", Version: 1}
+	old := &Configuration{Name: "old", Seq: c.Seq,
+		OIDs:  append(slices.Clone(c.OIDs), ghost),
+		Links: append(slices.Clone(c.Links), 999)}
+	if err := db.ApplyRecord(Record{Op: OpConfig, Args: configArgs(old)}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.Head().Resolve("snap")
+	r, err := db.Head().Resolve("old")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.MissingLinks) != 1 || r.MissingLinks[0] != c.Links[0] {
-		t.Errorf("MissingLinks = %v", r.MissingLinks)
+	if len(r.MissingLinks) != 1 || r.MissingLinks[0] != 999 || len(r.Links) != len(c.Links) {
+		t.Errorf("MissingLinks = %v, %d links resolved", r.MissingLinks, len(r.Links))
 	}
-	if len(r.OIDs) != 5 || len(r.MissingOIDs) != 0 {
-		t.Errorf("resolved OIDs = %d missing %d", len(r.OIDs), len(r.MissingOIDs))
+	if len(r.OIDs) != 5 || len(r.MissingOIDs) != 1 || r.MissingOIDs[0] != ghost {
+		t.Errorf("resolved OIDs = %d missing %v", len(r.OIDs), r.MissingOIDs)
 	}
-	_ = nl
 }
 
 func TestConfigurationNamesAndDelete(t *testing.T) {

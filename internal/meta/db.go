@@ -2,7 +2,6 @@ package meta
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -27,10 +26,10 @@ import (
 // one mutex.  OIDs, version chains and the adjacency postings are
 // partitioned into shards keyed by the hash of the block name — every
 // view, version and posting of a block lives on one shard, so the
-// single-OID mutators (SetProp, UpdateOID, DelProp, NewVersion) take
-// exactly one shard lock.  Link objects live in separate stripes keyed by
-// LinkID and are immutable (mutators publish a replacement object, to the
-// link table and to both ends' postings).  Configurations and workspaces
+// single-OID mutators (SetProp, UpdateOID, NewVersion) take exactly one
+// shard lock.  Link objects live in separate stripes keyed by LinkID and are
+// immutable (RetargetLink publishes a replacement object, to the link table
+// and to the postings).  Configurations and workspaces
 // sit on a small control-plane lock; the logical clock and link-ID counter
 // are atomics.  NewDBWithShards picks the stripe count — a pure
 // performance knob that never changes results.
@@ -38,10 +37,10 @@ import (
 // Multi-shard operations follow one deterministic lock order — control
 // plane, then key shards in ascending index, then link stripes in
 // ascending index — so cross-shard link mutations cannot deadlock.
-// Operations that discover their shard set from a link's endpoints
-// (DeleteLink, RetargetLink, the annotation setters) read the link
-// optimistically, lock in canonical order, then re-validate object
-// identity and retry if it was replaced underneath them.
+// RetargetLink, which discovers its shard set from the link's endpoints,
+// reads the link optimistically, locks in canonical order, then
+// re-validates object identity and retries if it was replaced underneath
+// it.
 //
 // All mutation goes through DB methods and every read through a View
 // (view.go), which takes no lock: Head for point reads, a pinned view
@@ -215,7 +214,7 @@ func unlockPair(sa, sb *dbShard) {
 
 // lockAll / unlockAll write-lock every shard then every stripe, in
 // ascending index order — the whole-database critical section behind
-// pruning and loading.
+// auditing and restoring.
 func (db *DB) lockAll() {
 	for _, s := range db.shards {
 		s.mu.Lock()
@@ -268,71 +267,6 @@ func (db *DB) NewVersion(block, view string) (Key, error) {
 	return k, nil
 }
 
-// PruneVersions removes all but the newest keep versions of (block, view)
-// from the database, along with every link incident to the removed OIDs —
-// the archival purge a long-running project performs on validated history
-// (cf. Silva et al., "Protection and Versioning for OCT", DAC 1989, which
-// the paper cites).  Version numbering is preserved: the chain keeps
-// counting from its highest version.  It returns the number of OIDs
-// removed.  keep must be at least 1.
-//
-// Pruning locks the whole database (incident links may land on any shard).
-func (db *DB) PruneVersions(block, view string, keep int) (int, error) {
-	if keep < 1 {
-		return 0, fmt.Errorf("prune %s.%s: keep %d: %w", block, view, keep, ErrBadVersion)
-	}
-	db.lockAll()
-	defer db.unlockAll()
-	h := db.head.shard(block)
-	bv := BlockView{Block: block, View: view}
-	chain, ok := h.chains.at(bv, newest)
-	if !ok {
-		return 0, fmt.Errorf("prune %s.%s: %w", block, view, ErrNotFound)
-	}
-	if len(chain) <= keep {
-		return 0, nil
-	}
-	drop := chain[:len(chain)-keep]
-	// The links incident to a dropped OID go with it, out of the link table
-	// and out of both ends' postings — a dropped OID's own postings hold
-	// nothing else, so they empty themselves.
-	gone := make(map[LinkID]bool)
-	next := make(map[Key]posting) // the postings that change
-	strike := func(out bool, end Key, id LinkID) {
-		p, seen := next[end]
-		if !seen {
-			p = db.head.shard(end.Block).links(end, newest)
-		}
-		*p.side(out) = without(*p.side(out), id)
-		next[end] = p
-	}
-	for _, v := range drop {
-		p := h.links(Key{Block: block, View: view, Version: v}, newest)
-		for _, l := range slices.Concat(p.out, p.in) {
-			if !gone[l.ID] {
-				gone[l.ID] = true
-				strike(true, l.From, l.ID)
-				strike(false, l.To, l.ID)
-			}
-		}
-	}
-	s := db.beginMut(OpPrune, 0, func() []string {
-		return []string{block, view, strconv.Itoa(keep)}
-	})
-	for _, v := range drop {
-		h.oids.push(Key{Block: block, View: view, Version: v}, s, oidVal{}, true)
-	}
-	for id := range gone {
-		db.head.stripe(id).links.push(id, s, nil, true)
-	}
-	for k, p := range next {
-		db.head.shard(k.Block).put(k, s, p)
-	}
-	h.chains.push(bv, s, slices.Clone(chain[len(chain)-keep:]), false)
-	db.endMut(s)
-	return len(drop), nil
-}
-
 // SetProp sets a property on an OID.  Setting the value it already has
 // changes nothing and emits nothing.
 func (db *DB) SetProp(k Key, name, value string) error {
@@ -377,12 +311,6 @@ func (db *DB) UpdateOID(k Key, fn func(props map[string]string)) error {
 		db.putProps(h, k, x, props)
 	}
 	return nil
-}
-
-// DelProp removes a property from an OID.  Removing an absent property is a
-// no-op.
-func (db *DB) DelProp(k Key, name string) error {
-	return db.editProps(k, nil, []string{name})
 }
 
 // editProps publishes the OID's newest properties with the name/value pairs
@@ -439,43 +367,12 @@ func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates
 }
 
 // snapshotLink reads the current (immutable) link object, nil when there
-// is none.  DeleteLink and the link mutators read it optimistically to
-// discover which shards to lock, then re-read it under the stripe lock to
-// verify the object is still current.
+// is none.  RetargetLink reads it optimistically to discover which shards
+// to lock, then re-reads it under the stripe lock to verify the object is
+// still current.
 func (db *DB) snapshotLink(id LinkID) *Link {
 	l, _ := db.head.stripe(id).links.at(id, newest)
 	return l
-}
-
-// DeleteLink removes a link.
-func (db *DB) DeleteLink(id LinkID) error {
-	for {
-		l := db.snapshotLink(id)
-		if l == nil {
-			return fmt.Errorf("link %d: %w", id, ErrNotFound)
-		}
-		sf, st := db.lockPair(l.From, l.To)
-		stripe := db.stripeOf(id)
-		stripe.Lock()
-		if db.snapshotLink(id) != l {
-			// The link vanished or was replaced between the optimistic read
-			// and the locks; retry against the new object.
-			stripe.Unlock()
-			unlockPair(sf, st)
-			continue
-		}
-		fh, th := db.head.shard(l.From.Block), db.head.shard(l.To.Block)
-		s := db.beginMut(OpDelLink, 0, func() []string {
-			return []string{strconv.FormatInt(int64(id), 10)}
-		})
-		db.head.stripe(id).links.push(id, s, nil, true)
-		fh.post(true, l.From, s, without(fh.links(l.From, newest).out, id))
-		th.post(false, l.To, s, without(th.links(l.To, newest).in, id))
-		db.endMut(s)
-		stripe.Unlock()
-		unlockPair(sf, st)
-		return nil
-	}
 }
 
 // RetargetLink moves one endpoint of a link from oldEnd to newEnd.  It
@@ -560,58 +457,5 @@ func (db *DB) lockShardSet(idx []uint32) []uint32 {
 func (db *DB) unlockShardSet(idx []uint32) {
 	for i := len(idx) - 1; i >= 0; i-- {
 		db.shards[idx[i]].mu.Unlock()
-	}
-}
-
-// SetLinkProp sets an annotation property on a link.
-func (db *DB) SetLinkProp(id LinkID, name, value string) error {
-	return db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
-		nl.Propagates, nl.Props = db.attrs.edit(nl.Propagates, nl.Props, []string{name, value}, nil)
-	}, func(*Link) []string {
-		return []string{strconv.FormatInt(int64(id), 10), "1", name, value}
-	})
-}
-
-// SetLinkPropagates replaces the PROPAGATE set of a link.
-func (db *DB) SetLinkPropagates(id LinkID, events []string) error {
-	return db.replaceLink(id, OpPropagates, func(nl *Link) {
-		nl.Propagates, nl.Props = db.attrs.edit(events, nl.Props, nil, nil)
-	}, func(nl *Link) []string {
-		return append([]string{strconv.FormatInt(int64(id), 10)}, nl.Propagates...)
-	})
-}
-
-// replaceLink publishes a mutated copy of a link: links are immutable once
-// published, so annotation edits copy the object, apply mutate — which
-// replaces what it changes, the attributes being shared — and push the copy
-// to the link table and to both ends' postings under the endpoint shard
-// locks.  Retries if the link is replaced concurrently.  args builds the
-// arguments of the op record describing the installed object; it runs
-// inside the critical section.
-func (db *DB) replaceLink(id LinkID, op string, mutate func(nl *Link), args func(nl *Link) []string) error {
-	for {
-		l := db.snapshotLink(id)
-		if l == nil {
-			return fmt.Errorf("link %d: %w", id, ErrNotFound)
-		}
-		nl := l.copy()
-		mutate(nl)
-		sf, st := db.lockPair(l.From, l.To)
-		stripe := db.stripeOf(id)
-		stripe.Lock()
-		if db.snapshotLink(id) != l {
-			stripe.Unlock()
-			unlockPair(sf, st)
-			continue
-		}
-		fh, th := db.head.shard(l.From.Block), db.head.shard(l.To.Block)
-		s := db.beginMut(op, 0, func() []string { return args(nl) })
-		db.head.stripe(id).links.push(id, s, nl, false)
-		fh.post(true, l.From, s, replaced(fh.links(l.From, newest).out, nl))
-		th.post(false, l.To, s, replaced(th.links(l.To, newest).in, nl))
-		db.endMut(s)
-		stripe.Unlock()
-		unlockPair(sf, st)
-		return nil
 	}
 }

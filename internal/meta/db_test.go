@@ -1,7 +1,6 @@
 package meta
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -94,7 +93,7 @@ func TestProps(t *testing.T) {
 	if _, ok, _ := db.Head().GetProp(k, "missing"); ok {
 		t.Error("missing property reported present")
 	}
-	if err := db.DelProp(k, "DRC"); err != nil {
+	if err := db.UpdateOID(k, func(p map[string]string) { delete(p, "DRC") }); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := db.Head().GetProp(k, "DRC"); ok {
@@ -108,8 +107,8 @@ func TestProps(t *testing.T) {
 	if _, _, err := db.Head().GetProp(bad, "p"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetProp on missing OID: %v", err)
 	}
-	if err := db.DelProp(bad, "p"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("DelProp on missing OID: %v", err)
+	if err := db.UpdateOID(bad, func(map[string]string) {}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("UpdateOID on missing OID: %v", err)
 	}
 	if err := db.SetProp(k, "bad name", "v"); err == nil {
 		t.Error("bad property name accepted")
@@ -186,31 +185,6 @@ func TestAddLinkValidation(t *testing.T) {
 	// Derive link across views is fine.
 	if _, err := db.AddLink(DeriveLink, hdl, cpu, "t", nil, map[string]string{PropType: TypeDeriveFrom}); err != nil {
 		t.Errorf("derive link: %v", err)
-	}
-}
-
-func TestDeleteLink(t *testing.T) {
-	db := NewDB()
-	a := mustNewVersion(t, db, "a", "netlist")
-	b := mustNewVersion(t, db, "b", "netlist")
-	id, err := db.AddLink(UseLink, a, b, "", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DeleteLink(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Head().GetLink(id); !errors.Is(err, ErrNotFound) {
-		t.Errorf("GetLink after delete: %v", err)
-	}
-	if got := db.Head().posting(a).out; len(got) != 0 {
-		t.Errorf("out-posting after delete = %v", got)
-	}
-	if got := db.Head().posting(b).in; len(got) != 0 {
-		t.Errorf("in-posting after delete = %v", got)
-	}
-	if err := db.DeleteLink(id); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete: %v", err)
 	}
 }
 
@@ -301,22 +275,16 @@ func TestLinkProps(t *testing.T) {
 	db := NewDB()
 	a := mustNewVersion(t, db, "a", "v")
 	b := mustNewVersion(t, db, "b", "v")
-	id, err := db.AddLink(DeriveLink, a, b, "", nil, nil)
+	id, err := db.AddLink(DeriveLink, a, b, "", []string{"outofdate", "lvs", "outofdate"}, map[string]string{PropType: TypeEquivalence})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetLinkProp(id, PropType, TypeEquivalence); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetLinkPropagates(id, []string{"lvs", "outofdate"}); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := db.Head().GetLink(id)
 	if l.Type() != TypeEquivalence {
 		t.Errorf("Type = %q", l.Type())
 	}
-	if got := l.PropagateList(); len(got) != 2 || got[0] != "lvs" || got[1] != "outofdate" {
-		t.Errorf("PropagateList = %v", got)
+	if got := l.Propagates; len(got) != 2 || got[0] != "lvs" || got[1] != "outofdate" {
+		t.Errorf("Propagates = %v, want [lvs outofdate]", got)
 	}
 }
 
@@ -392,95 +360,6 @@ func TestInsertOIDChainOrdering(t *testing.T) {
 	}
 	if k.Version != 6 {
 		t.Errorf("NewVersion after gap = %v", k)
-	}
-}
-
-func TestPruneVersions(t *testing.T) {
-	db := NewDB()
-	var keys []Key
-	for i := 0; i < 6; i++ {
-		keys = append(keys, mustNewVersion(t, db, "cpu", "netlist"))
-	}
-	other := mustNewVersion(t, db, "cpu", "schematic")
-	// Links touching an old version and the newest version.
-	oldLink, err := db.AddLink(DeriveLink, other, keys[1], "", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newLink, err := db.AddLink(DeriveLink, other, keys[5], "", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	removed, err := db.PruneVersions("cpu", "netlist", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 4 {
-		t.Errorf("removed = %d", removed)
-	}
-	if got := db.Head().Versions("cpu", "netlist"); len(got) != 2 || got[0] != 5 || got[1] != 6 {
-		t.Errorf("Versions = %v", got)
-	}
-	for _, k := range keys[:4] {
-		if db.Head().HasOID(k) {
-			t.Errorf("%v survived prune", k)
-		}
-	}
-	if _, err := db.Head().GetLink(oldLink); !errors.Is(err, ErrNotFound) {
-		t.Errorf("link to pruned OID survived: %v", err)
-	}
-	if _, err := db.Head().GetLink(newLink); err != nil {
-		t.Errorf("link to kept OID removed: %v", err)
-	}
-	if got := db.Head().posting(other).out; len(got) != 1 {
-		t.Errorf("adjacency index stale: %v", got)
-	}
-	// Numbering continues after pruning.
-	k, err := db.NewVersion("cpu", "netlist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Version != 7 {
-		t.Errorf("post-prune version = %v", k)
-	}
-	// Edge cases.
-	if _, err := db.PruneVersions("cpu", "netlist", 0); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("keep=0: %v", err)
-	}
-	if _, err := db.PruneVersions("ghost", "v", 1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing chain: %v", err)
-	}
-	if n, err := db.PruneVersions("cpu", "netlist", 10); err != nil || n != 0 {
-		t.Errorf("over-keep prune: %d %v", n, err)
-	}
-}
-
-func TestPrunedDatabaseSaveLoad(t *testing.T) {
-	db := NewDB()
-	for i := 0; i < 5; i++ {
-		mustNewVersion(t, db, "cpu", "netlist")
-	}
-	if _, err := db.PruneVersions("cpu", "netlist", 2); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("pruned database does not reload: %v", err)
-	}
-	if got := db2.Head().Versions("cpu", "netlist"); len(got) != 2 || got[0] != 4 {
-		t.Errorf("reloaded versions = %v", got)
-	}
-	k, err := db2.NewVersion("cpu", "netlist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Version != 6 {
-		t.Errorf("post-reload version = %v", k)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // Every random number is drawn here, and a step resolves its operands
 // against sorted enumerations of the database it is handed, so the same
 // prefix of steps takes any two databases through the same states.  A step
-// that fails (a pruned endpoint, a taken name) is part of the program.
+// that fails (a self-link, a taken name) is part of the program.
 func mutationProgram(seed int64) []func(*DB) {
 	rng := rand.New(rand.NewSource(seed))
 	blocks := []string{"cpu", "alu", "reg", "mmu"}
@@ -45,7 +45,9 @@ func mutationProgram(seed int64) []func(*DB) {
 		case op < 6:
 			steps = append(steps, func(db *DB) { _ = db.SetProp(key(db, a), fmt.Sprintf("p%d", b%3), fmt.Sprint(c%4)) })
 		case op == 6:
-			steps = append(steps, func(db *DB) { _ = db.DelProp(key(db, a), fmt.Sprintf("p%d", b%3)) })
+			steps = append(steps, func(db *DB) {
+				_ = db.UpdateOID(key(db, a), func(props map[string]string) { delete(props, fmt.Sprintf("p%d", b%3)) })
+			})
 		case op == 7:
 			steps = append(steps, func(db *DB) {
 				_ = db.UpdateOID(key(db, a), func(props map[string]string) {
@@ -63,23 +65,10 @@ func mutationProgram(seed int64) []func(*DB) {
 			})
 		case op == 11:
 			steps = append(steps, func(db *DB) {
-				switch id := link(db, a); b % 4 {
-				case 0:
-					_ = db.DeleteLink(id)
-				case 1:
-					if l, err := db.Head().GetLink(id); err == nil {
-						_ = db.RetargetLink(id, l.To, key(db, c))
-					}
-				case 2:
-					_ = db.SetLinkProp(id, "note", name)
-				case 3:
-					_ = db.SetLinkPropagates(id, nil)
+				id := link(db, a)
+				if l, err := db.Head().GetLink(id); err == nil {
+					_ = db.RetargetLink(id, l.To, key(db, c))
 				}
-			})
-		case op == 12:
-			steps = append(steps, func(db *DB) {
-				k := key(db, a)
-				_, _ = db.PruneVersions(k.Block, k.View, 1)
 			})
 		case op == 13:
 			steps = append(steps, func(db *DB) {
@@ -311,7 +300,7 @@ func TestQuickLoadSeals(t *testing.T) {
 					}
 				case 2:
 					o.Props.Each(func(n, _ string) bool {
-						if err := db.DelProp(k, n); err != nil {
+						if err := db.UpdateOID(k, func(props map[string]string) { delete(props, n) }); err != nil {
 							t.Fatal(err)
 						}
 						return true

@@ -85,7 +85,7 @@ type Link struct {
 	//
 	// A stored link shares Propagates with every link of equal attributes —
 	// the links one template stamped (attrTable) — so it may not be changed
-	// in place; the link mutators replace it.
+	// in place.  A link's attributes are fixed when it is created.
 	Propagates []string
 
 	// Template records which BluePrint link template decorated this link,
@@ -106,8 +106,8 @@ func (l *Link) clone() *Link {
 	return c
 }
 
-// copy returns a copy that shares the attributes, for a mutator to replace
-// what it changes.
+// copy returns a copy that shares the attributes, for RetargetLink to move
+// an endpoint of.
 func (l *Link) copy() *Link {
 	c := *l
 	return &c
@@ -134,10 +134,6 @@ func (l *Link) Other(k Key) (Key, bool) {
 		return Key{}, false
 	}
 }
-
-// PropagateList returns the allowed events in sorted order: Propagates
-// itself, which the caller must not change.
-func (l *Link) PropagateList() []string { return l.Propagates }
 
 // validate checks structural invariants of a link before insertion.
 func (l *Link) validate() error {

@@ -27,9 +27,10 @@ func storedLink(t *testing.T, db *DB, id LinkID) *Link {
 
 // TestLinkAttributesShared: links stamped with equal attributes hold one
 // copy of them, from AddLink, a recovered checkpoint and a loaded document
-// alike, and no mutation of one link — SetLinkProp, SetLinkPropagates,
-// RetargetLink, the copy of an inherited link, a change to a copy GetLink
-// handed out — shows in its siblings or in a view pinned before it.
+// alike; a link of attributes of its own shares them with none; and no
+// change around one link — RetargetLink, the copy of an inherited link, a
+// change to a copy GetLink handed out — shows in its siblings or in a view
+// pinned before it.
 func TestLinkAttributesShared(t *testing.T) {
 	db := NewDB()
 	var ids []LinkID
@@ -56,10 +57,9 @@ func TestLinkAttributesShared(t *testing.T) {
 	before := viewSave(t, pinned)
 	sibling := storedLink(t, db, ids[0]).clone()
 
-	if err := db.SetLinkProp(ids[0], "note", "one-off"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetLinkPropagates(ids[1], []string{"lvs", "lvs"}); err != nil {
+	oneOff, err := db.AddLink(DeriveLink, sch[0], mustNewVersion(t, db, "cpu", "layout"), "derive_netlist",
+		[]string{"ckin", "outofdate"}, map[string]string{PropType: TypeDeriveFrom, "note": "one-off"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	next := mustNewVersion(t, db, "fpu", "schematic")
@@ -68,7 +68,7 @@ func TestLinkAttributesShared(t *testing.T) {
 	}
 	// The engine copies an inherited link from a copy of it (inheritLinks).
 	inherited := db.Head().LinksOf(sch[3])[0]
-	copyID, err := db.AddLink(inherited.Class, mustNewVersion(t, db, "mmu", "schematic"), inherited.To, inherited.Template, inherited.PropagateList(), inherited.Props.Map())
+	copyID, err := db.AddLink(inherited.Class, mustNewVersion(t, db, "mmu", "schematic"), inherited.To, inherited.Template, inherited.Propagates, inherited.Props.Map())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,9 @@ func TestLinkAttributesShared(t *testing.T) {
 		props      Props
 		propagates []string
 	}{
-		ids[0]: {mkProps(PropType, TypeDeriveFrom, "note", "one-off"), sibling.Propagates},
-		ids[1]: {sibling.Props, []string{"lvs"}},
+		oneOff: {mkProps(PropType, TypeDeriveFrom, "note", "one-off"), sibling.Propagates},
+		ids[0]: {sibling.Props, sibling.Propagates},
+		ids[1]: {sibling.Props, sibling.Propagates},
 		ids[2]: {sibling.Props, sibling.Propagates},
 		ids[3]: {sibling.Props, sibling.Propagates},
 		copyID: {sibling.Props, sibling.Propagates},
@@ -125,7 +126,7 @@ func TestLinkAttributesShared(t *testing.T) {
 		if !sameAttrs(storedLink(t, got, ids[2]), storedLink(t, got, copyID)) {
 			t.Errorf("%s: links of equal attributes hold a copy each", name)
 		}
-		if l := storedLink(t, got, ids[0]); prop(l.Props, "note") != "one-off" || sameAttrs(l, storedLink(t, got, ids[3])) {
+		if l := storedLink(t, got, oneOff); prop(l.Props, "note") != "one-off" || sameAttrs(l, storedLink(t, got, ids[3])) {
 			t.Errorf("%s: the one-off link came back as %+v", name, l)
 		}
 	}
@@ -213,7 +214,7 @@ func TestOIDPropertySetsShared(t *testing.T) {
 			mkProps("uptodate", "true", "owner", "cad", "sim_result", "bad")},
 		{"SetProp", func() error { return db.SetProp(a, "owner", "layout") },
 			mkProps("uptodate", "true", "owner", "layout")},
-		{"DelProp", func() error { return db.DelProp(a, "uptodate") },
+		{"UpdateOID delete", func() error { return db.UpdateOID(a, func(props map[string]string) { delete(props, "uptodate") }) },
 			mkProps("owner", "cad")},
 	} {
 		if !sameProps(db, a, b) {

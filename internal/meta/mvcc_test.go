@@ -95,51 +95,76 @@ func saveDB(t testing.TB, db *DB) []byte {
 	return buf.Bytes()
 }
 
-// TestReadViewTombstones checks deletions are versioned: a view pinned
-// before a DeleteLink/PruneVersions still sees the objects, one pinned
-// after does not.
+// TestReadViewTombstones checks deletions are versioned, on the two kinds
+// of tombstone a database writes: the adjacency posting a RetargetLink
+// empties and a deleted configuration.  A view pinned before them still
+// reads the link at its old end and the configuration, one pinned after
+// does not; a reclaim keeps their dead entries while the older view is
+// pinned, and drops them from the adj and configs tables once the horizon
+// passes the tombstones.
 func TestReadViewTombstones(t *testing.T) {
 	db := NewDB()
 	a := mustNewVersion(t, db, "cpu", "HDL_model")
 	b := mustNewVersion(t, db, "alu", "HDL_model")
-	mustNewVersion(t, db, "cpu", "HDL_model") // version 2
 	id, err := db.AddLink(DeriveLink, a, b, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	before := db.ReadView()
-	defer before.Close()
-
-	if err := db.DeleteLink(id); err != nil {
+	if _, err := db.SnapshotQuery("doomed", func(*OID) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.PruneVersions("cpu", "HDL_model", 1); err != nil {
+	a2 := mustNewVersion(t, db, "cpu", "HDL_model")
+
+	before := db.ReadView()
+	if err := db.RetargetLink(id, a, a2); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteConfiguration("doomed"); err != nil {
 		t.Fatal(err)
 	}
 	after := db.ReadView()
-	defer after.Close()
 
-	if !before.HasOID(a) {
-		t.Error("pre-prune view lost cpu v1")
-	}
-	found := false
-	before.EachLink(func(l *Link) bool { found = found || l.ID == id; return true })
-	if !found {
-		t.Error("pre-delete view lost the link")
-	}
-	if after.HasOID(a) {
-		t.Error("post-prune view still sees pruned cpu v1")
-	}
-	after.EachLink(func(l *Link) bool {
-		if l.ID == id {
-			t.Error("post-delete view still sees the link")
+	adjEntry := func() bool { return db.store.Load().shards[db.shardIndex(a.Block)].adj.entry(a) != nil }
+	configEntry := func() bool { return db.store.Load().ctl.configs.entry("doomed") != nil }
+	// check fails the test unless v reads the link at from and the
+	// configuration as had says.
+	check := func(name string, v *View, from Key, had bool) {
+		t.Helper()
+		for _, k := range []Key{a, a2} {
+			got := v.LinksOf(k)
+			ok := len(got) == 0
+			if k == from {
+				ok = len(got) == 1 && got[0].ID == id && got[0].From == from
+			}
+			if !ok {
+				t.Errorf("%s view: links of %v = %v, want link %d from %v", name, k, got, id, from)
+			}
 		}
-		return true
-	})
-	if k, err := after.Latest("cpu", "HDL_model"); err != nil || k.Version != 2 {
-		t.Errorf("after.Latest = %v, %v; want cpu v2", k, err)
+		if _, err := v.GetConfiguration("doomed"); (err == nil) != had {
+			t.Errorf("%s view: configuration doomed: %v, want present %v", name, err, had)
+		}
 	}
+	check("pre-tombstone", before, a, true)
+	check("post-tombstone", after, a2, false)
+
+	db.ReclaimVersions()
+	if !adjEntry() || !configEntry() {
+		t.Errorf("a reclaim below the tombstones dropped entries a pinned view reads: posting %v, configuration %v", adjEntry(), configEntry())
+	}
+	check("pinned pre-tombstone", before, a, true)
+
+	before.Close()
+	after.Close()
+	db.ReclaimVersions()
+	if h, s := db.VersionHorizon(), db.mvcc.epoch.Load(); h < s {
+		t.Fatalf("horizon %d short of the epoch %d with nothing pinned", h, s)
+	}
+	if adjEntry() || configEntry() {
+		t.Errorf("a reclaim past the tombstones kept dead entries: posting of %v %v, configuration %v", a, adjEntry(), configEntry())
+	}
+	cur := db.ReadView()
+	defer cur.Close()
+	check("reclaimed", cur, a2, false)
 }
 
 // TestViewByteStableUnderWriters is the -race hammer: four writers mutate
@@ -190,10 +215,8 @@ func TestViewByteStableUnderWriters(t *testing.T) {
 				case 4:
 					if len(links) > 0 {
 						id := links[len(links)-1]
-						links = links[:len(links)-1]
-						if err := db.DeleteLink(id); err != nil {
-							t.Error(err)
-							return
+						if l, err := db.Head().GetLink(id); err == nil {
+							_ = db.RetargetLink(id, l.From, seed[(w*5+i)%len(seed)])
 						}
 					}
 				}

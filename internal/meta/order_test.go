@@ -2,7 +2,6 @@ package meta
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -52,7 +51,7 @@ func checkSortedWalk(v *View) error {
 }
 
 // TestQuickSortedWalk: at 1, 4 and 64 shards, random sequences of new
-// chains, new versions, prunes, reclaim passes and whole-database restores
+// chains, new versions, reclaim passes and whole-database restores
 // pin views at random stamps along the way; at the end, each pinned view's
 // key-ordered walk equals its unordered walk sorted, though the store's
 // order was rebuilt and its tables trimmed after the pin.  The -race arm
@@ -141,10 +140,6 @@ func sortedWalkProgram(shards int, rng *rand.Rand) error {
 		switch r := rng.Intn(20); {
 		case r < 10: // a new chain, or the next version of one
 			if _, err := db.NewVersion(block, view); err != nil {
-				return err
-			}
-		case r < 12:
-			if _, err := db.PruneVersions(block, view, 1+rng.Intn(2)); err != nil && !errors.Is(err, ErrNotFound) {
 				return err
 			}
 		case r < 14:

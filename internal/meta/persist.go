@@ -17,7 +17,7 @@ import (
 // (checkpoint.go), which only the journal's offline upgrade still reads —
 // no node links either end of it.  Chains, postings and the clocks' history
 // are not in it: Load rebuilds them, each object the first version of its
-// history; gaps PruneVersions left in a chain are kept.
+// history; gaps in a chain (an older build pruned versions) are kept.
 
 type dbJSON struct {
 	Seq        int64           `json:"seq"`

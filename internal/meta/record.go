@@ -33,20 +33,16 @@ import (
 // Record ops.  The argument layout of each op is documented on
 // ApplyRecord, which is the authoritative decoder.
 const (
-	OpOID        = "oid"        // insert an OID with explicit seq
-	OpUpdate     = "update"     // set/delete properties of an OID
-	OpLink       = "link"       // insert a link with explicit id and seq
-	OpDelLink    = "dellink"    // delete a link
-	OpRetarget   = "retarget"   // move one link endpoint
-	OpLinkUpdate = "linkupdate" // set/delete annotation properties of a link
-	OpPropagates = "propagates" // replace a link's PROPAGATE set
-	OpPrune      = "prune"      // prune old versions of a chain
-	OpConfig     = "config"     // install a configuration snapshot
-	OpDelConfig  = "delconfig"  // delete a configuration
-	OpWorkspace  = "workspace"  // register a workspace
-	OpBind       = "bind"       // bind an OID path inside a workspace
-	OpEvent      = "event"      // audit: a design event entered the engine
-	OpTerm       = "term"       // election-term bump: a follower was promoted to primary
+	OpOID       = "oid"       // insert an OID with explicit seq
+	OpUpdate    = "update"    // set/delete properties of an OID
+	OpLink      = "link"      // insert a link with explicit id and seq
+	OpRetarget  = "retarget"  // move one link endpoint
+	OpConfig    = "config"    // install a configuration snapshot
+	OpDelConfig = "delconfig" // delete a configuration
+	OpWorkspace = "workspace" // register a workspace
+	OpBind      = "bind"      // bind an OID path inside a workspace
+	OpEvent     = "event"     // audit: a design event entered the engine
+	OpTerm      = "term"      // election-term bump: a follower was promoted to primary
 
 	// opClock closes a checkpoint (checkpoint.go) and is found nowhere else.
 	opClock = "clock"
@@ -137,12 +133,11 @@ func (a *argWriter) pairs(p Props) {
 }
 
 // propArgs encodes the difference between two property sets as the
-// argument tail shared by OpUpdate and OpLinkUpdate, after head: the count
-// of names after sets anew or to another value, then those name/value
-// pairs, then the names before has and after has not — one merge of the
-// two sorted sets, so that one difference always encodes alike.  The
-// result is allocated at exact capacity: this sits on the journaled
-// delivery hot path.
+// argument tail of OpUpdate, after head: the count of names after sets anew
+// or to another value, then those name/value pairs, then the names before
+// has and after has not — one merge of the two sorted sets, so that one
+// difference always encodes alike.  The result is allocated at exact
+// capacity: this sits on the journaled delivery hot path.
 func propArgs(head string, before, after Props) []string {
 	var setBuf [32]string
 	var delBuf [8]string
@@ -284,8 +279,8 @@ func floor(a *atomic.Int64, v int64) {
 // ApplyRecord keeps no string of r — what the database keeps of it is
 // copied out — so r's strings may be the bytes of a buffer the next record
 // is read into, and a record of an op that keeps nothing (an event's)
-// costs no allocation.  A Recorder, if attached, is handed r.Args as they
-// are for the re-emission of a link update.
+// costs no allocation.  A record of an op other than the Op constants is
+// refused as unknown and changes nothing.
 func (db *DB) ApplyRecord(r Record) error {
 	if r.LSN > 0 {
 		db.replayAt.Store(r.LSN)
@@ -347,23 +342,14 @@ func (db *DB) applyRecord(r Record) error {
 			return fail(err)
 		}
 
-	case OpDelLink:
-		id, err := parseLinkID(r.Args)
-		if err != nil {
-			return fail(err)
-		}
-		if err := db.DeleteLink(id); err != nil {
-			return fail(err)
-		}
-
 	case OpRetarget:
 		// Args: id, old endpoint, new endpoint.
 		if len(r.Args) != 3 {
 			return fail(fmt.Errorf("want 3 args, got %d", len(r.Args)))
 		}
-		id, err := parseLinkID(r.Args[:1])
+		id, err := strconv.ParseInt(r.Args[0], 10, 64)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("link id %q: %v", r.Args[0], err))
 		}
 		oldEnd, err := ParseKey(r.Args[1])
 		if err != nil {
@@ -373,57 +359,7 @@ func (db *DB) applyRecord(r Record) error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := db.RetargetLink(id, oldEnd, db.in.key(newEnd)); err != nil {
-			return fail(err)
-		}
-
-	case OpLinkUpdate:
-		// Args: id, then the propArgs tail.
-		if len(r.Args) < 1 {
-			return fail(fmt.Errorf("missing link id"))
-		}
-		id, err := parseLinkID(r.Args[:1])
-		if err != nil {
-			return fail(err)
-		}
-		sets, dels, err := parsePropArgs(r.Args[1:])
-		if err != nil {
-			return fail(err)
-		}
-		err = db.replaceLink(id, OpLinkUpdate, func(nl *Link) {
-			nl.Propagates, nl.Props = db.attrs.edit(nl.Propagates, nl.Props, sets, dels)
-		}, func(*Link) []string { return r.Args })
-		if err != nil {
-			return fail(err)
-		}
-
-	case OpPropagates:
-		// Args: id, event names.
-		if len(r.Args) < 1 {
-			return fail(fmt.Errorf("missing link id"))
-		}
-		id, err := parseLinkID(r.Args[:1])
-		if err != nil {
-			return fail(err)
-		}
-		events := make([]string, len(r.Args)-1)
-		for i, e := range r.Args[1:] {
-			events[i] = db.in.str(e)
-		}
-		if err := db.SetLinkPropagates(id, events); err != nil {
-			return fail(err)
-		}
-
-	case OpPrune:
-		// Args: block, view, keep.
-		if len(r.Args) != 3 {
-			return fail(fmt.Errorf("want 3 args, got %d", len(r.Args)))
-		}
-		keep, err := strconv.Atoi(r.Args[2])
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := db.PruneVersions(r.Args[0], r.Args[1], keep); err != nil {
+		if err := db.RetargetLink(LinkID(id), oldEnd, db.in.key(newEnd)); err != nil {
 			return fail(err)
 		}
 
@@ -502,17 +438,6 @@ func (db *DB) applyRecord(r Record) error {
 // replayed a record report 0.
 func (db *DB) AppliedLSN() int64 { return db.appliedLSN.Load() }
 
-func parseLinkID(args []string) (LinkID, error) {
-	if len(args) < 1 {
-		return 0, fmt.Errorf("missing link id")
-	}
-	id, err := strconv.ParseInt(args[0], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("link id %q: %v", args[0], err)
-	}
-	return LinkID(id), nil
-}
-
 // configArgs encodes a configuration: name, seq, OID count, keys, link ids.
 func configArgs(c *Configuration) []string {
 	a := argWriter{list: make([]string, 0, 3+len(c.OIDs)+len(c.Links))}
@@ -586,8 +511,8 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 // insertOIDLocked is the one place a new OID enters the database: its
 // first version, the chain's next and the journal record, under the lock of
 // h's shard.  The version must be greater than the newest in the chain;
-// gaps are legal because old versions may have been pruned (see
-// PruneVersions).
+// gaps are legal because a loaded document or checkpoint may carry a chain
+// whose old versions an older build pruned.
 func (db *DB) insertOIDLocked(h *shardHist, k Key, seq int64) error {
 	if _, ok := h.oids.at(k, newest); ok {
 		return fmt.Errorf("oid %v: %w", k, ErrExists)

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"strconv"
-	"sync"
 	"testing"
-	"time"
 	"unsafe"
 )
 
@@ -47,7 +44,7 @@ func TestRecorderCapturesEveryMutationClass(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DelProp(nl, "tmp"); err != nil {
+	if err := db.UpdateOID(nl, func(props map[string]string) { delete(props, "tmp") }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.SnapshotHierarchy("snap", root, FollowAllLinks); err != nil {
@@ -99,14 +96,11 @@ func TestApplyRecordKeepsNoString(t *testing.T) {
 	mustDo(db.SetProp(nl, "sim_result", "a value longer than the interner keeps one copy of"))
 	var ids []LinkID
 	db.Head().EachLink(func(l *Link) bool { ids = append(ids, l.ID); return true })
-	mustDo(db.SetLinkProp(ids[0], "note", "one-off"))
-	mustDo(db.SetLinkPropagates(ids[1], []string{"lvs", "ckin"}))
-	next := mustNewVersion(t, db, root.Block, root.View)
-	mustDo(db.RetargetLink(ids[0], root, next))
-	mustDo(db.DeleteLink(ids[1]))
-	if _, err := db.PruneVersions(root.Block, root.View, 1); err != nil {
+	if _, err := db.AddLink(DeriveLink, nl, root, "one-off", []string{"lvs", "ckin"}, map[string]string{"note": "one-off"}); err != nil {
 		t.Fatal(err)
 	}
+	next := mustNewVersion(t, db, root.Block, root.View)
+	mustDo(db.RetargetLink(ids[0], root, next))
 	for _, name := range []string{"snap", "gone"} {
 		if _, err := db.SnapshotHierarchy(name, next, FollowAllLinks); err != nil {
 			t.Fatal(err)
@@ -141,7 +135,7 @@ func TestApplyRecordKeepsNoString(t *testing.T) {
 			buf[j] = '#'
 		}
 	}
-	for _, op := range []string{OpOID, OpUpdate, OpLink, OpDelLink, OpRetarget, OpLinkUpdate, OpPropagates, OpPrune, OpConfig, OpDelConfig, OpWorkspace, OpBind, OpEvent} {
+	for _, op := range []string{OpOID, OpUpdate, OpLink, OpRetarget, OpConfig, OpDelConfig, OpWorkspace, OpBind, OpEvent} {
 		if !ops[op] {
 			t.Errorf("no %s record replayed", op)
 		}
@@ -158,7 +152,7 @@ func TestApplyRecordKeepsNoString(t *testing.T) {
 }
 
 // TestRecorderSilentOnNoChange checks the no-op paths emit nothing: an
-// UpdateOID that changes nothing, deleting an absent property, a failed
+// UpdateOID that changes nothing or deletes an absent property, a failed
 // mutation.
 func TestRecorderSilentOnNoChange(t *testing.T) {
 	rec := &sliceRecorder{}
@@ -173,7 +167,7 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 	if err := db.UpdateOID(k, func(props map[string]string) { _ = props["absent"] }); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DelProp(k, "absent"); err != nil {
+	if err := db.UpdateOID(k, func(props map[string]string) { delete(props, "absent") }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.AddLink(UseLink, k, k, "", nil, nil); err == nil {
@@ -222,8 +216,8 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 	}
 }
 
-// TestApplyRecordRejectsMalformed checks decoding failures and state
-// contradictions are loud errors.
+// TestApplyRecordRejectsMalformed checks decoding failures, state
+// contradictions and ops this package does not write are loud errors.
 func TestApplyRecordRejectsMalformed(t *testing.T) {
 	cases := map[string]Record{
 		"unknown op":     {Op: "warp", Args: []string{"x"}},
@@ -233,8 +227,6 @@ func TestApplyRecordRejectsMalformed(t *testing.T) {
 		"update missing": {Op: OpUpdate, Args: []string{"a,v,1", "1", "p", "v"}},
 		"update count":   {Op: OpUpdate, Args: []string{"a,v,1", "9", "p"}},
 		"link bad id":    {Op: OpLink, Args: []string{"x", "use", "a,v,1", "b,v,1", "", "1", "0"}},
-		"dellink absent": {Op: OpDelLink, Args: []string{"7"}},
-		"prune absent":   {Op: OpPrune, Args: []string{"a", "v", "1"}},
 		"config count":   {Op: OpConfig, Args: []string{"c", "1", "5", "a,v,1"}},
 		"bind absent ws": {Op: OpBind, Args: []string{"ws", "a,v,1", "p"}},
 	}
@@ -253,6 +245,41 @@ func TestApplyRecordRejectsMalformed(t *testing.T) {
 	}
 	if err := db.ApplyRecord(r); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate oid record: err = %v, want ErrExists", err)
+	}
+
+	// Well-formed records of the link edits and the pruning that earlier
+	// versions of the package journaled, each against a database where it
+	// would apply: refused whole — the same document, the applied LSN where
+	// it was.
+	for _, r := range []Record{
+		{Op: "dellink", Args: []string{"1"}},
+		{Op: "linkupdate", Args: []string{"1", "1", "note", "x"}},
+		{Op: "propagates", Args: []string{"1", "lvs"}},
+		{Op: "prune", Args: []string{"a", "v", "1"}},
+	} {
+		db := NewDB()
+		for i, r := range []Record{
+			{Op: OpOID, Args: []string{"a,v,1", "1"}},
+			{Op: OpOID, Args: []string{"a,v,2", "2"}},
+			{Op: OpOID, Args: []string{"b,v,1", "3"}},
+			{Op: OpLink, Args: []string{"1", "derive", "a,v,2", "b,v,1", "", "4", "1", "ckin"}},
+		} {
+			r.LSN, r.Seq = int64(i+1), int64(i+1)
+			if err := db.ApplyRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := saveDB(t, db)
+		r.LSN, r.Seq = 5, 9
+		if err := db.ApplyRecord(r); err == nil {
+			t.Errorf("ApplyRecord accepted %+v", r)
+		}
+		if got := saveDB(t, db); !bytes.Equal(got, before) {
+			t.Errorf("a refused %s record changed the database: %s", r.Op, firstDiff(got, before))
+		}
+		if got := db.AppliedLSN(); got != 4 {
+			t.Errorf("a refused %s record moved the applied LSN to %d", r.Op, got)
+		}
 	}
 }
 
@@ -350,50 +377,5 @@ func TestRefusedInsertAllocatesNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotRecs, wantRecs) {
 		t.Errorf("records with refused inserts in between:\n%v\nwithout:\n%v", gotRecs, wantRecs)
-	}
-}
-
-// TestBindRacingPruneReplays hammers BindPath against a PruneVersions that
-// removes the very OID being bound, and replays each round's records into a
-// fresh database.  BindPath used to check the OID and release its shard
-// before it pushed: a prune in between was journaled first, and the replay
-// of the bind that followed it — recovery, every follower — failed with
-// "apply bind record: oid b,v,1: not found".
-func TestBindRacingPruneReplays(t *testing.T) {
-	k := Key{Block: "b", View: "v", Version: 1}
-	deadline := time.Now().Add(time.Second)
-	for round := 0; round < 30000 && time.Now().Before(deadline); round++ {
-		rec := &sliceRecorder{}
-		db := NewDBWithShards(4)
-		db.SetRecorder(rec)
-		for range 2 {
-			if _, err := db.NewVersion(k.Block, k.View); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.AddWorkspace("w", "/w"); err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := range 7 {
-				_ = db.BindPath("w", k, strconv.Itoa(i)) // not found once pruned
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if _, err := db.PruneVersions(k.Block, k.View, 1); err != nil {
-				t.Error(err)
-			}
-		}()
-		wg.Wait()
-		replay := NewDBWithShards(4)
-		for _, r := range rec.recs {
-			if err := replay.ApplyRecord(r); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-		}
 	}
 }

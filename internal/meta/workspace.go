@@ -64,8 +64,8 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 	db.ctl.Lock()
 	defer db.ctl.Unlock()
 	// k's shard lock is held from the check through the push (ctl orders
-	// before the shard locks): a PruneVersions between the two would
-	// journal its prune before this bind, a record replay then refuses.
+	// before the shard locks), so the bind is journaled while the OID it
+	// names is as the check found it.
 	sh, kh := db.lockShard(k.Block)
 	defer sh.mu.Unlock()
 	h := db.store.Load().ctl

@@ -367,7 +367,7 @@ func runFollowerProgram(t *testing.T, shards int, ops []byte) {
 	pick := func(b byte, n int) int { return int(b) % n }
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, a, b := ops[i], ops[i+1], ops[i+2]
-		switch op % 14 {
+		switch op % 11 {
 		case 0, 1: // create a version (common)
 			k, err := db.NewVersion(blocks[pick(a, len(blocks))], views[pick(b, len(views))])
 			if err != nil {
@@ -400,34 +400,20 @@ func runFollowerProgram(t *testing.T, shards int, ops []byte) {
 				}
 			}
 		case 5:
-			if len(links) > 0 {
-				if err := db.SetLinkProp(links[pick(a, len(links))], "TYPE", "equivalence"); err != nil {
-					t.Fatal(err)
-				}
-			}
-		case 6:
-			if len(links) > 0 {
-				j := pick(a, len(links))
-				if err := db.DeleteLink(links[j]); err != nil {
-					t.Fatal(err)
-				}
-				links = append(links[:j], links[j+1:]...)
-			}
-		case 7:
 			if len(links) > 0 && len(keys) > 0 {
 				id := links[pick(a, len(links))]
 				if l, err := db.Head().GetLink(id); err == nil {
 					_ = db.RetargetLink(id, l.From, keys[pick(b, len(keys))])
 				}
 			}
-		case 8:
+		case 6:
 			names++
 			if _, err := db.SnapshotQuery(fmt.Sprintf("cfg%d", names), func(o *meta.OID) bool {
 				return o.Key.Version%2 == int(a)%2
 			}); err != nil {
 				t.Fatal(err)
 			}
-		case 9:
+		case 7:
 			names++
 			ws := fmt.Sprintf("ws%d", names)
 			if err := db.AddWorkspace(ws, "/data"); err != nil {
@@ -438,16 +424,7 @@ func runFollowerProgram(t *testing.T, shards int, ops []byte) {
 					t.Fatal(err)
 				}
 			}
-		case 10:
-			if len(keys) > 0 {
-				k := keys[pick(a, len(keys))]
-				if _, err := db.PruneVersions(k.Block, k.View, 1+int(b)%2); err != nil {
-					t.Fatal(err)
-				}
-				keys = liveKeys(db, keys)
-				links = liveLinks(db, links)
-			}
-		case 11:
+		case 8:
 			if err := w.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -456,11 +433,11 @@ func runFollowerProgram(t *testing.T, shards int, ops []byte) {
 					t.Fatal(err)
 				}
 			}
-		case 12: // kill the follower mid-stream at an arbitrary LSN
+		case 9: // kill the follower mid-stream at an arbitrary LSN
 			if c.fol != nil {
 				c.killFollower()
 			}
-		case 13: // ...and bring it back
+		case 10: // ...and bring it back
 			if c.fol == nil {
 				c.startFollower()
 			}
@@ -470,26 +447,6 @@ func runFollowerProgram(t *testing.T, shards int, ops []byte) {
 		c.startFollower()
 	}
 	c.assertConverged()
-}
-
-func liveKeys(db *meta.DB, keys []meta.Key) []meta.Key {
-	out := keys[:0]
-	for _, k := range keys {
-		if db.Head().HasOID(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func liveLinks(db *meta.DB, links []meta.LinkID) []meta.LinkID {
-	out := links[:0]
-	for _, id := range links {
-		if _, err := db.Head().GetLink(id); err == nil {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // TestFollowerReadYourLSN: a write acknowledged by the primary at LSN n

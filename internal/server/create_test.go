@@ -147,7 +147,7 @@ func refCreate(t *testing.T, eng *engine.Engine, block, view, user string) meta.
 				val = pv
 			}
 			if p.Inherit == bpl.InheritMove {
-				must(db.DelProp(prev, p.Name))
+				must(db.UpdateOID(prev, func(props map[string]string) { delete(props, p.Name) }))
 			}
 		}
 		must(db.SetProp(k, p.Name, val))

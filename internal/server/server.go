@@ -1140,8 +1140,8 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 			if t := l.Type(); t != "" {
 				line += " type=" + wire.Quote(t)
 			}
-			if evs := l.PropagateList(); len(evs) > 0 {
-				line += " propagates=" + wire.Quote(strings.Join(evs, ","))
+			if len(l.Propagates) > 0 {
+				line += " propagates=" + wire.Quote(strings.Join(l.Propagates, ","))
 			}
 			body = append(body, line)
 		}

@@ -187,7 +187,7 @@ func TestSoakWorkloadWithServer(t *testing.T) {
 
 	db := eng.DB()
 	stats := db.Head().Stats()
-	// No chain ever skips or repeats versions (pruning never ran here).
+	// No chain ever skips or repeats versions.
 	for _, bv := range db.Head().BlockViews() {
 		vs := db.Head().Versions(bv.Block, bv.View)
 		for i, v := range vs {
