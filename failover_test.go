@@ -25,23 +25,70 @@ import (
 	"repro/internal/meta"
 	"repro/internal/netfault"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 var promotedRE = regexp.MustCompile(`promoted \S+: term (\d+), bump record at lsn (\d+)`)
 
-// replaySave replays a journal directory read-only and returns the
-// database's canonical Save bytes plus the last LSN.
-func replaySave(t *testing.T, dir string) ([]byte, int64) {
+// dbText is how the tests compare databases: the checkpoint of a view
+// pinned on db, a line per record — its op, its Seq and its spelled args,
+// and a term's LSN.  The view's LSN is left out, so that databases at two
+// positions compare.
+func dbText(t testing.TB, db *meta.DB) []byte {
+	t.Helper()
+	v := db.ReadView()
+	defer v.Close()
+	var b []byte
+	if err := v.Checkpoint(func(r meta.Record, args []byte) error {
+		if r.Op == meta.OpTerm {
+			b = fmt.Appendf(b, "@%d ", r.LSN)
+		}
+		b = fmt.Appendf(b, "%s %d%s\n", r.Op, r.Seq, args)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// replayText replays a journal directory read-only and returns the
+// database's dbText plus the last LSN.
+func replayText(t *testing.T, dir string) ([]byte, int64) {
 	t.Helper()
 	db, lsn, err := journal.Replay(dir, meta.DefaultShards)
 	if err != nil {
 		t.Fatalf("replay %s: %v", dir, err)
 	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	return dbText(t, db), lsn
+}
+
+// checkpointRoundTrip loads the checkpoint of db into a new database.
+func checkpointRoundTrip(t *testing.T, db *meta.DB) *meta.DB {
+	t.Helper()
+	v := db.ReadView()
+	var records []meta.Record
+	err := v.Checkpoint(func(r meta.Record, args []byte) error {
+		var err error
+		r.Args, err = wire.Tokenize(string(args))
+		records = append(records, r)
+		return err
+	})
+	v.Close()
+	var db2 *meta.DB
+	if err == nil {
+		db2, err = meta.LoadCheckpoint(meta.DefaultShards, func(add func(meta.Record) error) error {
+			for _, r := range records {
+				if err := add(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), lsn
+	return db2
 }
 
 // TestFailoverChaosSIGKILL is the acceptance chaos path: a primary under
@@ -207,7 +254,7 @@ func TestFailoverChaosSIGKILL(t *testing.T) {
 	// new lineage (≥ the bump) is divergent and must be fenced with a
 	// terminal term error; a tail that stops short is shared history and
 	// must converge instead.
-	_, oldLSN := replaySave(t, pdir)
+	_, oldLSN := replayText(t, pdir)
 	ghost := spawnProc(t, bin, "-addr", "127.0.0.1:0", "-journal", pdir, "-follow", winner.addr)
 	if oldLSN >= bump {
 		werr := ghost.cmd.Wait()
@@ -238,9 +285,9 @@ func TestFailoverChaosSIGKILL(t *testing.T) {
 	// replay their journals.
 	winner.sigterm()
 	survivor2.sigterm()
-	wSave, wLSN := replaySave(t, winnerDir)
-	sSave, sLSN := replaySave(t, survivorDir)
-	if wLSN != sLSN || !bytes.Equal(wSave, sSave) {
+	wText, wLSN := replayText(t, winnerDir)
+	sText, sLSN := replayText(t, survivorDir)
+	if wLSN != sLSN || !bytes.Equal(wText, sText) {
 		t.Errorf("replayed journals diverge: new primary lsn %d vs survivor lsn %d", wLSN, sLSN)
 	}
 }
@@ -595,7 +642,7 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 	if !strings.Contains(fol.output(), "follower closed at applied lsn") {
 		t.Fatalf("follower shutdown without its closing line:\n%s", fol.output())
 	}
-	if _, flsn := replaySave(t, fdir); flsn != lsn {
+	if _, flsn := replayText(t, fdir); flsn != lsn {
 		t.Fatalf("follower journal replays to lsn %d after graceful shutdown, want %d", flsn, lsn)
 	}
 	fol2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-journal", fdir, "-follow", prim.addr)
@@ -615,7 +662,7 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 	if !strings.Contains(prim.output(), "journal closed at lsn") {
 		t.Fatalf("primary shutdown without its closing line:\n%s", prim.output())
 	}
-	if _, plsn := replaySave(t, pdir); plsn != lsn {
+	if _, plsn := replayText(t, pdir); plsn != lsn {
 		t.Fatalf("primary journal replays to lsn %d after graceful shutdown, want %d", plsn, lsn)
 	}
 	prim2 := startProc(t, bin, "-addr", "127.0.0.1:0", "-journal", pdir)

@@ -5,7 +5,6 @@ package repro
 // would compose them.
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -22,7 +21,7 @@ import (
 
 // TestIntegrationRemoteTeamFlow runs a two-designer flow entirely over
 // TCP, then checks the project state from a third connection and persists
-// the database through a save/load cycle.
+// the database through a checkpoint round trip.
 func TestIntegrationRemoteTeamFlow(t *testing.T) {
 	proj, err := NewProject(EDTCExample)
 	if err != nil {
@@ -113,14 +112,7 @@ func TestIntegrationRemoteTeamFlow(t *testing.T) {
 	}
 
 	// Persist and reload the database; state survives byte-for-byte.
-	var buf bytes.Buffer
-	if err := proj.DB.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := meta.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := checkpointRoundTrip(t, proj.DB)
 	if db2.Head().Stats() != proj.DB.Head().Stats() {
 		t.Errorf("stats differ after reload: %+v vs %+v", db2.Head().Stats(), proj.DB.Head().Stats())
 	}

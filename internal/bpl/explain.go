@@ -6,8 +6,9 @@ package bpl
 // project-state reports over large databases: the strings are identical for
 // every OID of a view, only the current property value differs.  An
 // Explainer compiles an expression once into a leaf list with pre-rendered
-// static prefixes; explaining a failure then costs one small allocation per
-// failing leaf, and none when appended to a caller's buffer (AppendFailures).
+// static prefixes; explaining a failure then costs one allocation per
+// failing leaf (Failures), and none when appended to a caller's buffer
+// (AppendFailures).
 
 // leafCheck is one boolean leaf (BoolExpr or CmpExpr) of a compiled
 // expression, with its negation context and pre-rendered description.
@@ -29,14 +30,13 @@ type leafCheck struct {
 // reporting.  Build one with CompileExplainer; it is immutable and safe for
 // concurrent use.
 type Explainer struct {
-	root   Expr
 	leaves []leafCheck
 }
 
 // CompileExplainer compiles e.  The expression must not be mutated
 // afterwards.
 func CompileExplainer(e Expr) *Explainer {
-	x := &Explainer{root: e}
+	x := &Explainer{}
 	var walk func(Expr, bool)
 	walk = func(e Expr, neg bool) {
 		switch n := e.(type) {
@@ -71,39 +71,26 @@ func CompileExplainer(e Expr) *Explainer {
 	return x
 }
 
-// Explain returns the failing leaf conditions under lookup, with current
-// values, in the same order and format as ExplainFailure.  A passing
-// expression returns nil.
-func (x *Explainer) Explain(lookup LookupFunc) []string {
-	if Eval(x.root, lookup) {
-		return nil
-	}
-	return x.Failures(lookup)
-}
-
-// Failures is Explain without the passing-expression check, for callers
-// that have already evaluated the expression.
-func (x *Explainer) Failures(lookup LookupFunc) []string {
-	var out []string
+// Failures appends to dst each failing leaf under lookup as one string,
+// "label: " and its description with the current value — ExplainFailure's
+// list, in its order, labelled — for callers that have already found the
+// expression false.
+func (x *Explainer) Failures(dst []string, label string, lookup LookupFunc) []string {
 	for i := range x.leaves {
 		lc := &x.leaves[i]
 		if !lc.fails(lookup) {
 			continue
 		}
-		if !lc.hasOperand {
-			out = append(out, lc.prefix)
-			continue
-		}
 		var buf [128]byte
-		out = append(out, string(lc.appendTo(buf[:0], lookup)))
+		b := append(append(buf[:0], label...), ": "...)
+		dst = append(dst, string(lc.appendTo(b, lookup)))
 	}
-	return out
+	return dst
 }
 
-// AppendFailures appends the failing leaves of Failures to dst, a list of
-// reasons joined by "; " that may already hold those of other expressions,
-// each leaf as "label: " and its description.  It allocates only to grow
-// dst.
+// AppendFailures appends the reasons of Failures to dst, a list of reasons
+// joined by "; " that may already hold those of other expressions.  It
+// allocates only to grow dst.
 func (x *Explainer) AppendFailures(dst []byte, label string, lookup LookupFunc) []byte {
 	for i := range x.leaves {
 		lc := &x.leaves[i]

@@ -39,16 +39,21 @@ func TestExplainerMatchesExplainFailure(t *testing.T) {
 		x := CompileExplainer(e)
 		for i, lookup := range lookups {
 			want := ExplainFailure(e, lookup)
-			got := x.Explain(lookup)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%q lookup %d: Explain = %q, want %q", src, i, got, want)
+			// Failures is ExplainFailure's list, labelled, after whatever
+			// dst already holds — for an expression that fails.
+			labelled := x.Failures([]string{"earlier: reason"}, "t", lookup)
+			if !Eval(e, lookup) {
+				wantLabelled := []string{"earlier: reason"}
+				for _, r := range want {
+					wantLabelled = append(wantLabelled, "t: "+r)
+				}
+				if !reflect.DeepEqual(labelled, wantLabelled) {
+					t.Errorf("%q lookup %d: Failures = %q, want %q", src, i, labelled, wantLabelled)
+				}
+			} else if want != nil {
+				t.Errorf("%q lookup %d: a passing expression explained as %q", src, i, want)
 			}
-			// The append form is the same list, labelled and joined, after
-			// whatever the buffer already holds.
-			labelled := []string{"earlier: reason"}
-			for _, r := range x.Failures(lookup) {
-				labelled = append(labelled, "t: "+r)
-			}
+			// The append form is the same list, joined.
 			joined := strings.Join(labelled, "; ")
 			if got := string(x.AppendFailures([]byte("earlier: reason"), "t", lookup)); got != joined {
 				t.Errorf("%q lookup %d: AppendFailures = %q, want %q", src, i, got, joined)

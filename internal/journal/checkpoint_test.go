@@ -97,7 +97,7 @@ func parseName(t *testing.T, name string) int64 {
 // checkpointDir is a journal directory of a checkpoint — objects of every
 // kind — a record after it, and no segment it covers whole.  It returns the
 // checkpoint's name and what the directory recovers to.
-func checkpointDir(t *testing.T) (dir, name string, save []byte) {
+func checkpointDir(t *testing.T) (dir, name string, text []byte) {
 	t.Helper()
 	dir = t.TempDir()
 	w, db, err := Open(dir, Options{SnapshotEvery: -1, SegmentBytes: 256})
@@ -142,11 +142,7 @@ func checkpointDir(t *testing.T) (dir, name string, save []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rdb.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return dir, name, buf.Bytes()
+	return dir, name, dbText(t, rdb)
 }
 
 // TestCheckpointDamageSweep flips one byte at every offset of a small
@@ -202,13 +198,66 @@ func copyDir(t *testing.T, from string) string {
 	return to
 }
 
-func saveOf(t *testing.T, db *meta.DB) []byte {
+// viewText is how the tests compare databases: v's checkpoint, a line per
+// record — its op, its Seq and its spelled args, and a term's LSN.  The
+// view's LSN is left out, so that databases at two positions compare.
+func viewText(t testing.TB, v *meta.View) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	var b []byte
+	if err := v.Checkpoint(func(r meta.Record, args []byte) error {
+		if r.Op == meta.OpTerm {
+			b = fmt.Appendf(b, "@%d ", r.LSN)
+		}
+		b = fmt.Appendf(b, "%s %d%s\n", r.Op, r.Seq, args)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
+}
+
+// dbText is the viewText of a view pinned on db.
+func dbText(t testing.TB, db *meta.DB) []byte {
+	t.Helper()
+	v := db.ReadView()
+	defer v.Close()
+	return viewText(t, v)
+}
+
+// v1Want is the database testdata/v1journal.save holds — the JSON
+// document of what the build that wrote testdata/v1journal recovered it
+// to — as checkpoint text.  The builds that still wrote JSON load the
+// document to this database and write it back byte for byte.
+const v1Want = `@18 term 11 2
+oid 11 cpu,netlist,1 4
+oid 11 cpu,schematic,3 3
+oid 11 cpu,schematic,4 10 1 uptodate false
+oid 11 reg,netlist,1 6 1 uptodate true
+oid 11 reg,schematic,1 5
+link 11 2 use cpu,schematic,3 reg,schematic,1 use 8 2 ckin outofdate
+link 11 3 derive reg,schematic,1 reg,netlist,1 "" 9 2 ckin outofdate
+link 11 4 use cpu,schematic,4 reg,schematic,1 use 11 3 ckin hdl_sim outofdate
+config 11 all 11 5 cpu,netlist,1 cpu,schematic,3 cpu,schematic,4 reg,netlist,1 reg,schematic,1 2 3 4
+config 11 rel1 9 3 cpu,schematic,3 reg,netlist,1 reg,schematic,1 2 3
+workspace 11 ws /proj/data cpu,schematic,1 cpu/sch/1 cpu,schematic,3 cpu/sch/3 cpu,schematic,4 cpu/sch/4
+clock 11 4
+`
+
+// v1Text is v1Want, once LoadShards has read testdata/v1journal.save to it.
+func v1Text(t *testing.T) []byte {
+	t.Helper()
+	doc, err := os.ReadFile("testdata/v1journal.save")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := meta.LoadShards(bytes.NewReader(doc), meta.DefaultShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dbText(t, db); string(got) != v1Want {
+		t.Fatalf("testdata/v1journal.save loads to\n%s\nwant\n%s", got, v1Want)
+	}
+	return []byte(v1Want)
 }
 
 // TestRecoverV1Journal: testdata/v1journal is a journal directory written by
@@ -216,14 +265,11 @@ func saveOf(t *testing.T, db *meta.DB) []byte {
 // a promotion, a pruned chain, a binding to a pruned OID, configurations and
 // links with several PROPAGATE events, and records behind its snapshot;
 // testdata/v1journal.save is what that build recovered it to.  Open refuses
-// it; Upgrade converts it to what Open recovers to the same bytes, and a
-// second Upgrade changes nothing.  The first checkpoint compacts the
+// it; Upgrade converts it to what Open recovers to the same database, and
+// a second Upgrade changes nothing.  The first checkpoint compacts the
 // converted snapshot away, and the directory recovers to them still.
 func TestRecoverV1Journal(t *testing.T) {
-	golden, err := os.ReadFile("testdata/v1journal.save")
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := v1Text(t)
 	dir := copyDir(t, "testdata/v1journal")
 	if _, _, err := Open(dir, Options{SnapshotEvery: -1}); err == nil || !strings.Contains(err.Error(), "`dquery upgrade <dir>`") {
 		t.Fatalf("Open of a directory with a JSON snapshot: %v", err)
@@ -240,7 +286,7 @@ func TestRecoverV1Journal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := saveOf(t, db); !bytes.Equal(got, golden) {
+	if got := dbText(t, db); !bytes.Equal(got, golden) {
 		t.Fatalf("recovered to\n%s\nwant\n%s", got, golden)
 	}
 	last := w.LastLSN()
@@ -256,8 +302,8 @@ func TestRecoverV1Journal(t *testing.T) {
 		t.Fatalf("the snapshot at %d is no checkpoint: %.20q, %v", last, ckpt, err)
 	}
 	rdb, lsn, err := Replay(dir, 0)
-	if err != nil || lsn != last || !bytes.Equal(saveOf(t, rdb), golden) {
-		t.Fatalf("after the checkpoint: lsn %d of %d, %v, same state: %v", lsn, last, err, err == nil && bytes.Equal(saveOf(t, rdb), golden))
+	if err != nil || lsn != last || !bytes.Equal(dbText(t, rdb), golden) {
+		t.Fatalf("after the checkpoint: lsn %d of %d, %v, same state: %v", lsn, last, err, err == nil && bytes.Equal(dbText(t, rdb), golden))
 	}
 }
 
@@ -265,7 +311,7 @@ func TestRecoverV1Journal(t *testing.T) {
 // snapshot, and read no other: a JSON document older than a checkpoint is
 // made unreadable, and neither refuses the directory.
 func TestNewestSnapshotAcrossFormats(t *testing.T) {
-	master, name, save := checkpointDir(t)
+	master, name, text := checkpointDir(t)
 	ckptLSN := parseName(t, name)
 	dir := copyDir(t, master)
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(ckptLSN-1)), []byte("{damaged"), 0o666); err != nil {
@@ -276,7 +322,7 @@ func TestNewestSnapshotAcrossFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, lsn, err := Replay(dir, 0)
-	if err != nil || lsn != last || !bytes.Equal(saveOf(t, db), save) {
+	if err != nil || lsn != last || !bytes.Equal(dbText(t, db), text) {
 		t.Fatalf("recovered to lsn %d of %d: %v", lsn, last, err)
 	}
 	w, _, err := Open(dir, Options{SnapshotEvery: -1})

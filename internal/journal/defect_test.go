@@ -64,13 +64,13 @@ func TestSnapshotRepinsPastReclaimedLSN(t *testing.T) {
 	if healthy, reason := w.Health(); !healthy {
 		t.Errorf("journal degraded: %s", reason)
 	}
-	want := saveBytes(t, db)
+	want := journal.DBText(t, db)
 	w.Abort()
 	got, lsn, err := journal.Replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn != stale+1 || !bytes.Equal(saveBytes(t, got), want) {
+	if lsn != stale+1 || !bytes.Equal(journal.DBText(t, got), want) {
 		t.Errorf("recovered to lsn %d, want %d with the live state", lsn, stale+1)
 	}
 }
@@ -124,7 +124,7 @@ func TestAuditGraphIndexOnJournaledDB(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("a write after the audit hangs: shard locks were left taken")
 	}
-	want := saveBytes(t, db)
+	want := journal.DBText(t, db)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAuditGraphIndexOnJournaledDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if !bytes.Equal(saveBytes(t, db2), want) {
+	if !bytes.Equal(journal.DBText(t, db2), want) {
 		t.Error("state after reopen differs")
 	}
 }
@@ -202,13 +202,13 @@ func TestRotationNamesSegmentAfterWrittenPosition(t *testing.T) {
 	}
 
 	// And recovery accepts the directory.
-	want := saveBytes(t, db)
+	want := journal.DBText(t, db)
 	w.Abort()
 	got, lsn, err := journal.Replay(dir, 0)
 	if err != nil {
 		t.Fatalf("recovery across the rotation: %v", err)
 	}
-	if lsn != written+2 || !bytes.Equal(saveBytes(t, got), want) {
+	if lsn != written+2 || !bytes.Equal(journal.DBText(t, got), want) {
 		t.Errorf("recovered to lsn %d, want %d with the live state", lsn, written+2)
 	}
 }
@@ -272,13 +272,13 @@ func TestSnapshotWriteFailsMidStream(t *testing.T) {
 		if err := w.Snapshot(); err != nil {
 			t.Fatalf("snapshot after the fault: %v", err)
 		}
-		want := saveBytes(t, db)
+		want := journal.DBText(t, db)
 		w.Abort()
 		got, _, err := journal.Replay(dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(saveBytes(t, got), want) {
+		if !bytes.Equal(journal.DBText(t, got), want) {
 			t.Error("state recovered from the streamed snapshot differs")
 		}
 	}

@@ -1,6 +1,10 @@
 package journal
 
-import "repro/internal/meta"
+import (
+	"bytes"
+
+	"repro/internal/meta"
+)
 
 // SetPinHook installs f to run inside Snapshot between the read of the
 // newest LSN and the pin of the view at it — the window a reclaim pass can
@@ -10,11 +14,20 @@ func (w *Writer) SetPinHook(f func()) { w.pinHook = f }
 // Frame renders r as the writer frames a record.
 func Frame(r meta.Record) []byte { return AppendFrame(nil, appendPayload(nil, r)) }
 
-// CheckpointOf is the checkpoint Upgrade makes of doc, the JSON document of
-// a snapshot of lsn.
-func CheckpointOf(doc []byte, lsn int64) ([]byte, error) {
-	return upgraded(snapshotName(lsn), doc, meta.DefaultShards)
+// CheckpointOf seals db at lsn and returns the snapshot file of lsn a
+// journal writes of it.
+func CheckpointOf(db *meta.DB, lsn int64) ([]byte, error) {
+	db.SealVersions(lsn)
+	v := db.ReadView()
+	defer v.Close()
+	var buf bytes.Buffer
+	err := writeCheckpoint(&buf, v, db.CurrentTerm())
+	return buf.Bytes(), err
 }
+
+// ViewText and DBText are how the tests compare databases
+// (checkpoint_test.go).
+var ViewText, DBText = viewText, dbText
 
 // DecodePayload parses a record payload as recovery does.
 func DecodePayload(payload []byte) (meta.Record, error) { return decodePayload(payload) }

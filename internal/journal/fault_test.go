@@ -103,7 +103,7 @@ func requireRecovers(t *testing.T, desc, dir, shadow string, acked int64) {
 	if wlsn != lsn {
 		t.Fatalf("%s: shadow replay reached lsn %d, want %d", desc, wlsn, lsn)
 	}
-	if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+	if !bytes.Equal(journal.DBText(t, got), journal.DBText(t, want)) {
 		t.Errorf("%s: recovered state at lsn %d diverges from the fault-free reference", desc, lsn)
 	}
 }
@@ -142,7 +142,7 @@ func sweepRun(t *testing.T, shadow string, plan faultfs.Plan) {
 		if reason == "" {
 			t.Errorf("%s: degraded with an empty reason", desc)
 		}
-		if len(saveBytes(t, db)) == 0 {
+		if len(journal.DBText(t, db)) == 0 {
 			t.Errorf("%s: degraded journal stopped serving reads", desc)
 		}
 		if _, err := db.NewVersion("probe", "HDL_model"); err != nil {
@@ -289,7 +289,7 @@ func TestJournalENOSPCCompactsAndResumes(t *testing.T) {
 			t.Fatalf("commit after the emergency compaction: %v", err)
 		}
 	}
-	want := saveBytes(t, db2)
+	want := journal.DBText(t, db2)
 	w2.Abort()
 
 	// The log the ENOSPC retry resumed into must be seamless: a clean
@@ -298,7 +298,7 @@ func TestJournalENOSPCCompactsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after ENOSPC compaction: %v", err)
 	}
-	if !bytes.Equal(want, saveBytes(t, got)) {
+	if !bytes.Equal(want, journal.DBText(t, got)) {
 		t.Error("recovered state differs after the ENOSPC-compact-retry append")
 	}
 }
@@ -505,7 +505,7 @@ func TestBootstrapSnapshotFaultSweep(t *testing.T) {
 		}
 		want = append(want, k)
 	}
-	doc, err := journal.CheckpointOf(saveBytes(t, primary), 50)
+	doc, err := journal.CheckpointOf(primary, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

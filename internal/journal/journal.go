@@ -1,6 +1,5 @@
 // Package journal persists the meta-database as an append-only record log
-// plus periodic snapshots — the production persistence layer that replaces
-// whole-database Save/Load as the only durability mechanism.
+// plus periodic snapshots — the one persistence layer of a node.
 //
 // # On-disk layout
 //
@@ -16,8 +15,8 @@
 //     nothing newer.  A header "DJS<version> <lsn16> <term16>\n", then a
 //     frame per record of meta.View.Checkpoint.
 //
-// Version 1 of both — a header without a term, the JSON document of
-// meta.Save — only Upgrade reads; recovery refuses it.
+// Version 1 of both — a header without a term, a JSON document (the one
+// meta.LoadShards reads) — only Upgrade reads; recovery refuses it.
 //
 // Each record is framed as
 //

@@ -17,18 +17,6 @@ import (
 	"repro/internal/server"
 )
 
-// saveBytes renders a database in its canonical persisted form; two
-// databases with equal saveBytes are equal in every respect persistence
-// covers (objects, properties, links, configs, workspaces, counters).
-func saveBytes(t *testing.T, db *meta.DB) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // mutate exercises every journaled mutation class against db.
 func mutate(t *testing.T, db *meta.DB) {
 	t.Helper()
@@ -86,7 +74,7 @@ func mutate(t *testing.T, db *meta.DB) {
 
 // TestJournalRecoveryRoundTrip crashes (abandons) a journal mid-life and
 // checks recovery reproduces the exact committed state, byte for byte in
-// the canonical Save form.
+// its checkpoint.
 func TestJournalRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, db, err := journal.Open(dir, journal.Options{})
@@ -97,7 +85,7 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	want := saveBytes(t, db)
+	want := journal.DBText(t, db)
 
 	// Crash: the writer is never closed; recovery sees only what Commit
 	// pushed to the OS.
@@ -108,9 +96,9 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	if lsn == 0 {
 		t.Fatal("no records replayed")
 	}
-	if !bytes.Equal(want, saveBytes(t, got)) {
+	if !bytes.Equal(want, journal.DBText(t, got)) {
 		t.Errorf("recovered state differs from committed state:\n--- live\n%s\n--- recovered\n%s",
-			want, saveBytes(t, got))
+			want, journal.DBText(t, got))
 	}
 
 	// A second, writable recovery must agree too and keep working.
@@ -118,7 +106,7 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, saveBytes(t, db2)) {
+	if !bytes.Equal(want, journal.DBText(t, db2)) {
 		t.Error("Open recovery differs from Replay recovery")
 	}
 	if _, err := db2.NewVersion("post", "HDL_model"); err != nil {
@@ -131,7 +119,7 @@ func TestJournalRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saveBytes(t, db2), saveBytes(t, db3)) {
+	if !bytes.Equal(journal.DBText(t, db2), journal.DBText(t, db3)) {
 		t.Error("post-recovery mutation lost")
 	}
 }
@@ -155,7 +143,7 @@ func TestJournalRecoveryTornWrite(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	wantTorn := saveBytes(t, db) // state without the final record
+	wantTorn := journal.DBText(t, db) // state without the final record
 
 	// The final record: one more property write, committed.
 	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.log"))
@@ -172,7 +160,7 @@ func TestJournalRecoveryTornWrite(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	wantFull := saveBytes(t, db)
+	wantFull := journal.DBText(t, db)
 	full, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +182,7 @@ func TestJournalRecoveryTornWrite(t *testing.T) {
 		if cut == len(full) {
 			want = wantFull
 		}
-		if got := saveBytes(t, db2); !bytes.Equal(want, got) {
+		if got := journal.DBText(t, db2); !bytes.Equal(want, got) {
 			t.Fatalf("cut at %d/%d bytes: wrong recovered state:\n%s", cut, len(full), got)
 		}
 		// The repaired journal must accept appends and survive another
@@ -209,7 +197,7 @@ func TestJournalRecoveryTornWrite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: re-recovery: %v", cut, err)
 		}
-		if !bytes.Equal(saveBytes(t, db2), saveBytes(t, db3)) {
+		if !bytes.Equal(journal.DBText(t, db2), journal.DBText(t, db3)) {
 			t.Fatalf("cut at %d: post-repair append lost", cut)
 		}
 	}
@@ -270,7 +258,7 @@ func TestJournalRecoveryAfterRotationAndSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saveBytes(t, db), saveBytes(t, got)) {
+	if !bytes.Equal(journal.DBText(t, db), journal.DBText(t, got)) {
 		t.Error("recovery after rotation+snapshot+compaction differs from live state")
 	}
 }
@@ -337,14 +325,14 @@ func TestJournalRecoverySnapshotOverUncommittedBuffer(t *testing.T) {
 	if err := w.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	want := saveBytes(t, db)
+	want := journal.DBText(t, db)
 
 	// Crash, recover, append, crash, recover.
 	w2, db2, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, saveBytes(t, db2)) {
+	if !bytes.Equal(want, journal.DBText(t, db2)) {
 		t.Error("snapshot lost the buffered record")
 	}
 	if err := db2.SetProp(k, "after", "crash"); err != nil {
@@ -357,7 +345,7 @@ func TestJournalRecoverySnapshotOverUncommittedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after post-snapshot append: %v", err)
 	}
-	if !bytes.Equal(saveBytes(t, db2), saveBytes(t, db3)) {
+	if !bytes.Equal(journal.DBText(t, db2), journal.DBText(t, db3)) {
 		t.Error("post-snapshot append lost")
 	}
 }
@@ -493,7 +481,7 @@ func TestJournalRecoverySnapshotDuringLiveWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(saveBytes(t, db), saveBytes(t, got)) {
+	if !bytes.Equal(journal.DBText(t, db), journal.DBText(t, got)) {
 		t.Error("recovery differs after concurrent snapshots")
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // TestQuickReadViewEqualsReplayUpTo is the MVCC-by-LSN consistency
 // property: for a randomized op sequence on a journaled database, a view
-// pinned at any recorded LSN must Save byte-identically to replaying the
+// pinned at any recorded LSN must checkpoint byte-identically to replaying the
 // journal up to exactly that LSN — the live version histories and the
 // on-disk record stream describe the same timeline.  Shard count is a
 // pure performance knob, so the property is checked at 1, 4 and 64
@@ -141,10 +141,7 @@ func checkViewReplayProperty(t *testing.T, shards int, ops []byte) bool {
 			t.Errorf("ReadViewAt(%d): %v", lsn, err)
 			return false
 		}
-		var viewDoc bytes.Buffer
-		if err := v.SaveTo(&viewDoc); err != nil {
-			t.Fatal(err)
-		}
+		viewDoc := journal.ViewText(t, v)
 		v.Close()
 
 		replayed, _, err := journal.ReplayUpTo(dir, shards, lsn)
@@ -152,10 +149,10 @@ func checkViewReplayProperty(t *testing.T, shards int, ops []byte) bool {
 			t.Errorf("ReplayUpTo(%d): %v", lsn, err)
 			return false
 		}
-		replayDoc := saveBytes(t, replayed)
-		if !bytes.Equal(viewDoc.Bytes(), replayDoc) {
+		replayDoc := journal.DBText(t, replayed)
+		if !bytes.Equal(viewDoc, replayDoc) {
 			t.Errorf("view at lsn %d differs from replay-to-%d:\n--- view\n%s\n--- replay\n%s",
-				lsn, lsn, viewDoc.Bytes(), replayDoc)
+				lsn, lsn, viewDoc, replayDoc)
 			return false
 		}
 	}

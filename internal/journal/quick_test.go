@@ -11,14 +11,14 @@ import (
 	"repro/internal/meta"
 )
 
-// TestQuickJournalReplayEqualsSaveLoad is the persistence equivalence
+// TestQuickJournalReplayEqualsCheckpointLoad is the persistence equivalence
 // property: for a randomized op sequence, recovery from the journal
 // (snapshot + record-tail replay, through rotation, mid-sequence
 // snapshots and commits) must round-trip exactly like a whole-database
-// Save/Load — byte-identical canonical documents — and both must equal
-// the live database.  Shard count is a pure performance knob, so the
+// checkpoint loaded alone — byte-identical checkpoints — and both must
+// equal the live database.  Shard count is a pure performance knob, so the
 // property is checked at 1, 4 and 64 shards.
-func TestQuickJournalReplayEqualsSaveLoad(t *testing.T) {
+func TestQuickJournalReplayEqualsCheckpointLoad(t *testing.T) {
 	for _, shards := range []int{1, 4, 64} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -137,17 +137,7 @@ func checkJournalProperty(t *testing.T, shards int, ops []byte) bool {
 		t.Fatal(err)
 	}
 
-	live := saveBytes(t, db)
-
-	// Save/Load round-trip.
-	reloaded, err := meta.LoadShards(bytes.NewReader(live), shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(live, saveBytes(t, reloaded)) {
-		t.Error("Save/Load round-trip not identity")
-		return false
-	}
+	live := journal.DBText(t, db)
 
 	// Journal recovery (crash-style: the writer stays unclosed).
 	recovered, _, err := journal.Replay(dir, shards)
@@ -155,9 +145,23 @@ func checkJournalProperty(t *testing.T, shards int, ops []byte) bool {
 		t.Error(err)
 		return false
 	}
-	if !bytes.Equal(live, saveBytes(t, recovered)) {
+	if !bytes.Equal(live, journal.DBText(t, recovered)) {
 		t.Errorf("journal recovery differs from live state:\n--- live\n%s\n--- recovered\n%s",
-			live, saveBytes(t, recovered))
+			live, journal.DBText(t, recovered))
+		return false
+	}
+
+	// A checkpoint of everything, loaded with no record after it.
+	if err := w.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, lsn, err := journal.Replay(dir, shards)
+	if err != nil || lsn != w.SnapshotLSN() {
+		t.Errorf("the checkpoint at %d: recovered to %d, %v", w.SnapshotLSN(), lsn, err)
+		return false
+	}
+	if !bytes.Equal(live, journal.DBText(t, reloaded)) {
+		t.Error("checkpoint round-trip not identity")
 		return false
 	}
 	return true

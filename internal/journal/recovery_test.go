@@ -343,7 +343,7 @@ func TestRecoveryReadFaultSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := saveBytes(t, refDB)
+	want := journal.DBText(t, refDB)
 
 	counter := faultfs.New(faultfs.OS, faultfs.Plan{})
 	cw, _, err := journal.Open(clone(), journal.Options{SnapshotEvery: -1, FS: counter})
@@ -372,13 +372,13 @@ func TestRecoveryReadFaultSweep(t *testing.T) {
 					t.Errorf("%s: Open failed without naming the fault: %v", desc, err)
 				}
 			} else {
-				if got := saveBytes(t, fdb); !bytes.Equal(got, want) || fw.LastLSN() != refLSN {
+				if got := journal.DBText(t, fdb); !bytes.Equal(got, want) || fw.LastLSN() != refLSN {
 					t.Errorf("%s: Open succeeded at lsn %d with a state that differs from the fault-free recovery's at %d", desc, fw.LastLSN(), refLSN)
 				}
 				fw.Abort()
 			}
 			again, lsn, err := journal.Replay(dir, 0)
-			if err != nil || lsn != refLSN || !bytes.Equal(saveBytes(t, again), want) {
+			if err != nil || lsn != refLSN || !bytes.Equal(journal.DBText(t, again), want) {
 				t.Errorf("%s: the directory no longer recovers to lsn %d: lsn %d, %v", desc, refLSN, lsn, err)
 			}
 		}

@@ -126,8 +126,9 @@ type oneSegment struct {
 type recovery struct {
 	err     error
 	lastLSN int64
-	save    []byte // the recovered database's Save document
-	segment []byte // the segment file afterwards (a repair truncates it)
+	db      *meta.DB // the recovered database
+	text    []byte   // its dbText
+	segment []byte   // the segment file afterwards (a repair truncates it)
 }
 
 // recoverWith writes the content to a fresh directory and replays it, with
@@ -160,11 +161,7 @@ func (c oneSegment) recoverWith(t testing.TB, replay segmentReplayer) recovery {
 	r := recovery{err: err, lastLSN: st.lastLSN}
 	if err == nil {
 		st.db.SealVersions(st.lastLSN)
-		var buf bytes.Buffer
-		if err := st.db.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		r.save = buf.Bytes()
+		r.db, r.text = st.db, dbText(t, st.db)
 	}
 	if r.segment, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
@@ -188,9 +185,9 @@ func (c oneSegment) checkWindowedAgainstWhole(t testing.TB) recovery {
 		}
 		return got
 	}
-	if got.lastLSN != want.lastLSN || !bytes.Equal(got.save, want.save) {
+	if got.lastLSN != want.lastLSN || !bytes.Equal(got.text, want.text) {
 		t.Fatalf("windowed reader recovered to lsn %d, whole-file reader to %d; same state: %v",
-			got.lastLSN, want.lastLSN, bytes.Equal(got.save, want.save))
+			got.lastLSN, want.lastLSN, bytes.Equal(got.text, want.text))
 	}
 	if !bytes.Equal(got.segment, want.segment) {
 		t.Fatalf("windowed reader left a segment of %d bytes, whole-file reader of %d", len(got.segment), len(want.segment))
@@ -332,11 +329,7 @@ func TestSegmentFrameLongerThanWindow(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	db, err := meta.Load(bytes.NewReader(r.save))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _, _ := db.Head().GetProp(long, "log"); len(v) != 3*windowBytes/10*10 {
+	if v, _, _ := r.db.Head().GetProp(long, "log"); len(v) != 3*windowBytes/10*10 {
 		t.Errorf("the long property came back %d bytes long", len(v))
 	}
 	offs := frameOffsets(t, intact.segment)

@@ -471,7 +471,7 @@ func TestFollowerRotatesWhileCatchingUp(t *testing.T) {
 // TestBootstrapSnapshotKeepsPinnedViews: a re-bootstrap swaps the follower
 // database's content under the *DB everyone holds.  A view pinned before it
 // goes on reading the old content, byte for byte; the database reads as the
-// shipped document, live and through a new view; the horizon is the
+// shipped checkpoint, live and through a new view; the horizon is the
 // snapshot's LSN; and the stream resumes on top of it.
 func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 	w, db, err := journal.OpenFollower(t.TempDir(), journal.Options{})
@@ -488,18 +488,11 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	save := func(v *meta.View) []byte {
-		var buf bytes.Buffer
-		if err := v.SaveTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	pinned := db.ReadView()
 	defer pinned.Close()
-	before := save(pinned)
+	before := journal.ViewText(t, pinned)
 
-	// The primary's document: other objects, a link, a promotion on the way.
+	// The primary's database: other objects, a link, a promotion on the way.
 	primary := meta.NewDB()
 	a, _ := primary.NewVersion("cpu", "HDL_model")
 	b, _ := primary.NewVersion("cpu", "schematic")
@@ -513,29 +506,26 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 	if err := primary.ApplyRecord(meta.Record{LSN: 4, Seq: primary.Seq(), Op: meta.OpTerm, Args: []string{"2"}}); err != nil {
 		t.Fatal(err)
 	}
-	var doc bytes.Buffer
-	if err := primary.Save(&doc); err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := journal.CheckpointOf(doc.Bytes(), 50)
+	ckpt, err := journal.CheckpointOf(primary, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc := journal.DBText(t, primary)
 	if err := w.BootstrapSnapshot(50, ckpt); err != nil {
 		t.Fatal(err)
 	}
 
 	old := meta.Key{Block: "old1", View: "HDL_model", Version: 1}
-	if !pinned.HasOID(old) || pinned.HasOID(a) || !bytes.Equal(save(pinned), before) {
-		t.Errorf("the view pinned before the re-bootstrap reads differently after it:\n%s", save(pinned))
+	if !pinned.HasOID(old) || pinned.HasOID(a) || !bytes.Equal(journal.ViewText(t, pinned), before) {
+		t.Errorf("the view pinned before the re-bootstrap reads differently after it:\n%s", journal.ViewText(t, pinned))
 	}
 	if db.Head().HasOID(old) || !db.Head().HasOID(a) || len(db.Head().LinksOf(a)) != 1 || db.CurrentTerm() != 2 {
 		t.Errorf("live reads after the re-bootstrap: old %v, new %v, links %d, term %d",
 			db.Head().HasOID(old), db.Head().HasOID(a), len(db.Head().LinksOf(a)), db.CurrentTerm())
 	}
 	now := db.ReadView()
-	if got := save(now); !bytes.Equal(got, doc.Bytes()) || now.LSN() != 50 {
-		t.Errorf("a view pinned after the re-bootstrap, at lsn %d, saves\n%s\nwant the shipped document\n%s", now.LSN(), got, doc.Bytes())
+	if got := journal.ViewText(t, now); !bytes.Equal(got, doc) || now.LSN() != 50 {
+		t.Errorf("a view pinned after the re-bootstrap, at lsn %d, reads\n%s\nwant the shipped checkpoint\n%s", now.LSN(), got, doc)
 	}
 	now.Close()
 	if _, err := db.ReadViewAt(3); err == nil || db.VersionHorizon() != 50 {
@@ -544,8 +534,8 @@ func TestBootstrapSnapshotKeepsPinnedViews(t *testing.T) {
 	if _, err := w.ApplyAppend(oid(51, "next")); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Head().Stats().OIDs; got != 3 || !bytes.Equal(save(pinned), before) {
-		t.Errorf("after the stream resumed: %d OIDs, want 3; pinned view unchanged: %v", got, bytes.Equal(save(pinned), before))
+	if got := db.Head().Stats().OIDs; got != 3 || !bytes.Equal(journal.ViewText(t, pinned), before) {
+		t.Errorf("after the stream resumed: %d OIDs, want 3; pinned view unchanged: %v", got, bytes.Equal(journal.ViewText(t, pinned), before))
 	}
 }
 

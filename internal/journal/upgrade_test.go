@@ -65,10 +65,7 @@ func toV1Segments(t *testing.T, dir string) string {
 // follower refuses a JSON document as its bootstrap snapshot and is left as
 // it was.
 func TestRefusesOlderFormat(t *testing.T) {
-	golden, err := os.ReadFile("testdata/v1journal.save")
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := v1Text(t)
 
 	// The twin: a term-1 history over several segments, no snapshot.
 	twin := t.TempDir()
@@ -88,7 +85,7 @@ func TestRefusesOlderFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	twinSave := saveOf(t, db)
+	twinText := dbText(t, db)
 	w.Abort()
 	// Its torn twin: a short frame header at the end of the last segment.
 	tornTwin := copyDir(t, twin)
@@ -105,26 +102,26 @@ func TestRefusesOlderFormat(t *testing.T) {
 	}
 	last.Close()
 
-	// A JSON snapshot of the newest state, beside an older checkpoint.
-	master, _, masterSave := checkpointDir(t)
-	newer := copyDir(t, master)
-	rdb, newest, err := Replay(master, 0)
-	if err != nil {
-		t.Fatal(err)
+	// The fixture's JSON snapshot beside an older checkpoint: one of an
+	// empty database at the position before the fixture's segment.
+	newer := copyDir(t, "testdata/v1journal")
+	older, err := CheckpointOf(meta.NewDB(), 11)
+	if err == nil {
+		err = os.WriteFile(filepath.Join(newer, snapshotName(11)), older, 0o666)
 	}
-	if err := os.WriteFile(filepath.Join(newer, snapshotName(newest)), saveOf(t, rdb), 0o666); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, c := range []struct {
 		what, dir, file string
 		twin            string // a directory of this format Upgrade must come to, file for file
-		save            []byte // what the upgraded directory recovers to
+		text            []byte // the dbText of what the upgraded directory recovers to
 	}{
 		{"the JSON-snapshot fixture", copyDir(t, "testdata/v1journal"), "snapshot-0000000000000015.json", "", golden},
-		{"version 1 segments", toV1Segments(t, copyDir(t, twin)), segmentName(1), twin, twinSave},
-		{"version 1 segments, the last torn", toV1Segments(t, copyDir(t, tornTwin)), segmentName(1), tornTwin, twinSave},
-		{"a JSON snapshot newer than a checkpoint", newer, snapshotName(newest), "", masterSave},
+		{"version 1 segments", toV1Segments(t, copyDir(t, twin)), segmentName(1), twin, twinText},
+		{"version 1 segments, the last torn", toV1Segments(t, copyDir(t, tornTwin)), segmentName(1), tornTwin, twinText},
+		{"a JSON snapshot newer than a checkpoint", newer, "snapshot-0000000000000015.json", "", golden},
 	} {
 		before := dirFiles(t, c.dir)
 		for verb, recover := range map[string]func() error{
@@ -169,8 +166,8 @@ func TestRefusesOlderFormat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Open after Upgrade: %v", c.what, err)
 		}
-		if got := saveOf(t, db); !bytes.Equal(got, c.save) {
-			t.Errorf("%s: upgraded, recovers to\n%s\nwant\n%s", c.what, got, c.save)
+		if got := dbText(t, db); !bytes.Equal(got, c.text) {
+			t.Errorf("%s: upgraded, recovers to\n%s\nwant\n%s", c.what, got, c.text)
 		}
 		w.Abort()
 	}
@@ -190,11 +187,15 @@ func TestRefusesOlderFormat(t *testing.T) {
 	if err := f.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	files, state := dirFiles(t, fdir), saveOf(t, fdb)
-	if err := f.BootstrapSnapshot(50, golden); !errors.Is(err, errOldVersion) {
+	files, state := dirFiles(t, fdir), dbText(t, fdb)
+	doc, err := os.ReadFile("testdata/v1journal.save")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.BootstrapSnapshot(50, doc); !errors.Is(err, errOldVersion) {
 		t.Errorf("a bootstrap from a JSON document: %v", err)
 	}
-	if f.LastLSN() != 3 || !bytes.Equal(saveOf(t, fdb), state) || !maps.EqualFunc(dirFiles(t, fdir), files, bytes.Equal) {
+	if f.LastLSN() != 3 || !bytes.Equal(dbText(t, fdb), state) || !maps.EqualFunc(dirFiles(t, fdir), files, bytes.Equal) {
 		t.Errorf("a refused bootstrap changed the follower: lsn %d", f.LastLSN())
 	}
 }
@@ -207,10 +208,7 @@ func TestRefusesOlderFormat(t *testing.T) {
 // fixture's database from.  The sites come from a counting run, as in
 // TestBootstrapSnapshotFaultSweep.
 func TestUpgradeFaultSweep(t *testing.T) {
-	golden, err := os.ReadFile("testdata/v1journal.save")
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := v1Text(t)
 	oldest := func() string { return toV1Segments(t, copyDir(t, "testdata/v1journal")) }
 	counter := faultfs.New(faultfs.OS, faultfs.Plan{})
 	if converted, err := Upgrade(oldest(), Options{FS: counter}); err != nil || len(converted) != 2 {
@@ -232,7 +230,7 @@ func TestUpgradeFaultSweep(t *testing.T) {
 			desc := fmt.Sprintf("%s (upgrade: %v)", plan.Faults[0], uerr)
 			w, db, err := Open(dir, Options{SnapshotEvery: -1})
 			if err == nil {
-				if !bytes.Equal(saveOf(t, db), golden) {
+				if !bytes.Equal(dbText(t, db), golden) {
 					t.Errorf("%s: Open recovered another database", desc)
 				}
 				w.Abort()
@@ -248,7 +246,7 @@ func TestUpgradeFaultSweep(t *testing.T) {
 				t.Errorf("%s: Open after the second Upgrade: %v", desc, err)
 				continue
 			}
-			if !bytes.Equal(saveOf(t, db), golden) {
+			if !bytes.Equal(dbText(t, db), golden) {
 				t.Errorf("%s: after the second Upgrade, Open recovered another database", desc)
 			}
 			w.Abort()

@@ -28,8 +28,8 @@ import (
 // The clock comes last, so that a checkpoint cut short at a record boundary
 // is not a smaller database.
 
-// snapshot is what a checkpoint and the JSON document (persist.go) hold:
-// the clocks, the term table and the objects.
+// snapshot is what a checkpoint and the JSON document LoadShards reads
+// (persist.go) hold: the clocks, the term table and the objects.
 type snapshot struct {
 	seq, nextLink int64
 	terms         []TermStart

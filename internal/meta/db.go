@@ -44,7 +44,7 @@ import (
 //
 // All mutation goes through DB methods and every read through a View
 // (view.go), which takes no lock: Head for point reads, a pinned view
-// (ReadView, ReadViewAt) for what reads more than one object — Save, the
+// (ReadView, ReadViewAt) for what reads more than one object — Checkpoint, the
 // Snapshot* configuration builders, the state scans, the enumerations and
 // the graph walks (graphview.go).
 type DB struct {
@@ -65,8 +65,8 @@ type DB struct {
 
 	// terms is the election-term table (term.go): one TermStart per
 	// promotion this database's history has lived through, copy-on-write
-	// behind the pointer so handshake validation and Save read it without
-	// locks.  nil means the genesis term 1.
+	// behind the pointer so handshake validation and checkpoints read it
+	// without locks.  nil means the genesis term 1.
 	terms atomic.Pointer[termTable]
 
 	// ctl serializes the control plane's writers: configurations and

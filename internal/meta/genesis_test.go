@@ -213,7 +213,7 @@ func TestQuickPlainViewEqualsReplay(t *testing.T) {
 					t.Logf("shards=%d seed=%d: ReadViewAt(%d): %v", shards, seed, stamps[i], err)
 					return false
 				}
-				got, want := viewSave(t, v), saveDB(t, replay)
+				got, want := viewText(t, v), dbText(t, replay)
 				rv := replay.ReadView()
 				roots := replay.Head().Keys()
 				gotWalk, wantWalk := walkFingerprint(v, roots), walkFingerprint(rv, roots)
@@ -238,7 +238,9 @@ func TestQuickPlainViewEqualsReplay(t *testing.T) {
 	}
 }
 
-// TestQuickLoadSeals: Save(Load(doc)) == doc, a view pinned on the loaded
+// TestQuickLoadSeals: a checkpoint and the JSON document of a database
+// each load to a database that writes the source's checkpoint and reads
+// live as the source does (oracleLive), a view pinned on the loaded
 // database sees the loaded content (and keeps seeing it under later
 // writes), and the first update of a loaded OID diffs against the loaded
 // properties — the loaded versions are the database from the start.
@@ -249,69 +251,27 @@ func TestQuickLoadSeals(t *testing.T) {
 			step(src)
 		}
 		if seed%2 == 0 {
-			// A promotion the document must carry through the seal.
+			// A promotion the checkpoint must carry through the seal.
 			if err := src.applyTermBump(2, src.mvcc.epoch.Load()/2+1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		doc := saveDB(t, src)
-		for _, shards := range []int{1, 4, 64} {
-			db, err := LoadShards(bytes.NewReader(doc), shards)
-			if err != nil {
-				t.Logf("seed %d: load: %v", seed, err)
-				return false
-			}
-			if got := saveDB(t, db); !bytes.Equal(got, doc) {
-				t.Logf("seed %d shards %d: Save(Load(doc)) != doc:\n%s", seed, shards, firstDiff(got, doc))
-				return false
-			}
-			if live := oracleLive(t, db); !bytes.Equal(live, doc) {
-				t.Logf("seed %d shards %d: live reads != doc:\n%s", seed, shards, firstDiff(live, doc))
-				return false
-			}
-			pinned := db.ReadView()
-			sv := src.ReadView()
-			same := walkFingerprint(pinned, src.Head().Keys()) == walkFingerprint(sv, src.Head().Keys())
-			sv.Close()
-			if !same {
-				t.Logf("seed %d shards %d: walks on the loaded database differ from the source's", seed, shards)
-				return false
-			}
-			for i, k := range db.Head().Keys() {
-				o, _ := db.Head().GetOID(k)
-				switch i % 3 {
-				case 0:
-					// Rewriting what is already there is no change.
-					before := db.mvcc.epoch.Load()
-					_ = db.UpdateOID(k, func(props map[string]string) {
-						o.Props.Each(func(n, v string) bool {
-							props[n] = v
-							return true
-						})
-					})
-					if e := db.mvcc.epoch.Load(); e != before {
-						t.Logf("seed %d shards %d: a no-op update of loaded %v published a version", seed, shards, k)
-						return false
-					}
-					_ = db.UpdateOID(k, func(props map[string]string) { props["fresh"] = "1" })
-				case 1:
-					if err := db.SetProp(k, "fresh", "1"); err != nil {
-						t.Fatal(err)
-					}
-				case 2:
-					o.Props.Each(func(n, _ string) bool {
-						if err := db.UpdateOID(k, func(props map[string]string) { delete(props, n) }); err != nil {
-							t.Fatal(err)
-						}
-						return true
-					})
+		sv := src.ReadView()
+		text, payloads := viewText(t, sv), checkpointOf(t, sv)
+		sv.Close()
+		doc, want := docOf(t, src), oracleLive(t, src)
+		for _, l := range []struct {
+			from string
+			load func(shards int) (*DB, error)
+		}{
+			{"checkpoint", func(shards int) (*DB, error) { return loadPayloads(payloads, shards) }},
+			{"document", func(shards int) (*DB, error) { return LoadShards(bytes.NewReader(doc), shards) }},
+		} {
+			for _, shards := range []int{1, 4, 64} {
+				if !loadSeals(t, seed, l.from, shards, src, text, want, l.load) {
+					return false
 				}
 			}
-			if got := viewSave(t, pinned); !bytes.Equal(got, doc) {
-				t.Logf("seed %d shards %d: the view pinned at load changed under writes", seed, shards)
-				return false
-			}
-			pinned.Close()
 		}
 		return true
 	}
@@ -320,11 +280,74 @@ func TestQuickLoadSeals(t *testing.T) {
 	}
 }
 
-// FuzzLoad: a hostile snapshot document either fails to load or yields a
-// database whose pinned view agrees with its live reads and whose Save
-// re-loads to the same bytes — never a panic, never a database that reads
-// differently through a view than through the live API.  (The first
-// Save may differ from the input: the decoder is lenient about spelling.)
+// loadSeals is TestQuickLoadSeals for one load of src, whose checkpoint
+// text is text and whose live reads are want.
+func loadSeals(t *testing.T, seed int64, from string, shards int, src *DB, text, want []byte, load func(shards int) (*DB, error)) bool {
+	at := fmt.Sprintf("seed %d shards %d: %s", seed, shards, from)
+	db, err := load(shards)
+	if err != nil {
+		t.Logf("%s: load: %v", at, err)
+		return false
+	}
+	if got := dbText(t, db); !bytes.Equal(got, text) {
+		t.Logf("%s: the loaded database writes another checkpoint:\n%s", at, firstDiff(got, text))
+		return false
+	}
+	if live := oracleLive(t, db); !bytes.Equal(live, want) {
+		t.Logf("%s: live reads differ from the source's:\n%s", at, firstDiff(live, want))
+		return false
+	}
+	pinned := db.ReadView()
+	sv := src.ReadView()
+	same := walkFingerprint(pinned, src.Head().Keys()) == walkFingerprint(sv, src.Head().Keys())
+	sv.Close()
+	if !same {
+		t.Logf("%s: walks on the loaded database differ from the source's", at)
+		return false
+	}
+	for i, k := range db.Head().Keys() {
+		o, _ := db.Head().GetOID(k)
+		switch i % 3 {
+		case 0:
+			// Rewriting what is already there is no change.
+			before := db.mvcc.epoch.Load()
+			_ = db.UpdateOID(k, func(props map[string]string) {
+				o.Props.Each(func(n, v string) bool {
+					props[n] = v
+					return true
+				})
+			})
+			if e := db.mvcc.epoch.Load(); e != before {
+				t.Logf("%s: a no-op update of loaded %v published a version", at, k)
+				return false
+			}
+			_ = db.UpdateOID(k, func(props map[string]string) { props["fresh"] = "1" })
+		case 1:
+			if err := db.SetProp(k, "fresh", "1"); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			o.Props.Each(func(n, _ string) bool {
+				if err := db.UpdateOID(k, func(props map[string]string) { delete(props, n) }); err != nil {
+					t.Fatal(err)
+				}
+				return true
+			})
+		}
+	}
+	if got := viewText(t, pinned); !bytes.Equal(got, text) {
+		t.Logf("%s: the view pinned at load changed under writes", at)
+		return false
+	}
+	pinned.Close()
+	return true
+}
+
+// FuzzLoad: a hostile JSON document either fails to load or yields a
+// database whose pinned view agrees with its live reads and whose document
+// loads to the same database — never a panic, never a database that reads
+// differently through a view than through the live API.  (Its document may
+// differ from the input: the decoder is lenient about spelling.)
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"seq":3,"next_link":1,"oids":[{"block":"a","view":"v","version":2,"seq":1,"props":{"p":"x"}},{"block":"b","view":"v","version":1,"seq":2}],` +

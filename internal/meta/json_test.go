@@ -16,51 +16,113 @@ import (
 	"testing/quick"
 )
 
-// The JSON document's cold path: Load is encoding/json and the loader, plus
-// the four refusals of strict.
+// The JSON document's cold path: LoadShards is encoding/json and the
+// loader, plus the four refusals of strict.  No build writes the document
+// any more; docOf writes it as the builds before checkpoints did, to
+// generate the documents these tests load.
 
-// oracleLive is the document the public live reads describe, object by
-// object, without pinning a view.  The database must be quiescent.
+// docOf is db as the JSON document, in canonical order.
+func docOf(t testing.TB, db *DB) []byte {
+	t.Helper()
+	v := db.ReadView()
+	s := v.snapshot()
+	v.Close()
+	doc := dbJSON{Seq: s.seq, NextLink: s.nextLink, Terms: s.terms}
+	for _, o := range s.oids {
+		oj := oidJSON{Block: o.Key.Block, View: o.Key.View, Version: o.Key.Version, Seq: o.Seq}
+		oj.Props = o.Props.Map()
+		doc.OIDs = append(doc.OIDs, oj)
+	}
+	for _, l := range s.links {
+		lj := linkJSON{ID: int64(l.ID), Class: l.Class.String(), From: l.From.String(), To: l.To.String(),
+			Template: l.Template, Propagates: l.Propagates, Seq: l.Seq}
+		lj.Props = l.Props.Map()
+		doc.Links = append(doc.Links, lj)
+	}
+	for _, c := range s.configs {
+		cj := configJSON{Name: c.Name, Seq: c.Seq}
+		for _, k := range c.OIDs {
+			cj.OIDs = append(cj.OIDs, k.String())
+		}
+		for _, id := range c.Links {
+			cj.Links = append(cj.Links, int64(id))
+		}
+		doc.Configs = append(doc.Configs, cj)
+	}
+	for _, ws := range s.workspaces {
+		wj := workspaceJSON{Name: ws.Name, Root: ws.Root}
+		for k, p := range ws.paths {
+			if wj.Paths == nil {
+				wj.Paths = make(map[string]string, len(ws.paths))
+			}
+			wj.Paths[k.String()] = p
+		}
+		doc.Workspaces = append(doc.Workspaces, wj)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oracleLive is the database the public live reads describe, object by
+// object, without pinning a view and without the checkpoint's encoder: a
+// line per object, every string quoted by strconv.Quote, which keeps every
+// byte; of the term table, the starts a view pinned now would have.  The
+// database must be quiescent.
 func oracleLive(t testing.TB, db *DB) []byte {
 	h := db.Head()
-	s := &snapshot{seq: db.Seq(), nextLink: db.nextLink.Load(), terms: db.loadTerms()}
+	b := fmt.Appendf(nil, "seq %d next_link %d terms %v\n", db.Seq(), db.nextLink.Load(), db.termsUpTo(db.mvcc.epoch.Load()))
+	quoted := func(p Props) string {
+		var pairs []string
+		p.Each(func(n, v string) bool {
+			pairs = append(pairs, strconv.Quote(n)+"="+strconv.Quote(v))
+			return true
+		})
+		return strings.Join(pairs, " ")
+	}
 	for _, k := range h.Keys() {
 		o, err := h.GetOID(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.oids = append(s.oids, *o)
+		b = fmt.Appendf(b, "oid %q seq %d props [%s]\n", k, o.Seq, quoted(o.Props))
 	}
 	for _, id := range h.LinkIDs() {
 		l, err := h.GetLink(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.links = append(s.links, l)
+		b = fmt.Appendf(b, "link %d %v %q -> %q template %q propagates %q props [%s] seq %d\n",
+			l.ID, l.Class, l.From, l.To, l.Template, l.Propagates, quoted(l.Props), l.Seq)
 	}
 	for _, name := range h.ConfigurationNames() {
 		c, err := h.GetConfiguration(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.configs = append(s.configs, c)
+		b = fmt.Appendf(b, "config %q seq %d oids %q links %v\n", c.Name, c.Seq, c.OIDs, c.Links)
 	}
 	for _, name := range h.WorkspaceNames() {
 		ws, err := h.GetWorkspace(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.workspaces = append(s.workspaces, ws)
+		b = fmt.Appendf(b, "workspace %q root %q", ws.Name, ws.Root)
+		for _, k := range ws.Keys() {
+			p, _ := ws.Path(k)
+			b = fmt.Appendf(b, " %q=%q", k, p)
+		}
+		b = append(b, '\n')
 	}
-	var buf bytes.Buffer
-	if err := s.save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return b
 }
 
 // errClass is what a refused document was refused for: one of the package's
-// sentinels, the document's syntax, or something else Load checks.
+// sentinels, the document's syntax, or something else LoadShards checks.
 func errClass(err error) string {
 	for _, s := range []error{ErrExists, ErrNotFound, ErrBadKey, ErrBadName, ErrBadVersion, ErrBadLink} {
 		if errors.Is(err, s) {
@@ -86,32 +148,32 @@ func stricter(err error) bool {
 }
 
 // loadFixedPoint loads doc and returns the database, nil when it is
-// refused; a database it loads to must save to a document that loads back
-// to the same bytes, with live reads that agree with its view.
+// refused; a database it loads to must read the same live as through a
+// view, and its document must load back to the same database.
 func loadFixedPoint(t testing.TB, doc []byte, shards int) *DB {
 	t.Helper()
 	db, err := LoadShards(bytes.NewReader(doc), shards)
 	if err != nil {
 		if !stricter(err) && errClass(err) == "load" && !strings.HasPrefix(err.Error(), "meta: load:") {
-			t.Fatalf("refused for no reason Load gives: %v", err)
+			t.Fatalf("refused for no reason LoadShards gives: %v", err)
 		}
 		return nil
 	}
-	first := saveDB(t, db)
-	if live := oracleLive(t, db); !bytes.Equal(live, first) {
-		t.Fatalf("the live reads of the loaded database differ from its view:\n%s", firstDiff(live, first))
+	if err := liveReadsEqualView(db); err != nil {
+		t.Fatalf("the live reads of the loaded database differ from its view: %v", err)
 	}
+	first := docOf(t, db)
 	again, err := LoadShards(bytes.NewReader(first), shards)
 	if err != nil {
-		t.Fatalf("the Save of a loaded database does not load: %v\n%s", err, clipDoc(first))
+		t.Fatalf("the document of a loaded database does not load: %v\n%s", err, clipDoc(first))
 	}
-	if second := saveDB(t, again); !bytes.Equal(second, first) {
-		t.Fatalf("Save(Load(Save(Load(doc)))) differs:\n%s", firstDiff(second, first))
+	if got, want := dbText(t, again), dbText(t, db); !bytes.Equal(got, want) {
+		t.Fatalf("the document of a loaded database loads to another database:\n%s", firstDiff(got, want))
 	}
 	return db
 }
 
-// adjacency renders what Save does not show: the order of every OID's link
+// adjacency renders what a checkpoint does not show: the order of every OID's link
 // lists, which propagation follows, and the chains.
 func adjacency(db *DB) string {
 	var sb strings.Builder
@@ -150,7 +212,7 @@ func sections(t testing.TB, doc []byte) map[string]any {
 
 // respell writes doc again as another writer might: the sections in the
 // order of the seed, every object's members sorted by name (which is not
-// Save's order), whitespace where the seed puts it, and — for some seeds —
+// docOf's order), whitespace where the seed puts it, and — for some seeds —
 // members the format does not know, at every level.
 func respell(t testing.TB, doc []byte, rng *rand.Rand) []byte {
 	top := sections(t, doc)
@@ -247,22 +309,37 @@ func damage(t testing.TB, doc []byte, rng *rand.Rand) ([]byte, string) {
 	return out, "one byte overwritten"
 }
 
-// TestQuickStreamingLoadEqualsOracle is Load's property: on the hostile
-// databases of the checkpoint's test — at 1, 4 and 64 shards — the Save
-// document loads to a fixed point of Load, whose checkpoint loads to the
-// same database, and the same document respelled loads to the same
-// database too: the same document, the same adjacency; and the document
-// with one defect is refused, or loads to a fixed point of Load.
+// TestQuickStreamingLoadEqualsOracle is LoadShards' property: on the
+// hostile databases of the checkpoint's test — at 1, 4 and 64 shards — the
+// document loads to a fixed point of LoadShards, whose checkpoint loads to
+// the same database, and the same document respelled loads to the same
+// database too: the same checkpoint, the same adjacency; the document with
+// one defect is refused, or loads to a fixed point of LoadShards; and the
+// document of a database built of validHostile loads to the source's live
+// reads (oracleLive).
 func TestQuickStreamingLoadEqualsOracle(t *testing.T) {
-	// The hostile names do not all survive a Save: invalid UTF-8 is written
-	// as U+FFFD, and two names may become one — such a document is refused.
+	// The hostile names do not all survive the document: invalid UTF-8 is
+	// written as U+FFFD, and two names may become one — such a document is
+	// refused.
 	intact, loaded, refused := 0, 0, map[string]int{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, shards := range []int{1, 4, 64} {
+			src := NewDBWithShards(shards)
+			buildHostile(t, src, seed, validHostile)
+			got, err := LoadShards(bytes.NewReader(docOf(t, src)), shards)
+			if err != nil {
+				t.Logf("seed %d shards %d: the document of a database of valid strings does not load: %v", seed, shards, err)
+				return false
+			}
+			if g, w := oracleLive(t, got), oracleLive(t, src); !bytes.Equal(g, w) {
+				t.Logf("seed %d shards %d: the document loads to live reads other than its source's:\n%s", seed, shards, firstDiff(g, w))
+				return false
+			}
+
 			db := NewDBWithShards(shards)
-			buildHostile(t, db, seed)
-			doc := saveDB(t, db)
+			buildHostile(t, db, seed, hostile)
+			doc := docOf(t, db)
 			respelled := respell(t, doc, rng)
 			want := loadFixedPoint(t, doc, shards)
 			if want == nil {
@@ -283,7 +360,7 @@ func TestQuickStreamingLoadEqualsOracle(t *testing.T) {
 					t.Logf("seed %d shards %d: the document loads and %s does not: %v", seed, shards, how, err)
 					return false
 				}
-				if s, w := saveDB(t, got), saveDB(t, want); !bytes.Equal(s, w) {
+				if s, w := dbText(t, got), dbText(t, want); !bytes.Equal(s, w) {
 					t.Logf("seed %d shards %d: %s loads to another database:\n%s", seed, shards, how, firstDiff(s, w))
 					return false
 				}
@@ -373,7 +450,7 @@ func TestLoadRefusesWhatEncodingJSONLetThrough(t *testing.T) {
 		if err := json.NewDecoder(strings.NewReader(doc)).Decode(&alone); err != nil || alone.Seq != was {
 			t.Errorf("%s: encoding/json alone no longer lets this through: seq %d, %v", doc, alone.Seq, err)
 		}
-		if db, err := Load(strings.NewReader(doc)); err == nil {
+		if db, err := LoadShards(strings.NewReader(doc), DefaultShards); err == nil {
 			t.Errorf("%s: loaded, with seq %d", doc, db.Seq())
 		} else if !stricter(err) || errClass(err) != "decode" {
 			t.Errorf("%s: refused for another reason: %v", doc, err)
@@ -389,7 +466,7 @@ func TestLoadRefusesWhatEncodingJSONLetThrough(t *testing.T) {
 		`[]`:                  false,
 		``:                    false,
 	} {
-		_, err := Load(strings.NewReader(doc))
+		_, err := LoadShards(strings.NewReader(doc), DefaultShards)
 		if (err == nil) != ok {
 			t.Errorf("%q: err = %v, want loaded = %v", doc, err, ok)
 		}
@@ -416,10 +493,10 @@ func TestStreamingLoadNesting(t *testing.T) {
 	}
 }
 
-// TestStreamingLoadSpellings are documents no Save wrote: escapes of every
+// TestStreamingLoadSpellings are documents no build wrote: escapes of every
 // kind, surrogates paired and lone, null in every position, numbers at the
 // ends of their range and beyond, keys ParseKey trims — each loaded to a
-// fixed point of Load or refused.
+// fixed point of LoadShards or refused.
 func TestStreamingLoadSpellings(t *testing.T) {
 	oid := func(block string) string { return `{"block":` + block + `,"view":"v","version":1}` }
 	docs := []string{
@@ -458,16 +535,17 @@ func TestStreamingLoadSpellings(t *testing.T) {
 	}
 }
 
-// TestStreamingLoadReadError: an error of the reader is the error of Load.
+// TestStreamingLoadReadError: an error of the reader is the error of
+// LoadShards.
 func TestStreamingLoadReadError(t *testing.T) {
-	doc := saveDB(t, treeDB(t, 4))
+	doc := docOf(t, treeDB(t, 4))
 	for _, n := range []int{0, 10, len(doc) / 2, len(doc) - 1} {
 		r := io.MultiReader(bytes.NewReader(doc[:n]), iotest.ErrReader(errDiskGone))
-		if _, err := Load(r); !errors.Is(err, errDiskGone) {
+		if _, err := LoadShards(r, DefaultShards); !errors.Is(err, errDiskGone) {
 			t.Errorf("reader failing after %d bytes: err = %v", n, err)
 		}
 	}
-	if _, err := Load(io.MultiReader(bytes.NewReader(doc), iotest.ErrReader(errDiskGone))); !errors.Is(err, errDiskGone) {
+	if _, err := LoadShards(io.MultiReader(bytes.NewReader(doc), iotest.ErrReader(errDiskGone)), DefaultShards); !errors.Is(err, errDiskGone) {
 		t.Errorf("reader failing after the document: err = %v", err)
 	}
 }

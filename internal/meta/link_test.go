@@ -54,7 +54,7 @@ func TestLinkAttributesShared(t *testing.T) {
 
 	pinned := db.ReadView()
 	defer pinned.Close()
-	before := viewSave(t, pinned)
+	before := viewText(t, pinned)
 	sibling := storedLink(t, db, ids[0]).clone()
 
 	oneOff, err := db.AddLink(DeriveLink, sch[0], mustNewVersion(t, db, "cpu", "layout"), "derive_netlist",
@@ -96,7 +96,7 @@ func TestLinkAttributesShared(t *testing.T) {
 	if !sameAttrs(storedLink(t, db, copyID), storedLink(t, db, ids[3])) {
 		t.Error("the copy of an inherited link holds attributes of its own")
 	}
-	if got := viewSave(t, pinned); !bytes.Equal(got, before) {
+	if got := viewText(t, pinned); !bytes.Equal(got, before) {
 		t.Errorf("the view pinned before the mutations changed:\n%s", firstDiff(got, before))
 	}
 	pinned.EachLink(func(l *Link) bool {
@@ -106,21 +106,21 @@ func TestLinkAttributesShared(t *testing.T) {
 		return true
 	})
 
-	// The one-off property survives a checkpoint and the document byte for
-	// byte, and what the reloaded databases keep is shared again.
+	// The one-off property survives a checkpoint and the JSON document byte
+	// for byte, and what the reloaded databases keep is shared again.
 	v := db.ReadView()
-	want := viewSave(t, v)
+	want := viewText(t, v)
 	recovered, err := loadPayloads(checkpointOf(t, v), DefaultShards)
 	v.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(want))
+	loaded, err := LoadShards(bytes.NewReader(docOf(t, db)), DefaultShards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, got := range map[string]*DB{"checkpoint": recovered, "document": loaded} {
-		if b := saveDB(t, got); !bytes.Equal(b, want) {
+		if b := dbText(t, got); !bytes.Equal(b, want) {
 			t.Errorf("%s: %s", name, firstDiff(b, want))
 		}
 		if !sameAttrs(storedLink(t, got, ids[2]), storedLink(t, got, copyID)) {
@@ -243,14 +243,14 @@ func TestOIDPropertySetsShared(t *testing.T) {
 	}
 	shared("mutators, after the writes", db)
 
-	want := saveDB(t, db)
+	want := dbText(t, db)
 	v := db.ReadView()
 	recovered, err := loadPayloads(checkpointOf(t, v), DefaultShards)
 	v.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(want))
+	loaded, err := LoadShards(bytes.NewReader(docOf(t, db)), DefaultShards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestOIDPropertySetsShared(t *testing.T) {
 		}
 	}
 	for name, got := range map[string]*DB{"checkpoint": recovered, "document": loaded, "journal": replayed} {
-		if b := saveDB(t, got); !bytes.Equal(b, want) {
+		if b := dbText(t, got); !bytes.Equal(b, want) {
 			t.Errorf("%s: %s", name, firstDiff(b, want))
 		}
 		shared(name, got)

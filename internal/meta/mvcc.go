@@ -448,7 +448,7 @@ type gateSlot struct {
 // metaVer records the database header values as of one stamp: the logical
 // clock observed at emission (exactly the Seq the journal record carries)
 // and the highest link ID allocated so far (cumulative), which together
-// make a view's Save header byte-identical to a replay-to-LSN Save.
+// make a view's checkpoint clock byte-identical to a replay-to-LSN one.
 type metaVer struct {
 	lsn     int64
 	seq     int64
@@ -529,7 +529,7 @@ func (m *mvccState) metaPushLocked(e metaVer) {
 	}
 }
 
-// metaAtLocked resolves the Save header (seq, next_link) as of lsn.
+// metaAtLocked resolves the header (seq, next_link) as of lsn.
 func (m *mvccState) metaAtLocked(lsn int64) (seq, nextLink int64) {
 	i := sort.Search(len(m.meta), func(i int) bool { return m.meta[i].lsn > lsn })
 	if i == 0 {
@@ -629,7 +629,7 @@ func (db *DB) SealVersions(lsn int64) {
 }
 
 // rebaseLocked makes s the epoch and the horizon, under the header the
-// database carries now: what Load and RestoreFrom end with, once the
+// database carries now: what a load and RestoreFrom end with, once the
 // content stamped at or below s is in place.  Callers hold the gate mutex
 // and no mutation is in flight.
 func (db *DB) rebaseLocked(s int64) {

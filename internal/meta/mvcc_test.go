@@ -8,19 +8,36 @@ import (
 	"testing"
 )
 
-func viewSave(t *testing.T, v *View) []byte {
+// viewText is how the tests compare databases: v's checkpoint, a line per
+// record — its op, its Seq and its spelled args, and a term's LSN.  The
+// view's LSN is left out, so that databases at two positions compare.
+func viewText(t testing.TB, v *View) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := v.SaveTo(&buf); err != nil {
+	var b []byte
+	if err := v.Checkpoint(func(r Record, args []byte) error {
+		if r.Op == OpTerm {
+			b = fmt.Appendf(b, "@%d ", r.LSN)
+		}
+		b = fmt.Appendf(b, "%s %d%s\n", r.Op, r.Seq, args)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
+}
+
+// dbText is the viewText of a view pinned on db.
+func dbText(t testing.TB, db *DB) []byte {
+	t.Helper()
+	v := db.ReadView()
+	defer v.Close()
+	return viewText(t, v)
 }
 
 // TestReadViewPointInTime pins views at successive epochs and checks each
 // reads exactly the state of its moment — later mutations invisible,
-// earlier ones present — and that a view Save equals a live Save taken at
-// the same quiesced point.
+// earlier ones present — and that a view's checkpoint equals a live one
+// taken at the same quiesced point.
 func TestReadViewPointInTime(t *testing.T) {
 	db := NewDB()
 	a := mustNewVersion(t, db, "cpu", "HDL_model")
@@ -30,7 +47,7 @@ func TestReadViewPointInTime(t *testing.T) {
 	}
 	v1 := db.ReadView()
 	defer v1.Close()
-	liveAtV1 := saveDB(t, db)
+	liveAtV1 := dbText(t, db)
 
 	b := mustNewVersion(t, db, "alu", "HDL_model")
 	if err := db.SetProp(a, "state", "new"); err != nil {
@@ -42,7 +59,7 @@ func TestReadViewPointInTime(t *testing.T) {
 	v2 := db.ReadView()
 	defer v2.Close()
 
-	// v1: pre-mutation state, byte-stable, equal to the live Save taken then.
+	// v1: pre-mutation state, byte-stable, equal to the live checkpoint taken then.
 	if v1.HasOID(b) {
 		t.Error("v1 sees an OID created after it was pinned")
 	}
@@ -50,15 +67,15 @@ func TestReadViewPointInTime(t *testing.T) {
 	if err != nil || prop(o.Props, "state") != "old" {
 		t.Errorf("v1 GetOID(a) = %v, %v; want state=old", o, err)
 	}
-	if got := viewSave(t, v1); !bytes.Equal(got, liveAtV1) {
-		t.Errorf("v1 Save differs from the live Save at pin time:\n%s\nvs\n%s", got, liveAtV1)
+	if got := viewText(t, v1); !bytes.Equal(got, liveAtV1) {
+		t.Errorf("v1 differs from the live checkpoint at pin time:\n%s\nvs\n%s", got, liveAtV1)
 	}
 	v1.EachLink(func(l *Link) bool {
 		t.Errorf("v1 sees link %d created after it", l.ID)
 		return true
 	})
 
-	// v2: current state, equal to a live Save now.
+	// v2: current state, equal to a live checkpoint now.
 	o2, err := v2.GetOID(a)
 	if err != nil || prop(o2.Props, "state") != "new" {
 		t.Errorf("v2 GetOID(a) = %v, %v; want state=new", o2, err)
@@ -66,12 +83,12 @@ func TestReadViewPointInTime(t *testing.T) {
 	if !v2.HasOID(b) {
 		t.Error("v2 misses OID b")
 	}
-	if got, live := viewSave(t, v2), saveDB(t, db); !bytes.Equal(got, live) {
-		t.Errorf("v2 Save differs from live Save:\n%s\nvs\n%s", got, live)
+	if got, live := viewText(t, v2), dbText(t, db); !bytes.Equal(got, live) {
+		t.Errorf("v2 differs from the live checkpoint:\n%s\nvs\n%s", got, live)
 	}
 
 	// Re-reading v1 after everything still yields the same bytes.
-	if got := viewSave(t, v1); !bytes.Equal(got, liveAtV1) {
+	if got := viewText(t, v1); !bytes.Equal(got, liveAtV1) {
 		t.Error("v1 is not byte-stable after later mutations")
 	}
 
@@ -81,18 +98,9 @@ func TestReadViewPointInTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r1.Close()
-	if got := viewSave(t, r1); !bytes.Equal(got, liveAtV1) {
+	if got := viewText(t, r1); !bytes.Equal(got, liveAtV1) {
 		t.Error("ReadViewAt(v1.LSN) differs from v1")
 	}
-}
-
-func saveDB(t testing.TB, db *DB) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestReadViewTombstones checks deletions are versioned, on the two kinds
@@ -169,7 +177,7 @@ func TestReadViewTombstones(t *testing.T) {
 
 // TestViewByteStableUnderWriters is the -race hammer: four writers mutate
 // continuously while readers pin views and assert each is byte-stable —
-// two Saves of one view, and a re-pin of the same LSN, all identical.
+// two checkpoints of one view, and a re-pin of the same LSN, all identical.
 func TestViewByteStableUnderWriters(t *testing.T) {
 	db := NewDBWithShards(4)
 	var seed []Key
@@ -238,8 +246,8 @@ func TestViewByteStableUnderWriters(t *testing.T) {
 				default:
 				}
 				v := db.ReadView()
-				b1 := viewSave(t, v)
-				b2 := viewSave(t, v)
+				b1 := viewText(t, v)
+				b2 := viewText(t, v)
 				if !bytes.Equal(b1, b2) {
 					t.Errorf("view at lsn %d not byte-stable across re-reads", v.LSN())
 					v.Close()
@@ -251,7 +259,7 @@ func TestViewByteStableUnderWriters(t *testing.T) {
 					v.Close()
 					return
 				}
-				if b3 := viewSave(t, rv); !bytes.Equal(b1, b3) {
+				if b3 := viewText(t, rv); !bytes.Equal(b1, b3) {
 					t.Errorf("ReadViewAt(%d) differs from the view pinned there", v.LSN())
 				}
 				rv.Close()
@@ -261,9 +269,11 @@ func TestViewByteStableUnderWriters(t *testing.T) {
 	}
 	rg.Wait()
 
-	// Quiesced: a fresh view equals the live Save.
-	if got, live := viewSave(t, db.ReadView()), saveDB(t, db); !bytes.Equal(got, live) {
-		t.Error("final view differs from live Save")
+	// Quiesced: a fresh view equals the live checkpoint.
+	v := db.ReadView()
+	defer v.Close()
+	if got, live := viewText(t, v), dbText(t, db); !bytes.Equal(got, live) {
+		t.Error("final view differs from the live checkpoint")
 	}
 }
 

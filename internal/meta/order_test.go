@@ -1,7 +1,6 @@
 package meta
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -60,7 +59,7 @@ func TestQuickSortedWalk(t *testing.T) {
 	for _, shards := range []int{1, 4, 64} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			f := func(seed int64) bool {
-				if err := sortedWalkProgram(shards, rand.New(rand.NewSource(seed))); err != nil {
+				if err := sortedWalkProgram(t, shards, rand.New(rand.NewSource(seed))); err != nil {
 					t.Log(err)
 					return false
 				}
@@ -124,7 +123,7 @@ func TestQuickSortedWalk(t *testing.T) {
 
 // sortedWalkProgram runs one random program on a fresh database and checks
 // every view it pinned.
-func sortedWalkProgram(shards int, rng *rand.Rand) error {
+func sortedWalkProgram(t testing.TB, shards int, rng *rand.Rand) error {
 	db := NewDBWithShards(shards)
 	blocks := []string{"cpu", "alu", "reg", "bus", "fpu", "io"}
 	views := []string{"schematic", "netlist", "layout"}
@@ -134,7 +133,7 @@ func sortedWalkProgram(shards int, rng *rand.Rand) error {
 			v.Close()
 		}
 	}()
-	var saved []byte // a Save of an earlier moment, for a restore to go back to
+	var saved [][]byte // a checkpoint of an earlier moment, for a restore to go back to
 	for op := 0; op < 60; op++ {
 		block, view := blocks[rng.Intn(len(blocks))], views[rng.Intn(len(views))]
 		switch r := rng.Intn(20); {
@@ -146,7 +145,7 @@ func sortedWalkProgram(shards int, rng *rand.Rand) error {
 			db.ReclaimVersions()
 		case r < 15:
 			if saved != nil {
-				src, err := LoadShards(bytes.NewReader(saved), shards)
+				src, err := loadPayloads(saved, shards)
 				if err != nil {
 					return err
 				}
@@ -155,11 +154,9 @@ func sortedWalkProgram(shards int, rng *rand.Rand) error {
 				}
 			}
 		case r < 17:
-			var buf bytes.Buffer
-			if err := db.Save(&buf); err != nil {
-				return err
-			}
-			saved = buf.Bytes()
+			v := db.ReadView()
+			saved = checkpointOf(t, v)
+			v.Close()
 		default:
 			pinned = append(pinned, db.ReadView())
 		}

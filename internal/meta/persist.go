@@ -11,12 +11,11 @@ import (
 	"strings"
 )
 
-// The JSON document of the meta-database, written and read by
-// encoding/json: the export and audit format (LoadDB, the byte-identity
-// contracts of the tests) and the snapshot format before checkpoints
-// (checkpoint.go), which only the journal's offline upgrade still reads —
-// no node links either end of it.  Chains, postings and the clocks' history
-// are not in it: Load rebuilds them, each object the first version of its
+// The JSON document of the meta-database: the snapshot format before
+// checkpoints (checkpoint.go), read by encoding/json.  Nothing writes it any
+// more; the journal's offline upgrade (`dquery upgrade`) is its one reader,
+// and no node links it.  Chains, postings and the clocks' history are not in
+// it: LoadShards rebuilds them, each object the first version of its
 // history; gaps in a chain (an older build pruned versions) are kept.
 
 type dbJSON struct {
@@ -28,8 +27,7 @@ type dbJSON struct {
 	Workspaces []workspaceJSON `json:"workspaces,omitempty"`
 
 	// Terms is the election-term history (term.go), one entry per
-	// promotion, ascending.  omitempty keeps documents from databases that
-	// never lived through a promotion byte-identical to the pre-term format.
+	// promotion, ascending; documents from before election terms have none.
 	Terms []TermStart `json:"terms,omitempty"`
 }
 
@@ -65,68 +63,9 @@ type workspaceJSON struct {
 	Paths map[string]string `json:"paths,omitempty"`
 }
 
-// Save writes the whole meta-database as indented JSON, collected from a
-// pinned read view: no lock of any kind is held during collection or
-// encoding, and writers proceed throughout.
-func (db *DB) Save(w io.Writer) error {
-	v := db.ReadView()
-	defer v.Close()
-	return v.SaveTo(w)
-}
-
-// SaveTo writes the database exactly as it stood at the view's LSN, in the
-// same canonical JSON form as Save — byte-identical to what replaying the
-// journal up to that LSN and saving would produce.  No locks are taken;
-// writers proceed throughout.  v must be a pinned view: the head is neither
-// one cut nor has a header.
-func (v *View) SaveTo(w io.Writer) error { return v.snapshot().save(w) }
-
-// save writes the snapshot, in canonical order, as the JSON document.
-func (s *snapshot) save(w io.Writer) error {
-	doc := dbJSON{Seq: s.seq, NextLink: s.nextLink, Terms: s.terms}
-	for _, o := range s.oids {
-		oj := oidJSON{Block: o.Key.Block, View: o.Key.View, Version: o.Key.Version, Seq: o.Seq}
-		oj.Props = o.Props.Map()
-		doc.OIDs = append(doc.OIDs, oj)
-	}
-	for _, l := range s.links {
-		lj := linkJSON{ID: int64(l.ID), Class: l.Class.String(), From: l.From.String(), To: l.To.String(),
-			Template: l.Template, Propagates: l.Propagates, Seq: l.Seq}
-		lj.Props = l.Props.Map()
-		doc.Links = append(doc.Links, lj)
-	}
-	for _, c := range s.configs {
-		cj := configJSON{Name: c.Name, Seq: c.Seq}
-		for _, k := range c.OIDs {
-			cj.OIDs = append(cj.OIDs, k.String())
-		}
-		for _, id := range c.Links {
-			cj.Links = append(cj.Links, int64(id))
-		}
-		doc.Configs = append(doc.Configs, cj)
-	}
-	for _, ws := range s.workspaces {
-		wj := workspaceJSON{Name: ws.Name, Root: ws.Root}
-		for k, p := range ws.paths {
-			if wj.Paths == nil {
-				wj.Paths = make(map[string]string, len(ws.paths))
-			}
-			wj.Paths[k.String()] = p
-		}
-		doc.Workspaces = append(doc.Workspaces, wj)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// Load reads a database previously written by Save and returns a fresh DB
-// whose every object's first version is the loaded one.
-func Load(r io.Reader) (*DB, error) { return LoadShards(r, DefaultShards) }
-
-// LoadShards is Load with an explicit shard count for the rebuilt DB —
-// shard count is a performance knob the document deliberately does not
-// record, so recovery paths that tune it pick it here.
+// LoadShards reads a JSON document and returns a fresh DB of shards shards
+// whose every object's first version is the loaded one — the shard count is
+// a performance knob the document does not record.
 //
 // It accepts what encoding/json accepts into the document's types: any
 // member order and whitespace, null for any value, members the format does

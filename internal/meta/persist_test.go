@@ -1,13 +1,13 @@
 package meta
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 )
 
+// TestSaveLoadRoundTrip: a database's checkpoint loads back to it.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := NewDB()
 	root, nl := buildHierarchy(t, db)
@@ -27,11 +27,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(&buf)
+	rv := db.ReadView()
+	db2, err := loadPayloads(checkpointOf(t, rv), DefaultShards)
+	rv.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,20 +85,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewDB().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := db.Head().Stats(); s.OIDs != 0 || s.Links != 0 {
-		t.Errorf("empty load stats = %+v", s)
-	}
-}
-
 func TestLoadRejectsCorrupt(t *testing.T) {
 	cases := map[string]string{
 		"garbage":       "not json",
@@ -111,8 +95,8 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		"self link":     `{"oids":[{"block":"a","view":"v","version":1}],"links":[{"id":1,"class":"use","from":"a,v,1","to":"a,v,1"}]}`,
 	}
 	for name, doc := range cases {
-		if _, err := Load(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: Load accepted corrupt input", name)
+		if _, err := LoadShards(strings.NewReader(doc), DefaultShards); err == nil {
+			t.Errorf("%s: LoadShards accepted corrupt input", name)
 		}
 	}
 }
@@ -137,9 +121,9 @@ func TestLoadRejectsDuplicates(t *testing.T) {
 		},
 	}
 	for name, tc := range cases {
-		_, err := Load(strings.NewReader(tc.doc))
+		_, err := LoadShards(strings.NewReader(tc.doc), DefaultShards)
 		if err == nil {
-			t.Errorf("%s: Load accepted a duplicate (last-wins would silently drop data)", name)
+			t.Errorf("%s: LoadShards accepted a duplicate (last-wins would silently drop data)", name)
 			continue
 		}
 		if !errors.Is(err, ErrExists) {
@@ -158,7 +142,7 @@ func TestLoadVersionChainOutOfOrderInput(t *testing.T) {
 		{"block":"a","view":"v","version":1},
 		{"block":"a","view":"v","version":2}
 	]}`
-	db, err := Load(strings.NewReader(doc))
+	db, err := LoadShards(strings.NewReader(doc), DefaultShards)
 	if err != nil {
 		t.Fatal(err)
 	}

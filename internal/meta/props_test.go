@@ -154,7 +154,7 @@ func TestQuickProps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadShards(bytes.NewReader(saveDB(t, db)), 2)
+		loaded, err := LoadShards(bytes.NewReader(docOf(t, db)), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

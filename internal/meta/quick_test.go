@@ -109,7 +109,8 @@ func TestQuickReachableTerminatesAndIsClosed(t *testing.T) {
 }
 
 // TestQuickSaveLoadIdempotent round-trips randomly built databases through
-// Save/Load and compares observable state.
+// Checkpoint/LoadCheckpoint and compares observable state; a second round
+// trip writes the first one's checkpoint.
 func TestQuickSaveLoadIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -137,18 +138,16 @@ func TestQuickSaveLoadIdempotent(t *testing.T) {
 			}
 		}
 		roundTripped := func(d *DB) *DB {
-			var buf bytes.Buffer
-			if err := d.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			d2, err := Load(&buf)
+			v := d.ReadView()
+			defer v.Close()
+			d2, err := loadPayloads(checkpointOf(t, v), DefaultShards)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return d2
 		}
 		db2 := roundTripped(db)
-		if db.Head().Stats() != db2.Head().Stats() {
+		if db.Head().Stats() != db2.Head().Stats() || !bytes.Equal(dbText(t, roundTripped(db2)), dbText(t, db2)) {
 			return false
 		}
 		k1, k2 := db.Head().Keys(), db2.Head().Keys()

@@ -27,7 +27,7 @@ func (r *sliceRecorder) ops() []string {
 }
 
 // TestRecorderCapturesEveryMutationClass replays a recorder's stream into
-// a fresh database and expects the canonical Save documents to match —
+// a fresh database and expects the two checkpoints to match —
 // the in-memory form of the journal's recovery contract.
 func TestRecorderCapturesEveryMutationClass(t *testing.T) {
 	rec := &sliceRecorder{}
@@ -64,21 +64,14 @@ func TestRecorderCapturesEveryMutationClass(t *testing.T) {
 			t.Fatalf("apply record %d (%s): %v", i, r.Op, err)
 		}
 	}
-	var a, b bytes.Buffer
-	if err := db.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("replayed database differs:\n--- original\n%s\n--- replayed\n%s", a.String(), b.String())
+	if a, b := dbText(t, db), dbText(t, db2); !bytes.Equal(a, b) {
+		t.Errorf("replayed database differs:\n--- original\n%s\n--- replayed\n%s", a, b)
 	}
 }
 
 // TestApplyRecordKeepsNoString replays a record of every op with its
 // strings over one buffer, overwritten after each apply, as recovery's
-// frame window is: the replayed database must still Save like the original
+// frame window is: the replayed database must still checkpoint like the original
 // — nothing it keeps may be the buffer's bytes — and an event record must
 // cost no allocation.
 func TestApplyRecordKeepsNoString(t *testing.T) {
@@ -140,7 +133,7 @@ func TestApplyRecordKeepsNoString(t *testing.T) {
 			t.Errorf("no %s record replayed", op)
 		}
 	}
-	if got, want := saveDB(t, replayed), saveDB(t, db); !bytes.Equal(got, want) {
+	if got, want := dbText(t, replayed), dbText(t, db); !bytes.Equal(got, want) {
 		t.Errorf("the database replayed from a scribbled buffer differs: %s", firstDiff(got, want))
 	}
 
@@ -269,12 +262,12 @@ func TestApplyRecordRejectsMalformed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := saveDB(t, db)
+		before := dbText(t, db)
 		r.LSN, r.Seq = 5, 9
 		if err := db.ApplyRecord(r); err == nil {
 			t.Errorf("ApplyRecord accepted %+v", r)
 		}
-		if got := saveDB(t, db); !bytes.Equal(got, before) {
+		if got := dbText(t, db); !bytes.Equal(got, before) {
 			t.Errorf("a refused %s record changed the database: %s", r.Op, firstDiff(got, before))
 		}
 		if got := db.AppliedLSN(); got != 4 {
@@ -301,7 +294,7 @@ func TestApplyRecordEventIsAuditOnly(t *testing.T) {
 
 // TestRefusedInsertAllocatesNothing: NewVersion, AddLink and the Snapshot*
 // constructors allocate — a version, a link ID, a seq — only once nothing
-// can refuse the insert.  A refused one leaves the Save document as it was,
+// can refuse the insert.  A refused one leaves the checkpoint as it was,
 // emits no record, and the next successful insert gets the ID and seq it
 // would have got without the refusals in between.
 func TestRefusedInsertAllocatesNothing(t *testing.T) {
@@ -314,19 +307,13 @@ func TestRefusedInsertAllocatesNothing(t *testing.T) {
 				return
 			}
 			t.Helper()
-			var before, after bytes.Buffer
-			if err := db.Save(&before); err != nil {
-				t.Fatal(err)
-			}
+			before := dbText(t, db)
 			n := len(rec.recs)
 			if err := insert(); err == nil {
 				t.Fatalf("%s was not refused", what)
 			}
-			if err := db.Save(&after); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before.Bytes(), after.Bytes()) {
-				t.Errorf("refused %s changed the Save document:\n%s\n%s", what, before.Bytes(), after.Bytes())
+			if after := dbText(t, db); !bytes.Equal(before, after) {
+				t.Errorf("refused %s changed the checkpoint:\n%s\n%s", what, before, after)
 			}
 			if len(rec.recs) != n {
 				t.Errorf("refused %s emitted %v", what, rec.recs[n:])
@@ -364,16 +351,12 @@ func TestRefusedInsertAllocatesNothing(t *testing.T) {
 		refused("SnapshotAsOf under a taken name", func() error { _, err := db.SnapshotAsOf("s", db.Seq()); return err })
 		mustNewVersion(t, db, "a", "SCHEMA")
 
-		var doc bytes.Buffer
-		if err := db.Save(&doc); err != nil {
-			t.Fatal(err)
-		}
-		return doc.Bytes(), rec.recs
+		return dbText(t, db), rec.recs
 	}
 	wantDoc, wantRecs := run(false)
 	gotDoc, gotRecs := run(true)
 	if !bytes.Equal(gotDoc, wantDoc) {
-		t.Errorf("Save with refused inserts in between:\n%s\nwithout:\n%s", gotDoc, wantDoc)
+		t.Errorf("checkpoint with refused inserts in between:\n%s\nwithout:\n%s", gotDoc, wantDoc)
 	}
 	if !reflect.DeepEqual(gotRecs, wantRecs) {
 		t.Errorf("records with refused inserts in between:\n%v\nwithout:\n%v", gotRecs, wantRecs)

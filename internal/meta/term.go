@@ -7,15 +7,15 @@ import "fmt"
 // replication plane.  History starts at term 1 (the genesis term, which
 // has no table entry); every promotion appends one TermStart recording
 // the term it began and the LSN of its term-bump record.  The table is
-// part of the database state proper: it rides checkpoints and the Save
-// document alike (so snapshots carry the full term history to bootstrapped
-// followers) and is keyed by LSN, so a point-in-time view filters it
-// exactly like every other versioned fact.
+// part of the database state proper: it rides checkpoints (so snapshots
+// carry the full term history to bootstrapped followers) and is keyed by
+// LSN, so a point-in-time view filters it exactly like every other
+// versioned fact.
 //
 // The table is stored copy-on-write behind an atomic pointer: appends are
 // already serialized by the apply paths (recovery replay, a follower's
 // ApplyAppend, promotion — all single-threaded or under the journal's
-// apply mutex), while reads (Save, replication handshake validation)
+// apply mutex), while reads (checkpoints, replication handshake validation)
 // stay lock-free.
 
 // TermStart records the beginning of one term: the term number and the
@@ -73,9 +73,8 @@ func (db *DB) applyTermBump(term, lsn int64) error {
 }
 
 // termsUpTo returns the table entries with start LSN ≤ lsn — the term
-// history as it stood at that journal position, feeding View.SaveTo and
-// View.Checkpoint so a point-in-time snapshot equals what replay-up-to would
-// produce.
+// history as it stood at that journal position, feeding View.Checkpoint so
+// a point-in-time snapshot equals what replay-up-to would produce.
 func (db *DB) termsUpTo(lsn int64) termTable {
 	t := db.loadTerms()
 	n := len(t)
@@ -85,8 +84,8 @@ func (db *DB) termsUpTo(lsn int64) termTable {
 	return t[:n]
 }
 
-// setTermStarts installs a term table wholesale — the Load and
-// RestoreFrom path.  Entries must be strictly increasing in both fields.
+// setTermStarts installs a term table wholesale — the path of both loads.
+// Entries must be strictly increasing in both fields.
 func (db *DB) setTermStarts(starts []TermStart) error {
 	for i := range starts {
 		if starts[i].Term < 2 || starts[i].LSN < 1 {

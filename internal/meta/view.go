@@ -35,7 +35,7 @@ type View struct {
 // nothing is pinned and Close does nothing.  It is one value the DB owns —
 // a call allocates nothing — and it loads the DB's containers on every
 // read, so it follows RestoreFrom.  Its LSN is newest (math.MaxInt64); the
-// header values (Seq) and SaveTo belong to pinned views.
+// header values (Seq) and Checkpoint belong to pinned views.
 func (db *DB) Head() *View { return &db.head }
 
 // ReadView pins a view at the current epoch — the newest assigned

@@ -234,7 +234,7 @@ func TestFailoverPromoteAndFence(t *testing.T) {
 	if got := b.fol.Term(); got != 2 {
 		t.Fatalf("re-pointed follower term %d, want 2", got)
 	}
-	if av, bv := saveBytes(t, a.fol.DB()), saveBytes(t, b.fol.DB()); !bytes.Equal(av, bv) {
+	if av, bv := dbText(t, a.fol.DB()), dbText(t, b.fol.DB()); !bytes.Equal(av, bv) {
 		t.Fatalf("survivor diverged from the new primary:\n--- new primary\n%s\n--- survivor\n%s", av, bv)
 	}
 
@@ -284,11 +284,11 @@ func TestFollowerChainingConverges(t *testing.T) {
 	lsn := p.quiesce()
 	waitApplied(t, a, lsn)
 	waitApplied(t, b, lsn)
-	prim := saveBytes(t, p.db)
-	if got := saveBytes(t, a.fol.DB()); !bytes.Equal(prim, got) {
+	prim := dbText(t, p.db)
+	if got := dbText(t, a.fol.DB()); !bytes.Equal(prim, got) {
 		t.Fatal("mid-tree follower diverged from the primary")
 	}
-	if got := saveBytes(t, b.fol.DB()); !bytes.Equal(prim, got) {
+	if got := dbText(t, b.fol.DB()); !bytes.Equal(prim, got) {
 		t.Fatal("leaf follower diverged through the chain")
 	}
 	// The relay never promises more than the mid-tree node has applied.
@@ -306,7 +306,7 @@ func TestFollowerChainingConverges(t *testing.T) {
 	}
 	lsn = p.quiesce()
 	waitApplied(t, b, lsn)
-	if got := saveBytes(t, b.fol.DB()); !bytes.Equal(saveBytes(t, p.db), got) {
+	if got := dbText(t, b.fol.DB()); !bytes.Equal(dbText(t, p.db), got) {
 		t.Fatal("re-pointed leaf diverged from the primary")
 	}
 	if err := b.fol.Err(); err != nil {
@@ -523,11 +523,11 @@ func TestTailerCompactionDuringPromotion(t *testing.T) {
 	if got := cn.fol.Term(); got != 2 {
 		t.Fatalf("bootstrapped follower term %d, want 2 (term table not carried by the snapshot)", got)
 	}
-	av := saveBytes(t, a.fol.DB())
-	if got := saveBytes(t, b.fol.DB()); !bytes.Equal(av, got) {
+	av := dbText(t, a.fol.DB())
+	if got := dbText(t, b.fol.DB()); !bytes.Equal(av, got) {
 		t.Fatal("chained follower diverged across promotion + compaction")
 	}
-	if got := saveBytes(t, cn.fol.DB()); !bytes.Equal(av, got) {
+	if got := dbText(t, cn.fol.DB()); !bytes.Equal(av, got) {
 		t.Fatal("cold-bootstrapped follower diverged from the promoted primary")
 	}
 }

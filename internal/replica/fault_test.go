@@ -141,7 +141,7 @@ func TestQuorumFsyncGate(t *testing.T) {
 	if lsn != wm {
 		t.Fatalf("durable replay reached %d, want %d", lsn, wm)
 	}
-	if !bytes.Equal(saveBytes(t, durable), saveBytes(t, fol.DB())) {
+	if !bytes.Equal(dbText(t, durable), dbText(t, fol.DB())) {
 		t.Fatal("follower state differs from the primary's durable prefix")
 	}
 }

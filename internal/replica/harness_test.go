@@ -6,7 +6,7 @@ package replica_test
 // wire path, no mocks.  The harness drives primary traffic, kills and
 // restarts the follower at arbitrary LSNs (Abort simulates a crash: the
 // uncommitted buffer is lost, the persisted applied position survives),
-// and asserts convergence: the caught-up follower's canonical Save output
+// and asserts convergence: the caught-up follower's checkpoint
 // is byte-identical to the primary's, and follower REPORT at the same LSN
 // matches primary REPORT.
 
@@ -143,26 +143,38 @@ func (c *cluster) catchUp() int64 {
 	return lsn
 }
 
-func saveBytes(t *testing.T, db *meta.DB) []byte {
+// dbText is how the tests compare databases: the checkpoint of a view
+// pinned on db, a line per record — its op, its Seq and its spelled args,
+// and a term's LSN.  The view's LSN is left out, so that databases at two
+// positions compare.
+func dbText(t testing.TB, db *meta.DB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	v := db.ReadView()
+	defer v.Close()
+	var b []byte
+	if err := v.Checkpoint(func(r meta.Record, args []byte) error {
+		if r.Op == meta.OpTerm {
+			b = fmt.Appendf(b, "@%d ", r.LSN)
+		}
+		b = fmt.Appendf(b, "%s %d%s\n", r.Op, r.Seq, args)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // assertConverged is the harness's core assertion: byte-identical
-// canonical Save output, and identical REPORT bodies at the same LSN
-// through both servers' wire paths.
+// checkpoints, and identical REPORT bodies at the same LSN through both
+// servers' wire paths.
 func (c *cluster) assertConverged() {
 	c.t.Helper()
 	lsn := c.catchUp()
 
-	prim := saveBytes(c.t, c.pdb)
-	foll := saveBytes(c.t, c.fol.DB())
+	prim := dbText(c.t, c.pdb)
+	foll := dbText(c.t, c.fol.DB())
 	if !bytes.Equal(prim, foll) {
-		c.t.Fatalf("follower Save differs from primary at lsn %d:\n--- primary\n%s\n--- follower\n%s", lsn, prim, foll)
+		c.t.Fatalf("follower checkpoint differs from primary at lsn %d:\n--- primary\n%s\n--- follower\n%s", lsn, prim, foll)
 	}
 
 	pc := c.dial(c.paddr)
@@ -194,7 +206,7 @@ func (c *cluster) dial(addr string) *server.Client {
 
 // TestTwoNodeFollowerReplication is the acceptance path: wire traffic on
 // the primary, follower killed and restarted at arbitrary points, then
-// convergence — byte-identical Save, identical REPORT at the same LSN —
+// convergence — byte-identical checkpoints, identical REPORT at the same LSN —
 // and the follower refusing writes throughout.
 func TestTwoNodeFollowerReplication(t *testing.T) {
 	c := newCluster(t, 4, journal.Options{SegmentBytes: 2048, SnapshotEvery: -1})
@@ -319,7 +331,7 @@ func TestFollowerStaleRebootstrap(t *testing.T) {
 
 // TestQuickFollowerConvergence is the replication property test: for a
 // randomized op program with mid-stream follower kills and restarts, the
-// caught-up follower's canonical Save output equals the primary's —
+// caught-up follower's checkpoint equals the primary's —
 // byte-identical — at 1, 4 and 64 shards.  It reuses the op-program shape
 // of the journal's persistence-equivalence quick test, driven against the
 // journaled primary database directly so every mutation kind appears in

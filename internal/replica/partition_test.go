@@ -119,7 +119,7 @@ func TestStallDetectorHalfOpenLink(t *testing.T) {
 	if st.Stalls < 1 {
 		t.Fatalf("stall not counted: %+v", st)
 	}
-	if got := saveBytes(t, a.fol.DB()); !bytes.Equal(saveBytes(t, p.db), got) {
+	if got := dbText(t, a.fol.DB()); !bytes.Equal(dbText(t, p.db), got) {
 		t.Fatal("follower diverged across the half-open link")
 	}
 }
@@ -300,7 +300,7 @@ func TestPartitionPrimaryIsolatedFromBothFollowers(t *testing.T) {
 			t.Fatalf("acked write %v lost across the failover", k)
 		}
 	}
-	if av, bv := saveBytes(t, a.fol.DB()), saveBytes(t, b.fol.DB()); !bytes.Equal(av, bv) {
+	if av, bv := dbText(t, a.fol.DB()), dbText(t, b.fol.DB()); !bytes.Equal(av, bv) {
 		t.Fatal("survivors diverged after heal")
 	}
 }
@@ -393,7 +393,7 @@ func TestAsymmetricPartitionDownlinkStalls(t *testing.T) {
 	}
 	lsn2 := p.quiesce()
 	waitApplied(t, a, lsn2)
-	if got := saveBytes(t, a.fol.DB()); !bytes.Equal(saveBytes(t, p.db), got) {
+	if got := dbText(t, a.fol.DB()); !bytes.Equal(dbText(t, p.db), got) {
 		t.Fatal("follower diverged across the asymmetric partition")
 	}
 	if err := a.fol.Err(); err != nil {

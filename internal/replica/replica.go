@@ -14,7 +14,7 @@
 // journal and applies it to its own database: the follower's log is
 // frame-for-frame identical to the primary's, a restart resumes from
 // exactly the persisted applied position, and the caught-up follower's
-// canonical Save output is byte-identical to the primary's.
+// checkpoint is byte-identical to the primary's.
 package replica
 
 import (

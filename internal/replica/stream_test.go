@@ -46,7 +46,7 @@ func caughtUp(t *testing.T, n *fnode, lsn int64) bool {
 // reaches a follower once as a streamed record and once inside the
 // checkpoint a cold follower bootstraps from (one-byte segments: every
 // commit rotates, so the snapshot compacts away every record it covers).
-// Both followers reach the primary's LSN with its Save byte for byte, and
+// Both followers reach the primary's LSN with its checkpoint byte for byte, and
 // the bootstrapped one holds the primary's checkpoint file byte for byte.
 func TestFollowerReplicatesLongRecord(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), journal.Options{SegmentBytes: 1, SnapshotEvery: -1})
@@ -62,9 +62,9 @@ func TestFollowerReplicatesLongRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := p.quiesce()
-	want := saveBytes(t, p.db)
-	if caughtUp(t, streamed, last) && !bytes.Equal(saveBytes(t, streamed.fol.DB()), want) {
-		t.Errorf("the streamed follower's Save differs from the primary's")
+	want := dbText(t, p.db)
+	if caughtUp(t, streamed, last) && !bytes.Equal(dbText(t, streamed.fol.DB()), want) {
+		t.Errorf("the streamed follower's checkpoint differs from the primary's")
 	}
 
 	if err := p.w.Snapshot(); err != nil {
@@ -72,8 +72,8 @@ func TestFollowerReplicatesLongRecord(t *testing.T) {
 	}
 	cold := startNode(t, t.TempDir(), p.addr, journal.Options{})
 	if caughtUp(t, cold, last) {
-		if !bytes.Equal(saveBytes(t, cold.fol.DB()), want) || cold.fol.Stats().Bootstraps != 1 {
-			t.Errorf("the bootstrapped follower's Save differs from the primary's, after %d bootstraps", cold.fol.Stats().Bootstraps)
+		if !bytes.Equal(dbText(t, cold.fol.DB()), want) || cold.fol.Stats().Bootstraps != 1 {
+			t.Errorf("the bootstrapped follower's checkpoint differs from the primary's, after %d bootstraps", cold.fol.Stats().Bootstraps)
 		}
 		name := fmt.Sprintf("snapshot-%016x.json", p.w.SnapshotLSN())
 		prim, perr := os.ReadFile(filepath.Join(p.dir, name))
@@ -180,7 +180,7 @@ func frameAt(t *testing.T, p *pnode, lsn int) (seg []byte, at, first int) {
 // its way to the follower.  The frame fails its checksum, nothing of it is
 // applied, and the follower reconnects asking for exactly that record —
 // FOLLOW at the record before it — without a bootstrap, and ends with the
-// primary's Save and the primary's log, frame for frame.
+// primary's checkpoint and the primary's log, frame for frame.
 func TestFollowerRefusesCorruptFrame(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1})
 	pc := dialT(t, p.addr)
@@ -225,8 +225,8 @@ func TestFollowerRefusesCorruptFrame(t *testing.T) {
 	if got, want := log.handshakes(), []string{"0 1 2", fmt.Sprintf("%d 1 2", bad-1)}; strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Errorf("FOLLOW handshakes %q, want %q", got, want)
 	}
-	if !bytes.Equal(saveBytes(t, a.fol.DB()), saveBytes(t, p.db)) {
-		t.Errorf("the follower's Save differs from the primary's")
+	if !bytes.Equal(dbText(t, a.fol.DB()), dbText(t, p.db)) {
+		t.Errorf("the follower's checkpoint differs from the primary's")
 	}
 	prim, foll := segmentFrames(t, p.dir), segmentFrames(t, a.dir)
 	for lsn := int64(1); lsn <= last; lsn++ {
@@ -242,7 +242,7 @@ func TestFollowerRefusesCorruptFrame(t *testing.T) {
 // bytes coming, and they feed the phantom frame, but the follower must still
 // count a stall within its timeout: the bound is on a whole frame, not on a
 // byte.  It then reconnects asking for exactly the record it never got,
-// without a bootstrap, and ends with the primary's Save.
+// without a bootstrap, and ends with the primary's checkpoint.
 func TestFollowerStallsOnPhantomFrameLength(t *testing.T) {
 	const stall = 500 * time.Millisecond
 	p := startPrimary(t, t.TempDir(), journal.Options{SnapshotEvery: -1}, fastPing)
@@ -278,8 +278,8 @@ func TestFollowerStallsOnPhantomFrameLength(t *testing.T) {
 	if got, want := log.handshakes(), []string{"0 1 2", fmt.Sprintf("%d 1 2", bad-1)}; strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Errorf("FOLLOW handshakes %q, want %q", got, want)
 	}
-	if !bytes.Equal(saveBytes(t, a.fol.DB()), saveBytes(t, p.db)) {
-		t.Errorf("the follower's Save differs from the primary's")
+	if !bytes.Equal(dbText(t, a.fol.DB()), dbText(t, p.db)) {
+		t.Errorf("the follower's checkpoint differs from the primary's")
 	}
 }
 

@@ -82,13 +82,11 @@ func evaluateInto(st *OIDState, lets []*bpl.LetDecl, ix *bpl.Index, o *meta.OID)
 		st.Lets[l.Name] = ok
 		if !ok {
 			st.Ready = false
-			var reasons []string
 			if ix != nil {
-				reasons = ix.Explainer(l).Failures(lookup)
-			} else {
-				reasons = bpl.ExplainFailure(l.Expr, lookup)
+				st.Reasons = ix.Explainer(l).Failures(st.Reasons, l.Name, lookup)
+				continue
 			}
-			for _, r := range reasons {
+			for _, r := range bpl.ExplainFailure(l.Expr, lookup) {
 				st.Reasons = append(st.Reasons, l.Name+": "+r)
 			}
 		}

@@ -7,7 +7,6 @@ package repro
 // version chains, and a persistence round trip.  Skipped with -short.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -206,14 +205,7 @@ func TestSoakWorkloadWithServer(t *testing.T) {
 	}
 
 	// Full persistence round trip of the soaked database.
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := meta.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := checkpointRoundTrip(t, db)
 	if db2.Head().Stats() != stats {
 		t.Errorf("reload stats differ: %+v vs %+v", db2.Head().Stats(), stats)
 	}
