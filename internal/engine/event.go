@@ -49,8 +49,8 @@
 // length.  Only the drain touches a queued wave: its item queue, visited
 // set and hop scratch need no lock and are recycled when the wave retires.
 // Delivery phases 1 and 2 batch all property reads and writes of one
-// delivery into a single locked round-trip on the owning database shard
-// (meta.DB UpdateOID).
+// delivery into a single locked round-trip on the database (meta.DB
+// UpdateOID).
 package engine
 
 import (

@@ -42,12 +42,12 @@
 // # Writing
 //
 // The Writer implements meta.Recorder: the database hands it one record
-// per committed mutation, under the locks that serialize that mutation, so
-// the log order is a valid replay order.  Record only appends to an
-// in-memory buffer (no I/O under database locks); the buffer reaches the
-// operating system at explicit Commit points — the run-time engine commits
-// after every drain, the project server after every non-drain mutation —
-// or when it outgrows an internal bound.  Segments rotate at a size
+// per committed mutation, under the writer lock that serializes every
+// mutation, so the log order is a valid replay order.  Record only appends
+// to an in-memory buffer (no I/O under the database's lock); the buffer
+// reaches the operating system at explicit Commit points — the project
+// server's settle commits after every write verb and SYNC — or when it
+// outgrows an internal bound.  Segments rotate at a size
 // threshold.
 //
 // Snapshots run concurrently with writers: the checkpoint is collected from

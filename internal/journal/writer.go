@@ -68,10 +68,9 @@ func (o Options) withDefaults() Options {
 // dedicated spill goroutine is woken to Commit even before the caller's
 // next explicit Commit, so a long drain cannot hold an unbounded journal
 // in memory.  The spill is asynchronous because Record runs under the
-// MVCC epoch gate (and the database locks serializing the mutation): a
-// segment-file write — or, in fsync mode, a disk flush — inside that
-// critical section would stall every shard's writers and all view
-// pinning for the syscall's duration.
+// MVCC epoch gate (and the database's writer lock): a segment-file write —
+// or, in fsync mode, a disk flush — inside that critical section would
+// stall every writer and all view pinning for the syscall's duration.
 const bufFlushBytes = 1 << 20
 
 // followWriteBytes is how much a follower buffers before ApplyAppend writes
@@ -136,9 +135,8 @@ type Writer struct {
 	wmMu      sync.Mutex
 	wmCh      chan struct{}
 
-	// applyMu serializes a follower's apply+append pairs against snapshot
-	// collection, standing in for the emission-under-database-locks
-	// atomicity the primary gets for free (see ApplyAppend).
+	// applyMu serializes a follower's apply+append pairs, and holds them
+	// off BootstrapSnapshot, Promote and Snapshot's pin (see ApplyAppend).
 	applyMu sync.Mutex
 	dec     payloadDecoder // ApplyAppend's; guarded by applyMu
 
@@ -509,12 +507,12 @@ func (w *Writer) emergencyFree() {
 // In fsync mode the Sync runs while w.mu is released (flushMu alone
 // serializes flushers): Record is called under the MVCC epoch gate, so
 // an fsync performed — or waited on — while w.mu is held would stall
-// every shard's writers and all view pinning for the disk flush's
-// duration.  The watermark advances only after the sync succeeds, and
-// only to the position captured at write time: replication must never
-// ship records an OS crash could still erase from the primary —
-// permanent silent divergence, because the reconnect protocol skips
-// LSNs the follower already applied.
+// every writer and all view pinning for the disk flush's duration.  The
+// watermark advances only after the sync succeeds, and only to the
+// position captured at write time: replication must never ship records an
+// OS crash could still erase from the primary — permanent silent
+// divergence, because the reconnect protocol skips LSNs the follower
+// already applied.
 func (w *Writer) Commit() error {
 	target := w.lastLSN.Load()
 	w.flushMu.Lock()
@@ -600,13 +598,14 @@ func (w *Writer) Commit() error {
 // silently applying it would hide lost history.  lsn is the position after
 // the call, whatever it did.
 //
-// The apply+append pair runs under applyMu, which Snapshot also holds
-// across its collection: on the primary, record emission happens under
-// the database locks the snapshot collector takes, which is what makes
-// the pinned LSN match the collected state; applyMu restores that
-// atomicity here, where records are applied from outside the database.
-// Past followWriteBytes the buffer is written through, unsynced: only a
-// Commit makes the records durable and moves the watermark.
+// The apply+append pair runs under applyMu, which serializes the pairs
+// and keeps BootstrapSnapshot and Promote out of their middle.  Snapshot
+// holds it only across its pin, and takes no database lock: the view reads
+// the versions at its LSN whatever is applied meanwhile, but a term record
+// moves the term without a version, so the term Snapshot reads must be the
+// one at the LSN it pinned.  Past followWriteBytes the buffer is written
+// through, unsynced: only a Commit makes the records durable and moves the
+// watermark.
 func (w *Writer) ApplyAppend(frame []byte) (lsn int64, err error) {
 	if !w.follower {
 		return w.lastLSN.Load(), fmt.Errorf("journal: ApplyAppend on a primary-mode writer")
@@ -815,13 +814,12 @@ func (w *Writer) Snapshot() error {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	tmp := f.Name()
-	// On a follower, applied records reach the database outside its own
-	// lock-held emission path; holding applyMu across the pin keeps the
-	// chosen LSN and the applied state in step, and is released the moment
+	// On a follower, holding applyMu across the pin keeps the term read
+	// below at the pinned LSN (see ApplyAppend), and is released the moment
 	// the view is pinned so the encode, the file I/O and the compaction
 	// below all run with replication apply flowing.  On a primary the
-	// lock is uncontended and the pin waits only for mutations already
-	// past their journal append to finish installing.
+	// lock is uncontended and the pin waits only for a mutation already
+	// past its journal append to finish installing.
 	w.applyMu.Lock()
 	v, err := w.pinNewest()
 	// The records counted so far are, give or take the few still buffered,

@@ -69,9 +69,9 @@ func FollowType(types ...string) FollowFunc {
 // This is the paper's "built by traversing a hierarchy while following
 // certain rules".
 //
-// The traversal runs against a pinned read view — no shard lock is taken
-// for the collection phase, so snapshots proceed while writers keep
-// committing; the install itself is a short control-plane critical section.
+// The traversal runs against a pinned read view — no lock is taken for the
+// collection phase, so snapshots proceed while writers keep committing; the
+// install itself is a short writer-lock critical section.
 func (db *DB) SnapshotHierarchy(name string, root Key, follow FollowFunc) (*Configuration, error) {
 	if follow == nil {
 		follow = FollowUseLinks
@@ -181,15 +181,15 @@ func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
 
 // DeleteConfiguration removes a stored configuration.
 func (db *DB) DeleteConfiguration(name string) error {
-	db.ctl.Lock()
-	defer db.ctl.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	h := db.store.Load().ctl
 	if _, ok := h.configs.at(name, newest); !ok {
 		return fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
 	s := db.beginMut(OpDelConfig, 0, func() []string { return []string{name} })
 	h.configs.push(name, s, nil, true)
-	db.endMut(s)
+	db.endMut()
 	return nil
 }
 

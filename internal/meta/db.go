@@ -2,7 +2,6 @@ package meta
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,30 +16,21 @@ import (
 // The database is its version histories (mvcc.go): every object is a
 // lock-free history of immutable, LSN-stamped versions, and what it is now
 // is its history's head.  A mutation reads the heads of what it changes
-// under the locks below, builds the next immutable values, and pushes them
-// under its stamp; nothing is ever changed in place.
+// under the writer lock below, builds the next immutable values, and
+// pushes them under its stamp; nothing is ever changed in place.
 //
-// # Sharding and locking
+// # One writer
 //
-// The writers are lock-striped so concurrent drains stop serializing on
-// one mutex.  OIDs, version chains and the adjacency postings are
-// partitioned into shards keyed by the hash of the block name — every
-// view, version and posting of a block lives on one shard, so the
-// single-OID mutators (SetProp, UpdateOID, NewVersion) take exactly one
-// shard lock.  Link objects live in separate stripes keyed by LinkID and are
-// immutable (RetargetLink publishes a replacement object, to the link table
-// and to the postings).  Configurations and workspaces
-// sit on a small control-plane lock; the logical clock and link-ID counter
-// are atomics.  NewDBWithShards picks the stripe count — a pure
-// performance knob that never changes results.
-//
-// Multi-shard operations follow one deterministic lock order — control
-// plane, then key shards in ascending index, then link stripes in
-// ascending index — so cross-shard link mutations cannot deadlock.
-// RetargetLink, which discovers its shard set from the link's endpoints,
-// reads the link optimistically, locks in canonical order, then
-// re-validates object identity and retries if it was replaced underneath
-// it.
+// The database has one writer at a time, as the paper's engine delivers
+// one event at a time: every mutation holds mu from its first check through
+// its last push, so at most one stamp is ever in flight.  Readers take no
+// lock at all.  The store is partitioned for its readers and its reclaim
+// pass, not for writers: OIDs, version chains and the adjacency postings
+// live in shards keyed by the hash of the block name, link objects in
+// stripes keyed by LinkID, configurations and workspaces in one control
+// plane.  NewDBWithShards picks the partition count; it sizes the tables
+// and bounds how long a reclaim holds mu, and never changes results.  The
+// logical clock and the link-ID counter are atomics, read without mu.
 //
 // All mutation goes through DB methods and every read through a View
 // (view.go), which takes no lock: Head for point reads, a pinned view
@@ -48,11 +38,16 @@ import (
 // Snapshot* configuration builders, the state scans, the enumerations and
 // the graph walks (graphview.go).
 type DB struct {
-	shards []*dbShard
-	mask   uint32
+	// mu serializes the writers: every mutation, RestoreFrom, the graph
+	// audit and each partition of a reclaim pass.  It is never held across
+	// I/O: the Recorder only buffers.
+	mu sync.Mutex
 
-	stripes []sync.Mutex // the link table's writers, by LinkID
-	lmask   uint32
+	// upd is the property map UpdateOID hands its callback, reused under mu
+	// (scratch).
+	upd map[string]string
+
+	mask uint32 // partitions − 1: the store has mask+1 shards and stripes
 
 	seq      atomic.Int64
 	nextLink atomic.Int64
@@ -69,13 +64,9 @@ type DB struct {
 	// without locks.  nil means the genesis term 1.
 	terms atomic.Pointer[termTable]
 
-	// ctl serializes the control plane's writers: configurations and
-	// workspaces.
-	ctl sync.Mutex
-
 	// rec, when non-nil, receives one Record per committed mutation — the
 	// change-capture stream behind the append-only journal.  Emission
-	// happens under the locks that serialize the mutation; see record.go.
+	// happens under mu; see record.go.
 	rec Recorder
 
 	// MVCC state (mvcc.go): the epoch gate that stamps mutations and pins
@@ -97,43 +88,31 @@ type DB struct {
 	in interner
 }
 
-// dbShard is one stripe of the OIDs, chains and adjacency postings: every
-// key of the same-index shardHist hashes to it, and mu serializes their
-// writers.
-type dbShard struct {
-	mu sync.Mutex
-
-	// upd is the property map UpdateOID hands its callback, reused under
-	// mu (scratch).
-	upd map[string]string
-}
-
-// scratch returns the shard's scratch property map, holding props.  The
-// caller holds mu and keeps nothing of the map: the version it publishes is
-// the database's shared copy of the set (attrTable).
-func (sh *dbShard) scratch(props Props) map[string]string {
-	if sh.upd == nil {
-		sh.upd = make(map[string]string)
+// scratch returns the scratch property map, holding props.  The caller
+// holds mu and keeps nothing of the map: the version it publishes is the
+// database's shared copy of the set (attrTable).
+func (db *DB) scratch(props Props) map[string]string {
+	if db.upd == nil {
+		db.upd = make(map[string]string)
 	}
-	clear(sh.upd)
+	clear(db.upd)
 	props.Each(func(n, v string) bool {
-		sh.upd[n] = v
+		db.upd[n] = v
 		return true
 	})
-	return sh.upd
+	return db.upd
 }
 
-// DefaultShards is the shard count of NewDB: enough stripes to spread
-// concurrent connections' mutations without bloating small databases.
+// DefaultShards is the partition count of NewDB.
 const DefaultShards = 16
 
 // NewDB returns an empty meta-database with DefaultShards shards.
 func NewDB() *DB { return NewDBWithShards(DefaultShards) }
 
-// NewDBWithShards returns an empty meta-database striped over n shards
-// (rounded up to a power of two, minimum 1).  Shard count is a pure
-// performance knob: every query and report returns identical results for
-// any n.
+// NewDBWithShards returns an empty meta-database partitioned into n shards
+// and n link stripes (rounded up to a power of two, minimum 1).  The count
+// is a pure performance knob: every query and report returns identical
+// results for any n.
 func NewDBWithShards(n int) *DB {
 	if n < 1 {
 		n = 1
@@ -142,15 +121,7 @@ func NewDBWithShards(n int) *DB {
 	for pow < n {
 		pow <<= 1
 	}
-	db := &DB{
-		shards:  make([]*dbShard, pow),
-		mask:    uint32(pow - 1),
-		stripes: make([]sync.Mutex, pow),
-		lmask:   uint32(pow - 1),
-	}
-	for i := range db.shards {
-		db.shards[i] = &dbShard{}
-	}
+	db := &DB{mask: uint32(pow - 1)}
 	// The header history fills some reclaimEvery entries between two reclaim
 	// passes; reserving them once spares the doublings that would get there.
 	db.mvcc.meta = make([]metaVer, 0, reclaimEvery)
@@ -175,62 +146,11 @@ func fnv1a[S string | []byte](s S) uint32 {
 }
 
 func (db *DB) shardIndex(block string) uint32 { return fnv1a(block) & db.mask }
-func (db *DB) shardOf(k Key) *dbShard         { return db.shards[db.shardIndex(k.Block)] }
-func (db *DB) stripeOf(id LinkID) *sync.Mutex { return &db.stripes[uint32(id)&db.lmask] }
 
-// lockShard write-locks block's shard and returns it with its histories.
-func (db *DB) lockShard(block string) (*dbShard, *shardHist) {
-	i := db.shardIndex(block)
-	sh := db.shards[i]
-	sh.mu.Lock()
-	return sh, db.store.Load().shards[i]
-}
-
-// lockPair write-locks the shards of two keys in ascending index order
-// (once when they coincide) and returns them.  unlockPair releases in
-// reverse.
-func (db *DB) lockPair(a, b Key) (sa, sb *dbShard) {
-	ia, ib := db.shardIndex(a.Block), db.shardIndex(b.Block)
-	sa, sb = db.shards[ia], db.shards[ib]
-	switch {
-	case ia == ib:
-		sa.mu.Lock()
-	case ia < ib:
-		sa.mu.Lock()
-		sb.mu.Lock()
-	default:
-		sb.mu.Lock()
-		sa.mu.Lock()
-	}
-	return sa, sb
-}
-
-func unlockPair(sa, sb *dbShard) {
-	sa.mu.Unlock()
-	if sb != sa {
-		sb.mu.Unlock()
-	}
-}
-
-// lockAll / unlockAll write-lock every shard then every stripe, in
-// ascending index order — the whole-database critical section behind
-// auditing and restoring.
-func (db *DB) lockAll() {
-	for _, s := range db.shards {
-		s.mu.Lock()
-	}
-	for i := range db.stripes {
-		db.stripes[i].Lock()
-	}
-}
-
-func (db *DB) unlockAll() {
-	for i := len(db.stripes) - 1; i >= 0; i-- {
-		db.stripes[i].Unlock()
-	}
-	for i := len(db.shards) - 1; i >= 0; i-- {
-		db.shards[i].mu.Unlock()
-	}
+// lockShard takes mu and returns block's shard.
+func (db *DB) lockShard(block string) *shardHist {
+	db.mu.Lock()
+	return db.head.shard(block)
 }
 
 // tick advances and returns the logical clock.
@@ -255,8 +175,8 @@ func (db *DB) NewVersion(block, view string) (Key, error) {
 	if err := ValidateName(view); err != nil {
 		return Key{}, fmt.Errorf("view: %w", err)
 	}
-	sh, h := db.lockShard(block)
-	defer sh.mu.Unlock()
+	h := db.lockShard(block)
+	defer db.mu.Unlock()
 	k := Key{Block: block, View: view, Version: 1}
 	if chain, ok := h.chains.at(k.BV(), newest); ok {
 		k.Version = chain[len(chain)-1] + 1
@@ -276,29 +196,28 @@ func (db *DB) SetProp(k Key, name, value string) error {
 	return db.editProps(k, []string{name, value}, nil)
 }
 
-// UpdateOID runs fn on the OID's properties under the owning shard's write
-// lock.  It is the batched read-modify-write path of the run-time engine:
-// one delivery's property assignments and continuous re-evaluations read
-// and write the properties in a single lock round-trip instead of one
-// GetProp/SetProp pair each — and, under sharding, deliveries to OIDs on
-// different shards update concurrently.  fn may read and mutate the map
-// but must not retain it and must not call DB mutators (which would
-// deadlock).  Property names written by fn must satisfy ValidateName; the
-// caller validates because fn has no error channel.
+// UpdateOID runs fn on the OID's properties under mu.  It is the batched
+// read-modify-write path of the run-time engine: one delivery's property
+// assignments and continuous re-evaluations read and write the properties
+// in a single lock round-trip instead of one GetProp/SetProp pair each.  fn
+// may read and mutate the map but must not retain it and must not call DB
+// mutators (which would deadlock).  Property names written by fn must
+// satisfy ValidateName; the caller validates because fn has no error
+// channel.
 //
-// The map is the shard's scratch, filled from the newest version's
+// The map is the database's scratch, filled from the newest version's
 // properties; after fn it is compared with that version, and a changed set
 // is published — the database's shared copy of it (attrTable) — and its
 // difference journaled as one update.  An fn that changes nothing emits
 // nothing and allocates nothing.
 func (db *DB) UpdateOID(k Key, fn func(props map[string]string)) error {
-	sh, h := db.lockShard(k.Block)
-	defer sh.mu.Unlock()
+	h := db.lockShard(k.Block)
+	defer db.mu.Unlock()
 	x, err := h.oid(k, newest)
 	if err != nil {
 		return err
 	}
-	m := sh.scratch(x.props)
+	m := db.scratch(x.props)
 	fn(m)
 	same, n := true, 0
 	x.props.Each(func(name, v string) bool {
@@ -317,8 +236,8 @@ func (db *DB) UpdateOID(k Key, fn func(props map[string]string)) error {
 // set and the names of dels deleted (attrTable.edit), unless that changes
 // nothing.
 func (db *DB) editProps(k Key, pairs, dels []string) error {
-	sh, h := db.lockShard(k.Block)
-	defer sh.mu.Unlock()
+	h := db.lockShard(k.Block)
+	defer db.mu.Unlock()
 	x, err := h.oid(k, newest)
 	if err != nil {
 		return err
@@ -333,11 +252,11 @@ func (db *DB) editProps(k Key, pairs, dels []string) error {
 
 // putProps publishes props as the next version of the OID k, whose newest
 // is x, journaled as the difference from x's properties (propArgs).  The
-// caller holds k's shard lock.
+// caller holds mu.
 func (db *DB) putProps(h *shardHist, k Key, x oidVal, props Props) {
 	s := db.beginMut(OpUpdate, 0, func() []string { return propArgs(k.String(), x.props, props) })
 	h.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
-	db.endMut(s)
+	db.endMut()
 }
 
 // ---------------------------------------------------------------------------
@@ -348,16 +267,16 @@ func (db *DB) putProps(h *shardHist, k Key, x oidVal, props Props) {
 // types).  propagates may be nil, in any order and repeated; template and
 // props may be empty.  Neither list nor map is kept: the link shares the one
 // copy of its attributes the database holds (attrTable).  It only allocates
-// the ID and the seq — after lockLinkEnds' checks, so a refused link
-// allocates neither — and installs like a replayed record does.
+// the ID and the seq — after checkLinkLocked, so a refused link allocates
+// neither — and installs like a replayed record does.
 func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates []string, props map[string]string) (LinkID, error) {
 	l := &Link{Class: class, From: from, To: to, Template: template}
 	l.Propagates, l.Props = db.attrs.editMap(propagates, props)
-	sf, st, err := db.lockLinkEnds(l)
-	if err != nil {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.checkLinkLocked(l); err != nil {
 		return 0, err
 	}
-	defer unlockPair(sf, st)
 	l.ID = LinkID(db.nextLink.Add(1))
 	l.Seq = db.tick()
 	if err := db.installLinkLocked(l); err != nil {
@@ -366,96 +285,46 @@ func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates
 	return l.ID, nil
 }
 
-// snapshotLink reads the current (immutable) link object, nil when there
-// is none.  RetargetLink reads it optimistically to discover which shards
-// to lock, then re-reads it under the stripe lock to verify the object is
-// still current.
-func (db *DB) snapshotLink(id LinkID) *Link {
-	l, _ := db.head.stripe(id).links.at(id, newest)
-	return l
-}
-
 // RetargetLink moves one endpoint of a link from oldEnd to newEnd.  It
 // implements the link "shifting" of Figure 3: when a new version of an OID
 // is created, move-mode links are shifted from the previous version to the
 // new one.  oldEnd must currently be an endpoint of the link.
 func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
-	for {
-		l := db.snapshotLink(id)
-		if l == nil {
-			return fmt.Errorf("link %d: %w", id, ErrNotFound)
-		}
-		from, to := l.From, l.To
-		if oldEnd != from && oldEnd != to {
-			return fmt.Errorf("link %d: %v is not an endpoint: %w", id, oldEnd, ErrBadLink)
-		}
-		// Build and validate the replacement object before taking locks;
-		// links are immutable once published, so shifting installs a copy
-		// (which keeps sharing the attributes: they do not change).
-		moved := l.copy()
-		kept, out := to, oldEnd == from // the end that stays, and which end moves
-		if out {
-			moved.From = newEnd
-		} else {
-			moved.To, kept = newEnd, from
-		}
-		if err := moved.validate(); err != nil {
-			return err
-		}
-		// Lock the shards of every involved key in canonical order.
-		locked := db.lockShardSet([]uint32{
-			db.shardIndex(from.Block),
-			db.shardIndex(to.Block),
-			db.shardIndex(newEnd.Block),
-		})
-		stripe := db.stripeOf(id)
-		stripe.Lock()
-		if db.snapshotLink(id) != l {
-			stripe.Unlock()
-			db.unlockShardSet(locked)
-			continue // replaced underneath us; retry
-		}
-		oh, nh, kh := db.head.shard(oldEnd.Block), db.head.shard(newEnd.Block), db.head.shard(kept.Block)
-		if _, ok := nh.oids.at(newEnd, newest); !ok {
-			stripe.Unlock()
-			db.unlockShardSet(locked)
-			return fmt.Errorf("retarget to %v: %w", newEnd, ErrNotFound)
-		}
-		s := db.beginMut(OpRetarget, 0, func() []string {
-			return []string{strconv.FormatInt(int64(id), 10), oldEnd.String(), newEnd.String()}
-		})
-		db.head.stripe(id).links.push(id, s, moved, false)
-		// Three postings change: the one the link left, the one it joined,
-		// and the unmoved end's (its member is the replacement object now).
-		oh.post(out, oldEnd, s, without(oh.links(oldEnd, newest).of(out), id))
-		nh.post(out, newEnd, s, with(nh.links(newEnd, newest).of(out), moved))
-		kh.post(!out, kept, s, replaced(kh.links(kept, newest).of(!out), moved))
-		db.endMut(s)
-		stripe.Unlock()
-		db.unlockShardSet(locked)
-		return nil
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	links := &db.head.stripe(id).links
+	l, ok := links.at(id, newest)
+	if !ok {
+		return fmt.Errorf("link %d: %w", id, ErrNotFound)
 	}
-}
-
-// lockShardSet write-locks the distinct shards of the given indexes in
-// ascending order and returns the sorted distinct index list for unlocking.
-func (db *DB) lockShardSet(idx []uint32) []uint32 {
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	out := idx[:0]
-	var last uint32
-	for i, v := range idx {
-		if i > 0 && v == last {
-			continue
-		}
-		db.shards[v].mu.Lock()
-		out = append(out, v)
-		last = v
+	if oldEnd != l.From && oldEnd != l.To {
+		return fmt.Errorf("link %d: %v is not an endpoint: %w", id, oldEnd, ErrBadLink)
 	}
-	return out
-}
-
-func (db *DB) unlockShardSet(idx []uint32) {
-	for i := len(idx) - 1; i >= 0; i-- {
-		db.shards[idx[i]].mu.Unlock()
+	// Links are immutable once published, so shifting installs a copy
+	// (which keeps sharing the attributes: they do not change).
+	moved := l.copy()
+	kept, out := l.To, oldEnd == l.From // the end that stays, and which end moves
+	if out {
+		moved.From = newEnd
+	} else {
+		moved.To, kept = newEnd, l.From
 	}
+	if err := moved.validate(); err != nil {
+		return err
+	}
+	oh, nh, kh := db.head.shard(oldEnd.Block), db.head.shard(newEnd.Block), db.head.shard(kept.Block)
+	if _, ok := nh.oids.at(newEnd, newest); !ok {
+		return fmt.Errorf("retarget to %v: %w", newEnd, ErrNotFound)
+	}
+	s := db.beginMut(OpRetarget, 0, func() []string {
+		return []string{strconv.FormatInt(int64(id), 10), oldEnd.String(), newEnd.String()}
+	})
+	links.push(id, s, moved, false)
+	// Three postings change: the one the link left, the one it joined,
+	// and the unmoved end's (its member is the replacement object now).
+	oh.post(out, oldEnd, s, without(oh.links(oldEnd, newest).of(out), id))
+	nh.post(out, newEnd, s, with(nh.links(newEnd, newest).of(out), moved))
+	kh.post(!out, kept, s, replaced(kh.links(kept, newest).of(!out), moved))
+	db.endMut()
+	return nil
 }

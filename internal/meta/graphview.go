@@ -9,7 +9,7 @@ import (
 // View-based graph walks.  Each walk resolves adjacency through the
 // versioned reachability index (shardHist.adj): one lock-free lookup
 // per visited key, so a closure query costs O(closure) index lookups —
-// never a whole-graph link scan, and never a shard or stripe lock.  The
+// never a whole-graph link scan, and never a lock.  The
 // results are byte-stable: re-running a walk on the same view always
 // yields the same slice.
 
@@ -148,11 +148,11 @@ func (v *View) Resolve(name string) (*ResolvedConfiguration, error) {
 // database for the scan (O(links)); the engine runs it at a policy reload.
 // A repair is stamped with the current epoch and goes through no commit
 // point: the postings are derived from the link table, so there is nothing
-// to journal and no stamp to spend, and under lockAll no link mutation is
-// installing, so no posting carries a newer stamp.
+// to journal and no stamp to spend, and under the writer lock no mutation
+// is installing, so no posting carries a newer stamp.
 func (db *DB) AuditGraphIndex() {
-	db.lockAll()
-	defer db.unlockAll()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	s := db.mvcc.epoch.Load()
 	want := make(map[Key]posting)
 	for _, st := range db.store.Load().stripes {

@@ -11,13 +11,13 @@ package meta
 // Every committed mutation carries a stamp: the journal LSN of its record
 // when a Recorder is attached, a database-local epoch counter otherwise,
 // and the original record's LSN during replay.  A mutation reads the heads
-// of what it changes under the locks that serialize it, builds the next
+// of what it changes under the writer lock (DB.mu), builds the next
 // immutable values, and pushes them under its stamp.
 //
 // A View (view.go) pinned at one stamp resolves every read against the
 // versions at or below it; the head asks the same resolver for the newest.
-// Pinning takes one small mutex (the epoch gate, never a shard lock) and
-// reading takes no locks at all: version nodes are immutable once
+// Pinning takes one small mutex (the epoch gate, never the writer lock)
+// and reading takes no locks at all: version nodes are immutable once
 // published and reached through atomic pointers, so point reads, snapshots,
 // state reports and follower read-your-LSN queries proceed while writers
 // keep committing — the paper's single-writer pause points become
@@ -25,16 +25,16 @@ package meta
 //
 // # The epoch gate
 //
-// Stamps are assigned under the gate mutex, in monotonically increasing
-// order, and a mutation's stamp stays "in flight" until its versions are
-// installed (mutators install while still holding the locks that
-// serialize the mutation, then retire the stamp).  A view must never pin
-// a stamp with an earlier mutation still in flight — it would read the
-// old version now and a newer one on a re-read, tearing byte-stability —
-// so ReadView and ReadViewAt wait (briefly: an in-flight mutation is
-// already past its journal append) until everything at or below the
-// pinned position has installed.  The wait is for installs only, never
-// for writer lock acquisition, and writers are never blocked.
+// Stamps are assigned under the gate mutex, in increasing order, and a
+// mutation's stamp stays "in flight" until its versions are installed
+// (mutators install while still holding the writer lock, then retire the
+// stamp).  One writer at a time means one stamp in flight at most, always
+// the epoch.  A view must never pin at or above a stamp still in flight —
+// it would read the old version now and a newer one on a re-read, tearing
+// byte-stability — so ReadView and ReadViewAt wait (briefly: an in-flight
+// mutation is already past its journal append) until it has installed.
+// The wait is for installs only, never for the writer lock, and writers
+// are never blocked.
 //
 // # Reclamation
 //
@@ -45,8 +45,8 @@ package meta
 // epoch when nothing is pinned — and deletes histories that are tombstone
 // at every retained stamp.  The floor becomes the new horizon: ReadViewAt
 // below it reports ErrViewReclaimed and callers fall back to a current
-// view.  Trimming takes each shard/stripe lock briefly (a writer-side
-// cost); readers are never blocked.
+// view.  Trimming takes the writer lock once per partition, briefly (a
+// writer-side cost); readers are never blocked.
 
 import (
 	"cmp"
@@ -81,13 +81,13 @@ type ver[T any] struct {
 }
 
 // hist is a lock-free-readable version list, newest first: the history half
-// of a table entry.  Writers are serialized by the lock owning the object
-// (shard, stripe or control plane); readers only load atomic pointers.
+// of a table entry.  Writers are serialized by the writer lock; readers only
+// load atomic pointers.
 type hist[T any] struct {
 	head atomic.Pointer[ver[T]]
 }
 
-// push publishes a new version.  Callers hold the owning lock.
+// push publishes a new version.  Callers hold the writer lock.
 func (h *hist[T]) push(lsn int64, val T, del bool) {
 	v := &ver[T]{lsn: lsn, val: val, del: del}
 	v.next.Store(h.head.Load())
@@ -107,7 +107,7 @@ func (h *hist[T]) at(lsn int64) *ver[T] {
 
 // trim cuts versions older than the newest one at or below floor and
 // reports whether the history is dead — deleted at every retained stamp —
-// so the caller can drop it entirely.  Callers hold the owning lock.
+// so the caller can drop it entirely.  Callers hold the writer lock.
 func (h *hist[T]) trim(floor int64) bool {
 	base := h.at(floor)
 	if base != nil {
@@ -127,8 +127,8 @@ const newest = math.MaxInt64
 // key and its history; it never moves out of a published array except when
 // trim publishes one without it, so a probe that meets an empty slot has
 // seen every entry of its key.  Readers load the array and probe, with no
-// lock; push and trim are serialized by the lock owning the table (shard,
-// stripe or control plane), and only they write.
+// lock; push and trim are serialized by the writer lock, and only they
+// write.
 type table[K tableKey, T any] struct {
 	slots atomic.Pointer[slots[K, T]]
 	n     int // entries in the published array
@@ -303,7 +303,7 @@ type oidVal struct {
 // store is every container of the database, behind DB.store.  RestoreFrom
 // (snapshot re-bootstrap) replaces it wholesale, so a pinned view captures
 // the pointer at pin time and stays consistent across a re-base; writers
-// load it under the lock that owns what they change.
+// load it under the writer lock.
 type store struct {
 	shards  []*shardHist
 	stripes []*stripeHist
@@ -439,12 +439,6 @@ type ctlHist struct {
 	workspaces table[string, *Workspace]
 }
 
-// gateSlot is one in-flight stamp.
-type gateSlot struct {
-	s    int64
-	done bool
-}
-
 // metaVer records the database header values as of one stamp: the logical
 // clock observed at emission (exactly the Seq the journal record carries)
 // and the highest link ID allocated so far (cumulative), which together
@@ -457,14 +451,14 @@ type metaVer struct {
 }
 
 // mvccState is the per-DB MVCC bookkeeping: the epoch (highest mutation
-// stamp), the horizon (lowest pinnable stamp), and the gate tracking
-// in-flight stamps, pinned views and the header history.
+// stamp), the horizon (lowest pinnable stamp), and the gate tracking the
+// in-flight stamp, pinned views and the header history.
 type mvccState struct {
 	epoch   atomic.Int64
 	horizon atomic.Int64
 
 	mu           sync.Mutex
-	inflight     []gateSlot
+	inflight     int64         // the stamp still installing, 0 when none
 	doneCh       chan struct{} // created by waiters, closed on each retire
 	pins         map[int64]int // pinned stamp -> view count
 	meta         []metaVer     // sorted by lsn
@@ -472,61 +466,25 @@ type mvccState struct {
 	sinceReclaim int64
 }
 
-// beginLocked registers an in-flight stamp.  Stamps arrive in increasing
-// order on every live path; the sorted insert tolerates replay overlap.
-func (m *mvccState) beginLocked(s int64) {
-	i := len(m.inflight)
-	for i > 0 && m.inflight[i-1].s > s {
-		i--
-	}
-	m.inflight = append(m.inflight, gateSlot{})
-	copy(m.inflight[i+1:], m.inflight[i:])
-	m.inflight[i] = gateSlot{s: s}
-}
-
-// doneLocked retires a stamp and pops the completed prefix.
-func (m *mvccState) doneLocked(s int64) {
-	for i := range m.inflight {
-		if m.inflight[i].s == s {
-			m.inflight[i].done = true
-			break
-		}
-	}
-	n := 0
-	for n < len(m.inflight) && m.inflight[n].done {
-		n++
-	}
-	if n > 0 {
-		m.inflight = append(m.inflight[:0], m.inflight[n:]...)
-	}
-}
-
 // stableLocked returns the newest stamp at or below which every mutation
 // has fully installed its versions.
 func (m *mvccState) stableLocked() int64 {
-	if len(m.inflight) > 0 {
-		return m.inflight[0].s - 1
+	if m.inflight > 0 {
+		return m.inflight - 1
 	}
 	return m.epoch.Load()
 }
 
-// metaPushLocked inserts a header entry in stamp order and restores the
-// cumulative link-ID maximum from the insertion point on.
+// metaPushLocked appends a header entry, carrying the cumulative link-ID
+// maximum forward.  Stamps rise on every path — the journal's LSNs, the
+// epoch counter, a replayed stream above the horizon — so appending keeps
+// the history in stamp order.
 func (m *mvccState) metaPushLocked(e metaVer) {
-	i := len(m.meta)
-	for i > 0 && m.meta[i-1].lsn > e.lsn {
-		i--
+	e.linkCum = e.linkMax
+	if n := len(m.meta); n > 0 {
+		e.linkCum = max(e.linkCum, m.meta[n-1].linkCum)
 	}
-	m.meta = append(m.meta, metaVer{})
-	copy(m.meta[i+1:], m.meta[i:])
-	m.meta[i] = e
-	for j := i; j < len(m.meta); j++ {
-		cum := m.meta[j].linkMax
-		if j > 0 && m.meta[j-1].linkCum > cum {
-			cum = m.meta[j-1].linkCum
-		}
-		m.meta[j].linkCum = cum
-	}
+	m.meta = append(m.meta, e)
 }
 
 // metaAtLocked resolves the header (seq, next_link) as of lsn.
@@ -541,18 +499,17 @@ func (m *mvccState) metaAtLocked(lsn int64) (seq, nextLink int64) {
 // beginMut is the single commit point of every mutation: it emits the
 // journal record (when a Recorder is attached), assigns the mutation's
 // MVCC stamp, and registers the stamp as in flight.  It must be called
-// while the locks serializing the mutation are held, after every check
-// that can refuse it and every read of the heads it builds on: nothing has
-// changed yet, and from here the mutation cannot fail.  args builds the
-// record argument list and is only invoked when a Recorder is attached.
+// under the writer lock, after every check that can refuse it and every
+// read of the heads it builds on: nothing has changed yet, and from here
+// the mutation cannot fail.  args builds the record argument list and is
+// only invoked when a Recorder is attached.
 // linkID names a link created by this mutation (0 otherwise) so views can
 // reconstruct the next_link counter.  The caller must push the versions
 // that are the mutation under the returned stamp and then call endMut.
 func (db *DB) beginMut(op string, linkID int64, args func() []string) int64 {
-	// Build the record arguments before taking the gate mutex: the
-	// caller's object locks already make the snapshot consistent, and
-	// the sorting/formatting inside the arg builders must not serialize
-	// every shard's write hot path through the one global gate.
+	// Build the record arguments before taking the gate mutex: the writer
+	// lock already makes them consistent, and readers pinning a view must
+	// not wait for the formatting.
 	var a []string
 	if db.rec != nil {
 		a = args()
@@ -566,7 +523,8 @@ func (db *DB) beginMut(op string, linkID int64, args func() []string) int64 {
 		// so a recovered or follower database keys its versions by the
 		// primary's numbering and its view headers match the primary's
 		// byte for byte (the local clock is only floored after the apply).
-		// A Recorder, if attached, still sees the re-emission.
+		// No journal path replays with a Recorder attached; one that is
+		// still sees the record, its returned LSN unused.
 		s = r
 		if rs := db.replaySeq.Load(); rs > seq {
 			seq = rs
@@ -583,17 +541,17 @@ func (db *DB) beginMut(op string, linkID int64, args func() []string) int64 {
 		m.epoch.Store(s)
 	}
 	m.metaPushLocked(metaVer{lsn: s, seq: seq, linkMax: linkID})
-	m.beginLocked(s)
+	m.inflight = s
 	m.mu.Unlock()
 	return s
 }
 
-// endMut retires a mutation's stamp after its versions are installed and
+// endMut retires the in-flight stamp after its versions are installed and
 // occasionally kicks the amortized reclaim pass.
-func (db *DB) endMut(s int64) {
+func (db *DB) endMut() {
 	m := &db.mvcc
 	m.mu.Lock()
-	m.doneLocked(s)
+	m.inflight = 0
 	if m.doneCh != nil {
 		close(m.doneCh)
 		m.doneCh = nil
@@ -636,7 +594,6 @@ func (db *DB) rebaseLocked(s int64) {
 	m := &db.mvcc
 	m.epoch.Store(s)
 	m.horizon.Store(s)
-	m.inflight = m.inflight[:0]
 	m.meta = append(m.meta[:0], metaVer{
 		lsn: s, seq: db.seq.Load(),
 		linkMax: db.nextLink.Load(), linkCum: db.nextLink.Load(),
@@ -692,7 +649,7 @@ func (db *DB) reclaimPass() {
 // epoch when nothing is pinned — and advances the horizon to the floor.
 // It runs automatically every reclaimEvery stamps; exported for tests and
 // for operators forcing a trim.  Readers are never blocked; writers wait
-// at most one shard's trim.
+// at most one partition's trim.
 func (db *DB) ReclaimVersions() {
 	m := &db.mvcc
 	m.mu.Lock()
@@ -712,24 +669,23 @@ func (db *DB) ReclaimVersions() {
 	}
 	m.mu.Unlock()
 
-	for i, sh := range db.shards {
-		sh.mu.Lock()
-		h := db.store.Load().shards[i]
+	// One partition — a shard and the stripe of its index — at a time, the
+	// store reloaded each time: RestoreFrom may have replaced it.
+	for i := range db.mask + 1 {
+		db.mu.Lock()
+		st := db.store.Load()
+		h := st.shards[i]
 		h.oids.trim(floor)
 		h.chains.trim(floor)
 		h.adj.trim(floor)
-		sh.mu.Unlock()
+		st.stripes[i].links.trim(floor)
+		db.mu.Unlock()
 	}
-	for i := range db.stripes {
-		db.stripes[i].Lock()
-		db.store.Load().stripes[i].links.trim(floor)
-		db.stripes[i].Unlock()
-	}
-	db.ctl.Lock()
+	db.mu.Lock()
 	h := db.store.Load().ctl
 	h.configs.trim(floor)
 	h.workspaces.trim(floor)
-	db.ctl.Unlock()
+	db.mu.Unlock()
 }
 
 // VersionHorizon returns the oldest stamp a view may still pin.

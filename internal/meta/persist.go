@@ -238,15 +238,15 @@ func (doc *dbJSON) snapshot(attrs *attrTable) (*snapshot, error) {
 // lsn (a loaded snapshot is stamped at its newest term start at most), and
 // must not be used afterwards: db adopts its containers.
 func (db *DB) RestoreFrom(src *DB, lsn int64) error {
-	if len(db.shards) != len(src.shards) || len(db.stripes) != len(src.stripes) {
+	if db.mask != src.mask {
 		return fmt.Errorf("meta: restore: shard count mismatch (%d vs %d)",
-			len(db.shards), len(src.shards))
+			db.mask+1, src.mask+1)
 	}
 	if e := src.mvcc.epoch.Load(); e > lsn {
 		return fmt.Errorf("meta: restore: source is at stamp %d, beyond lsn %d", e, lsn)
 	}
-	db.ctl.Lock()
-	db.lockAll()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.seq.Store(src.seq.Load())
 	db.nextLink.Store(src.nextLink.Load())
 	// Adopt the source's term history wholesale: a bootstrap snapshot from
@@ -261,8 +261,6 @@ func (db *DB) RestoreFrom(src *DB, lsn int64) error {
 	db.store.Store(src.store.Load())
 	db.rebaseLocked(lsn)
 	db.mvcc.mu.Unlock()
-	db.unlockAll()
-	db.ctl.Unlock()
 	floor(&db.appliedLSN, lsn)
 	return nil
 }

@@ -18,17 +18,15 @@ import (
 // # Emission ordering
 //
 // A database with a Recorder attached (SetRecorder) emits each record
-// while still holding the locks that serialize the mutation it describes.
-// Two mutations of the same object are therefore journaled in the order
-// they were applied, and a mutation that observes another (a link creation
-// that found its endpoint OID) is journaled after the record it depends
-// on.  Mutations of unrelated objects may interleave in any order in the
-// journal — they commute under replay.
+// while still holding mu, the writer lock that serializes every mutation:
+// the journal order is the order the mutations were applied, so a mutation
+// that observes another (a link creation that found its endpoint OID) is
+// journaled after the record it depends on.
 //
-// The Recorder is called with the emitting shard/stripe/control locks
-// held: implementations must not call back into the DB and should only
-// buffer (the journal writer appends to an in-memory buffer and performs
-// file I/O later, at an explicit commit point).
+// The Recorder is called with mu held: implementations must not call back
+// into the DB and should only buffer (the journal writer appends to an
+// in-memory buffer and performs file I/O later, at an explicit commit
+// point).
 
 // Record ops.  The argument layout of each op is documented on
 // ApplyRecord, which is the authoritative decoder.
@@ -266,10 +264,10 @@ func floor(a *atomic.Int64, v int64) {
 // as an error rather than papered over — journal corruption should fail
 // recovery loudly, not produce a silently wrong project.
 //
-// A database being replayed into normally has no Recorder attached (the
-// journal attaches it after recovery); with one attached, applied records
-// are re-emitted like any other mutation, which is the desired behavior
-// for a follower mirroring a leader's stream.
+// A database being replayed into has no Recorder attached: recovery
+// attaches it afterwards, and a follower appends the primary's frames
+// through its journal's ApplyAppend instead.  With one attached, applied
+// records are re-emitted like any other mutation, under their own LSNs.
 //
 // Calls must be serialized (recovery is single-threaded; a follower's
 // ApplyAppend holds its apply mutex): the record's LSN is carried to the
@@ -503,16 +501,16 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	sh, h := db.lockShard(k.Block)
-	defer sh.mu.Unlock()
+	h := db.lockShard(k.Block)
+	defer db.mu.Unlock()
 	return db.insertOIDLocked(h, k, seq)
 }
 
 // insertOIDLocked is the one place a new OID enters the database: its
-// first version, the chain's next and the journal record, under the lock of
-// h's shard.  The version must be greater than the newest in the chain;
-// gaps are legal because a loaded document or checkpoint may carry a chain
-// whose old versions an older build pruned.
+// first version, the chain's next and the journal record, under mu.  The
+// version must be greater than the newest in the chain; gaps are legal
+// because a loaded document or checkpoint may carry a chain whose old
+// versions an older build pruned.
 func (db *DB) insertOIDLocked(h *shardHist, k Key, seq int64) error {
 	if _, ok := h.oids.at(k, newest); ok {
 		return fmt.Errorf("oid %v: %w", k, ErrExists)
@@ -528,47 +526,40 @@ func (db *DB) insertOIDLocked(h *shardHist, k Key, seq int64) error {
 	})
 	h.oids.push(k, s, oidVal{seq: seq}, false)
 	h.chains.push(bv, s, with(chain, k.Version), false)
-	db.endMut(s)
+	db.endMut()
 	return nil
 }
 
-// lockLinkEnds validates a link and locks its endpoints' shards, both of
-// which must hold their OID; on error nothing stays locked.
-func (db *DB) lockLinkEnds(l *Link) (sf, st *dbShard, err error) {
+// checkLinkLocked validates a link and checks that both its ends hold their
+// OID.  The caller holds mu.
+func (db *DB) checkLinkLocked(l *Link) error {
 	if err := l.validate(); err != nil {
-		return nil, nil, err
+		return err
 	}
-	sf, st = db.lockPair(l.From, l.To)
 	if !db.head.HasOID(l.From) {
-		err = fmt.Errorf("link from %v: %w", l.From, ErrNotFound)
-	} else if !db.head.HasOID(l.To) {
-		err = fmt.Errorf("link to %v: %w", l.To, ErrNotFound)
+		return fmt.Errorf("link from %v: %w", l.From, ErrNotFound)
 	}
-	if err != nil {
-		unlockPair(sf, st)
-		return nil, nil, err
+	if !db.head.HasOID(l.To) {
+		return fmt.Errorf("link to %v: %w", l.To, ErrNotFound)
 	}
-	return sf, st, nil
+	return nil
 }
 
 // insertLinkObject installs a fully described link — the replay form of
 // AddLink, which must keep the recorded id and seq instead of allocating.
 func (db *DB) insertLinkObject(l *Link) error {
-	sf, st, err := db.lockLinkEnds(l)
-	if err != nil {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.checkLinkLocked(l); err != nil {
 		return err
 	}
-	defer unlockPair(sf, st)
 	return db.installLinkLocked(l)
 }
 
 // installLinkLocked is the one place a new link enters the database: the
-// link table, both ends' postings and the journal record, under the
-// endpoint shard locks lockLinkEnds took.
+// link table, both ends' postings and the journal record, under mu, after
+// checkLinkLocked.
 func (db *DB) installLinkLocked(l *Link) error {
-	stripe := db.stripeOf(l.ID)
-	stripe.Lock()
-	defer stripe.Unlock()
 	links := &db.head.stripe(l.ID).links
 	if _, ok := links.at(l.ID, newest); ok {
 		return fmt.Errorf("link %d: %w", l.ID, ErrExists)
@@ -579,7 +570,7 @@ func (db *DB) installLinkLocked(l *Link) error {
 	links.push(l.ID, s, l, false)
 	fh.post(true, l.From, s, with(fh.links(l.From, newest).out, l))
 	th.post(false, l.To, s, with(th.links(l.To, newest).in, l))
-	db.endMut(s)
+	db.endMut()
 	return nil
 }
 
@@ -590,14 +581,14 @@ func (db *DB) installConfig(c *Configuration) error {
 	if err := ValidateName(c.Name); err != nil {
 		return fmt.Errorf("configuration: %w", err)
 	}
-	db.ctl.Lock()
-	defer db.ctl.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	h := db.store.Load().ctl
 	if _, ok := h.configs.at(c.Name, newest); ok {
 		return fmt.Errorf("configuration %q: %w", c.Name, ErrExists)
 	}
 	s := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
 	h.configs.push(c.Name, s, c, false)
-	db.endMut(s)
+	db.endMut()
 	return nil
 }

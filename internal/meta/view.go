@@ -39,17 +39,17 @@ type View struct {
 func (db *DB) Head() *View { return &db.head }
 
 // ReadView pins a view at the current epoch — the newest assigned
-// mutation stamp — waiting (briefly) for any older mutation still
-// installing its versions, so a write that committed before the call is
-// always visible (read-your-writes).  The wait is only ever for mutations
-// already past their journal append (installs run in microseconds); it
-// never blocks on writer lock acquisition and never blocks writers.
+// mutation stamp — waiting (briefly) for the mutation still installing its
+// versions, so a write that committed before the call is always visible
+// (read-your-writes).  The wait is only ever for a mutation already past
+// its journal append (installs run in microseconds); it never waits for
+// the writer lock and never blocks writers.
 func (db *DB) ReadView() *View {
 	m := &db.mvcc
 	m.mu.Lock()
 	for {
 		e := m.epoch.Load()
-		for len(m.inflight) > 0 && m.inflight[0].s <= e {
+		for 0 < m.inflight && m.inflight <= e {
 			if m.doneCh == nil {
 				m.doneCh = make(chan struct{})
 			}
@@ -71,7 +71,7 @@ func (db *DB) ReadView() *View {
 
 // ReadViewAt pins a view at exactly lsn: it contains the effect of every
 // mutation stamped at or below lsn and nothing newer.  It waits (briefly)
-// for in-flight mutations at or below lsn to finish installing, and
+// for an in-flight mutation at or below lsn to finish installing, and
 // returns ErrViewReclaimed when lsn predates the retained horizon.  The
 // caller must not pass an lsn beyond the journal's assigned positions —
 // the read-your-LSN paths check the journal (or the replica's applied
@@ -85,7 +85,7 @@ func (db *DB) ReadViewAt(lsn int64) (*View, error) {
 			m.mu.Unlock()
 			return nil, fmt.Errorf("%w: lsn %d < horizon %d", ErrViewReclaimed, lsn, h)
 		}
-		if len(m.inflight) == 0 || m.inflight[0].s > lsn {
+		if !(0 < m.inflight && m.inflight <= lsn) {
 			v := db.pinLocked(lsn)
 			m.mu.Unlock()
 			return v, nil
@@ -143,7 +143,7 @@ func (v *View) store() *store {
 }
 
 func (v *View) shard(block string) *shardHist { return v.store().shards[v.db.shardIndex(block)] }
-func (v *View) stripe(id LinkID) *stripeHist  { return v.store().stripes[uint32(id)&v.db.lmask] }
+func (v *View) stripe(id LinkID) *stripeHist  { return v.store().stripes[uint32(id)&v.db.mask] }
 
 // ---------------------------------------------------------------------------
 // OIDs and version chains

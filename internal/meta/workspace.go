@@ -46,8 +46,8 @@ func (db *DB) AddWorkspace(name, root string) error {
 	if err := ValidateName(name); err != nil {
 		return fmt.Errorf("workspace: %w", err)
 	}
-	db.ctl.Lock()
-	defer db.ctl.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	h := db.store.Load().ctl
 	if _, ok := h.workspaces.at(name, newest); ok {
 		return fmt.Errorf("workspace %q: %w", name, ErrExists)
@@ -55,19 +55,14 @@ func (db *DB) AddWorkspace(name, root string) error {
 	w := &Workspace{Name: name, Root: root, paths: make(map[Key]string)}
 	s := db.beginMut(OpWorkspace, 0, func() []string { return []string{name, root} })
 	h.workspaces.push(name, s, w, false)
-	db.endMut(s)
+	db.endMut()
 	return nil
 }
 
 // BindPath records where an OID's design data lives inside a workspace.
 func (db *DB) BindPath(workspace string, k Key, path string) error {
-	db.ctl.Lock()
-	defer db.ctl.Unlock()
-	// k's shard lock is held from the check through the push (ctl orders
-	// before the shard locks), so the bind is journaled while the OID it
-	// names is as the check found it.
-	sh, kh := db.lockShard(k.Block)
-	defer sh.mu.Unlock()
+	kh := db.lockShard(k.Block)
+	defer db.mu.Unlock()
 	h := db.store.Load().ctl
 	w, ok := h.workspaces.at(workspace, newest)
 	if !ok {
@@ -82,6 +77,6 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 		return []string{workspace, k.String(), path}
 	})
 	h.workspaces.push(workspace, s, w, false)
-	db.endMut(s)
+	db.endMut()
 	return nil
 }

@@ -559,7 +559,7 @@ func (s *Server) reportGate(req wire.Request) (*meta.View, wire.Response) {
 // "all" (every link), or "type:t1,t2,..." (use links plus derive links of
 // the named types); reach defaults to use, deps to all, matching the DB
 // methods.  The walk runs on the pinned view through the versioned
-// reachability index and takes zero shard locks.
+// reachability index and takes no lock.
 func (s *Server) handleQuery(req wire.Request) wire.Response {
 	if len(req.Args) < 2 {
 		return errf("QUERY wants <lsn> <reach|deps|equiv|resolve> <args...>")
