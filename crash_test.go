@@ -190,7 +190,7 @@ func TestDamoclesRefusesOlderDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, err := meta.LoadShards(bytes.NewReader(doc), meta.DefaultShards)
+	saved, err := meta.LoadDocument(bytes.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}

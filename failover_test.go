@@ -55,7 +55,7 @@ func dbText(t testing.TB, db *meta.DB) []byte {
 // database's dbText plus the last LSN.
 func replayText(t *testing.T, dir string) ([]byte, int64) {
 	t.Helper()
-	db, lsn, err := journal.Replay(dir, meta.DefaultShards)
+	db, lsn, err := journal.Replay(dir, 0)
 	if err != nil {
 		t.Fatalf("replay %s: %v", dir, err)
 	}
@@ -76,7 +76,7 @@ func checkpointRoundTrip(t *testing.T, db *meta.DB) *meta.DB {
 	v.Close()
 	var db2 *meta.DB
 	if err == nil {
-		db2, err = meta.LoadCheckpoint(meta.DefaultShards, func(add func(meta.Record) error) error {
+		db2, err = meta.LoadCheckpoint(func(add func(meta.Record) error) error {
 			for _, r := range records {
 				if err := add(r); err != nil {
 					return err
@@ -540,7 +540,7 @@ func TestPromoteSIGKILLSweep(t *testing.T) {
 			}
 			fol.cmd.Wait()
 
-			db, flsn, err := journal.Replay(fdir, meta.DefaultShards)
+			db, flsn, err := journal.Replay(fdir, 0)
 			if err != nil {
 				t.Fatalf("post-kill replay: %v", err)
 			}

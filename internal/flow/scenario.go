@@ -23,7 +23,7 @@ type ScenarioResult struct {
 	FirstSim, SecondSim string
 
 	// StaleAfterChange lists the OIDs whose uptodate property is "false"
-	// after the version-3 check-in.
+	// after the version-3 check-in, in key order.
 	StaleAfterChange []meta.Key
 }
 
@@ -99,12 +99,11 @@ func RunEDTCScenario(sess *wrapper.Session) (*ScenarioResult, error) {
 
 	v := eng.DB().ReadView()
 	defer v.Close()
-	v.EachOID(func(o *meta.OID) bool {
-		if v, _ := o.Props.Get("uptodate"); v == "false" {
-			res.StaleAfterChange = append(res.StaleAfterChange, o.Key)
+	for _, k := range v.Keys() {
+		if up, _, _ := v.GetProp(k, "uptodate"); up == "false" {
+			res.StaleAfterChange = append(res.StaleAfterChange, k)
 		}
-		return true
-	})
+	}
 	return res, nil
 }
 

@@ -243,14 +243,14 @@ workspace 11 ws /proj/data cpu,schematic,1 cpu/sch/1 cpu,schematic,3 cpu/sch/3 c
 clock 11 4
 `
 
-// v1Text is v1Want, once LoadShards has read testdata/v1journal.save to it.
+// v1Text is v1Want, once LoadDocument has read testdata/v1journal.save to it.
 func v1Text(t *testing.T) []byte {
 	t.Helper()
 	doc, err := os.ReadFile("testdata/v1journal.save")
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := meta.LoadShards(bytes.NewReader(doc), meta.DefaultShards)
+	db, err := meta.LoadDocument(bytes.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestSnapshotRepinsPastReclaimedLSN(t *testing.T) {
 
 // TestAuditGraphIndexOnJournaledDB: the graph-index audit a policy reload
 // runs must not call the nil argument builder of a record it has no
-// business writing (the panic left every shard lock taken and wedged the
+// business writing (the panic left the writer lock taken and wedged the
 // node), and must not journal anything.
 func TestAuditGraphIndexOnJournaledDB(t *testing.T) {
 	dir := t.TempDir()
@@ -122,7 +122,7 @@ func TestAuditGraphIndexOnJournaledDB(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("a write after the audit hangs: shard locks were left taken")
+		t.Fatal("a write after the audit hangs: the writer lock was left taken")
 	}
 	want := journal.DBText(t, db)
 	if err := w.Close(); err != nil {

@@ -96,7 +96,7 @@ func requireRecovers(t *testing.T, desc, dir, shadow string, acked int64) {
 		t.Errorf("%s: acknowledged lsn %d lost — recovered only to %d", desc, acked, lsn)
 		return
 	}
-	want, wlsn, err := journal.ReplayUpTo(shadow, 0, lsn)
+	want, wlsn, err := journal.ReplayUpTo(shadow, lsn)
 	if err != nil {
 		t.Fatalf("%s: shadow replay to lsn %d: %v", desc, lsn, err)
 	}
@@ -468,7 +468,7 @@ func TestCommitCoveredIssuesNoSync(t *testing.T) {
 // commits three records.
 func followerAt3(t *testing.T, dir string, vfs faultfs.FS) *journal.Writer {
 	t.Helper()
-	w, _, err := journal.OpenFollower(dir, journal.Options{Shards: 4, SnapshotEvery: -1, FS: vfs})
+	w, _, err := journal.OpenFollower(dir, journal.Options{SnapshotEvery: -1, FS: vfs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestBootstrapSnapshotFaultSweep(t *testing.T) {
 			w := followerAt3(t, dir, faultfs.New(faultfs.OS, plan))
 			desc := fmt.Sprintf("%s (bootstrap: %v)", plan.Faults[0], w.BootstrapSnapshot(50, doc))
 			w.Abort()
-			w, db, err := journal.OpenFollower(dir, journal.Options{Shards: 4, SnapshotEvery: -1})
+			w, db, err := journal.OpenFollower(dir, journal.Options{SnapshotEvery: -1})
 			if err != nil {
 				t.Errorf("%s: first restart: %v", desc, err)
 				continue
@@ -554,7 +554,7 @@ func TestBootstrapSnapshotFaultSweep(t *testing.T) {
 				t.Errorf("%s: commit: %v", desc, err)
 			}
 			w.Abort()
-			w, db, err = journal.OpenFollower(dir, journal.Options{Shards: 4, SnapshotEvery: -1})
+			w, db, err = journal.OpenFollower(dir, journal.Options{SnapshotEvery: -1})
 			if err != nil {
 				t.Errorf("%s: second restart: %v", desc, err)
 				continue

@@ -16,7 +16,7 @@
 //     frame per record of meta.View.Checkpoint.
 //
 // Version 1 of both — a header without a term, a JSON document (the one
-// meta.LoadShards reads) — only Upgrade reads; recovery refuses it.
+// meta.LoadDocument reads) — only Upgrade reads; recovery refuses it.
 //
 // Each record is framed as
 //
@@ -660,7 +660,7 @@ func (fw *frameWindow) frames(fn func(payload []byte) error) error {
 
 // readSnapshot loads the checkpoint of lsn from f — a snapshot file, or the
 // one a primary shipped — through fw and meta.LoadCheckpoint.
-func (fw *frameWindow) readSnapshot(f io.Reader, lsn int64, shards int) (*meta.DB, error) {
+func (fw *frameWindow) readSnapshot(f io.Reader, lsn int64) (*meta.DB, error) {
 	fw.reset(f, 0)
 	b, err := fw.peek(ckptHeaderLen)
 	if err != nil {
@@ -674,7 +674,7 @@ func (fw *frameWindow) readSnapshot(f io.Reader, lsn int64, shards int) (*meta.D
 		return nil, fmt.Errorf("checkpoint header names lsn %d", h.lsn)
 	}
 	fw.consume(ckptHeaderLen)
-	db, err := meta.LoadCheckpoint(shards, func(add func(meta.Record) error) error {
+	db, err := meta.LoadCheckpoint(func(add func(meta.Record) error) error {
 		return fw.frames(func(payload []byte) error {
 			// The record's strings are the window's bytes, where the next
 			// frame is read: LoadCheckpoint keeps none of them — it copies

@@ -34,8 +34,9 @@ type replayState struct {
 // no writer state is created.  It is the read-only inspection path (dquery
 // -journal) and is safe to run against the directory of a live server —
 // the result is simply the state as of the last committed record.
-func Replay(dir string, shards int) (*meta.DB, int64, error) {
-	return ReplayUpTo(dir, shards, math.MaxInt64)
+// Its second argument is ignored; it stays for the callers that pass one.
+func Replay(dir string, _ int) (*meta.DB, int64, error) {
+	return ReplayUpTo(dir, math.MaxInt64)
 }
 
 // ReplayUpTo is Replay bounded at a journal position: records with LSN
@@ -44,10 +45,10 @@ func Replay(dir string, shards int) (*meta.DB, int64, error) {
 // ReadViewAt(lsn) against.  The newest snapshot at or below upTo seeds
 // the replay; when every snapshot is newer, the history below upTo has
 // been compacted away and the call fails.
-func ReplayUpTo(dir string, shards int, upTo int64) (*meta.DB, int64, error) {
+func ReplayUpTo(dir string, upTo int64) (*meta.DB, int64, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
-		st, err := replayFS(faultfs.OS, dir, shards, false, upTo)
+		st, err := replayFS(faultfs.OS, dir, false, upTo)
 		if err == nil {
 			return st.db, st.lastLSN, nil
 		}
@@ -67,10 +68,7 @@ func ReplayUpTo(dir string, shards int, upTo int64) (*meta.DB, int64, error) {
 // beyond upTo are scanned (the continuity checks still run) but not
 // applied.  A file of an older format version fails it before any snapshot
 // or segment is changed: each is read before anything after it is.
-func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (replayState, error) {
-	if shards <= 0 {
-		shards = meta.DefaultShards
-	}
+func replayFS(vfs faultfs.FS, dir string, repair bool, upTo int64) (replayState, error) {
 	segs, snaps, temps, err := list(vfs, dir)
 	if err != nil {
 		return replayState{}, fmt.Errorf("journal: %w", err)
@@ -99,7 +97,7 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 		}
 	}
 	if snap < 0 {
-		st.db = meta.NewDBWithShards(shards)
+		st.db = meta.NewDB()
 	} else {
 		st.snapLSN = snaps[snap]
 		name := snapshotName(st.snapLSN)
@@ -107,7 +105,7 @@ func replayFS(vfs faultfs.FS, dir string, shards int, repair bool, upTo int64) (
 		if err != nil {
 			return replayState{}, fmt.Errorf("journal: %w", err)
 		}
-		db, err := st.win.readSnapshot(f, st.snapLSN, shards)
+		db, err := st.win.readSnapshot(f, st.snapLSN)
 		f.Close()
 		if err != nil {
 			return replayState{}, fmt.Errorf("journal: snapshot %s: %w", name, err)

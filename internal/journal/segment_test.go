@@ -150,7 +150,7 @@ func (c oneSegment) recoverWith(t testing.TB, replay segmentReplayer) recovery {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := st.win.readSnapshot(f, c.snapLSN, meta.DefaultShards)
+		db, err := st.win.readSnapshot(f, c.snapLSN)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)

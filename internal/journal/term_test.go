@@ -69,7 +69,7 @@ func TestTornSegHeaderPrefix(t *testing.T) {
 // term table survives snapshot+compaction round-trips.
 func TestPromoteBumpsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	w, db, err := OpenFollower(dir, Options{Shards: 4})
+	w, db, err := OpenFollower(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPromoteBumpsAndRecovers(t *testing.T) {
 	}
 
 	// Recovery must seed the term from the records on disk.
-	w2, db2, err := Open(dir, Options{Shards: 4})
+	w2, db2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPromoteBumpsAndRecovers(t *testing.T) {
 	}
 	// Tiny SegmentBytes: the first committed record forces a rotation, so
 	// a fresh segment stamped with the recovered term must appear.
-	w3, db3, err := Open(dir, Options{Shards: 4, SegmentBytes: 1})
+	w3, db3, err := Open(dir, Options{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPromoteBumpsAndRecovers(t *testing.T) {
 // TestValidateFollowPosition drives the divergent-tail fence table.
 func TestValidateFollowPosition(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenFollower(dir, Options{Shards: 4})
+	w, _, err := OpenFollower(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestValidateFollowPosition(t *testing.T) {
 // recovery loudly instead of replaying a franken-history.
 func TestHeaderTermRegressionRefused(t *testing.T) {
 	dir := t.TempDir()
-	w, db, err := OpenFollower(dir, Options{Shards: 4, SegmentBytes: 1})
+	w, db, err := OpenFollower(dir, Options{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

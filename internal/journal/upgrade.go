@@ -34,7 +34,7 @@ func Upgrade(dir string, opt Options) (converted []string, err error) {
 		path := filepath.Join(dir, name)
 		data, err := opt.FS.ReadFile(path)
 		if err == nil {
-			data, err = upgraded(name, data, opt.Shards)
+			data, err = upgraded(name, data)
 		}
 		var f faultfs.File
 		if err == nil && data != nil {
@@ -54,7 +54,7 @@ func Upgrade(dir string, opt Options) (converted []string, err error) {
 
 // upgraded returns data, the content of the file name, in this build's
 // format, and nil when it is not of an older one.
-func upgraded(name string, data []byte, shards int) ([]byte, error) {
+func upgraded(name string, data []byte) ([]byte, error) {
 	lsn, snapshot := parseSeqName(name, "snapshot-", ".json")
 	if _, _, err := parseSegHeader(data); !snapshot && errors.Is(err, errOldVersion) {
 		return append(encodeSegHeader(1), data[min(len(data), len("DJL1\n")):]...), nil
@@ -62,7 +62,7 @@ func upgraded(name string, data []byte, shards int) ([]byte, error) {
 	if _, err := parseCkptHeader(data); !snapshot || !errors.Is(err, errOldVersion) {
 		return nil, nil
 	}
-	db, err := meta.LoadShards(bytes.NewReader(data), shards)
+	db, err := meta.LoadDocument(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,6 @@ import (
 
 // Options tunes a journal Writer.  The zero value picks sensible defaults.
 type Options struct {
-	// Shards is the shard count of the recovered database; 0 means
-	// meta.DefaultShards.
-	Shards int
-
 	// SegmentBytes rotates the log to a fresh segment once the current one
 	// reaches this size; 0 means 4 MiB.
 	SegmentBytes int64
@@ -49,9 +45,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = meta.DefaultShards
-	}
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 4 << 20
 	}
@@ -182,7 +175,7 @@ func open(dir string, opt Options, follower bool) (*Writer, *meta.DB, error) {
 	if err := opt.FS.MkdirAll(dir, 0o777); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	st, err := replayFS(opt.FS, dir, opt.Shards, true, math.MaxInt64)
+	st, err := replayFS(opt.FS, dir, true, math.MaxInt64)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -691,7 +684,7 @@ func (w *Writer) BootstrapSnapshot(lsn int64, body []byte) error {
 	// Read the snapshot as recovery does before touching any file: a torn,
 	// corrupt or older-format one must leave the follower's state untouched.
 	var win frameWindow
-	restored, err := win.readSnapshot(bytes.NewReader(body), lsn, w.opt.Shards)
+	restored, err := win.readSnapshot(bytes.NewReader(body), lsn)
 	if err != nil {
 		return fmt.Errorf("journal: bootstrap snapshot: %w", err)
 	}
@@ -799,10 +792,9 @@ func (w *Writer) Abort() {
 // Snapshot writes a consistent whole-database snapshot and compacts the
 // log behind it.  The checkpoint is collected from a pinned MVCC read view
 // at the journal's newest assigned LSN — no database lock of any kind is
-// held for the collection, the encode or the file write, so checkins on
-// every shard proceed for the snapshot's whole duration — and that LSN
-// names the file, so recovery knows exactly which records the snapshot
-// covers.  It is streamed to a temporary file a buffer at a time, and the
+// held for the collection, the encode or the file write, so checkins
+// proceed for the snapshot's whole duration — and that LSN names the file,
+// so recovery knows exactly which records the snapshot covers.  It is streamed to a temporary file a buffer at a time, and the
 // file is fsynced and renamed, making snapshot installation atomic under
 // crashes: a write that fails part-way leaves nothing behind.
 func (w *Writer) Snapshot() error {

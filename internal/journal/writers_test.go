@@ -39,18 +39,17 @@ func (e errorOnly) Fatal(args ...any) { e.Error(args...) }
 // the live database's timeline: replaying it ends at the live checkpoint,
 // and a view pinned at each position a writer observed after an op, read
 // while the other writers go on, equals the journal replayed up to that
-// position.  The shard count never changes
-// results, so it runs at 1, 4 and 64 shards.
+// position.  The subtest shards=N runs the programs of seed N; the names
+// are those test lists carry.
 func TestJournalSharedBlockWriters(t *testing.T) {
-	for _, shards := range []int{1, 4, 64} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { sharedBlockWriters(t, shards) })
+	for _, seed := range []uint64{1, 4, 64} {
+		t.Run(fmt.Sprintf("shards=%d", seed), func(t *testing.T) { sharedBlockWriters(t, seed) })
 	}
 }
 
-func sharedBlockWriters(t *testing.T, shards int) {
+func sharedBlockWriters(t *testing.T, seed uint64) {
 	dir := t.TempDir()
 	w, db, err := journal.Open(dir, journal.Options{
-		Shards:        shards,
 		SegmentBytes:  1 << 12,
 		SnapshotEvery: -1,
 		FS:            keepHistory{faultfs.OS},
@@ -88,7 +87,7 @@ func sharedBlockWriters(t *testing.T, shards int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(g), uint64(shards)))
+			rng := rand.New(rand.NewPCG(uint64(g), seed))
 			type own struct {
 				id   meta.LinkID
 				from meta.Key
@@ -158,7 +157,7 @@ func sharedBlockWriters(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 
-	got, _, err := journal.Replay(dir, shards)
+	got, _, err := journal.Replay(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func sharedBlockWriters(t *testing.T, shards int) {
 		for _, c := range cuts {
 			want, ok := replays[c.lsn]
 			if !ok {
-				replayed, _, err := journal.ReplayUpTo(dir, shards, c.lsn)
+				replayed, _, err := journal.ReplayUpTo(dir, c.lsn)
 				if err != nil {
 					t.Fatalf("ReplayUpTo(%d): %v", c.lsn, err)
 				}

@@ -28,7 +28,7 @@ import (
 // The clock comes last, so that a checkpoint cut short at a record boundary
 // is not a smaller database.
 
-// snapshot is what a checkpoint and the JSON document LoadShards reads
+// snapshot is what a checkpoint and the JSON document LoadDocument reads
 // (persist.go) hold: the clocks, the term table and the objects.
 type snapshot struct {
 	seq, nextLink int64
@@ -39,63 +39,69 @@ type snapshot struct {
 	workspaces    []*Workspace
 }
 
-// snapshot collects the view, in canonical order.
-func (v *View) snapshot() *snapshot {
-	s := &snapshot{seq: v.seq, nextLink: v.nextLink, terms: v.db.termsUpTo(v.lsn)}
-	v.EachOID(func(o *OID) bool {
-		s.oids = append(s.oids, *o)
-		return true
-	})
-	v.EachLink(func(l *Link) bool {
-		s.links = append(s.links, l)
-		return true
-	})
-	v.eachConfiguration(func(c *Configuration) { s.configs = append(s.configs, c) })
-	v.eachWorkspace(func(ws *Workspace) { s.workspaces = append(s.workspaces, ws) })
-	slices.SortFunc(s.oids, func(a, b OID) int { return a.Key.Compare(b.Key) })
-	slices.SortFunc(s.links, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
-	slices.SortFunc(s.configs, func(a, b *Configuration) int { return strings.Compare(a.Name, b.Name) })
-	slices.SortFunc(s.workspaces, func(a, b *Workspace) int { return strings.Compare(a.Name, b.Name) })
-	return s
-}
-
 // Checkpoint hands emit the view's checkpoint a record at a time: its LSN,
 // Seq and op in head, and its arguments spelled, each after a space, into a
 // buffer reused from record to record — good until emit returns, whose first
 // error ends the checkpoint and is Checkpoint's.  No lock is taken; v must
 // be a pinned view.
+//
+// The OIDs are walked in canonical order, nothing collected: chain by chain
+// in key order (inOrder), each chain's ascending versions — every OID is the
+// version of its chain, so that is Key.Compare's order.  The links, configs
+// and workspaces are collected and sorted: a walk of link IDs up to the
+// next_link counter would cost what the counter says, which a loaded
+// document sets, not what the view holds.
 func (v *View) Checkpoint(emit func(head Record, args []byte) error) error {
-	s := v.snapshot()
+	st := v.store()
 	a := argWriter{spell: true, text: make([]byte, 0, 512), key: make([]byte, 0, 64)}
 	var err error
 	put := func(lsn int64, op string, args func()) {
 		if err == nil {
 			a.text = a.text[:0]
 			args()
-			err = emit(Record{LSN: lsn, Seq: s.seq, Op: op}, a.text)
+			err = emit(Record{LSN: lsn, Seq: v.seq, Op: op}, a.text)
 		}
 	}
-	for _, ts := range s.terms {
+	for _, ts := range v.db.termsUpTo(v.lsn) {
 		put(ts.LSN, OpTerm, func() { a.num(ts.Term) })
 	}
-	for i := range s.oids {
-		o := &s.oids[i]
-		put(v.lsn, OpOID, func() {
-			a.keyArg(o.Key)
-			a.num(o.Seq)
-			if o.Props.s != "" {
-				a.props(o.Props)
+	for _, c := range st.inOrder() {
+		chain := c.at(v.lsn)
+		if chain == nil || chain.del {
+			continue
+		}
+		for _, ver := range chain.val {
+			k := Key{Block: c.key.Block, View: c.key.View, Version: ver}
+			o, ok := st.oids.at(k, v.lsn)
+			if !ok {
+				continue
 			}
-		})
+			put(v.lsn, OpOID, func() {
+				a.keyArg(k)
+				a.num(o.seq)
+				if o.props.s != "" {
+					a.props(o.props)
+				}
+			})
+		}
 	}
-	for _, l := range s.links {
+	var links []*Link
+	v.EachLink(func(l *Link) bool { links = append(links, l); return true })
+	slices.SortFunc(links, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
+	for _, l := range links {
 		put(v.lsn, OpLink, func() { a.link(l) })
 	}
-	for _, c := range s.configs {
+	var configs []*Configuration
+	v.eachConfiguration(func(c *Configuration) { configs = append(configs, c) })
+	slices.SortFunc(configs, func(a, b *Configuration) int { return strings.Compare(a.Name, b.Name) })
+	for _, c := range configs {
 		put(v.lsn, OpConfig, func() { a.config(c) })
 	}
+	var workspaces []*Workspace
+	v.eachWorkspace(func(ws *Workspace) { workspaces = append(workspaces, ws) })
+	slices.SortFunc(workspaces, func(a, b *Workspace) int { return strings.Compare(a.Name, b.Name) })
 	var bound []Key
-	for _, ws := range s.workspaces {
+	for _, ws := range workspaces {
 		put(v.lsn, OpWorkspace, func() {
 			a.str(ws.Name)
 			a.str(ws.Root)
@@ -110,7 +116,7 @@ func (v *View) Checkpoint(emit func(head Record, args []byte) error) error {
 			}
 		})
 	}
-	put(v.lsn, opClock, func() { a.num(s.nextLink) })
+	put(v.lsn, opClock, func() { a.num(v.nextLink) })
 	return err
 }
 
@@ -122,7 +128,7 @@ func (v *View) Checkpoint(emit func(head Record, args []byte) error) error {
 // the clock's LSN, which AppliedLSN reports.  add keeps no string of a
 // record — an object's are copied out — so a record's may be the bytes of a
 // buffer the next one is read into.
-func LoadCheckpoint(shards int, records func(add func(Record) error) error) (*DB, error) {
+func LoadCheckpoint(records func(add func(Record) error) error) (*DB, error) {
 	var s snapshot
 	var ins *installer // made at the first record that is not a term's
 	lsn := int64(-1)   // the clock's, once it is read
@@ -134,7 +140,7 @@ func LoadCheckpoint(shards int, records func(add func(Record) error) error) (*DB
 		case r.Op == OpTerm && ins != nil:
 			err = errors.New("a term after the objects")
 		case r.Op != OpTerm && ins == nil:
-			ins, err = newInstaller(shards, s.terms)
+			ins, err = newInstaller(s.terms)
 		}
 		if err == nil {
 			err = s.record(r, ins)
@@ -292,8 +298,8 @@ type installer struct {
 	chain []int // the versions of prev's chain so far
 }
 
-func newInstaller(shards int, terms []TermStart) (*installer, error) {
-	ins := &installer{db: NewDBWithShards(shards)}
+func newInstaller(terms []TermStart) (*installer, error) {
+	ins := &installer{db: NewDB()}
 	if n := len(terms); n > 0 {
 		ins.stamp = terms[n-1].LSN
 	}
@@ -317,7 +323,7 @@ func (ins *installer) oid(o *OID) error {
 			ins.endChain()
 		}
 	}
-	ins.db.head.shard(o.Key.Block).oids.push(o.Key, ins.stamp, oidVal{seq: o.Seq, props: o.Props}, false)
+	ins.db.store.Load().oids.push(o.Key, ins.stamp, oidVal{seq: o.Seq, props: o.Props}, false)
 	ins.chain = append(ins.chain, o.Key.Version)
 	ins.prev = o.Key
 	return nil
@@ -326,7 +332,7 @@ func (ins *installer) oid(o *OID) error {
 // endChain pushes the chain of the OIDs entered since the last.
 func (ins *installer) endChain() {
 	if len(ins.chain) > 0 {
-		ins.db.head.shard(ins.prev.Block).chains.push(ins.prev.BV(), ins.stamp, slices.Clone(ins.chain), false)
+		ins.db.store.Load().chains.push(ins.prev.BV(), ins.stamp, slices.Clone(ins.chain), false)
 		ins.chain = ins.chain[:0]
 	}
 }
@@ -346,8 +352,13 @@ func (s *snapshot) install(ins *installer) (*DB, error) {
 // finish enters the rest of a snapshot whose OIDs are in.
 func (ins *installer) finish(s *snapshot) (*DB, error) {
 	ins.endChain()
-	db, stamp := ins.db, ins.stamp
+	db, st, stamp := ins.db, ins.db.store.Load(), ins.stamp
 	slices.SortFunc(s.links, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
+	// The link counter covers every link, as a replayed link floors it.
+	nextLink := s.nextLink
+	if n := len(s.links); n > 0 {
+		nextLink = max(nextLink, int64(s.links[n-1].ID))
+	}
 	for i, l := range s.links {
 		err := l.validate()
 		switch {
@@ -362,7 +373,7 @@ func (ins *installer) finish(s *snapshot) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("link %d: %w", l.ID, err)
 		}
-		db.head.stripe(l.ID).links.push(l.ID, stamp, l, false)
+		st.links.push(l.ID, stamp, l, false)
 	}
 	// The postings, one push each: a key's links are one run of the links
 	// sorted by From and one of the links sorted by To, and the stable sorts
@@ -392,23 +403,22 @@ func (ins *installer) finish(s *snapshot) (*DB, error) {
 		var p posting
 		p.out, from = cut(from, func(l *Link) Key { return l.From }, k)
 		p.in, to = cut(to, func(l *Link) Key { return l.To }, k)
-		db.head.shard(k.Block).put(k, stamp, p)
+		st.put(k, stamp, p)
 	}
-	ctl := db.store.Load().ctl
 	for _, c := range s.configs {
-		if _, ok := ctl.configs.at(c.Name, stamp); ok {
+		if _, ok := st.configs.at(c.Name, stamp); ok {
 			return nil, fmt.Errorf("duplicate configuration %q: %w", c.Name, ErrExists)
 		}
-		ctl.configs.push(c.Name, stamp, c, false)
+		st.configs.push(c.Name, stamp, c, false)
 	}
 	for _, ws := range s.workspaces {
-		if _, ok := ctl.workspaces.at(ws.Name, stamp); ok {
+		if _, ok := st.workspaces.at(ws.Name, stamp); ok {
 			return nil, fmt.Errorf("duplicate workspace %q: %w", ws.Name, ErrExists)
 		}
-		ctl.workspaces.push(ws.Name, stamp, ws, false)
+		st.workspaces.push(ws.Name, stamp, ws, false)
 	}
 	db.seq.Store(s.seq)
-	db.nextLink.Store(s.nextLink)
+	db.nextLink.Store(nextLink)
 	db.mvcc.mu.Lock()
 	db.rebaseLocked(stamp)
 	db.mvcc.mu.Unlock()

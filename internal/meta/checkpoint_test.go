@@ -37,10 +37,10 @@ func checkpointOf(t testing.TB, v *View) [][]byte {
 // into one buffer and decoded into a record whose strings are its bytes —
 // which are wiped once the record is entered, so that a string the load
 // kept without copying it shows in what it loaded.
-func loadPayloads(payloads [][]byte, shards int) (*DB, error) {
+func loadPayloads(payloads [][]byte) (*DB, error) {
 	var buf []byte
 	var fields []string
-	return LoadCheckpoint(shards, func(add func(Record) error) error {
+	return LoadCheckpoint(func(add func(Record) error) error {
 		for _, p := range payloads {
 			buf = append(buf[:0], p...)
 			var err error
@@ -199,46 +199,44 @@ func buildHostile(t testing.TB, db *DB, seed int64, strs []string) {
 }
 
 // TestQuickStreamingSnapshotEqualsOracle is the byte-identity property of
-// checkpoints: on random databases at 1, 4 and 64 shards a pinned view's
-// checkpoint loads to a database whose live reads are the source's —
+// checkpoints: on random databases a pinned view's checkpoint loads to a
+// database whose live reads are the source's —
 // oracleLive, which the checkpoint's encoder does not write — with every
 // adjacency list in ID order, and that, sealed at the view's LSN as
 // recovery seals it, writes the same checkpoint again.
 func TestQuickStreamingSnapshotEqualsOracle(t *testing.T) {
 	f := func(seed int64) bool {
-		for _, shards := range []int{1, 4, 64} {
-			db := NewDBWithShards(shards)
-			buildHostile(t, db, seed, hostile)
-			want := oracleLive(t, db)
-			v := db.ReadView()
-			payloads := checkpointOf(t, v)
-			v.Close()
-			got, err := loadPayloads(payloads, shards)
-			if err != nil {
-				t.Logf("seed %d shards %d: %v", seed, shards, err)
+		db := NewDB()
+		buildHostile(t, db, seed, hostile)
+		want := oracleLive(t, db)
+		v := db.ReadView()
+		payloads := checkpointOf(t, v)
+		v.Close()
+		got, err := loadPayloads(payloads)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if s := oracleLive(t, got); !bytes.Equal(s, want) {
+			t.Logf("seed %d: the loaded checkpoint reads differently:\n%s", seed, firstDiff(s, want))
+			return false
+		}
+		// A loaded database's postings are in ID order, whatever order
+		// the source's links came to their ends in.
+		byID := func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) }
+		for _, k := range got.Head().Keys() {
+			if p := got.Head().posting(k); !slices.IsSortedFunc(p.out, byID) || !slices.IsSortedFunc(p.in, byID) {
+				t.Logf("seed %d: adjacency lists out of ID order:\n%s", seed, adjacency(got))
 				return false
 			}
-			if s := oracleLive(t, got); !bytes.Equal(s, want) {
-				t.Logf("seed %d shards %d: the loaded checkpoint reads differently:\n%s", seed, shards, firstDiff(s, want))
-				return false
-			}
-			// A loaded database's postings are in ID order, whatever order
-			// the source's links came to their ends in.
-			byID := func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) }
-			for _, k := range got.Head().Keys() {
-				if p := got.Head().posting(k); !slices.IsSortedFunc(p.out, byID) || !slices.IsSortedFunc(p.in, byID) {
-					t.Logf("seed %d shards %d: adjacency lists out of ID order:\n%s", seed, shards, adjacency(got))
-					return false
-				}
-			}
-			got.SealVersions(0)
-			gv := got.ReadView()
-			again := checkpointOf(t, gv)
-			gv.Close()
-			if !slices.EqualFunc(again, payloads, bytes.Equal) {
-				t.Logf("seed %d shards %d: the loaded database writes another checkpoint", seed, shards)
-				return false
-			}
+		}
+		got.SealVersions(0)
+		gv := got.ReadView()
+		again := checkpointOf(t, gv)
+		gv.Close()
+		if !slices.EqualFunc(again, payloads, bytes.Equal) {
+			t.Logf("seed %d: the loaded database writes another checkpoint", seed)
+			return false
 		}
 		return true
 	}
@@ -281,7 +279,7 @@ func TestStreamingSnapshotPathOrder(t *testing.T) {
 	if i, j := bytes.Index(ws, []byte("cpu,schematic,2 ")), bytes.Index(ws, []byte("cpu,schematic,10 ")); i < 0 || j < i {
 		t.Errorf("workspace record %q: version 2 at byte %d, version 10 at byte %d", ws, i, j)
 	}
-	got, err := loadPayloads(payloads, DefaultShards)
+	got, err := loadPayloads(payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +337,7 @@ func FuzzSnapshotString(f *testing.F) {
 				t.Fatalf("record %q holds a raw line break", p)
 			}
 		}
-		got, err := loadPayloads(payloads, 1)
+		got, err := loadPayloads(payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +437,7 @@ func TestCheckpointRefuses(t *testing.T) {
 	v := db.ReadView()
 	intact := checkpointOf(t, v)
 	v.Close()
-	if _, err := loadPayloads(intact, DefaultShards); err != nil {
+	if _, err := loadPayloads(intact); err != nil {
 		t.Fatal(err)
 	}
 	n := len(intact)
@@ -459,11 +457,32 @@ func TestCheckpointRefuses(t *testing.T) {
 		"a term above the LSN":  edit(func(p [][]byte) [][]byte { p[0] = []byte("9999 " + string(p[0][2:])); return p }),
 		"a property tail short": edit(func(p [][]byte) [][]byte { p[1] = bytes.TrimSuffix(p[1], []byte(" true")); return p }),
 	} {
-		if _, err := loadPayloads(payloads, DefaultShards); err == nil {
+		if _, err := loadPayloads(payloads); err == nil {
 			t.Errorf("%s: loaded", name)
 		} else if !strings.HasPrefix(err.Error(), "meta: checkpoint") {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+	// A clock of any size is not refused, and the checkpoint of what it
+	// loads to is as long as the objects it holds: the checkpoint of the
+	// intact load but for its clock.
+	bigClock := func(p [][]byte) [][]byte {
+		p[len(p)-1] = append(bytes.TrimRight(slices.Clone(p[len(p)-1]), "0123456789"), "9223372036854775807"...)
+		return p
+	}
+	db2, err := loadPayloads(edit(bigClock))
+	if err != nil {
+		t.Fatalf("a clock of 2^63-1: %v", err)
+	}
+	back, err := loadPayloads(intact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, vBack := db2.ReadView(), back.ReadView()
+	defer v2.Close()
+	defer vBack.Close()
+	if got, want := checkpointOf(t, v2), bigClock(checkpointOf(t, vBack)); !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Errorf("a clock of 2^63-1 checkpoints to %d records ending %q, want %d ending %q", len(got), got[len(got)-1], len(want), want[len(want)-1])
 	}
 }
 
@@ -494,7 +513,7 @@ func TestStreamingLoadAllocatesWhatItKeeps(t *testing.T) {
 		size += len(p)
 	}
 	load := func() any {
-		db, err := loadPayloads(payloads, DefaultShards)
+		db, err := loadPayloads(payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,8 +541,8 @@ func BenchmarkLoad(b *testing.B) {
 		name string
 		load func() error
 	}{
-		{"checkpoint", func() error { _, err := loadPayloads(payloads, DefaultShards); return err }},
-		{"json", func() error { _, err := LoadShards(bytes.NewReader(doc), DefaultShards); return err }},
+		{"checkpoint", func() error { _, err := loadPayloads(payloads); return err }},
+		{"json", func() error { _, err := LoadDocument(bytes.NewReader(doc)); return err }},
 	} {
 		b.Run(format.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -160,7 +160,7 @@ func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
 		var pick Key
 		for _, ver := range chain {
 			k := Key{Block: bv.Block, View: bv.View, Version: ver}
-			if x, ok := v.shard(k.Block).oids.at(k, v.lsn); ok && x.seq <= seq {
+			if x, ok := v.store().oids.at(k, v.lsn); ok && x.seq <= seq {
 				pick = k
 			}
 		}
@@ -181,14 +181,13 @@ func (db *DB) SnapshotAsOf(name string, seq int64) (*Configuration, error) {
 
 // DeleteConfiguration removes a stored configuration.
 func (db *DB) DeleteConfiguration(name string) error {
-	db.mu.Lock()
+	st := db.lock()
 	defer db.mu.Unlock()
-	h := db.store.Load().ctl
-	if _, ok := h.configs.at(name, newest); !ok {
+	if _, ok := st.configs.at(name, newest); !ok {
 		return fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
 	s := db.beginMut(OpDelConfig, 0, func() []string { return []string{name} })
-	h.configs.push(name, s, nil, true)
+	st.configs.push(name, s, nil, true)
 	db.endMut()
 	return nil
 }

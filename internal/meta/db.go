@@ -24,13 +24,10 @@ import (
 // The database has one writer at a time, as the paper's engine delivers
 // one event at a time: every mutation holds mu from its first check through
 // its last push, so at most one stamp is ever in flight.  Readers take no
-// lock at all.  The store is partitioned for its readers and its reclaim
-// pass, not for writers: OIDs, version chains and the adjacency postings
-// live in shards keyed by the hash of the block name, link objects in
-// stripes keyed by LinkID, configurations and workspaces in one control
-// plane.  NewDBWithShards picks the partition count; it sizes the tables
-// and bounds how long a reclaim holds mu, and never changes results.  The
-// logical clock and the link-ID counter are atomics, read without mu.
+// lock at all.  The store is one table per kind of object — OIDs, version
+// chains, adjacency postings, links, configurations, workspaces — and a
+// reclaim pass holds mu for one table at a time.  The logical clock and the
+// link-ID counter are atomics, read without mu.
 //
 // All mutation goes through DB methods and every read through a View
 // (view.go), which takes no lock: Head for point reads, a pinned view
@@ -39,15 +36,13 @@ import (
 // the graph walks (graphview.go).
 type DB struct {
 	// mu serializes the writers: every mutation, RestoreFrom, the graph
-	// audit and each partition of a reclaim pass.  It is never held across
+	// audit and each table of a reclaim pass.  It is never held across
 	// I/O: the Recorder only buffers.
 	mu sync.Mutex
 
 	// upd is the property map UpdateOID hands its callback, reused under mu
 	// (scratch).
 	upd map[string]string
-
-	mask uint32 // partitions − 1: the store has mask+1 shards and stripes
 
 	seq      atomic.Int64
 	nextLink atomic.Int64
@@ -103,39 +98,20 @@ func (db *DB) scratch(props Props) map[string]string {
 	return db.upd
 }
 
-// DefaultShards is the partition count of NewDB.
-const DefaultShards = 16
-
-// NewDB returns an empty meta-database with DefaultShards shards.
-func NewDB() *DB { return NewDBWithShards(DefaultShards) }
-
-// NewDBWithShards returns an empty meta-database partitioned into n shards
-// and n link stripes (rounded up to a power of two, minimum 1).  The count
-// is a pure performance knob: every query and report returns identical
-// results for any n.
-func NewDBWithShards(n int) *DB {
-	if n < 1 {
-		n = 1
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	db := &DB{mask: uint32(pow - 1)}
+// NewDB returns an empty meta-database.
+func NewDB() *DB {
+	db := &DB{}
 	// The header history fills some reclaimEvery entries between two reclaim
 	// passes; reserving them once spares the doublings that would get there.
 	db.mvcc.meta = make([]metaVer, 0, reclaimEvery)
-	db.store.Store(newStore(pow, pow))
+	db.store.Store(&store{})
 	db.head.db, db.head.lsn = db, newest
 	db.head.closed.Store(true)
 	return db
 }
 
-// fnv1a is the FNV-1a hash.  Sharding is by the hash of the block name
-// alone: every view and version of a block — and therefore every version
-// chain of it, and every rule-posted event between its views — lands on one
-// shard.  That keeps the hash off the hot path short and makes a wave's
-// intra-block work single-shard.
+// fnv1a is the FNV-1a hash: of the names a table's key holds (hashKey) and
+// of the strings an interner keeps.
 func fnv1a[S string | []byte](s S) uint32 {
 	const prime32 = 16777619
 	h := uint32(2166136261)
@@ -145,12 +121,10 @@ func fnv1a[S string | []byte](s S) uint32 {
 	return h
 }
 
-func (db *DB) shardIndex(block string) uint32 { return fnv1a(block) & db.mask }
-
-// lockShard takes mu and returns block's shard.
-func (db *DB) lockShard(block string) *shardHist {
+// lock takes mu and returns the store a mutation writes.
+func (db *DB) lock() *store {
 	db.mu.Lock()
-	return db.head.shard(block)
+	return db.store.Load()
 }
 
 // tick advances and returns the logical clock.
@@ -175,13 +149,13 @@ func (db *DB) NewVersion(block, view string) (Key, error) {
 	if err := ValidateName(view); err != nil {
 		return Key{}, fmt.Errorf("view: %w", err)
 	}
-	h := db.lockShard(block)
+	st := db.lock()
 	defer db.mu.Unlock()
 	k := Key{Block: block, View: view, Version: 1}
-	if chain, ok := h.chains.at(k.BV(), newest); ok {
+	if chain, ok := st.chains.at(k.BV(), newest); ok {
 		k.Version = chain[len(chain)-1] + 1
 	}
-	if err := db.insertOIDLocked(h, k, db.tick()); err != nil {
+	if err := db.insertOIDLocked(st, k, db.tick()); err != nil {
 		return Key{}, err
 	}
 	return k, nil
@@ -211,9 +185,9 @@ func (db *DB) SetProp(k Key, name, value string) error {
 // difference journaled as one update.  An fn that changes nothing emits
 // nothing and allocates nothing.
 func (db *DB) UpdateOID(k Key, fn func(props map[string]string)) error {
-	h := db.lockShard(k.Block)
+	st := db.lock()
 	defer db.mu.Unlock()
-	x, err := h.oid(k, newest)
+	x, err := st.oid(k, newest)
 	if err != nil {
 		return err
 	}
@@ -227,7 +201,7 @@ func (db *DB) UpdateOID(k Key, fn func(props map[string]string)) error {
 	})
 	if !same || n != len(m) {
 		_, props := db.attrs.editMap(nil, m)
-		db.putProps(h, k, x, props)
+		db.putProps(st, k, x, props)
 	}
 	return nil
 }
@@ -236,9 +210,9 @@ func (db *DB) UpdateOID(k Key, fn func(props map[string]string)) error {
 // set and the names of dels deleted (attrTable.edit), unless that changes
 // nothing.
 func (db *DB) editProps(k Key, pairs, dels []string) error {
-	h := db.lockShard(k.Block)
+	st := db.lock()
 	defer db.mu.Unlock()
-	x, err := h.oid(k, newest)
+	x, err := st.oid(k, newest)
 	if err != nil {
 		return err
 	}
@@ -246,16 +220,16 @@ func (db *DB) editProps(k Key, pairs, dels []string) error {
 	if props == x.props {
 		return nil
 	}
-	db.putProps(h, k, x, props)
+	db.putProps(st, k, x, props)
 	return nil
 }
 
 // putProps publishes props as the next version of the OID k, whose newest
 // is x, journaled as the difference from x's properties (propArgs).  The
 // caller holds mu.
-func (db *DB) putProps(h *shardHist, k Key, x oidVal, props Props) {
+func (db *DB) putProps(st *store, k Key, x oidVal, props Props) {
 	s := db.beginMut(OpUpdate, 0, func() []string { return propArgs(k.String(), x.props, props) })
-	h.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
+	st.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
 	db.endMut()
 }
 
@@ -290,10 +264,9 @@ func (db *DB) AddLink(class LinkClass, from, to Key, template string, propagates
 // is created, move-mode links are shifted from the previous version to the
 // new one.  oldEnd must currently be an endpoint of the link.
 func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
-	db.mu.Lock()
+	st := db.lock()
 	defer db.mu.Unlock()
-	links := &db.head.stripe(id).links
-	l, ok := links.at(id, newest)
+	l, ok := st.links.at(id, newest)
 	if !ok {
 		return fmt.Errorf("link %d: %w", id, ErrNotFound)
 	}
@@ -312,19 +285,18 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 	if err := moved.validate(); err != nil {
 		return err
 	}
-	oh, nh, kh := db.head.shard(oldEnd.Block), db.head.shard(newEnd.Block), db.head.shard(kept.Block)
-	if _, ok := nh.oids.at(newEnd, newest); !ok {
+	if _, ok := st.oids.at(newEnd, newest); !ok {
 		return fmt.Errorf("retarget to %v: %w", newEnd, ErrNotFound)
 	}
 	s := db.beginMut(OpRetarget, 0, func() []string {
 		return []string{strconv.FormatInt(int64(id), 10), oldEnd.String(), newEnd.String()}
 	})
-	links.push(id, s, moved, false)
+	st.links.push(id, s, moved, false)
 	// Three postings change: the one the link left, the one it joined,
 	// and the unmoved end's (its member is the replacement object now).
-	oh.post(out, oldEnd, s, without(oh.links(oldEnd, newest).of(out), id))
-	nh.post(out, newEnd, s, with(nh.links(newEnd, newest).of(out), moved))
-	kh.post(!out, kept, s, replaced(kh.links(kept, newest).of(!out), moved))
+	st.post(out, oldEnd, s, without(st.posting(oldEnd, newest).of(out), id))
+	st.post(out, newEnd, s, with(st.posting(newEnd, newest).of(out), moved))
+	st.post(!out, kept, s, replaced(st.posting(kept, newest).of(!out), moved))
 	db.endMut()
 	return nil
 }

@@ -425,11 +425,11 @@ func TestKeysSorted(t *testing.T) {
 
 // TestStatsIsOneCut: an enumeration of a pinned view counts a database that
 // existed.  The writer only ever adds two OIDs and then a link between
-// them: at every instant 2*Links ≤ OIDs, and a count taken shard after
-// shard, stripes last — what Stats of the head is — does not see it that
-// way.
+// them: at every instant 2*Links ≤ OIDs, and a count taken table by
+// table, the links after the OIDs — what Stats of the head is — does not
+// see it that way.
 func TestStatsIsOneCut(t *testing.T) {
-	db := NewDBWithShards(4)
+	db := NewDB()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -181,60 +181,58 @@ func liveReadsEqualView(db *DB) error {
 }
 
 // TestQuickPlainViewEqualsReplay is view == replay-up-to-LSN on a database
-// that never saw a journal: after a random program on NewDBWithShards(n),
-// the view pinned at the stamp each step left behind saves to the bytes —
-// and walks to the fingerprint — of a fresh database that ran only the
-// steps up to there; and after every step the live reads are the reads of
+// that never saw a journal: after a random program on NewDB(), the view
+// pinned at the stamp each step left behind saves to the bytes — and walks
+// to the fingerprint — of a fresh database that ran only the steps up to
+// there; and after every step the live reads are the reads of
 // a view pinned then (liveReadsEqualView).
 func TestQuickPlainViewEqualsReplay(t *testing.T) {
-	for _, shards := range []int{1, 4, 64} {
-		f := func(seed int64) bool {
-			steps := mutationProgram(seed)
-			db := NewDBWithShards(shards)
-			stamps := make([]int64, len(steps))
-			for i, step := range steps {
-				step(db)
-				stamps[i] = db.mvcc.epoch.Load()
-				if err := liveReadsEqualView(db); err != nil {
-					t.Logf("shards=%d seed=%d: after step %d: %v", shards, seed, i, err)
-					return false
-				}
+	f := func(seed int64) bool {
+		steps := mutationProgram(seed)
+		db := NewDB()
+		stamps := make([]int64, len(steps))
+		for i, step := range steps {
+			step(db)
+			stamps[i] = db.mvcc.epoch.Load()
+			if err := liveReadsEqualView(db); err != nil {
+				t.Logf("seed=%d: after step %d: %v", seed, i, err)
+				return false
 			}
-			for i := range steps {
-				if i+1 < len(steps) && stamps[i+1] == stamps[i] {
-					continue // the next step failed: same stamp, compared there
-				}
-				replay := NewDBWithShards(shards)
-				for _, step := range steps[:i+1] {
-					step(replay)
-				}
-				v, err := db.ReadViewAt(stamps[i])
-				if err != nil {
-					t.Logf("shards=%d seed=%d: ReadViewAt(%d): %v", shards, seed, stamps[i], err)
-					return false
-				}
-				got, want := viewText(t, v), dbText(t, replay)
-				rv := replay.ReadView()
-				roots := replay.Head().Keys()
-				gotWalk, wantWalk := walkFingerprint(v, roots), walkFingerprint(rv, roots)
-				rv.Close()
-				v.Close()
-				if !bytes.Equal(got, want) {
-					t.Logf("shards=%d seed=%d: view at stamp %d (step %d) differs from the replay:\n%s",
-						shards, seed, stamps[i], i, firstDiff(got, want))
-					return false
-				}
-				if gotWalk != wantWalk {
-					t.Logf("shards=%d seed=%d: walks at stamp %d (step %d) differ from the replay:\nview:   %s\nreplay: %s",
-						shards, seed, stamps[i], i, gotWalk, wantWalk)
-					return false
-				}
+		}
+		for i := range steps {
+			if i+1 < len(steps) && stamps[i+1] == stamps[i] {
+				continue // the next step failed: same stamp, compared there
 			}
-			return true
+			replay := NewDB()
+			for _, step := range steps[:i+1] {
+				step(replay)
+			}
+			v, err := db.ReadViewAt(stamps[i])
+			if err != nil {
+				t.Logf("seed=%d: ReadViewAt(%d): %v", seed, stamps[i], err)
+				return false
+			}
+			got, want := viewText(t, v), dbText(t, replay)
+			rv := replay.ReadView()
+			roots := replay.Head().Keys()
+			gotWalk, wantWalk := walkFingerprint(v, roots), walkFingerprint(rv, roots)
+			rv.Close()
+			v.Close()
+			if !bytes.Equal(got, want) {
+				t.Logf("seed=%d: view at stamp %d (step %d) differs from the replay:\n%s",
+					seed, stamps[i], i, firstDiff(got, want))
+				return false
+			}
+			if gotWalk != wantWalk {
+				t.Logf("seed=%d: walks at stamp %d (step %d) differ from the replay:\nview:   %s\nreplay: %s",
+					seed, stamps[i], i, gotWalk, wantWalk)
+				return false
+			}
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-			t.Errorf("shards=%d: %v", shards, err)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -246,7 +244,7 @@ func TestQuickPlainViewEqualsReplay(t *testing.T) {
 // properties — the loaded versions are the database from the start.
 func TestQuickLoadSeals(t *testing.T) {
 	f := func(seed int64) bool {
-		src := NewDBWithShards(4)
+		src := NewDB()
 		for _, step := range mutationProgram(seed) {
 			step(src)
 		}
@@ -262,15 +260,13 @@ func TestQuickLoadSeals(t *testing.T) {
 		doc, want := docOf(t, src), oracleLive(t, src)
 		for _, l := range []struct {
 			from string
-			load func(shards int) (*DB, error)
+			load func() (*DB, error)
 		}{
-			{"checkpoint", func(shards int) (*DB, error) { return loadPayloads(payloads, shards) }},
-			{"document", func(shards int) (*DB, error) { return LoadShards(bytes.NewReader(doc), shards) }},
+			{"checkpoint", func() (*DB, error) { return loadPayloads(payloads) }},
+			{"document", func() (*DB, error) { return LoadDocument(bytes.NewReader(doc)) }},
 		} {
-			for _, shards := range []int{1, 4, 64} {
-				if !loadSeals(t, seed, l.from, shards, src, text, want, l.load) {
-					return false
-				}
+			if !loadSeals(t, seed, l.from, src, text, want, l.load) {
+				return false
 			}
 		}
 		return true
@@ -282,9 +278,9 @@ func TestQuickLoadSeals(t *testing.T) {
 
 // loadSeals is TestQuickLoadSeals for one load of src, whose checkpoint
 // text is text and whose live reads are want.
-func loadSeals(t *testing.T, seed int64, from string, shards int, src *DB, text, want []byte, load func(shards int) (*DB, error)) bool {
-	at := fmt.Sprintf("seed %d shards %d: %s", seed, shards, from)
-	db, err := load(shards)
+func loadSeals(t *testing.T, seed int64, from string, src *DB, text, want []byte, load func() (*DB, error)) bool {
+	at := fmt.Sprintf("seed %d: %s", seed, from)
+	db, err := load()
 	if err != nil {
 		t.Logf("%s: load: %v", at, err)
 		return false
@@ -357,7 +353,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{"seq":1} garbage`))
 	f.Add([]byte(`{"seq":1,"SEQ":7,"seq":5,"future":[{"a":[1.5e3,null,true]},"\ud83d\ude00\u00e9"]}`))
 	f.Add([]byte("{\"oids\":[{\"block\":\"\\ud83dx\xff\",\"view\":\"v\",\"version\":1,\"props\":{\"p\":null}}],\"links\":null}"))
-	f.Fuzz(func(t *testing.T, doc []byte) { loadFixedPoint(t, doc, DefaultShards) })
+	f.Fuzz(func(t *testing.T, doc []byte) { loadFixedPoint(t, doc) })
 }
 
 // BenchmarkNewDB is the price of construction: an empty database is its own
@@ -365,8 +361,8 @@ func FuzzLoad(f *testing.F) {
 func BenchmarkNewDB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if db := NewDB(); db.mask == 0 {
-			b.Fatal("no shards")
+		if db := NewDB(); db.store.Load() == nil {
+			b.Fatal("no store")
 		}
 	}
 }

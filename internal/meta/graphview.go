@@ -7,7 +7,7 @@ import (
 )
 
 // View-based graph walks.  Each walk resolves adjacency through the
-// versioned reachability index (shardHist.adj): one lock-free lookup
+// versioned reachability index (store.adj): one lock-free lookup
 // per visited key, so a closure query costs O(closure) index lookups —
 // never a whole-graph link scan, and never a lock.  The
 // results are byte-stable: re-running a walk on the same view always
@@ -151,21 +151,19 @@ func (v *View) Resolve(name string) (*ResolvedConfiguration, error) {
 // to journal and no stamp to spend, and under the writer lock no mutation
 // is installing, so no posting carries a newer stamp.
 func (db *DB) AuditGraphIndex() {
-	db.mu.Lock()
+	st := db.lock()
 	defer db.mu.Unlock()
 	s := db.mvcc.epoch.Load()
 	want := make(map[Key]posting)
-	for _, st := range db.store.Load().stripes {
-		st.links.each(newest, func(_ LinkID, l *Link) bool {
-			p := want[l.From]
-			p.out = append(p.out, l)
-			want[l.From] = p
-			p = want[l.To]
-			p.in = append(p.in, l)
-			want[l.To] = p
-			return true
-		})
-	}
+	st.links.each(newest, func(_ LinkID, l *Link) bool {
+		p := want[l.From]
+		p.out = append(p.out, l)
+		want[l.From] = p
+		p = want[l.To]
+		p.in = append(p.in, l)
+		want[l.To] = p
+		return true
+	})
 	byID := func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) }
 	same := func(have, want []*Link) bool {
 		have = slices.Clone(have)
@@ -174,22 +172,19 @@ func (db *DB) AuditGraphIndex() {
 		return slices.Equal(have, want)
 	}
 	for k, p := range want {
-		h := db.head.shard(k.Block)
-		have := h.links(k, newest)
+		have := st.posting(k, newest)
 		if !same(have.out, p.out) {
-			h.post(true, k, s, p.out)
+			st.post(true, k, s, p.out)
 		}
 		if !same(have.in, p.in) {
-			h.post(false, k, s, p.in)
+			st.post(false, k, s, p.in)
 		}
 	}
 	// A posting whose key no live link names must read empty.
-	for _, h := range db.store.Load().shards {
-		h.adj.each(newest, func(k Key, _ posting) bool {
-			if _, named := want[k]; !named {
-				h.adj.push(k, s, posting{}, true)
-			}
-			return true
-		})
-	}
+	st.adj.each(newest, func(k Key, _ posting) bool {
+		if _, named := want[k]; !named {
+			st.adj.push(k, s, posting{}, true)
+		}
+		return true
+	})
 }

@@ -116,13 +116,13 @@ func walkFingerprint(v *View, roots []Key) string {
 // and the head's out-postings match those of an untouched twin database
 // again afterwards.
 func TestGraphIndexAfterRebuild(t *testing.T) {
-	db := NewDBWithShards(4)
+	db := NewDB()
 	rng := rand.New(rand.NewSource(7))
 	keys, ok := graphProgram(db, rng)
 	if !ok {
 		t.Fatal("program failed")
 	}
-	twin := NewDBWithShards(4)
+	twin := NewDB()
 	if _, ok := graphProgram(twin, rand.New(rand.NewSource(7))); !ok {
 		t.Fatal("program failed")
 	}
@@ -150,10 +150,10 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 	if victim == (Key{}) {
 		t.Skip("program produced no linked key")
 	}
-	h := db.Head().shard(victim.Block)
-	lost := h.links(victim, newest)
+	st := db.store.Load()
+	lost := st.posting(victim, newest)
 	lost.out = nil
-	h.put(victim, db.mvcc.epoch.Load(), lost)
+	st.put(victim, db.mvcc.epoch.Load(), lost)
 	if n := len(db.Head().posting(victim).out); n != 0 {
 		t.Fatalf("live read sees %d links through the corrupted posting", n)
 	}
@@ -189,10 +189,10 @@ func TestGraphIndexAfterRebuild(t *testing.T) {
 // TestViewWalkRaceHammer runs 4 writers mutating the link graph against
 // concurrent graph queries that pin views, walk twice (byte-stability on
 // one view) and re-pin the same LSN (byte-stability across pins).  Run
-// with -race this is the zero-lock proof: a view walk that touched a
-// shard lock or shared mutable state would trip the detector.
+// with -race this is the zero-lock proof: a view walk that touched the
+// writer lock or shared mutable state would trip the detector.
 func TestViewWalkRaceHammer(t *testing.T) {
-	db := NewDBWithShards(8)
+	db := NewDB()
 	var pool []Key
 	for i := 0; i < 24; i++ {
 		k, err := db.NewVersion(fmt.Sprintf("blk%02d", i%8), "HDL_model")

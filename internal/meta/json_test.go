@@ -16,7 +16,7 @@ import (
 	"testing/quick"
 )
 
-// The JSON document's cold path: LoadShards is encoding/json and the
+// The JSON document's cold path: LoadDocument is encoding/json and the
 // loader, plus the four refusals of strict.  No build writes the document
 // any more; docOf writes it as the builds before checkpoints did, to
 // generate the documents these tests load.
@@ -25,21 +25,28 @@ import (
 func docOf(t testing.TB, db *DB) []byte {
 	t.Helper()
 	v := db.ReadView()
-	s := v.snapshot()
-	v.Close()
-	doc := dbJSON{Seq: s.seq, NextLink: s.nextLink, Terms: s.terms}
-	for _, o := range s.oids {
-		oj := oidJSON{Block: o.Key.Block, View: o.Key.View, Version: o.Key.Version, Seq: o.Seq}
-		oj.Props = o.Props.Map()
-		doc.OIDs = append(doc.OIDs, oj)
+	defer v.Close()
+	doc := dbJSON{Seq: v.seq, NextLink: v.nextLink, Terms: v.db.termsUpTo(v.lsn)}
+	for _, k := range v.Keys() {
+		o, err := v.GetOID(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.OIDs = append(doc.OIDs, oidJSON{Block: k.Block, View: k.View, Version: k.Version, Seq: o.Seq, Props: o.Props.Map()})
 	}
-	for _, l := range s.links {
-		lj := linkJSON{ID: int64(l.ID), Class: l.Class.String(), From: l.From.String(), To: l.To.String(),
-			Template: l.Template, Propagates: l.Propagates, Seq: l.Seq}
-		lj.Props = l.Props.Map()
-		doc.Links = append(doc.Links, lj)
+	for _, id := range v.LinkIDs() {
+		l, err := v.GetLink(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Links = append(doc.Links, linkJSON{ID: int64(l.ID), Class: l.Class.String(), From: l.From.String(), To: l.To.String(),
+			Template: l.Template, Propagates: l.Propagates, Props: l.Props.Map(), Seq: l.Seq})
 	}
-	for _, c := range s.configs {
+	for _, name := range v.ConfigurationNames() {
+		c, err := v.GetConfiguration(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cj := configJSON{Name: c.Name, Seq: c.Seq}
 		for _, k := range c.OIDs {
 			cj.OIDs = append(cj.OIDs, k.String())
@@ -49,7 +56,11 @@ func docOf(t testing.TB, db *DB) []byte {
 		}
 		doc.Configs = append(doc.Configs, cj)
 	}
-	for _, ws := range s.workspaces {
+	for _, name := range v.WorkspaceNames() {
+		ws, err := v.GetWorkspace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wj := workspaceJSON{Name: ws.Name, Root: ws.Root}
 		for k, p := range ws.paths {
 			if wj.Paths == nil {
@@ -122,7 +133,7 @@ func oracleLive(t testing.TB, db *DB) []byte {
 }
 
 // errClass is what a refused document was refused for: one of the package's
-// sentinels, the document's syntax, or something else LoadShards checks.
+// sentinels, the document's syntax, or something else LoadDocument checks.
 func errClass(err error) string {
 	for _, s := range []error{ErrExists, ErrNotFound, ErrBadKey, ErrBadName, ErrBadVersion, ErrBadLink} {
 		if errors.Is(err, s) {
@@ -150,12 +161,12 @@ func stricter(err error) bool {
 // loadFixedPoint loads doc and returns the database, nil when it is
 // refused; a database it loads to must read the same live as through a
 // view, and its document must load back to the same database.
-func loadFixedPoint(t testing.TB, doc []byte, shards int) *DB {
+func loadFixedPoint(t testing.TB, doc []byte) *DB {
 	t.Helper()
-	db, err := LoadShards(bytes.NewReader(doc), shards)
+	db, err := LoadDocument(bytes.NewReader(doc))
 	if err != nil {
 		if !stricter(err) && errClass(err) == "load" && !strings.HasPrefix(err.Error(), "meta: load:") {
-			t.Fatalf("refused for no reason LoadShards gives: %v", err)
+			t.Fatalf("refused for no reason LoadDocument gives: %v", err)
 		}
 		return nil
 	}
@@ -163,7 +174,7 @@ func loadFixedPoint(t testing.TB, doc []byte, shards int) *DB {
 		t.Fatalf("the live reads of the loaded database differ from its view: %v", err)
 	}
 	first := docOf(t, db)
-	again, err := LoadShards(bytes.NewReader(first), shards)
+	again, err := LoadDocument(bytes.NewReader(first))
 	if err != nil {
 		t.Fatalf("the document of a loaded database does not load: %v\n%s", err, clipDoc(first))
 	}
@@ -309,12 +320,11 @@ func damage(t testing.TB, doc []byte, rng *rand.Rand) ([]byte, string) {
 	return out, "one byte overwritten"
 }
 
-// TestQuickStreamingLoadEqualsOracle is LoadShards' property: on the
-// hostile databases of the checkpoint's test — at 1, 4 and 64 shards — the
-// document loads to a fixed point of LoadShards, whose checkpoint loads to
+// TestQuickStreamingLoadEqualsOracle is LoadDocument's property: on the
+// hostile databases of the checkpoint's test the document loads to a fixed point of LoadDocument, whose checkpoint loads to
 // the same database, and the same document respelled loads to the same
 // database too: the same checkpoint, the same adjacency; the document with
-// one defect is refused, or loads to a fixed point of LoadShards; and the
+// one defect is refused, or loads to a fixed point of LoadDocument; and the
 // document of a database built of validHostile loads to the source's live
 // reads (oracleLive).
 func TestQuickStreamingLoadEqualsOracle(t *testing.T) {
@@ -324,64 +334,62 @@ func TestQuickStreamingLoadEqualsOracle(t *testing.T) {
 	intact, loaded, refused := 0, 0, map[string]int{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		for _, shards := range []int{1, 4, 64} {
-			src := NewDBWithShards(shards)
-			buildHostile(t, src, seed, validHostile)
-			got, err := LoadShards(bytes.NewReader(docOf(t, src)), shards)
-			if err != nil {
-				t.Logf("seed %d shards %d: the document of a database of valid strings does not load: %v", seed, shards, err)
-				return false
-			}
-			if g, w := oracleLive(t, got), oracleLive(t, src); !bytes.Equal(g, w) {
-				t.Logf("seed %d shards %d: the document loads to live reads other than its source's:\n%s", seed, shards, firstDiff(g, w))
-				return false
-			}
+		src := NewDB()
+		buildHostile(t, src, seed, validHostile)
+		got, err := LoadDocument(bytes.NewReader(docOf(t, src)))
+		if err != nil {
+			t.Logf("seed %d: the document of a database of valid strings does not load: %v", seed, err)
+			return false
+		}
+		if g, w := oracleLive(t, got), oracleLive(t, src); !bytes.Equal(g, w) {
+			t.Logf("seed %d: the document loads to live reads other than its source's:\n%s", seed, firstDiff(g, w))
+			return false
+		}
 
-			db := NewDBWithShards(shards)
-			buildHostile(t, db, seed, hostile)
-			doc := docOf(t, db)
-			respelled := respell(t, doc, rng)
-			want := loadFixedPoint(t, doc, shards)
-			if want == nil {
-				if _, err := LoadShards(bytes.NewReader(respelled), shards); err == nil {
-					t.Fatalf("seed %d: the document respelled loads and the document does not:\n%s", seed, clipDoc(respelled))
-				}
-				continue
+		db := NewDB()
+		buildHostile(t, db, seed, hostile)
+		doc := docOf(t, db)
+		respelled := respell(t, doc, rng)
+		want := loadFixedPoint(t, doc)
+		if want == nil {
+			if _, err := LoadDocument(bytes.NewReader(respelled)); err == nil {
+				t.Fatalf("seed %d: the document respelled loads and the document does not:\n%s", seed, clipDoc(respelled))
 			}
-			v := want.ReadView()
-			payloads := checkpointOf(t, v)
-			v.Close()
-			for how, d := range map[string]func() (*DB, error){
-				"respelled":  func() (*DB, error) { return LoadShards(bytes.NewReader(respelled), shards) },
-				"checkpoint": func() (*DB, error) { return loadPayloads(payloads, shards) },
-			} {
-				got, err := d()
-				if err != nil {
-					t.Logf("seed %d shards %d: the document loads and %s does not: %v", seed, shards, how, err)
-					return false
-				}
-				if s, w := dbText(t, got), dbText(t, want); !bytes.Equal(s, w) {
-					t.Logf("seed %d shards %d: %s loads to another database:\n%s", seed, shards, how, firstDiff(s, w))
-					return false
-				}
-				if ga, wa := adjacency(got), adjacency(want); ga != wa {
-					t.Logf("seed %d shards %d: %s: adjacency lists differ:\n got %s\nwant %s", seed, shards, how, ga, wa)
-					return false
-				}
+			return true
+		}
+		v := want.ReadView()
+		payloads := checkpointOf(t, v)
+		v.Close()
+		for how, d := range map[string]func() (*DB, error){
+			"respelled":  func() (*DB, error) { return LoadDocument(bytes.NewReader(respelled)) },
+			"checkpoint": func() (*DB, error) { return loadPayloads(payloads) },
+		} {
+			got, err := d()
+			if err != nil {
+				t.Logf("seed %d: the document loads and %s does not: %v", seed, how, err)
+				return false
 			}
-			intact++
-			for _, base := range [][]byte{doc, respelled} {
-				damaged, what := damage(t, base, rng)
-				if loadFixedPoint(t, damaged, shards) != nil {
-					loaded++
-				} else {
-					refused[what]++
-				}
+			if s, w := dbText(t, got), dbText(t, want); !bytes.Equal(s, w) {
+				t.Logf("seed %d: %s loads to another database:\n%s", seed, how, firstDiff(s, w))
+				return false
+			}
+			if ga, wa := adjacency(got), adjacency(want); ga != wa {
+				t.Logf("seed %d: %s: adjacency lists differ:\n got %s\nwant %s", seed, how, ga, wa)
+				return false
+			}
+		}
+		intact++
+		for _, base := range [][]byte{doc, respelled} {
+			damaged, what := damage(t, base, rng)
+			if loadFixedPoint(t, damaged) != nil {
+				loaded++
+			} else {
+				refused[what]++
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 180}); err != nil {
 		t.Error(err)
 	}
 	t.Logf("%d documents loaded, respelled and checkpointed; damaged: %d loaded all the same, refused %v", intact, loaded, refused)
@@ -420,15 +428,13 @@ func legacyDocuments(t testing.TB) map[string][]byte {
 func TestStreamingLoadLegacyDocuments(t *testing.T) {
 	loaded := 0
 	for name, doc := range legacyDocuments(t) {
-		for _, shards := range []int{1, 16} {
-			if loadFixedPoint(t, doc, shards) != nil {
-				loaded++
-			} else {
-				t.Logf("%s: refused", name)
-			}
+		if loadFixedPoint(t, doc) != nil {
+			loaded++
+		} else {
+			t.Logf("%s: refused", name)
 		}
 	}
-	if loaded < 6 {
+	if loaded < 3 {
 		t.Errorf("only %d loads of legacy documents succeeded", loaded)
 	}
 }
@@ -450,7 +456,7 @@ func TestLoadRefusesWhatEncodingJSONLetThrough(t *testing.T) {
 		if err := json.NewDecoder(strings.NewReader(doc)).Decode(&alone); err != nil || alone.Seq != was {
 			t.Errorf("%s: encoding/json alone no longer lets this through: seq %d, %v", doc, alone.Seq, err)
 		}
-		if db, err := LoadShards(strings.NewReader(doc), DefaultShards); err == nil {
+		if db, err := LoadDocument(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: loaded, with seq %d", doc, db.Seq())
 		} else if !stricter(err) || errClass(err) != "decode" {
 			t.Errorf("%s: refused for another reason: %v", doc, err)
@@ -466,7 +472,7 @@ func TestLoadRefusesWhatEncodingJSONLetThrough(t *testing.T) {
 		`[]`:                  false,
 		``:                    false,
 	} {
-		_, err := LoadShards(strings.NewReader(doc), DefaultShards)
+		_, err := LoadDocument(strings.NewReader(doc))
 		if (err == nil) != ok {
 			t.Errorf("%q: err = %v, want loaded = %v", doc, err, ok)
 		}
@@ -482,13 +488,13 @@ func TestStreamingLoadNesting(t *testing.T) {
 		ok     bool
 	}{{maxDepth - 1, true}, {maxDepth, false}} {
 		doc := []byte(`{"future":` + strings.Repeat("[", tc.arrays) + strings.Repeat("]", tc.arrays) + `}`)
-		if loaded := loadFixedPoint(t, doc, 1) != nil; loaded != tc.ok {
+		if loaded := loadFixedPoint(t, doc) != nil; loaded != tc.ok {
 			t.Errorf("%d arrays deep: loaded = %v, want %v", tc.arrays, loaded, tc.ok)
 		}
 	}
 	mixed := []byte(`{"oids":[{"block":"a","view":"v","version":1,"x":` +
 		strings.Repeat(`{"k":[`, 2000) + `1.5e-3` + strings.Repeat(`]}`, 2000) + `}]}`)
-	if loadFixedPoint(t, mixed, 1) == nil {
+	if loadFixedPoint(t, mixed) == nil {
 		t.Error("objects and arrays nested 4,000 deep in an unknown member do not load")
 	}
 }
@@ -496,7 +502,7 @@ func TestStreamingLoadNesting(t *testing.T) {
 // TestStreamingLoadSpellings are documents no build wrote: escapes of every
 // kind, surrogates paired and lone, null in every position, numbers at the
 // ends of their range and beyond, keys ParseKey trims — each loaded to a
-// fixed point of LoadShards or refused.
+// fixed point of LoadDocument or refused.
 func TestStreamingLoadSpellings(t *testing.T) {
 	oid := func(block string) string { return `{"block":` + block + `,"view":"v","version":1}` }
 	docs := []string{
@@ -515,7 +521,8 @@ func TestStreamingLoadSpellings(t *testing.T) {
 		`{"oids":[` + oid(`"a"`) + `,` + oid(`"b"`) + `],"links":[{"id":1,"class":"use","to":"b,v,1"}]}`,
 		`{"oids":[` + oid(`"a"`) + `,` + oid(`"b"`) + `],"links":[null]}`,
 		`{"links":[{"id":2,"class":"use","from":"a,v,1","to":"b,v,1"}],"oids":[` + oid(`"b"`) + `,` + oid(`"a"`) + `]}`,
-		`{"seq":9223372036854775807,"next_link":-9223372036854775808}`, `{"seq":9223372036854775808}`, `{"seq":-9223372036854775809}`,
+		`{"seq":9223372036854775807,"next_link":-9223372036854775808}`, `{"next_link":9223372036854775807}`,
+		`{"oids":[` + oid(`"a"`) + `,` + oid(`"b"`) + `],"links":[{"id":9223372036854775807,"class":"use","from":"a,v,1","to":"b,v,1"}]}`, `{"seq":9223372036854775808}`, `{"seq":-9223372036854775809}`,
 		`{"seq":-0}`, `{"seq":01}`, `{"seq":1.0}`, `{"seq":1e2}`, `{"seq":-}`, `{"seq":"1"}`, `{"seq":1,}`, `{,"seq":1}`, `{"seq" 1}`, `{"seq":1`, `{"seq":tru}`,
 		`{"oids":[` + oid(`"a"`) + `,]}`, `{"oids":[` + oid(`"a"`) + ` ` + oid(`"b"`) + `]}`, `{"oids":{}}`, `{"oids":[[]]}`, `{"oids":[` + oid(`5`) + `]}`,
 		`{"x":[1,2.5,-3e+7,0.1E-2,true,false,null,"s",{"y":{}}],"y":{"":[]}}`, `{"x":[1 2]}`, `{"x":{"a" "b"}}`, `{"x":{"a":1,}}`, `{"x":[1,]}`, `{"x":-}`, `{"x":1.}`, `{"x":1e}`, `{"x":.5}`, `{"x":+1}`, `{"x":nul}`,
@@ -525,7 +532,7 @@ func TestStreamingLoadSpellings(t *testing.T) {
 	}
 	loaded := 0
 	for _, doc := range docs {
-		if loadFixedPoint(t, []byte(doc), 4) != nil {
+		if loadFixedPoint(t, []byte(doc)) != nil {
 			loaded++
 		}
 	}
@@ -536,16 +543,16 @@ func TestStreamingLoadSpellings(t *testing.T) {
 }
 
 // TestStreamingLoadReadError: an error of the reader is the error of
-// LoadShards.
+// LoadDocument.
 func TestStreamingLoadReadError(t *testing.T) {
 	doc := docOf(t, treeDB(t, 4))
 	for _, n := range []int{0, 10, len(doc) / 2, len(doc) - 1} {
 		r := io.MultiReader(bytes.NewReader(doc[:n]), iotest.ErrReader(errDiskGone))
-		if _, err := LoadShards(r, DefaultShards); !errors.Is(err, errDiskGone) {
+		if _, err := LoadDocument(r); !errors.Is(err, errDiskGone) {
 			t.Errorf("reader failing after %d bytes: err = %v", n, err)
 		}
 	}
-	if _, err := LoadShards(io.MultiReader(bytes.NewReader(doc), iotest.ErrReader(errDiskGone)), DefaultShards); !errors.Is(err, errDiskGone) {
+	if _, err := LoadDocument(io.MultiReader(bytes.NewReader(doc), iotest.ErrReader(errDiskGone))); !errors.Is(err, errDiskGone) {
 		t.Errorf("reader failing after the document: err = %v", err)
 	}
 }

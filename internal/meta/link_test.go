@@ -18,7 +18,7 @@ func sameAttrs(a, b *Link) bool {
 // storedLink is the link object the head holds, not a copy.
 func storedLink(t *testing.T, db *DB, id LinkID) *Link {
 	t.Helper()
-	l, ok := db.Head().stripe(id).links.at(id, newest)
+	l, ok := db.store.Load().links.at(id, newest)
 	if !ok {
 		t.Fatalf("link %d: not found", id)
 	}
@@ -110,12 +110,12 @@ func TestLinkAttributesShared(t *testing.T) {
 	// for byte, and what the reloaded databases keep is shared again.
 	v := db.ReadView()
 	want := viewText(t, v)
-	recovered, err := loadPayloads(checkpointOf(t, v), DefaultShards)
+	recovered, err := loadPayloads(checkpointOf(t, v))
 	v.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadShards(bytes.NewReader(docOf(t, db)), DefaultShards)
+	loaded, err := LoadDocument(bytes.NewReader(docOf(t, db)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +245,12 @@ func TestOIDPropertySetsShared(t *testing.T) {
 
 	want := dbText(t, db)
 	v := db.ReadView()
-	recovered, err := loadPayloads(checkpointOf(t, v), DefaultShards)
+	recovered, err := loadPayloads(checkpointOf(t, v))
 	v.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadShards(bytes.NewReader(docOf(t, db)), DefaultShards)
+	loaded, err := LoadDocument(bytes.NewReader(docOf(t, db)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ package meta
 // epoch when nothing is pinned — and deletes histories that are tombstone
 // at every retained stamp.  The floor becomes the new horizon: ReadViewAt
 // below it reports ErrViewReclaimed and callers fall back to a current
-// view.  Trimming takes the writer lock once per partition, briefly (a
+// view.  Trimming takes the writer lock once per table, briefly (a
 // writer-side cost); readers are never blocked.
 
 import (
@@ -158,7 +158,7 @@ type tableKey interface {
 
 // hashKey is a key's hash, compiled per kind: FNV-1a of its strings, its
 // numbers as they are, finished so that every bit reaches the top bits a
-// slot is picked by (a shard's keys share the low bits of their block's).
+// slot is picked by.
 func hashKey[K tableKey](key K) uint64 {
 	var h uint64
 	switch k := any(key).(type) {
@@ -300,74 +300,10 @@ type oidVal struct {
 	props Props
 }
 
-// store is every container of the database, behind DB.store.  RestoreFrom
-// (snapshot re-bootstrap) replaces it wholesale, so a pinned view captures
-// the pointer at pin time and stays consistent across a re-base; writers
-// load it under the writer lock.
-type store struct {
-	shards  []*shardHist
-	stripes []*stripeHist
-	ctl     *ctlHist
-	order   atomic.Pointer[chainOrder]
-}
-
-// chainOrder is every version chain of a store in key order, shared by
-// every view of the store: the one sorted scan sorts nothing.  gen is the
-// chain tables' summed generation read before the entries were collected,
-// so a chain added or dropped since makes it stale.
-type chainOrder struct {
-	gen    uint64
-	chains []orderedChain
-}
-
-// orderedChain is one chain's entry and the shard holding its OIDs.
-type orderedChain struct {
-	e *entry[BlockView, []int]
-	h *shardHist
-}
-
-// inOrder returns the store's chains in key order, rebuilding the order
-// first when a chain table has added or dropped an entry since it was
-// built.  A view can walk it whatever writers do meanwhile: every chain
-// live at a pinned stamp was installed before the pin, and an entry leaves
-// a table only when trim finds it dead below the horizon, so the order
-// holds every chain the view can see; one it cannot see resolves to nil.
-func (s *store) inOrder() []orderedChain {
-	var gen uint64
-	for _, h := range s.shards {
-		gen += h.chains.gen.Load()
-	}
-	if o := s.order.Load(); o != nil && o.gen == gen {
-		return o.chains
-	}
-	var chains []orderedChain
-	for _, h := range s.shards {
-		sl := h.chains.array()
-		for i := range sl {
-			if e := sl[i].Load(); e != nil {
-				chains = append(chains, orderedChain{e: e, h: h})
-			}
-		}
-	}
-	slices.SortFunc(chains, func(a, b orderedChain) int {
-		return cmp.Or(strings.Compare(a.e.key.Block, b.e.key.Block), strings.Compare(a.e.key.View, b.e.key.View))
-	})
-	s.order.Store(&chainOrder{gen: gen, chains: chains})
-	return chains
-}
-
-func newStore(shards, stripes int) *store {
-	s := &store{shards: make([]*shardHist, shards), stripes: make([]*stripeHist, stripes), ctl: &ctlHist{}}
-	for i := range s.shards {
-		s.shards[i] = &shardHist{}
-	}
-	for i := range s.stripes {
-		s.stripes[i] = &stripeHist{}
-	}
-	return s
-}
-
-// shardHist is one shard of the database.
+// store is every container of the database, behind DB.store: one table per
+// kind of object.  RestoreFrom (snapshot re-bootstrap) replaces it
+// wholesale, so a pinned view captures the pointer at pin time and stays
+// consistent across a re-base; writers load it under the writer lock.
 //
 // adj is the reachability index: per key, the links that leave it and the
 // links that arrive, one immutable posting per stamp at which the key's
@@ -376,10 +312,59 @@ func newStore(shards, stripes int) *store {
 // O(graph).  Link objects are immutable, so the postings share them with
 // the link table; a posting empty on both sides is a tombstone — "no links"
 // and "never had links" read alike, and reclamation drops it.
-type shardHist struct {
-	oids   table[Key, oidVal]
-	chains table[BlockView, []int] // ascending, never empty
-	adj    table[Key, posting]
+type store struct {
+	oids       table[Key, oidVal]
+	chains     table[BlockView, []int] // ascending, never empty
+	adj        table[Key, posting]
+	links      table[LinkID, *Link]
+	configs    table[string, *Configuration]
+	workspaces table[string, *Workspace]
+	order      atomic.Pointer[chainOrder]
+}
+
+// trimmer is a table of any kind, as a reclaim pass sees it.
+type trimmer interface{ trim(floor int64) }
+
+// numTables is the number of tables a store has.
+const numTables = 6
+
+// table returns the store's i-th table.
+func (s *store) table(i int) trimmer {
+	return [numTables]trimmer{&s.oids, &s.chains, &s.adj, &s.links, &s.configs, &s.workspaces}[i]
+}
+
+// chainOrder is every version chain of a store in key order, shared by
+// every view of the store: the one sorted scan sorts nothing.  gen is the
+// chain table's generation read before the entries were collected, so a
+// chain added or dropped since makes it stale.
+type chainOrder struct {
+	gen    uint64
+	chains []*entry[BlockView, []int]
+}
+
+// inOrder returns the store's chains in key order, rebuilding the order
+// first when the chain table has added or dropped an entry since it was
+// built.  A view can walk it whatever writers do meanwhile: every chain
+// live at a pinned stamp was installed before the pin, and an entry leaves
+// a table only when trim finds it dead below the horizon, so the order
+// holds every chain the view can see; one it cannot see resolves to nil.
+func (s *store) inOrder() []*entry[BlockView, []int] {
+	gen := s.chains.gen.Load()
+	if o := s.order.Load(); o != nil && o.gen == gen {
+		return o.chains
+	}
+	var chains []*entry[BlockView, []int]
+	sl := s.chains.array()
+	for i := range sl {
+		if e := sl[i].Load(); e != nil {
+			chains = append(chains, e)
+		}
+	}
+	slices.SortFunc(chains, func(a, b *entry[BlockView, []int]) int {
+		return cmp.Or(strings.Compare(a.key.Block, b.key.Block), strings.Compare(a.key.View, b.key.View))
+	})
+	s.order.Store(&chainOrder{gen: gen, chains: chains})
+	return chains
 }
 
 // posting is a key's adjacency: the links with From == key and the links
@@ -399,44 +384,33 @@ func (p *posting) side(out bool) *[]*Link {
 func (p posting) of(out bool) []*Link { return *p.side(out) }
 
 // oid resolves the OID k at lsn.
-func (h *shardHist) oid(k Key, lsn int64) (oidVal, error) {
-	x, ok := h.oids.at(k, lsn)
+func (s *store) oid(k Key, lsn int64) (oidVal, error) {
+	x, ok := s.oids.at(k, lsn)
 	if !ok {
 		return x, fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
 	return x, nil
 }
 
-// links resolves k's posting at lsn, zero when it has no links.
-func (h *shardHist) links(k Key, lsn int64) posting {
-	p, _ := h.adj.at(k, lsn)
+// posting resolves k's posting at lsn, zero when it has no links.
+func (s *store) posting(k Key, lsn int64) posting {
+	p, _ := s.adj.at(k, lsn)
 	return p
 }
 
 // put publishes k's next posting.
-func (h *shardHist) put(k Key, s int64, p posting) {
-	h.adj.push(k, s, p, p.out == nil && p.in == nil)
+func (s *store) put(k Key, stamp int64, p posting) {
+	s.adj.push(k, stamp, p, p.out == nil && p.in == nil)
 }
 
 // post publishes k's next posting: the newest, with one side replaced.
-func (h *shardHist) post(out bool, k Key, s int64, links []*Link) {
-	p := h.links(k, newest)
+func (s *store) post(out bool, k Key, stamp int64, links []*Link) {
+	p := s.posting(k, newest)
 	if len(links) == 0 {
 		links = nil
 	}
 	*p.side(out) = links
-	h.put(k, s, p)
-}
-
-// stripeHist is one stripe of the link table.
-type stripeHist struct {
-	links table[LinkID, *Link]
-}
-
-// ctlHist is the control plane: configurations and workspaces.
-type ctlHist struct {
-	configs    table[string, *Configuration]
-	workspaces table[string, *Workspace]
+	s.put(k, stamp, p)
 }
 
 // metaVer records the database header values as of one stamp: the logical
@@ -649,7 +623,7 @@ func (db *DB) reclaimPass() {
 // epoch when nothing is pinned — and advances the horizon to the floor.
 // It runs automatically every reclaimEvery stamps; exported for tests and
 // for operators forcing a trim.  Readers are never blocked; writers wait
-// at most one partition's trim.
+// at most one table's trim.
 func (db *DB) ReclaimVersions() {
 	m := &db.mvcc
 	m.mu.Lock()
@@ -669,23 +643,13 @@ func (db *DB) ReclaimVersions() {
 	}
 	m.mu.Unlock()
 
-	// One partition — a shard and the stripe of its index — at a time, the
-	// store reloaded each time: RestoreFrom may have replaced it.
-	for i := range db.mask + 1 {
+	// One table at a time, the store reloaded each time: RestoreFrom may
+	// have replaced it.
+	for i := range numTables {
 		db.mu.Lock()
-		st := db.store.Load()
-		h := st.shards[i]
-		h.oids.trim(floor)
-		h.chains.trim(floor)
-		h.adj.trim(floor)
-		st.stripes[i].links.trim(floor)
+		db.store.Load().table(i).trim(floor)
 		db.mu.Unlock()
 	}
-	db.mu.Lock()
-	h := db.store.Load().ctl
-	h.configs.trim(floor)
-	h.workspaces.trim(floor)
-	db.mu.Unlock()
 }
 
 // VersionHorizon returns the oldest stamp a view may still pin.

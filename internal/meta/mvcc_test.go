@@ -132,8 +132,8 @@ func TestReadViewTombstones(t *testing.T) {
 	}
 	after := db.ReadView()
 
-	adjEntry := func() bool { return db.store.Load().shards[db.shardIndex(a.Block)].adj.entry(a) != nil }
-	configEntry := func() bool { return db.store.Load().ctl.configs.entry("doomed") != nil }
+	adjEntry := func() bool { return db.store.Load().adj.entry(a) != nil }
+	configEntry := func() bool { return db.store.Load().configs.entry("doomed") != nil }
 	// check fails the test unless v reads the link at from and the
 	// configuration as had says.
 	check := func(name string, v *View, from Key, had bool) {
@@ -179,7 +179,7 @@ func TestReadViewTombstones(t *testing.T) {
 // continuously while readers pin views and assert each is byte-stable —
 // two checkpoints of one view, and a re-pin of the same LSN, all identical.
 func TestViewByteStableUnderWriters(t *testing.T) {
-	db := NewDBWithShards(4)
+	db := NewDB()
 	var seed []Key
 	for i := 0; i < 8; i++ {
 		seed = append(seed, mustNewVersion(t, db, fmt.Sprintf("blk%d", i), "HDL_model"))

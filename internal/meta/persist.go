@@ -15,7 +15,7 @@ import (
 // checkpoints (checkpoint.go), read by encoding/json.  Nothing writes it any
 // more; the journal's offline upgrade (`dquery upgrade`) is its one reader,
 // and no node links it.  Chains, postings and the clocks' history are not in
-// it: LoadShards rebuilds them, each object the first version of its
+// it: LoadDocument rebuilds them, each object the first version of its
 // history; gaps in a chain (an older build pruned versions) are kept.
 
 type dbJSON struct {
@@ -63,9 +63,8 @@ type workspaceJSON struct {
 	Paths map[string]string `json:"paths,omitempty"`
 }
 
-// LoadShards reads a JSON document and returns a fresh DB of shards shards
-// whose every object's first version is the loaded one — the shard count is
-// a performance knob the document does not record.
+// LoadDocument reads a JSON document and returns a fresh DB whose every
+// object's first version is the loaded one.
 //
 // It accepts what encoding/json accepts into the document's types: any
 // member order and whitespace, null for any value, members the format does
@@ -75,7 +74,7 @@ type workspaceJSON struct {
 // document that is not one object, anything but whitespace after it, a
 // known member given twice in one object, and a member whose name matches a
 // known one only when case is folded.
-func LoadShards(r io.Reader, shards int) (*DB, error) {
+func LoadDocument(r io.Reader) (*DB, error) {
 	raw, err := io.ReadAll(r)
 	if err == nil {
 		err = strict(raw)
@@ -87,7 +86,7 @@ func LoadShards(r io.Reader, shards int) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("meta: decode: %w", err)
 	}
-	ins, err := newInstaller(shards, doc.Terms)
+	ins, err := newInstaller(doc.Terms)
 	var s *snapshot
 	if err == nil {
 		s, err = doc.snapshot(&ins.db.attrs)
@@ -102,7 +101,7 @@ func LoadShards(r io.Reader, shards int) (*DB, error) {
 	return db, nil
 }
 
-// strict walks a document's tokens for the refusals of LoadShards: the
+// strict walks a document's tokens for the refusals of LoadDocument: the
 // objects of the format — the document and the elements of its arrays —
 // member by member, every other value skipped whole.
 func strict(doc []byte) error {
@@ -233,15 +232,10 @@ func (doc *dbJSON) snapshot(attrs *attrTable) (*snapshot, error) {
 // position the restored snapshot covers, and becomes the horizon and the
 // applied position; views pinned before the re-base captured the old
 // containers and keep reading the old content; the head reads the new ones
-// from its next read on.  src must have the same shard count (both sides of
-// a bootstrap build it from the same Options), hold nothing stamped beyond
-// lsn (a loaded snapshot is stamped at its newest term start at most), and
-// must not be used afterwards: db adopts its containers.
+// from its next read on.  src must hold nothing stamped beyond lsn (a
+// loaded snapshot is stamped at its newest term start at most), and must
+// not be used afterwards: db adopts its containers.
 func (db *DB) RestoreFrom(src *DB, lsn int64) error {
-	if db.mask != src.mask {
-		return fmt.Errorf("meta: restore: shard count mismatch (%d vs %d)",
-			db.mask+1, src.mask+1)
-	}
 	if e := src.mvcc.epoch.Load(); e > lsn {
 		return fmt.Errorf("meta: restore: source is at stamp %d, beyond lsn %d", e, lsn)
 	}

@@ -28,7 +28,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	rv := db.ReadView()
-	db2, err := loadPayloads(checkpointOf(t, rv), DefaultShards)
+	db2, err := loadPayloads(checkpointOf(t, rv))
 	rv.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +95,8 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		"self link":     `{"oids":[{"block":"a","view":"v","version":1}],"links":[{"id":1,"class":"use","from":"a,v,1","to":"a,v,1"}]}`,
 	}
 	for name, doc := range cases {
-		if _, err := LoadShards(strings.NewReader(doc), DefaultShards); err == nil {
-			t.Errorf("%s: LoadShards accepted corrupt input", name)
+		if _, err := LoadDocument(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: LoadDocument accepted corrupt input", name)
 		}
 	}
 }
@@ -121,9 +121,9 @@ func TestLoadRejectsDuplicates(t *testing.T) {
 		},
 	}
 	for name, tc := range cases {
-		_, err := LoadShards(strings.NewReader(tc.doc), DefaultShards)
+		_, err := LoadDocument(strings.NewReader(tc.doc))
 		if err == nil {
-			t.Errorf("%s: LoadShards accepted a duplicate (last-wins would silently drop data)", name)
+			t.Errorf("%s: LoadDocument accepted a duplicate (last-wins would silently drop data)", name)
 			continue
 		}
 		if !errors.Is(err, ErrExists) {
@@ -135,6 +135,38 @@ func TestLoadRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestLoadFloorsLinkCounter: a document whose next_link is below one of its
+// link IDs loads with the counter at its largest link ID, so the next link
+// added gets an ID above every loaded one — and so does a link ID below 1,
+// which a journal replay accepts too, load and come back from the checkpoint.
+func TestLoadFloorsLinkCounter(t *testing.T) {
+	doc := `{"oids":[{"block":"a","view":"v","version":1},{"block":"b","view":"v","version":1}],
+		"links":[{"id":0,"class":"use","from":"a,v,1","to":"b,v,1"},{"id":7,"class":"use","from":"b,v,1","to":"a,v,1"},
+			{"id":-3,"class":"derive","from":"a,v,1","to":"b,v,1"}],
+		"next_link":2}`
+	db, err := LoadDocument(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := Key{Block: "a", View: "v", Version: 1}, Key{Block: "b", View: "v", Version: 1}
+	id, err := db.AddLink(DeriveLink, b, a, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 8 {
+		t.Errorf("the link added after loading IDs -3, 0 and 7 under next_link 2 got ID %d, want 8", id)
+	}
+	v := db.ReadView()
+	defer v.Close()
+	again, err := loadPayloads(checkpointOf(t, v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := again.Head().LinkIDs(), []LinkID{-3, 0, 7, 8}; !reflect.DeepEqual(got, want) {
+		t.Errorf("checkpoint of the loaded database holds links %v, want %v", got, want)
+	}
+}
+
 func TestLoadVersionChainOutOfOrderInput(t *testing.T) {
 	// Versions listed out of order in the document must still load.
 	doc := `{"oids":[
@@ -142,7 +174,7 @@ func TestLoadVersionChainOutOfOrderInput(t *testing.T) {
 		{"block":"a","view":"v","version":1},
 		{"block":"a","view":"v","version":2}
 	]}`
-	db, err := LoadShards(strings.NewReader(doc), DefaultShards)
+	db, err := LoadDocument(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,12 +149,12 @@ func TestQuickProps(t *testing.T) {
 			}
 		}
 		v := db.ReadView()
-		recovered, err := loadPayloads(checkpointOf(t, v), 4)
+		recovered, err := loadPayloads(checkpointOf(t, v))
 		v.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadShards(bytes.NewReader(docOf(t, db)), 2)
+		loaded, err := LoadDocument(bytes.NewReader(docOf(t, db)))
 		if err != nil {
 			t.Fatal(err)
 		}

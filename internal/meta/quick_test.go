@@ -2,9 +2,7 @@ package meta
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -140,7 +138,7 @@ func TestQuickSaveLoadIdempotent(t *testing.T) {
 		roundTripped := func(d *DB) *DB {
 			v := d.ReadView()
 			defer v.Close()
-			d2, err := loadPayloads(checkpointOf(t, v), DefaultShards)
+			d2, err := loadPayloads(checkpointOf(t, v))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,113 +160,6 @@ func TestQuickSaveLoadIdempotent(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickShardCountInvariant builds the same randomly generated database
-// under shard counts 1, 4 and 64 and checks that every query and link walk
-// — including walks whose links cross shards — yields identical results.
-// Shard count must be a pure performance knob.
-func TestQuickShardCountInvariant(t *testing.T) {
-	build := func(db *DB, rng *rand.Rand) ([]Key, bool) {
-		blocks := []string{"cpu", "alu", "reg", "shifter", "dec", "mmu"}
-		views := []string{"HDL_model", "schematic", "netlist"}
-		var keys []Key
-		for i := 0; i < rng.Intn(25)+5; i++ {
-			k, err := db.NewVersion(blocks[rng.Intn(len(blocks))], views[rng.Intn(len(views))])
-			if err != nil {
-				return nil, false
-			}
-			if rng.Intn(2) == 0 {
-				if err := db.SetProp(k, "p", fmt.Sprintf("v%d", rng.Intn(3))); err != nil {
-					return nil, false
-				}
-			}
-			keys = append(keys, k)
-		}
-		for i := 0; i < rng.Intn(30); i++ {
-			a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
-			if a == b {
-				continue
-			}
-			props := map[string]string{PropType: TypeEquivalence}
-			if rng.Intn(3) > 0 {
-				props = nil
-			}
-			if _, err := db.AddLink(DeriveLink, a, b, "t", []string{"outofdate"}, props); err != nil {
-				return nil, false
-			}
-		}
-		// A couple of retargets exercise the cross-shard mutation protocol
-		// too.
-		ids := db.Head().LinkIDs()
-		for i := 0; i < rng.Intn(4) && len(ids) > 0; i++ {
-			id := ids[rng.Intn(len(ids))]
-			if l, err := db.Head().GetLink(id); err == nil {
-				_ = db.RetargetLink(id, l.To, keys[rng.Intn(len(keys))])
-			}
-		}
-		return keys, true
-	}
-
-	f := func(seed int64) bool {
-		dbs := []*DB{NewDBWithShards(1), NewDBWithShards(4), NewDBWithShards(64)}
-		var ref []Key
-		for i, db := range dbs {
-			keys, ok := build(db, rand.New(rand.NewSource(seed)))
-			if !ok {
-				return false
-			}
-			if i == 0 {
-				ref = keys
-			}
-		}
-		fingerprint := func(db *DB) string {
-			var sb bytes.Buffer
-			for _, k := range db.Head().Keys() {
-				fmt.Fprintf(&sb, "K%v;", k)
-			}
-			var latest []string
-			v := db.ReadView()
-			v.EachLatestOID(func(o *OID) bool {
-				latest = append(latest, fmt.Sprintf("L%v=%v;", o.Key, o.Props))
-				return true
-			})
-			v.Close()
-			sort.Strings(latest)
-			fmt.Fprint(&sb, latest)
-			for _, id := range db.Head().LinkIDs() {
-				l, err := db.Head().GetLink(id)
-				if err != nil {
-					return "err"
-				}
-				fmt.Fprintf(&sb, "E%d:%v->%v;", id, l.From, l.To)
-			}
-			for _, root := range ref {
-				if !db.Head().HasOID(root) {
-					continue
-				}
-				fmt.Fprintf(&sb, "R%v=%v;", root, db.Head().Reachable(root, FollowAllLinks))
-				fmt.Fprintf(&sb, "D%v=%v;", root, db.Head().Dependents(root, FollowAllLinks))
-				fmt.Fprintf(&sb, "Q%v=%v;", root, db.Head().Equivalents(root))
-				for _, l := range db.Head().LinksOf(root) {
-					fmt.Fprintf(&sb, "O%d;", l.ID)
-				}
-			}
-			fmt.Fprintf(&sb, "S%+v", db.Head().Stats())
-			return sb.String()
-		}
-		want := fingerprint(dbs[0])
-		for _, db := range dbs[1:] {
-			if got := fingerprint(db); got != want {
-				t.Logf("seed %d: shard fingerprints diverge", seed)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

@@ -501,9 +501,9 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	h := db.lockShard(k.Block)
+	st := db.lock()
 	defer db.mu.Unlock()
-	return db.insertOIDLocked(h, k, seq)
+	return db.insertOIDLocked(st, k, seq)
 }
 
 // insertOIDLocked is the one place a new OID enters the database: its
@@ -511,12 +511,12 @@ func (db *DB) insertOIDSeq(k Key, seq int64) error {
 // version must be greater than the newest in the chain; gaps are legal
 // because a loaded document or checkpoint may carry a chain whose old
 // versions an older build pruned.
-func (db *DB) insertOIDLocked(h *shardHist, k Key, seq int64) error {
-	if _, ok := h.oids.at(k, newest); ok {
+func (db *DB) insertOIDLocked(st *store, k Key, seq int64) error {
+	if _, ok := st.oids.at(k, newest); ok {
 		return fmt.Errorf("oid %v: %w", k, ErrExists)
 	}
 	bv := k.BV()
-	chain, _ := h.chains.at(bv, newest)
+	chain, _ := st.chains.at(bv, newest)
 	if len(chain) > 0 && k.Version <= chain[len(chain)-1] {
 		return fmt.Errorf("oid %v: chain is already at version %d: %w",
 			k, chain[len(chain)-1], ErrBadVersion)
@@ -524,8 +524,8 @@ func (db *DB) insertOIDLocked(h *shardHist, k Key, seq int64) error {
 	s := db.beginMut(OpOID, 0, func() []string {
 		return []string{k.String(), strconv.FormatInt(seq, 10)}
 	})
-	h.oids.push(k, s, oidVal{seq: seq}, false)
-	h.chains.push(bv, s, with(chain, k.Version), false)
+	st.oids.push(k, s, oidVal{seq: seq}, false)
+	st.chains.push(bv, s, with(chain, k.Version), false)
 	db.endMut()
 	return nil
 }
@@ -560,16 +560,15 @@ func (db *DB) insertLinkObject(l *Link) error {
 // link table, both ends' postings and the journal record, under mu, after
 // checkLinkLocked.
 func (db *DB) installLinkLocked(l *Link) error {
-	links := &db.head.stripe(l.ID).links
-	if _, ok := links.at(l.ID, newest); ok {
+	st := db.store.Load()
+	if _, ok := st.links.at(l.ID, newest); ok {
 		return fmt.Errorf("link %d: %w", l.ID, ErrExists)
 	}
 	floor(&db.nextLink, int64(l.ID))
-	fh, th := db.head.shard(l.From.Block), db.head.shard(l.To.Block)
 	s := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
-	links.push(l.ID, s, l, false)
-	fh.post(true, l.From, s, with(fh.links(l.From, newest).out, l))
-	th.post(false, l.To, s, with(th.links(l.To, newest).in, l))
+	st.links.push(l.ID, s, l, false)
+	st.post(true, l.From, s, with(st.posting(l.From, newest).out, l))
+	st.post(false, l.To, s, with(st.posting(l.To, newest).in, l))
 	db.endMut()
 	return nil
 }
@@ -581,14 +580,13 @@ func (db *DB) installConfig(c *Configuration) error {
 	if err := ValidateName(c.Name); err != nil {
 		return fmt.Errorf("configuration: %w", err)
 	}
-	db.mu.Lock()
+	st := db.lock()
 	defer db.mu.Unlock()
-	h := db.store.Load().ctl
-	if _, ok := h.configs.at(c.Name, newest); ok {
+	if _, ok := st.configs.at(c.Name, newest); ok {
 		return fmt.Errorf("configuration %q: %w", c.Name, ErrExists)
 	}
 	s := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
-	h.configs.push(c.Name, s, c, false)
+	st.configs.push(c.Name, s, c, false)
 	db.endMut()
 	return nil
 }

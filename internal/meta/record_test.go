@@ -57,7 +57,7 @@ func TestRecorderCapturesEveryMutationClass(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := NewDBWithShards(4)
+	db2 := NewDB()
 	for i, r := range rec.recs {
 		r.LSN = int64(i + 1)
 		if err := db2.ApplyRecord(r); err != nil {
@@ -87,8 +87,7 @@ func TestApplyRecordKeepsNoString(t *testing.T) {
 	}
 	mustDo(db.SetProp(root, "uptodate", "true"))
 	mustDo(db.SetProp(nl, "sim_result", "a value longer than the interner keeps one copy of"))
-	var ids []LinkID
-	db.Head().EachLink(func(l *Link) bool { ids = append(ids, l.ID); return true })
+	ids := db.Head().LinkIDs()
 	if _, err := db.AddLink(DeriveLink, nl, root, "one-off", []string{"lvs", "ckin"}, map[string]string{"note": "one-off"}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestApplyRecordKeepsNoString(t *testing.T) {
 	mustDo(db.BindPath("ws", next, "p/1"))
 	rec.recs = append(rec.recs, Record{Op: OpEvent, Args: []string{"ckin", "down", next.String(), "yves"}})
 
-	replayed := NewDBWithShards(4)
+	replayed := NewDB()
 	buf := make([]byte, 0, 1<<12)
 	at := func(s string) string {
 		off := len(buf)

@@ -142,21 +142,18 @@ func (v *View) store() *store {
 	return v.db.store.Load()
 }
 
-func (v *View) shard(block string) *shardHist { return v.store().shards[v.db.shardIndex(block)] }
-func (v *View) stripe(id LinkID) *stripeHist  { return v.store().stripes[uint32(id)&v.db.mask] }
-
 // ---------------------------------------------------------------------------
 // OIDs and version chains
 
 // HasOID reports whether the OID exists.
 func (v *View) HasOID(k Key) bool {
-	_, ok := v.shard(k.Block).oids.at(k, v.lsn)
+	_, ok := v.store().oids.at(k, v.lsn)
 	return ok
 }
 
 // GetOID returns a copy of the OID, which shares the immutable Props.
 func (v *View) GetOID(k Key) (*OID, error) {
-	x, err := v.shard(k.Block).oid(k, v.lsn)
+	x, err := v.store().oid(k, v.lsn)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +163,7 @@ func (v *View) GetOID(k Key) (*OID, error) {
 // GetProp returns a property value of an OID.  Missing properties return
 // ("", false, nil); a missing OID is an error.
 func (v *View) GetProp(k Key, name string) (string, bool, error) {
-	x, err := v.shard(k.Block).oid(k, v.lsn)
+	x, err := v.store().oid(k, v.lsn)
 	if err != nil {
 		return "", false, err
 	}
@@ -178,7 +175,7 @@ func (v *View) GetProp(k Key, name string) (string, bool, error) {
 // properties at once without allocating the copy GetOID returns.  fn must
 // not retain or mutate the OID; it may retain Props (immutable).
 func (v *View) WithOID(k Key, fn func(o *OID)) error {
-	x, err := v.shard(k.Block).oid(k, v.lsn)
+	x, err := v.store().oid(k, v.lsn)
 	if err != nil {
 		return err
 	}
@@ -197,7 +194,7 @@ var oidScratch = sync.Pool{New: func() any { return new(OID) }}
 // chain resolves the version chain of (block, view): ascending and
 // immutable, nil when there is none.
 func (v *View) chain(block, view string) []int {
-	chain, _ := v.shard(block).chains.at(BlockView{Block: block, View: view}, v.lsn)
+	chain, _ := v.store().chains.at(BlockView{Block: block, View: view}, v.lsn)
 	return chain
 }
 
@@ -232,7 +229,7 @@ func (v *View) Predecessor(k Key) (Key, bool) {
 
 // GetLink returns a copy of the link, the caller's to change.
 func (v *View) GetLink(id LinkID) (*Link, error) {
-	l, ok := v.stripe(id).links.at(id, v.lsn)
+	l, ok := v.store().links.at(id, v.lsn)
 	if !ok {
 		return nil, fmt.Errorf("link %d: %w", id, ErrNotFound)
 	}
@@ -240,7 +237,7 @@ func (v *View) GetLink(id LinkID) (*Link, error) {
 }
 
 // posting resolves k's adjacency: immutable, zero when k has no links.
-func (v *View) posting(k Key) posting { return v.shard(k.Block).links(k, v.lsn) }
+func (v *View) posting(k Key) posting { return v.store().posting(k, v.lsn) }
 
 // LinksOf returns copies of all links incident to k, outgoing first.
 func (v *View) LinksOf(k Key) []*Link {
@@ -270,7 +267,7 @@ func (v *View) EachLinkOf(k Key, fn func(*Link) bool) {
 
 // GetConfiguration returns a copy of a stored configuration.
 func (v *View) GetConfiguration(name string) (*Configuration, error) {
-	c, ok := v.store().ctl.configs.at(name, v.lsn)
+	c, ok := v.store().configs.at(name, v.lsn)
 	if !ok {
 		return nil, fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
@@ -279,7 +276,7 @@ func (v *View) GetConfiguration(name string) (*Configuration, error) {
 
 // GetWorkspace returns a copy of the named workspace.
 func (v *View) GetWorkspace(name string) (*Workspace, error) {
-	w, ok := v.store().ctl.workspaces.at(name, v.lsn)
+	w, ok := v.store().workspaces.at(name, v.lsn)
 	if !ok {
 		return nil, fmt.Errorf("workspace %q: %w", name, ErrNotFound)
 	}
@@ -294,14 +291,10 @@ func (v *View) GetWorkspace(name string) (*Workspace, error) {
 // may retain Props (immutable).
 func (v *View) EachOID(fn func(*OID) bool) {
 	var o OID
-	for _, h := range v.store().shards {
-		if !h.oids.each(v.lsn, func(k Key, x oidVal) bool {
-			o = OID{Key: k, Seq: x.seq, Props: x.props}
-			return fn(&o)
-		}) {
-			return
-		}
-	}
+	v.store().oids.each(v.lsn, func(k Key, x oidVal) bool {
+		o = OID{Key: k, Seq: x.seq, Props: x.props}
+		return fn(&o)
+	})
 }
 
 // EachLatestOID invokes fn for the newest version of every chain, in
@@ -309,31 +302,29 @@ func (v *View) EachOID(fn func(*OID) bool) {
 // calls; Props may be retained (immutable).
 func (v *View) EachLatestOID(fn func(*OID) bool) {
 	var o OID
-	for _, h := range v.store().shards {
-		if !h.chains.each(v.lsn, func(bv BlockView, chain []int) bool {
-			return !v.latest(h, bv, chain, &o) || fn(&o)
-		}) {
-			return
-		}
-	}
+	st := v.store()
+	st.chains.each(v.lsn, func(bv BlockView, chain []int) bool {
+		return !v.latest(st, bv, chain, &o) || fn(&o)
+	})
 }
 
 // EachLatestOIDSorted is EachLatestOID in key order: it walks the order
 // the store keeps of its chains, so it collects and sorts nothing.
 func (v *View) EachLatestOIDSorted(fn func(*OID) bool) {
 	var o OID
-	for _, c := range v.store().inOrder() {
-		if x := c.e.at(v.lsn); x != nil && !x.del && v.latest(c.h, c.e.key, x.val, &o) && !fn(&o) {
+	st := v.store()
+	for _, c := range st.inOrder() {
+		if x := c.at(v.lsn); x != nil && !x.del && v.latest(st, c.key, x.val, &o) && !fn(&o) {
 			return
 		}
 	}
 }
 
-// latest fills o with the newest version of chain bv, held by h, and
+// latest fills o with the newest version of chain bv, held by st, and
 // reports whether that version exists at the view.
-func (v *View) latest(h *shardHist, bv BlockView, chain []int, o *OID) bool {
+func (v *View) latest(st *store, bv BlockView, chain []int, o *OID) bool {
 	k := Key{Block: bv.Block, View: bv.View, Version: chain[len(chain)-1]}
-	x, ok := h.oids.at(k, v.lsn)
+	x, ok := st.oids.at(k, v.lsn)
 	*o = OID{Key: k, Seq: x.seq, Props: x.props}
 	return ok
 }
@@ -341,30 +332,22 @@ func (v *View) latest(h *shardHist, bv BlockView, chain []int, o *OID) bool {
 // EachLink invokes fn for every link, in unspecified order, until fn
 // returns false.  Link objects are immutable and may be retained.
 func (v *View) EachLink(fn func(*Link) bool) {
-	for _, h := range v.store().stripes {
-		if !h.links.each(v.lsn, func(_ LinkID, l *Link) bool { return fn(l) }) {
-			return
-		}
-	}
+	v.store().links.each(v.lsn, func(_ LinkID, l *Link) bool { return fn(l) })
 }
 
 // eachChain invokes fn for every version chain with its ascending version
 // list (immutable; must not be mutated).
 func (v *View) eachChain(fn func(bv BlockView, chain []int) bool) {
-	for _, h := range v.store().shards {
-		if !h.chains.each(v.lsn, fn) {
-			return
-		}
-	}
+	v.store().chains.each(v.lsn, fn)
 }
 
 // eachConfiguration / eachWorkspace hand out the immutable stored versions.
 func (v *View) eachConfiguration(fn func(*Configuration)) {
-	v.store().ctl.configs.each(v.lsn, func(_ string, c *Configuration) bool { fn(c); return true })
+	v.store().configs.each(v.lsn, func(_ string, c *Configuration) bool { fn(c); return true })
 }
 
 func (v *View) eachWorkspace(fn func(*Workspace)) {
-	v.store().ctl.workspaces.each(v.lsn, func(_ string, w *Workspace) bool { fn(w); return true })
+	v.store().workspaces.each(v.lsn, func(_ string, w *Workspace) bool { fn(w); return true })
 }
 
 // Keys returns every OID key, sorted by block, view, version.
@@ -382,8 +365,8 @@ func (v *View) Keys() []Key {
 func (v *View) BlockViews() []BlockView {
 	var bvs []BlockView
 	for _, c := range v.store().inOrder() {
-		if x := c.e.at(v.lsn); x != nil && !x.del {
-			bvs = append(bvs, c.e.key)
+		if x := c.at(v.lsn); x != nil && !x.del {
+			bvs = append(bvs, c.key)
 		}
 	}
 	return bvs

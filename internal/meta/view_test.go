@@ -16,7 +16,7 @@ import (
 // between two pinned views A and B, and the answer must be the one
 // ReadViewAt(L) gives for some L in [A.LSN(), B.LSN()].
 func TestHeadReadsAreLinearizable(t *testing.T) {
-	db := NewDBWithShards(4)
+	db := NewDB()
 	var stop atomic.Bool
 	var writers sync.WaitGroup
 	for w := range 4 {

@@ -46,29 +46,27 @@ func (db *DB) AddWorkspace(name, root string) error {
 	if err := ValidateName(name); err != nil {
 		return fmt.Errorf("workspace: %w", err)
 	}
-	db.mu.Lock()
+	st := db.lock()
 	defer db.mu.Unlock()
-	h := db.store.Load().ctl
-	if _, ok := h.workspaces.at(name, newest); ok {
+	if _, ok := st.workspaces.at(name, newest); ok {
 		return fmt.Errorf("workspace %q: %w", name, ErrExists)
 	}
 	w := &Workspace{Name: name, Root: root, paths: make(map[Key]string)}
 	s := db.beginMut(OpWorkspace, 0, func() []string { return []string{name, root} })
-	h.workspaces.push(name, s, w, false)
+	st.workspaces.push(name, s, w, false)
 	db.endMut()
 	return nil
 }
 
 // BindPath records where an OID's design data lives inside a workspace.
 func (db *DB) BindPath(workspace string, k Key, path string) error {
-	kh := db.lockShard(k.Block)
+	st := db.lock()
 	defer db.mu.Unlock()
-	h := db.store.Load().ctl
-	w, ok := h.workspaces.at(workspace, newest)
+	w, ok := st.workspaces.at(workspace, newest)
 	if !ok {
 		return fmt.Errorf("workspace %q: %w", workspace, ErrNotFound)
 	}
-	if _, ok := kh.oids.at(k, newest); !ok {
+	if _, ok := st.oids.at(k, newest); !ok {
 		return fmt.Errorf("oid %v: %w", k, ErrNotFound)
 	}
 	w = w.clone() // a stored workspace is immutable
@@ -76,7 +74,7 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 	s := db.beginMut(OpBind, 0, func() []string {
 		return []string{workspace, k.String(), path}
 	})
-	h.workspaces.push(workspace, s, w, false)
+	st.workspaces.push(workspace, s, w, false)
 	db.endMut()
 	return nil
 }

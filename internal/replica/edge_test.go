@@ -128,7 +128,7 @@ func TestFollowerIgnoresTornRecordAtStreamBoundary(t *testing.T) {
 	}
 	fp := startFakePrimary(t, scripts)
 
-	fol, err := replica.Start(t.TempDir(), fp.ln.Addr().String(), journal.Options{Shards: 4})
+	fol, err := replica.Start(t.TempDir(), fp.ln.Addr().String(), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFollowerRejectsGapInStream(t *testing.T) {
 	r3 := record(3, meta.OpOID, "reg,HDL_model,1", "3") // 2 never sent
 	fp := startFakePrimary(t, []string{frameLine(r1) + frameLine(r3) + markLine(3)})
 
-	fol, err := replica.Start(t.TempDir(), fp.ln.Addr().String(), journal.Options{Shards: 4})
+	fol, err := replica.Start(t.TempDir(), fp.ln.Addr().String(), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFollowerRejectsGapInStream(t *testing.T) {
 // with an in-band error frame and the follower must stop terminally
 // instead of waiting to apply the new history's records under old LSNs.
 func TestFollowerAheadOfPrimaryIsTerminal(t *testing.T) {
-	c := newCluster(t, 4, journal.Options{SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SnapshotEvery: -1})
 	pc := c.dial(c.paddr)
 	defer pc.Close()
 	if _, err := pc.Create("ONLY", "HDL_model"); err != nil {
@@ -216,7 +216,7 @@ func TestFollowerAheadOfPrimaryIsTerminal(t *testing.T) {
 	// Pre-seed the follower's directory with a journal that is AHEAD of
 	// the primary (as if the primary's directory had been wiped).
 	folDir := t.TempDir()
-	fw, _, err := journal.OpenFollower(folDir, journal.Options{Shards: 4})
+	fw, _, err := journal.OpenFollower(folDir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestFollowerAheadOfPrimaryIsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fol, err := replica.Start(folDir, c.paddr, journal.Options{Shards: 4})
+	fol, err := replica.Start(folDir, c.paddr, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestFollowerRefusedByNonPrimary(t *testing.T) {
 	}
 	defer srv.Close()
 
-	fol, err := replica.Start(t.TempDir(), addr, journal.Options{Shards: 4})
+	fol, err := replica.Start(t.TempDir(), addr, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func engineNoJournal(t *testing.T) (*engine.Engine, error) {
 // and converges — the FOLLOW framing of the re-bootstrap path, checked
 // against the real server rather than the fake.
 func TestFollowerColdBootstrapOverWire(t *testing.T) {
-	c := newCluster(t, 4, journal.Options{SegmentBytes: 256, SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SegmentBytes: 256, SnapshotEvery: -1})
 	pc := c.dial(c.paddr)
 	defer pc.Close()
 	for i := 0; i < 12; i++ {

@@ -36,7 +36,6 @@ type pnode struct {
 
 func startPrimary(t *testing.T, dir string, opt journal.Options, srvOpts ...server.Option) *pnode {
 	t.Helper()
-	opt.Shards = 4
 	w, db, err := journal.Open(dir, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +92,6 @@ type fnode struct {
 
 func startNode(t *testing.T, dir, upstream string, jopt journal.Options, opts ...replica.Option) *fnode {
 	t.Helper()
-	jopt.Shards = 4
 	if jopt.SnapshotEvery == 0 {
 		jopt.SnapshotEvery = -1
 	}
@@ -241,7 +239,7 @@ func TestFailoverPromoteAndFence(t *testing.T) {
 	// The revived old primary, restarted as a follower of A, announces a
 	// term-1 position inside the new lineage — its unreplicated tail —
 	// and must be refused terminally, not silently merged.
-	ghost, err := replica.Start(p.dir, a.addr, journal.Options{Shards: 4})
+	ghost, err := replica.Start(p.dir, a.addr, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +361,7 @@ func TestQuorumAckDegradation(t *testing.T) {
 // both sides of the replication boundary, and PROMOTE against a node
 // without a hook is a clean refusal.
 func TestRoleVerb(t *testing.T) {
-	c := newCluster(t, 4, journal.Options{SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SnapshotEvery: -1})
 	c.startFollower()
 	pc := c.dial(c.paddr)
 	defer pc.Close()
@@ -416,7 +414,7 @@ func TestFollowerBackoffAndStats(t *testing.T) {
 	}
 	lsn := p.quiesce()
 
-	fol, err := replica.Start(t.TempDir(), deadAddr, journal.Options{Shards: 4},
+	fol, err := replica.Start(t.TempDir(), deadAddr, journal.Options{},
 		replica.WithBackoff(2*time.Millisecond, 20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

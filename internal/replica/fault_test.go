@@ -134,7 +134,7 @@ func TestQuorumFsyncGate(t *testing.T) {
 
 	// Byte-identical to the primary's durable prefix (not its in-memory
 	// state, which may hold the never-acked suffix).
-	durable, lsn, err := journal.ReplayUpTo(primDir, 0, wm)
+	durable, lsn, err := journal.ReplayUpTo(primDir, wm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestQuorumFsyncGate(t *testing.T) {
 // from anywhere in the cluster.
 func TestUpstreamHealthPropagation(t *testing.T) {
 	inj := faultfs.New(faultfs.OS, journalSyncFault(4))
-	c := newCluster(t, 0, journal.Options{SnapshotEvery: -1, Fsync: true, FS: inj})
+	c := newCluster(t, journal.Options{SnapshotEvery: -1, Fsync: true, FS: inj})
 	c.startFollower()
 
 	pc := c.dial(c.paddr)
@@ -268,7 +268,7 @@ func TestFollowerCatchUpFsyncs(t *testing.T) {
 	}()
 
 	inj := faultfs.New(faultfs.OS, faultfs.Plan{})
-	fol, err := replica.Start(t.TempDir(), ln.Addr().String(), journal.Options{Shards: 4, SnapshotEvery: -1, Fsync: true, FS: inj})
+	fol, err := replica.Start(t.TempDir(), ln.Addr().String(), journal.Options{SnapshotEvery: -1, Fsync: true, FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

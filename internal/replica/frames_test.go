@@ -76,7 +76,7 @@ func segmentFrames(t *testing.T, dir string) map[int64][]byte {
 // re-encodes what it receives writes differently.
 func TestFollowerLogIsPrimaryLog(t *testing.T) {
 	dir := t.TempDir()
-	w, db, err := journal.Open(dir, journal.Options{Shards: 4, SnapshotEvery: -1})
+	w, db, err := journal.Open(dir, journal.Options{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFollowerLogIsPrimaryLog(t *testing.T) {
 // seemed to start — a forged OID — exists on neither node.
 func TestTailRefusesRawLineBreak(t *testing.T) {
 	dir := t.TempDir()
-	w, db, err := journal.Open(dir, journal.Options{Shards: 4, SnapshotEvery: -1})
+	w, db, err := journal.Open(dir, journal.Options{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

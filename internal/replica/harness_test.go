@@ -28,8 +28,7 @@ import (
 
 // cluster is one primary + one (restartable) follower.
 type cluster struct {
-	t      *testing.T
-	shards int
+	t *testing.T
 
 	primDir string
 	pw      *journal.Writer
@@ -55,10 +54,9 @@ func testBlueprint(t *testing.T) *bpl.Blueprint {
 
 // newCluster starts the primary; the follower starts separately so tests
 // control when it first attaches (cold vs warm).
-func newCluster(t *testing.T, shards int, opt journal.Options) *cluster {
+func newCluster(t *testing.T, opt journal.Options) *cluster {
 	t.Helper()
-	opt.Shards = shards
-	c := &cluster{t: t, shards: shards, primDir: t.TempDir(), folDir: t.TempDir()}
+	c := &cluster{t: t, primDir: t.TempDir(), folDir: t.TempDir()}
 
 	var err error
 	c.pw, c.pdb, err = journal.Open(c.primDir, opt)
@@ -92,7 +90,7 @@ func (c *cluster) startFollower() {
 	if c.fol != nil {
 		c.t.Fatal("follower already running")
 	}
-	fol, err := replica.Start(c.folDir, c.paddr, journal.Options{Shards: c.shards})
+	fol, err := replica.Start(c.folDir, c.paddr, journal.Options{})
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -209,7 +207,7 @@ func (c *cluster) dial(addr string) *server.Client {
 // convergence — byte-identical checkpoints, identical REPORT at the same LSN —
 // and the follower refusing writes throughout.
 func TestTwoNodeFollowerReplication(t *testing.T) {
-	c := newCluster(t, 4, journal.Options{SegmentBytes: 2048, SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SegmentBytes: 2048, SnapshotEvery: -1})
 	c.startFollower()
 
 	pc := c.dial(c.paddr)
@@ -292,7 +290,7 @@ func TestTwoNodeFollowerReplication(t *testing.T) {
 // the shipped snapshot (FOLLOW answers with a snapshot frame) and still
 // converge byte-identically.
 func TestFollowerStaleRebootstrap(t *testing.T) {
-	c := newCluster(t, 4, journal.Options{SegmentBytes: 512, SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SegmentBytes: 512, SnapshotEvery: -1})
 	c.startFollower()
 
 	pc := c.dial(c.paddr)
@@ -331,8 +329,8 @@ func TestFollowerStaleRebootstrap(t *testing.T) {
 
 // TestQuickFollowerConvergence is the replication property test: for a
 // randomized op program with mid-stream follower kills and restarts, the
-// caught-up follower's checkpoint equals the primary's —
-// byte-identical — at 1, 4 and 64 shards.  It reuses the op-program shape
+// caught-up follower's checkpoint equals the primary's — byte-identical.
+// It reuses the op-program shape
 // of the journal's persistence-equivalence quick test, driven against the
 // journaled primary database directly so every mutation kind appears in
 // the stream.
@@ -340,21 +338,21 @@ func TestQuickFollowerConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins a TCP cluster per case")
 	}
-	for _, shards := range []int{1, 4, 64} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			// Deterministic program bytes: a fixed-seed PRNG unrolled by
-			// case index, so failures replay exactly.
+	// Deterministic program bytes: a fixed-seed PRNG unrolled by seed and
+	// case index, so failures replay exactly.  The subtest shards=N runs
+	// seed N; the names are those test lists carry.
+	for _, seed := range []int{1, 4, 64} {
+		t.Run(fmt.Sprintf("shards=%d", seed), func(t *testing.T) {
 			for caseNo := 0; caseNo < 3; caseNo++ {
 				ops := make([]byte, 180)
-				x := uint32(2463534242 + caseNo*977 + shards)
+				x := uint32(2463534242 + caseNo*977 + seed)
 				for i := range ops {
 					x ^= x << 13
 					x ^= x >> 17
 					x ^= x << 5
 					ops[i] = byte(x)
 				}
-				runFollowerProgram(t, shards, ops)
+				runFollowerProgram(t, ops)
 			}
 		})
 	}
@@ -363,9 +361,9 @@ func TestQuickFollowerConvergence(t *testing.T) {
 // runFollowerProgram interprets ops as a mutation program against the
 // primary's database (tiny segments so rotation, snapshots and follower
 // restarts all trigger), then asserts convergence.
-func runFollowerProgram(t *testing.T, shards int, ops []byte) {
+func runFollowerProgram(t *testing.T, ops []byte) {
 	t.Helper()
-	c := newCluster(t, shards, journal.Options{SegmentBytes: 512, SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SegmentBytes: 512, SnapshotEvery: -1})
 	c.startFollower()
 	db, w := c.pdb, c.pw
 
@@ -465,7 +463,7 @@ func runFollowerProgram(t *testing.T, shards int, ops []byte) {
 // is visible in a follower REPORT gated on n — the read-your-writes
 // contract across the primary/follower boundary over the real wire path.
 func TestFollowerReadYourLSN(t *testing.T) {
-	c := newCluster(t, 4, journal.Options{SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SnapshotEvery: -1})
 	c.startFollower()
 
 	pc := c.dial(c.paddr)
@@ -510,7 +508,7 @@ func TestFollowerReadYourLSN(t *testing.T) {
 // applies, between two bursts or during one must still be woken by the
 // apply that reaches its LSN, not by its timeout.
 func TestWaitAppliedWakesEveryWaiter(t *testing.T) {
-	c := newCluster(t, 4, journal.Options{SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SnapshotEvery: -1})
 	c.startFollower()
 	pc := c.dial(c.paddr)
 	defer pc.Close()

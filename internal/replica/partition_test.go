@@ -275,7 +275,7 @@ func TestPartitionPrimaryIsolatedFromBothFollowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ghost, err := replica.Start(p.dir, addrPA, journal.Options{Shards: 4})
+	ghost, err := replica.Start(p.dir, addrPA, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestPromoteDuringPartition(t *testing.T) {
 	// during the partition is exactly what the handshake must refuse.
 	proxy.Heal()
 	p.crash()
-	ghost, err := replica.Start(p.dir, a.addr, journal.Options{Shards: 4})
+	ghost, err := replica.Start(p.dir, a.addr, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

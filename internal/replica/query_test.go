@@ -13,7 +13,7 @@ import (
 // byte-identical body from the primary and from a read-only follower —
 // including time-travel queries at an LSN the graph has since moved past.
 func TestFollowerQueryAtMatchesPrimary(t *testing.T) {
-	c := newCluster(t, 4, journal.Options{SnapshotEvery: -1})
+	c := newCluster(t, journal.Options{SnapshotEvery: -1})
 	c.startFollower()
 
 	pc := c.dial(c.paddr)

@@ -132,8 +132,7 @@ func WithStallTimeout(d time.Duration) Option {
 // Start opens (or resumes) the follower's local journal in dir and begins
 // replicating from the primary at addr.  The returned follower's database
 // is live immediately — recovered to the persisted applied position, then
-// mutated in place as records stream in.  opt.Shards should match across
-// restarts, like any journal recovery.
+// mutated in place as records stream in.
 func Start(dir, addr string, opt journal.Options, opts ...Option) (*Follower, error) {
 	w, db, err := journal.OpenFollower(dir, opt)
 	if err != nil {

@@ -154,14 +154,12 @@ func populate(t *testing.T, db *meta.DB, rng *rand.Rand) {
 	}
 }
 
-// TestQuickReportRowsEqualOracle: for random policies and databases, at 1,
-// 4 and 64 shards, REPORT and GAP answer exactly the oracle's rows — over
+// TestQuickReportRowsEqualOracle: for random policies and databases, REPORT
+// and GAP answer exactly the oracle's rows — over
 // TCP and through Handle, from an unjournaled server and a journaled one,
 // where the forms pinned at an LSN answer the same.
 func TestQuickReportRowsEqualOracle(t *testing.T) {
-	shardCounts := []int{1, 4, 64}
 	check := func(seed int64) bool {
-		shards := shardCounts[uint64(seed)%3]
 		bp := randomPolicy(rand.New(rand.NewSource(seed)))
 		for _, tier := range []string{"plain", "journaled"} {
 			var db *meta.DB
@@ -170,10 +168,10 @@ func TestQuickReportRowsEqualOracle(t *testing.T) {
 			var jw *journal.Writer
 			switch tier {
 			case "plain":
-				db = meta.NewDBWithShards(shards)
+				db = meta.NewDB()
 			case "journaled":
 				var err error
-				jw, db, err = journal.Open(t.TempDir(), journal.Options{Shards: shards, SnapshotEvery: -1})
+				jw, db, err = journal.Open(t.TempDir(), journal.Options{SnapshotEvery: -1})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -47,7 +47,7 @@ func scanFixture(t *testing.T, blocks int) (*meta.DB, *bpl.Blueprint, []meta.Key
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := meta.NewDBWithShards(4)
+	db := meta.NewDB()
 	var keys []meta.Key
 	for b := 0; b < blocks; b++ {
 		for i, view := range []string{"schematic", "netlist", "layout"} {

@@ -21,15 +21,33 @@ import (
 	"repro/internal/server"
 )
 
+// binDir is the directory buildDamocles builds into, "" until it has run;
+// TestMain removes it.
+var binDir string
+
 // buildDamocles compiles the daemon once per test binary.
 var buildDamocles = sync.OnceValues(func() (string, error) {
-	bin := filepath.Join(os.TempDir(), fmt.Sprintf("damocles-crash-%d", os.Getpid()))
+	dir, err := os.MkdirTemp("", "damocles-crash-*")
+	if err != nil {
+		return "", err
+	}
+	binDir = dir
+	bin := filepath.Join(dir, "damocles")
 	out, err := exec.Command("go", "build", "-o", bin, "./cmd/damocles").CombinedOutput()
 	if err != nil {
 		return "", fmt.Errorf("go build: %v\n%s", err, out)
 	}
 	return bin, nil
 })
+
+// TestMain runs the root tests and removes the daemon they built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
 
 var (
 	servingRE    = regexp.MustCompile(`serving on (\S+)`)

@@ -10,7 +10,7 @@
 # package (baseline, flow, task, tools, wrapper, cli), the test instrument
 # netfault (the network-fault proxy) or lives under cmd/.
 # Then builds damocles and fails when `go tool nm` finds in it the JSON
-# document's reader (meta.LoadShards) or the encoding/json decoder or
+# document's reader (meta.LoadDocument) or the encoding/json decoder or
 # encoder state: the node reads and writes only the journal's frames, no
 # build writes the JSON document, and `dquery upgrade` is the one reader of
 # the JSON snapshots of older builds.
@@ -31,7 +31,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/damocles" ./cmd/damocles
 json=$(go tool nm "$tmp/damocles" |
-    grep -E ' (repro/internal/meta\.LoadShards|encoding/json\.\(\*(decodeState|encodeState)\))($|\.)' || true)
+    grep -E ' (repro/internal/meta\.LoadDocument|encoding/json\.\(\*(decodeState|encodeState)\))($|\.)' || true)
 if [ -n "$json" ]; then
     echo "depcheck: the damocles binary links the JSON codec:" >&2
     printf '%s\n' "$json" | head -20 >&2
