@@ -17,7 +17,8 @@
 // Surviving an OS crash or power loss additionally needs -fsync, which
 // forces every commit to stable storage at a per-request latency cost.  The
 // server is also a replication primary: followers attach with the FOLLOW
-// verb.  A directory an older build wrote is refused until `dquery upgrade`
+// verb.  A directory of the older on-disk generation (JSON snapshots,
+// version 1 segments) is refused; the `dquery upgrade` of commit bbe314f
 // converts it.
 //
 // With -ack n, a primary additionally holds each write's acknowledgement

@@ -14,7 +14,6 @@
 //	dquery [-addr host:port] links <block,view,version>
 //	dquery [-addr host:port] query [<lsn>] <reach|deps|equiv> <oid> [use|all|type:t1,t2,...]
 //	dquery [-addr host:port] query [<lsn>] resolve <configuration>
-//	dquery upgrade <dir>
 //
 // query runs a graph query pinned at a journal LSN (omitted or 0 = the
 // server's current state).  A read-only follower serves it too, first
@@ -33,9 +32,6 @@
 // project's mutation history:
 //
 //	dquery -addr host:port -follow [from-lsn]
-//
-// upgrade converts, once and offline, a journal directory an older build
-// wrote, which damocles and -journal refuse (journal.Upgrade).
 package main
 
 import (
@@ -62,21 +58,9 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dquery [-addr host:port | -journal dir] <state|report|gap|stats|blueprint|snapshot|dot|links|query> [args]\n")
 		fmt.Fprintf(os.Stderr, "       dquery [-addr host:port] -follow [from-lsn]\n")
-		fmt.Fprintf(os.Stderr, "       dquery upgrade <dir>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if flag.Arg(0) == "upgrade" {
-		if flag.NArg() != 2 {
-			log.Fatal("upgrade wants one journal directory")
-		}
-		converted, err := journal.Upgrade(flag.Arg(1), journal.Options{})
-		fmt.Printf("%s: converted %q\n", flag.Arg(1), converted)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *follow {
 		if *jdir != "" {
 			log.Fatal("-follow streams from a server (-addr); it cannot tail an offline -journal directory")

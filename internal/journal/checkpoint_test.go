@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/faultfs"
 	"repro/internal/meta"
 )
 
@@ -28,18 +26,17 @@ func TestCkptHeaderBytes(t *testing.T) {
 	}
 }
 
-// TestCkptHeaderVersions: a JSON document and a header of an older format
-// are the old version, which only Upgrade reads; a newer one is refused
-// naming both versions; a header is written one way only, and names the
-// LSN of its file.
+// TestCkptHeaderVersions: a JSON document is the old version, refused as
+// such; a newer one is refused naming both versions; a header is written
+// one way only, and names the LSN of its file.  A header of versions 0 and
+// 1, which no build wrote, is a bad header.
 func TestCkptHeaderVersions(t *testing.T) {
 	good := ckptHeader{lsn: 0x1a, term: 2}.Bytes()
 	for in, want := range map[string]error{
-		"{\n  \"seq\": 3":                          errOldVersion,
-		"DJS1 0000000000000001 0000000000000001\n": errOldVersion,
-		"DJS3 anything at all":                     errNewVersion,
-		"DJS12 0000000000000001":                   errNewVersion,
-		string(good):                               nil,
+		"{\n  \"seq\": 3":        errOldVersion,
+		"DJS3 anything at all":   errNewVersion,
+		"DJS12 0000000000000001": errNewVersion,
+		string(good):             nil,
 	} {
 		if _, err := parseCkptHeader([]byte(in)); !errors.Is(err, want) || want == nil && err != nil {
 			t.Errorf("%q: err = %v, want %v", in, err, want)
@@ -55,6 +52,8 @@ func TestCkptHeaderVersions(t *testing.T) {
 		strings.Replace(string(good), "02\n", "00\n", 1), // no term 0
 		"DJS02" + string(good[4:]),
 		"EJS2" + string(good[4:]), // damage, not a document
+		"DJS1 0000000000000001 0000000000000001\n",
+		"DJS0" + string(good[4:]),
 	} {
 		if h, err := parseCkptHeader([]byte(bad)); err == nil || errors.Is(err, errOldVersion) || errors.Is(err, errNewVersion) {
 			t.Errorf("%q: parsed as %+v, %v", bad, h, err)
@@ -222,89 +221,6 @@ func dbText(t testing.TB, db *meta.DB) []byte {
 	v := db.ReadView()
 	defer v.Close()
 	return viewText(t, v)
-}
-
-// v1Want is the database testdata/v1journal.save holds — the JSON
-// document of what the build that wrote testdata/v1journal recovered it
-// to — as checkpoint text.  The builds that still wrote JSON load the
-// document to this database and write it back byte for byte.
-const v1Want = `@18 term 11 2
-oid 11 cpu,netlist,1 4
-oid 11 cpu,schematic,3 3
-oid 11 cpu,schematic,4 10 1 uptodate false
-oid 11 reg,netlist,1 6 1 uptodate true
-oid 11 reg,schematic,1 5
-link 11 2 use cpu,schematic,3 reg,schematic,1 use 8 2 ckin outofdate
-link 11 3 derive reg,schematic,1 reg,netlist,1 "" 9 2 ckin outofdate
-link 11 4 use cpu,schematic,4 reg,schematic,1 use 11 3 ckin hdl_sim outofdate
-config 11 all 11 5 cpu,netlist,1 cpu,schematic,3 cpu,schematic,4 reg,netlist,1 reg,schematic,1 2 3 4
-config 11 rel1 9 3 cpu,schematic,3 reg,netlist,1 reg,schematic,1 2 3
-workspace 11 ws /proj/data cpu,schematic,1 cpu/sch/1 cpu,schematic,3 cpu/sch/3 cpu,schematic,4 cpu/sch/4
-clock 11 4
-`
-
-// v1Text is v1Want, once LoadDocument has read testdata/v1journal.save to it.
-func v1Text(t *testing.T) []byte {
-	t.Helper()
-	doc, err := os.ReadFile("testdata/v1journal.save")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := meta.LoadDocument(bytes.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dbText(t, db); string(got) != v1Want {
-		t.Fatalf("testdata/v1journal.save loads to\n%s\nwant\n%s", got, v1Want)
-	}
-	return []byte(v1Want)
-}
-
-// TestRecoverV1Journal: testdata/v1journal is a journal directory written by
-// a build whose snapshots were JSON documents — version 1 of the format — with
-// a promotion, a pruned chain, a binding to a pruned OID, configurations and
-// links with several PROPAGATE events, and records behind its snapshot;
-// testdata/v1journal.save is what that build recovered it to.  Open refuses
-// it; Upgrade converts it to what Open recovers to the same database, and
-// a second Upgrade changes nothing.  The first checkpoint compacts the
-// converted snapshot away, and the directory recovers to them still.
-func TestRecoverV1Journal(t *testing.T) {
-	golden := v1Text(t)
-	dir := copyDir(t, "testdata/v1journal")
-	if _, _, err := Open(dir, Options{SnapshotEvery: -1}); err == nil || !strings.Contains(err.Error(), "`dquery upgrade <dir>`") {
-		t.Fatalf("Open of a directory with a JSON snapshot: %v", err)
-	}
-	converted, err := Upgrade(dir, Options{})
-	if err != nil || len(converted) != 1 || !strings.HasPrefix(converted[0], "snapshot-") {
-		t.Fatalf("Upgrade converted %v, %v; want the snapshot", converted, err)
-	}
-	upgraded := dirFiles(t, dir)
-	if again, err := Upgrade(dir, Options{}); err != nil || len(again) != 0 || !maps.EqualFunc(dirFiles(t, dir), upgraded, bytes.Equal) {
-		t.Fatalf("a second Upgrade converted %v, %v", again, err)
-	}
-	w, db, err := Open(dir, Options{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dbText(t, db); !bytes.Equal(got, golden) {
-		t.Fatalf("recovered to\n%s\nwant\n%s", got, golden)
-	}
-	last := w.LastLSN()
-	if err := w.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	w.Abort()
-	_, snaps, _, err := list(faultfs.OS, dir)
-	if err != nil || len(snaps) != 1 || snaps[0] != last {
-		t.Fatalf("snapshots after the first checkpoint: %v, %v; want one, at %d", snaps, err, last)
-	}
-	if ckpt, err := os.ReadFile(filepath.Join(dir, snapshotName(last))); err != nil || !bytes.HasPrefix(ckpt, []byte("DJS2 ")) {
-		t.Fatalf("the snapshot at %d is no checkpoint: %.20q, %v", last, ckpt, err)
-	}
-	rdb, lsn, err := Replay(dir, 0)
-	if err != nil || lsn != last || !bytes.Equal(dbText(t, rdb), golden) {
-		t.Fatalf("after the checkpoint: lsn %d of %d, %v, same state: %v", lsn, last, err, err == nil && bytes.Equal(dbText(t, rdb), golden))
-	}
 }
 
 // TestNewestSnapshotAcrossFormats: recovery and the tail take the newest

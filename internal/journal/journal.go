@@ -15,8 +15,9 @@
 //     nothing newer.  A header "DJS<version> <lsn16> <term16>\n", then a
 //     frame per record of meta.View.Checkpoint.
 //
-// Version 1 of both — a header without a term, a JSON document (the one
-// meta.LoadDocument reads) — only Upgrade reads; recovery refuses it.
+// Version 1 of both — a segment header without a term, a JSON document —
+// is refused, naming the file: the `dquery upgrade` of commit bbe314f, the
+// last build that reads it, converts it.
 //
 // Each record is framed as
 //
@@ -392,10 +393,12 @@ const (
 	ckptHeaderLen = len(ckptMagic) + 1 + 1 + 16 + 1 + 16 + 1
 )
 
-// A segment or snapshot of an older format version is for Upgrade to read
-// (version 1 of the snapshot is the JSON document); a newer one is refused.
+// A segment of version 1 or a JSON snapshot, of the generation before
+// election terms and checkpoints, is errOldVersion: this build reads neither,
+// and its callers prefix the file's name.  A snapshot of a newer version is
+// errNewVersion.
 var (
-	errOldVersion = errors.New("journal: a file of an older format version, which `dquery upgrade <dir>` converts")
+	errOldVersion = errors.New("journal: this file is of an older format version, which the `dquery upgrade` of commit bbe314f converts")
 	errNewVersion = errors.New("journal: snapshot of a newer format version")
 )
 
@@ -416,8 +419,6 @@ func parseCkptHeader(data []byte) (h ckptHeader, err error) {
 	switch {
 	case n > 0 && v > ckptVersion:
 		return h, fmt.Errorf("%w: version %d, this build reads up to version %d", errNewVersion, v, ckptVersion)
-	case n > 0 && v < ckptVersion:
-		return h, fmt.Errorf("%w: version %d, this build writes version %d", errOldVersion, v, ckptVersion)
 	case n < 3 || h.term < 1 || !bytes.HasPrefix(data, h.Bytes()):
 		return h, fmt.Errorf("bad checkpoint header %q", data[:min(len(data), ckptHeaderLen)])
 	}

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bpl"
@@ -384,4 +387,155 @@ func TestRecoveryReadFaultSweep(t *testing.T) {
 		}
 	}
 	t.Logf("swept %d single-fault recoveries over sites %v: %d failed loudly, %d went through", runs, counts, failed, runs-failed)
+}
+
+// dirFiles returns the content of every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// writeDir writes files into a new directory and returns its path.
+func writeDir(t *testing.T, files map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestRefusesOlderFormat: Open, OpenFollower and Replay refuse a directory
+// in which they would have to read a file of the older on-disk generation —
+// the JSON-snapshot fixture; a history over several version 1 segments; the
+// same with a torn final record, which Open would otherwise truncate; a JSON
+// snapshot newer than a checkpoint — naming the file and the build whose
+// `dquery upgrade` converts it, and leave every file as it was.  A follower
+// refuses a JSON document as its bootstrap snapshot and is left as it was.
+func TestRefusesOlderFormat(t *testing.T) {
+	const fixture, fixtureSnap = "testdata/v1journal", "snapshot-0000000000000015.json"
+	const firstSeg = "journal-0000000000000001.log"
+
+	// A term-1 history over several segments, no snapshot, its segments
+	// under the header of format version 1, which implied term 1.
+	dir := t.TempDir()
+	w, db, err := journal.Open(dir, journal.Options{SnapshotEvery: -1, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		k, err := db.NewVersion(fmt.Sprintf("b%d", i%3), "schematic")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SetProp(k, "round", fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Abort()
+	v1 := dirFiles(t, dir)
+	var last string
+	for name, data := range v1 {
+		body, ok := bytes.CutPrefix(data, []byte("DJL2 0000000000000001\n"))
+		if !ok {
+			t.Fatalf("%s is no segment of term 1: %.22q", name, data)
+		}
+		v1[name] = append([]byte("DJL1\n"), body...)
+		last = max(last, name)
+	}
+	if len(v1) < 3 {
+		t.Fatalf("%d segments, want several", len(v1))
+	}
+	// Its torn twin: a short frame header at the end of the last segment.
+	torn := maps.Clone(v1)
+	torn[last] = append(slices.Clone(torn[last]), 0x10, 0, 0)
+
+	// The fixture's JSON snapshot beside an older checkpoint: one of an
+	// empty database at the position before the fixture's segment.
+	newer := dirFiles(t, fixture)
+	older, err := journal.CheckpointOf(meta.NewDB(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer["snapshot-000000000000000b.json"] = older
+
+	for _, c := range []struct {
+		what, dir, file string
+	}{
+		{"the JSON-snapshot fixture", writeDir(t, dirFiles(t, fixture)), fixtureSnap},
+		{"version 1 segments", writeDir(t, v1), firstSeg},
+		{"version 1 segments, the last torn", writeDir(t, torn), firstSeg},
+		{"a JSON snapshot newer than a checkpoint", writeDir(t, newer), fixtureSnap},
+	} {
+		before := dirFiles(t, c.dir)
+		for verb, recover := range map[string]func() error{
+			"Open": func() error {
+				w, _, err := journal.Open(c.dir, journal.Options{})
+				if err == nil {
+					w.Abort()
+				}
+				return err
+			},
+			"OpenFollower": func() error {
+				w, _, err := journal.OpenFollower(c.dir, journal.Options{})
+				if err == nil {
+					w.Abort()
+				}
+				return err
+			},
+			"Replay": func() error {
+				_, _, err := journal.Replay(c.dir, 0)
+				return err
+			},
+		} {
+			if err := recover(); err == nil || !strings.Contains(err.Error(), c.file) || !strings.Contains(err.Error(), "`dquery upgrade` of commit bbe314f") {
+				t.Errorf("%s: %s: %v", c.what, verb, err)
+			}
+			if !maps.EqualFunc(dirFiles(t, c.dir), before, bytes.Equal) {
+				t.Fatalf("%s: %s changed the directory", c.what, verb)
+			}
+		}
+	}
+
+	fdir := t.TempDir()
+	f, fdb, err := journal.OpenFollower(fdir, journal.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Abort()
+	for i := int64(1); i <= 3; i++ {
+		r := meta.Record{LSN: i, Seq: i, Op: meta.OpOID, Args: []string{fmt.Sprintf("f%d,HDL_model,1", i), fmt.Sprint(i)}}
+		if _, err := f.ApplyAppend(journal.Frame(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	files, state := dirFiles(t, fdir), journal.DBText(t, fdb)
+	doc, err := os.ReadFile(filepath.Join(fixture, fixtureSnap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.BootstrapSnapshot(50, doc); err == nil || !strings.Contains(err.Error(), "bbe314f") {
+		t.Errorf("a bootstrap from a JSON document: %v", err)
+	}
+	if f.LastLSN() != 3 || !bytes.Equal(journal.DBText(t, fdb), state) || !maps.EqualFunc(dirFiles(t, fdir), files, bytes.Equal) {
+		t.Errorf("a refused bootstrap changed the follower: lsn %d", f.LastLSN())
+	}
 }

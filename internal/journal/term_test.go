@@ -15,6 +15,10 @@ import (
 	"repro/internal/meta"
 )
 
+// v1SegMagic opened a segment before election terms: its records were of
+// term 1.
+const v1SegMagic = "DJL1\n"
+
 func TestSegHeaderRoundTrip(t *testing.T) {
 	for _, term := range []int64{1, 2, 7, 1 << 40} {
 		hdr := encodeSegHeader(term)
@@ -26,8 +30,8 @@ func TestSegHeaderRoundTrip(t *testing.T) {
 			t.Fatalf("parse(encode(%d)) = %d, %d, %v", term, got, n, err)
 		}
 	}
-	// A version 1 header, and one torn inside it, are of an older format:
-	// refused, as something `dquery upgrade` converts.
+	// A version 1 header, and one torn inside it, are of the older
+	// generation: refused as such.
 	for _, old := range []string{v1SegMagic + "payload", v1SegMagic, v1SegMagic[:4]} {
 		if got, n, err := parseSegHeader([]byte(old)); !errors.Is(err, errOldVersion) || !strings.Contains(err.Error(), "version 1") {
 			t.Fatalf("v1 parse of %q = %d, %d, %v, want errOldVersion", old, got, n, err)

@@ -875,9 +875,9 @@ func (w *Writer) pinNewest() (*meta.View, error) {
 // seal finishes f, the temporary file of a file that is to be path: fsync,
 // close, and atomic rename into place.  werr is the error state of the
 // writes so far; on any failure the temporary file is removed and nothing
-// is installed.  Every file written whole — a snapshot of either producer
-// (Snapshot and BootstrapSnapshot), a file Upgrade converts — installs
-// through here, so crash-safety fixes to the sequence apply to all.
+// is installed.  Every file written whole — a snapshot of either producer,
+// Snapshot and BootstrapSnapshot — installs through here, so crash-safety
+// fixes to the sequence apply to both.
 func seal(vfs faultfs.FS, f faultfs.File, werr error, path string) error {
 	tmp := f.Name()
 	err := werr

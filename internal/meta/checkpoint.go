@@ -28,12 +28,12 @@ import (
 // The clock comes last, so that a checkpoint cut short at a record boundary
 // is not a smaller database.
 
-// snapshot is what a checkpoint and the JSON document LoadDocument reads
-// (persist.go) hold: the clocks, the term table and the objects.
+// snapshot is what LoadCheckpoint gathers of a checkpoint before the
+// installer enters it: the clocks, the term table and the objects but the
+// OIDs, which go straight to the installer.
 type snapshot struct {
 	seq, nextLink int64
 	terms         []TermStart
-	oids          []OID
 	links         []*Link
 	configs       []*Configuration
 	workspaces    []*Workspace
@@ -285,12 +285,12 @@ func (in *interner) key(k Key) Key {
 	return Key{Block: in.str(k.Block), View: in.str(k.View), Version: k.Version}
 }
 
-// installer enters a snapshot in a new database nobody else holds yet, so
-// without locks: the one bulk install of both formats.  Each object is the
-// first version of its history, stamped at the newest term start so that a
-// view pinned there has the whole term table.  OIDs come in key order, so
-// that each chain is one ascending run, pushed once, and a duplicate comes
-// next to its first; each posting is built once.
+// installer enters a checkpoint in a new database nobody else holds yet, so
+// without locks.  Each object is the first version of its history, stamped
+// at the newest term start so that a view pinned there has the whole term
+// table.  OIDs come in key order, so that each chain is one ascending run,
+// pushed once, and a duplicate comes next to its first; each posting is
+// built once.
 type installer struct {
 	db    *DB
 	stamp int64
@@ -335,18 +335,6 @@ func (ins *installer) endChain() {
 		ins.db.store.Load().chains.push(ins.prev.BV(), ins.stamp, slices.Clone(ins.chain), false)
 		ins.chain = ins.chain[:0]
 	}
-}
-
-// install enters the whole snapshot: a JSON document's, read into ins's
-// database.
-func (s *snapshot) install(ins *installer) (*DB, error) {
-	slices.SortFunc(s.oids, func(a, b OID) int { return a.Key.Compare(b.Key) })
-	for i := range s.oids {
-		if err := ins.oid(&s.oids[i]); err != nil {
-			return nil, err
-		}
-	}
-	return ins.finish(s)
 }
 
 // finish enters the rest of a snapshot whose OIDs are in.

@@ -236,9 +236,9 @@ func TestQuickPlainViewEqualsReplay(t *testing.T) {
 	}
 }
 
-// TestQuickLoadSeals: a checkpoint and the JSON document of a database
-// each load to a database that writes the source's checkpoint and reads
-// live as the source does (oracleLive), a view pinned on the loaded
+// TestQuickLoadSeals: the checkpoint of a database loads to a database
+// that writes the source's checkpoint and reads live as the source does
+// (oracleLive), a view pinned on the loaded
 // database sees the loaded content (and keeps seeing it under later
 // writes), and the first update of a loaded OID diffs against the loaded
 // properties — the loaded versions are the database from the start.
@@ -257,19 +257,7 @@ func TestQuickLoadSeals(t *testing.T) {
 		sv := src.ReadView()
 		text, payloads := viewText(t, sv), checkpointOf(t, sv)
 		sv.Close()
-		doc, want := docOf(t, src), oracleLive(t, src)
-		for _, l := range []struct {
-			from string
-			load func() (*DB, error)
-		}{
-			{"checkpoint", func() (*DB, error) { return loadPayloads(payloads) }},
-			{"document", func() (*DB, error) { return LoadDocument(bytes.NewReader(doc)) }},
-		} {
-			if !loadSeals(t, seed, l.from, src, text, want, l.load) {
-				return false
-			}
-		}
-		return true
+		return loadSeals(t, seed, src, text, oracleLive(t, src), func() (*DB, error) { return loadPayloads(payloads) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -278,8 +266,8 @@ func TestQuickLoadSeals(t *testing.T) {
 
 // loadSeals is TestQuickLoadSeals for one load of src, whose checkpoint
 // text is text and whose live reads are want.
-func loadSeals(t *testing.T, seed int64, from string, src *DB, text, want []byte, load func() (*DB, error)) bool {
-	at := fmt.Sprintf("seed %d: %s", seed, from)
+func loadSeals(t *testing.T, seed int64, src *DB, text, want []byte, load func() (*DB, error)) bool {
+	at := fmt.Sprintf("seed %d", seed)
 	db, err := load()
 	if err != nil {
 		t.Logf("%s: load: %v", at, err)
@@ -337,23 +325,6 @@ func loadSeals(t *testing.T, seed int64, from string, src *DB, text, want []byte
 	}
 	pinned.Close()
 	return true
-}
-
-// FuzzLoad: a hostile JSON document either fails to load or yields a
-// database whose pinned view agrees with its live reads and whose document
-// loads to the same database — never a panic, never a database that reads
-// differently through a view than through the live API.  (Its document may
-// differ from the input: the decoder is lenient about spelling.)
-func FuzzLoad(f *testing.F) {
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"seq":3,"next_link":1,"oids":[{"block":"a","view":"v","version":2,"seq":1,"props":{"p":"x"}},{"block":"b","view":"v","version":1,"seq":2}],` +
-		`"links":[{"id":1,"class":"derive","from":"a,v,2","to":"b,v,1","propagates":["e"],"seq":3}],` +
-		`"configurations":[{"name":"c","seq":3,"oids":["a,v,2"],"links":[1]}],"workspaces":[{"name":"w","root":"/r","paths":{"a,v,2":"p"}}],` +
-		`"terms":[{"term":2,"lsn":7}]}`))
-	f.Add([]byte(`{"seq":1} garbage`))
-	f.Add([]byte(`{"seq":1,"SEQ":7,"seq":5,"future":[{"a":[1.5e3,null,true]},"\ud83d\ude00\u00e9"]}`))
-	f.Add([]byte("{\"oids\":[{\"block\":\"\\ud83dx\xff\",\"view\":\"v\",\"version\":1,\"props\":{\"p\":null}}],\"links\":null}"))
-	f.Fuzz(func(t *testing.T, doc []byte) { loadFixedPoint(t, doc) })
 }
 
 // BenchmarkNewDB is the price of construction: an empty database is its own

@@ -26,8 +26,7 @@ func storedLink(t *testing.T, db *DB, id LinkID) *Link {
 }
 
 // TestLinkAttributesShared: links stamped with equal attributes hold one
-// copy of them, from AddLink, a recovered checkpoint and a loaded document
-// alike; a link of attributes of its own shares them with none; and no
+// copy of them, from AddLink and a recovered checkpoint alike; a link of attributes of its own shares them with none; and no
 // change around one link — RetargetLink, the copy of an inherited link, a
 // change to a copy GetLink handed out — shows in its siblings or in a view
 // pinned before it.
@@ -106,8 +105,8 @@ func TestLinkAttributesShared(t *testing.T) {
 		return true
 	})
 
-	// The one-off property survives a checkpoint and the JSON document byte
-	// for byte, and what the reloaded databases keep is shared again.
+	// The one-off property survives a checkpoint byte for byte, and what the
+	// recovered database keeps is shared again.
 	v := db.ReadView()
 	want := viewText(t, v)
 	recovered, err := loadPayloads(checkpointOf(t, v))
@@ -115,20 +114,14 @@ func TestLinkAttributesShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDocument(bytes.NewReader(docOf(t, db)))
-	if err != nil {
-		t.Fatal(err)
+	if b := dbText(t, recovered); !bytes.Equal(b, want) {
+		t.Errorf("checkpoint: %s", firstDiff(b, want))
 	}
-	for name, got := range map[string]*DB{"checkpoint": recovered, "document": loaded} {
-		if b := dbText(t, got); !bytes.Equal(b, want) {
-			t.Errorf("%s: %s", name, firstDiff(b, want))
-		}
-		if !sameAttrs(storedLink(t, got, ids[2]), storedLink(t, got, copyID)) {
-			t.Errorf("%s: links of equal attributes hold a copy each", name)
-		}
-		if l := storedLink(t, got, oneOff); prop(l.Props, "note") != "one-off" || sameAttrs(l, storedLink(t, got, ids[3])) {
-			t.Errorf("%s: the one-off link came back as %+v", name, l)
-		}
+	if !sameAttrs(storedLink(t, recovered, ids[2]), storedLink(t, recovered, copyID)) {
+		t.Error("checkpoint: links of equal attributes hold a copy each")
+	}
+	if l := storedLink(t, recovered, oneOff); prop(l.Props, "note") != "one-off" || sameAttrs(l, storedLink(t, recovered, ids[3])) {
+		t.Errorf("checkpoint: the one-off link came back as %+v", l)
 	}
 }
 
@@ -153,8 +146,8 @@ func TestAttrInternAllocatesNothingOnAHit(t *testing.T) {
 }
 
 // TestOIDPropertySetsShared: OID versions of equal properties hold one copy
-// of them — written by the mutators, recovered from a checkpoint, loaded
-// from a document and replayed from a journal alike — and no write to one
+// of them — written by the mutators, recovered from a checkpoint and
+// replayed from a journal alike — and no write to one
 // OID shows in another that shares its copy, or in a view pinned before it.
 func TestOIDPropertySetsShared(t *testing.T) {
 	rec := &sliceRecorder{}
@@ -250,17 +243,13 @@ func TestOIDPropertySetsShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDocument(bytes.NewReader(docOf(t, db)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	replayed := NewDB()
 	for _, r := range rec.recs {
 		if err := replayed.ApplyRecord(r); err != nil {
 			t.Fatalf("apply %s record %d: %v", r.Op, r.LSN, err)
 		}
 	}
-	for name, got := range map[string]*DB{"checkpoint": recovered, "document": loaded, "journal": replayed} {
+	for name, got := range map[string]*DB{"checkpoint": recovered, "journal": replayed} {
 		if b := dbText(t, got); !bytes.Equal(b, want) {
 			t.Errorf("%s: %s", name, firstDiff(b, want))
 		}

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -85,45 +86,56 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// checkpointLines is a checkpoint written out one record a line.
+func checkpointLines(text string) [][]byte {
+	return bytes.Split([]byte(text), []byte("\n"))
+}
+
+// TestLoadRejectsCorrupt: a checkpoint that is not one, or whose links
+// dangle, loop on one OID or are spelled wrong, does not load.
 func TestLoadRejectsCorrupt(t *testing.T) {
 	cases := map[string]string{
-		"garbage":       "not json",
-		"dup oid":       `{"oids":[{"block":"a","view":"v","version":1},{"block":"a","view":"v","version":1}]}`,
-		"dangling link": `{"oids":[{"block":"a","view":"v","version":1}],"links":[{"id":1,"class":"use","from":"a,v,1","to":"b,v,1"}]}`,
-		"bad class":     `{"oids":[{"block":"a","view":"v","version":1},{"block":"b","view":"v","version":1}],"links":[{"id":1,"class":"weird","from":"a,v,1","to":"b,v,1"}]}`,
-		"bad key":       `{"oids":[{"block":"a","view":"v","version":1},{"block":"b","view":"v","version":1}],"links":[{"id":1,"class":"use","from":"nokey","to":"b,v,1"}]}`,
-		"self link":     `{"oids":[{"block":"a","view":"v","version":1}],"links":[{"id":1,"class":"use","from":"a,v,1","to":"a,v,1"}]}`,
+		"garbage": "not a checkpoint",
+		"dup oid": "0 0 oid a,v,1 0\n0 0 oid a,v,1 0\n0 0 clock 0",
+		"dangling link": "0 0 oid a,v,1 0\n" +
+			`0 0 link 1 use a,v,1 b,v,1 "" 0 0` + "\n0 0 clock 1",
+		"bad class": "0 0 oid a,v,1 0\n0 0 oid b,v,1 0\n" +
+			`0 0 link 1 weird a,v,1 b,v,1 "" 0 0` + "\n0 0 clock 1",
+		"bad key": "0 0 oid a,v,1 0\n0 0 oid b,v,1 0\n" +
+			`0 0 link 1 use nokey b,v,1 "" 0 0` + "\n0 0 clock 1",
+		"self link": "0 0 oid a,v,1 0\n" +
+			`0 0 link 1 use a,v,1 a,v,1 "" 0 0` + "\n0 0 clock 1",
 	}
-	for name, doc := range cases {
-		if _, err := LoadDocument(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: LoadDocument accepted corrupt input", name)
+	for name, text := range cases {
+		if _, err := loadPayloads(checkpointLines(text)); err == nil {
+			t.Errorf("%s: LoadCheckpoint accepted corrupt input", name)
+		} else if !strings.HasPrefix(err.Error(), "meta: checkpoint") {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
 
+// TestLoadRejectsDuplicates: an OID, configuration or workspace a
+// checkpoint holds twice is refused by name, not loaded last-wins.
 func TestLoadRejectsDuplicates(t *testing.T) {
-	cases := map[string]struct{ doc, wantSub string }{
+	cases := map[string]struct{ text, wantSub string }{
 		"oid": {
-			doc: `{"oids":[
-				{"block":"a","view":"v","version":1,"props":{"p":"first"}},
-				{"block":"b","view":"v","version":1},
-				{"block":"a","view":"v","version":1,"props":{"p":"second"}}
-			]}`,
+			text:    "0 0 oid a,v,1 0 1 p first\n0 0 oid a,v,1 0 1 p second\n0 0 oid b,v,1 0\n0 0 clock 0",
 			wantSub: "duplicate oid a,v,1",
 		},
 		"configuration": {
-			doc:     `{"configurations":[{"name":"c","oids":[]},{"name":"c","oids":[]}]}`,
+			text:    "0 0 config c 1 0\n0 0 config c 1 0\n0 0 clock 0",
 			wantSub: `duplicate configuration "c"`,
 		},
 		"workspace": {
-			doc:     `{"workspaces":[{"name":"w","root":"/a"},{"name":"w","root":"/b"}]}`,
+			text:    "0 0 workspace w /a\n0 0 workspace w /b\n0 0 clock 0",
 			wantSub: `duplicate workspace "w"`,
 		},
 	}
 	for name, tc := range cases {
-		_, err := LoadDocument(strings.NewReader(tc.doc))
+		_, err := loadPayloads(checkpointLines(tc.text))
 		if err == nil {
-			t.Errorf("%s: LoadDocument accepted a duplicate (last-wins would silently drop data)", name)
+			t.Errorf("%s: LoadCheckpoint accepted a duplicate (last-wins would silently drop data)", name)
 			continue
 		}
 		if !errors.Is(err, ErrExists) {
@@ -135,16 +147,19 @@ func TestLoadRejectsDuplicates(t *testing.T) {
 	}
 }
 
-// TestLoadFloorsLinkCounter: a document whose next_link is below one of its
+// TestLoadFloorsLinkCounter: a checkpoint whose clock is below one of its
 // link IDs loads with the counter at its largest link ID, so the next link
 // added gets an ID above every loaded one — and so does a link ID below 1,
 // which a journal replay accepts too, load and come back from the checkpoint.
 func TestLoadFloorsLinkCounter(t *testing.T) {
-	doc := `{"oids":[{"block":"a","view":"v","version":1},{"block":"b","view":"v","version":1}],
-		"links":[{"id":0,"class":"use","from":"a,v,1","to":"b,v,1"},{"id":7,"class":"use","from":"b,v,1","to":"a,v,1"},
-			{"id":-3,"class":"derive","from":"a,v,1","to":"b,v,1"}],
-		"next_link":2}`
-	db, err := LoadDocument(strings.NewReader(doc))
+	db, err := loadPayloads([][]byte{
+		[]byte("0 0 oid a,v,1 0"),
+		[]byte("0 0 oid b,v,1 0"),
+		[]byte(`0 0 link -3 derive a,v,1 b,v,1 "" 0 0`),
+		[]byte(`0 0 link 0 use a,v,1 b,v,1 "" 0 0`),
+		[]byte(`0 0 link 7 use b,v,1 a,v,1 "" 0 0`),
+		[]byte("0 0 clock 2"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,21 +179,5 @@ func TestLoadFloorsLinkCounter(t *testing.T) {
 	}
 	if got, want := again.Head().LinkIDs(), []LinkID{-3, 0, 7, 8}; !reflect.DeepEqual(got, want) {
 		t.Errorf("checkpoint of the loaded database holds links %v, want %v", got, want)
-	}
-}
-
-func TestLoadVersionChainOutOfOrderInput(t *testing.T) {
-	// Versions listed out of order in the document must still load.
-	doc := `{"oids":[
-		{"block":"a","view":"v","version":3},
-		{"block":"a","view":"v","version":1},
-		{"block":"a","view":"v","version":2}
-	]}`
-	db, err := LoadDocument(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Head().Versions("a", "v"); len(got) != 3 {
-		t.Errorf("Versions = %v", got)
 	}
 }

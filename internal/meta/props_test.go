@@ -1,7 +1,6 @@
 package meta
 
 import (
-	"bytes"
 	"maps"
 	"math/rand"
 	"slices"
@@ -79,8 +78,8 @@ func agrees(t *testing.T, p Props, m map[string]string) bool {
 
 // TestQuickProps: a property set reads as the map filled with the same
 // pairs; equal sets, however they were spelled, are equal strings; an edit
-// is the map edited; and a set comes back unchanged from an update record,
-// a checkpoint and the JSON document.
+// is the map edited; and a set comes back unchanged from an update record
+// and a checkpoint.
 func TestQuickProps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -125,8 +124,8 @@ func TestQuickProps(t *testing.T) {
 			return false
 		}
 
-		// Through a database: update records, a checkpoint, the JSON
-		// document.  The second update sets and deletes.
+		// Through a database: update records and a checkpoint.  The second
+		// update sets and deletes.
 		rec := &sliceRecorder{}
 		db := NewDB()
 		db.SetRecorder(rec)
@@ -154,11 +153,7 @@ func TestQuickProps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadDocument(bytes.NewReader(docOf(t, db)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, got := range map[string]*DB{"record": replayed, "checkpoint": recovered, "document": loaded} {
+		for name, got := range map[string]*DB{"record": replayed, "checkpoint": recovered} {
 			o, err := got.Head().GetOID(k)
 			if err != nil || o.Props != e {
 				t.Logf("seed %d: %s: %v came back as %v (%v)", seed, name, e, o, err)

@@ -48,9 +48,10 @@ func (t clientTracker) prop(k meta.Key, name string) (string, bool, error) {
 
 // CheckinHierarchy posts the ckin events for a whole set of OIDs — a
 // designer promoting an assembled hierarchy — in a single BATCH
-// round-trip.  The server queues every event and drains once, so the
-// invalidation waves of sibling subtrees can be processed concurrently
-// instead of paying one network round-trip and one drain per OID.
+// round-trip.  The server posts the items one by one and drains once: the
+// invalidation waves of sibling subtrees are processed in FIFO order by that
+// one drain, instead of paying one network round-trip and one drain per
+// OID.
 func (r *Remote) CheckinHierarchy(keys []meta.Key) error {
 	if len(keys) == 0 {
 		return nil

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # depcheck.sh — the serving path must not import the paper-reproduction
-# packages, a test instrument or another binary, and the node must not link
-# the JSON codec.
+# packages, a test instrument or another binary, and no program of the
+# module may import the JSON codec.
 #
 # Usage: depcheck.sh
 #
@@ -9,11 +9,10 @@
 # damocles binary included, and fails when one of them is a reproduction
 # package (baseline, flow, task, tools, wrapper, cli), the test instrument
 # netfault (the network-fault proxy) or lives under cmd/.
-# Then builds damocles and fails when `go tool nm` finds in it the JSON
-# document's reader (meta.LoadDocument) or the encoding/json decoder or
-# encoder state: the node reads and writes only the journal's frames, no
-# build writes the JSON document, and `dquery upgrade` is the one reader of
-# the JSON snapshots of older builds.
+# Then fails when encoding/json is among the dependencies of ./internal/...
+# and ./cmd/...: a node reads and writes only the journal's frames, and the
+# JSON snapshots of older builds are refused, not read.  bench/ is a module
+# of its own and keeps its JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,14 +26,9 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/damocles" ./cmd/damocles
-json=$(go tool nm "$tmp/damocles" |
-    grep -E ' (repro/internal/meta\.LoadDocument|encoding/json\.\(\*(decodeState|encodeState)\))($|\.)' || true)
-if [ -n "$json" ]; then
-    echo "depcheck: the damocles binary links the JSON codec:" >&2
-    printf '%s\n' "$json" | head -20 >&2
+if go list -deps ./internal/... ./cmd/... | grep -qxF encoding/json; then
+    echo "depcheck: a package under internal/ or cmd/ imports encoding/json:" >&2
+    go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... ./cmd/... | grep -w encoding/json >&2 || true
     exit 1
 fi
 echo "depcheck: ok"
