@@ -1,8 +1,9 @@
 package repro
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// per-wave visited set in the propagation engine, and the zero-copy link
-// iteration the engine uses against the naive cloning alternative.
+// Benchmarks of the engine's design choices: propagation over shared
+// substructure, which the per-wave visited set keeps linear; the
+// zero-copy link iteration the engine uses against the naive cloning
+// alternative; and the default-view rule merge.
 
 import (
 	"fmt"
@@ -16,8 +17,8 @@ import (
 //
 //	a0 -> {b0, c0} -> a1 -> {b1, c1} -> a2 ...
 //
-// There are 2^k distinct paths from a0 to ak, so propagation without wave
-// dedup re-delivers exponentially while dedup visits each OID once.
+// There are 2^k distinct paths from a0 to ak; the per-wave visited set
+// still delivers to each OID once.
 func buildDiamondLattice(b *testing.B, eng *engine.Engine, k int) Key {
 	b.Helper()
 	mk := func(name string) Key {
@@ -50,11 +51,10 @@ func buildDiamondLattice(b *testing.B, eng *engine.Engine, k int) Key {
 	return root
 }
 
-// BenchmarkAblationWaveDedup contrasts propagation with the per-wave
-// visited set on (production) and off (ablated, hop-capped) over diamond
-// lattices.  The deliveries/op metric shows the exponential blowup the
-// visited set prevents.
-func BenchmarkAblationWaveDedup(b *testing.B) {
+// BenchmarkDiamondPropagation propagates one event down diamond lattices.
+// The deliveries/op metric reads 3k+1: each OID once, however many paths
+// reach it.
+func BenchmarkDiamondPropagation(b *testing.B) {
 	const blueprint = `blueprint ab
 view default
     property uptodate default true
@@ -64,32 +64,28 @@ view node
 endview
 endblueprint`
 	for _, k := range []int{4, 8, 12} {
-		for _, dedup := range []bool{true, false} {
-			name := fmt.Sprintf("diamonds=%d/dedup=%v", k, dedup)
-			b.Run(name, func(b *testing.B) {
-				bp, err := ParseBlueprint(blueprint)
-				if err != nil {
+		b.Run(fmt.Sprintf("diamonds=%d", k), func(b *testing.B) {
+			bp, err := ParseBlueprint(blueprint)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := engine.New(meta.NewDB(), bp, engine.WithMaxSteps(1<<40))
+			if err != nil {
+				b.Fatal(err)
+			}
+			root := buildDiamondLattice(b, eng, k)
+			ev := Event{Name: engine.EventOutOfDate, Dir: DirDown, Target: root}
+			before := eng.Stats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.PostAndDrain(ev); err != nil {
 					b.Fatal(err)
 				}
-				eng, err := engine.New(meta.NewDB(), bp,
-					engine.WithWaveDedup(dedup), engine.WithMaxSteps(1<<40))
-				if err != nil {
-					b.Fatal(err)
-				}
-				root := buildDiamondLattice(b, eng, k)
-				ev := Event{Name: engine.EventOutOfDate, Dir: DirDown, Target: root}
-				before := eng.Stats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.PostAndDrain(ev); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				after := eng.Stats()
-				b.ReportMetric(float64(after.Deliveries-before.Deliveries)/float64(b.N), "deliveries/op")
-			})
-		}
+			}
+			b.StopTimer()
+			after := eng.Stats()
+			b.ReportMetric(float64(after.Deliveries-before.Deliveries)/float64(b.N), "deliveries/op")
+		})
 	}
 }
 
@@ -177,65 +173,5 @@ endblueprint`
 				}
 			}
 		})
-	}
-}
-
-// TestAblationWaveDedupEquivalence checks the ablated engine still reaches
-// the same final state on DAGs (it must — it only does redundant work).
-func TestAblationWaveDedupEquivalence(t *testing.T) {
-	const blueprint = `blueprint ab
-view default
-    property uptodate default true
-    when outofdate do uptodate = false done
-endview
-view node
-endview
-endblueprint`
-	run := func(dedup bool) map[string]string {
-		bp, err := ParseBlueprint(blueprint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := engine.New(meta.NewDB(), bp, engine.WithWaveDedup(dedup))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Small diamond chain.
-		mk := func(name string) Key {
-			k, err := eng.CreateOID(name, "node", "t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return k
-		}
-		link := func(a, c Key) {
-			if _, err := eng.DB().AddLink(meta.DeriveLink, a, c, "", []string{"outofdate"}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a := mk("a")
-		b1, c1, d := mk("b"), mk("c"), mk("d")
-		link(a, b1)
-		link(a, c1)
-		link(b1, d)
-		link(c1, d)
-		if err := eng.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.PostAndDrain(Event{Name: engine.EventOutOfDate, Dir: DirDown, Target: a}); err != nil {
-			t.Fatal(err)
-		}
-		state := map[string]string{}
-		eng.DB().Head().EachOID(func(o *meta.OID) bool {
-			state[o.Key.String()], _ = o.Props.Get("uptodate")
-			return true
-		})
-		return state
-	}
-	on, off := run(true), run(false)
-	for k, v := range on {
-		if off[k] != v {
-			t.Errorf("state differs at %s: dedup=%q ablated=%q", k, v, off[k])
-		}
 	}
 }

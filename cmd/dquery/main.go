@@ -70,9 +70,9 @@ func main() {
 		}
 		return
 	}
-	if flag.NArg() == 0 {
+	if err := cli.CheckDQuery(flag.Args()); err != nil {
 		flag.Usage()
-		os.Exit(2)
+		log.Fatal(err)
 	}
 	c, cleanup, err := connect(*addr, *jdir, *bpFile)
 	if err != nil {

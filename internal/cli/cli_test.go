@@ -175,6 +175,26 @@ func TestDQuerySubcommands(t *testing.T) {
 	}
 }
 
+// TestDQueryRefusesUnknownBeforeConnecting: a missing or unknown
+// subcommand — upgrade, which this build no longer has, among them — is
+// refused by CheckDQuery, which dquery runs before it dials or replays, and
+// by DQuery without touching its client (nil here).
+func TestDQueryRefusesUnknownBeforeConnecting(t *testing.T) {
+	for _, args := range [][]string{{}, {"upgrade", "dir"}, {"nosuch"}, {""}, {"STATE"}} {
+		if err := CheckDQuery(args); err == nil {
+			t.Errorf("CheckDQuery(%q) accepted", args)
+		}
+		if err := DQuery(new(bytes.Buffer), nil, args); err == nil {
+			t.Errorf("DQuery(%q) accepted", args)
+		}
+	}
+	for _, sub := range []string{"state", "report", "gap", "stats", "blueprint", "snapshot", "dot", "query", "links"} {
+		if err := CheckDQuery([]string{sub}); err != nil {
+			t.Errorf("CheckDQuery refuses %q: %v", sub, err)
+		}
+	}
+}
+
 func TestFlowSimModes(t *testing.T) {
 	for _, mode := range []string{"scenario", "dsm", "workload"} {
 		var out bytes.Buffer

@@ -13,11 +13,28 @@ import (
 // DQuery executes one dquery subcommand against a connected client and
 // writes the result to out.  args[0] is the subcommand.
 func DQuery(out io.Writer, c *server.Client, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("dquery: missing subcommand")
+	if err := CheckDQuery(args); err != nil {
+		return err
 	}
-	switch args[0] {
-	case "state":
+	return dqueries[args[0]](out, c, args)
+}
+
+// CheckDQuery refuses a missing or unknown subcommand, so a caller can
+// refuse it before it connects to anything.
+func CheckDQuery(args []string) error {
+	if len(args) == 0 {
+		return fmt.Errorf("missing subcommand")
+	}
+	if _, ok := dqueries[args[0]]; !ok {
+		return fmt.Errorf("unknown subcommand %q", args[0])
+	}
+	return nil
+}
+
+// dqueries maps each subcommand to its handler, which gets the whole
+// argument list.
+var dqueries = map[string]func(out io.Writer, c *server.Client, args []string) error{
+	"state": func(out io.Writer, c *server.Client, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("state wants one OID argument")
 		}
@@ -42,36 +59,30 @@ func DQuery(out io.Writer, c *server.Client, args []string) error {
 			fmt.Fprintf(out, "  blocking: %s\n", r)
 		}
 		return nil
-	case "report", "gap":
-		var lines []string
-		var err error
-		if args[0] == "report" {
-			lines, err = c.Report()
-		} else {
-			lines, err = c.Gap()
-		}
-		if err != nil {
-			return err
-		}
-		for _, l := range lines {
-			fmt.Fprintln(out, l)
-		}
-		return nil
-	case "stats":
+	},
+	"report": func(out io.Writer, c *server.Client, _ []string) error {
+		return printLines(out)(c.Report())
+	},
+	"gap": func(out io.Writer, c *server.Client, _ []string) error {
+		return printLines(out)(c.Gap())
+	},
+	"stats": func(out io.Writer, c *server.Client, _ []string) error {
 		s, err := c.Stats()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(out, s)
 		return nil
-	case "blueprint":
+	},
+	"blueprint": func(out io.Writer, c *server.Client, _ []string) error {
 		src, err := c.Blueprint()
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, src)
 		return nil
-	case "snapshot":
+	},
+	"snapshot": func(out io.Writer, c *server.Client, args []string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("snapshot wants <name> <root-oid|*>")
 		}
@@ -81,7 +92,8 @@ func DQuery(out io.Writer, c *server.Client, args []string) error {
 		}
 		fmt.Fprintln(out, detail)
 		return nil
-	case "dot":
+	},
+	"dot": func(out io.Writer, c *server.Client, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("dot wants flow or state")
 		}
@@ -91,12 +103,13 @@ func DQuery(out io.Writer, c *server.Client, args []string) error {
 		}
 		fmt.Fprint(out, doc)
 		return nil
-	case "query":
-		// query [<lsn>] <reach|deps|equiv|resolve> <args...> — graph query
-		// pinned at an LSN (omitted or 0 = current state).  Works against a
-		// primary or a read-only follower; the follower waits until it has
-		// applied the LSN, so the output matches the primary's at the same
-		// position.
+	},
+	// query [<lsn>] <reach|deps|equiv|resolve> <args...> — graph query
+	// pinned at an LSN (omitted or 0 = current state).  Works against a
+	// primary or a read-only follower; the follower waits until it has
+	// applied the LSN, so the output matches the primary's at the same
+	// position.
+	"query": func(out io.Writer, c *server.Client, args []string) error {
 		rest := args[1:]
 		var lsn int64
 		if len(rest) > 0 {
@@ -108,15 +121,9 @@ func DQuery(out io.Writer, c *server.Client, args []string) error {
 		if len(rest) == 0 {
 			return fmt.Errorf("query wants [<lsn>] <reach|deps|equiv|resolve> <args...>")
 		}
-		lines, err := c.QueryAt(lsn, rest[0], rest[1:]...)
-		if err != nil {
-			return err
-		}
-		for _, l := range lines {
-			fmt.Fprintln(out, l)
-		}
-		return nil
-	case "links":
+		return printLines(out)(c.QueryAt(lsn, rest[0], rest[1:]...))
+	},
+	"links": func(out io.Writer, c *server.Client, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("links wants one OID argument")
 		}
@@ -124,7 +131,14 @@ func DQuery(out io.Writer, c *server.Client, args []string) error {
 		if err != nil {
 			return err
 		}
-		lines, err := c.Links(k)
+		return printLines(out)(c.Links(k))
+	},
+}
+
+// printLines returns a function that writes a multi-line answer to out,
+// one line each, or passes its error on.
+func printLines(out io.Writer) func([]string, error) error {
+	return func(lines []string, err error) error {
 		if err != nil {
 			return err
 		}
@@ -132,7 +146,5 @@ func DQuery(out io.Writer, c *server.Client, args []string) error {
 			fmt.Fprintln(out, l)
 		}
 		return nil
-	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
 }

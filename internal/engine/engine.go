@@ -71,8 +71,6 @@ type Engine struct {
 	clock    func() time.Time
 	user     string
 	maxSteps int64
-	dedup    bool
-	maxHops  int
 }
 
 // Option configures an Engine.
@@ -112,17 +110,6 @@ func WithUser(u string) Option { return func(e *Engine) { e.user = u } }
 // WithMaxSteps bounds the number of deliveries one Drain may process.
 func WithMaxSteps(n int64) Option { return func(e *Engine) { e.maxSteps = n } }
 
-// WithWaveDedup toggles the per-wave visited set that makes each event
-// instance visit every OID at most once.  It exists for ablation
-// measurements only: with dedup off, propagation on graphs with shared
-// substructure (diamonds) re-delivers along every path, bounded only by
-// the hop limit.  Production engines must keep it on.
-func WithWaveDedup(on bool) Option { return func(e *Engine) { e.dedup = on } }
-
-// WithMaxHops bounds propagation depth per wave; it is the termination
-// backstop when wave dedup is ablated away.
-func WithMaxHops(n int) Option { return func(e *Engine) { e.maxHops = n } }
-
 // New creates an engine over db with the given blueprint.  The blueprint
 // must be free of analyzer errors.
 func New(db *meta.DB, bp *bpl.Blueprint, opts ...Option) (*Engine, error) {
@@ -137,8 +124,6 @@ func New(db *meta.DB, bp *bpl.Blueprint, opts ...Option) (*Engine, error) {
 		clock:    time.Now,
 		user:     "nobody",
 		maxSteps: 1_000_000,
-		dedup:    true,
-		maxHops:  64,
 	}
 	e.pol.Store(&policy{bp: bp, idx: bp.Index()})
 	e.cond = sync.NewCond(&e.mu)
@@ -192,9 +177,6 @@ func (e *Engine) SetBlueprint(bp *bpl.Blueprint) error {
 		return err
 	}
 	e.pol.Store(&policy{bp: bp, idx: bp.Index()})
-	// A policy reload is rare and already a project-wide event: the point
-	// at which the graph index is audited against the link table.
-	e.db.AuditGraphIndex()
 	return nil
 }
 
@@ -387,7 +369,7 @@ func (e *Engine) drainQueue() (ran bool, _ error) {
 
 // runWave delivers the head wave's items FIFO and reports whether the wave
 // was exhausted (false: the step limit stopped it).  Only the drain touches
-// a queued wave's items, head, visited set and hops scratch.
+// a queued wave's items, head and visited set.
 func (e *Engine) runWave(w *wave, steps *int64) bool {
 	for w.head < len(w.items) {
 		// The consumed slot is zeroed to release its references.
@@ -445,7 +427,7 @@ func (e *Engine) deliver(pol *policy, item queueItem, w *wave) {
 	if !item.skipRules {
 		e.runRules(pol, ev)
 	}
-	e.propagate(item, w)
+	e.propagate(ev, w)
 }
 
 // runRules executes the run-time rules matching the event on its target,
@@ -639,77 +621,58 @@ func (e *Engine) execPost(ev Event, pa *bpl.PostAction, lookup bpl.LookupFunc) {
 // propagate crosses the target's links with the delivered event, enqueuing
 // continuation deliveries within the same wave.  Only the drain touches a
 // queued wave, so the visited set and item queue need no locking.
-func (e *Engine) propagate(item queueItem, w *wave) {
-	ev := item.ev
-	hops := w.hops[:0]
-	var blocked int64
+func (e *Engine) propagate(ev Event, w *wave) {
+	var blocked, drops, propagations int64
 	e.head.EachLinkOf(ev.Target, func(l *meta.Link) bool {
-		if !l.CanPropagate(ev.Name) {
+		var to meta.Key
+		switch {
+		case !l.CanPropagate(ev.Name):
 			blocked++
 			return true
-		}
-		var next meta.Key
-		switch {
 		case ev.Dir == bpl.DirDown && l.From == ev.Target:
-			next = l.To
+			to = l.To
 		case ev.Dir == bpl.DirUp && l.To == ev.Target:
-			next = l.From
+			to = l.From
 		default:
 			blocked++
 			return true
 		}
-		hops = append(hops, next)
-		return true
-	})
-	w.hops = hops
-	if blocked > 0 {
-		e.stats.blocked.Add(blocked)
-	}
-	if len(hops) == 0 {
-		return
-	}
-
-	var drops, propagations int64
-	if e.dedup && w.visited == nil {
-		// First propagation of the wave.  FIFO order guarantees it happens
-		// at the wave's origin, so marking the current target seeds the
-		// set exactly as marking at enqueue time would.
-		w.visited = visitedPool.Get().(map[meta.Key]bool)
-		w.visited[ev.Target] = true
-	}
-	for _, to := range hops {
-		if e.dedup {
-			if w.visited[to] {
-				drops++
-				if e.tracing {
-					e.tracer.Trace(TraceEntry{Kind: TraceDrop, OID: to.String(), Event: ev.Name,
-						Detail: "already visited in wave"})
-				}
-				continue
-			}
-			w.visited[to] = true
-		} else if item.hops >= e.maxHops {
+		if w.visited == nil {
+			// First propagation of the wave.  FIFO order guarantees it
+			// happens at the wave's origin, so marking the current target
+			// seeds the set exactly as marking at enqueue time would.
+			w.visited = visitedPool.Get().(map[meta.Key]bool)
+			w.visited[ev.Target] = true
+		}
+		if w.visited[to] {
 			drops++
 			if e.tracing {
 				e.tracer.Trace(TraceEntry{Kind: TraceDrop, OID: to.String(), Event: ev.Name,
-					Detail: "hop limit (dedup ablated)"})
+					Detail: "already visited in wave"})
 			}
-			continue
+			return true
 		}
+		w.visited[to] = true
 		nev := ev
 		nev.Target = to
-		w.items = append(w.items, queueItem{ev: nev, hops: item.hops + 1})
+		w.items = append(w.items, queueItem{ev: nev})
 		propagations++
 		if e.tracing {
 			e.tracer.Trace(TraceEntry{Kind: TracePropagate, OID: to.String(), Event: ev.Name,
 				Detail: "from " + ev.Target.String()})
 		}
+		return true
+	})
+	if blocked > 0 {
+		e.stats.blocked.Add(blocked)
 	}
 	if drops > 0 {
 		e.stats.drops.Add(drops)
 	}
-	e.queued.Add(propagations)
-	e.stats.propagations.Add(propagations)
+	if propagations > 0 {
+		e.queued.Add(propagations)
+		e.stats.propagations.Add(propagations)
+	}
 }
 
 func (e *Engine) traceError(ev Event, detail string) {

@@ -46,8 +46,8 @@
 // the caller's events; see Drain.  Nothing runs beside the drain, so the
 // order of deliveries is the order of posts whatever GOMAXPROCS is, and
 // one connection's long wave delays every other connection's post by its
-// length.  Only the drain touches a queued wave: its item queue, visited
-// set and hop scratch need no lock and are recycled when the wave retires.
+// length.  Only the drain touches a queued wave: its item queue and visited
+// set need no lock and are recycled when the wave retires.
 // Delivery phases 1 and 2 batch all property reads and writes of one
 // delivery into a single locked round-trip on the database (meta.DB
 // UpdateOID).
@@ -129,14 +129,12 @@ func (e Event) Validate() error {
 // A wave owns its delivery queue.  A poster fills a fresh wave under
 // Engine.mu and appends it to the engine's queue; from then on only the
 // goroutine that owns the drain touches it — pops items, appends
-// propagation continuations — so items, head, visited and the hops scratch
-// need no locking.  Waves are recycled through wavePool, empty, once fully
-// delivered.
+// propagation continuations — so items, head and visited need no locking.
+// Waves are recycled through wavePool, empty, once fully delivered.
 type wave struct {
 	visited map[meta.Key]bool
 	items   []queueItem // FIFO: items[head:] are pending
 	head    int
-	hops    []meta.Key // propagation scratch, reused across deliveries
 }
 
 // queueItem is one pending delivery.
@@ -146,7 +144,4 @@ type queueItem struct {
 	// without a target view propagates the event directly from the current
 	// OID, without re-running local rules on it.
 	skipRules bool
-	// hops counts propagation steps since the wave's origin; the
-	// termination backstop when wave dedup is ablated (WithWaveDedup).
-	hops int
 }

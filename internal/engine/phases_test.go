@@ -222,32 +222,6 @@ endblueprint`, WithExecutor(reg))
 	}
 }
 
-// TestMaxHopsBackstop: with dedup ablated, the hop limit terminates
-// propagation on cycles.
-func TestMaxHopsBackstop(t *testing.T) {
-	e := newTestEngine(t, `blueprint b
-view default
-    property uptodate default true
-    when outofdate do uptodate = false done
-endview
-view v
-endview
-endblueprint`, WithWaveDedup(false), WithMaxHops(10), WithMaxSteps(10_000))
-	a := mustCreate(t, e, "a", "v")
-	b := mustCreate(t, e, "b", "v")
-	for _, pair := range [][2]meta.Key{{a, b}, {b, a}} {
-		if _, err := e.DB().AddLink(meta.DeriveLink, pair[0], pair[1], "", []string{"outofdate"}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.PostAndDrain(Event{Name: EventOutOfDate, Dir: bpl.DirDown, Target: a}); err != nil {
-		t.Fatalf("hop limit did not terminate the cycle: %v", err)
-	}
-	if got := prop(t, e, b, "uptodate"); got != "false" {
-		t.Errorf("b uptodate = %q", got)
-	}
-}
-
 func TestQueueLen(t *testing.T) {
 	e := newTestEngine(t, tinyBP)
 	k := mustCreate(t, e, "cpu", "src")

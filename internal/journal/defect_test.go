@@ -75,69 +75,6 @@ func TestSnapshotRepinsPastReclaimedLSN(t *testing.T) {
 	}
 }
 
-// TestAuditGraphIndexOnJournaledDB: the graph-index audit a policy reload
-// runs must not call the nil argument builder of a record it has no
-// business writing (the panic left the writer lock taken and wedged the
-// node), and must not journal anything.
-func TestAuditGraphIndexOnJournaledDB(t *testing.T) {
-	dir := t.TempDir()
-	w, db, err := journal.Open(dir, journal.Options{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := db.NewVersion("cpu", "schematic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := db.NewVersion("cpu", "netlist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := db.AddLink(meta.DeriveLink, src, dst, "", []string{"outofdate"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		next, err := db.NewVersion("cpu", "netlist")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.RetargetLink(id, dst, next); err != nil {
-			t.Fatal(err)
-		}
-		dst = next
-	}
-	before := w.LastLSN()
-	db.AuditGraphIndex()
-	if got := w.LastLSN(); got != before {
-		t.Errorf("the audit journaled %d records", got-before)
-	}
-
-	// Every lock is free again: a write goes through, on time.
-	wrote := make(chan error, 1)
-	go func() { wrote <- db.SetProp(dst, "uptodate", "true") }()
-	select {
-	case err := <-wrote:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a write after the audit hangs: the writer lock was left taken")
-	}
-	want := journal.DBText(t, db)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, db2, err := journal.Open(dir, journal.Options{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if !bytes.Equal(journal.DBText(t, db2), want) {
-		t.Error("state after reopen differs")
-	}
-}
-
 // TestRotationNamesSegmentAfterWrittenPosition: a record buffered while
 // Commit has released its mutex for the fsync is not in the old segment,
 // so the segment Commit rotates to must be named after it, not after the

@@ -39,11 +39,10 @@ func (e errorOnly) Fatal(args ...any) { e.Error(args...) }
 // the live database's timeline: replaying it ends at the live checkpoint,
 // and a view pinned at each position a writer observed after an op, read
 // while the other writers go on, equals the journal replayed up to that
-// position.  The subtest shards=N runs the programs of seed N; the names
-// are those test lists carry.
+// position.  The subtest seed=N runs the programs of seed N.
 func TestJournalSharedBlockWriters(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 64} {
-		t.Run(fmt.Sprintf("shards=%d", seed), func(t *testing.T) { sharedBlockWriters(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { sharedBlockWriters(t, seed) })
 	}
 }
 

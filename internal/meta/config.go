@@ -186,7 +186,7 @@ func (db *DB) DeleteConfiguration(name string) error {
 	if _, ok := st.configs.at(name, newest); !ok {
 		return fmt.Errorf("configuration %q: %w", name, ErrNotFound)
 	}
-	s := db.beginMut(OpDelConfig, 0, func() []string { return []string{name} })
+	s := db.beginMut(OpDelConfig, func() []string { return []string{name} })
 	st.configs.push(name, s, nil, true)
 	db.endMut()
 	return nil

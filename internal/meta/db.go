@@ -228,7 +228,7 @@ func (db *DB) editProps(k Key, pairs, dels []string) error {
 // is x, journaled as the difference from x's properties (propArgs).  The
 // caller holds mu.
 func (db *DB) putProps(st *store, k Key, x oidVal, props Props) {
-	s := db.beginMut(OpUpdate, 0, func() []string { return propArgs(k.String(), x.props, props) })
+	s := db.beginMut(OpUpdate, func() []string { return propArgs(k.String(), x.props, props) })
 	st.oids.push(k, s, oidVal{seq: x.seq, props: props}, false)
 	db.endMut()
 }
@@ -288,7 +288,7 @@ func (db *DB) RetargetLink(id LinkID, oldEnd, newEnd Key) error {
 	if _, ok := st.oids.at(newEnd, newest); !ok {
 		return fmt.Errorf("retarget to %v: %w", newEnd, ErrNotFound)
 	}
-	s := db.beginMut(OpRetarget, 0, func() []string {
+	s := db.beginMut(OpRetarget, func() []string {
 		return []string{strconv.FormatInt(int64(id), 10), oldEnd.String(), newEnd.String()}
 	})
 	st.links.push(id, s, moved, false)

@@ -1,10 +1,6 @@
 package meta
 
-import (
-	"cmp"
-	"slices"
-	"sync"
-)
+import "sync"
 
 // View-based graph walks.  Each walk resolves adjacency through the
 // versioned reachability index (store.adj): one lock-free lookup
@@ -137,54 +133,4 @@ func (v *View) Resolve(name string) (*ResolvedConfiguration, error) {
 		}
 	}
 	return r, nil
-}
-
-// AuditGraphIndex checks the adjacency postings against the link table —
-// every live link is, as that very object, in its From's out-posting and
-// its To's in-posting, and every posting member is a live link — and
-// re-publishes any posting that diverged, in link-ID order.  Incremental
-// maintenance keeps the postings exact, so the scan normally publishes
-// nothing: it is the safety net under every walk.  It locks the whole
-// database for the scan (O(links)); the engine runs it at a policy reload.
-// A repair is stamped with the current epoch and goes through no commit
-// point: the postings are derived from the link table, so there is nothing
-// to journal and no stamp to spend, and under the writer lock no mutation
-// is installing, so no posting carries a newer stamp.
-func (db *DB) AuditGraphIndex() {
-	st := db.lock()
-	defer db.mu.Unlock()
-	s := db.mvcc.epoch.Load()
-	want := make(map[Key]posting)
-	st.links.each(newest, func(_ LinkID, l *Link) bool {
-		p := want[l.From]
-		p.out = append(p.out, l)
-		want[l.From] = p
-		p = want[l.To]
-		p.in = append(p.in, l)
-		want[l.To] = p
-		return true
-	})
-	byID := func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) }
-	same := func(have, want []*Link) bool {
-		have = slices.Clone(have)
-		slices.SortFunc(have, byID)
-		slices.SortFunc(want, byID)
-		return slices.Equal(have, want)
-	}
-	for k, p := range want {
-		have := st.posting(k, newest)
-		if !same(have.out, p.out) {
-			st.post(true, k, s, p.out)
-		}
-		if !same(have.in, p.in) {
-			st.post(false, k, s, p.in)
-		}
-	}
-	// A posting whose key no live link names must read empty.
-	st.adj.each(newest, func(k Key, _ posting) bool {
-		if _, named := want[k]; !named {
-			st.adj.push(k, s, posting{}, true)
-		}
-		return true
-	})
 }

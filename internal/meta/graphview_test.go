@@ -2,6 +2,7 @@ package meta
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,12 +10,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 )
 
 // Tests for the view-based graph walks and the versioned reachability
 // index behind them (graphview.go): byte-stable under concurrent writers,
-// repaired by AuditGraphIndex.  (That a walk at a historical LSN equals
-// the walk on a replay of that prefix is TestQuickPlainViewEqualsReplay.)
+// and the postings are exactly the link table
+// (TestQuickPostingsAreTheLinkTable).  (That a walk at a historical LSN
+// equals the walk on a replay of that prefix is
+// TestQuickPlainViewEqualsReplay.)
 
 // TestWalksMissingRootNil pins the unified missing-root semantics: all
 // four walks treat a root that does not exist the same way — nil from
@@ -54,47 +58,6 @@ func TestWalksMissingRootNil(t *testing.T) {
 	}
 }
 
-// graphProgram drives a randomized link program — creates, props, links
-// (a third of them equivalence-typed) and retargets — against a database.  Identical seeds produce identical programs.
-func graphProgram(db *DB, rng *rand.Rand) ([]Key, bool) {
-	blocks := []string{"cpu", "alu", "reg", "shifter", "dec", "mmu"}
-	views := []string{"HDL_model", "schematic", "netlist"}
-	var keys []Key
-	for i := 0; i < rng.Intn(25)+8; i++ {
-		k, err := db.NewVersion(blocks[rng.Intn(len(blocks))], views[rng.Intn(len(views))])
-		if err != nil {
-			return nil, false
-		}
-		if rng.Intn(2) == 0 {
-			if err := db.SetProp(k, "p", fmt.Sprintf("v%d", rng.Intn(3))); err != nil {
-				return nil, false
-			}
-		}
-		keys = append(keys, k)
-	}
-	for i := 0; i < rng.Intn(30); i++ {
-		a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
-		if a == b {
-			continue
-		}
-		props := map[string]string{PropType: TypeEquivalence}
-		if rng.Intn(3) > 0 {
-			props = nil
-		}
-		if _, err := db.AddLink(DeriveLink, a, b, "t", []string{"outofdate"}, props); err != nil {
-			return nil, false
-		}
-	}
-	ids := db.Head().LinkIDs()
-	for i := 0; i < rng.Intn(5) && len(ids) > 0; i++ {
-		id := ids[rng.Intn(len(ids))]
-		if l, err := db.Head().GetLink(id); err == nil {
-			_ = db.RetargetLink(id, l.To, keys[rng.Intn(len(keys))])
-		}
-	}
-	return keys, true
-}
-
 // walkFingerprint renders every walk from every root through the view —
 // the byte-stable identity of the graph at one LSN.
 func walkFingerprint(v *View, roots []Key) string {
@@ -111,79 +74,116 @@ func walkFingerprint(v *View, roots []Key) string {
 	return sb.String()
 }
 
-// TestGraphIndexAfterRebuild corrupts an adjacency posting in place and
-// checks that AuditGraphIndex repairs it from the link table: view walks
-// and the head's out-postings match those of an untouched twin database
-// again afterwards.
-func TestGraphIndexAfterRebuild(t *testing.T) {
-	db := NewDB()
-	rng := rand.New(rand.NewSource(7))
-	keys, ok := graphProgram(db, rng)
-	if !ok {
-		t.Fatal("program failed")
+// TestQuickPostingsAreTheLinkTable: the reachability index is derived
+// state, written in the same locked act as the link it indexes — by
+// installLinkLocked, RetargetLink and a checkpoint load's installer — so
+// at every stamp it is exactly the link table.  Random mutation programs
+// check it on the head after every step, on views pinned along the way
+// (after the later writes), on the database each pinned view's checkpoint
+// loads into, and across a RestoreFrom that the second half of the
+// program runs on.
+func TestQuickPostingsAreTheLinkTable(t *testing.T) {
+	f := func(seed int64) bool {
+		fail := func(where string, err error) bool {
+			t.Logf("seed=%d: %s: %v", seed, where, err)
+			return false
+		}
+		steps := mutationProgram(seed)
+		db := NewDB()
+		var pinned []*View
+		defer func() {
+			for _, v := range pinned {
+				v.Close()
+			}
+		}()
+		for i, step := range steps {
+			if i == len(steps)/2 {
+				v := db.ReadView()
+				src, err := loadPayloads(checkpointOf(t, v))
+				v.Close()
+				if err != nil {
+					return fail("load", err)
+				}
+				if err := db.RestoreFrom(src, db.mvcc.epoch.Load()); err != nil {
+					return fail("restore", err)
+				}
+				if err := postingsAreLinks(db.Head()); err != nil {
+					return fail("head after RestoreFrom", err)
+				}
+			}
+			step(db)
+			if err := postingsAreLinks(db.Head()); err != nil {
+				return fail(fmt.Sprintf("head after step %d", i), err)
+			}
+			if i%3 == 0 {
+				pinned = append(pinned, db.ReadView())
+			}
+		}
+		for _, v := range pinned {
+			if err := postingsAreLinks(v); err != nil {
+				return fail(fmt.Sprintf("view at stamp %d", v.LSN()), err)
+			}
+			loaded, err := loadPayloads(checkpointOf(t, v))
+			if err != nil {
+				return fail(fmt.Sprintf("load of the view at stamp %d", v.LSN()), err)
+			}
+			if err := postingsAreLinks(loaded.Head()); err != nil {
+				return fail(fmt.Sprintf("load of the view at stamp %d", v.LSN()), err)
+			}
+		}
+		return true
 	}
-	twin := NewDB()
-	if _, ok := graphProgram(twin, rand.New(rand.NewSource(7))); !ok {
-		t.Fatal("program failed")
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
-	tv := twin.ReadView()
-	want := walkFingerprint(tv, keys)
-	tv.Close()
+}
 
-	// Sanity: index agrees before the corruption.
-	v := db.ReadView()
-	if got := walkFingerprint(v, keys); got != want {
-		t.Fatalf("index diverges before corruption:\nwant %s\ngot  %s", want, got)
+// postingsAreLinks reports where v's postings differ from its link table:
+// each key's out- and in-posting must hold exactly the live links with
+// that end, as the very objects the table holds, and no posting may name a
+// key that no live link names.
+func postingsAreLinks(v *View) error {
+	want := make(map[Key]posting)
+	v.EachLink(func(l *Link) bool {
+		p := want[l.From]
+		p.out = append(p.out, l)
+		want[l.From] = p
+		p = want[l.To]
+		p.in = append(p.in, l)
+		want[l.To] = p
+		return true
+	})
+	sorted := func(links []*Link) []*Link {
+		links = slices.Clone(links)
+		slices.SortFunc(links, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
+		return links
 	}
-	v.Close()
-
-	// Corrupt: publish, at the current epoch and through no mutation, a
-	// posting of one linked key whose out side is empty, as if an
-	// incremental update had been lost.
-	var victim Key
-	for _, k := range keys {
-		if len(db.Head().posting(k).out) > 0 {
-			victim = k
-			break
+	for k, p := range want {
+		have := v.posting(k)
+		for _, out := range []bool{true, false} {
+			got, exp := sorted(have.of(out)), sorted(p.of(out))
+			if !slices.Equal(got, exp) {
+				return fmt.Errorf("%v's out=%v posting holds %s, the link table %s", k, out, linkRefs(got), linkRefs(exp))
+			}
 		}
 	}
-	if victim == (Key{}) {
-		t.Skip("program produced no linked key")
-	}
-	st := db.store.Load()
-	lost := st.posting(victim, newest)
-	lost.out = nil
-	st.put(victim, db.mvcc.epoch.Load(), lost)
-	if n := len(db.Head().posting(victim).out); n != 0 {
-		t.Fatalf("live read sees %d links through the corrupted posting", n)
-	}
-
-	v = db.ReadView()
-	broken := walkFingerprint(v, keys)
-	v.Close()
-	if broken == want {
-		t.Fatalf("corruption was not observable; test is vacuous")
-	}
-
-	db.AuditGraphIndex()
-
-	v = db.ReadView()
-	repaired := walkFingerprint(v, keys)
-	v.Close()
-	if repaired != want {
-		t.Fatalf("AuditGraphIndex did not repair the index:\nwant %s\ngot  %s", want, repaired)
-	}
-	ids := func(links []*Link) []LinkID {
-		out := make([]LinkID, len(links))
-		for i, l := range links {
-			out[i] = l.ID
+	var err error
+	v.store().adj.each(v.lsn, func(k Key, p posting) bool {
+		if _, named := want[k]; !named {
+			err = fmt.Errorf("%v's posting holds %s and %s, but no live link names it", k, linkRefs(p.out), linkRefs(p.in))
 		}
-		slices.Sort(out)
-		return out
+		return err == nil
+	})
+	return err
+}
+
+// linkRefs names each link by ID and object.
+func linkRefs(links []*Link) string {
+	var sb bytes.Buffer
+	for _, l := range links {
+		fmt.Fprintf(&sb, "[%d@%p]", l.ID, l)
 	}
-	if got, want := ids(db.Head().posting(victim).out), ids(twin.Head().posting(victim).out); !slices.Equal(got, want) {
-		t.Fatalf("out-posting(%v) after the audit: links %v, want %v", victim, got, want)
-	}
+	return sb.String()
 }
 
 // TestViewWalkRaceHammer runs 4 writers mutating the link graph against

@@ -415,13 +415,12 @@ func (s *store) post(out bool, k Key, stamp int64, links []*Link) {
 
 // metaVer records the database header values as of one stamp: the logical
 // clock observed at emission (exactly the Seq the journal record carries)
-// and the highest link ID allocated so far (cumulative), which together
-// make a view's checkpoint clock byte-identical to a replay-to-LSN one.
+// and the next_link counter, which together make a view's checkpoint clock
+// byte-identical to a replay-to-LSN one.
 type metaVer struct {
-	lsn     int64
-	seq     int64
-	linkMax int64 // link ID created by this mutation, 0 otherwise
-	linkCum int64 // running max of linkMax up to and including this entry
+	lsn      int64
+	seq      int64
+	nextLink int64
 }
 
 // mvccState is the per-DB MVCC bookkeeping: the epoch (highest mutation
@@ -449,25 +448,13 @@ func (m *mvccState) stableLocked() int64 {
 	return m.epoch.Load()
 }
 
-// metaPushLocked appends a header entry, carrying the cumulative link-ID
-// maximum forward.  Stamps rise on every path — the journal's LSNs, the
-// epoch counter, a replayed stream above the horizon — so appending keeps
-// the history in stamp order.
-func (m *mvccState) metaPushLocked(e metaVer) {
-	e.linkCum = e.linkMax
-	if n := len(m.meta); n > 0 {
-		e.linkCum = max(e.linkCum, m.meta[n-1].linkCum)
-	}
-	m.meta = append(m.meta, e)
-}
-
 // metaAtLocked resolves the header (seq, next_link) as of lsn.
 func (m *mvccState) metaAtLocked(lsn int64) (seq, nextLink int64) {
 	i := sort.Search(len(m.meta), func(i int) bool { return m.meta[i].lsn > lsn })
 	if i == 0 {
 		return 0, 0
 	}
-	return m.meta[i-1].seq, m.meta[i-1].linkCum
+	return m.meta[i-1].seq, m.meta[i-1].nextLink
 }
 
 // beginMut is the single commit point of every mutation: it emits the
@@ -476,11 +463,14 @@ func (m *mvccState) metaAtLocked(lsn int64) (seq, nextLink int64) {
 // under the writer lock, after every check that can refuse it and every
 // read of the heads it builds on: nothing has changed yet, and from here
 // the mutation cannot fail.  args builds the record argument list and is
-// only invoked when a Recorder is attached.
-// linkID names a link created by this mutation (0 otherwise) so views can
-// reconstruct the next_link counter.  The caller must push the versions
-// that are the mutation under the returned stamp and then call endMut.
-func (db *DB) beginMut(op string, linkID int64, args func() []string) int64 {
+// only invoked when a Recorder is attached.  The header entry records the
+// next_link counter as it stands: a mutation that creates a link has
+// already raised it to the link's ID under the writer lock.  Stamps rise on
+// every path — the journal's LSNs, the epoch counter, a replayed stream
+// above the horizon — so appending keeps the header history in stamp
+// order.  The caller must push the versions that are the mutation under
+// the returned stamp and then call endMut.
+func (db *DB) beginMut(op string, args func() []string) int64 {
 	// Build the record arguments before taking the gate mutex: the writer
 	// lock already makes them consistent, and readers pinning a view must
 	// not wait for the formatting.
@@ -514,7 +504,7 @@ func (db *DB) beginMut(op string, linkID int64, args func() []string) int64 {
 	if s > m.epoch.Load() {
 		m.epoch.Store(s)
 	}
-	m.metaPushLocked(metaVer{lsn: s, seq: seq, linkMax: linkID})
+	m.meta = append(m.meta, metaVer{lsn: s, seq: seq, nextLink: db.nextLink.Load()})
 	m.inflight = s
 	m.mu.Unlock()
 	return s
@@ -568,10 +558,7 @@ func (db *DB) rebaseLocked(s int64) {
 	m := &db.mvcc
 	m.epoch.Store(s)
 	m.horizon.Store(s)
-	m.meta = append(m.meta[:0], metaVer{
-		lsn: s, seq: db.seq.Load(),
-		linkMax: db.nextLink.Load(), linkCum: db.nextLink.Load(),
-	})
+	m.meta = append(m.meta[:0], metaVer{lsn: s, seq: db.seq.Load(), nextLink: db.nextLink.Load()})
 }
 
 // Chains and postings are immutable once pushed: a mutation builds the

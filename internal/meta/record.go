@@ -521,7 +521,7 @@ func (db *DB) insertOIDLocked(st *store, k Key, seq int64) error {
 		return fmt.Errorf("oid %v: chain is already at version %d: %w",
 			k, chain[len(chain)-1], ErrBadVersion)
 	}
-	s := db.beginMut(OpOID, 0, func() []string {
+	s := db.beginMut(OpOID, func() []string {
 		return []string{k.String(), strconv.FormatInt(seq, 10)}
 	})
 	st.oids.push(k, s, oidVal{seq: seq}, false)
@@ -565,7 +565,7 @@ func (db *DB) installLinkLocked(l *Link) error {
 		return fmt.Errorf("link %d: %w", l.ID, ErrExists)
 	}
 	floor(&db.nextLink, int64(l.ID))
-	s := db.beginMut(OpLink, int64(l.ID), func() []string { return linkArgs(l) })
+	s := db.beginMut(OpLink, func() []string { return linkArgs(l) })
 	st.links.push(l.ID, s, l, false)
 	st.post(true, l.From, s, with(st.posting(l.From, newest).out, l))
 	st.post(false, l.To, s, with(st.posting(l.To, newest).in, l))
@@ -585,7 +585,7 @@ func (db *DB) installConfig(c *Configuration) error {
 	if _, ok := st.configs.at(c.Name, newest); ok {
 		return fmt.Errorf("configuration %q: %w", c.Name, ErrExists)
 	}
-	s := db.beginMut(OpConfig, 0, func() []string { return configArgs(c) })
+	s := db.beginMut(OpConfig, func() []string { return configArgs(c) })
 	st.configs.push(c.Name, s, c, false)
 	db.endMut()
 	return nil

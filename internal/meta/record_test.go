@@ -196,16 +196,6 @@ func TestRecorderSilentOnNoChange(t *testing.T) {
 	if got := rec.ops()[n:]; len(got) != 0 || db.mvcc.epoch.Load() != epoch {
 		t.Errorf("SetProp of the value already there emitted %v, epoch %d -> %d", got, epoch, db.mvcc.epoch.Load())
 	}
-
-	// The graph-index audit repairs derived state: it records nothing and
-	// releases every lock, recorder or not.
-	db.AuditGraphIndex()
-	if got := rec.ops()[n:]; len(got) != 0 {
-		t.Errorf("graph-index audit emitted records: %v", got)
-	}
-	if err := db.SetProp(k, "x", "3"); err != nil { // every lock is free again
-		t.Fatal(err)
-	}
 }
 
 // TestApplyRecordRejectsMalformed checks decoding failures, state

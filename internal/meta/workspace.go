@@ -52,7 +52,7 @@ func (db *DB) AddWorkspace(name, root string) error {
 		return fmt.Errorf("workspace %q: %w", name, ErrExists)
 	}
 	w := &Workspace{Name: name, Root: root, paths: make(map[Key]string)}
-	s := db.beginMut(OpWorkspace, 0, func() []string { return []string{name, root} })
+	s := db.beginMut(OpWorkspace, func() []string { return []string{name, root} })
 	st.workspaces.push(name, s, w, false)
 	db.endMut()
 	return nil
@@ -71,7 +71,7 @@ func (db *DB) BindPath(workspace string, k Key, path string) error {
 	}
 	w = w.clone() // a stored workspace is immutable
 	w.paths[k] = path
-	s := db.beginMut(OpBind, 0, func() []string {
+	s := db.beginMut(OpBind, func() []string {
 		return []string{workspace, k.String(), path}
 	})
 	st.workspaces.push(workspace, s, w, false)
