@@ -179,16 +179,15 @@ func runFollower(addr, jdir, primary string, bp *bpl.Blueprint, engOpts []engine
 	// replication plumbing: stop the apply loop, bump the term (the
 	// journal's term-bump record is the atomic hinge — a SIGKILL before
 	// its commit restarts as a follower, after it as a primary), and hand
-	// the now-primary journal to the engine and the server.
+	// the now-primary journal to the server.  The engine needs no hand-off:
+	// the promotion attached the journal to the database it journals through.
 	hook := func() (server.Promotion, error) {
 		term, lsn, err := fol.Promote()
 		if err != nil {
 			return server.Promotion{}, err
 		}
-		w := fol.Writer()
-		eng.AttachJournal(w)
 		log.Printf("promoted: term %d, bump record at lsn %d", term, lsn)
-		return server.Promotion{Journal: w, Term: term, LSN: lsn}, nil
+		return server.Promotion{Journal: fol.Writer(), Term: term, LSN: lsn}, nil
 	}
 	srv := server.New(eng,
 		// Read-only, and chaining: FOLLOW streams the follower's own
@@ -272,7 +271,7 @@ func run(addr, jdir string, bp *bpl.Blueprint, engOpts []engine.Option, fsync bo
 	}
 	log.Printf("recovered journal %s at lsn %d (term %d): %+v", jdir, jw.LastLSN(), jw.Term(), stats(db))
 
-	eng, err := engine.New(db, bp, append(engOpts, engine.WithJournal(jw))...)
+	eng, err := engine.New(db, bp, engOpts...)
 	if err != nil {
 		return err
 	}

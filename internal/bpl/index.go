@@ -9,10 +9,10 @@ package bpl
 //
 // An Index compiles a Blueprint once into immutable lookup tables: effective
 // rules per (view, event) — partitioned by execution phase into a Program —
-// and effective lets, properties and link templates per view.  Blueprints
-// are never mutated after parsing, so the Index stays valid for the lifetime
-// of the Blueprint; loading a new policy (Engine.SetBlueprint) builds a new
-// Index.
+// effective lets, properties and link templates per view, and the link
+// templates by ID.  Blueprints are never mutated after parsing, so the Index
+// stays valid for the lifetime of the Blueprint; loading a new policy
+// (Engine.SetBlueprint) builds a new Index.
 //
 // All slices returned by Index methods are shared, pre-computed state:
 // callers must treat them as read-only.
@@ -70,6 +70,7 @@ type Index struct {
 	defaultProps []*PropertyDecl
 	defaultLinks []*LinkDecl
 
+	linkByID   map[string]*LinkDecl
 	explainers map[*LetDecl]*Explainer
 }
 
@@ -113,8 +114,14 @@ func NewIndex(bp *Blueprint) *Index {
 		}
 		ix.progs[v.Name] = progs
 	}
+	ix.linkByID = make(map[string]*LinkDecl)
 	ix.explainers = make(map[*LetDecl]*Explainer)
 	for _, v := range bp.Views {
+		for _, d := range v.Links {
+			if _, dup := ix.linkByID[d.TemplateID]; !dup {
+				ix.linkByID[d.TemplateID] = d
+			}
+		}
 		for _, l := range v.Lets {
 			ix.explainers[l] = CompileExplainer(l.Expr)
 		}
@@ -132,15 +139,6 @@ func (ix *Index) Program(view, event string) *Program {
 		return m[event]
 	}
 	return ix.defaultProgs[event]
-}
-
-// Rules returns the effective run-time rules for (view, event) — the
-// compiled equivalent of Blueprint.EffectiveRules.
-func (ix *Index) Rules(view, event string) []*Rule {
-	if p := ix.Program(view, event); p != nil {
-		return p.Rules
-	}
-	return nil
 }
 
 // Lets returns the effective continuous assignments of the view — the
@@ -180,8 +178,11 @@ func (ix *Index) Explainer(l *LetDecl) *Explainer {
 	return CompileExplainer(l.Expr)
 }
 
-// LinkTemplate finds the template decorating a new link, with the same
-// semantics as Blueprint.LinkTemplate but using the compiled tables.
+// LinkTemplate finds the template decorating a new link of the given class
+// between fromView and toView: for a use link, a use_link declaration in the
+// (shared) view type; for a derive link, a link_from fromView declaration in
+// toView.  The first match in Links(toView) wins: the default view's
+// templates before the view's own.
 func (ix *Index) LinkTemplate(use bool, fromView, toView string) (*LinkDecl, bool) {
 	for _, d := range ix.Links(toView) {
 		if use && d.Use {
@@ -192,4 +193,17 @@ func (ix *Index) LinkTemplate(use bool, fromView, toView string) (*LinkDecl, boo
 		}
 	}
 	return nil, false
+}
+
+// LinkDecl finds the link template with the given identifier anywhere in
+// the blueprint — the first declaration in view order, should two views
+// share a name.  Link instances are stamped with their template ID at
+// creation; version inheritance uses this lookup so a link shifts
+// according to its own template no matter which endpoint is being
+// versioned (a new synth_lib version must shift the depend_on links that
+// point out of it just as a new schematic version shifts the links
+// pointing into it).
+func (ix *Index) LinkDecl(id string) (*LinkDecl, bool) {
+	d, ok := ix.linkByID[id]
+	return d, ok
 }

@@ -54,21 +54,65 @@ func TestIndexMatchesEffectiveResolution(t *testing.T) {
 				t.Errorf("%s: Links(%q) = %v, want %v", bp.Name, v, got, want)
 			}
 			for _, ev := range events {
-				if got, want := ix.Rules(v, ev), bp.EffectiveRules(v, ev); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: Rules(%q, %q) = %v, want %v", bp.Name, v, ev, got, want)
+				var got []*Rule
+				if p := ix.Program(v, ev); p != nil {
+					got = p.Rules
+				}
+				if want := bp.EffectiveRules(v, ev); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Program(%q, %q).Rules = %v, want %v", bp.Name, v, ev, got, want)
 				}
 			}
 			for _, w := range views {
 				for _, use := range []bool{true, false} {
-					gd, gok := ix.LinkTemplate(use, w, v)
-					wd, wok := bp.LinkTemplate(use, w, v)
-					if gd != wd || gok != wok {
-						t.Errorf("%s: LinkTemplate(%v, %q, %q) = %v,%v want %v,%v",
-							bp.Name, use, w, v, gd, gok, wd, wok)
+					var wd *LinkDecl
+					for _, d := range bp.EffectiveLinks(v) {
+						if d.Use == use && (use || d.FromView == w) {
+							wd = d
+							break
+						}
+					}
+					if gd, gok := ix.LinkTemplate(use, w, v); gd != wd || gok != (wd != nil) {
+						t.Errorf("%s: LinkTemplate(%v, %q, %q) = %v,%v want %v",
+							bp.Name, use, w, v, gd, gok, wd)
 					}
 				}
 			}
 		}
+		for _, v := range bp.Views {
+			for _, d := range v.Links {
+				if got, ok := ix.LinkDecl(d.TemplateID); !ok || got != d {
+					t.Errorf("%s: LinkDecl(%q) = %v,%v want %v", bp.Name, d.TemplateID, got, ok, d)
+				}
+			}
+		}
+		if d, ok := ix.LinkDecl("no_such_view#0"); ok {
+			t.Errorf("%s: LinkDecl of an unknown ID = %v", bp.Name, d)
+		}
+	}
+}
+
+// TestIndexLinkDeclFirstDeclaration: two declarations of one view stamp
+// their link templates with the same IDs; the parser admits them (the
+// analyzer reports the duplicate view), and LinkDecl resolves an ID to the
+// first declaration in view order.
+func TestIndexLinkDeclFirstDeclaration(t *testing.T) {
+	bp, err := Parse(`blueprint dup
+view schematic
+    link_from HDL_model move propagates outofdate type first
+endview
+view schematic
+    link_from HDL_model copy propagates outofdate type second
+endview
+endblueprint`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	first, second := bp.Views[0].Links[0], bp.Views[1].Links[0]
+	if first.TemplateID != second.TemplateID {
+		t.Fatalf("template IDs %q and %q differ: no duplicate to resolve", first.TemplateID, second.TemplateID)
+	}
+	if d, ok := bp.Index().LinkDecl(first.TemplateID); !ok || d != first || d.Type != "first" {
+		t.Errorf("LinkDecl(%q) = %+v,%v want the first declaration", first.TemplateID, d, ok)
 	}
 }
 

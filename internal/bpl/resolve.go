@@ -83,40 +83,6 @@ func (bp *Blueprint) EffectiveLinks(view string) []*LinkDecl {
 	return out
 }
 
-// LinkTemplate finds the template decorating a new link of the given class
-// between fromView and toView: for a use link, a use_link declaration in the
-// (shared) view type; for a derive link, a link_from fromView declaration in
-// toView.  The default view is consulted after the specific view.
-func (bp *Blueprint) LinkTemplate(use bool, fromView, toView string) (*LinkDecl, bool) {
-	for _, d := range bp.EffectiveLinks(toView) {
-		if use && d.Use {
-			return d, true
-		}
-		if !use && !d.Use && d.FromView == fromView {
-			return d, true
-		}
-	}
-	return nil, false
-}
-
-// LinkDeclByTemplateID finds the link template with the given identifier
-// anywhere in the blueprint.  Link instances are stamped with their
-// template ID at creation; version inheritance uses this lookup so a link
-// shifts according to its own template no matter which endpoint is being
-// versioned (a new synth_lib version must shift the depend_on links that
-// point out of it just as a new schematic version shifts the links pointing
-// into it).
-func (bp *Blueprint) LinkDeclByTemplateID(id string) (*LinkDecl, bool) {
-	for _, v := range bp.Views {
-		for _, d := range v.Links {
-			if d.TemplateID == id {
-				return d, true
-			}
-		}
-	}
-	return nil, false
-}
-
 // Events returns every event name mentioned anywhere in the blueprint —
 // rule triggers, post actions, and link PROPAGATE lists — deduplicated in
 // first-appearance order.  Useful for tooling and policy review.

@@ -73,24 +73,24 @@ endblueprint`)
 }
 
 func TestLinkTemplateLookup(t *testing.T) {
-	bp := mustParse(t, EDTCExample)
+	ix := mustParse(t, EDTCExample).Index()
 	// use link on schematic.
-	d, ok := bp.LinkTemplate(true, "schematic", "schematic")
+	d, ok := ix.LinkTemplate(true, "schematic", "schematic")
 	if !ok || !d.Use || d.Inherit != InheritMove {
 		t.Errorf("use template = %+v %v", d, ok)
 	}
 	// derive link HDL_model -> schematic.
-	d, ok = bp.LinkTemplate(false, "HDL_model", "schematic")
+	d, ok = ix.LinkTemplate(false, "HDL_model", "schematic")
 	if !ok || d.Type != "derived" {
 		t.Errorf("derive template = %+v %v", d, ok)
 	}
 	// derive schematic -> layout (equivalence).
-	d, ok = bp.LinkTemplate(false, "schematic", "layout")
+	d, ok = ix.LinkTemplate(false, "schematic", "layout")
 	if !ok || d.Type != "equivalence" || !reflect.DeepEqual(d.Propagates, []string{"lvs", "outofdate"}) {
 		t.Errorf("layout template = %+v %v", d, ok)
 	}
 	// Unknown combination.
-	if _, ok := bp.LinkTemplate(false, "layout", "HDL_model"); ok {
+	if _, ok := ix.LinkTemplate(false, "layout", "HDL_model"); ok {
 		t.Error("phantom template found")
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bpl"
 	"repro/internal/exec"
-	"repro/internal/journal"
 	"repro/internal/meta"
 )
 
@@ -18,14 +17,6 @@ import (
 // generating work beyond the configured bound — almost always a feedback
 // loop in the blueprint (an event whose rules post the same event back).
 var ErrStepLimit = errors.New("engine: step limit exceeded (event feedback loop in blueprint?)")
-
-// policy pairs a loaded blueprint with its compiled index.  The two are
-// immutable and always swapped together, so a single atomic pointer load
-// gives a delivery a consistent view of the project rules.
-type policy struct {
-	bp  *bpl.Blueprint
-	idx *bpl.Index
-}
 
 // Engine is the BluePrint run-time engine bound to one meta-database and
 // one loaded blueprint.  It is safe for concurrent use.  Event processing
@@ -36,12 +27,13 @@ type Engine struct {
 	db   *meta.DB
 	head *meta.View // db.Head(): the drain's reads see its own writes
 
-	// pol is the current policy.  Drain captures it once per delivery at
+	// pol is the current policy, the loaded blueprint's compiled index
+	// (which names its blueprint).  Drain captures it once per delivery at
 	// dequeue time: an event processed after SetBlueprint runs under the
 	// new rules even if it was posted under the old ones (the paper's
 	// policy loosening applies to queued work), while a delivery already
 	// in flight finishes under the policy it started with.
-	pol atomic.Pointer[policy]
+	pol atomic.Pointer[bpl.Index]
 
 	mu   sync.Mutex
 	cond *sync.Cond // signaled when a drain retires
@@ -62,10 +54,6 @@ type Engine struct {
 	stats counters
 
 	executor exec.Executor
-	// journal is an atomic pointer because a follower promotion attaches
-	// it to an already-serving engine: enqueueLocked reads it without
-	// coordination with AttachJournal.
-	journal  atomic.Pointer[journal.Writer]
 	tracer   Tracer
 	tracing  bool // false iff tracer is a NopTracer; gates all entry construction
 	clock    func() time.Time
@@ -83,22 +71,12 @@ func WithExecutor(x exec.Executor) Option { return func(e *Engine) { e.executor 
 // WithTracer sets the audit tracer.  The default discards trace entries.
 func WithTracer(t Tracer) Option { return func(e *Engine) { e.tracer = t } }
 
-// WithJournal attaches an append-only journal.  The journal's database
-// recorder captures the mutations themselves (the engine's deliveries
-// reach it through the meta.DB methods they call); the engine adds the
-// posted-event audit stream — every event entering the queue, the same
-// stream a Tracer sees as TraceEnqueue.  The engine records and never
-// commits: the journal's owner decides when a write is durable (the
-// server, before it acknowledges).  The journal must be the one whose
-// Open recovered e's database.
-func WithJournal(j *journal.Writer) Option { return func(e *Engine) { e.journal.Store(j) } }
-
-// AttachJournal attaches a journal to a live engine — the promotion path,
-// where a read-only follower's engine (journal-less by construction: the
-// replication loop owned the writer) becomes a primary's.  Safe against
-// concurrent Drain and Post; events enqueued after the attach are
-// journaled, earlier ones arrived via replication and already are.
-func (e *Engine) AttachJournal(j *journal.Writer) { e.journal.Store(j) }
+// WithJournal does nothing.  The engine journals through its database:
+// whatever recorder the database has attached (journal.Open attaches its
+// writer, a promotion the promoted follower's) receives the mutations the
+// deliveries make and the posted-event audit stream (meta.DB.RecordEvent).
+// It stays for the benchmark harness, which still passes it.
+func WithJournal(meta.Recorder) Option { return func(*Engine) {} }
 
 // WithClock sets the time source used for $date; tests inject a fixed
 // clock for determinism.
@@ -125,7 +103,7 @@ func New(db *meta.DB, bp *bpl.Blueprint, opts ...Option) (*Engine, error) {
 		user:     "nobody",
 		maxSteps: 1_000_000,
 	}
-	e.pol.Store(&policy{bp: bp, idx: bp.Index()})
+	e.pol.Store(bp.Index())
 	e.cond = sync.NewCond(&e.mu)
 	for _, o := range opts {
 		o(e)
@@ -165,7 +143,7 @@ func (e *Engine) WaitIdle() {
 func (e *Engine) DB() *meta.DB { return e.db }
 
 // Blueprint returns the currently loaded blueprint.
-func (e *Engine) Blueprint() *bpl.Blueprint { return e.pol.Load().bp }
+func (e *Engine) Blueprint() *bpl.Blueprint { return e.pol.Load().Blueprint() }
 
 // SetBlueprint replaces the project policy — the paper's re-initialization
 // of the BluePrint mechanism for a new project phase ("loosening").  Queued
@@ -176,7 +154,7 @@ func (e *Engine) SetBlueprint(bp *bpl.Blueprint) error {
 	if err := checkBlueprint(bp); err != nil {
 		return err
 	}
-	e.pol.Store(&policy{bp: bp, idx: bp.Index()})
+	e.pol.Store(bp.Index())
 	return nil
 }
 
@@ -253,10 +231,9 @@ func (e *Engine) enqueueLocked(ev Event, skipRules bool) {
 	if e.tracing {
 		e.tracer.Trace(TraceEntry{Kind: TraceEnqueue, OID: ev.Target.String(), Event: ev.Name})
 	}
-	if j := e.journal.Load(); j != nil {
-		j.Record(meta.Record{Seq: e.db.Seq(), Op: meta.OpEvent,
-			Args: append([]string{ev.Name, ev.Dir.String(), ev.Target.String(), ev.User}, ev.Args...)})
-	}
+	e.db.RecordEvent(func() []string {
+		return append([]string{ev.Name, ev.Dir.String(), ev.Target.String(), ev.User}, ev.Args...)
+	})
 }
 
 // recycleWave returns a fully delivered wave to the pool.
@@ -289,10 +266,10 @@ func recycleWave(w *wave) {
 // has covered the caller's events: a caller that returned at once would
 // acknowledge an event another goroutine's drain is still delivering, or
 // one posted just as that drain exits.  What the drain changed is
-// recorded in the journal, if one is attached, and left for the caller to
-// commit.  The wait is for one drain generation at a time, not global
-// idleness, so sustained traffic on other connections cannot starve the
-// caller beyond what running the drain itself would cost.  Exec handlers
+// recorded in the database's journal, if one is attached, and left for
+// the caller to commit.  The wait is for one drain generation at a time,
+// not global idleness, so sustained traffic on other connections cannot
+// starve the caller beyond what running the drain itself would cost.  Exec handlers
 // must not call Drain from inside a delivery — post follow-up events
 // instead, as the deferred-invocation design intends.
 func (e *Engine) Drain() error {
@@ -410,7 +387,7 @@ func (e *Engine) retireWave(w *wave) {
 // deliver processes one queued delivery: run the matching run-time rules on
 // the target OID (unless propagate-only), then propagate the event across
 // the target's links within the owning wave.
-func (e *Engine) deliver(pol *policy, item queueItem, w *wave) {
+func (e *Engine) deliver(pol *bpl.Index, item queueItem, w *wave) {
 	ev := item.ev
 	e.stats.deliveries.Add(1)
 	if !e.head.HasOID(ev.Target) {
@@ -434,9 +411,9 @@ func (e *Engine) deliver(pol *policy, item queueItem, w *wave) {
 // in the paper's phase order: assigns, continuous assignments, execs and
 // notifies, posts.  The compiled program has the actions pre-partitioned
 // by phase, so no per-delivery scan of the rule set is needed.
-func (e *Engine) runRules(pol *policy, ev Event) {
-	prog := pol.idx.Program(ev.Target.View, ev.Name)
-	lets := pol.idx.Lets(ev.Target.View)
+func (e *Engine) runRules(pol *bpl.Index, ev Event) {
+	prog := pol.Program(ev.Target.View, ev.Name)
+	lets := pol.Lets(ev.Target.View)
 	if prog != nil {
 		e.stats.rulesFired.Add(int64(len(prog.Rules)))
 	}

@@ -39,7 +39,7 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 
 	// Owner is a generic property the engine always records.  Template
 	// property names are blueprint identifiers, which are valid names.
-	props := pol.idx.Properties(view)
+	props := pol.Properties(view)
 	seed := make(map[string]string, len(props)+1)
 	seed[meta.PropOwner] = user
 	for _, p := range props {
@@ -62,13 +62,13 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 	}
 	// Continuous assignments get an initial evaluation.
 	ev := Event{Name: EventCreate, Target: k, User: user}
-	if err := e.applyAssignsAndLets(ev, seed, nil, pol.idx.Lets(view)); err != nil {
+	if err := e.applyAssignsAndLets(ev, seed, nil, pol.Lets(view)); err != nil {
 		return meta.Key{}, err
 	}
 
 	// Link templates: shift or copy instances from the previous version.
 	if hasPrev {
-		if err := e.inheritLinks(pol.bp, prev, k); err != nil {
+		if err := e.inheritLinks(pol, prev, k); err != nil {
 			return meta.Key{}, err
 		}
 	}
@@ -88,7 +88,7 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 // Every link instance attached to prev is considered: its own template
 // (identified by the stamp it received at creation) decides whether it
 // shifts, copies, or stays, regardless of which view declared the template.
-func (e *Engine) inheritLinks(bp *bpl.Blueprint, prev, newK meta.Key) error {
+func (e *Engine) inheritLinks(pol *bpl.Index, prev, newK meta.Key) error {
 	// Collect matching instances first, from one read of prev's links; the
 	// mutations below republish the links they move.
 	type move struct {
@@ -101,7 +101,7 @@ func (e *Engine) inheritLinks(bp *bpl.Blueprint, prev, newK meta.Key) error {
 		if l.Template == "" {
 			continue
 		}
-		d, ok := bp.LinkDeclByTemplateID(l.Template)
+		d, ok := pol.LinkDecl(l.Template)
 		if !ok || d.Inherit == bpl.InheritNone {
 			continue
 		}
@@ -147,13 +147,13 @@ func (e *Engine) inheritLinks(bp *bpl.Blueprint, prev, newK meta.Key) error {
 // newly created Links.  Links with no matching template are created bare:
 // they propagate nothing.
 func (e *Engine) CreateLink(class meta.LinkClass, from, to meta.Key) (meta.LinkID, error) {
-	idx := e.pol.Load().idx
+	pol := e.pol.Load()
 	var (
 		template   string
 		propagates []string
 		props      map[string]string
 	)
-	if d, ok := idx.LinkTemplate(class == meta.UseLink, from.View, to.View); ok {
+	if d, ok := pol.LinkTemplate(class == meta.UseLink, from.View, to.View); ok {
 		template = d.TemplateID
 		propagates = d.Propagates
 		if d.Type != "" {

@@ -431,8 +431,10 @@ func TestFollowerWritesThroughUnsynced(t *testing.T) {
 
 // TestFollowerRotatesWhileCatchingUp: a follower that writes through past
 // its segment's size has the segment synced and rotated by the spill before
-// any Commit of its own, so a long catch-up leaves bounded segments, each
-// durable before the next begins.
+// any Commit of its own, so a long catch-up leaves segments each durable
+// before the next begins.  A segment takes whatever is written through
+// before the spill runs (Options.SegmentBytes is a soft bound), so the test
+// writes one segment's worth and waits for its rotation before the next.
 func TestFollowerRotatesWhileCatchingUp(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(faultfs.OS, faultfs.Plan{})
@@ -442,29 +444,32 @@ func TestFollowerRotatesWhileCatchingUp(t *testing.T) {
 	}
 	defer w.Close()
 	syncs := inj.Count(faultfs.OpSync)
-	var lsn int64
-	for total := 0; total < 4*journal.FollowWriteBytes; {
-		lsn++
-		f := journal.Frame(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
-			Args: []string{fmt.Sprintf("b%d,HDL_model,1", lsn), fmt.Sprint(lsn)}})
-		if _, err := w.ApplyAppend(f); err != nil {
-			t.Fatal(err)
-		}
-		total += len(f)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	segments := func() int {
 		segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.log"))
-		if len(segs) >= 3 && w.CommittedLSN() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d segments, watermark %d after %d records written through", len(segs), w.CommittedLSN(), lsn)
-		}
-		time.Sleep(time.Millisecond)
+		return len(segs)
 	}
-	if n := inj.Count(faultfs.OpSync) - syncs; n < 2 {
-		t.Errorf("%d syncs for the segments filled, want one per rotation", n)
+	const rotations = 2
+	deadline := time.Now().Add(10 * time.Second)
+	var lsn int64
+	for r := 1; r <= rotations; r++ {
+		for total := 0; total < journal.FollowWriteBytes; {
+			lsn++
+			f := journal.Frame(meta.Record{LSN: lsn, Seq: lsn, Op: meta.OpOID,
+				Args: []string{fmt.Sprintf("b%d,HDL_model,1", lsn), fmt.Sprint(lsn)}})
+			if _, err := w.ApplyAppend(f); err != nil {
+				t.Fatal(err)
+			}
+			total += len(f)
+		}
+		for segments() < r+1 || w.CommittedLSN() != lsn {
+			if time.Now().After(deadline) {
+				t.Fatalf("rotation %d: %d segments, watermark %d after %d records written through", r, segments(), w.CommittedLSN(), lsn)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if n := inj.Count(faultfs.OpSync) - syncs; n != rotations || segments() < 3 {
+		t.Errorf("%d syncs for %d segments filled, %d segments: want one sync per rotation and 3 segments", n, rotations, segments())
 	}
 }
 

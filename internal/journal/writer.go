@@ -22,7 +22,10 @@ import (
 // Options tunes a journal Writer.  The zero value picks sensible defaults.
 type Options struct {
 	// SegmentBytes rotates the log to a fresh segment once the current one
-	// reaches this size; 0 means 4 MiB.
+	// reaches this size; 0 means 4 MiB.  It is a soft bound: the rotation
+	// is the end of the Commit that finds the segment full, and everything
+	// written before it lands in that segment — a primary's whole buffer,
+	// or a follower's write-throughs until its spill runs.
 	SegmentBytes int64
 
 	// SnapshotEvery takes a snapshot after this many records have been

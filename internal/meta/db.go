@@ -59,10 +59,11 @@ type DB struct {
 	// without locks.  nil means the genesis term 1.
 	terms atomic.Pointer[termTable]
 
-	// rec, when non-nil, receives one Record per committed mutation — the
-	// change-capture stream behind the append-only journal.  Emission
-	// happens under mu; see record.go.
-	rec Recorder
+	// rec, when set, receives one Record per committed mutation — the
+	// change-capture stream behind the append-only journal — and the
+	// engine's events.  An atomic: RecordEvent reads it without mu, and a
+	// promotion sets it under a live engine.
+	rec atomic.Pointer[Recorder]
 
 	// MVCC state (mvcc.go): the epoch gate that stamps mutations and pins
 	// views.  store is every container; head is the view Head returns;

@@ -474,8 +474,9 @@ func (db *DB) beginMut(op string, args func() []string) int64 {
 	// Build the record arguments before taking the gate mutex: the writer
 	// lock already makes them consistent, and readers pinning a view must
 	// not wait for the formatting.
+	rec := db.recorder()
 	var a []string
-	if db.rec != nil {
+	if rec != nil {
 		a = args()
 	}
 	m := &db.mvcc
@@ -493,11 +494,11 @@ func (db *DB) beginMut(op string, args func() []string) int64 {
 		if rs := db.replaySeq.Load(); rs > seq {
 			seq = rs
 		}
-		if db.rec != nil {
-			db.rec.Record(Record{Seq: seq, Op: op, Args: a})
+		if rec != nil {
+			rec.Record(Record{Seq: seq, Op: op, Args: a})
 		}
-	} else if db.rec != nil {
-		s = db.rec.Record(Record{Seq: seq, Op: op, Args: a})
+	} else if rec != nil {
+		s = rec.Record(Record{Seq: seq, Op: op, Args: a})
 	} else {
 		s = m.epoch.Load() + 1
 	}

@@ -23,7 +23,8 @@ import (
 // that observes another (a link creation that found its endpoint OID) is
 // journaled after the record it depends on.
 //
-// The Recorder is called with mu held: implementations must not call back
+// A mutation calls the Recorder with mu held, RecordEvent with no database
+// lock: implementations must be safe for concurrent use, must not call back
 // into the DB and should only buffer (the journal writer appends to an
 // in-memory buffer and performs file I/O later, at an explicit commit
 // point).
@@ -72,10 +73,32 @@ type Recorder interface {
 	Record(Record) int64
 }
 
-// SetRecorder attaches (or, with nil, detaches) the mutation recorder.
-// It must be called before the database is shared between goroutines —
-// typically right after NewDB or after recovery replay, before serving.
-func (db *DB) SetRecorder(r Recorder) { db.rec = r }
+// SetRecorder attaches (or, with nil, detaches) the mutation recorder —
+// right after NewDB or recovery replay, before serving, or on a promotion,
+// while a journal-less follower's engine is already serving reads.
+func (db *DB) SetRecorder(r Recorder) { db.rec.Store(&r) }
+
+// recorder returns the attached recorder, nil when there is none.
+func (db *DB) recorder() Recorder {
+	if r := db.rec.Load(); r != nil {
+		return *r
+	}
+	return nil
+}
+
+// RecordEvent hands the recorder an OpEvent audit record — a design event
+// entering the engine — at the current logical clock and returns its LSN,
+// 0 when no recorder is attached.  It changes nothing: no MVCC version is
+// stamped and no database lock is taken, so the engine emits it under its
+// own queue lock, in enqueue order.  args builds the record arguments and
+// is only invoked when a recorder is attached.
+func (db *DB) RecordEvent(args func() []string) int64 {
+	r := db.recorder()
+	if r == nil {
+		return 0
+	}
+	return r.Record(Record{Seq: db.Seq(), Op: OpEvent, Args: args()})
+}
 
 // argWriter is where an op's encoder writes a record's arguments: as the
 // strings of Record.Args, or — with spell set — onto text, each after a

@@ -109,9 +109,7 @@ func startNode(t *testing.T, dir, upstream string, jopt journal.Options, opts ..
 		if err != nil {
 			return server.Promotion{}, err
 		}
-		w := fol.Writer()
-		eng.AttachJournal(w)
-		return server.Promotion{Journal: w, Term: term, LSN: lsn}, nil
+		return server.Promotion{Journal: fol.Writer(), Term: term, LSN: lsn}, nil
 	}
 	srv := server.New(eng, server.WithReadOnly(fol), server.WithPromote(hook))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -219,11 +217,24 @@ func TestFailoverPromoteAndFence(t *testing.T) {
 	if _, _, err := ac.Promote(); err == nil || !strings.Contains(err.Error(), "already a primary") {
 		t.Fatalf("second PROMOTE = %v, want an already-a-primary refusal", err)
 	}
-	// The promoted node accepts writes under the new term.
-	if _, err := ac.Create("NEWLINE", "HDL_model"); err != nil {
+	// The promoted node accepts writes under the new term, and its engine
+	// journals through the database the promotion attached the journal to:
+	// a POST's event record is in the log.
+	k, err := ac.Create("NEWLINE", "HDL_model")
+	if err != nil {
 		t.Fatalf("promoted node refused a write: %v", err)
 	}
+	if err := ac.PostEvent("hdl_sim", "down", k, "good"); err != nil {
+		t.Fatalf("promoted node refused a POST: %v", err)
+	}
 	newLSN := a.quiesce()
+	event, found := fmt.Sprintf(" event hdl_sim down %s ", k), false
+	for _, f := range segmentFrames(t, a.dir) {
+		found = found || bytes.Contains(f, []byte(event))
+	}
+	if !found {
+		t.Errorf("no frame of the promoted node's log holds %q", event)
+	}
 
 	// The surviving follower re-pointed at the new primary converges on
 	// the new lineage, term bump included.

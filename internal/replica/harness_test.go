@@ -339,10 +339,10 @@ func TestQuickFollowerConvergence(t *testing.T) {
 		t.Skip("spins a TCP cluster per case")
 	}
 	// Deterministic program bytes: a fixed-seed PRNG unrolled by seed and
-	// case index, so failures replay exactly.  The subtest shards=N runs
-	// seed N; the names are those test lists carry.
+	// case index, so failures replay exactly.  The subtest seed=N runs
+	// three programs of seed N.
 	for _, seed := range []int{1, 4, 64} {
-		t.Run(fmt.Sprintf("shards=%d", seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for caseNo := 0; caseNo < 3; caseNo++ {
 				ops := make([]byte, 180)
 				x := uint32(2463534242 + caseNo*977 + seed)

@@ -254,11 +254,12 @@ func (f *Follower) Repoint(addr string) {
 
 // Promote flips the follower into a primary: the replication loop is
 // stopped and drained (its tail committed), the term is bumped with a
-// journal record, and the journal writer switches to primary mode —
-// ready for an engine (AttachJournal) and a server (WithJournal).  After
-// a successful Promote the replication loop is done (Done() is closed
-// with Promoted() true, Err() nil) and Close/Abort must not be called:
-// the journal now belongs to the primary plane.
+// journal record, and the journal writer switches to primary mode and
+// becomes the database's recorder — an engine over the database journals
+// from then on — ready for a server (WithJournal).  After a successful
+// Promote the replication loop is done (Done() is closed with Promoted()
+// true, Err() nil) and Close/Abort must not be called: the journal now
+// belongs to the primary plane.
 //
 // The hinge of crash atomicity is the term-bump record's commit: a crash
 // before it leaves a valid follower journal (still a follower), a crash

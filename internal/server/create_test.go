@@ -158,7 +158,7 @@ func refCreate(t *testing.T, eng *engine.Engine, block, view, user string) meta.
 			links = append(links, *l)
 		}
 		for _, l := range links {
-			d, ok := eng.Blueprint().LinkDeclByTemplateID(l.Template)
+			d, ok := eng.Blueprint().Index().LinkDecl(l.Template)
 			if l.Template == "" || !ok {
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,7 +152,6 @@ func TestPromoteRoleIsOneValue(t *testing.T) {
 		if err != nil {
 			return Promotion{}, err
 		}
-		eng.AttachJournal(w)
 		return Promotion{Journal: w, Term: term, LSN: lsn}, nil
 	}))
 	addr, err := s.Listen("127.0.0.1:0")
@@ -235,8 +235,18 @@ func TestPromoteRoleIsOneValue(t *testing.T) {
 	more(60) // then the primary
 	close(stop)
 	wg.Wait()
-	if _, err := c.Create("after", "HDL_model"); err != nil {
-		t.Errorf("write after PROMOTE: %v", err)
+	k, err := c.Create("after", "HDL_model")
+	if err != nil {
+		t.Fatalf("write after PROMOTE: %v", err)
+	}
+	// The engine journals through the database the promotion attached the
+	// journal to: a POST's event record is in the log.
+	before := w.LastLSN()
+	if err := c.PostEvent("hdl_sim", "down", k, "good"); err != nil {
+		t.Fatalf("POST after PROMOTE: %v", err)
+	}
+	if got := journalOps(t, w, before); !slices.Contains(got, "event hdl_sim") {
+		t.Errorf("POST after PROMOTE journaled %q, want an event hdl_sim record", got)
 	}
 }
 

@@ -176,8 +176,8 @@ type Promotion struct {
 type Option func(*Server)
 
 // WithJournal tells the server which journal persists its database.  The
-// engine records to it (engine.WithJournal, the same journal) and the
-// server commits it before it answers a write or SYNC.  The journal also
+// engine records to it through the database (the journal is its recorder)
+// and the server commits it before it answers a write or SYNC.  The journal also
 // makes the server a replication primary: the FOLLOW verb streams it.
 func WithJournal(j *journal.Writer) Option { return func(s *Server) { s.role.Load().journal = j } }
 

@@ -9,6 +9,8 @@
 # damocles binary included, and fails when one of them is a reproduction
 # package (baseline, flow, task, tools, wrapper, cli), the test instrument
 # netfault (the network-fault proxy) or lives under cmd/.
+# Then fails when the engine depends on the journal: the engine reaches
+# persistence only through meta, whose recorder the journal attaches.
 # Then fails when encoding/json is among the dependencies of ./internal/...
 # and ./cmd/...: a node reads and writes only the journal's frames, and the
 # JSON snapshots of older builds are refused, not read.  bench/ is a module
@@ -23,6 +25,11 @@ bad=$(go list -deps $serving | grep -vxF "$(go list $serving)" |
 if [ -n "$bad" ]; then
     echo "depcheck: the serving path ($serving) imports:" >&2
     printf '  %s\n' $bad >&2
+    exit 1
+fi
+
+if go list -deps ./internal/engine | grep -qxF repro/internal/journal; then
+    echo "depcheck: internal/engine imports repro/internal/journal; it journals through meta's recorder" >&2
     exit 1
 fi
 
