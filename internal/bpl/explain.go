@@ -88,18 +88,17 @@ func (x *Explainer) Failures(dst []string, label string, lookup LookupFunc) []st
 	return dst
 }
 
-// AppendFailures appends the reasons of Failures to dst, a list of reasons
-// joined by "; " that may already hold those of other expressions.  It
-// allocates only to grow dst.
-func (x *Explainer) AppendFailures(dst []byte, label string, lookup LookupFunc) []byte {
+// AppendFailures appends the reasons of Failures to dst, each after sep:
+// "; " joins a REPORT row's reasons, and a STATE answer puts each on a line
+// of its own, which it can, since a reason holds no line feed — every value
+// it quotes has its own escaped.  It allocates only to grow dst.
+func (x *Explainer) AppendFailures(dst []byte, sep, label string, lookup LookupFunc) []byte {
 	for i := range x.leaves {
 		lc := &x.leaves[i]
 		if !lc.fails(lookup) {
 			continue
 		}
-		if len(dst) > 0 {
-			dst = append(dst, "; "...)
-		}
+		dst = append(dst, sep...)
 		dst = append(dst, label...)
 		dst = append(dst, ": "...)
 		dst = lc.appendTo(dst, lookup)

@@ -53,13 +53,20 @@ func TestExplainerMatchesExplainFailure(t *testing.T) {
 			} else if want != nil {
 				t.Errorf("%q lookup %d: a passing expression explained as %q", src, i, want)
 			}
-			// The append form is the same list, joined.
+			// The append form is the same list, each reason after sep.
 			joined := strings.Join(labelled, "; ")
-			if got := string(x.AppendFailures([]byte("earlier: reason"), "t", lookup)); got != joined {
+			if got := string(x.AppendFailures([]byte("earlier: reason"), "; ", "t", lookup)); got != joined {
 				t.Errorf("%q lookup %d: AppendFailures = %q, want %q", src, i, got, joined)
 			}
-			if got, want := string(x.AppendFailures(nil, "t", lookup)), strings.Join(labelled[1:], "; "); got != want {
-				t.Errorf("%q lookup %d: AppendFailures(nil) = %q, want %q", src, i, got, want)
+			lines := ""
+			for _, r := range labelled[1:] {
+				if strings.Contains(r, "\n") {
+					t.Errorf("%q lookup %d: reason %q holds a line feed", src, i, r)
+				}
+				lines += "\n" + r
+			}
+			if got := string(x.AppendFailures(nil, "\n", "t", lookup)); got != lines {
+				t.Errorf("%q lookup %d: AppendFailures(nil) = %q, want %q", src, i, got, lines)
 			}
 		}
 	}

@@ -84,18 +84,27 @@ func isVarRune(c rune) bool {
 type LookupFunc func(name string) string
 
 // Expand substitutes every variable using lookup and returns the result.
+// A template of one part is that part's value itself, not a copy of it.
 func (t Template) Expand(lookup LookupFunc) string {
-	var sb strings.Builder
-	for _, p := range t.Parts {
-		if p.Var != "" {
-			if lookup != nil {
-				sb.WriteString(lookup(p.Var))
-			}
-		} else {
-			sb.WriteString(p.Lit)
-		}
+	if len(t.Parts) == 1 {
+		return t.Parts[0].expand(lookup)
 	}
-	return sb.String()
+	var buf [64]byte
+	b := buf[:0]
+	for _, p := range t.Parts {
+		b = append(b, p.expand(lookup)...)
+	}
+	return string(b)
+}
+
+func (p TemplatePart) expand(lookup LookupFunc) string {
+	if p.Var == "" {
+		return p.Lit
+	}
+	if lookup == nil {
+		return ""
+	}
+	return lookup(p.Var)
 }
 
 // IsConst reports whether the template contains no variables.

@@ -43,7 +43,10 @@ type Engine struct {
 	waves []*wave
 	whead int
 
-	pending  []func() // deferred exec-rule invocations (external tools)
+	// pending[phead:] are the deferred exec-rule invocations (external
+	// tools), run oldest first.
+	pending  []pendingExec
+	phead    int
 	draining bool
 	drainGen int64 // bumps when a drain retires; a yielding Drain waits on it
 
@@ -133,7 +136,7 @@ func checkBlueprint(bp *bpl.Blueprint) error {
 // it to observe quiescence.
 func (e *Engine) WaitIdle() {
 	e.mu.Lock()
-	for e.whead < len(e.waves) || len(e.pending) > 0 || e.draining {
+	for e.whead < len(e.waves) || e.phead < len(e.pending) || e.draining {
 		e.cond.Wait()
 	}
 	e.mu.Unlock()
@@ -312,16 +315,18 @@ func (e *Engine) drainQueue() (ran bool, _ error) {
 	var steps int64 // deliveries and exec invocations of this Drain
 	for {
 		var w *wave
-		var run func()
+		var run pendingExec
 		e.mu.Lock()
 		if e.whead < len(e.waves) {
 			w = e.waves[e.whead]
-		} else if len(e.pending) > 0 {
+		} else if e.phead < len(e.pending) {
 			// Deferred exec-rule invocations.  In the paper these are
 			// external wrapper processes: the events they post arrive after
 			// every queued wave has fully propagated, never inside one.
-			run = e.pending[0]
-			e.pending = e.pending[1:]
+			run, e.pending[e.phead] = e.pending[e.phead], pendingExec{}
+			if e.phead++; e.phead == len(e.pending) {
+				e.pending, e.phead = e.pending[:0], 0
+			}
 		}
 		e.mu.Unlock()
 		switch {
@@ -330,9 +335,9 @@ func (e *Engine) drainQueue() (ran bool, _ error) {
 				e.retireWave(w)
 				continue
 			}
-		case run != nil:
+		case run.inv.Env != nil:
 			if steps++; steps <= e.maxSteps {
-				run()
+				e.runExec(run)
 				continue
 			}
 		default:
@@ -421,15 +426,14 @@ func (e *Engine) runRules(pol *bpl.Index, ev Event) {
 	// Phases 1 and 2: property assignments, then re-evaluation of the
 	// continuous assignments — batched into one locked database
 	// round-trip (UpdateOID) instead of a GetProp/SetProp pair per value.
+	live := vars{ev: ev, head: e.head, now: e.clock}
 	if (prog != nil && len(prog.Assigns) > 0) || len(lets) > 0 {
 		// Its one error, a missing target, the delivery check has ruled out.
-		_ = e.applyAssignsAndLets(ev, nil, prog, lets)
+		_ = e.applyAssignsAndLets(&live, nil, prog, lets)
 	}
 	if prog == nil {
 		return
 	}
-
-	live := vars{ev: ev, head: e.head, now: e.clock}
 	lookup := live.get
 
 	// Phase 3: exec and notify actions.  Exec invocations are launched
@@ -442,29 +446,20 @@ func (e *Engine) runRules(pol *bpl.Index, ev Event) {
 	for _, a := range prog.Execs {
 		switch act := a.(type) {
 		case *bpl.ExecAction:
-			fired := &vars{ev: ev, at: e.clock()}
-			_ = e.head.WithOID(ev.Target, func(o *meta.OID) { fired.fired = o.Props })
-			inv := exec.Invocation{
-				Script: act.Argv[0].Expand(lookup),
-				Env:    fired.get,
-			}
+			inv := exec.Invocation{Script: act.Argv[0].Expand(lookup)}
 			for _, t := range act.Argv[1:] {
 				inv.Args = append(inv.Args, t.Expand(lookup))
 			}
+			fired := &vars{ev: ev, at: e.clock(), oid: live.oid}
+			_ = e.head.WithOID(ev.Target, func(o *meta.OID) { fired.fired = o.Props })
+			inv.Env = fired.get
 			e.stats.execs.Add(1)
 			if e.tracing {
 				e.tracer.Trace(TraceEntry{Kind: TraceExec, OID: ev.Target.String(), Event: ev.Name,
 					Detail: inv.String()})
 			}
 			e.mu.Lock()
-			e.pending = append(e.pending, func() {
-				if err := e.executor.Exec(inv); err != nil {
-					e.stats.execErrors.Add(1)
-					if e.tracing {
-						e.traceError(ev, fmt.Sprintf("exec %s: %v", inv.Script, err))
-					}
-				}
-			})
+			e.pending = append(e.pending, pendingExec{inv, ev})
 			e.mu.Unlock()
 		case *bpl.NotifyAction:
 			msg := act.Message.Expand(lookup)
@@ -488,14 +483,34 @@ func (e *Engine) runRules(pol *bpl.Index, ev Event) {
 	}
 }
 
+// pendingExec is an exec rule's invocation, deferred until the waves have
+// settled, and the event that fired it.
+type pendingExec struct {
+	inv exec.Invocation
+	ev  Event
+}
+
+// runExec runs a deferred exec rule.
+func (e *Engine) runExec(p pendingExec) {
+	if err := e.executor.Exec(p.inv); err != nil {
+		e.stats.execErrors.Add(1)
+		if e.tracing {
+			e.traceError(p.ev, fmt.Sprintf("exec %s: %v", p.inv.Script, err))
+		}
+	}
+}
+
 // applyAssignsAndLets runs delivery phases 1 and 2 on the target OID in a
 // single write-locked round-trip.  Phase-1 assignments are visible to the
 // phase-2 continuous assignments (and to later phases) because both read
 // and write the live property map.  Trace entries are recorded inside the
 // critical section (only when tracing) and emitted after it, in execution
 // order, so a slow tracer never extends the database lock hold time.
-// seed, CreateOID's template values, is written into the map first.
-func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl.Program, lets []*bpl.LetDecl) error {
+// seed, CreateOID's template values, is written into the map first.  The
+// variables resolve as r's would, over the in-flight map, and a $oid they
+// format is left in r for the phases after.
+func (e *Engine) applyAssignsAndLets(r *vars, seed map[string]string, prog *bpl.Program, lets []*bpl.LetDecl) error {
+	ev := r.ev
 	type rec struct {
 		kind   TraceKind
 		detail string
@@ -503,7 +518,7 @@ func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl
 	var recs []rec
 	err := e.db.UpdateOID(ev.Target, func(props map[string]string) {
 		maps.Copy(props, seed)
-		inFlight := vars{ev: ev, props: props, now: e.clock}
+		inFlight := vars{ev: ev, props: props, now: r.now, oid: r.oid}
 		lookup := inFlight.get
 		if prog != nil {
 			for _, aa := range prog.Assigns {
@@ -539,6 +554,7 @@ func (e *Engine) applyAssignsAndLets(ev Event, seed map[string]string, prog *bpl
 				recs = append(recs, rec{TraceLet, l.Name + " = " + val})
 			}
 		}
+		r.oid = inFlight.oid
 	})
 	if err != nil {
 		return err

@@ -37,13 +37,17 @@ type vars struct {
 	fired meta.Props        // otherwise: the properties an exec captured
 	now   func() time.Time  // $date's clock; nil: at
 	at    time.Time         // an exec's firing time
+	oid   string            // $oid, formatted by its first read
 }
 
 // get resolves one variable name.
 func (r *vars) get(name string) string {
 	switch name {
 	case "oid", "OID":
-		return r.ev.Target.String()
+		if r.oid == "" {
+			r.oid = r.ev.Target.String()
+		}
+		return r.oid
 	case "block":
 		return r.ev.Target.Block
 	case "view":

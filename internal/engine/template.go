@@ -62,7 +62,7 @@ func (e *Engine) CreateOID(block, view, user string) (meta.Key, error) {
 	}
 	// Continuous assignments get an initial evaluation.
 	ev := Event{Name: EventCreate, Target: k, User: user}
-	if err := e.applyAssignsAndLets(ev, seed, nil, pol.Lets(view)); err != nil {
+	if err := e.applyAssignsAndLets(&vars{ev: ev, now: e.clock}, seed, nil, pol.Lets(view)); err != nil {
 		return meta.Key{}, err
 	}
 

@@ -14,11 +14,16 @@ import "sync"
 // itself; nil when root does not exist at the view.  It is the query
 // primitive behind hierarchy snapshots and transitive-dependency analyses.
 func (v *View) Reachable(root Key, follow FollowFunc) []Key {
+	return v.AppendReachable(nil, root, follow)
+}
+
+// AppendReachable appends the keys of Reachable to dst.
+func (v *View) AppendReachable(dst []Key, root Key, follow FollowFunc) []Key {
 	if follow == nil {
 		follow = FollowUseLinks
 	}
-	out := v.closure(root, follow)
-	sortKeys(out)
+	out := v.closure(dst, root, follow)
+	sortKeys(out[len(dst):])
 	return out
 }
 
@@ -27,30 +32,35 @@ func (v *View) Reachable(root Key, follow FollowFunc) []Key {
 // invalidated when root changes.  root itself is excluded; nil when root
 // does not exist at the view.
 func (v *View) Dependents(root Key, follow FollowFunc) []Key {
+	return v.AppendDependents(nil, root, follow)
+}
+
+// AppendDependents appends the keys of Dependents to dst.
+func (v *View) AppendDependents(dst []Key, root Key, follow FollowFunc) []Key {
 	if follow == nil {
 		follow = FollowAllLinks
 	}
-	out := v.closure(root, follow)
-	if len(out) < 2 {
-		return nil
+	out := v.closure(dst, root, follow)
+	if len(out)-len(dst) < 2 {
+		return dst
 	}
-	out = out[1:]
-	sortKeys(out)
+	out = append(out[:len(dst)], out[len(dst)+1:]...) // drop root
+	sortKeys(out[len(dst):])
 	return out
 }
 
-// closure walks admitted links From→To breadth-first from root and returns
-// the keys in visiting order, root first; nil when root does not exist at
-// the view.
-func (v *View) closure(root Key, follow FollowFunc) []Key {
+// closure walks admitted links From→To breadth-first from root and appends
+// the keys to dst in visiting order, root first; nothing when root does not
+// exist at the view.
+func (v *View) closure(dst []Key, root Key, follow FollowFunc) []Key {
 	if !v.HasOID(root) {
-		return nil
+		return dst
 	}
 	visited := visitedSet()
 	defer releaseVisited(visited)
 	visited[root] = true
-	out := []Key{root}
-	for i := 0; i < len(out); i++ {
+	out := append(dst, root)
+	for i := len(dst); i < len(out); i++ {
 		for _, l := range v.posting(out[i]).out {
 			if follow(l) && !visited[l.To] {
 				visited[l.To] = true
@@ -67,35 +77,36 @@ func (v *View) closure(root Key, follow FollowFunc) []Key {
 // followed in both directions; k itself is included; nil when k does not
 // exist at the view.
 func (v *View) Equivalents(k Key) []Key {
+	return v.AppendEquivalents(nil, k)
+}
+
+// AppendEquivalents appends the keys of Equivalents to dst.
+func (v *View) AppendEquivalents(dst []Key, k Key) []Key {
 	if !v.HasOID(k) {
-		return nil
+		return dst
 	}
 	visited := visitedSet()
 	defer releaseVisited(visited)
 	visited[k] = true
-	out := []Key{k}
-	step := func(next Key) {
-		if !visited[next] {
-			visited[next] = true
-			out = append(out, next)
-		}
-	}
-	// out is the breadth-first queue too: a key is visited once, in the
-	// order it was reached.
-	for i := 0; i < len(out); i++ {
+	out := append(dst, k)
+	// out[len(dst):] is the breadth-first queue too: a key is visited once,
+	// in the order it was reached.
+	for i := len(dst); i < len(out); i++ {
 		p := v.posting(out[i])
 		for _, l := range p.out {
-			if l.Class == DeriveLink && l.Type() == TypeEquivalence {
-				step(l.To)
+			if l.Class == DeriveLink && l.Type() == TypeEquivalence && !visited[l.To] {
+				visited[l.To] = true
+				out = append(out, l.To)
 			}
 		}
 		for _, l := range p.in {
-			if l.Class == DeriveLink && l.Type() == TypeEquivalence {
-				step(l.From)
+			if l.Class == DeriveLink && l.Type() == TypeEquivalence && !visited[l.From] {
+				visited[l.From] = true
+				out = append(out, l.From)
 			}
 		}
 	}
-	sortKeys(out)
+	sortKeys(out[len(dst):])
 	return out
 }
 

@@ -419,6 +419,4 @@ func (v *View) Stats() Stats {
 	return s
 }
 
-func sortKeys(keys []Key) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-}
+func sortKeys(keys []Key) { slices.SortFunc(keys, Key.Compare) }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -110,28 +111,27 @@ const maxLineBytes = 1 << 20
 // response reader refuse to act on fragments, because a torn prefix of a
 // longer line can itself be a valid, different line.
 func readProtocolLine(r *bufio.Reader) (string, error) {
-	var line []byte
-	for {
-		frag, err := r.ReadSlice('\n')
-		line = append(line, frag...)
-		if err == nil {
-			break
+	frag, err := r.ReadSlice('\n')
+	var long []byte // a line that outgrew the read buffer, joined
+	for err == bufio.ErrBufferFull {
+		if long = append(long, frag...); len(long) > maxLineBytes {
+			return "", errLineTooLong
 		}
-		if err == bufio.ErrBufferFull {
-			if len(line) > maxLineBytes {
-				return "", errLineTooLong
-			}
-			continue
-		}
-		if (err == io.EOF || errors.Is(err, net.ErrClosed)) && len(line) > 0 {
+		frag, err = r.ReadSlice('\n')
+	}
+	if long != nil {
+		frag = append(long, frag...)
+	}
+	if err != nil {
+		if (err == io.EOF || errors.Is(err, net.ErrClosed)) && len(frag) > 0 {
 			return "", errTornLine
 		}
 		return "", err
 	}
-	if len(line) > maxLineBytes {
+	if len(frag) > maxLineBytes {
 		return "", errLineTooLong
 	}
-	return strings.TrimRight(string(line), "\r\n"), nil
+	return string(bytes.TrimRight(frag, "\r\n")), nil
 }
 
 // readLine reads one response line from the server.

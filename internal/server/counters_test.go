@@ -5,6 +5,7 @@ package server
 // be reconciled exactly against the server's own refusal tallies.
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -46,6 +47,42 @@ func TestStatsExportsCounters(t *testing.T) {
 	}
 	if kv["batch_oversize"] != 1 {
 		t.Errorf("batch_oversize=%d after one refusal", kv["batch_oversize"])
+	}
+}
+
+// TestStatsHeapAndGC: STATS carries the process's GC cycle count and its
+// live heap (gc=, heap_b=), which StatsKV parses, and both move: a cycle
+// run with 8 MiB more held live counts one more and finds the bytes.
+func TestStatsHeapAndGC(t *testing.T) {
+	_, addr := startServerWith(t)
+	c := dial(t, addr)
+	read := func() (gc, heap int64) {
+		t.Helper()
+		kv, err := c.StatsKV()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"gc", "heap_b"} {
+			if _, ok := kv[key]; !ok {
+				t.Fatalf("STATS missing %q (have %v)", key, kv)
+			}
+		}
+		return kv["gc"], kv["heap_b"]
+	}
+	runtime.GC()
+	gc0, heap0 := read()
+	if heap0 <= 0 {
+		t.Fatalf("heap_b=%d after a GC", heap0)
+	}
+	held := make([]byte, 8<<20)
+	runtime.GC()
+	gc1, heap1 := read()
+	runtime.KeepAlive(held)
+	if gc1 <= gc0 {
+		t.Errorf("gc=%d after a GC, %d before", gc1, gc0)
+	}
+	if heap1 < heap0+int64(len(held))/2 {
+		t.Errorf("heap_b=%d with %d bytes more held live, %d before", heap1, len(held), heap0)
 	}
 }
 

@@ -36,7 +36,7 @@ func startServerWith(t *testing.T, opts ...Option) (*Server, string) {
 	return s, addr
 }
 
-func newTestServer(t *testing.T, opts ...Option) *Server {
+func newTestServer(t testing.TB, opts ...Option) *Server {
 	t.Helper()
 	bp, err := bpl.Parse(bpl.EDTCExample)
 	if err != nil {

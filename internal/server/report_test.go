@@ -449,10 +449,10 @@ func minMallocs(runs int, f func()) uint64 {
 func TestWarmScanAllocatesNothingPerRow(t *testing.T) {
 	scanAllocs := func(trees int) uint64 {
 		s := treeServer(t, trees)
-		w := bufio.NewWriter(io.Discard)
+		ss := &session{w: bufio.NewWriter(io.Discard)}
 		req := wire.Request{Verb: wire.VerbReport}
 		scan := func() {
-			if !s.streamReport(w, req) {
+			if !ss.flush(s.respond(ss, ss.w.AvailableBuffer(), req)) {
 				t.Fatal("scan failed")
 			}
 		}

@@ -40,9 +40,9 @@ func TestColdScanBytesIndependentOfSize(t *testing.T) {
 	const slack = 512
 	measure := func(trees int) (report, reach uint64) {
 		s := treeServer(t, trees)
-		w := bufio.NewWriter(io.Discard)
+		ss := &session{w: bufio.NewWriter(io.Discard)}
 		scan := func() {
-			if !s.streamReport(w, wire.Request{Verb: wire.VerbReport}) {
+			if !ss.flush(s.respond(ss, ss.w.AvailableBuffer(), wire.Request{Verb: wire.VerbReport})) {
 				t.Fatal("scan failed")
 			}
 		}

@@ -7,12 +7,15 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"log"
 	"math/rand/v2"
 	"net"
 	"runtime/debug"
+	"runtime/metrics"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -449,6 +452,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// across fills of the default buffer, up to maxLineBytes.
 	r := bufio.NewReader(tc)
 	w := bufio.NewWriterSize(tc, connWriteBuffer)
+	ss := &session{w: w}
 	for {
 		line, err := readProtocolLine(r)
 		if err != nil {
@@ -462,7 +466,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		req, err := wire.ParseRequest(line)
+		// The fields are substrings of line, which is the request's own.
+		ss.fields, err = wire.AppendFields(ss.fields[:0], line)
+		var req wire.Request
+		if err == nil {
+			req, err = wire.ParseFields(ss.fields)
+		}
 		if err == nil && req.Verb == wire.VerbFollow {
 			// FOLLOW dedicates the connection to the record stream; when
 			// it returns, the conversation is over either way.  The stream
@@ -472,29 +481,69 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.serveFollow(r, w, req)
 			return
 		}
-		var resp wire.Response
+		b := w.AvailableBuffer()
 		if err != nil {
-			resp = errf("%v", err)
-		} else if req.Verb == wire.VerbReport || req.Verb == wire.VerbGap {
-			// Streamed: rows go to the socket a write buffer at a time
-			// instead of building the whole body first.
-			if !s.streamReport(w, req) {
-				return
-			}
-			continue
+			b = appendErrf(b, "%v", err)
 		} else {
-			resp = s.Handle(req)
+			b = s.respond(ss, b, req)
 		}
-		if _, err := w.WriteString(resp.Encode() + "\n"); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if err == nil && req.Verb == wire.VerbQuit {
+		if !ss.flush(b) || req.Verb == wire.VerbQuit {
 			return
 		}
 	}
+}
+
+// session is what a connection reuses from one request to the next, so
+// that a point read allocates nothing: the request's fields, a graph
+// walk's keys, a STATE's reasons, and the write buffer its answers are
+// rendered into.  Handle renders with a session of its own, into buf.
+type session struct {
+	fields  []string
+	keys    []meta.Key
+	reasons []byte
+	mem     []metrics.Sample // STATS' heap and GC group; made by its first STATS
+	w       *bufio.Writer    // nil: an answer grows in buf
+	buf     []byte           // Handle's: the answer, split once it is whole
+	dead    bool             // a write failed: the connection is gone
+}
+
+// room returns dst, a response being rendered, with room for n more
+// bytes.  On a connection, a response that would outgrow the write buffer
+// sends what it holds and goes on in the emptied buffer: a REPORT starts
+// arriving after one buffer, never materializes as a whole, and costs a
+// write per buffer, not per row.  A failed write marks the session dead.
+func (ss *session) room(dst []byte, n int) []byte {
+	if ss.w == nil || ss.dead || cap(dst)-len(dst) >= n {
+		return dst
+	}
+	if _, err := ss.w.Write(dst); err != nil || ss.w.Flush() != nil {
+		ss.dead = true
+		return dst[:0]
+	}
+	return ss.w.AvailableBuffer()
+}
+
+// flush sends b, the rest of a response rendered into the free tail of the
+// write buffer, and pushes the buffer to the socket; false means the
+// connection is gone.
+func (ss *session) flush(b []byte) bool {
+	if ss.dead {
+		return false
+	}
+	if _, err := ss.w.Write(b); err != nil {
+		return false
+	}
+	return ss.w.Flush() == nil
+}
+
+// respond appends the answer to req to dst: a write verb's from Handle's
+// write branch, any other verb's from its renderer.
+func (s *Server) respond(ss *session, dst []byte, req wire.Request) []byte {
+	if write, ok := writeVerbs[req.Verb]; ok {
+		req.Args = slices.Clone(req.Args) // an event keeps its args past the request
+		return wire.AppendResponse(dst, s.write(write, req))
+	}
+	return s.render(ss, dst, req)
 }
 
 // writeFlush writes one already-terminated chunk and pushes it to the
@@ -550,7 +599,7 @@ func (s *Server) reportGate(req wire.Request) (*meta.View, wire.Response) {
 	return v, wire.Response{}
 }
 
-// handleQuery serves QUERY <lsn> <reach|deps|equiv|resolve> <args...>:
+// renderQuery answers QUERY <lsn> <reach|deps|equiv|resolve> <args...>:
 // time-travel graph queries pinned at an LSN (0 = the current state).
 // Primaries and read-only followers serve it alike — the LSN gate is the
 // REPORT/GAP one (a follower blocks until it has applied the position), so
@@ -559,66 +608,69 @@ func (s *Server) reportGate(req wire.Request) (*meta.View, wire.Response) {
 // "all" (every link), or "type:t1,t2,..." (use links plus derive links of
 // the named types); reach defaults to use, deps to all, matching the DB
 // methods.  The walk runs on the pinned view through the versioned
-// reachability index and takes no lock.
-func (s *Server) handleQuery(req wire.Request) wire.Response {
+// reachability index, takes no lock, and collects into the session's keys.
+func (s *Server) renderQuery(ss *session, dst []byte, req wire.Request) []byte {
 	if len(req.Args) < 2 {
-		return errf("QUERY wants <lsn> <reach|deps|equiv|resolve> <args...>")
+		return appendErrf(dst, "QUERY wants <lsn> <reach|deps|equiv|resolve> <args...>")
 	}
 	lsn, err := strconv.ParseInt(req.Args[0], 10, 64)
 	if err != nil || lsn < 0 {
-		return errf("QUERY: bad lsn %q", req.Args[0])
+		return appendErrf(dst, "QUERY: bad lsn %q", req.Args[0])
 	}
 	gateReq := wire.Request{Verb: req.Verb}
 	if lsn > 0 {
-		gateReq.Args = []string{req.Args[0]}
+		gateReq.Args = req.Args[:1]
 	}
 	v, resp := s.reportGate(gateReq)
 	if v == nil {
-		return resp
+		return wire.AppendResponse(dst, resp)
 	}
 	defer v.Close()
 	kind, args := req.Args[1], req.Args[2:]
 	switch kind {
 	case "reach", "deps":
 		if len(args) < 1 || len(args) > 2 {
-			return errf("QUERY %s wants <oid> [use|all|type:t1,t2,...]", kind)
+			return appendErrf(dst, "QUERY %s wants <oid> [use|all|type:t1,t2,...]", kind)
 		}
 		root, err := meta.ParseKey(args[0])
 		if err != nil {
-			return errf("%v", err)
+			return appendErrf(dst, "%v", err)
 		}
 		var follow meta.FollowFunc
 		if len(args) == 2 {
 			if follow, err = parseFollowSpec(args[1]); err != nil {
-				return errf("%v", err)
+				return appendErrf(dst, "%v", err)
 			}
 		}
 		if !v.HasOID(root) {
-			return errf("oid %v: not found", root)
+			return appendErrf(dst, "oid %v: not found", root)
 		}
 		if kind == "reach" {
-			return keysResponse(v.Reachable(root, follow))
+			ss.keys = v.AppendReachable(ss.keys[:0], root, follow)
+		} else {
+			ss.keys = v.AppendDependents(ss.keys[:0], root, follow)
 		}
-		return keysResponse(v.Dependents(root, follow))
+		return ss.appendKeys(dst, ss.keys)
 	case "equiv":
 		if len(args) != 1 {
-			return errf("QUERY equiv wants <oid>")
+			return appendErrf(dst, "QUERY equiv wants <oid>")
 		}
 		k, err := meta.ParseKey(args[0])
 		if err != nil {
-			return errf("%v", err)
+			return appendErrf(dst, "%v", err)
 		}
 		if !v.HasOID(k) {
-			return errf("oid %v: not found", k)
+			return appendErrf(dst, "oid %v: not found", k)
 		}
-		return keysResponse(v.Equivalents(k))
+		ss.keys = v.AppendEquivalents(ss.keys[:0], k)
+		return ss.appendKeys(dst, ss.keys)
 	case "resolve":
 		if len(args) != 1 {
-			return errf("QUERY resolve wants <configuration>")
+			return appendErrf(dst, "QUERY resolve wants <configuration>")
 		}
 		r, err := v.Resolve(args[0])
 		if err != nil {
-			return errf("%v", err)
+			return appendErrf(dst, "%v", err)
 		}
 		body := []string{fmt.Sprintf("config %s %d", wire.Quote(r.Config.Name), r.Config.Seq)}
 		for _, o := range r.OIDs {
@@ -633,21 +685,34 @@ func (s *Server) handleQuery(req wire.Request) wire.Response {
 		for _, id := range r.MissingLinks {
 			body = append(body, fmt.Sprintf("missing-link %d", id))
 		}
-		return wire.Response{OK: true,
+		return wire.AppendResponse(dst, wire.Response{OK: true,
 			Detail: fmt.Sprintf("%d oids %d links %d missing",
 				len(r.OIDs), len(r.Links), len(r.MissingOIDs)+len(r.MissingLinks)),
-			Body: body}
+			Body: body})
 	default:
-		return errf("QUERY: unknown kind %q (want reach, deps, equiv or resolve)", kind)
+		return appendErrf(dst, "QUERY: unknown kind %q (want reach, deps, equiv or resolve)", kind)
 	}
 }
 
-func keysResponse(keys []meta.Key) wire.Response {
-	body := make([]string, len(keys))
-	for i, k := range keys {
-		body[i] = k.String()
+// appendKeys appends the answer listing keys: "<n> keys", then a key a
+// line.
+func (ss *session) appendKeys(dst []byte, keys []meta.Key) []byte {
+	if len(keys) == 0 {
+		return append(dst, "OK 0 keys\n"...)
 	}
-	return wire.Response{OK: true, Detail: strconv.Itoa(len(keys)) + " keys", Body: body}
+	dst = append(dst, "OK+ "...)
+	dst = strconv.AppendInt(dst, int64(len(keys)), 10)
+	dst = append(dst, " keys\n"...)
+	for _, k := range keys {
+		dst = ss.room(dst, len(k.Block)+len(k.View)+24)
+		dst = append(k.AppendTo(append(dst, '|')), '\n')
+	}
+	return append(dst, ".\n"...)
+}
+
+// appendErrf appends the one-line ERR response errf builds.
+func appendErrf(dst []byte, format string, a ...any) []byte {
+	return wire.AppendResponse(dst, errf(format, a...))
 }
 
 // parseFollowSpec maps the wire follow spec of QUERY reach/deps onto a
@@ -665,50 +730,32 @@ func parseFollowSpec(spec string) (meta.FollowFunc, error) {
 	return nil, fmt.Errorf("bad follow spec %q (want use, all or type:t1,t2,...)", spec)
 }
 
-// streamReport serves REPORT/GAP over a live connection.  Each "|" body
-// row is formatted in place in the connection's write buffer, which goes to
-// the socket whenever it is full and once after the "." terminator: a
-// report over a large database starts arriving after one buffer, never
-// materializes as a whole, and costs a write per buffer, not per row.  A
+// renderReport answers REPORT/GAP: the latest version of every chain at
+// the view the gate pins, in key order, a row a line — GAP only the rows
+// that are not ready.  Each row is formatted in place in the response, so
+// on a connection it goes straight to the write buffer (see room); a
 // reader that stops reading blocks that write — its own connection only —
-// until WriteTimeout ends the scan.  Rows keep the stable key-sorted order
-// of the buffered form.  false means the connection died mid-stream.
-func (s *Server) streamReport(w *bufio.Writer, req wire.Request) bool {
+// until WriteTimeout ends the scan.  The header cannot count rows it has
+// not yet scanned; Handle, with the body in hand, puts the count in.
+func (s *Server) renderReport(ss *session, dst []byte, req wire.Request) []byte {
 	v, resp := s.reportGate(req)
 	if v == nil {
-		return writeFlush(w, resp.Encode()+"\n")
+		return wire.AppendResponse(dst, resp)
 	}
 	defer v.Close()
-	if _, err := w.WriteString("OK+ streaming\n"); err != nil {
-		return false
-	}
-	s.scanReport(v, req.Verb == wire.VerbGap, func(key meta.Key, ready bool, reasons []byte) bool {
-		// The row is built in the free tail of the write buffer, so Write
-		// only advances past it; the buffer goes out first when the row may
-		// not fit.  (A row larger than the whole buffer grows out of it by
-		// append and is written through.)
-		if w.Available() < reportRowMax(key, reasons)+2 && w.Flush() != nil {
-			return false
+	dst = append(dst, "OK+ streaming\n"...)
+	gap := req.Verb == wire.VerbGap
+	state.ScanSortedView(v, s.eng.Blueprint(), func(key meta.Key, ready bool, reasons []byte) bool {
+		if gap && ready {
+			return true
 		}
-		b := append(w.AvailableBuffer(), '|')
-		b = appendReportRow(b, key, ready, reasons)
-		b = append(b, '\n')
-		_, err := w.Write(b)
-		return err == nil
+		// A row holds no line break: a key's names are checked, and the
+		// reasons are quoted.
+		dst = ss.room(dst, reportRowMax(key, reasons)+2)
+		dst = append(appendReportRow(append(dst, '|'), key, ready, reasons), '\n')
+		return !ss.dead
 	})
-	return writeFlush(w, ".\n")
-}
-
-// scanReport runs the REPORT (or, with gap set, GAP) pass over the pinned
-// view in key order and hands row each row to send.
-func (s *Server) scanReport(v *meta.View, gap bool, row func(key meta.Key, ready bool, reasons []byte) bool) {
-	if gap {
-		all := row
-		row = func(key meta.Key, ready bool, reasons []byte) bool {
-			return ready || all(key, ready, reasons)
-		}
-	}
-	state.ScanSortedView(v, s.eng.Blueprint(), row)
+	return append(dst, ".\n"...)
 }
 
 // appendReportRow appends one REPORT/GAP body row: the key, ready=<bool>
@@ -933,46 +980,152 @@ var writeVerbs = map[string]func(*Server, wire.Request) (wire.Response, effect){
 	wire.VerbBPSwap:   (*Server).writeBPSwap,
 }
 
-// Handle processes one request against the engine and database: what a
-// connection runs for every verb that does not stream, exported for
+// Handle processes one request against the engine and database, for
 // in-process use (the flow simulator drives the same code path without
-// TCP).  After QUIT's response the connection closes.
+// TCP): a write verb through the write branch a connection runs, any other
+// verb through the renderer a connection runs, its answer split back into
+// a Response.  After QUIT's response the connection closes.
 func (s *Server) Handle(req wire.Request) wire.Response {
+	if write, ok := writeVerbs[req.Verb]; ok {
+		return s.write(write, req)
+	}
+	ss := handleSessions.Get().(*session)
+	ss.buf = s.render(ss, ss.buf[:0], req)
+	resp := splitResponse(ss.buf)
+	handleSessions.Put(ss)
+	if (req.Verb == wire.VerbReport || req.Verb == wire.VerbGap) && resp.OK {
+		resp.Detail = strconv.Itoa(len(resp.Body)) + " rows"
+	}
+	return resp
+}
+
+// handleSessions recycles Handle's sessions and the buffers they render
+// into, which a REPORT grows to the size of the whole report.
+var handleSessions = sync.Pool{New: func() any { return new(session) }}
+
+// splitResponse parses a rendered response back into its parts, each a
+// substring of one copy of it.
+func splitResponse(b []byte) wire.Response {
+	text := string(b)
+	head, rest, _ := strings.Cut(text, "\n")
+	resp, multiline, _ := wire.ParseResponseHeader(head)
+	if !multiline {
+		return resp
+	}
+	resp.Body = make([]string, 0, strings.Count(rest, "\n")-1)
+	for {
+		line, more, _ := strings.Cut(rest, "\n")
+		if line == "." {
+			return resp
+		}
+		resp.Body = append(resp.Body, line[len("|"):])
+		rest = more
+	}
+}
+
+// write runs one write verb's body: a follower or a degraded primary
+// refuses it up front; after the body it drains what was posted and
+// settles what was recorded.
+func (s *Server) write(body func(*Server, wire.Request) (wire.Response, effect), req wire.Request) wire.Response {
 	if s.testHookHandle != nil {
 		s.testHookHandle(req)
 	}
 	r := s.role.Load()
-	if write, ok := writeVerbs[req.Verb]; ok {
-		if r.readOnly != nil {
-			s.counters.ReadOnlyRefused.Add(1)
-			return errf("read-only follower: %s refused (write to the primary)", req.Verb)
-		}
-		// The degraded-mode contract: once the journal has hit a sticky
-		// I/O failure, every write is refused up front with the reason —
-		// never accepted-then-lost, never silently un-acked — while reads
-		// keep serving below.
-		if r.journal != nil {
-			if healthy, reason := r.journal.Health(); !healthy {
-				s.counters.DegradedRefused.Add(1)
-				return errf("journal-io: %s (node degraded: writes refused, reads still served)", reason)
-			}
-		}
-		resp, eff := write(s, req)
-		var err error
-		if eff == posted {
-			err = s.eng.Drain()
-		}
-		// A drain's error is answered after the settle; a settle error wins.
-		if eff != unchanged {
-			if serr := s.settle(r); serr != nil {
-				err = serr
-			}
-		}
-		if err != nil {
-			return errf("%v", err)
-		}
-		return resp
+	if r.readOnly != nil {
+		s.counters.ReadOnlyRefused.Add(1)
+		return errf("read-only follower: %s refused (write to the primary)", req.Verb)
 	}
+	// The degraded-mode contract: once the journal has hit a sticky
+	// I/O failure, every write is refused up front with the reason —
+	// never accepted-then-lost, never silently un-acked — while reads
+	// keep serving.
+	if r.journal != nil {
+		if healthy, reason := r.journal.Health(); !healthy {
+			s.counters.DegradedRefused.Add(1)
+			return errf("journal-io: %s (node degraded: writes refused, reads still served)", reason)
+		}
+	}
+	resp, eff := body(s, req)
+	var err error
+	if eff == posted {
+		err = s.eng.Drain()
+	}
+	// A drain's error is answered after the settle; a settle error wins.
+	if eff != unchanged {
+		if serr := s.settle(r); serr != nil {
+			err = serr
+		}
+	}
+	if err != nil {
+		return errf("%v", err)
+	}
+	return resp
+}
+
+// render appends the answer to a verb that is not a write to dst: each
+// has one renderer, which a connection runs into its write buffer and
+// Handle into a buffer of its own.  The point reads and the scans render
+// their lines in place; the other verbs build a Response (answer).
+func (s *Server) render(ss *session, dst []byte, req wire.Request) []byte {
+	if s.testHookHandle != nil {
+		s.testHookHandle(req)
+	}
+	switch req.Verb {
+	case wire.VerbState:
+		return s.renderState(ss, dst, req)
+	case wire.VerbReport, wire.VerbGap:
+		return s.renderReport(ss, dst, req)
+	case wire.VerbQuery:
+		return s.renderQuery(ss, dst, req)
+	}
+	return wire.AppendResponse(dst, s.answer(ss, req))
+}
+
+// renderState answers STATE <oid>: whether the OID is ready, its
+// properties, and each condition that holds it back, evaluated as a REPORT
+// row is.
+func (s *Server) renderState(ss *session, dst []byte, req wire.Request) []byte {
+	if len(req.Args) != 1 {
+		return appendErrf(dst, "STATE wants <oid>")
+	}
+	k, err := meta.ParseKey(req.Args[0])
+	if err != nil {
+		return appendErrf(dst, "%v", err)
+	}
+	o, err := s.eng.DB().Head().GetOID(k)
+	if err != nil {
+		return appendErrf(dst, "%v", err)
+	}
+	// Each reason after a line feed, which no reason holds.
+	var ready bool
+	ss.reasons, ready = state.AppendReasons(ss.reasons[:0], "\n", o, s.eng.Blueprint())
+	start := len(dst)
+	dst = wire.EndLine(k.AppendTo(append(dst, "OK+ "...)), start)
+	start = len(dst)
+	dst = append(dst, "|ready "...)
+	dst = wire.EndLine(strconv.AppendBool(dst, ready), start)
+	o.Props.Each(func(name, value string) bool {
+		dst = ss.room(dst, len("|prop  \n")+len(name)+2*len(value)+2)
+		start := len(dst)
+		dst = append(append(append(dst, "|prop "...), name...), ' ')
+		dst = wire.EndLine(wire.AppendQuote(dst, value), start)
+		return true
+	})
+	for rest, more := bytes.CutPrefix(ss.reasons, []byte("\n")); more; {
+		var reason []byte
+		reason, rest, more = bytes.Cut(rest, []byte("\n"))
+		dst = ss.room(dst, len("|blocking \n")+2*len(reason))
+		start := len(dst)
+		dst = wire.EndLine(append(append(dst, "|blocking "...), reason...), start)
+	}
+	return append(dst, ".\n"...)
+}
+
+// answer is the Response of a verb that is neither a write nor rendered in
+// place: the one-line probes, the node's role and replication verbs, and
+// the cold reads.
+func (s *Server) answer(ss *session, req wire.Request) wire.Response {
+	r := s.role.Load()
 	switch req.Verb {
 	case wire.VerbPing:
 		return okf("pong")
@@ -1038,62 +1191,24 @@ func (s *Server) Handle(req wire.Request) wire.Response {
 	case wire.VerbQuit:
 		return okf("bye")
 
-	case wire.VerbState:
-		if len(req.Args) != 1 {
-			return errf("STATE wants <oid>")
-		}
-		k, err := meta.ParseKey(req.Args[0])
-		if err != nil {
-			return errf("%v", err)
-		}
-		o, err := s.eng.DB().Head().GetOID(k)
-		if err != nil {
-			return errf("%v", err)
-		}
-		st := state.Evaluate(s.eng.Blueprint(), o)
-		body := []string{fmt.Sprintf("ready %v", st.Ready)}
-		o.Props.Each(func(name, value string) bool {
-			body = append(body, fmt.Sprintf("prop %s %s", name, wire.Quote(value)))
-			return true
-		})
-		for _, r := range st.Reasons {
-			body = append(body, "blocking "+r)
-		}
-		return wire.Response{OK: true, Detail: k.String(), Body: body}
-
-	case wire.VerbReport, wire.VerbGap:
-		// The buffered form, used by in-process callers (Handle); network
-		// connections take the streaming path in serveConn.  Both run the
-		// same scan and the same row formatter, so they emit identical
-		// bodies.
-		v, resp := s.reportGate(req)
-		if v == nil {
-			return resp
-		}
-		defer v.Close()
-		var body []string
-		var buf []byte
-		s.scanReport(v, req.Verb == wire.VerbGap, func(key meta.Key, ready bool, reasons []byte) bool {
-			buf = appendReportRow(buf[:0], key, ready, reasons)
-			body = append(body, string(buf))
-			return true
-		})
-		return wire.Response{OK: true, Detail: strconv.Itoa(len(body)) + " rows", Body: body}
-
-	case wire.VerbQuery:
-		return s.handleQuery(req)
-
 	case wire.VerbStats:
 		es := s.eng.Stats()
 		v := s.eng.DB().ReadView()
 		ds := v.Stats()
 		v.Close()
+		// The heap and GC group, read through runtime/metrics into the
+		// session's samples: no stop-the-world, unlike ReadMemStats.
+		if ss.mem == nil {
+			ss.mem = []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/live:bytes"}}
+		}
+		metrics.Read(ss.mem)
 		c := &s.counters
 		return okf("oids=%d links=%d posted=%d deliveries=%d propagations=%d rules=%d execs=%d"+
-			" conns_shed=%d readonly_refused=%d degraded_refused=%d batch_oversize=%d panics=%d",
+			" conns_shed=%d readonly_refused=%d degraded_refused=%d batch_oversize=%d panics=%d gc=%d heap_b=%d",
 			ds.OIDs, ds.Links, es.Posted, es.Deliveries, es.Propagations, es.RulesFired, es.Execs,
 			c.ConnsShed.Load(), c.ReadOnlyRefused.Load(),
-			c.DegradedRefused.Load(), c.BatchOversize.Load(), c.Panics.Load())
+			c.DegradedRefused.Load(), c.BatchOversize.Load(), c.Panics.Load(),
+			ss.mem[0].Value.Uint64(), ss.mem[1].Value.Uint64())
 
 	case wire.VerbLatest:
 		if len(req.Args) != 2 {

@@ -160,25 +160,46 @@ func (sc *scanScratch) resolve(name string) string {
 func ScanSortedView(v *meta.View, bp *bpl.Blueprint, fn func(key meta.Key, ready bool, reasons []byte) bool) {
 	ix := bp.Index()
 	sc := scanPool.Get().(*scanScratch)
-	defer func() {
-		sc.cur = nil
-		scanPool.Put(sc)
-	}()
+	defer sc.release()
 	v.EachLatestOIDSorted(func(o *meta.OID) bool {
-		sc.cur = o
-		ready := true
 		// A local, not the field: appending through the pointer would cost
 		// a write barrier per append.
-		reasons := sc.reasons[:0]
-		for _, l := range ix.Lets(o.Key.View) {
-			if !bpl.Eval(l.Expr, sc.lookup) {
-				ready = false
-				reasons = ix.Explainer(l).AppendFailures(reasons, l.Name, sc.lookup)
-			}
-		}
+		reasons, ready := sc.explain(sc.reasons[:0], "; ", ix, o)
 		sc.reasons = reasons
+		if len(reasons) > 0 {
+			reasons = reasons[len("; "):]
+		}
 		return fn(o.Key, ready, reasons)
 	})
+}
+
+// AppendReasons evaluates the OID o as ScanSortedView evaluates a row —
+// through bp's compiled index, with the scan's pooled scratch — and appends
+// its failing conditions to dst, each after sep: the one-OID form of the
+// scan, behind the server's STATE.  ready reports that none failed.
+func AppendReasons(dst []byte, sep string, o *meta.OID, bp *bpl.Blueprint) (_ []byte, ready bool) {
+	sc := scanPool.Get().(*scanScratch)
+	defer sc.release()
+	return sc.explain(dst, sep, bp.Index(), o)
+}
+
+// explain appends to dst each condition that holds o back, after sep.
+func (sc *scanScratch) explain(dst []byte, sep string, ix *bpl.Index, o *meta.OID) (_ []byte, ready bool) {
+	sc.cur = o
+	ready = true
+	for _, l := range ix.Lets(o.Key.View) {
+		if !bpl.Eval(l.Expr, sc.lookup) {
+			ready = false
+			dst = ix.Explainer(l).AppendFailures(dst, sep, l.Name, sc.lookup)
+		}
+	}
+	return dst, ready
+}
+
+// release parks the scratch, holding no OID.
+func (sc *scanScratch) release() {
+	sc.cur = nil
+	scanPool.Put(sc)
 }
 
 // Report evaluates the latest version of every version chain live at v

@@ -15,9 +15,12 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"unsafe"
 )
 
 // Protocol verbs.
@@ -134,6 +137,12 @@ func ParseRequest(line string) (Request, error) {
 	if err != nil {
 		return Request{}, err
 	}
+	return ParseFields(fields)
+}
+
+// ParseFields makes the request whose line splits into fields, as Tokenize
+// or AppendFields split it.  The request's Args share fields' backing array.
+func ParseFields(fields []string) (Request, error) {
 	if len(fields) == 0 {
 		return Request{}, fmt.Errorf("%w: empty request", ErrSyntax)
 	}
@@ -165,40 +174,63 @@ type Response struct {
 // error quoting a request's argument, say), the response is one line, or
 // len(Body)+2, and no part of it reads as the answer to the next request.
 func (r Response) Encode() string {
-	status := "ERR"
-	if r.OK {
-		status = "OK"
-	}
-	detail := oneLine(r.Detail)
-	if len(r.Body) == 0 {
-		if detail == "" {
-			return status
-		}
-		return status + " " + detail
-	}
-	var sb strings.Builder
-	sb.WriteString(status)
-	sb.WriteString("+")
-	if detail != "" {
-		sb.WriteByte(' ')
-		sb.WriteString(detail)
-	}
+	n := len("ERR+ .\n\n") + len(r.Detail)
 	for _, line := range r.Body {
-		sb.WriteString("\n|")
-		sb.WriteString(oneLine(line))
+		n += len("|\n") + len(line)
 	}
-	sb.WriteString("\n.")
-	return sb.String()
+	b := AppendResponse(make([]byte, 0, n), r)
+	return unsafe.String(unsafe.SliceData(b), len(b)-1) // b is not written again
 }
 
-var lineBreaks = strings.NewReplacer("\n", `\n`, "\r", `\r`)
-
-// oneLine returns s with its line breaks escaped.
-func oneLine(s string) string {
-	if strings.ContainsAny(s, "\r\n") {
-		return lineBreaks.Replace(s)
+// AppendResponse appends the lines of Encode to dst, the last one ended
+// too.
+func AppendResponse(dst []byte, r Response) []byte {
+	start := len(dst)
+	if r.OK {
+		dst = append(dst, "OK"...)
+	} else {
+		dst = append(dst, "ERR"...)
 	}
-	return s
+	if len(r.Body) > 0 {
+		dst = append(dst, '+')
+	}
+	if r.Detail != "" {
+		dst = append(dst, ' ')
+		dst = append(dst, r.Detail...)
+	}
+	dst = EndLine(dst, start)
+	if len(r.Body) == 0 {
+		return dst
+	}
+	for _, line := range r.Body {
+		start = len(dst)
+		dst = append(dst, '|')
+		dst = append(dst, line...)
+		dst = EndLine(dst, start)
+	}
+	return append(dst, ".\n"...)
+}
+
+// EndLine ends the response line dst[start:] with "\n", after writing each
+// CR or LF in it as the two characters \r or \n.  A line without them, the
+// common case, is scanned once and not copied.
+func EndLine(dst []byte, start int) []byte {
+	if !bytes.ContainsAny(dst[start:], "\r\n") {
+		return append(dst, '\n')
+	}
+	line := slices.Clone(dst[start:])
+	dst = dst[:start]
+	for _, c := range line {
+		switch c {
+		case '\r':
+			dst = append(dst, `\r`...)
+		case '\n':
+			dst = append(dst, `\n`...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '\n')
 }
 
 // ParseResponseHeader parses the first line of a response and reports
